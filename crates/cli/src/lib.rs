@@ -243,13 +243,15 @@ pub fn cmd_eval_updates(
             let s = session.stats();
             let _ = writeln!(
                 out,
-                "% maintenance: {} batches, +{} -{} edb, {} retractions, {} rederivations, {} insertions",
+                "% maintenance: {} batches, +{} -{} edb, {} retractions, {} rederivations, {} insertions, {} derivations, {} fallbacks",
                 batches.len(),
                 s.edb_inserted,
                 s.edb_deleted,
                 s.retractions,
                 s.rederivations,
-                s.insertions
+                s.insertions,
+                s.derivations,
+                s.fallbacks
             );
         }
     }
@@ -953,8 +955,11 @@ USAGE:
   '%' comments. The output relations are printed initially and after
   every batch. --from-scratch re-evaluates each batch with the full
   fixpoint instead — byte-identical output by construction, which makes
-  'diff' between the two modes a correctness oracle. With --metrics a
-  '% maintenance:' summary line is appended in incremental mode.
+  'diff' between the two modes a correctness oracle (it is an error
+  without --updates). A batch that would overdelete more than a fixed
+  share of a stratum re-evaluates that stratum and the ones above it
+  instead. With --metrics a '% maintenance:' summary line is appended
+  in incremental mode; its 'fallbacks' counts those re-evaluated strata.
 
   --dump-plan prints the compiled query plan — per rule, the atom join
   order and each atom's join strategy (merge join on a sorted prefix,

@@ -56,15 +56,19 @@ fn dispatch(args: &[String]) -> Result<String, CliError> {
     match cmd {
         "eval" => {
             let (p, f) = two_files(args)?;
+            let from_scratch = args.iter().any(|a| a == "--from-scratch");
             match flag_value(args, "--updates") {
                 Some(u) => cmd_eval_updates(
                     &read(p)?,
                     &read(f)?,
                     &read(u)?,
-                    args.iter().any(|a| a == "--from-scratch"),
+                    from_scratch,
                     &obs_options(args),
                     eval_threads(args)?,
                 ),
+                None if from_scratch => Err(CliError(
+                    "--from-scratch only applies to --updates <file>".into(),
+                )),
                 None => cmd_eval_full(
                     &read(p)?,
                     &read(f)?,
@@ -174,4 +178,35 @@ fn two_files(args: &[String]) -> Result<(&str, &str), CliError> {
         .filter(|a| !a.starts_with("--"))
         .ok_or_else(|| CliError("expected a facts file".into()))?;
     Ok((p, f))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
+    #[test]
+    fn from_scratch_without_updates_is_a_usage_error() {
+        // Used to be silently ignored (a plain `eval` ran instead).
+        let err = dispatch(&args(&["eval", "p.dl", "f.dl", "--from-scratch"])).unwrap_err();
+        assert!(
+            err.0.contains("--from-scratch only applies to --updates"),
+            "{}",
+            err.0
+        );
+        // With --updates the flag is accepted: the error is the missing file.
+        let err = dispatch(&args(&[
+            "eval",
+            "/nonexistent/p.dl",
+            "f.dl",
+            "--updates",
+            "u.dl",
+            "--from-scratch",
+        ]))
+        .unwrap_err();
+        assert!(err.0.contains("/nonexistent/p.dl"), "{}", err.0);
+    }
 }

@@ -339,7 +339,7 @@ pub struct Relation {
     /// Row ids retracted since the last [`Relation::mark_delta`] — the
     /// retraction log mirroring the insertion log's delta region. May
     /// contain duplicates and since-revived ids; the signed-delta
-    /// reader [`Relation::removed_rows`] filters both.
+    /// reader [`Relation::removed_ids`] filters both.
     retracted_since_mark: Vec<u32>,
     /// `indexes[col]`, when built, maps a symbol to the ids of the rows
     /// whose `col`-th component is that symbol.
@@ -392,14 +392,17 @@ impl Relation {
     /// reference that id, so nothing is rebuilt and no duplicate row is
     /// ever enumerated. A genuinely new row updates every built index
     /// in place — indexes never need rebuilding.
+    #[inline]
     pub fn insert(&mut self, t: SymTuple) -> bool {
+        self.insert_id(t).is_some()
+    }
+
+    /// As [`Relation::insert`], returning the id of the new or revived
+    /// row (`None` when the row was already live).
+    #[inline]
+    pub fn insert_id(&mut self, t: SymTuple) -> Option<u32> {
         if let Some(&id) = self.seen.get(&t) {
-            if self.counts[id as usize] == 0 {
-                self.counts[id as usize] = 1;
-                self.dead -= 1;
-                return true;
-            }
-            return false;
+            return self.revive(id).then_some(id);
         }
         let row_id = checked_id(self.rows.len(), self.row_cap, "row");
         for (col, index) in self.indexes.iter_mut().enumerate() {
@@ -410,7 +413,7 @@ impl Relation {
         self.seen.insert(t.clone(), row_id);
         self.rows.push(t);
         self.counts.push(1);
-        true
+        Some(row_id)
     }
 
     /// Retract a row: zero its support count, leaving a tombstone in
@@ -419,16 +422,39 @@ impl Relation {
     /// [`Relation::compact`] physically removes them. Returns `true`
     /// when the row was present and live.
     pub fn retract(&mut self, t: &[Sym]) -> bool {
-        let Some(&id) = self.seen.get(t) else {
-            return false;
-        };
-        if self.counts[id as usize] == 0 {
+        self.lookup(t).is_some_and(|id| self.retract_id(id))
+    }
+
+    /// As [`Relation::retract`], by row id.
+    pub fn retract_id(&mut self, id: u32) -> bool {
+        if !self.is_live(id) {
             return false;
         }
         self.counts[id as usize] = 0;
         self.dead += 1;
         self.retracted_since_mark.push(id);
         true
+    }
+
+    /// Resurrect a tombstoned row in place (support back to 1), as
+    /// re-inserting its tuple would. Returns `true` when the row was
+    /// dead.
+    pub fn revive(&mut self, id: u32) -> bool {
+        match self.counts.get_mut(id as usize) {
+            Some(c) if *c == 0 => {
+                *c = 1;
+                self.dead -= 1;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// The row id of a tuple in the insertion log — live *or*
+    /// tombstoned; filter with [`Relation::is_live`] or
+    /// [`Relation::live_at_mark`].
+    pub fn lookup(&self, t: &[Sym]) -> Option<u32> {
+        self.seen.get(t).copied()
     }
 
     /// Membership test (tombstoned rows are absent).
@@ -447,6 +473,20 @@ impl Relation {
     /// Whether the row with the given id is live (not tombstoned).
     pub fn is_live(&self, id: u32) -> bool {
         self.counts.get(id as usize).is_some_and(|&c| c > 0)
+    }
+
+    /// Whether the row with the given id was live at the last
+    /// [`Relation::mark_delta`] — the *old view* as a filter on row
+    /// ids. When the relation held no tombstones at mark time (the
+    /// update driver compacts at every batch boundary), every id below
+    /// the watermark was live then, whatever happened to it since: a
+    /// retraction leaves the row in the log as a tombstone, a revival
+    /// keeps its id, and new rows are appended past the watermark. So
+    /// `(live ∧ ¬added) ∨ (dead ∧ removed)` is exactly `id <
+    /// delta_start`, and index probes keep returning the ids of both
+    /// kinds until [`Relation::compact`].
+    pub fn live_at_mark(&self, id: u32) -> bool {
+        (id as usize) < self.delta_start
     }
 
     /// All rows in the insertion log, in insertion order — *including*
@@ -469,40 +509,38 @@ impl Relation {
 
     /// The rows inserted since the last [`Relation::mark_delta`]
     /// (insertion log slice; may include tombstoned rows — the signed
-    /// view is [`Relation::added_rows`]).
+    /// view is [`Relation::added_ids`]).
     pub fn delta_rows(&self) -> &[SymTuple] {
         &self.rows[self.delta_start.min(self.rows.len())..]
     }
 
-    /// Signed delta, additions: rows inserted since the last
-    /// [`Relation::mark_delta`] that are still live. Exact when the
-    /// relation held no tombstones at mark time (the update driver
+    /// Signed delta, additions: ids of the rows inserted since the
+    /// last [`Relation::mark_delta`] that are still live. Exact when
+    /// the relation held no tombstones at mark time (the update driver
     /// compacts at every batch boundary): a revival of an older id can
     /// then only cancel a same-window retraction, never add.
-    pub fn added_rows(&self) -> impl Iterator<Item = &SymTuple> + '_ {
+    pub fn added_ids(&self) -> impl Iterator<Item = u32> + '_ {
         let start = self.delta_start.min(self.rows.len());
-        self.rows[start..]
-            .iter()
-            .enumerate()
-            .filter(move |(i, _)| self.dead == 0 || self.counts[start + *i] > 0)
-            .map(|(_, t)| t)
+        (start..self.rows.len())
+            .filter(move |&i| self.dead == 0 || self.counts[i] > 0)
+            .map(|i| i as u32)
     }
 
-    /// Signed delta, removals: rows that were live at the last
-    /// [`Relation::mark_delta`] and are tombstoned now. Ids past the
-    /// watermark are skipped (inserted *and* retracted within the
+    /// Signed delta, removals: ids of the rows that were live at the
+    /// last [`Relation::mark_delta`] and are tombstoned now. Ids past
+    /// the watermark are skipped (inserted *and* retracted within the
     /// window — a net no-op), as are since-revived and duplicate log
-    /// entries. Same precondition as [`Relation::added_rows`].
-    pub fn removed_rows(&self) -> impl Iterator<Item = &SymTuple> + '_ {
+    /// entries. Same precondition as [`Relation::added_ids`].
+    pub fn removed_ids(&self) -> impl Iterator<Item = u32> + '_ {
         let mut emitted: HashSet<u32> = HashSet::new();
         self.retracted_since_mark
             .iter()
-            .filter(move |&&id| {
+            .copied()
+            .filter(move |&id| {
                 (id as usize) < self.delta_start
                     && self.counts[id as usize] == 0
                     && emitted.insert(id)
             })
-            .map(|&id| &self.rows[id as usize])
     }
 
     /// Row id of the start of the delta region.
@@ -769,11 +807,17 @@ impl Storage {
 
     /// Insert a row; returns `true` when new.
     pub fn insert(&mut self, r: RelId, t: SymTuple) -> bool {
-        let new = self.relation_mut(r).insert(t);
-        if new {
+        self.insert_id(r, t).is_some()
+    }
+
+    /// As [`Storage::insert`], returning the id of the new or revived
+    /// row (see [`Relation::insert_id`]).
+    pub fn insert_id(&mut self, r: RelId, t: SymTuple) -> Option<u32> {
+        let id = self.relation_mut(r).insert_id(t);
+        if id.is_some() {
             self.count += 1;
         }
-        new
+        id
     }
 
     /// Bulk-insert rows into one relation — the merge edge of the
@@ -810,6 +854,40 @@ impl Storage {
             self.count -= 1;
         }
         hit
+    }
+
+    /// As [`Storage::retract`], by row id.
+    pub fn retract_id(&mut self, r: RelId, id: u32) -> bool {
+        let hit = self
+            .rels
+            .get_mut(r.0 as usize)
+            .is_some_and(|rel| rel.retract_id(id));
+        if hit {
+            self.count -= 1;
+        }
+        hit
+    }
+
+    /// Resurrect a tombstoned row by id (see [`Relation::revive`]);
+    /// returns `true` when the row was dead.
+    pub fn revive(&mut self, r: RelId, id: u32) -> bool {
+        let hit = self
+            .rels
+            .get_mut(r.0 as usize)
+            .is_some_and(|rel| rel.revive(id));
+        if hit {
+            self.count += 1;
+        }
+        hit
+    }
+
+    /// Remove every row of one relation (see [`Relation::clear`]),
+    /// keeping the fact counter honest.
+    pub fn clear_relation(&mut self, r: RelId) {
+        if let Some(rel) = self.rels.get_mut(r.0 as usize) {
+            self.count -= rel.len();
+            rel.clear();
+        }
     }
 
     /// Whether any relation holds tombstoned (retracted, uncompacted)
@@ -1316,14 +1394,130 @@ mod tests {
         r.retract(&syms(&mut t, &[2])); // duplicate retract: ignored
         r.retract(&syms(&mut t, &[3]));
         r.insert(syms(&mut t, &[3])); // revival cancels the retraction
-        let added: Vec<_> = r.added_rows().cloned().collect();
+        let added: Vec<_> = r.added_ids().map(|id| r.row(id).clone()).collect();
         assert_eq!(added, vec![syms(&mut t, &[4])]);
-        let removed: Vec<_> = r.removed_rows().cloned().collect();
+        let removed: Vec<_> = r.removed_ids().map(|id| r.row(id).clone()).collect();
         assert_eq!(removed, vec![syms(&mut t, &[2])]);
         // The next mark clears the retraction log.
         r.mark_delta();
-        assert_eq!(r.added_rows().count(), 0);
-        assert_eq!(r.removed_rows().count(), 0);
+        assert_eq!(r.added_ids().count(), 0);
+        assert_eq!(r.removed_ids().count(), 0);
+    }
+
+    #[test]
+    fn id_filtered_probes_enumerate_the_old_and_new_views() {
+        // Random signed sequences over a compacted, marked relation:
+        // an index probe filtered by `live_at_mark` must enumerate
+        // exactly (live ∖ added) ∪ removed — the contents at mark time —
+        // and filtered by `is_live` exactly the current contents,
+        // through tombstones, revivals and appended rows alike.
+        use crate::rng::Rng;
+        for seed in 0..64u64 {
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut t = SymbolTable::new();
+            let mut st = Storage::new();
+            let e = t.rel("E");
+            st.relation_mut(e).ensure_index(0);
+            let mut model: HashSet<SymTuple> = HashSet::new();
+            for _ in 0..rng.gen_range(0..24usize) {
+                let row = syms(&mut t, &[rng.gen_range(0..4i64), rng.gen_range(0..6i64)]);
+                st.insert(e, row.clone());
+                model.insert(row);
+            }
+            // Leave a few tombstones behind, then compact: the
+            // precondition of the id filter.
+            for row in model.clone() {
+                if rng.gen_bool(0.2) {
+                    st.retract(e, &row);
+                    model.remove(&row);
+                }
+            }
+            st.compact_retractions();
+            st.mark_deltas();
+            let at_mark = model.clone();
+            for _ in 0..rng.gen_range(0..40usize) {
+                let row = syms(&mut t, &[rng.gen_range(0..4i64), rng.gen_range(0..6i64)]);
+                if rng.gen_bool(0.5) {
+                    assert_eq!(st.insert(e, row.clone()), model.insert(row), "seed {seed}");
+                } else {
+                    assert_eq!(st.retract(e, &row), model.remove(&row), "seed {seed}");
+                }
+            }
+            assert_eq!(st.len(), model.len(), "seed {seed}");
+            let rel = st.relation(e).unwrap();
+            let added: HashSet<SymTuple> = rel.added_ids().map(|id| rel.row(id).clone()).collect();
+            let removed: HashSet<SymTuple> =
+                rel.removed_ids().map(|id| rel.row(id).clone()).collect();
+            assert_eq!(
+                added,
+                model.difference(&at_mark).cloned().collect(),
+                "seed {seed}"
+            );
+            assert_eq!(
+                removed,
+                at_mark.difference(&model).cloned().collect(),
+                "seed {seed}"
+            );
+            let old: HashSet<SymTuple> = model
+                .difference(&added)
+                .chain(removed.iter())
+                .cloned()
+                .collect();
+            assert_eq!(old, at_mark, "seed {seed}");
+            for k in 0..4i64 {
+                let s = t.sym(&v(k));
+                let ids = rel.probe(0, s).unwrap();
+                let view = |keep: &dyn Fn(u32) -> bool| -> Vec<SymTuple> {
+                    let mut rows: Vec<SymTuple> = ids
+                        .iter()
+                        .filter(|&&id| keep(id))
+                        .map(|&id| rel.row(id).clone())
+                        .collect();
+                    rows.sort();
+                    rows
+                };
+                let expect = |set: &HashSet<SymTuple>| -> Vec<SymTuple> {
+                    let mut rows: Vec<SymTuple> =
+                        set.iter().filter(|r| r[0] == s).cloned().collect();
+                    rows.sort();
+                    rows
+                };
+                assert_eq!(
+                    view(&|id| rel.live_at_mark(id)),
+                    expect(&old),
+                    "seed {seed}"
+                );
+                assert_eq!(view(&|id| rel.is_live(id)), expect(&model), "seed {seed}");
+            }
+            // Id-level retract/revive agree with the tuple-level calls.
+            if let Some(row) = model.iter().next().cloned() {
+                let id = st.relation(e).unwrap().lookup(&row).unwrap();
+                assert!(st.retract_id(e, id));
+                assert!(!st.retract_id(e, id), "already dead");
+                assert!(!st.contains(e, &row));
+                assert!(st.revive(e, id));
+                assert!(!st.revive(e, id), "already live");
+                assert!(st.contains(e, &row));
+                assert_eq!(st.len(), model.len(), "seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn clear_relation_keeps_the_fact_counter_honest() {
+        let mut t = SymbolTable::new();
+        let mut st = Storage::new();
+        let (e, f) = (t.rel("E"), t.rel("F"));
+        st.insert(e, syms(&mut t, &[1, 2]));
+        st.insert(e, syms(&mut t, &[2, 3]));
+        st.retract(e, &syms(&mut t, &[2, 3]));
+        st.insert(f, syms(&mut t, &[7]));
+        st.clear_relation(e);
+        assert_eq!(st.len(), 1);
+        assert!(!st.any_dead());
+        assert!(st.relation(e).unwrap().is_empty());
+        st.clear_relation(t.rel("Missing"));
+        assert_eq!(st.len(), 1);
     }
 
     #[test]

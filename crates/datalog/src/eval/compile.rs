@@ -5,7 +5,7 @@
 
 use crate::ast::{Rule, Term, Var};
 use calm_common::storage::{RelId, Sym, SymbolTable};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A compiled term: either an interned constant or a variable slot index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,7 +112,6 @@ pub fn compile_rule_ordered(
 /// Reordering never changes semantics — the positive body is a
 /// conjunction, and components share no variables.
 fn order_atoms(pos: &[crate::ast::Atom]) -> Vec<crate::ast::Atom> {
-    use std::collections::BTreeSet;
     let n = pos.len();
     let vars: Vec<BTreeSet<&Var>> = pos.iter().map(|a| a.variables().collect()).collect();
     // Flood-fill connected components over "atoms share a variable".
@@ -145,47 +144,51 @@ fn order_atoms(pos: &[crate::ast::Atom]) -> Vec<crate::ast::Atom> {
     groups.sort_by_key(|g| (usize::MAX - g.len(), g[0].0));
     let mut out = Vec::with_capacity(n);
     for group in groups {
-        greedy_order(group, &mut out);
+        let shapes = group
+            .into_iter()
+            .map(|(i, atom)| (i, atom.terms.iter().map(Term::as_var).collect()))
+            .collect();
+        out.extend(
+            greedy_order(shapes, &mut BTreeSet::new())
+                .into_iter()
+                .map(|i| pos[i].clone()),
+        );
     }
     out
 }
 
-/// Greedy ordering within one connected component: repeatedly pick the
-/// unplaced atom with the most already-bound variables (ties: most
-/// constants, then fewest new variables, then original position for
-/// determinism).
-fn greedy_order<'a>(
-    mut remaining: Vec<(usize, &'a crate::ast::Atom)>,
-    out: &mut Vec<crate::ast::Atom>,
-) {
-    use std::collections::BTreeSet;
-    let mut bound: BTreeSet<&'a Var> = BTreeSet::new();
+/// Greedy join ordering: repeatedly pick the unplaced atom with the
+/// most already-bound variables (ties: most constants, then fewest new
+/// variables, then smallest key for determinism), extending `bound`
+/// with each pick. An atom is its key plus one entry per term —
+/// `Some(variable)` or `None` for a constant — so the rule compiler
+/// orders AST atoms within a connected component and the maintenance
+/// planner ([`CompiledRule::access_path`]) orders compiled atoms
+/// around an already-bound seed with the same policy. Returns the keys
+/// in join order.
+fn greedy_order<K: Ord + Copy>(
+    mut remaining: Vec<(usize, Vec<Option<K>>)>,
+    bound: &mut BTreeSet<K>,
+) -> Vec<usize> {
+    let mut out = Vec::with_capacity(remaining.len());
     while !remaining.is_empty() {
         let (best_idx, _) = remaining
             .iter()
             .enumerate()
-            .max_by_key(|(_, (orig, atom))| {
-                let bound_vars = atom.variables().filter(|v| bound.contains(v)).count();
-                let consts = atom
-                    .terms
-                    .iter()
-                    .filter(|t| matches!(t, Term::Const(_)))
-                    .count();
-                let new_vars = atom.variables().filter(|v| !bound.contains(v)).count();
+            .max_by_key(|(_, (key, terms))| {
+                let bound_vars = terms.iter().flatten().filter(|v| bound.contains(v)).count();
+                let consts = terms.iter().filter(|t| t.is_none()).count();
+                let new_vars = terms.len() - consts - bound_vars;
                 // Max bound vars, then max constants, then min new vars,
-                // then min original index (stable).
-                (
-                    bound_vars,
-                    consts,
-                    usize::MAX - new_vars,
-                    usize::MAX - *orig,
-                )
+                // then min key (stable).
+                (bound_vars, consts, usize::MAX - new_vars, usize::MAX - *key)
             })
             .expect("nonempty");
-        let (_, atom) = remaining.remove(best_idx);
-        bound.extend(atom.variables());
-        out.push(atom.clone());
+        let (key, terms) = remaining.remove(best_idx);
+        bound.extend(terms.into_iter().flatten());
+        out.push(key);
     }
+    out
 }
 
 /// Compile a rule in the body order given, interning relation names and
@@ -220,7 +223,7 @@ pub fn compile_rule(
     // numbered variables (safety guarantees every variable occurs in pos).
     // While compiling, track which slots are bound by earlier atoms to
     // derive each atom's probe position.
-    let mut bound_slots: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
+    let mut bound_slots: BTreeSet<usize> = BTreeSet::new();
     let pos: Vec<CompiledAtom> = rule
         .pos
         .iter()
@@ -309,11 +312,143 @@ fn strategy_for(probe: Option<usize>) -> JoinStrategy {
     }
 }
 
+/// The atom a maintenance join starts from: its variables are bound
+/// from one changed (or, for the head, checked) tuple before any other
+/// atom is visited.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Seed {
+    /// Positive atom `i` ranges over a delta instead of its relation.
+    Pos(usize),
+    /// Negative atom `j` is bound to a tuple that entered or left its
+    /// relation.
+    Neg(usize),
+    /// The head is bound: "does any body valuation derive this tuple?"
+    Head,
+}
+
+/// What matching one column of a row does, decided at plan time from
+/// the variables bound before that column is reached — so the join
+/// loop neither tests for boundness nor undoes bindings.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ColOp {
+    /// First occurrence of a variable on this access path: store the
+    /// row's symbol in the slot.
+    Bind(usize),
+    /// A constant or an already-bound variable: the row must agree.
+    Eq(Slot),
+}
+
+/// How one step of an [`AccessPath`] finds its candidate rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Access {
+    /// Every column is bound: one membership lookup.
+    Lookup,
+    /// Probe the hash index of this (bound) column.
+    Probe(usize),
+    /// Nothing is bound (the atom shares no variable with anything
+    /// before it): visit every row.
+    Scan,
+}
+
+/// One positive atom on an [`AccessPath`].
+#[derive(Debug, Clone)]
+pub struct Step {
+    /// Index into [`CompiledRule::pos`].
+    pub atom: usize,
+    /// Where the candidate rows come from.
+    pub access: Access,
+    /// Per-column match program.
+    pub cols: Vec<ColOp>,
+}
+
+/// A join order for one `(rule, seed)` pair of incremental
+/// maintenance: the seeded atom first, then every other positive atom
+/// with its access chosen from what is bound by then.
+#[derive(Debug, Clone)]
+pub struct AccessPath {
+    /// Match program of the seeded atom against the seeding tuple.
+    pub seed: Vec<ColOp>,
+    /// The remaining positive atoms, in join order.
+    pub steps: Vec<Step>,
+}
+
+/// The match program of `slots` given the variables bound so far,
+/// which it extends.
+fn col_ops(slots: &[Slot], bound: &mut BTreeSet<usize>) -> Vec<ColOp> {
+    slots
+        .iter()
+        .map(|&slot| match slot {
+            Slot::Var(i) if bound.insert(i) => ColOp::Bind(i),
+            _ => ColOp::Eq(slot),
+        })
+        .collect()
+}
+
 impl CompiledRule {
     /// Whether the rule has at least one positive atom over the current
     /// stratum's idb (i.e., participates in the fixpoint recursion).
     pub fn is_recursive(&self) -> bool {
         self.recursive_pos.iter().any(|&b| b)
+    }
+
+    /// Plan the maintenance join seeded at `seed` with the rule
+    /// compiler's own [`greedy_order`], started from the seed's
+    /// variables. Ties go to atoms over lower strata before atoms over
+    /// the stratum's own (recursive, typically far larger) relations:
+    /// with the head of `T(x,z) :- T(x,y), E(y,z)` bound, probing
+    /// `E(·,z)` and looking `T(x,y)` up costs the in-degree of `z`,
+    /// the other way round the whole closure of `x`.
+    pub fn access_path(&self, seed: Seed) -> AccessPath {
+        let seeded = match seed {
+            Seed::Pos(i) => &self.pos[i],
+            Seed::Neg(j) => &self.neg[j],
+            Seed::Head => &self.head,
+        };
+        let mut bound = BTreeSet::new();
+        let seed_ops = col_ops(&seeded.slots, &mut bound);
+        let mut rest: Vec<usize> = (0..self.pos.len())
+            .filter(|&i| seed != Seed::Pos(i))
+            .collect();
+        rest.sort_by_key(|&i| self.recursive_pos[i]);
+        let shapes = rest
+            .iter()
+            .enumerate()
+            .map(|(rank, &i)| {
+                let terms = self.pos[i].slots.iter().map(|s| match s {
+                    Slot::Var(v) => Some(*v),
+                    Slot::Const(_) => None,
+                });
+                (rank, terms.collect())
+            })
+            .collect();
+        let order = greedy_order(shapes, &mut bound.clone());
+        let steps = order
+            .into_iter()
+            .map(|rank| {
+                let atom = rest[rank];
+                let slots = &self.pos[atom].slots;
+                // Bound *before* this atom is reached: a variable the
+                // atom itself repeats is matched, not probed.
+                let is_bound = |s: &Slot| match s {
+                    Slot::Const(_) => true,
+                    Slot::Var(v) => bound.contains(v),
+                };
+                let access = if slots.iter().all(is_bound) {
+                    Access::Lookup
+                } else {
+                    slots
+                        .iter()
+                        .position(is_bound)
+                        .map_or(Access::Scan, Access::Probe)
+                };
+                let cols = col_ops(slots, &mut bound);
+                Step { atom, access, cols }
+            })
+            .collect();
+        AccessPath {
+            seed: seed_ops,
+            steps,
+        }
     }
 }
 

@@ -3,8 +3,8 @@
 //!
 //! [`apply_update_compiled`] takes a materialized [`Database`] (the
 //! fixpoint of some stratified program over its old EDB), a signed
-//! [`UpdateBatch`], and the per-stratum [`CompiledProgram`]s, and
-//! maintains the database *in place* — no from-scratch fixpoint. The
+//! [`UpdateBatch`], the per-stratum [`CompiledProgram`]s and their
+//! [`MaintenancePlan`], and maintains the database *in place*. The
 //! contract is differential: after any interleaving of batches, the
 //! database holds exactly the facts a from-scratch evaluation of the
 //! final EDB would produce.
@@ -26,38 +26,68 @@
 //!
 //! 1. **Overdelete**: every derivation over the *old* view that
 //!    touched a removed tuple (positive atom) or a newly added tuple
-//!    (negative atom) has its head tombstoned, transitively within the
+//!    (negative atom) has its head scheduled, transitively within the
 //!    stratum (in-stratum recursion is purely positive — stratified
-//!    negation only looks down).
+//!    negation only looks down); the scheduled rows are then
+//!    tombstoned.
 //! 2. **Rederive**: each overdeleted tuple is kept deleted only if no
 //!    rule re-derives it from the surviving facts (head-bound backward
-//!    check, iterated to fixpoint so revived tuples can support each
-//!    other).
+//!    check, then forward propagation of the revivals).
 //! 3. **Insert**: new derivations from added tuples (positive atoms)
 //!    and removed tuples (negative atoms) are propagated semi-naively
 //!    with explicit deltas.
 //!
 //! Strata are processed in order; each stratum's net changes join the
-//! signed change sets consumed by the strata above it. The *old* view
-//! of a relation is reconstructed from the current store plus the
-//! change sets — `old(r) = (live(r) ∖ added[r]) ∪ removed[r]` — so
-//! sealed sorted batches stay immutable and nothing is snapshotted.
+//! signed change sets consumed by the strata above it.
 //!
-//! Maintenance is sequential; the from-scratch fixpoint is
+//! # One kernel, by row id
+//!
+//! Every join of every phase runs through [`Join`] along an
+//! [`AccessPath`] planned once per `(rule, seed)` pair
+//! ([`MaintenancePlan`]): the seeded atom first, then an index probe
+//! (or, fully bound, a membership lookup) per remaining atom. The two
+//! views are filters on the probed row ids, not copies: the batch
+//! starts compacted and moves every watermark once, a retraction
+//! leaves a tombstone whose id the indexes keep, and new rows are
+//! appended — so the *new* view is "live" and the *old* view is "below
+//! the watermark" ([`Relation::live_at_mark`]). Changed, overdeleted
+//! and revived tuples are `u32` row ids throughout; only a tuple that
+//! does not exist yet (phase 3) is ever materialized.
+//!
+//! # The re-evaluation guard
+//!
+//! DRed's cost follows the overdeleted set, and on a dense recursive
+//! view a few deleted edges overdelete almost everything — several
+//! times the work of evaluating the stratum again. While a stratum is
+//! being overdeleted (nothing in it has been mutated yet), the number
+//! of scheduled rows is compared with [`fallback_limit`] of the
+//! stratum's live head rows; past it, maintenance stops, compacts the
+//! tombstones below, clears the head relations of this stratum and
+//! every one above, and re-runs their fixpoints over the already
+//! maintained lower strata. The same limit is applied to the
+//! stratum's inputs before any work is done: when the changes below
+//! have already rewritten more than that share of a relation the
+//! stratum reads, overdeleting a quarter of the view only to abandon
+//! it is skipped. No diff is computed for the re-evaluated strata:
+//! change sets only feed the strata above, and all of those are
+//! re-evaluated too.
+//!
+//! Maintenance is sequential (the fallback fixpoints run at the
+//! program's `eval_threads`); the from-scratch fixpoint is
 //! byte-identical at any `eval_threads`, so the differential oracle
 //! holds at any thread count.
 
-use super::compile::CompiledRule;
+use super::compile::{Access, AccessPath, ColOp, CompiledAtom, CompiledRule, Seed, Slot};
 use super::database::Database;
-use super::seminaive::{slot_sym, undo, unify, CompiledProgram};
-use calm_common::storage::{RelId, Storage, Sym, SymTuple};
+use super::seminaive::{fixpoint_seminaive_compiled_obs, CompiledProgram};
+use calm_common::storage::{RelId, Relation, Storage, Sym, SymTuple};
 use calm_common::update::UpdateBatch;
 use calm_obs::Obs;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
-/// Per-relation signed change sets, carried across strata: the net
-/// additions (or removals) relative to the pre-update database.
-type ChangeSet = HashMap<RelId, HashSet<SymTuple>>;
+/// Row ids per relation: a signed change set carried across strata, or
+/// the delta of one propagation round.
+type Ids = HashMap<RelId, Vec<u32>>;
 
 /// Counters for one update-batch application.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -66,16 +96,24 @@ pub struct UpdateStats {
     pub edb_inserted: usize,
     /// EDB facts actually deleted (present before).
     pub edb_deleted: usize,
-    /// Derived tuples overdeleted (tombstoned) by retraction
-    /// propagation, *including* those later rederived.
+    /// Derived tuples scheduled for overdeletion by retraction
+    /// propagation, *including* those later rederived. In a stratum
+    /// where the re-evaluation guard tripped this counts only what was
+    /// scheduled before the stop.
     pub retractions: usize,
     /// Overdeleted tuples with a surviving alternative derivation,
-    /// resurrected by the rederive pass.
+    /// resurrected by the rederive pass. A stratum re-evaluated by the
+    /// guard rederives nothing (it is recomputed instead).
     pub rederivations: usize,
-    /// Derived tuples newly inserted by insertion propagation.
+    /// Derived tuples newly inserted by insertion propagation (not by a
+    /// guard re-evaluation).
     pub insertions: usize,
-    /// Body valuations enumerated across all phases (work measure).
+    /// Body valuations enumerated across all phases, fallback
+    /// fixpoints included (work measure).
     pub derivations: usize,
+    /// Strata re-evaluated from scratch because the re-evaluation
+    /// guard tripped (the tripping stratum and every one above it).
+    pub fallbacks: usize,
 }
 
 impl UpdateStats {
@@ -87,562 +125,489 @@ impl UpdateStats {
         self.rederivations += other.rederivations;
         self.insertions += other.insertions;
         self.derivations += other.derivations;
+        self.fallbacks += other.fallbacks;
     }
 }
 
-/// A readable snapshot of the database the join loop evaluates over.
-enum View<'a> {
-    /// The current (post-change) contents: live rows only.
-    New(&'a Storage),
-    /// The pre-update contents, reconstructed from the current store
-    /// and the signed change sets: `old(r) = (live(r) ∖ added[r]) ∪
-    /// removed[r]`.
-    Old {
-        storage: &'a Storage,
-        added: &'a ChangeSet,
-        removed: &'a ChangeSet,
-    },
+/// The re-evaluation guard's threshold: overdeleting more than this
+/// many of a stratum's `live` head rows (or finding more than this
+/// many of an input relation's rows changed) abandons DRed for a fresh
+/// fixpoint of the stratum. One internal constant — reported through
+/// [`UpdateStats::fallbacks`], never set. Measured with the guard off
+/// (E27; DESIGN.md §16 has the table), DRed carried through costs half
+/// a rebuild of the view at 11 % of it overdeleted and meets the
+/// rebuild just under 40 %; at a quarter a completed batch stays
+/// under 0.75× and an abandoned prefix adds at most 0.3×. The floor
+/// keeps views of a few dozen rows, where neither path costs anything
+/// measurable, on the incremental path.
+pub fn fallback_limit(live: usize) -> usize {
+    live / 4 + 64
 }
 
-impl View<'_> {
-    fn contains(&self, r: RelId, t: &[Sym]) -> bool {
-        match self {
-            View::New(storage) => storage.contains(r, t),
-            View::Old {
-                storage,
-                added,
-                removed,
-            } => {
-                if removed.get(&r).is_some_and(|s| s.contains(t)) {
-                    return true;
+/// The access paths of one rule, one per seed maintenance starts from.
+#[derive(Debug, Clone)]
+struct RulePaths {
+    /// Delta at positive atom `i`.
+    pos: Vec<AccessPath>,
+    /// Negative atom `j` bound to a changed tuple.
+    neg: Vec<AccessPath>,
+    /// Head bound: the rederive pass's backward check.
+    head: AccessPath,
+}
+
+/// Every access path maintenance will take through a stratified
+/// program, planned once per session, and the hash indexes those paths
+/// probe.
+#[derive(Debug, Clone)]
+pub struct MaintenancePlan {
+    /// Per stratum, per rule.
+    strata: Vec<Vec<RulePaths>>,
+    indexes: BTreeSet<(RelId, usize)>,
+}
+
+impl MaintenancePlan {
+    /// Plan maintenance of `strata`.
+    pub fn new(strata: &[CompiledProgram]) -> MaintenancePlan {
+        let mut indexes = BTreeSet::new();
+        let mut plan = |rule: &CompiledRule, seed: Seed| {
+            let path = rule.access_path(seed);
+            for step in &path.steps {
+                if let Access::Probe(col) = step.access {
+                    indexes.insert((rule.pos[step.atom].relation, col));
                 }
-                if added.get(&r).is_some_and(|s| s.contains(t)) {
-                    return false;
-                }
-                storage.contains(r, t)
             }
+            path
+        };
+        let strata = strata
+            .iter()
+            .map(|cp| {
+                cp.rules()
+                    .iter()
+                    .map(|rule| RulePaths {
+                        pos: (0..rule.pos.len())
+                            .map(|i| plan(rule, Seed::Pos(i)))
+                            .collect(),
+                        neg: (0..rule.neg.len())
+                            .map(|j| plan(rule, Seed::Neg(j)))
+                            .collect(),
+                        head: plan(rule, Seed::Head),
+                    })
+                    .collect()
+            })
+            .collect();
+        MaintenancePlan { strata, indexes }
+    }
+
+    /// The `(relation, column)` hash indexes the planned paths probe.
+    pub fn indexes(&self) -> impl Iterator<Item = (RelId, usize)> + '_ {
+        self.indexes.iter().copied()
+    }
+
+    /// Build the planned indexes on `db` — once, when a session opens:
+    /// inserts and compaction keep them current from then on.
+    pub fn prepare(&self, db: &mut Database) {
+        for (rel, col) in self.indexes() {
+            db.storage_mut().relation_mut(rel).ensure_index(col);
         }
     }
+}
 
-    /// Visit every row of `r` in this view; `f` returns `false` to stop
-    /// early. Returns `false` when stopped.
-    fn for_each_row(&self, r: RelId, f: &mut dyn FnMut(&[Sym]) -> bool) -> bool {
+/// Which contents of the store a join ranges over, as a filter on row
+/// ids (see the module docs).
+#[derive(Debug, Clone, Copy)]
+enum View {
+    /// The contents when the batch began.
+    Old,
+    /// The current contents.
+    New,
+}
+
+impl View {
+    fn sees(self, rel: &Relation, id: u32) -> bool {
         match self {
-            View::New(storage) => {
-                if let Some(rel) = storage.relation(r) {
-                    for row in rel.live_rows() {
-                        if !f(row) {
-                            return false;
-                        }
-                    }
-                }
+            View::Old => rel.live_at_mark(id),
+            View::New => rel.is_live(id),
+        }
+    }
+}
+
+fn val(slot: Slot, binding: &[Sym]) -> Sym {
+    match slot {
+        Slot::Const(c) => c,
+        Slot::Var(i) => binding[i],
+    }
+}
+
+/// Run a column program over `row`: bind first occurrences, compare
+/// the rest. Slots bound by a failed match are never read.
+fn matches(cols: &[ColOp], row: &[Sym], binding: &mut [Sym]) -> bool {
+    row.len() == cols.len()
+        && cols.iter().zip(row).all(|(op, &s)| match *op {
+            ColOp::Bind(i) => {
+                binding[i] = s;
                 true
             }
-            View::Old {
-                storage,
-                added,
-                removed,
-            } => {
-                let add = added.get(&r);
-                if let Some(rel) = storage.relation(r) {
-                    for row in rel.live_rows() {
-                        if add.is_some_and(|s| s.contains(row)) {
-                            continue;
-                        }
-                        if !f(row) {
-                            return false;
-                        }
-                    }
-                }
-                if let Some(rm) = removed.get(&r) {
-                    for row in rm {
-                        if !f(row) {
-                            return false;
-                        }
-                    }
-                }
-                true
-            }
-        }
-    }
+            ColOp::Eq(slot) => val(slot, binding) == s,
+        })
 }
 
-/// Enumerate body valuations of `rule` over `view`, positive atom
-/// `delta_at` (if any) drawing its candidate rows from `delta_rows`
-/// instead of the view. Negative atoms and inequalities are checked at
-/// the body end against `view`. `sink` receives each full binding and
-/// returns `false` to stop the enumeration; `join` returns `false`
-/// when stopped.
-#[allow(clippy::too_many_arguments)]
-fn join(
-    rule: &CompiledRule,
-    idx: usize,
-    view: &View<'_>,
-    delta_at: Option<usize>,
-    delta_rows: &[SymTuple],
-    binding: &mut Vec<Option<Sym>>,
-    stats: &mut UpdateStats,
-    sink: &mut dyn FnMut(&[Option<Sym>], &mut UpdateStats) -> bool,
-) -> bool {
-    if idx == rule.pos.len() {
-        for (l, r) in &rule.ineq {
-            if slot_sym(l, binding) == slot_sym(r, binding) {
-                return true;
-            }
-        }
-        for atom in &rule.neg {
-            let row: SymTuple = atom.slots.iter().map(|s| slot_sym(s, binding)).collect();
-            if view.contains(atom.relation, &row) {
-                return true;
-            }
-        }
-        stats.derivations += 1;
-        return sink(binding, stats);
-    }
-    let atom = &rule.pos[idx];
-    if delta_at == Some(idx) {
-        for row in delta_rows {
-            if row.len() != atom.slots.len() {
-                continue;
-            }
-            if let Some(newly) = unify(atom, row, binding) {
-                let keep = join(
-                    rule,
-                    idx + 1,
-                    view,
-                    delta_at,
-                    delta_rows,
-                    binding,
-                    stats,
-                    sink,
-                );
-                undo(binding, &newly);
-                if !keep {
-                    return false;
-                }
-            }
-        }
-        return true;
-    }
-    let mut keep = true;
-    view.for_each_row(atom.relation, &mut |row| {
-        if row.len() != atom.slots.len() {
-            return true;
-        }
-        if let Some(newly) = unify(atom, row, binding) {
-            keep = join(
-                rule,
-                idx + 1,
-                view,
-                delta_at,
-                delta_rows,
-                binding,
-                stats,
-                sink,
-            );
-            undo(binding, &newly);
-        }
-        keep
-    });
-    keep
+/// The maintenance join kernel: enumerates the body valuations of one
+/// rule along one access path over one view.
+struct Join<'a> {
+    rule: &'a CompiledRule,
+    path: &'a AccessPath,
+    storage: &'a Storage,
+    view: View,
+    /// One symbol per variable slot; a slot is only read after the
+    /// path bound it.
+    binding: Vec<Sym>,
+    /// Scratch tuple for membership lookups.
+    key: SymTuple,
+    /// Body valuations enumerated so far.
+    derivations: usize,
 }
 
-/// Whether `t` (a tuple of relation `rel`) has at least one derivation
-/// over `view` through the stratum's rules — the head-bound backward
-/// check of the rederive pass (early exit on the first derivation).
-fn derivable(
-    rules: &[CompiledRule],
-    rel: RelId,
-    t: &[Sym],
-    view: &View<'_>,
-    stats: &mut UpdateStats,
-) -> bool {
-    for rule in rules {
-        if rule.head.relation != rel || rule.head.slots.len() != t.len() {
-            continue;
-        }
-        let mut binding = vec![None; rule.nvars];
-        if unify(&rule.head, t, &mut binding).is_none() {
-            continue;
-        }
-        let mut found = false;
-        join(
+impl<'a> Join<'a> {
+    fn new(rule: &'a CompiledRule, path: &'a AccessPath, storage: &'a Storage, view: View) -> Self {
+        Join {
             rule,
-            0,
+            path,
+            storage,
             view,
-            None,
-            &[],
-            &mut binding,
-            stats,
-            &mut |_, _| {
-                found = true;
-                false
-            },
-        );
-        if found {
-            return true;
+            binding: vec![Sym(0); rule.nvars],
+            key: SymTuple::new(),
+            derivations: 0,
         }
     }
-    false
+
+    /// Whether the (fully bound) atom holds in the view.
+    fn holds(&mut self, atom: &CompiledAtom) -> bool {
+        self.key.clear();
+        self.key
+            .extend(atom.slots.iter().map(|&s| val(s, &self.binding)));
+        self.storage.relation(atom.relation).is_some_and(|rel| {
+            rel.lookup(&self.key)
+                .is_some_and(|id| self.view.sees(rel, id))
+        })
+    }
+
+    /// Enumerate the valuations whose seeded atom is `row`. `sink`
+    /// receives each full binding and returns `false` to stop; so does
+    /// this, when stopped.
+    fn seeded(&mut self, row: &[Sym], sink: &mut dyn FnMut(&[Sym]) -> bool) -> bool {
+        !matches(&self.path.seed, row, &mut self.binding) || self.step(0, sink)
+    }
+
+    fn step(&mut self, k: usize, sink: &mut dyn FnMut(&[Sym]) -> bool) -> bool {
+        let (rule, storage) = (self.rule, self.storage);
+        let Some(step) = self.path.steps.get(k) else {
+            // Body end: inequalities and negative atoms, all bound.
+            let b = &self.binding;
+            if rule.ineq.iter().any(|&(l, r)| val(l, b) == val(r, b))
+                || rule.neg.iter().any(|atom| self.holds(atom))
+            {
+                return true;
+            }
+            self.derivations += 1;
+            return sink(&self.binding);
+        };
+        let atom = &rule.pos[step.atom];
+        let Some(rel) = storage.relation(atom.relation) else {
+            return true;
+        };
+        let mut visit = |join: &mut Self, id: u32| {
+            !join.view.sees(rel, id)
+                || !matches(&step.cols, rel.row(id), &mut join.binding)
+                || join.step(k + 1, sink)
+        };
+        match step.access {
+            Access::Lookup => !self.holds(atom) || self.step(k + 1, sink),
+            Access::Probe(col) => rel
+                .probe(col, val(atom.slots[col], &self.binding))
+                .expect("MaintenancePlan::prepare builds every planned index")
+                .iter()
+                .all(|&id| visit(self, id)),
+            Access::Scan => (0..rel.rows().len() as u32).all(|id| visit(self, id)),
+        }
+    }
 }
 
-/// Record a net insertion of `t` into the change sets: a revival of a
-/// tuple removed earlier in this update cancels the removal, anything
-/// else is a net addition.
-fn record_insert(added: &mut ChangeSet, removed: &mut ChangeSet, r: RelId, t: &SymTuple) {
-    if removed.get_mut(&r).is_some_and(|s| s.remove(t)) {
-        return;
-    }
-    added.entry(r).or_default().insert(t.clone());
+/// One stratum's rules with their planned access paths.
+struct Stratum<'a> {
+    rules: &'a [CompiledRule],
+    paths: &'a [RulePaths],
 }
 
-/// Record a net removal of `t`: retracting a tuple added earlier in
-/// this update cancels the addition, anything else is a net removal.
-fn record_retract(added: &mut ChangeSet, removed: &mut ChangeSet, r: RelId, t: &SymTuple) {
-    if added.get_mut(&r).is_some_and(|s| s.remove(t)) {
-        return;
+impl Stratum<'_> {
+    /// Enumerate, over `view`, every body valuation that places a
+    /// tuple of `pos` at a positive atom or a tuple of `neg` at a
+    /// negative atom, passing each derived head to `sink`. `sink`
+    /// returns `false` to stop the enumeration; so does this, when
+    /// stopped.
+    fn derive(
+        &self,
+        storage: &Storage,
+        view: View,
+        pos: &Ids,
+        neg: &Ids,
+        stats: &mut UpdateStats,
+        sink: &mut dyn FnMut(RelId, &[Sym]) -> bool,
+    ) -> bool {
+        let mut head = SymTuple::new();
+        for (rule, paths) in self.rules.iter().zip(self.paths) {
+            let mut emit = |b: &[Sym]| {
+                head.clear();
+                head.extend(rule.head.slots.iter().map(|&s| val(s, b)));
+                sink(rule.head.relation, &head)
+            };
+            let seeds = (rule.pos.iter().zip(&paths.pos).map(|s| (s, pos)))
+                .chain(rule.neg.iter().zip(&paths.neg).map(|s| (s, neg)));
+            for ((atom, path), delta) in seeds {
+                let (Some(ids), Some(rel)) =
+                    (delta.get(&atom.relation), storage.relation(atom.relation))
+                else {
+                    continue;
+                };
+                let mut join = Join::new(rule, path, storage, view);
+                let go = ids.iter().all(|&id| join.seeded(rel.row(id), &mut emit));
+                stats.derivations += join.derivations;
+                if !go {
+                    return false;
+                }
+            }
+        }
+        true
     }
-    removed.entry(r).or_default().insert(t.clone());
+
+    /// Whether `row` (a tuple of relation `rel`) has at least one
+    /// derivation over the current store through the stratum's rules —
+    /// the head-bound backward check of the rederive pass (early exit
+    /// on the first derivation).
+    fn derivable(
+        &self,
+        storage: &Storage,
+        rel: RelId,
+        row: &[Sym],
+        stats: &mut UpdateStats,
+    ) -> bool {
+        self.rules.iter().zip(self.paths).any(|(rule, paths)| {
+            if rule.head.relation != rel {
+                return false;
+            }
+            let mut join = Join::new(rule, &paths.head, storage, View::New);
+            let underivable = join.seeded(row, &mut |_| false);
+            stats.derivations += join.derivations;
+            !underivable
+        })
+    }
+
+    fn heads(&self) -> BTreeSet<RelId> {
+        self.rules.iter().map(|r| r.head.relation).collect()
+    }
 }
 
 /// Maintain one stratum given the net changes below it (EDB and lower
 /// strata), extending `added`/`removed` with the stratum's own net
-/// changes.
+/// changes. Returns `false` — with nothing in the stratum mutated —
+/// when the re-evaluation guard tripped during overdeletion.
 fn maintain_stratum(
-    cp: &CompiledProgram,
+    st: &Stratum<'_>,
     db: &mut Database,
-    added: &mut ChangeSet,
-    removed: &mut ChangeSet,
+    added: &mut Ids,
+    removed: &mut Ids,
     stats: &mut UpdateStats,
-) {
-    let rules = cp.rules();
+) -> bool {
+    let heads = st.heads();
+    let none = Ids::new();
+    let storage = db.storage();
+
+    // The guard, ahead of the work: a batch that has already rewritten
+    // more than the guard's share of a relation the stratum reads
+    // (rows gone from under a positive atom, rows new under a negative
+    // one — the seeds of overdeletion, against the relation's old size)
+    // is headed for the fallback; do not overdelete a quarter of the
+    // view first only to abandon it.
+    let churned = |atoms: &[CompiledAtom], delta: &Ids| {
+        atoms.iter().any(|a| {
+            let old_len = storage
+                .relation(a.relation)
+                .map_or(0, Relation::delta_start);
+            delta
+                .get(&a.relation)
+                .is_some_and(|ids| ids.len() > fallback_limit(old_len))
+        })
+    };
+    if (st.rules.iter()).any(|r| churned(&r.pos, removed) || churned(&r.neg, added)) {
+        return false;
+    }
 
     // --- Phase 1: overdelete over the old view. ---
     // Seeds: old-view derivations touching a removed tuple at a
     // positive atom, or a newly added tuple at a negative atom. Then
     // propagate within the stratum (in-stratum recursion is purely
-    // positive) until no new head is tombstone-scheduled.
-    let mut dset: HashSet<(RelId, SymTuple)> = HashSet::new();
-    let mut frontier: Vec<(RelId, SymTuple)> = Vec::new();
-    {
-        let storage = db.storage();
-        let view = View::Old {
-            storage,
-            added: &*added,
-            removed: &*removed,
-        };
-        let schedule = |rel: RelId,
-                        head: SymTuple,
-                        dset: &mut HashSet<(RelId, SymTuple)>,
-                        frontier: &mut Vec<(RelId, SymTuple)>| {
-            if storage.contains(rel, &head) {
-                let key = (rel, head);
-                if !dset.contains(&key) {
-                    dset.insert(key.clone());
-                    frontier.push(key);
-                }
-            }
-        };
-        for rule in rules {
-            for (i, atom) in rule.pos.iter().enumerate() {
-                let Some(rm) = removed.get(&atom.relation) else {
-                    continue;
-                };
-                if rm.is_empty() {
-                    continue;
-                }
-                let delta: Vec<SymTuple> = rm.iter().cloned().collect();
-                let mut binding = vec![None; rule.nvars];
-                join(
-                    rule,
-                    0,
-                    &view,
-                    Some(i),
-                    &delta,
-                    &mut binding,
-                    stats,
-                    &mut |b, _| {
-                        let head: SymTuple =
-                            rule.head.slots.iter().map(|s| slot_sym(s, b)).collect();
-                        schedule(rule.head.relation, head, &mut dset, &mut frontier);
-                        true
-                    },
-                );
-            }
-            for natom in &rule.neg {
-                let Some(ad) = added.get(&natom.relation) else {
-                    continue;
-                };
-                for t in ad {
-                    if t.len() != natom.slots.len() {
-                        continue;
-                    }
-                    let mut binding = vec![None; rule.nvars];
-                    if unify(natom, t, &mut binding).is_none() {
-                        continue;
-                    }
-                    join(
-                        rule,
-                        0,
-                        &view,
-                        None,
-                        &[],
-                        &mut binding,
-                        stats,
-                        &mut |b, _| {
-                            let head: SymTuple =
-                                rule.head.slots.iter().map(|s| slot_sym(s, b)).collect();
-                            schedule(rule.head.relation, head, &mut dset, &mut frontier);
-                            true
-                        },
-                    );
-                }
+    // positive) until no new head is scheduled — or the guard trips.
+    let live: usize = heads
+        .iter()
+        .filter_map(|&r| storage.relation(r))
+        .map(Relation::len)
+        .sum();
+    let limit = fallback_limit(live);
+    let mut doomed: HashSet<(RelId, u32)> = HashSet::new();
+    let mut frontier = Ids::new();
+    let mut schedule = |rel: RelId, head: &[Sym], frontier: &mut Ids| {
+        let id = storage
+            .relation(rel)
+            .and_then(|r| r.lookup(head).filter(|&id| r.is_live(id)));
+        if let Some(id) = id {
+            if doomed.insert((rel, id)) {
+                frontier.entry(rel).or_default().push(id);
             }
         }
-        // In-stratum transitive overdeletion.
-        while !frontier.is_empty() {
-            let mut by_rel: HashMap<RelId, Vec<SymTuple>> = HashMap::new();
-            for (r, t) in frontier.drain(..) {
-                by_rel.entry(r).or_default().push(t);
-            }
-            let mut next: Vec<(RelId, SymTuple)> = Vec::new();
-            for rule in rules {
-                for (i, atom) in rule.pos.iter().enumerate() {
-                    let Some(delta) = by_rel.get(&atom.relation) else {
-                        continue;
-                    };
-                    let mut binding = vec![None; rule.nvars];
-                    join(
-                        rule,
-                        0,
-                        &view,
-                        Some(i),
-                        delta,
-                        &mut binding,
-                        stats,
-                        &mut |b, _| {
-                            let head: SymTuple =
-                                rule.head.slots.iter().map(|s| slot_sym(s, b)).collect();
-                            schedule(rule.head.relation, head, &mut dset, &mut next);
-                            true
-                        },
-                    );
-                }
-            }
-            frontier = next;
-        }
+        doomed.len() <= limit
+    };
+    let mut within = st.derive(storage, View::Old, removed, added, stats, &mut |r, h| {
+        schedule(r, h, &mut frontier)
+    });
+    while within && !frontier.is_empty() {
+        let delta = std::mem::take(&mut frontier);
+        within = st.derive(storage, View::Old, &delta, &none, stats, &mut |r, h| {
+            schedule(r, h, &mut frontier)
+        });
     }
-    // Apply the overdeletion: tombstone every scheduled tuple.
-    let mut dead: Vec<(RelId, SymTuple)> = Vec::new();
-    for (r, t) in dset {
-        if db.storage_mut().retract(r, &t) {
-            stats.retractions += 1;
-            record_retract(added, removed, r, &t);
-            dead.push((r, t));
-        }
+    stats.retractions += doomed.len();
+    if !within {
+        return false;
+    }
+    // Apply the overdeletion: tombstone every scheduled row (in id
+    // order, so that a run does not depend on the set's hash order).
+    let mut dead: Vec<(RelId, u32)> = doomed.iter().copied().collect();
+    dead.sort_unstable();
+    for &(r, id) in &dead {
+        db.storage_mut().retract_id(r, id);
     }
 
     // --- Phase 2: rederive (semi-naive). ---
     // A tuple stays deleted only if no rule derives it from the
-    // surviving facts. One head-bound backward scan over the
-    // post-retraction view seeds the revivals; after that the view only
-    // grows by revived tuples, so any further revival must consume a
-    // revived tuple at some positive atom (in-stratum recursion is
-    // purely positive) — propagate forward with delta joins into the
-    // still-deleted set instead of rescanning the whole overdeletion
-    // every round, which is quadratic in the overdeleted set on dense
-    // recursive views.
-    let mut dead_set: HashSet<(RelId, SymTuple)> = dead.iter().cloned().collect();
-    let mut revive: Vec<(RelId, SymTuple)> = Vec::new();
-    {
-        let storage = db.storage();
-        let view = View::New(storage);
-        for (r, t) in &dead {
-            if derivable(rules, *r, t, &view, stats) {
-                revive.push((*r, t.clone()));
-            }
-        }
+    // surviving facts. One head-bound backward check per overdeleted
+    // row seeds the revivals; after that the view only grows by
+    // revived tuples, so any further revival must consume a revived
+    // tuple at some positive atom — propagate forward with delta joins
+    // into the still-deleted set (`doomed`, from here on) instead of
+    // rechecking the whole overdeletion every round.
+    let storage = db.storage();
+    let mut revive: Vec<(RelId, u32)> = dead
+        .into_iter()
+        .filter(|&(r, id)| {
+            let row = storage.relation(r).expect("overdeleted relation").row(id);
+            st.derivable(storage, r, row, stats)
+        })
+        .collect();
+    for key in &revive {
+        doomed.remove(key);
     }
     while !revive.is_empty() {
-        let mut by_rel: HashMap<RelId, Vec<SymTuple>> = HashMap::new();
-        for (r, t) in revive.drain(..) {
-            // Two rules can schedule the same head in one round.
-            if !dead_set.remove(&(r, t.clone())) {
-                continue;
-            }
-            db.storage_mut().insert(r, t.clone());
+        let mut delta = Ids::new();
+        for (r, id) in revive.drain(..) {
+            db.storage_mut().revive(r, id);
             stats.rederivations += 1;
-            record_insert(added, removed, r, &t);
-            by_rel.entry(r).or_default().push(t);
+            delta.entry(r).or_default().push(id);
         }
         let storage = db.storage();
-        let view = View::New(storage);
-        let mut next: Vec<(RelId, SymTuple)> = Vec::new();
-        for rule in rules {
-            for (i, atom) in rule.pos.iter().enumerate() {
-                let Some(delta) = by_rel.get(&atom.relation) else {
-                    continue;
-                };
-                let mut binding = vec![None; rule.nvars];
-                join(
-                    rule,
-                    0,
-                    &view,
-                    Some(i),
-                    delta,
-                    &mut binding,
-                    stats,
-                    &mut |b, _| {
-                        let head: SymTuple =
-                            rule.head.slots.iter().map(|s| slot_sym(s, b)).collect();
-                        let key = (rule.head.relation, head);
-                        if dead_set.contains(&key) {
-                            next.push(key);
-                        }
-                        true
-                    },
-                );
+        st.derive(storage, View::New, &delta, &none, stats, &mut |r, h| {
+            if let Some(id) = storage.relation(r).and_then(|rel| rel.lookup(h)) {
+                // Two rules can derive the same head in one round.
+                if doomed.remove(&(r, id)) {
+                    revive.push((r, id));
+                }
             }
-        }
-        revive = next;
+            true
+        });
     }
 
     // --- Phase 3: insert propagation over the new view. ---
     // Seeds: derivations touching an added tuple at a positive atom or
     // a removed tuple at a negative atom, evaluated over the current
     // store. Then explicit-delta semi-naive propagation within the
-    // stratum.
+    // stratum. A head derived twice in a round is pushed twice; the
+    // second insert is a no-op.
     let mut pending: Vec<(RelId, SymTuple)> = Vec::new();
-    let mut pending_set: HashSet<(RelId, SymTuple)> = HashSet::new();
-    {
+    let mut delta = Ids::new();
+    let (mut pos, mut neg) = (&*added, &*removed);
+    loop {
         let storage = db.storage();
-        let view = View::New(storage);
-        let schedule = |rel: RelId,
-                        head: SymTuple,
-                        pending: &mut Vec<(RelId, SymTuple)>,
-                        pending_set: &mut HashSet<(RelId, SymTuple)>| {
-            if !storage.contains(rel, &head) {
-                let key = (rel, head);
-                if !pending_set.contains(&key) {
-                    pending_set.insert(key.clone());
-                    pending.push(key);
-                }
+        st.derive(storage, View::New, pos, neg, stats, &mut |r, h| {
+            if !storage.contains(r, h) {
+                pending.push((r, h.to_vec()));
             }
-        };
-        for rule in rules {
-            for (i, atom) in rule.pos.iter().enumerate() {
-                let Some(ad) = added.get(&atom.relation) else {
-                    continue;
-                };
-                if ad.is_empty() {
-                    continue;
-                }
-                let delta: Vec<SymTuple> = ad.iter().cloned().collect();
-                let mut binding = vec![None; rule.nvars];
-                join(
-                    rule,
-                    0,
-                    &view,
-                    Some(i),
-                    &delta,
-                    &mut binding,
-                    stats,
-                    &mut |b, _| {
-                        let head: SymTuple =
-                            rule.head.slots.iter().map(|s| slot_sym(s, b)).collect();
-                        schedule(rule.head.relation, head, &mut pending, &mut pending_set);
-                        true
-                    },
-                );
-            }
-            for natom in &rule.neg {
-                let Some(rm) = removed.get(&natom.relation) else {
-                    continue;
-                };
-                for t in rm {
-                    if t.len() != natom.slots.len() {
-                        continue;
-                    }
-                    let mut binding = vec![None; rule.nvars];
-                    if unify(natom, t, &mut binding).is_none() {
-                        continue;
-                    }
-                    join(
-                        rule,
-                        0,
-                        &view,
-                        None,
-                        &[],
-                        &mut binding,
-                        stats,
-                        &mut |b, _| {
-                            let head: SymTuple =
-                                rule.head.slots.iter().map(|s| slot_sym(s, b)).collect();
-                            schedule(rule.head.relation, head, &mut pending, &mut pending_set);
-                            true
-                        },
-                    );
-                }
-            }
+            true
+        });
+        if pending.is_empty() {
+            break;
         }
-    }
-    while !pending.is_empty() {
-        let mut by_rel: HashMap<RelId, Vec<SymTuple>> = HashMap::new();
+        delta.clear();
         for (r, t) in pending.drain(..) {
-            if db.storage_mut().insert(r, t.clone()) {
+            if let Some(id) = db.storage_mut().insert_id(r, t) {
                 stats.insertions += 1;
-                record_insert(added, removed, r, &t);
-                by_rel.entry(r).or_default().push(t);
+                delta.entry(r).or_default().push(id);
             }
         }
-        pending_set.clear();
-        let storage = db.storage();
-        let view = View::New(storage);
-        let mut next: Vec<(RelId, SymTuple)> = Vec::new();
-        for rule in rules {
-            for (i, atom) in rule.pos.iter().enumerate() {
-                let Some(delta) = by_rel.get(&atom.relation) else {
-                    continue;
-                };
-                let mut binding = vec![None; rule.nvars];
-                join(
-                    rule,
-                    0,
-                    &view,
-                    Some(i),
-                    delta,
-                    &mut binding,
-                    stats,
-                    &mut |b, _| {
-                        let head: SymTuple =
-                            rule.head.slots.iter().map(|s| slot_sym(s, b)).collect();
-                        if !storage.contains(rule.head.relation, &head) {
-                            let key = (rule.head.relation, head);
-                            if !pending_set.contains(&key) {
-                                pending_set.insert(key.clone());
-                                next.push(key);
-                            }
-                        }
-                        true
-                    },
-                );
-            }
-        }
-        pending = next;
+        (pos, neg) = (&delta, &none);
     }
+
+    // The stratum's net changes, for the strata above: what is still
+    // tombstoned (an insertion may have revived an overdeleted row),
+    // and what was appended past the watermark.
+    let storage = db.storage();
+    for (r, id) in doomed {
+        if !storage.relation(r).is_some_and(|rel| rel.is_live(id)) {
+            removed.entry(r).or_default().push(id);
+        }
+    }
+    for r in heads {
+        let ids: Vec<u32> = storage
+            .relation(r)
+            .map(|rel| rel.added_ids().collect())
+            .unwrap_or_default();
+        if !ids.is_empty() {
+            added.insert(r, ids);
+        }
+    }
+    true
+}
+
+/// The guard's fallback: re-evaluate `strata` (a suffix of the
+/// program, whose lowest stratum has not been mutated in this batch)
+/// over the already-maintained strata below. Returns the derivations
+/// the fixpoints enumerated.
+fn reevaluate(strata: &[CompiledProgram], db: &mut Database, obs: &Obs) -> usize {
+    // The fixpoint's scan path iterates the raw insertion log, so the
+    // tombstones of the EDB and the maintained strata go first.
+    db.storage_mut().compact_retractions();
+    for cp in strata {
+        for rule in cp.rules() {
+            db.storage_mut().clear_relation(rule.head.relation);
+        }
+    }
+    strata
+        .iter()
+        .map(|cp| fixpoint_seminaive_compiled_obs(cp, db, obs).derivations)
+        .sum()
 }
 
 /// Apply a signed [`UpdateBatch`] to a materialized stratified
 /// database, maintaining every stratum incrementally (see the module
 /// docs). `db` must be the fixpoint of `strata` over its current EDB,
-/// compacted (no tombstones), and the batch must only touch EDB
-/// relations — the query-level wrappers
-/// ([`crate::query::IncrementalEvaluation`]) enforce both.
+/// compacted (no tombstones), carry `plan`'s indexes
+/// ([`MaintenancePlan::prepare`]; `plan` must be `strata`'s), and the
+/// batch must only touch EDB relations — the query-level wrappers
+/// ([`crate::query::IncrementalEvaluation`]) enforce all of it.
 ///
-/// Reports `eval.retractions` and `eval.rederivations` counters (plus
-/// insertion and work counters) to `obs`.
+/// Reports `eval.retractions`, `eval.rederivations` and
+/// `eval.maintenance_fallback` counters (plus insertion and work
+/// counters) to `obs`.
 pub fn apply_update_compiled(
     strata: &[CompiledProgram],
+    plan: &MaintenancePlan,
     db: &mut Database,
     batch: &UpdateBatch,
     obs: &Obs,
@@ -653,34 +618,41 @@ pub fn apply_update_compiled(
     );
     let mut stats = UpdateStats::default();
     // One watermark move up front: the storage-level signed deltas
-    // (`added_rows`/`removed_rows`) then capture exactly this batch's
-    // net EDB change.
+    // (`added_ids`/`removed_ids`) then capture exactly this batch's
+    // net change, and "below the watermark" is the old view.
     db.storage_mut().mark_deltas();
     let (ins, del) = db.apply_update_batch(batch);
     stats.edb_inserted = ins;
     stats.edb_deleted = del;
 
-    let mut added: ChangeSet = HashMap::new();
-    let mut removed: ChangeSet = HashMap::new();
-    {
-        let storage = db.storage();
-        for r in storage.rel_ids() {
-            let Some(rel) = storage.relation(r) else {
-                continue;
-            };
-            let a: HashSet<SymTuple> = rel.added_rows().cloned().collect();
-            if !a.is_empty() {
-                added.insert(r, a);
-            }
-            let rm: HashSet<SymTuple> = rel.removed_rows().cloned().collect();
-            if !rm.is_empty() {
-                removed.insert(r, rm);
-            }
+    let mut added = Ids::new();
+    let mut removed = Ids::new();
+    let storage = db.storage();
+    for r in storage.rel_ids() {
+        let Some(rel) = storage.relation(r) else {
+            continue;
+        };
+        let (a, rm): (Vec<u32>, Vec<u32>) =
+            (rel.added_ids().collect(), rel.removed_ids().collect());
+        if !a.is_empty() {
+            added.insert(r, a);
+        }
+        if !rm.is_empty() {
+            removed.insert(r, rm);
         }
     }
 
-    for cp in strata {
-        maintain_stratum(cp, db, &mut added, &mut removed, &mut stats);
+    for (k, (cp, paths)) in strata.iter().zip(&plan.strata).enumerate() {
+        let st = Stratum {
+            rules: cp.rules(),
+            paths,
+        };
+        if !maintain_stratum(&st, db, &mut added, &mut removed, &mut stats) {
+            let _span = obs.span("eval", || format!("maintenance_fallback#{k}"));
+            stats.derivations += reevaluate(&strata[k..], db, obs);
+            stats.fallbacks += strata.len() - k;
+            break;
+        }
     }
 
     // Tombstones served their purpose (old-view reconstruction and
@@ -692,6 +664,7 @@ pub fn apply_update_compiled(
         obs.counter("eval", "rederivations", stats.rederivations as u64);
         obs.counter("eval", "update_insertions", stats.insertions as u64);
         obs.counter("eval", "update_derivations", stats.derivations as u64);
+        obs.counter("eval", "maintenance_fallback", stats.fallbacks as u64);
     }
     stats
 }
@@ -705,48 +678,62 @@ mod tests {
     use calm_common::instance::Instance;
     use calm_common::storage::SharedSymbols;
 
-    fn compile_strata(src: &str, symbols: &SharedSymbols) -> Vec<CompiledProgram> {
-        let p = crate::parser::parse_program(src).unwrap();
-        let strat = stratify(&p).unwrap();
-        let mut table = symbols.write();
-        strat
-            .strata
-            .iter()
-            .map(|s| CompiledProgram::new(s, &mut table, EvalOptions::default()))
-            .collect()
+    /// A compiled program with its maintenance plan.
+    struct Maintained {
+        strata: Vec<CompiledProgram>,
+        plan: MaintenancePlan,
+        symbols: SharedSymbols,
     }
 
-    fn materialize(
-        strata: &[CompiledProgram],
-        input: &Instance,
-        symbols: SharedSymbols,
-    ) -> Database {
-        let mut db = Database::from_instance_with(input, symbols);
-        for cp in strata {
-            fixpoint_seminaive_compiled(cp, &mut db);
+    impl Maintained {
+        fn new(src: &str) -> Maintained {
+            let symbols = SharedSymbols::new();
+            let p = crate::parser::parse_program(src).unwrap();
+            let strat = stratify(&p).unwrap();
+            let strata: Vec<CompiledProgram> = {
+                let mut table = symbols.write();
+                strat
+                    .strata
+                    .iter()
+                    .map(|s| CompiledProgram::new(s, &mut table, EvalOptions::default()))
+                    .collect()
+            };
+            let plan = MaintenancePlan::new(&strata);
+            Maintained {
+                strata,
+                plan,
+                symbols,
+            }
         }
-        db
+
+        /// The fixpoint over `input`, ready for maintenance — also the
+        /// from-scratch reference for a later EDB (same compiled
+        /// strata, fresh database, shared symbol table).
+        fn materialize(&self, input: &Instance) -> Database {
+            let mut db = Database::from_instance_with(input, self.symbols.clone());
+            for cp in &self.strata {
+                fixpoint_seminaive_compiled(cp, &mut db);
+            }
+            self.plan.prepare(&mut db);
+            db
+        }
+
+        fn apply(&self, db: &mut Database, batch: &UpdateBatch) -> UpdateStats {
+            apply_update_compiled(&self.strata, &self.plan, db, batch, &Obs::noop())
+        }
     }
 
-    /// From-scratch reference: evaluate the final EDB with the same
-    /// compiled strata over a fresh database sharing the symbol table.
-    fn from_scratch(
-        strata: &[CompiledProgram],
-        edb: &Instance,
-        symbols: SharedSymbols,
-    ) -> Database {
-        materialize(strata, edb, symbols)
-    }
-
-    fn check_differential(src: &str, initial: Instance, batches: &[UpdateBatch]) {
-        let symbols = SharedSymbols::new();
-        let strata = compile_strata(src, &symbols);
-        let mut db = materialize(&strata, &initial, symbols.clone());
+    /// Fold `batches` into a maintained database, comparing with a
+    /// from-scratch evaluation after each; returns the summed counters.
+    fn check_differential(src: &str, initial: Instance, batches: &[UpdateBatch]) -> UpdateStats {
+        let m = Maintained::new(src);
+        let mut db = m.materialize(&initial);
         let mut edb = initial;
+        let mut total = UpdateStats::default();
         for (k, batch) in batches.iter().enumerate() {
-            apply_update_compiled(&strata, &mut db, batch, &Obs::noop());
+            total.merge(&m.apply(&mut db, batch));
             batch.apply_to_instance(&mut edb);
-            let reference = from_scratch(&strata, &edb, symbols.clone());
+            let reference = m.materialize(&edb);
             assert!(
                 db.same_facts(&reference),
                 "diverged after batch {k}:\nincremental: {:?}\nreference: {:?}",
@@ -756,6 +743,7 @@ mod tests {
             assert_eq!(db.to_instance(), reference.to_instance(), "batch {k}");
             assert!(!db.storage().any_dead(), "tombstones leaked past batch {k}");
         }
+        total
     }
 
     const TC: &str = "T(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).";
@@ -786,15 +774,9 @@ mod tests {
             fact("E", [1, 3]),
             fact("E", [3, 4]),
         ]);
-        let symbols = SharedSymbols::new();
-        let strata = compile_strata(TC, &symbols);
-        let mut db = materialize(&strata, &initial, symbols.clone());
-        let stats = apply_update_compiled(
-            &strata,
-            &mut db,
-            &UpdateBatch::deleting([fact("E", [2, 4])]),
-            &Obs::noop(),
-        );
+        let m = Maintained::new(TC);
+        let mut db = m.materialize(&initial);
+        let stats = m.apply(&mut db, &UpdateBatch::deleting([fact("E", [2, 4])]));
         assert!(stats.rederivations > 0, "alternate path must rederive");
         assert!(db.contains_values("T", &[calm_common::v(1), calm_common::v(4)]));
         assert!(!db.contains_values("T", &[calm_common::v(2), calm_common::v(4)]));
@@ -839,15 +821,14 @@ mod tests {
     #[test]
     fn empty_and_noop_batches_change_nothing() {
         let initial = Instance::from_facts([fact("E", [1, 2])]);
-        let symbols = SharedSymbols::new();
-        let strata = compile_strata(TC, &symbols);
-        let mut db = materialize(&strata, &initial, symbols.clone());
+        let m = Maintained::new(TC);
+        let mut db = m.materialize(&initial);
         let before = db.to_instance();
-        let stats = apply_update_compiled(&strata, &mut db, &UpdateBatch::new(), &Obs::noop());
+        let stats = m.apply(&mut db, &UpdateBatch::new());
         assert_eq!(stats, UpdateStats::default());
         // Deleting an absent fact and re-inserting a present one: no-ops.
         let noop = UpdateBatch::deleting([fact("E", [9, 9])]).with_insert(fact("E", [1, 2]));
-        let stats = apply_update_compiled(&strata, &mut db, &noop, &Obs::noop());
+        let stats = m.apply(&mut db, &noop);
         assert_eq!(stats.edb_inserted, 0);
         assert_eq!(stats.edb_deleted, 0);
         assert_eq!(db.to_instance(), before);
@@ -888,6 +869,113 @@ mod tests {
         );
     }
 
+    const TGH: &str = "T(x,y) :- E(x,y).\n\
+                       T(x,z) :- T(x,y), E(y,z).\n\
+                       G(x,y) :- V(x), V(y), not T(x,y), x != y.\n\
+                       H(x) :- G(x,y).";
+
+    /// A ring through `0..n` plus the chords `i → (7i + 3) mod n`:
+    /// strongly connected whatever is done to the chords, so the
+    /// closure is all `n²` pairs and every one of them has a
+    /// derivation through every chord.
+    fn ring_with_chords(n: i64) -> (Instance, Vec<calm_common::fact::Fact>) {
+        let ring = (0..n).map(|i| fact("E", [i, (i + 1) % n]));
+        let chords: Vec<_> = (0..n)
+            .map(|i| fact("E", [i, (7 * i + 3) % n]))
+            .filter(|f| f.args()[0] != f.args()[1])
+            .collect();
+        let graph = Instance::from_facts(ring.chain(chords.iter().cloned()));
+        (graph, chords)
+    }
+
+    #[test]
+    fn guard_reevaluates_a_dense_view_and_the_strata_above_it() {
+        let n = 40;
+        let (mut initial, chords) = ring_with_chords(n);
+        for v in 0..n + 2 {
+            initial.insert(fact("V", [v])); // two vertices off the ring: G, H nonempty
+        }
+        let m = Maintained::new(TGH);
+        let mut db = m.materialize(&initial);
+        // Every T tuple has a derivation through the chord: overdeletion
+        // would schedule all 1600 of them, the guard stops it near 464.
+        let stats = m.apply(&mut db, &UpdateBatch::deleting([chords[0].clone()]));
+        // T tripped; everything above it (G, H) is re-evaluated too.
+        assert!(m.strata.len() >= 2);
+        assert_eq!(stats.fallbacks, m.strata.len());
+        let live = (n * n) as usize;
+        assert_eq!(stats.retractions, fallback_limit(live) + 1);
+        assert_eq!(stats.rederivations, 0);
+        assert!(stats.derivations > live, "fallback fixpoints are counted");
+        // Differential, through the guard and back: a tripping batch, a
+        // batch that changes G and H *above* the tripped stratum, the
+        // chords back in (pure insertion, no fallback), then a small
+        // batch on the re-evaluated store (indexes, watermarks and
+        // compaction state must all still be valid).
+        let cut = UpdateBatch::deleting([fact("E", [0, 1]), chords[1].clone()]);
+        let total = check_differential(
+            TGH,
+            initial,
+            &[
+                UpdateBatch::deleting(chords[..3].iter().cloned()),
+                cut,
+                UpdateBatch::inserting(chords[..3].iter().cloned()),
+                UpdateBatch::deleting([fact("V", [n + 1])]),
+                UpdateBatch::inserting([fact("E", [n, 0])]),
+            ],
+        );
+        assert!(total.fallbacks >= 2);
+        assert!(total.insertions > 0 && total.retractions > 0);
+    }
+
+    #[test]
+    fn guard_does_not_trip_on_a_small_delete_from_a_large_sparse_view() {
+        // A chain of 400 vertices: 79 800 closure tuples. Cutting the
+        // edge 380 → 381 removes the 381 · 19 pairs across it — under
+        // a tenth of the view — and must cost what it touches, not a
+        // re-evaluation.
+        let n = 400;
+        let initial = Instance::from_facts((0..n - 1).map(|i| fact("E", [i, i + 1])));
+        let m = Maintained::new(TC);
+        let mut db = m.materialize(&initial);
+        let batch = UpdateBatch::deleting([fact("E", [380, 381])]);
+        let stats = m.apply(&mut db, &batch);
+        assert_eq!(stats.fallbacks, 0);
+        assert_eq!(stats.retractions, 381 * 19);
+        assert_eq!(stats.rederivations, 0);
+        let mut edb = initial;
+        batch.apply_to_instance(&mut edb);
+        let mut reference = Database::from_instance_with(&edb, m.symbols.clone());
+        let full: usize = (m.strata.iter())
+            .map(|cp| fixpoint_seminaive_compiled(cp, &mut reference).derivations)
+            .sum();
+        assert!(db.same_facts(&reference));
+        assert!(
+            stats.derivations * 4 < full,
+            "maintenance enumerated {} valuations, the full fixpoint {full}",
+            stats.derivations
+        );
+    }
+
+    #[test]
+    fn planned_indexes_are_exactly_what_the_paths_probe() {
+        // tc.dl: delta at E probes T on its second column, delta at T
+        // probes E on its first, the head-bound check probes E on its
+        // second and looks T up — no index on T's first column.
+        let m = Maintained::new(TC);
+        let table = m.symbols.read();
+        let planned: Vec<(String, usize)> = (m.plan.indexes())
+            .map(|(r, c)| (table.rel_name(r).to_string(), c))
+            .collect();
+        let mut expect = vec![
+            ("E".to_string(), 0),
+            ("E".to_string(), 1),
+            ("T".to_string(), 1),
+        ];
+        expect.sort_by_key(|(name, c)| (table.lookup_rel(name), *c));
+        assert_eq!(planned, expect);
+    }
+
     #[test]
     fn supports_update_stats_merge() {
         let mut a = UpdateStats {
@@ -897,32 +985,29 @@ mod tests {
             rederivations: 4,
             insertions: 5,
             derivations: 6,
+            fallbacks: 7,
         };
         a.merge(&a.clone());
         assert_eq!(a.retractions, 6);
         assert_eq!(a.derivations, 12);
+        assert_eq!(a.fallbacks, 14);
     }
 
     #[test]
     #[should_panic(expected = "compacted database")]
     fn rejects_uncompacted_databases() {
-        let symbols = SharedSymbols::new();
-        let strata = compile_strata(TC, &symbols);
-        let mut db = materialize(
-            &strata,
-            &Instance::from_facts([fact("E", [1, 2])]),
-            symbols.clone(),
-        );
+        let m = Maintained::new(TC);
+        let mut db = m.materialize(&Instance::from_facts([fact("E", [1, 2])]));
         // Leave a tombstone behind by hand.
-        let e = symbols.read().lookup_rel("E").unwrap();
+        let e = m.symbols.read().lookup_rel("E").unwrap();
         let row: Vec<_> = {
-            let t = symbols.read();
+            let t = m.symbols.read();
             [calm_common::v(1), calm_common::v(2)]
                 .iter()
                 .map(|v| t.lookup_sym(v).unwrap())
                 .collect()
         };
         db.storage_mut().retract(e, &row);
-        apply_update_compiled(&strata, &mut db, &UpdateBatch::new(), &Obs::noop());
+        m.apply(&mut db, &UpdateBatch::new());
     }
 }

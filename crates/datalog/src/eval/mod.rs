@@ -18,7 +18,7 @@ pub mod stratified;
 
 pub use compile::JoinStrategy;
 pub use database::Database;
-pub use incremental::{apply_update_compiled, UpdateStats};
+pub use incremental::{apply_update_compiled, MaintenancePlan, UpdateStats};
 pub use seminaive::{
     body_valuations, derive_once, fixpoint_naive, fixpoint_seminaive, fixpoint_seminaive_compiled,
     fixpoint_seminaive_compiled_obs, fixpoint_seminaive_frozen, fixpoint_seminaive_frozen_compiled,

@@ -126,14 +126,7 @@ fn sorted_relations(rules: &[CompiledRule]) -> BTreeSet<RelId> {
 
 /// Match one atom against a row, extending `binding`. Returns the slots
 /// that were newly bound (for backtracking), or `None` on mismatch.
-/// `pub(crate)`: the incremental maintenance engine
-/// ([`super::incremental`]) reuses the compiled-rule unification
-/// machinery for its delta joins.
-pub(crate) fn unify(
-    atom: &CompiledAtom,
-    row: &[Sym],
-    binding: &mut [Option<Sym>],
-) -> Option<Vec<usize>> {
+fn unify(atom: &CompiledAtom, row: &[Sym], binding: &mut [Option<Sym>]) -> Option<Vec<usize>> {
     debug_assert_eq!(atom.slots.len(), row.len());
     let mut newly = Vec::new();
     for (slot, &s) in atom.slots.iter().zip(row.iter()) {
@@ -161,13 +154,13 @@ pub(crate) fn unify(
     Some(newly)
 }
 
-pub(crate) fn undo(binding: &mut [Option<Sym>], newly: &[usize]) {
+fn undo(binding: &mut [Option<Sym>], newly: &[usize]) {
     for &i in newly {
         binding[i] = None;
     }
 }
 
-pub(crate) fn slot_sym(slot: &Slot, binding: &[Option<Sym>]) -> Sym {
+fn slot_sym(slot: &Slot, binding: &[Option<Sym>]) -> Sym {
     match slot {
         Slot::Const(c) => *c,
         Slot::Var(i) => {
@@ -591,8 +584,8 @@ impl CompiledProgram {
         self.options.eval_threads
     }
 
-    /// The compiled rules — the incremental maintenance engine walks
-    /// them directly for its overdelete/rederive delta joins.
+    /// The compiled rules — the incremental maintenance engine plans
+    /// its access paths over them and joins along those.
     pub(crate) fn rules(&self) -> &[CompiledRule] {
         &self.rules
     }
@@ -854,6 +847,15 @@ fn fixpoint_compiled_impl(
             "frozen negation database must share the symbol table"
         );
     }
+    // Fixpoints run over compacted stores: the scan path iterates the
+    // raw insertion log (`Relation::rows`/`delta_rows`), tombstones
+    // included. A caller that retracts must compact first (the update
+    // drivers do, at every batch boundary and before a maintenance
+    // fallback) — fail in tests rather than join against dead rows.
+    debug_assert!(
+        !db.storage().any_dead() && !frozen.is_some_and(|f| f.storage().any_dead()),
+        "fixpoint over an uncompacted store: compact_retractions() first"
+    );
     let threads = cp.options.eval_threads.max(1);
     // Build the probe indexes once; inserts keep them current, so the
     // fixpoint loop below never rebuilds an index. Merge-joined

@@ -29,7 +29,7 @@ pub mod stratify;
 pub mod wellfounded;
 
 pub use ast::{Atom, Rule, Term, Var};
-pub use eval::{apply_update_compiled, UpdateStats};
+pub use eval::{apply_update_compiled, MaintenancePlan, UpdateStats};
 pub use eval::{
     eval_program, eval_query, eval_query_obs, eval_query_opts, plan_report, Engine, JoinStrategy,
 };

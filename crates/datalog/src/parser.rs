@@ -163,9 +163,12 @@ pub fn parse_updates(src: &str) -> Result<Vec<calm_common::update::UpdateBatch>,
             batches.push(std::mem::take(&mut cur));
             continue;
         }
-        let (sign, rest) = match line.split_at(1) {
-            ("+", rest) => (true, rest),
-            ("-", rest) => (false, rest),
+        // Split on the first `char`, not the first byte: the line may
+        // start with any UTF-8 sequence.
+        let mut chars = line.chars();
+        let sign = match chars.next() {
+            Some('+') => true,
+            Some('-') => false,
             _ => {
                 return Err(format!(
                     "line {}: expected `+ Fact.`, `- Fact.` or `---`, got: {line}",
@@ -173,6 +176,7 @@ pub fn parse_updates(src: &str) -> Result<Vec<calm_common::update::UpdateBatch>,
                 ))
             }
         };
+        let rest = chars.as_str();
         let facts = parse_facts(rest.trim()).map_err(|e| format!("line {}: {e}", i + 1))?;
         for f in facts.facts() {
             if sign {
@@ -590,5 +594,40 @@ mod tests {
         // Unsigned lines are rejected with a line number.
         let err = parse_updates("+ E(1,2).\nE(3,4).").unwrap_err();
         assert!(err.starts_with("line 2:"), "{err}");
+    }
+
+    #[test]
+    fn parse_updates_rejects_a_multibyte_first_character() {
+        // Regression: `split_at(1)` panicked with "byte index 1 is not
+        // a char boundary".
+        let err = parse_updates("+ E(1,2).\né E(1,2).\n").unwrap_err();
+        assert!(err.starts_with("line 2: expected `+ Fact.`"), "{err}");
+        assert!(parse_updates("→").is_err());
+        // A multi-byte character after the sign reaches the fact parser
+        // (where an alphabetic one is an identifier).
+        assert_eq!(parse_updates("+é(1).").unwrap()[0].insert.len(), 1);
+    }
+
+    #[test]
+    fn parse_updates_never_panics_on_arbitrary_bytes() {
+        use calm_common::rng::Rng;
+        // Mostly the format's own alphabet, so lines get past the sign
+        // check, plus raw bytes that make multi-byte and invalid UTF-8.
+        const ALPHABET: &[u8] = b"+-+-%/ \t\n\n.,()EV019ab\"\\\xc3\xa9\xe2\x86\x92\xf0\x9f\xff\x00";
+        let mut rng = Rng::seed_from_u64(0xbad_c0de);
+        let (mut ok, mut rejected) = (0, 0);
+        for _ in 0..4000 {
+            let bytes: Vec<u8> = (0..rng.gen_range(0..24usize))
+                .map(|_| *rng.choose(ALPHABET).unwrap())
+                .collect();
+            match parse_updates(&String::from_utf8_lossy(&bytes)) {
+                Ok(_) => ok += 1,
+                Err(e) => {
+                    assert!(e.starts_with("line "), "{e}");
+                    rejected += 1;
+                }
+            }
+        }
+        assert!(ok > 0 && rejected > 0, "ok {ok}, rejected {rejected}");
     }
 }

@@ -2,7 +2,7 @@
 //! [`calm_common::query::Query`].
 
 use crate::eval::database::Database;
-use crate::eval::incremental::{apply_update_compiled, UpdateStats};
+use crate::eval::incremental::{apply_update_compiled, MaintenancePlan, UpdateStats};
 use crate::eval::seminaive::{fixpoint_seminaive_compiled, CompiledProgram, EvalOptions};
 use crate::eval::stratified::{eval_stratification_shared, Engine};
 use crate::program::Program;
@@ -151,12 +151,16 @@ impl DatalogQuery {
             None
         };
         let mut db = Database::from_instance_with(&restricted, self.symbols.clone());
-        for cp in owned.as_deref().or(self.compiled.as_deref()).unwrap() {
+        let strata = owned.as_deref().or(self.compiled.as_deref()).unwrap();
+        for cp in strata {
             fixpoint_seminaive_compiled(cp, &mut db);
         }
+        let plan = MaintenancePlan::new(strata);
+        plan.prepare(&mut db);
         IncrementalEvaluation {
             query: self,
             owned,
+            plan,
             db,
             stats: UpdateStats::default(),
         }
@@ -173,6 +177,9 @@ pub struct IncrementalEvaluation<'q> {
     /// Compiled strata owned by the session when the query itself has
     /// no cached compilation (the naive-engine ablation).
     owned: Option<Vec<CompiledProgram>>,
+    /// The strata's maintenance access paths; their indexes are built
+    /// on `db` when the session opens.
+    plan: MaintenancePlan,
     db: Database,
     stats: UpdateStats,
 }
@@ -187,7 +194,8 @@ impl IncrementalEvaluation<'_> {
     }
 
     /// As [`apply`](Self::apply), reporting `eval.retractions` /
-    /// `eval.rederivations` counters to `obs`.
+    /// `eval.rederivations` / `eval.maintenance_fallback` counters to
+    /// `obs`.
     pub fn apply_obs(&mut self, batch: &UpdateBatch, obs: &Obs) -> UpdateStats {
         let schema = &self.query.input_schema;
         let keep = |f: &&Fact| schema.arity(f.relation()) == Some(f.arity());
@@ -203,7 +211,7 @@ impl IncrementalEvaluation<'_> {
                 .as_deref()
                 .expect("query lost its compilation while a session was open"),
         };
-        let stats = apply_update_compiled(strata, &mut self.db, &restricted, obs);
+        let stats = apply_update_compiled(strata, &self.plan, &mut self.db, &restricted, obs);
         self.stats.merge(&stats);
         stats
     }

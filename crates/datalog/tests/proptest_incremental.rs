@@ -175,6 +175,87 @@ fn incremental_matches_from_scratch_on_random_programs() {
     );
 }
 
+/// Dense recursive views, where DRed overdeletes (almost) everything
+/// and the re-evaluation guard takes over: a ring plus random chords —
+/// strongly connected, so every closure tuple has a derivation through
+/// every chord. Batches delete chords, cut the ring, change the `V`
+/// guard relation of the strata above, and insert everything back, so
+/// each case runs the guard path, a negation stratum *above* a
+/// re-evaluated stratum, and ordinary batches *after* a fallback
+/// (planned indexes, watermarks and compaction state must survive
+/// it) — against from-scratch after every batch, at eval-threads 1
+/// and 4 (the fallback fixpoints run at the session's thread count).
+#[test]
+fn dense_recursive_views_match_from_scratch_through_the_guard() {
+    const TC: &str = "@output T.\nT(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).";
+    const QTC: &str = "@output O.\nAdom(x) :- E(x,y).\nAdom(y) :- E(x,y).\n\
+                       T(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).\n\
+                       O(x,y) :- Adom(x), Adom(y), not T(x,y).";
+    const TGH: &str = "@output G, H.\nT(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).\n\
+                       G(x,y) :- V(x), V(y), not T(x,y), x != y.\nH(x) :- G(x,y).";
+    let mut fallbacks = [0usize; 3];
+    let mut quiet_after_fallback = 0usize;
+    for seed in 0..12u64 {
+        let mut r = Rng::seed_from_u64(seed ^ 0xde5e);
+        let n = r.gen_range(18..30i64);
+        let ring: Vec<_> = (0..n).map(|i| fact("E", [i, (i + 1) % n])).collect();
+        let mut chords = Vec::new();
+        while chords.len() < n as usize {
+            let (a, b) = (r.gen_range(0..n), r.gen_range(0..n));
+            let f = fact("E", [a, b]);
+            if a != b && (a + 1) % n != b && !chords.contains(&f) {
+                chords.push(f);
+            }
+        }
+        let vertices = (0..n + 2).map(|v| fact("V", [v]));
+        let edb = Instance::from_facts(ring.iter().chain(&chords).cloned().chain(vertices));
+        let k = r.gen_range(1..4usize);
+        let batches = [
+            UpdateBatch::deleting(chords[..k].iter().cloned()),
+            UpdateBatch::deleting([fact("V", [r.gen_range(0..n)])]),
+            UpdateBatch::deleting([ring[r.gen_range(0..ring.len())].clone()]),
+            UpdateBatch::inserting(chords[..k].iter().cloned()),
+            UpdateBatch::inserting(ring.iter().cloned()).with_insert(fact("V", [n + 7])),
+            UpdateBatch::deleting([chords[n as usize - 1].clone()])
+                .with_insert(fact("E", [n, r.gen_range(0..n)])),
+        ];
+        for (p, src) in [TC, QTC, TGH].into_iter().enumerate() {
+            for threads in [1usize, 4] {
+                let q = DatalogQuery::parse(format!("dense{p}"), src)
+                    .unwrap()
+                    .with_eval_threads(threads);
+                let mut session = q.open(&edb);
+                let mut local_edb = edb.clone();
+                let mut tripped = false;
+                for (b, batch) in batches.iter().enumerate() {
+                    let stats = session.apply(batch);
+                    batch.apply_to_instance(&mut local_edb);
+                    assert_eq!(
+                        session.output(),
+                        q.eval(&local_edb),
+                        "seed {seed} program {p} threads {threads} batch {b}: diverged"
+                    );
+                    assert!(
+                        !session.database().storage().any_dead(),
+                        "seed {seed} program {p} threads {threads} batch {b}: tombstones leaked"
+                    );
+                    fallbacks[p] += stats.fallbacks;
+                    quiet_after_fallback += usize::from(tripped && stats.fallbacks == 0);
+                    tripped |= stats.fallbacks > 0;
+                }
+            }
+        }
+    }
+    assert!(
+        fallbacks.iter().all(|&f| f > 0),
+        "the guard never tripped on some program: {fallbacks:?}"
+    );
+    assert!(
+        quiet_after_fallback > 0,
+        "no ordinary batch ever followed a fallback"
+    );
+}
+
 /// Well-founded differential: random win–move games × random move
 /// insert/delete batches. The maintained session (cached doubled
 /// compilation, interned EDB) must reproduce the from-scratch
