@@ -204,7 +204,7 @@ pub fn e27_incremental_obs(obs: &Obs) -> Report {
     r.claim(
         "a maintained single-fact update does less derivation work than the full fixpoint",
         format!(
-            "UpdateStats.derivations vs FixpointStats.derivations, {singles_maintained} single-fact cells without fallback"
+            "UpdateStats.derivations vs EvalMetrics.derivations, {singles_maintained} single-fact cells without fallback"
         ),
         small_batch_cheaper && singles_maintained > 0,
     );

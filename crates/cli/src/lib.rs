@@ -961,10 +961,11 @@ USAGE:
   instead. With --metrics a '% maintenance:' summary line is appended
   in incremental mode; its 'fallbacks' counts those re-evaluated strata.
 
-  --dump-plan prints the compiled query plan — per rule, the atom join
-  order and each atom's join strategy (merge join on a sorted prefix,
-  hash probe, full scan, or negated lookup) — as `% ` comment lines
-  before the results.
+  --dump-plan prints the compiled query plan — per rule, the join order
+  of round 0 and of every delta seed ('R[delta]' first), each atom
+  tagged with how the kernel reaches it (probe@c: hash-index probe of
+  column c, lookup: membership test, scan, or negated lookup) — as `% `
+  comment lines before the results.
 
   --trace-out PREFIX writes a structured event log to PREFIX.jsonl and a
   Chrome trace (load at ui.perfetto.dev or chrome://tracing) to
@@ -1151,8 +1152,10 @@ mod tests {
         };
         let out = cmd_eval_opts(QTC, FACTS, &opts).unwrap();
         assert!(out.contains("% plan:"), "{out}");
-        // The recursive TC rule gets a merge join on the sorted prefix.
-        assert!(out.contains("merge@0"), "{out}");
+        // The recursive TC rule probes E from each T row, in round 0 and
+        // from the delta alike.
+        assert!(out.contains("T[scan], E[probe@0]"), "{out}");
+        assert!(out.contains("T[delta], E[probe@0]"), "{out}");
         // Negated atoms show up as lookups in the stratified plan.
         assert!(out.contains("not T[lookup]"), "{out}");
         // The plan precedes the results, which stay intact.
@@ -1162,7 +1165,7 @@ mod tests {
 
         let sim = cmd_simulate_full(TC, FACTS, 2, "monotone", false, &opts).unwrap();
         assert!(sim.contains("% plan:"), "{sim}");
-        assert!(sim.contains("merge@0"), "{sim}");
+        assert!(sim.contains("probe@0"), "{sim}");
         assert!(
             sim.contains("% matches centralized evaluation: true"),
             "{sim}"

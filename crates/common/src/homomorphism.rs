@@ -94,12 +94,12 @@ fn backtrack(
             match assignment.get(src) {
                 Some(existing) if existing == dst => {}
                 Some(_) => {
-                    undo(assignment, used, &added, &added_used);
+                    retract_assignment(assignment, used, &added, &added_used);
                     continue 'cand;
                 }
                 None => {
                     if injective && used.contains(dst) {
-                        undo(assignment, used, &added, &added_used);
+                        retract_assignment(assignment, used, &added, &added_used);
                         continue 'cand;
                     }
                     assignment.insert(src.clone(), dst.clone());
@@ -114,12 +114,12 @@ fn backtrack(
         if backtrack(facts, idx + 1, j, injective, assignment, used) {
             return true;
         }
-        undo(assignment, used, &added, &added_used);
+        retract_assignment(assignment, used, &added, &added_used);
     }
     false
 }
 
-fn undo(
+fn retract_assignment(
     assignment: &mut ValueMap,
     used: &mut BTreeSet<Value>,
     added: &[Value],

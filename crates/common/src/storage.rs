@@ -208,120 +208,19 @@ impl SharedSymbols {
     }
 }
 
-/// An immutable run of rows in lexicographic [`Sym`] order, stored
-/// columnar-flat: row `i` is `data[offsets[i] as usize..offsets[i + 1]
-/// as usize]`. Batches are the sorted half of Storage v2: the insertion
-/// log stays the source of truth for iteration order, while sealed
-/// batches give the merge-join path binary-searchable runs and the wire
-/// codec a sorted-row shape to delta-encode.
-#[derive(Debug, Clone, Default)]
-struct SortedBatch {
-    data: Vec<Sym>,
-    /// `rows + 1` offsets into `data`; `offsets[0] == 0`.
-    offsets: Vec<u32>,
-    /// Insertion-log row id of each batch row, parallel to the batch's
-    /// row order. Sealed batches are immutable, so a retraction cannot
-    /// touch them; carrying the id lets probes check tombstone liveness
-    /// (a zeroed support count in [`Relation`]) in O(1) instead of a
-    /// membership-map lookup per candidate row.
-    ids: Vec<u32>,
-}
-
-impl SortedBatch {
-    /// Build a batch from `(row id, row)` pairs already sorted by row
-    /// slice order.
-    fn from_sorted_rows<'a>(
-        rows: impl Iterator<Item = (u32, &'a [Sym])>,
-        data_hint: usize,
-    ) -> SortedBatch {
-        let mut b = SortedBatch {
-            data: Vec::with_capacity(data_hint),
-            offsets: vec![0],
-            ids: Vec::new(),
-        };
-        for (id, row) in rows {
-            b.push(id, row);
-        }
-        b
-    }
-
-    fn push(&mut self, id: u32, row: &[Sym]) {
-        self.data.extend_from_slice(row);
-        let end = checked_id(self.data.len(), u32::MAX, "batch offset");
-        self.offsets.push(end);
-        self.ids.push(id);
-    }
-
-    /// Number of rows.
-    fn rows(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    fn row(&self, i: usize) -> &[Sym] {
-        &self.data[self.offsets[i] as usize..self.offsets[i + 1] as usize]
-    }
-
-    /// First row index whose leading symbol is `>= s` — under slice
-    /// order, rows sharing a leading symbol are one contiguous range
-    /// (nullary rows sort before every keyed row).
-    fn lower_bound(&self, s: Sym) -> usize {
-        let (mut lo, mut hi) = (0, self.rows());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.row(mid).first().copied() < Some(s) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
-    /// Merge two sorted batches into one (rows are distinct across
-    /// batches, so this is a plain two-way merge).
-    fn merged(a: &SortedBatch, b: &SortedBatch) -> SortedBatch {
-        let mut out = SortedBatch {
-            data: Vec::with_capacity(a.data.len() + b.data.len()),
-            offsets: Vec::with_capacity(a.rows() + b.rows() + 1),
-            ids: Vec::with_capacity(a.rows() + b.rows()),
-        };
-        out.offsets.push(0);
-        let (mut i, mut j) = (0, 0);
-        while i < a.rows() && j < b.rows() {
-            if a.row(i) <= b.row(j) {
-                out.push(a.ids[i], a.row(i));
-                i += 1;
-            } else {
-                out.push(b.ids[j], b.row(j));
-                j += 1;
-            }
-        }
-        while i < a.rows() {
-            out.push(a.ids[i], a.row(i));
-            i += 1;
-        }
-        while j < b.rows() {
-            out.push(b.ids[j], b.row(j));
-            j += 1;
-        }
-        out
-    }
-}
-
 /// One relation's rows: deduplicated, in insertion order, with
-/// incrementally maintained per-column indexes, a delta watermark, and
-/// (when sealed via [`Relation::ensure_sorted`]) an LSM-style stack of
-/// sorted immutable batches covering a prefix of the insertion log.
+/// incrementally maintained per-column hash indexes and a delta
+/// watermark.
 ///
 /// # Retraction
 ///
 /// Rows are never removed from the insertion log in place. A
 /// [`Relation::retract`] zeroes the row's support count, leaving a
-/// *tombstone*: sealed batches stay immutable (probes filter dead ids
-/// when any exist), indexes keep the id, and [`Relation::compact`]
-/// later rebuilds the relation over the live rows only. On an
-/// insert-only relation `dead == 0` and every tombstone check is a
-/// single branch, so the v1 insert-only behavior is byte-identical.
+/// *tombstone*: indexes keep the id (readers filter by
+/// [`Relation::is_live`] or [`Relation::live_at_mark`]), and
+/// [`Relation::compact`] later rebuilds the relation over the live rows
+/// only. On an insert-only relation `dead == 0` and every tombstone
+/// check is a single branch.
 #[derive(Debug, Clone)]
 pub struct Relation {
     rows: Vec<SymTuple>,
@@ -345,14 +244,6 @@ pub struct Relation {
     /// whose `col`-th component is that symbol.
     indexes: Vec<Option<HashMap<Sym, Vec<u32>>>>,
     delta_start: usize,
-    /// Sorted immutable batches, together holding exactly the rows
-    /// `rows[..sorted_end]`. Sizes are kept size-tiered (each batch at
-    /// least twice its successor), so there are O(log n) batches and
-    /// sealing is amortized O(n log n) overall.
-    batches: Vec<SortedBatch>,
-    /// Prefix of the insertion log covered by `batches`; rows past it
-    /// are the unsealed tail, scanned by [`Relation::probe_sorted`].
-    sorted_end: usize,
     /// Maximum number of row ids; `u32::MAX` in production, injectable
     /// for tests of the overflow guard.
     row_cap: u32,
@@ -368,8 +259,6 @@ impl Default for Relation {
             retracted_since_mark: Vec::new(),
             indexes: Vec::new(),
             delta_start: 0,
-            batches: Vec::new(),
-            sorted_end: 0,
             row_cap: u32::MAX,
         }
     }
@@ -388,9 +277,8 @@ impl Relation {
 
     /// Insert a row; returns `true` when new *or revived*. Retracting a
     /// row and re-inserting it resurrects the same row id in place
-    /// (support back to 1) — sealed batches and built indexes already
-    /// reference that id, so nothing is rebuilt and no duplicate row is
-    /// ever enumerated. A genuinely new row updates every built index
+    /// (support back to 1) — built indexes already reference that id,
+    /// so nothing is rebuilt and no duplicate row is ever enumerated. A genuinely new row updates every built index
     /// in place — indexes never need rebuilding.
     #[inline]
     pub fn insert(&mut self, t: SymTuple) -> bool {
@@ -417,10 +305,10 @@ impl Relation {
     }
 
     /// Retract a row: zero its support count, leaving a tombstone in
-    /// the insertion log and appending the id to the retraction log.
-    /// Sealed batches stay immutable — probes filter dead ids until
-    /// [`Relation::compact`] physically removes them. Returns `true`
-    /// when the row was present and live.
+    /// the insertion log and appending the id to the retraction log;
+    /// index probes keep returning the id until [`Relation::compact`]
+    /// physically removes the row. Returns `true` when the row was
+    /// present and live.
     pub fn retract(&mut self, t: &[Sym]) -> bool {
         self.lookup(t).is_some_and(|id| self.retract_id(id))
     }
@@ -604,114 +492,8 @@ impl Relation {
         &self.rows[id as usize]
     }
 
-    /// Seal the unsealed tail of the insertion log into a new sorted
-    /// batch, then compact size-tiered: while the newest batch is at
-    /// least half its predecessor's size, merge the two. Sealing never
-    /// touches `rows`, so iteration order is untouched; it must run on
-    /// the mutating thread (the data-parallel driver shares `&Relation`
-    /// read-only).
-    pub fn ensure_sorted(&mut self) {
-        if self.sorted_end == self.rows.len() {
-            return;
-        }
-        // Invariant: sealing copies rows into batches and never moves,
-        // drops or reorders the insertion log, and never touches the
-        // delta watermark — a `delta_rows()` slice handed out between
-        // `mark_deltas` and the delta round must mean the same rows
-        // after sealing (the fixpoint loop re-seals *between* the
-        // watermark move and the delta round).
-        let (rows_before, delta_before) = (self.rows.len(), self.delta_start);
-        let tail = &self.rows[self.sorted_end..];
-        let mut order: Vec<u32> = (0..tail.len() as u32).collect();
-        order.sort_unstable_by(|&a, &b| tail[a as usize].cmp(&tail[b as usize]));
-        let data_hint = tail.iter().map(Vec::len).sum();
-        let base = self.sorted_end as u32;
-        self.batches.push(SortedBatch::from_sorted_rows(
-            order
-                .iter()
-                .map(|&i| (base + i, tail[i as usize].as_slice())),
-            data_hint,
-        ));
-        self.sorted_end = self.rows.len();
-        while self.batches.len() >= 2 {
-            let n = self.batches.len();
-            if self.batches[n - 2].rows() >= 2 * self.batches[n - 1].rows() {
-                break;
-            }
-            let top = self.batches.pop().expect("two batches");
-            let below = self.batches.pop().expect("two batches");
-            self.batches.push(SortedBatch::merged(&below, &top));
-        }
-        debug_assert_eq!(
-            self.rows.len(),
-            rows_before,
-            "sealing must not grow or shrink the insertion log"
-        );
-        debug_assert_eq!(
-            self.delta_start, delta_before,
-            "sealing must not move the delta watermark"
-        );
-    }
-
-    /// Whether the sorted batches cover the whole insertion log (no
-    /// unsealed tail).
-    pub fn is_sealed(&self) -> bool {
-        self.sorted_end == self.rows.len()
-    }
-
-    /// Merge-probe: lazily enumerate every live row whose leading
-    /// symbol is `s`, batch by batch (binary search to the start of the
-    /// contiguous leading-symbol group within each sealed batch), then
-    /// a linear scan of the unsealed tail. Correct whether or not the
-    /// relation is sealed; fast when it is. Tombstones are merged at
-    /// probe time: when any row is dead, each candidate's id is checked
-    /// against the support counts (one O(1) branch per candidate).
-    pub fn probe_sorted_iter(&self, s: Sym) -> impl Iterator<Item = &[Sym]> + '_ {
-        let any_dead = self.dead > 0;
-        self.batches
-            .iter()
-            .flat_map(move |b| {
-                (b.lower_bound(s)..b.rows())
-                    .map(move |i| (b.ids[i], b.row(i)))
-                    .take_while(move |(_, row)| row.first().copied() == Some(s))
-                    .filter(move |&(id, _)| !any_dead || self.counts[id as usize] > 0)
-                    .map(|(_, row)| row)
-            })
-            .chain(
-                self.rows[self.sorted_end..]
-                    .iter()
-                    .enumerate()
-                    .filter(move |(i, row)| {
-                        (!any_dead || self.counts[self.sorted_end + *i] > 0)
-                            && row.first().copied() == Some(s)
-                    })
-                    .map(|(_, row)| row.as_slice()),
-            )
-    }
-
-    /// As [`Relation::probe_sorted_iter`], calling `f` per matching row
-    /// and returning the match count.
-    pub fn probe_sorted(&self, s: Sym, mut f: impl FnMut(&[Sym])) -> usize {
-        let mut hits = 0;
-        for row in self.probe_sorted_iter(s) {
-            hits += 1;
-            f(row);
-        }
-        hits
-    }
-
-    /// The sealed batches as row slices, newest last — introspection for
-    /// the differential tests and the `--dump-plan` debug surface.
-    pub fn sorted_batches(&self) -> Vec<Vec<&[Sym]>> {
-        self.batches
-            .iter()
-            .map(|b| (0..b.rows()).map(|i| b.row(i)).collect())
-            .collect()
-    }
-
     /// Remove all rows, keeping allocations (row vector, membership set
-    /// and index maps stay warm for reuse). Sorted batches are dropped —
-    /// they are immutable snapshots of rows that no longer exist.
+    /// and index maps stay warm for reuse).
     pub fn clear(&mut self) {
         self.rows.clear();
         self.seen.clear();
@@ -719,8 +501,6 @@ impl Relation {
         self.dead = 0;
         self.retracted_since_mark.clear();
         self.delta_start = 0;
-        self.batches.clear();
-        self.sorted_end = 0;
         for index in self.indexes.iter_mut().flatten() {
             index.clear();
         }
@@ -728,8 +508,7 @@ impl Relation {
 
     /// Physically remove tombstoned rows: rebuild the insertion log,
     /// membership map, built indexes and support counts over the live
-    /// rows only. Sealed batches are dropped (immutable snapshots of a
-    /// log that no longer exists) and the delta watermark is remapped
+    /// rows only. The delta watermark is remapped
     /// to the number of live rows that preceded it, so "past the
     /// watermark" keeps meaning "not yet seen by the previous
     /// `mark_delta` reader". A no-op (and allocation-free) when no row
@@ -751,8 +530,6 @@ impl Relation {
             .filter(|&&c| c > 0)
             .count();
         self.seen.clear();
-        self.batches.clear();
-        self.sorted_end = 0;
         self.dead = 0;
         self.retracted_since_mark.clear();
         for index in self.indexes.iter_mut().flatten() {
@@ -981,9 +758,6 @@ const _: () = {
 
 /// Engine-level counters for one evaluation run, threaded from the
 /// innermost join loop up to benchmark and experiment reports.
-///
-/// Extends the former `FixpointStats` (iterations / derivations / new
-/// facts) with index and data-movement counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalMetrics {
     /// Number of fixpoint iterations until stability.
@@ -992,13 +766,16 @@ pub struct EvalMetrics {
     pub derivations: usize,
     /// Number of new facts added to the store.
     pub new_facts: usize,
-    /// Number of hash-index probes issued by the join loop.
+    /// Number of probes the join kernel issued against a built hash
+    /// index (lookups and scans count nothing).
     pub index_probes: usize,
-    /// Total number of candidate rows returned by index probes.
+    /// Total number of candidate row ids returned by those probes.
     pub index_hits: usize,
-    /// Number of sorted-batch merge probes issued by the join loop.
+    /// Always 0: the sorted-batch merge path these counted is gone.
+    /// The fields (and their two varints on the wire) stay until a
+    /// benchmark PR stops reading them by name.
     pub merge_probes: usize,
-    /// Total number of candidate rows returned by merge probes.
+    /// Always 0, as [`EvalMetrics::merge_probes`].
     pub merge_hits: usize,
     /// Bytes of tuple data moved into storage by successful inserts.
     pub bytes_moved: usize,
@@ -1258,102 +1035,6 @@ mod tests {
     }
 
     #[test]
-    fn ensure_sorted_seals_and_probe_sorted_finds_matches() {
-        let mut t = SymbolTable::new();
-        let mut r = Relation::default();
-        // Intern in a scrambled order so Sym order != insertion order.
-        for pair in [[3, 1], [1, 2], [2, 9], [1, 1], [3, 0]] {
-            r.insert(syms(&mut t, &pair));
-        }
-        assert!(!r.is_sealed());
-        r.ensure_sorted();
-        assert!(r.is_sealed());
-        // Insertion order is untouched by sealing.
-        assert_eq!(r.rows()[0], syms(&mut t, &[3, 1]));
-        // Every batch is sorted and together they hold all rows.
-        let batches = r.sorted_batches();
-        let total: usize = batches.iter().map(Vec::len).sum();
-        assert_eq!(total, r.len());
-        for batch in &batches {
-            assert!(batch.windows(2).all(|w| w[0] <= w[1]), "unsorted batch");
-        }
-        // probe_sorted visits exactly the rows with the probed head.
-        let s1 = t.sym(&v(1));
-        let mut found = Vec::new();
-        let hits = r.probe_sorted(s1, |row| found.push(row.to_vec()));
-        assert_eq!(hits, 2);
-        assert_eq!(found, vec![syms(&mut t, &[1, 1]), syms(&mut t, &[1, 2])]);
-        // A missing head probes to nothing.
-        let s7 = t.sym(&v(7));
-        assert_eq!(r.probe_sorted(s7, |_| panic!("no match expected")), 0);
-    }
-
-    #[test]
-    fn probe_sorted_scans_the_unsealed_tail() {
-        let mut t = SymbolTable::new();
-        let mut r = Relation::default();
-        r.insert(syms(&mut t, &[1, 2]));
-        r.ensure_sorted();
-        r.insert(syms(&mut t, &[1, 3]));
-        // Tail row not yet sealed: still found.
-        let s1 = t.sym(&v(1));
-        let mut found = Vec::new();
-        r.probe_sorted(s1, |row| found.push(row.to_vec()));
-        assert_eq!(found.len(), 2);
-        r.ensure_sorted();
-        assert!(r.is_sealed());
-        assert_eq!(r.probe_sorted(s1, |_| ()), 2);
-    }
-
-    #[test]
-    fn compaction_keeps_batch_count_logarithmic() {
-        let mut t = SymbolTable::new();
-        let mut r = Relation::default();
-        for k in 0..256 {
-            r.insert(syms(&mut t, &[k % 16, k]));
-            r.ensure_sorted(); // seal after every insert: worst case
-        }
-        let batches = r.sorted_batches();
-        assert!(
-            batches.len() <= 10,
-            "size-tiered compaction failed: {} batches for 256 rows",
-            batches.len()
-        );
-        let total: usize = batches.iter().map(Vec::len).sum();
-        assert_eq!(total, 256);
-        // All rows for one head, across all batches.
-        let s3 = t.sym(&v(3));
-        assert_eq!(r.probe_sorted(s3, |_| ()), 16);
-    }
-
-    #[test]
-    fn clear_drops_sorted_batches() {
-        let mut t = SymbolTable::new();
-        let mut r = Relation::default();
-        r.insert(syms(&mut t, &[1, 2]));
-        r.ensure_sorted();
-        r.clear();
-        assert!(r.sorted_batches().is_empty());
-        assert!(r.is_sealed(), "empty relation is trivially sealed");
-        r.insert(syms(&mut t, &[1, 9]));
-        let s1 = t.sym(&v(1));
-        assert_eq!(r.probe_sorted(s1, |row| assert_eq!(row.len(), 2)), 1);
-    }
-
-    #[test]
-    fn nullary_rows_sort_before_keyed_rows() {
-        let mut t = SymbolTable::new();
-        let mut r = Relation::default();
-        r.insert(syms(&mut t, &[5]));
-        r.insert(Vec::new()); // nullary row
-        r.ensure_sorted();
-        let s5 = t.sym(&v(5));
-        let mut found = Vec::new();
-        r.probe_sorted(s5, |row| found.push(row.to_vec()));
-        assert_eq!(found, vec![syms(&mut t, &[5])]);
-    }
-
-    #[test]
     fn retract_tombstones_and_reinsert_revives_in_place() {
         let mut t = SymbolTable::new();
         let mut r = Relation::default();
@@ -1521,29 +1202,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_sorted_filters_tombstones_in_sealed_batches() {
-        let mut t = SymbolTable::new();
-        let mut r = Relation::default();
-        for pair in [[1, 2], [1, 3], [2, 9]] {
-            r.insert(syms(&mut t, &pair));
-        }
-        r.ensure_sorted();
-        r.insert(syms(&mut t, &[1, 4])); // unsealed tail
-        let s1 = t.sym(&v(1));
-        assert_eq!(r.probe_sorted(s1, |_| ()), 3);
-        // Kill one sealed and one tail row: both filtered at probe time
-        // without touching the immutable batch.
-        r.retract(&syms(&mut t, &[1, 3]));
-        r.retract(&syms(&mut t, &[1, 4]));
-        let mut found = Vec::new();
-        r.probe_sorted(s1, |row| found.push(row.to_vec()));
-        assert_eq!(found, vec![syms(&mut t, &[1, 2])]);
-        // Revival restores the row with no duplicate.
-        r.insert(syms(&mut t, &[1, 3]));
-        assert_eq!(r.probe_sorted(s1, |_| ()), 2);
-    }
-
-    #[test]
     fn compact_rebuilds_live_rows_indexes_and_watermark() {
         let mut t = SymbolTable::new();
         let mut st = Storage::new();
@@ -1552,7 +1210,6 @@ mod tests {
         st.insert(e, syms(&mut t, &[1, 2]));
         st.insert(e, syms(&mut t, &[2, 2]));
         st.insert(e, syms(&mut t, &[3, 7]));
-        st.relation_mut(e).ensure_sorted();
         st.retract(e, &syms(&mut t, &[1, 2]));
         st.mark_deltas();
         st.insert(e, syms(&mut t, &[4, 2]));
@@ -1571,38 +1228,8 @@ mod tests {
         let ids = rel.probe(1, s2).unwrap().to_vec();
         let rows: Vec<_> = ids.iter().map(|&id| rel.row(id).clone()).collect();
         assert_eq!(rows, vec![syms(&mut t, &[2, 2]), syms(&mut t, &[4, 2])]);
-        // Batches dropped; merge probes still correct via the tail.
-        assert_eq!(rel.sorted_batches().len(), 0);
-        let s3 = t.sym(&v(3));
-        assert_eq!(rel.probe_sorted(s3, |_| ()), 1);
         // Compacting again is a no-op.
         assert_eq!(st.compact_retractions(), 0);
-    }
-
-    #[test]
-    fn sealing_with_pending_delta_rows_leaves_the_delta_intact() {
-        // Satellite: `ensure_sorted` runs between `mark_deltas` and the
-        // delta round (the fixpoint re-seals merge-joined relations
-        // right before each round) — sealing must not move the rows a
-        // `delta_rows()` caller still expects.
-        let mut t = SymbolTable::new();
-        let mut r = Relation::default();
-        r.insert(syms(&mut t, &[5, 1]));
-        r.ensure_sorted();
-        r.mark_delta();
-        r.insert(syms(&mut t, &[4, 2]));
-        r.insert(syms(&mut t, &[3, 3]));
-        let before: Vec<_> = r.delta_rows().to_vec();
-        assert_eq!(before.len(), 2);
-        r.ensure_sorted();
-        assert!(r.is_sealed());
-        // The delta region is untouched: same rows, same order, same
-        // watermark.
-        assert_eq!(r.delta_rows(), &before[..]);
-        assert_eq!(r.delta_start(), 1);
-        // And the sealed batches cover the delta rows for merge probes.
-        let s4 = t.sym(&v(4));
-        assert_eq!(r.probe_sorted(s4, |_| ()), 1);
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Rule compilation: variables are numbered into dense slots and every
 //! relation name / constant is interned, so that rule matching works over
-//! a flat `Vec<Option<Sym>>` binding with `Copy` u32 comparisons instead
-//! of a name-keyed map of cloned values.
+//! a flat `Vec<Sym>` binding with `Copy` u32 comparisons instead of a
+//! name-keyed map of cloned values. Compilation also plans every
+//! [`AccessPath`] the join kernel (`eval/join.rs`) takes through the
+//! rule — this module is the only planner.
 
-use crate::ast::{Rule, Term, Var};
+use crate::ast::{Atom, Rule, Term, Var};
 use calm_common::storage::{RelId, Sym, SymbolTable};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -16,32 +18,6 @@ pub enum Slot {
     Var(usize),
 }
 
-/// How the join loop enumerates an atom's candidate rows, chosen at
-/// compile time from the atom's probe position (Storage v2 planner).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinStrategy {
-    /// The probe position is the leading column: binary-search the
-    /// relation's sorted immutable batches (lexicographic row order
-    /// makes leading-column groups contiguous). No hash index is built
-    /// or maintained for the relation's leading column.
-    Merge,
-    /// The probe position is a non-leading column: probe the
-    /// incrementally maintained per-column hash index.
-    Hash,
-    /// No position is bound when the atom is reached: scan all rows.
-    Scan,
-}
-
-impl std::fmt::Display for JoinStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            JoinStrategy::Merge => "merge",
-            JoinStrategy::Hash => "hash",
-            JoinStrategy::Scan => "scan",
-        })
-    }
-}
-
 /// A compiled atom.
 #[derive(Debug, Clone)]
 pub struct CompiledAtom {
@@ -49,14 +25,6 @@ pub struct CompiledAtom {
     pub relation: RelId,
     /// Per-position slots.
     pub slots: Vec<Slot>,
-    /// The first position guaranteed bound when this atom is evaluated in
-    /// body order (a constant, or a variable introduced by an earlier
-    /// atom). Used for merge/hash probes; `None` means full scan.
-    pub probe: Option<usize>,
-    /// How candidate rows are enumerated when indexes are enabled:
-    /// derived from `probe` (leading column ⇒ merge join over sorted
-    /// batches, other column ⇒ hash probe, unbound ⇒ scan).
-    pub strategy: JoinStrategy,
 }
 
 /// A rule compiled for evaluation (against the symbol table it was
@@ -65,7 +33,8 @@ pub struct CompiledAtom {
 pub struct CompiledRule {
     /// Number of variable slots.
     pub nvars: usize,
-    /// Positive body atoms, in evaluation order.
+    /// Positive body atoms, in body order (greedily reordered when the
+    /// rule was compiled with `reorder`).
     pub pos: Vec<CompiledAtom>,
     /// Negative body atoms (checked after the positive join).
     pub neg: Vec<CompiledAtom>,
@@ -78,22 +47,23 @@ pub struct CompiledRule {
     /// predicate of the current stratum (used for semi-naive delta
     /// placement).
     pub recursive_pos: Vec<bool>,
+    /// Every access path the kernel takes through this rule.
+    pub paths: RulePaths,
 }
 
-/// Compile a rule with greedy join ordering: positive atoms are reordered
-/// so that each atom shares as many variables as possible with the atoms
-/// before it (and constants count as bound). This turns Cartesian-product
-/// scans into index-supported joins wherever the rule's shape allows.
-/// Reordering never changes semantics — the positive body is a
-/// conjunction.
-pub fn compile_rule_ordered(
-    rule: &Rule,
-    table: &mut SymbolTable,
-    is_current_idb: impl Fn(&str) -> bool,
-) -> CompiledRule {
-    let mut ordered = rule.clone();
-    ordered.pos = order_atoms(&rule.pos);
-    compile_rule(&ordered, table, is_current_idb)
+/// The access paths of one rule, one per place a join starts from.
+#[derive(Debug, Clone, Default)]
+pub struct RulePaths {
+    /// No seed: every positive atom in body order — round 0 of the
+    /// fixpoint, naive evaluation, one-shot derivation.
+    pub body: AccessPath,
+    /// Positive atom `i` bound to a delta row.
+    pub pos: Vec<AccessPath>,
+    /// Negative atom `j` bound to a tuple that entered or left its
+    /// relation.
+    pub neg: Vec<AccessPath>,
+    /// Head bound: "does any body valuation derive this tuple?"
+    pub head: AccessPath,
 }
 
 /// Component-aware atom ordering.
@@ -111,7 +81,7 @@ pub fn compile_rule_ordered(
 /// join-bearing components first performs each join's probe work once.
 /// Reordering never changes semantics — the positive body is a
 /// conjunction, and components share no variables.
-fn order_atoms(pos: &[crate::ast::Atom]) -> Vec<crate::ast::Atom> {
+fn order_atoms(pos: &[Atom]) -> Vec<Atom> {
     let n = pos.len();
     let vars: Vec<BTreeSet<&Var>> = pos.iter().map(|a| a.variables().collect()).collect();
     // Flood-fill connected components over "atoms share a variable".
@@ -134,7 +104,7 @@ fn order_atoms(pos: &[crate::ast::Atom]) -> Vec<crate::ast::Atom> {
         }
         ncomp += 1;
     }
-    let mut groups: Vec<Vec<(usize, &crate::ast::Atom)>> = vec![Vec::new(); ncomp];
+    let mut groups: Vec<Vec<(usize, &Atom)>> = vec![Vec::new(); ncomp];
     for (i, atom) in pos.iter().enumerate() {
         groups[comp[i]].push((i, atom));
     }
@@ -161,11 +131,11 @@ fn order_atoms(pos: &[crate::ast::Atom]) -> Vec<crate::ast::Atom> {
 /// most already-bound variables (ties: most constants, then fewest new
 /// variables, then smallest key for determinism), extending `bound`
 /// with each pick. An atom is its key plus one entry per term —
-/// `Some(variable)` or `None` for a constant — so the rule compiler
-/// orders AST atoms within a connected component and the maintenance
-/// planner ([`CompiledRule::access_path`]) orders compiled atoms
-/// around an already-bound seed with the same policy. Returns the keys
-/// in join order.
+/// `Some(variable)` or `None` for a constant — so the body order is
+/// chosen over AST atoms within a connected component and a seeded
+/// path ([`CompiledRule::seeded_path`]) over compiled atoms around an
+/// already-bound seed with the same policy. Returns the keys in join
+/// order.
 fn greedy_order<K: Ord + Copy>(
     mut remaining: Vec<(usize, Vec<Option<K>>)>,
     bound: &mut BTreeSet<K>,
@@ -191,78 +161,34 @@ fn greedy_order<K: Ord + Copy>(
     out
 }
 
-/// Compile a rule in the body order given, interning relation names and
-/// constants into `table`. `is_current_idb` flags which relations belong
-/// to the stratum being evaluated (for semi-naive).
+/// Compile a rule, interning relation names and constants into `table`,
+/// and plan its access paths. `is_current_idb` flags which relations
+/// belong to the stratum being evaluated (for semi-naive). With
+/// `reorder` the positive atoms are put in greedy join order — each
+/// atom shares as many variables as possible with the atoms before it,
+/// constants count as bound — and every seeded path is ordered the
+/// same way around its seed; without it the body order is the source
+/// order everywhere. Reordering never changes semantics: the positive
+/// body is a conjunction.
 pub fn compile_rule(
     rule: &Rule,
     table: &mut SymbolTable,
     is_current_idb: impl Fn(&str) -> bool,
+    reorder: bool,
 ) -> CompiledRule {
     let mut slots: BTreeMap<Var, usize> = BTreeMap::new();
-    let slot_of = |v: &Var, slots: &mut BTreeMap<Var, usize>| -> usize {
-        if let Some(&i) = slots.get(v) {
-            i
-        } else {
-            let i = slots.len();
-            slots.insert(v.clone(), i);
-            i
-        }
+    let body = if reorder {
+        order_atoms(&rule.pos)
+    } else {
+        rule.pos.clone()
     };
-    let compile_term =
-        |t: &Term, slots: &mut BTreeMap<Var, usize>, table: &mut SymbolTable| -> Slot {
-            match t {
-                Term::Var(v) => Slot::Var(slot_of(v, slots)),
-                Term::Const(c) => Slot::Const(table.sym(c)),
-                Term::Invention => {
-                    panic!("invention symbol must be rewritten (Skolemized) before compilation")
-                }
-            }
-        };
     // Positive atoms first so that head/neg/ineq slots refer to already
     // numbered variables (safety guarantees every variable occurs in pos).
-    // While compiling, track which slots are bound by earlier atoms to
-    // derive each atom's probe position.
-    let mut bound_slots: BTreeSet<usize> = BTreeSet::new();
-    let pos: Vec<CompiledAtom> = rule
-        .pos
-        .iter()
-        .map(|a| {
-            let compiled_slots: Vec<Slot> = a
-                .terms
-                .iter()
-                .map(|t| compile_term(t, &mut slots, table))
-                .collect();
-            let probe = compiled_slots.iter().position(|s| match s {
-                Slot::Const(_) => true,
-                Slot::Var(i) => bound_slots.contains(i),
-            });
-            for s in &compiled_slots {
-                if let Slot::Var(i) = s {
-                    bound_slots.insert(*i);
-                }
-            }
-            CompiledAtom {
-                relation: table.rel(&a.relation),
-                slots: compiled_slots,
-                probe,
-                strategy: strategy_for(probe),
-            }
-        })
+    let pos: Vec<CompiledAtom> = (body.iter())
+        .map(|a| compile_atom(a, &mut slots, table))
         .collect();
-    let neg: Vec<CompiledAtom> = rule
-        .neg
-        .iter()
-        .map(|a| CompiledAtom {
-            relation: table.rel(&a.relation),
-            slots: a
-                .terms
-                .iter()
-                .map(|t| compile_term(t, &mut slots, table))
-                .collect(),
-            probe: None,
-            strategy: JoinStrategy::Scan,
-        })
+    let neg: Vec<CompiledAtom> = (rule.neg.iter())
+        .map(|a| compile_atom(a, &mut slots, table))
         .collect();
     let ineq: Vec<(Slot, Slot)> = rule
         .ineq
@@ -274,49 +200,60 @@ pub fn compile_rule(
             )
         })
         .collect();
-    let head = CompiledAtom {
-        relation: table.rel(&rule.head.relation),
-        slots: rule
-            .head
-            .terms
-            .iter()
-            .map(|t| compile_term(t, &mut slots, table))
-            .collect(),
-        probe: None,
-        strategy: JoinStrategy::Scan,
-    };
-    let recursive_pos = rule
-        .pos
-        .iter()
-        .map(|a| is_current_idb(&a.relation))
-        .collect();
-    CompiledRule {
+    let head = compile_atom(&rule.head, &mut slots, table);
+    let mut compiled = CompiledRule {
         nvars: slots.len(),
+        recursive_pos: body.iter().map(|a| is_current_idb(&a.relation)).collect(),
         pos,
         neg,
         ineq,
         head,
-        recursive_pos,
+        paths: RulePaths::default(),
+    };
+    compiled.paths = RulePaths {
+        body: compiled.body_path(),
+        pos: (0..compiled.pos.len())
+            .map(|i| compiled.seeded_path(Seed::Pos(i), reorder))
+            .collect(),
+        neg: (0..compiled.neg.len())
+            .map(|j| compiled.seeded_path(Seed::Neg(j), reorder))
+            .collect(),
+        head: compiled.seeded_path(Seed::Head, reorder),
+    };
+    compiled
+}
+
+fn compile_atom(
+    a: &Atom,
+    slots: &mut BTreeMap<Var, usize>,
+    table: &mut SymbolTable,
+) -> CompiledAtom {
+    CompiledAtom {
+        relation: table.rel(&a.relation),
+        slots: (a.terms.iter())
+            .map(|t| compile_term(t, slots, table))
+            .collect(),
     }
 }
 
-/// The join strategy implied by a probe position: the leading column is
-/// contiguous under sorted-batch (lexicographic) row order, so it is
-/// merge-joinable without any hash index; any other bound position
-/// falls back to the per-column hash index; no bound position scans.
-fn strategy_for(probe: Option<usize>) -> JoinStrategy {
-    match probe {
-        Some(0) => JoinStrategy::Merge,
-        Some(_) => JoinStrategy::Hash,
-        None => JoinStrategy::Scan,
+fn compile_term(t: &Term, slots: &mut BTreeMap<Var, usize>, table: &mut SymbolTable) -> Slot {
+    match t {
+        Term::Var(v) => {
+            let next = slots.len();
+            Slot::Var(*slots.entry(v.clone()).or_insert(next))
+        }
+        Term::Const(c) => Slot::Const(table.sym(c)),
+        Term::Invention => {
+            panic!("invention symbol must be rewritten (Skolemized) before compilation")
+        }
     }
 }
 
-/// The atom a maintenance join starts from: its variables are bound
-/// from one changed (or, for the head, checked) tuple before any other
-/// atom is visited.
+/// The atom a seeded join starts from: its variables are bound from one
+/// delta (or, for the head, checked) tuple before any other atom is
+/// visited.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Seed {
+enum Seed {
     /// Positive atom `i` ranges over a delta instead of its relation.
     Pos(usize),
     /// Negative atom `j` is bound to a tuple that entered or left its
@@ -343,7 +280,8 @@ pub enum ColOp {
 pub enum Access {
     /// Every column is bound: one membership lookup.
     Lookup,
-    /// Probe the hash index of this (bound) column.
+    /// Probe the hash index of this (bound) column; a relation that
+    /// carries no such index is scanned instead.
     Probe(usize),
     /// Nothing is bound (the atom shares no variable with anything
     /// before it): visit every row.
@@ -361,12 +299,13 @@ pub struct Step {
     pub cols: Vec<ColOp>,
 }
 
-/// A join order for one `(rule, seed)` pair of incremental
-/// maintenance: the seeded atom first, then every other positive atom
-/// with its access chosen from what is bound by then.
-#[derive(Debug, Clone)]
+/// One join order through a rule: the seeded atom (if any) first, then
+/// every other positive atom with its access chosen from what is bound
+/// by then.
+#[derive(Debug, Clone, Default)]
 pub struct AccessPath {
-    /// Match program of the seeded atom against the seeding tuple.
+    /// Match program of the seeded atom against the seeding tuple
+    /// (empty on the seedless body path).
     pub seed: Vec<ColOp>,
     /// The remaining positive atoms, in join order.
     pub steps: Vec<Step>,
@@ -385,47 +324,37 @@ fn col_ops(slots: &[Slot], bound: &mut BTreeSet<usize>) -> Vec<ColOp> {
 }
 
 impl CompiledRule {
-    /// Whether the rule has at least one positive atom over the current
-    /// stratum's idb (i.e., participates in the fixpoint recursion).
-    pub fn is_recursive(&self) -> bool {
-        self.recursive_pos.iter().any(|&b| b)
+    /// The paths the semi-naive fixpoint runs, each with its seed
+    /// position: the body path in round 0, then one seeded path per
+    /// recursive positive atom in the delta rounds.
+    pub(crate) fn fixpoint_paths(&self) -> impl Iterator<Item = (Option<usize>, &AccessPath)> {
+        let deltas = (self.paths.pos.iter().enumerate()).filter(|&(i, _)| self.recursive_pos[i]);
+        std::iter::once((None, &self.paths.body)).chain(deltas.map(|(i, p)| (Some(i), p)))
     }
 
-    /// Plan the maintenance join seeded at `seed` with the rule
-    /// compiler's own [`greedy_order`], started from the seed's
-    /// variables. Ties go to atoms over lower strata before atoms over
-    /// the stratum's own (recursive, typically far larger) relations:
-    /// with the head of `T(x,z) :- T(x,y), E(y,z)` bound, probing
-    /// `E(·,z)` and looking `T(x,y)` up costs the in-degree of `z`,
-    /// the other way round the whole closure of `x`.
-    pub fn access_path(&self, seed: Seed) -> AccessPath {
-        let seeded = match seed {
-            Seed::Pos(i) => &self.pos[i],
-            Seed::Neg(j) => &self.neg[j],
-            Seed::Head => &self.head,
-        };
-        let mut bound = BTreeSet::new();
-        let seed_ops = col_ops(&seeded.slots, &mut bound);
-        let mut rest: Vec<usize> = (0..self.pos.len())
-            .filter(|&i| seed != Seed::Pos(i))
-            .collect();
-        rest.sort_by_key(|&i| self.recursive_pos[i]);
-        let shapes = rest
-            .iter()
-            .enumerate()
-            .map(|(rank, &i)| {
-                let terms = self.pos[i].slots.iter().map(|s| match s {
-                    Slot::Var(v) => Some(*v),
-                    Slot::Const(_) => None,
-                });
-                (rank, terms.collect())
-            })
-            .collect();
-        let order = greedy_order(shapes, &mut bound.clone());
-        let steps = order
+    /// The `(relation, column)` hash indexes `paths` probe.
+    pub(crate) fn probed<'a>(
+        &'a self,
+        paths: impl IntoIterator<Item = &'a AccessPath> + 'a,
+    ) -> impl Iterator<Item = (RelId, usize)> + 'a {
+        let steps = paths.into_iter().flat_map(|path| &path.steps);
+        steps.filter_map(|step| match step.access {
+            Access::Probe(col) => Some((self.pos[step.atom].relation, col)),
+            _ => None,
+        })
+    }
+
+    /// The steps visiting the positive atoms `order`, each with its
+    /// access chosen from `bound` — the variables bound when it is
+    /// reached — which they extend.
+    fn steps(
+        &self,
+        order: impl IntoIterator<Item = usize>,
+        bound: &mut BTreeSet<usize>,
+    ) -> Vec<Step> {
+        order
             .into_iter()
-            .map(|rank| {
-                let atom = rest[rank];
+            .map(|atom| {
                 let slots = &self.pos[atom].slots;
                 // Bound *before* this atom is reached: a variable the
                 // atom itself repeats is matched, not probed.
@@ -441,13 +370,57 @@ impl CompiledRule {
                         .position(is_bound)
                         .map_or(Access::Scan, Access::Probe)
                 };
-                let cols = col_ops(slots, &mut bound);
+                let cols = col_ops(slots, bound);
                 Step { atom, access, cols }
             })
+            .collect()
+    }
+
+    /// The seedless path: every positive atom in body order.
+    fn body_path(&self) -> AccessPath {
+        AccessPath {
+            seed: Vec::new(),
+            steps: self.steps(0..self.pos.len(), &mut BTreeSet::new()),
+        }
+    }
+
+    /// The path seeded at `seed`: with `reorder`, the other positive
+    /// atoms in [`greedy_order`] started from the seed's variables,
+    /// otherwise in body order. Ties go to atoms over lower strata
+    /// before atoms over the stratum's own (recursive, typically far
+    /// larger) relations: with the head of `T(x,z) :- T(x,y), E(y,z)`
+    /// bound, probing `E(·,z)` and looking `T(x,y)` up costs the
+    /// in-degree of `z`, the other way round the whole closure of `x`.
+    fn seeded_path(&self, seed: Seed, reorder: bool) -> AccessPath {
+        let seeded = match seed {
+            Seed::Pos(i) => &self.pos[i],
+            Seed::Neg(j) => &self.neg[j],
+            Seed::Head => &self.head,
+        };
+        let mut bound = BTreeSet::new();
+        let seed_ops = col_ops(&seeded.slots, &mut bound);
+        let mut rest: Vec<usize> = (0..self.pos.len())
+            .filter(|&i| seed != Seed::Pos(i))
             .collect();
+        if reorder {
+            rest.sort_by_key(|&i| self.recursive_pos[i]);
+            let shapes = rest
+                .iter()
+                .enumerate()
+                .map(|(rank, &i)| {
+                    let terms = self.pos[i].slots.iter().map(|s| match s {
+                        Slot::Var(v) => Some(*v),
+                        Slot::Const(_) => None,
+                    });
+                    (rank, terms.collect())
+                })
+                .collect();
+            let order = greedy_order(shapes, &mut bound.clone());
+            rest = order.into_iter().map(|rank| rest[rank]).collect();
+        }
         AccessPath {
             seed: seed_ops,
-            steps,
+            steps: self.steps(rest, &mut bound),
         }
     }
 }
@@ -461,14 +434,13 @@ mod tests {
     fn slots_are_shared_across_atoms() {
         let r = parse_rule("T(x,z) :- T(x,y), E(y,z).").unwrap();
         let mut table = SymbolTable::new();
-        let c = compile_rule(&r, &mut table, |rel| rel == "T");
+        let c = compile_rule(&r, &mut table, |rel| rel == "T", false);
         assert_eq!(c.nvars, 3);
         // T(x,y): slots 0,1. E(y,z): slots 1,2. Head T(x,z): 0,2.
         assert_eq!(c.pos[0].slots, vec![Slot::Var(0), Slot::Var(1)]);
         assert_eq!(c.pos[1].slots, vec![Slot::Var(1), Slot::Var(2)]);
         assert_eq!(c.head.slots, vec![Slot::Var(0), Slot::Var(2)]);
         assert_eq!(c.recursive_pos, vec![true, false]);
-        assert!(c.is_recursive());
         // The head and first atom intern to the same relation id.
         assert_eq!(c.head.relation, c.pos[0].relation);
         assert_eq!(table.rel_name(c.pos[1].relation).as_ref(), "E");
@@ -481,7 +453,7 @@ mod tests {
         // previous ones.
         let r = parse_rule("O(w) :- C(y, w), A(x), B(x, y).").unwrap();
         let mut table = SymbolTable::new();
-        let c = compile_rule_ordered(&r, &mut table, |_| false);
+        let c = compile_rule(&r, &mut table, |_| false, true);
         // First atom introduces variables; every later atom must share at
         // least one slot with earlier atoms (no Cartesian step exists for
         // this rule shape).
@@ -510,7 +482,7 @@ mod tests {
     fn ordering_prefers_constant_bound_atoms_first() {
         let r = parse_rule("O(x) :- A(x, y), B(y, 3).").unwrap();
         let mut table = SymbolTable::new();
-        let c = compile_rule_ordered(&r, &mut table, |_| false);
+        let c = compile_rule(&r, &mut table, |_| false, true);
         assert_eq!(
             table.rel_name(c.pos[0].relation).as_ref(),
             "B",
@@ -526,7 +498,7 @@ mod tests {
         // come first.
         let r = parse_rule("O(x) :- S(u), A(x, y), B(y, z).").unwrap();
         let mut table = SymbolTable::new();
-        let c = compile_rule_ordered(&r, &mut table, |_| false);
+        let c = compile_rule(&r, &mut table, |_| false, true);
         let names: Vec<&str> = c
             .pos
             .iter()
@@ -559,30 +531,97 @@ mod tests {
         let m = fixpoint_seminaive(&p, &mut db);
         assert_eq!(db.to_instance().relation_len("O"), n as usize);
         assert_eq!(m.derivations, (n * n) as usize);
-        let probes = m.index_probes + m.merge_probes;
         assert!(
-            probes <= 4 * n as usize,
-            "probes not linear: {probes} for n = {n}"
+            m.index_probes <= 4 * n as usize,
+            "probes not linear: {} for n = {n}",
+            m.index_probes
+        );
+    }
+
+    fn accesses(path: &AccessPath) -> Vec<(usize, Access)> {
+        path.steps.iter().map(|s| (s.atom, s.access)).collect()
+    }
+
+    #[test]
+    fn body_path_access_follows_the_bound_columns() {
+        // T(x,y) scans (first atom), E(y,z) probes its leading column,
+        // F(w,z) probes z at column 1, and G(x,z) is fully bound.
+        let r = parse_rule("O(x) :- T(x,y), E(y,z), F(w,z), G(x,z).").unwrap();
+        let mut table = SymbolTable::new();
+        let c = compile_rule(&r, &mut table, |_| false, false);
+        assert!(c.paths.body.seed.is_empty());
+        assert_eq!(
+            accesses(&c.paths.body),
+            [
+                (0, Access::Scan),
+                (1, Access::Probe(0)),
+                (2, Access::Probe(1)),
+                (3, Access::Lookup)
+            ]
+        );
+        // A constant is bound from the start; a variable the atom itself
+        // repeats is matched, not probed.
+        let r2 = parse_rule("O(x) :- R(3, x), S(y, y).").unwrap();
+        let c2 = compile_rule(&r2, &mut table, |_| false, false);
+        assert_eq!(
+            accesses(&c2.paths.body),
+            [(0, Access::Probe(0)), (1, Access::Scan)]
+        );
+        assert_eq!(
+            c2.paths.body.steps[1].cols,
+            [ColOp::Bind(1), ColOp::Eq(Slot::Var(1))]
         );
     }
 
     #[test]
-    fn join_strategy_follows_probe_position() {
-        // T(x,y) scans (first atom), E(y,z) probes at its leading
-        // column (merge), F(z,y) probes y at position 1 (hash).
-        let r = parse_rule("O(x) :- T(x,y), E(y,z), F(w,z).").unwrap();
+    fn seeded_paths_start_from_the_delta_and_probe_the_rest() {
+        // Right-linear TC: seeded at T (atom 1), E is probed backwards
+        // on the column T's row binds; seeded at E, T forwards.
+        let r = parse_rule("T(x,z) :- E(x,y), T(y,z).").unwrap();
         let mut table = SymbolTable::new();
-        let c = compile_rule(&r, &mut table, |_| false);
-        assert_eq!(c.pos[0].probe, None);
-        assert_eq!(c.pos[0].strategy, JoinStrategy::Scan);
-        assert_eq!(c.pos[1].probe, Some(0));
-        assert_eq!(c.pos[1].strategy, JoinStrategy::Merge);
-        assert_eq!(c.pos[2].probe, Some(1));
-        assert_eq!(c.pos[2].strategy, JoinStrategy::Hash);
-        // Constants in the leading position also merge.
-        let r2 = parse_rule("O(x) :- R(3, x).").unwrap();
-        let c2 = compile_rule(&r2, &mut table, |_| false);
-        assert_eq!(c2.pos[0].strategy, JoinStrategy::Merge);
+        let c = compile_rule(&r, &mut table, |rel| rel == "T", true);
+        assert_eq!(accesses(&c.paths.pos[1]), [(0, Access::Probe(1))]);
+        assert_eq!(accesses(&c.paths.pos[0]), [(1, Access::Probe(0))]);
+        // Head bound: the lower-stratum atom is probed first, the
+        // recursive one looked up.
+        assert_eq!(
+            accesses(&c.paths.head),
+            [(0, Access::Probe(0)), (1, Access::Lookup)]
+        );
+        // The fixpoint runs the body path and the recursive seed only,
+        // so it probes T.0 and E.1 — never E.0, which only the
+        // maintenance seed at E needs... and T.0 again.
+        let own: BTreeSet<_> = c.probed(c.fixpoint_paths().map(|(_, p)| p)).collect();
+        let (e, t) = (c.pos[0].relation, c.pos[1].relation);
+        assert_eq!(own, BTreeSet::from([(t, 0), (e, 1)]));
+        // A repeated variable in the seeded atom is checked on the seed.
+        let d = parse_rule("S(x) :- T(x,x), E(x,y).").unwrap();
+        let cd = compile_rule(&d, &mut table, |rel| rel == "T", true);
+        let seeded_at_t = (0..2).find(|&i| cd.recursive_pos[i]).unwrap();
+        assert_eq!(
+            cd.paths.pos[seeded_at_t].seed,
+            [ColOp::Bind(0), ColOp::Eq(Slot::Var(0))]
+        );
+    }
+
+    #[test]
+    fn seeded_paths_keep_the_body_order_without_reordering() {
+        let r = parse_rule("O(x) :- A(x,y), B(z,w), C(y,z).").unwrap();
+        let mut table = SymbolTable::new();
+        let plain = compile_rule(&r, &mut table, |_| false, false);
+        assert_eq!(
+            accesses(&plain.paths.pos[0]),
+            [(1, Access::Scan), (2, Access::Lookup)]
+        );
+        // Compiled with reordering, the body is A, C, B and the path
+        // seeded at A visits C (bound through y) before B.
+        let ordered = compile_rule(&r, &mut table, |_| false, true);
+        let a = ordered.pos[0].relation;
+        assert_eq!(table.rel_name(a).as_ref(), "A");
+        assert_eq!(
+            accesses(&ordered.paths.pos[0]),
+            [(1, Access::Probe(0)), (2, Access::Probe(0))]
+        );
     }
 
     #[test]
@@ -611,17 +650,17 @@ mod tests {
     fn constants_compile_to_const_slots() {
         let r = parse_rule("O(x) :- R(x, 3).").unwrap();
         let mut table = SymbolTable::new();
-        let c = compile_rule(&r, &mut table, |_| false);
+        let c = compile_rule(&r, &mut table, |_| false, false);
         let three = table.lookup_sym(&calm_common::v(3)).unwrap();
         assert_eq!(c.pos[0].slots[1], Slot::Const(three));
-        assert!(!c.is_recursive());
+        assert_eq!(c.recursive_pos, [false]);
     }
 
     #[test]
     fn neg_and_ineq_compiled() {
         let r = parse_rule("O(x) :- V(x), not W(x), x != 3.").unwrap();
         let mut table = SymbolTable::new();
-        let c = compile_rule(&r, &mut table, |_| false);
+        let c = compile_rule(&r, &mut table, |_| false, false);
         assert_eq!(c.neg.len(), 1);
         assert_eq!(c.ineq.len(), 1);
         assert_eq!(c.ineq[0].0, Slot::Var(0));

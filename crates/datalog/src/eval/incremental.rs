@@ -3,8 +3,8 @@
 //!
 //! [`apply_update_compiled`] takes a materialized [`Database`] (the
 //! fixpoint of some stratified program over its old EDB), a signed
-//! [`UpdateBatch`], the per-stratum [`CompiledProgram`]s and their
-//! [`MaintenancePlan`], and maintains the database *in place*. The
+//! [`UpdateBatch`] and the per-stratum [`CompiledProgram`]s, and
+//! maintains the database *in place*. The
 //! contract is differential: after any interleaving of batches, the
 //! database holds exactly the facts a from-scratch evaluation of the
 //! final EDB would produce.
@@ -40,19 +40,21 @@
 //! Strata are processed in order; each stratum's net changes join the
 //! signed change sets consumed by the strata above it.
 //!
-//! # One kernel, by row id
+//! # The fixpoint's kernel, by row id
 //!
-//! Every join of every phase runs through [`Join`] along an
-//! [`AccessPath`] planned once per `(rule, seed)` pair
-//! ([`MaintenancePlan`]): the seeded atom first, then an index probe
-//! (or, fully bound, a membership lookup) per remaining atom. The two
-//! views are filters on the probed row ids, not copies: the batch
-//! starts compacted and moves every watermark once, a retraction
-//! leaves a tombstone whose id the indexes keep, and new rows are
-//! appended — so the *new* view is "live" and the *old* view is "below
-//! the watermark" ([`Relation::live_at_mark`]). Changed, overdeleted
-//! and revived tuples are `u32` row ids throughout; only a tuple that
-//! does not exist yet (phase 3) is ever materialized.
+//! Every join of every phase runs through the kernel the fixpoint uses
+//! (`eval/join.rs`) along the seeded access paths the rule compiler
+//! planned ([`super::compile::RulePaths`]): the seeded atom first, then
+//! an index probe (or, fully bound, a membership lookup) per remaining
+//! atom; [`MaintenancePlan`] is the set of hash indexes those paths
+//! probe beyond the fixpoint's own. The two views are filters on the
+//! probed row ids, not copies: the batch starts compacted and moves
+//! every watermark once, a retraction leaves a tombstone whose id the
+//! indexes keep, and new rows are appended — so the *new* view is
+//! "live" and the *old* view is "below the watermark"
+//! ([`Relation::live_at_mark`]). Changed, overdeleted and revived
+//! tuples are `u32` row ids throughout; only a tuple that does not
+//! exist yet (phase 3) is ever materialized.
 //!
 //! # The re-evaluation guard
 //!
@@ -77,9 +79,10 @@
 //! byte-identical at any `eval_threads`, so the differential oracle
 //! holds at any thread count.
 
-use super::compile::{Access, AccessPath, ColOp, CompiledAtom, CompiledRule, Seed, Slot};
+use super::compile::{CompiledAtom, CompiledRule, RulePaths};
 use super::database::Database;
-use super::seminaive::{fixpoint_seminaive_compiled_obs, CompiledProgram};
+use super::join::{instantiate, Join, View};
+use super::seminaive::{fixpoint_seminaive_full, CompiledProgram};
 use calm_common::storage::{RelId, Relation, Storage, Sym, SymTuple};
 use calm_common::update::UpdateBatch;
 use calm_obs::Obs;
@@ -144,61 +147,34 @@ pub fn fallback_limit(live: usize) -> usize {
     live / 4 + 64
 }
 
-/// The access paths of one rule, one per seed maintenance starts from.
-#[derive(Debug, Clone)]
-struct RulePaths {
-    /// Delta at positive atom `i`.
-    pos: Vec<AccessPath>,
-    /// Negative atom `j` bound to a changed tuple.
-    neg: Vec<AccessPath>,
-    /// Head bound: the rederive pass's backward check.
-    head: AccessPath,
-}
-
-/// Every access path maintenance will take through a stratified
-/// program, planned once per session, and the hash indexes those paths
-/// probe.
+/// The hash indexes maintenance probes: those of every access path of
+/// every rule — the fixpoint builds only the ones its body and delta
+/// paths use, the negative-atom, head-bound and lower-stratum seeds
+/// need the rest.
 #[derive(Debug, Clone)]
 pub struct MaintenancePlan {
-    /// Per stratum, per rule.
-    strata: Vec<Vec<RulePaths>>,
     indexes: BTreeSet<(RelId, usize)>,
 }
 
 impl MaintenancePlan {
     /// Plan maintenance of `strata`.
     pub fn new(strata: &[CompiledProgram]) -> MaintenancePlan {
-        let mut indexes = BTreeSet::new();
-        let mut plan = |rule: &CompiledRule, seed: Seed| {
-            let path = rule.access_path(seed);
-            for step in &path.steps {
-                if let Access::Probe(col) = step.access {
-                    indexes.insert((rule.pos[step.atom].relation, col));
-                }
-            }
-            path
-        };
-        let strata = strata
-            .iter()
-            .map(|cp| {
-                cp.rules()
-                    .iter()
-                    .map(|rule| RulePaths {
-                        pos: (0..rule.pos.len())
-                            .map(|i| plan(rule, Seed::Pos(i)))
-                            .collect(),
-                        neg: (0..rule.neg.len())
-                            .map(|j| plan(rule, Seed::Neg(j)))
-                            .collect(),
-                        head: plan(rule, Seed::Head),
-                    })
-                    .collect()
+        let rules = strata.iter().flat_map(CompiledProgram::rules);
+        let indexes = rules
+            .flat_map(|rule| {
+                let RulePaths {
+                    body,
+                    pos,
+                    neg,
+                    head,
+                } = &rule.paths;
+                rule.probed([body, head].into_iter().chain(pos).chain(neg))
             })
             .collect();
-        MaintenancePlan { strata, indexes }
+        MaintenancePlan { indexes }
     }
 
-    /// The `(relation, column)` hash indexes the planned paths probe.
+    /// The `(relation, column)` hash indexes the seeded paths probe.
     pub fn indexes(&self) -> impl Iterator<Item = (RelId, usize)> + '_ {
         self.indexes.iter().copied()
     }
@@ -212,130 +188,9 @@ impl MaintenancePlan {
     }
 }
 
-/// Which contents of the store a join ranges over, as a filter on row
-/// ids (see the module docs).
-#[derive(Debug, Clone, Copy)]
-enum View {
-    /// The contents when the batch began.
-    Old,
-    /// The current contents.
-    New,
-}
-
-impl View {
-    fn sees(self, rel: &Relation, id: u32) -> bool {
-        match self {
-            View::Old => rel.live_at_mark(id),
-            View::New => rel.is_live(id),
-        }
-    }
-}
-
-fn val(slot: Slot, binding: &[Sym]) -> Sym {
-    match slot {
-        Slot::Const(c) => c,
-        Slot::Var(i) => binding[i],
-    }
-}
-
-/// Run a column program over `row`: bind first occurrences, compare
-/// the rest. Slots bound by a failed match are never read.
-fn matches(cols: &[ColOp], row: &[Sym], binding: &mut [Sym]) -> bool {
-    row.len() == cols.len()
-        && cols.iter().zip(row).all(|(op, &s)| match *op {
-            ColOp::Bind(i) => {
-                binding[i] = s;
-                true
-            }
-            ColOp::Eq(slot) => val(slot, binding) == s,
-        })
-}
-
-/// The maintenance join kernel: enumerates the body valuations of one
-/// rule along one access path over one view.
-struct Join<'a> {
-    rule: &'a CompiledRule,
-    path: &'a AccessPath,
-    storage: &'a Storage,
-    view: View,
-    /// One symbol per variable slot; a slot is only read after the
-    /// path bound it.
-    binding: Vec<Sym>,
-    /// Scratch tuple for membership lookups.
-    key: SymTuple,
-    /// Body valuations enumerated so far.
-    derivations: usize,
-}
-
-impl<'a> Join<'a> {
-    fn new(rule: &'a CompiledRule, path: &'a AccessPath, storage: &'a Storage, view: View) -> Self {
-        Join {
-            rule,
-            path,
-            storage,
-            view,
-            binding: vec![Sym(0); rule.nvars],
-            key: SymTuple::new(),
-            derivations: 0,
-        }
-    }
-
-    /// Whether the (fully bound) atom holds in the view.
-    fn holds(&mut self, atom: &CompiledAtom) -> bool {
-        self.key.clear();
-        self.key
-            .extend(atom.slots.iter().map(|&s| val(s, &self.binding)));
-        self.storage.relation(atom.relation).is_some_and(|rel| {
-            rel.lookup(&self.key)
-                .is_some_and(|id| self.view.sees(rel, id))
-        })
-    }
-
-    /// Enumerate the valuations whose seeded atom is `row`. `sink`
-    /// receives each full binding and returns `false` to stop; so does
-    /// this, when stopped.
-    fn seeded(&mut self, row: &[Sym], sink: &mut dyn FnMut(&[Sym]) -> bool) -> bool {
-        !matches(&self.path.seed, row, &mut self.binding) || self.step(0, sink)
-    }
-
-    fn step(&mut self, k: usize, sink: &mut dyn FnMut(&[Sym]) -> bool) -> bool {
-        let (rule, storage) = (self.rule, self.storage);
-        let Some(step) = self.path.steps.get(k) else {
-            // Body end: inequalities and negative atoms, all bound.
-            let b = &self.binding;
-            if rule.ineq.iter().any(|&(l, r)| val(l, b) == val(r, b))
-                || rule.neg.iter().any(|atom| self.holds(atom))
-            {
-                return true;
-            }
-            self.derivations += 1;
-            return sink(&self.binding);
-        };
-        let atom = &rule.pos[step.atom];
-        let Some(rel) = storage.relation(atom.relation) else {
-            return true;
-        };
-        let mut visit = |join: &mut Self, id: u32| {
-            !join.view.sees(rel, id)
-                || !matches(&step.cols, rel.row(id), &mut join.binding)
-                || join.step(k + 1, sink)
-        };
-        match step.access {
-            Access::Lookup => !self.holds(atom) || self.step(k + 1, sink),
-            Access::Probe(col) => rel
-                .probe(col, val(atom.slots[col], &self.binding))
-                .expect("MaintenancePlan::prepare builds every planned index")
-                .iter()
-                .all(|&id| visit(self, id)),
-            Access::Scan => (0..rel.rows().len() as u32).all(|id| visit(self, id)),
-        }
-    }
-}
-
-/// One stratum's rules with their planned access paths.
+/// One stratum's rules.
 struct Stratum<'a> {
     rules: &'a [CompiledRule],
-    paths: &'a [RulePaths],
 }
 
 impl Stratum<'_> {
@@ -354,10 +209,10 @@ impl Stratum<'_> {
         sink: &mut dyn FnMut(RelId, &[Sym]) -> bool,
     ) -> bool {
         let mut head = SymTuple::new();
-        for (rule, paths) in self.rules.iter().zip(self.paths) {
+        for rule in self.rules {
+            let paths = &rule.paths;
             let mut emit = |b: &[Sym]| {
-                head.clear();
-                head.extend(rule.head.slots.iter().map(|&s| val(s, b)));
+                instantiate(&rule.head, b, &mut head);
                 sink(rule.head.relation, &head)
             };
             let seeds = (rule.pos.iter().zip(&paths.pos).map(|s| (s, pos)))
@@ -368,7 +223,7 @@ impl Stratum<'_> {
                 else {
                     continue;
                 };
-                let mut join = Join::new(rule, path, storage, view);
+                let mut join = Join::new(rule, path, storage, storage, view);
                 let go = ids.iter().all(|&id| join.seeded(rel.row(id), &mut emit));
                 stats.derivations += join.derivations;
                 if !go {
@@ -390,11 +245,11 @@ impl Stratum<'_> {
         row: &[Sym],
         stats: &mut UpdateStats,
     ) -> bool {
-        self.rules.iter().zip(self.paths).any(|(rule, paths)| {
+        self.rules.iter().any(|rule| {
             if rule.head.relation != rel {
                 return false;
             }
-            let mut join = Join::new(rule, &paths.head, storage, View::New);
+            let mut join = Join::new(rule, &rule.paths.head, storage, storage, View::New);
             let underivable = join.seeded(row, &mut |_| false);
             stats.derivations += join.derivations;
             !underivable
@@ -590,15 +445,15 @@ fn reevaluate(strata: &[CompiledProgram], db: &mut Database, obs: &Obs) -> usize
     }
     strata
         .iter()
-        .map(|cp| fixpoint_seminaive_compiled_obs(cp, db, obs).derivations)
+        .map(|cp| fixpoint_seminaive_full(cp, db, None, obs).derivations)
         .sum()
 }
 
 /// Apply a signed [`UpdateBatch`] to a materialized stratified
 /// database, maintaining every stratum incrementally (see the module
 /// docs). `db` must be the fixpoint of `strata` over its current EDB,
-/// compacted (no tombstones), carry `plan`'s indexes
-/// ([`MaintenancePlan::prepare`]; `plan` must be `strata`'s), and the
+/// compacted (no tombstones), should carry the indexes of `strata`'s
+/// [`MaintenancePlan`] (a probe without its index scans), and the
 /// batch must only touch EDB relations — the query-level wrappers
 /// ([`crate::query::IncrementalEvaluation`]) enforce all of it.
 ///
@@ -607,7 +462,6 @@ fn reevaluate(strata: &[CompiledProgram], db: &mut Database, obs: &Obs) -> usize
 /// counters) to `obs`.
 pub fn apply_update_compiled(
     strata: &[CompiledProgram],
-    plan: &MaintenancePlan,
     db: &mut Database,
     batch: &UpdateBatch,
     obs: &Obs,
@@ -642,11 +496,8 @@ pub fn apply_update_compiled(
         }
     }
 
-    for (k, (cp, paths)) in strata.iter().zip(&plan.strata).enumerate() {
-        let st = Stratum {
-            rules: cp.rules(),
-            paths,
-        };
+    for (k, cp) in strata.iter().enumerate() {
+        let st = Stratum { rules: cp.rules() };
         if !maintain_stratum(&st, db, &mut added, &mut removed, &mut stats) {
             let _span = obs.span("eval", || format!("maintenance_fallback#{k}"));
             stats.derivations += reevaluate(&strata[k..], db, obs);
@@ -719,7 +570,7 @@ mod tests {
         }
 
         fn apply(&self, db: &mut Database, batch: &UpdateBatch) -> UpdateStats {
-            apply_update_compiled(&self.strata, &self.plan, db, batch, &Obs::noop())
+            apply_update_compiled(&self.strata, db, batch, &Obs::noop())
         }
     }
 

@@ -3,7 +3,10 @@
 //! * [`database`] — the internal relation store over the shared
 //!   substrate ([`calm_common::storage`]): interned symbols, indexed
 //!   delta-tracked rows;
-//! * [`compile`] — rule compilation into interned slot form;
+//! * [`compile`] — rule compilation into interned slot form, and the
+//!   one planner: every access path of every rule;
+//! * `join` — the one kernel that enumerates body valuations along
+//!   those paths;
 //! * [`seminaive`] — naive and semi-naive fixpoints for semi-positive
 //!   programs;
 //! * [`stratified`] — the stratified semantics driver;
@@ -13,18 +16,15 @@
 pub mod compile;
 pub mod database;
 pub mod incremental;
+mod join;
 pub mod seminaive;
 pub mod stratified;
 
-pub use compile::JoinStrategy;
 pub use database::Database;
 pub use incremental::{apply_update_compiled, MaintenancePlan, UpdateStats};
 pub use seminaive::{
     body_valuations, derive_once, fixpoint_naive, fixpoint_seminaive, fixpoint_seminaive_compiled,
-    fixpoint_seminaive_compiled_obs, fixpoint_seminaive_frozen, fixpoint_seminaive_frozen_compiled,
-    fixpoint_seminaive_frozen_compiled_obs, fixpoint_seminaive_obs, fixpoint_seminaive_with,
-    fixpoint_seminaive_with_obs, CompiledProgram, EvalMetrics, EvalOptions, FixpointStats, RuleSet,
-    ValuationQuery,
+    fixpoint_seminaive_full, CompiledProgram, EvalMetrics, EvalOptions, RuleSet, ValuationQuery,
 };
 pub use stratified::{
     eval_program, eval_program_with, eval_query, eval_query_obs, eval_query_opts,

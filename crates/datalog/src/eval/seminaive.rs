@@ -6,34 +6,35 @@
 //! stratified driver guarantees.
 //!
 //! Evaluation runs entirely over the shared substrate
-//! ([`calm_common::storage`]): bindings are `Copy` [`Sym`]s, the
-//! semi-naive delta is the region of rows past each relation's watermark
-//! (no second store, no copying), and the hash indexes used by probe
-//! joins are built once before the loop and maintained incrementally on
-//! insert — nothing is rebuilt per iteration.
+//! ([`calm_common::storage`]) and through the one join kernel
+//! (`eval/join.rs`): round 0 walks every rule's body path, a delta
+//! round walks, per recursive atom, the path seeded at that atom from
+//! the rows past its relation's watermark (no second store, no
+//! copying), and the hash indexes those paths probe are built once
+//! before the loop and maintained incrementally on insert — nothing is
+//! rebuilt per iteration.
 //!
 //! # Data-parallel evaluation
 //!
 //! With [`EvalOptions::eval_threads`] > 1 each iteration's rule
-//! evaluations are split into [`EvalJob`]s — a rule (restricted to one
-//! delta position in delta rounds) over a contiguous chunk of its
-//! *outermost* atom's row scan — and executed by scoped worker threads
-//! (`std::thread::scope`, no new dependencies) sharing the storage
-//! read-only. Each worker keeps a private derivation buffer and
+//! evaluations are split into [`EvalJob`]s — one path of one rule over a
+//! contiguous chunk of its *outermost* scan (the seeding delta rows, or
+//! the leading scan of a body path) — and executed by scoped worker
+//! threads (`std::thread::scope`, no new dependencies) sharing the
+//! storage read-only. Each worker keeps a private derivation buffer and
 //! [`EvalMetrics`] block; after the round the buffers are merged in job
 //! order (rule index, then delta position, then partition index), which
 //! reproduces the exact sequential emission order. Because the chunks
 //! partition the same outer scan, every counter is a sum over the same
 //! event multiset, so the derived database **and** the metrics are
 //! byte-identical to the sequential path at any thread count. The one
-//! exception guarded by the planner: a rule whose outermost atom would
-//! take the index-probe fast path issues exactly one probe, so such a
-//! unit is never split (splitting would multiply `index_probes`).
+//! exception guarded by the planner: a body path that starts with a
+//! probe or a lookup issues exactly one, so such a unit is never split
+//! (splitting would multiply `index_probes`).
 
-use super::compile::{
-    compile_rule, compile_rule_ordered, CompiledAtom, CompiledRule, JoinStrategy, Slot,
-};
+use super::compile::{compile_rule, Access, CompiledAtom, CompiledRule};
 use super::database::Database;
+use super::join::{instantiate, Join, View};
 use crate::ast::{Rule, Var};
 use crate::program::Program;
 use calm_common::fact::RelName;
@@ -45,10 +46,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 pub use calm_common::storage::EvalMetrics;
 
-/// Backwards-compatible name for the engine counters: the original
-/// `FixpointStats` grew into [`EvalMetrics`].
-pub type FixpointStats = EvalMetrics;
-
 /// Evaluation options: the ablation knobs benchmarked by
 /// `calm-bench`'s `datalog_eval` bench, plus the data-parallel driver
 /// knob.
@@ -56,8 +53,8 @@ pub type FixpointStats = EvalMetrics;
 pub struct EvalOptions {
     /// Greedily reorder positive body atoms (join planning).
     pub reorder: bool,
-    /// Probe incrementally-maintained hash indexes on the probe
-    /// positions (built once per fixpoint, maintained on insert).
+    /// Build the hash indexes the access paths probe (once per
+    /// fixpoint, maintained on insert); without them every probe scans.
     pub index: bool,
     /// Worker threads for the data-parallel semi-naive driver; 1 (the
     /// default) runs the classic sequential loop. Any value produces a
@@ -93,308 +90,49 @@ impl EvalOptions {
     }
 }
 
-/// The `(relation, position)` pairs the compiled rules will probe via
-/// the hash path. Leading-column probes go through the merge-join path
-/// over sorted batches instead ([`sorted_relations`]), so no hash index
-/// is built — or incrementally maintained on every insert — for them.
-fn wanted_indexes(rules: &[CompiledRule]) -> BTreeSet<(RelId, usize)> {
-    let mut out = BTreeSet::new();
-    for rule in rules {
-        for atom in &rule.pos {
-            if let (Some(p), JoinStrategy::Hash) = (atom.probe, atom.strategy) {
-                out.insert((atom.relation, p));
-            }
-        }
-    }
-    out
-}
-
-/// The relations some atom merge-joins on its leading column: these are
-/// sealed into sorted batches at fixpoint entry and re-sealed at every
-/// watermark boundary.
-fn sorted_relations(rules: &[CompiledRule]) -> BTreeSet<RelId> {
-    let mut out = BTreeSet::new();
-    for rule in rules {
-        for atom in &rule.pos {
-            if atom.strategy == JoinStrategy::Merge {
-                out.insert(atom.relation);
-            }
-        }
-    }
-    out
-}
-
-/// Match one atom against a row, extending `binding`. Returns the slots
-/// that were newly bound (for backtracking), or `None` on mismatch.
-fn unify(atom: &CompiledAtom, row: &[Sym], binding: &mut [Option<Sym>]) -> Option<Vec<usize>> {
-    debug_assert_eq!(atom.slots.len(), row.len());
-    let mut newly = Vec::new();
-    for (slot, &s) in atom.slots.iter().zip(row.iter()) {
-        match slot {
-            Slot::Const(c) => {
-                if *c != s {
-                    undo(binding, &newly);
-                    return None;
-                }
-            }
-            Slot::Var(i) => match binding[*i] {
-                Some(existing) => {
-                    if existing != s {
-                        undo(binding, &newly);
-                        return None;
-                    }
-                }
-                None => {
-                    binding[*i] = Some(s);
-                    newly.push(*i);
-                }
-            },
-        }
-    }
-    Some(newly)
-}
-
-fn undo(binding: &mut [Option<Sym>], newly: &[usize]) {
-    for &i in newly {
-        binding[i] = None;
-    }
-}
-
-fn slot_sym(slot: &Slot, binding: &[Option<Sym>]) -> Sym {
-    match slot {
-        Slot::Const(c) => *c,
-        Slot::Var(i) => {
-            binding[*i].expect("slot unbound after positive join; rule safety violated")
-        }
-    }
-}
-
-/// Evaluate a compiled rule against `full`. `delta_at` optionally
-/// restricts one positive atom (by index) to the delta region of its
-/// relation; `range` optionally restricts the *outermost* atom's row
-/// scan to a contiguous `[start, end)` slice (the data-parallel
-/// partitioning — indexes into the delta region when the outermost atom
-/// is the delta atom, into the full row vector otherwise). Negative
-/// atoms are checked against `neg_db` (equal to `full` for ordinary
-/// evaluation; a frozen approximation for the well-founded alternating
-/// fixpoint). Derived head rows are passed to `emit`.
-#[allow(clippy::too_many_arguments)]
-fn eval_rule(
-    rule: &CompiledRule,
-    full: &Storage,
-    use_index: bool,
-    neg_db: &Storage,
-    delta_at: Option<usize>,
-    range: Option<(usize, usize)>,
-    metrics: &mut EvalMetrics,
-    emit: &mut impl FnMut(RelId, SymTuple),
-) {
-    let mut binding: Vec<Option<Sym>> = vec![None; rule.nvars];
-    eval_pos(
-        rule,
-        0,
-        full,
-        use_index,
-        neg_db,
-        delta_at,
-        range,
-        &mut binding,
-        metrics,
-        emit,
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-fn eval_pos(
-    rule: &CompiledRule,
-    idx: usize,
-    full: &Storage,
-    use_index: bool,
-    neg_db: &Storage,
-    delta_at: Option<usize>,
-    range: Option<(usize, usize)>,
-    binding: &mut Vec<Option<Sym>>,
-    metrics: &mut EvalMetrics,
-    emit: &mut impl FnMut(RelId, SymTuple),
-) {
-    if idx == rule.pos.len() {
-        // Check inequalities.
-        for (l, r) in &rule.ineq {
-            if slot_sym(l, binding) == slot_sym(r, binding) {
-                return;
-            }
-        }
-        // Check negative atoms (all slots bound by safety).
-        for atom in &rule.neg {
-            let row: SymTuple = atom.slots.iter().map(|s| slot_sym(s, binding)).collect();
-            if neg_db.contains(atom.relation, &row) {
-                return;
-            }
-        }
-        let head: SymTuple = rule
-            .head
-            .slots
-            .iter()
-            .map(|s| slot_sym(s, binding))
-            .collect();
-        metrics.derivations += 1;
-        emit(rule.head.relation, head);
-        return;
-    }
-    let atom = &rule.pos[idx];
-    let Some(relation) = full.relation(atom.relation) else {
-        return;
-    };
-    let scanning_delta = delta_at == Some(idx);
-    // Fast paths: probe with the bound symbol at the probe position
-    // (never when this atom scans the small delta region). Leading-column
-    // probes merge-join the sorted batches; other positions probe the
-    // hash index.
-    if !scanning_delta && use_index {
-        if let Some(p) = atom.probe {
-            let s = match atom.slots[p] {
-                Slot::Const(c) => c,
-                Slot::Var(i) => binding[i].expect("probe position must be bound"),
-            };
-            if atom.strategy == JoinStrategy::Merge {
-                debug_assert_eq!(p, 0, "merge join probes the leading column");
-                debug_assert!(
-                    idx > 0 || range.is_none(),
-                    "partitioned job must not take the outer probe path"
-                );
-                metrics.merge_probes += 1;
-                for row in relation.probe_sorted_iter(s) {
-                    metrics.merge_hits += 1;
-                    if row.len() != atom.slots.len() {
-                        continue;
-                    }
-                    if let Some(newly) = unify(atom, row, binding) {
-                        eval_pos(
-                            rule,
-                            idx + 1,
-                            full,
-                            use_index,
-                            neg_db,
-                            delta_at,
-                            range,
-                            binding,
-                            metrics,
-                            emit,
-                        );
-                        undo(binding, &newly);
-                    }
-                }
-                return;
-            }
-            if let Some(ids) = relation.probe(p, s) {
-                // The parallel planner never partitions a unit whose
-                // outermost atom takes the probe path: it would issue
-                // one probe per partition instead of one.
-                debug_assert!(
-                    idx > 0 || range.is_none(),
-                    "partitioned job must not take the outer probe path"
-                );
-                metrics.index_probes += 1;
-                metrics.index_hits += ids.len();
-                for &id in ids {
-                    let row = relation.row(id);
-                    if row.len() != atom.slots.len() {
-                        continue;
-                    }
-                    if let Some(newly) = unify(atom, row, binding) {
-                        eval_pos(
-                            rule,
-                            idx + 1,
-                            full,
-                            use_index,
-                            neg_db,
-                            delta_at,
-                            range,
-                            binding,
-                            metrics,
-                            emit,
-                        );
-                        undo(binding, &newly);
-                    }
-                }
-                return;
-            }
-        }
-    }
-    let mut rows = if scanning_delta {
-        relation.delta_rows()
-    } else {
-        relation.rows()
-    };
-    if idx == 0 {
-        if let Some((start, end)) = range {
-            rows = &rows[start.min(rows.len())..end.min(rows.len())];
-        }
-    }
-    for row in rows {
-        if row.len() != atom.slots.len() {
-            continue;
-        }
-        if let Some(newly) = unify(atom, row, binding) {
-            eval_pos(
-                rule,
-                idx + 1,
-                full,
-                use_index,
-                neg_db,
-                delta_at,
-                range,
-                binding,
-                metrics,
-                emit,
-            );
-            undo(binding, &newly);
-        }
-    }
-}
-
 fn compile_program(program: &Program, table: &mut SymbolTable, reorder: bool) -> Vec<CompiledRule> {
     let idb: BTreeSet<RelName> = program.idb().names().cloned().collect();
     program
         .rules()
         .iter()
-        .map(|r| {
-            if reorder {
-                compile_rule_ordered(r, table, |rel| idb.contains(rel))
-            } else {
-                compile_rule(r, table, |rel| idb.contains(rel))
-            }
-        })
+        .map(|r| compile_rule(r, table, |rel| idb.contains(rel), reorder))
         .collect()
+}
+
+/// Walk `rule`'s body path over `storage`, passing the head of every
+/// valuation to `emit` through one reused buffer.
+fn derive_rule(
+    rule: &CompiledRule,
+    storage: &Storage,
+    metrics: &mut EvalMetrics,
+    emit: &mut dyn FnMut(RelId, &[Sym]),
+) {
+    let mut join = Join::new(rule, &rule.paths.body, storage, storage, View::New);
+    let mut head = SymTuple::new();
+    join.all(None, &mut |b| {
+        instantiate(&rule.head, b, &mut head);
+        emit(rule.head.relation, &head);
+        true
+    });
+    join.tally(metrics);
 }
 
 /// Compute the minimal fixpoint of a semi-positive program over `db`,
 /// **naively**: every iteration re-derives everything. Kept as the
 /// baseline for the `datalog_eval` benchmark.
-pub fn fixpoint_naive(program: &Program, db: &mut Database) -> FixpointStats {
+pub fn fixpoint_naive(program: &Program, db: &mut Database) -> EvalMetrics {
     let compiled = compile_program(program, &mut db.symbols().clone().write(), false);
     let mut metrics = EvalMetrics::default();
     loop {
         metrics.iterations += 1;
         let mut fresh: Vec<(RelId, SymTuple)> = Vec::new();
-        {
-            let storage = db.storage();
-            for rule in &compiled {
-                eval_rule(
-                    rule,
-                    storage,
-                    false,
-                    storage,
-                    None,
-                    None,
-                    &mut metrics,
-                    &mut |rel, row| {
-                        if !storage.contains(rel, &row) {
-                            fresh.push((rel, row));
-                        }
-                    },
-                );
-            }
+        let storage = db.storage();
+        for rule in &compiled {
+            derive_rule(rule, storage, &mut metrics, &mut |rel, row| {
+                if !storage.contains(rel, row) {
+                    fresh.push((rel, row.to_vec()));
+                }
+            });
         }
         let mut added = 0;
         for (rel, row) in fresh {
@@ -414,55 +152,13 @@ pub fn fixpoint_naive(program: &Program, db: &mut Database) -> FixpointStats {
 /// Compute the minimal fixpoint of a semi-positive program over `db` using
 /// **semi-naive** evaluation: recursive rules only join against the delta
 /// of the previous iteration.
-pub fn fixpoint_seminaive(program: &Program, db: &mut Database) -> FixpointStats {
-    fixpoint_seminaive_impl(program, db, None, EvalOptions::default())
-}
-
-/// As [`fixpoint_seminaive`], reporting per-iteration and per-rule spans
-/// plus derivation counters to `obs`.
-pub fn fixpoint_seminaive_obs(program: &Program, db: &mut Database, obs: &Obs) -> FixpointStats {
+pub fn fixpoint_seminaive(program: &Program, db: &mut Database) -> EvalMetrics {
     let cp = CompiledProgram::new(
         program,
         &mut db.symbols().clone().write(),
         EvalOptions::default(),
     );
-    fixpoint_compiled_impl(&cp, db, None, obs)
-}
-
-/// Semi-naive fixpoint with explicit [`EvalOptions`] — the entry point for
-/// the `datalog_eval` ablation benchmark.
-pub fn fixpoint_seminaive_with(
-    program: &Program,
-    db: &mut Database,
-    options: EvalOptions,
-) -> FixpointStats {
-    fixpoint_seminaive_impl(program, db, None, options)
-}
-
-/// As [`fixpoint_seminaive_with`], reporting spans and counters to
-/// `obs` — the entry point for parameterized (e.g. data-parallel)
-/// evaluation with tracing.
-pub fn fixpoint_seminaive_with_obs(
-    program: &Program,
-    db: &mut Database,
-    options: EvalOptions,
-    obs: &Obs,
-) -> FixpointStats {
-    let cp = CompiledProgram::new(program, &mut db.symbols().clone().write(), options);
-    fixpoint_compiled_impl(&cp, db, None, obs)
-}
-
-/// Semi-naive fixpoint with *frozen negation*: every negative body atom is
-/// checked against `frozen` instead of the evolving database. This is the
-/// `Γ` operator of the well-founded alternating fixpoint
-/// ([`crate::wellfounded`]); the program need not be semi-positive.
-/// `frozen` must share `db`'s symbol table.
-pub fn fixpoint_seminaive_frozen(
-    program: &Program,
-    db: &mut Database,
-    frozen: &Database,
-) -> FixpointStats {
-    fixpoint_seminaive_impl(program, db, Some(frozen), EvalOptions::default())
+    fixpoint_seminaive_compiled(&cp, db)
 }
 
 /// A semi-positive program compiled once against a symbol table, for
@@ -472,20 +168,19 @@ pub fn fixpoint_seminaive_frozen(
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     rules: Vec<CompiledRule>,
+    /// The hash indexes the fixpoint's own paths probe (empty without
+    /// [`EvalOptions::index`]).
     indexes: Vec<(RelId, usize)>,
-    /// Relations merge-joined on their leading column — sealed into
-    /// sorted batches at fixpoint entry and at every watermark boundary.
-    sorted: Vec<RelId>,
     options: EvalOptions,
     /// Per-rule span labels (`<head-relation>#<rule-index>`), computed at
     /// compile time so tracing never consults the symbol table.
     labels: Vec<String>,
-    /// Per-rule plan descriptions (atom order and join strategy per
-    /// atom), rendered at compile time for `--dump-plan` and tracing.
+    /// One description per path the fixpoint runs (atom order and access
+    /// per atom), rendered at compile time for `--dump-plan`.
     plan: Vec<String>,
-    /// Positive atoms per strategy: `[merge, hash, scan]` counts,
-    /// reported as `eval.plan` counters.
-    strategy_counts: [usize; 3],
+    /// Positive atoms on those paths per access: `[probe, lookup, scan]`
+    /// counts, reported as `eval.plan` counters.
+    access_counts: [usize; 3],
 }
 
 impl CompiledProgram {
@@ -496,62 +191,44 @@ impl CompiledProgram {
         options: EvalOptions,
     ) -> CompiledProgram {
         let rules = compile_program(program, table, options.reorder);
-        let (indexes, sorted) = if options.index {
-            (
-                wanted_indexes(&rules).into_iter().collect(),
-                sorted_relations(&rules).into_iter().collect(),
-            )
-        } else {
-            (Vec::new(), Vec::new())
-        };
         let labels: Vec<String> = rules
             .iter()
             .enumerate()
             .map(|(i, r)| format!("{}#{i}", table.rel_name(r.head.relation)))
             .collect();
-        let mut strategy_counts = [0usize; 3];
-        let plan = rules
-            .iter()
-            .zip(&labels)
-            .map(|(r, label)| {
-                let mut parts: Vec<String> = r
-                    .pos
-                    .iter()
-                    .map(|a| {
-                        let strategy = if options.index {
-                            a.strategy
-                        } else {
-                            JoinStrategy::Scan
-                        };
-                        strategy_counts[match strategy {
-                            JoinStrategy::Merge => 0,
-                            JoinStrategy::Hash => 1,
-                            JoinStrategy::Scan => 2,
-                        }] += 1;
-                        match (strategy, a.probe) {
-                            (JoinStrategy::Scan, _) | (_, None) => {
-                                format!("{}[scan]", table.rel_name(a.relation))
-                            }
-                            (s, Some(p)) => format!("{}[{s}@{p}]", table.rel_name(a.relation)),
-                        }
-                    })
+        let mut indexes = BTreeSet::new();
+        let mut access_counts = [0usize; 3];
+        let mut plan = Vec::new();
+        for (rule, label) in rules.iter().zip(&labels) {
+            let name = |a: &CompiledAtom| table.rel_name(a.relation);
+            for (seed, path) in rule.fixpoint_paths() {
+                if options.index {
+                    indexes.extend(rule.probed([path]));
+                }
+                let mut parts: Vec<String> = (seed.iter())
+                    .map(|&i| format!("{}[delta]", name(&rule.pos[i])))
                     .collect();
-                parts.extend(
-                    r.neg
-                        .iter()
-                        .map(|a| format!("not {}[lookup]", table.rel_name(a.relation))),
-                );
-                format!("{label}: {}", parts.join(", "))
-            })
-            .collect();
+                for step in &path.steps {
+                    let (kind, tag) = match step.access {
+                        Access::Probe(col) if options.index => (0, format!("probe@{col}")),
+                        Access::Lookup => (1, "lookup".into()),
+                        // A probe of a column without an index scans.
+                        Access::Probe(_) | Access::Scan => (2, "scan".into()),
+                    };
+                    access_counts[kind] += 1;
+                    parts.push(format!("{}[{tag}]", name(&rule.pos[step.atom])));
+                }
+                parts.extend(rule.neg.iter().map(|a| format!("not {}[lookup]", name(a))));
+                plan.push(format!("{label}: {}", parts.join(", ")));
+            }
+        }
         CompiledProgram {
             rules,
-            indexes,
-            sorted,
+            indexes: indexes.into_iter().collect(),
             options,
             labels,
             plan,
-            strategy_counts,
+            access_counts,
         }
     }
 
@@ -560,16 +237,11 @@ impl CompiledProgram {
         &self.labels[i]
     }
 
-    /// One line per rule: evaluation order of the body atoms and the
-    /// join strategy chosen for each (`merge@p` / `hash@p` / `scan`).
+    /// What the kernel will run, one line per path: for every rule its
+    /// round-0 body path, then one line per delta seed (`R[delta]`
+    /// first); each atom is tagged `probe@c`, `lookup` or `scan`.
     pub fn plan_lines(&self) -> &[String] {
         &self.plan
-    }
-
-    /// Positive atoms per join strategy: `(merge, hash, scan)`.
-    pub fn strategy_counts(&self) -> (usize, usize, usize) {
-        let [m, h, s] = self.strategy_counts;
-        (m, h, s)
     }
 
     /// Set the data-parallel worker count for subsequent fixpoints.
@@ -584,8 +256,8 @@ impl CompiledProgram {
         self.options.eval_threads
     }
 
-    /// The compiled rules — the incremental maintenance engine plans
-    /// its access paths over them and joins along those.
+    /// The compiled rules — incremental maintenance joins along their
+    /// seeded paths.
     pub(crate) fn rules(&self) -> &[CompiledRule] {
         &self.rules
     }
@@ -593,54 +265,14 @@ impl CompiledProgram {
 
 /// Semi-naive fixpoint of a precompiled program. `db` must use the table
 /// the program was compiled against.
-pub fn fixpoint_seminaive_compiled(cp: &CompiledProgram, db: &mut Database) -> FixpointStats {
-    fixpoint_compiled_impl(cp, db, None, &Obs::noop())
+pub fn fixpoint_seminaive_compiled(cp: &CompiledProgram, db: &mut Database) -> EvalMetrics {
+    fixpoint_seminaive_full(cp, db, None, &Obs::noop())
 }
 
-/// As [`fixpoint_seminaive_compiled`], reporting per-iteration and
-/// per-rule spans plus derivation counters to `obs`.
-pub fn fixpoint_seminaive_compiled_obs(
-    cp: &CompiledProgram,
-    db: &mut Database,
-    obs: &Obs,
-) -> FixpointStats {
-    fixpoint_compiled_impl(cp, db, None, obs)
-}
-
-/// As [`fixpoint_seminaive_compiled`], with every negative body atom
-/// checked against `frozen` (the `Γ` operator of the well-founded
-/// alternating fixpoint). `frozen` must share `db`'s symbol table.
-pub fn fixpoint_seminaive_frozen_compiled(
-    cp: &CompiledProgram,
-    db: &mut Database,
-    frozen: &Database,
-) -> FixpointStats {
-    fixpoint_compiled_impl(cp, db, Some(frozen), &Obs::noop())
-}
-
-/// As [`fixpoint_seminaive_frozen_compiled`], reporting to `obs`.
-pub fn fixpoint_seminaive_frozen_compiled_obs(
-    cp: &CompiledProgram,
-    db: &mut Database,
-    frozen: &Database,
-    obs: &Obs,
-) -> FixpointStats {
-    fixpoint_compiled_impl(cp, db, Some(frozen), obs)
-}
-
-fn fixpoint_seminaive_impl(
-    program: &Program,
-    db: &mut Database,
-    frozen: Option<&Database>,
-    options: EvalOptions,
-) -> FixpointStats {
-    let cp = CompiledProgram::new(program, &mut db.symbols().clone().write(), options);
-    fixpoint_compiled_impl(&cp, db, frozen, &Obs::noop())
-}
-
-/// One unit of evaluation work inside a fixpoint round: a rule
-/// (optionally restricted to one delta position), over an optional
-/// contiguous `[start, end)` slice of its outermost atom's row scan.
+/// One unit of evaluation work inside a fixpoint round: one path of a
+/// rule — its body path, or the path seeded at positive atom `seed`
+/// from that relation's delta rows — over an optional contiguous
+/// `[start, end)` slice of its outermost scan.
 ///
 /// The planner emits jobs in sequential evaluation order (rule index,
 /// then delta position, then partition index); merging worker buffers
@@ -649,61 +281,62 @@ fn fixpoint_seminaive_impl(
 #[derive(Debug, Clone, Copy)]
 struct EvalJob {
     rule: usize,
-    delta_at: Option<usize>,
+    seed: Option<usize>,
     range: Option<(usize, usize)>,
 }
 
-/// Plan the jobs for one `(rule, delta position)` unit: a single
-/// unpartitioned job when partitioning is pointless or would change the
-/// metrics (outer probe path), otherwise `min(threads, rows)`
-/// contiguous chunks of the outermost atom's scan whose sizes differ by
-/// at most one.
+/// Plan the jobs for one `(rule, seed)` unit: a single unpartitioned
+/// job when partitioning is pointless or would change the metrics (a
+/// body path that does not start with a scan), otherwise
+/// `min(threads, rows)` contiguous chunks of the outermost scan whose
+/// sizes differ by at most one.
 fn plan_unit(
     jobs: &mut Vec<EvalJob>,
     rule_idx: usize,
     rule: &CompiledRule,
-    delta_at: Option<usize>,
+    seed: Option<usize>,
     storage: &Storage,
-    use_index: bool,
     threads: usize,
 ) {
     let scan_len = (|| {
         if threads <= 1 {
             return None;
         }
-        let atom0 = rule.pos.first()?;
-        let scanning_delta = delta_at == Some(0);
-        // An outer index probe is a single event: splitting the unit
-        // would issue one probe per partition and break the metrics
-        // byte-identity guarantee. Keep such units whole.
-        if !scanning_delta && use_index && atom0.probe.is_some() {
-            return None;
-        }
-        let relation = storage.relation(atom0.relation)?;
-        let len = if scanning_delta {
-            relation.delta_rows().len()
-        } else {
-            relation.len()
+        let len = match seed {
+            Some(i) => storage.relation(rule.pos[i].relation)?.delta_rows().len(),
+            None => {
+                // A leading probe is a single event: splitting the
+                // unit would issue one per partition and break the
+                // metrics byte-identity guarantee. Keep such units
+                // whole.
+                let first = rule.paths.body.steps.first()?;
+                if first.access != Access::Scan {
+                    return None;
+                }
+                storage
+                    .relation(rule.pos[first.atom].relation)?
+                    .rows()
+                    .len()
+            }
         };
         (len >= 2).then_some(len)
     })();
-    match scan_len {
-        None => jobs.push(EvalJob {
+    let mut push = |range| {
+        jobs.push(EvalJob {
             rule: rule_idx,
-            delta_at,
-            range: None,
-        }),
+            seed,
+            range,
+        });
+    };
+    match scan_len {
+        None => push(None),
         Some(len) => {
             let parts = threads.min(len);
             let (base, rem) = (len / parts, len % parts);
             let mut start = 0;
             for p in 0..parts {
                 let end = start + base + usize::from(p < rem);
-                jobs.push(EvalJob {
-                    rule: rule_idx,
-                    delta_at,
-                    range: Some((start, end)),
-                });
+                push(Some((start, end)));
                 start = end;
             }
         }
@@ -719,20 +352,33 @@ fn run_job(
     metrics: &mut EvalMetrics,
     sink: &mut Vec<(RelId, SymTuple)>,
 ) {
-    eval_rule(
-        &cp.rules[job.rule],
-        storage,
-        cp.options.index,
-        neg,
-        job.delta_at,
-        job.range,
-        metrics,
-        &mut |rel, row| {
-            if !storage.contains(rel, &row) {
-                sink.push((rel, row));
+    let rule = &cp.rules[job.rule];
+    let rel = rule.head.relation;
+    let mut head = SymTuple::new();
+    let mut emit = |b: &[Sym]| {
+        instantiate(&rule.head, b, &mut head);
+        if !storage.contains(rel, &head) {
+            sink.push((rel, head.clone()));
+        }
+        true
+    };
+    let mut join;
+    match job.seed {
+        None => {
+            join = Join::new(rule, &rule.paths.body, storage, neg, View::New);
+            join.all(job.range, &mut emit);
+        }
+        Some(i) => {
+            join = Join::new(rule, &rule.paths.pos[i], storage, neg, View::New);
+            let delta =
+                (storage.relation(rule.pos[i].relation)).map_or(&[][..], |r| r.delta_rows());
+            let (start, end) = job.range.unwrap_or((0, delta.len()));
+            for row in &delta[start..end] {
+                join.seeded(row, &mut emit);
             }
-        },
-    );
+        }
+    }
+    join.tally(metrics);
 }
 
 /// What one parallel job hands back: its index in the round's job
@@ -835,64 +481,74 @@ fn run_round(
     }
 }
 
-fn fixpoint_compiled_impl(
+/// The full form of [`fixpoint_seminaive_compiled`]: with `frozen`,
+/// every negative body atom is checked against it instead of the
+/// evolving database — the `Γ` operator of the well-founded alternating
+/// fixpoint ([`crate::wellfounded`]), for which the program need not be
+/// semi-positive; `frozen` must share `db`'s symbol table. Per-iteration
+/// and per-rule spans plus derivation counters go to `obs`.
+pub fn fixpoint_seminaive_full(
     cp: &CompiledProgram,
     db: &mut Database,
     frozen: Option<&Database>,
     obs: &Obs,
-) -> FixpointStats {
+) -> EvalMetrics {
     if let Some(f) = frozen {
         assert!(
             db.symbols().same_table(f.symbols()),
             "frozen negation database must share the symbol table"
         );
     }
-    // Fixpoints run over compacted stores: the scan path iterates the
-    // raw insertion log (`Relation::rows`/`delta_rows`), tombstones
-    // included. A caller that retracts must compact first (the update
-    // drivers do, at every batch boundary and before a maintenance
-    // fallback) — fail in tests rather than join against dead rows.
+    // Fixpoints run over compacted stores: seeding iterates the raw
+    // insertion log (`Relation::delta_rows`), tombstones included. A
+    // caller that retracts must compact first (the update drivers do,
+    // at every batch boundary and before a maintenance fallback) —
+    // fail in tests rather than join against dead rows.
     debug_assert!(
         !db.storage().any_dead() && !frozen.is_some_and(|f| f.storage().any_dead()),
         "fixpoint over an uncompacted store: compact_retractions() first"
     );
     let threads = cp.options.eval_threads.max(1);
-    // Build the probe indexes once; inserts keep them current, so the
-    // fixpoint loop below never rebuilds an index. Merge-joined
-    // relations are sealed into sorted batches instead — here and at
-    // every watermark boundary below, always on the mutating thread.
-    for &(rel, pos) in &cp.indexes {
-        db.storage_mut().relation_mut(rel).ensure_index(pos);
-    }
-    for &rel in &cp.sorted {
-        db.storage_mut().relation_mut(rel).ensure_sorted();
+    // Build the probed indexes once; inserts keep them current, so the
+    // fixpoint loop below never rebuilds an index.
+    for &(rel, col) in &cp.indexes {
+        db.storage_mut().relation_mut(rel).ensure_index(col);
     }
     if obs.enabled() {
-        let (merge, hash, scan) = cp.strategy_counts();
-        obs.counter("eval.plan", "atoms.merge", merge as u64);
-        obs.counter("eval.plan", "atoms.hash", hash as u64);
+        let [probe, lookup, scan] = cp.access_counts;
+        obs.counter("eval.plan", "atoms.probe", probe as u64);
+        obs.counter("eval.plan", "atoms.lookup", lookup as u64);
         obs.counter("eval.plan", "atoms.scan", scan as u64);
     }
     let mut metrics = EvalMetrics::default();
     let mut pending: Vec<(RelId, SymTuple)> = Vec::new();
     let mut jobs: Vec<EvalJob> = Vec::new();
-
-    // Round 0: evaluate every rule once on the initial database. This
-    // covers non-recursive rules completely (their inputs never change
-    // within this stratum) and seeds the delta for recursive ones.
-    metrics.iterations += 1;
-    {
-        let _iter_span = obs.span("eval", || "iteration#0".into());
-        let storage = db.storage();
-        let neg = frozen.map_or(storage, |f| f.storage());
-        for (i, rule) in cp.rules.iter().enumerate() {
-            plan_unit(&mut jobs, i, rule, None, storage, cp.options.index, threads);
-        }
-        run_round(cp, storage, neg, &jobs, &mut pending, &mut metrics, obs);
-    }
-
     let mut batch: Vec<SymTuple> = Vec::new();
     loop {
+        // Round 0 walks every rule's body path once on the initial
+        // database: this covers non-recursive rules completely (their
+        // inputs never change within this stratum) and seeds the delta
+        // for recursive ones. Every later round is a delta round:
+        // recursive rules only, one delta position at a time. Dedup
+        // across repeated relations at multiple positions is handled by
+        // the membership guard on `pending` insertion.
+        let first = metrics.iterations == 0;
+        metrics.iterations += 1;
+        {
+            let iter = metrics.iterations;
+            let _iter_span = obs.span("eval", || format!("iteration#{}", iter - 1));
+            let storage = db.storage();
+            let neg = frozen.map_or(storage, |f| f.storage());
+            jobs.clear();
+            for (i, rule) in cp.rules.iter().enumerate() {
+                for (seed, _) in rule.fixpoint_paths() {
+                    if seed.is_none() == first {
+                        plan_unit(&mut jobs, i, rule, seed, storage, threads);
+                    }
+                }
+            }
+            run_round(cp, storage, neg, &jobs, &mut pending, &mut metrics, obs);
+        }
         // Rows inserted now form the next delta region: move every
         // watermark to the current end first, then insert. Consecutive
         // same-relation runs go through one `insert_batch` each, so the
@@ -919,44 +575,8 @@ fn fixpoint_compiled_impl(
             obs.counter("eval", "new_facts", metrics.new_facts as u64);
             obs.counter("eval", "iterations", metrics.iterations as u64);
             obs.counter("eval", "index_probes", metrics.index_probes as u64);
-            obs.counter("eval", "merge_probes", metrics.merge_probes as u64);
             return metrics;
         }
-        // Re-seal the merge-joined relations so the sorted batches cover
-        // the rows just inserted (including the new delta region): merge
-        // probes in the round below are then pure binary searches with
-        // an empty unsealed tail.
-        for &rel in &cp.sorted {
-            db.storage_mut().relation_mut(rel).ensure_sorted();
-        }
-        // Delta round: recursive rules only, one delta position at a time.
-        // Dedup across repeated relations at multiple positions is handled
-        // by the membership guard on `pending` insertion.
-        metrics.iterations += 1;
-        let iter = metrics.iterations;
-        let _iter_span = obs.span("eval", || format!("iteration#{}", iter - 1));
-        let storage = db.storage();
-        let neg = frozen.map_or(storage, |f| f.storage());
-        jobs.clear();
-        for (i, rule) in cp.rules.iter().enumerate() {
-            if !rule.is_recursive() {
-                continue;
-            }
-            for (pos_idx, &is_rec) in rule.recursive_pos.iter().enumerate() {
-                if is_rec {
-                    plan_unit(
-                        &mut jobs,
-                        i,
-                        rule,
-                        Some(pos_idx),
-                        storage,
-                        cp.options.index,
-                        threads,
-                    );
-                }
-            }
-        }
-        run_round(cp, storage, neg, &jobs, &mut pending, &mut metrics, obs);
     }
 }
 
@@ -983,11 +603,10 @@ impl RuleSet {
         &self,
         db: &Database,
         metrics: &mut EvalMetrics,
-        emit: &mut impl FnMut(RelId, SymTuple),
+        emit: &mut impl FnMut(RelId, &[Sym]),
     ) {
-        let storage = db.storage();
         for rule in &self.compiled {
-            eval_rule(rule, storage, false, storage, None, None, metrics, emit);
+            derive_rule(rule, db.storage(), metrics, emit);
         }
     }
 }
@@ -1001,7 +620,7 @@ pub fn derive_once(program: &Program, db: &Database) -> Database {
     let mut out = Database::with_symbols(db.symbols().clone());
     let mut metrics = EvalMetrics::default();
     rules.derive(db, &mut metrics, &mut |rel, row| {
-        out.insert(rel, row);
+        out.insert(rel, row.to_vec());
     });
     out
 }
@@ -1030,7 +649,7 @@ impl ValuationQuery {
             neg: rule.neg.clone(),
             ineq: rule.ineq.clone(),
         };
-        let compiled = compile_rule(&synthetic, table, |_| false);
+        let compiled = compile_rule(&synthetic, table, |_| false, false);
         ValuationQuery { vars, compiled }
     }
 
@@ -1043,20 +662,12 @@ impl ValuationQuery {
     /// (negation also checked against `db`), deduplicated and in
     /// deterministic (interning) order.
     pub fn eval(&self, db: &Database, metrics: &mut EvalMetrics) -> Vec<SymTuple> {
-        let storage = db.storage();
         let mut out: BTreeSet<SymTuple> = BTreeSet::new();
-        eval_rule(
-            &self.compiled,
-            storage,
-            false,
-            storage,
-            None,
-            None,
-            metrics,
-            &mut |_, row| {
-                out.insert(row);
-            },
-        );
+        derive_rule(&self.compiled, db.storage(), metrics, &mut |_, row| {
+            if !out.contains(row) {
+                out.insert(row.to_vec());
+            }
+        });
         out.into_iter().collect()
     }
 }
@@ -1090,6 +701,15 @@ mod tests {
     use calm_common::generator::path;
     use calm_common::instance::Instance;
 
+    fn fixpoint_seminaive_with(
+        program: &Program,
+        db: &mut Database,
+        options: EvalOptions,
+    ) -> EvalMetrics {
+        let cp = CompiledProgram::new(program, &mut db.symbols().clone().write(), options);
+        fixpoint_seminaive_compiled(&cp, db)
+    }
+
     fn tc() -> Program {
         parse_program(
             "T(x,y) :- E(x,y).\n\
@@ -1116,49 +736,107 @@ mod tests {
 
     #[test]
     fn indexed_run_probes_instead_of_scanning() {
-        // TC probes E on its leading column: the planner chooses the
-        // merge join over sorted batches, never the hash index.
+        // Left-linear TC: round 0 probes E once per T row (T is empty),
+        // every delta round once per new T row — and every valuation
+        // of the recursive rule is a probe hit.
         let input = path(8);
         let mut db = Database::from_instance(&input);
         let s = fixpoint_seminaive(&tc(), &mut db);
-        assert!(s.merge_probes > 0, "optimized run must merge-join");
-        assert!(s.merge_hits > 0);
-        assert_eq!(s.index_probes, 0, "leading-column probes never hash");
+        assert_eq!(s.index_probes, s.new_facts);
+        assert_eq!(s.index_hits, s.derivations - 8);
+        assert_eq!((s.merge_probes, s.merge_hits), (0, 0));
         assert!(s.bytes_moved > 0);
-        // The baseline neither merges nor touches an index.
+        // The baseline builds no index, so its probes scan.
         let mut db2 = Database::from_instance(&input);
         let s2 = fixpoint_seminaive_with(&tc(), &mut db2, EvalOptions::BASELINE);
         assert_eq!(s2.index_probes, 0);
         assert_eq!(s2.index_hits, 0);
-        assert_eq!(s2.merge_probes, 0);
-        assert_eq!(s2.merge_hits, 0);
         assert_eq!(db.to_instance(), db2.to_instance());
+        assert_eq!(
+            (s.iterations, s.derivations, s.new_facts, s.bytes_moved),
+            (s2.iterations, s2.derivations, s2.new_facts, s2.bytes_moved)
+        );
     }
 
     #[test]
-    fn non_leading_probe_takes_the_hash_path() {
-        // F is probed at position 1 (y bound by E), so the planner falls
-        // back to the hash index for it.
-        let p = parse_program("O(x,y) :- E(x,y), F(z,y).").unwrap();
+    fn plan_builds_exactly_the_indexes_the_fixpoint_paths_probe() {
+        // F is probed at column 1 (y bound by E); a fully bound atom is
+        // a lookup and needs no index at all.
+        let p = parse_program("O(x,y) :- E(x,y), F(z,y).\nS(x) :- E(x,y), E(y,x).").unwrap();
         let input = Instance::from_facts([
             fact("E", [1, 2]),
+            fact("E", [2, 1]),
             fact("E", [3, 4]),
             fact("F", [7, 2]),
             fact("F", [8, 9]),
         ]);
         let mut db = Database::from_instance(&input);
         let s = fixpoint_seminaive(&p, &mut db);
-        assert!(s.index_probes > 0, "non-leading probe must use the index");
-        assert!(s.index_hits > 0);
+        assert_eq!(s.index_probes, 3, "one probe of F per E row");
+        assert_eq!(s.index_hits, 1);
         let out = db.to_instance();
         assert_eq!(out.relation_len("O"), 1);
         assert!(out.contains(&fact("O", [1, 2])));
+        assert_eq!(out.relation_len("S"), 2);
+        let table = db.symbols().read();
+        let (e, f) = (
+            table.lookup_rel("E").unwrap(),
+            table.lookup_rel("F").unwrap(),
+        );
+        let s2 = table.lookup_sym(&calm_common::v(2)).unwrap();
+        let rel = |r| db.storage().relation(r).unwrap();
+        assert!(rel(f).probe(1, s2).is_some());
+        assert!(rel(f).probe(0, s2).is_none());
+        assert!(rel(e).probe(0, s2).is_none() && rel(e).probe(1, s2).is_none());
+    }
+
+    /// A ring through `0..n` plus the chords `i → (7i + 3) mod n`.
+    fn ring_with_chords(n: i64) -> Instance {
+        let ring = (0..n).map(|i| fact("E", [i, (i + 1) % n]));
+        let chords = (0..n).map(|i| fact("E", [i, (7 * i + 3) % n]));
+        Instance::from_facts(ring.chain(chords))
+    }
+
+    /// The kernel seeds a delta round from the delta and probes the
+    /// rest: on a closure rule of two binary atoms every valuation of
+    /// the recursive rule is a probe hit (nothing is found by scanning
+    /// a full relation), and each delta row costs one probe per seed
+    /// position.
+    fn check_delta_rounds_probe(rule: &str, seeds: usize, round0_probes_per_edge: usize) {
+        let p = parse_program(&format!("T(x,y) :- E(x,y).\n{rule}")).unwrap();
+        let input = ring_with_chords(200);
+        let edges = input.relation_len("E");
+        let mut db = Database::from_instance(&input);
+        let m = fixpoint_seminaive(&p, &mut db);
+        assert_eq!(db.to_instance().relation_len("T"), 200 * 200);
+        assert_eq!(m.new_facts, 200 * 200);
+        // Every new fact is a delta row exactly once per seed position.
+        let round0 = round0_probes_per_edge * edges;
+        assert_eq!(m.index_probes, round0 + seeds * m.new_facts, "{rule}");
+        assert_eq!(m.index_hits, m.derivations - edges, "{rule}");
+        assert!(m.index_probes <= 2 * (m.new_facts + m.index_hits), "{rule}");
+        // The same counters at any thread count.
+        let mut par = Database::from_instance(&input);
+        let options = EvalOptions::default().with_eval_threads(4);
+        assert_eq!(fixpoint_seminaive_with(&p, &mut par, options), m, "{rule}");
     }
 
     #[test]
-    fn merge_join_matches_baseline_on_random_graphs() {
-        // Differential: indexed (merge + hash) vs BASELINE (pure scans)
-        // must derive the same instance on a spread of graph shapes.
+    fn kernel_probes_from_the_delta_on_a_right_linear_rule() {
+        // Round 0 probes the (empty) T once per edge.
+        check_delta_rounds_probe("T(x,z) :- E(x,y), T(y,z).", 1, 1);
+    }
+
+    #[test]
+    fn kernel_probes_from_the_delta_on_a_doubling_rule() {
+        // Round 0 scans the (empty) T; each delta row seeds both atoms.
+        check_delta_rounds_probe("T(x,z) :- T(x,y), T(y,z).", 2, 0);
+    }
+
+    #[test]
+    fn indexed_run_matches_baseline_on_small_graphs() {
+        // Differential: indexed vs BASELINE (pure scans) must derive
+        // the same instance on a spread of graph shapes.
         for n in [0, 1, 2, 5, 9] {
             for input in [path(n), calm_common::generator::cycle(n.max(1))] {
                 let mut a = Database::from_instance(&input);

@@ -1,7 +1,9 @@
 //! Stratified semantics: evaluate `P1, ..., Pk` in order (Section 2).
 
 use super::database::Database;
-use super::seminaive::{fixpoint_naive, fixpoint_seminaive_obs, FixpointStats};
+use super::seminaive::{
+    fixpoint_naive, fixpoint_seminaive_full, CompiledProgram, EvalMetrics, EvalOptions,
+};
 use crate::program::Program;
 use crate::stratify::{stratify, NotStratifiable, Stratification};
 use calm_common::instance::Instance;
@@ -37,7 +39,7 @@ pub fn eval_program_with(
     p: &Program,
     input: &Instance,
     engine: Engine,
-) -> Result<(Instance, Vec<FixpointStats>), NotStratifiable> {
+) -> Result<(Instance, Vec<EvalMetrics>), NotStratifiable> {
     let strat = stratify(p)?;
     Ok(eval_stratification(&strat, input, engine))
 }
@@ -48,7 +50,7 @@ pub fn eval_stratification(
     strat: &Stratification,
     input: &Instance,
     engine: Engine,
-) -> (Instance, Vec<FixpointStats>) {
+) -> (Instance, Vec<EvalMetrics>) {
     eval_stratification_shared(
         strat,
         input,
@@ -66,7 +68,7 @@ pub fn eval_stratification_shared(
     input: &Instance,
     engine: Engine,
     symbols: calm_common::storage::SharedSymbols,
-) -> (Instance, Vec<FixpointStats>) {
+) -> (Instance, Vec<EvalMetrics>) {
     eval_stratification_shared_obs(strat, input, engine, symbols, &Obs::noop())
 }
 
@@ -79,7 +81,7 @@ pub fn eval_stratification_shared_obs(
     engine: Engine,
     symbols: calm_common::storage::SharedSymbols,
     obs: &Obs,
-) -> (Instance, Vec<FixpointStats>) {
+) -> (Instance, Vec<EvalMetrics>) {
     eval_stratification_opts(strat, input, engine, symbols, obs, 1)
 }
 
@@ -94,47 +96,39 @@ pub fn eval_stratification_opts(
     symbols: calm_common::storage::SharedSymbols,
     obs: &Obs,
     eval_threads: usize,
-) -> (Instance, Vec<FixpointStats>) {
-    use super::seminaive::{fixpoint_seminaive_with_obs, EvalOptions};
+) -> (Instance, Vec<EvalMetrics>) {
     let mut db = Database::from_instance_with(input, symbols);
     let mut stats = Vec::with_capacity(strat.len());
     for (i, stratum) in strat.strata.iter().enumerate() {
         let _span = obs.span("eval", || format!("stratum#{i}"));
-        let s = match engine {
-            Engine::SemiNaive => {
-                if eval_threads <= 1 {
-                    fixpoint_seminaive_obs(stratum, &mut db, obs)
-                } else {
-                    fixpoint_seminaive_with_obs(
-                        stratum,
-                        &mut db,
-                        EvalOptions::default().with_eval_threads(eval_threads),
-                        obs,
-                    )
-                }
+        let options = match engine {
+            Engine::SemiNaive => EvalOptions::default(),
+            Engine::SemiNaiveBaseline => EvalOptions::BASELINE,
+            Engine::Naive => {
+                stats.push(fixpoint_naive(stratum, &mut db));
+                continue;
             }
-            Engine::SemiNaiveBaseline => super::seminaive::fixpoint_seminaive_with(
-                stratum,
-                &mut db,
-                EvalOptions::BASELINE.with_eval_threads(eval_threads),
-            ),
-            Engine::Naive => fixpoint_naive(stratum, &mut db),
         };
-        stats.push(s);
+        let cp = CompiledProgram::new(
+            stratum,
+            &mut db.symbols().clone().write(),
+            options.with_eval_threads(eval_threads),
+        );
+        stats.push(fixpoint_seminaive_full(&cp, &mut db, None, obs));
     }
     (db.to_instance(), stats)
 }
 
-/// Render the per-stratum evaluation plan of a program: one line per
-/// rule with its atom order and the join strategy chosen for each atom
-/// (`merge@p` for leading-column probes over sorted batches, `hash@p`
-/// for hash-index probes, `scan` otherwise). The `--dump-plan` surface
-/// of `calm eval` / `calm simulate`.
+/// Render the per-stratum evaluation plan of a program — what the join
+/// kernel will run: per rule one line for its round-0 body path and one
+/// per delta seed (`R[delta]` first), every atom tagged with its access
+/// (`probe@c` for a hash-index probe of column `c`, `lookup` for a
+/// fully bound membership test, `scan` otherwise). The `--dump-plan`
+/// surface of `calm eval` / `calm simulate`.
 ///
 /// # Errors
 /// Returns [`NotStratifiable`] for programs with a negative cycle.
 pub fn plan_report(p: &Program) -> Result<String, NotStratifiable> {
-    use super::seminaive::{CompiledProgram, EvalOptions};
     let strat = stratify(p)?;
     let symbols = calm_common::storage::SharedSymbols::new();
     let mut out = String::new();
@@ -311,7 +305,7 @@ mod tests {
         )
         .unwrap();
         let (_, stats) = eval_program_with(&p, &path(4), Engine::SemiNaive).unwrap();
-        let mut merged = FixpointStats::default();
+        let mut merged = EvalMetrics::default();
         for s in &stats {
             merged.merge(s);
         }
@@ -330,23 +324,28 @@ mod tests {
     }
 
     #[test]
-    fn plan_report_lists_strategies_per_stratum() {
+    fn plan_report_lists_the_paths_the_kernel_runs() {
         let p = parse_program(
             "T(x,y) :- E(x,y).\n\
-             T(x,z) :- T(x,y), E(y,z).\n\
-             O(x,y) :- T(x,y), F(z,y), not T(y,x).",
+             T(x,z) :- E(x,y), T(y,z).\n\
+             O(x,y) :- T(x,y), F(z,y), T(y,x), not T(y,y).",
         )
         .unwrap();
         let plan = plan_report(&p).unwrap();
         assert!(plan.contains("stratum 0:"), "{plan}");
         assert!(plan.contains("stratum 1:"), "{plan}");
-        // The recursive TC rule merge-joins E on its leading column…
-        assert!(plan.contains("E[merge@0]"), "{plan}");
-        // …the non-leading probe hashes, and negation is a lookup.
-        assert!(plan.contains("F[hash@1]"), "{plan}");
-        assert!(plan.contains("not T[lookup]"), "{plan}");
-        // The single-atom base rules scan.
-        assert!(plan.contains("E[scan]"), "{plan}");
+        // Round 0 walks the right-linear rule in body order; its delta
+        // round seeds from T and probes E backwards.
+        assert!(plan.contains("T#1: E[scan], T[probe@0]"), "{plan}");
+        assert!(plan.contains("T#1: T[delta], E[probe@1]"), "{plan}");
+        // A fully bound atom, a non-leading probe, and negation.
+        assert!(
+            plan.contains("O#0: T[scan], T[lookup], F[probe@1], not T[lookup]"),
+            "{plan}"
+        );
+        // The single-atom base rule scans, and has no delta line.
+        assert!(plan.contains("T#0: E[scan]\n"), "{plan}");
+        assert_eq!(plan.matches("[delta]").count(), 1, "{plan}");
     }
 
     #[test]

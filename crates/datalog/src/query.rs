@@ -155,12 +155,10 @@ impl DatalogQuery {
         for cp in strata {
             fixpoint_seminaive_compiled(cp, &mut db);
         }
-        let plan = MaintenancePlan::new(strata);
-        plan.prepare(&mut db);
+        MaintenancePlan::new(strata).prepare(&mut db);
         IncrementalEvaluation {
             query: self,
             owned,
-            plan,
             db,
             stats: UpdateStats::default(),
         }
@@ -177,9 +175,8 @@ pub struct IncrementalEvaluation<'q> {
     /// Compiled strata owned by the session when the query itself has
     /// no cached compilation (the naive-engine ablation).
     owned: Option<Vec<CompiledProgram>>,
-    /// The strata's maintenance access paths; their indexes are built
-    /// on `db` when the session opens.
-    plan: MaintenancePlan,
+    /// The materialized fixpoint, carrying the indexes of the strata's
+    /// [`MaintenancePlan`] since the session opened.
     db: Database,
     stats: UpdateStats,
 }
@@ -211,7 +208,7 @@ impl IncrementalEvaluation<'_> {
                 .as_deref()
                 .expect("query lost its compilation while a session was open"),
         };
-        let stats = apply_update_compiled(strata, &self.plan, &mut self.db, &restricted, obs);
+        let stats = apply_update_compiled(strata, &mut self.db, &restricted, obs);
         self.stats.merge(&stats);
         stats
     }

@@ -15,10 +15,7 @@
 
 use crate::ast::{Atom, Rule};
 use crate::eval::database::Database;
-use crate::eval::seminaive::{
-    fixpoint_seminaive_frozen_compiled, fixpoint_seminaive_frozen_compiled_obs, CompiledProgram,
-    EvalOptions,
-};
+use crate::eval::seminaive::{fixpoint_seminaive_full, CompiledProgram, EvalOptions};
 use crate::program::Program;
 use calm_common::fact::{rel, Fact, RelName};
 use calm_common::instance::Instance;
@@ -69,7 +66,7 @@ impl WellFoundedModel {
 /// symbol table (which the program was compiled against).
 fn gamma(cp: &CompiledProgram, input: &Instance, k: &Database, obs: &Obs) -> Database {
     let mut db = Database::from_instance_with(input, k.symbols().clone());
-    fixpoint_seminaive_frozen_compiled_obs(cp, &mut db, k, obs);
+    fixpoint_seminaive_full(cp, &mut db, Some(k), obs);
     db
 }
 
@@ -244,14 +241,19 @@ impl DoubledProgram {
             let mut frozen_under = base_under.clone();
             frozen_under.absorb(&under);
             let mut over_db = base_over.clone();
-            fixpoint_seminaive_frozen_compiled(&possible_cp, &mut over_db, &frozen_under);
+            fixpoint_seminaive_full(
+                &possible_cp,
+                &mut over_db,
+                Some(&frozen_under),
+                &Obs::noop(),
+            );
             gamma_applications += 1;
 
             // True side: freeze negation on the primed overestimate —
             // `over_db` holds exactly the primed idb facts plus the input,
             // so it serves as the frozen database directly.
             let mut under_db = base_under.clone();
-            fixpoint_seminaive_frozen_compiled(&true_cp, &mut under_db, &over_db);
+            fixpoint_seminaive_full(&true_cp, &mut under_db, Some(&over_db), &Obs::noop());
             gamma_applications += 1;
 
             if under_db.same_facts(&under) {
@@ -462,11 +464,16 @@ impl WellFoundedSession<'_> {
             let mut frozen_under = self.base.clone();
             frozen_under.absorb(&under);
             let mut over_db = self.base.clone();
-            fixpoint_seminaive_frozen_compiled(&self.possible_cp, &mut over_db, &frozen_under);
+            fixpoint_seminaive_full(
+                &self.possible_cp,
+                &mut over_db,
+                Some(&frozen_under),
+                &Obs::noop(),
+            );
             gamma_applications += 1;
 
             let mut under_db = self.base.clone();
-            fixpoint_seminaive_frozen_compiled(&self.true_cp, &mut under_db, &over_db);
+            fixpoint_seminaive_full(&self.true_cp, &mut under_db, Some(&over_db), &Obs::noop());
             gamma_applications += 1;
 
             if under_db.same_facts(&under) {
