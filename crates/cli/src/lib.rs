@@ -924,8 +924,9 @@ fn render_plan(p: &Program) -> Result<String, CliError> {
 
 fn render_instance(i: &Instance) -> String {
     let mut out = String::new();
-    for f in i.facts() {
-        let _ = writeln!(out, "{f}.");
+    for (relation, tuple) in i.iter() {
+        let _ = calm_common::fact::write_fact(&mut out, relation, tuple);
+        out.push_str(".\n");
     }
     out
 }
@@ -1140,6 +1141,18 @@ mod tests {
         assert!(out.contains("T(1,2)."));
         assert!(out.contains("T(1,3)."));
         assert_eq!(out.lines().count(), 3);
+    }
+
+    #[test]
+    fn eval_accepts_mixed_arities_in_one_relation() {
+        // `E(1)` shares a relation (and a leading symbol) with `E(1,2)`;
+        // it matches no binary atom and must not disturb the rows that do.
+        let out = cmd_eval(TC, "E(1). E(1,2). E(2,3).").unwrap();
+        assert_eq!(out, "T(1,2).\nT(1,3).\nT(2,3).\n");
+        for threads in [2, 4] {
+            let par = cmd_eval_full(TC, "E(1). E(1,2). E(2,3).", &ObsOptions::default(), threads);
+            assert_eq!(par.unwrap(), out, "--eval-threads {threads}");
+        }
     }
 
     #[test]

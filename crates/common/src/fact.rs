@@ -90,15 +90,22 @@ impl fmt::Debug for Fact {
 
 impl fmt::Display for Fact {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}(", self.relation)?;
-        for (i, a) in self.args.iter().enumerate() {
-            if i > 0 {
-                write!(f, ",")?;
-            }
-            write!(f, "{a}")?;
-        }
-        write!(f, ")")
+        write_fact(f, &self.relation, &self.args)
     }
+}
+
+/// Write `R(d1,...,dk)` — the text of a [`Fact`] — from borrowed parts,
+/// for printing the tuples of an [`crate::Instance`] without building a
+/// fact (a clone of the tuple) for each.
+pub fn write_fact(out: &mut impl fmt::Write, relation: &str, args: &[Value]) -> fmt::Result {
+    write!(out, "{relation}(")?;
+    for (i, a) in args.iter().enumerate() {
+        if i > 0 {
+            out.write_char(',')?;
+        }
+        write!(out, "{a}")?;
+    }
+    out.write_char(')')
 }
 
 /// Shorthand for building a fact, used pervasively in tests:

@@ -1,6 +1,6 @@
 //! Database instances: finite sets of facts.
 
-use crate::fact::{rel, Fact, RelName};
+use crate::fact::{rel, write_fact, Fact, RelName};
 use crate::schema::Schema;
 use crate::value::Value;
 use std::collections::{BTreeMap, BTreeSet};
@@ -98,6 +98,12 @@ impl Instance {
                 .iter()
                 .map(move |t| Fact::from_rel(r.clone(), t.clone()))
         })
+    }
+
+    /// Iterate all facts in the same order as borrowed `(relation,
+    /// tuple)` pairs — what [`Instance::facts`] clones into [`Fact`]s.
+    pub fn iter(&self) -> impl Iterator<Item = (&RelName, &Tuple)> + '_ {
+        (self.relations.iter()).flat_map(|(r, tuples)| tuples.iter().map(move |t| (r, t)))
     }
 
     /// Iterate the tuples of one relation (empty if absent).
@@ -266,11 +272,11 @@ impl Extend<Fact> for Instance {
 impl fmt::Debug for Instance {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (i, fact) in self.facts().enumerate() {
+        for (i, (relation, tuple)) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
-            write!(f, "{fact}")?;
+            write_fact(f, relation, tuple)?;
         }
         write!(f, "}}")
     }
@@ -379,6 +385,18 @@ mod tests {
         let i = abc();
         let order: Vec<String> = i.facts().map(|f| f.to_string()).collect();
         assert_eq!(order, vec!["E(1,2)", "E(2,3)", "V(9)"]);
+    }
+
+    #[test]
+    fn borrowed_iteration_and_printing_match_the_facts() {
+        let i = abc();
+        let pairs: Vec<Fact> = (i.iter())
+            .map(|(r, t)| Fact::from_rel(r.clone(), t.clone()))
+            .collect();
+        assert_eq!(pairs, i.facts().collect::<Vec<_>>());
+        assert_eq!(format!("{i}"), "{E(1,2), E(2,3), V(9)}");
+        assert_eq!(format!("{i:?}"), format!("{i}"));
+        assert_eq!(format!("{}", Instance::new()), "{}");
     }
 
     #[test]

@@ -1,27 +1,39 @@
 //! Differential property test (hand-rolled, seeded — the workspace is
 //! dependency-free): [`Relation`] against a reference model — an
-//! insertion log with a liveness flag per row and a delta watermark —
-//! on random schedules of inserts, retractions, revivals, watermark
-//! moves and compactions. After every phase the whole read surface
-//! (`rows`, `delta_rows`, `live_rows`, `row`, `lookup`, `contains`,
-//! `is_live`, `probe`) must agree with the model.
+//! insertion log of owned tuples with a liveness flag per row and a
+//! delta watermark — on random schedules of inserts, retractions,
+//! revivals, watermark moves, compactions and clears. After every phase
+//! the whole read surface (`rows`, `delta_rows`, `live_rows`, `row`,
+//! `lookup`, `contains`, `support`, `is_live`, `probe`) must agree with
+//! the model.
+//!
+//! The relation keeps its rows in one flat arena behind an
+//! open-addressing id table; the schedules below are shaped to stress
+//! exactly that: rows of different arities in one relation, rows that
+//! are permutations or prefixes of each other, thousands of rows over a
+//! 4-value domain (so probe sequences chain and the table is rebuilt
+//! many times), and lookups of absent rows while the table is empty or
+//! holds as many rows as it admits before growing.
 
 use calm_common::rng::Rng;
 use calm_common::storage::{Relation, Sym, SymTuple};
+use std::collections::HashMap;
 
 #[derive(Default)]
 struct Model {
     rows: Vec<SymTuple>,
     live: Vec<bool>,
+    ids: HashMap<SymTuple, usize>,
     delta_start: usize,
 }
 
 impl Model {
     /// New, or revived in place: a retracted row keeps its id.
     fn insert(&mut self, t: SymTuple) -> bool {
-        match self.rows.iter().position(|r| *r == t) {
-            Some(i) => !std::mem::replace(&mut self.live[i], true),
+        match self.ids.get(&t) {
+            Some(&i) => !std::mem::replace(&mut self.live[i], true),
             None => {
+                self.ids.insert(t.clone(), self.rows.len());
                 self.rows.push(t);
                 self.live.push(true);
                 true
@@ -30,8 +42,8 @@ impl Model {
     }
 
     fn retract(&mut self, t: &[Sym]) -> bool {
-        match self.rows.iter().position(|r| r == t) {
-            Some(i) => std::mem::replace(&mut self.live[i], false),
+        match self.ids.get(t) {
+            Some(&i) => std::mem::replace(&mut self.live[i], false),
             None => false,
         }
     }
@@ -44,82 +56,218 @@ impl Model {
         let mut live = self.live.iter();
         self.rows.retain(|_| *live.next().unwrap());
         self.live = vec![true; self.rows.len()];
+        self.ids = (self.rows.iter().cloned().zip(0..)).collect();
         before - self.rows.len()
     }
 }
 
-fn random_row(rng: &mut Rng, arity: usize, domain: u64) -> SymTuple {
+/// The columns every test relation is indexed on: one every row has,
+/// one only rows of arity three and up have.
+const INDEXED: [usize; 2] = [0, 2];
+
+/// Compare the relation's whole read surface with the model's.
+fn check(rel: &Relation, model: &Model, domain: u32, at: &str) {
+    // The insertion log, tombstones included, and its delta region.
+    assert_eq!(rel.rows(), 0..model.rows.len() as u32, "{at}: log length");
+    assert_eq!(
+        rel.delta_rows(),
+        model.delta_start as u32..model.rows.len() as u32,
+        "{at}: delta region"
+    );
+    assert_eq!(rel.delta_start(), model.delta_start, "{at}");
+    // Liveness, by tuple and by id.
+    let live: Vec<&[Sym]> = (model.rows.iter().zip(&model.live))
+        .filter_map(|(row, &l)| l.then_some(&row[..]))
+        .collect();
+    assert_eq!(rel.live_rows().collect::<Vec<_>>(), live, "{at}");
+    assert_eq!(rel.len(), live.len(), "{at}");
+    assert_eq!(rel.is_empty(), live.is_empty(), "{at}");
+    assert_eq!(rel.dead_rows(), model.rows.len() - live.len(), "{at}");
+    for (i, (row, &l)) in model.rows.iter().zip(&model.live).enumerate() {
+        assert_eq!(rel.row(i as u32), &row[..], "{at}: row({i})");
+        assert_eq!(rel.lookup(row), Some(i as u32), "{at}: lookup {row:?}");
+        assert_eq!(rel.contains(row), l, "{at}: contains {row:?}");
+        assert_eq!(rel.support(row), u32::from(l), "{at}: support {row:?}");
+        assert_eq!(rel.is_live(i as u32), l, "{at}: is_live({i})");
+    }
+    assert!(
+        !rel.is_live(model.rows.len() as u32),
+        "{at}: id past the log"
+    );
+    // An index probe returns the ids a scan of the log finds, in log
+    // order, dead ones included until compaction; a row too short to
+    // have the column is in no bucket; a column without an index
+    // reports none.
+    for s in (0..=domain).map(Sym) {
+        for col in INDEXED {
+            let scan: Vec<u32> = (0..model.rows.len() as u32)
+                .filter(|&i| model.rows[i as usize].get(col) == Some(&s))
+                .collect();
+            assert_eq!(
+                rel.probe(col, s),
+                Some(&scan[..]),
+                "{at}: probe {col} {s:?}"
+            );
+        }
+        assert_eq!(rel.probe(1, s), None, "{at}");
+    }
+}
+
+/// Absent rows are absent — whatever the state of the id table.
+fn check_absent(rel: &Relation, model: &Model, domain: u32, at: &str) {
+    let foreign = Sym(domain);
+    let absent = [
+        vec![foreign],
+        vec![foreign, Sym(0)],
+        vec![Sym(0), foreign],
+        vec![Sym(0), Sym(1), Sym(2), foreign],
+        vec![Sym(0); 12],
+    ];
+    for row in absent.iter().filter(|row| !model.ids.contains_key(*row)) {
+        assert_eq!(rel.lookup(row), None, "{at}: lookup {row:?}");
+        assert!(!rel.contains(row), "{at}: contains {row:?}");
+        assert_eq!(rel.support(row), 0, "{at}: support {row:?}");
+    }
+}
+
+fn random_row(rng: &mut Rng, max_arity: u64, domain: u32) -> SymTuple {
+    let arity = 1 + rng.gen_u64() % max_arity;
     (0..arity)
-        .map(|_| Sym((rng.gen_u64() % domain) as u32))
+        .map(|_| Sym((rng.gen_u64() % u64::from(domain)) as u32))
         .collect()
+}
+
+fn indexed_relation() -> Relation {
+    let mut rel = Relation::default();
+    for col in INDEXED {
+        rel.ensure_index(col);
+    }
+    rel
 }
 
 #[test]
 fn relation_agrees_with_the_reference_model() {
     for seed in 0..60u64 {
         let mut rng = Rng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x51C2);
-        let arity = 1 + (rng.gen_u64() % 3) as usize;
-        let domain = 2 + rng.gen_u64() % 6;
-        let mut rel = Relation::default();
-        rel.ensure_index(0);
+        // Rows of one to four symbols side by side in one relation.
+        let max_arity = 1 + rng.gen_u64() % 4;
+        let domain = 2 + (rng.gen_u64() % 6) as u32;
+        let mut rel = indexed_relation();
         let mut model = Model::default();
-        for _phase in 0..10 {
-            for _ in 0..rng.gen_u64() % 30 {
-                let row = random_row(&mut rng, arity, domain);
+        check_absent(&rel, &model, domain, &format!("seed {seed}, empty"));
+        for phase in 0..12 {
+            let at = format!("seed {seed}, phase {phase}");
+            for _ in 0..rng.gen_u64() % 40 {
+                let row = random_row(&mut rng, max_arity, domain);
                 if rng.gen_u64().is_multiple_of(3) {
-                    assert_eq!(rel.retract(&row), model.retract(&row), "seed {seed}");
+                    assert_eq!(rel.retract(&row), model.retract(&row), "{at}");
                 } else {
-                    assert_eq!(rel.insert(row.clone()), model.insert(row), "seed {seed}");
+                    assert_eq!(rel.insert(&row), model.insert(row), "{at}");
                 }
             }
-            // Random maintenance: move the watermark, compact, or neither.
-            match rng.gen_u64() % 3 {
-                0 => {
+            // Random maintenance: move the watermark, compact (after
+            // the retractions and revivals above), clear — the built
+            // indexes survive and keep being maintained — or nothing.
+            match rng.gen_u64() % 7 {
+                0 | 1 => {
                     rel.mark_delta();
                     model.delta_start = model.rows.len();
                 }
-                1 => assert_eq!(rel.compact(), model.compact(), "seed {seed}"),
+                2 | 3 => assert_eq!(rel.compact(), model.compact(), "{at}"),
+                4 => {
+                    rel.clear();
+                    model = Model::default();
+                }
                 _ => {}
             }
-            // The insertion log, tombstones included, and its delta region.
-            assert_eq!(rel.rows(), &model.rows[..], "seed {seed}: insertion order");
-            assert_eq!(
-                rel.delta_rows(),
-                &model.rows[model.delta_start..],
-                "seed {seed}: delta region"
-            );
-            assert_eq!(rel.delta_start(), model.delta_start, "seed {seed}");
-            // Liveness, by tuple and by id.
-            let live: Vec<&SymTuple> = (model.rows.iter().zip(&model.live))
-                .filter_map(|(row, &l)| l.then_some(row))
-                .collect();
-            assert_eq!(rel.live_rows().collect::<Vec<_>>(), live, "seed {seed}");
-            assert_eq!(rel.len(), live.len(), "seed {seed}");
-            assert_eq!(
-                rel.dead_rows(),
-                model.rows.len() - live.len(),
-                "seed {seed}"
-            );
-            for (i, (row, &l)) in model.rows.iter().zip(&model.live).enumerate() {
-                assert_eq!(rel.row(i as u32), row, "seed {seed}: row({i})");
-                assert_eq!(rel.lookup(row), Some(i as u32), "seed {seed}: lookup");
-                assert_eq!(rel.contains(row), l, "seed {seed}: contains");
-                assert_eq!(rel.is_live(i as u32), l, "seed {seed}: is_live({i})");
-            }
-            assert!(
-                !rel.contains(&vec![Sym(domain as u32); arity]),
-                "seed {seed}"
-            );
-            // An index probe returns the ids a scan of the log finds, in
-            // log order, dead ones included until compaction; a column
-            // without an index reports none.
-            for s in (0..domain).map(|s| Sym(s as u32)) {
-                let scan: Vec<u32> = (0..model.rows.len() as u32)
-                    .filter(|&i| model.rows[i as usize][0] == s)
-                    .collect();
-                assert_eq!(rel.probe(0, s), Some(&scan[..]), "seed {seed}: probe {s:?}");
-                assert_eq!(rel.probe(arity, s), None, "seed {seed}");
-            }
+            check(&rel, &model, domain, &at);
+            check_absent(&rel, &model, domain, &at);
         }
     }
+}
+
+#[test]
+fn thousands_of_rows_over_four_values_survive_every_table_growth() {
+    // Arities 1..=7 over 4 values: 21 844 possible rows, all sharing
+    // prefixes and symbols, so hashes collide in their low entropy and
+    // probe sequences chain. The id table doubles a dozen times on the
+    // way; at every power-of-two row count it holds as many rows as it
+    // admits before growing — the fullest it ever is.
+    let domain = 4;
+    let mut rng = Rng::seed_from_u64(0xA7E4A);
+    let mut rel = indexed_relation();
+    let mut model = Model::default();
+    while model.rows.len() < 6000 {
+        let row = random_row(&mut rng, 7, domain);
+        assert_eq!(rel.insert(&row), model.insert(row));
+        if model.rows.len().is_power_of_two() {
+            let at = format!("{} rows", model.rows.len());
+            check_absent(&rel, &model, domain, &at);
+            assert_eq!(rel.lookup(&model.rows[0]), Some(0), "{at}");
+            let last = model.rows.len() - 1;
+            assert_eq!(rel.lookup(&model.rows[last]), Some(last as u32), "{at}");
+        }
+        if model.rows.len() == 3000 {
+            rel.mark_delta();
+            model.delta_start = 3000;
+        }
+    }
+    assert!(model.rows.len() >= 4096);
+    check(&rel, &model, domain, "grown");
+    // Retract a third, revive a few of those in place, compact: ids
+    // are renumbered, and the id table must follow them.
+    for i in (0..model.rows.len()).step_by(3) {
+        let row = model.rows[i].clone();
+        assert_eq!(rel.retract(&row), model.retract(&row));
+    }
+    for i in (0..model.rows.len()).step_by(15) {
+        let row = model.rows[i].clone();
+        assert_eq!(rel.insert(&row), model.insert(row));
+    }
+    check(&rel, &model, domain, "retracted");
+    assert_eq!(rel.compact(), model.compact());
+    check(&rel, &model, domain, "compacted");
+    check_absent(&rel, &model, domain, "compacted");
+    // Clear keeps the (large) table and the indexes; reuse refills them.
+    rel.clear();
+    model = Model::default();
+    check(&rel, &model, domain, "cleared");
+    check_absent(&rel, &model, domain, "cleared");
+    for _ in 0..500 {
+        let row = random_row(&mut rng, 7, domain);
+        assert_eq!(rel.insert(&row), model.insert(row));
+    }
+    check(&rel, &model, domain, "reused");
+}
+
+#[test]
+fn permutations_prefixes_and_mixed_arities_are_distinct_rows() {
+    let (a, b) = (Sym(0), Sym(1));
+    let rows: [&[Sym]; 9] = [
+        &[a, b],
+        &[b, a],
+        &[a],
+        &[b],
+        &[a, a],
+        &[a, a, b],
+        &[a, b, a],
+        &[a, a, a],
+        &[a, b, a, b],
+    ];
+    let mut rel = indexed_relation();
+    let mut model = Model::default();
+    for (i, row) in rows.iter().enumerate() {
+        assert_eq!(rel.lookup(row), None, "{row:?} before its insert");
+        assert!(rel.insert(row));
+        assert!(model.insert(row.to_vec()));
+        assert_eq!(rel.lookup(row), Some(i as u32));
+        assert!(!rel.insert(row), "{row:?} twice");
+    }
+    check(&rel, &model, 2, "distinct rows");
+    // Retracting one of a pair of permutations leaves the other.
+    assert!(rel.retract(&[a, b]) && model.retract(&[a, b]));
+    assert!(rel.contains(&[b, a]) && !rel.contains(&[a, b]));
+    assert_eq!(rel.compact(), model.compact());
+    check(&rel, &model, 2, "after compaction");
+    assert_eq!(rel.lookup(&[a, b]), None);
 }

@@ -83,7 +83,7 @@ impl Database {
     }
 
     /// Insert an interned row; returns `true` if new.
-    pub fn insert(&mut self, relation: RelId, row: SymTuple) -> bool {
+    pub fn insert(&mut self, relation: RelId, row: &[Sym]) -> bool {
         self.storage.insert(relation, row)
     }
 
@@ -142,46 +142,43 @@ impl Database {
         (inserted, deleted)
     }
 
-    /// Make this database's facts exactly equal to `i`: retract every
-    /// live row absent from `i`, insert every fact of `i` not yet
-    /// present, then compact the tombstones. Unlike
+    /// Make this database's facts exactly equal to `i`: insert (or
+    /// revive) every fact of `i`, retract every live row that is not
+    /// one of them, then compact the tombstones. Unlike
     /// [`Database::load`] (which is additive and silently keeps rows a
     /// shrunk instance no longer holds), this is the correct reload
     /// path for a persistent scratch database whose source instance
     /// may have had facts removed.
     pub fn sync_with_instance(&mut self, i: &Instance) {
-        let mut want: HashMap<RelId, HashSet<SymTuple>> = HashMap::new();
+        // Per relation, the row ids that hold a fact of `i`.
+        let mut wanted: HashMap<RelId, HashSet<u32>> = HashMap::new();
         {
             let mut table = self.symbols.write();
+            let mut row = SymTuple::new();
             for name in i.relation_names() {
                 let r = table.rel(name);
-                let rows = want.entry(r).or_default();
+                let ids = wanted.entry(r).or_default();
                 for t in i.tuples(name) {
-                    rows.insert(t.iter().map(|v| table.sym(v)).collect());
+                    row.clear();
+                    row.extend(t.iter().map(|v| table.sym(v)));
+                    let known = self.storage.relation(r).and_then(|rel| rel.lookup(&row));
+                    ids.insert(match known {
+                        Some(id) => {
+                            self.storage.revive(r, id);
+                            id
+                        }
+                        None => (self.storage.insert_id(r, &row)).expect("an absent row is new"),
+                    });
                 }
             }
         }
-        let empty = HashSet::new();
+        let none = HashSet::new();
         let rel_ids: Vec<RelId> = self.storage.rel_ids().collect();
         for r in rel_ids {
-            let target = want.get(&r).unwrap_or(&empty);
-            let stale: Vec<SymTuple> = self
-                .storage
-                .relation(r)
-                .map(|rel| {
-                    rel.live_rows()
-                        .filter(|row| !target.contains(*row))
-                        .cloned()
-                        .collect()
-                })
-                .unwrap_or_default();
-            for row in stale {
-                self.storage.retract(r, &row);
-            }
-        }
-        for (r, rows) in want {
-            for row in rows {
-                self.storage.insert(r, row);
+            let keep = wanted.get(&r).unwrap_or(&none);
+            let rows = self.storage.relation(r).map_or(0..0, |rel| rel.rows());
+            for id in rows.filter(|id| !keep.contains(id)) {
+                self.storage.retract_id(r, id);
             }
         }
         self.storage.compact_retractions();
@@ -194,7 +191,7 @@ impl Database {
         let r = table.rel(relation);
         let row: SymTuple = tuple.iter().map(|v| table.sym(v)).collect();
         drop(table);
-        self.storage.insert(r, row)
+        self.storage.insert(r, &row)
     }
 
     /// Membership test by relation name. Edge/test convenience.
@@ -227,7 +224,7 @@ impl Database {
                 continue;
             };
             for row in rel.live_rows() {
-                if self.storage.insert(r, row.clone()) {
+                if self.storage.insert(r, row) {
                     added += 1;
                 }
             }

@@ -81,7 +81,7 @@
 
 use super::compile::{CompiledAtom, CompiledRule, RulePaths};
 use super::database::Database;
-use super::join::{instantiate, Join, View};
+use super::join::{instantiate, Derived, Join, View};
 use super::seminaive::{fixpoint_seminaive_full, CompiledProgram};
 use calm_common::storage::{RelId, Relation, Storage, Sym, SymTuple};
 use calm_common::update::UpdateBatch;
@@ -385,14 +385,14 @@ fn maintain_stratum(
     // store. Then explicit-delta semi-naive propagation within the
     // stratum. A head derived twice in a round is pushed twice; the
     // second insert is a no-op.
-    let mut pending: Vec<(RelId, SymTuple)> = Vec::new();
+    let mut pending = Derived::default();
     let mut delta = Ids::new();
     let (mut pos, mut neg) = (&*added, &*removed);
     loop {
         let storage = db.storage();
         st.derive(storage, View::New, pos, neg, stats, &mut |r, h| {
             if !storage.contains(r, h) {
-                pending.push((r, h.to_vec()));
+                pending.push(r, h);
             }
             true
         });
@@ -400,12 +400,14 @@ fn maintain_stratum(
             break;
         }
         delta.clear();
-        for (r, t) in pending.drain(..) {
-            if let Some(id) = db.storage_mut().insert_id(r, t) {
+        for j in 0..pending.len() {
+            let (r, row) = pending.get(j);
+            if let Some(id) = db.storage_mut().insert_id(r, row) {
                 stats.insertions += 1;
                 delta.entry(r).or_default().push(id);
             }
         }
+        pending.clear();
         (pos, neg) = (&delta, &none);
     }
 

@@ -14,7 +14,7 @@
 //! the seeding rows come from and what the sink does with a binding.
 
 use super::compile::{Access, AccessPath, ColOp, CompiledAtom, CompiledRule, Slot};
-use calm_common::storage::{EvalMetrics, Relation, Storage, Sym, SymTuple};
+use calm_common::storage::{EvalMetrics, RelId, Relation, Storage, Sym, SymTuple};
 
 /// Which contents of the store a join ranges over, as a filter on row
 /// ids: a retraction leaves a tombstone whose id the indexes keep and
@@ -49,6 +49,49 @@ fn val(slot: Slot, binding: &[Sym]) -> Sym {
 pub(crate) fn instantiate(atom: &CompiledAtom, binding: &[Sym], out: &mut SymTuple) {
     out.clear();
     out.extend(atom.slots.iter().map(|&s| val(s, binding)));
+}
+
+/// Derived rows awaiting insertion, in emission order: the symbols of
+/// all rows back to back under one `(relation, end offset)` header per
+/// row, so buffering a derivation allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct Derived {
+    syms: Vec<Sym>,
+    heads: Vec<(RelId, usize)>,
+}
+
+impl Derived {
+    pub fn push(&mut self, rel: RelId, row: &[Sym]) {
+        self.syms.extend_from_slice(row);
+        self.heads.push((rel, self.syms.len()));
+    }
+
+    /// Append `other`'s rows after this buffer's own.
+    pub fn append(&mut self, other: &Derived) {
+        let base = self.syms.len();
+        self.syms.extend_from_slice(&other.syms);
+        (self.heads).extend(other.heads.iter().map(|&(rel, end)| (rel, base + end)));
+    }
+
+    pub fn len(&self) -> usize {
+        self.heads.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.heads.is_empty()
+    }
+
+    /// The `j`-th row pushed and the relation it was derived for.
+    pub fn get(&self, j: usize) -> (RelId, &[Sym]) {
+        let start = j.checked_sub(1).map_or(0, |prev| self.heads[prev].1);
+        let (rel, end) = self.heads[j];
+        (rel, &self.syms[start..end])
+    }
+
+    pub fn clear(&mut self) {
+        self.syms.clear();
+        self.heads.clear();
+    }
 }
 
 /// Run a column program over `row`: bind first occurrences, compare

@@ -34,7 +34,7 @@
 
 use super::compile::{compile_rule, Access, CompiledAtom, CompiledRule};
 use super::database::Database;
-use super::join::{instantiate, Join, View};
+use super::join::{instantiate, Derived, Join, View};
 use crate::ast::{Rule, Var};
 use crate::program::Program;
 use calm_common::fact::RelName;
@@ -125,21 +125,21 @@ pub fn fixpoint_naive(program: &Program, db: &mut Database) -> EvalMetrics {
     let mut metrics = EvalMetrics::default();
     loop {
         metrics.iterations += 1;
-        let mut fresh: Vec<(RelId, SymTuple)> = Vec::new();
+        let mut fresh = Derived::default();
         let storage = db.storage();
         for rule in &compiled {
             derive_rule(rule, storage, &mut metrics, &mut |rel, row| {
                 if !storage.contains(rel, row) {
-                    fresh.push((rel, row.to_vec()));
+                    fresh.push(rel, row);
                 }
             });
         }
         let mut added = 0;
-        for (rel, row) in fresh {
-            let bytes = row.len() * std::mem::size_of::<Sym>();
+        for j in 0..fresh.len() {
+            let (rel, row) = fresh.get(j);
             if db.storage_mut().insert(rel, row) {
                 added += 1;
-                metrics.bytes_moved += bytes;
+                metrics.bytes_moved += std::mem::size_of_val(row);
             }
         }
         metrics.new_facts += added;
@@ -350,7 +350,7 @@ fn run_job(
     storage: &Storage,
     neg: &Storage,
     metrics: &mut EvalMetrics,
-    sink: &mut Vec<(RelId, SymTuple)>,
+    sink: &mut Derived,
 ) {
     let rule = &cp.rules[job.rule];
     let rel = rule.head.relation;
@@ -358,7 +358,7 @@ fn run_job(
     let mut emit = |b: &[Sym]| {
         instantiate(&rule.head, b, &mut head);
         if !storage.contains(rel, &head) {
-            sink.push((rel, head.clone()));
+            sink.push(rel, &head);
         }
         true
     };
@@ -370,11 +370,12 @@ fn run_job(
         }
         Some(i) => {
             join = Join::new(rule, &rule.paths.pos[i], storage, neg, View::New);
-            let delta =
-                (storage.relation(rule.pos[i].relation)).map_or(&[][..], |r| r.delta_rows());
-            let (start, end) = job.range.unwrap_or((0, delta.len()));
-            for row in &delta[start..end] {
-                join.seeded(row, &mut emit);
+            if let Some(seeds) = storage.relation(rule.pos[i].relation) {
+                let delta = seeds.delta_rows();
+                let (start, end) = job.range.unwrap_or((0, delta.len()));
+                for id in delta.skip(start).take(end - start) {
+                    join.seeded(seeds.row(id), &mut emit);
+                }
             }
         }
     }
@@ -383,7 +384,7 @@ fn run_job(
 
 /// What one parallel job hands back: its index in the round's job
 /// order, the facts it derived, and the counters it accumulated.
-type JobResult = (usize, Vec<(RelId, SymTuple)>, EvalMetrics);
+type JobResult = (usize, Derived, EvalMetrics);
 
 /// Execute one round's jobs, extending `pending` with the derivations
 /// in sequential order. Sequential (`eval_threads` ≤ 1) runs inline
@@ -395,7 +396,7 @@ fn run_round(
     storage: &Storage,
     neg: &Storage,
     jobs: &[EvalJob],
-    pending: &mut Vec<(RelId, SymTuple)>,
+    pending: &mut Derived,
     metrics: &mut EvalMetrics,
     obs: &Obs,
 ) {
@@ -435,7 +436,7 @@ fn run_round(
                             break;
                         }
                         let mut job_metrics = EvalMetrics::default();
-                        let mut buf = Vec::new();
+                        let mut buf = Derived::default();
                         run_job(cp, &jobs[j], storage, neg, &mut job_metrics, &mut buf);
                         local.push((j, buf, job_metrics));
                     }
@@ -470,7 +471,7 @@ fn run_round(
         }
         rule_derivations += job_metrics.derivations;
         metrics.merge(&job_metrics);
-        pending.extend(buf);
+        pending.append(&buf);
     }
     if current_rule != usize::MAX && obs.enabled() {
         obs.counter(
@@ -521,9 +522,8 @@ pub fn fixpoint_seminaive_full(
         obs.counter("eval.plan", "atoms.scan", scan as u64);
     }
     let mut metrics = EvalMetrics::default();
-    let mut pending: Vec<(RelId, SymTuple)> = Vec::new();
+    let mut pending = Derived::default();
     let mut jobs: Vec<EvalJob> = Vec::new();
-    let mut batch: Vec<SymTuple> = Vec::new();
     loop {
         // Round 0 walks every rule's body path once on the initial
         // database: this covers non-recursive rules completely (their
@@ -555,17 +555,19 @@ pub fn fixpoint_seminaive_full(
         // relation is resolved once per run instead of once per row.
         db.storage_mut().mark_deltas();
         let mut added = 0;
-        let mut drained = pending.drain(..).peekable();
-        while let Some((rel, row)) = drained.next() {
-            batch.push(row);
-            while drained.peek().is_some_and(|&(r, _)| r == rel) {
-                batch.push(drained.next().expect("peeked").1);
-            }
-            let (new_rows, bytes) = db.storage_mut().insert_batch(rel, batch.drain(..));
+        let mut k = 0;
+        while k < pending.len() {
+            let rel = pending.get(k).0;
+            let run = (k..pending.len())
+                .take_while(|&j| pending.get(j).0 == rel)
+                .count();
+            let rows = (k..k + run).map(|j| pending.get(j).1);
+            let (new_rows, bytes) = db.storage_mut().insert_batch(rel, rows);
             added += new_rows;
             metrics.bytes_moved += bytes;
+            k += run;
         }
-        drop(drained);
+        pending.clear();
         metrics.new_facts += added;
         if obs.enabled() {
             obs.histogram("eval", "iteration_new_facts", added as u64);
@@ -620,7 +622,7 @@ pub fn derive_once(program: &Program, db: &Database) -> Database {
     let mut out = Database::with_symbols(db.symbols().clone());
     let mut metrics = EvalMetrics::default();
     rules.derive(db, &mut metrics, &mut |rel, row| {
-        out.insert(rel, row.to_vec());
+        out.insert(rel, row);
     });
     out
 }
@@ -661,14 +663,14 @@ impl ValuationQuery {
     /// Enumerate every satisfying valuation of the body against `db`
     /// (negation also checked against `db`), deduplicated and in
     /// deterministic (interning) order.
-    pub fn eval(&self, db: &Database, metrics: &mut EvalMetrics) -> Vec<SymTuple> {
-        let mut out: BTreeSet<SymTuple> = BTreeSet::new();
+    pub fn eval(&self, db: &Database, metrics: &mut EvalMetrics) -> BTreeSet<SymTuple> {
+        let mut out = BTreeSet::new();
         derive_rule(&self.compiled, db.storage(), metrics, &mut |_, row| {
             if !out.contains(row) {
                 out.insert(row.to_vec());
             }
         });
-        out.into_iter().collect()
+        out
     }
 }
 
@@ -928,9 +930,11 @@ mod tests {
         let ids: Vec<_> = sa.rel_ids().collect();
         assert_eq!(ids.len(), sb.rel_ids().count());
         for r in ids {
-            let rows_a = sa.relation(r).map_or(&[][..], |rel| rel.rows());
-            let rows_b = sb.relation(r).map_or(&[][..], |rel| rel.rows());
-            assert_eq!(rows_a, rows_b, "insertion order diverged in relation {r:?}");
+            let (ra, rb) = (sa.relation(r).unwrap(), sb.relation(r).unwrap());
+            assert_eq!(ra.rows(), rb.rows(), "row count diverged in relation {r:?}");
+            for id in ra.rows() {
+                assert_eq!(ra.row(id), rb.row(id), "row {id} diverged in {r:?}");
+            }
         }
     }
 

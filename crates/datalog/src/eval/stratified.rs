@@ -97,6 +97,20 @@ pub fn eval_stratification_opts(
     obs: &Obs,
     eval_threads: usize,
 ) -> (Instance, Vec<EvalMetrics>) {
+    let (db, stats) = run_strata(strat, input, engine, symbols, obs, eval_threads);
+    (db.to_instance(), stats)
+}
+
+/// Load `input` and run every stratum's fixpoint over it; the caller
+/// chooses what to export from the derived database.
+fn run_strata(
+    strat: &Stratification,
+    input: &Instance,
+    engine: Engine,
+    symbols: calm_common::storage::SharedSymbols,
+    obs: &Obs,
+    eval_threads: usize,
+) -> (Database, Vec<EvalMetrics>) {
     let mut db = Database::from_instance_with(input, symbols);
     let mut stats = Vec::with_capacity(strat.len());
     for (i, stratum) in strat.strata.iter().enumerate() {
@@ -116,7 +130,7 @@ pub fn eval_stratification_opts(
         );
         stats.push(fixpoint_seminaive_full(&cp, &mut db, None, obs));
     }
-    (db.to_instance(), stats)
+    (db, stats)
 }
 
 /// Render the per-stratum evaluation plan of a program — what the join
@@ -165,7 +179,7 @@ pub fn plan_report(p: &Program) -> Result<String, NotStratifiable> {
 /// # Errors
 /// Returns [`NotStratifiable`] for programs with a negative cycle.
 pub fn eval_query(p: &Program, input: &Instance) -> Result<Instance, NotStratifiable> {
-    Ok(eval_program(p, input)?.restrict(&p.output_schema()))
+    eval_query_opts(p, input, &Obs::noop(), 1)
 }
 
 /// As [`eval_query`], reporting spans and counters to `obs`.
@@ -193,7 +207,7 @@ pub fn eval_query_opts(
     eval_threads: usize,
 ) -> Result<Instance, NotStratifiable> {
     let strat = stratify(p)?;
-    let (out, _) = eval_stratification_opts(
+    let (db, _) = run_strata(
         &strat,
         input,
         Engine::SemiNaive,
@@ -201,7 +215,9 @@ pub fn eval_query_opts(
         obs,
         eval_threads,
     );
-    Ok(out.restrict(&p.output_schema()))
+    // Unintern only the answer: exporting the whole database and
+    // restricting it afterwards would hold two copies of it.
+    Ok(db.to_instance_restricted(&p.output_schema()))
 }
 
 #[cfg(test)]
@@ -230,6 +246,40 @@ mod tests {
         assert!(!out.contains(&fact("O", [0, 2])));
         // Output projection dropped T and Adom.
         assert_eq!(out.relation_len("T"), 0);
+    }
+
+    #[test]
+    fn eval_query_exports_exactly_the_restricted_database() {
+        // Adom and T are derived but not output; E holds rows of two
+        // arities, and so does the output relation's name in the input
+        // (`O(7)` is not over the output schema's binary `O`).
+        let p = parse_program(
+            "@output O.\n\
+             Adom(x) :- E(x,y).\n\
+             Adom(y) :- E(x,y).\n\
+             T(x,y) :- E(x,y).\n\
+             T(x,z) :- T(x,y), E(y,z).\n\
+             O(x,y) :- Adom(x), Adom(y), not T(x,y).",
+        )
+        .unwrap();
+        let input = Instance::from_facts([
+            fact("E", [1]),
+            fact("E", [1, 2]),
+            fact("E", [2, 3]),
+            fact("E", [1, 2, 3]),
+            fact("O", [7]),
+        ]);
+        let full = eval_program(&p, &input).unwrap();
+        assert!(full.relation_len("T") > 0 && full.relation_len("Adom") > 0);
+        assert!(full.contains(&fact("O", [7])) && full.contains(&fact("E", [1])));
+        let answer = eval_query(&p, &input).unwrap();
+        assert_eq!(answer, full.restrict(&p.output_schema()));
+        assert_eq!(answer.relation_len("O"), 6);
+        assert_eq!(answer.len(), 6, "nothing but binary O rows");
+        assert_eq!(
+            eval_query_opts(&p, &input, &Obs::noop(), 4).unwrap(),
+            answer
+        );
     }
 
     #[test]

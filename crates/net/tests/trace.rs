@@ -49,8 +49,14 @@ fn faulty_threaded_trace_reconstructs_a_complete_acyclic_graph() {
     // Every delivered batch must trace back to its send and the causal
     // graph must be acyclic — under retransmission, crash-free loss and
     // receiver dedup alike.
+    //
+    // Sized for the loss assertion below: how many wire transmissions a
+    // run attempts depends on the schedule (batching). Eight nodes
+    // broadcasting a chain of 24 attempt 180-650, so a run without a
+    // single drop has probability 0.95^180 < 1e-4 (a chain of 8 on 4
+    // nodes attempts 40-50 and drops nothing in two runs of five).
     let t = MonotoneBroadcast::new(Box::new(tc_datalog()));
-    let policy = HashPolicy::new(Network::of_size(4));
+    let policy = HashPolicy::new(Network::of_size(8));
     let tn = ThreadedNetwork {
         programs: Programs::Shared(&t),
         policy: &policy,
@@ -61,7 +67,7 @@ fn faulty_threaded_trace_reconstructs_a_complete_acyclic_graph() {
     let plan = FaultPlan::uniform(23, 0.05, 0.0);
     let r = run_threaded_with(
         &tn,
-        &chain_input(8),
+        &chain_input(24),
         &ThreadedConfig::new(3).with_faults(plan),
         &obs,
     );
