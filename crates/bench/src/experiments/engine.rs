@@ -5,7 +5,7 @@
 
 use crate::report::{markdown_table, Report};
 use crate::workloads::{scaling_graph, structured};
-use calm_datalog::eval::{eval_stratification_opts, eval_stratification_shared_obs, Engine};
+use calm_datalog::eval::{eval_stratification_opts, Engine};
 use calm_datalog::parse_program;
 use calm_obs::Obs;
 
@@ -43,12 +43,13 @@ pub fn e18_engine_obs(obs: &Obs) -> Report {
         let time = |engine: Engine| {
             let _span = obs.span("bench", || format!("e18:{kind} {engine:?}"));
             let t0 = std::time::Instant::now();
-            let result = eval_stratification_shared_obs(
+            let result = eval_stratification_opts(
                 &strat,
                 &input,
                 engine,
                 calm_common::storage::SharedSymbols::new(),
                 obs,
+                1,
             );
             (result, t0.elapsed().as_secs_f64() * 1e3)
         };

@@ -18,10 +18,14 @@
 //! maintenance never loses to re-evaluation — in no cell does it take
 //! more than 1.5× the rebuild, because a batch that would overdelete
 //! more than [`fallback_limit`] of a stratum re-evaluates it instead
-//! (the `fallbacks` column). The minimum is the statistic because the
-//! cells are milliseconds long and the bound is a ratio of two of
-//! them: on a host whose speed wanders, the fastest of seven is what
-//! repeats.
+//! (the `fallbacks` column). The cells are milliseconds long and the
+//! host's speed wanders by a factor of two within a run, so the times
+//! shown are the fastest of seven (what repeats), and the gated ratio
+//! is the *median of the seven paired ratios* — each maintenance trial
+//! over the rebuild trial timed right before it. A ratio of two minima
+//! lets one lucky rebuild trial in a slow phase fail the cell (1 full
+//! run in 10 did, at 1.59, on a cell whose two sides are the same
+//! fixpoint).
 //!
 //! [`IncrementalEvaluation`]: calm_datalog::IncrementalEvaluation
 //! [`fallback_limit`]: calm_datalog::eval::incremental::fallback_limit
@@ -97,6 +101,13 @@ fn make_batch(
 
 fn best(xs: &[f64]) -> f64 {
     xs.iter().copied().fold(f64::INFINITY, f64::min)
+}
+
+/// The median of the paired ratios `incr[k] / full[k]`.
+fn median_ratio(incr: &[f64], full: &[f64]) -> f64 {
+    let mut ratios: Vec<f64> = incr.iter().zip(full).map(|(i, f)| i / f).collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[ratios.len() / 2]
 }
 
 /// As [`e27_incremental`], wrapping each cell in a span so `repro
@@ -181,13 +192,14 @@ pub fn e27_incremental_obs(obs: &Obs) -> Report {
             }
             let f = best(&full_ms);
             let i = best(&incr_ms);
-            worst_ratio = worst_ratio.max(i / f);
+            let ratio = median_ratio(&incr_ms, &full_ms);
+            worst_ratio = worst_ratio.max(ratio);
             rows.push(vec![
                 format!("{name} (|E|={edges})"),
                 label,
                 format!("{i:.2}"),
                 format!("{f:.2}"),
-                format!("{:.2}", i / f),
+                format!("{ratio:.2}"),
                 stats.retractions.to_string(),
                 stats.rederivations.to_string(),
                 stats.derivations.to_string(),
@@ -211,7 +223,7 @@ pub fn e27_incremental_obs(obs: &Obs) -> Report {
     r.claim(
         format!("incremental ≤ {MAX_RATIO}× rebuilding the view, in every cell"),
         format!(
-            "worst incr/rebuild ratio {worst_ratio:.2} (best of {TRIALS}; the guard re-evaluates past {} of 10 000 live rows)",
+            "worst incr/rebuild ratio {worst_ratio:.2} (median of {TRIALS} paired trials; the guard re-evaluates past {} of 10 000 live rows)",
             fallback_limit(10_000)
         ),
         worst_ratio <= MAX_RATIO,
@@ -222,7 +234,7 @@ pub fn e27_incremental_obs(obs: &Obs) -> Report {
             "batch",
             "incr ms",
             "rebuild ms",
-            "incr/rebuild",
+            "incr/rebuild (median of pairs)",
             "retractions",
             "rederivations",
             "update derivations",
@@ -237,12 +249,13 @@ pub fn e27_incremental_obs(obs: &Obs) -> Report {
 /// Derivation count of a full fixpoint over `edb` — the deterministic
 /// work baseline the single-fact claim compares against.
 fn full_fixpoint_derivations(q: &DatalogQuery, edb: &Instance) -> usize {
-    let (_, stats) = calm_datalog::eval::eval_stratification_shared_obs(
+    let (_, stats) = calm_datalog::eval::eval_stratification_opts(
         q.stratification(),
         edb,
         calm_datalog::eval::Engine::SemiNaive,
         calm_common::storage::SharedSymbols::new(),
         &Obs::noop(),
+        1,
     );
     stats.iter().map(|s| s.derivations).sum()
 }

@@ -3,12 +3,13 @@
 //!
 //! Two measurements back the storage-v2 wire-format claim:
 //!
-//! * **end-to-end bytes**: the threaded executor counts the bytes of
-//!   every transmitted payload copy alongside what the naive
-//!   length-prefixed encoding would have cost for the same batches
-//!   (`wire_bytes` vs `wire_bytes_naive`), on both the fault-free
-//!   channel transport and the reliable substrate under loss — where
-//!   retransmitted copies are counted too;
+//! * **end-to-end bytes**: every batch a strategy sends during a
+//!   threaded run is priced in both formats by a recording
+//!   [`Transducer`] wrapper (the engines themselves encode and count
+//!   the delta format only — `wire_bytes`, shown alongside), on both
+//!   the fault-free channel transport and the reliable substrate under
+//!   loss. Fan-out and retransmission multiply either format's bytes by
+//!   the same copies, so the saving per batch is the saving on the wire;
 //! * **codec cost**: encode/decode wall time for both formats over a
 //!   sampled dense batch, so the byte savings are shown not to be
 //!   bought with a slower codec.
@@ -29,7 +30,10 @@ use calm_transducer::multiset::Multiset;
 use calm_transducer::{
     run_with, DisjointStrategy, DistinctStrategy, DistributionPolicy, DomainGuidedPolicy,
     HashPolicy, MonotoneBroadcast, Network, Scheduler, SystemConfig, Transducer, TransducerNetwork,
+    TransducerSchema, TransducerStep,
 };
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 const NODES: usize = 8;
 const WORKERS: usize = 4;
@@ -42,6 +46,47 @@ type Family<'a> = (
     &'a dyn DistributionPolicy,
     SystemConfig,
 );
+
+/// What the batches sent during one run cost in each wire format.
+#[derive(Default)]
+struct BatchBytes {
+    batches: AtomicU64,
+    delta: AtomicU64,
+    naive: AtomicU64,
+}
+
+/// Behaves as `inner`, pricing every non-empty `Qsnd` result in both
+/// formats on the way out. The strategies never repeat a sent fact, so
+/// these are the batches the executor ships (E23 checks the delta total
+/// against the executor's own `wire_bytes`).
+struct Recording {
+    inner: Box<dyn Transducer>,
+    bytes: Arc<BatchBytes>,
+}
+
+impl Transducer for Recording {
+    fn schema(&self) -> &TransducerSchema {
+        self.inner.schema()
+    }
+
+    fn step(&self, d: &calm_common::instance::Instance) -> TransducerStep {
+        let step = self.inner.step(d);
+        if !step.snd.is_empty() {
+            let batch: Multiset<Fact> = step.snd.facts().collect();
+            let b = &self.bytes;
+            b.batches.fetch_add(1, Ordering::Relaxed);
+            let delta = wirefmt::encode(&batch).len() as u64;
+            b.delta.fetch_add(delta, Ordering::Relaxed);
+            let naive = wirefmt::naive_len(&batch) as u64;
+            b.naive.fetch_add(naive, Ordering::Relaxed);
+        }
+        step
+    }
+
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+}
 
 /// E23: wire bytes and codec cost, naive vs delta.
 pub fn e23_wire() -> Report {
@@ -91,6 +136,7 @@ pub fn e23_wire_obs(obs: &Obs) -> Report {
     let mut rows = Vec::new();
     let mut all_equal = true;
     let mut all_smaller = true;
+    let mut recording_exact = true;
     for (label, factory, policy, config) in families {
         let oracle = factory();
         let tn = TransducerNetwork {
@@ -100,11 +146,6 @@ pub fn e23_wire_obs(obs: &Obs) -> Report {
         };
         let seq = run_with(&tn, &input, &Scheduler::RoundRobin, 5_000_000, obs);
 
-        let net = ThreadedNetwork {
-            programs: Programs::PerWorker(factory),
-            policy,
-            config,
-        };
         // One fault-free run (in-process channel transport) and one
         // lossy run (reliable substrate: retransmitted copies count).
         let transports: [(&str, Option<FaultPlan>); 2] = [
@@ -115,19 +156,39 @@ pub fn e23_wire_obs(obs: &Obs) -> Report {
             ),
         ];
         for (transport, plan) in transports {
+            let bytes = Arc::new(BatchBytes::default());
+            let recording = || {
+                Box::new(Recording {
+                    inner: factory(),
+                    bytes: bytes.clone(),
+                }) as Box<dyn Transducer>
+            };
+            let net = ThreadedNetwork {
+                programs: Programs::PerWorker(&recording),
+                policy,
+                config,
+            };
             let mut cfg = ThreadedConfig::new(WORKERS);
-            if let Some(plan) = plan {
-                cfg = cfg.with_faults(plan);
-            }
+            cfg.faults = plan;
             let thr = run_threaded_with(&net, &input, &cfg, obs);
             all_equal &= thr.quiescent && thr.output == seq.output;
-            all_smaller &= thr.wire_bytes < thr.wire_bytes_naive;
-            let saved = 100.0 * (1.0 - thr.wire_bytes as f64 / thr.wire_bytes_naive.max(1) as f64);
+            let delta = bytes.delta.load(Ordering::Relaxed);
+            let naive = bytes.naive.load(Ordering::Relaxed);
+            all_smaller &= 0 < delta && delta < naive;
+            if transport == "channel" {
+                // Every batch goes once to each node on another worker:
+                // the recording prices exactly what the executor ships.
+                let remote = (NODES - NODES / WORKERS) as u64;
+                recording_exact &= thr.wire_bytes == delta * remote;
+            }
+            let saved = 100.0 * (1.0 - delta as f64 / naive.max(1) as f64);
             rows.push(vec![
                 label.to_string(),
                 transport.to_string(),
                 thr.wire_bytes.to_string(),
-                thr.wire_bytes_naive.to_string(),
+                bytes.batches.load(Ordering::Relaxed).to_string(),
+                delta.to_string(),
+                naive.to_string(),
                 format!("{saved:.1}%"),
                 (thr.output == seq.output).to_string(),
             ]);
@@ -137,17 +198,21 @@ pub fn e23_wire_obs(obs: &Obs) -> Report {
         &[
             "strategy (query)",
             "transport",
-            "delta bytes",
-            "naive bytes",
+            "wire bytes (all copies)",
+            "batches sent",
+            "their delta bytes",
+            "their naive bytes",
             "saved",
             "matches oracle",
         ],
         &rows,
     ));
     r.claim(
-        "delta payloads beat the naive encoding on every transport",
-        "wire_bytes < wire_bytes_naive in every cell, retransmissions included",
-        all_smaller,
+        "delta payloads beat the naive encoding on the batches every strategy sends",
+        "the batches sent in each run, priced in both formats: delta < naive in every cell \
+         (fan-out and retransmission copy both formats alike); on the channel transport \
+         their delta bytes × 6 remote destinations are the executor's wire_bytes exactly",
+        all_smaller && recording_exact,
     );
     r.claim(
         "the wire format is invisible to the engine",

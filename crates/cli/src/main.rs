@@ -23,6 +23,69 @@ fn read(path: &str) -> Result<String, CliError> {
     std::fs::read_to_string(path).map_err(|e| CliError(format!("{path}: {e}")))
 }
 
+/// The flags each command accepts, and whether each takes a value
+/// (`None` for a command that is not one of ours).
+fn flags_of(cmd: &str) -> Option<&'static [(&'static str, bool)]> {
+    Some(match cmd {
+        "eval" => &[
+            ("--updates", true),
+            ("--from-scratch", false),
+            ("--eval-threads", true),
+            ("--trace-out", true),
+            ("--metrics", false),
+            ("--dump-plan", false),
+            ("--flight-recorder", true),
+        ],
+        "wfs" => &[("--eval-threads", true)],
+        "classify" | "stratify" => &[],
+        "check" => &[("--class", true), ("--trials", true)],
+        "simulate" => &[
+            ("--nodes", true),
+            ("--strategy", true),
+            ("--engine", true),
+            ("--workers", true),
+            ("--procs", true),
+            ("--respawn-budget", true),
+            ("--eval-threads", true),
+            ("--faults", true),
+            ("--trace", false),
+            ("--trace-out", true),
+            ("--metrics", false),
+            ("--dump-plan", false),
+            ("--flight-recorder", true),
+        ],
+        "trace" => &[("--json", false)],
+        "net-worker" => &[("--connect", true), ("--worker", true)],
+        _ => return None,
+    })
+}
+
+/// Reject what the lookups below would silently ignore: a flag the
+/// command does not have, and a value-taking flag followed by nothing
+/// or by another flag.
+fn check_flags(cmd: &str, args: &[String]) -> Result<(), CliError> {
+    let Some(table) = flags_of(cmd) else {
+        return Ok(());
+    };
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            continue;
+        }
+        match table.iter().find(|(flag, _)| flag == arg) {
+            None => return Err(CliError(format!("unknown flag '{arg}' for 'calm {cmd}'"))),
+            Some((_, false)) => {}
+            // The value is consumed here, so it is never taken for a
+            // flag or a file itself.
+            Some((_, true)) => match rest.next() {
+                Some(value) if !value.starts_with("--") => {}
+                _ => return Err(CliError(format!("{arg} expects a value"))),
+            },
+        }
+    }
+    Ok(())
+}
+
 fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.iter()
         .position(|a| a == name)
@@ -39,20 +102,27 @@ fn obs_options(args: &[String]) -> ObsOptions {
     }
 }
 
-fn eval_threads(args: &[String]) -> Result<usize, CliError> {
-    flag_value(args, "--eval-threads")
+/// The numeric value of flag `name`, if it was given.
+fn number_flag(args: &[String], name: &str) -> Result<Option<usize>, CliError> {
+    flag_value(args, name)
         .map(|n| {
-            n.parse::<usize>()
-                .ok()
-                .filter(|&n| n >= 1)
-                .ok_or_else(|| CliError("--eval-threads must be a number >= 1".into()))
+            n.parse()
+                .map_err(|_| CliError(format!("{name} must be a number")))
         })
         .transpose()
-        .map(|n| n.unwrap_or(1))
+}
+
+fn eval_threads(args: &[String]) -> Result<usize, CliError> {
+    match number_flag(args, "--eval-threads") {
+        Ok(Some(n)) if n >= 1 => Ok(n),
+        Ok(None) => Ok(1),
+        _ => Err(CliError("--eval-threads must be a number >= 1".into())),
+    }
 }
 
 fn dispatch(args: &[String]) -> Result<String, CliError> {
     let cmd = args.first().map(String::as_str).unwrap_or("help");
+    check_flags(cmd, args)?;
     match cmd {
         "eval" => {
             let (p, f) = two_files(args)?;
@@ -79,34 +149,22 @@ fn dispatch(args: &[String]) -> Result<String, CliError> {
         }
         "wfs" => {
             let (p, f) = two_files(args)?;
-            cmd_wfs_opts(&read(p)?, &read(f)?, eval_threads(args)?)
+            cmd_wfs(&read(p)?, &read(f)?, eval_threads(args)?)
         }
         "classify" => cmd_classify(&read(one_file(args)?)?),
         "stratify" => cmd_stratify(&read(one_file(args)?)?),
         "check" => {
             let p = one_file(args)?;
             let class = flag_value(args, "--class").unwrap_or("m");
-            let trials: usize = flag_value(args, "--trials")
-                .map(|t| {
-                    t.parse()
-                        .map_err(|_| CliError("--trials must be a number".into()))
-                })
-                .transpose()?
-                .unwrap_or(200);
+            let trials = number_flag(args, "--trials")?.unwrap_or(200);
             cmd_check(&read(p)?, class, trials)
         }
         "simulate" => {
             let (p, f) = two_files(args)?;
-            let nodes: usize = flag_value(args, "--nodes")
-                .map(|n| {
-                    n.parse()
-                        .map_err(|_| CliError("--nodes must be a number".into()))
-                })
-                .transpose()?
-                .unwrap_or(3);
+            let nodes = number_flag(args, "--nodes")?.unwrap_or(3);
             let strategy = flag_value(args, "--strategy").unwrap_or("monotone");
             let trace = args.iter().any(|a| a == "--trace");
-            let engine = parse_engine_full(
+            let engine = parse_engine(
                 flag_value(args, "--engine"),
                 flag_value(args, "--workers"),
                 flag_value(args, "--procs"),
@@ -167,11 +225,7 @@ fn one_file(args: &[String]) -> Result<&str, CliError> {
 }
 
 fn two_files(args: &[String]) -> Result<(&str, &str), CliError> {
-    let p = args
-        .get(1)
-        .map(String::as_str)
-        .filter(|a| !a.starts_with("--"))
-        .ok_or_else(|| CliError("expected a program file".into()))?;
+    let p = one_file(args)?;
     let f = args
         .get(2)
         .map(String::as_str)
@@ -208,5 +262,85 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.0.contains("/nonexistent/p.dl"), "{}", err.0);
+    }
+
+    /// `dispatch` must fail before touching any file, naming the flag.
+    fn usage_error(words: &[&str]) -> String {
+        let err = dispatch(&args(words)).unwrap_err().0;
+        assert!(!err.contains("p.dl"), "flags are checked first: {err}");
+        err
+    }
+
+    #[test]
+    fn an_unknown_flag_is_a_usage_error() {
+        // A typo used to run silently with the default (1 thread).
+        let err = usage_error(&["eval", "p.dl", "f.dl", "--eval-thread", "4"]);
+        assert!(err.contains("unknown flag '--eval-thread'"), "{err}");
+        // Another command's flag is just as unknown here.
+        let err = usage_error(&["wfs", "p.dl", "f.dl", "--nodes", "3"]);
+        assert!(
+            err.contains("unknown flag '--nodes' for 'calm wfs'"),
+            "{err}"
+        );
+        let err = usage_error(&["classify", "p.dl", "--json"]);
+        assert!(err.contains("unknown flag '--json'"), "{err}");
+        // The hidden commands have tables too.
+        let err = usage_error(&["net-worker", "--connect", "a:1", "--worker", "0", "--x"]);
+        assert!(err.contains("unknown flag '--x'"), "{err}");
+        let err = usage_error(&["trace", "report", "t.jsonl", "--jsonl"]);
+        assert!(err.contains("unknown flag '--jsonl'"), "{err}");
+    }
+
+    #[test]
+    fn a_flag_without_its_value_is_a_usage_error() {
+        // Used to fall back to 3 nodes.
+        let err = usage_error(&["simulate", "p.dl", "f.dl", "--nodes"]);
+        assert!(err.contains("--nodes expects a value"), "{err}");
+        // Used to write artifacts under the prefix `--metrics`.
+        let err = usage_error(&["eval", "p.dl", "f.dl", "--trace-out", "--metrics"]);
+        assert!(err.contains("--trace-out expects a value"), "{err}");
+        let err = usage_error(&["net-worker", "--connect", "--worker", "0"]);
+        assert!(err.contains("--connect expects a value"), "{err}");
+    }
+
+    #[test]
+    fn every_documented_flag_is_accepted() {
+        // All of them at once gets past the flag check: the error is
+        // the missing program file.
+        let err = dispatch(&args(&[
+            "simulate",
+            "/nonexistent/p.dl",
+            "f.dl",
+            "--nodes",
+            "2",
+            "--strategy",
+            "monotone",
+            "--engine",
+            "process",
+            "--procs",
+            "2",
+            "--respawn-budget",
+            "1",
+            "--eval-threads",
+            "2",
+            "--faults",
+            "seed=1,drop=0.1",
+            "--trace",
+            "--trace-out",
+            "t",
+            "--metrics",
+            "--dump-plan",
+            "--flight-recorder",
+            "f.jsonl",
+        ]))
+        .unwrap_err();
+        assert!(err.0.contains("/nonexistent/p.dl"), "{}", err.0);
+        let err = dispatch(&args(&[
+            "trace",
+            "report",
+            "/nonexistent/t.jsonl",
+            "--json",
+        ]));
+        assert!(err.unwrap_err().0.contains("/nonexistent/t.jsonl"));
     }
 }

@@ -1,0 +1,681 @@
+//! `calm simulate`: one function per engine, all returning the same
+//! [`EngineRun`], plus the hidden `net-worker` half of the process
+//! engine.
+
+use crate::obs::{build_obs, ObsOptions};
+use crate::{err, load_facts, load_program, render_instance, render_plan, CliError};
+use calm_common::instance::Instance;
+use calm_datalog::{DatalogQuery, Program};
+use calm_net::{
+    run_net_worker, run_process, run_threaded_with, Assign, FaultPlan, FaultStats, JobSpec,
+    ProcessConfig, ProcessRunResult, Programs, SpawnHandle, ThreadedConfig, ThreadedNetwork,
+    WorkerSetup, WorkerStats,
+};
+use calm_obs::{Obs, Sink};
+use calm_transducer::{
+    expected_output, run, run_with, DisjointStrategy, DistinctStrategy, DistributionPolicy,
+    DomainGuidedPolicy, HashPolicy, Metrics, MonotoneBroadcast, Network, Scheduler, SystemConfig,
+    TraceSink, Transducer, TransducerNetwork,
+};
+use std::fmt::Write as _;
+use std::path::PathBuf;
+use std::sync::Arc;
+
+/// The step budget `calm simulate` gives every engine.
+const STEP_BUDGET: usize = 5_000_000;
+
+/// Which execution engine `calm simulate` drives.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub enum Engine {
+    /// The sequential simulator (round-robin scheduler) — the default.
+    #[default]
+    Sequential,
+    /// The threaded executor (`calm-net`): nodes sharded over worker
+    /// threads, termination detected by the Safra ring. `workers: 0`
+    /// picks `min(available cores, nodes)`.
+    Threaded {
+        /// Worker threads (0 = auto).
+        workers: usize,
+        /// Fault plan (`--faults SPEC`): run the network through the
+        /// fault-injection + reliable-delivery substrate.
+        faults: Option<FaultPlan>,
+    },
+    /// The process engine (`calm-net` transport): `procs` OS worker
+    /// processes connected to a coordinator over loopback TCP, the
+    /// Safra token ring passing across process boundaries. `procs: 0`
+    /// picks `min(available cores, nodes)`.
+    Process {
+        /// Worker processes (0 = auto). Clamped to the node count.
+        procs: usize,
+        /// Fault plan spec (`--faults SPEC`), validated at parse time
+        /// and shipped verbatim to every worker in the job hand-off
+        /// (each worker seeds its own wires from it, exactly like the
+        /// threaded engine's per-worker substrate).
+        faults: Option<String>,
+        /// Respawns allowed per worker before its shard is adopted by
+        /// survivors (`--respawn-budget N`). `None` picks the default:
+        /// supervised (budget 3) when the fault plan schedules process
+        /// kills (`pkill(...)`), unsupervised (budget 0 — a death
+        /// aborts the run) otherwise.
+        respawn_budget: Option<u32>,
+    },
+}
+
+/// A strategy instance with the policy and system configuration it
+/// expects: the three things `simulate` needs to build a network.
+type StrategyTriple = (
+    Box<dyn Transducer>,
+    Box<dyn DistributionPolicy>,
+    SystemConfig,
+);
+
+/// Build the strategy/policy/system-config triple for a strategy name.
+/// `eval_threads` data-parallel workers run inside every node-local
+/// fixpoint of the strategy's query (1 = sequential).
+fn build_strategy(
+    program: &Program,
+    strategy: &str,
+    nodes: usize,
+    eval_threads: usize,
+) -> Result<StrategyTriple, CliError> {
+    let q = DatalogQuery::new("query", program.clone())
+        .map_err(|e| err(e.to_string()))?
+        .with_eval_threads(eval_threads);
+    let net = Network::of_size(nodes);
+    Ok(match strategy {
+        "monotone" | "broadcast" => (
+            Box::new(MonotoneBroadcast::new(Box::new(q))) as Box<dyn Transducer>,
+            Box::new(HashPolicy::new(net)) as Box<dyn DistributionPolicy>,
+            SystemConfig::ORIGINAL,
+        ),
+        "distinct" => (
+            Box::new(DistinctStrategy::new(Box::new(q))),
+            Box::new(HashPolicy::new(net)),
+            SystemConfig::POLICY_AWARE,
+        ),
+        "disjoint" => (
+            Box::new(DisjointStrategy::new(Box::new(q))),
+            Box::new(DomainGuidedPolicy::new(net)),
+            SystemConfig::POLICY_AWARE,
+        ),
+        other => {
+            return Err(err(format!(
+                "unknown strategy '{other}' (expected monotone|distinct|disjoint)"
+            )))
+        }
+    })
+}
+
+/// One `calm simulate` invocation, parsed once: what every engine runs.
+struct Job<'a> {
+    /// The sources, which the process engine ships to its workers.
+    program_src: &'a str,
+    facts_src: &'a str,
+    program: &'a Program,
+    input: &'a Instance,
+    nodes: usize,
+    strategy: &'a str,
+    eval_threads: usize,
+    transducer: &'a dyn Transducer,
+    policy: &'a dyn DistributionPolicy,
+    config: SystemConfig,
+}
+
+/// What a run comes out as, whichever engine made it: the engine's own
+/// `%` header lines, then `out(R)`, the merged counters and quiescence.
+struct EngineRun {
+    header: String,
+    output: Instance,
+    metrics: Metrics,
+    quiescent: bool,
+}
+
+/// A worker count of 0 means one per core, at most one per node.
+fn or_one_per_core(n: usize, nodes: usize) -> usize {
+    if n > 0 {
+        return n;
+    }
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    cores.min(nodes)
+}
+
+/// The header lines both network engines print after their `% engine:`
+/// line: the non-zero fault counters (under `--faults`) and every
+/// worker's step count with the ring's total token passes.
+fn net_header(out: &mut String, faulted: bool, faults: &FaultStats, per_worker: &[WorkerStats]) {
+    if faulted {
+        let _ = writeln!(out, "% fault stats:{}", nonzero(faults.as_pairs()));
+    }
+    let steps: String = per_worker
+        .iter()
+        .map(|w| format!(" {}", w.metrics.transitions))
+        .collect();
+    let token_passes: u64 = per_worker.iter().map(|w| w.token_passes).sum();
+    let _ = writeln!(
+        out,
+        "% per-worker steps:{steps}, token passes: {token_passes}"
+    );
+}
+
+/// ` label=n` for every non-zero counter.
+fn nonzero(pairs: impl IntoIterator<Item = (&'static str, u64)>) -> String {
+    pairs
+        .into_iter()
+        .filter(|(_, n)| *n > 0)
+        .map(|(label, n)| format!(" {label}={n}"))
+        .collect()
+}
+
+fn run_sequential(job: &Job<'_>, obs: &Obs) -> EngineRun {
+    let tn = TransducerNetwork {
+        transducer: job.transducer,
+        policy: job.policy,
+        config: job.config,
+    };
+    // `run` is `run_with` compiled against a constant no-op `Obs`: an
+    // unobserved run is 2–3 % faster through it (CHANGES.md, PR 15).
+    let r = if obs.enabled() {
+        run_with(&tn, job.input, &Scheduler::RoundRobin, STEP_BUDGET, obs)
+    } else {
+        run(&tn, job.input, &Scheduler::RoundRobin, STEP_BUDGET)
+    };
+    EngineRun {
+        header: String::new(),
+        output: r.output,
+        metrics: r.metrics,
+        quiescent: r.quiescent,
+    }
+}
+
+fn run_threaded(job: &Job<'_>, workers: usize, faults: Option<FaultPlan>, obs: &Obs) -> EngineRun {
+    let workers = or_one_per_core(workers, job.nodes);
+    // Each worker gets its own transducer instance (own interner and
+    // scratch database) so steps never contend on a shared evaluation
+    // context.
+    let factory = || {
+        build_strategy(job.program, job.strategy, job.nodes, job.eval_threads)
+            .expect("strategy built once already")
+            .0
+    };
+    let tn = ThreadedNetwork {
+        programs: Programs::PerWorker(&factory),
+        policy: job.policy,
+        config: job.config,
+    };
+    let faulted = faults.is_some();
+    let mut tcfg = ThreadedConfig::new(workers);
+    tcfg.faults = faults;
+    let r = run_threaded_with(&tn, job.input, &tcfg, obs);
+    let mut header = format!("% engine: threaded, workers: {workers}\n");
+    net_header(&mut header, faulted, &r.faults, &r.per_worker);
+    EngineRun {
+        header,
+        output: r.output,
+        metrics: r.metrics,
+        quiescent: r.quiescent,
+    }
+}
+
+/// The process engine's header: engine line, the supervisor's work (if
+/// it did any), then the lines shared with the threaded engine.
+fn process_header(procs: usize, faulted: bool, r: &ProcessRunResult) -> String {
+    let mut header = format!("% engine: process, procs: {procs}\n");
+    if r.respawns > 0 || !r.adopted_workers.is_empty() {
+        let adopted: Vec<String> = r.adopted_workers.iter().map(|k| k.to_string()).collect();
+        let _ = writeln!(
+            header,
+            "% supervision: respawns: {}, adopted worker(s):{}{}",
+            r.respawns,
+            if adopted.is_empty() { " none" } else { " " },
+            adopted.join(", ")
+        );
+    }
+    net_header(&mut header, faulted, &r.faults, &r.per_worker);
+    header
+}
+
+fn run_processes(
+    job: &Job<'_>,
+    procs: usize,
+    faults: Option<String>,
+    respawn_budget: Option<u32>,
+    obs_opts: &ObsOptions,
+    obs: &Obs,
+) -> Result<EngineRun, CliError> {
+    let procs = or_one_per_core(procs, job.nodes).clamp(1, job.nodes);
+    let faulted = faults.is_some();
+    // Supervision default: a fault plan that schedules process kills
+    // gets a respawn budget (the run is *expected* to recover);
+    // anything else keeps the abort-on-death semantics unless
+    // --respawn-budget says otherwise.
+    let has_pkills = faults
+        .as_deref()
+        .and_then(|s| FaultPlan::parse(s).ok())
+        .is_some_and(|p| !p.pkills.is_empty());
+    let budget = respawn_budget.unwrap_or(if has_pkills { 3 } else { 0 });
+    let path = |p: &Option<PathBuf>| p.as_ref().map(|p| p.display().to_string());
+    let spec = JobSpec {
+        program: job.program_src.to_string(),
+        facts: job.facts_src.to_string(),
+        strategy: job.strategy.to_string(),
+        nodes: job.nodes,
+        eval_threads: job.eval_threads,
+        step_budget: STEP_BUDGET,
+        faults,
+        // Base paths; the coordinator suffixes them per worker
+        // (PREFIX.workerK) so concurrent writers never share a file.
+        // The coordinator's own sinks keep the base path.
+        trace_prefix: path(&obs_opts.trace_out),
+        flight_path: path(&obs_opts.flight_recorder),
+    };
+    let exe = std::env::current_exe()
+        .map_err(|e| err(format!("cannot locate the calm binary to spawn: {e}")))?;
+    let spawner = move |k: usize, addr: &str| -> Result<SpawnHandle, String> {
+        std::process::Command::new(&exe)
+            .args(["net-worker", "--connect", addr, "--worker", &k.to_string()])
+            .spawn()
+            .map(SpawnHandle::Process)
+            .map_err(|e| e.to_string())
+    };
+    let cfg = ProcessConfig::new(procs, spec).with_respawn_budget(budget);
+    let r = run_process(&cfg, &spawner, obs).map_err(|e| err(format!("process engine: {e}")))?;
+    if !r.failed_workers.is_empty() {
+        // A lost worker forfeits quiescence; the survivors' states were
+        // still collected and the flight recorder (if attached) has
+        // already dumped. Exit nonzero rather than pretending the run
+        // converged.
+        let failed: Vec<String> = r.failed_workers.iter().map(|k| k.to_string()).collect();
+        return Err(err(format!(
+            "process engine: worker(s) {} died mid-run; run is not quiescent",
+            failed.join(", ")
+        )));
+    }
+    // The transport is program-agnostic: project out(R) from the
+    // collected final states, as the threaded join does.
+    let out_schema = &job.transducer.schema().output;
+    let mut output = Instance::new();
+    for state in r.states.values() {
+        output.extend(state.restrict(out_schema).facts());
+    }
+    Ok(EngineRun {
+        header: process_header(procs, faulted, &r),
+        output,
+        metrics: r.metrics,
+        quiescent: r.quiescent,
+    })
+}
+
+/// The lines every engine's run ends with: quiescence, the flow
+/// counters and the per-class message counts.
+fn summary_lines(out: &mut String, metrics: &Metrics, quiescent: bool) {
+    let _ = writeln!(out, "% quiescent: {quiescent}");
+    let _ = writeln!(
+        out,
+        "% transitions: {}, messages sent: {}, delivered: {}",
+        metrics.transitions, metrics.messages_sent, metrics.messages_delivered
+    );
+    if metrics.by_class.total() > 0 {
+        let _ = writeln!(
+            out,
+            "% message classes:{}, max queue depth: {}",
+            nonzero(
+                metrics
+                    .by_class
+                    .as_pairs()
+                    .map(|(label, n)| (label, n as u64))
+            ),
+            metrics.max_queue_depth()
+        );
+    }
+}
+
+/// `calm simulate`: run the program through a coordination-free
+/// strategy on a network of `nodes` nodes and report output + run
+/// metrics. `trace` prints the per-transition event log before the
+/// output (`--trace`), `obs_opts` selects trace artifacts and the run
+/// report, `engine` the execution engine, and every node-local fixpoint
+/// runs with `eval_threads` data-parallel workers (`--eval-threads N`;
+/// the threaded engine then runs `workers × eval_threads` threads in
+/// total). Output is byte-identical for any engine and thread count.
+#[allow(clippy::too_many_arguments)]
+pub fn cmd_simulate_run(
+    program_src: &str,
+    facts_src: &str,
+    nodes: usize,
+    strategy: &str,
+    trace: bool,
+    obs_opts: &ObsOptions,
+    engine: Engine,
+    eval_threads: usize,
+) -> Result<String, CliError> {
+    let input = load_facts(facts_src)?;
+    if nodes == 0 {
+        return Err(err("--nodes must be at least 1"));
+    }
+    let eval_threads = eval_threads.max(1);
+    let program = load_program(program_src)?;
+    let (transducer, policy, config) = build_strategy(&program, strategy, nodes, eval_threads)?;
+    let job = Job {
+        program_src,
+        facts_src,
+        program: &program,
+        input: &input,
+        nodes,
+        strategy,
+        eval_threads,
+        transducer: transducer.as_ref(),
+        policy: policy.as_ref(),
+        config,
+    };
+    let mut out = String::new();
+    if obs_opts.dump_plan {
+        out.push_str(&render_plan(&program)?);
+    }
+    if eval_threads > 1 {
+        let _ = writeln!(out, "% eval threads: {eval_threads}");
+    }
+    let trace_sink = trace.then(|| Arc::new(TraceSink::new()));
+    let extra = trace_sink
+        .iter()
+        .map(|s| Arc::clone(s) as Arc<dyn Sink>)
+        .collect();
+    let (obs, report) = build_obs(obs_opts, extra)?;
+
+    let run = match engine {
+        Engine::Sequential => Ok(run_sequential(&job, &obs)),
+        Engine::Threaded { workers, faults } => Ok(run_threaded(&job, workers, faults, &obs)),
+        Engine::Process {
+            procs,
+            faults,
+            respawn_budget,
+        } => run_processes(&job, procs, faults, respawn_budget, obs_opts, &obs),
+    };
+    obs.finish();
+    let run = run?;
+    out.push_str(&run.header);
+    if let Some(sink) = trace_sink {
+        let log = sink.take_trace();
+        let _ = writeln!(out, "% trace ({} transitions):", log.events.len());
+        out.push_str(&log.render());
+    }
+    if let Some(r) = report {
+        out.push_str(&r.render());
+    }
+    summary_lines(&mut out, &run.metrics, run.quiescent);
+    // Compare against the centralized answer.
+    let q = DatalogQuery::new("query", program.clone()).map_err(|e| err(e.to_string()))?;
+    let matches = run.output == expected_output(&q, &input);
+    let _ = writeln!(out, "% matches centralized evaluation: {matches}");
+    out.push_str(&render_instance(&run.output));
+    Ok(out)
+}
+
+/// The hidden `calm net-worker` entry point: the worker half of the
+/// process engine. The coordinator spawns `calm net-worker --connect
+/// ADDR --worker K` for each shard; the worker connects, handshakes,
+/// receives its job (program + facts + strategy by value in the
+/// `Assign` frame), and runs the shared executor loop over the socket.
+/// Everything it needs arrives over the wire — no files, no flags
+/// beyond the rendezvous address and its index.
+///
+/// Test hook: when `CALM_NET_WORKER_DIE` names this worker's index the
+/// process exits with status 3 right after the handshake — the CLI and
+/// CI kill-tests use it to assert that a dead worker yields a
+/// non-quiescent coordinator exit (with a flight-recorder dump) rather
+/// than a hang.
+pub fn cmd_net_worker(addr: &str, worker: usize) -> Result<String, CliError> {
+    let builder = move |assign: &Assign| -> Result<WorkerSetup, String> {
+        let spec = &assign.spec;
+        let program = load_program(&spec.program).map_err(|e| e.0)?;
+        let eval_threads = spec.eval_threads.max(1);
+        let (transducer, policy, config) =
+            build_strategy(&program, &spec.strategy, spec.nodes, eval_threads).map_err(|e| e.0)?;
+        let input = load_facts(&spec.facts).map_err(|e| e.0)?;
+        // The coordinator already suffixed these paths per worker
+        // (PREFIX.workerK), so this worker's sinks own their files.
+        let opts = ObsOptions {
+            trace_out: spec.trace_prefix.as_ref().map(PathBuf::from),
+            flight_recorder: spec.flight_path.as_ref().map(PathBuf::from),
+            metrics: false,
+            dump_plan: false,
+        };
+        let (obs, _) = build_obs(&opts, Vec::new()).map_err(|e| e.0)?;
+        if std::env::var("CALM_NET_WORKER_DIE")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            == Some(assign.worker)
+        {
+            // Die *after* the sinks exist, and flush them first: the
+            // post-mortem contract is that even a killed worker leaves
+            // well-formed JSONL behind (trace + flight dump), never a
+            // torn line.
+            let worker = assign.worker as u64;
+            obs.event("net", "worker_die", assign.worker as u32 + 1, || {
+                vec![("worker", calm_obs::ArgValue::U64(worker))]
+            });
+            obs.finish();
+            std::process::exit(3);
+        }
+        Ok(WorkerSetup {
+            transducer,
+            policy,
+            config,
+            input,
+            obs,
+        })
+    };
+    run_net_worker(addr, worker, &builder).map_err(err)?;
+    Ok(String::new())
+}
+
+/// The numeric value of `flag`, if it was given.
+fn number<T: std::str::FromStr>(flag: &str, value: Option<&str>) -> Result<Option<T>, CliError> {
+    value
+        .map(|v| {
+            v.parse()
+                .map_err(|_| err(format!("{flag} must be a number")))
+        })
+        .transpose()
+}
+
+/// Parse `--engine` / `--workers` / `--procs` / `--faults` /
+/// `--respawn-budget` values into an [`Engine`].
+pub fn parse_engine(
+    engine: Option<&str>,
+    workers: Option<&str>,
+    procs: Option<&str>,
+    faults: Option<&str>,
+    respawn_budget: Option<&str>,
+) -> Result<Engine, CliError> {
+    let workers_n: usize = number("--workers", workers)?.unwrap_or(0);
+    let procs_n: usize = number("--procs", procs)?.unwrap_or(0);
+    let budget: Option<u32> = number("--respawn-budget", respawn_budget)?;
+    // Validate the fault spec up front for every engine; only the
+    // threaded engine keeps the parsed plan (the process engine ships
+    // the raw spec to its workers, which parse it themselves).
+    let plan = faults
+        .map(|spec| FaultPlan::parse(spec).map_err(|e| err(format!("--faults: {e}"))))
+        .transpose()?;
+    if respawn_budget.is_some() && engine != Some("process") {
+        return Err(err("--respawn-budget requires --engine process"));
+    }
+    match engine.unwrap_or("sequential") {
+        "sequential" => {
+            if workers_n != 0 {
+                return Err(err("--workers requires --engine threaded"));
+            }
+            if procs.is_some() {
+                return Err(err("--procs requires --engine process"));
+            }
+            if plan.is_some() {
+                return Err(err("--faults requires --engine threaded or process"));
+            }
+            Ok(Engine::Sequential)
+        }
+        "threaded" => {
+            if procs.is_some() {
+                return Err(err("--procs requires --engine process"));
+            }
+            if plan.as_ref().is_some_and(|p| !p.pkills.is_empty()) {
+                return Err(err(
+                    "--faults: pkill(...) schedules a process kill and requires --engine process",
+                ));
+            }
+            Ok(Engine::Threaded {
+                workers: workers_n,
+                faults: plan,
+            })
+        }
+        "process" => {
+            if workers.is_some() {
+                return Err(err(
+                    "--workers requires --engine threaded (use --procs with --engine process)",
+                ));
+            }
+            Ok(Engine::Process {
+                procs: procs_n,
+                faults: faults.map(String::from),
+                respawn_budget: budget,
+            })
+        }
+        other => Err(err(format!(
+            "unknown engine '{other}' (expected sequential|threaded|process)"
+        ))),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const TC: &str = include_str!("../../../examples/data/tc.dl");
+    const GRAPH: &str = include_str!("../../../examples/data/graph.facts");
+
+    fn simulate(strategy: &str, engine: Engine) -> String {
+        let opts = ObsOptions::default();
+        cmd_simulate_run(TC, GRAPH, 3, strategy, false, &opts, engine, 1).unwrap()
+    }
+
+    #[test]
+    fn sequential_stdout_is_exact_for_every_strategy() {
+        // `calm simulate examples/data/tc.dl examples/data/graph.facts
+        // --nodes 3 --strategy S`, every byte of it.
+        let facts = "out_T(1,2).\nout_T(1,3).\nout_T(2,3).\nout_T(4,5).\n";
+        for (strategy, counters) in [
+            (
+                "monotone",
+                "% transitions: 6, messages sent: 18, delivered: 18\n\
+                 % message classes: fact=18, max queue depth: 6\n",
+            ),
+            (
+                "distinct",
+                "% transitions: 9, messages sent: 384, delivered: 384\n\
+                 % message classes: fact=18 absence=366, max queue depth: 111\n",
+            ),
+            (
+                "disjoint",
+                "% transitions: 12, messages sent: 104, delivered: 104\n\
+                 % message classes: fact=8 value=14 request=32 ok=32 ack=18, \
+                 max queue depth: 23\n",
+            ),
+        ] {
+            let expected = format!(
+                "% quiescent: true\n{counters}% matches centralized evaluation: true\n{facts}"
+            );
+            assert_eq!(
+                simulate(strategy, Engine::Sequential),
+                expected,
+                "{strategy}"
+            );
+        }
+    }
+
+    /// `line` is `prefix` followed by `count` space-separated numbers.
+    fn is_numbers_after(line: &str, prefix: &str, count: usize) -> bool {
+        line.strip_prefix(prefix).is_some_and(|rest| {
+            let words: Vec<&str> = rest.split(' ').collect();
+            words.len() == count && words.iter().all(|w| w.parse::<u64>().is_ok())
+        })
+    }
+
+    #[test]
+    fn threaded_header_lines_have_their_shape() {
+        let engine = Engine::Threaded {
+            workers: 2,
+            faults: Some(FaultPlan::parse("seed=7,drop=0.05").unwrap()),
+        };
+        let out = simulate("monotone", engine);
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines[0], "% engine: threaded, workers: 2", "{out}");
+        // Counters are ` label=n` words, attempts first, zeros left out.
+        let stats = lines[1].strip_prefix("% fault stats: ").expect(lines[1]);
+        assert!(stats.starts_with("attempts="), "{out}");
+        for word in stats.split(' ') {
+            let (label, n) = word.split_once('=').expect(word);
+            assert!(!label.is_empty() && n.parse::<u64>().unwrap() > 0, "{out}");
+        }
+        let (steps, passes) = lines[2].split_once(", ").expect(lines[2]);
+        assert!(is_numbers_after(steps, "% per-worker steps: ", 2), "{out}");
+        assert!(is_numbers_after(passes, "token passes: ", 1), "{out}");
+        assert_eq!(lines[3], "% quiescent: true", "{out}");
+        // No supervisor, no supervision line; no plan, no stats line.
+        assert!(!out.contains("% supervision"), "{out}");
+        let clean = simulate(
+            "monotone",
+            Engine::Threaded {
+                workers: 2,
+                faults: None,
+            },
+        );
+        assert!(clean
+            .lines()
+            .nth(1)
+            .unwrap()
+            .starts_with("% per-worker steps: "));
+    }
+
+    #[test]
+    fn process_header_lines_have_their_shape() {
+        let worker = |k: usize, transitions: usize, token_passes: u64| {
+            let mut w = WorkerStats {
+                worker: k,
+                token_passes,
+                ..WorkerStats::default()
+            };
+            w.metrics.transitions = transitions;
+            w
+        };
+        let mut r = ProcessRunResult {
+            states: Default::default(),
+            metrics: Metrics::default(),
+            per_worker: vec![worker(0, 34, 3), worker(1, 21, 1)],
+            quiescent: true,
+            failed_workers: Vec::new(),
+            adopted_workers: Vec::new(),
+            respawns: 0,
+            faults: FaultStats {
+                attempts: 97,
+                dropped: 7,
+                crashes: 1,
+                ..FaultStats::default()
+            },
+            link_counters: Default::default(),
+            wire_bytes: 1670,
+        };
+        assert_eq!(
+            process_header(2, false, &r),
+            "% engine: process, procs: 2\n% per-worker steps: 34 21, token passes: 4\n"
+        );
+        r.respawns = 1;
+        assert_eq!(
+            process_header(2, true, &r),
+            "% engine: process, procs: 2\n\
+             % supervision: respawns: 1, adopted worker(s): none\n\
+             % fault stats: attempts=97 dropped=7 crashes=1\n\
+             % per-worker steps: 34 21, token passes: 4\n"
+        );
+        r.adopted_workers = vec![1, 3];
+        assert!(process_header(4, false, &r)
+            .contains("% supervision: respawns: 1, adopted worker(s): 1, 3\n"));
+    }
+}

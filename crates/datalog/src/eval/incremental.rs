@@ -82,7 +82,8 @@
 use super::compile::{CompiledAtom, CompiledRule, RulePaths};
 use super::database::Database;
 use super::join::{instantiate, Derived, Join, View};
-use super::seminaive::{fixpoint_seminaive_full, CompiledProgram};
+use super::seminaive::CompiledProgram;
+use super::stratified::fixpoint_strata;
 use calm_common::storage::{RelId, Relation, Storage, Sym, SymTuple};
 use calm_common::update::UpdateBatch;
 use calm_obs::Obs;
@@ -445,10 +446,8 @@ fn reevaluate(strata: &[CompiledProgram], db: &mut Database, obs: &Obs) -> usize
             db.storage_mut().clear_relation(rule.head.relation);
         }
     }
-    strata
-        .iter()
-        .map(|cp| fixpoint_seminaive_full(cp, db, None, obs).derivations)
-        .sum()
+    let stats = fixpoint_strata(strata, db, obs, false);
+    stats.iter().map(|m| m.derivations).sum()
 }
 
 /// Apply a signed [`UpdateBatch`] to a materialized stratified

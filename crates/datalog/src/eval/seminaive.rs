@@ -232,11 +232,6 @@ impl CompiledProgram {
         }
     }
 
-    /// The span label of rule `i` (`<head-relation>#<rule-index>`).
-    pub fn rule_label(&self, i: usize) -> &str {
-        &self.labels[i]
-    }
-
     /// What the kernel will run, one line per path: for every rule its
     /// round-0 body path, then one line per delta seed (`R[delta]`
     /// first); each atom is tagged `probe@c`, `lookup` or `scan`.

@@ -41,54 +41,26 @@ pub fn eval_program_with(
     engine: Engine,
 ) -> Result<(Instance, Vec<EvalMetrics>), NotStratifiable> {
     let strat = stratify(p)?;
-    Ok(eval_stratification(&strat, input, engine))
-}
-
-/// Evaluate an existing stratification (avoids recomputing it per call —
-/// used by [`crate::query::DatalogQuery`]).
-pub fn eval_stratification(
-    strat: &Stratification,
-    input: &Instance,
-    engine: Engine,
-) -> (Instance, Vec<EvalMetrics>) {
-    eval_stratification_shared(
-        strat,
+    let symbols = calm_common::storage::SharedSymbols::new();
+    Ok(eval_stratification_opts(
+        &strat,
         input,
         engine,
-        calm_common::storage::SharedSymbols::new(),
-    )
+        symbols,
+        &Obs::noop(),
+        1,
+    ))
 }
 
-/// As [`eval_stratification`], interning into an existing shared symbol
-/// table. Callers that evaluate the same program many times (e.g. the
-/// monotonicity falsifiers via [`crate::query::DatalogQuery`]) reuse one
-/// table so rule constants and recurring domain values are interned once.
-pub fn eval_stratification_shared(
-    strat: &Stratification,
-    input: &Instance,
-    engine: Engine,
-    symbols: calm_common::storage::SharedSymbols,
-) -> (Instance, Vec<EvalMetrics>) {
-    eval_stratification_shared_obs(strat, input, engine, symbols, &Obs::noop())
-}
-
-/// As [`eval_stratification_shared`], reporting per-stratum spans (and,
-/// through the semi-naive engine, per-iteration/per-rule spans and
-/// derivation counters) to `obs`.
-pub fn eval_stratification_shared_obs(
-    strat: &Stratification,
-    input: &Instance,
-    engine: Engine,
-    symbols: calm_common::storage::SharedSymbols,
-    obs: &Obs,
-) -> (Instance, Vec<EvalMetrics>) {
-    eval_stratification_opts(strat, input, engine, symbols, obs, 1)
-}
-
-/// As [`eval_stratification_shared_obs`], with `eval_threads`
-/// data-parallel workers inside every semi-naive stratum fixpoint
-/// (`1` = sequential; the output and per-stratum stats are
-/// byte-identical either way). [`Engine::Naive`] ignores the knob.
+/// Evaluate an existing stratification (avoids recomputing it per call),
+/// interning into `symbols` — callers that evaluate the same program
+/// many times reuse one table so rule constants and recurring domain
+/// values are interned once. Reports per-stratum spans (and, through the
+/// semi-naive engine, per-iteration/per-rule spans and derivation
+/// counters) to `obs`, and runs `eval_threads` data-parallel workers
+/// inside every semi-naive stratum fixpoint (`1` = sequential; the
+/// output and per-stratum stats are byte-identical either way).
+/// [`Engine::Naive`] ignores the knob.
 pub fn eval_stratification_opts(
     strat: &Stratification,
     input: &Instance,
@@ -99,6 +71,47 @@ pub fn eval_stratification_opts(
 ) -> (Instance, Vec<EvalMetrics>) {
     let (db, stats) = run_strata(strat, input, engine, symbols, obs, eval_threads);
     (db.to_instance(), stats)
+}
+
+/// Compile every stratum of `strat` against `symbols`; `None` for
+/// [`Engine::Naive`], which evaluates the uncompiled rules.
+pub(crate) fn precompile(
+    strat: &Stratification,
+    symbols: &calm_common::storage::SharedSymbols,
+    engine: Engine,
+) -> Option<Vec<CompiledProgram>> {
+    let options = match engine {
+        Engine::SemiNaive => EvalOptions::default(),
+        Engine::SemiNaiveBaseline => EvalOptions::BASELINE,
+        Engine::Naive => return None,
+    };
+    let mut table = symbols.write();
+    Some(
+        strat
+            .strata
+            .iter()
+            .map(|stratum| CompiledProgram::new(stratum, &mut table, options))
+            .collect(),
+    )
+}
+
+/// Run every compiled stratum's fixpoint over `db`, lowest stratum
+/// first: the one loop under evaluation, the query object's `eval` and
+/// `open`, and the maintenance fallback. `spans` wraps each fixpoint in
+/// an `eval/stratum#i` span — evaluation reports them; the fallback
+/// (already inside a `maintenance_fallback#k` span) does not.
+pub(crate) fn fixpoint_strata(
+    strata: &[CompiledProgram],
+    db: &mut Database,
+    obs: &Obs,
+    spans: bool,
+) -> Vec<EvalMetrics> {
+    let mut stats = Vec::with_capacity(strata.len());
+    for (i, cp) in strata.iter().enumerate() {
+        let _span = spans.then(|| obs.span("eval", || format!("stratum#{i}")));
+        stats.push(fixpoint_seminaive_full(cp, db, None, obs));
+    }
+    stats
 }
 
 /// Load `input` and run every stratum's fixpoint over it; the caller
@@ -112,24 +125,23 @@ fn run_strata(
     eval_threads: usize,
 ) -> (Database, Vec<EvalMetrics>) {
     let mut db = Database::from_instance_with(input, symbols);
-    let mut stats = Vec::with_capacity(strat.len());
-    for (i, stratum) in strat.strata.iter().enumerate() {
-        let _span = obs.span("eval", || format!("stratum#{i}"));
-        let options = match engine {
-            Engine::SemiNaive => EvalOptions::default(),
-            Engine::SemiNaiveBaseline => EvalOptions::BASELINE,
-            Engine::Naive => {
-                stats.push(fixpoint_naive(stratum, &mut db));
-                continue;
+    let stats = match precompile(strat, db.symbols(), engine) {
+        Some(mut strata) => {
+            for cp in &mut strata {
+                cp.set_eval_threads(eval_threads);
             }
-        };
-        let cp = CompiledProgram::new(
-            stratum,
-            &mut db.symbols().clone().write(),
-            options.with_eval_threads(eval_threads),
-        );
-        stats.push(fixpoint_seminaive_full(&cp, &mut db, None, obs));
-    }
+            fixpoint_strata(&strata, &mut db, obs, true)
+        }
+        None => strat
+            .strata
+            .iter()
+            .enumerate()
+            .map(|(i, stratum)| {
+                let _span = obs.span("eval", || format!("stratum#{i}"));
+                fixpoint_naive(stratum, &mut db)
+            })
+            .collect(),
+    };
     (db, stats)
 }
 
@@ -182,21 +194,9 @@ pub fn eval_query(p: &Program, input: &Instance) -> Result<Instance, NotStratifi
     eval_query_opts(p, input, &Obs::noop(), 1)
 }
 
-/// As [`eval_query`], reporting spans and counters to `obs`.
-///
-/// # Errors
-/// Returns [`NotStratifiable`] for programs with a negative cycle.
-pub fn eval_query_obs(
-    p: &Program,
-    input: &Instance,
-    obs: &Obs,
-) -> Result<Instance, NotStratifiable> {
-    eval_query_opts(p, input, obs, 1)
-}
-
-/// As [`eval_query_obs`], with `eval_threads` data-parallel workers
-/// inside every stratum fixpoint (the answer is identical for any
-/// thread count).
+/// As [`eval_query`], reporting spans and counters to `obs`, with
+/// `eval_threads` data-parallel workers inside every stratum fixpoint
+/// (the answer is identical for any thread count).
 ///
 /// # Errors
 /// Returns [`NotStratifiable`] for programs with a negative cycle.
@@ -335,7 +335,7 @@ mod tests {
         let plain = eval_query(&p, &input).unwrap();
         let sink = std::sync::Arc::new(calm_obs::ReportSink::new());
         let obs = Obs::new(sink.clone());
-        let traced = eval_query_obs(&p, &input, &obs).unwrap();
+        let traced = eval_query_opts(&p, &input, &obs, 1).unwrap();
         assert_eq!(plain, traced, "instrumentation must not change results");
         assert!(sink.counter_total("eval", "derivations") > 0);
         assert!(sink.counter_total("eval", "iterations") > 0);

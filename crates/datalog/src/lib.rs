@@ -30,13 +30,13 @@ pub mod wellfounded;
 
 pub use ast::{Atom, Rule, Term, Var};
 pub use eval::{apply_update_compiled, MaintenancePlan, UpdateStats};
-pub use eval::{eval_program, eval_query, eval_query_obs, eval_query_opts, plan_report, Engine};
+pub use eval::{eval_program, eval_query, eval_query_opts, plan_report, Engine};
 pub use fragment::{classify, is_rule_connected, FragmentReport};
 pub use parser::{parse_facts, parse_program, parse_rule, parse_updates};
 pub use program::{Program, ProgramError};
 pub use query::{DatalogQuery, IncrementalEvaluation};
 pub use stratify::{is_stratifiable, stratify, Stratification};
 pub use wellfounded::{
-    well_founded_model, well_founded_model_obs, well_founded_model_opts, WellFoundedModel,
-    WellFoundedQuery, WellFoundedSession,
+    well_founded_model, well_founded_model_opts, WellFoundedModel, WellFoundedQuery,
+    WellFoundedSession,
 };

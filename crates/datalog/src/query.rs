@@ -3,8 +3,8 @@
 
 use crate::eval::database::Database;
 use crate::eval::incremental::{apply_update_compiled, MaintenancePlan, UpdateStats};
-use crate::eval::seminaive::{fixpoint_seminaive_compiled, CompiledProgram, EvalOptions};
-use crate::eval::stratified::{eval_stratification_shared, Engine};
+use crate::eval::seminaive::CompiledProgram;
+use crate::eval::stratified::{eval_stratification_opts, fixpoint_strata, precompile, Engine};
 use crate::program::Program;
 use crate::stratify::{stratify, NotStratifiable, Stratification};
 use calm_common::fact::Fact;
@@ -37,26 +37,6 @@ pub struct DatalogQuery {
     /// One compiled program per stratum; `None` for [`Engine::Naive`],
     /// which falls back to the uncompiled ablation path.
     compiled: Option<Vec<CompiledProgram>>,
-}
-
-fn precompile(
-    strat: &Stratification,
-    symbols: &SharedSymbols,
-    engine: Engine,
-) -> Option<Vec<CompiledProgram>> {
-    let options = match engine {
-        Engine::SemiNaive => EvalOptions::default(),
-        Engine::SemiNaiveBaseline => EvalOptions::BASELINE,
-        Engine::Naive => return None,
-    };
-    let mut table = symbols.write();
-    Some(
-        strat
-            .strata
-            .iter()
-            .map(|stratum| CompiledProgram::new(stratum, &mut table, options))
-            .collect(),
-    )
 }
 
 impl DatalogQuery {
@@ -152,9 +132,7 @@ impl DatalogQuery {
         };
         let mut db = Database::from_instance_with(&restricted, self.symbols.clone());
         let strata = owned.as_deref().or(self.compiled.as_deref()).unwrap();
-        for cp in strata {
-            fixpoint_seminaive_compiled(cp, &mut db);
-        }
+        fixpoint_strata(strata, &mut db, &Obs::noop(), false);
         MaintenancePlan::new(strata).prepare(&mut db);
         IncrementalEvaluation {
             query: self,
@@ -245,19 +223,19 @@ impl Query for DatalogQuery {
         match &self.compiled {
             Some(strata) => {
                 let mut db = Database::from_instance_with(&restricted, self.symbols.clone());
-                for cp in strata {
-                    fixpoint_seminaive_compiled(cp, &mut db);
-                }
+                fixpoint_strata(strata, &mut db, &Obs::noop(), false);
                 // Unintern only the output relations — everything else
                 // would be dropped by the restriction anyway.
                 db.to_instance_restricted(&self.output_schema)
             }
             None => {
-                let (full, _) = eval_stratification_shared(
+                let (full, _) = eval_stratification_opts(
                     &self.stratification,
                     &restricted,
                     self.engine,
                     self.symbols.clone(),
+                    &Obs::noop(),
+                    1,
                 );
                 full.restrict(&self.output_schema)
             }

@@ -91,18 +91,13 @@ fn gamma(cp: &CompiledProgram, input: &Instance, k: &Database, obs: &Obs) -> Dat
 /// assert_eq!(model.truth(&fact("win", [8])), None);        // drawn
 /// ```
 pub fn well_founded_model(p: &Program, input: &Instance) -> WellFoundedModel {
-    well_founded_model_obs(p, input, &Obs::noop())
+    well_founded_model_opts(p, input, EvalOptions::default(), &Obs::noop())
 }
 
 /// As [`well_founded_model`], reporting one span per `Γ` application
 /// (labelled over/under by alternation side) plus a final
-/// `gamma_applications` counter to `obs`.
-pub fn well_founded_model_obs(p: &Program, input: &Instance, obs: &Obs) -> WellFoundedModel {
-    well_founded_model_opts(p, input, EvalOptions::default(), obs)
-}
-
-/// As [`well_founded_model_obs`], with explicit [`EvalOptions`] — the
-/// entry point for data-parallel `Γ` applications
+/// `gamma_applications` counter to `obs`, with explicit [`EvalOptions`]
+/// — the entry point for data-parallel `Γ` applications
 /// (`options.eval_threads` > 1); the model is identical for any thread
 /// count.
 pub fn well_founded_model_opts(
@@ -215,45 +210,60 @@ impl DoubledProgram {
     /// Evaluate the doubled program by alternating the two sides until
     /// both stabilize; returns the same model as [`well_founded_model`].
     pub fn eval(&self, input: &Instance) -> WellFoundedModel {
-        use calm_common::storage::SharedSymbols;
         let symbols = SharedSymbols::new();
-        // Both sides compile once against the shared table; the
-        // alternation below only re-runs the fixpoints.
-        let (possible_cp, true_cp) = {
-            let mut table = symbols.write();
-            (
-                CompiledProgram::new(&self.possible_side, &mut table, EvalOptions::default()),
-                CompiledProgram::new(&self.true_side, &mut table, EvalOptions::default()),
-            )
-        };
-        let mut gamma_applications = 0;
+        let (possible_cp, true_cp) = self.compile(&symbols, 1);
         // The input is interned once, in both forms the two sides read:
         // the possible side takes primed idb positives (edb stays
         // unprimed, so both forms are loaded), the true side unprimed.
         let mut base_over =
             Database::from_instance_with(&prime_instance(input, &self.doubled), symbols.clone());
         base_over.load(input);
-        let base_under = Database::from_instance_with(input, symbols.clone());
+        let base_under = Database::from_instance_with(input, symbols);
+        self.alternate(&possible_cp, &true_cp, &base_over, &base_under, input)
+    }
+
+    /// Compile both sides once against one shared table; the
+    /// alternation only re-runs the fixpoints.
+    fn compile(
+        &self,
+        symbols: &SharedSymbols,
+        eval_threads: usize,
+    ) -> (CompiledProgram, CompiledProgram) {
+        let options = EvalOptions::default().with_eval_threads(eval_threads);
+        let mut table = symbols.write();
+        (
+            CompiledProgram::new(&self.possible_side, &mut table, options),
+            CompiledProgram::new(&self.true_side, &mut table, options),
+        )
+    }
+
+    /// The alternation itself, over the interned input in the form each
+    /// side reads (`base_over` for the possible side, `base_under` for
+    /// the true side; `input` is their value-level mirror).
+    fn alternate(
+        &self,
+        possible_cp: &CompiledProgram,
+        true_cp: &CompiledProgram,
+        base_over: &Database,
+        base_under: &Database,
+        input: &Instance,
+    ) -> WellFoundedModel {
+        let mut gamma_applications = 0;
         // Under-approximation state: unprimed facts (initially empty).
-        let mut under = Database::with_symbols(symbols);
+        let mut under = Database::with_symbols(base_under.symbols().clone());
         loop {
             // Possible side: freeze negation on input ∪ `under`.
             let mut frozen_under = base_under.clone();
             frozen_under.absorb(&under);
             let mut over_db = base_over.clone();
-            fixpoint_seminaive_full(
-                &possible_cp,
-                &mut over_db,
-                Some(&frozen_under),
-                &Obs::noop(),
-            );
+            fixpoint_seminaive_full(possible_cp, &mut over_db, Some(&frozen_under), &Obs::noop());
             gamma_applications += 1;
 
             // True side: freeze negation on the primed overestimate —
             // `over_db` holds exactly the primed idb facts plus the input,
             // so it serves as the frozen database directly.
             let mut under_db = base_under.clone();
-            fixpoint_seminaive_full(&true_cp, &mut under_db, Some(&over_db), &Obs::noop());
+            fixpoint_seminaive_full(true_cp, &mut under_db, Some(&over_db), &Obs::noop());
             gamma_applications += 1;
 
             if under_db.same_facts(&under) {
@@ -370,21 +380,12 @@ impl WellFoundedQuery {
     pub fn open(&self, input: &Instance) -> WellFoundedSession<'_> {
         let doubled = doubled_program(&self.program);
         let symbols = SharedSymbols::new();
-        let (mut possible_cp, mut true_cp) = {
-            let mut table = symbols.write();
-            (
-                CompiledProgram::new(&doubled.possible_side, &mut table, EvalOptions::default()),
-                CompiledProgram::new(&doubled.true_side, &mut table, EvalOptions::default()),
-            )
-        };
-        possible_cp.set_eval_threads(self.eval_threads);
-        true_cp.set_eval_threads(self.eval_threads);
+        let (possible_cp, true_cp) = doubled.compile(&symbols, self.eval_threads);
         let edb = input.restrict(&self.input_schema);
-        let base = Database::from_instance_with(&edb, symbols.clone());
+        let base = Database::from_instance_with(&edb, symbols);
         let mut session = WellFoundedSession {
             query: self,
             doubled,
-            symbols,
             possible_cp,
             true_cp,
             base,
@@ -409,7 +410,6 @@ impl WellFoundedQuery {
 pub struct WellFoundedSession<'q> {
     query: &'q WellFoundedQuery,
     doubled: DoubledProgram,
-    symbols: SharedSymbols,
     possible_cp: CompiledProgram,
     true_cp: CompiledProgram,
     /// The current EDB, interned (input restricted to the input schema).
@@ -453,39 +453,17 @@ impl WellFoundedSession<'_> {
         &self.edb
     }
 
-    /// The alternating fixpoint over the maintained EDB — the same loop
-    /// as [`DoubledProgram::eval`], minus the per-call interning and
-    /// priming (the session EDB is restricted to `edb(P)`, which the
-    /// doubling never primes).
+    /// The alternating fixpoint over the maintained EDB. The session
+    /// EDB is restricted to `edb(P)`, which the doubling never primes,
+    /// so one interned base serves both sides.
     fn alternate(&self) -> WellFoundedModel {
-        let mut gamma_applications = 0;
-        let mut under = Database::with_symbols(self.symbols.clone());
-        loop {
-            let mut frozen_under = self.base.clone();
-            frozen_under.absorb(&under);
-            let mut over_db = self.base.clone();
-            fixpoint_seminaive_full(
-                &self.possible_cp,
-                &mut over_db,
-                Some(&frozen_under),
-                &Obs::noop(),
-            );
-            gamma_applications += 1;
-
-            let mut under_db = self.base.clone();
-            fixpoint_seminaive_full(&self.true_cp, &mut under_db, Some(&over_db), &Obs::noop());
-            gamma_applications += 1;
-
-            if under_db.same_facts(&under) {
-                let over = unprime_instance(&over_db.to_instance(), &self.doubled.doubled);
-                return WellFoundedModel {
-                    true_facts: under_db.to_instance(),
-                    possible_facts: over.union(&self.edb),
-                    gamma_applications,
-                };
-            }
-            under = under_db;
-        }
+        self.doubled.alternate(
+            &self.possible_cp,
+            &self.true_cp,
+            &self.base,
+            &self.base,
+            &self.edb,
+        )
     }
 }
 

@@ -1,9 +1,10 @@
 //! The threaded executor: nodes sharded over worker threads, per-worker
 //! `mpsc` channels carrying fact batches, Safra-ring termination.
 
-use crate::faults::{FaultPlan, FaultStats, LinkCounters, NodeSnapshot, ReliableNet, Wire};
+use crate::faults::{FaultPlan, FaultStats};
+use crate::reliable::{LinkCounters, NodeSnapshot, ReliableNet, Wire};
 use crate::termination::Token;
-use crate::transport::proto::{decode_snapshot_blob, encode_snapshot_blob};
+use crate::transport::proto::{decode_snapshot_blob, encode_snapshot_blob, FinalReport};
 use crate::wirefmt;
 use calm_common::fact::Fact;
 use calm_common::instance::Instance;
@@ -12,9 +13,8 @@ use calm_transducer::engine::NodeEngine;
 use calm_transducer::multiset::Multiset;
 use calm_transducer::network::NodeId;
 use calm_transducer::policy::{distribute, DistributionPolicy};
-use calm_transducer::runtime::Metrics;
+use calm_transducer::runtime::{trace_send, Metrics};
 use calm_transducer::schema::SystemConfig;
-use calm_transducer::strategy::class_arg_counts;
 use calm_transducer::transducer::Transducer;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::mpsc::{Receiver, RecvError, RecvTimeoutError, Sender, TryRecvError};
@@ -94,8 +94,8 @@ pub struct ThreadedConfig {
     /// `quiescent: false`.
     pub step_budget: usize,
     /// Fault injection + reliable delivery (see [`crate::faults`]).
-    /// `None` — the default — runs the PR 3 perfect-channel path with
-    /// zero reliability overhead; `Some(plan)` interposes the fault
+    /// `None` — the default — sends over perfect channels with zero
+    /// reliability overhead; `Some(plan)` interposes the fault
     /// gauntlet on every send (local and remote) and rides the
     /// seq/ack/retransmit/snapshot substrate underneath it.
     pub faults: Option<FaultPlan>,
@@ -160,9 +160,6 @@ pub struct WorkerStats {
     /// a fault plan. Same-worker deliveries move in memory and cost no
     /// wire bytes.
     pub wire_bytes: u64,
-    /// What the same traffic would have cost under the pre-v2 per-fact
-    /// payload encoding — the E23 baseline.
-    pub wire_bytes_naive: u64,
 }
 
 /// The result of a threaded run — same shape as the sequential
@@ -191,8 +188,6 @@ pub struct ThreadedRunResult {
     /// Merged delta-encoded bytes on the wire (fold of the per-worker
     /// [`WorkerStats::wire_bytes`]).
     pub wire_bytes: u64,
-    /// Merged pre-v2 baseline bytes ([`WorkerStats::wire_bytes_naive`]).
-    pub wire_bytes_naive: u64,
 }
 
 /// Messages on the per-worker channels. `Batch` is the basic message of
@@ -356,7 +351,7 @@ pub fn run_threaded_with(
         receivers.push(rx);
     }
 
-    let outcomes: Vec<WorkerOutcome> = std::thread::scope(|scope| {
+    let outcomes: Vec<FinalReport> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
         for (id, rx) in receivers.into_iter().enumerate() {
             let senders = senders.clone();
@@ -389,42 +384,82 @@ pub fn run_threaded_with(
         }
         handles
             .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
+            .map(|h| h.join().expect("worker thread panicked").report)
             .collect()
     });
 
-    // Deterministic join: fold in worker order.
+    let joined = join_reports(outcomes, workers, cfg.faults.is_some(), true, 0, obs);
     let probe = tn.programs.instantiate();
     let out_schema = &probe.as_dyn().schema().output;
-    let mut metrics = Metrics::default();
-    let mut states: BTreeMap<NodeId, Instance> = BTreeMap::new();
-    let mut per_worker = Vec::with_capacity(workers);
-    let mut quiescent = true;
-    let mut token_passes = 0u64;
-    let mut faults = FaultStats::default();
-    let mut link_counters: BTreeMap<(usize, usize), LinkCounters> = BTreeMap::new();
-    let mut wire_bytes = 0u64;
-    let mut wire_bytes_naive = 0u64;
-    for outcome in outcomes {
-        metrics.merge(&outcome.stats.metrics);
-        quiescent &= outcome.clean;
-        token_passes += outcome.stats.token_passes;
-        faults.merge(&outcome.stats.faults);
-        wire_bytes += outcome.stats.wire_bytes;
-        wire_bytes_naive += outcome.stats.wire_bytes_naive;
-        for (link, counters) in &outcome.stats.link_counters {
-            link_counters.entry(*link).or_default().merge(counters);
-        }
-        for (node, state) in outcome.states {
-            states.insert(node, state);
-        }
-        per_worker.push(outcome.stats);
-    }
     let mut output = Instance::new();
-    for state in states.values() {
+    for state in joined.states.values() {
         output.extend(state.restrict(out_schema).facts());
     }
+    ThreadedRunResult {
+        output,
+        states: joined.states,
+        metrics: joined.metrics,
+        per_worker: joined.per_worker,
+        quiescent: joined.quiescent,
+        faults: joined.faults,
+        link_counters: joined.link_counters,
+        wire_bytes: joined.wire_bytes,
+    }
+}
 
+/// What a run on either engine comes out as: the fold of its workers'
+/// final reports.
+pub(crate) struct Joined {
+    pub(crate) states: BTreeMap<NodeId, Instance>,
+    pub(crate) metrics: Metrics,
+    pub(crate) per_worker: Vec<WorkerStats>,
+    pub(crate) quiescent: bool,
+    pub(crate) faults: FaultStats,
+    pub(crate) link_counters: BTreeMap<(usize, usize), LinkCounters>,
+    pub(crate) wire_bytes: u64,
+}
+
+/// The deterministic join behind both engines: fold the workers' final
+/// reports in worker order (whatever order they arrived in) — so the
+/// merged totals are a function of the per-worker values alone — and
+/// report the run to `obs` (`net/termination`, the fault counters and
+/// `net/fault_summary` when the run was `faulted`, `net/wire.bytes`,
+/// `runtime/run_summary`). `complete` is false when some worker never
+/// reported, which forfeits quiescence; `deaths` counts worker
+/// processes lost on the way (each one a crash, absorbed or not).
+pub(crate) fn join_reports(
+    mut reports: Vec<FinalReport>,
+    workers: usize,
+    faulted: bool,
+    complete: bool,
+    deaths: u64,
+    obs: &Obs,
+) -> Joined {
+    reports.sort_by_key(|r| r.stats.worker);
+    let mut j = Joined {
+        states: BTreeMap::new(),
+        metrics: Metrics::default(),
+        per_worker: Vec::with_capacity(reports.len()),
+        quiescent: complete,
+        faults: FaultStats::default(),
+        link_counters: BTreeMap::new(),
+        wire_bytes: 0,
+    };
+    for report in reports {
+        j.metrics.merge(&report.stats.metrics);
+        j.quiescent &= report.clean;
+        j.faults.merge(&report.stats.faults);
+        j.wire_bytes += report.stats.wire_bytes;
+        for (link, counters) in &report.stats.link_counters {
+            j.link_counters.entry(*link).or_default().merge(counters);
+        }
+        j.states.extend(report.states);
+        j.per_worker.push(report.stats);
+    }
+    j.faults.crashes += deaths;
+
+    let (quiescent, faults) = (j.quiescent, j.faults);
+    let token_passes: u64 = j.per_worker.iter().map(|w| w.token_passes).sum();
     obs.event("net", "termination", 0, || {
         vec![
             ("quiescent", ArgValue::Bool(quiescent)),
@@ -432,7 +467,7 @@ pub fn run_threaded_with(
             ("workers", ArgValue::U64(workers as u64)),
         ]
     });
-    if cfg.faults.is_some() && obs.enabled() {
+    if faulted && obs.enabled() {
         for (name, value) in faults.as_pairs() {
             obs.counter("net", &format!("faults.{name}"), value);
         }
@@ -451,38 +486,9 @@ pub fn run_threaded_with(
             ]
         });
     }
-    if obs.enabled() {
-        obs.counter("net", "wire.bytes", wire_bytes);
-        obs.counter("net", "wire.bytes_naive", wire_bytes_naive);
-        obs.event("runtime", "run_summary", 0, || {
-            vec![
-                ("quiescent", ArgValue::Bool(quiescent)),
-                ("transitions", ArgValue::U64(metrics.transitions as u64)),
-                ("heartbeats", ArgValue::U64(metrics.heartbeats as u64)),
-                ("messages_sent", ArgValue::U64(metrics.messages_sent as u64)),
-                (
-                    "messages_delivered",
-                    ArgValue::U64(metrics.messages_delivered as u64),
-                ),
-                (
-                    "max_queue_depth",
-                    ArgValue::U64(metrics.max_queue_depth() as u64),
-                ),
-            ]
-        });
-    }
-
-    ThreadedRunResult {
-        output,
-        states,
-        metrics,
-        per_worker,
-        quiescent,
-        faults,
-        link_counters,
-        wire_bytes,
-        wire_bytes_naive,
-    }
+    obs.counter("net", "wire.bytes", j.wire_bytes);
+    j.metrics.report_run_summary(obs, quiescent);
+    j
 }
 
 /// Everything one worker needs to run: its ring position, its share of
@@ -504,7 +510,7 @@ pub(crate) struct WorkerCtx<'a> {
     pub(crate) obs: &'a Obs,
     /// Process-engine context: `Some` only under the socket transport.
     /// `None` (threaded engine) disables pkills, supervision, epochs
-    /// and ownership overrides — the PR 3/4 behavior, unchanged.
+    /// and ownership overrides.
     pub(crate) proc: Option<ProcCtx>,
 }
 
@@ -531,10 +537,8 @@ pub(crate) struct ProcCtx {
 }
 
 pub(crate) struct WorkerOutcome {
-    pub(crate) states: Vec<(NodeId, Instance)>,
-    pub(crate) stats: WorkerStats,
-    /// No pending inbox facts and every node at local fixpoint at exit.
-    pub(crate) clean: bool,
+    /// States, accounting and the clean flag — what the join folds.
+    pub(crate) report: FinalReport,
     /// A `pkill` fired: the caller must die abruptly — no `Final`
     /// frame, no ack flush, a nonzero exit.
     pub(crate) killed: bool,
@@ -577,6 +581,48 @@ struct Slot {
     last_arrival: Option<(u64, u64)>,
 }
 
+impl Slot {
+    /// A node that has not stepped yet.
+    fn new(global: usize) -> Slot {
+        Slot {
+            global,
+            state: Instance::new(),
+            pending: Multiset::new(),
+            ever_sent: BTreeSet::new(),
+            dirty: true,
+            transitions: 0,
+            since_snapshot: 0,
+            snap: None,
+            snap_version: 0,
+            next_seq: 0,
+            last_arrival: None,
+        }
+    }
+
+    /// Reinstall a checkpoint the supervisor retained (respawn or shard
+    /// adoption): state, inbox, dedup set, counters and link state —
+    /// `ReliableNet::restore` re-arms every unacked outbox entry for
+    /// replay.
+    fn restore(
+        &mut self,
+        snap: NodeSnapshot,
+        version: u64,
+        transitions: u64,
+        next_seq: u64,
+        rnet: &mut ReliableNet<'_>,
+    ) {
+        self.state = snap.state.clone();
+        self.pending = snap.pending.clone();
+        self.ever_sent = snap.ever_sent.clone();
+        self.transitions = transitions as usize;
+        self.next_seq = next_seq;
+        self.snap_version = version;
+        self.dirty = true;
+        rnet.restore(self.global, snap.links.clone());
+        self.snap = Some(snap);
+    }
+}
+
 /// Mint a message id for one step's send, emit the `trace/send` event
 /// (id, causal parent, fan-out, fact count, per-class counts), and
 /// return the context to stamp into the wire payloads. `None` — and no
@@ -594,22 +640,7 @@ fn mint_trace(
     let seq = slot.next_seq;
     slot.next_seq += 1;
     let cause = slot.last_arrival;
-    obs.event("trace", "send", slot.global as u32 + 1, || {
-        let mut args = vec![
-            ("origin", ArgValue::U64(origin)),
-            ("seq", ArgValue::U64(seq)),
-            ("fanout", ArgValue::U64(total_nodes as u64 - 1)),
-            ("facts", ArgValue::U64(facts.len() as u64)),
-        ];
-        if let Some((co, cs)) = cause {
-            args.push(("cause_origin", ArgValue::U64(co)));
-            args.push(("cause_seq", ArgValue::U64(cs)));
-        }
-        for (name, n) in class_arg_counts(facts) {
-            args.push((name, ArgValue::U64(n)));
-        }
-        args
-    });
+    trace_send(obs, (origin, seq), cause, total_nodes as u64 - 1, facts);
     Some(wirefmt::TraceCtx {
         origin_node: origin,
         origin_seq: seq,
@@ -630,43 +661,6 @@ fn take_snapshot(slot: &mut Slot, rnet: &mut ReliableNet<'_>, out: &mut Vec<Wire
         links,
     });
     slot.since_snapshot = 0;
-}
-
-/// Route wires until none remain: local arrivals run through the
-/// substrate's receive path (which may emit re-ack wires, queued back
-/// here); remote wires go onto the owning worker's channel as
-/// [`Msg::Wire`] — counted in the Safra counter like any basic message,
-/// unless `count` is off (supervised mode, where ring epochs reset the
-/// counters asymmetrically and passivity is carried by the substrate's
-/// obligations instead — see `run_worker`).
-#[allow(clippy::too_many_arguments)]
-fn pump_wires(
-    start: Vec<Wire>,
-    rnet: &mut ReliableNet<'_>,
-    id: usize,
-    owner: &[usize],
-    ports: &dyn Ports,
-    counter: &mut i64,
-    count: bool,
-    deliver: &mut dyn FnMut(usize, Multiset<Fact>, Option<(u64, u64)>),
-) {
-    let mut queue: VecDeque<Wire> = start.into();
-    while let Some(wire) = queue.pop_front() {
-        let dst = wire.dst();
-        if owner[dst] == id {
-            let mut replies = Vec::new();
-            let accepted = rnet.receive(wire, &mut replies);
-            queue.extend(replies);
-            if let Some((node, facts, mid)) = accepted {
-                deliver(node, facts, mid);
-            }
-        } else {
-            if count {
-                *counter += 1;
-            }
-            ports.send(owner[dst], Msg::Wire(wire));
-        }
-    }
 }
 
 /// Supervised mode: encode and ship `slot`'s current snapshot to the
@@ -690,9 +684,8 @@ fn next_live(live: &[bool], id: usize) -> usize {
         .unwrap_or(id)
 }
 
-/// Everything `apply_reassign` needs to mint engines and slots for
-/// adopted nodes — the same read-only ingredients `run_worker` builds
-/// its own from.
+/// The read-only ingredients a node's engine is minted from — for the
+/// worker's own shard at start-up and for the nodes it adopts later.
 struct NodeFactory<'a> {
     node_ids: &'a [NodeId],
     transducer: &'a dyn Transducer,
@@ -702,104 +695,263 @@ struct NodeFactory<'a> {
     empty: &'a Instance,
 }
 
-/// Apply a `Msg::Reassign`: install the new owner map and live mask,
-/// and adopt every node newly owned by this worker — restoring it from
-/// the coordinator's retained snapshot blob when one was shipped,
-/// starting it fresh from the input distribution otherwise (a node
-/// whose worker died before its first snapshot never released any
-/// output, so a fresh start is exactly its committed history).
-#[allow(clippy::too_many_arguments)]
-fn apply_reassign<'a>(
+impl<'a> NodeFactory<'a> {
+    fn engine(&self, g: usize) -> NodeEngine<'a> {
+        let node = self.node_ids[g].clone();
+        let input = self.dist.get(&node).unwrap_or(self.empty);
+        NodeEngine::new(self.transducer, self.policy, self.sys, node, input)
+    }
+}
+
+/// The worker's nodes and the accounting every delivery touches.
+struct Shard<'a> {
+    node_ids: &'a [NodeId],
+    obs: &'a Obs,
+    slots: Vec<Slot>,
+    /// Global node index → position in `slots` (`None`: not ours).
+    local_index: Vec<Option<usize>>,
+    metrics: Metrics,
+    stats: WorkerStats,
+}
+
+impl Shard<'_> {
+    /// Enqueue `facts` into local node `g`'s inbox, with high-water and
+    /// gauge bookkeeping (mirrors the sequential engine's per-recipient
+    /// accounting). `mid` is the causal message id of the delivery (set
+    /// iff the batch was traced): it becomes the recipient's causal
+    /// parent and is echoed in the `trace/deliver` event.
+    fn enqueue(&mut self, g: usize, facts: Multiset<Fact>, mid: Option<(u64, u64)>) {
+        let l = self.local_index[g].expect("fact routed to non-local node");
+        let n = facts.len();
+        if n == 0 {
+            return;
+        }
+        self.stats.enqueued += n;
+        let slot = &mut self.slots[l];
+        slot.pending.extend_from(facts);
+        slot.dirty = true;
+        if mid.is_some() {
+            slot.last_arrival = mid;
+        }
+        let depth = slot.pending.len();
+        let hw = self
+            .metrics
+            .buffered_high_water
+            .entry(self.node_ids[g].clone())
+            .or_insert(0);
+        if depth > *hw {
+            *hw = depth;
+        }
+        if self.obs.enabled() {
+            if let Some((origin, seq)) = mid {
+                self.obs.event("trace", "deliver", g as u32 + 1, || {
+                    vec![
+                        ("origin", ArgValue::U64(origin)),
+                        ("seq", ArgValue::U64(seq)),
+                        ("dst", ArgValue::U64(g as u64)),
+                        ("facts", ArgValue::U64(n as u64)),
+                    ]
+                });
+            }
+            self.obs
+                .gauge("runtime", "queue_depth", g as u32 + 1, depth as u64);
+        }
+    }
+}
+
+/// One worker's whole state: its shard, its reliability substrate (fault
+/// mode only) and its seat in the Safra ring.
+struct Worker<'a> {
     id: usize,
-    new_owner: Vec<usize>,
-    new_live: Vec<bool>,
-    adopted: Vec<(usize, u64, Vec<u8>)>,
-    owner: &mut Vec<usize>,
-    live: &mut Vec<bool>,
-    local_index: &mut [Option<usize>],
-    engines: &mut Vec<NodeEngine<'a>>,
-    slots: &mut Vec<Slot>,
-    mut rnet: Option<&mut ReliableNet<'_>>,
-    fab: &NodeFactory<'a>,
-    ports: &dyn Ports,
+    ports: &'a dyn Ports,
+    obs: &'a Obs,
+    fab: NodeFactory<'a>,
+    /// Whether the coordinator supervises (process engine only).
     supervised: bool,
-    obs: &Obs,
-) {
-    *owner = new_owner;
-    *live = new_live;
-    let blobs: BTreeMap<usize, (u64, Vec<u8>)> =
-        adopted.into_iter().map(|(g, v, b)| (g, (v, b))).collect();
-    for g in 0..owner.len().min(local_index.len()) {
-        if owner[g] != id || local_index[g].is_some() {
-            continue;
+    /// Supervised mode does not count basic messages in the Safra
+    /// counters: a ring reset (epoch bump on worker death/recovery)
+    /// zeroes the sender's count while the receipt lands after the
+    /// reset, so counting would skew permanently negative and the ring
+    /// could never conclude. Soundness is carried by the substrate
+    /// instead — supervision forces a fault plan, so every data message
+    /// rides `Msg::Wire` and stays a sender obligation until the
+    /// receiver's snapshot acks it; a worker with obligations withholds
+    /// the token. Epochs still fence *tokens*: one written to a dead
+    /// worker's socket must not resurface and race a fresh probe.
+    count_msgs: bool,
+    /// Node -> owning worker. `g % W` until a `Reassign` overrides it
+    /// (shard adoption after a respawn budget runs out).
+    owner: Vec<usize>,
+    /// Live ring positions; dead positions are skipped when forwarding
+    /// the token and never sent Terminate.
+    live: Vec<bool>,
+    engines: Vec<NodeEngine<'a>>,
+    shard: Shard<'a>,
+    rnet: Option<ReliableNet<'a>>,
+    // Safra state.
+    /// Channel batches sent - received.
+    counter: i64,
+    black: bool,
+    held_token: Option<Token>,
+    probe_outstanding: bool,
+    ring_epoch: u64,
+}
+
+impl Worker<'_> {
+    /// Route wires until none remain: local arrivals run through the
+    /// substrate's receive path (which may emit re-ack wires, queued
+    /// back here); remote wires go onto the owning worker's channel as
+    /// [`Msg::Wire`] — counted in the Safra counter like any basic
+    /// message, unless `count_msgs` is off.
+    fn pump(&mut self, start: Vec<Wire>) {
+        let mut queue: VecDeque<Wire> = start.into();
+        while let Some(wire) = queue.pop_front() {
+            let dst = wire.dst();
+            if self.owner[dst] == self.id {
+                let rnet = self.rnet.as_mut().expect("wire without a fault plan");
+                let mut replies = Vec::new();
+                let accepted = rnet.receive(wire, &mut replies);
+                queue.extend(replies);
+                if let Some((node, facts, mid)) = accepted {
+                    self.shard.enqueue(node, facts, mid);
+                }
+            } else {
+                if self.count_msgs {
+                    self.counter += 1;
+                }
+                self.ports.send(self.owner[dst], Msg::Wire(wire));
+            }
         }
-        let node = fab.node_ids[g].clone();
-        let input = fab.dist.get(&node).unwrap_or(fab.empty);
-        engines.push(NodeEngine::new(
-            fab.transducer,
-            fab.policy,
-            fab.sys,
-            node,
-            input,
-        ));
-        let mut slot = Slot {
-            global: g,
-            state: Instance::new(),
-            pending: Multiset::new(),
-            ever_sent: BTreeSet::new(),
-            dirty: true,
-            transitions: 0,
-            since_snapshot: 0,
-            snap: None,
-            snap_version: 0,
-            next_seq: 0,
-            last_arrival: None,
-        };
-        let mut restored = false;
-        if let Some(rnet) = rnet.as_mut() {
-            rnet.adopt(g);
-            if let Some((version, blob)) = blobs.get(&g) {
-                match decode_snapshot_blob(blob) {
-                    Ok((snap, transitions, next_seq)) => {
-                        slot.state = snap.state.clone();
-                        slot.pending = snap.pending.clone();
-                        slot.ever_sent = snap.ever_sent.clone();
-                        slot.transitions = transitions as usize;
-                        slot.next_seq = next_seq;
-                        slot.snap_version = *version;
-                        rnet.restore(g, snap.links.clone());
-                        slot.snap = Some(snap);
-                        restored = true;
+    }
+
+    /// Checkpoint slot `l` into `acks`; supervised, also publish it —
+    /// as the next version when `bump` (progress since the last one),
+    /// as the version it already carries otherwise (a node's first
+    /// checkpoint).
+    fn checkpoint(&mut self, l: usize, bump: bool, acks: &mut Vec<Wire>) {
+        let rnet = self.rnet.as_mut().expect("checkpoint without a fault plan");
+        let slot = &mut self.shard.slots[l];
+        take_snapshot(slot, rnet, acks);
+        if self.supervised {
+            // Output commit: the snapshot frame goes on the socket
+            // *before* any wire it released, so the supervisor's
+            // retained version always covers everything peers may see.
+            slot.snap_version += bump as u64;
+            ship_snapshot(slot, rnet, self.ports);
+        }
+    }
+
+    /// React to one received message. `true` for `Terminate`.
+    fn on_msg(&mut self, msg: Msg) -> bool {
+        match msg {
+            Msg::Batch { node, payload } => {
+                if self.count_msgs {
+                    self.counter -= 1;
+                }
+                self.black = true;
+                let (facts, ctx) = wirefmt::decode_traced(&payload).expect("channel batch decodes");
+                self.shard.enqueue(node, facts, ctx.map(|c| c.id()));
+            }
+            Msg::Wire(wire) => {
+                if self.count_msgs {
+                    self.counter -= 1;
+                }
+                self.black = true;
+                self.pump(vec![wire]);
+            }
+            Msg::Token(t) => {
+                if t.epoch == self.ring_epoch {
+                    self.held_token = Some(t);
+                }
+            }
+            Msg::Terminate => return true,
+            Msg::Reset { epoch } => {
+                if epoch > self.ring_epoch {
+                    self.ring_epoch = epoch;
+                    self.counter = 0;
+                    self.black = true;
+                    self.held_token = None;
+                    self.probe_outstanding = false;
+                }
+            }
+            Msg::Reassign {
+                owner,
+                live,
+                adopted,
+            } => {
+                self.black = true;
+                self.reassign(owner, live, adopted);
+            }
+        }
+        false
+    }
+
+    /// Apply a `Msg::Reassign`: install the new owner map and live
+    /// mask, and adopt every node newly owned by this worker —
+    /// restoring it from the coordinator's retained snapshot blob when
+    /// one was shipped, starting it fresh from the input distribution
+    /// otherwise (a node whose worker died before its first snapshot
+    /// never released any output, so a fresh start is exactly its
+    /// committed history).
+    fn reassign(
+        &mut self,
+        owner: Vec<usize>,
+        live: Vec<bool>,
+        adopted: Vec<(usize, u64, Vec<u8>)>,
+    ) {
+        self.owner = owner;
+        self.live = live;
+        let blobs: BTreeMap<usize, (u64, Vec<u8>)> =
+            adopted.into_iter().map(|(g, v, b)| (g, (v, b))).collect();
+        for g in 0..self.owner.len().min(self.shard.local_index.len()) {
+            if self.owner[g] != self.id || self.shard.local_index[g].is_some() {
+                continue;
+            }
+            self.engines.push(self.fab.engine(g));
+            let l = self.shard.slots.len();
+            self.shard.slots.push(Slot::new(g));
+            self.shard.local_index[g] = Some(l);
+            let mut restored = false;
+            if let Some(rnet) = self.rnet.as_mut() {
+                rnet.adopt(g);
+                if let Some((version, blob)) = blobs.get(&g) {
+                    match decode_snapshot_blob(blob) {
+                        Ok((snap, transitions, next_seq)) => {
+                            self.shard.slots[l].restore(
+                                snap,
+                                *version,
+                                transitions,
+                                next_seq,
+                                rnet,
+                            );
+                            restored = true;
+                        }
+                        Err(_) => rnet.stats.decode_failures += 1,
                     }
-                    Err(_) => rnet.stats.decode_failures += 1,
+                }
+                if !restored {
+                    // Never snapshotted before its worker died: nothing
+                    // was ever committed to the wire, so its fresh start
+                    // is its committed history. Checkpoint it (crash
+                    // points need a restore target) and publish v0 to
+                    // the supervisor.
+                    let mut none = Vec::new();
+                    self.checkpoint(l, false, &mut none);
+                    debug_assert!(none.is_empty(), "fresh links cannot emit acks");
                 }
             }
-            if slot.snap.is_none() {
-                // Never snapshotted before its worker died: nothing was
-                // ever committed to the wire, so its fresh start is its
-                // committed history. Checkpoint it (crash points need a
-                // restore target) and publish v0 to the supervisor.
-                let mut none = Vec::new();
-                take_snapshot(&mut slot, rnet, &mut none);
-                debug_assert!(none.is_empty(), "fresh links cannot emit acks");
-                if supervised {
-                    ship_snapshot(&slot, rnet, ports);
-                }
+            if self.obs.enabled() {
+                let (id, version) = (self.id, self.shard.slots[l].snap_version);
+                self.obs.event("net", "adopt", g as u32 + 1, || {
+                    vec![
+                        ("node", ArgValue::U64(g as u64)),
+                        ("worker", ArgValue::U64(id as u64)),
+                        ("version", ArgValue::U64(version)),
+                        ("restored", ArgValue::Bool(restored)),
+                    ]
+                });
             }
         }
-        if obs.enabled() {
-            let version = slot.snap_version;
-            obs.event("net", "adopt", g as u32 + 1, || {
-                vec![
-                    ("node", ArgValue::U64(g as u64)),
-                    ("worker", ArgValue::U64(id as u64)),
-                    ("version", ArgValue::U64(version)),
-                    ("restored", ArgValue::Bool(restored)),
-                ]
-            });
-        }
-        local_index[g] = Some(slots.len());
-        slots.push(slot);
     }
 }
 
@@ -821,7 +973,7 @@ pub(crate) fn run_worker(ctx: WorkerCtx<'_>) -> WorkerOutcome {
     } = ctx;
     let total_nodes = node_ids.len();
     // Process-engine context; the threaded engine runs the defaults.
-    let (supervised, incarnation, mut ring_epoch, owner_override, live_init, restore) = match proc {
+    let (supervised, incarnation, ring_epoch, owner_override, live_init, restore) = match proc {
         Some(p) => (
             p.supervised,
             p.incarnation,
@@ -832,26 +984,11 @@ pub(crate) fn run_worker(ctx: WorkerCtx<'_>) -> WorkerOutcome {
         ),
         None => (false, 0, 0, None, Vec::new(), Vec::new()),
     };
-    // Supervised mode does not count basic messages in the Safra
-    // counters: a ring reset (epoch bump on worker death/recovery)
-    // zeroes the sender's count while the receipt lands after the
-    // reset, so counting would skew permanently negative and the ring
-    // could never conclude. Soundness is carried by the substrate
-    // instead — supervision forces a fault plan, so every data message
-    // rides `Msg::Wire` and stays a sender obligation until the
-    // receiver's snapshot acks it; a worker with obligations withholds
-    // the token. Epochs still fence *tokens*: one written to a dead
-    // worker's socket must not resurface and race a fresh probe.
-    let count_msgs = !supervised;
-    // Node -> owning worker. `g % W` until a `Reassign` overrides it
-    // (shard adoption after a respawn budget runs out).
-    let mut owner: Vec<usize> = match owner_override {
+    let owner: Vec<usize> = match owner_override {
         Some(o) if o.len() == total_nodes => o,
         _ => (0..total_nodes).map(|g| g % workers).collect(),
     };
-    // Live ring positions; dead positions are skipped when forwarding
-    // the token and never sent Terminate.
-    let mut live: Vec<bool> = if live_init.len() == workers {
+    let live: Vec<bool> = if live_init.len() == workers {
         live_init
     } else {
         vec![true; workers]
@@ -861,30 +998,6 @@ pub(crate) fn run_worker(ctx: WorkerCtx<'_>) -> WorkerOutcome {
     for (l, &g) in locals.iter().enumerate() {
         local_index[g] = Some(l);
     }
-    let mut engines: Vec<NodeEngine<'_>> = locals
-        .iter()
-        .map(|&g| {
-            let node = node_ids[g].clone();
-            let input = dist.get(&node).unwrap_or(empty);
-            NodeEngine::new(transducer, policy, sys, node, input)
-        })
-        .collect();
-    let mut slots: Vec<Slot> = locals
-        .iter()
-        .map(|&g| Slot {
-            global: g,
-            state: Instance::new(),
-            pending: Multiset::new(),
-            ever_sent: BTreeSet::new(),
-            dirty: true,
-            transitions: 0,
-            since_snapshot: 0,
-            snap: None,
-            snap_version: 0,
-            next_seq: 0,
-            last_arrival: None,
-        })
-        .collect();
     let fab = NodeFactory {
         node_ids,
         transducer,
@@ -893,29 +1006,45 @@ pub(crate) fn run_worker(ctx: WorkerCtx<'_>) -> WorkerOutcome {
         dist,
         empty,
     };
+    let mut w = Worker {
+        id,
+        ports,
+        obs,
+        supervised,
+        count_msgs: !supervised,
+        owner,
+        live,
+        engines: locals.iter().map(|&g| fab.engine(g)).collect(),
+        fab,
+        shard: Shard {
+            node_ids,
+            obs,
+            slots: locals.iter().map(|&g| Slot::new(g)).collect(),
+            local_index,
+            metrics: Metrics::default(),
+            stats: WorkerStats {
+                worker: id,
+                ..WorkerStats::default()
+            },
+        },
+        rnet: faults.map(|plan| ReliableNet::new(plan, &locals, obs)),
+        counter: 0,
+        black: false,
+        held_token: None,
+        probe_outstanding: false,
+        ring_epoch,
+    };
 
-    // Fault mode: the reliability substrate for this worker's nodes,
-    // plus an initial (empty) snapshot per node so the first crash
-    // point always has a checkpoint to restore. On a respawn the nodes
-    // handed back in the Assign restore their retained snapshot instead
-    // — state, inbox, dedup sets, link floors — and `restore` re-arms
-    // every unacked outbox entry for replay.
-    let mut rnet: Option<ReliableNet<'_>> = faults.map(|plan| ReliableNet::new(plan, &locals, obs));
-    if let Some(rnet) = rnet.as_mut() {
+    // Fault mode: an initial (empty) snapshot per node so the first
+    // crash point always has a checkpoint to restore. On a respawn the
+    // nodes handed back in the Assign restore their retained snapshot
+    // instead.
+    if let Some(rnet) = w.rnet.as_mut() {
         for (g, version, snap, transitions, next_seq) in restore {
-            let Some(l) = local_index.get(g).copied().flatten() else {
+            let Some(l) = w.shard.local_index.get(g).copied().flatten() else {
                 continue;
             };
-            let slot = &mut slots[l];
-            slot.state = snap.state.clone();
-            slot.pending = snap.pending.clone();
-            slot.ever_sent = snap.ever_sent.clone();
-            slot.transitions = transitions as usize;
-            slot.next_seq = next_seq;
-            slot.snap_version = version;
-            slot.dirty = true;
-            rnet.restore(g, snap.links.clone());
-            slot.snap = Some(snap);
+            w.shard.slots[l].restore(snap, version, transitions, next_seq, rnet);
             if obs.enabled() {
                 obs.event("net", "restore", g as u32 + 1, || {
                     vec![
@@ -928,33 +1057,18 @@ pub(crate) fn run_worker(ctx: WorkerCtx<'_>) -> WorkerOutcome {
             }
         }
         let mut none = Vec::new();
-        for slot in slots.iter_mut() {
-            if slot.snap.is_none() {
-                take_snapshot(slot, rnet, &mut none);
-                if supervised {
-                    // Publish v0 before any traffic so the supervisor
-                    // always holds a restore point for this node.
-                    ship_snapshot(slot, rnet, ports);
-                }
+        for l in 0..w.shard.slots.len() {
+            if w.shard.slots[l].snap.is_none() {
+                // Supervised, this publishes v0 before any traffic so
+                // the supervisor always holds a restore point.
+                w.checkpoint(l, false, &mut none);
             }
         }
         debug_assert!(none.is_empty(), "empty links cannot emit acks");
     }
     let snapshot_every = faults.map_or(usize::MAX, |plan| plan.snapshot_every);
 
-    let mut metrics = Metrics::default();
-    let mut stats = WorkerStats {
-        worker: id,
-        nodes: locals.iter().map(|&g| node_ids[g].clone()).collect(),
-        ..WorkerStats::default()
-    };
     let mut steps_left = budget;
-    // Safra state.
-    let mut counter: i64 = 0; // channel batches sent - received
-    let mut black = false;
-    let mut held_token: Option<Token> = None;
-    let mut probe_outstanding = false;
-    let mut terminate = false;
     // Deterministic process-kill plan: the step counts (in this
     // worker's own numbering, per incarnation) at which this process
     // dies in place of stepping. Only the first entry can fire — the
@@ -965,53 +1079,6 @@ pub(crate) fn run_worker(ctx: WorkerCtx<'_>) -> WorkerOutcome {
     let mut killed = false;
     let mut last_beat = Instant::now();
 
-    // Enqueue `facts` into local node `g`'s inbox, with high-water and
-    // gauge bookkeeping (mirrors the sequential engine's per-recipient
-    // accounting). `mid` is the causal message id of the delivery (set
-    // iff the batch was traced): it becomes the recipient's causal
-    // parent and is echoed in the `trace/deliver` event.
-    let enqueue = |slots: &mut Vec<Slot>,
-                   metrics: &mut Metrics,
-                   stats: &mut WorkerStats,
-                   local_index: &[Option<usize>],
-                   g: usize,
-                   facts: Multiset<Fact>,
-                   mid: Option<(u64, u64)>| {
-        let l = local_index[g].expect("fact routed to non-local node");
-        let n = facts.len();
-        if n == 0 {
-            return;
-        }
-        stats.enqueued += n;
-        let slot = &mut slots[l];
-        slot.pending.extend_from(facts);
-        slot.dirty = true;
-        if mid.is_some() {
-            slot.last_arrival = mid;
-        }
-        let depth = slot.pending.len();
-        let hw = metrics
-            .buffered_high_water
-            .entry(node_ids[g].clone())
-            .or_insert(0);
-        if depth > *hw {
-            *hw = depth;
-        }
-        if obs.enabled() {
-            if let Some((origin, seq)) = mid {
-                obs.event("trace", "deliver", g as u32 + 1, || {
-                    vec![
-                        ("origin", ArgValue::U64(origin)),
-                        ("seq", ArgValue::U64(seq)),
-                        ("dst", ArgValue::U64(g as u64)),
-                        ("facts", ArgValue::U64(n as u64)),
-                    ]
-                });
-            }
-            obs.gauge("runtime", "queue_depth", g as u32 + 1, depth as u64);
-        }
-    };
-
     loop {
         // Supervised: prove liveness on a clock, not on progress — a
         // busy loop that never idles must still beat.
@@ -1020,95 +1087,9 @@ pub(crate) fn run_worker(ctx: WorkerCtx<'_>) -> WorkerOutcome {
             last_beat = Instant::now();
         }
         // 1. Drain the channel without blocking.
-        loop {
-            match ports.try_recv() {
-                Ok(Msg::Batch { node, payload }) => {
-                    if count_msgs {
-                        counter -= 1;
-                    }
-                    black = true;
-                    let (facts, ctx) =
-                        wirefmt::decode_traced(&payload).expect("channel batch decodes");
-                    let mid = ctx.map(|c| c.id());
-                    enqueue(
-                        &mut slots,
-                        &mut metrics,
-                        &mut stats,
-                        &local_index,
-                        node,
-                        facts,
-                        mid,
-                    );
-                }
-                Ok(Msg::Wire(wire)) => {
-                    if count_msgs {
-                        counter -= 1;
-                    }
-                    black = true;
-                    let rnet = rnet.as_mut().expect("wire received without a fault plan");
-                    let mut deliver = |g: usize, facts: Multiset<Fact>, mid: Option<(u64, u64)>| {
-                        enqueue(
-                            &mut slots,
-                            &mut metrics,
-                            &mut stats,
-                            &local_index,
-                            g,
-                            facts,
-                            mid,
-                        )
-                    };
-                    pump_wires(
-                        vec![wire],
-                        rnet,
-                        id,
-                        &owner,
-                        ports,
-                        &mut counter,
-                        count_msgs,
-                        &mut deliver,
-                    );
-                }
-                Ok(Msg::Token(t)) => {
-                    if t.epoch == ring_epoch {
-                        held_token = Some(t);
-                    }
-                }
-                Ok(Msg::Terminate) => terminate = true,
-                Ok(Msg::Reset { epoch }) => {
-                    if epoch > ring_epoch {
-                        ring_epoch = epoch;
-                        counter = 0;
-                        black = true;
-                        held_token = None;
-                        probe_outstanding = false;
-                    }
-                }
-                Ok(Msg::Reassign {
-                    owner: new_owner,
-                    live: new_live,
-                    adopted,
-                }) => {
-                    black = true;
-                    apply_reassign(
-                        id,
-                        new_owner,
-                        new_live,
-                        adopted,
-                        &mut owner,
-                        &mut live,
-                        &mut local_index,
-                        &mut engines,
-                        &mut slots,
-                        rnet.as_mut(),
-                        &fab,
-                        ports,
-                        supervised,
-                        obs,
-                    );
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => break,
-            }
+        let mut terminate = false;
+        while let Ok(msg) = ports.try_recv() {
+            terminate |= w.on_msg(msg);
         }
         if terminate {
             break;
@@ -1116,43 +1097,23 @@ pub(crate) fn run_worker(ctx: WorkerCtx<'_>) -> WorkerOutcome {
 
         // 1b. Fault mode: advance the logical clock — release due
         // delayed wires and fire due retransmissions.
-        if let Some(rnet) = rnet.as_mut() {
-            let mut wires = Vec::new();
+        let mut wires = Vec::new();
+        if let Some(rnet) = w.rnet.as_mut() {
             rnet.advance(&mut wires);
-            if !wires.is_empty() {
-                let mut deliver = |g: usize, facts: Multiset<Fact>, mid: Option<(u64, u64)>| {
-                    enqueue(
-                        &mut slots,
-                        &mut metrics,
-                        &mut stats,
-                        &local_index,
-                        g,
-                        facts,
-                        mid,
-                    )
-                };
-                pump_wires(
-                    wires,
-                    rnet,
-                    id,
-                    &owner,
-                    ports,
-                    &mut counter,
-                    count_msgs,
-                    &mut deliver,
-                );
-            }
         }
+        w.pump(wires);
 
         // 2. Local work: step every node that has inbox facts or is not
         // yet at its local fixpoint.
-        let has_work = slots.iter().any(|s| s.dirty || !s.pending.is_empty());
+        let idle = |s: &Slot| !s.dirty && s.pending.is_empty();
+        let has_work = !w.shard.slots.iter().all(idle);
         if has_work && steps_left > 0 {
-            for l in 0..slots.len() {
-                if !slots[l].dirty && slots[l].pending.is_empty() {
+            for l in 0..w.shard.slots.len() {
+                let sender_global = w.shard.slots[l].global;
+                if idle(&w.shard.slots[l]) {
                     continue;
                 }
-                if rnet.as_ref().is_some_and(|r| r.node_down(slots[l].global)) {
+                if w.rnet.as_ref().is_some_and(|r| r.node_down(sender_global)) {
                     continue; // crashed: no steps until the recovery window closes
                 }
                 if steps_left == 0 {
@@ -1179,8 +1140,10 @@ pub(crate) fn run_worker(ctx: WorkerCtx<'_>) -> WorkerOutcome {
                 // Delivery half: drain the inbox (m = b(x), the
                 // deliver-everything choice; asynchrony comes from the
                 // thread interleaving instead of submultiset sampling).
+                let Shard { slots, metrics, .. } = &mut w.shard;
+                let slot = &mut slots[l];
                 let mut delivered_n = 0usize;
-                let delivered: Vec<Fact> = slots[l]
+                let delivered: Vec<Fact> = slot
                     .pending
                     .drain_all()
                     .map(|(f, c)| {
@@ -1192,61 +1155,51 @@ pub(crate) fn run_worker(ctx: WorkerCtx<'_>) -> WorkerOutcome {
                 if delivered_n == 0 {
                     metrics.heartbeats += 1;
                 }
-                let outcome = {
-                    let slot = &mut slots[l];
-                    engines[l].apply(
-                        &mut slot.state,
-                        &delivered,
-                        delivered_n,
-                        Some(&mut slot.ever_sent),
-                        &mut metrics,
-                        obs,
-                    )
-                };
-                slots[l].dirty =
-                    outcome.state_changed || !outcome.sent.is_empty() || delivered_n > 0;
-                slots[l].transitions += 1;
-                slots[l].since_snapshot += 1;
-                if let Some(rnet) = rnet.as_mut() {
+                let outcome = w.engines[l].apply(
+                    &mut slot.state,
+                    &delivered,
+                    delivered_n,
+                    Some(&mut slot.ever_sent),
+                    metrics,
+                    obs,
+                );
+                slot.dirty = outcome.state_changed || !outcome.sent.is_empty() || delivered_n > 0;
+                slot.transitions += 1;
+                slot.since_snapshot += 1;
+                // One encoding of the step's send serves every
+                // destination — with the trace context stamped in when
+                // tracing is on.
+                let facts: Multiset<Fact> = outcome.sent.iter().cloned().collect();
+                if let Some(rnet) = w.rnet.as_mut() {
                     // Fault mode: every send — local or remote — is
                     // staged in the substrate (sequence number + outbox
                     // entry); the next snapshot commits it to the wire
                     // through the fault gauntlet. Then crash points
                     // fire and periodic snapshots are taken.
-                    let sender_global = slots[l].global;
-                    if !outcome.sent.is_empty() {
-                        // Sends are staged in the outbox; the next
-                        // snapshot commits and transmits them. One
-                        // encoding serves every destination — with the
-                        // trace context stamped in when tracing is on.
-                        let facts: Multiset<Fact> = outcome.sent.iter().cloned().collect();
-                        let ctx = mint_trace(obs, &mut slots[l], total_nodes, &facts);
+                    if !facts.is_empty() {
+                        let ctx = mint_trace(obs, slot, total_nodes, &facts);
                         let payload: Arc<[u8]> =
                             wirefmt::encode_traced(&facts, ctx.as_ref()).into();
-                        let naive_len = wirefmt::naive_len(&facts) as u64;
-                        for g in 0..total_nodes {
-                            if g == sender_global {
-                                continue;
-                            }
-                            rnet.send_payload(sender_global, g, payload.clone(), naive_len);
+                        for g in (0..total_nodes).filter(|&g| g != sender_global) {
+                            rnet.send_payload(sender_global, g, payload.clone());
                         }
                     }
-                    if let Some(point) = rnet.due_crash(sender_global, slots[l].transitions) {
+                    if let Some(point) = rnet.due_crash(sender_global, slot.transitions) {
                         // Crash: roll back to the last snapshot, drop
                         // in-flight outgoing wires, go down. Blacken
                         // the worker — the rollback may have erased
                         // receipts the current probe round already
                         // observed (see `termination.rs`).
-                        black = true;
-                        let snap = slots[l]
+                        w.black = true;
+                        let snap = slot
                             .snap
                             .clone()
                             .expect("every node snapshots before it can crash");
-                        slots[l].state = snap.state;
-                        slots[l].pending = snap.pending;
-                        slots[l].ever_sent = snap.ever_sent;
-                        slots[l].dirty = true;
-                        slots[l].since_snapshot = 0;
+                        slot.state = snap.state;
+                        slot.pending = snap.pending;
+                        slot.ever_sent = snap.ever_sent;
+                        slot.dirty = true;
+                        slot.since_snapshot = 0;
                         rnet.restore(sender_global, snap.links);
                         rnet.crash(sender_global, point.down_ticks);
                         if obs.enabled() {
@@ -1257,90 +1210,39 @@ pub(crate) fn run_worker(ctx: WorkerCtx<'_>) -> WorkerOutcome {
                                 ]
                             });
                         }
-                    } else if slots[l].since_snapshot >= snapshot_every {
+                    } else if slot.since_snapshot >= snapshot_every {
                         let mut acks = Vec::new();
-                        take_snapshot(&mut slots[l], rnet, &mut acks);
-                        if supervised {
-                            // Output commit: the snapshot frame goes on
-                            // the socket *before* any wire it released,
-                            // so the supervisor's retained version
-                            // always covers everything peers may see.
-                            slots[l].snap_version += 1;
-                            ship_snapshot(&slots[l], rnet, ports);
-                        }
-                        if !acks.is_empty() {
-                            let mut deliver =
-                                |g: usize, facts: Multiset<Fact>, mid: Option<(u64, u64)>| {
-                                    enqueue(
-                                        &mut slots,
-                                        &mut metrics,
-                                        &mut stats,
-                                        &local_index,
-                                        g,
-                                        facts,
-                                        mid,
-                                    )
-                                };
-                            pump_wires(
-                                acks,
-                                rnet,
-                                id,
-                                &owner,
-                                ports,
-                                &mut counter,
-                                count_msgs,
-                                &mut deliver,
-                            );
-                        }
+                        w.checkpoint(l, true, &mut acks);
+                        w.pump(acks);
                     }
                     continue;
                 }
-                if outcome.sent.is_empty() {
+                if facts.is_empty() {
                     continue;
                 }
                 // Route: every other node gets every sent fact — local
                 // inboxes directly (in memory, no encoding), remote
                 // workers as one encoded batch per destination node
-                // (the Safra counter counts batches). One encoding
-                // serves every remote destination.
-                let sender_global = slots[l].global;
-                let facts: Multiset<Fact> = outcome.sent.iter().cloned().collect();
-                let ctx = mint_trace(obs, &mut slots[l], total_nodes, &facts);
+                // (the Safra counter counts batches).
+                let ctx = mint_trace(obs, slot, total_nodes, &facts);
                 let mid = ctx.as_ref().map(|c| c.id());
-                let mut encoded: Option<(Arc<[u8]>, u64)> = None;
-                for (g, &owner_w) in owner.iter().enumerate() {
+                let mut encoded: Option<Arc<[u8]>> = None;
+                for (g, &owner_w) in w.owner.iter().enumerate() {
                     if g == sender_global {
                         continue;
                     }
                     if owner_w == id {
-                        enqueue(
-                            &mut slots,
-                            &mut metrics,
-                            &mut stats,
-                            &local_index,
-                            g,
-                            facts.clone(),
-                            mid,
-                        );
+                        w.shard.enqueue(g, facts.clone(), mid);
                     } else {
-                        let (payload, naive_len) = encoded.get_or_insert_with(|| {
-                            (
-                                wirefmt::encode_traced(&facts, ctx.as_ref()).into(),
-                                wirefmt::naive_len(&facts) as u64,
-                            )
+                        let payload = encoded.get_or_insert_with(|| {
+                            wirefmt::encode_traced(&facts, ctx.as_ref()).into()
                         });
-                        stats.wire_bytes += payload.len() as u64;
-                        stats.wire_bytes_naive += *naive_len;
-                        if count_msgs {
-                            counter += 1;
+                        w.shard.stats.wire_bytes += payload.len() as u64;
+                        if w.count_msgs {
+                            w.counter += 1;
                         }
-                        ports.send(
-                            owner_w,
-                            Msg::Batch {
-                                node: g,
-                                payload: payload.clone(),
-                            },
-                        );
+                        let payload = payload.clone();
+                        ports.send(owner_w, Msg::Batch { node: g, payload });
                     }
                 }
             }
@@ -1350,7 +1252,7 @@ pub(crate) fn run_worker(ctx: WorkerCtx<'_>) -> WorkerOutcome {
             continue; // re-drain before deciding passivity
         }
         if has_work && steps_left == 0 {
-            stats.exhausted = true;
+            w.shard.stats.exhausted = true;
             // Fall through: act passive so the ring can still conclude
             // (the run will report quiescent: false).
         }
@@ -1365,133 +1267,30 @@ pub(crate) fn run_worker(ctx: WorkerCtx<'_>) -> WorkerOutcome {
         // with a timeout so the fault clock keeps ticking and due
         // retransmissions fire. This is how Safra is taught about
         // retransmissions and in-recovery nodes.
-        if let Some(rnet_ref) = rnet.as_mut() {
+        if w.rnet.is_some() {
             let mut acks = Vec::new();
-            for slot in slots.iter_mut() {
+            for l in 0..w.shard.slots.len() {
                 // Supervised adds a third flush reason: *any* progress
                 // since the last shipped snapshot. The supervisor's
                 // retained version then equals the final state once the
                 // ring concludes — a kill landing after Terminate can
                 // still be restored byte-identically.
-                if rnet_ref.ackable(slot.global)
-                    || rnet_ref.staged(slot.global)
+                let slot = &w.shard.slots[l];
+                let rnet = w.rnet.as_ref().expect("checked above");
+                if rnet.ackable(slot.global)
+                    || rnet.staged(slot.global)
                     || (supervised && slot.since_snapshot > 0)
                 {
-                    take_snapshot(slot, rnet_ref, &mut acks);
-                    if supervised {
-                        slot.snap_version += 1;
-                        ship_snapshot(slot, rnet_ref, ports);
-                    }
+                    w.checkpoint(l, true, &mut acks);
                 }
             }
-            if !acks.is_empty() {
-                let mut deliver = |g: usize, facts: Multiset<Fact>, mid: Option<(u64, u64)>| {
-                    enqueue(
-                        &mut slots,
-                        &mut metrics,
-                        &mut stats,
-                        &local_index,
-                        g,
-                        facts,
-                        mid,
-                    )
-                };
-                pump_wires(
-                    acks,
-                    rnet_ref,
-                    id,
-                    &owner,
-                    ports,
-                    &mut counter,
-                    count_msgs,
-                    &mut deliver,
-                );
-            }
-            if rnet_ref.has_obligations() {
+            w.pump(acks);
+            if w.rnet.as_ref().is_some_and(ReliableNet::has_obligations) {
                 match ports.recv_timeout(TIMER_WAIT) {
-                    Ok(Msg::Batch { node, payload }) => {
-                        if count_msgs {
-                            counter -= 1;
+                    Ok(msg) => {
+                        if w.on_msg(msg) {
+                            break;
                         }
-                        black = true;
-                        let (facts, ctx) =
-                            wirefmt::decode_traced(&payload).expect("channel batch decodes");
-                        let mid = ctx.map(|c| c.id());
-                        enqueue(
-                            &mut slots,
-                            &mut metrics,
-                            &mut stats,
-                            &local_index,
-                            node,
-                            facts,
-                            mid,
-                        );
-                    }
-                    Ok(Msg::Wire(wire)) => {
-                        if count_msgs {
-                            counter -= 1;
-                        }
-                        black = true;
-                        let mut deliver =
-                            |g: usize, facts: Multiset<Fact>, mid: Option<(u64, u64)>| {
-                                enqueue(
-                                    &mut slots,
-                                    &mut metrics,
-                                    &mut stats,
-                                    &local_index,
-                                    g,
-                                    facts,
-                                    mid,
-                                )
-                            };
-                        pump_wires(
-                            vec![wire],
-                            rnet_ref,
-                            id,
-                            &owner,
-                            ports,
-                            &mut counter,
-                            count_msgs,
-                            &mut deliver,
-                        );
-                    }
-                    Ok(Msg::Token(t)) => {
-                        if t.epoch == ring_epoch {
-                            held_token = Some(t);
-                        }
-                    }
-                    Ok(Msg::Terminate) => break,
-                    Ok(Msg::Reset { epoch }) => {
-                        if epoch > ring_epoch {
-                            ring_epoch = epoch;
-                            counter = 0;
-                            black = true;
-                            held_token = None;
-                            probe_outstanding = false;
-                        }
-                    }
-                    Ok(Msg::Reassign {
-                        owner: new_owner,
-                        live: new_live,
-                        adopted,
-                    }) => {
-                        black = true;
-                        apply_reassign(
-                            id,
-                            new_owner,
-                            new_live,
-                            adopted,
-                            &mut owner,
-                            &mut live,
-                            &mut local_index,
-                            &mut engines,
-                            &mut slots,
-                            Some(&mut *rnet_ref),
-                            &fab,
-                            ports,
-                            supervised,
-                            obs,
-                        );
                     }
                     Err(RecvTimeoutError::Timeout) => {}
                     Err(RecvTimeoutError::Disconnected) => break,
@@ -1504,48 +1303,49 @@ pub(crate) fn run_worker(ctx: WorkerCtx<'_>) -> WorkerOutcome {
         // initiator is the lowest live position (worker 0 unless its
         // budget ran out and its shard was adopted), and the token
         // skips dead positions.
-        let live_count = live.iter().filter(|&&b| b).count();
+        let live_count = w.live.iter().filter(|&&b| b).count();
         if live_count <= 1 {
             // Sole live worker: passivity is global quiescence.
             break;
         }
-        let initiator = live.iter().position(|&b| b).unwrap_or(0);
+        let initiator = w.live.iter().position(|&b| b).unwrap_or(0);
         if id == initiator {
-            match held_token.take() {
+            match w.held_token.take() {
                 Some(token) => {
                     // The probe is back: either we terminate or we
                     // launch a fresh one (probe_outstanding stays true).
-                    if token.concludes(counter, black) {
+                    if token.concludes(w.counter, w.black) {
                         // Termination: nothing in flight, all passive
                         // through a full white round.
-                        for (w, &alive) in live.iter().enumerate() {
-                            if w != id && alive {
-                                ports.send(w, Msg::Terminate);
+                        for (peer, &alive) in w.live.iter().enumerate() {
+                            if peer != id && alive {
+                                ports.send(peer, Msg::Terminate);
                             }
                         }
                         break;
                     }
                     // Inconclusive: whiten and re-probe.
-                    black = false;
-                    probe_outstanding = true;
-                    stats.token_passes += 1;
-                    let mut t = Token::probe(ring_epoch);
+                    w.black = false;
+                    w.probe_outstanding = true;
+                    w.shard.stats.token_passes += 1;
+                    let mut t = Token::probe(w.ring_epoch);
                     t.passes = token.passes + 1;
-                    ports.send(next_live(&live, id), Msg::Token(t));
+                    ports.send(next_live(&w.live, id), Msg::Token(t));
                 }
-                None if !probe_outstanding => {
-                    probe_outstanding = true;
-                    black = false;
-                    stats.token_passes += 1;
-                    ports.send(next_live(&live, id), Msg::Token(Token::probe(ring_epoch)));
+                None if !w.probe_outstanding => {
+                    w.probe_outstanding = true;
+                    w.black = false;
+                    w.shard.stats.token_passes += 1;
+                    let probe = Token::probe(w.ring_epoch);
+                    ports.send(next_live(&w.live, id), Msg::Token(probe));
                 }
                 None => {}
             }
-        } else if let Some(mut token) = held_token.take() {
-            token.absorb(counter, black);
-            black = false;
-            stats.token_passes += 1;
-            ports.send(next_live(&live, id), Msg::Token(token));
+        } else if let Some(mut token) = w.held_token.take() {
+            token.absorb(w.counter, w.black);
+            w.black = false;
+            w.shard.stats.token_passes += 1;
+            ports.send(next_live(&w.live, id), Msg::Token(token));
         }
 
         // 4. Block until something arrives (a batch reactivates us, a
@@ -1569,101 +1369,25 @@ pub(crate) fn run_worker(ctx: WorkerCtx<'_>) -> WorkerOutcome {
                 Err(_) => break,
             }
         };
-        match msg {
-            Msg::Batch { node, payload } => {
-                if count_msgs {
-                    counter -= 1;
-                }
-                black = true;
-                let (facts, ctx) = wirefmt::decode_traced(&payload).expect("channel batch decodes");
-                let mid = ctx.map(|c| c.id());
-                enqueue(
-                    &mut slots,
-                    &mut metrics,
-                    &mut stats,
-                    &local_index,
-                    node,
-                    facts,
-                    mid,
-                );
-            }
-            Msg::Wire(wire) => {
-                if count_msgs {
-                    counter -= 1;
-                }
-                black = true;
-                let rnet = rnet.as_mut().expect("wire received without a fault plan");
-                let mut deliver = |g: usize, facts: Multiset<Fact>, mid: Option<(u64, u64)>| {
-                    enqueue(
-                        &mut slots,
-                        &mut metrics,
-                        &mut stats,
-                        &local_index,
-                        g,
-                        facts,
-                        mid,
-                    )
-                };
-                pump_wires(
-                    vec![wire],
-                    rnet,
-                    id,
-                    &owner,
-                    ports,
-                    &mut counter,
-                    count_msgs,
-                    &mut deliver,
-                );
-            }
-            Msg::Token(t) => {
-                if t.epoch == ring_epoch {
-                    held_token = Some(t);
-                }
-            }
-            Msg::Terminate => break,
-            Msg::Reset { epoch } => {
-                if epoch > ring_epoch {
-                    ring_epoch = epoch;
-                    counter = 0;
-                    black = true;
-                    held_token = None;
-                    probe_outstanding = false;
-                }
-            }
-            Msg::Reassign {
-                owner: new_owner,
-                live: new_live,
-                adopted,
-            } => {
-                black = true;
-                apply_reassign(
-                    id,
-                    new_owner,
-                    new_live,
-                    adopted,
-                    &mut owner,
-                    &mut live,
-                    &mut local_index,
-                    &mut engines,
-                    &mut slots,
-                    rnet.as_mut(),
-                    &fab,
-                    ports,
-                    supervised,
-                    obs,
-                );
-            }
+        if w.on_msg(msg) {
+            break;
         }
     }
 
     // A lost transport link forfeits the quiescence claim: facts may
     // have been abandoned in flight. So does a scripted kill — the
     // process is about to die without flushing anything.
+    let Shard {
+        slots,
+        metrics,
+        mut stats,
+        ..
+    } = w.shard;
     let mut clean = slots.iter().all(|s| !s.dirty && s.pending.is_empty())
         && !stats.exhausted
         && ports.link_ok()
         && !killed;
-    if let Some(rnet) = rnet.as_mut() {
+    if let Some(rnet) = w.rnet.as_mut() {
         // A message abandoned to the retry budget means fairness was
         // not restored: the run must not claim quiescence.
         rnet.finalize();
@@ -1671,19 +1395,89 @@ pub(crate) fn run_worker(ctx: WorkerCtx<'_>) -> WorkerOutcome {
         stats.faults = rnet.stats;
         stats.link_counters = std::mem::take(&mut rnet.link_counters);
         stats.wire_bytes += rnet.wire_bytes;
-        stats.wire_bytes_naive += rnet.wire_bytes_naive;
     }
     // Adoption may have grown the shard since the initial assignment.
     stats.nodes = slots.iter().map(|s| node_ids[s.global].clone()).collect();
     stats.buffered = slots.iter().map(|s| s.pending.len()).sum();
     stats.metrics = metrics;
     WorkerOutcome {
-        states: slots
-            .into_iter()
-            .map(|s| (node_ids[s.global].clone(), s.state))
-            .collect(),
-        stats,
-        clean,
+        report: FinalReport {
+            states: slots
+                .into_iter()
+                .map(|s| (node_ids[s.global].clone(), s.state))
+                .collect(),
+            stats,
+            clean,
+        },
         killed,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use calm_common::fact::fact;
+    use calm_common::value::Value;
+
+    /// A synthetic final report for worker `k`, every folded quantity
+    /// different per worker.
+    fn report(k: usize) -> FinalReport {
+        let n = k as u64 + 1;
+        let mut stats = WorkerStats {
+            worker: k,
+            token_passes: n,
+            wire_bytes: 100 * n,
+            ..WorkerStats::default()
+        };
+        stats.metrics.transitions = 10 * (k + 1);
+        stats.metrics.messages_sent = 7 * (k + 1);
+        stats.metrics.first_output_at = Some(5 - k);
+        stats
+            .metrics
+            .buffered_high_water
+            .insert(Value::Int(k as i64), k + 2);
+        stats.faults.attempts = 3 * n;
+        stats.faults.dropped = n;
+        let sent = stats.link_counters.entry((k, 0)).or_default();
+        sent.attempts = n;
+        let shared = stats.link_counters.entry((0, 1)).or_default();
+        shared.delivered = n;
+        FinalReport {
+            stats,
+            states: vec![(
+                Value::Int(k as i64),
+                Instance::from_facts([fact("T", [k as i64, 1])]),
+            )],
+            clean: true,
+        }
+    }
+
+    #[test]
+    fn join_is_independent_of_the_order_reports_arrive_in() {
+        let join = |order: [usize; 3]| {
+            let reports = order.iter().map(|&k| report(k)).collect();
+            join_reports(reports, 3, true, true, 0, &Obs::noop())
+        };
+        let base = join([0, 1, 2]);
+        assert_eq!(base.metrics.transitions, 60);
+        assert_eq!(base.metrics.first_output_at, Some(3));
+        assert_eq!(base.faults.attempts, 18);
+        assert_eq!(base.link_counters[&(0, 1)].delivered, 6);
+        assert_eq!(base.wire_bytes, 600);
+        assert!(base.quiescent);
+        for order in [[0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
+            let j = join(order);
+            assert_eq!(j.metrics, base.metrics, "{order:?}");
+            assert_eq!(j.faults, base.faults, "{order:?}");
+            assert_eq!(j.link_counters, base.link_counters, "{order:?}");
+            assert_eq!(j.states, base.states, "{order:?}");
+            let workers: Vec<usize> = j.per_worker.iter().map(|w| w.worker).collect();
+            assert_eq!(workers, [0, 1, 2], "{order:?}");
+        }
+        // A missing report or a lost process forfeits quiescence and is
+        // counted as a crash.
+        let lossy = join_reports(vec![report(0)], 2, true, false, 1, &Obs::noop());
+        assert!(!lossy.quiescent);
+        assert_eq!(lossy.faults.crashes, 1);
     }
 }

@@ -1,71 +1,28 @@
-//! Fault injection and reliable delivery: fair runs out of an unfair
-//! network.
+//! Fault injection: a seeded, deterministic description of how the
+//! network misbehaves.
 //!
 //! The paper's asynchronous semantics (§4) promises convergence only on
 //! *fair* runs: every sent message is eventually delivered, every node
 //! keeps taking heartbeat steps. The perfect in-process channels of the
 //! threaded executor deliver that fairness for free — which means the
-//! fairness boundary was never actually exercised. This module makes
-//! the network adversarial and then earns fairness back:
+//! fairness boundary was never actually exercised. A [`FaultPlan`] makes
+//! the network adversarial: per-link drop probability, duplication,
+//! bounded delay/reordering, one-way partitions with a scheduled heal,
+//! node crash points and whole-process kills. Every per-message decision
+//! is a pure function of `(seed, link, seq, attempt)`, so a plan is
+//! reproducible independent of thread timing. [`FaultStats`] counts what
+//! the plan did to a run.
 //!
-//! * **[`FaultPlan`]** — a seeded, deterministic description of how the
-//!   network misbehaves: per-link drop probability, duplication,
-//!   bounded delay/reordering, one-way partitions with a scheduled
-//!   heal, and node crash points. Every per-message decision is a pure
-//!   function of `(seed, link, seq, attempt)`, so a plan is
-//!   reproducible independent of thread timing.
-//! * **[`ReliableNet`]** — the per-worker reliability substrate that
-//!   restores fairness: per-link sequence numbers, receiver-side
-//!   dedup, cumulative acks, retransmission with exponential backoff
-//!   and a retry budget, and periodic node snapshots for crash
-//!   recovery.
-//!
-//! **The correctness discipline.** A node's snapshot captures — in one
-//! atomic clone — its state, its undelivered inbox, its send-dedup set,
-//! and its link state (receive cursors *and* unacked outboxes). A
-//! receiver only acknowledges sequence numbers its snapshot has
-//! persisted. Together these give the invariant that makes crash
-//! recovery sound: *every delivered-but-unsnapshotted effect at the
-//! receiver still has its cause retained in some sender's outbox.*
-//! Roll a node back and whatever it forgot is retransmitted; re-deliver
-//! a message it remembered and the receiver-side dedup (or the
-//! engines' monotone state accumulation) makes it a no-op. At-least-
-//! once delivery plus idempotent application is exactly-once *effect*.
-//!
-//! **Output commit.** Exactly-once effect covers a node's *own* state,
-//! but a rollback must also be invisible to *peers* — and a message
-//! sent from unsnapshotted state is a promise the rollback breaks. The
-//! concrete failure (caught by the chaos suite on `Mdisjoint`): a
-//! requester collects a fact, acks it, crashes, and rolls back to
-//! before the collection; the owner has already consumed the ghost ack
-//! and certifies the value with `OK`, so the restarted requester
-//! declares a component complete while missing one of its edges and
-//! emits output the sequential semantics forbids. The rule that closes
-//! this (and every other ghost): a wire leaves a node only after a
-//! snapshot has captured the state that derived it — sends are staged
-//! in the outbox and *released by the next snapshot* (see
-//! [`OutEntry::staged`]). A restore then never un-derives anything a
-//! peer could have observed, which is also what lets the sequence
-//! allocator roll back over staged-only seqs instead of leaving holes.
+//! Fairness is earned back by the reliability substrate in
+//! [`crate::reliable`], which a fault-free run never touches.
 
-use crate::wirefmt;
-use calm_common::fact::Fact;
-use calm_common::instance::Instance;
 use calm_common::rng::Rng;
-use calm_obs::{ArgValue, Obs};
-use calm_transducer::multiset::Multiset;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::Arc;
+use std::collections::BTreeMap;
 
 /// Logical time: one tick per worker loop iteration (or per timed-out
 /// wait while passive-with-obligations). Delays, backoff and partition
 /// windows are measured in ticks.
 pub type Tick = u64;
-
-/// A freshly-accepted data wire, ready for enqueue: the destination
-/// node, the decoded batch, and the payload's causal message id (only
-/// present when the sender ran with tracing enabled).
-pub type TracedArrival = (usize, Multiset<Fact>, Option<(u64, u64)>);
 
 /// Fault probabilities of one directed link.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -385,7 +342,7 @@ impl FaultPlan {
 
     /// The deterministic decision stream for one transmission copy:
     /// a pure function of the plan seed and the copy's identity.
-    fn rolls(&self, src: usize, dst: usize, seq: u64, attempt: u32, copy: u32) -> Rng {
+    pub(crate) fn rolls(&self, src: usize, dst: usize, seq: u64, attempt: u32, copy: u32) -> Rng {
         let mut h = self.seed ^ 0x6a09_e667_f3bc_c909;
         for v in [src as u64, dst as u64, seq, attempt as u64, copy as u64] {
             h = (h ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -394,7 +351,7 @@ impl FaultPlan {
         Rng::seed_from_u64(h)
     }
 
-    fn partitioned(&self, src: usize, dst: usize, tick: Tick) -> bool {
+    pub(crate) fn partitioned(&self, src: usize, dst: usize, tick: Tick) -> bool {
         self.partitions
             .iter()
             .any(|p| p.src == src && p.dst == dst && p.from <= tick && tick < p.heal)
@@ -420,132 +377,6 @@ fn parse_edge(s: &str) -> Result<(usize, usize), String> {
         .split_once('>')
         .ok_or_else(|| format!("link endpoint wants SRC>DST, got '{s}'"))?;
     Ok((parse_num(a, "link src")?, parse_num(b, "link dst")?))
-}
-
-/// A message on the (possibly faulty) wire. `Data` carries a sequenced
-/// fact batch and is subject to the fault plan; `Ack` is the
-/// substrate's control plane (like the Safra token, it rides the
-/// channels unfaulted — dropping acks only causes retransmission,
-/// which dropping data already exercises).
-#[derive(Debug, Clone)]
-pub enum Wire {
-    /// A sequenced fact batch on link `src → dst`.
-    Data {
-        /// Sending node (global index).
-        src: usize,
-        /// Receiving node (global index).
-        dst: usize,
-        /// Per-link sequence number (1-based).
-        seq: u64,
-        /// One step's send to one destination, in the delta wire
-        /// format of [`crate::wirefmt`]. Shared (`Arc`) so the copies
-        /// of a duplicated or retransmitted wire are free to clone and
-        /// byte-identical by construction; decoded once, at the
-        /// receiver, by [`ReliableNet::receive`].
-        payload: Arc<[u8]>,
-    },
-    /// A cumulative acknowledgment: `src` is the acking node, `dst` the
-    /// original data sender (whose outbox it clears), and `cum` says
-    /// "my snapshot has persisted every seq ≤ cum on your link to me".
-    Ack {
-        /// Acking node (the data receiver).
-        src: usize,
-        /// Original data sender (where the outbox lives).
-        dst: usize,
-        /// Cumulative snapshotted sequence number.
-        cum: u64,
-    },
-}
-
-impl Wire {
-    /// The node this wire is addressed to.
-    pub fn dst(&self) -> usize {
-        match self {
-            Wire::Data { dst, .. } | Wire::Ack { dst, .. } => *dst,
-        }
-    }
-}
-
-/// One outbox entry: a batch staged for release or awaiting its
-/// cumulative ack.
-#[derive(Debug, Clone)]
-pub struct OutEntry {
-    /// The encoded batch (retransmitted byte-for-byte under its
-    /// original seq — the shared buffer makes "verbatim" structural).
-    pub payload: Arc<[u8]>,
-    /// What the pre-v2 per-fact encoding would have spent on this
-    /// batch, for the wire-byte comparison counters.
-    pub naive_len: u64,
-    /// Transmission attempts so far (0 while staged).
-    pub attempt: u32,
-    /// Next retransmission tick (ignored while staged).
-    pub retry_at: Tick,
-    /// Output commit: a staged entry has *never been on the wire* and
-    /// is released (first transmission) only by the next snapshot of
-    /// its sender. This is what makes crash rollback transparent to
-    /// peers: every message a peer can ever observe is recorded in a
-    /// snapshot together with the state that derived it, so a restore
-    /// never "un-derives" a message someone already consumed. Without
-    /// it, a ghost send from rolled-back state (e.g. an ack for a fact
-    /// the node no longer holds) lets a peer certify knowledge the
-    /// network has lost — the classic output-commit failure.
-    pub staged: bool,
-}
-
-/// The snapshot-able link state of one node: unacked outboxes per
-/// destination, and per-source receive cursors (`cum` = highest
-/// contiguous snapshotted seq; `seen` = out-of-order seqs above it).
-#[derive(Debug, Clone, Default)]
-pub struct NodeLinks {
-    /// `dst → seq → entry`: batches sent and not yet cumulatively acked.
-    pub out: BTreeMap<usize, BTreeMap<u64, OutEntry>>,
-    /// `src → cum`: every seq ≤ cum has been received *and snapshotted*.
-    pub cum: BTreeMap<usize, u64>,
-    /// `src → seqs` received above `cum` (delivered, not yet folded
-    /// into a snapshot).
-    pub seen: BTreeMap<usize, BTreeSet<u64>>,
-    /// `dst → next_seq` at snapshot time. Crash restore rolls the
-    /// allocator back here: seqs in `[floor, next)` were allocated
-    /// post-snapshot, and because staged sends only reach the wire via
-    /// a snapshot release, none of them was ever transmitted — reuse
-    /// is collision-free, and receivers' cumulative cursors never wait
-    /// on a hole no surviving sender will fill.
-    pub sent_floor: BTreeMap<usize, u64>,
-    /// `src → facts` ever accepted from that source — the end-to-end
-    /// extension of the sender-side send-dedup. A crashed sender's
-    /// send-dedup set rolls back with its state, so it legitimately
-    /// re-sends facts its peers already consumed under fresh sequence
-    /// numbers; wire-level dedup cannot catch those, and non-monotone
-    /// strategies (request/OK memory protocols) are not duplicate-
-    /// tolerant at the engine level. Because fault-free traffic carries
-    /// each `(sender, fact)` pair at most once (PR 3's send-dedup),
-    /// filtering repeats here restores exactly the reachable fault-free
-    /// delivery multisets. Lives in the snapshot so a receiver rollback
-    /// (which also un-applies the facts' effects) forgets the filter
-    /// entries consistently.
-    pub recv_dedup: BTreeMap<usize, BTreeSet<Fact>>,
-}
-
-impl NodeLinks {
-    fn unacked(&self) -> usize {
-        self.out.values().map(BTreeMap::len).sum()
-    }
-}
-
-/// A node's crash-recovery checkpoint: state, undelivered inbox,
-/// send-dedup set and link state, captured atomically. The receive
-/// cursors in `links.cum` are exactly what the node has acknowledged,
-/// which is what makes restoring this snapshot sound.
-#[derive(Debug, Clone)]
-pub struct NodeSnapshot {
-    /// The node's state (output ∪ memory facts).
-    pub state: Instance,
-    /// The node's undelivered inbox.
-    pub pending: Multiset<Fact>,
-    /// Every message fact the node ever sent (the send-dedup set).
-    pub ever_sent: BTreeSet<Fact>,
-    /// Outboxes and receive cursors.
-    pub links: NodeLinks,
 }
 
 /// Per-fault-class counters, merged across workers at join and threaded
@@ -641,674 +472,9 @@ impl FaultStats {
     }
 }
 
-/// Per-link wire accounting. The sender side fills `attempts`,
-/// `dropped` and `buffered`; the receiver side fills `delivered` and
-/// `suppressed`; merged across workers they reconcile:
-/// `attempts == delivered + suppressed + dropped + buffered`
-/// (the chaos suite asserts it per link at exit).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LinkCounters {
-    /// Data wires put on the link (all copies, all attempts).
-    pub attempts: u64,
-    /// Wires lost to drops, partitions, crash-clears or down receivers.
-    pub dropped: u64,
-    /// Wires accepted at the receiver (fresh seq).
-    pub delivered: u64,
-    /// Wires dedup-suppressed at the receiver.
-    pub suppressed: u64,
-    /// Wires still sitting in the delay buffer at exit.
-    pub buffered: u64,
-}
-
-impl LinkCounters {
-    /// Field-wise sum.
-    pub fn merge(&mut self, other: &LinkCounters) {
-        self.attempts += other.attempts;
-        self.dropped += other.dropped;
-        self.delivered += other.delivered;
-        self.suppressed += other.suppressed;
-        self.buffered += other.buffered;
-    }
-}
-
-/// The per-worker reliability substrate: owns the link state of the
-/// worker's local nodes, the delay buffer ("the network"), and the
-/// per-link sequence counters.
-pub struct ReliableNet<'a> {
-    plan: &'a FaultPlan,
-    /// Trace handle: retransmit/drop/dedup events and the
-    /// `retry_exhausted`/`decode_failure` anomalies carry the causal
-    /// message ids read (cheaply, header-only) from traced payloads.
-    obs: Obs,
-    tick: Tick,
-    /// `(src, dst) → next seq`. Rolled back to the snapshot's
-    /// `sent_floor` on crash restore — safe because seqs allocated
-    /// after a snapshot are staged, never transmitted (see
-    /// [`OutEntry::staged`]).
-    next_seq: BTreeMap<(usize, usize), u64>,
-    /// Wires in the simulated network, keyed by release tick.
-    delayed: BTreeMap<(Tick, u64), Wire>,
-    delayed_ctr: u64,
-    /// Link state per local node.
-    links: BTreeMap<usize, NodeLinks>,
-    /// Crashed nodes in their recovery window.
-    down_until: BTreeMap<usize, Tick>,
-    /// Per local node: crash points not yet fired (sorted by
-    /// transition, consumed front to back).
-    crash_queue: BTreeMap<usize, VecDeque<CrashPoint>>,
-    /// Per-fault-class counters.
-    pub stats: FaultStats,
-    /// Per-link wire accounting (this worker's half).
-    pub link_counters: BTreeMap<(usize, usize), LinkCounters>,
-    /// Delta-encoded payload bytes put on the wire (every copy of
-    /// every attempt, including retransmissions and duplicates).
-    pub wire_bytes: u64,
-    /// What the same traffic would have cost under the pre-v2 per-fact
-    /// encoding ([`wirefmt::naive_len`] per copy).
-    pub wire_bytes_naive: u64,
-}
-
-impl<'a> ReliableNet<'a> {
-    /// Build the substrate for a worker owning `local_nodes` (global
-    /// indexes). Wire-level trace events (retransmits, drops, dedup
-    /// suppressions, anomalies) go to `obs`; pass [`Obs::noop`] to
-    /// trace nothing.
-    pub fn new(plan: &'a FaultPlan, local_nodes: &[usize], obs: &Obs) -> ReliableNet<'a> {
-        let mut crash_queue: BTreeMap<usize, VecDeque<CrashPoint>> = BTreeMap::new();
-        for &g in local_nodes {
-            let mut points: Vec<CrashPoint> = plan
-                .crashes
-                .iter()
-                .filter(|c| c.node == g)
-                .copied()
-                .collect();
-            points.sort_by_key(|c| c.at_transition);
-            if !points.is_empty() {
-                crash_queue.insert(g, points.into());
-            }
-        }
-        ReliableNet {
-            plan,
-            obs: obs.clone(),
-            tick: 0,
-            next_seq: BTreeMap::new(),
-            delayed: BTreeMap::new(),
-            delayed_ctr: 0,
-            links: local_nodes
-                .iter()
-                .map(|&g| (g, NodeLinks::default()))
-                .collect(),
-            down_until: BTreeMap::new(),
-            crash_queue,
-            stats: FaultStats::default(),
-            link_counters: BTreeMap::new(),
-            wire_bytes: 0,
-            wire_bytes_naive: 0,
-        }
-    }
-
-    /// Current logical time.
-    pub fn now(&self) -> Tick {
-        self.tick
-    }
-
-    /// Advance one tick: release due delayed wires and retransmit due
-    /// unacked entries into `out`.
-    pub fn advance(&mut self, out: &mut Vec<Wire>) {
-        self.tick += 1;
-        // Release the network's delay buffer.
-        let due: Vec<(Tick, u64)> = self
-            .delayed
-            .range(..=(self.tick, u64::MAX))
-            .map(|(&k, _)| k)
-            .collect();
-        for key in due {
-            if let Some(wire) = self.delayed.remove(&key) {
-                out.push(wire);
-            }
-        }
-        // Retransmit due outbox entries.
-        let mut resends: Vec<(usize, usize, u64)> = Vec::new();
-        for (&src, nl) in &self.links {
-            for (&dst, entries) in &nl.out {
-                for (&seq, entry) in entries {
-                    if !entry.staged && entry.retry_at <= self.tick {
-                        resends.push((src, dst, seq));
-                    }
-                }
-            }
-        }
-        for (src, dst, seq) in resends {
-            let budget = self.plan.retry_budget;
-            let entry = self
-                .links
-                .get_mut(&src)
-                .and_then(|nl| nl.out.get_mut(&dst))
-                .and_then(|e| e.get_mut(&seq));
-            let Some(entry) = entry else { continue };
-            if entry.attempt >= budget {
-                let attempts = entry.attempt;
-                let payload = entry.payload.clone();
-                if let Some(entries) = self.links.get_mut(&src).and_then(|nl| nl.out.get_mut(&dst))
-                {
-                    entries.remove(&seq);
-                }
-                self.stats.retry_exhausted += 1;
-                if self.obs.enabled() {
-                    let mid = wirefmt::peek_trace(&payload).map(|c| c.id());
-                    self.obs
-                        .event("net", "retry_exhausted", src as u32 + 1, || {
-                            let mut args = vec![
-                                ("src", ArgValue::U64(src as u64)),
-                                ("dst", ArgValue::U64(dst as u64)),
-                                ("link_seq", ArgValue::U64(seq)),
-                                ("attempts", ArgValue::U64(attempts as u64)),
-                            ];
-                            if let Some((o, s)) = mid {
-                                args.push(("origin", ArgValue::U64(o)));
-                                args.push(("seq", ArgValue::U64(s)));
-                            }
-                            args
-                        });
-                }
-                continue;
-            }
-            entry.attempt += 1;
-            let attempt = entry.attempt;
-            let shift = (attempt - 1).min(16);
-            let backoff = (self.plan.backoff_base << shift).min(self.plan.max_backoff.max(1));
-            entry.retry_at = self.tick + backoff.max(1);
-            let payload = entry.payload.clone();
-            let naive_len = entry.naive_len;
-            self.stats.retransmissions += 1;
-            if self.obs.enabled() {
-                let mid = wirefmt::peek_trace(&payload).map(|c| c.id());
-                self.obs.event("trace", "retransmit", src as u32 + 1, || {
-                    let mut args = vec![
-                        ("src", ArgValue::U64(src as u64)),
-                        ("dst", ArgValue::U64(dst as u64)),
-                        ("link_seq", ArgValue::U64(seq)),
-                        ("attempt", ArgValue::U64(attempt as u64)),
-                    ];
-                    if let Some((o, s)) = mid {
-                        args.push(("origin", ArgValue::U64(o)));
-                        args.push(("seq", ArgValue::U64(s)));
-                    }
-                    args
-                });
-            }
-            self.transmit(src, dst, seq, payload, naive_len, attempt, out);
-        }
-    }
-
-    /// Stage one step's batch on link `src → dst`, encoding it into
-    /// the delta wire format first. Callers fanning one batch out to
-    /// several destinations should encode once and use
-    /// [`ReliableNet::send_payload`] instead.
-    pub fn send(&mut self, src: usize, dst: usize, facts: Multiset<Fact>) {
-        let payload: Arc<[u8]> = wirefmt::encode(&facts).into();
-        let naive_len = wirefmt::naive_len(&facts) as u64;
-        self.send_payload(src, dst, payload, naive_len);
-    }
-
-    /// Stage one step's encoded batch on link `src → dst`: allocate a
-    /// sequence number and record the outbox entry. Nothing touches
-    /// the wire until the sender's next snapshot releases it (see
-    /// [`OutEntry::staged`]) — sends are committed output, and output
-    /// is only committed by a checkpoint that contains it.
-    pub fn send_payload(&mut self, src: usize, dst: usize, payload: Arc<[u8]>, naive_len: u64) {
-        let seq = {
-            let next = self.next_seq.entry((src, dst)).or_insert(1);
-            let seq = *next;
-            *next += 1;
-            seq
-        };
-        self.links
-            .get_mut(&src)
-            .expect("send from non-local node")
-            .out
-            .entry(dst)
-            .or_default()
-            .insert(
-                seq,
-                OutEntry {
-                    payload,
-                    naive_len,
-                    attempt: 0,
-                    retry_at: Tick::MAX,
-                    staged: true,
-                },
-            );
-    }
-
-    /// Whether `node` has staged sends waiting on a snapshot to be
-    /// released — a passivity obligation: the worker must checkpoint
-    /// (committing and transmitting them) before it may look quiet.
-    pub fn staged(&self, node: usize) -> bool {
-        self.links.get(&node).is_some_and(|nl| {
-            nl.out
-                .values()
-                .any(|e| e.values().any(|entry| entry.staged))
-        })
-    }
-
-    /// Emit a `trace/drop` event for one lost data-wire copy (fault or
-    /// partition drop, down-node refusal, crash-cleared in-flight
-    /// wire), carrying the causal message id when the payload is
-    /// traced.
-    fn note_drop(&self, src: usize, dst: usize, seq: u64, payload: &[u8]) {
-        if !self.obs.enabled() {
-            return;
-        }
-        let mid = wirefmt::peek_trace(payload).map(|c| c.id());
-        self.obs.event("trace", "drop", src as u32 + 1, || {
-            let mut args = vec![
-                ("src", ArgValue::U64(src as u64)),
-                ("dst", ArgValue::U64(dst as u64)),
-                ("link_seq", ArgValue::U64(seq)),
-            ];
-            if let Some((o, s)) = mid {
-                args.push(("origin", ArgValue::U64(o)));
-                args.push(("seq", ArgValue::U64(s)));
-            }
-            args
-        });
-    }
-
-    /// One transmission attempt through the fault gauntlet: duplicate,
-    /// drop (faults and partitions), delay, or pass through.
-    #[allow(clippy::too_many_arguments)]
-    fn transmit(
-        &mut self,
-        src: usize,
-        dst: usize,
-        seq: u64,
-        payload: Arc<[u8]>,
-        naive_len: u64,
-        attempt: u32,
-        out: &mut Vec<Wire>,
-    ) {
-        let lf = *self.plan.link_faults(src, dst);
-        let copies = {
-            let mut rng = self.plan.rolls(src, dst, seq, attempt, 0);
-            if lf.dup_p > 0.0 && rng.gen_bool(lf.dup_p) {
-                self.stats.duplicates_injected += 1;
-                2
-            } else {
-                1
-            }
-        };
-        for copy in 1..=copies {
-            let mut rng = self.plan.rolls(src, dst, seq, attempt, copy);
-            self.stats.attempts += 1;
-            self.wire_bytes += payload.len() as u64;
-            self.wire_bytes_naive += naive_len;
-            let lc = self.link_counters.entry((src, dst)).or_default();
-            lc.attempts += 1;
-            if self.plan.partitioned(src, dst, self.tick)
-                || (lf.drop_p > 0.0 && rng.gen_bool(lf.drop_p))
-            {
-                self.stats.dropped += 1;
-                lc.dropped += 1;
-                self.note_drop(src, dst, seq, &payload);
-                continue;
-            }
-            let wire = Wire::Data {
-                src,
-                dst,
-                seq,
-                payload: payload.clone(),
-            };
-            if lf.delay_p > 0.0 && lf.max_delay > 0 && rng.gen_bool(lf.delay_p) {
-                let ticks = rng.gen_range(1..=lf.max_delay);
-                self.stats.delayed += 1;
-                self.delayed_ctr += 1;
-                self.delayed
-                    .insert((self.tick + ticks, self.delayed_ctr), wire);
-            } else {
-                out.push(wire);
-            }
-        }
-    }
-
-    /// Process an arriving wire addressed to one of this worker's
-    /// nodes. Returns the facts to enqueue (for a fresh data wire)
-    /// together with the payload's causal message id, if traced;
-    /// pushes any response wires (re-acks) into `out`.
-    pub fn receive(&mut self, wire: Wire, out: &mut Vec<Wire>) -> Option<TracedArrival> {
-        match wire {
-            Wire::Data {
-                src,
-                dst,
-                seq,
-                payload,
-            } => {
-                if self.node_down(dst) {
-                    // A crashed node refuses arrivals; the sender's
-                    // outbox will retransmit after the restart.
-                    self.stats.dropped += 1;
-                    self.link_counters.entry((src, dst)).or_default().dropped += 1;
-                    self.note_drop(src, dst, seq, &payload);
-                    return None;
-                }
-                let nl = self.links.get_mut(&dst).expect("receive at non-local node");
-                let cum = nl.cum.get(&src).copied().unwrap_or(0);
-                let seen = nl.seen.entry(src).or_default();
-                if seq <= cum || seen.contains(&seq) {
-                    self.stats.duplicates_suppressed += 1;
-                    self.link_counters.entry((src, dst)).or_default().suppressed += 1;
-                    if self.obs.enabled() {
-                        let mid = wirefmt::peek_trace(&payload).map(|c| c.id());
-                        self.obs.event("trace", "dedup", dst as u32 + 1, || {
-                            let mut args = vec![
-                                ("src", ArgValue::U64(src as u64)),
-                                ("dst", ArgValue::U64(dst as u64)),
-                                ("link_seq", ArgValue::U64(seq)),
-                            ];
-                            if let Some((o, s)) = mid {
-                                args.push(("origin", ArgValue::U64(o)));
-                                args.push(("seq", ArgValue::U64(s)));
-                            }
-                            args
-                        });
-                    }
-                    // Re-ack so a sender whose ack got lost in a crash
-                    // window can clear its outbox.
-                    self.stats.acks_sent += 1;
-                    out.push(Wire::Ack {
-                        src: dst,
-                        dst: src,
-                        cum,
-                    });
-                    None
-                } else {
-                    // Validate the payload before committing the seq:
-                    // a corrupted wire is refused like a dropped one
-                    // (no `seen` entry, no ack), so a clean retransmit
-                    // of the same seq can still land.
-                    let (facts, ctx) = match wirefmt::decode_traced(&payload) {
-                        Ok(decoded) => decoded,
-                        Err(_) => {
-                            self.stats.dropped += 1;
-                            self.stats.decode_failures += 1;
-                            self.link_counters.entry((src, dst)).or_default().dropped += 1;
-                            if self.obs.enabled() {
-                                self.obs.event("net", "decode_failure", dst as u32 + 1, || {
-                                    vec![
-                                        ("src", ArgValue::U64(src as u64)),
-                                        ("dst", ArgValue::U64(dst as u64)),
-                                        ("link_seq", ArgValue::U64(seq)),
-                                    ]
-                                });
-                            }
-                            return None;
-                        }
-                    };
-                    seen.insert(seq);
-                    // End-to-end fact dedup: drop occurrences this node
-                    // already accepted from `src` (replays from a
-                    // crashed sender's rolled-back send-dedup set).
-                    let dedup = nl.recv_dedup.entry(src).or_default();
-                    let mut fresh: Multiset<Fact> = Multiset::new();
-                    let mut replayed = 0u64;
-                    for (f, n) in facts.iter() {
-                        if dedup.insert(f.clone()) {
-                            fresh.insert(f.clone());
-                            replayed += n as u64 - 1;
-                        } else {
-                            replayed += n as u64;
-                        }
-                    }
-                    self.stats.replayed_facts_suppressed += replayed;
-                    self.stats.delivered_batches += 1;
-                    self.link_counters.entry((src, dst)).or_default().delivered += 1;
-                    Some((dst, fresh, ctx.map(|c| c.id())))
-                }
-            }
-            Wire::Ack { src, dst, cum } => {
-                // `dst` is the original data sender: clear its outbox
-                // toward the acker up to the cumulative seq.
-                if let Some(entries) = self.links.get_mut(&dst).and_then(|nl| nl.out.get_mut(&src))
-                {
-                    entries.retain(|&seq, _| seq > cum);
-                }
-                None
-            }
-        }
-    }
-
-    /// Whether `node`'s receive cursor can advance — i.e. a snapshot
-    /// now would fold fresh receipts into `cum` and emit acks peers
-    /// are waiting for.
-    pub fn ackable(&self, node: usize) -> bool {
-        let Some(nl) = self.links.get(&node) else {
-            return false;
-        };
-        nl.seen.iter().any(|(src, seen)| {
-            let cum = nl.cum.get(src).copied().unwrap_or(0);
-            seen.contains(&(cum + 1))
-        })
-    }
-
-    /// Take a snapshot of `node`'s link state: advance each receive
-    /// cursor over its contiguous prefix, emit cumulative acks for the
-    /// links that advanced, record the per-destination sequence floor,
-    /// and return the (cloned) link state to store in the node's
-    /// [`NodeSnapshot`].
-    pub fn snapshot(&mut self, node: usize, out: &mut Vec<Wire>) -> NodeLinks {
-        // Output commit: the checkpoint being taken now contains every
-        // staged entry, so they may be released — first transmission,
-        // through the fault gauntlet.
-        let staged: Vec<(usize, u64, Arc<[u8]>, u64)> = {
-            let nl = self
-                .links
-                .get_mut(&node)
-                .expect("snapshot of non-local node");
-            let mut v = Vec::new();
-            let backoff = self.plan.backoff_base.max(1);
-            let retry_at = self.tick + backoff;
-            for (&dst, entries) in nl.out.iter_mut() {
-                for (&seq, entry) in entries.iter_mut() {
-                    if entry.staged {
-                        entry.staged = false;
-                        entry.attempt = 1;
-                        entry.retry_at = retry_at;
-                        v.push((dst, seq, entry.payload.clone(), entry.naive_len));
-                    }
-                }
-            }
-            v
-        };
-        for (dst, seq, payload, naive_len) in staged {
-            self.transmit(node, dst, seq, payload, naive_len, 1, out);
-        }
-        let floors: Vec<(usize, u64)> = self
-            .next_seq
-            .range((node, 0)..=(node, usize::MAX))
-            .map(|(&(_, dst), &next)| (dst, next))
-            .collect();
-        let nl = self
-            .links
-            .get_mut(&node)
-            .expect("snapshot of non-local node");
-        nl.sent_floor = floors.into_iter().collect();
-        for (&src, seen) in nl.seen.iter_mut() {
-            let cum = nl.cum.entry(src).or_insert(0);
-            let before = *cum;
-            while seen.remove(&(*cum + 1)) {
-                *cum += 1;
-            }
-            if *cum > before {
-                self.stats.acks_sent += 1;
-                out.push(Wire::Ack {
-                    src: node,
-                    dst: src,
-                    cum: *cum,
-                });
-            }
-        }
-        self.stats.snapshots += 1;
-        self.links[&node].clone()
-    }
-
-    /// Restore `node`'s link state from a snapshot (crash recovery).
-    /// Outbox entries come back with a reset attempt budget and an
-    /// immediate retry. The per-link `next_seq` counters roll back to
-    /// the snapshot's [`NodeLinks::sent_floor`]: every seq in
-    /// `[floor, next)` was allocated post-snapshot and — because sends
-    /// are staged until a snapshot releases them — was *never on the
-    /// wire*, so reusing it cannot collide with an in-flight or
-    /// delivered wire, and a receiver's cumulative cursor never waits
-    /// on a hole no one will fill.
-    pub fn restore(&mut self, node: usize, mut snap: NodeLinks) {
-        for entries in snap.out.values_mut() {
-            for entry in entries.values_mut() {
-                if !entry.staged {
-                    entry.attempt = 0;
-                    entry.retry_at = self.tick + 1;
-                    self.stats.replayed += 1;
-                }
-            }
-        }
-        // Install the snapshot's floors unconditionally: a respawned
-        // incarnation starts with an *empty* `next_seq` map, so rolling
-        // back only pre-existing keys would restart every link at seq 1
-        // and collide with seqs the previous incarnation already put on
-        // the wire. Links absent from `sent_floor` never carried a wire
-        // before the snapshot, so their counters reset.
-        let keys: Vec<(usize, usize)> = self
-            .next_seq
-            .range((node, 0)..=(node, usize::MAX))
-            .map(|(&k, _)| k)
-            .collect();
-        for key in keys {
-            self.next_seq.remove(&key);
-        }
-        for (&dst, &floor) in &snap.sent_floor {
-            self.next_seq.insert((node, dst), floor);
-        }
-        self.links.insert(node, snap);
-    }
-
-    /// Register a node this worker did not originally own (shard
-    /// adoption after a dead peer's respawn budget ran out): create its
-    /// link state — typically overwritten right away by
-    /// [`ReliableNet::restore`] from the coordinator's retained
-    /// snapshot — and queue any of the plan's crash points for it.
-    pub fn adopt(&mut self, node: usize) {
-        self.links.entry(node).or_default();
-        let mut points: Vec<CrashPoint> = self
-            .plan
-            .crashes
-            .iter()
-            .filter(|c| c.node == node)
-            .copied()
-            .collect();
-        points.sort_by_key(|c| c.at_transition);
-        if !points.is_empty() {
-            self.crash_queue
-                .entry(node)
-                .or_insert_with(|| points.into());
-        }
-    }
-
-    /// Crash bookkeeping: drop the node's in-flight outgoing wires from
-    /// the delay buffer (the network loses them; the restored outbox
-    /// retransmits) and open the recovery window.
-    pub fn crash(&mut self, node: usize, down_ticks: Tick) {
-        let lost: Vec<(Tick, u64)> = self
-            .delayed
-            .iter()
-            .filter(|(_, w)| matches!(w, Wire::Data { src, .. } if *src == node))
-            .map(|(&k, _)| k)
-            .collect();
-        for key in lost {
-            if let Some(Wire::Data {
-                src,
-                dst,
-                seq,
-                payload,
-            }) = self.delayed.remove(&key)
-            {
-                self.stats.dropped += 1;
-                self.link_counters.entry((src, dst)).or_default().dropped += 1;
-                self.note_drop(src, dst, seq, &payload);
-            }
-        }
-        if down_ticks > 0 {
-            self.down_until.insert(node, self.tick + down_ticks);
-        }
-        self.stats.crashes += 1;
-    }
-
-    /// The next crash point due for `node`, given its (monotone)
-    /// transition count. Consumes the point.
-    pub fn due_crash(&mut self, node: usize, transitions: usize) -> Option<CrashPoint> {
-        let queue = self.crash_queue.get_mut(&node)?;
-        if queue
-            .front()
-            .is_some_and(|c| transitions >= c.at_transition)
-        {
-            queue.pop_front()
-        } else {
-            None
-        }
-    }
-
-    /// Whether `node` is inside its crash-recovery window.
-    pub fn node_down(&self, node: usize) -> bool {
-        self.down_until.get(&node).is_some_and(|&t| t > self.tick)
-    }
-
-    /// Whether any local node is in recovery.
-    pub fn any_down(&self) -> bool {
-        self.down_until.values().any(|&t| t > self.tick)
-    }
-
-    /// Whether the substrate has standing obligations: unacked
-    /// outboxes, wires in the delay buffer, or nodes in recovery. A
-    /// worker with obligations is *not* passive — this is the
-    /// fault-mode extension of the Safra passivity predicate.
-    pub fn has_obligations(&self) -> bool {
-        !self.delayed.is_empty()
-            || self.any_down()
-            || self.links.values().any(|nl| nl.unacked() > 0)
-    }
-
-    /// Total unacked outbox entries across local nodes.
-    pub fn unacked(&self) -> usize {
-        self.links.values().map(NodeLinks::unacked).sum()
-    }
-
-    /// Exit accounting: fold wires still in the delay buffer into the
-    /// per-link `buffered` counters (zero on a clean quiescent run).
-    pub fn finalize(&mut self) {
-        let buffered: Vec<(usize, usize)> = self
-            .delayed
-            .values()
-            .filter_map(|w| match w {
-                Wire::Data { src, dst, .. } => Some((*src, *dst)),
-                Wire::Ack { .. } => None,
-            })
-            .collect();
-        for (src, dst) in buffered {
-            self.link_counters.entry((src, dst)).or_default().buffered += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use calm_common::fact::fact;
-
-    fn batch(n: i64) -> Multiset<Fact> {
-        [fact("m", [n, n])].into_iter().collect()
-    }
-
-    fn payload(n: i64) -> Arc<[u8]> {
-        wirefmt::encode(&batch(n)).into()
-    }
 
     #[test]
     fn parse_round_trips_the_grammar() {
@@ -1385,308 +551,6 @@ mod tests {
             "decision streams should differ by identity"
         );
     }
-
-    #[test]
-    fn dedup_suppresses_and_reacks() {
-        let plan = FaultPlan::none(1);
-        let mut net = ReliableNet::new(&plan, &[1], &Obs::noop());
-        let mut out = Vec::new();
-        let d = |seq| Wire::Data {
-            src: 0,
-            dst: 1,
-            seq,
-            payload: payload(seq as i64),
-        };
-        assert!(net.receive(d(1), &mut out).is_some());
-        assert!(out.is_empty(), "fresh data is not acked until snapshot");
-        // Duplicate: suppressed, re-acked at the snapshotted cum (0).
-        assert!(net.receive(d(1), &mut out).is_none());
-        assert_eq!(net.stats.duplicates_suppressed, 1);
-        assert!(matches!(out.pop(), Some(Wire::Ack { cum: 0, .. })));
-        // Snapshot folds seq 1 into cum and acks it.
-        let links = net.snapshot(1, &mut out);
-        assert_eq!(links.cum[&0], 1);
-        assert!(matches!(
-            out.pop(),
-            Some(Wire::Ack {
-                src: 1,
-                dst: 0,
-                cum: 1
-            })
-        ));
-        // Later duplicate of seq 1: suppressed by the cursor.
-        assert!(net.receive(d(1), &mut out).is_none());
-        assert_eq!(net.stats.duplicates_suppressed, 2);
-    }
-
-    #[test]
-    fn out_of_order_receipt_acks_only_the_contiguous_prefix() {
-        let plan = FaultPlan::none(1);
-        let mut net = ReliableNet::new(&plan, &[1], &Obs::noop());
-        let mut out = Vec::new();
-        for seq in [3u64, 1] {
-            net.receive(
-                Wire::Data {
-                    src: 0,
-                    dst: 1,
-                    seq,
-                    payload: payload(seq as i64),
-                },
-                &mut out,
-            );
-        }
-        let links = net.snapshot(1, &mut out);
-        assert_eq!(links.cum[&0], 1, "seq 2 is missing: cum stops at 1");
-        assert!(links.seen[&0].contains(&3), "seq 3 stays in the gap set");
-        // The gap arrives; the next snapshot advances over both.
-        net.receive(
-            Wire::Data {
-                src: 0,
-                dst: 1,
-                seq: 2,
-                payload: payload(2),
-            },
-            &mut out,
-        );
-        out.clear();
-        let links = net.snapshot(1, &mut out);
-        assert_eq!(links.cum[&0], 3);
-        assert!(links.seen[&0].is_empty());
-        assert!(matches!(out.pop(), Some(Wire::Ack { cum: 3, .. })));
-    }
-
-    #[test]
-    fn retransmission_backs_off_and_acks_clear_the_outbox() {
-        let plan = FaultPlan::none(3);
-        let mut net = ReliableNet::new(&plan, &[0], &Obs::noop());
-        let mut out = Vec::new();
-        net.send(0, 1, batch(1));
-        assert!(out.is_empty(), "sends are staged until a snapshot");
-        assert!(net.staged(0));
-        net.snapshot(0, &mut out);
-        assert_eq!(out.len(), 1, "the snapshot releases the first attempt");
-        assert!(!net.staged(0));
-        assert_eq!(net.unacked(), 1);
-        // Run past the first backoff: exactly one retransmission.
-        out.clear();
-        for _ in 0..plan.backoff_base {
-            net.advance(&mut out);
-        }
-        assert_eq!(net.stats.retransmissions, 1);
-        assert!(matches!(out[0], Wire::Data { seq: 1, .. }));
-        // The cumulative ack clears it; no further retransmissions.
-        out.clear();
-        net.receive(
-            Wire::Ack {
-                src: 1,
-                dst: 0,
-                cum: 1,
-            },
-            &mut out,
-        );
-        assert_eq!(net.unacked(), 0);
-        for _ in 0..64 {
-            net.advance(&mut out);
-        }
-        assert_eq!(net.stats.retransmissions, 1);
-        assert!(!net.has_obligations());
-    }
-
-    #[test]
-    fn retry_budget_exhaustion_is_counted_and_unblocks() {
-        let mut plan = FaultPlan::uniform(5, 1.0, 0.0); // every attempt dropped
-        plan.retry_budget = 3;
-        plan.backoff_base = 1;
-        plan.max_backoff = 1;
-        let mut net = ReliableNet::new(&plan, &[0], &Obs::noop());
-        let mut out = Vec::new();
-        net.send(0, 1, batch(1));
-        net.snapshot(0, &mut out);
-        assert!(out.is_empty(), "drop_p=1 eats the first attempt");
-        for _ in 0..32 {
-            net.advance(&mut out);
-        }
-        assert_eq!(net.stats.retry_exhausted, 1);
-        assert_eq!(net.unacked(), 0, "exhausted entries are abandoned");
-        assert!(!net.has_obligations());
-        assert_eq!(net.stats.attempts, 3);
-        assert_eq!(net.stats.dropped, 3);
-    }
-
-    #[test]
-    fn partition_drops_until_heal_then_retransmission_crosses() {
-        let mut plan = FaultPlan::none(5).with_partition(0, 1, 0, 10);
-        plan.backoff_base = 2;
-        plan.max_backoff = 2;
-        let mut net = ReliableNet::new(&plan, &[0], &Obs::noop());
-        let mut out = Vec::new();
-        net.send(0, 1, batch(1));
-        net.snapshot(0, &mut out);
-        assert!(out.is_empty(), "partitioned at tick 0");
-        while net.now() < 20 && out.is_empty() {
-            net.advance(&mut out);
-        }
-        assert!(!out.is_empty(), "retransmission crosses after the heal");
-        assert!(net.now() >= 10);
-        // Reverse direction was never partitioned.
-        let mut rev = Vec::new();
-        let mut net2 = ReliableNet::new(&plan, &[1], &Obs::noop());
-        net2.send(1, 0, batch(2));
-        net2.snapshot(1, &mut rev);
-        assert_eq!(rev.len(), 1);
-    }
-
-    #[test]
-    fn delay_buffers_and_releases_in_tick_order() {
-        let mut plan = FaultPlan::none(9).with_delay(1.0, 4);
-        plan.backoff_base = 64; // keep retransmission out of the picture
-        let mut net = ReliableNet::new(&plan, &[0], &Obs::noop());
-        let mut out = Vec::new();
-        net.send(0, 1, batch(1));
-        net.snapshot(0, &mut out);
-        assert!(out.is_empty(), "delay_p=1 holds every copy");
-        assert_eq!(net.stats.delayed, 1);
-        assert!(net.has_obligations());
-        let mut released = Vec::new();
-        for _ in 0..5 {
-            net.advance(&mut released);
-        }
-        assert_eq!(
-            released
-                .iter()
-                .filter(|w| matches!(w, Wire::Data { .. }))
-                .count(),
-            1
-        );
-    }
-
-    #[test]
-    fn crash_restore_rolls_back_staged_sends_and_reissues_their_seqs() {
-        let plan = FaultPlan::none(11).with_crash(0, 1, 2);
-        let mut net = ReliableNet::new(&plan, &[0], &Obs::noop());
-        let mut out = Vec::new();
-        // Release seq 1 with a snapshot; stage seq 2 with no covering
-        // snapshot.
-        net.send(0, 1, batch(1));
-        let snap = net.snapshot(0, &mut out);
-        assert!(matches!(out[0], Wire::Data { seq: 1, .. }));
-        net.send(0, 1, batch(2));
-        assert_eq!(net.unacked(), 2);
-        // Crash: the staged entry vanishes with the rollback and its
-        // sequence number is reissued — safe, because a staged send was
-        // never on the wire; the released entry survives for
-        // retransmission.
-        assert!(net.due_crash(0, 1).is_some());
-        assert!(net.due_crash(0, 1).is_none(), "each point fires once");
-        net.crash(0, 2);
-        net.restore(0, snap);
-        assert_eq!(net.unacked(), 1, "only the committed entry survives");
-        assert_eq!(
-            net.links[&0].out[&1].keys().copied().collect::<Vec<_>>(),
-            vec![1]
-        );
-        assert!(net.node_down(0));
-        assert!(net.any_down());
-        for _ in 0..3 {
-            net.advance(&mut out);
-        }
-        assert!(!net.node_down(0), "recovery window expires");
-        // The restart re-derives and re-stages under the reissued seq.
-        out.clear();
-        net.send(0, 1, batch(2));
-        net.snapshot(0, &mut out);
-        assert!(
-            out.iter().any(|w| matches!(w, Wire::Data { seq: 2, .. })),
-            "rolled-back seq 2 is reused: {out:?}"
-        );
-    }
-
-    #[test]
-    fn down_node_refuses_arrivals() {
-        let plan = FaultPlan::none(13);
-        let mut net = ReliableNet::new(&plan, &[1], &Obs::noop());
-        net.crash(1, 5);
-        let mut out = Vec::new();
-        let got = net.receive(
-            Wire::Data {
-                src: 0,
-                dst: 1,
-                seq: 1,
-                payload: payload(1),
-            },
-            &mut out,
-        );
-        assert!(got.is_none());
-        assert_eq!(net.stats.dropped, 1);
-        assert!(out.is_empty(), "a down node does not ack");
-    }
-
-    #[test]
-    fn corrupted_payload_is_refused_and_the_seq_stays_free() {
-        let plan = FaultPlan::none(17);
-        let mut net = ReliableNet::new(&plan, &[1], &Obs::noop());
-        let mut out = Vec::new();
-        // Corrupt the payload past the header: decode fails, the wire
-        // counts as a drop, and no ack is emitted.
-        let mut bad: Vec<u8> = payload(1).to_vec();
-        let last = bad.len() - 1;
-        bad[last] ^= 0xff;
-        bad.truncate(last);
-        let got = net.receive(
-            Wire::Data {
-                src: 0,
-                dst: 1,
-                seq: 1,
-                payload: bad.into(),
-            },
-            &mut out,
-        );
-        assert!(got.is_none());
-        assert_eq!(net.stats.decode_failures, 1);
-        assert_eq!(net.stats.dropped, 1);
-        assert!(out.is_empty(), "a refused wire is not acked");
-        // A clean retransmission of the same seq still lands: the
-        // refusal did not consume the sequence number.
-        let got = net.receive(
-            Wire::Data {
-                src: 0,
-                dst: 1,
-                seq: 1,
-                payload: payload(1),
-            },
-            &mut out,
-        );
-        assert_eq!(got, Some((1, batch(1), None)));
-        assert_eq!(net.stats.duplicates_suppressed, 0);
-    }
-
-    #[test]
-    fn wire_bytes_count_every_copy_and_beat_the_naive_baseline() {
-        let plan = FaultPlan::none(19);
-        let mut net = ReliableNet::new(&plan, &[0], &Obs::noop());
-        let mut out = Vec::new();
-        // A dense batch: the delta encoding should be measurably
-        // smaller than the per-fact baseline.
-        let dense: Multiset<Fact> = (0..64).map(|i| fact("reach", [i, i + 1])).collect();
-        net.send(0, 1, dense);
-        assert_eq!(net.wire_bytes, 0, "staged sends are not on the wire yet");
-        net.snapshot(0, &mut out);
-        assert!(net.wire_bytes > 0);
-        assert!(
-            net.wire_bytes < net.wire_bytes_naive,
-            "delta bytes {} should beat naive bytes {}",
-            net.wire_bytes,
-            net.wire_bytes_naive
-        );
-        // A retransmission pays the same bytes again.
-        let first = net.wire_bytes;
-        for _ in 0..plan.backoff_base {
-            net.advance(&mut out);
-        }
-        assert_eq!(net.stats.retransmissions, 1);
-        assert_eq!(net.wire_bytes, first * 2);
-    }
-
     #[test]
     fn stats_merge_is_fieldwise() {
         let mut a = FaultStats {

@@ -58,6 +58,7 @@
 
 pub mod executor;
 pub mod faults;
+pub mod reliable;
 pub mod termination;
 pub mod transport;
 pub mod wirefmt;
@@ -66,9 +67,8 @@ pub use executor::{
     run_threaded, run_threaded_with, Programs, ThreadedConfig, ThreadedNetwork, ThreadedRunResult,
     WorkerStats,
 };
-pub use faults::{
-    CrashPoint, FaultPlan, FaultStats, LinkCounters, LinkFaults, Partition, ReliableNet, Wire,
-};
+pub use faults::{CrashPoint, FaultPlan, FaultStats, LinkFaults, Partition};
+pub use reliable::{LinkCounters, ReliableNet, Wire};
 pub use termination::Token;
 pub use transport::{
     run_net_worker, run_process, Assign, FinalReport, JobSpec, NetError, ProcessConfig,

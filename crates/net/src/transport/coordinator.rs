@@ -23,8 +23,9 @@ use super::proto::{
     decode_ctrl, encode_ctrl, Assign, CtrlMsg, FinalReport, JobSpec, PROTOCOL_VERSION,
 };
 use super::{frame, NetError};
-use crate::executor::Msg;
-use crate::faults::{FaultStats, LinkCounters};
+use crate::executor::{join_reports, Msg};
+use crate::faults::FaultStats;
+use crate::reliable::LinkCounters;
 use crate::WorkerStats;
 use calm_common::instance::Instance;
 use calm_obs::{ArgValue, Obs};
@@ -167,8 +168,6 @@ pub struct ProcessRunResult {
     /// as the threaded engine does — the transport framing itself is
     /// not payload and is not counted).
     pub wire_bytes: u64,
-    /// Merged pre-v2 baseline bytes.
-    pub wire_bytes_naive: u64,
 }
 
 impl ProcessRunResult {
@@ -452,9 +451,9 @@ fn reap(handle: SpawnHandle) {
 /// coordinator. Spawns workers with `spawner`, performs the handshake
 /// barrier (every `Assign` is sent only after *all* workers said
 /// hello, so every relay target exists before any traffic flows),
-/// relays until all finals are in, and merges exactly like the
-/// threaded engine's join — same fold, same worker order, so the
-/// merged metrics are deterministic given the per-worker values.
+/// relays until all finals are in, and comes out through the join the
+/// threaded engine uses, so the merged metrics are deterministic given
+/// the per-worker values.
 pub fn run_process(
     cfg: &ProcessConfig,
     spawner: &Spawner<'_>,
@@ -869,99 +868,32 @@ pub fn run_process(
         reap(h);
     }
 
-    // Deterministic join: the same fold as the threaded engine, in
-    // worker order.
-    let mut metrics = Metrics::default();
-    let mut states: BTreeMap<NodeId, Instance> = BTreeMap::new();
-    let mut per_worker = Vec::new();
-    let mut quiescent = failed.is_empty();
-    let mut token_passes = 0u64;
-    let mut faults = FaultStats::default();
-    let mut link_counters: BTreeMap<(usize, usize), LinkCounters> = BTreeMap::new();
-    let mut wire_bytes = 0u64;
-    let mut wire_bytes_naive = 0u64;
-    for report in finals.into_iter().flatten() {
-        metrics.merge(&report.stats.metrics);
-        quiescent &= report.clean;
-        token_passes += report.stats.token_passes;
-        faults.merge(&report.stats.faults);
-        wire_bytes += report.stats.wire_bytes;
-        wire_bytes_naive += report.stats.wire_bytes_naive;
-        for (link, counters) in &report.stats.link_counters {
-            link_counters.entry(*link).or_default().merge(counters);
-        }
-        for (node, state) in report.states {
-            states.insert(node, state);
-        }
-        per_worker.push(report.stats);
-    }
     // Every death counts as a crash, whether supervision absorbed it or
     // not; the unsupervised path has no `downs` beyond the failures.
-    faults.crashes += if supervised {
+    let deaths = if supervised {
         downs
     } else {
         failed.len() as u64
     };
-
-    obs.event("net", "termination", 0, || {
-        vec![
-            ("quiescent", ArgValue::Bool(quiescent)),
-            ("token_passes", ArgValue::U64(token_passes)),
-            ("workers", ArgValue::U64(workers as u64)),
-        ]
-    });
-    if cfg.spec.faults.is_some() && obs.enabled() {
-        for (name, value) in faults.as_pairs() {
-            obs.counter("net", &format!("faults.{name}"), value);
-        }
-        obs.event("net", "fault_summary", 0, || {
-            vec![
-                ("attempts", ArgValue::U64(faults.attempts)),
-                ("retransmissions", ArgValue::U64(faults.retransmissions)),
-                (
-                    "duplicates_suppressed",
-                    ArgValue::U64(faults.duplicates_suppressed),
-                ),
-                ("dropped", ArgValue::U64(faults.dropped)),
-                ("crashes", ArgValue::U64(faults.crashes)),
-                ("snapshots", ArgValue::U64(faults.snapshots)),
-                ("retry_exhausted", ArgValue::U64(faults.retry_exhausted)),
-            ]
-        });
-    }
-    if obs.enabled() {
-        obs.counter("net", "wire.bytes", wire_bytes);
-        obs.counter("net", "wire.bytes_naive", wire_bytes_naive);
-        obs.event("runtime", "run_summary", 0, || {
-            vec![
-                ("quiescent", ArgValue::Bool(quiescent)),
-                ("transitions", ArgValue::U64(metrics.transitions as u64)),
-                ("heartbeats", ArgValue::U64(metrics.heartbeats as u64)),
-                ("messages_sent", ArgValue::U64(metrics.messages_sent as u64)),
-                (
-                    "messages_delivered",
-                    ArgValue::U64(metrics.messages_delivered as u64),
-                ),
-                (
-                    "max_queue_depth",
-                    ArgValue::U64(metrics.max_queue_depth() as u64),
-                ),
-            ]
-        });
-    }
-
+    let joined = join_reports(
+        finals.into_iter().flatten().collect(),
+        workers,
+        cfg.spec.faults.is_some(),
+        failed.is_empty(),
+        deaths,
+        obs,
+    );
     Ok(ProcessRunResult {
-        states,
-        metrics,
-        per_worker,
-        quiescent,
+        states: joined.states,
+        metrics: joined.metrics,
+        per_worker: joined.per_worker,
+        quiescent: joined.quiescent,
         failed_workers: failed,
         adopted_workers,
         respawns: respawn_count,
-        faults,
-        link_counters,
-        wire_bytes,
-        wire_bytes_naive,
+        faults: joined.faults,
+        link_counters: joined.link_counters,
+        wire_bytes: joined.wire_bytes,
     })
 }
 

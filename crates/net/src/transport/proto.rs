@@ -33,7 +33,8 @@
 //! and trailing bytes all surface as [`WireError`]s.
 
 use crate::executor::Msg;
-use crate::faults::{FaultStats, LinkCounters, NodeLinks, NodeSnapshot, OutEntry, Wire};
+use crate::faults::FaultStats;
+use crate::reliable::{LinkCounters, NodeLinks, NodeSnapshot, OutEntry, Wire};
 use crate::termination::Token;
 use crate::wirefmt::{put_bytes, put_value, put_varint, zigzag, Reader, WireError};
 use crate::WorkerStats;
@@ -52,8 +53,9 @@ use std::sync::Arc;
 ///
 /// v2 adds supervision: `Snapshot`/`Heartbeat` control frames, ring
 /// epochs on tokens, `Reset`/`Reassign` executor messages, and the
-/// incarnation/epoch/restore fields of `Assign`.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// incarnation/epoch/restore fields of `Assign`. v3 drops the naive
+/// wire-byte baseline from outbox entries and worker stats.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// The job a coordinator hands every worker: sources and knobs, all
 /// engine-agnostic strings the worker's builder interprets (the
@@ -586,7 +588,7 @@ fn read_fault_stats(r: &mut Reader<'_>) -> Result<FaultStats, WireError> {
 /// Layout (all lengths varint-prefixed, canonical wirefmt values):
 /// instance state, pending inbox as a `(fact, multiplicity)` multiset,
 /// the send-dedup set, the link state (`out` outboxes with payload
-/// bytes verbatim + naive length + staged flag, `cum`, `seen`,
+/// bytes verbatim + staged flag, `cum`, `seen`,
 /// `sent_floor`, `recv_dedup`), then the node's monotone transition
 /// count and trace-seq allocator. Retry timers (`attempt`, `retry_at`)
 /// are deliberately *not* shipped: a restore re-arms every unacked
@@ -616,7 +618,6 @@ pub(crate) fn encode_snapshot_blob(
         for (seq, e) in entries {
             put_varint(&mut out, *seq);
             put_bytes(&mut out, &e.payload);
-            put_varint(&mut out, e.naive_len);
             out.push(e.staged as u8);
         }
     }
@@ -689,7 +690,6 @@ pub(crate) fn decode_snapshot_blob(bytes: &[u8]) -> Result<(NodeSnapshot, u64, u
         for _ in 0..entry_count {
             let seq = r.varint()?;
             let payload: Arc<[u8]> = Arc::from(r.prefixed_bytes()?);
-            let naive_len = r.varint()?;
             let staged = match r.u8()? {
                 0 => false,
                 1 => true,
@@ -699,7 +699,6 @@ pub(crate) fn decode_snapshot_blob(bytes: &[u8]) -> Result<(NodeSnapshot, u64, u
                 seq,
                 OutEntry {
                     payload,
-                    naive_len,
                     attempt: 0,
                     retry_at: 0,
                     staged,
@@ -796,7 +795,6 @@ fn put_worker_stats(out: &mut Vec<u8>, s: &WorkerStats) {
         }
     }
     put_varint(out, s.wire_bytes);
-    put_varint(out, s.wire_bytes_naive);
 }
 
 #[allow(clippy::field_reassign_with_default)]
@@ -840,7 +838,6 @@ fn read_worker_stats(r: &mut Reader<'_>) -> Result<WorkerStats, WireError> {
     }
     s.link_counters = links;
     s.wire_bytes = r.varint()?;
-    s.wire_bytes_naive = r.varint()?;
     Ok(s)
 }
 
@@ -1186,7 +1183,6 @@ mod tests {
             salt + 3,
             OutEntry {
                 payload: Arc::from(&[1u8, 2, 3][..]),
-                naive_len: 40,
                 attempt: 7, // deliberately non-zero: must NOT survive
                 retry_at: 99,
                 staged: false,
@@ -1232,7 +1228,6 @@ mod tests {
         assert_eq!(back.links.recv_dedup, snap.links.recv_dedup);
         let e = &back.links.out[&2][&13];
         assert_eq!(&e.payload[..], &[1, 2, 3]);
-        assert_eq!(e.naive_len, 40);
         assert!(!e.staged);
         // The dead incarnation's retry schedule is not shipped: the
         // restorer re-arms entries on its own clock.
@@ -1287,7 +1282,6 @@ mod tests {
             token_passes: 5,
             exhausted: false,
             wire_bytes: 900,
-            wire_bytes_naive: 2100,
             ..WorkerStats::default()
         };
         stats.metrics.transitions = 19;

@@ -17,7 +17,7 @@
 
 use super::frame::{read_frame, write_frame, FrameError};
 use super::proto::{
-    decode_ctrl, decode_snapshot_blob, encode_ctrl, Assign, CtrlMsg, FinalReport, PROTOCOL_VERSION,
+    decode_ctrl, decode_snapshot_blob, encode_ctrl, Assign, CtrlMsg, PROTOCOL_VERSION,
 };
 use crate::executor::{run_worker, Msg, Ports, ProcCtx, WorkerCtx};
 use crate::faults::FaultPlan;
@@ -302,7 +302,7 @@ pub fn run_net_worker(
     });
     // Writes the transport refused are counted link faults, not losses
     // the accounting forgets about.
-    outcome.stats.faults.dropped += ports.send_drops.load(Ordering::SeqCst);
+    outcome.report.stats.faults.dropped += ports.send_drops.load(Ordering::SeqCst);
 
     if outcome.killed {
         // Scripted process kill: die the way a real crash does — no
@@ -324,11 +324,7 @@ pub fn run_net_worker(
 
     // Report. Best effort: if the link died this write fails too, and
     // the coordinator has already counted us down.
-    let report = CtrlMsg::Final(FinalReport {
-        stats: outcome.stats,
-        states: outcome.states,
-        clean: outcome.clean,
-    });
+    let report = CtrlMsg::Final(outcome.report);
     {
         let mut stream = ports.writer.lock().expect("writer mutex");
         let _ = write_frame(&mut *stream, &encode_ctrl(&report));

@@ -2,7 +2,7 @@
 //!
 //! The threaded executor and the reliability substrate move batches of
 //! uninterned facts between workers ([`crate::executor`]'s `Msg::Batch`
-//! and [`crate::faults::Wire::Data`]). Through PR 5 those payloads were
+//! and [`crate::reliable::Wire::Data`]). Through PR 5 those payloads were
 //! in-memory `Multiset<Fact>` values — fine for `mpsc` channels, but
 //! with no meaningful notion of bytes-on-wire and no way to retransmit
 //! a batch verbatim. This module gives batches a real wire format,
@@ -32,9 +32,11 @@
 //! (counted as a drop by the reliability substrate) rather than as a
 //! garbled batch.
 //!
-//! [`encode_naive`] is the measurement baseline for experiment E23: the
-//! pre-v2 shape of the payload, every fact carrying its full relation
-//! name and self-described values, no dictionary and no deltas.
+//! [`encode_naive`] is the reference format the delta encoding is
+//! measured against (`tests/wire.rs`, experiment E23, the benchmark's
+//! `vs_naive_ratio`): every fact carries its full relation name and
+//! self-described values, no dictionary and no deltas. No engine sends
+//! or counts it.
 
 use calm_common::fact::{Fact, RelName};
 use calm_common::value::{SkolemTerm, Value};
@@ -540,9 +542,8 @@ pub fn decode_naive(bytes: &[u8]) -> Result<Multiset<Fact>, WireError> {
     Ok(batch)
 }
 
-/// Bytes the naive (pre-v2) encoding would spend on this batch — the
-/// per-message baseline accumulated into the executor's
-/// `wire_bytes_naive` counters.
+/// Bytes the naive encoding would spend on this batch — the
+/// per-message baseline of E23's byte table.
 pub fn naive_len(batch: &Multiset<Fact>) -> usize {
     encode_naive(batch).len()
 }

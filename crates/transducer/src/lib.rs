@@ -47,8 +47,8 @@ pub use policy::{
 };
 pub use proof_replay::{replay_no_all_indistinguishability, replay_policy_surgery, ReplayOutcome};
 pub use runtime::{
-    network_output, run, run_with, transition, transition_with, verify_computes, Configuration,
-    Delivery, Metrics, RunResult, Scheduler, TransducerNetwork, DEFAULT_DELIVER_P,
+    network_output, run, run_with, transition, verify_computes, Configuration, Delivery, Metrics,
+    RunResult, Scheduler, TransducerNetwork, DEFAULT_DELIVER_P,
 };
 pub use schema::{policy_relation, SystemConfig, TransducerSchema};
 pub use strategy::{

@@ -124,6 +124,28 @@ impl Metrics {
         }
         self.eval.merge(&other.eval);
     }
+
+    /// Emit the `runtime/run_summary` event that closes a run on every
+    /// engine (sequential runtime, threaded executor, process
+    /// coordinator), so reports read the same whichever produced them.
+    pub fn report_run_summary(&self, obs: &Obs, quiescent: bool) {
+        obs.event("runtime", "run_summary", 0, || {
+            vec![
+                ("quiescent", ArgValue::Bool(quiescent)),
+                ("transitions", ArgValue::U64(self.transitions as u64)),
+                ("heartbeats", ArgValue::U64(self.heartbeats as u64)),
+                ("messages_sent", ArgValue::U64(self.messages_sent as u64)),
+                (
+                    "messages_delivered",
+                    ArgValue::U64(self.messages_delivered as u64),
+                ),
+                (
+                    "max_queue_depth",
+                    ArgValue::U64(self.max_queue_depth() as u64),
+                ),
+            ]
+        });
+    }
 }
 
 /// The default per-occurrence delivery probability of sampled
@@ -172,6 +194,35 @@ pub struct CausalTrace {
     last_arrival: BTreeMap<NodeId, (u64, u64)>,
 }
 
+/// Emit the `trace/send` event of one step's send: message id
+/// `(origin, seq)`, its causal parent, fan-out, fact count and per-class
+/// counts. The sequential runtime and the threaded/process executor
+/// share it, so `calm trace report` ingests any engine's trace.
+pub fn trace_send(
+    obs: &Obs,
+    (origin, seq): (u64, u64),
+    cause: Option<(u64, u64)>,
+    fanout: u64,
+    batch: &Multiset<Fact>,
+) {
+    obs.event("trace", "send", origin as u32 + 1, || {
+        let mut args = vec![
+            ("origin", ArgValue::U64(origin)),
+            ("seq", ArgValue::U64(seq)),
+            ("fanout", ArgValue::U64(fanout)),
+            ("facts", ArgValue::U64(batch.len() as u64)),
+        ];
+        if let Some((co, cs)) = cause {
+            args.push(("cause_origin", ArgValue::U64(co)));
+            args.push(("cause_seq", ArgValue::U64(cs)));
+        }
+        for (name, n) in class_arg_counts(batch) {
+            args.push((name, ArgValue::U64(n)));
+        }
+        args
+    });
+}
+
 /// A node's position in network order: the numeric origin used in
 /// message ids and the basis of its display track (`index + 1`).
 fn node_index(tn: &TransducerNetwork<'_>, x: &NodeId) -> u64 {
@@ -193,7 +244,7 @@ pub fn transition(
     delivery: Delivery,
     metrics: &mut Metrics,
 ) -> bool {
-    transition_with(tn, dist, config, x, delivery, metrics, &Obs::noop())
+    transition_traced(tn, dist, config, x, delivery, metrics, &Obs::noop(), None)
 }
 
 /// As [`transition`], reporting a per-transition event (node, messages
@@ -201,21 +252,7 @@ pub fn transition(
 /// per-node queue-depth gauges (each recipient's depth after the sends,
 /// plus the active node's residue after delivery) to `obs`. The event's
 /// display track is `1 + <node index>`, giving one timeline lane per
-/// node.
-#[allow(clippy::too_many_arguments)]
-pub fn transition_with(
-    tn: &TransducerNetwork<'_>,
-    dist: &BTreeMap<NodeId, Instance>,
-    config: &mut Configuration,
-    x: &NodeId,
-    delivery: Delivery,
-    metrics: &mut Metrics,
-    obs: &Obs,
-) -> bool {
-    transition_traced(tn, dist, config, x, delivery, metrics, obs, None)
-}
-
-/// As [`transition_with`], additionally threading the causal-tracing
+/// node. Additionally threads the causal-tracing
 /// state: when `trace` is supplied and `obs` is enabled, a send mints a
 /// `(origin, seq)` message id (causal parent: the last id routed into
 /// `x`'s buffer) and emits `trace/send`, and each recipient's buffer
@@ -303,22 +340,7 @@ pub fn transition_traced(
                 let cause = tr.last_arrival.get(x).copied();
                 let batch: Multiset<Fact> = outcome.sent.iter().cloned().collect();
                 let fanout = tn.policy.network().others(x).count() as u64;
-                obs.event("trace", "send", origin as u32 + 1, || {
-                    let mut args = vec![
-                        ("origin", ArgValue::U64(origin)),
-                        ("seq", ArgValue::U64(seq)),
-                        ("fanout", ArgValue::U64(fanout)),
-                        ("facts", ArgValue::U64(batch.len() as u64)),
-                    ];
-                    if let Some((co, cs)) = cause {
-                        args.push(("cause_origin", ArgValue::U64(co)));
-                        args.push(("cause_seq", ArgValue::U64(cs)));
-                    }
-                    for (name, n) in class_arg_counts(&batch) {
-                        args.push((name, ArgValue::U64(n)));
-                    }
-                    args
-                });
+                trace_send(obs, (origin, seq), cause, fanout, &batch);
                 Some((origin, seq))
             }
             None => None,
@@ -606,24 +628,7 @@ pub fn run_with(
         }
     }
 
-    if obs.enabled() {
-        obs.event("runtime", "run_summary", 0, || {
-            vec![
-                ("quiescent", ArgValue::Bool(quiescent)),
-                ("transitions", ArgValue::U64(metrics.transitions as u64)),
-                ("heartbeats", ArgValue::U64(metrics.heartbeats as u64)),
-                ("messages_sent", ArgValue::U64(metrics.messages_sent as u64)),
-                (
-                    "messages_delivered",
-                    ArgValue::U64(metrics.messages_delivered as u64),
-                ),
-                (
-                    "max_queue_depth",
-                    ArgValue::U64(metrics.max_queue_depth() as u64),
-                ),
-            ]
-        });
-    }
+    metrics.report_run_summary(obs, quiescent);
 
     RunResult {
         output: network_output(tn, &config),

@@ -166,7 +166,7 @@ impl MessageClassCounts {
 /// trace-event argument names. Zero classes are skipped, so a
 /// `trace/send` event carries only the classes the batch actually
 /// contains.
-pub fn class_arg_counts(batch: &Multiset<Fact>) -> Vec<(&'static str, u64)> {
+pub(crate) fn class_arg_counts(batch: &Multiset<Fact>) -> Vec<(&'static str, u64)> {
     let mut counts = MessageClassCounts::default();
     for (f, n) in batch.iter() {
         counts.record(classify_message(f), n);
