@@ -1,7 +1,7 @@
 //! Experiment E18: engine ablation — naive vs semi-naive vs the
 //! optimized engine (join reordering + hash indexes), measured in
-//! *derivation counts* (deterministic; wall-clock lives in the
-//! `datalog_eval` Criterion bench).
+//! *derivation counts* (deterministic; what the fixpoint costs in time
+//! is `datalog.eval.fixpoint_s` and `t2_overhead` in BENCHMARK.json).
 
 use crate::report::{markdown_table, Report};
 use crate::workloads::{scaling_graph, structured};
@@ -9,15 +9,10 @@ use calm_datalog::eval::{eval_stratification_opts, Engine};
 use calm_datalog::parse_program;
 use calm_obs::Obs;
 
-/// E18: derivation-count ablation for transitive closure.
-pub fn e18_engine() -> Report {
-    e18_engine_obs(&Obs::noop())
-}
-
-/// As [`e18_engine`], wrapping each engine × workload run in a span and
-/// streaming the optimized engine's per-stratum/per-iteration spans and
-/// derivation counters to `obs`.
-pub fn e18_engine_obs(obs: &Obs) -> Report {
+/// E18: derivation-count ablation for transitive closure. Each engine
+/// × workload run is a span, and the optimized engine streams its
+/// per-stratum/per-iteration spans and derivation counters to `obs`.
+pub fn e18_engine(obs: &Obs) -> Report {
     let mut r = Report::new(
         "E18",
         "engine ablation — naive vs semi-naive vs ordered+indexed (TC derivation counts)",
@@ -40,37 +35,26 @@ pub fn e18_engine_obs(obs: &Obs) -> Report {
         } else {
             structured(kind, n)
         };
-        let time = |engine: Engine| {
-            let _span = obs.span("bench", || format!("e18:{kind} {engine:?}"));
-            let t0 = std::time::Instant::now();
-            let result = eval_stratification_opts(
+        let eval = |engine: Engine, threads: usize| {
+            let _span = obs.span("bench", || format!("e18:{kind} {engine:?} T={threads}"));
+            eval_stratification_opts(
                 &strat,
                 &input,
                 engine,
                 calm_common::storage::SharedSymbols::new(),
                 obs,
-                1,
-            );
-            (result, t0.elapsed().as_secs_f64() * 1e3)
+                threads,
+            )
         };
-        let ((out_naive, stats_naive), ms_naive) = time(Engine::Naive);
-        let ((out_base, stats_base), ms_base) = time(Engine::SemiNaiveBaseline);
-        let ((out_opt, stats_opt), ms_opt) = time(Engine::SemiNaive);
+        let (out_naive, stats_naive) = eval(Engine::Naive, 1);
+        let (out_base, stats_base) = eval(Engine::SemiNaiveBaseline, 1);
+        let (out_opt, stats_opt) = eval(Engine::SemiNaive, 1);
         if out_naive != out_base || out_base != out_opt {
             engines_agree = false;
         }
         // The data-parallel driver must be byte-identical to the
         // sequential optimized run — same model, same per-stratum stats.
-        let t0 = std::time::Instant::now();
-        let (out_par, stats_par) = eval_stratification_opts(
-            &strat,
-            &input,
-            Engine::SemiNaive,
-            calm_common::storage::SharedSymbols::new(),
-            obs,
-            2,
-        );
-        let ms_par = t0.elapsed().as_secs_f64() * 1e3;
+        let (out_par, stats_par) = eval(Engine::SemiNaive, 2);
         if out_par != out_opt || stats_par != stats_opt {
             parallel_identical = false;
         }
@@ -89,10 +73,9 @@ pub fn e18_engine_obs(obs: &Obs) -> Report {
         rows.push(vec![
             format!("{kind} |V|≈{n}"),
             out_opt.relation_len("T").to_string(),
-            format!("{d_naive} ({ms_naive:.1} ms)"),
-            format!("{d_base} ({ms_base:.1} ms)"),
-            format!("{d_opt} ({ms_opt:.1} ms)"),
-            format!("{ms_par:.1} ms"),
+            d_naive.to_string(),
+            d_base.to_string(),
+            d_opt.to_string(),
             format!("{probes} / {hits}"),
             format!("{:.1}x", d_naive as f64 / d_opt.max(1) as f64),
         ]);
@@ -121,10 +104,9 @@ pub fn e18_engine_obs(obs: &Obs) -> Report {
         &[
             "workload",
             "|TC|",
-            "naive (derivations, time)",
+            "naive derivations",
             "semi-naive baseline",
             "ordered+indexed",
-            "parallel T=2",
             "probes / hits (opt)",
             "naive/opt derivations",
         ],

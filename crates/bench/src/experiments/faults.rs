@@ -3,12 +3,13 @@
 //!
 //! Every cell of the sweep must still produce the sequential oracle's
 //! output byte-identically (the chaos-equivalence guarantee measured at
-//! bench scale), while the table shows what the unfair network costs:
-//! wall clock, retransmission volume, and duplicates absorbed by the
-//! receiver-side dedup. The `off` row runs with no fault plan at all —
-//! the pay-for-what-you-use claim is that this path never enters the
-//! reliability machinery, and that even an armed zero-probability plan
-//! (seq/ack/snapshot bookkeeping with nothing injected) stays close.
+//! bench scale), while the table shows what the unfair network costs in
+//! traffic: retransmission volume, and duplicates absorbed by the
+//! receiver-side dedup (in time: `net.faults.lossy_run_s` in
+//! BENCHMARK.json). The `off` row runs with no fault plan at all — the
+//! pay-for-what-you-use claim is that this path never enters the
+//! reliability machinery; the armed zero-probability row shows the
+//! seq/ack/snapshot bookkeeping with nothing injected.
 //!
 //! Sized so that every faulty cell makes several hundred transmission
 //! attempts (12 nodes: the broadcast family, the quietest, makes ≥ 500),
@@ -20,18 +21,10 @@
 //! schedule-dependent share moves by more from run to run than the
 //! loss-driven share differs between the two rates.
 
-use std::time::Instant;
-
 use crate::report::{markdown_table, Report};
-use crate::workloads::scaling_graph;
-use calm_net::{run_threaded_with, FaultPlan, Programs, ThreadedConfig, ThreadedNetwork};
+use crate::workloads::{families, scaling_graph};
+use calm_net::{FaultPlan, ThreadedConfig};
 use calm_obs::Obs;
-use calm_queries::qtc::qtc_datalog;
-use calm_queries::tc::{edges_without_source_loop, tc_datalog};
-use calm_transducer::{
-    run_with, DisjointStrategy, DistinctStrategy, DistributionPolicy, DomainGuidedPolicy,
-    HashPolicy, MonotoneBroadcast, Network, Scheduler, SystemConfig, Transducer, TransducerNetwork,
-};
 
 const NODES: usize = 12;
 const WORKERS: usize = 4;
@@ -40,136 +33,52 @@ const SEED: u64 = 20;
 /// so the dedup column is exercised too.
 const DROPS: [f64; 2] = [0.05, 0.2];
 
-type Family<'a> = (
-    &'a str,
-    &'a (dyn Fn() -> Box<dyn Transducer> + Sync),
-    &'a dyn DistributionPolicy,
-    SystemConfig,
-);
-
-/// E20: drop-rate sweep over the fault layer.
-pub fn e20_faults() -> Report {
-    e20_faults_obs(&Obs::noop())
-}
-
-/// As [`e20_faults`], threading an [`Obs`] through the runs so `repro
-/// --trace-out` captures the per-fault-class counters as artifacts.
-pub fn e20_faults_obs(obs: &Obs) -> Report {
+/// E20: drop-rate sweep over the fault layer; `obs` sees every run, so
+/// `repro --trace-out` captures the per-fault-class counters.
+pub fn e20_faults(obs: &Obs) -> Report {
     let mut r = Report::new(
         "E20",
-        "fault injection — drop-rate sweep vs wall clock and retransmit volume per strategy",
+        "fault injection — drop-rate sweep vs retransmit volume per strategy",
     );
     let input = scaling_graph(11, 24, 1.5);
     let mut rows = Vec::new();
 
-    let m_factory =
-        || Box::new(MonotoneBroadcast::new(Box::new(tc_datalog()))) as Box<dyn Transducer>;
-    let d_factory = || {
-        Box::new(DistinctStrategy::new(Box::new(edges_without_source_loop())))
-            as Box<dyn Transducer>
-    };
-    let j_factory =
-        || Box::new(DisjointStrategy::new(Box::new(qtc_datalog()))) as Box<dyn Transducer>;
-    let hash = HashPolicy::new(Network::of_size(NODES));
-    let guided = DomainGuidedPolicy::new(Network::of_size(NODES));
-    let families: [Family; 3] = [
-        (
-            "M/broadcast (TC)",
-            &m_factory,
-            &hash,
-            SystemConfig::ORIGINAL,
-        ),
-        (
-            "Mdistinct/non-facts (SP)",
-            &d_factory,
-            &hash,
-            SystemConfig::POLICY_AWARE,
-        ),
-        (
-            "Mdisjoint/request-OK (Q_TC)",
-            &j_factory,
-            &guided,
-            SystemConfig::POLICY_AWARE,
-        ),
-    ];
-
-    let mut worst_overhead = 0.0f64;
     let mut all_untouched = true;
-    for (label, factory, policy, config) in families {
+    for f in families(NODES) {
+        let label = f.label;
         // The sequential oracle every sweep cell must reproduce.
-        let oracle = factory();
-        let tn = TransducerNetwork {
-            transducer: oracle.as_ref(),
-            policy,
-            config,
-        };
-        let seq = run_with(&tn, &input, &Scheduler::RoundRobin, 5_000_000, obs);
-
-        let net = ThreadedNetwork {
-            programs: Programs::PerWorker(factory),
-            policy,
-            config,
-        };
-        let run_cell = |plan: Option<FaultPlan>, reps: usize| {
+        let seq = f.run_sequential(&input, obs);
+        let mut all_equal = true;
+        let mut run_cell = |drop: &str, plan: Option<FaultPlan>| {
             let mut cfg = ThreadedConfig::new(WORKERS);
-            if let Some(plan) = plan {
-                cfg = cfg.with_faults(plan);
-            }
-            let mut best = f64::MAX;
-            let mut out = None;
-            for _ in 0..reps {
-                let start = Instant::now();
-                let thr = run_threaded_with(&net, &input, &cfg, obs);
-                best = best.min(start.elapsed().as_secs_f64());
-                out = Some(thr);
-            }
-            (out.expect("reps >= 1"), best)
+            cfg.faults = plan;
+            let thr = f.run_threaded(&input, &cfg, obs);
+            let matches = thr.output == seq.output;
+            all_equal &= thr.quiescent && matches;
+            rows.push(vec![
+                label.to_string(),
+                drop.to_string(),
+                thr.faults.attempts.to_string(),
+                thr.faults.retransmissions.to_string(),
+                thr.faults.duplicates_suppressed.to_string(),
+                thr.faults.dropped.to_string(),
+                thr.faults.crashes.to_string(),
+                matches.to_string(),
+                thr.quiescent.to_string(),
+            ]);
+            thr.faults
         };
 
         // Baseline: no fault plan — the zero-fault path.
-        let (off, off_wall) = run_cell(None, 3);
-        let mut all_equal = off.quiescent && off.output == seq.output;
-        let off_untouched = off.faults.attempts == 0
-            && off.faults.retransmissions == 0
-            && off.faults.snapshots == 0;
+        let off = run_cell("off", None);
+        let off_untouched = off.attempts == 0 && off.retransmissions == 0 && off.snapshots == 0;
         all_untouched &= off_untouched;
-        rows.push(cell_row(
-            label,
-            "off",
-            off_wall,
-            &off,
-            &seq,
-            off.output == seq.output,
-        ));
-
         // Armed but silent: full seq/ack/snapshot machinery, no faults.
-        let (zero, zero_wall) = run_cell(Some(FaultPlan::none(SEED)), 3);
-        all_equal &= zero.quiescent && zero.output == seq.output;
-        worst_overhead = worst_overhead.max(zero_wall / off_wall.max(1e-9));
-        rows.push(cell_row(
-            label,
-            "0.00 (armed)",
-            zero_wall,
-            &zero,
-            &seq,
-            zero.output == seq.output,
-        ));
-
-        let mut lossy = Vec::new();
-        for drop in DROPS {
+        run_cell("0.00 (armed)", Some(FaultPlan::none(SEED)));
+        let lossy = DROPS.map(|drop| {
             let plan = FaultPlan::uniform(SEED, drop, drop / 2.0);
-            let (thr, wall) = run_cell(Some(plan), 1);
-            all_equal &= thr.quiescent && thr.output == seq.output;
-            lossy.push(thr.faults);
-            rows.push(cell_row(
-                label,
-                &format!("{drop:.2}"),
-                wall,
-                &thr,
-                &seq,
-                thr.output == seq.output,
-            ));
-        }
+            run_cell(&format!("{drop:.2}"), Some(plan))
+        });
         r.claim(
             format!("{label}: every sweep cell reproduces the sequential oracle"),
             "byte-identical output, quiescence detected, at drop ∈ {off, 0, 0.05, 0.2}",
@@ -203,7 +112,6 @@ pub fn e20_faults_obs(obs: &Obs) -> Report {
         &[
             "strategy (query)",
             "drop rate",
-            "wall ms",
             "attempts",
             "retransmits",
             "dups suppressed",
@@ -217,38 +125,14 @@ pub fn e20_faults_obs(obs: &Obs) -> Report {
     // Pay-for-what-you-use: a run that requests no faults takes the
     // plain threaded executor path — the reliability machinery is never
     // entered (counters identically zero), so the zero-fault throughput
-    // is the fault-free executor's. What arming the machinery *would*
-    // cost is reported as evidence, not claimed: acks, snapshots, and
-    // conservative retransmit timers are the price of surviving loss.
+    // is the fault-free executor's. What arming the machinery costs —
+    // acks, snapshots and conservative retransmit timers are the price
+    // of surviving loss — is the `0.00 (armed)` rows' traffic here and
+    // `net.faults.lossy_run_s` in the benchmark.
     r.claim(
         "zero-fault throughput is the plain threaded executor's (fault layer is opt-in)",
-        format!(
-            "no-plan runs never enter the fault layer; an armed zero-probability plan \
-             costs {worst_overhead:.2}× for its ack/snapshot/retransmit machinery"
-        ),
+        "no-plan runs never enter the fault layer, in any family",
         all_untouched,
     );
     r
-}
-
-fn cell_row(
-    label: &str,
-    drop: &str,
-    wall: f64,
-    thr: &calm_net::ThreadedRunResult,
-    _seq: &calm_transducer::RunResult,
-    matches: bool,
-) -> Vec<String> {
-    vec![
-        label.to_string(),
-        drop.to_string(),
-        format!("{:.1}", wall * 1e3),
-        thr.faults.attempts.to_string(),
-        thr.faults.retransmissions.to_string(),
-        thr.faults.duplicates_suppressed.to_string(),
-        thr.faults.dropped.to_string(),
-        thr.faults.crashes.to_string(),
-        matches.to_string(),
-        thr.quiescent.to_string(),
-    ]
 }

@@ -1,10 +1,10 @@
 //! E26: supervised recovery under scripted process kills — a kill-rate
 //! sweep (0, 1, 2, 4 kills) over the three strategy families and
-//! `--procs` ∈ {2, 4}, measuring what robustness costs: wall-clock
-//! overhead versus the kill-free supervised run, durable snapshot bytes
-//! shipped to the coordinator, messages replayed by restored
+//! `--procs` ∈ {2, 4}, showing what robustness moves: durable snapshot
+//! bytes shipped to the coordinator, messages replayed by restored
 //! incarnations, and the supervisor's recovery latency (worker_down →
-//! worker_respawn, read from the coordinator's causal events).
+//! worker_respawn, read from the coordinator's own causal events, not
+//! from a clock of this harness).
 //!
 //! The claim that matters rides on every single point of the sweep:
 //! the run stays quiescent, loses no worker, and its output is
@@ -20,25 +20,14 @@
 //! exactly as the OS-process kill does; the CLI test suite covers the
 //! genuine `kill -9` signature with real processes.
 
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
+use super::process::{job, project_output, run_process_tcp, NODES};
 use crate::report::{markdown_table, Report};
-use crate::workloads::scaling_graph;
-use calm_common::Instance;
-use calm_net::{
-    run_net_worker, run_process, Assign, JobSpec, ProcessConfig, ProcessRunResult, SpawnHandle,
-    WorkerSetup,
-};
+use crate::workloads::{families, scaling_graph};
 use calm_obs::{ArgValue, Obs, Sink};
-use calm_queries::qtc::qtc_datalog;
-use calm_queries::tc::{edges_without_source_loop, tc_datalog};
-use calm_transducer::{
-    run_with, DisjointStrategy, DistinctStrategy, DistributionPolicy, DomainGuidedPolicy,
-    HashPolicy, MonotoneBroadcast, Network, Scheduler, SystemConfig, Transducer, TransducerNetwork,
-};
 
-const NODES: usize = 8;
 const PROCS: [usize; 2] = [2, 4];
 const KILLS: [usize; 4] = [0, 1, 2, 4];
 
@@ -89,34 +78,6 @@ impl EventCapture {
     }
 }
 
-fn family(
-    strategy: &str,
-    nodes: usize,
-) -> (
-    Box<dyn Transducer>,
-    Box<dyn DistributionPolicy>,
-    SystemConfig,
-) {
-    match strategy {
-        "monotone" => (
-            Box::new(MonotoneBroadcast::new(Box::new(tc_datalog()))),
-            Box::new(HashPolicy::new(Network::of_size(nodes))),
-            SystemConfig::ORIGINAL,
-        ),
-        "distinct" => (
-            Box::new(DistinctStrategy::new(Box::new(edges_without_source_loop()))),
-            Box::new(HashPolicy::new(Network::of_size(nodes))),
-            SystemConfig::POLICY_AWARE,
-        ),
-        "disjoint" => (
-            Box::new(DisjointStrategy::new(Box::new(qtc_datalog()))),
-            Box::new(DomainGuidedPolicy::new(Network::of_size(nodes))),
-            SystemConfig::POLICY_AWARE,
-        ),
-        other => panic!("unknown strategy family {other}"),
-    }
-}
-
 /// The scripted kill plan: `kills` process kills spread over the
 /// workers (never worker 0 first — the coordinator's first victim
 /// being mid-ring exercises the epoch fencing harder), at staggered
@@ -134,121 +95,37 @@ fn kill_plan(kills: usize, procs: usize) -> String {
     spec
 }
 
-/// One supervised process-engine run over real sockets with
-/// thread-backed workers and a scripted kill plan.
-fn run_supervised_tcp(
-    strategy: &'static str,
-    input: &Instance,
-    procs: usize,
-    faults: String,
-) -> (ProcessRunResult, Option<f64>) {
-    let mut cfg = ProcessConfig::new(
-        procs,
-        JobSpec {
-            program: String::new(),
-            facts: String::new(),
-            strategy: strategy.to_string(),
-            nodes: NODES,
-            eval_threads: 1,
-            step_budget: 5_000_000,
-            faults: Some(faults),
-            trace_prefix: None,
-            flight_path: None,
-        },
-    )
-    .with_respawn_budget(8);
-    // The sweep measures engine overhead, not sleep time.
-    cfg.respawn_backoff = Duration::from_millis(5);
-    let input = input.clone();
-    let spawner = move |k: usize, addr: &str| -> Result<SpawnHandle, String> {
-        let addr = addr.to_string();
-        let input = input.clone();
-        Ok(SpawnHandle::Thread(std::thread::spawn(move || {
-            let builder = move |assign: &Assign| -> Result<WorkerSetup, String> {
-                let (transducer, policy, config) = family(&assign.spec.strategy, assign.spec.nodes);
-                Ok(WorkerSetup {
-                    transducer,
-                    policy,
-                    config,
-                    input: input.clone(),
-                    obs: Obs::noop(),
-                })
-            };
-            if let Err(e) = run_net_worker(&addr, k, &builder) {
-                // A scripted kill *is* the worker erroring out; real
-                // failures surface through the coordinator's result.
-                if !e.to_string().contains("killed by fault plan") {
-                    eprintln!("e26 worker {k} failed: {e}");
-                }
-            }
-        })))
-    };
-    let capture = std::sync::Arc::new(EventCapture::default());
-    let obs = Obs::new(capture.clone());
-    let r = run_process(&cfg, &spawner, &obs).expect("process run starts");
-    let recovery = capture.mean_recovery_ms();
-    (r, recovery)
-}
-
-fn project_output(t: &dyn Transducer, r: &ProcessRunResult) -> Instance {
-    let out_schema = &t.schema().output;
-    let mut output = Instance::new();
-    for state in r.states.values() {
-        output.extend(state.restrict(out_schema).facts());
-    }
-    output
-}
-
-/// E26: supervised recovery — kill-rate sweep.
-pub fn e26_recovery() -> Report {
-    e26_recovery_obs(&Obs::noop())
-}
-
-/// As [`e26_recovery`]; the sequential oracle runs thread the given
-/// [`Obs`], the supervised runs use a private capture sink (their
-/// coordinator events are the measurement).
-pub fn e26_recovery_obs(obs: &Obs) -> Report {
+/// E26: supervised recovery — kill-rate sweep. The sequential oracle
+/// runs thread the given [`Obs`]; the supervised runs use a private
+/// capture sink (their coordinator events are the measurement).
+pub fn e26_recovery(obs: &Obs) -> Report {
     let mut r = Report::new(
         "E26",
-        "supervised recovery — kill-rate sweep: overhead, snapshot bytes, replays, latency",
+        "supervised recovery — kill-rate sweep: snapshot bytes, replays, latency",
     );
     let input = scaling_graph(11, 32, 1.5);
     let mut rows = Vec::new();
 
-    for (label, strategy) in [
-        ("M/broadcast (TC)", "monotone"),
-        ("Mdistinct/non-facts (SP)", "distinct"),
-        ("Mdisjoint/request-OK (Q_TC)", "disjoint"),
-    ] {
-        let (oracle, policy, config) = family(strategy, NODES);
-        let tn = TransducerNetwork {
-            transducer: oracle.as_ref(),
-            policy: policy.as_ref(),
-            config,
-        };
-        let seq = run_with(&tn, &input, &Scheduler::RoundRobin, 5_000_000, obs);
+    for f in families(NODES) {
+        let label = f.label;
+        let transducer = f.transducer(1);
+        let seq = f.run_sequential(&input, obs);
 
         let mut all_identical = seq.quiescent;
         let mut all_recovered = true;
         let mut always_durable = true;
         for procs in PROCS {
-            let mut baseline_wall: Option<f64> = None;
             for kills in KILLS {
-                let start = Instant::now();
-                let (run, recovery_ms) =
-                    run_supervised_tcp(strategy, &input, procs, kill_plan(kills, procs));
-                let wall = start.elapsed().as_secs_f64() * 1e3;
-                let overhead = match baseline_wall {
-                    None => {
-                        baseline_wall = Some(wall);
-                        None
-                    }
-                    Some(base) => Some(wall / base.max(1e-9)),
-                };
+                let mut cfg =
+                    job(f.strategy, procs, Some(kill_plan(kills, procs))).with_respawn_budget(8);
+                // Recovery latency should show the engine, not the sleep.
+                cfg.respawn_backoff = Duration::from_millis(5);
+                let capture = Arc::new(EventCapture::default());
+                let run = run_process_tcp(&cfg, &input, &Obs::new(capture.clone()));
                 let identical = run.quiescent
                     && run.failed_workers.is_empty()
                     && run.adopted_workers.is_empty()
-                    && project_output(oracle.as_ref(), &run) == seq.output;
+                    && project_output(transducer.as_ref(), &run) == seq.output;
                 all_identical &= identical;
                 all_recovered &= run.respawns == kills as u64;
                 always_durable &= run.faults.snapshot_bytes > 0;
@@ -256,11 +133,11 @@ pub fn e26_recovery_obs(obs: &Obs) -> Report {
                     label.to_string(),
                     procs.to_string(),
                     kills.to_string(),
-                    format!("{wall:.1}"),
-                    overhead.map_or("-".into(), |o| format!("{o:.2}x")),
                     run.faults.snapshot_bytes.to_string(),
                     run.faults.replayed.to_string(),
-                    recovery_ms.map_or("-".into(), |l| format!("{l:.1}")),
+                    capture
+                        .mean_recovery_ms()
+                        .map_or("-".into(), |l| format!("{l:.1}")),
                     identical.to_string(),
                 ]);
             }
@@ -287,8 +164,6 @@ pub fn e26_recovery_obs(obs: &Obs) -> Report {
             "strategy (query)",
             "procs",
             "kills",
-            "wall ms",
-            "overhead vs 0-kill",
             "snapshot bytes",
             "replayed msgs",
             "recovery ms",

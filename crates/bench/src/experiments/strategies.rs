@@ -2,11 +2,11 @@
 //! cost profile of the three coordination-free strategies (§4.3).
 
 use crate::report::{markdown_table, Report};
-use crate::workloads::scaling_graph;
+use crate::workloads::{families, scaling_graph, Family};
 use calm_common::generator::{chain_game, mv, path};
 use calm_common::query::Query;
 use calm_common::{fact, Instance};
-use calm_net::{run_threaded_with, FaultPlan, Programs, ThreadedConfig, ThreadedNetwork};
+use calm_net::{FaultPlan, ThreadedConfig};
 use calm_obs::Obs;
 use calm_queries::qtc::qtc_datalog;
 use calm_queries::tc::{edges_without_source_loop, tc_datalog};
@@ -15,7 +15,7 @@ use calm_transducer::{
     compile_monotone_program, expected_output, heartbeat_witness, run, run_with, verify_computes,
     DisjointStrategy, DistinctStrategy, DistributionPolicy, DomainGuidedPolicy, HashPolicy,
     MessageClassCounts, MonotoneBroadcast, Network, OverridePolicy, Scheduler, SystemConfig,
-    Transducer, TransducerNetwork,
+    TransducerNetwork,
 };
 
 fn schedulers() -> Vec<Scheduler> {
@@ -229,16 +229,11 @@ pub fn e10_no_all() -> Report {
 
 /// E11: the §4.3 cost table — messages, deliveries, transitions of the
 /// three strategies on TC-style workloads, by graph size and network
-/// size.
-pub fn e11_strategy_costs() -> Report {
-    e11_strategy_costs_obs(&Obs::noop())
-}
-
-/// As [`e11_strategy_costs`], reporting each run as a span and letting
-/// the runtime stream its per-transition events and per-class message
-/// counters to `obs` — `repro --trace-out` turns this into the paper's
-/// §4.3 message-volume comparison as machine-readable artifacts.
-pub fn e11_strategy_costs_obs(obs: &Obs) -> Report {
+/// size. Each run is a span and the runtime streams its per-transition
+/// events and per-class message counters to `obs` — `repro --trace-out`
+/// turns this into the paper's §4.3 message-volume comparison as
+/// machine-readable artifacts.
+pub fn e11_strategy_costs(obs: &Obs) -> Report {
     let mut r = Report::new(
         "E11",
         "§4.3 — cost profile of the three coordination-free strategies",
@@ -274,101 +269,24 @@ pub fn e11_strategy_costs_obs(obs: &Obs) -> Report {
                 rr
             };
 
-            // M strategy on TC.
-            let m_factory =
-                || Box::new(MonotoneBroadcast::new(Box::new(tc_datalog()))) as Box<dyn Transducer>;
-            let policy = HashPolicy::new(Network::of_size(n));
-            let expected = expected_output(&tc_datalog(), &input);
-            let lossy = lossy_counters(
-                &m_factory,
-                &policy,
-                SystemConfig::ORIGINAL,
-                &input,
-                &expected,
-                &mut lossy_ok,
-            );
-            let m = MonotoneBroadcast::new(Box::new(tc_datalog()));
-            let tn = TransducerNetwork {
-                transducer: &m,
-                policy: &policy,
-                config: SystemConfig::ORIGINAL,
-            };
-            let m_par = MonotoneBroadcast::new(Box::new(tc_datalog().with_eval_threads(2)));
-            let tn_par = TransducerNetwork {
-                transducer: &m_par,
-                policy: &policy,
-                config: SystemConfig::ORIGINAL,
-            };
-            let rm = measure("M/broadcast (TC)", &tn, Some(lossy), Some(&tn_par));
-
-            // Mdistinct strategy on the SP query (facts + non-facts).
-            let d_factory = || {
-                Box::new(DistinctStrategy::new(Box::new(edges_without_source_loop())))
-                    as Box<dyn Transducer>
-            };
-            let policy = HashPolicy::new(Network::of_size(n));
-            let expected = expected_output(&edges_without_source_loop(), &input);
-            let lossy = lossy_counters(
-                &d_factory,
-                &policy,
-                SystemConfig::POLICY_AWARE,
-                &input,
-                &expected,
-                &mut lossy_ok,
-            );
-            let d = DistinctStrategy::new(Box::new(edges_without_source_loop()));
-            let tn = TransducerNetwork {
-                transducer: &d,
-                policy: &policy,
-                config: SystemConfig::POLICY_AWARE,
-            };
-            let d_par =
-                DistinctStrategy::new(Box::new(edges_without_source_loop().with_eval_threads(2)));
-            let tn_par = TransducerNetwork {
-                transducer: &d_par,
-                policy: &policy,
-                config: SystemConfig::POLICY_AWARE,
-            };
-            let rd = measure("Mdistinct/non-facts (SP)", &tn, Some(lossy), Some(&tn_par));
-
-            // Mdisjoint strategy on Q_TC (request/OK protocol).
-            let j_factory =
-                || Box::new(DisjointStrategy::new(Box::new(qtc_datalog()))) as Box<dyn Transducer>;
-            let policy = DomainGuidedPolicy::new(Network::of_size(n));
-            let expected = expected_output(&qtc_datalog(), &input);
-            let lossy = lossy_counters(
-                &j_factory,
-                &policy,
-                SystemConfig::POLICY_AWARE,
-                &input,
-                &expected,
-                &mut lossy_ok,
-            );
-            let j = DisjointStrategy::new(Box::new(qtc_datalog()));
-            let tn = TransducerNetwork {
-                transducer: &j,
-                policy: &policy,
-                config: SystemConfig::POLICY_AWARE,
-            };
-            let j_par = DisjointStrategy::new(Box::new(qtc_datalog().with_eval_threads(2)));
-            let tn_par = TransducerNetwork {
-                transducer: &j_par,
-                policy: &policy,
-                config: SystemConfig::POLICY_AWARE,
-            };
-            let rj = measure(
-                "Mdisjoint/request-OK (Q_TC)",
-                &tn,
-                Some(lossy),
-                Some(&tn_par),
-            );
-
-            if vertices == 32 && n == 4 {
-                largest = [
-                    rm.metrics.by_class,
-                    rd.metrics.by_class,
-                    rj.metrics.by_class,
-                ];
+            for (i, f) in families(n).iter().enumerate() {
+                let expected = expected_output(&(f.query)(), &input);
+                let lossy = lossy_counters(f, &input, &expected, &mut lossy_ok);
+                let (seq, par) = (f.transducer(1), f.transducer(2));
+                let network = |transducer| TransducerNetwork {
+                    transducer,
+                    policy: f.policy.as_ref(),
+                    config: f.config,
+                };
+                let rr = measure(
+                    f.label,
+                    &network(seq.as_ref()),
+                    Some(lossy),
+                    Some(&network(par.as_ref())),
+                );
+                if vertices == 32 && n == 4 {
+                    largest[i] = rr.metrics.by_class;
+                }
             }
 
             // The declaratively-compiled broadcast transducer runs the
@@ -473,31 +391,14 @@ fn class_summary(c: &MessageClassCounts) -> String {
 /// Re-run one strategy family on the threaded engine under a lossy link
 /// plan and return `(retransmissions, duplicates suppressed)`; clears
 /// `ok` if the run fails to reproduce the centralized answer.
-fn lossy_counters(
-    factory: &(dyn Fn() -> Box<dyn Transducer> + Sync),
-    policy: &dyn DistributionPolicy,
-    config: SystemConfig,
-    input: &Instance,
-    expected: &Instance,
-    ok: &mut bool,
-) -> (u64, u64) {
-    let net = ThreadedNetwork {
-        programs: Programs::PerWorker(factory),
-        policy,
-        config,
-    };
+fn lossy_counters(f: &Family, input: &Instance, expected: &Instance, ok: &mut bool) -> (u64, u64) {
     let plan = FaultPlan::uniform(7, 0.1, 0.05);
-    let thr = run_threaded_with(
-        &net,
-        input,
-        &ThreadedConfig::new(2).with_faults(plan),
-        &Obs::noop(),
-    );
+    let cfg = ThreadedConfig::new(2).with_faults(plan);
+    let thr = f.run_threaded(input, &cfg, &Obs::noop());
     *ok &= thr.quiescent && thr.output == *expected;
     (thr.faults.retransmissions, thr.faults.duplicates_suppressed)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn push_cost_row(
     rows: &mut Vec<Vec<String>>,
     name: &str,

@@ -1,4 +1,4 @@
-//! E24: the cost of causal tracing — an ablation over the three
+//! E24: causal tracing is invisible and complete — the three
 //! observability modes of the threaded executor:
 //!
 //! * **off** — `Obs::noop()`: every trace site is a branch on
@@ -13,22 +13,15 @@
 //! Three things must hold: the output is byte-identical to the
 //! sequential oracle in every mode (tracing is invisible to the
 //! engine); the full-JSONL trace reconstructs a complete, acyclic
-//! happens-before graph under 5% message loss; and the flight-recorder
-//! mode stays cheap enough to justify "always on".
-
-use std::time::Instant;
+//! happens-before graph under 5% message loss; and the flight recorder
+//! writes nothing when nothing went wrong. (What each mode costs is
+//! `trace.overhead_frac` in BENCHMARK.json.)
 
 use crate::report::{markdown_table, Report};
-use crate::workloads::scaling_graph;
-use calm_net::{run_threaded_with, FaultPlan, Programs, ThreadedConfig, ThreadedNetwork};
+use crate::workloads::{families, scaling_graph};
+use calm_net::{FaultPlan, ThreadedConfig};
 use calm_obs::trace::analyze_lines;
-use calm_obs::{FlightRecorder, JsonlSink, Obs, Sink};
-use calm_queries::qtc::qtc_datalog;
-use calm_queries::tc::tc_datalog;
-use calm_transducer::{
-    run_with, DisjointStrategy, DistributionPolicy, DomainGuidedPolicy, HashPolicy,
-    MonotoneBroadcast, Network, Scheduler, SystemConfig, Transducer, TransducerNetwork,
-};
+use calm_obs::{FlightRecorder, JsonlSink, Obs};
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
@@ -36,7 +29,6 @@ const NODES: usize = 8;
 const WORKERS: usize = 4;
 const SEED: u64 = 24;
 const DROP: f64 = 0.05;
-const RUNS: usize = 5;
 
 /// An in-memory writer sharing its buffer with the experiment, so the
 /// traced run's JSONL can be re-analyzed without touching disk.
@@ -46,10 +38,6 @@ struct SharedBuf(Arc<Mutex<Vec<u8>>>);
 impl SharedBuf {
     fn text(&self) -> String {
         String::from_utf8(self.0.lock().unwrap().clone()).expect("utf-8 trace")
-    }
-
-    fn clear(&self) {
-        self.0.lock().unwrap().clear();
     }
 }
 
@@ -63,113 +51,59 @@ impl Write for SharedBuf {
     }
 }
 
-type Family<'a> = (
-    &'a str,
-    &'a (dyn Fn() -> Box<dyn Transducer> + Sync),
-    &'a dyn DistributionPolicy,
-    SystemConfig,
-);
-
-/// E24: tracing-overhead ablation — off vs flight recorder vs full JSONL.
-pub fn e24_trace() -> Report {
-    e24_trace_obs(&Obs::noop())
-}
-
-/// As [`e24_trace`]; the outer `obs` handle observes only the oracle
-/// runs (the measured runs build their own per-mode sinks — measuring a
-/// mode through a second, ambient sink would corrupt the ablation).
-pub fn e24_trace_obs(obs: &Obs) -> Report {
+/// E24: off vs flight recorder vs full JSONL. The outer `obs` handle
+/// observes only the oracle runs: each mode under test is a sink of its
+/// own, and a second, ambient one would make every mode the same mode.
+pub fn e24_trace(obs: &Obs) -> Report {
     let mut r = Report::new(
         "E24",
-        "causal tracing overhead — off vs always-on flight recorder vs full JSONL",
+        "causal tracing — off vs always-on flight recorder vs full JSONL",
     );
     let input = scaling_graph(11, 24, 1.5);
 
-    let m_factory =
-        || Box::new(MonotoneBroadcast::new(Box::new(tc_datalog()))) as Box<dyn Transducer>;
-    let j_factory =
-        || Box::new(DisjointStrategy::new(Box::new(qtc_datalog()))) as Box<dyn Transducer>;
-    let hash = HashPolicy::new(Network::of_size(NODES));
-    let guided = DomainGuidedPolicy::new(Network::of_size(NODES));
-    let families: [Family; 2] = [
-        (
-            "M/broadcast (TC)",
-            &m_factory,
-            &hash,
-            SystemConfig::ORIGINAL,
-        ),
-        (
-            "Mdisjoint/request-OK (Q_TC)",
-            &j_factory,
-            &guided,
-            SystemConfig::POLICY_AWARE,
-        ),
-    ];
-
     let mut rows = Vec::new();
     let mut all_equal = true;
-    let mut flight_affordable = true;
     let mut graphs_ok = true;
     let mut clean_flight_silent = true;
-    for (label, factory, policy, config) in families {
-        let oracle = factory();
-        let tn = TransducerNetwork {
-            transducer: oracle.as_ref(),
-            policy,
-            config,
-        };
-        let seq = run_with(&tn, &input, &Scheduler::RoundRobin, 5_000_000, obs);
-
-        let net = ThreadedNetwork {
-            programs: Programs::PerWorker(factory),
-            policy,
-            config,
-        };
+    // The broadcast and the request/OK families: the least and the most
+    // causally entangled traffic.
+    for f in families(NODES)
+        .into_iter()
+        .filter(|f| f.strategy != "distinct")
+    {
+        let seq = f.run_sequential(&input, obs);
         let cfg =
             ThreadedConfig::new(WORKERS).with_faults(FaultPlan::uniform(SEED, DROP, DROP / 2.0));
+        let mut run_mode = |mode: Obs| {
+            let run = f.run_threaded(&input, &cfg, &mode);
+            mode.finish();
+            all_equal &= run.output == seq.output;
+        };
 
         // Mode `off`: the baseline.
-        let (t_off, out_off) = median_run(&net, &input, &cfg, Obs::noop);
+        run_mode(Obs::noop());
         // Mode `flight`: ids minted, ring filled, no disk on clean runs.
         let dump = std::env::temp_dir().join(format!(
             "calm-e24-flight-{}-{}.jsonl",
             std::process::id(),
-            label.len()
+            f.strategy
         ));
         let _ = std::fs::remove_file(&dump);
-        let (t_flight, out_flight) = {
-            let dump = dump.clone();
-            median_run(&net, &input, &cfg, move || {
-                Obs::new(Arc::new(FlightRecorder::new(&dump)))
-            })
-        };
+        run_mode(Obs::new(Arc::new(FlightRecorder::new(&dump))));
         // A lossy-but-recovering run is clean: no anomaly, no dump file.
         clean_flight_silent &= !dump.exists();
         let _ = std::fs::remove_file(&dump);
-        // Mode `jsonl`: the full event stream, rendered and written.
+        // Mode `jsonl`: the full event stream, rendered and written —
+        // and it must rebuild the full causal graph.
         let buf = SharedBuf::default();
-        let (t_jsonl, out_jsonl) = {
-            let buf = buf.clone();
-            median_run(&net, &input, &cfg, move || {
-                // Each timed run gets a fresh log, so the analysis below
-                // sees exactly one run's id space.
-                buf.clear();
-                Obs::new(Arc::new(JsonlSink::to_writer(Box::new(buf.clone()))) as Arc<dyn Sink>)
-            })
-        };
-
-        all_equal &= out_off == seq.output && out_flight == seq.output && out_jsonl == seq.output;
-        // The last jsonl run's trace must rebuild the full causal graph.
+        run_mode(Obs::new(Arc::new(JsonlSink::to_writer(Box::new(
+            buf.clone(),
+        )))));
         let analysis = analyze_lines(buf.text().lines());
         graphs_ok &= analysis.invariants_ok() && analysis.sends > 0 && analysis.deliveries > 0;
-        flight_affordable &= t_flight <= t_off * 2.0;
 
-        let pct = |t: f64| format!("{:+.1}%", 100.0 * (t / t_off - 1.0));
         rows.push(vec![
-            label.to_string(),
-            format!("{:.1}", t_off / 1e3),
-            format!("{:.1} ({})", t_flight / 1e3, pct(t_flight)),
-            format!("{:.1} ({})", t_jsonl / 1e3, pct(t_jsonl)),
+            f.label.to_string(),
             format!(
                 "{} sends / {} deliveries / {} retransmits",
                 analysis.sends, analysis.deliveries, analysis.retransmits
@@ -177,13 +111,7 @@ pub fn e24_trace_obs(obs: &Obs) -> Report {
         ]);
     }
     r.table(markdown_table(
-        &[
-            "strategy (query)",
-            "off ms",
-            "flight ms (overhead)",
-            "jsonl ms (overhead)",
-            "traced events",
-        ],
+        &["strategy (query)", "traced events (jsonl mode)"],
         &rows,
     ));
     r.claim(
@@ -197,31 +125,9 @@ pub fn e24_trace_obs(obs: &Obs) -> Report {
         graphs_ok,
     );
     r.claim(
-        "the flight recorder is affordable always-on and silent when clean",
-        "median wall clock within 2x of untraced; no dump file without an anomaly",
-        flight_affordable && clean_flight_silent,
+        "the flight recorder is silent when clean",
+        "no dump file without an anomaly",
+        clean_flight_silent,
     );
     r
-}
-
-/// Median-of-`RUNS` wall time (µs) of a threaded run, rebuilding the
-/// observability stack per run via `mk_obs`; returns the last output.
-fn median_run(
-    net: &ThreadedNetwork<'_>,
-    input: &calm_common::instance::Instance,
-    cfg: &ThreadedConfig,
-    mk_obs: impl Fn() -> Obs,
-) -> (f64, calm_common::instance::Instance) {
-    let mut times = Vec::with_capacity(RUNS);
-    let mut output = None;
-    for _ in 0..RUNS {
-        let obs = mk_obs();
-        let start = Instant::now();
-        let r = run_threaded_with(net, input, cfg, &obs);
-        times.push(start.elapsed().as_secs_f64() * 1e6);
-        obs.finish();
-        output = Some(r.output);
-    }
-    times.sort_by(f64::total_cmp);
-    (times[RUNS / 2], output.expect("at least one run"))
 }

@@ -1,5 +1,5 @@
-//! E23: the delta-encoded wire format — bytes on the wire and codec
-//! cost, old (naive) vs new (delta) payloads.
+//! E23: the delta-encoded wire format — bytes on the wire, old (naive)
+//! vs new (delta) payloads.
 //!
 //! Two measurements back the storage-v2 wire-format claim:
 //!
@@ -10,28 +10,21 @@
 //!   the fault-free channel transport and the reliable substrate under
 //!   loss. Fan-out and retransmission multiply either format's bytes by
 //!   the same copies, so the saving per batch is the saving on the wire;
-//! * **codec cost**: encode/decode wall time for both formats over a
-//!   sampled dense batch, so the byte savings are shown not to be
-//!   bought with a slower codec.
+//! * **a sampled dense batch**: the whole TC closure as one message,
+//!   sized and round-tripped in both formats. (That the saving is not
+//!   bought with a slower codec is `net.wirefmt.{encode_s, decode_s,
+//!   vs_naive_ratio}` in BENCHMARK.json.)
 //!
 //! Every cell must still reproduce the sequential oracle byte-identically
 //! — the format is invisible to the engine.
 
-use std::time::Instant;
-
 use crate::report::{markdown_table, Report};
-use crate::workloads::scaling_graph;
+use crate::workloads::{families, scaling_graph};
 use calm_common::fact::Fact;
 use calm_net::{run_threaded_with, wirefmt, FaultPlan, Programs, ThreadedConfig, ThreadedNetwork};
 use calm_obs::Obs;
-use calm_queries::qtc::qtc_datalog;
-use calm_queries::tc::{edges_without_source_loop, tc_datalog};
 use calm_transducer::multiset::Multiset;
-use calm_transducer::{
-    run_with, DisjointStrategy, DistinctStrategy, DistributionPolicy, DomainGuidedPolicy,
-    HashPolicy, MonotoneBroadcast, Network, Scheduler, SystemConfig, Transducer, TransducerNetwork,
-    TransducerSchema, TransducerStep,
-};
+use calm_transducer::{Transducer, TransducerSchema, TransducerStep};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -39,13 +32,6 @@ const NODES: usize = 8;
 const WORKERS: usize = 4;
 const SEED: u64 = 23;
 const DROP: f64 = 0.05;
-
-type Family<'a> = (
-    &'a str,
-    &'a (dyn Fn() -> Box<dyn Transducer> + Sync),
-    &'a dyn DistributionPolicy,
-    SystemConfig,
-);
 
 /// What the batches sent during one run cost in each wire format.
 #[derive(Default)]
@@ -88,63 +74,27 @@ impl Transducer for Recording {
     }
 }
 
-/// E23: wire bytes and codec cost, naive vs delta.
-pub fn e23_wire() -> Report {
-    e23_wire_obs(&Obs::noop())
-}
-
-/// As [`e23_wire`], threading an [`Obs`] through the runs so `repro
-/// --trace-out` captures the `net/wire.bytes` counters as artifacts.
-pub fn e23_wire_obs(obs: &Obs) -> Report {
+/// E23: wire bytes, naive vs delta; `obs` sees every run, so `repro
+/// --trace-out` captures the `net/wire.bytes` counters.
+pub fn e23_wire(obs: &Obs) -> Report {
     let mut r = Report::new(
         "E23",
-        "delta wire format — bytes on the wire and codec cost vs the naive encoding",
+        "delta wire format — bytes on the wire vs the naive encoding",
     );
     let input = scaling_graph(11, 24, 1.5);
-
-    let m_factory =
-        || Box::new(MonotoneBroadcast::new(Box::new(tc_datalog()))) as Box<dyn Transducer>;
-    let d_factory = || {
-        Box::new(DistinctStrategy::new(Box::new(edges_without_source_loop())))
-            as Box<dyn Transducer>
-    };
-    let j_factory =
-        || Box::new(DisjointStrategy::new(Box::new(qtc_datalog()))) as Box<dyn Transducer>;
-    let hash = HashPolicy::new(Network::of_size(NODES));
-    let guided = DomainGuidedPolicy::new(Network::of_size(NODES));
-    let families: [Family; 3] = [
-        (
-            "M/broadcast (TC)",
-            &m_factory,
-            &hash,
-            SystemConfig::ORIGINAL,
-        ),
-        (
-            "Mdistinct/non-facts (SP)",
-            &d_factory,
-            &hash,
-            SystemConfig::POLICY_AWARE,
-        ),
-        (
-            "Mdisjoint/request-OK (Q_TC)",
-            &j_factory,
-            &guided,
-            SystemConfig::POLICY_AWARE,
-        ),
-    ];
 
     let mut rows = Vec::new();
     let mut all_equal = true;
     let mut all_smaller = true;
     let mut recording_exact = true;
-    for (label, factory, policy, config) in families {
-        let oracle = factory();
-        let tn = TransducerNetwork {
-            transducer: oracle.as_ref(),
-            policy,
-            config,
-        };
-        let seq = run_with(&tn, &input, &Scheduler::RoundRobin, 5_000_000, obs);
+    // The dense batch sampled below: the broadcast family's output, the
+    // full TC closure — as one message, the shape that strategy ships.
+    let mut batch: Multiset<Fact> = Multiset::new();
+    for f in families(NODES) {
+        let seq = f.run_sequential(&input, obs);
+        if f.strategy == "monotone" {
+            batch = seq.output.facts().collect();
+        }
 
         // One fault-free run (in-process channel transport) and one
         // lossy run (reliable substrate: retransmitted copies count).
@@ -159,14 +109,14 @@ pub fn e23_wire_obs(obs: &Obs) -> Report {
             let bytes = Arc::new(BatchBytes::default());
             let recording = || {
                 Box::new(Recording {
-                    inner: factory(),
+                    inner: f.transducer(1),
                     bytes: bytes.clone(),
                 }) as Box<dyn Transducer>
             };
             let net = ThreadedNetwork {
                 programs: Programs::PerWorker(&recording),
-                policy,
-                config,
+                policy: f.policy.as_ref(),
+                config: f.config,
             };
             let mut cfg = ThreadedConfig::new(WORKERS);
             cfg.faults = plan;
@@ -183,7 +133,7 @@ pub fn e23_wire_obs(obs: &Obs) -> Report {
             }
             let saved = 100.0 * (1.0 - delta as f64 / naive.max(1) as f64);
             rows.push(vec![
-                label.to_string(),
+                f.label.to_string(),
                 transport.to_string(),
                 thr.wire_bytes.to_string(),
                 bytes.batches.load(Ordering::Relaxed).to_string(),
@@ -220,41 +170,17 @@ pub fn e23_wire_obs(obs: &Obs) -> Report {
         all_equal,
     );
 
-    // Codec cost on a sampled dense batch: the full TC closure as one
-    // message — the shape the broadcast strategy actually ships.
-    let batch: Multiset<Fact> = seq_closure(&input);
     let delta = wirefmt::encode(&batch);
     let naive = wirefmt::encode_naive(&batch);
     let round_trip = wirefmt::decode(&delta).as_ref() == Ok(&batch)
         && wirefmt::decode_naive(&naive).as_ref() == Ok(&batch);
-    let enc_delta = time_us(|| {
-        wirefmt::encode(&batch);
-    });
-    let enc_naive = time_us(|| {
-        wirefmt::encode_naive(&batch);
-    });
-    let dec_delta = time_us(|| {
-        wirefmt::decode(&delta).expect("valid");
-    });
-    let dec_naive = time_us(|| {
-        wirefmt::decode_naive(&naive).expect("valid");
-    });
     r.table(markdown_table(
-        &[
-            "sampled batch",
-            "facts",
-            "delta bytes",
-            "naive bytes",
-            "enc µs (delta/naive)",
-            "dec µs (delta/naive)",
-        ],
+        &["sampled batch", "facts", "delta bytes", "naive bytes"],
         &[vec![
             "TC closure, one message".to_string(),
             batch.len().to_string(),
             delta.len().to_string(),
             naive.len().to_string(),
-            format!("{enc_delta:.1} / {enc_naive:.1}"),
-            format!("{dec_delta:.1} / {dec_naive:.1}"),
         ]],
     ));
     r.claim(
@@ -268,29 +194,4 @@ pub fn e23_wire_obs(obs: &Obs) -> Report {
         round_trip && delta.len() < naive.len(),
     );
     r
-}
-
-/// The centralized TC closure over `input` as one fact multiset — a
-/// representative dense batch.
-fn seq_closure(input: &calm_common::instance::Instance) -> Multiset<Fact> {
-    let t = MonotoneBroadcast::new(Box::new(tc_datalog()));
-    let policy = HashPolicy::new(Network::of_size(NODES));
-    let tn = TransducerNetwork {
-        transducer: &t,
-        policy: &policy,
-        config: SystemConfig::ORIGINAL,
-    };
-    let r = run_with(&tn, input, &Scheduler::RoundRobin, 5_000_000, &Obs::noop());
-    r.output.facts().collect()
-}
-
-/// Best-of-5 wall time for `f`, in microseconds.
-fn time_us(f: impl Fn()) -> f64 {
-    let mut best = f64::MAX;
-    for _ in 0..5 {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best * 1e6
 }

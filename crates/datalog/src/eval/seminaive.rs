@@ -46,9 +46,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 pub use calm_common::storage::EvalMetrics;
 
-/// Evaluation options: the ablation knobs benchmarked by
-/// `calm-bench`'s `datalog_eval` bench, plus the data-parallel driver
-/// knob.
+/// Evaluation options: the ablation knobs behind
+/// `Engine::SemiNaiveBaseline` (the reference `proptest_engine` and
+/// E18 compare the planned, indexed engine against), plus the
+/// data-parallel driver knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalOptions {
     /// Greedily reorder positive body atoms (join planning).
@@ -119,7 +120,8 @@ fn derive_rule(
 
 /// Compute the minimal fixpoint of a semi-positive program over `db`,
 /// **naively**: every iteration re-derives everything. Kept as the
-/// baseline for the `datalog_eval` benchmark.
+/// reference `proptest_engine` and E18 check the semi-naive engines
+/// against.
 pub fn fixpoint_naive(program: &Program, db: &mut Database) -> EvalMetrics {
     let compiled = compile_program(program, &mut db.symbols().clone().write(), false);
     let mut metrics = EvalMetrics::default();

@@ -17,7 +17,7 @@ pub enum Engine {
     SemiNaive,
     /// Semi-naive without reordering or indexes (ablation baseline).
     SemiNaiveBaseline,
-    /// Naive re-derivation (benchmark baseline).
+    /// Naive re-derivation (reference for differential tests and E18).
     Naive,
 }
 

@@ -247,10 +247,7 @@ fn put_restores(out: &mut Vec<u8>, rs: &[(usize, u64, Vec<u8>)]) {
 }
 
 fn read_restores(r: &mut Reader<'_>) -> Result<Vec<(usize, u64, Vec<u8>)>, WireError> {
-    let n = r.varint()? as usize;
-    if n > r.remaining() {
-        return Err(WireError::Truncated);
-    }
+    let n = r.count()?;
     let mut rs = Vec::with_capacity(n);
     for _ in 0..n {
         let node = r.varint()? as usize;
@@ -278,10 +275,7 @@ fn read_owner(r: &mut Reader<'_>) -> Result<Option<Vec<usize>>, WireError> {
     match r.u8()? {
         0 => Ok(None),
         1 => {
-            let n = r.varint()? as usize;
-            if n > r.remaining() {
-                return Err(WireError::Truncated);
-            }
+            let n = r.count()?;
             let mut map = Vec::with_capacity(n);
             for _ in 0..n {
                 map.push(r.varint()? as usize);
@@ -300,17 +294,10 @@ fn put_live(out: &mut Vec<u8>, live: &[bool]) {
 }
 
 fn read_live(r: &mut Reader<'_>) -> Result<Vec<bool>, WireError> {
-    let n = r.varint()? as usize;
-    if n > r.remaining() {
-        return Err(WireError::Truncated);
-    }
+    let n = r.count()?;
     let mut live = Vec::with_capacity(n);
     for _ in 0..n {
-        live.push(match r.u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(WireError::NonCanonical("bad bool")),
-        });
+        live.push(r.bool()?);
     }
     Ok(live)
 }
@@ -387,21 +374,14 @@ fn read_msg(r: &mut Reader<'_>) -> Result<Msg, WireError> {
         }),
         MSG_TOKEN => Msg::Token(Token {
             count: crate::wirefmt::unzigzag(r.varint()?),
-            black: match r.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(WireError::NonCanonical("bad bool")),
-            },
+            black: r.bool()?,
             passes: r.varint()?,
             epoch: r.varint()?,
         }),
         MSG_TERMINATE => Msg::Terminate,
         MSG_RESET => Msg::Reset { epoch: r.varint()? },
         MSG_REASSIGN => {
-            let n = r.varint()? as usize;
-            if n > r.remaining() {
-                return Err(WireError::Truncated);
-            }
+            let n = r.count()?;
             let mut owner = Vec::with_capacity(n);
             for _ in 0..n {
                 owner.push(r.varint()? as usize);
@@ -427,14 +407,11 @@ fn put_fact(out: &mut Vec<u8>, f: &Fact) {
 
 fn read_fact(r: &mut Reader<'_>) -> Result<Fact, WireError> {
     let name: Arc<str> = Arc::from(r.str()?);
-    let arity = r.varint()? as usize;
+    let arity = r.count()?;
     if arity == 0 {
         // The paper's model has no nullary relations; `Fact` enforces
         // arity >= 1, so a zero here is a corrupt or hostile frame.
         return Err(WireError::NonCanonical("nullary fact"));
-    }
-    if arity > r.remaining() {
-        return Err(WireError::Truncated);
     }
     let mut args = Vec::with_capacity(arity);
     for _ in 0..arity {
@@ -452,10 +429,7 @@ fn put_instance(out: &mut Vec<u8>, i: &Instance) {
 }
 
 fn read_instance(r: &mut Reader<'_>) -> Result<Instance, WireError> {
-    let n = r.varint()? as usize;
-    if n > r.remaining() {
-        return Err(WireError::Truncated);
-    }
+    let n = r.count()?;
     let mut i = Instance::new();
     for _ in 0..n {
         i.insert(read_fact(r)?);
@@ -518,10 +492,7 @@ fn read_metrics(r: &mut Reader<'_>) -> Result<Metrics, WireError> {
     m.by_class.ok = r.varint()? as usize;
     m.by_class.ack = r.varint()? as usize;
     m.by_class.other = r.varint()? as usize;
-    let hw_count = r.varint()? as usize;
-    if hw_count > r.remaining() {
-        return Err(WireError::Truncated);
-    }
+    let hw_count = r.count()?;
     for _ in 0..hw_count {
         let node = r.value(0)?;
         let hw = r.varint()? as usize;
@@ -657,44 +628,28 @@ pub(crate) fn encode_snapshot_blob(
 pub(crate) fn decode_snapshot_blob(bytes: &[u8]) -> Result<(NodeSnapshot, u64, u64), WireError> {
     let mut r = Reader::new(bytes);
     let state = read_instance(&mut r)?;
-    let pending_count = r.varint()? as usize;
-    if pending_count > r.remaining() {
-        return Err(WireError::Truncated);
-    }
+    let pending_count = r.count()?;
     let mut pending = Multiset::new();
     for _ in 0..pending_count {
         let f = read_fact(&mut r)?;
         let n = r.varint()? as usize;
         pending.insert_n(f, n);
     }
-    let sent_count = r.varint()? as usize;
-    if sent_count > r.remaining() {
-        return Err(WireError::Truncated);
-    }
+    let sent_count = r.count()?;
     let mut ever_sent = BTreeSet::new();
     for _ in 0..sent_count {
         ever_sent.insert(read_fact(&mut r)?);
     }
     let mut links = NodeLinks::default();
-    let out_count = r.varint()? as usize;
-    if out_count > r.remaining() {
-        return Err(WireError::Truncated);
-    }
+    let out_count = r.count()?;
     for _ in 0..out_count {
         let dst = r.varint()? as usize;
-        let entry_count = r.varint()? as usize;
-        if entry_count > r.remaining() {
-            return Err(WireError::Truncated);
-        }
+        let entry_count = r.count()?;
         let mut entries = BTreeMap::new();
         for _ in 0..entry_count {
             let seq = r.varint()?;
             let payload: Arc<[u8]> = Arc::from(r.prefixed_bytes()?);
-            let staged = match r.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(WireError::NonCanonical("bad bool")),
-            };
+            let staged = r.bool()?;
             entries.insert(
                 seq,
                 OutEntry {
@@ -707,50 +662,32 @@ pub(crate) fn decode_snapshot_blob(bytes: &[u8]) -> Result<(NodeSnapshot, u64, u
         }
         links.out.insert(dst, entries);
     }
-    let cum_count = r.varint()? as usize;
-    if cum_count > r.remaining() {
-        return Err(WireError::Truncated);
-    }
+    let cum_count = r.count()?;
     for _ in 0..cum_count {
         let src = r.varint()? as usize;
         let cum = r.varint()?;
         links.cum.insert(src, cum);
     }
-    let seen_count = r.varint()? as usize;
-    if seen_count > r.remaining() {
-        return Err(WireError::Truncated);
-    }
+    let seen_count = r.count()?;
     for _ in 0..seen_count {
         let src = r.varint()? as usize;
-        let n = r.varint()? as usize;
-        if n > r.remaining() {
-            return Err(WireError::Truncated);
-        }
+        let n = r.count()?;
         let mut seqs = BTreeSet::new();
         for _ in 0..n {
             seqs.insert(r.varint()?);
         }
         links.seen.insert(src, seqs);
     }
-    let floor_count = r.varint()? as usize;
-    if floor_count > r.remaining() {
-        return Err(WireError::Truncated);
-    }
+    let floor_count = r.count()?;
     for _ in 0..floor_count {
         let dst = r.varint()? as usize;
         let floor = r.varint()?;
         links.sent_floor.insert(dst, floor);
     }
-    let dedup_count = r.varint()? as usize;
-    if dedup_count > r.remaining() {
-        return Err(WireError::Truncated);
-    }
+    let dedup_count = r.count()?;
     for _ in 0..dedup_count {
         let src = r.varint()? as usize;
-        let n = r.varint()? as usize;
-        if n > r.remaining() {
-            return Err(WireError::Truncated);
-        }
+        let n = r.count()?;
         let mut facts = BTreeSet::new();
         for _ in 0..n {
             facts.insert(read_fact(&mut r)?);
@@ -803,10 +740,7 @@ fn read_worker_stats(r: &mut Reader<'_>) -> Result<WorkerStats, WireError> {
         worker: r.varint()? as usize,
         ..WorkerStats::default()
     };
-    let node_count = r.varint()? as usize;
-    if node_count > r.remaining() {
-        return Err(WireError::Truncated);
-    }
+    let node_count = r.count()?;
     for _ in 0..node_count {
         s.nodes.push(r.value(0)?);
     }
@@ -814,16 +748,9 @@ fn read_worker_stats(r: &mut Reader<'_>) -> Result<WorkerStats, WireError> {
     s.enqueued = r.varint()? as usize;
     s.buffered = r.varint()? as usize;
     s.token_passes = r.varint()?;
-    s.exhausted = match r.u8()? {
-        0 => false,
-        1 => true,
-        _ => return Err(WireError::NonCanonical("bad bool")),
-    };
+    s.exhausted = r.bool()?;
     s.faults = read_fault_stats(r)?;
-    let link_count = r.varint()? as usize;
-    if link_count > r.remaining() {
-        return Err(WireError::Truncated);
-    }
+    let link_count = r.count()?;
     let mut links: BTreeMap<(usize, usize), LinkCounters> = BTreeMap::new();
     for _ in 0..link_count {
         let src = r.varint()? as usize;
@@ -932,11 +859,7 @@ pub(crate) fn decode_ctrl(bytes: &[u8]) -> Result<CtrlMsg, WireError> {
             },
             incarnation: r.varint()?,
             epoch: r.varint()?,
-            supervised: match r.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(WireError::NonCanonical("bad bool")),
-            },
+            supervised: r.bool()?,
             owner: read_owner(&mut r)?,
             live: read_live(&mut r)?,
             restore: read_restores(&mut r)?,
@@ -948,21 +871,14 @@ pub(crate) fn decode_ctrl(bytes: &[u8]) -> Result<CtrlMsg, WireError> {
         TAG_DELIVER => CtrlMsg::Deliver(read_msg(&mut r)?),
         TAG_FINAL => {
             let stats = read_worker_stats(&mut r)?;
-            let state_count = r.varint()? as usize;
-            if state_count > r.remaining() {
-                return Err(WireError::Truncated);
-            }
+            let state_count = r.count()?;
             let mut states = Vec::with_capacity(state_count);
             for _ in 0..state_count {
                 let node = r.value(0)?;
                 let state = read_instance(&mut r)?;
                 states.push((node, state));
             }
-            let clean = match r.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(WireError::NonCanonical("bad bool")),
-            };
+            let clean = r.bool()?;
             CtrlMsg::Final(FinalReport {
                 stats,
                 states,

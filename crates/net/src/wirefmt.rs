@@ -226,6 +226,26 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
+    /// A varint element count. Every element takes at least one byte, so
+    /// a count above what is left of the buffer is a truncated (or
+    /// hostile) frame — rejected here, before anything is allocated.
+    pub(crate) fn count(&mut self) -> Result<usize, WireError> {
+        let n = self.varint()? as usize;
+        if n > self.remaining() {
+            return Err(WireError::Truncated);
+        }
+        Ok(n)
+    }
+
+    /// A strict bool: one byte, `0` or `1`.
+    pub(crate) fn bool(&mut self) -> Result<bool, WireError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(WireError::NonCanonical("bad bool")),
+        }
+    }
+
     /// A varint length prefix followed by that many bytes.
     pub(crate) fn prefixed_bytes(&mut self) -> Result<&'a [u8], WireError> {
         let n = self.varint()? as usize;
@@ -245,11 +265,7 @@ impl<'a> Reader<'a> {
             1 => Ok(Value::Str(Arc::from(self.str()?))),
             2 => {
                 let functor: Arc<str> = Arc::from(self.str()?);
-                let argc = self.varint()? as usize;
-                if argc > self.remaining() {
-                    // Every argument takes at least one byte.
-                    return Err(WireError::Truncated);
-                }
+                let argc = self.count()?;
                 let mut args = Vec::with_capacity(argc);
                 for _ in 0..argc {
                     args.push(self.value(depth + 1)?);
@@ -398,11 +414,7 @@ pub fn decode_traced(bytes: &[u8]) -> Result<(Multiset<Fact>, Option<TraceCtx>),
         _ => return Err(WireError::BadHeader),
     };
 
-    let dict_len = r.varint()? as usize;
-    if dict_len > r.remaining() {
-        // Every dictionary entry takes at least one byte.
-        return Err(WireError::Truncated);
-    }
+    let dict_len = r.count()?;
     let mut dict: Vec<Value> = Vec::with_capacity(dict_len);
     for _ in 0..dict_len {
         let v = r.value(0)?;
@@ -412,15 +424,12 @@ pub fn decode_traced(bytes: &[u8]) -> Result<(Multiset<Fact>, Option<TraceCtx>),
         dict.push(v);
     }
 
-    let group_count = r.varint()? as usize;
-    if group_count > r.remaining() {
-        return Err(WireError::Truncated);
-    }
+    let group_count = r.count()?;
     let mut batch: Multiset<Fact> = Multiset::new();
     let mut prev_group: Option<(RelName, usize)> = None;
     for _ in 0..group_count {
         let name: RelName = Arc::from(r.str()?);
-        let arity = r.varint()? as usize;
+        let arity = r.count()?;
         if arity == 0 {
             return Err(WireError::NonCanonical("zero arity"));
         }
@@ -509,19 +518,13 @@ pub fn decode_naive(bytes: &[u8]) -> Result<Multiset<Fact>, WireError> {
     {
         return Err(WireError::BadHeader);
     }
-    let count = r.varint()? as usize;
-    if count > r.remaining() {
-        return Err(WireError::Truncated);
-    }
+    let count = r.count()?;
     let mut batch: Multiset<Fact> = Multiset::new();
     for _ in 0..count {
         let name: RelName = Arc::from(r.str()?);
-        let arity = r.varint()? as usize;
+        let arity = r.count()?;
         if arity == 0 {
             return Err(WireError::NonCanonical("zero arity"));
-        }
-        if arity > r.remaining() {
-            return Err(WireError::Truncated);
         }
         let mut args = Vec::with_capacity(arity);
         for _ in 0..arity {
@@ -683,6 +686,19 @@ mod tests {
         put_varint(&mut bytes, 1); // arity 1
         put_varint(&mut bytes, u64::MAX); // row count
         assert_eq!(decode(&bytes), Err(WireError::Truncated));
+        // The naive decoder: a huge record count, then a huge arity inside
+        // a plausible record (2^40 would abort on allocation, 2^62
+        // overflows the capacity).
+        let mut bytes = vec![MAGIC, FORMAT_NAIVE];
+        put_varint(&mut bytes, u64::MAX);
+        assert_eq!(decode_naive(&bytes), Err(WireError::Truncated));
+        for arity in [1 << 40, 1 << 62, u64::MAX] {
+            let mut bytes = vec![MAGIC, FORMAT_NAIVE];
+            put_varint(&mut bytes, 1); // one record
+            put_bytes(&mut bytes, b"a");
+            put_varint(&mut bytes, arity);
+            assert_eq!(decode_naive(&bytes), Err(WireError::Truncated));
+        }
     }
 
     #[test]
