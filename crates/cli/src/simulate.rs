@@ -5,6 +5,7 @@
 use crate::obs::{build_obs, ObsOptions};
 use crate::{err, load_facts, load_program, render_instance, render_plan, CliError};
 use calm_common::instance::Instance;
+use calm_common::query::Query;
 use calm_datalog::{DatalogQuery, Program};
 use calm_net::{
     run_net_worker, run_process, run_threaded_with, Assign, FaultPlan, FaultStats, JobSpec,
@@ -12,6 +13,7 @@ use calm_net::{
     WorkerSetup, WorkerStats,
 };
 use calm_obs::{Obs, Sink};
+use calm_transducer::system_facts::POLICY_ARITY_CAP;
 use calm_transducer::{
     expected_output, run, run_with, DisjointStrategy, DistinctStrategy, DistributionPolicy,
     DomainGuidedPolicy, HashPolicy, Metrics, MonotoneBroadcast, Network, Scheduler, SystemConfig,
@@ -81,6 +83,18 @@ fn build_strategy(
     let q = DatalogQuery::new("query", program.clone())
         .map_err(|e| err(e.to_string()))?
         .with_eval_threads(eval_threads);
+    if matches!(strategy, "distinct" | "disjoint") {
+        // The policy-aware models show a node policy_R over every tuple
+        // of known values: |A|^arity candidates per transition.
+        let too_wide = (q.input_schema().iter()).find(|&(_, arity)| arity > POLICY_ARITY_CAP);
+        if let Some((relation, arity)) = too_wide {
+            return Err(err(format!(
+                "--strategy {strategy} enumerates the policy relation of every input relation \
+                 and is capped at arity {POLICY_ARITY_CAP}: {relation} has arity {arity} \
+                 (--strategy monotone has no policy relations)"
+            )));
+        }
+    }
     let net = Network::of_size(nodes);
     Ok(match strategy {
         "monotone" | "broadcast" => (
@@ -587,6 +601,100 @@ mod tests {
                 expected,
                 "{strategy}"
             );
+        }
+    }
+
+    #[test]
+    fn a_relation_too_wide_for_the_policy_models_is_refused_before_any_node_steps() {
+        // `policy_E` over a 5-ary E would be |A|^5 candidates a
+        // transition; the library guards it with an `assert!` (a panic
+        // in every worker, before this check existed). Every engine
+        // must refuse up front, naming relation, arity and strategy —
+        // the process engine before it spawns anything.
+        let wide = "@output O.\nO(a) :- E(a,b,c,d,e).";
+        let facts = "E(1,2,3,4,5).\nE(2,3,4,5,6).";
+        let engines = || {
+            [
+                Engine::Sequential,
+                Engine::Threaded {
+                    workers: 2,
+                    faults: None,
+                },
+                Engine::Process {
+                    procs: 2,
+                    faults: None,
+                    respawn_budget: None,
+                },
+            ]
+        };
+        let opts = ObsOptions::default();
+        for strategy in ["distinct", "disjoint"] {
+            for engine in engines() {
+                let label = format!("{strategy}, {engine:?}");
+                let refused = cmd_simulate_run(wide, facts, 2, strategy, false, &opts, engine, 1);
+                let message = refused.expect_err(&label).0;
+                assert!(
+                    message.contains(&format!("--strategy {strategy}")),
+                    "{message}"
+                );
+                assert!(message.contains("E has arity 5"), "{label}: {message}");
+                assert!(message.contains("capped at arity 4"), "{label}: {message}");
+            }
+        }
+        // No policy relations, no cap.
+        for engine in engines() {
+            if matches!(engine, Engine::Process { .. }) {
+                continue; // re-executes the binary: `tests/process.rs`
+            }
+            let out = cmd_simulate_run(wide, facts, 2, "monotone", false, &opts, engine, 1);
+            let out = out.expect("monotone accepts a 5-ary relation");
+            assert!(
+                out.contains("% matches centralized evaluation: true"),
+                "{out}"
+            );
+            assert!(out.ends_with("out_O(1).\nout_O(2).\n"), "{out}");
+        }
+    }
+
+    #[test]
+    fn eval_threads_do_not_show_in_what_a_node_program_prints() {
+        // Both native node programs keep a maintained query session per
+        // node; its fixpoints run data-parallel under --eval-threads
+        // and must answer the same.
+        let opts = ObsOptions::default();
+        for strategy in ["monotone", "distinct"] {
+            let run = |threads| {
+                let engine = Engine::Sequential;
+                cmd_simulate_run(TC, GRAPH, 3, strategy, true, &opts, engine, threads).unwrap()
+            };
+            let one = run(1);
+            assert_eq!(run(2), format!("% eval threads: 2\n{one}"), "{strategy}");
+        }
+    }
+
+    #[test]
+    fn metrics_count_one_cold_start_per_node_on_a_clean_run() {
+        let opts = ObsOptions {
+            metrics: true,
+            ..ObsOptions::default()
+        };
+        let threaded = Engine::Threaded {
+            workers: 2,
+            faults: None,
+        };
+        for engine in [Engine::Sequential, threaded] {
+            let label = format!("{engine:?}");
+            let out = cmd_simulate_run(TC, GRAPH, 3, "distinct", false, &opts, engine, 1).unwrap();
+            let value_of = |name: &str| {
+                let line = out.lines().find(|l| l.trim_start().starts_with(name));
+                let line = line.unwrap_or_else(|| panic!("{label}: no {name} in\n{out}"));
+                line.split_whitespace().nth(1).unwrap().to_string()
+            };
+            assert_eq!(value_of("runtime/engine.cold_starts"), "3", "{label}");
+            // One sample per transition.
+            let transitions = value_of("runtime/transition");
+            let samples = format!("n={transitions}");
+            assert_eq!(value_of("runtime/step.new_facts"), samples, "{label}");
         }
     }
 

@@ -56,6 +56,46 @@ fn fact_lines(stdout: &str) -> Vec<String> {
 }
 
 #[test]
+fn a_five_ary_relation_is_a_usage_error_not_a_worker_panic() {
+    // The policy-aware strategies cap input arity at 4. That used to be
+    // found by an `assert!` in every worker: two backtraces and
+    // `worker(s) 0, 1 died mid-run`. It is refused before anything is
+    // spawned; the broadcast strategy has no policy relations and runs.
+    let inputs = write_inputs("wide", "@output O.\nO(a) :- E(a,b,c,d,e).\n");
+    std::fs::write(&inputs.facts, "E(1,2,3,4,5). E(2,3,4,5,6).\n").unwrap();
+    let simulate = |strategy: &str| {
+        let mut cmd = calm();
+        cmd.args(["simulate", &inputs.program, &inputs.facts, "--nodes", "2"]);
+        cmd.args([
+            "--strategy",
+            strategy,
+            "--engine",
+            "process",
+            "--procs",
+            "2",
+        ]);
+        cmd.output().unwrap()
+    };
+    for strategy in ["distinct", "disjoint"] {
+        let run = simulate(strategy);
+        let stderr = String::from_utf8_lossy(&run.stderr).to_string();
+        assert_eq!(run.status.code(), Some(1), "{strategy}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{strategy}: {stderr}");
+        assert!(stderr.contains("E has arity 5"), "{strategy}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{strategy}: {stderr}");
+        assert!(run.stdout.is_empty(), "{strategy}: nothing ran");
+    }
+    let run = simulate("monotone");
+    let out = String::from_utf8(run.stdout).unwrap();
+    assert!(run.status.success(), "monotone: {out}");
+    assert!(
+        out.contains("% matches centralized evaluation: true"),
+        "{out}"
+    );
+    assert_eq!(fact_lines(&out), ["out_O(1).", "out_O(2)."]);
+}
+
+#[test]
 fn process_engine_matches_sequential_for_every_family() {
     for (tag, program, strategy) in [
         ("m", TC, "monotone"),

@@ -243,6 +243,22 @@ impl Instance {
         });
     }
 
+    /// Keep only the relations satisfying the predicate, whole — one
+    /// test per relation, not per tuple.
+    pub fn retain_relations(&mut self, mut keep: impl FnMut(&RelName) -> bool) {
+        self.relations.retain(|r, _| keep(r));
+    }
+
+    /// Rename relations, moving every tuple of `R` to `rename(R)` —
+    /// whole relations at a time when the new names are distinct.
+    pub fn rename_relations(self, mut rename: impl FnMut(&RelName) -> RelName) -> Instance {
+        let mut out = Instance::new();
+        for (r, mut tuples) in self.relations {
+            (out.relations.entry(rename(&r)).or_default()).append(&mut tuples);
+        }
+        out
+    }
+
     /// Apply a value mapping to every fact (the image instance `h(I)`).
     pub fn map_values(&self, mut h: impl FnMut(&Value) -> Value) -> Instance {
         let mut out = Instance::new();
@@ -258,6 +274,21 @@ impl Instance {
 impl FromIterator<Fact> for Instance {
     fn from_iter<T: IntoIterator<Item = Fact>>(iter: T) -> Self {
         Instance::from_facts(iter)
+    }
+}
+
+/// The facts by value, in the order of [`Instance::facts`], without a
+/// clone of any tuple.
+impl IntoIterator for Instance {
+    type Item = Fact;
+    type IntoIter = Box<dyn Iterator<Item = Fact>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        Box::new(self.relations.into_iter().flat_map(|(r, tuples)| {
+            tuples
+                .into_iter()
+                .map(move |t| Fact::from_rel(r.clone(), t))
+        }))
     }
 }
 
@@ -405,5 +436,19 @@ mod tests {
         i.retain(|r, _| r.as_ref() == "E");
         assert_eq!(i.len(), 2);
         assert!(!i.contains(&fact("V", [9])));
+    }
+
+    #[test]
+    fn retain_relations_and_owned_iteration() {
+        let mut i = abc();
+        i.retain_relations(|r| r.as_ref() == "E");
+        assert_eq!(
+            i,
+            Instance::from_facts([fact("E", [1, 2]), fact("E", [2, 3])])
+        );
+        let owned: Vec<Fact> = abc().into_iter().collect();
+        assert_eq!(owned, abc().facts().collect::<Vec<_>>());
+        let merged = abc().rename_relations(|_| rel("R"));
+        assert_eq!(merged.relation_len("R"), 3);
     }
 }

@@ -28,7 +28,7 @@ pub use component::{component_count, components};
 pub use domain::{is_domain_disjoint, is_domain_distinct, is_induced_subinstance, FreshValues};
 pub use fact::{fact, rel, Fact, RelName};
 pub use instance::{Instance, Tuple};
-pub use query::{FnQuery, Query};
+pub use query::{FnQuery, Query, QuerySession};
 pub use schema::{Schema, SchemaError};
 pub use update::UpdateBatch;
 pub use value::{v, SkolemTerm, Value};

@@ -7,6 +7,7 @@
 
 use crate::instance::Instance;
 use crate::schema::Schema;
+use crate::update::UpdateBatch;
 
 /// A query from instances over [`Query::input_schema`] to instances over
 /// [`Query::output_schema`].
@@ -28,6 +29,58 @@ pub trait Query: Send + Sync {
     /// A human-readable name for reports and benchmarks.
     fn name(&self) -> &str {
         "query"
+    }
+
+    /// Open a maintained evaluation over the empty input. The default
+    /// keeps the input and re-evaluates [`Query::eval`] from scratch
+    /// whenever a batch changed it; a query with an incremental engine
+    /// overrides this.
+    fn session(&self) -> Box<dyn QuerySession + '_> {
+        Box::new(ScratchSession {
+            query: self,
+            input: Instance::new(),
+            evaluated: false,
+        })
+    }
+}
+
+/// One query maintained over an input that changes by signed batches —
+/// what a node's program holds across transitions in place of calling
+/// [`Query::eval`] on everything it knows at every one.
+pub trait QuerySession {
+    /// Fold `batch` into the input (deletions first, like
+    /// [`UpdateBatch::apply_to_instance`]) and return how the answer
+    /// grew: every fact of the answer over the new input that was not
+    /// in the answer after the previous call (on the first call: the
+    /// whole answer). The result lies inside the current answer and may
+    /// repeat facts returned before — the caller folds it into a set.
+    /// Facts that *left* the answer are not reported: transducer output
+    /// is cumulative.
+    fn apply(&mut self, batch: &UpdateBatch) -> Instance;
+}
+
+/// The default [`Query::session`]: the input, and a from-scratch
+/// evaluation per batch that changed it.
+struct ScratchSession<'q, Q: ?Sized> {
+    query: &'q Q,
+    input: Instance,
+    evaluated: bool,
+}
+
+impl<Q: Query + ?Sized> QuerySession for ScratchSession<'_, Q> {
+    fn apply(&mut self, batch: &UpdateBatch) -> Instance {
+        let mut changed = false;
+        for f in &batch.delete {
+            changed |= self.input.remove(f);
+        }
+        for f in &batch.insert {
+            changed |= self.input.insert(f.clone());
+        }
+        let first = !std::mem::replace(&mut self.evaluated, true);
+        if !changed && !first {
+            return Instance::new();
+        }
+        self.query.eval(&self.input)
     }
 }
 
@@ -96,6 +149,10 @@ impl Query for Box<dyn Query> {
     fn name(&self) -> &str {
         (**self).name()
     }
+
+    fn session(&self) -> Box<dyn QuerySession + '_> {
+        (**self).session()
+    }
 }
 
 #[cfg(test)]
@@ -142,5 +199,35 @@ mod tests {
         assert_eq!(q.eval(&input), input);
         assert_eq!(q.name(), "id");
         assert_eq!(q.input_schema().arity("E"), Some(2));
+    }
+
+    #[test]
+    fn default_session_reevaluates_only_when_the_input_changed() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let evals = AtomicUsize::new(0);
+        let q = FnQuery::new(
+            "id",
+            Schema::from_pairs([("E", 2)]),
+            Schema::from_pairs([("E", 2)]),
+            |i: &Instance| {
+                evals.fetch_add(1, Ordering::Relaxed);
+                i.clone()
+            },
+        );
+        let mut s = q.session();
+        // The first call evaluates even an empty input.
+        assert!(s.apply(&UpdateBatch::new()).is_empty());
+        assert_eq!(evals.load(Ordering::Relaxed), 1);
+        let one = UpdateBatch::inserting([fact("E", [1, 2])]);
+        assert_eq!(s.apply(&one), Instance::from_facts([fact("E", [1, 2])]));
+        // Nothing new: no evaluation, nothing reported.
+        assert!(s.apply(&one).is_empty());
+        assert!(s
+            .apply(&UpdateBatch::deleting([fact("E", [9, 9])]))
+            .is_empty());
+        assert_eq!(evals.load(Ordering::Relaxed), 2);
+        // A deletion shrinks the input; the answer over it is returned.
+        let swap = UpdateBatch::deleting([fact("E", [1, 2])]).with_insert(fact("E", [3, 4]));
+        assert_eq!(s.apply(&swap), Instance::from_facts([fact("E", [3, 4])]));
     }
 }

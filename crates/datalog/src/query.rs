@@ -9,7 +9,7 @@ use crate::program::Program;
 use crate::stratify::{stratify, NotStratifiable, Stratification};
 use calm_common::fact::Fact;
 use calm_common::instance::Instance;
-use calm_common::query::Query;
+use calm_common::query::{Query, QuerySession};
 use calm_common::schema::Schema;
 use calm_common::storage::SharedSymbols;
 use calm_common::update::UpdateBatch;
@@ -197,6 +197,30 @@ impl IncrementalEvaluation<'_> {
         self.db.to_instance_restricted(&self.query.output_schema)
     }
 
+    /// The output rows the last [`apply`](Self::apply) appended: every
+    /// fact of [`output`](Self::output) that was not in it before that
+    /// batch (a fact the batch retracted and rederived keeps its row
+    /// and is not listed). Read off the storage watermark `apply` sets
+    /// on entry, so it holds only for a batch that reported no
+    /// fallback — a re-evaluated stratum moves the watermark once per
+    /// fixpoint round.
+    pub fn added_output(&self) -> Instance {
+        let table = self.db.symbols().read();
+        let mut out = Instance::new();
+        for (name, arity) in self.query.output_schema.iter() {
+            let rows = table
+                .lookup_rel(name)
+                .and_then(|r| self.db.storage().relation(r));
+            let Some(rows) = rows else { continue };
+            for row in rows.added_ids().map(|id| rows.row(id)) {
+                if row.len() == arity {
+                    out.insert_tuple(name, row.iter().map(|&s| table.value(s).clone()).collect());
+                }
+            }
+        }
+        out
+    }
+
     /// The full materialized database (all IDB relations, not just the
     /// output schema).
     pub fn database(&self) -> &Database {
@@ -244,6 +268,28 @@ impl Query for DatalogQuery {
 
     fn name(&self) -> &str {
         &self.name
+    }
+
+    /// The maintained form: one [`IncrementalEvaluation`] opened over
+    /// the empty input (where every program's answer is empty — a rule
+    /// needs a positive atom); a batch costs what it changes.
+    fn session(&self) -> Box<dyn QuerySession + '_> {
+        Box::new(MaintainedSession(self.open(&Instance::new())))
+    }
+}
+
+/// [`DatalogQuery`]'s [`QuerySession`]: the answer's growth is read off
+/// the rows a batch appended, or is the whole answer when the batch
+/// fell back to re-evaluation.
+struct MaintainedSession<'q>(IncrementalEvaluation<'q>);
+
+impl QuerySession for MaintainedSession<'_> {
+    fn apply(&mut self, batch: &UpdateBatch) -> Instance {
+        if self.0.apply(batch).fallbacks == 0 {
+            self.0.added_output()
+        } else {
+            self.0.output()
+        }
     }
 }
 
@@ -309,6 +355,48 @@ mod tests {
         }
         assert!(session.stats().retractions > 0);
         assert!(session.database().storage().rel_ids().count() > 0);
+    }
+
+    #[test]
+    fn query_session_reports_the_growth_of_the_answer() {
+        // What the session returns, folded into a set, is the union of
+        // the answers over every prefix — through a deletion, a
+        // re-insertion, and a dense view whose deletion trips the
+        // re-evaluation fallback.
+        let q = DatalogQuery::parse(
+            "indirect",
+            "@output O.\nT(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).\n\
+             O(x,y) :- T(x,y), not E(x,y).",
+        )
+        .unwrap();
+        let mut session = q.session();
+        let mut edb = Instance::new();
+        let mut folded = Instance::new();
+        let mut union = Instance::new();
+        let ring: Vec<_> = (0..12).map(|i| fact("E", [i, (i + 1) % 12])).collect();
+        let batches = [
+            UpdateBatch::new(),
+            UpdateBatch::inserting([fact("E", [1, 2]), fact("E", [2, 3])]),
+            UpdateBatch::inserting([fact("E", [3, 4])]),
+            UpdateBatch::deleting([fact("E", [2, 3])]),
+            UpdateBatch::inserting([fact("E", [2, 3])]),
+            UpdateBatch::inserting(ring.clone()),
+            // Every closure tuple of the ring depends on this edge.
+            UpdateBatch::deleting([ring[0].clone()]),
+        ];
+        for (k, b) in batches.iter().enumerate() {
+            let grown = session.apply(b);
+            b.apply_to_instance(&mut edb);
+            let answer = q.eval(&edb);
+            assert!(grown.is_subset(&answer), "batch {k}: inside the answer");
+            assert!(
+                answer.difference(&union).is_subset(&grown),
+                "batch {k}: every new fact is reported"
+            );
+            folded.extend(grown);
+            union.extend(answer);
+            assert_eq!(folded, union, "batch {k}");
+        }
     }
 
     #[test]

@@ -544,10 +544,11 @@ pub(crate) struct WorkerOutcome {
     pub(crate) killed: bool,
 }
 
-/// One node's worker-local slot: its state, inbox, and send-dedup set.
-struct Slot {
+/// One node's worker-local slot: the node itself (its engine holds the
+/// state), its inbox, and its send-dedup set.
+struct Slot<'a> {
     global: usize,
-    state: Instance,
+    engine: NodeEngine<'a>,
     /// The node's inbox — `b(x)` in the formal model, fed by channel
     /// batches instead of a global buffer map.
     pending: Multiset<Fact>,
@@ -581,12 +582,12 @@ struct Slot {
     last_arrival: Option<(u64, u64)>,
 }
 
-impl Slot {
+impl<'a> Slot<'a> {
     /// A node that has not stepped yet.
-    fn new(global: usize) -> Slot {
+    fn new(global: usize, engine: NodeEngine<'a>) -> Slot<'a> {
         Slot {
             global,
-            state: Instance::new(),
+            engine,
             pending: Multiset::new(),
             ever_sent: BTreeSet::new(),
             dirty: true,
@@ -599,10 +600,22 @@ impl Slot {
         }
     }
 
+    /// Go back to `snap` — a crash rollback to the node's own last
+    /// checkpoint, or a checkpoint the supervisor retained: the engine
+    /// is rebuilt from the snapshot's state alone (it comes back cold),
+    /// inbox and dedup set are reinstated, and `ReliableNet::restore`
+    /// re-arms every unacked outbox entry for replay.
+    fn roll_back(&mut self, snap: &NodeSnapshot, rnet: &mut ReliableNet<'_>) {
+        self.engine.restore(snap.state.clone());
+        self.pending = snap.pending.clone();
+        self.ever_sent = snap.ever_sent.clone();
+        self.dirty = true;
+        self.since_snapshot = 0;
+        rnet.restore(self.global, snap.links.clone());
+    }
+
     /// Reinstall a checkpoint the supervisor retained (respawn or shard
-    /// adoption): state, inbox, dedup set, counters and link state —
-    /// `ReliableNet::restore` re-arms every unacked outbox entry for
-    /// replay.
+    /// adoption), with the counters that do not roll back.
     fn restore(
         &mut self,
         snap: NodeSnapshot,
@@ -611,14 +624,10 @@ impl Slot {
         next_seq: u64,
         rnet: &mut ReliableNet<'_>,
     ) {
-        self.state = snap.state.clone();
-        self.pending = snap.pending.clone();
-        self.ever_sent = snap.ever_sent.clone();
+        self.roll_back(&snap, rnet);
         self.transitions = transitions as usize;
         self.next_seq = next_seq;
         self.snap_version = version;
-        self.dirty = true;
-        rnet.restore(self.global, snap.links.clone());
         self.snap = Some(snap);
     }
 }
@@ -629,7 +638,7 @@ impl Slot {
 /// event, and untouched wire bytes — when tracing is off.
 fn mint_trace(
     obs: &Obs,
-    slot: &mut Slot,
+    slot: &mut Slot<'_>,
     total_nodes: usize,
     facts: &Multiset<Fact>,
 ) -> Option<wirefmt::TraceCtx> {
@@ -652,10 +661,10 @@ fn mint_trace(
 /// send-dedup set and link state atomically. Cumulative acks for any
 /// receive-cursor advance are pushed into `out` (to be pumped by the
 /// caller) — the ack-on-snapshot discipline that makes rollback sound.
-fn take_snapshot(slot: &mut Slot, rnet: &mut ReliableNet<'_>, out: &mut Vec<Wire>) {
+fn take_snapshot(slot: &mut Slot<'_>, rnet: &mut ReliableNet<'_>, out: &mut Vec<Wire>) {
     let links = rnet.snapshot(slot.global, out);
     slot.snap = Some(NodeSnapshot {
-        state: slot.state.clone(),
+        state: slot.engine.state(),
         pending: slot.pending.clone(),
         ever_sent: slot.ever_sent.clone(),
         links,
@@ -667,7 +676,7 @@ fn take_snapshot(slot: &mut Slot, rnet: &mut ReliableNet<'_>, out: &mut Vec<Wire
 /// coordinator, *before* the caller pumps any wire the snapshot
 /// released (same transport, same writer — the frame order is the
 /// output-commit guarantee).
-fn ship_snapshot(slot: &Slot, rnet: &mut ReliableNet<'_>, ports: &dyn Ports) {
+fn ship_snapshot(slot: &Slot<'_>, rnet: &mut ReliableNet<'_>, ports: &dyn Ports) {
     let snap = slot.snap.as_ref().expect("shipped snapshot exists");
     let blob = encode_snapshot_blob(snap, slot.transitions as u64, slot.next_seq);
     rnet.stats.snapshot_bytes += blob.len() as u64;
@@ -684,8 +693,8 @@ fn next_live(live: &[bool], id: usize) -> usize {
         .unwrap_or(id)
 }
 
-/// The read-only ingredients a node's engine is minted from — for the
-/// worker's own shard at start-up and for the nodes it adopts later.
+/// The read-only ingredients a node is minted from — for the worker's
+/// own shard at start-up and for the nodes it adopts later.
 struct NodeFactory<'a> {
     node_ids: &'a [NodeId],
     transducer: &'a dyn Transducer,
@@ -696,10 +705,11 @@ struct NodeFactory<'a> {
 }
 
 impl<'a> NodeFactory<'a> {
-    fn engine(&self, g: usize) -> NodeEngine<'a> {
+    fn slot(&self, g: usize) -> Slot<'a> {
         let node = self.node_ids[g].clone();
         let input = self.dist.get(&node).unwrap_or(self.empty);
-        NodeEngine::new(self.transducer, self.policy, self.sys, node, input)
+        let engine = NodeEngine::new(self.transducer, self.policy, self.sys, node, input);
+        Slot::new(g, engine)
     }
 }
 
@@ -707,7 +717,7 @@ impl<'a> NodeFactory<'a> {
 struct Shard<'a> {
     node_ids: &'a [NodeId],
     obs: &'a Obs,
-    slots: Vec<Slot>,
+    slots: Vec<Slot<'a>>,
     /// Global node index → position in `slots` (`None`: not ours).
     local_index: Vec<Option<usize>>,
     metrics: Metrics,
@@ -785,7 +795,6 @@ struct Worker<'a> {
     /// Live ring positions; dead positions are skipped when forwarding
     /// the token and never sent Terminate.
     live: Vec<bool>,
-    engines: Vec<NodeEngine<'a>>,
     shard: Shard<'a>,
     rnet: Option<ReliableNet<'a>>,
     // Safra state.
@@ -907,9 +916,8 @@ impl Worker<'_> {
             if self.owner[g] != self.id || self.shard.local_index[g].is_some() {
                 continue;
             }
-            self.engines.push(self.fab.engine(g));
             let l = self.shard.slots.len();
-            self.shard.slots.push(Slot::new(g));
+            self.shard.slots.push(self.fab.slot(g));
             self.shard.local_index[g] = Some(l);
             let mut restored = false;
             if let Some(rnet) = self.rnet.as_mut() {
@@ -1014,12 +1022,10 @@ pub(crate) fn run_worker(ctx: WorkerCtx<'_>) -> WorkerOutcome {
         count_msgs: !supervised,
         owner,
         live,
-        engines: locals.iter().map(|&g| fab.engine(g)).collect(),
-        fab,
         shard: Shard {
             node_ids,
             obs,
-            slots: locals.iter().map(|&g| Slot::new(g)).collect(),
+            slots: locals.iter().map(|&g| fab.slot(g)).collect(),
             local_index,
             metrics: Metrics::default(),
             stats: WorkerStats {
@@ -1027,6 +1033,7 @@ pub(crate) fn run_worker(ctx: WorkerCtx<'_>) -> WorkerOutcome {
                 ..WorkerStats::default()
             },
         },
+        fab,
         rnet: faults.map(|plan| ReliableNet::new(plan, &locals, obs)),
         counter: 0,
         black: false,
@@ -1105,7 +1112,7 @@ pub(crate) fn run_worker(ctx: WorkerCtx<'_>) -> WorkerOutcome {
 
         // 2. Local work: step every node that has inbox facts or is not
         // yet at its local fixpoint.
-        let idle = |s: &Slot| !s.dirty && s.pending.is_empty();
+        let idle = |s: &Slot<'_>| !s.dirty && s.pending.is_empty();
         let has_work = !w.shard.slots.iter().all(idle);
         if has_work && steps_left > 0 {
             for l in 0..w.shard.slots.len() {
@@ -1155,8 +1162,7 @@ pub(crate) fn run_worker(ctx: WorkerCtx<'_>) -> WorkerOutcome {
                 if delivered_n == 0 {
                     metrics.heartbeats += 1;
                 }
-                let outcome = w.engines[l].apply(
-                    &mut slot.state,
+                let outcome = slot.engine.apply(
                     &delivered,
                     delivered_n,
                     Some(&mut slot.ever_sent),
@@ -1193,14 +1199,10 @@ pub(crate) fn run_worker(ctx: WorkerCtx<'_>) -> WorkerOutcome {
                         w.black = true;
                         let snap = slot
                             .snap
-                            .clone()
+                            .take()
                             .expect("every node snapshots before it can crash");
-                        slot.state = snap.state;
-                        slot.pending = snap.pending;
-                        slot.ever_sent = snap.ever_sent;
-                        slot.dirty = true;
-                        slot.since_snapshot = 0;
-                        rnet.restore(sender_global, snap.links);
+                        slot.roll_back(&snap, rnet);
+                        slot.snap = Some(snap);
                         rnet.crash(sender_global, point.down_ticks);
                         if obs.enabled() {
                             obs.event("net", "crash", sender_global as u32 + 1, || {
@@ -1404,7 +1406,7 @@ pub(crate) fn run_worker(ctx: WorkerCtx<'_>) -> WorkerOutcome {
         report: FinalReport {
             states: slots
                 .into_iter()
-                .map(|s| (node_ids[s.global].clone(), s.state))
+                .map(|s| (node_ids[s.global].clone(), s.engine.into_state()))
                 .collect(),
             stats,
             clean,
@@ -1450,6 +1452,53 @@ mod tests {
             )],
             clean: true,
         }
+    }
+
+    #[test]
+    fn a_restored_slot_is_rebuilt_from_the_snapshot_state_alone() {
+        use calm_transducer::{HashPolicy, MonotoneBroadcast, Network};
+        let t = MonotoneBroadcast::new(Box::new(calm_queries::tc::tc_datalog()));
+        let policy = HashPolicy::new(Network::of_size(2));
+        let node_ids: Vec<NodeId> = policy.network().nodes().cloned().collect();
+        let input = Instance::from_facts([fact("E", [1, 2]), fact("E", [2, 3])]);
+        let dist = distribute(&policy, &input);
+        let fab = NodeFactory {
+            node_ids: &node_ids,
+            transducer: &t,
+            policy: &policy,
+            sys: SystemConfig::ORIGINAL,
+            dist: &dist,
+            empty: &Instance::new(),
+        };
+        let plan = FaultPlan::none(1);
+        let obs = Obs::noop();
+        let mut rnet = ReliableNet::new(&plan, &[0], &obs);
+        let mut metrics = Metrics::default();
+        let mut slot = fab.slot(0);
+        let mut step = |slot: &mut Slot<'_>, delivered: &[Fact]| {
+            let n = delivered.len();
+            let sent = Some(&mut slot.ever_sent);
+            slot.engine.apply(delivered, n, sent, &mut metrics, &obs);
+        };
+        step(&mut slot, &[]);
+        take_snapshot(&mut slot, &mut rnet, &mut Vec::new());
+        let snap = slot.snap.clone().expect("just taken");
+        assert_eq!(snap.state, slot.engine.state());
+        // Progress past the checkpoint, with the engine warm.
+        step(&mut slot, &[fact("m_E", [3, 4])]);
+        assert!(!slot.engine.is_cold());
+        assert_ne!(slot.engine.state(), snap.state);
+        // Crash rollback and supervised restore share this path.
+        slot.roll_back(&snap, &mut rnet);
+        assert!(slot.engine.is_cold(), "nothing warm survives a restore");
+        assert_eq!(slot.engine.state(), snap.state);
+        assert!(slot.dirty && slot.ever_sent == snap.ever_sent);
+        // The redone step lands where the first one did.
+        step(&mut slot, &[fact("m_E", [3, 4])]);
+        let mut reference = fab.slot(0);
+        step(&mut reference, &[]);
+        step(&mut reference, &[fact("m_E", [3, 4])]);
+        assert_eq!(slot.engine.state(), reference.engine.state());
     }
 
     #[test]

@@ -148,6 +148,16 @@ fn assert_chaos_confluent(
                 thr.output, seq.output,
                 "{tag}: output differs from the sequential oracle"
             );
+            // Every node, not only the union of the outputs: a node
+            // rolled back by a crash point steps on with an engine
+            // rebuilt from `NodeSnapshot.state` alone, and must end up
+            // knowing — and believing it has sent — exactly what the
+            // never-interrupted sequential node does (the send marks
+            // `s_R`, `sf_R`, `sb_R`, … are memory).
+            assert_eq!(
+                thr.states, seq.config.state,
+                "{tag}: a node's final state differs from the sequential oracle"
+            );
             check_chaos_accounting(&thr, &tag);
         }
     }
@@ -282,7 +292,63 @@ fn chaos_with_data_parallel_node_fixpoints_matches_the_oracle() {
                 thr.output, seq.output,
                 "{tag}: output differs from the sequential oracle"
             );
+            // Per node, as in `assert_chaos_confluent`.
+            assert_eq!(
+                thr.states, seq.config.state,
+                "{tag}: a node's final state differs from the sequential oracle"
+            );
             check_chaos_accounting(&thr, &tag);
+        }
+    }
+}
+
+#[test]
+fn a_crashed_node_steps_on_from_its_snapshot_alone() {
+    // Crash points early in the run of both native node programs, on a
+    // lossless network so that nothing else is going on: the node is
+    // rolled back to its last checkpoint while its engine is warm — the
+    // known values, the system facts, the program's counts and its
+    // query session all describe a state the node no longer has — and
+    // everything but `NodeSnapshot.state` must be thrown away. Each
+    // node ends where the sequential node ends, send marks included.
+    let monotone = MonotoneBroadcast::new(Box::new(tc_datalog()));
+    let distinct = DistinctStrategy::new(Box::new(edges_without_source_loop()));
+    let families: [(&str, &dyn Transducer, SystemConfig); 2] = [
+        ("M", &monotone, SystemConfig::ORIGINAL),
+        ("Mdistinct", &distinct, SystemConfig::POLICY_AWARE),
+    ];
+    let policy = HashPolicy::new(Network::of_size(3));
+    for (label, t, sys) in families {
+        for i in 0..6u64 {
+            let seed = seed_base() * 1000 + 500 + i;
+            let input = random_edges(seed, 5, 4 + (i as usize % 3));
+            let tn = TransducerNetwork {
+                transducer: t,
+                policy: &policy,
+                config: sys,
+            };
+            let seq = run(&tn, &input, &Scheduler::RoundRobin, 500_000);
+            assert!(seq.quiescent);
+            let mut plan = FaultPlan::none(seed).with_crash(0, 2, 3);
+            plan = plan.with_crash(1, 2, 5).with_crash(1, 4, 2);
+            plan.snapshot_every = 1 + (i as usize % 3);
+            let thr = run_threaded(
+                &ThreadedNetwork {
+                    programs: Programs::Shared(t),
+                    policy: &policy,
+                    config: sys,
+                },
+                &input,
+                &ThreadedConfig::new(2).with_faults(plan),
+            );
+            let tag = format!("{label} seed {seed}");
+            assert!(thr.quiescent, "{tag}");
+            assert!(thr.faults.crashes >= 2, "{tag}: the crash points fired");
+            assert_eq!(thr.states, seq.config.state, "{tag}: per-node states");
+            assert!(
+                thr.metrics.messages_sent >= seq.metrics.messages_sent,
+                "{tag}: a rolled-back node sends again what its snapshot had not marked"
+            );
         }
     }
 }

@@ -236,6 +236,12 @@ fn node_index(tn: &TransducerNetwork<'_>, x: &NodeId) -> u64 {
 /// Execute one transition of node `x`: deliver per `delivery`, expose
 /// `D = J ∪ S`, apply the four queries, and update the configuration.
 /// Returns `true` when the node's state changed.
+///
+/// A cold [`NodeEngine`] is built from `(H(x), s(x))` for the call and
+/// taken apart after it: the transition exactly as §4.1.3 defines it,
+/// one configuration to the next — the specification the warm engines
+/// of [`run_with`] are checked against, and what the heartbeat
+/// witnesses and proof replays step with.
 pub fn transition(
     tn: &TransducerNetwork<'_>,
     dist: &BTreeMap<NodeId, Instance>,
@@ -267,12 +273,43 @@ pub fn transition_traced(
     delivery: Delivery,
     metrics: &mut Metrics,
     obs: &Obs,
+    trace: Option<&mut CausalTrace>,
+) -> bool {
+    let empty = Instance::new();
+    let input = dist.get(x).unwrap_or(&empty);
+    let mut engine = NodeEngine::new(tn.transducer, tn.policy, tn.config, x.clone(), input);
+    engine.restore(std::mem::take(config.state.get_mut(x).expect("node state")));
+    let changed = step_node(
+        tn,
+        &mut engine,
+        &mut config.buffer,
+        x,
+        delivery,
+        metrics,
+        obs,
+        trace,
+    );
+    config.state.insert(x.clone(), engine.into_state());
+    changed
+}
+
+/// One transition of node `x` on its engine: the delivery half, the
+/// step, and the routing of what it sent into the other nodes' buffers.
+#[allow(clippy::too_many_arguments)]
+fn step_node(
+    tn: &TransducerNetwork<'_>,
+    engine: &mut NodeEngine<'_>,
+    buffers: &mut BTreeMap<NodeId, Multiset<Fact>>,
+    x: &NodeId,
+    delivery: Delivery,
+    metrics: &mut Metrics,
+    obs: &Obs,
     mut trace: Option<&mut CausalTrace>,
 ) -> bool {
     // Delivery half: choose the submultiset m ⊆ b(x) and collapse to the
     // set M. (The step half lives in `NodeEngine::apply`, shared with
     // the threaded executor.)
-    let buffer = config.buffer.get_mut(x).expect("node buffer");
+    let buffer = buffers.get_mut(x).expect("node buffer");
     let mut delivered_n = 0usize;
     let delivered: Vec<Fact> = match delivery {
         Delivery::All => buffer
@@ -318,12 +355,8 @@ pub fn transition_traced(
         metrics.heartbeats += 1;
     }
 
-    // Step half: shared node engine.
-    let empty = Instance::new();
-    let input = dist.get(x).unwrap_or(&empty);
-    let engine = NodeEngine::new(tn.transducer, tn.policy, tn.config, x.clone(), input);
-    let state = config.state.get_mut(x).expect("node state");
-    let outcome = engine.apply(state, &delivered, delivered_n, None, metrics, obs);
+    // Step half: the node's engine.
+    let outcome = engine.apply(&delivered, delivered_n, None, metrics, obs);
 
     // Route the sends: every message fact goes to every other node.
     if !outcome.sent.is_empty() {
@@ -346,8 +379,7 @@ pub fn transition_traced(
             None => None,
         };
         for y in tn.policy.network().others(x) {
-            config
-                .buffer
+            buffers
                 .get_mut(y)
                 .expect("node buffer")
                 .extend(outcome.sent.iter().cloned());
@@ -371,7 +403,7 @@ pub fn transition_traced(
     // Buffered-queue high-water marks (recipient buffers only grew in the
     // send loop above; `x`'s own buffer only shrank or kept its size).
     for y in tn.policy.network().others(x) {
-        let depth = config.buffer[y].len();
+        let depth = buffers[y].len();
         let hw = metrics.buffered_high_water.entry(y.clone()).or_insert(0);
         if depth > *hw {
             *hw = depth;
@@ -394,7 +426,7 @@ pub fn transition_traced(
             "runtime",
             "queue_depth",
             engine.track(),
-            config.buffer[x].len() as u64,
+            buffers[x].len() as u64,
         );
     }
 
@@ -524,22 +556,47 @@ pub fn run_with(
     obs: &Obs,
 ) -> RunResult {
     let dist = distribute(tn.policy, input);
-    let mut config = Configuration::start(tn.policy.network());
+    let nodes: Vec<NodeId> = tn.policy.network().nodes().cloned().collect();
+    // One engine per node for the whole run: it holds the node's state.
+    let empty = Instance::new();
+    let mut engines: BTreeMap<&NodeId, NodeEngine<'_>> = nodes
+        .iter()
+        .map(|x| {
+            let input = dist.get(x).unwrap_or(&empty);
+            let engine = NodeEngine::new(tn.transducer, tn.policy, tn.config, x.clone(), input);
+            (x, engine)
+        })
+        .collect();
+    let mut buffers = Configuration::start(tn.policy.network()).buffer;
     let mut metrics = Metrics::default();
     let mut trace = CausalTrace::default();
-    let mut delivered: BTreeMap<NodeId, std::collections::BTreeSet<Fact>> = tn
-        .policy
-        .network()
-        .nodes()
+    let mut delivered: BTreeMap<NodeId, std::collections::BTreeSet<Fact>> = nodes
+        .iter()
         .map(|n| (n.clone(), std::collections::BTreeSet::new()))
         .collect();
-    let note_delivery = |config: &Configuration,
+    let note_delivery = |buffers: &BTreeMap<NodeId, Multiset<Fact>>,
                          delivered: &mut BTreeMap<NodeId, std::collections::BTreeSet<Fact>>,
                          x: &NodeId| {
         let set = delivered.get_mut(x).expect("node");
-        for f in config.buffer[x].support() {
+        for f in buffers[x].support() {
             set.insert(f.clone());
         }
+    };
+    let mut step = |x: &NodeId,
+                    delivery: Delivery,
+                    buffers: &mut BTreeMap<NodeId, Multiset<Fact>>,
+                    metrics: &mut Metrics| {
+        let engine = engines.get_mut(x).expect("node engine");
+        step_node(
+            tn,
+            engine,
+            buffers,
+            x,
+            delivery,
+            metrics,
+            obs,
+            Some(&mut trace),
+        )
     };
 
     if let Scheduler::Random {
@@ -563,12 +620,11 @@ pub fn run_with(
         };
         let prefix = (*prefix).min(max_transitions / 2);
         let mut rng = Rng::seed_from_u64(*seed);
-        let nodes: Vec<NodeId> = tn.policy.network().nodes().cloned().collect();
         for _ in 0..prefix {
             if metrics.transitions >= max_transitions {
                 break;
             }
-            let x = nodes[rng.gen_range(0..nodes.len())].clone();
+            let x = &nodes[rng.gen_range(0..nodes.len())];
             let delivery = match rng.gen_range(0..3u8) {
                 0 => Delivery::All,
                 1 => Delivery::None,
@@ -581,23 +637,13 @@ pub fn run_with(
             // sampled delivery may skip occurrences; under-recording is
             // conservative for quiescence detection).
             if delivery == Delivery::All {
-                note_delivery(&config, &mut delivered, &x);
+                note_delivery(&buffers, &mut delivered, x);
             }
-            transition_traced(
-                tn,
-                &dist,
-                &mut config,
-                &x,
-                delivery,
-                &mut metrics,
-                obs,
-                Some(&mut trace),
-            );
+            step(x, delivery, &mut buffers, &mut metrics);
         }
     }
 
     // Closing round-robin sweeps with full delivery.
-    let nodes: Vec<NodeId> = tn.policy.network().nodes().cloned().collect();
     let mut quiescent = false;
     while metrics.transitions < max_transitions {
         let mut state_changed = false;
@@ -605,23 +651,12 @@ pub fn run_with(
             if metrics.transitions >= max_transitions {
                 break;
             }
-            note_delivery(&config, &mut delivered, x);
-            if transition_traced(
-                tn,
-                &dist,
-                &mut config,
-                x,
-                Delivery::All,
-                &mut metrics,
-                obs,
-                Some(&mut trace),
-            ) {
-                state_changed = true;
-            }
+            note_delivery(&buffers, &mut delivered, x);
+            state_changed |= step(x, Delivery::All, &mut buffers, &mut metrics);
         }
         let all_messages_seen = nodes
             .iter()
-            .all(|x| config.buffer[x].support().all(|f| delivered[x].contains(f)));
+            .all(|x| buffers[x].support().all(|f| delivered[x].contains(f)));
         if !state_changed && all_messages_seen {
             quiescent = true;
             break;
@@ -630,6 +665,13 @@ pub fn run_with(
 
     metrics.report_run_summary(obs, quiescent);
 
+    let config = Configuration {
+        state: engines
+            .into_iter()
+            .map(|(x, engine)| (x.clone(), engine.into_state()))
+            .collect(),
+        buffer: buffers,
+    };
     RunResult {
         output: network_output(tn, &config),
         config,

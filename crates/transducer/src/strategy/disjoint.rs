@@ -234,7 +234,7 @@ impl Transducer for DisjointStrategy {
                 ready.extend(component.facts());
             }
         }
-        step.out = rename_to_out(&self.query.eval(&ready));
+        step.out = rename_to_out(self.query.eval(&ready));
         step
     }
 

@@ -10,17 +10,18 @@
 //! the rest of the input is domain-distinct from the complete part).
 
 use super::{
-    absence_rel, coll_rel, collected_input, msg_rel, rename_to_out, renamed_output_schema,
+    absence_rel, coll_rel, collected_input, msg_rel, rename_to_out, renamed_output_schema, Gossip,
 };
 use crate::schema::{policy_relation, TransducerSchema};
-use crate::system_facts::tuples_over;
-use crate::transducer::{Transducer, TransducerStep};
-use calm_common::fact::Fact;
+use crate::system_facts::{for_each_new_tuple, tuples_over};
+use crate::transducer::{NodeProgram, NodeView, Transducer, TransducerStep};
+use calm_common::fact::{rel, Fact, RelName};
 use calm_common::instance::Instance;
-use calm_common::query::Query;
+use calm_common::query::{Query, QuerySession};
 use calm_common::schema::Schema;
+use calm_common::update::UpdateBatch;
 use calm_common::value::Value;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Memory: absences known (`ab_R`), facts already broadcast (`sf_R`),
 /// absences already broadcast (`sb_R`).
@@ -136,12 +137,183 @@ impl Transducer for DistinctStrategy {
             .collect();
         let mut restricted = collected.clone();
         restricted.retain(|_, tuple| tuple.iter().all(|v| complete.contains(v)));
-        step.out = rename_to_out(&self.query.eval(&restricted));
+        step.out = rename_to_out(self.query.eval(&restricted));
         step
     }
 
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn open(&self) -> Box<dyn NodeProgram + '_> {
+        let names = self.query.input_schema().iter().map(|(r, arity)| Names {
+            arity,
+            input: r.clone(),
+            policy: rel(policy_relation(r)),
+            fact: Gossip::new(coll_rel(r), sent_fact_rel(r), msg_rel(r)),
+            absence: Gossip::new(known_absence_rel(r), sent_absence_rel(r), absence_rel(r)),
+        });
+        Box::new(FactsAndAbsences {
+            names: names.collect(),
+            session: self.query.session(),
+            started: false,
+            undetermined: BTreeMap::new(),
+            restricted: Instance::new(),
+        })
+    }
+}
+
+/// The relations one input relation `R` gives rise to, interned.
+struct Names {
+    arity: usize,
+    /// `R`.
+    input: RelName,
+    /// `policy_R`.
+    policy: RelName,
+    /// `c_R`, `sf_R`, `m_R`.
+    fact: Gossip,
+    /// `ab_R`, `sb_R`, `n_R`.
+    absence: Gossip,
+}
+
+impl Names {
+    /// Whether `t` is known to be a fact or known to be absent.
+    fn determined(&self, t: &[Value], d: &Instance, ins: &Instance) -> bool {
+        [&self.fact.known, &self.absence.known]
+            .into_iter()
+            .any(|known| d.contains_tuple(known, t) || ins.contains_tuple(known, t))
+    }
+}
+
+/// One node's [`DistinctStrategy`]. Each fact or absence is remembered
+/// and broadcast once, when it is first seen; the complete set is kept
+/// through a count per known value of the undetermined tuples over the
+/// known values that contain it (a value is complete at zero), so a
+/// determination decrements and only a *new* value makes tuples to
+/// enumerate. The query runs as a session over the collected facts on
+/// complete values. That input is not insert-only: a new value starts
+/// out sharing undetermined tuples with every old one, which takes
+/// them out of the complete set until those are determined.
+struct FactsAndAbsences<'a> {
+    names: Vec<Names>,
+    session: Box<dyn QuerySession + 'a>,
+    started: bool,
+    /// Known value (`MyAdom`) ↦ undetermined tuples holding it, counted
+    /// per occurrence.
+    undetermined: BTreeMap<Value, usize>,
+    /// The session's input.
+    restricted: Instance,
+}
+
+impl NodeProgram for FactsAndAbsences<'_> {
+    fn advance(&mut self, view: &mut NodeView<'_>) -> TransducerStep {
+        let d = view.d();
+        let mut step = TransducerStep::default();
+        let first = !std::mem::replace(&mut self.started, true);
+        // Whether the session's input may have changed.
+        let mut dirty = first;
+
+        // 1. What became known: remember and broadcast it.
+        let undetermined = &mut self.undetermined;
+        let mut learn = |names: &Names, is_fact: bool, t: &[Value]| {
+            let (k, other) = match is_fact {
+                true => (&names.fact, &names.absence),
+                false => (&names.absence, &names.fact),
+            };
+            let newly = k.learn(d, t, &mut step);
+            dirty |= newly && is_fact;
+            // Release the values of a tuple that was counted: one over
+            // values known before this call, undetermined until now.
+            let counted = newly
+                && t.len() == names.arity
+                && t.iter().all(|v| undetermined.contains_key(v))
+                && !d.contains_tuple(&other.known, t)
+                && !step.ins.contains_tuple(&other.known, t);
+            if counted {
+                for v in t {
+                    let n = undetermined.get_mut(v).expect("checked above");
+                    *n -= 1;
+                    dirty |= *n == 0;
+                }
+            }
+        };
+        for names in &self.names {
+            if first {
+                for t in d.tuples(&names.input).chain(d.tuples(&names.fact.known)) {
+                    learn(names, true, t);
+                }
+                for t in d.tuples(&names.absence.known) {
+                    learn(names, false, t);
+                }
+            }
+            // Responsible for R(ā), and R(ā) not locally given: absent.
+            for t in view.new_sys.tuples(&names.policy) {
+                if !d.contains_tuple(&names.input, t) {
+                    learn(names, false, t);
+                }
+            }
+        }
+        for m in view.delivered {
+            for names in &self.names {
+                if names.fact.msg == *m.relation() {
+                    learn(names, true, m.args());
+                } else if names.absence.msg == *m.relation() {
+                    learn(names, false, m.args());
+                }
+            }
+        }
+
+        // 2. New values: the tuples that contain one are new too, and
+        // count against every value in them until determined.
+        let new_values: Vec<Value> = (view.new_sys.tuples("MyAdom"))
+            .map(|t| t[0].clone())
+            .collect();
+        if !new_values.is_empty() {
+            dirty = true;
+            let old_values: Vec<Value> = self.undetermined.keys().cloned().collect();
+            self.undetermined
+                .extend(new_values.iter().map(|v| (v.clone(), 0)));
+            for names in &self.names {
+                for_each_new_tuple(&old_values, &new_values, names.arity, |t| {
+                    if !names.determined(t, d, &step.ins) {
+                        for v in t {
+                            *self.undetermined.get_mut(v).expect("a known value") += 1;
+                        }
+                    }
+                });
+            }
+        }
+
+        // 3. The session's input — the collected facts over complete
+        // values — and the signed difference to what it was.
+        if dirty {
+            let complete = |t: &[Value]| t.iter().all(|v| self.undetermined.get(v) == Some(&0));
+            let mut restricted = Instance::new();
+            for names in &self.names {
+                let collected = (d.tuples(&names.fact.known))
+                    .chain(step.ins.tuples(&names.fact.known))
+                    .filter(|t| complete(t));
+                for t in collected {
+                    restricted.insert_tuple(&names.input, t.clone());
+                }
+            }
+            let batch = UpdateBatch {
+                insert: restricted
+                    .difference(&self.restricted)
+                    .into_iter()
+                    .collect(),
+                delete: self
+                    .restricted
+                    .difference(&restricted)
+                    .into_iter()
+                    .collect(),
+            };
+            self.restricted = restricted;
+            if first || !batch.is_empty() {
+                step.out = rename_to_out(self.session.apply(&batch));
+            }
+        }
+        step
     }
 }
 

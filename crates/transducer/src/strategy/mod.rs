@@ -22,10 +22,12 @@ pub use distinct::DistinctStrategy;
 pub use monotone::MonotoneBroadcast;
 
 use crate::multiset::Multiset;
-use calm_common::fact::Fact;
+use crate::transducer::TransducerStep;
+use calm_common::fact::{rel, Fact, RelName};
 use calm_common::instance::Instance;
 use calm_common::query::Query;
 use calm_common::schema::Schema;
+use calm_common::value::Value;
 
 /// The protocol class of a message fact, keyed by the message-relation
 /// naming convention shared by the three strategies. This is the
@@ -219,16 +221,46 @@ pub fn renamed_output_schema(q: &dyn Query) -> Schema {
 /// What a strategy network is expected to output for input `I`:
 /// `Q(I)` with every output relation `R` renamed to `out_R`.
 pub fn expected_output(q: &dyn Query, input: &Instance) -> Instance {
-    rename_to_out(&q.eval(input))
+    rename_to_out(q.eval(input))
 }
 
-/// Rename every relation `R` of a query answer to `out_R`.
-pub fn rename_to_out(answer: &Instance) -> Instance {
-    Instance::from_facts(
-        answer
-            .facts()
-            .map(|f| Fact::new(out_rel(f.relation()), f.args().to_vec())),
-    )
+/// Rename every relation `R` of a query answer to `out_R` (one interned
+/// name per relation; the tuples move).
+pub fn rename_to_out(answer: Instance) -> Instance {
+    answer.rename_relations(|r| rel(out_rel(r)))
+}
+
+/// One kind of knowledge about the tuples of an input relation (that
+/// they are facts; that they are absent) as a node's program handles
+/// it: remembered in `known`, broadcast as `msg`, the broadcast marked
+/// in `sent`. The names are interned once per program.
+pub(crate) struct Gossip {
+    pub(crate) known: RelName,
+    pub(crate) sent: RelName,
+    pub(crate) msg: RelName,
+}
+
+impl Gossip {
+    pub(crate) fn new(known: String, sent: String, msg: String) -> Self {
+        Gossip {
+            known: rel(known),
+            sent: rel(sent),
+            msg: rel(msg),
+        }
+    }
+
+    /// `t` was learned: remember it, and broadcast it unless that
+    /// happened (`d` holds the memory as it was before this step).
+    /// Returns whether `t` is new to the memory and to this step.
+    pub(crate) fn learn(&self, d: &Instance, t: &[Value], step: &mut TransducerStep) -> bool {
+        let new =
+            !d.contains_tuple(&self.known, t) && step.ins.insert_tuple(&self.known, t.to_vec());
+        if !d.contains_tuple(&self.sent, t) {
+            step.snd.insert_tuple(&self.msg, t.to_vec());
+            step.ins.insert_tuple(&self.sent, t.to_vec());
+        }
+        new
+    }
 }
 
 /// Gather the "collected input" visible in `D`: for each input relation
@@ -238,14 +270,10 @@ pub fn rename_to_out(answer: &Instance) -> Instance {
 pub fn collected_input(input_schema: &Schema, d: &Instance) -> Instance {
     let mut out = Instance::new();
     for (r, _) in input_schema.iter() {
-        for t in d.tuples(r) {
-            out.insert(Fact::new(r.as_ref(), t.clone()));
-        }
-        for t in d.tuples(&coll_rel(r)) {
-            out.insert(Fact::new(r.as_ref(), t.clone()));
-        }
-        for t in d.tuples(&msg_rel(r)) {
-            out.insert(Fact::new(r.as_ref(), t.clone()));
+        for source in [r.as_ref(), &coll_rel(r), &msg_rel(r)] {
+            for t in d.tuples(source) {
+                out.insert_tuple(r, t.clone());
+            }
         }
     }
     out

@@ -3,13 +3,15 @@
 //! newly received fact, with no waiting at all. Correct exactly for
 //! monotone queries.
 
-use super::{coll_rel, collected_input, msg_rel, rename_to_out, renamed_output_schema};
+use super::{coll_rel, collected_input, msg_rel, rename_to_out, renamed_output_schema, Gossip};
 use crate::schema::TransducerSchema;
-use crate::transducer::{Transducer, TransducerStep};
-use calm_common::fact::Fact;
+use crate::transducer::{NodeProgram, NodeView, Transducer, TransducerStep};
+use calm_common::fact::{Fact, RelName};
 use calm_common::instance::Instance;
-use calm_common::query::Query;
+use calm_common::query::{Query, QuerySession};
 use calm_common::schema::Schema;
+use calm_common::update::UpdateBatch;
+use calm_common::value::Value;
 
 /// The broadcast-everything strategy for monotone queries.
 pub struct MonotoneBroadcast {
@@ -21,6 +23,12 @@ pub struct MonotoneBroadcast {
 /// Memory relation marking facts already broadcast.
 fn sent_rel(r: &str) -> String {
     format!("s_{r}")
+}
+
+/// `c_R`, `s_R`, `m_R`: where the facts of input relation `R` are
+/// collected, marked as broadcast, and broadcast.
+fn gossip(r: &str) -> Gossip {
+    Gossip::new(coll_rel(r), sent_rel(r), msg_rel(r))
 }
 
 impl MonotoneBroadcast {
@@ -59,27 +67,76 @@ impl Transducer for MonotoneBroadcast {
     fn step(&self, d: &Instance) -> TransducerStep {
         let mut step = TransducerStep::default();
         let collected = collected_input(self.query.input_schema(), d);
-        for f in collected.facts() {
-            let r = f.relation().as_ref().to_string();
-            // Remember everything we know.
-            step.ins.insert(Fact::new(coll_rel(&r), f.args().to_vec()));
-            // Broadcast what we have not broadcast yet.
-            if !d.contains_tuple(&sent_rel(&r), f.args()) {
-                step.snd.insert(Fact::new(msg_rel(&r), f.args().to_vec()));
-                step.ins.insert(Fact::new(sent_rel(&r), f.args().to_vec()));
+        // Remember everything we know; broadcast what we have not
+        // broadcast yet.
+        for (r, _) in self.query.input_schema().iter() {
+            let facts = gossip(r);
+            for t in collected.tuples(r) {
+                step.ins.insert_tuple(&facts.known, t.clone());
+                facts.learn(d, t, &mut step);
             }
         }
         // Output Q over everything currently known — monotonicity makes
         // every such fact final.
-        step.out = rename_to_out(&self.query.eval(&collected));
-        for f in step.out.clone().facts() {
-            debug_assert!(self.schema.output.covers(&f));
-        }
+        step.out = rename_to_out(self.query.eval(&collected));
         step
     }
 
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn open(&self) -> Box<dyn NodeProgram + '_> {
+        let input = self.query.input_schema();
+        Box::new(Broadcast {
+            relations: input.names().map(|r| (r.clone(), gossip(r))).collect(),
+            session: self.query.session(),
+            started: false,
+        })
+    }
+}
+
+/// One node's [`MonotoneBroadcast`]: each fact is collected, broadcast
+/// and handed to the query once — when it is first seen — and the query
+/// is a session over everything collected, which only grows.
+struct Broadcast<'a> {
+    /// Each input relation `R` with its `c_R`/`s_R`/`m_R`.
+    relations: Vec<(RelName, Gossip)>,
+    session: Box<dyn QuerySession + 'a>,
+    started: bool,
+}
+
+impl NodeProgram for Broadcast<'_> {
+    fn advance(&mut self, view: &mut NodeView<'_>) -> TransducerStep {
+        let d = view.d();
+        let mut step = TransducerStep::default();
+        let mut collected = UpdateBatch::new();
+        let first = !std::mem::replace(&mut self.started, true);
+        let mut collect = |(r, facts): &(RelName, Gossip), t: &[Value]| {
+            // A first call may find memory already there (a restored
+            // state): the session still has to be told.
+            if facts.learn(d, t, &mut step) || first {
+                collected.insert.push(Fact::from_rel(r.clone(), t.to_vec()));
+            }
+        };
+        if first {
+            for relation in &self.relations {
+                let (r, facts) = relation;
+                for t in d.tuples(r).chain(d.tuples(&facts.known)) {
+                    collect(relation, t);
+                }
+            }
+        }
+        for m in view.delivered {
+            let from = |(_, facts): &&(RelName, Gossip)| facts.msg == *m.relation();
+            if let Some(relation) = self.relations.iter().find(from) {
+                collect(relation, m.args());
+            }
+        }
+        if first || !collected.is_empty() {
+            step.out = rename_to_out(self.session.apply(&collected));
+        }
+        step
     }
 }
 

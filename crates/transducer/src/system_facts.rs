@@ -19,12 +19,19 @@ use calm_common::schema::Schema;
 use calm_common::value::Value;
 use std::collections::BTreeSet;
 
-/// Compute the system facts for a transition of node `x`.
+/// The largest input-relation arity the policy-aware models run with:
+/// the `policy_R` candidates are the `|A|^k` tuples over the known
+/// values. A tractability limit, not a property of the model (all the
+/// paper's schemas are binary) — a front end checks it before a node
+/// steps; the `assert!`s are the library's own guard.
+pub const POLICY_ARITY_CAP: usize = 4;
+
+/// Compute the system facts for a transition of node `x` — from
+/// scratch: the specification of what a [`crate::NodeEngine`] maintains.
 ///
 /// `visible` is `J` — the union of local input facts, state, and delivered
 /// messages. The enumeration of `policy_R` candidates is `|A|^k` per input
-/// relation of arity `k`; the simulator asserts `k <= 4` to keep runs
-/// tractable (all the paper's schemas are binary).
+/// relation of arity `k`, capped at [`POLICY_ARITY_CAP`].
 pub fn system_facts(
     x: &NodeId,
     network: &Network,
@@ -56,8 +63,8 @@ pub fn system_facts(
         let a_vec: Vec<Value> = a.iter().cloned().collect();
         for (rel, arity) in input_schema.iter() {
             assert!(
-                arity <= 4,
-                "policy relation enumeration capped at arity 4 (got {arity} for {rel})"
+                arity <= POLICY_ARITY_CAP,
+                "policy relation enumeration capped at arity {POLICY_ARITY_CAP} (got {arity} for {rel})"
             );
             let pname = policy_relation(rel);
             for tuple in tuples_over(&a_vec, arity) {
@@ -91,6 +98,48 @@ pub fn tuples_over(values: &[Value], arity: usize) -> Vec<Vec<Value>> {
             }
             idx[pos] = 0;
             pos += 1;
+        }
+    }
+}
+
+/// Call `f` on every tuple of the given arity over `old ∪ new` that
+/// holds at least one value of `new` — the `|A'|^k − |A|^k` tuples a
+/// grown value set adds to [`tuples_over`]. `old` and `new` must be
+/// disjoint; each tuple is visited once (grouped by the first position
+/// that holds a new value).
+pub(crate) fn for_each_new_tuple(
+    old: &[Value],
+    new: &[Value],
+    arity: usize,
+    mut f: impl FnMut(&[Value]),
+) {
+    if new.is_empty() || arity == 0 {
+        return;
+    }
+    let all: Vec<Value> = old.iter().chain(new).cloned().collect();
+    for first_new in 0..arity {
+        let pool = |pos: usize| match pos.cmp(&first_new) {
+            std::cmp::Ordering::Less => old,
+            std::cmp::Ordering::Equal => new,
+            std::cmp::Ordering::Greater => &all[..],
+        };
+        if first_new > 0 && old.is_empty() {
+            break;
+        }
+        let mut idx = vec![0usize; arity];
+        let mut tuple: Vec<Value> = (0..arity).map(|pos| pool(pos)[0].clone()).collect();
+        'odometer: loop {
+            f(&tuple);
+            for pos in 0..arity {
+                idx[pos] += 1;
+                if idx[pos] < pool(pos).len() {
+                    tuple[pos] = pool(pos)[idx[pos]].clone();
+                    continue 'odometer;
+                }
+                idx[pos] = 0;
+                tuple[pos] = pool(pos)[0].clone();
+            }
+            break;
         }
     }
 }
@@ -197,6 +246,28 @@ mod tests {
         assert_eq!(tuples_over(&vals, 1).len(), 3);
         assert_eq!(tuples_over(&vals, 2).len(), 9);
         assert_eq!(tuples_over(&[], 2).len(), 0);
+    }
+
+    #[test]
+    fn new_tuples_are_exactly_the_difference() {
+        let vals: Vec<Value> = (0..5).map(Value::Int).collect();
+        for arity in 1..=3 {
+            for split in 0..=vals.len() {
+                let (old, new) = vals.split_at(split);
+                let mut seen = Vec::new();
+                for_each_new_tuple(old, new, arity, |t| seen.push(t.to_vec()));
+                let mut want = tuples_over(&vals, arity);
+                want.retain(|t| t.iter().any(|v| new.contains(v)));
+                assert_eq!(
+                    seen.len(),
+                    want.len(),
+                    "arity {arity}, {split} old: no repeats"
+                );
+                seen.sort();
+                want.sort();
+                assert_eq!(seen, want, "arity {arity}, {split} old");
+            }
+        }
     }
 
     #[test]

@@ -37,12 +37,88 @@ pub trait Transducer: Send + Sync {
     fn schema(&self) -> &TransducerSchema;
 
     /// Evaluate the four queries on the visible database `D` of one
-    /// transition.
+    /// transition. Stateless: this is the *specification* of the
+    /// program; a running node goes through [`Transducer::open`].
     fn step(&self, d: &Instance) -> TransducerStep;
 
     /// A display name for reports.
     fn name(&self) -> &str {
         "transducer"
+    }
+
+    /// Open the program of one node. The default calls the stateless
+    /// [`step`](Transducer::step) on `D ∪ M` at every transition; a
+    /// transducer whose memory only grows overrides it with a program
+    /// that handles each new fact once.
+    fn open(&self) -> Box<dyn NodeProgram + '_> {
+        Box::new(Stateless(self))
+    }
+}
+
+/// What a node's program is shown at one transition.
+pub struct NodeView<'v> {
+    /// `D` without the delivered messages: `H(x) ∪ s(x) ∪ S`.
+    d: &'v mut Instance,
+    /// The system facts (`Id`, `All`, `MyAdom`, `policy_R`) that joined
+    /// `D` since the program's previous call — all of `S` on its first.
+    pub new_sys: &'v Instance,
+    /// `M`: the distinct message facts delivered at this transition.
+    pub delivered: &'v [Fact],
+}
+
+impl<'v> NodeView<'v> {
+    pub(crate) fn new(d: &'v mut Instance, new_sys: &'v Instance, delivered: &'v [Fact]) -> Self {
+        NodeView {
+            d,
+            new_sys,
+            delivered,
+        }
+    }
+
+    /// `H(x) ∪ s(x) ∪ S`. On its first call a program reads what it
+    /// needs from here; later `new_sys`, `delivered` and its own earlier
+    /// answers are all that changed.
+    pub fn d(&self) -> &Instance {
+        self.d
+    }
+
+    /// Run `f` on `D ∪ M`, the database the stateless
+    /// [`Transducer::step`] is defined on: the delivered facts join `D`
+    /// for the call and leave it again.
+    pub fn with_delivered<R>(&mut self, f: impl FnOnce(&Instance) -> R) -> R {
+        let delivered = self.delivered;
+        let added: Vec<&Fact> = (delivered.iter())
+            .filter(|m| self.d.insert((*m).clone()))
+            .collect();
+        let result = f(self.d);
+        for m in added {
+            self.d.remove(m);
+        }
+        result
+    }
+}
+
+/// One node's program across its transitions — the stateful form of a
+/// [`Transducer`]. The engine opens one per node and drops it whenever
+/// the node's state stopped being an extension of what the program has
+/// seen (a deletion, a restore): a program may assume that between two
+/// of its calls `D` changed only by [`NodeView::new_sys`] and by the
+/// `out`/`ins` it returned itself.
+pub trait NodeProgram {
+    /// The transition's queries, as [`Transducer::step`] on `D ∪ M`
+    /// would answer them, minus what is in the state already: `snd` and
+    /// `del` exactly, `out` and `ins` at least the facts not yet in `D`
+    /// (the engine folds them into a set, so repeating one is harmless).
+    fn advance(&mut self, view: &mut NodeView<'_>) -> TransducerStep;
+}
+
+/// The default [`NodeProgram`]: no memory of its own, the stateless
+/// step at every transition.
+struct Stateless<'t, T: ?Sized>(&'t T);
+
+impl<T: Transducer + ?Sized> NodeProgram for Stateless<'_, T> {
+    fn advance(&mut self, view: &mut NodeView<'_>) -> TransducerStep {
+        view.with_delivered(|d| self.0.step(d))
     }
 }
 
