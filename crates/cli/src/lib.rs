@@ -24,7 +24,7 @@ mod obs;
 mod simulate;
 mod usage;
 
-pub use eval::{cmd_eval_full, cmd_eval_updates, cmd_wfs};
+pub use eval::{cmd_eval_full, cmd_eval_full_to, cmd_eval_updates, cmd_eval_updates_to, cmd_wfs};
 pub use obs::ObsOptions;
 pub use simulate::{cmd_net_worker, cmd_simulate_run, parse_engine, Engine};
 pub use usage::USAGE;
@@ -51,6 +51,30 @@ impl std::error::Error for CliError {}
 
 fn err(msg: impl Into<String>) -> CliError {
     CliError(msg.into())
+}
+
+/// Why a command that writes its output as it goes stopped early.
+#[derive(Debug)]
+pub enum StreamError {
+    /// The command failed. It did so before writing anything: parsing,
+    /// stratification and plan rendering all come before the first
+    /// byte.
+    Command(CliError),
+    /// The output could not be written. A reader that went away
+    /// (`calm eval … | head`) is this with `ErrorKind::BrokenPipe`.
+    Stdout(std::io::Error),
+}
+
+impl From<CliError> for StreamError {
+    fn from(e: CliError) -> Self {
+        StreamError::Command(e)
+    }
+}
+
+impl From<std::io::Error> for StreamError {
+    fn from(e: std::io::Error) -> Self {
+        StreamError::Stdout(e)
+    }
 }
 
 /// Parse a program source string with a friendly error.
@@ -326,6 +350,161 @@ mod tests {
         );
         // Bad update syntax is a CliError, not a panic.
         assert!(cmd_eval_updates(TC, FACTS, "E(1,2).", false, &opts, 1).is_err());
+    }
+
+    /// The incremental arm prints from the arena, `--from-scratch`
+    /// from the answer `Instance`: equal output holds the maintenance
+    /// and the printer at once.
+    fn both_arms(program: &str, facts: &str, updates: &str) -> String {
+        let opts = ObsOptions::default();
+        let inc = cmd_eval_updates(program, facts, updates, false, &opts, 1).unwrap();
+        let scratch = cmd_eval_updates(program, facts, updates, true, &opts, 1).unwrap();
+        assert_eq!(inc, scratch);
+        let threaded = cmd_eval_updates(program, facts, updates, false, &opts, 4).unwrap();
+        assert_eq!(inc, threaded, "--eval-threads 4");
+        inc
+    }
+
+    /// What `--updates` prints under `% initial`.
+    fn initial_section(updates_output: &str) -> &str {
+        let body = updates_output.strip_prefix("% initial\n").unwrap();
+        &body[..body.find("% after batch 1\n").unwrap()]
+    }
+
+    #[test]
+    fn arena_printer_matches_from_scratch_on_the_examples() {
+        let facts = include_str!("../../../examples/data/graph.facts");
+        let updates = include_str!("../../../examples/data/graph.updates");
+        for program in [
+            include_str!("../../../examples/data/tc.dl"),
+            include_str!("../../../examples/data/tc_right.dl"),
+            include_str!("../../../examples/data/qtc.dl"),
+        ] {
+            let out = both_arms(program, facts, updates);
+            assert!(out.contains("% after batch 3"), "{out}");
+            let plain = cmd_eval_full(program, facts, &ObsOptions::default(), 1).unwrap();
+            assert_eq!(plain, initial_section(&out));
+            let par = cmd_eval_full(program, facts, &ObsOptions::default(), 4).unwrap();
+            assert_eq!(plain, par, "--eval-threads 4");
+        }
+    }
+
+    #[test]
+    fn arena_printer_matches_from_scratch_on_a_generated_graph() {
+        // 500 islands of 10 vertices, 5 000 edges; every third vertex
+        // carries a string label, so one column mixes `Int` and `Str`
+        // and "v10" sorts before "v9". Four signed batches delete and
+        // insert edges, some of them bridges between islands.
+        use calm_common::rng::Rng;
+        let mut rng = Rng::seed_from_u64(18);
+        let label = |v: usize| match v % 3 {
+            0 => format!("v{v}"),
+            _ => v.to_string(),
+        };
+        let mut edges = Vec::new();
+        for island in 0..500 {
+            for _ in 0..10 {
+                let (a, b) = (rng.gen_range(0..10usize), rng.gen_range(0..10usize));
+                edges.push(format!(
+                    "E({},{}).",
+                    label(island * 10 + a),
+                    label(island * 10 + b)
+                ));
+            }
+        }
+        let facts = edges.join("\n");
+        let mut updates = String::new();
+        for batch in 0..4 {
+            for _ in 0..6 {
+                updates.push_str(&format!("- {}\n", rng.choose(&edges).unwrap()));
+                let (a, b) = (rng.gen_range(0..5000usize), rng.gen_range(0..5000usize));
+                updates.push_str(&format!("+ E({},{}).\n", label(a), label(b)));
+            }
+            if batch < 3 {
+                updates.push_str("---\n");
+            }
+        }
+        let out = both_arms(TC, &facts, &updates);
+        assert!(out.contains("% after batch 4"), "{out}");
+        assert!(out.lines().count() > 50_000, "{}", out.lines().count());
+        let plain = cmd_eval_full(TC, &facts, &ObsOptions::default(), 1).unwrap();
+        assert_eq!(plain, initial_section(&out));
+        assert_eq!(
+            plain,
+            cmd_eval_full(TC, &facts, &ObsOptions::default(), 4).unwrap(),
+            "--eval-threads 4"
+        );
+    }
+
+    #[test]
+    fn a_failing_eval_writes_nothing() {
+        // Output streams, so everything that can fail must have failed
+        // before the first byte: a facts file whose *last* fact is
+        // broken, a program that does not stratify (with a plan to
+        // print first), an update file broken on its last line.
+        fn refused(run: impl FnOnce(&mut dyn std::io::Write) -> Result<(), StreamError>) -> String {
+            let mut out = Vec::new();
+            match run(&mut out) {
+                Err(StreamError::Command(e)) => {
+                    assert!(out.is_empty(), "{} bytes written", out.len());
+                    e.0
+                }
+                other => panic!("expected a command failure, got {other:?}"),
+            }
+        }
+        let plan = ObsOptions {
+            dump_plan: true,
+            ..Default::default()
+        };
+        let mut facts = "E(1,2). E(2,3).\n".repeat(130_000);
+        assert!(facts.len() > 2_000_000);
+        let at = facts.len() + "E(3,4)".len();
+        facts.push_str("E(3,4)");
+        let e = refused(|out| cmd_eval_full_to(TC, &facts, &plan, 1, out));
+        assert_eq!(e, format!("facts: parse error at byte {at}: expected '.'"));
+        let winmove = include_str!("../../../examples/data/winmove.dl");
+        let e = refused(|out| cmd_eval_full_to(winmove, "move(1,2).", &plan, 1, out));
+        assert_eq!(
+            e,
+            "evaluation: program is not syntactically stratifiable (negative cycle through win)"
+        );
+        for from_scratch in [false, true] {
+            let e = refused(|out| {
+                let updates = "+ E(3,4).\n---\nE(4,5).\n";
+                cmd_eval_updates_to(TC, FACTS, updates, from_scratch, &plan, 1, out)
+            });
+            assert!(e.starts_with("updates: line 3: expected `+ Fact.`"), "{e}");
+        }
+    }
+
+    #[test]
+    fn eval_metrics_name_the_text_edges() {
+        let metrics = ObsOptions {
+            metrics: true,
+            ..Default::default()
+        };
+        let out = cmd_eval_full(TC, FACTS, &metrics, 1).unwrap();
+        for line in [
+            "eval/read_facts ",
+            "eval/write_facts ",
+            "eval/facts_read                          2\n",
+            "eval/bytes_in                            15\n",
+            "eval/rows_written                        3\n",
+            "eval/bytes_out                           24\n",
+        ] {
+            assert!(out.contains(line), "{line:?} missing from {out}");
+        }
+        // One print per section under --updates.
+        let out = cmd_eval_updates(TC, FACTS, "+ E(3,4).\n---\n- E(1,2).\n", false, &metrics, 1);
+        let out = out.unwrap();
+        assert!(
+            out.contains("eval/write_facts                         n=3 "),
+            "{out}"
+        );
+        assert!(
+            out.contains("eval/rows_written                        12\n"),
+            "{out}"
+        );
     }
 
     #[test]

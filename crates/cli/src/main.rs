@@ -1,12 +1,22 @@
 //! The `calm` binary: see [`calm_cli::USAGE`].
 
 use calm_cli::*;
+use std::io::{self, Write};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match dispatch(&args) {
-        Ok(output) => print!("{output}"),
-        Err(e) => {
+    let mut out = io::BufWriter::new(io::stdout().lock());
+    let run = dispatch(&args, &mut out).and_then(|()| Ok(out.flush()?));
+    match run {
+        Ok(()) => {}
+        // The reader went away (`calm eval … | head -1`): not a failure
+        // of ours, and nobody is left to tell.
+        Err(StreamError::Stdout(e)) if e.kind() == io::ErrorKind::BrokenPipe => {}
+        Err(StreamError::Stdout(e)) => {
+            eprintln!("error: stdout: {e}");
+            std::process::exit(1);
+        }
+        Err(StreamError::Command(e)) => {
             eprintln!("error: {e}");
             // Runtime failures inside a spawned net-worker (a scripted
             // pkill, a lost coordinator) are not usage mistakes — keep
@@ -120,33 +130,48 @@ fn eval_threads(args: &[String]) -> Result<usize, CliError> {
     }
 }
 
-fn dispatch(args: &[String]) -> Result<String, CliError> {
+/// Run the command `args` name, writing its output to `out`. A command
+/// that fails has written nothing.
+fn dispatch(args: &[String], out: &mut dyn Write) -> Result<(), StreamError> {
     let cmd = args.first().map(String::as_str).unwrap_or("help");
     check_flags(cmd, args)?;
-    match cmd {
-        "eval" => {
-            let (p, f) = two_files(args)?;
-            let from_scratch = args.iter().any(|a| a == "--from-scratch");
-            match flag_value(args, "--updates") {
-                Some(u) => cmd_eval_updates(
-                    &read(p)?,
-                    &read(f)?,
-                    &read(u)?,
-                    from_scratch,
-                    &obs_options(args),
-                    eval_threads(args)?,
-                ),
-                None if from_scratch => Err(CliError(
-                    "--from-scratch only applies to --updates <file>".into(),
-                )),
-                None => cmd_eval_full(
-                    &read(p)?,
-                    &read(f)?,
-                    &obs_options(args),
-                    eval_threads(args)?,
-                ),
-            }
+    if cmd == "eval" {
+        return eval(args, out);
+    }
+    let text = buffered(cmd, args)?;
+    Ok(out.write_all(text.as_bytes())?)
+}
+
+/// `calm eval`: the command that writes as it goes.
+fn eval(args: &[String], out: &mut dyn Write) -> Result<(), StreamError> {
+    let (p, f) = two_files(args)?;
+    let from_scratch = args.iter().any(|a| a == "--from-scratch");
+    match flag_value(args, "--updates") {
+        Some(u) => cmd_eval_updates_to(
+            &read(p)?,
+            &read(f)?,
+            &read(u)?,
+            from_scratch,
+            &obs_options(args),
+            eval_threads(args)?,
+            out,
+        ),
+        None if from_scratch => {
+            Err(CliError("--from-scratch only applies to --updates <file>".into()).into())
         }
+        None => cmd_eval_full_to(
+            &read(p)?,
+            &read(f)?,
+            &obs_options(args),
+            eval_threads(args)?,
+            out,
+        ),
+    }
+}
+
+/// Every other command: its whole output, for `dispatch` to write.
+fn buffered(cmd: &str, args: &[String]) -> Result<String, CliError> {
+    match cmd {
         "wfs" => {
             let (p, f) = two_files(args)?;
             cmd_wfs(&read(p)?, &read(f)?, eval_threads(args)?)
@@ -242,31 +267,41 @@ mod tests {
         words.iter().map(|w| w.to_string()).collect()
     }
 
+    /// The message `dispatch` fails with, having written nothing.
+    fn failure(words: &[&str]) -> String {
+        let mut out = Vec::new();
+        match dispatch(&args(words), &mut out) {
+            Err(StreamError::Command(e)) => {
+                assert!(out.is_empty(), "a failing command writes nothing");
+                e.0
+            }
+            other => panic!("expected a command failure, got {other:?}"),
+        }
+    }
+
     #[test]
     fn from_scratch_without_updates_is_a_usage_error() {
         // Used to be silently ignored (a plain `eval` ran instead).
-        let err = dispatch(&args(&["eval", "p.dl", "f.dl", "--from-scratch"])).unwrap_err();
+        let err = failure(&["eval", "p.dl", "f.dl", "--from-scratch"]);
         assert!(
-            err.0.contains("--from-scratch only applies to --updates"),
-            "{}",
-            err.0
+            err.contains("--from-scratch only applies to --updates"),
+            "{err}"
         );
         // With --updates the flag is accepted: the error is the missing file.
-        let err = dispatch(&args(&[
+        let err = failure(&[
             "eval",
             "/nonexistent/p.dl",
             "f.dl",
             "--updates",
             "u.dl",
             "--from-scratch",
-        ]))
-        .unwrap_err();
-        assert!(err.0.contains("/nonexistent/p.dl"), "{}", err.0);
+        ]);
+        assert!(err.contains("/nonexistent/p.dl"), "{err}");
     }
 
     /// `dispatch` must fail before touching any file, naming the flag.
     fn usage_error(words: &[&str]) -> String {
-        let err = dispatch(&args(words)).unwrap_err().0;
+        let err = failure(words);
         assert!(!err.contains("p.dl"), "flags are checked first: {err}");
         err
     }
@@ -307,7 +342,7 @@ mod tests {
     fn every_documented_flag_is_accepted() {
         // All of them at once gets past the flag check: the error is
         // the missing program file.
-        let err = dispatch(&args(&[
+        let err = failure(&[
             "simulate",
             "/nonexistent/p.dl",
             "f.dl",
@@ -332,15 +367,9 @@ mod tests {
             "--dump-plan",
             "--flight-recorder",
             "f.jsonl",
-        ]))
-        .unwrap_err();
-        assert!(err.0.contains("/nonexistent/p.dl"), "{}", err.0);
-        let err = dispatch(&args(&[
-            "trace",
-            "report",
-            "/nonexistent/t.jsonl",
-            "--json",
-        ]));
-        assert!(err.unwrap_err().0.contains("/nonexistent/t.jsonl"));
+        ]);
+        assert!(err.contains("/nonexistent/p.dl"), "{err}");
+        let err = failure(&["trace", "report", "/nonexistent/t.jsonl", "--json"]);
+        assert!(err.contains("/nonexistent/t.jsonl"), "{err}");
     }
 }

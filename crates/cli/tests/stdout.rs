@@ -1,0 +1,106 @@
+//! What only the real binary can show about `calm`'s standard output
+//! now that it streams: a reader that goes away ends the run quietly,
+//! and a command that fails has written nothing.
+
+use std::io::{BufRead, BufReader};
+use std::path::PathBuf;
+use std::process::{Command, Stdio};
+
+fn calm() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_calm"))
+}
+
+/// A scratch directory removed on drop.
+struct Dir(PathBuf);
+
+impl Dir {
+    fn new(tag: &str) -> Dir {
+        let dir =
+            std::env::temp_dir().join(format!("calm-cli-stdout-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        Dir(dir)
+    }
+
+    fn file(&self, name: &str, text: &str) -> String {
+        let path = self.0.join(name);
+        std::fs::write(&path, text).unwrap();
+        path.display().to_string()
+    }
+}
+
+impl Drop for Dir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+#[test]
+fn a_reader_that_goes_away_ends_the_run_quietly() {
+    // `calm eval … | head -1` used to end in `failed printing to
+    // stdout: Broken pipe`, a backtrace and status 101. The answer is
+    // 20 000 lines, several pipe buffers: the child is still writing
+    // when the pipe closes.
+    let dir = Dir::new("pipe");
+    let program = dir.file("copy.dl", "@output O.\nO(x,y) :- E(x,y).\n");
+    let edges: String = (0..20_000)
+        .map(|i| format!("E({i},{}).\n", (i * 7919) % 20_000))
+        .collect();
+    let facts = dir.file("graph.facts", &edges);
+    let mut child = calm()
+        .args(["eval", &program, &facts])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut first = String::new();
+    stdout.read_line(&mut first).unwrap();
+    assert_eq!(first, "O(0,0).\n");
+    drop(stdout);
+    let run = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(run.status.code(), Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
+}
+
+#[test]
+fn a_failing_eval_writes_nothing_to_stdout() {
+    let dir = Dir::new("fail");
+    let tc = dir.file(
+        "tc.dl",
+        "@output T.\nT(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).\n",
+    );
+    let winmove = dir.file("winmove.dl", "win(x) :- move(x,y), not win(y).\n");
+    let facts = dir.file("graph.facts", "E(1,2). E(2,3).\n");
+    // The last fact of 2 MB lacks its `.`: everything before it scans.
+    let mut long = "E(1,2). E(2,3).\n".repeat(130_000);
+    long.push_str("E(3,4)");
+    let unterminated = dir.file("long.facts", &long);
+    let updates = dir.file("bad.updates", "+ E(3,4).\n---\nE(4,5).\n");
+    let cases: [(&[&str], &str); 4] = [
+        (
+            &["eval", &tc, &unterminated],
+            "error: facts: parse error at byte 2080006: expected '.'\n",
+        ),
+        (
+            &["eval", &winmove, &facts, "--dump-plan"],
+            "error: evaluation: program is not syntactically stratifiable (negative cycle through win)\n",
+        ),
+        (
+            &["eval", &tc, &facts, "--updates", &updates],
+            "error: updates: line 3: expected `+ Fact.`, `- Fact.` or `---`, got: E(4,5).\n",
+        ),
+        (
+            &["eval", &tc, &facts, "--updates", &updates, "--from-scratch"],
+            "error: updates: line 3: expected `+ Fact.`, `- Fact.` or `---`, got: E(4,5).\n",
+        ),
+    ];
+    for (args, message) in cases {
+        let run = calm().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(run.stdout.is_empty(), "{args:?}: wrote {:?}", run.stdout);
+        assert!(stderr.starts_with(message), "{args:?}: {stderr}");
+    }
+}

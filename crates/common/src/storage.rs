@@ -986,6 +986,193 @@ fn export(storage: &Storage, symbols: &SharedSymbols, schema: Option<&Schema>) -
     out
 }
 
+/// Prints the live rows of a store as fact lines (`R(1,2).`) straight
+/// from the arena, in exactly the order [`Instance`] iterates the same
+/// facts — the text `store_to_instance_restricted` followed by one
+/// `Display` per fact would produce, without building a tuple, a fact
+/// or an instance.
+///
+/// The order is a specification, not an accident of a container:
+/// relations by name in `str` order; within a relation tuples in
+/// `Vec<Value>` order, i.e. lexicographically by [`Value`]'s `Ord`
+/// (`Int < Str < Skolem`) — the rows printed for one relation all have
+/// the schema's arity, so no tuple is a prefix of another. The printer
+/// gets there by sorting row ids: every symbol is ranked once by
+/// `Value::cmp`, so the order of two rows is the lexicographic order
+/// of their `u32` ranks (`sort_by_rank`), and every symbol's text is
+/// rendered once, so printing a value is a copy. Both tables stay valid
+/// while the symbol table does not grow (symbols are never removed) and
+/// are extended, not rebuilt, when it does: a printer kept across the
+/// batches of an update session pays for a symbol once.
+#[derive(Debug)]
+pub struct FactPrinter {
+    symbols: SharedSymbols,
+    known: SymbolText,
+}
+
+/// What [`FactPrinter`] knows about the first `rank.len()` symbols of
+/// its table.
+#[derive(Debug, Default)]
+struct SymbolText {
+    /// Those symbols in [`Value`] order.
+    by_value: Vec<Sym>,
+    /// `rank[s]`: the position of symbol `s` in `by_value`.
+    rank: Vec<u32>,
+    /// The `Display` text of each, back to back in symbol order.
+    text: Vec<u8>,
+    /// `text_end[s]`: where the text of symbol `s` ends; it starts
+    /// where its predecessor's ends.
+    text_end: Vec<usize>,
+}
+
+impl SymbolText {
+    /// Take in the symbols interned since the last call.
+    fn extend(&mut self, table: &SymbolTable) {
+        use std::io::Write as _;
+        let known = self.rank.len();
+        if known == table.sym_count() {
+            return;
+        }
+        // Symbol ids passed the interning guard: they fit a `u32`.
+        for s in (known..table.sym_count()).map(|i| Sym(i as u32)) {
+            write!(self.text, "{}", table.value(s)).expect("writing to memory");
+            self.text_end.push(self.text.len());
+            self.by_value.push(s);
+        }
+        // A sorted run followed by the newcomers: what a merge sort is
+        // quickest on.
+        self.by_value
+            .sort_by(|&a, &b| table.value(a).cmp(table.value(b)));
+        self.rank.resize(self.by_value.len(), 0);
+        for (position, s) in self.by_value.iter().enumerate() {
+            self.rank[s.0 as usize] = position as u32;
+        }
+    }
+
+    fn text(&self, s: Sym) -> &[u8] {
+        let i = s.0 as usize;
+        let start = i.checked_sub(1).map_or(0, |prev| self.text_end[prev]);
+        &self.text[start..self.text_end[i]]
+    }
+}
+
+/// Sort row ids by the rank tuples of their rows — `arity` columns each,
+/// `rank(id, col)` below `ranks` — without comparing two rows: one
+/// stable counting sort per 11-bit digit of a rank, last column first,
+/// so the order that comes out is lexicographic from the first. A pass
+/// reads every row once in the order the previous pass left, which is
+/// what a comparison sort's log n probes per row cost three times over
+/// on 10^5 rows.
+fn sort_by_rank(
+    ids: &mut Vec<u32>,
+    scratch: &mut Vec<u32>,
+    arity: usize,
+    ranks: usize,
+    rank: impl Fn(u32, usize) -> u32,
+) {
+    const BITS: u32 = 11;
+    let digits = (usize::BITS - ranks.leading_zeros()).div_ceil(BITS);
+    scratch.clear();
+    scratch.resize(ids.len(), 0);
+    for col in (0..arity).rev() {
+        for shift in (0..digits).map(|d| d * BITS) {
+            let digit = |id: u32| (rank(id, col) >> shift) as usize & ((1 << BITS) - 1);
+            // How many rows carry each digit, then where each digit's
+            // run starts; ids are row ids, so the counts fit a `u32`.
+            let mut next = [0u32; 1 << BITS];
+            for &id in ids.iter() {
+                next[digit(id)] += 1;
+            }
+            let mut start = 0;
+            for n in &mut next {
+                start += std::mem::replace(n, start);
+            }
+            for &id in ids.iter() {
+                let slot = &mut next[digit(id)];
+                scratch[*slot as usize] = id;
+                *slot += 1;
+            }
+            std::mem::swap(ids, scratch);
+        }
+    }
+}
+
+impl FactPrinter {
+    /// How much text is gathered before it is handed to the writer.
+    const CHUNK: usize = 1 << 16;
+
+    /// A printer for stores interned against `symbols`.
+    pub fn new(symbols: SharedSymbols) -> Self {
+        FactPrinter {
+            symbols,
+            known: SymbolText::default(),
+        }
+    }
+
+    /// Write the live rows of the relations of `schema` (name and arity
+    /// both matching, as in [`Instance::restrict`]), one `R(a,b).` line
+    /// each, in [`Instance`] order; a relation the store does not hold,
+    /// or holds no such row of, prints nothing. `storage` must be
+    /// interned against this printer's symbol table. Reports the span
+    /// `eval/write_facts` and the counters `eval/rows_written` and
+    /// `eval/bytes_out` to `obs`.
+    ///
+    /// # Errors
+    /// The writer's: what was written before it is written.
+    pub fn write(
+        &mut self,
+        storage: &Storage,
+        schema: &Schema,
+        out: &mut dyn std::io::Write,
+        obs: &calm_obs::Obs,
+    ) -> std::io::Result<()> {
+        let _span = obs.span("eval", || "write_facts".into());
+        let table = self.symbols.read();
+        self.known.extend(&table);
+        let known = &self.known;
+        let (mut ids, mut scratch) = (Vec::new(), Vec::new());
+        let mut chunk = Vec::with_capacity(Self::CHUNK + 256);
+        let (mut rows_written, mut bytes_out) = (0, 0);
+        for (name, arity) in schema.iter() {
+            let relation = table.lookup_rel(name).and_then(|r| storage.relation(r));
+            let Some(relation) = relation else { continue };
+            ids.clear();
+            ids.extend(
+                (relation.rows())
+                    .filter(|&id| relation.live_in_log(id) && relation.row(id).len() == arity),
+            );
+            sort_by_rank(
+                &mut ids,
+                &mut scratch,
+                arity,
+                known.rank.len(),
+                |id, col| known.rank[relation.row(id)[col].0 as usize],
+            );
+            for &id in &ids {
+                chunk.extend_from_slice(name.as_bytes());
+                let mut separator = b'(';
+                for &s in relation.row(id) {
+                    chunk.push(separator);
+                    chunk.extend_from_slice(known.text(s));
+                    separator = b',';
+                }
+                chunk.extend_from_slice(b").\n");
+                if chunk.len() >= Self::CHUNK {
+                    out.write_all(&chunk)?;
+                    bytes_out += chunk.len();
+                    chunk.clear();
+                }
+            }
+            rows_written += ids.len();
+        }
+        out.write_all(&chunk)?;
+        bytes_out += chunk.len();
+        obs.counter("eval", "rows_written", rows_written as u64);
+        obs.counter("eval", "bytes_out", bytes_out as u64);
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

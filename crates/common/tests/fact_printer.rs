@@ -1,0 +1,258 @@
+//! Differential property test (hand-rolled, seeded): [`FactPrinter`]
+//! against the `Instance` edge it replaces. Its contract is an order —
+//! relation names in `str` order, tuples in `Vec<Value>` order — so the
+//! reference is the container whose `Ord` defines that order: the bytes
+//! the printer writes must equal one `Display` line per fact of
+//! [`store_to_instance_restricted`], on every store and every schema,
+//! with the printer's rank and text tables built fresh and with the
+//! same tables carried across a growth of the symbol table (how `calm
+//! eval --updates` uses it).
+//!
+//! The stores are shaped to put the order under strain: relation names
+//! that are prefixes of each other and differ in case; rows of arities
+//! 1–4 inside one relation; integers around zero, strings that read as
+//! integers (`"10"` against `10`, `"2"` against `"10"`), the empty
+//! string, and Skolem terms; tombstones, revivals and compaction; and
+//! output schemas that name a relation the store never held, one it
+//! holds no live row of, and one it holds only at another arity.
+
+use calm_common::rng::Rng;
+use calm_common::storage::{
+    store_to_instance_restricted, FactPrinter, SharedSymbols, Storage, SymTuple,
+};
+use calm_common::{v, Schema, Value};
+use calm_obs::{Obs, ReportSink};
+use std::sync::Arc;
+
+const NAMES: [&str; 6] = ["E", "EA", "E_", "Ea", "Eab", "e"];
+
+fn value(rng: &mut Rng, fresh: bool) -> Value {
+    // Values only the second half of a run may draw: they sort before,
+    // between and after the first half's, in every variant.
+    if fresh {
+        return match rng.gen_range(0..6u32) {
+            0 => v(-40),
+            1 => v(7),
+            2 => Value::str("1"),
+            3 => Value::str("zz"),
+            4 => Value::skolem("e", vec![v(0)]),
+            _ => Value::skolem("f", vec![v(1), v(0)]),
+        };
+    }
+    match rng.gen_range(0..10u32) {
+        0..=4 => v(rng.gen_range(-3..13i64)),
+        5 | 6 => Value::str(*rng.choose(&["10", "2", "-1", "", "a", "ab", "B"]).unwrap()),
+        7 => Value::skolem("f", vec![v(rng.gen_range(0..3i64))]),
+        8 => Value::skolem("f", vec![v(1), Value::str("10")]),
+        _ => Value::skolem("g", vec![Value::skolem("f", vec![v(2)])]),
+    }
+}
+
+fn row(rng: &mut Rng, symbols: &SharedSymbols, fresh: bool) -> SymTuple {
+    let mut table = symbols.write();
+    (0..rng.gen_range(1..=4usize))
+        .map(|_| {
+            let fresh = fresh && rng.gen_bool(0.5);
+            table.sym(&value(rng, fresh))
+        })
+        .collect()
+}
+
+/// Insert up to `rows` rows per relation, retract a third of what is
+/// there, revive some of those, and half the time compact.
+fn churn(rng: &mut Rng, symbols: &SharedSymbols, st: &mut Storage, names: &[&str], fresh: bool) {
+    for name in names {
+        let r = symbols.write().rel(name);
+        for _ in 0..rng.gen_range(0..60usize) {
+            st.insert(r, &row(rng, symbols, fresh));
+        }
+        let ids = st.relation(r).map_or(0..0, |rel| rel.rows());
+        for id in ids {
+            if rng.gen_bool(1.0 / 3.0) {
+                st.retract_id(r, id);
+                if rng.gen_bool(0.25) {
+                    st.revive(r, id);
+                }
+            }
+        }
+    }
+    if rng.gen_bool(0.5) {
+        st.compact_retractions();
+    }
+}
+
+/// A schema over some of `names` at random arities, plus a name no
+/// store holds.
+fn schema(rng: &mut Rng, names: &[&str]) -> Schema {
+    let mut schema = Schema::new();
+    for name in names.iter().chain(&["Zz"]) {
+        if rng.gen_bool(0.8) {
+            schema.add(name, rng.gen_range(1..=4usize));
+        }
+    }
+    schema
+}
+
+fn reference(st: &Storage, symbols: &SharedSymbols, schema: &Schema) -> String {
+    let answer = store_to_instance_restricted(st, symbols, schema);
+    answer.facts().map(|f| format!("{f}.\n")).collect()
+}
+
+fn printed(printer: &mut FactPrinter, st: &Storage, schema: &Schema) -> String {
+    let mut out = Vec::new();
+    printer
+        .write(st, schema, &mut out, &Obs::noop())
+        .expect("writing to memory");
+    String::from_utf8(out).expect("facts are UTF-8")
+}
+
+#[test]
+fn printer_writes_what_the_instance_edge_prints() {
+    let (mut lines, mut silent) = (0, 0);
+    for seed in 0..400u64 {
+        let mut rng = Rng::seed_from_u64(seed);
+        let symbols = SharedSymbols::new();
+        let mut st = Storage::new();
+        let mut names = NAMES;
+        rng.shuffle(&mut names);
+        let names = &names[..rng.gen_range(1..=4usize)];
+        // One relation is held with no live row: everything retracted.
+        let emptied = symbols.write().rel("Gone");
+        st.insert(emptied, &row(&mut rng, &symbols, false));
+        st.clear_relation(emptied);
+
+        churn(&mut rng, &symbols, &mut st, names, false);
+        let mut carried = FactPrinter::new(symbols.clone());
+        for _ in 0..3 {
+            let mut schema = schema(&mut rng, names);
+            schema.add("Gone", 2);
+            let want = reference(&st, &symbols, &schema);
+            assert_eq!(printed(&mut carried, &st, &schema), want, "seed {seed}");
+            lines += want.lines().count();
+            silent += usize::from(want.is_empty());
+        }
+
+        // The symbol table grows under a printer that has already
+        // ranked it: the carried tables must extend to what a rebuild
+        // gives.
+        let before = symbols.read().sym_count();
+        churn(&mut rng, &symbols, &mut st, names, true);
+        for _ in 0..3 {
+            let schema = schema(&mut rng, names);
+            let want = reference(&st, &symbols, &schema);
+            assert_eq!(printed(&mut carried, &st, &schema), want, "seed {seed}");
+            let mut rebuilt = FactPrinter::new(symbols.clone());
+            assert_eq!(printed(&mut rebuilt, &st, &schema), want, "seed {seed}");
+        }
+        assert!(symbols.read().sym_count() >= before);
+    }
+    assert!(
+        lines > 10_000 && silent > 0,
+        "{lines} lines, {silent} silent"
+    );
+}
+
+#[test]
+fn printer_orders_values_as_value_does() {
+    // The hand case behind the generator: every boundary of `Value`'s
+    // order inside one relation, and a row of another arity left out.
+    let symbols = SharedSymbols::new();
+    let mut st = Storage::new();
+    let e = symbols.write().rel("E");
+    let rows: [&[Value]; 9] = [
+        &[Value::skolem("f", vec![v(1)])],
+        &[Value::str("2")],
+        &[Value::str("10")],
+        &[v(10)],
+        &[v(2)],
+        &[v(-1)],
+        &[v(2), v(0)],
+        &[Value::str("")],
+        &[Value::skolem("f", vec![])],
+    ];
+    for r in rows {
+        let r: SymTuple = r.iter().map(|x| symbols.write().sym(x)).collect();
+        st.insert(e, &r);
+    }
+    let mut printer = FactPrinter::new(symbols.clone());
+    let unary = printed(&mut printer, &st, &Schema::from_pairs([("E", 1)]));
+    assert_eq!(
+        unary,
+        "E(-1).\nE(2).\nE(10).\nE().\nE(10).\nE(2).\nE(f()).\nE(f(1)).\n"
+    );
+    assert_eq!(
+        printed(&mut printer, &st, &Schema::from_pairs([("E", 2)])),
+        "E(2,0).\n"
+    );
+}
+
+#[test]
+fn printer_orders_ranks_of_more_than_one_digit() {
+    // The sort takes a rank 11 bits at a time: 5 000 symbols need two
+    // passes a column, and interning them shuffled makes rank and
+    // symbol id disagree in every digit.
+    let mut rng = Rng::seed_from_u64(11);
+    let symbols = SharedSymbols::new();
+    let mut values: Vec<i64> = (-2_500..2_500).collect();
+    rng.shuffle(&mut values);
+    let syms: Vec<_> = values.iter().map(|&i| symbols.write().sym(&v(i))).collect();
+    let mut st = Storage::new();
+    let e = symbols.write().rel("E");
+    for _ in 0..20_000 {
+        let row: SymTuple = (0..3).map(|_| *rng.choose(&syms).unwrap()).collect();
+        st.insert(e, &row[..rng.gen_range(2..=3usize)]);
+    }
+    let mut printer = FactPrinter::new(symbols.clone());
+    for arity in [2, 3] {
+        let schema = Schema::from_pairs([("E", arity)]);
+        let want = reference(&st, &symbols, &schema);
+        assert!(want.lines().count() > 9_000);
+        assert_eq!(printed(&mut printer, &st, &schema), want, "arity {arity}");
+    }
+}
+
+#[test]
+fn printer_reports_what_it_wrote() {
+    let symbols = SharedSymbols::new();
+    let mut st = Storage::new();
+    let mut rng = Rng::seed_from_u64(7);
+    churn(&mut rng, &symbols, &mut st, &NAMES, false);
+    let schema = Schema::from_pairs(NAMES.map(|n| (n, 2)));
+    let sink = Arc::new(ReportSink::new());
+    let mut out = Vec::new();
+    FactPrinter::new(symbols.clone())
+        .write(&st, &schema, &mut out, &Obs::new(sink.clone()))
+        .unwrap();
+    assert!(!out.is_empty());
+    assert_eq!(sink.counter_total("eval", "bytes_out"), out.len() as u64);
+    let lines = out.iter().filter(|&&b| b == b'\n').count();
+    assert_eq!(sink.counter_total("eval", "rows_written"), lines as u64);
+    assert!(sink.render().contains("eval/write_facts"));
+}
+
+#[test]
+fn printer_stops_at_the_first_write_error() {
+    struct Closed;
+    impl std::io::Write for Closed {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::ErrorKind::BrokenPipe.into())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+    let symbols = SharedSymbols::new();
+    let mut st = Storage::new();
+    let e = symbols.write().rel("E");
+    let one = symbols.write().sym(&v(1));
+    st.insert(e, &[one]);
+    let err = FactPrinter::new(symbols)
+        .write(
+            &st,
+            &Schema::from_pairs([("E", 1)]),
+            &mut Closed,
+            &Obs::noop(),
+        )
+        .unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe);
+}

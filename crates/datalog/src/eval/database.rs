@@ -7,6 +7,7 @@
 //! hash-based for speed; results are converted back to instances at the
 //! evaluation edges only.
 
+use crate::parser::{scan_facts, ParseError};
 use calm_common::instance::Instance;
 use calm_common::schema::Schema;
 use calm_common::storage::{
@@ -15,6 +16,7 @@ use calm_common::storage::{
 };
 use calm_common::update::UpdateBatch;
 use calm_common::value::Value;
+use calm_obs::Obs;
 use std::collections::{HashMap, HashSet};
 
 /// A mutable store of relations used during evaluation.
@@ -53,6 +55,41 @@ impl Database {
     /// Intern an instance's facts into this database.
     pub fn load(&mut self, i: &Instance) {
         load_instance(i, &self.symbols, &mut self.storage);
+    }
+
+    /// Read ground facts in the [`crate::parse_facts`] grammar straight
+    /// into this database: the one facts scanner, with a sink that
+    /// interns under a single write lock and inserts each row into
+    /// storage — no [`Instance`], fact or value tuple in between. Rows
+    /// arrive in file order; duplicates are dropped by storage as
+    /// everywhere. Reports the span `eval/read_facts` and the counters
+    /// `eval/facts_read` and `eval/bytes_in` to `obs`.
+    ///
+    /// # Errors
+    /// The scanner's [`ParseError`]; the facts before it are loaded.
+    pub fn read_facts(&mut self, src: &str, obs: &Obs) -> Result<(), ParseError> {
+        let _span = obs.span("eval", || "read_facts".into());
+        let mut table = self.symbols.write();
+        let storage = &mut self.storage;
+        let mut row = SymTuple::new();
+        // Facts of one relation come in runs: resolve a name once per run.
+        let mut run: Option<(&str, RelId)> = None;
+        let facts = scan_facts(src, |name, terms| {
+            let relation = match run {
+                Some((known, id)) if known == name => id,
+                _ => {
+                    let id = table.rel(name);
+                    run = Some((name, id));
+                    id
+                }
+            };
+            row.clear();
+            row.extend(terms.iter().map(|t| table.sym(&t.to_value())));
+            storage.insert(relation, &row);
+        })?;
+        obs.counter("eval", "facts_read", facts as u64);
+        obs.counter("eval", "bytes_in", src.len() as u64);
+        Ok(())
     }
 
     /// Convert back to a deterministic instance.

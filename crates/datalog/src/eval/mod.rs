@@ -27,6 +27,6 @@ pub use seminaive::{
     fixpoint_seminaive_full, CompiledProgram, EvalMetrics, EvalOptions, RuleSet, ValuationQuery,
 };
 pub use stratified::{
-    eval_program, eval_program_with, eval_query, eval_query_opts, eval_stratification_opts,
-    plan_report, Engine,
+    eval_database, eval_program, eval_program_with, eval_query, eval_query_opts,
+    eval_stratification_opts, plan_report, Engine,
 };

@@ -69,7 +69,8 @@ pub fn eval_stratification_opts(
     obs: &Obs,
     eval_threads: usize,
 ) -> (Instance, Vec<EvalMetrics>) {
-    let (db, stats) = run_strata(strat, input, engine, symbols, obs, eval_threads);
+    let mut db = Database::from_instance_with(input, symbols);
+    let stats = run_strata(strat, &mut db, engine, obs, eval_threads);
     (db.to_instance(), stats)
 }
 
@@ -114,23 +115,21 @@ pub(crate) fn fixpoint_strata(
     stats
 }
 
-/// Load `input` and run every stratum's fixpoint over it; the caller
+/// Run every stratum's fixpoint over an already loaded `db`; the caller
 /// chooses what to export from the derived database.
 fn run_strata(
     strat: &Stratification,
-    input: &Instance,
+    db: &mut Database,
     engine: Engine,
-    symbols: calm_common::storage::SharedSymbols,
     obs: &Obs,
     eval_threads: usize,
-) -> (Database, Vec<EvalMetrics>) {
-    let mut db = Database::from_instance_with(input, symbols);
-    let stats = match precompile(strat, db.symbols(), engine) {
+) -> Vec<EvalMetrics> {
+    match precompile(strat, db.symbols(), engine) {
         Some(mut strata) => {
             for cp in &mut strata {
                 cp.set_eval_threads(eval_threads);
             }
-            fixpoint_strata(&strata, &mut db, obs, true)
+            fixpoint_strata(&strata, db, obs, true)
         }
         None => strat
             .strata
@@ -138,11 +137,10 @@ fn run_strata(
             .enumerate()
             .map(|(i, stratum)| {
                 let _span = obs.span("eval", || format!("stratum#{i}"));
-                fixpoint_naive(stratum, &mut db)
+                fixpoint_naive(stratum, db)
             })
             .collect(),
-    };
-    (db, stats)
+    }
 }
 
 /// Render the per-stratum evaluation plan of a program — what the join
@@ -206,18 +204,30 @@ pub fn eval_query_opts(
     obs: &Obs,
     eval_threads: usize,
 ) -> Result<Instance, NotStratifiable> {
-    let strat = stratify(p)?;
-    let (db, _) = run_strata(
-        &strat,
-        input,
-        Engine::SemiNaive,
-        calm_common::storage::SharedSymbols::new(),
-        obs,
-        eval_threads,
-    );
+    let db = eval_database(p, Database::from_instance(input), obs, eval_threads)?;
     // Unintern only the answer: exporting the whole database and
     // restricting it afterwards would hold two copies of it.
     Ok(db.to_instance_restricted(&p.output_schema()))
+}
+
+/// Evaluate `p` over an already loaded database and hand the database
+/// back with every derived relation in it — the evaluation under
+/// [`eval_query_opts`] without its [`Instance`] on either side. The
+/// caller reads the answer off the rows of the output relations
+/// ([`Database::to_instance_restricted`], or
+/// [`calm_common::storage::FactPrinter`] for text).
+///
+/// # Errors
+/// Returns [`NotStratifiable`] for programs with a negative cycle.
+pub fn eval_database(
+    p: &Program,
+    mut db: Database,
+    obs: &Obs,
+    eval_threads: usize,
+) -> Result<Database, NotStratifiable> {
+    let strat = stratify(p)?;
+    run_strata(&strat, &mut db, Engine::SemiNaive, obs, eval_threads);
+    Ok(db)
 }
 
 #[cfg(test)]

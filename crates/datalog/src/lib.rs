@@ -30,7 +30,7 @@ pub mod wellfounded;
 
 pub use ast::{Atom, Rule, Term, Var};
 pub use eval::{apply_update_compiled, MaintenancePlan, UpdateStats};
-pub use eval::{eval_program, eval_query, eval_query_opts, plan_report, Engine};
+pub use eval::{eval_database, eval_program, eval_query, eval_query_opts, plan_report, Engine};
 pub use fragment::{classify, is_rule_connected, FragmentReport};
 pub use parser::{parse_facts, parse_program, parse_rule, parse_updates};
 pub use program::{Program, ProgramError};

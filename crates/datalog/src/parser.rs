@@ -106,34 +106,190 @@ pub fn parse_ilog_program(src: &str) -> Result<Program, ParseProgramError> {
 }
 
 /// Parse a set of ground facts (`E(1,2). V("a"). ...`) into an instance.
-/// Variables are not allowed — every term must be a constant.
+/// Variables are not allowed — every term must be a constant; a bare
+/// identifier is a string constant (`E(alice, bob).`).
 pub fn parse_facts(src: &str) -> Result<calm_common::instance::Instance, ParseError> {
-    let mut p = Parser::new(src);
     let mut out = calm_common::instance::Instance::new();
+    // Facts of one relation come in runs: one `Arc<str>` per run. (No
+    // identifier is empty, so the first fact always starts one.)
+    let mut relation = calm_common::fact::rel("");
+    scan_facts(src, |name, terms| {
+        if &*relation != name {
+            relation = calm_common::fact::rel(name);
+        }
+        out.insert_tuple(&relation, terms.iter().map(|t| t.to_value()).collect());
+    })?;
+    Ok(out)
+}
+
+/// A ground term as [`scan_facts`] hands it to its sink, borrowed from
+/// the source text. Bare identifiers and quoted strings are both
+/// strings.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum GroundTerm<'a> {
+    Int(i64),
+    Str(&'a str),
+}
+
+impl GroundTerm<'_> {
+    pub(crate) fn to_value(self) -> Value {
+        match self {
+            GroundTerm::Int(i) => Value::Int(i),
+            GroundTerm::Str(s) => Value::str(s),
+        }
+    }
+}
+
+/// The facts grammar: scan `src` once and hand every fact to `sink` as
+/// its relation name and its ground terms, both borrowed from `src`
+/// (the terms only for the duration of the call). Returns the number of
+/// facts handed over. [`parse_facts`] is this scanner with an
+/// `Instance` sink, `Database::read_facts` with one that interns
+/// straight into storage; there is no other implementation of the
+/// grammar.
+///
+/// Allocates one term buffer, as long as the widest fact: nothing in
+/// the input is read as a length.
+pub(crate) fn scan_facts<'a>(
+    src: &'a str,
+    mut sink: impl FnMut(&'a str, &[GroundTerm<'a>]),
+) -> Result<usize, ParseError> {
+    let mut s = FactScanner { src, pos: 0 };
+    let mut terms = Vec::new();
+    let mut facts = 0;
     loop {
-        p.skip_ws();
-        if p.at_end() {
-            return Ok(out);
+        s.skip_ws();
+        if s.pos >= src.len() {
+            return Ok(facts);
         }
-        let atom = p.atom()?;
-        p.skip_ws();
-        p.expect('.')?;
-        let mut args = Vec::with_capacity(atom.arity());
-        for t in &atom.terms {
-            match t {
-                Term::Const(c) => args.push(c.clone()),
-                // In fact files, bare identifiers are string constants
-                // (`E(alice, bob).`), not variables.
-                Term::Var(v) => args.push(Value::str(v.name())),
-                Term::Invention => {
-                    return Err(p.err("facts must be ground; found the invention symbol"))
-                }
+        terms.clear();
+        let relation = s.fact(&mut terms)?;
+        sink(relation, &terms);
+        facts += 1;
+    }
+}
+
+/// [`scan_facts`]' cursor. The lexical classes are [`Parser`]'s — the
+/// Unicode definitions of whitespace and identifier characters — read
+/// without decoding when the byte at hand is ASCII.
+struct FactScanner<'a> {
+    src: &'a str,
+    pos: usize,
+}
+
+impl<'a> FactScanner<'a> {
+    fn err(&self, msg: impl Into<String>) -> ParseError {
+        ParseError {
+            offset: self.pos,
+            message: msg.into(),
+        }
+    }
+
+    #[inline]
+    fn peek(&self) -> Option<char> {
+        let b = *self.src.as_bytes().get(self.pos)?;
+        if b.is_ascii() {
+            Some(char::from(b))
+        } else {
+            // `pos` only ever advances by whole characters.
+            self.src[self.pos..].chars().next()
+        }
+    }
+
+    /// Advance over characters while `class` holds.
+    #[inline]
+    fn skip_while(&mut self, class: impl Fn(char) -> bool) {
+        while let Some(c) = self.peek().filter(|&c| class(c)) {
+            self.pos += c.len_utf8();
+        }
+    }
+
+    fn skip_ws(&mut self) {
+        loop {
+            self.skip_while(char::is_whitespace);
+            let rest = &self.src.as_bytes()[self.pos..];
+            if !(rest.starts_with(b"%") || rest.starts_with(b"//")) {
+                return;
             }
+            // A comment runs up to, not over, its newline.
+            self.pos += rest.iter().position(|&b| b == b'\n').unwrap_or(rest.len());
         }
-        if args.is_empty() {
-            return Err(p.err("nullary facts are not supported"));
+    }
+
+    fn expect(&mut self, c: char) -> Result<(), ParseError> {
+        if self.peek() == Some(c) {
+            self.pos += c.len_utf8();
+            Ok(())
+        } else {
+            Err(self.err(format!("expected '{c}'")))
         }
-        out.insert(calm_common::fact::Fact::new(atom.relation.as_ref(), args));
+    }
+
+    fn ident(&mut self) -> Result<&'a str, ParseError> {
+        let start = self.pos;
+        match self.peek() {
+            Some(c) if c.is_alphabetic() || c == '_' => self.pos += c.len_utf8(),
+            _ => return Err(self.err("expected identifier")),
+        }
+        self.skip_while(|c| c.is_alphanumeric() || c == '_' || c == '\'');
+        Ok(&self.src[start..self.pos])
+    }
+
+    /// One fact `R(t1, ..., tk).` starting at the cursor: its terms are
+    /// pushed onto `terms`, its relation name returned.
+    fn fact(&mut self, terms: &mut Vec<GroundTerm<'a>>) -> Result<&'a str, ParseError> {
+        let relation = self.ident()?;
+        self.skip_ws();
+        self.expect('(')?;
+        // Where the first `*` stood: reported once the fact has scanned,
+        // so a syntax error further on in it is still the one named.
+        let mut invention = None;
+        loop {
+            self.skip_ws();
+            let start = self.pos;
+            match self.peek() {
+                Some('*') => {
+                    self.pos += 1;
+                    invention.get_or_insert(start);
+                }
+                Some('"') => {
+                    let rest = &self.src[start + 1..];
+                    let len = rest.find('"').unwrap_or(rest.len());
+                    self.pos = start + 1 + len;
+                    self.expect('"')?;
+                    terms.push(GroundTerm::Str(&rest[..len]));
+                }
+                Some(c) if c.is_ascii_digit() || c == '-' => {
+                    self.pos += 1;
+                    self.skip_while(|c| c.is_ascii_digit());
+                    let text = &self.src[start..self.pos];
+                    let n = text
+                        .parse()
+                        .map_err(|_| self.err(format!("invalid integer '{text}'")))?;
+                    terms.push(GroundTerm::Int(n));
+                }
+                Some(c) if c.is_alphabetic() || c == '_' => {
+                    terms.push(GroundTerm::Str(self.ident()?));
+                }
+                _ => return Err(self.err("expected a term")),
+            }
+            self.skip_ws();
+            if self.peek() == Some(',') {
+                self.pos += 1;
+                continue;
+            }
+            self.expect(')')?;
+            break;
+        }
+        self.skip_ws();
+        self.expect('.')?;
+        match invention {
+            Some(offset) => Err(ParseError {
+                offset,
+                message: "facts must be ground; found the invention symbol".into(),
+            }),
+            None => Ok(relation),
+        }
     }
 }
 
@@ -178,7 +334,7 @@ pub fn parse_updates(src: &str) -> Result<Vec<calm_common::update::UpdateBatch>,
         };
         let rest = chars.as_str();
         let facts = parse_facts(rest.trim()).map_err(|e| format!("line {}: {e}", i + 1))?;
-        for f in facts.facts() {
+        for f in facts {
             if sign {
                 cur.insert.push(f);
             } else {
@@ -438,6 +594,10 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
     use crate::ast::Term;
+    use crate::eval::Database;
+    use calm_common::fact::Fact;
+    use calm_common::instance::Instance;
+    use calm_obs::Obs;
 
     #[test]
     fn parses_transitive_closure() {
@@ -557,6 +717,168 @@ mod tests {
     fn parse_facts_rejects_invention_and_rules() {
         assert!(parse_facts("R(*, 1).").is_err());
         assert!(parse_facts("T(x) :- V(x).").is_err());
+    }
+
+    /// `parse_facts` as it stood before the scanner — an `Atom`, a
+    /// `Vec<Term>`, a `String` per identifier and a `Fact` per fact,
+    /// over the rule parser's `Parser::atom` — kept as the grammar's
+    /// reference.
+    fn parse_facts_reference(src: &str) -> Result<Instance, ParseError> {
+        let mut p = Parser::new(src);
+        let mut out = Instance::new();
+        loop {
+            p.skip_ws();
+            if p.at_end() {
+                return Ok(out);
+            }
+            let atom = p.atom()?;
+            p.skip_ws();
+            p.expect('.')?;
+            let mut args = Vec::with_capacity(atom.arity());
+            for t in &atom.terms {
+                match t {
+                    Term::Const(c) => args.push(c.clone()),
+                    Term::Var(v) => args.push(Value::str(v.name())),
+                    Term::Invention => {
+                        return Err(p.err("facts must be ground; found the invention symbol"))
+                    }
+                }
+            }
+            out.insert(Fact::new(atom.relation.as_ref(), args));
+        }
+    }
+
+    const INVENTION: &str = "facts must be ground; found the invention symbol";
+
+    /// Scanner into `Instance` ≡ reference, and scanner into `Database`
+    /// ≡ both. One move is allowed: the invention error points at the
+    /// first `*` of the offending fact, the reference past its `.`.
+    fn assert_scanner_is_the_reference(src: &str) -> bool {
+        let want = parse_facts_reference(src);
+        let got = parse_facts(src);
+        match (&want, &got) {
+            (Ok(w), Ok(g)) => assert_eq!(w, g, "{src:?}"),
+            (Err(w), Err(g)) if w.message == INVENTION => {
+                assert_eq!(w.message, g.message, "{src:?}");
+                assert!(g.offset < w.offset, "{src:?}: {g} vs {w}");
+                assert!(src[g.offset..].starts_with('*'), "{src:?}: {g}");
+            }
+            (Err(w), Err(g)) => assert_eq!(w, g, "{src:?}"),
+            _ => panic!("{src:?}: reference {want:?}, scanner {got:?}"),
+        }
+        let mut db = Database::new();
+        match db.read_facts(src, &Obs::noop()) {
+            Ok(()) => assert_eq!(Ok(db.to_instance()), got, "{src:?}"),
+            Err(e) => assert_eq!(Err(e), got, "{src:?}"),
+        }
+        want.is_ok()
+    }
+
+    /// The seed corpus of the facts-grammar fuzz target: the example
+    /// data, the fact halves of the example update lines, and one hand
+    /// case per branch of the grammar.
+    fn facts_corpus() -> Vec<String> {
+        let mut corpus: Vec<String> = [
+            include_str!("../../../examples/data/graph.facts"),
+            include_str!("../../../examples/data/game.facts"),
+            "E(\"abc",
+            "E(-)",
+            "E(--1).",
+            "E(1,2)",
+            "E(1 2).",
+            "E(99999999999999999999,1).",
+            "E(-9223372036854775808, 9223372036854775807). E(-0, 007).",
+            "E(*,1).",
+            "E(1,*). F(*",
+            "E().",
+            "E(a'b,1).",
+            "\u{c9}(1,2).\u{a0}E(\u{fc},1).",
+            "E(1,2). /",
+            "% nothing but a comment",
+            "// nothing but a comment\n",
+            "",
+            "E(1). E(1,2). E(\"1\", \"two words\", _x, x_1').\nV % in the middle\n (\"a\") // and after\n .",
+            "T(x) :- V(x).",
+        ]
+        .map(String::from)
+        .into();
+        for line in include_str!("../../../examples/data/graph.updates").lines() {
+            if let Some(fact) = line.strip_prefix(['+', '-']) {
+                corpus.push(fact.to_string());
+            }
+        }
+        corpus
+    }
+
+    #[test]
+    fn scanner_is_the_reference_on_the_corpus() {
+        let corpus = facts_corpus();
+        let accepted = (corpus.iter())
+            .filter(|src| assert_scanner_is_the_reference(src))
+            .count();
+        assert!(accepted >= 8 && corpus.len() - accepted >= 8, "{accepted}");
+        // The rejections read as they always did.
+        let message = |src: &str| parse_facts(src).unwrap_err().to_string();
+        assert_eq!(message("E()."), "parse error at byte 2: expected a term");
+        assert_eq!(
+            message("E(--1)."),
+            "parse error at byte 3: invalid integer '-'"
+        );
+        assert_eq!(
+            message("E(99999999999999999999,1)."),
+            "parse error at byte 22: invalid integer '99999999999999999999'"
+        );
+        assert_eq!(message("E(\"abc"), "parse error at byte 6: expected '\"'");
+        assert_eq!(message("E(1 2)."), "parse error at byte 4: expected ')'");
+        assert_eq!(message("E(1,2)"), "parse error at byte 6: expected '.'");
+        assert_eq!(
+            message("E(1,2). /"),
+            "parse error at byte 8: expected identifier"
+        );
+        assert_eq!(
+            message("E(1,*). F(*"),
+            format!("parse error at byte 4: {INVENTION}")
+        );
+    }
+
+    /// The first of the parser fuzz targets (ROADMAP item 5): seeded
+    /// byte-level mutations of the corpus — insert, delete, flip, splice,
+    /// bytes ≥ 0x80 included and the result re-validated as UTF-8 —
+    /// never panic and never tell the scanner from the reference.
+    #[test]
+    fn scanner_is_the_reference_on_mutated_bytes() {
+        use calm_common::rng::Rng;
+        const ALPHABET: &[u8] =
+            b"EV_x019-*\"'(),. \t\n%/\xc3\xa9\xc2\xa0\xe2\x86\x92\xf0\x9f\xff\x00";
+        let corpus = facts_corpus();
+        let mut rng = Rng::seed_from_u64(0x5ca9_fac7);
+        let (mut accepted, mut rejected) = (0, 0);
+        for _ in 0..24_000 {
+            let mut bytes = rng.choose(&corpus).unwrap().clone().into_bytes();
+            for _ in 0..rng.gen_range(1..=3usize) {
+                let at = rng.gen_range(0..=bytes.len());
+                match rng.gen_range(0..4u32) {
+                    0 => bytes.insert(at, *rng.choose(ALPHABET).unwrap()),
+                    1 if at < bytes.len() => drop(bytes.remove(at)),
+                    2 if at < bytes.len() => bytes[at] ^= 1 << rng.gen_range(0..8u32),
+                    _ => {
+                        let other = rng.choose(&corpus).unwrap().as_bytes();
+                        let from = rng.gen_range(0..=other.len());
+                        let to = rng.gen_range(from..=other.len());
+                        bytes.splice(at..at, other[from..to].iter().copied());
+                    }
+                }
+            }
+            if assert_scanner_is_the_reference(&String::from_utf8_lossy(&bytes)) {
+                accepted += 1;
+            } else {
+                rejected += 1;
+            }
+        }
+        assert!(
+            accepted > 2_000 && rejected > 2_000,
+            "accepted {accepted}, rejected {rejected}"
+        );
     }
 
     #[test]
