@@ -31,7 +31,7 @@ use calm_net::{
     ThreadedConfig, WorkerSetup,
 };
 use calm_obs::Obs;
-use calm_transducer::Transducer;
+use calm_transducer::network_output;
 
 pub(super) const NODES: usize = 8;
 const THREADED: [usize; 4] = [1, 2, 4, 8];
@@ -95,17 +95,6 @@ pub(super) fn run_process_tcp(
     run_process(cfg, &spawner, obs).expect("process run starts")
 }
 
-/// Project `out(R)` from the collected states (the transport is
-/// program-agnostic, so the output schema lives with the caller).
-pub(super) fn project_output(t: &dyn Transducer, r: &ProcessRunResult) -> Instance {
-    let out_schema = &t.schema().output;
-    let mut output = Instance::new();
-    for state in r.states.values() {
-        output.extend(state.restrict(out_schema).facts());
-    }
-    output
-}
-
 /// E25: sequential vs threaded vs process engine. `obs` sees the
 /// sequential and threaded runs (the process runs keep noop workers —
 /// their traffic is what is counted, not traced).
@@ -161,7 +150,7 @@ pub fn e25_process(obs: &Obs) -> Report {
             let proc = run_process_tcp(&cfg, &input, &Obs::noop());
             all_equal &= proc.quiescent
                 && proc.failed_workers.is_empty()
-                && project_output(transducer.as_ref(), &proc) == seq.output;
+                && network_output(&proc.states, &transducer.schema().output) == seq.output;
             // Same payload-only accounting on both engines: the same
             // messages at every W, no bytes at all at W = 1 and some
             // above. (The byte totals above W = 1 wobble by up to ~15 %

@@ -857,19 +857,14 @@ mod tests {
                 respawn_budget: None
             }
         );
-        // The process engine carries the raw (validated) fault spec.
+        // The process engine carries the raw fault spec it ships, and
+        // the plan that validated it.
+        let spec = "seed=7,drop=0.1,pkill(worker=1@step=4)";
         assert_eq!(
-            parse_engine(
-                Some("process"),
-                None,
-                Some("2"),
-                Some("seed=7,drop=0.1"),
-                None
-            )
-            .unwrap(),
+            parse_engine(Some("process"), None, Some("2"), Some(spec), None).unwrap(),
             Engine::Process {
                 procs: 2,
-                faults: Some("seed=7,drop=0.1".into()),
+                faults: Some((spec.into(), calm_net::FaultPlan::parse(spec).unwrap())),
                 respawn_budget: None
             }
         );

@@ -339,6 +339,20 @@ mod tests {
     }
 
     #[test]
+    fn trace_with_the_process_engine_is_refused_before_anything_runs() {
+        // Used to print `% trace (0 transitions):` over a run of ten:
+        // the transitions happen in the worker processes.
+        let data = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/data");
+        let (p, f) = (format!("{data}/tc.dl"), format!("{data}/graph.facts"));
+        let err = failure(&["simulate", &p, &f, "--engine", "process", "--trace"]);
+        assert!(err.contains("--trace-out PREFIX"), "{err}");
+        assert!(err.contains("calm trace report"), "{err}");
+        // Before the facts are even parsed.
+        let err = failure(&["simulate", &p, &p, "--engine", "process", "--trace"]);
+        assert!(err.contains("--trace-out PREFIX"), "{err}");
+    }
+
+    #[test]
     fn every_documented_flag_is_accepted() {
         // All of them at once gets past the flag check: the error is
         // the missing program file.

@@ -15,9 +15,9 @@ use calm_net::{
 use calm_obs::{Obs, Sink};
 use calm_transducer::system_facts::POLICY_ARITY_CAP;
 use calm_transducer::{
-    expected_output, run, run_with, DisjointStrategy, DistinctStrategy, DistributionPolicy,
-    DomainGuidedPolicy, HashPolicy, Metrics, MonotoneBroadcast, Network, Scheduler, SystemConfig,
-    TraceSink, Transducer, TransducerNetwork,
+    expected_output, network_output, run_with, DisjointStrategy, DistinctStrategy,
+    DistributionPolicy, DomainGuidedPolicy, HashPolicy, Metrics, MonotoneBroadcast, Network,
+    Scheduler, SystemConfig, TraceSink, Transducer, TransducerNetwork,
 };
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -49,11 +49,12 @@ pub enum Engine {
     Process {
         /// Worker processes (0 = auto). Clamped to the node count.
         procs: usize,
-        /// Fault plan spec (`--faults SPEC`), validated at parse time
-        /// and shipped verbatim to every worker in the job hand-off
-        /// (each worker seeds its own wires from it, exactly like the
-        /// threaded engine's per-worker substrate).
-        faults: Option<String>,
+        /// Fault plan (`--faults SPEC`): the spec, shipped verbatim to
+        /// every worker in the job hand-off (each worker seeds its own
+        /// wires from it, exactly like the threaded engine's per-worker
+        /// substrate), and the plan it parsed into, which says whether
+        /// the run is to be supervised.
+        faults: Option<(String, FaultPlan)>,
         /// Respawns allowed per worker before its shard is adopted by
         /// survivors (`--respawn-budget N`). `None` picks the default:
         /// supervised (budget 3) when the fault plan schedules process
@@ -144,13 +145,14 @@ struct EngineRun {
     quiescent: bool,
 }
 
-/// A worker count of 0 means one per core, at most one per node.
+/// The worker count that runs: the one asked for — 0 means one per
+/// core — and at most one per node.
 fn or_one_per_core(n: usize, nodes: usize) -> usize {
-    if n > 0 {
-        return n;
-    }
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    cores.min(nodes)
+    let asked = match n {
+        0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
+        n => n,
+    };
+    asked.min(nodes)
 }
 
 /// The header lines both network engines print after their `% engine:`
@@ -186,13 +188,7 @@ fn run_sequential(job: &Job<'_>, obs: &Obs) -> EngineRun {
         policy: job.policy,
         config: job.config,
     };
-    // `run` is `run_with` compiled against a constant no-op `Obs`: an
-    // unobserved run is 2–3 % faster through it (CHANGES.md, PR 15).
-    let r = if obs.enabled() {
-        run_with(&tn, job.input, &Scheduler::RoundRobin, STEP_BUDGET, obs)
-    } else {
-        run(&tn, job.input, &Scheduler::RoundRobin, STEP_BUDGET)
-    };
+    let r = run_with(&tn, job.input, &Scheduler::RoundRobin, STEP_BUDGET, obs);
     EngineRun {
         header: String::new(),
         output: r.output,
@@ -251,21 +247,18 @@ fn process_header(procs: usize, faulted: bool, r: &ProcessRunResult) -> String {
 fn run_processes(
     job: &Job<'_>,
     procs: usize,
-    faults: Option<String>,
+    faults: Option<(String, FaultPlan)>,
     respawn_budget: Option<u32>,
     obs_opts: &ObsOptions,
     obs: &Obs,
 ) -> Result<EngineRun, CliError> {
-    let procs = or_one_per_core(procs, job.nodes).clamp(1, job.nodes);
+    let procs = or_one_per_core(procs, job.nodes);
     let faulted = faults.is_some();
     // Supervision default: a fault plan that schedules process kills
     // gets a respawn budget (the run is *expected* to recover);
     // anything else keeps the abort-on-death semantics unless
     // --respawn-budget says otherwise.
-    let has_pkills = faults
-        .as_deref()
-        .and_then(|s| FaultPlan::parse(s).ok())
-        .is_some_and(|p| !p.pkills.is_empty());
+    let has_pkills = faults.as_ref().is_some_and(|(_, p)| !p.pkills.is_empty());
     let budget = respawn_budget.unwrap_or(if has_pkills { 3 } else { 0 });
     let path = |p: &Option<PathBuf>| p.as_ref().map(|p| p.display().to_string());
     let spec = JobSpec {
@@ -275,7 +268,7 @@ fn run_processes(
         nodes: job.nodes,
         eval_threads: job.eval_threads,
         step_budget: STEP_BUDGET,
-        faults,
+        faults: faults.map(|(spec, _)| spec),
         // Base paths; the coordinator suffixes them per worker
         // (PREFIX.workerK) so concurrent writers never share a file.
         // The coordinator's own sinks keep the base path.
@@ -304,16 +297,10 @@ fn run_processes(
             failed.join(", ")
         )));
     }
-    // The transport is program-agnostic: project out(R) from the
-    // collected final states, as the threaded join does.
-    let out_schema = &job.transducer.schema().output;
-    let mut output = Instance::new();
-    for state in r.states.values() {
-        output.extend(state.restrict(out_schema).facts());
-    }
     Ok(EngineRun {
         header: process_header(procs, faulted, &r),
-        output,
+        // The transport is program-agnostic: out(R) is projected here.
+        output: network_output(&r.states, &job.transducer.schema().output),
         metrics: r.metrics,
         quiescent: r.quiescent,
     })
@@ -362,7 +349,23 @@ pub fn cmd_simulate_run(
     engine: Engine,
     eval_threads: usize,
 ) -> Result<String, CliError> {
-    let input = load_facts(facts_src)?;
+    if trace && matches!(engine, Engine::Process { .. }) {
+        return Err(err(
+            "--trace prints the transitions of this process, and --engine process steps its \
+             nodes in worker processes: write their traces with --trace-out PREFIX and read \
+             them with 'calm trace report PREFIX.worker*.jsonl'",
+        ));
+    }
+    let trace_sink = trace.then(|| Arc::new(TraceSink::new()));
+    let extra = trace_sink
+        .iter()
+        .map(|s| Arc::clone(s) as Arc<dyn Sink>)
+        .collect();
+    let (obs, report) = build_obs(obs_opts, extra)?;
+    let input = {
+        let _span = obs.span("simulate", || "read_facts".to_string());
+        load_facts(facts_src)?
+    };
     if nodes == 0 {
         return Err(err("--nodes must be at least 1"));
     }
@@ -388,24 +391,33 @@ pub fn cmd_simulate_run(
     if eval_threads > 1 {
         let _ = writeln!(out, "% eval threads: {eval_threads}");
     }
-    let trace_sink = trace.then(|| Arc::new(TraceSink::new()));
-    let extra = trace_sink
-        .iter()
-        .map(|s| Arc::clone(s) as Arc<dyn Sink>)
-        .collect();
-    let (obs, report) = build_obs(obs_opts, extra)?;
 
-    let run = match engine {
-        Engine::Sequential => Ok(run_sequential(&job, &obs)),
-        Engine::Threaded { workers, faults } => Ok(run_threaded(&job, workers, faults, &obs)),
-        Engine::Process {
-            procs,
-            faults,
-            respawn_budget,
-        } => run_processes(&job, procs, faults, respawn_budget, obs_opts, &obs),
+    let run = {
+        let _span = obs.span("simulate", || "run".to_string());
+        match engine {
+            Engine::Sequential => Ok(run_sequential(&job, &obs)),
+            Engine::Threaded { workers, faults } => Ok(run_threaded(&job, workers, faults, &obs)),
+            Engine::Process {
+                procs,
+                faults,
+                respawn_budget,
+            } => run_processes(&job, procs, faults, respawn_budget, obs_opts, &obs),
+        }
     };
+    // Compare against the centralized answer, and render — before the
+    // report is, so that it covers them.
+    let checked = run.and_then(|run| {
+        let matches = {
+            let _span = obs.span("simulate", || "expected".to_string());
+            let q = DatalogQuery::new("query", program.clone()).map_err(|e| err(e.to_string()))?;
+            run.output == expected_output(&q, &input)
+        };
+        let _span = obs.span("simulate", || "write".to_string());
+        let facts = render_instance(&run.output);
+        Ok((run, matches, facts))
+    });
     obs.finish();
-    let run = run?;
+    let (run, matches, facts) = checked?;
     out.push_str(&run.header);
     if let Some(sink) = trace_sink {
         let log = sink.take_trace();
@@ -416,11 +428,8 @@ pub fn cmd_simulate_run(
         out.push_str(&r.render());
     }
     summary_lines(&mut out, &run.metrics, run.quiescent);
-    // Compare against the centralized answer.
-    let q = DatalogQuery::new("query", program.clone()).map_err(|e| err(e.to_string()))?;
-    let matches = run.output == expected_output(&q, &input);
     let _ = writeln!(out, "% matches centralized evaluation: {matches}");
-    out.push_str(&render_instance(&run.output));
+    out.push_str(&facts);
     Ok(out)
 }
 
@@ -504,9 +513,9 @@ pub fn parse_engine(
     let workers_n: usize = number("--workers", workers)?.unwrap_or(0);
     let procs_n: usize = number("--procs", procs)?.unwrap_or(0);
     let budget: Option<u32> = number("--respawn-budget", respawn_budget)?;
-    // Validate the fault spec up front for every engine; only the
-    // threaded engine keeps the parsed plan (the process engine ships
-    // the raw spec to its workers, which parse it themselves).
+    // Validate the fault spec up front for every engine. The process
+    // engine keeps the spec beside the plan: it ships the text to its
+    // workers, which parse it themselves.
     let plan = faults
         .map(|spec| FaultPlan::parse(spec).map_err(|e| err(format!("--faults: {e}"))))
         .transpose()?;
@@ -548,7 +557,7 @@ pub fn parse_engine(
             }
             Ok(Engine::Process {
                 procs: procs_n,
-                faults: faults.map(String::from),
+                faults: faults.map(String::from).zip(plan),
                 respawn_budget: budget,
             })
         }

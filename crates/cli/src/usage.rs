@@ -82,6 +82,7 @@ USAGE:
   With --trace-out PREFIX each worker writes PREFIX.workerK.jsonl next
   to the coordinator's PREFIX.jsonl; feed them all to 'calm trace
   report' together (respawned incarnations append .rN).
+  --trace is refused here: the transitions happen in the workers.
 
   --respawn-budget N (process engine) turns the coordinator into a
   supervisor: each worker ships periodic versioned state snapshots, and

@@ -104,3 +104,38 @@ fn a_failing_eval_writes_nothing_to_stdout() {
         assert!(stderr.starts_with(message), "{args:?}: {stderr}");
     }
 }
+
+#[test]
+fn the_engine_header_names_the_worker_count_that_ran() {
+    // `--workers 8` on three nodes used to print `workers: 8` above
+    // three step counts: the executor clamped silently. Both network
+    // engines clamp once, before the header is written.
+    let data = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/data");
+    let (program, facts) = (format!("{data}/tc.dl"), format!("{data}/graph.facts"));
+    for (nodes, engine, flag, asked, ran) in [
+        ("3", "threaded", "--workers", "8", 3),
+        ("1", "threaded", "--workers", "2", 1),
+        ("2", "process", "--procs", "5", 2),
+    ] {
+        let run = calm()
+            .args(["simulate", &program, &facts, "--nodes", nodes])
+            .args(["--engine", engine, flag, asked])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(run.status.success(), "{engine} {flag} {asked}: {stderr}");
+        let out = String::from_utf8(run.stdout).unwrap();
+        let mut lines = out.lines();
+        let unit = flag.trim_start_matches('-');
+        let header = format!("% engine: {engine}, {unit}: {ran}");
+        assert_eq!(lines.next(), Some(header.as_str()), "{out}");
+        let steps = lines.next().unwrap();
+        let steps = steps.strip_prefix("% per-worker steps: ").expect(steps);
+        let counts = steps.split(", ").next().unwrap().split(' ').count();
+        assert_eq!(counts, ran, "one step count per worker that ran: {out}");
+        assert!(
+            out.contains("% matches centralized evaluation: true"),
+            "{out}"
+        );
+    }
+}

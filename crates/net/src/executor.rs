@@ -9,11 +9,11 @@ use crate::wirefmt;
 use calm_common::fact::Fact;
 use calm_common::instance::Instance;
 use calm_obs::{ArgValue, Obs};
-use calm_transducer::engine::NodeEngine;
+use calm_transducer::engine::{NodeEngine, NodeStepOutcome};
 use calm_transducer::multiset::Multiset;
 use calm_transducer::network::NodeId;
 use calm_transducer::policy::{distribute, DistributionPolicy};
-use calm_transducer::runtime::{trace_send, Metrics};
+use calm_transducer::runtime::{network_output, Delivery, Metrics};
 use calm_transducer::schema::SystemConfig;
 use calm_transducer::transducer::Transducer;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -87,7 +87,8 @@ pub struct ThreadedNetwork<'a> {
 #[derive(Debug, Clone)]
 pub struct ThreadedConfig {
     /// Worker threads. Clamped to `[1, |N|]` (a worker with no nodes
-    /// would only slow the ring down).
+    /// would only slow the ring down); `net/executor_start` and
+    /// [`ThreadedRunResult::per_worker`] show the count that ran.
     pub workers: usize,
     /// Per-worker step budget: the most node transitions one worker may
     /// execute. A run that exhausts any worker's budget reports
@@ -355,30 +356,26 @@ pub fn run_threaded_with(
         let mut handles = Vec::with_capacity(workers);
         for (id, rx) in receivers.into_iter().enumerate() {
             let senders = senders.clone();
-            let node_ids = &node_ids;
-            let dist = &dist;
-            let empty = &empty;
-            let programs = &tn.programs;
-            let policy = tn.policy;
-            let sys = tn.config;
-            let faults = cfg.faults.as_ref();
+            let (node_ids, dist, empty) = (&node_ids, &dist, &empty);
             handles.push(scope.spawn(move || {
-                let program = programs.instantiate();
+                let program = tn.programs.instantiate();
                 let ports = ChannelPorts { rx, senders };
                 run_worker(WorkerCtx {
                     id,
                     workers,
-                    node_ids,
-                    transducer: program.as_dyn(),
-                    policy,
-                    sys,
-                    dist,
-                    empty,
+                    fab: NodeFactory {
+                        node_ids,
+                        transducer: program.as_dyn(),
+                        policy: tn.policy,
+                        sys: tn.config,
+                        dist,
+                        empty,
+                    },
                     ports: &ports,
                     budget: cfg.step_budget,
-                    faults,
+                    faults: cfg.faults.as_ref(),
                     obs,
-                    proc: None,
+                    proc: ProcCtx::default(),
                 })
             }));
         }
@@ -390,13 +387,8 @@ pub fn run_threaded_with(
 
     let joined = join_reports(outcomes, workers, cfg.faults.is_some(), true, 0, obs);
     let probe = tn.programs.instantiate();
-    let out_schema = &probe.as_dyn().schema().output;
-    let mut output = Instance::new();
-    for state in joined.states.values() {
-        output.extend(state.restrict(out_schema).facts());
-    }
     ThreadedRunResult {
-        output,
+        output: network_output(&joined.states, &probe.as_dyn().schema().output),
         states: joined.states,
         metrics: joined.metrics,
         per_worker: joined.per_worker,
@@ -491,33 +483,28 @@ pub(crate) fn join_reports(
     j
 }
 
-/// Everything one worker needs to run: its ring position, its share of
-/// the network, the program, and its transport. Built by
-/// [`run_threaded_with`] (channel ports) and by the process engine's
-/// remote worker ([`crate::transport::worker`], socket ports).
+/// Everything one worker needs to run: its ring position, the nodes it
+/// can mint, and its transport. Built by [`run_threaded_with`] (channel
+/// ports) and by the process engine's remote worker
+/// ([`crate::transport::worker`], socket ports).
 pub(crate) struct WorkerCtx<'a> {
     pub(crate) id: usize,
     pub(crate) workers: usize,
-    pub(crate) node_ids: &'a [NodeId],
-    pub(crate) transducer: &'a dyn Transducer,
-    pub(crate) policy: &'a dyn DistributionPolicy,
-    pub(crate) sys: SystemConfig,
-    pub(crate) dist: &'a BTreeMap<NodeId, Instance>,
-    pub(crate) empty: &'a Instance,
+    pub(crate) fab: NodeFactory<'a>,
     pub(crate) ports: &'a dyn Ports,
     pub(crate) budget: usize,
     pub(crate) faults: Option<&'a FaultPlan>,
     pub(crate) obs: &'a Obs,
-    /// Process-engine context: `Some` only under the socket transport.
-    /// `None` (threaded engine) disables pkills, supervision, epochs
-    /// and ownership overrides.
-    pub(crate) proc: Option<ProcCtx>,
+    /// What the process engine adds; the threaded engine runs the
+    /// default: no pkills, no supervision, epoch 0, `g % workers`.
+    pub(crate) proc: ProcCtx,
 }
 
 /// What the process engine's worker knows beyond the threaded engine:
 /// its incarnation, the ring epoch it starts in, whether a supervisor
 /// retains its snapshots, and any ownership/restore state handed back
 /// in a recovery `Assign`.
+#[derive(Default)]
 pub(crate) struct ProcCtx {
     /// 0 for a worker's first process, +1 per respawn. Selects which
     /// `pkill` entries this incarnation still honors.
@@ -544,16 +531,13 @@ pub(crate) struct WorkerOutcome {
     pub(crate) killed: bool,
 }
 
-/// One node's worker-local slot: the node itself (its engine holds the
-/// state), its inbox, and its send-dedup set.
+/// One node's worker-local slot: the node itself (state, inbox and
+/// causal ids are its own) and what only this executor keeps about it.
 struct Slot<'a> {
     global: usize,
-    engine: NodeEngine<'a>,
-    /// The node's inbox — `b(x)` in the formal model, fed by channel
-    /// batches instead of a global buffer map.
-    pending: Multiset<Fact>,
+    node: NodeEngine<'a>,
     /// Every message fact this node ever sent (see
-    /// [`NodeEngine::apply`]'s `sent_filter`).
+    /// [`NodeEngine::step`]'s `sent_filter`).
     ever_sent: BTreeSet<Fact>,
     /// Needs another step: never stepped, or the last step delivered
     /// facts, changed state, or sent messages.
@@ -571,43 +555,22 @@ struct Slot<'a> {
     /// worker resumes numbering above it), so the coordinator's
     /// keep-the-latest rule is a simple max.
     snap_version: u64,
-    /// Next message id this node mints (tracing only). Like
-    /// `transitions`, monotone across crash rollbacks: a re-derived
-    /// send after a restore is a *new* send event with a fresh id.
-    next_seq: u64,
-    /// Id of the last message delivered into this node's inbox — the
-    /// causal parent of its next send (tracing only). `None` until the
-    /// first traced delivery, so sends triggered by the input
-    /// distribution alone are causal roots.
-    last_arrival: Option<(u64, u64)>,
 }
 
-impl<'a> Slot<'a> {
-    /// A node that has not stepped yet.
-    fn new(global: usize, engine: NodeEngine<'a>) -> Slot<'a> {
-        Slot {
-            global,
-            engine,
-            pending: Multiset::new(),
-            ever_sent: BTreeSet::new(),
-            dirty: true,
-            transitions: 0,
-            since_snapshot: 0,
-            snap: None,
-            snap_version: 0,
-            next_seq: 0,
-            last_arrival: None,
-        }
+impl Slot<'_> {
+    /// Whether the node has inbox facts or is not at its local fixpoint.
+    fn has_work(&self) -> bool {
+        self.dirty || !self.node.inbox().is_empty()
     }
 
     /// Go back to `snap` — a crash rollback to the node's own last
-    /// checkpoint, or a checkpoint the supervisor retained: the engine
-    /// is rebuilt from the snapshot's state alone (it comes back cold),
-    /// inbox and dedup set are reinstated, and `ReliableNet::restore`
-    /// re-arms every unacked outbox entry for replay.
+    /// checkpoint, or a checkpoint the supervisor retained: the node is
+    /// rebuilt from the snapshot's state and inbox alone (it comes back
+    /// cold; the ids it mints stay above every one it handed out), the
+    /// dedup set is reinstated, and `ReliableNet::restore` re-arms
+    /// every unacked outbox entry for replay.
     fn roll_back(&mut self, snap: &NodeSnapshot, rnet: &mut ReliableNet<'_>) {
-        self.engine.restore(snap.state.clone());
-        self.pending = snap.pending.clone();
+        self.node.restore(snap.state.clone(), snap.pending.clone());
         self.ever_sent = snap.ever_sent.clone();
         self.dirty = true;
         self.since_snapshot = 0;
@@ -626,35 +589,10 @@ impl<'a> Slot<'a> {
     ) {
         self.roll_back(&snap, rnet);
         self.transitions = transitions as usize;
-        self.next_seq = next_seq;
+        self.node.resume_ids_from(next_seq);
         self.snap_version = version;
         self.snap = Some(snap);
     }
-}
-
-/// Mint a message id for one step's send, emit the `trace/send` event
-/// (id, causal parent, fan-out, fact count, per-class counts), and
-/// return the context to stamp into the wire payloads. `None` — and no
-/// event, and untouched wire bytes — when tracing is off.
-fn mint_trace(
-    obs: &Obs,
-    slot: &mut Slot<'_>,
-    total_nodes: usize,
-    facts: &Multiset<Fact>,
-) -> Option<wirefmt::TraceCtx> {
-    if !obs.enabled() {
-        return None;
-    }
-    let origin = slot.global as u64;
-    let seq = slot.next_seq;
-    slot.next_seq += 1;
-    let cause = slot.last_arrival;
-    trace_send(obs, (origin, seq), cause, total_nodes as u64 - 1, facts);
-    Some(wirefmt::TraceCtx {
-        origin_node: origin,
-        origin_seq: seq,
-        cause,
-    })
 }
 
 /// Take a crash-recovery snapshot of one node: capture state, inbox,
@@ -664,23 +602,26 @@ fn mint_trace(
 fn take_snapshot(slot: &mut Slot<'_>, rnet: &mut ReliableNet<'_>, out: &mut Vec<Wire>) {
     let links = rnet.snapshot(slot.global, out);
     slot.snap = Some(NodeSnapshot {
-        state: slot.engine.state(),
-        pending: slot.pending.clone(),
+        state: slot.node.state(),
+        pending: slot.node.inbox().clone(),
         ever_sent: slot.ever_sent.clone(),
         links,
     });
     slot.since_snapshot = 0;
 }
 
-/// Supervised mode: encode and ship `slot`'s current snapshot to the
-/// coordinator, *before* the caller pumps any wire the snapshot
-/// released (same transport, same writer — the frame order is the
-/// output-commit guarantee).
-fn ship_snapshot(slot: &Slot<'_>, rnet: &mut ReliableNet<'_>, ports: &dyn Ports) {
-    let snap = slot.snap.as_ref().expect("shipped snapshot exists");
-    let blob = encode_snapshot_blob(snap, slot.transitions as u64, slot.next_seq);
-    rnet.stats.snapshot_bytes += blob.len() as u64;
-    ports.ship_snapshot(slot.global, slot.snap_version, blob);
+/// One step's send in the delta wire format, with the trace context
+/// stamped in when the send was traced.
+fn encode(outcome: &NodeStepOutcome) -> Arc<[u8]> {
+    let ctx = outcome
+        .mid
+        .map(|(origin_node, origin_seq)| wirefmt::TraceCtx {
+            origin_node,
+            origin_seq,
+            cause: outcome.cause,
+        });
+    let batch: Multiset<Fact> = outcome.sent.iter().cloned().collect();
+    wirefmt::encode_traced(&batch, ctx.as_ref()).into()
 }
 
 /// The next live ring position after `id` (wrapping). With every
@@ -695,28 +636,35 @@ fn next_live(live: &[bool], id: usize) -> usize {
 
 /// The read-only ingredients a node is minted from — for the worker's
 /// own shard at start-up and for the nodes it adopts later.
-struct NodeFactory<'a> {
-    node_ids: &'a [NodeId],
-    transducer: &'a dyn Transducer,
-    policy: &'a dyn DistributionPolicy,
-    sys: SystemConfig,
-    dist: &'a BTreeMap<NodeId, Instance>,
-    empty: &'a Instance,
+pub(crate) struct NodeFactory<'a> {
+    pub(crate) node_ids: &'a [NodeId],
+    pub(crate) transducer: &'a dyn Transducer,
+    pub(crate) policy: &'a dyn DistributionPolicy,
+    pub(crate) sys: SystemConfig,
+    pub(crate) dist: &'a BTreeMap<NodeId, Instance>,
+    pub(crate) empty: &'a Instance,
 }
 
 impl<'a> NodeFactory<'a> {
+    /// Node `g`, not stepped yet.
     fn slot(&self, g: usize) -> Slot<'a> {
-        let node = self.node_ids[g].clone();
-        let input = self.dist.get(&node).unwrap_or(self.empty);
-        let engine = NodeEngine::new(self.transducer, self.policy, self.sys, node, input);
-        Slot::new(g, engine)
+        let id = self.node_ids[g].clone();
+        let input = self.dist.get(&id).unwrap_or(self.empty);
+        Slot {
+            global: g,
+            node: NodeEngine::new(self.transducer, self.policy, self.sys, id, input),
+            ever_sent: BTreeSet::new(),
+            dirty: true,
+            transitions: 0,
+            since_snapshot: 0,
+            snap: None,
+            snap_version: 0,
+        }
     }
 }
 
 /// The worker's nodes and the accounting every delivery touches.
 struct Shard<'a> {
-    node_ids: &'a [NodeId],
-    obs: &'a Obs,
     slots: Vec<Slot<'a>>,
     /// Global node index → position in `slots` (`None`: not ours).
     local_index: Vec<Option<usize>>,
@@ -724,58 +672,41 @@ struct Shard<'a> {
     stats: WorkerStats,
 }
 
-impl Shard<'_> {
-    /// Enqueue `facts` into local node `g`'s inbox, with high-water and
-    /// gauge bookkeeping (mirrors the sequential engine's per-recipient
-    /// accounting). `mid` is the causal message id of the delivery (set
-    /// iff the batch was traced): it becomes the recipient's causal
-    /// parent and is echoed in the `trace/deliver` event.
-    fn enqueue(&mut self, g: usize, facts: Multiset<Fact>, mid: Option<(u64, u64)>) {
+impl<'a> Shard<'a> {
+    /// Local node `g`, about to take `n` occurrences at one of its
+    /// doors — on the worker's account and, if there are any, dirty —
+    /// with the metrics the door wants.
+    fn receiving(&mut self, g: usize, n: usize) -> (&mut NodeEngine<'a>, &mut Metrics) {
         let l = self.local_index[g].expect("fact routed to non-local node");
-        let n = facts.len();
-        if n == 0 {
-            return;
-        }
         self.stats.enqueued += n;
         let slot = &mut self.slots[l];
-        slot.pending.extend_from(facts);
-        slot.dirty = true;
-        if mid.is_some() {
-            slot.last_arrival = mid;
-        }
-        let depth = slot.pending.len();
-        let hw = self
-            .metrics
-            .buffered_high_water
-            .entry(self.node_ids[g].clone())
-            .or_insert(0);
-        if depth > *hw {
-            *hw = depth;
-        }
-        if self.obs.enabled() {
-            if let Some((origin, seq)) = mid {
-                self.obs.event("trace", "deliver", g as u32 + 1, || {
-                    vec![
-                        ("origin", ArgValue::U64(origin)),
-                        ("seq", ArgValue::U64(seq)),
-                        ("dst", ArgValue::U64(g as u64)),
-                        ("facts", ArgValue::U64(n as u64)),
-                    ]
-                });
-            }
-            self.obs
-                .gauge("runtime", "queue_depth", g as u32 + 1, depth as u64);
-        }
+        slot.dirty |= n > 0;
+        (&mut slot.node, &mut self.metrics)
     }
 }
 
+/// What the worker loop does after a phase.
+enum Flow {
+    /// Go on to the next phase.
+    Next,
+    /// Start the loop over: something happened that the earlier phases
+    /// must see before this worker may look passive.
+    Again,
+    /// Leave the loop.
+    Exit,
+}
+
 /// One worker's whole state: its shard, its reliability substrate (fault
-/// mode only) and its seat in the Safra ring.
+/// mode only), its seat in the Safra ring and what steers its loop.
 struct Worker<'a> {
     id: usize,
     ports: &'a dyn Ports,
     obs: &'a Obs,
     fab: NodeFactory<'a>,
+    /// Display lane of the loop's phase spans: past every node's.
+    track: u32,
+    /// 0 for a worker's first process, +1 per respawn.
+    incarnation: u64,
     /// Whether the coordinator supervises (process engine only).
     supervised: bool,
     /// Supervised mode does not count basic messages in the Safra
@@ -797,6 +728,20 @@ struct Worker<'a> {
     live: Vec<bool>,
     shard: Shard<'a>,
     rnet: Option<ReliableNet<'a>>,
+    /// Transitions between a node's periodic snapshots (fault mode).
+    snapshot_every: usize,
+    /// Node transitions this worker may still execute.
+    steps_left: usize,
+    /// Node transitions this incarnation has executed or died at.
+    steps_done: u64,
+    /// `pkill(worker=K@step=S)`: the step count, in this incarnation's
+    /// own numbering, at which this process dies in place of stepping.
+    /// Entries consumed by earlier incarnations are not ours; later
+    /// ones belong to later incarnations — the process is gone by then.
+    kill_at: Option<u64>,
+    killed: bool,
+    /// Supervised: when this worker last proved liveness.
+    last_beat: Instant,
     // Safra state.
     /// Channel batches sent - received.
     counter: i64,
@@ -806,7 +751,102 @@ struct Worker<'a> {
     ring_epoch: u64,
 }
 
-impl Worker<'_> {
+impl<'a> Worker<'a> {
+    /// The worker in its start configuration: its share of the nodes
+    /// minted (or, on a respawn, restored from what the `Assign` handed
+    /// back), and under a fault plan a checkpoint of every node.
+    fn new(ctx: WorkerCtx<'a>) -> Worker<'a> {
+        let (id, workers, obs, proc, faults) = (ctx.id, ctx.workers, ctx.obs, ctx.proc, ctx.faults);
+        let total_nodes = ctx.fab.node_ids.len();
+        let owner: Vec<usize> = match proc.owner {
+            Some(o) if o.len() == total_nodes => o,
+            _ => (0..total_nodes).map(|g| g % workers).collect(),
+        };
+        let live = if proc.live.len() == workers {
+            proc.live
+        } else {
+            vec![true; workers]
+        };
+        let locals: Vec<usize> = (0..total_nodes).filter(|&g| owner[g] == id).collect();
+        let mut local_index: Vec<Option<usize>> = vec![None; total_nodes];
+        for (l, &g) in locals.iter().enumerate() {
+            local_index[g] = Some(l);
+        }
+        let mut w = Worker {
+            id,
+            ports: ctx.ports,
+            obs,
+            track: (total_nodes + 1 + id) as u32,
+            incarnation: proc.incarnation,
+            supervised: proc.supervised,
+            count_msgs: !proc.supervised,
+            owner,
+            live,
+            shard: Shard {
+                slots: locals.iter().map(|&g| ctx.fab.slot(g)).collect(),
+                local_index,
+                metrics: Metrics::default(),
+                stats: WorkerStats {
+                    worker: id,
+                    ..WorkerStats::default()
+                },
+            },
+            fab: ctx.fab,
+            rnet: faults.map(|plan| ReliableNet::new(plan, &locals, obs)),
+            snapshot_every: faults.map_or(usize::MAX, |plan| plan.snapshot_every),
+            steps_left: ctx.budget,
+            steps_done: 0,
+            kill_at: faults.and_then(|p| p.pkill_steps(id, proc.incarnation).first().copied()),
+            killed: false,
+            last_beat: Instant::now(),
+            counter: 0,
+            black: false,
+            held_token: None,
+            probe_outstanding: false,
+            ring_epoch: proc.epoch,
+        };
+        w.reinstate(proc.restore);
+        w
+    }
+
+    /// Fault mode: restore the nodes an `Assign` handed back from their
+    /// retained snapshots, and give every other node an initial (empty)
+    /// checkpoint so the first crash point always has one to restore —
+    /// supervised, that publishes v0 before any traffic, so the
+    /// supervisor always holds a restore point.
+    fn reinstate(&mut self, restore: Vec<(usize, u64, NodeSnapshot, u64, u64)>) {
+        let Some(rnet) = self.rnet.as_mut() else {
+            return;
+        };
+        for (g, version, snap, transitions, next_seq) in restore {
+            let Some(l) = self.shard.local_index.get(g).copied().flatten() else {
+                continue;
+            };
+            self.shard.slots[l].restore(snap, version, transitions, next_seq, rnet);
+            let (id, incarnation) = (self.id, self.incarnation);
+            self.obs.event("net", "restore", g as u32 + 1, || {
+                vec![
+                    ("node", ArgValue::U64(g as u64)),
+                    ("worker", ArgValue::U64(id as u64)),
+                    ("incarnation", ArgValue::U64(incarnation)),
+                    ("version", ArgValue::U64(version)),
+                ]
+            });
+        }
+        let mut none = Vec::new();
+        for l in 0..self.shard.slots.len() {
+            if self.shard.slots[l].snap.is_none() {
+                self.checkpoint(l, false, &mut none);
+            }
+        }
+        debug_assert!(none.is_empty(), "empty links cannot emit acks");
+    }
+
+    /// A span around one phase of the loop, on the worker's own lane.
+    fn phase(&self, name: &'static str) -> calm_obs::SpanGuard {
+        self.obs.span_on("net", self.track, || name.to_string())
+    }
+
     /// Route wires until none remain: local arrivals run through the
     /// substrate's receive path (which may emit re-ack wires, queued
     /// back here); remote wires go onto the owning worker's channel as
@@ -822,7 +862,7 @@ impl Worker<'_> {
                 let accepted = rnet.receive(wire, &mut replies);
                 queue.extend(replies);
                 if let Some((node, facts, mid)) = accepted {
-                    self.shard.enqueue(node, facts, mid);
+                    self.enqueue_batch(node, facts, mid);
                 }
             } else {
                 if self.count_msgs {
@@ -843,31 +883,41 @@ impl Worker<'_> {
         take_snapshot(slot, rnet, acks);
         if self.supervised {
             // Output commit: the snapshot frame goes on the socket
-            // *before* any wire it released, so the supervisor's
-            // retained version always covers everything peers may see.
+            // *before* any wire it released (same transport, same
+            // writer — the caller pumps `acks` after this), so the
+            // supervisor's retained version always covers everything
+            // peers may see.
             slot.snap_version += bump as u64;
-            ship_snapshot(slot, rnet, self.ports);
+            let snap = slot.snap.as_ref().expect("just taken");
+            let blob = encode_snapshot_blob(snap, slot.transitions as u64, slot.node.next_seq());
+            rnet.stats.snapshot_bytes += blob.len() as u64;
+            self.ports
+                .ship_snapshot(slot.global, slot.snap_version, blob);
         }
+    }
+
+    /// Enqueue a decoded wire batch at local node `g`. `mid` is the
+    /// causal message id of the delivery (set iff the batch was traced).
+    fn enqueue_batch(&mut self, g: usize, batch: Multiset<Fact>, mid: Option<(u64, u64)>) {
+        let (node, metrics) = self.shard.receiving(g, batch.len());
+        node.enqueue_batch(batch, mid, metrics, self.obs);
     }
 
     /// React to one received message. `true` for `Terminate`.
     fn on_msg(&mut self, msg: Msg) -> bool {
+        if matches!(msg, Msg::Batch { .. } | Msg::Wire(_)) {
+            // A basic message of the termination-detection algorithm.
+            if self.count_msgs {
+                self.counter -= 1;
+            }
+            self.black = true;
+        }
         match msg {
             Msg::Batch { node, payload } => {
-                if self.count_msgs {
-                    self.counter -= 1;
-                }
-                self.black = true;
                 let (facts, ctx) = wirefmt::decode_traced(&payload).expect("channel batch decodes");
-                self.shard.enqueue(node, facts, ctx.map(|c| c.id()));
+                self.enqueue_batch(node, facts, ctx.map(|c| c.id()));
             }
-            Msg::Wire(wire) => {
-                if self.count_msgs {
-                    self.counter -= 1;
-                }
-                self.black = true;
-                self.pump(vec![wire]);
-            }
+            Msg::Wire(wire) => self.pump(vec![wire]),
             Msg::Token(t) => {
                 if t.epoch == self.ring_epoch {
                     self.held_token = Some(t);
@@ -961,458 +1011,370 @@ impl Worker<'_> {
             }
         }
     }
-}
 
-pub(crate) fn run_worker(ctx: WorkerCtx<'_>) -> WorkerOutcome {
-    let WorkerCtx {
-        id,
-        workers,
-        node_ids,
-        transducer,
-        policy,
-        sys,
-        dist,
-        empty,
-        ports,
-        budget,
-        faults,
-        obs,
-        proc,
-    } = ctx;
-    let total_nodes = node_ids.len();
-    // Process-engine context; the threaded engine runs the defaults.
-    let (supervised, incarnation, ring_epoch, owner_override, live_init, restore) = match proc {
-        Some(p) => (
-            p.supervised,
-            p.incarnation,
-            p.epoch,
-            p.owner,
-            p.live,
-            p.restore,
-        ),
-        None => (false, 0, 0, None, Vec::new(), Vec::new()),
-    };
-    let owner: Vec<usize> = match owner_override {
-        Some(o) if o.len() == total_nodes => o,
-        _ => (0..total_nodes).map(|g| g % workers).collect(),
-    };
-    let live: Vec<bool> = if live_init.len() == workers {
-        live_init
-    } else {
-        vec![true; workers]
-    };
-    let locals: Vec<usize> = (0..total_nodes).filter(|&g| owner[g] == id).collect();
-    let mut local_index: Vec<Option<usize>> = vec![None; total_nodes];
-    for (l, &g) in locals.iter().enumerate() {
-        local_index[g] = Some(l);
+    /// Supervised: prove liveness on a clock, not on progress — a busy
+    /// loop that never idles must still beat.
+    fn beat(&mut self) {
+        if self.supervised && self.last_beat.elapsed() >= HEARTBEAT_EVERY {
+            self.ports.heartbeat();
+            self.last_beat = Instant::now();
+        }
     }
-    let fab = NodeFactory {
-        node_ids,
-        transducer,
-        policy,
-        sys,
-        dist,
-        empty,
-    };
-    let mut w = Worker {
-        id,
-        ports,
-        obs,
-        supervised,
-        count_msgs: !supervised,
-        owner,
-        live,
-        shard: Shard {
-            node_ids,
-            obs,
-            slots: locals.iter().map(|&g| fab.slot(g)).collect(),
-            local_index,
-            metrics: Metrics::default(),
-            stats: WorkerStats {
-                worker: id,
-                ..WorkerStats::default()
-            },
-        },
-        fab,
-        rnet: faults.map(|plan| ReliableNet::new(plan, &locals, obs)),
-        counter: 0,
-        black: false,
-        held_token: None,
-        probe_outstanding: false,
-        ring_epoch,
-    };
 
-    // Fault mode: an initial (empty) snapshot per node so the first
-    // crash point always has a checkpoint to restore. On a respawn the
-    // nodes handed back in the Assign restore their retained snapshot
-    // instead.
-    if let Some(rnet) = w.rnet.as_mut() {
-        for (g, version, snap, transitions, next_seq) in restore {
-            let Some(l) = w.shard.local_index.get(g).copied().flatten() else {
-                continue;
-            };
-            w.shard.slots[l].restore(snap, version, transitions, next_seq, rnet);
-            if obs.enabled() {
-                obs.event("net", "restore", g as u32 + 1, || {
-                    vec![
-                        ("node", ArgValue::U64(g as u64)),
-                        ("worker", ArgValue::U64(id as u64)),
-                        ("incarnation", ArgValue::U64(incarnation)),
-                        ("version", ArgValue::U64(version)),
-                    ]
-                });
-            }
-        }
-        let mut none = Vec::new();
-        for l in 0..w.shard.slots.len() {
-            if w.shard.slots[l].snap.is_none() {
-                // Supervised, this publishes v0 before any traffic so
-                // the supervisor always holds a restore point.
-                w.checkpoint(l, false, &mut none);
-            }
-        }
-        debug_assert!(none.is_empty(), "empty links cannot emit acks");
-    }
-    let snapshot_every = faults.map_or(usize::MAX, |plan| plan.snapshot_every);
-
-    let mut steps_left = budget;
-    // Deterministic process-kill plan: the step counts (in this
-    // worker's own numbering, per incarnation) at which this process
-    // dies in place of stepping. Only the first entry can fire — the
-    // process is gone afterwards; later entries belong to later
-    // incarnations.
-    let my_kills: Vec<u64> = faults.map_or_else(Vec::new, |p| p.pkill_steps(id, incarnation));
-    let mut steps_done: u64 = 0;
-    let mut killed = false;
-    let mut last_beat = Instant::now();
-
-    loop {
-        // Supervised: prove liveness on a clock, not on progress — a
-        // busy loop that never idles must still beat.
-        if supervised && last_beat.elapsed() >= HEARTBEAT_EVERY {
-            ports.heartbeat();
-            last_beat = Instant::now();
-        }
-        // 1. Drain the channel without blocking.
+    /// Phase 1: take everything the transport holds, without blocking.
+    fn drain(&mut self) -> Flow {
+        let mut span = None;
         let mut terminate = false;
-        while let Ok(msg) = ports.try_recv() {
-            terminate |= w.on_msg(msg);
+        while let Ok(msg) = self.ports.try_recv() {
+            span.get_or_insert_with(|| self.phase("worker.drain"));
+            terminate |= self.on_msg(msg);
         }
         if terminate {
-            break;
+            Flow::Exit
+        } else {
+            Flow::Next
         }
+    }
 
-        // 1b. Fault mode: advance the logical clock — release due
-        // delayed wires and fire due retransmissions.
-        let mut wires = Vec::new();
-        if let Some(rnet) = w.rnet.as_mut() {
+    /// Phase 2, fault mode: advance the logical clock — release due
+    /// delayed wires and fire due retransmissions.
+    fn tick(&mut self) -> Flow {
+        if let Some(rnet) = self.rnet.as_mut() {
+            let mut wires = Vec::new();
             rnet.advance(&mut wires);
+            if !wires.is_empty() {
+                let _span = self.phase("worker.drain");
+                self.pump(wires);
+            }
         }
-        w.pump(wires);
+        Flow::Next
+    }
 
-        // 2. Local work: step every node that has inbox facts or is not
-        // yet at its local fixpoint.
-        let idle = |s: &Slot<'_>| !s.dirty && s.pending.is_empty();
-        let has_work = !w.shard.slots.iter().all(idle);
-        if has_work && steps_left > 0 {
-            for l in 0..w.shard.slots.len() {
-                let sender_global = w.shard.slots[l].global;
-                if idle(&w.shard.slots[l]) {
-                    continue;
-                }
-                if w.rnet.as_ref().is_some_and(|r| r.node_down(sender_global)) {
-                    continue; // crashed: no steps until the recovery window closes
-                }
-                if steps_left == 0 {
-                    break;
-                }
-                steps_left -= 1;
-                steps_done += 1;
-                if my_kills.first().is_some_and(|&s| steps_done >= s) {
-                    // `pkill(worker=K@step=S)`: this incarnation dies
-                    // in place of its S-th step — nothing from the
-                    // aborted step is derived, staged, or sent. The
-                    // event triggers a flight dump so even the killed
-                    // incarnation leaves a post-mortem behind.
-                    obs.event("net", "worker_killed", id as u32 + 1, || {
-                        vec![
-                            ("worker", ArgValue::U64(id as u64)),
-                            ("incarnation", ArgValue::U64(incarnation)),
-                            ("step", ArgValue::U64(steps_done)),
-                        ]
-                    });
-                    killed = true;
-                    break;
-                }
-                // Delivery half: drain the inbox (m = b(x), the
-                // deliver-everything choice; asynchrony comes from the
-                // thread interleaving instead of submultiset sampling).
-                let Shard { slots, metrics, .. } = &mut w.shard;
-                let slot = &mut slots[l];
-                let mut delivered_n = 0usize;
-                let delivered: Vec<Fact> = slot
-                    .pending
-                    .drain_all()
-                    .map(|(f, c)| {
-                        delivered_n += c;
-                        f
-                    })
-                    .collect();
-                metrics.messages_delivered += delivered_n;
-                if delivered_n == 0 {
-                    metrics.heartbeats += 1;
-                }
-                let outcome = slot.engine.apply(
-                    &delivered,
-                    delivered_n,
-                    Some(&mut slot.ever_sent),
-                    metrics,
-                    obs,
-                );
-                slot.dirty = outcome.state_changed || !outcome.sent.is_empty() || delivered_n > 0;
-                slot.transitions += 1;
-                slot.since_snapshot += 1;
-                // One encoding of the step's send serves every
-                // destination — with the trace context stamped in when
-                // tracing is on.
-                let facts: Multiset<Fact> = outcome.sent.iter().cloned().collect();
-                if let Some(rnet) = w.rnet.as_mut() {
-                    // Fault mode: every send — local or remote — is
-                    // staged in the substrate (sequence number + outbox
-                    // entry); the next snapshot commits it to the wire
-                    // through the fault gauntlet. Then crash points
-                    // fire and periodic snapshots are taken.
-                    if !facts.is_empty() {
-                        let ctx = mint_trace(obs, slot, total_nodes, &facts);
-                        let payload: Arc<[u8]> =
-                            wirefmt::encode_traced(&facts, ctx.as_ref()).into();
-                        for g in (0..total_nodes).filter(|&g| g != sender_global) {
-                            rnet.send_payload(sender_global, g, payload.clone());
-                        }
-                    }
-                    if let Some(point) = rnet.due_crash(sender_global, slot.transitions) {
-                        // Crash: roll back to the last snapshot, drop
-                        // in-flight outgoing wires, go down. Blacken
-                        // the worker — the rollback may have erased
-                        // receipts the current probe round already
-                        // observed (see `termination.rs`).
-                        w.black = true;
-                        let snap = slot
-                            .snap
-                            .take()
-                            .expect("every node snapshots before it can crash");
-                        slot.roll_back(&snap, rnet);
-                        slot.snap = Some(snap);
-                        rnet.crash(sender_global, point.down_ticks);
-                        if obs.enabled() {
-                            obs.event("net", "crash", sender_global as u32 + 1, || {
-                                vec![
-                                    ("node", ArgValue::U64(sender_global as u64)),
-                                    ("down_ticks", ArgValue::U64(point.down_ticks)),
-                                ]
-                            });
-                        }
-                    } else if slot.since_snapshot >= snapshot_every {
-                        let mut acks = Vec::new();
-                        w.checkpoint(l, true, &mut acks);
-                        w.pump(acks);
-                    }
-                    continue;
-                }
-                if facts.is_empty() {
-                    continue;
-                }
-                // Route: every other node gets every sent fact — local
-                // inboxes directly (in memory, no encoding), remote
-                // workers as one encoded batch per destination node
-                // (the Safra counter counts batches).
-                let ctx = mint_trace(obs, slot, total_nodes, &facts);
-                let mid = ctx.as_ref().map(|c| c.id());
-                let mut encoded: Option<Arc<[u8]>> = None;
-                for (g, &owner_w) in w.owner.iter().enumerate() {
-                    if g == sender_global {
-                        continue;
-                    }
-                    if owner_w == id {
-                        w.shard.enqueue(g, facts.clone(), mid);
-                    } else {
-                        let payload = encoded.get_or_insert_with(|| {
-                            wirefmt::encode_traced(&facts, ctx.as_ref()).into()
-                        });
-                        w.shard.stats.wire_bytes += payload.len() as u64;
-                        if w.count_msgs {
-                            w.counter += 1;
-                        }
-                        let payload = payload.clone();
-                        ports.send(owner_w, Msg::Batch { node: g, payload });
-                    }
-                }
-            }
-            if killed {
-                break;
-            }
-            continue; // re-drain before deciding passivity
+    /// Phase 3: step, once each, the nodes that have inbox facts or are
+    /// not yet at their local fixpoint — then start over, to re-drain
+    /// before deciding passivity. A worker out of budget acts passive
+    /// so the ring can still conclude (the run reports `quiescent:
+    /// false`).
+    fn step_shard(&mut self) -> Flow {
+        if !self.shard.slots.iter().any(Slot::has_work) {
+            return Flow::Next;
         }
-        if has_work && steps_left == 0 {
-            w.shard.stats.exhausted = true;
-            // Fall through: act passive so the ring can still conclude
-            // (the run will report quiescent: false).
+        if self.steps_left == 0 {
+            self.shard.stats.exhausted = true;
+            return Flow::Next;
         }
-
-        // 2b. Fault mode: the extended passivity predicate. Before
-        // joining the token protocol, flush snapshots for slots whose
-        // receive cursors can advance (emitting the cumulative acks
-        // peers are waiting for) or that hold staged sends (committing
-        // them to the wire). If the substrate still has obligations —
-        // unacked sends, wires in the delay buffer, nodes in recovery —
-        // the worker is *not* passive: it withholds the token and waits
-        // with a timeout so the fault clock keeps ticking and due
-        // retransmissions fire. This is how Safra is taught about
-        // retransmissions and in-recovery nodes.
-        if w.rnet.is_some() {
-            let mut acks = Vec::new();
-            for l in 0..w.shard.slots.len() {
-                // Supervised adds a third flush reason: *any* progress
-                // since the last shipped snapshot. The supervisor's
-                // retained version then equals the final state once the
-                // ring concludes — a kill landing after Terminate can
-                // still be restored byte-identically.
-                let slot = &w.shard.slots[l];
-                let rnet = w.rnet.as_ref().expect("checked above");
-                if rnet.ackable(slot.global)
-                    || rnet.staged(slot.global)
-                    || (supervised && slot.since_snapshot > 0)
-                {
-                    w.checkpoint(l, true, &mut acks);
-                }
-            }
-            w.pump(acks);
-            if w.rnet.as_ref().is_some_and(ReliableNet::has_obligations) {
-                match ports.recv_timeout(TIMER_WAIT) {
-                    Ok(msg) => {
-                        if w.on_msg(msg) {
-                            break;
-                        }
-                    }
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
+        let _span = self.phase("worker.step");
+        for l in 0..self.shard.slots.len() {
+            let slot = &self.shard.slots[l];
+            // A crashed node takes no steps until its recovery window
+            // closes.
+            let down = |r: &ReliableNet<'_>| r.node_down(slot.global);
+            if !slot.has_work() || self.rnet.as_ref().is_some_and(down) {
                 continue;
             }
+            if self.steps_left == 0 {
+                break;
+            }
+            self.steps_left -= 1;
+            self.steps_done += 1;
+            if self.kill_at.is_some_and(|s| self.steps_done >= s) {
+                // This incarnation dies in place of its S-th step —
+                // nothing from the aborted step is derived, staged, or
+                // sent. The event triggers a flight dump so even the
+                // killed incarnation leaves a post-mortem behind.
+                let (id, incarnation, step) = (self.id, self.incarnation, self.steps_done);
+                self.obs.event("net", "worker_killed", id as u32 + 1, || {
+                    vec![
+                        ("worker", ArgValue::U64(id as u64)),
+                        ("incarnation", ArgValue::U64(incarnation)),
+                        ("step", ArgValue::U64(step)),
+                    ]
+                });
+                self.killed = true;
+                return Flow::Exit;
+            }
+            self.step_slot(l);
         }
+        Flow::Again
+    }
 
-        // 3. Passive: token protocol, over the *live* ring. The
-        // initiator is the lowest live position (worker 0 unless its
-        // budget ran out and its shard was adopted), and the token
-        // skips dead positions.
-        let live_count = w.live.iter().filter(|&&b| b).count();
+    /// One transition of local node `l`: deliver everything (`m =
+    /// b(x)`; asynchrony comes from the thread interleaving instead of
+    /// submultiset sampling), step, route what it sent, and under a
+    /// fault plan keep the crash schedule and the snapshot cadence.
+    fn step_slot(&mut self, l: usize) {
+        let Shard { slots, metrics, .. } = &mut self.shard;
+        let slot = &mut slots[l];
+        let sent_filter = Some(&mut slot.ever_sent);
+        let outcome = slot
+            .node
+            .step(Delivery::All, sent_filter, metrics, self.obs);
+        slot.dirty = outcome.state_changed || !outcome.sent.is_empty() || outcome.delivered > 0;
+        slot.transitions += 1;
+        slot.since_snapshot += 1;
+        let (sender, transitions) = (slot.global, slot.transitions);
+        self.route(sender, &outcome);
+
+        let Some(rnet) = self.rnet.as_mut() else {
+            return;
+        };
+        if let Some(point) = rnet.due_crash(sender, transitions) {
+            // Crash: roll back to the last snapshot, drop in-flight
+            // outgoing wires, go down. Blacken the worker — the
+            // rollback may have erased receipts the current probe round
+            // already observed (see `termination.rs`).
+            self.black = true;
+            let slot = &mut self.shard.slots[l];
+            let snap = slot
+                .snap
+                .take()
+                .expect("every node snapshots before it can crash");
+            slot.roll_back(&snap, rnet);
+            slot.snap = Some(snap);
+            rnet.crash(sender, point.down_ticks);
+            self.obs.event("net", "crash", sender as u32 + 1, || {
+                vec![
+                    ("node", ArgValue::U64(sender as u64)),
+                    ("down_ticks", ArgValue::U64(point.down_ticks)),
+                ]
+            });
+        } else if self.shard.slots[l].since_snapshot >= self.snapshot_every {
+            let mut acks = Vec::new();
+            self.checkpoint(l, true, &mut acks);
+            self.pump(acks);
+        }
+    }
+
+    /// Send what node `sender`'s step sent to every other node. Under a
+    /// fault plan every send — local or remote — is staged in the
+    /// substrate (sequence number + outbox entry) and the next snapshot
+    /// commits it to the wire through the fault gauntlet. Without one,
+    /// local inboxes take the sent slice in memory and remote workers
+    /// one [`Msg::Batch`] per destination node (the Safra counter
+    /// counts batches). One encoding of the send — with the trace
+    /// context stamped in when tracing is on — serves every destination
+    /// that needs bytes.
+    fn route(&mut self, sender: usize, outcome: &NodeStepOutcome) {
+        if outcome.sent.is_empty() {
+            return;
+        }
+        let track = sender as u32 + 1;
+        let _span = self.obs.span_on("runtime", track, || "route".to_string());
+        let mut encoded: Option<Arc<[u8]>> = None;
+        let mut payload = || encoded.get_or_insert_with(|| encode(outcome)).clone();
+        for g in (0..self.owner.len()).filter(|&g| g != sender) {
+            let owner = self.owner[g];
+            if let Some(rnet) = self.rnet.as_mut() {
+                rnet.send_payload(sender, g, payload());
+            } else if owner == self.id {
+                let (node, metrics) = self.shard.receiving(g, outcome.sent.len());
+                node.enqueue(&outcome.sent, outcome.mid, metrics, self.obs);
+            } else {
+                let payload = payload();
+                self.shard.stats.wire_bytes += payload.len() as u64;
+                if self.count_msgs {
+                    self.counter += 1;
+                }
+                self.ports.send(owner, Msg::Batch { node: g, payload });
+            }
+        }
+    }
+
+    /// Phase 4, fault mode: the extended passivity predicate. Before
+    /// joining the token protocol, flush snapshots for slots whose
+    /// receive cursors can advance (emitting the cumulative acks peers
+    /// are waiting for) or that hold staged sends (committing them to
+    /// the wire). If the substrate still has obligations — unacked
+    /// sends, wires in the delay buffer, nodes in recovery — the worker
+    /// is *not* passive: it withholds the token and waits with a
+    /// timeout so the fault clock keeps ticking and due retransmissions
+    /// fire. This is how Safra is taught about retransmissions and
+    /// in-recovery nodes.
+    fn flush(&mut self) -> Flow {
+        if self.rnet.is_none() {
+            return Flow::Next;
+        }
+        let mut span = None;
+        let mut acks = Vec::new();
+        for l in 0..self.shard.slots.len() {
+            // Supervised adds a third flush reason: *any* progress
+            // since the last shipped snapshot. The supervisor's
+            // retained version then equals the final state once the
+            // ring concludes — a kill landing after Terminate can
+            // still be restored byte-identically.
+            let slot = &self.shard.slots[l];
+            let rnet = self.rnet.as_ref().expect("checked above");
+            if rnet.ackable(slot.global)
+                || rnet.staged(slot.global)
+                || (self.supervised && slot.since_snapshot > 0)
+            {
+                span.get_or_insert_with(|| self.phase("worker.flush"));
+                self.checkpoint(l, true, &mut acks);
+            }
+        }
+        self.pump(acks);
+        drop(span);
+        if !self.rnet.as_ref().is_some_and(ReliableNet::has_obligations) {
+            return Flow::Next;
+        }
+        let _span = self.phase("worker.wait");
+        let terminate = match self.ports.recv_timeout(TIMER_WAIT) {
+            Ok(msg) => self.on_msg(msg),
+            Err(RecvTimeoutError::Timeout) => false,
+            Err(RecvTimeoutError::Disconnected) => true,
+        };
+        if terminate {
+            Flow::Exit
+        } else {
+            Flow::Again
+        }
+    }
+
+    /// Phase 5, passive: the token protocol, over the *live* ring. The
+    /// initiator is the lowest live position (worker 0 unless its
+    /// budget ran out and its shard was adopted), and the token skips
+    /// dead positions.
+    fn token_turn(&mut self) -> Flow {
+        let live_count = self.live.iter().filter(|&&b| b).count();
         if live_count <= 1 {
             // Sole live worker: passivity is global quiescence.
-            break;
+            return Flow::Exit;
         }
-        let initiator = w.live.iter().position(|&b| b).unwrap_or(0);
-        if id == initiator {
-            match w.held_token.take() {
-                Some(token) => {
-                    // The probe is back: either we terminate or we
-                    // launch a fresh one (probe_outstanding stays true).
-                    if token.concludes(w.counter, w.black) {
-                        // Termination: nothing in flight, all passive
-                        // through a full white round.
-                        for (peer, &alive) in w.live.iter().enumerate() {
-                            if peer != id && alive {
-                                ports.send(peer, Msg::Terminate);
-                            }
-                        }
-                        break;
-                    }
-                    // Inconclusive: whiten and re-probe.
-                    w.black = false;
-                    w.probe_outstanding = true;
-                    w.shard.stats.token_passes += 1;
-                    let mut t = Token::probe(w.ring_epoch);
-                    t.passes = token.passes + 1;
-                    ports.send(next_live(&w.live, id), Msg::Token(t));
-                }
-                None if !w.probe_outstanding => {
-                    w.probe_outstanding = true;
-                    w.black = false;
-                    w.shard.stats.token_passes += 1;
-                    let probe = Token::probe(w.ring_epoch);
-                    ports.send(next_live(&w.live, id), Msg::Token(probe));
-                }
-                None => {}
+        let _span = self.phase("worker.token");
+        let next = next_live(&self.live, self.id);
+        let initiator = self.live.iter().position(|&b| b).unwrap_or(0);
+        if self.id != initiator {
+            if let Some(mut token) = self.held_token.take() {
+                token.absorb(self.counter, self.black);
+                self.black = false;
+                self.shard.stats.token_passes += 1;
+                self.ports.send(next, Msg::Token(token));
             }
-        } else if let Some(mut token) = w.held_token.take() {
-            token.absorb(w.counter, w.black);
-            w.black = false;
-            w.shard.stats.token_passes += 1;
-            ports.send(next_live(&w.live, id), Msg::Token(token));
+            return Flow::Next;
         }
+        let returned = self.held_token.take();
+        if let Some(token) = &returned {
+            if token.concludes(self.counter, self.black) {
+                // Termination: nothing in flight, all passive through a
+                // full white round.
+                for (peer, &alive) in self.live.iter().enumerate() {
+                    if peer != self.id && alive {
+                        self.ports.send(peer, Msg::Terminate);
+                    }
+                }
+                return Flow::Exit;
+            }
+        }
+        if returned.is_some() || !self.probe_outstanding {
+            // The first probe, or an inconclusive one is back: whiten
+            // and probe (again).
+            self.probe_outstanding = true;
+            self.black = false;
+            self.shard.stats.token_passes += 1;
+            let mut probe = Token::probe(self.ring_epoch);
+            probe.passes = returned.map_or(0, |t| t.passes + 1);
+            self.ports.send(next, Msg::Token(probe));
+        }
+        Flow::Next
+    }
 
-        // 4. Block until something arrives (a batch reactivates us, a
-        // token resumes the probe, Terminate ends the run). Supervised:
-        // wake on the heartbeat clock so an idle worker still proves
-        // liveness (and its supervisor never mistakes waiting for a
-        // token withheld across a crash window for a hang).
-        let msg = if supervised {
-            match ports.recv_timeout(HEARTBEAT_EVERY) {
+    /// Phase 6: block until something arrives (a batch reactivates us,
+    /// a token resumes the probe, Terminate ends the run). Supervised:
+    /// wake on the heartbeat clock so an idle worker still proves
+    /// liveness (and its supervisor never mistakes waiting for a token
+    /// withheld across a crash window for a hang).
+    fn wait(&mut self) -> Flow {
+        let _span = self.phase("worker.wait");
+        let msg = if self.supervised {
+            match self.ports.recv_timeout(HEARTBEAT_EVERY) {
                 Ok(m) => m,
                 Err(RecvTimeoutError::Timeout) => {
-                    ports.heartbeat();
-                    last_beat = Instant::now();
-                    continue;
+                    self.ports.heartbeat();
+                    self.last_beat = Instant::now();
+                    return Flow::Again;
                 }
-                Err(RecvTimeoutError::Disconnected) => break,
+                Err(RecvTimeoutError::Disconnected) => return Flow::Exit,
             }
         } else {
-            match ports.recv() {
+            match self.ports.recv() {
                 Ok(m) => m,
-                Err(_) => break,
+                Err(_) => return Flow::Exit,
             }
         };
-        if w.on_msg(msg) {
-            break;
+        if self.on_msg(msg) {
+            Flow::Exit
+        } else {
+            Flow::Again
         }
     }
 
-    // A lost transport link forfeits the quiescence claim: facts may
-    // have been abandoned in flight. So does a scripted kill — the
-    // process is about to die without flushing anything.
-    let Shard {
-        slots,
-        metrics,
-        mut stats,
-        ..
-    } = w.shard;
-    let mut clean = slots.iter().all(|s| !s.dirty && s.pending.is_empty())
-        && !stats.exhausted
-        && ports.link_ok()
-        && !killed;
-    if let Some(rnet) = w.rnet.as_mut() {
-        // A message abandoned to the retry budget means fairness was
-        // not restored: the run must not claim quiescence.
-        rnet.finalize();
-        clean &= rnet.stats.retry_exhausted == 0;
-        stats.faults = rnet.stats;
-        stats.link_counters = std::mem::take(&mut rnet.link_counters);
-        stats.wire_bytes += rnet.wire_bytes;
+    /// Take the worker apart into its final report.
+    fn finish(mut self) -> WorkerOutcome {
+        let Shard {
+            slots,
+            metrics,
+            mut stats,
+            ..
+        } = self.shard;
+        // A lost transport link forfeits the quiescence claim: facts may
+        // have been abandoned in flight. So does a scripted kill — the
+        // process is about to die without flushing anything.
+        let mut clean = !slots.iter().any(Slot::has_work)
+            && !stats.exhausted
+            && self.ports.link_ok()
+            && !self.killed;
+        if let Some(rnet) = self.rnet.as_mut() {
+            // A message abandoned to the retry budget means fairness was
+            // not restored: the run must not claim quiescence.
+            rnet.finalize();
+            clean &= rnet.stats.retry_exhausted == 0;
+            stats.faults = rnet.stats;
+            stats.link_counters = std::mem::take(&mut rnet.link_counters);
+            stats.wire_bytes += rnet.wire_bytes;
+        }
+        // Adoption may have grown the shard since the initial assignment.
+        let node_ids = self.fab.node_ids;
+        stats.nodes = slots.iter().map(|s| node_ids[s.global].clone()).collect();
+        stats.buffered = slots.iter().map(|s| s.node.inbox().len()).sum();
+        stats.metrics = metrics;
+        let states = slots
+            .into_iter()
+            .map(|s| (node_ids[s.global].clone(), s.node.into_parts().0))
+            .collect();
+        WorkerOutcome {
+            report: FinalReport {
+                states,
+                stats,
+                clean,
+            },
+            killed: self.killed,
+        }
     }
-    // Adoption may have grown the shard since the initial assignment.
-    stats.nodes = slots.iter().map(|s| node_ids[s.global].clone()).collect();
-    stats.buffered = slots.iter().map(|s| s.pending.len()).sum();
-    stats.metrics = metrics;
-    WorkerOutcome {
-        report: FinalReport {
-            states: slots
-                .into_iter()
-                .map(|s| (node_ids[s.global].clone(), s.engine.into_state()))
-                .collect(),
-            stats,
-            clean,
-        },
-        killed,
+}
+
+/// Build a [`Worker`], loop over its phases until one says to leave,
+/// take it apart.
+pub(crate) fn run_worker<'a>(ctx: WorkerCtx<'a>) -> WorkerOutcome {
+    let mut w = Worker::new(ctx);
+    let phases: [fn(&mut Worker<'a>) -> Flow; 6] = [
+        Worker::drain,
+        Worker::tick,
+        Worker::step_shard,
+        Worker::flush,
+        Worker::token_turn,
+        Worker::wait,
+    ];
+    'run: loop {
+        w.beat();
+        for phase in phases {
+            match phase(&mut w) {
+                Flow::Next => {}
+                Flow::Again => continue 'run,
+                Flow::Exit => break 'run,
+            }
+        }
     }
+    w.finish()
 }
 
 #[cfg(test)]
@@ -1471,34 +1433,47 @@ mod tests {
             empty: &Instance::new(),
         };
         let plan = FaultPlan::none(1);
-        let obs = Obs::noop();
+        // A live handle, so that the node mints ids.
+        let obs = Obs::new(Arc::new(calm_obs::NoopSink));
         let mut rnet = ReliableNet::new(&plan, &[0], &obs);
         let mut metrics = Metrics::default();
         let mut slot = fab.slot(0);
         let mut step = |slot: &mut Slot<'_>, delivered: &[Fact]| {
-            let n = delivered.len();
+            slot.node
+                .enqueue(delivered, Some((1, 0)), &mut metrics, &obs);
             let sent = Some(&mut slot.ever_sent);
-            slot.engine.apply(delivered, n, sent, &mut metrics, &obs);
+            slot.node.step(Delivery::All, sent, &mut metrics, &obs)
         };
-        step(&mut slot, &[]);
+        assert_eq!(step(&mut slot, &[]).mid, Some((0, 0)));
         take_snapshot(&mut slot, &mut rnet, &mut Vec::new());
         let snap = slot.snap.clone().expect("just taken");
-        assert_eq!(snap.state, slot.engine.state());
-        // Progress past the checkpoint, with the engine warm.
-        step(&mut slot, &[fact("m_E", [3, 4])]);
-        assert!(!slot.engine.is_cold());
-        assert_ne!(slot.engine.state(), snap.state);
+        assert_eq!(snap.state, slot.node.state());
+        // Progress past the checkpoint, with the engine warm and a fact
+        // waiting in the inbox.
+        assert_eq!(step(&mut slot, &[fact("m_E", [3, 4])]).mid, Some((0, 1)));
+        let waiting = [fact("m_E", [4, 5])];
+        let node = &mut slot.node;
+        node.enqueue(&waiting, None, &mut Metrics::default(), &obs);
+        assert!(!slot.node.is_cold());
+        assert_ne!(slot.node.state(), snap.state);
         // Crash rollback and supervised restore share this path.
         slot.roll_back(&snap, &mut rnet);
-        assert!(slot.engine.is_cold(), "nothing warm survives a restore");
-        assert_eq!(slot.engine.state(), snap.state);
+        assert!(slot.node.is_cold(), "nothing warm survives a restore");
+        assert_eq!(slot.node.state(), snap.state);
+        assert_eq!(slot.node.inbox(), &snap.pending, "the inbox goes back too");
         assert!(slot.dirty && slot.ever_sent == snap.ever_sent);
-        // The redone step lands where the first one did.
-        step(&mut slot, &[fact("m_E", [3, 4])]);
+        // The redone step lands where the first one did — as a new send
+        // event: the ids do not roll back with the state.
+        assert_eq!(slot.node.next_seq(), 2);
+        assert_eq!(step(&mut slot, &[fact("m_E", [3, 4])]).mid, Some((0, 2)));
         let mut reference = fab.slot(0);
         step(&mut reference, &[]);
         step(&mut reference, &[fact("m_E", [3, 4])]);
-        assert_eq!(slot.engine.state(), reference.engine.state());
+        assert_eq!(slot.node.state(), reference.node.state());
+        // A supervised restore resumes a dead incarnation's numbering.
+        reference.restore(snap, 3, 7, 40, &mut rnet);
+        assert_eq!((reference.transitions, reference.snap_version), (7, 3));
+        assert_eq!(reference.node.next_seq(), 40);
     }
 
     #[test]

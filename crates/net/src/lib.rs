@@ -55,6 +55,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
 pub mod executor;
 pub mod faults;

@@ -241,36 +241,24 @@ impl<'a> ReliableNet<'a> {
     /// suppressions, anomalies) go to `obs`; pass [`Obs::noop`] to
     /// trace nothing.
     pub fn new(plan: &'a FaultPlan, local_nodes: &[usize], obs: &Obs) -> ReliableNet<'a> {
-        let mut crash_queue: BTreeMap<usize, VecDeque<CrashPoint>> = BTreeMap::new();
-        for &g in local_nodes {
-            let mut points: Vec<CrashPoint> = plan
-                .crashes
-                .iter()
-                .filter(|c| c.node == g)
-                .copied()
-                .collect();
-            points.sort_by_key(|c| c.at_transition);
-            if !points.is_empty() {
-                crash_queue.insert(g, points.into());
-            }
-        }
-        ReliableNet {
+        let mut net = ReliableNet {
             plan,
             obs: obs.clone(),
             tick: 0,
             next_seq: BTreeMap::new(),
             delayed: BTreeMap::new(),
             delayed_ctr: 0,
-            links: local_nodes
-                .iter()
-                .map(|&g| (g, NodeLinks::default()))
-                .collect(),
+            links: BTreeMap::new(),
             down_until: BTreeMap::new(),
-            crash_queue,
+            crash_queue: BTreeMap::new(),
             stats: FaultStats::default(),
             link_counters: BTreeMap::new(),
             wire_bytes: 0,
+        };
+        for &g in local_nodes {
+            net.adopt(g);
         }
+        net
     }
 
     /// Current logical time.
@@ -686,11 +674,12 @@ impl<'a> ReliableNet<'a> {
         self.links.insert(node, snap);
     }
 
-    /// Register a node this worker did not originally own (shard
-    /// adoption after a dead peer's respawn budget ran out): create its
-    /// link state — typically overwritten right away by
-    /// [`ReliableNet::restore`] from the coordinator's retained
-    /// snapshot — and queue any of the plan's crash points for it.
+    /// Register a node with this worker — its own at start-up, or one
+    /// it did not originally own (shard adoption after a dead peer's
+    /// respawn budget ran out): create its link state — for an adopted
+    /// node typically overwritten right away by [`ReliableNet::restore`]
+    /// from the coordinator's retained snapshot — and queue any of the
+    /// plan's crash points for it, sorted by transition.
     pub fn adopt(&mut self, node: usize) {
         self.links.entry(node).or_default();
         let mut points: Vec<CrashPoint> = self

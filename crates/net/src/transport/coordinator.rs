@@ -12,12 +12,16 @@
 //! messages sent before it on the same path.
 //!
 //! Crash semantics: a worker connection that ends before its `Final`
-//! frame is a failed worker. The coordinator does not try to resurrect
-//! it — it broadcasts `Terminate` so the surviving workers (whose token
-//! ring is now broken and would otherwise block forever) finish up and
-//! report, then returns a non-quiescent result listing the failures.
-//! Non-quiescent termination fires the flight-recorder trigger, so a
-//! killed worker produces a dump, not a hang.
+//! frame is a dead worker. With a respawn budget the coordinator is a
+//! [`Supervisor`]: it fences the ring in a fresh epoch, respawns the
+//! position and hands it its shard's latest retained snapshots back in
+//! a re-`Assign`; when the budget is spent the survivors adopt the
+//! shard. With a budget of zero (or no survivor left) it broadcasts
+//! `Terminate` so the surviving workers (whose token ring is now broken
+//! and would otherwise block forever) finish up and report, then
+//! returns a non-quiescent result listing the failures. Non-quiescent
+//! termination fires the flight-recorder trigger, so a killed worker
+//! produces a dump, not a hang.
 
 use super::proto::{
     decode_ctrl, encode_ctrl, Assign, CtrlMsg, FinalReport, JobSpec, PROTOCOL_VERSION,
@@ -33,8 +37,9 @@ use calm_transducer::network::NodeId;
 use calm_transducer::runtime::Metrics;
 use std::collections::BTreeMap;
 use std::net::{TcpListener, TcpStream};
-use std::sync::mpsc::{RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Ephemeral-port binding is retried: a transient `EADDRINUSE` (the OS
@@ -447,454 +452,528 @@ fn reap(handle: SpawnHandle) {
     }
 }
 
+/// Keep a shipped checkpoint of `node` unless a later version is held.
+fn retain(
+    retained: &mut BTreeMap<usize, (u64, Vec<u8>)>,
+    node: usize,
+    version: u64,
+    blob: Vec<u8>,
+) {
+    if retained.get(&node).is_none_or(|(held, _)| *held <= version) {
+        retained.insert(node, (version, blob));
+    }
+}
+
+/// The nodes worker `k` owns.
+fn owned_by(k: usize, owner: &[usize]) -> impl Iterator<Item = usize> + '_ {
+    (0..owner.len()).filter(move |&g| owner[g] == k)
+}
+
+/// The retained checkpoints of `nodes` as `(node, version, blob)`: what
+/// a re-`Assign` hands a respawned worker back, and what a `Reassign`
+/// carries to an adoptive one. A node that never shipped one is left
+/// out — its fresh start is its committed history.
+fn handed_back(
+    nodes: impl IntoIterator<Item = usize>,
+    retained: &BTreeMap<usize, (u64, Vec<u8>)>,
+) -> Vec<(usize, u64, Vec<u8>)> {
+    let held = |g| retained.get(&g).map(|(v, b)| (g, *v, b.clone()));
+    nodes.into_iter().filter_map(held).collect()
+}
+
+/// Deal dead position `k`'s nodes round-robin over `survivors` (not
+/// empty) in `owner`. Returns what each survivor adopts.
+fn deal(k: usize, owner: &mut [usize], survivors: &[usize]) -> BTreeMap<usize, Vec<usize>> {
+    let mut adopts: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+    let mut turn = survivors.iter().cycle();
+    for (g, o) in owner.iter_mut().enumerate() {
+        if *o == k {
+            *o = *turn.next().expect("a survivor to adopt");
+            adopts.entry(*o).or_default().push(g);
+        }
+    }
+    adopts
+}
+
+/// Whether position `k` still owes its final report: it has not
+/// reported, its shard has not been adopted, and it has not failed.
+/// The run is done when no position does.
+fn owes_final(k: usize, finals: &[Option<FinalReport>], live: &[bool], failed: &[usize]) -> bool {
+    finals[k].is_none() && live[k] && !failed.contains(&k)
+}
+
+/// The coordinator of one process-engine run: the worker processes,
+/// the relay between them, and — when the respawn budget is not zero —
+/// their supervision. Without supervision a death fails the run:
+/// Terminate is broadcast, the survivors drain.
+struct Supervisor<'a> {
+    cfg: &'a ProcessConfig,
+    spawner: &'a Spawner<'a>,
+    obs: &'a Obs,
+    workers: usize,
+    supervised: bool,
+    listener: TcpListener,
+    addr: String,
+
+    // The relay fabric.
+    /// Per-position write queues, behind a shared lock so that routes
+    /// resolve at delivery time and a respawn can swap the dead
+    /// position's queue for the new incarnation's. A position's queue
+    /// is closed until its worker is wired in.
+    writers: Arc<Mutex<Vec<Sender<Vec<u8>>>>>,
+    /// What the relay readers report through. Dropped after the start
+    /// of an unsupervised run, whose receiver must disconnect once
+    /// every reader has exited.
+    events_tx: Option<Sender<Event>>,
+    events_rx: Receiver<Event>,
+    reader_threads: Vec<JoinHandle<()>>,
+    writer_threads: Vec<JoinHandle<()>>,
+    shutdown_streams: Vec<Option<TcpStream>>,
+    handles: Vec<Option<SpawnHandle>>,
+
+    // The ring positions.
+    finals: Vec<Option<FinalReport>>,
+    failed: Vec<usize>,
+    adopted: Vec<usize>,
+    incarnation: Vec<u64>,
+    respawns_left: Vec<u32>,
+    last_seen: Vec<Instant>,
+    live: Vec<bool>,
+    owner: Vec<usize>,
+    /// Node → the latest checkpoint its worker shipped.
+    retained: BTreeMap<usize, (u64, Vec<u8>)>,
+    ring_epoch: u64,
+    /// A relayed `Route` carried `Msg::Terminate`: the ring concluded.
+    terminate_seen: bool,
+    /// Set once this coordinator has broadcast `Terminate` itself: when
+    /// it stops waiting for the survivors' reports.
+    drain_deadline: Option<Instant>,
+    respawns: u64,
+    downs: u64,
+}
+
+impl<'a> Supervisor<'a> {
+    fn new(
+        cfg: &'a ProcessConfig,
+        spawner: &'a Spawner<'a>,
+        obs: &'a Obs,
+    ) -> Result<Supervisor<'a>, NetError> {
+        let workers = cfg.procs.clamp(1, cfg.spec.nodes.max(1));
+        let listener = bind_with_retry()?;
+        let addr = listener.local_addr().map_err(NetError::Listen)?.to_string();
+        let (events_tx, events_rx) = std::sync::mpsc::channel();
+        let closed = |_| std::sync::mpsc::channel().0;
+        Ok(Supervisor {
+            cfg,
+            spawner,
+            obs,
+            workers,
+            supervised: cfg.respawn_budget > 0,
+            listener,
+            addr,
+            writers: Arc::new(Mutex::new((0..workers).map(closed).collect())),
+            events_tx: Some(events_tx),
+            events_rx,
+            reader_threads: Vec::with_capacity(workers),
+            writer_threads: Vec::with_capacity(workers),
+            shutdown_streams: (0..workers).map(|_| None).collect(),
+            handles: (0..workers).map(|_| None).collect(),
+            finals: (0..workers).map(|_| None).collect(),
+            failed: Vec::new(),
+            adopted: Vec::new(),
+            incarnation: vec![0; workers],
+            respawns_left: vec![cfg.respawn_budget; workers],
+            last_seen: vec![Instant::now(); workers],
+            live: vec![true; workers],
+            owner: (0..cfg.spec.nodes).map(|g| g % workers).collect(),
+            retained: BTreeMap::new(),
+            ring_epoch: 0,
+            terminate_seen: false,
+            drain_deadline: None,
+            respawns: 0,
+            downs: 0,
+        })
+    }
+
+    /// Spawn the workers, pass the handshake barrier and wire each one
+    /// in: every `Assign` is sent only after *all* workers said hello.
+    fn start(&mut self) -> Result<(), NetError> {
+        let (workers, nodes) = (self.workers as u64, self.cfg.spec.nodes as u64);
+        self.obs.event("net", "executor_start", 0, || {
+            vec![
+                ("workers", ArgValue::U64(workers)),
+                ("nodes", ArgValue::U64(nodes)),
+                ("engine", ArgValue::Str("process".into())),
+            ]
+        });
+        for k in 0..self.workers {
+            let spawned = (self.spawner)(k, &self.addr);
+            let handle = spawned.map_err(|e| NetError::Spawn(format!("worker {k}: {e}")))?;
+            self.handles[k] = Some(handle);
+        }
+        let streams = handshake(&self.listener, self.workers, self.cfg.handshake_deadline)?;
+        // The table stays locked until the whole fleet is wired in: a
+        // relay reader started here routes only once every queue it may
+        // route to exists.
+        let table = self.writers.clone();
+        let mut writers = lock_writers(&table);
+        for (k, stream) in streams.into_iter().enumerate() {
+            let assign = self.assign(k);
+            self.wire_in(&mut writers, k, stream, assign)?;
+        }
+        if !self.supervised {
+            self.events_tx = None;
+        }
+        Ok(())
+    }
+
+    /// The assignment of worker `k`'s current incarnation, its trace
+    /// and flight paths suffixed so concurrent writers never share a
+    /// file, with the default topology.
+    fn assign(&self, k: usize) -> Assign {
+        let inc = self.incarnation[k];
+        let spec = JobSpec {
+            trace_prefix: suffixed(&self.cfg.spec.trace_prefix, k, inc),
+            flight_path: suffixed(&self.cfg.spec.flight_path, k, inc),
+            ..self.cfg.spec.clone()
+        };
+        let mut assign = Assign::new(k, self.workers, spec);
+        assign.supervised = self.supervised;
+        assign.incarnation = inc;
+        assign
+    }
+
+    /// Hand an incarnation of worker `k` its assignment and wire it
+    /// into the relay, the first and every later one alike: the `Assign`
+    /// frame, then a fresh write queue in position `k` of `writers`
+    /// (the queue of a dead incarnation dies with its writer thread,
+    /// silently discarding crash-window traffic — the senders' outbox
+    /// obligations replay it), then the relay pair.
+    fn wire_in(
+        &mut self,
+        writers: &mut [Sender<Vec<u8>>],
+        k: usize,
+        mut stream: TcpStream,
+        assign: Assign,
+    ) -> Result<(), NetError> {
+        let incarnation = assign.incarnation;
+        frame::write_frame(&mut stream, &encode_ctrl(&CtrlMsg::Assign(assign)))
+            .map_err(|e| NetError::Handshake(format!("assign to worker {k}: {e}")))?;
+        let write_half = stream.try_clone().map_err(NetError::Listen)?;
+        self.shutdown_streams[k] = stream.try_clone().ok();
+        let (tx, rx) = std::sync::mpsc::channel();
+        writers[k] = tx;
+        let writer = std::thread::spawn(move || relay_writer(write_half, rx));
+        self.writer_threads.push(writer);
+        let table = self.writers.clone();
+        let events = self.events_tx.clone().expect("held while workers join");
+        let reader =
+            std::thread::spawn(move || relay_reader(k, incarnation, stream, table, events));
+        self.reader_threads.push(reader);
+        self.last_seen[k] = Instant::now();
+        Ok(())
+    }
+
+    /// Queue `msg` for the writer of every position in `to`. A dead
+    /// position's queue swallows the send; the substrate's
+    /// retransmissions re-cover the loss.
+    fn push(&self, to: impl IntoIterator<Item = usize>, msg: Msg) {
+        let frame = encode_ctrl(&CtrlMsg::Deliver(msg));
+        let writers = lock_writers(&self.writers);
+        for k in to {
+            let _ = writers[k].send(frame.clone());
+        }
+    }
+
+    /// Tell the positions in `to` that the ring is in `ring_epoch` now.
+    fn reset_ring(&self, to: impl IntoIterator<Item = usize>) {
+        let epoch = self.ring_epoch;
+        self.push(to, Msg::Reset { epoch });
+    }
+
+    /// Break the survivors out of the ring (once) and give them the
+    /// drain deadline to report.
+    fn terminate_and_drain(&mut self) {
+        if self.drain_deadline.is_none() {
+            self.push(0..self.workers, Msg::Terminate);
+        }
+        self.drain_deadline = Some(Instant::now() + DRAIN_DEADLINE);
+    }
+
+    fn owes_final(&self, k: usize) -> bool {
+        owes_final(k, &self.finals, &self.live, &self.failed)
+    }
+
+    fn live_positions(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.workers).filter(|&w| self.live[w])
+    }
+
+    /// The event loop: relay reports until every position has reported,
+    /// been adopted or failed.
+    fn supervise(&mut self) {
+        while (0..self.workers).any(|k| self.owes_final(k)) {
+            if self.drain_deadline.is_some_and(|d| Instant::now() > d) {
+                // Survivors that never honored the Terminate are
+                // failures too.
+                let late: Vec<usize> = (0..self.workers).filter(|&k| self.owes_final(k)).collect();
+                self.failed.extend(late);
+                break;
+            }
+            match self.events_rx.recv_timeout(TICK) {
+                Ok(Event::Final(k, inc, report)) => {
+                    if inc == self.incarnation[k] {
+                        self.last_seen[k] = Instant::now();
+                        self.finals[k] = Some(report);
+                    }
+                }
+                Ok(Event::Snapshot(src, node, version, blob)) => {
+                    self.last_seen[src] = Instant::now();
+                    retain(&mut self.retained, node, version, blob);
+                }
+                Ok(Event::Heartbeat(src)) => self.last_seen[src] = Instant::now(),
+                Ok(Event::TerminateSeen) => self.terminate_seen = true,
+                Ok(Event::Gone(k, inc, why)) => self.on_gone(k, inc, why),
+                Err(RecvTimeoutError::Timeout) => self.sweep_liveness(),
+                Err(RecvTimeoutError::Disconnected) => break,
+            }
+        }
+    }
+
+    /// Worker `k`'s connection ended. Unless it is a zombie frame, a
+    /// clean close or a position already dealt with: abort the run
+    /// (unsupervised), or fence the ring and respawn the worker — and
+    /// when its budget is spent, have the survivors adopt its shard.
+    fn on_gone(&mut self, k: usize, inc: u64, why: String) {
+        if inc != self.incarnation[k] || !self.owes_final(k) {
+            return;
+        }
+        self.downs += 1;
+        self.obs.event("net", "worker_down", k as u32 + 1, || {
+            vec![
+                ("worker", ArgValue::U64(k as u64)),
+                ("incarnation", ArgValue::U64(inc)),
+                ("reason", ArgValue::Str(why)),
+            ]
+        });
+        if !self.supervised {
+            // The PR 8 abort path: fail the run, break the survivors
+            // out of the ring, drain.
+            self.failed.push(k);
+            return self.terminate_and_drain();
+        }
+        // Fence the ring for the crash window: bump the epoch so tokens
+        // written to the dead socket die stale, and every survivor
+        // blackens and withholds conclusions until the post-recovery
+        // reset.
+        self.ring_epoch += 1;
+        self.reset_ring(self.live_positions().filter(|&w| w != k));
+        if !self.respawn(k) {
+            self.adopt(k);
+        }
+    }
+
+    /// Respawn position `k` with exponential backoff until one attempt
+    /// sticks (`true`) or its budget runs out.
+    fn respawn(&mut self, k: usize) -> bool {
+        while self.respawns_left[k] > 0 {
+            self.respawns_left[k] -= 1;
+            self.respawns += 1;
+            let attempt = self.cfg.respawn_budget - self.respawns_left[k];
+            if let Some(h) = self.handles[k].take() {
+                reap(h);
+            }
+            let doublings = attempt.saturating_sub(1).min(8);
+            std::thread::sleep(self.cfg.respawn_backoff * 2u32.saturating_pow(doublings));
+            self.incarnation[k] += 1;
+            let Ok(handle) = (self.spawner)(k, &self.addr) else {
+                continue;
+            };
+            self.handles[k] = Some(handle);
+            let deadline = Instant::now() + self.cfg.handshake_deadline;
+            let stream = match accept_hello(&self.listener, deadline) {
+                Ok(HelloOutcome::Worker(w, s)) if w == k => s,
+                _ => continue,
+            };
+            // Recovery epoch: minted into the re-Assign and broadcast
+            // once the new incarnation is wired in.
+            self.ring_epoch += 1;
+            let mut assign = self.assign(k);
+            assign.epoch = self.ring_epoch;
+            assign.owner = Some(self.owner.clone());
+            assign.live = self.live.clone();
+            assign.restore = handed_back(owned_by(k, &self.owner), &self.retained);
+            let (inc, restored_nodes) = (assign.incarnation, assign.restore.len() as u64);
+            let table = self.writers.clone();
+            let wired = self.wire_in(&mut lock_writers(&table), k, stream, assign);
+            if wired.is_err() {
+                continue;
+            }
+            // Recovery complete: reset the ring in the new epoch so the
+            // initiator relaunches the probe.
+            self.reset_ring(self.live_positions());
+            if self.terminate_seen {
+                // The ring already concluded; the respawn only needs to
+                // flush its restored states.
+                self.push([k], Msg::Terminate);
+            }
+            let epoch = self.ring_epoch;
+            self.obs.event("net", "worker_respawn", k as u32 + 1, || {
+                vec![
+                    ("worker", ArgValue::U64(k as u64)),
+                    ("incarnation", ArgValue::U64(inc)),
+                    ("restored_nodes", ArgValue::U64(restored_nodes)),
+                    ("epoch", ArgValue::U64(epoch)),
+                ]
+            });
+            return true;
+        }
+        false
+    }
+
+    /// Position `k`'s budget is spent: degrade gracefully. Remove it
+    /// from the ring and hand its shard — latest retained snapshot per
+    /// node — to the survivors, round-robin; with no survivor left, the
+    /// run has failed.
+    fn adopt(&mut self, k: usize) {
+        self.live[k] = false;
+        self.incarnation[k] += 1; // fence stragglers
+        let survivors: Vec<usize> = (0..self.workers).filter(|&w| self.owes_final(w)).collect();
+        if survivors.is_empty() {
+            self.failed.push(k);
+            return self.terminate_and_drain();
+        }
+        self.adopted.push(k);
+        let mut adopts = deal(k, &mut self.owner, &survivors);
+        self.ring_epoch += 1;
+        // Reassign before Reset on every survivor's queue: the adoptive
+        // worker installs its new shard, then joins the fresh ring
+        // epoch.
+        for &w in &survivors {
+            let msg = Msg::Reassign {
+                owner: self.owner.clone(),
+                live: self.live.clone(),
+                adopted: handed_back(adopts.remove(&w).unwrap_or_default(), &self.retained),
+            };
+            self.push([w], msg);
+        }
+        self.reset_ring(survivors.iter().copied());
+        let epoch = self.ring_epoch;
+        self.obs.event("net", "reassign", k as u32 + 1, || {
+            vec![
+                ("worker", ArgValue::U64(k as u64)),
+                ("survivors", ArgValue::U64(survivors.len() as u64)),
+                ("epoch", ArgValue::U64(epoch)),
+            ]
+        });
+    }
+
+    /// Supervised: a connected-but-silent worker past the liveness
+    /// timeout is killed and recovered like a dead socket (its reader
+    /// reports `Gone`).
+    fn sweep_liveness(&mut self) {
+        let (true, Some(timeout)) = (self.supervised, self.cfg.liveness_timeout) else {
+            return;
+        };
+        for w in 0..self.workers {
+            if !self.owes_final(w) || self.last_seen[w].elapsed() <= timeout {
+                continue;
+            }
+            let inc = self.incarnation[w];
+            self.obs.event("net", "worker_hung", w as u32 + 1, || {
+                vec![
+                    ("worker", ArgValue::U64(w as u64)),
+                    ("incarnation", ArgValue::U64(inc)),
+                ]
+            });
+            self.last_seen[w] = Instant::now();
+            if let Some(s) = &self.shutdown_streams[w] {
+                let _ = s.shutdown(std::net::Shutdown::Both);
+            }
+            if let Some(SpawnHandle::Process(child)) = self.handles[w].as_mut() {
+                let _ = child.kill();
+            }
+        }
+    }
+
+    /// Close every stream (unblocks workers parked in recv and our own
+    /// reader threads), join the readers, drop the write-queue table
+    /// (the readers' clones go with them), join the writers, stop
+    /// listening, reap every worker.
+    fn teardown(&mut self) {
+        for s in self.shutdown_streams.iter().flatten() {
+            let _ = s.shutdown(std::net::Shutdown::Both);
+        }
+        self.events_tx = None;
+        for t in self.reader_threads.drain(..) {
+            let _ = t.join();
+        }
+        lock_writers(&self.writers).clear();
+        for t in self.writer_threads.drain(..) {
+            let _ = t.join();
+        }
+        for h in self.handles.iter_mut().filter_map(Option::take) {
+            reap(h);
+        }
+    }
+
+    /// Tear the run down and come out through the join the threaded
+    /// engine uses, so the merged metrics are deterministic given the
+    /// per-worker values.
+    fn finish(mut self) -> ProcessRunResult {
+        self.teardown();
+        self.failed.sort_unstable();
+        self.adopted.sort_unstable();
+        // Every death counts as a crash, whether supervision absorbed
+        // it or not; the unsupervised path has no `downs` beyond the
+        // failures.
+        let deaths = if self.supervised {
+            self.downs
+        } else {
+            self.failed.len() as u64
+        };
+        let joined = join_reports(
+            self.finals.into_iter().flatten().collect(),
+            self.workers,
+            self.cfg.spec.faults.is_some(),
+            self.failed.is_empty(),
+            deaths,
+            self.obs,
+        );
+        ProcessRunResult {
+            states: joined.states,
+            metrics: joined.metrics,
+            per_worker: joined.per_worker,
+            quiescent: joined.quiescent,
+            failed_workers: self.failed,
+            adopted_workers: self.adopted,
+            respawns: self.respawns,
+            faults: joined.faults,
+            link_counters: joined.link_counters,
+            wire_bytes: joined.wire_bytes,
+        }
+    }
+}
+
 /// Run a transducer network as `cfg.procs` worker processes plus this
 /// coordinator. Spawns workers with `spawner`, performs the handshake
 /// barrier (every `Assign` is sent only after *all* workers said
 /// hello, so every relay target exists before any traffic flows),
-/// relays until all finals are in, and comes out through the join the
-/// threaded engine uses, so the merged metrics are deterministic given
-/// the per-worker values.
+/// relays — and, with a respawn budget, supervises — until all finals
+/// are in, and comes out through the join the threaded engine uses.
 pub fn run_process(
     cfg: &ProcessConfig,
     spawner: &Spawner<'_>,
     obs: &Obs,
 ) -> Result<ProcessRunResult, NetError> {
-    let workers = cfg.procs.clamp(1, cfg.spec.nodes.max(1));
-    let listener = bind_with_retry()?;
-    let addr = listener.local_addr().map_err(NetError::Listen)?.to_string();
-
-    obs.event("net", "executor_start", 0, || {
-        vec![
-            ("workers", ArgValue::U64(workers as u64)),
-            ("nodes", ArgValue::U64(cfg.spec.nodes as u64)),
-            ("engine", ArgValue::Str("process".into())),
-        ]
-    });
-
-    let mut handles: Vec<SpawnHandle> = Vec::with_capacity(workers);
-    for k in 0..workers {
-        match spawner(k, &addr) {
-            Ok(h) => handles.push(h),
-            Err(e) => {
-                // Kill what we started; the partial fleet would
-                // otherwise sit in connect-retry until its own timeout.
-                drop(listener);
-                for h in handles {
-                    reap(h);
-                }
-                return Err(NetError::Spawn(format!("worker {k}: {e}")));
-            }
-        }
+    let mut supervisor = Supervisor::new(cfg, spawner, obs)?;
+    if let Err(e) = supervisor.start() {
+        // Kill what we started; a partial fleet would otherwise sit in
+        // connect-retry until its own timeout.
+        supervisor.teardown();
+        return Err(e);
     }
-
-    let supervised = cfg.respawn_budget > 0;
-    let streams = match handshake(&listener, workers, cfg.handshake_deadline) {
-        Ok(s) => s,
-        Err(e) => {
-            for h in handles {
-                reap(h);
-            }
-            return Err(e);
-        }
-    };
-
-    // Handshake barrier passed: hand every worker its assignment.
-    let mut reader_streams = Vec::with_capacity(workers);
-    let mut writer_streams = Vec::with_capacity(workers);
-    for (k, mut stream) in streams.into_iter().enumerate() {
-        let mut a = Assign::new(
-            k,
-            workers,
-            JobSpec {
-                trace_prefix: suffixed(&cfg.spec.trace_prefix, k, 0),
-                flight_path: suffixed(&cfg.spec.flight_path, k, 0),
-                ..cfg.spec.clone()
-            },
-        );
-        a.supervised = supervised;
-        if let Err(e) = frame::write_frame(&mut stream, &encode_ctrl(&CtrlMsg::Assign(a))) {
-            for h in handles {
-                reap(h);
-            }
-            return Err(NetError::Handshake(format!("assign to worker {k}: {e}")));
-        }
-        let clone = match stream.try_clone() {
-            Ok(c) => c,
-            Err(e) => {
-                for h in handles {
-                    reap(h);
-                }
-                return Err(NetError::Listen(e));
-            }
-        };
-        reader_streams.push(stream);
-        writer_streams.push(clone);
-    }
-
-    // Relay fabric: per-worker writer queues + per-worker readers. The
-    // writer table sits behind a shared lock so a respawn can swap the
-    // dead position's queue for the new incarnation's.
-    let writer_txs: Arc<Mutex<Vec<Sender<Vec<u8>>>>> =
-        Arc::new(Mutex::new(Vec::with_capacity(workers)));
-    let mut writer_threads = Vec::with_capacity(workers);
-    for stream in writer_streams {
-        let (tx, rx) = std::sync::mpsc::channel::<Vec<u8>>();
-        lock_writers(&writer_txs).push(tx);
-        writer_threads.push(std::thread::spawn(move || relay_writer(stream, rx)));
-    }
-    let (events_tx, events_rx) = std::sync::mpsc::channel::<Event>();
-    let mut reader_threads = Vec::with_capacity(workers);
-    let mut shutdown_streams = Vec::with_capacity(workers);
-    for (k, stream) in reader_streams.into_iter().enumerate() {
-        shutdown_streams.push(stream.try_clone().ok());
-        let writers = writer_txs.clone();
-        let events = events_tx.clone();
-        reader_threads.push(std::thread::spawn(move || {
-            relay_reader(k, 0, stream, writers, events)
-        }));
-    }
-    // The supervisor keeps a sender for respawned readers; without
-    // supervision the receiver disconnects once every reader exits,
-    // exactly as before.
-    let respawn_events_tx = supervised.then(|| events_tx.clone());
-    drop(events_tx);
-
-    // Supervisor state. Without supervision (budget 0) everything
-    // below degenerates to the old collect-finals loop: a death fails
-    // the run, Terminate is broadcast, survivors drain.
-    let mut finals: Vec<Option<FinalReport>> = (0..workers).map(|_| None).collect();
-    let mut failed: Vec<usize> = Vec::new();
-    let mut adopted_workers: Vec<usize> = Vec::new();
-    let mut incarnation: Vec<u64> = vec![0; workers];
-    let mut respawns_left: Vec<u32> = vec![cfg.respawn_budget; workers];
-    let mut last_seen: Vec<Instant> = vec![Instant::now(); workers];
-    let mut handles: Vec<Option<SpawnHandle>> = handles.into_iter().map(Some).collect();
-    let mut live: Vec<bool> = vec![true; workers];
-    let mut owner: Vec<usize> = (0..cfg.spec.nodes).map(|g| g % workers).collect();
-    let mut retained: BTreeMap<usize, (u64, Vec<u8>)> = BTreeMap::new();
-    let mut ring_epoch: u64 = 0;
-    let mut terminate_seen = false;
-    let mut respawn_count: u64 = 0;
-    let mut downs: u64 = 0;
-    let mut terminated = false;
-    let mut drain_deadline: Option<Instant> = None;
-
-    // Enqueue one encoded frame for worker `k`'s writer. A dead
-    // position's queue swallows the send; the substrate's
-    // retransmissions re-cover the loss.
-    let push_to = |k: usize, payload: Vec<u8>| {
-        let txs = lock_writers(&writer_txs);
-        if k < txs.len() {
-            let _ = txs[k].send(payload);
-        }
-    };
-
-    loop {
-        let done = (0..workers)
-            .filter(|&w| finals[w].is_some() || !live[w] || failed.contains(&w))
-            .count();
-        if done >= workers {
-            break;
-        }
-        if drain_deadline.is_some_and(|d| Instant::now() > d) {
-            // Survivors that never honored the Terminate are failures
-            // too.
-            for (k, f) in finals.iter().enumerate() {
-                if f.is_none() && live[k] && !failed.contains(&k) {
-                    failed.push(k);
-                }
-            }
-            break;
-        }
-        match events_rx.recv_timeout(TICK) {
-            Ok(Event::Final(k, inc, report)) => {
-                if inc == incarnation[k] {
-                    last_seen[k] = Instant::now();
-                    finals[k] = Some(report);
-                }
-            }
-            Ok(Event::Snapshot(src, node, version, blob)) => {
-                last_seen[src] = Instant::now();
-                let entry = retained
-                    .entry(node)
-                    .or_insert_with(|| (version, Vec::new()));
-                if version >= entry.0 {
-                    *entry = (version, blob);
-                }
-            }
-            Ok(Event::Heartbeat(src)) => last_seen[src] = Instant::now(),
-            Ok(Event::TerminateSeen) => terminate_seen = true,
-            Ok(Event::Gone(k, inc, why)) => {
-                if inc != incarnation[k] || finals[k].is_some() || !live[k] || failed.contains(&k) {
-                    continue; // zombie frame, clean close, or already handled
-                }
-                downs += 1;
-                obs.event("net", "worker_down", k as u32 + 1, || {
-                    vec![
-                        ("worker", ArgValue::U64(k as u64)),
-                        ("incarnation", ArgValue::U64(inc)),
-                        ("reason", ArgValue::Str(why.clone())),
-                    ]
-                });
-                if !supervised {
-                    // The PR 8 abort path, unchanged: fail the run,
-                    // break the survivors out of the ring, drain.
-                    failed.push(k);
-                    if !terminated {
-                        terminated = true;
-                        let term = encode_ctrl(&CtrlMsg::Deliver(Msg::Terminate));
-                        for w in 0..workers {
-                            push_to(w, term.clone());
-                        }
-                    }
-                    drain_deadline = Some(Instant::now() + DRAIN_DEADLINE);
-                    continue;
-                }
-
-                // Fence the ring for the crash window: bump the epoch
-                // so tokens written to the dead socket die stale, and
-                // every survivor blackens and withholds conclusions
-                // until the post-recovery reset.
-                ring_epoch += 1;
-                let reset = encode_ctrl(&CtrlMsg::Deliver(Msg::Reset { epoch: ring_epoch }));
-                for (w, &alive) in live.iter().enumerate() {
-                    if w != k && alive {
-                        push_to(w, reset.clone());
-                    }
-                }
-
-                // Respawn with exponential backoff until one attempt
-                // sticks or the budget runs out.
-                let mut recovered = false;
-                while !recovered && respawns_left[k] > 0 {
-                    respawns_left[k] -= 1;
-                    respawn_count += 1;
-                    let attempt = cfg.respawn_budget - respawns_left[k];
-                    if let Some(h) = handles[k].take() {
-                        reap(h);
-                    }
-                    std::thread::sleep(
-                        cfg.respawn_backoff * 2u32.saturating_pow(attempt.saturating_sub(1).min(8)),
-                    );
-                    incarnation[k] += 1;
-                    let inc = incarnation[k];
-                    let handle = match spawner(k, &addr) {
-                        Ok(h) => h,
-                        Err(_) => continue,
-                    };
-                    handles[k] = Some(handle);
-                    let deadline = Instant::now() + cfg.handshake_deadline;
-                    let mut stream = match accept_hello(&listener, deadline) {
-                        Ok(HelloOutcome::Worker(w, s)) if w == k => s,
-                        _ => continue,
-                    };
-                    // Recovery epoch: minted into the re-Assign and
-                    // broadcast once the new incarnation is wired in.
-                    ring_epoch += 1;
-                    let restore: Vec<(usize, u64, Vec<u8>)> = (0..owner.len())
-                        .filter(|&g| owner[g] == k)
-                        .filter_map(|g| retained.get(&g).map(|(v, b)| (g, *v, b.clone())))
-                        .collect();
-                    let restored_nodes = restore.len() as u64;
-                    let mut a = Assign::new(
-                        k,
-                        workers,
-                        JobSpec {
-                            trace_prefix: suffixed(&cfg.spec.trace_prefix, k, inc),
-                            flight_path: suffixed(&cfg.spec.flight_path, k, inc),
-                            ..cfg.spec.clone()
-                        },
-                    );
-                    a.supervised = true;
-                    a.incarnation = inc;
-                    a.epoch = ring_epoch;
-                    a.owner = Some(owner.clone());
-                    a.live = live.clone();
-                    a.restore = restore;
-                    if frame::write_frame(&mut stream, &encode_ctrl(&CtrlMsg::Assign(a))).is_err() {
-                        continue;
-                    }
-                    let write_half = match stream.try_clone() {
-                        Ok(c) => c,
-                        Err(_) => continue,
-                    };
-                    // Swap the write queue: the dead incarnation's
-                    // queue dies with its writer thread, silently
-                    // discarding crash-window traffic (the senders'
-                    // outbox obligations replay it).
-                    let (tx, rx) = std::sync::mpsc::channel::<Vec<u8>>();
-                    lock_writers(&writer_txs)[k] = tx;
-                    writer_threads.push(std::thread::spawn(move || relay_writer(write_half, rx)));
-                    shutdown_streams[k] = stream.try_clone().ok();
-                    let writers = writer_txs.clone();
-                    let events = respawn_events_tx.clone().expect("supervised");
-                    reader_threads.push(std::thread::spawn(move || {
-                        relay_reader(k, inc, stream, writers, events)
-                    }));
-                    last_seen[k] = Instant::now();
-                    // Recovery complete: reset the ring in the new
-                    // epoch so the initiator relaunches the probe.
-                    let reset = encode_ctrl(&CtrlMsg::Deliver(Msg::Reset { epoch: ring_epoch }));
-                    for (w, &alive) in live.iter().enumerate() {
-                        if alive {
-                            push_to(w, reset.clone());
-                        }
-                    }
-                    if terminate_seen {
-                        // The ring already concluded; the respawn only
-                        // needs to flush its restored states.
-                        push_to(k, encode_ctrl(&CtrlMsg::Deliver(Msg::Terminate)));
-                    }
-                    obs.event("net", "worker_respawn", k as u32 + 1, || {
-                        vec![
-                            ("worker", ArgValue::U64(k as u64)),
-                            ("incarnation", ArgValue::U64(inc)),
-                            ("restored_nodes", ArgValue::U64(restored_nodes)),
-                            ("epoch", ArgValue::U64(ring_epoch)),
-                        ]
-                    });
-                    recovered = true;
-                }
-
-                if !recovered {
-                    // Budget exhausted: degrade gracefully. Remove the
-                    // position from the ring and hand its shard —
-                    // latest retained snapshot per node — to the
-                    // survivors, round-robin.
-                    live[k] = false;
-                    incarnation[k] += 1; // fence stragglers
-                    let survivors: Vec<usize> = (0..workers)
-                        .filter(|&w| live[w] && finals[w].is_none() && !failed.contains(&w))
-                        .collect();
-                    if survivors.is_empty() {
-                        failed.push(k);
-                        if !terminated {
-                            terminated = true;
-                            let term = encode_ctrl(&CtrlMsg::Deliver(Msg::Terminate));
-                            for w in 0..workers {
-                                push_to(w, term.clone());
-                            }
-                        }
-                        drain_deadline = Some(Instant::now() + DRAIN_DEADLINE);
-                    } else {
-                        adopted_workers.push(k);
-                        let mut blobs: BTreeMap<usize, Vec<(usize, u64, Vec<u8>)>> =
-                            BTreeMap::new();
-                        let mut rr = 0usize;
-                        for (g, o) in owner.iter_mut().enumerate() {
-                            if *o == k {
-                                let w = survivors[rr % survivors.len()];
-                                rr += 1;
-                                *o = w;
-                                let handed = retained.get(&g).map(|(v, b)| (g, *v, b.clone()));
-                                blobs.entry(w).or_default().extend(handed);
-                            }
-                        }
-                        ring_epoch += 1;
-                        for &w in &survivors {
-                            // Reassign before Reset, per-link FIFO: the
-                            // adoptive worker installs its new shard,
-                            // then joins the fresh ring epoch.
-                            let msg = Msg::Reassign {
-                                owner: owner.clone(),
-                                live: live.clone(),
-                                adopted: blobs.remove(&w).unwrap_or_default(),
-                            };
-                            push_to(w, encode_ctrl(&CtrlMsg::Deliver(msg)));
-                            push_to(
-                                w,
-                                encode_ctrl(&CtrlMsg::Deliver(Msg::Reset { epoch: ring_epoch })),
-                            );
-                        }
-                        obs.event("net", "reassign", k as u32 + 1, || {
-                            vec![
-                                ("worker", ArgValue::U64(k as u64)),
-                                ("survivors", ArgValue::U64(survivors.len() as u64)),
-                                ("epoch", ArgValue::U64(ring_epoch)),
-                            ]
-                        });
-                    }
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                // Liveness sweep: a connected-but-silent worker past
-                // the timeout is killed and recovered like a dead
-                // socket (its reader reports Gone).
-                if let (true, Some(lt)) = (supervised, cfg.liveness_timeout) {
-                    for w in 0..workers {
-                        if live[w]
-                            && finals[w].is_none()
-                            && !failed.contains(&w)
-                            && last_seen[w].elapsed() > lt
-                        {
-                            obs.event("net", "worker_hung", w as u32 + 1, || {
-                                vec![
-                                    ("worker", ArgValue::U64(w as u64)),
-                                    ("incarnation", ArgValue::U64(incarnation[w])),
-                                ]
-                            });
-                            last_seen[w] = Instant::now();
-                            if let Some(s) = &shutdown_streams[w] {
-                                let _ = s.shutdown(std::net::Shutdown::Both);
-                            }
-                            if let Some(SpawnHandle::Process(child)) = handles[w].as_mut() {
-                                let _ = child.kill();
-                            }
-                        }
-                    }
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    failed.sort_unstable();
-    adopted_workers.sort_unstable();
-
-    // Teardown: close every stream (unblocks workers parked in recv and
-    // our own reader threads), join readers, drop the write-queue table
-    // (the readers' clones go with them), join writers, reap.
-    for s in shutdown_streams.iter().flatten() {
-        let _ = s.shutdown(std::net::Shutdown::Both);
-    }
-    drop(respawn_events_tx);
-    for t in reader_threads {
-        let _ = t.join();
-    }
-    drop(writer_txs);
-    for t in writer_threads {
-        let _ = t.join();
-    }
-    for h in handles.into_iter().flatten() {
-        reap(h);
-    }
-
-    // Every death counts as a crash, whether supervision absorbed it or
-    // not; the unsupervised path has no `downs` beyond the failures.
-    let deaths = if supervised {
-        downs
-    } else {
-        failed.len() as u64
-    };
-    let joined = join_reports(
-        finals.into_iter().flatten().collect(),
-        workers,
-        cfg.spec.faults.is_some(),
-        failed.is_empty(),
-        deaths,
-        obs,
-    );
-    Ok(ProcessRunResult {
-        states: joined.states,
-        metrics: joined.metrics,
-        per_worker: joined.per_worker,
-        quiescent: joined.quiescent,
-        failed_workers: failed,
-        adopted_workers,
-        respawns: respawn_count,
-        faults: joined.faults,
-        link_counters: joined.link_counters,
-        wire_bytes: joined.wire_bytes,
-    })
+    supervisor.supervise();
+    Ok(supervisor.finish())
 }
 
 #[cfg(test)]
@@ -936,5 +1015,81 @@ mod tests {
             .unwrap();
         assert_eq!(rx2.recv().unwrap(), b"after swap");
         assert!(rx.try_recv().is_err(), "old incarnation queue is dead");
+    }
+
+    #[test]
+    fn a_re_assign_carries_the_latest_retained_snapshot_of_each_node_its_worker_owns() {
+        // Six nodes over three workers; versions arrive out of order
+        // (a zombie incarnation's frame after its successor's).
+        let owner: Vec<usize> = (0..6).map(|g| g % 3).collect();
+        let mut retained = BTreeMap::new();
+        for (node, version) in [(1, 0), (4, 2), (4, 1), (1, 3), (0, 5), (2, 1), (4, 2)] {
+            retain(
+                &mut retained,
+                node,
+                version,
+                vec![node as u8, version as u8],
+            );
+        }
+        let back = handed_back(owned_by(1, &owner), &retained);
+        assert_eq!(back, vec![(1, 3, vec![1, 3]), (4, 2, vec![4, 2])]);
+        // Worker 2 owns nodes 2 and 5; node 5 never shipped one.
+        assert_eq!(
+            handed_back(owned_by(2, &owner), &retained),
+            vec![(2, 1, vec![2, 1])]
+        );
+        // An equal version replaces (the same checkpoint, re-shipped).
+        retain(&mut retained, 2, 1, vec![9]);
+        assert_eq!(retained[&2], (1, vec![9]));
+    }
+
+    #[test]
+    fn adoption_deals_a_dead_positions_nodes_round_robin_and_leaves_the_rest_alone() {
+        // Eight nodes over four workers; position 1 dies, position 3
+        // has already reported: 0 and 2 survive.
+        let mut owner: Vec<usize> = (0..8).map(|g| g % 4).collect();
+        let adopts = deal(1, &mut owner, &[0, 2]);
+        assert_eq!(owner, [0, 0, 2, 3, 0, 2, 2, 3]);
+        assert_eq!(adopts, BTreeMap::from([(0, vec![1]), (2, vec![5])]));
+        // A second death deals over whoever is left, adopted nodes
+        // included.
+        let adopts = deal(2, &mut owner, &[0]);
+        assert_eq!(owner, [0, 0, 0, 3, 0, 0, 0, 3]);
+        assert_eq!(adopts, BTreeMap::from([(0, vec![2, 5, 6])]));
+        // A position that owns nothing hands nothing over.
+        assert!(deal(2, &mut owner, &[0]).is_empty());
+    }
+
+    #[test]
+    fn a_position_owes_its_final_until_it_reports_is_adopted_or_fails() {
+        let report = || FinalReport {
+            stats: WorkerStats::default(),
+            states: Vec::new(),
+            clean: true,
+        };
+        let mut finals: Vec<Option<FinalReport>> = (0..4).map(|_| None).collect();
+        let mut live = vec![true; 4];
+        let mut failed = Vec::new();
+        let owing = |finals: &[Option<FinalReport>], live: &[bool], failed: &[usize]| {
+            (0..4)
+                .filter(|&k| owes_final(k, finals, live, failed))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(owing(&finals, &live, &failed), [0, 1, 2, 3]);
+        finals[0] = Some(report());
+        live[1] = false;
+        failed.push(2);
+        assert_eq!(owing(&finals, &live, &failed), [3]);
+        // Settled twice over is still settled once: a position that
+        // reported and then failed the drain, a dead one that reported.
+        failed.push(0);
+        finals[1] = Some(report());
+        assert_eq!(
+            owing(&finals, &live, &failed),
+            [3],
+            "3 still owes: not done"
+        );
+        finals[3] = Some(report());
+        assert!(owing(&finals, &live, &failed).is_empty());
     }
 }

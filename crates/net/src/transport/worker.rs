@@ -19,7 +19,7 @@ use super::frame::{read_frame, write_frame, FrameError};
 use super::proto::{
     decode_ctrl, decode_snapshot_blob, encode_ctrl, Assign, CtrlMsg, PROTOCOL_VERSION,
 };
-use crate::executor::{run_worker, Msg, Ports, ProcCtx, WorkerCtx};
+use crate::executor::{run_worker, Msg, NodeFactory, Ports, ProcCtx, WorkerCtx};
 use crate::faults::FaultPlan;
 use calm_common::instance::Instance;
 use calm_obs::Obs;
@@ -288,17 +288,19 @@ pub fn run_net_worker(
     let mut outcome = run_worker(WorkerCtx {
         id: assign.worker,
         workers: assign.workers,
-        node_ids: &node_ids,
-        transducer: setup.transducer.as_ref(),
-        policy: setup.policy.as_ref(),
-        sys: setup.config,
-        dist: &dist,
-        empty: &empty,
+        fab: NodeFactory {
+            node_ids: &node_ids,
+            transducer: setup.transducer.as_ref(),
+            policy: setup.policy.as_ref(),
+            sys: setup.config,
+            dist: &dist,
+            empty: &empty,
+        },
         ports: &ports,
         budget: assign.spec.step_budget,
         faults: faults.as_ref(),
         obs: &setup.obs,
-        proc: Some(proc),
+        proc,
     });
     // Writes the transport refused are counted link faults, not losses
     // the accounting forgets about.

@@ -140,12 +140,7 @@ fn run_process_tcp(
 /// engine's join does (the transport is program-agnostic, so the
 /// output schema lives with the caller).
 fn project_output(t: &dyn Transducer, r: &ProcessRunResult) -> Instance {
-    let out_schema = &t.schema().output;
-    let mut output = Instance::new();
-    for state in r.states.values() {
-        output.extend(state.restrict(out_schema).facts());
-    }
-    output
+    calm_transducer::network_output(&r.states, &t.schema().output)
 }
 
 /// Sequential oracle + process engine at every proc count; assert

@@ -135,12 +135,7 @@ fn run_supervised_tcp(
 }
 
 fn project_output(t: &dyn Transducer, r: &ProcessRunResult) -> Instance {
-    let out_schema = &t.schema().output;
-    let mut output = Instance::new();
-    for state in r.states.values() {
-        output.extend(state.restrict(out_schema).facts());
-    }
-    output
+    calm_transducer::network_output(&r.states, &t.schema().output)
 }
 
 /// The three kill-plan families of the issue, parameterized by seed.

@@ -31,38 +31,11 @@ pub fn heartbeat_witness(
     let mut metrics = Metrics::default();
     for step in 1..=max_heartbeats {
         transition(tn, &dist, &mut config, x, Delivery::None, &mut metrics);
-        if network_output(tn, &config) == *expected {
+        if network_output(&config.state, &tn.transducer.schema().output) == *expected {
             return Some(step);
         }
     }
     None
-}
-
-/// The stronger diagnostic used by experiment E8/E9: check that the
-/// heartbeat prefix *never* overshoots (output stays within `expected`)
-/// and eventually reaches it. Returns `(heartbeats, overshoot)`.
-pub fn heartbeat_profile(
-    tn: &TransducerNetwork<'_>,
-    input: &Instance,
-    x: &NodeId,
-    expected: &Instance,
-    max_heartbeats: usize,
-) -> (Option<usize>, bool) {
-    let dist = distribute(tn.policy, input);
-    let mut config = Configuration::start(tn.policy.network());
-    let mut metrics = Metrics::default();
-    let mut overshoot = false;
-    for step in 1..=max_heartbeats {
-        transition(tn, &dist, &mut config, x, Delivery::None, &mut metrics);
-        let out = network_output(tn, &config);
-        if !out.is_subset(expected) {
-            overshoot = true;
-        }
-        if out == *expected {
-            return (Some(step), overshoot);
-        }
-    }
-    (None, overshoot)
 }
 
 #[cfg(test)]
@@ -75,6 +48,33 @@ mod tests {
     use calm_common::generator::path;
     use calm_common::value::Value;
     use calm_queries::tc::tc_datalog;
+
+    /// The stronger diagnostic: check that the heartbeat
+    /// prefix *never* overshoots (output stays within `expected`)
+    /// and eventually reaches it. Returns `(heartbeats, overshoot)`.
+    fn heartbeat_profile(
+        tn: &TransducerNetwork<'_>,
+        input: &Instance,
+        x: &NodeId,
+        expected: &Instance,
+        max_heartbeats: usize,
+    ) -> (Option<usize>, bool) {
+        let dist = distribute(tn.policy, input);
+        let mut config = Configuration::start(tn.policy.network());
+        let mut metrics = Metrics::default();
+        let mut overshoot = false;
+        for step in 1..=max_heartbeats {
+            transition(tn, &dist, &mut config, x, Delivery::None, &mut metrics);
+            let out = network_output(&config.state, &tn.transducer.schema().output);
+            if !out.is_subset(expected) {
+                overshoot = true;
+            }
+            if out == *expected {
+                return (Some(step), overshoot);
+            }
+        }
+        (None, overshoot)
+    }
 
     #[test]
     fn monotone_strategy_witnesses_on_ideal_policy() {

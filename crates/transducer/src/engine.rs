@@ -2,21 +2,22 @@
 //! sequential simulator ([`crate::runtime`]) and the threaded and
 //! process executors (the `calm-net` crate).
 //!
-//! A transition of node `x` factors into two halves:
+//! A transition of node `x` (§4.1.3) is: deliver a submultiset
+//! `m ⊆ b(x)`, step on `D = H(x) ∪ s(x) ∪ M ∪ S` (`M` is `m` collapsed
+//! to a set), enqueue `Qsnd(D)` at every other node. The node owns the
+//! first two and the receiving end of the third:
 //!
-//! 1. **delivery** — choose the submultiset `m ⊆ b(x)` and hand the
-//!    collapsed set `M` to the node (engine-specific: the sequential
-//!    simulator owns every buffer, the threaded executor owns per-node
-//!    inboxes fed by channels);
-//! 2. **the step itself** — expose `D = H(x) ∪ s(x) ∪ M ∪ S`, apply
-//!    the four queries, fold `out`/`ins`/`del` into the node state, and
-//!    emit the messages of `Qsnd` (engine-independent).
+//! * [`NodeEngine::step`] chooses `m` per [`Delivery`], counts the
+//!   delivery and the heartbeat, applies the four queries, folds
+//!   `out`/`ins`/`del` into the state and — with tracing on — mints the
+//!   send's causal id;
+//! * [`NodeEngine::enqueue`] / [`NodeEngine::enqueue_batch`] put a send
+//!   into `b(x)` with one accounting (high-water mark, gauge,
+//!   `trace/deliver`, causal parent).
 //!
-//! [`NodeEngine::apply`] is half 2. It owns all the bookkeeping the
-//! engines must agree on — per-class message counters, output-growth
-//! indices, engine counters, and the per-transition observability
-//! event — so the equivalence tests compare engines that differ *only*
-//! in scheduling.
+//! What is left to an engine is scheduling and carrying what a step
+//! sent to the other nodes' doors, so the equivalence tests compare
+//! engines that differ *only* in that.
 //!
 //! The engine *is* the node: it keeps `D` (without `M`) across
 //! transitions, so a transition costs what it delivers, not what the
@@ -32,21 +33,25 @@
 //! `A` or the memory: a deletion took effect, or a value seen only in a
 //! delivered message was not stored.
 
+use crate::multiset::Multiset;
 use crate::network::NodeId;
 use crate::policy::DistributionPolicy;
+use crate::runtime::{Delivery, Metrics};
 use crate::schema::{policy_relation, SystemConfig, TransducerSchema};
-use crate::strategy::classify_message;
+use crate::strategy::{class_arg_counts, classify_message};
 use crate::system_facts::{for_each_new_tuple, POLICY_ARITY_CAP};
 use crate::transducer::{NodeProgram, NodeView, Transducer, TransducerStep};
 use calm_common::fact::{rel, Fact};
 use calm_common::instance::Instance;
+use calm_common::rng::Rng;
 use calm_common::value::Value;
 use calm_obs::{ArgValue, Obs};
 use std::collections::BTreeSet;
 
-/// One node of a transducer network: its state, and the step that
-/// follows a delivery. Construct once per node and call
-/// [`NodeEngine::apply`] per transition.
+/// One node of a transducer network: its state `s(x)`, its buffer
+/// `b(x)`, and the step between them. Construct once per node, feed it
+/// through [`NodeEngine::enqueue`] and call [`NodeEngine::step`] per
+/// transition.
 pub struct NodeEngine<'a> {
     transducer: &'a dyn Transducer,
     policy: &'a dyn DistributionPolicy,
@@ -55,6 +60,7 @@ pub struct NodeEngine<'a> {
     /// `H(x)` — the node's fragment of the distributed input.
     input: &'a Instance,
     /// Obs display lane: `1 + <node index>` (track 0 is engine-level).
+    /// The index is also the origin of the message ids the node mints.
     track: u32,
     /// `|N| - 1`: every sent fact is enqueued once per other node.
     recipients: usize,
@@ -70,11 +76,22 @@ pub struct NodeEngine<'a> {
     unseen: BTreeSet<Value>,
     /// The node's program; `None` while cold.
     program: Option<Box<dyn NodeProgram + 'a>>,
+    /// `b(x)` — sent to this node and not yet delivered.
+    inbox: Multiset<Fact>,
+    /// The next message id this node mints (tracing only). Never moves
+    /// back: a send re-derived after a restore is a new send event.
+    next_seq: u64,
+    /// Id of the last message enqueued here — the causal parent of the
+    /// node's next send (tracing only). `None` until the first traced
+    /// arrival, so sends triggered by the input alone are causal roots.
+    last_arrival: Option<(u64, u64)>,
 }
 
-/// What one [`NodeEngine::apply`] produced, for the caller to route.
+/// What one [`NodeEngine::step`] produced, for the caller to route.
 #[derive(Debug, Clone, Default)]
 pub struct NodeStepOutcome {
+    /// `|m|` — the buffered occurrences the step consumed.
+    pub delivered: usize,
     /// Whether the node's state (output ∪ memory) changed.
     pub state_changed: bool,
     /// Whether the node's *output* portion grew.
@@ -82,6 +99,11 @@ pub struct NodeStepOutcome {
     /// `Qsnd(D)` — message facts, each to be enqueued at every other
     /// node (already counted in the metrics; the caller only routes).
     pub sent: Vec<Fact>,
+    /// The `(origin, seq)` id minted for this send: `Some` iff tracing
+    /// is on and `sent` is not empty. Recipients take it at their door.
+    pub mid: Option<(u64, u64)>,
+    /// The send's causal parent, for the wire's trace context.
+    pub cause: Option<(u64, u64)>,
 }
 
 /// Whether `relation` holds node state (`Υout ∪ Υmem`).
@@ -117,22 +139,28 @@ impl<'a> NodeEngine<'a> {
             known: BTreeSet::new(),
             unseen: BTreeSet::new(),
             program: None,
+            inbox: Multiset::new(),
+            next_seq: 0,
+            last_arrival: None,
         };
-        engine.restore(Instance::new());
+        engine.cool(Instance::new());
         engine
     }
 
-    /// The obs display lane (`1 + <node index>`).
-    pub fn track(&self) -> u32 {
-        self.track
+    /// Make `(state, inbox)` the node's `(s(x), b(x))` and go cold: the
+    /// one way a state enters a node — from a configuration, from a
+    /// checkpoint. The ids the node mints are not part of it.
+    pub fn restore(&mut self, state: Instance, inbox: Multiset<Fact>) {
+        self.cool(state);
+        self.inbox = inbox;
     }
 
-    /// Make `state` the node's state `s(x)` and go cold: the one way a
-    /// state enters an engine — at construction, from a snapshot, and
-    /// when the engine cools itself. Input facts named like an output
-    /// or memory relation are left out of `D`: `H(x)` is over `Υin`, and
-    /// the state is told from the rest of `D` by relation name.
-    pub fn restore(&mut self, state: Instance) {
+    /// Rebuild `D` as `H(x) ∪ state` and forget everything warm — at
+    /// construction, on [`NodeEngine::restore`], and when the engine
+    /// cools itself. Input facts named like an output or memory
+    /// relation are left out of `D`: `H(x)` is over `Υin`, and the state
+    /// is told from the rest of `D` by relation name.
+    fn cool(&mut self, state: Instance) {
         let schema = self.transducer.schema();
         self.d = self.input.clone();
         self.d.retain_relations(|r| !is_state(schema, r));
@@ -140,6 +168,12 @@ impl<'a> NodeEngine<'a> {
         self.known.clear();
         self.unseen.clear();
         self.program = None;
+    }
+
+    /// The node's index in network order: the origin of the message
+    /// ids it mints.
+    fn origin(&self) -> u64 {
+        u64::from(self.track.saturating_sub(1))
     }
 
     /// Whether the next transition rebuilds `A`, `S` and the program
@@ -156,9 +190,181 @@ impl<'a> NodeEngine<'a> {
         state
     }
 
-    /// The node's state `s(x)`, by move.
-    pub fn into_state(mut self) -> Instance {
-        self.take_state()
+    /// The node taken apart: `(s(x), b(x))`, by move.
+    pub fn into_parts(mut self) -> (Instance, Multiset<Fact>) {
+        (self.take_state(), self.inbox)
+    }
+
+    /// `b(x)` as it stands (for a checkpoint, and for the engines'
+    /// passivity and quiescence tests).
+    pub fn inbox(&self) -> &Multiset<Fact> {
+        &self.inbox
+    }
+
+    /// The next message id the node would mint (for a checkpoint).
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
+    }
+
+    /// Mint no id below `next_seq`: a node rebuilt in another process
+    /// from a shipped checkpoint continues its predecessor's numbering.
+    pub fn resume_ids_from(&mut self, next_seq: u64) {
+        self.next_seq = self.next_seq.max(next_seq);
+    }
+
+    /// Enqueue one send — the slice a sender's step returned, one
+    /// occurrence of each fact — into `b(x)`. `mid` is the send's id
+    /// when it was traced.
+    pub fn enqueue(
+        &mut self,
+        sent: &[Fact],
+        mid: Option<(u64, u64)>,
+        metrics: &mut Metrics,
+        obs: &Obs,
+    ) {
+        self.inbox.extend(sent.iter().cloned());
+        self.note_arrival(sent.len(), mid, metrics, obs);
+    }
+
+    /// As [`NodeEngine::enqueue`], for the multiset a wire batch
+    /// decoded into.
+    pub fn enqueue_batch(
+        &mut self,
+        batch: Multiset<Fact>,
+        mid: Option<(u64, u64)>,
+        metrics: &mut Metrics,
+        obs: &Obs,
+    ) {
+        let n = batch.len();
+        self.inbox.extend_from(batch);
+        self.note_arrival(n, mid, metrics, obs);
+    }
+
+    /// The accounting behind both doors, for `n` occurrences that just
+    /// went into the inbox: the high-water mark, the `queue_depth`
+    /// gauge, and for a traced send the `trace/deliver` event and the
+    /// causal parent of this node's next send.
+    fn note_arrival(
+        &mut self,
+        n: usize,
+        mid: Option<(u64, u64)>,
+        metrics: &mut Metrics,
+        obs: &Obs,
+    ) {
+        if n == 0 {
+            return;
+        }
+        let depth = self.inbox.len();
+        metrics.note_depth(&self.node, depth);
+        if let Some((origin, seq)) = mid {
+            self.last_arrival = mid;
+            let dst = self.origin();
+            obs.event("trace", "deliver", self.track, || {
+                vec![
+                    ("origin", ArgValue::U64(origin)),
+                    ("seq", ArgValue::U64(seq)),
+                    ("dst", ArgValue::U64(dst)),
+                    ("facts", ArgValue::U64(n as u64)),
+                ]
+            });
+        }
+        obs.gauge("runtime", "queue_depth", self.track, depth as u64);
+    }
+
+    /// Choose the submultiset `m ⊆ b(x)` that `delivery` names, take it
+    /// out of the inbox and collapse it to the set `M`. Returns `M` and
+    /// `|m|`.
+    fn deliver(&mut self, delivery: Delivery) -> (Vec<Fact>, usize) {
+        let mut delivered_n = 0usize;
+        let delivered = match delivery {
+            Delivery::All => self
+                .inbox
+                .drain_all()
+                .map(|(f, count)| {
+                    delivered_n += count;
+                    f
+                })
+                .collect(),
+            Delivery::None => Vec::new(),
+            Delivery::Sample { seed, deliver_p } => {
+                let mut rng = Rng::seed_from_u64(seed);
+                let mut support = Vec::new();
+                // `drain_all` empties the inbox, so kept-back occurrences
+                // go straight back in.
+                let drained: Vec<(Fact, usize)> = self.inbox.drain_all().collect();
+                for (f, count) in drained {
+                    let kept_back = (0..count).filter(|_| !rng.gen_bool(deliver_p)).count();
+                    delivered_n += count - kept_back;
+                    if kept_back < count {
+                        support.push(f.clone());
+                    }
+                    self.inbox.insert_n(f, kept_back);
+                }
+                support
+            }
+        };
+        (delivered, delivered_n)
+    }
+
+    /// One transition's share of this node: deliver per `delivery`,
+    /// step, and — with tracing on — mint the id of what was sent and
+    /// emit `trace/send` (id, causal parent, fan-out, fact count,
+    /// per-class counts). A transition with `|m| = 0` is a heartbeat,
+    /// whichever `delivery` asked for it. Counts `transitions`,
+    /// `messages_delivered`, `heartbeats` and the sends per class,
+    /// tracks output growth, and reports the `runtime/transition` event
+    /// with per-class counter deltas to `obs`.
+    ///
+    /// `sent_filter`, when present, is this node's set of every message
+    /// fact it ever sent: facts already in the set are suppressed (not
+    /// returned, not counted), fresh facts are added. The threaded
+    /// executor passes it so the message flow is finite and its
+    /// termination-detection ring can conclude — sound for the same
+    /// reason the sequential engine's quiescence detection is (states
+    /// accumulate everything they react to, so a re-delivered fact is a
+    /// no-op at every receiver). The sequential engine passes `None`:
+    /// its delivered-set bookkeeping lives in [`crate::runtime::run`].
+    pub fn step(
+        &mut self,
+        delivery: Delivery,
+        sent_filter: Option<&mut BTreeSet<Fact>>,
+        metrics: &mut Metrics,
+        obs: &Obs,
+    ) -> NodeStepOutcome {
+        let _span = obs.span_on("runtime", self.track, || "step".to_string());
+        let (delivered, delivered_n) = self.deliver(delivery);
+        metrics.messages_delivered += delivered_n;
+        if delivered_n == 0 {
+            metrics.heartbeats += 1;
+        } else if obs.enabled() {
+            // What a sampled delivery kept back.
+            let depth = self.inbox.len() as u64;
+            obs.gauge("runtime", "queue_depth", self.track, depth);
+        }
+        let mut outcome = self.apply(&delivered, delivered_n, sent_filter, metrics, obs);
+        if obs.enabled() && !outcome.sent.is_empty() {
+            let id = (self.origin(), self.next_seq);
+            self.next_seq += 1;
+            outcome.mid = Some(id);
+            outcome.cause = self.last_arrival;
+            obs.event("trace", "send", self.track, || {
+                let mut args = vec![
+                    ("origin", ArgValue::U64(id.0)),
+                    ("seq", ArgValue::U64(id.1)),
+                    ("fanout", ArgValue::U64(self.recipients as u64)),
+                    ("facts", ArgValue::U64(outcome.sent.len() as u64)),
+                ];
+                if let Some((co, cs)) = outcome.cause {
+                    args.push(("cause_origin", ArgValue::U64(co)));
+                    args.push(("cause_seq", ArgValue::U64(cs)));
+                }
+                for (name, n) in class_arg_counts(&outcome.sent) {
+                    args.push((name, ArgValue::U64(n)));
+                }
+                args
+            });
+        }
+        outcome
     }
 
     fn take_state(&mut self) -> Instance {
@@ -265,31 +471,15 @@ impl<'a> NodeEngine<'a> {
         self.d.insert(f)
     }
 
-    /// Execute the post-delivery half of one transition.
-    ///
-    /// `delivered` is the collapsed set `M` (distinct facts);
-    /// `delivered_occurrences` is `|m|`, the multiset occurrences the
-    /// caller consumed (already added to `metrics.messages_delivered` by
-    /// the caller — it is passed here only for the observability event).
-    /// Increments `metrics.transitions`, counts sends per class, tracks
-    /// output growth, and emits the per-transition `runtime/transition`
-    /// event with per-class counter deltas to `obs`.
-    ///
-    /// `sent_filter`, when present, is this node's set of every message
-    /// fact it ever sent: facts already in the set are suppressed (not
-    /// returned, not counted), fresh facts are added. The threaded
-    /// executor passes it so the message flow is finite and its
-    /// termination-detection ring can conclude — sound for the same
-    /// reason the sequential engine's quiescence detection is (states
-    /// accumulate everything they react to, so a re-delivered fact is a
-    /// no-op at every receiver). The sequential engine passes `None`:
-    /// its delivered-set bookkeeping lives in [`crate::runtime::run`].
-    pub fn apply(
+    /// The step proper, after the delivery: `delivered` is the collapsed
+    /// set `M`, `delivered_occurrences` is `|m|` (for the observability
+    /// event; [`NodeEngine::step`] has counted it).
+    fn apply(
         &mut self,
         delivered: &[Fact],
         delivered_occurrences: usize,
         mut sent_filter: Option<&mut BTreeSet<Fact>>,
-        metrics: &mut crate::runtime::Metrics,
+        metrics: &mut Metrics,
         obs: &Obs,
     ) -> NodeStepOutcome {
         metrics.transitions += 1;
@@ -373,7 +563,7 @@ impl<'a> NodeEngine<'a> {
         // large. Start over from (H(x), s(x)).
         if deleted || !unstored.is_empty() {
             let state = self.take_state();
-            self.restore(state);
+            self.cool(state);
         }
 
         // Output growth bookkeeping (transition index is 1-based and was
@@ -419,9 +609,12 @@ impl<'a> NodeEngine<'a> {
         }
 
         NodeStepOutcome {
+            delivered: delivered_occurrences,
             state_changed,
             grew_output,
             sent,
+            mid: None,
+            cause: None,
         }
     }
 }
@@ -439,6 +632,17 @@ mod tests {
     use calm_common::schema::Schema;
     use calm_queries::tc::tc_datalog;
 
+    /// A heartbeat: the node steps on what it holds.
+    fn beat(engine: &mut NodeEngine<'_>, metrics: &mut Metrics) -> NodeStepOutcome {
+        engine.step(Delivery::None, None, metrics, &Obs::noop())
+    }
+
+    /// Enqueue `facts` as one send and deliver everything.
+    fn hand(engine: &mut NodeEngine<'_>, facts: &[Fact], metrics: &mut Metrics) -> NodeStepOutcome {
+        engine.enqueue(facts, None, metrics, &Obs::noop());
+        engine.step(Delivery::All, None, metrics, &Obs::noop())
+    }
+
     #[test]
     fn apply_counts_sends_per_recipient() {
         let t = MonotoneBroadcast::new(Box::new(tc_datalog()));
@@ -448,7 +652,7 @@ mod tests {
         let x = net.first().clone();
         let mut engine = NodeEngine::new(&t, &policy, SystemConfig::ORIGINAL, x, &input);
         let mut metrics = Metrics::default();
-        let outcome = engine.apply(&[], 0, None, &mut metrics, &Obs::noop());
+        let outcome = beat(&mut engine, &mut metrics);
         assert!(outcome.state_changed);
         assert!(outcome.grew_output);
         // One broadcast fact, two other nodes.
@@ -468,12 +672,12 @@ mod tests {
         let x = net.first().clone();
         let mut engine = NodeEngine::new(&t, &policy, SystemConfig::ORIGINAL, x, &input);
         let mut metrics = Metrics::default();
-        let first = engine.apply(&[], 0, None, &mut metrics, &Obs::noop());
+        let first = beat(&mut engine, &mut metrics);
         assert!(first.state_changed);
         // Repeating with no new deliveries converges: the second step
         // changes nothing and sends nothing (the strategy remembers what
         // it broadcast).
-        let second = engine.apply(&[], 0, None, &mut metrics, &Obs::noop());
+        let second = beat(&mut engine, &mut metrics);
         assert!(!second.state_changed);
         assert!(second.sent.is_empty());
     }
@@ -486,7 +690,7 @@ mod tests {
         let input = Instance::new();
         for (i, n) in net.nodes().enumerate() {
             let engine = NodeEngine::new(&t, &policy, SystemConfig::ORIGINAL, n.clone(), &input);
-            assert_eq!(engine.track(), i as u32 + 1);
+            assert_eq!(engine.track, i as u32 + 1);
         }
     }
 
@@ -502,7 +706,7 @@ mod tests {
         assert!(engine.is_cold());
         assert!(engine.state().is_empty());
         let mut metrics = Metrics::default();
-        engine.apply(&[], 0, None, &mut metrics, &Obs::noop());
+        beat(&mut engine, &mut metrics);
         assert!(!engine.is_cold());
         // D holds the input and S beside the state; the state is the
         // part over Υout ∪ Υmem.
@@ -514,7 +718,7 @@ mod tests {
         assert_eq!(state.len(), 3, "c_E, s_E, out_T: {state:?}");
         // A delivered fact whose values are all stored keeps it warm.
         let m = [fact("m_E", [2, 3])];
-        let outcome = engine.apply(&m, 1, None, &mut metrics, &Obs::noop());
+        let outcome = hand(&mut engine, &m, &mut metrics);
         assert!(outcome.grew_output && !engine.is_cold());
         assert!(
             !engine.visible().contains(&m[0]),
@@ -523,12 +727,12 @@ mod tests {
         assert_eq!(engine.visible().relation_len("MyAdom"), 5);
         // Restoring a state — even its own — starts over.
         let state = engine.state();
-        engine.restore(state.clone());
+        engine.restore(state.clone(), Multiset::new());
         assert!(engine.is_cold());
         assert_eq!(engine.visible().relation_len("MyAdom"), 0);
-        let again = engine.apply(&[], 0, None, &mut metrics, &Obs::noop());
+        let again = beat(&mut engine, &mut metrics);
         assert!(!again.state_changed && again.sent.is_empty());
-        assert_eq!(engine.into_state(), state);
+        assert_eq!(engine.into_parts().0, state);
     }
 
     #[test]
@@ -557,9 +761,9 @@ mod tests {
         )
         .unwrap();
         let mut engine = NodeEngine::new(&toggle, &policy, sys, x.clone(), &input);
-        engine.apply(&[], 0, None, &mut metrics, &Obs::noop());
+        beat(&mut engine, &mut metrics);
         assert!(!engine.is_cold(), "an insertion keeps the engine warm");
-        let off = engine.apply(&[], 0, None, &mut metrics, &Obs::noop());
+        let off = beat(&mut engine, &mut metrics);
         assert!(off.state_changed && engine.is_cold() && engine.state().is_empty());
 
         // A program that stores nothing of a delivered value: A shrinks
@@ -567,11 +771,136 @@ mod tests {
         let forgetful =
             DatalogTransducer::parse("forgetful", schema(), "out_seen(x) :- E(x,y).").unwrap();
         let mut engine = NodeEngine::new(&forgetful, &policy, sys, x.clone(), &input);
-        engine.apply(&[], 0, None, &mut metrics, &Obs::noop());
+        beat(&mut engine, &mut metrics);
         assert!(!engine.is_cold());
-        engine.apply(&[fact("msg_v", [1])], 1, None, &mut metrics, &Obs::noop());
+        hand(&mut engine, &[fact("msg_v", [1])], &mut metrics);
         assert!(!engine.is_cold(), "1 is a value of H(x)");
-        engine.apply(&[fact("msg_v", [9])], 1, None, &mut metrics, &Obs::noop());
+        hand(&mut engine, &[fact("msg_v", [9])], &mut metrics);
         assert!(engine.is_cold(), "9 was seen in the message only");
+    }
+
+    #[test]
+    fn a_transition_that_delivers_nothing_is_a_heartbeat_whatever_asked_for_it() {
+        let t = MonotoneBroadcast::new(Box::new(tc_datalog()));
+        let policy = HashPolicy::new(Network::of_size(2));
+        let input = Instance::new();
+        let x = policy.network().first().clone();
+        let mut node = NodeEngine::new(&t, &policy, SystemConfig::ORIGINAL, x, &input);
+        let (mut m, obs) = (Metrics::default(), Obs::noop());
+        // Everything, of an empty buffer: |m| = 0.
+        assert_eq!(node.step(Delivery::All, None, &mut m, &obs).delivered, 0);
+        assert_eq!(m.heartbeats, 1);
+        // Everything, of a buffer that holds something: not a heartbeat.
+        node.enqueue(&[fact("m_E", [1, 2])], None, &mut m, &obs);
+        assert_eq!(node.step(Delivery::All, None, &mut m, &obs).delivered, 1);
+        assert_eq!((m.heartbeats, m.messages_delivered), (1, 1));
+        // A sample that keeps every occurrence back.
+        node.enqueue(&[fact("m_E", [2, 3])], None, &mut m, &obs);
+        let kept = Delivery::Sample {
+            seed: 5,
+            deliver_p: 0.0,
+        };
+        assert_eq!(node.step(kept, None, &mut m, &obs).delivered, 0);
+        assert_eq!((m.heartbeats, node.inbox().len()), (2, 1));
+        // And the heartbeat the schedule names.
+        node.step(Delivery::None, None, &mut m, &obs);
+        assert_eq!((m.heartbeats, m.transitions), (3, 4));
+        assert_eq!(m.messages_delivered, 1);
+    }
+
+    #[test]
+    fn a_sample_delivers_some_occurrences_and_returns_the_rest_to_the_buffer() {
+        let t = MonotoneBroadcast::new(Box::new(tc_datalog()));
+        let policy = HashPolicy::new(Network::of_size(2));
+        let input = Instance::new();
+        let x = policy.network().first().clone();
+        let (mut m, obs) = (Metrics::default(), Obs::noop());
+        let facts: Vec<Fact> = (0..40).map(|i| fact("m_E", [i, i + 1])).collect();
+        let mut split = false;
+        for seed in 0..8 {
+            let mut node = NodeEngine::new(&t, &policy, SystemConfig::ORIGINAL, x.clone(), &input);
+            // Two sends of the same facts: two occurrences of each.
+            node.enqueue(&facts, None, &mut m, &obs);
+            node.enqueue(&facts, None, &mut m, &obs);
+            let before = m.messages_delivered;
+            let outcome = node.step(Delivery::sample(seed), None, &mut m, &obs);
+            assert_eq!(m.messages_delivered - before, outcome.delivered);
+            assert_eq!(outcome.delivered + node.inbox().len(), 80, "seed {seed}");
+            assert!(node.inbox().support().all(|f| facts.contains(f)));
+            assert!(node.inbox().iter().all(|(_, n)| n <= 2));
+            split |= outcome.delivered > 0 && !node.inbox().is_empty();
+            // M is m collapsed: what was delivered is stored once.
+            let stored = node.state().relation_len("c_E");
+            assert!(
+                stored <= 40 && stored * 2 >= outcome.delivered,
+                "seed {seed}"
+            );
+            // The rest is still there for a full delivery.
+            let rest = node.step(Delivery::All, None, &mut m, &obs);
+            assert_eq!(outcome.delivered + rest.delivered, 80, "seed {seed}");
+            assert_eq!(node.state().relation_len("c_E"), 40);
+        }
+        assert!(split, "p = 0.6 over 80 occurrences splits the buffer");
+    }
+
+    #[test]
+    fn the_high_water_mark_is_the_deepest_the_buffer_ever_was_by_either_door() {
+        let t = MonotoneBroadcast::new(Box::new(tc_datalog()));
+        let policy = HashPolicy::new(Network::of_size(2));
+        let input = Instance::new();
+        let x = policy.network().first().clone();
+        let mut node = NodeEngine::new(&t, &policy, SystemConfig::ORIGINAL, x.clone(), &input);
+        let (mut m, obs) = (Metrics::default(), Obs::noop());
+        let hw = |m: &Metrics| m.buffered_high_water.get(&x).copied();
+        node.enqueue(&[], None, &mut m, &obs);
+        assert_eq!(hw(&m), None, "an empty send is no arrival");
+        node.enqueue(
+            &[fact("m_E", [1, 2]), fact("m_E", [2, 3])],
+            None,
+            &mut m,
+            &obs,
+        );
+        assert_eq!(hw(&m), Some(2));
+        // A wire batch: three occurrences of one fact, one of another.
+        let mut batch = Multiset::new();
+        batch.insert_n(fact("m_E", [1, 2]), 3);
+        batch.insert(fact("m_E", [4, 5]));
+        node.enqueue_batch(batch, None, &mut m, &obs);
+        assert_eq!((hw(&m), node.inbox().len()), (Some(6), 6));
+        // Draining does not lower it, and a shallower refill does not
+        // raise it.
+        assert_eq!(node.step(Delivery::All, None, &mut m, &obs).delivered, 6);
+        node.enqueue(&[fact("m_E", [7, 8])], None, &mut m, &obs);
+        assert_eq!((hw(&m), node.inbox().len()), (Some(6), 1));
+        assert_eq!(m.max_queue_depth(), 6);
+    }
+
+    #[test]
+    fn a_traced_send_mints_increasing_ids_and_names_the_last_arrival_as_its_cause() {
+        let t = MonotoneBroadcast::new(Box::new(tc_datalog()));
+        let net = Network::of_size(3);
+        let policy = HashPolicy::new(net.clone());
+        let input = Instance::from_facts([fact("E", [1, 2])]);
+        let x = net.nodes().nth(1).unwrap().clone();
+        let mut node = NodeEngine::new(&t, &policy, SystemConfig::ORIGINAL, x, &input);
+        let mut m = Metrics::default();
+        // Untraced: no id.
+        let quiet = node.step(Delivery::None, None, &mut m, &Obs::noop());
+        assert!(!quiet.sent.is_empty() && quiet.mid.is_none());
+        let obs = Obs::new(std::sync::Arc::new(calm_obs::NoopSink));
+        node.restore(Instance::new(), Multiset::new());
+        let first = node.step(Delivery::None, None, &mut m, &obs);
+        assert_eq!((first.mid, first.cause), (Some((1, 0)), None));
+        node.enqueue(&[fact("m_E", [2, 3])], Some((0, 7)), &mut m, &obs);
+        let second = node.step(Delivery::All, None, &mut m, &obs);
+        assert_eq!((second.mid, second.cause), (Some((1, 1)), Some((0, 7))));
+        // A restore does not hand an id out twice; a predecessor's
+        // numbering can only push the next one up.
+        node.restore(Instance::new(), Multiset::new());
+        node.resume_ids_from(1);
+        assert_eq!(node.next_seq(), 2);
+        node.resume_ids_from(9);
+        let third = node.step(Delivery::None, None, &mut m, &obs);
+        assert_eq!(third.mid, Some((1, 9)));
     }
 }

@@ -21,6 +21,7 @@
 //! coordination-freeness witnesses in [`coordination`].
 
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
 pub mod coordination;
 pub mod engine;
@@ -36,7 +37,7 @@ pub mod system_facts;
 pub mod trace;
 pub mod transducer;
 
-pub use coordination::{heartbeat_profile, heartbeat_witness};
+pub use coordination::heartbeat_witness;
 pub use engine::{NodeEngine, NodeStepOutcome};
 pub use multiset::Multiset;
 pub use netcompile::{compile_monotone_program, NetCompileError};
@@ -55,5 +56,5 @@ pub use strategy::{
     classify_message, collected_input, expected_output, DisjointStrategy, DistinctStrategy,
     MessageClass, MessageClassCounts, MonotoneBroadcast,
 };
-pub use trace::{traced_run, Trace, TraceEvent, TraceSink};
+pub use trace::{Trace, TraceEvent, TraceSink};
 pub use transducer::{DatalogTransducer, Transducer, TransducerStep};

@@ -88,7 +88,7 @@ pub fn replay_policy_surgery(
     for _ in 0..k {
         transition(&tn2, &dist, &mut cfg, &x, Delivery::None, &mut metrics);
     }
-    let prefix_output = network_output(&tn2, &cfg);
+    let prefix_output = network_output(&cfg.state, &tn2.transducer.schema().output);
     let same_behaviour_under_p2 = prefix_output == *expected_qi;
 
     // Step 4: extend to a full fair run; out = Q(I ∪ J) must contain the

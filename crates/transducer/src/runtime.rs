@@ -6,13 +6,14 @@ use crate::multiset::Multiset;
 use crate::network::NodeId;
 use crate::policy::{distribute, DistributionPolicy};
 use crate::schema::SystemConfig;
-use crate::strategy::{class_arg_counts, MessageClassCounts};
+use crate::strategy::MessageClassCounts;
 use crate::transducer::Transducer;
 use calm_common::fact::Fact;
 use calm_common::instance::Instance;
 use calm_common::rng::Rng;
+use calm_common::schema::Schema;
 use calm_obs::{ArgValue, Obs};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A transducer network `Π = (N, Υ, Π, P)` ready to run on inputs.
 /// The network is taken from the policy.
@@ -61,7 +62,9 @@ impl Configuration {
 pub struct Metrics {
     /// Total transitions executed.
     pub transitions: usize,
-    /// Transitions that delivered no message.
+    /// Heartbeats: transitions with `|m| = 0`, whether the schedule
+    /// asked for one (`Delivery::None`), delivered everything from an
+    /// empty buffer, or sampled and kept every occurrence back.
     pub heartbeats: usize,
     /// Messages enqueued: one per (sent fact, recipient) pair.
     pub messages_sent: usize,
@@ -92,6 +95,12 @@ impl Metrics {
             .unwrap_or(0)
     }
 
+    /// `node`'s buffer is `depth` deep: keep its high-water mark.
+    pub(crate) fn note_depth(&mut self, node: &NodeId, depth: usize) {
+        let hw = self.buffered_high_water.entry(node.clone()).or_insert(0);
+        *hw = (*hw).max(depth);
+    }
+
     /// Fold another run's counters into this one: sums for the flow
     /// counters, per-class and per-node-high-water pointwise merges, and
     /// `EvalMetrics::merge` for the engine counters. Associative and
@@ -117,10 +126,7 @@ impl Metrics {
         self.last_output_growth_at = self.last_output_growth_at.max(other.last_output_growth_at);
         self.by_class.merge(&other.by_class);
         for (node, hw) in &other.buffered_high_water {
-            let mine = self.buffered_high_water.entry(node.clone()).or_insert(0);
-            if *hw > *mine {
-                *mine = *hw;
-            }
+            self.note_depth(node, *hw);
         }
         self.eval.merge(&other.eval);
     }
@@ -182,66 +188,16 @@ impl Delivery {
     }
 }
 
-/// Per-node causal-tracing state of a sequential run: the next message
-/// id each node mints, and the id of the last message routed into each
-/// node's buffer — the causal parent of that node's next send. Mirrors
-/// the threaded executor's per-slot trace fields, so sequential and
-/// threaded traces carry the same `trace/send` / `trace/deliver`
-/// vocabulary and analyze identically.
-#[derive(Debug, Clone, Default)]
-pub struct CausalTrace {
-    next_seq: BTreeMap<NodeId, u64>,
-    last_arrival: BTreeMap<NodeId, (u64, u64)>,
-}
-
-/// Emit the `trace/send` event of one step's send: message id
-/// `(origin, seq)`, its causal parent, fan-out, fact count and per-class
-/// counts. The sequential runtime and the threaded/process executor
-/// share it, so `calm trace report` ingests any engine's trace.
-pub fn trace_send(
-    obs: &Obs,
-    (origin, seq): (u64, u64),
-    cause: Option<(u64, u64)>,
-    fanout: u64,
-    batch: &Multiset<Fact>,
-) {
-    obs.event("trace", "send", origin as u32 + 1, || {
-        let mut args = vec![
-            ("origin", ArgValue::U64(origin)),
-            ("seq", ArgValue::U64(seq)),
-            ("fanout", ArgValue::U64(fanout)),
-            ("facts", ArgValue::U64(batch.len() as u64)),
-        ];
-        if let Some((co, cs)) = cause {
-            args.push(("cause_origin", ArgValue::U64(co)));
-            args.push(("cause_seq", ArgValue::U64(cs)));
-        }
-        for (name, n) in class_arg_counts(batch) {
-            args.push((name, ArgValue::U64(n)));
-        }
-        args
-    });
-}
-
-/// A node's position in network order: the numeric origin used in
-/// message ids and the basis of its display track (`index + 1`).
-fn node_index(tn: &TransducerNetwork<'_>, x: &NodeId) -> u64 {
-    tn.policy
-        .network()
-        .nodes()
-        .position(|n| n == x)
-        .unwrap_or(0) as u64
-}
-
 /// Execute one transition of node `x`: deliver per `delivery`, expose
 /// `D = J ∪ S`, apply the four queries, and update the configuration.
 /// Returns `true` when the node's state changed.
 ///
-/// A cold [`NodeEngine`] is built from `(H(x), s(x))` for the call and
-/// taken apart after it: the transition exactly as §4.1.3 defines it,
-/// one configuration to the next — the specification the warm engines
-/// of [`run_with`] are checked against, and what the heartbeat
-/// witnesses and proof replays step with.
+/// A cold [`NodeEngine`] is built from `(H(x), s(x), b(x))` for the call
+/// and taken apart after it, and what it sent goes straight into the
+/// other nodes' buffers: the transition exactly as §4.1.3 defines it,
+/// one configuration to the next — the specification the warm nodes of
+/// [`run_with`] are checked against, and what the heartbeat witnesses
+/// and proof replays step with. It reports to no [`Obs`].
 pub fn transition(
     tn: &TransducerNetwork<'_>,
     dist: &BTreeMap<NodeId, Instance>,
@@ -250,194 +206,54 @@ pub fn transition(
     delivery: Delivery,
     metrics: &mut Metrics,
 ) -> bool {
-    transition_traced(tn, dist, config, x, delivery, metrics, &Obs::noop(), None)
-}
-
-/// As [`transition`], reporting a per-transition event (node, messages
-/// delivered/sent, fresh output facts), per-class message counters and
-/// per-node queue-depth gauges (each recipient's depth after the sends,
-/// plus the active node's residue after delivery) to `obs`. The event's
-/// display track is `1 + <node index>`, giving one timeline lane per
-/// node. Additionally threads the causal-tracing
-/// state: when `trace` is supplied and `obs` is enabled, a send mints a
-/// `(origin, seq)` message id (causal parent: the last id routed into
-/// `x`'s buffer) and emits `trace/send`, and each recipient's buffer
-/// insertion emits `trace/deliver` — the same event vocabulary as the
-/// threaded executor, so `calm trace report` ingests either.
-#[allow(clippy::too_many_arguments)]
-pub fn transition_traced(
-    tn: &TransducerNetwork<'_>,
-    dist: &BTreeMap<NodeId, Instance>,
-    config: &mut Configuration,
-    x: &NodeId,
-    delivery: Delivery,
-    metrics: &mut Metrics,
-    obs: &Obs,
-    trace: Option<&mut CausalTrace>,
-) -> bool {
     let empty = Instance::new();
     let input = dist.get(x).unwrap_or(&empty);
-    let mut engine = NodeEngine::new(tn.transducer, tn.policy, tn.config, x.clone(), input);
-    engine.restore(std::mem::take(config.state.get_mut(x).expect("node state")));
-    let changed = step_node(
-        tn,
-        &mut engine,
-        &mut config.buffer,
-        x,
-        delivery,
-        metrics,
-        obs,
-        trace,
+    let mut node = NodeEngine::new(tn.transducer, tn.policy, tn.config, x.clone(), input);
+    node.restore(
+        config.state.remove(x).expect("node state"),
+        config.buffer.remove(x).expect("node buffer"),
     );
-    config.state.insert(x.clone(), engine.into_state());
-    changed
-}
-
-/// One transition of node `x` on its engine: the delivery half, the
-/// step, and the routing of what it sent into the other nodes' buffers.
-#[allow(clippy::too_many_arguments)]
-fn step_node(
-    tn: &TransducerNetwork<'_>,
-    engine: &mut NodeEngine<'_>,
-    buffers: &mut BTreeMap<NodeId, Multiset<Fact>>,
-    x: &NodeId,
-    delivery: Delivery,
-    metrics: &mut Metrics,
-    obs: &Obs,
-    mut trace: Option<&mut CausalTrace>,
-) -> bool {
-    // Delivery half: choose the submultiset m ⊆ b(x) and collapse to the
-    // set M. (The step half lives in `NodeEngine::apply`, shared with
-    // the threaded executor.)
-    let buffer = buffers.get_mut(x).expect("node buffer");
-    let mut delivered_n = 0usize;
-    let delivered: Vec<Fact> = match delivery {
-        Delivery::All => buffer
-            .drain_all()
-            .map(|(f, count)| {
-                delivered_n += count;
-                f
-            })
-            .collect(),
-        Delivery::None => Vec::new(),
-        Delivery::Sample { seed, deliver_p } => {
-            let mut rng = Rng::seed_from_u64(seed);
-            let mut support: Vec<Fact> = Vec::new();
-            // `drain_all` empties the buffer, so kept-back occurrences
-            // can be re-inserted directly as we go.
-            let drained: Vec<(Fact, usize)> = buffer.drain_all().collect();
-            for (f, count) in drained {
-                let mut kept_back = 0usize;
-                let mut got_one = false;
-                for _ in 0..count {
-                    if rng.gen_bool(deliver_p) {
-                        delivered_n += 1;
-                        got_one = true;
-                    } else {
-                        kept_back += 1;
-                    }
-                }
-                if got_one {
-                    support.push(f.clone());
-                }
-                buffer.insert_n(f, kept_back);
-            }
-            support
-        }
-    };
-    metrics.messages_delivered += delivered_n;
-    let is_heartbeat = match delivery {
-        Delivery::None => true,
-        Delivery::Sample { .. } => delivered.is_empty(),
-        Delivery::All => false,
-    };
-    if is_heartbeat {
-        metrics.heartbeats += 1;
-    }
-
-    // Step half: the node's engine.
-    let outcome = engine.apply(&delivered, delivered_n, None, metrics, obs);
-
-    // Route the sends: every message fact goes to every other node.
+    let outcome = node.step(delivery, None, metrics, &Obs::noop());
+    let (state, buffer) = node.into_parts();
+    config.state.insert(x.clone(), state);
+    config.buffer.insert(x.clone(), buffer);
     if !outcome.sent.is_empty() {
-        // Mint a message id for this send and record it as every
-        // recipient's causal parent — the same id scheme as the threaded
-        // executor's per-slot trace state, so the sequential engine
-        // produces traces `calm trace report` analyzes identically.
-        let mid = match trace.as_deref_mut().filter(|_| obs.enabled()) {
-            Some(tr) => {
-                let origin = node_index(tn, x);
-                let seq_slot = tr.next_seq.entry(x.clone()).or_insert(0);
-                let seq = *seq_slot;
-                *seq_slot += 1;
-                let cause = tr.last_arrival.get(x).copied();
-                let batch: Multiset<Fact> = outcome.sent.iter().cloned().collect();
-                let fanout = tn.policy.network().others(x).count() as u64;
-                trace_send(obs, (origin, seq), cause, fanout, &batch);
-                Some((origin, seq))
-            }
-            None => None,
-        };
         for y in tn.policy.network().others(x) {
-            buffers
-                .get_mut(y)
-                .expect("node buffer")
-                .extend(outcome.sent.iter().cloned());
-            if let Some(id) = mid {
-                if let Some(tr) = trace.as_deref_mut() {
-                    tr.last_arrival.insert(y.clone(), id);
-                }
-                let dst = node_index(tn, y);
-                obs.event("trace", "deliver", dst as u32 + 1, || {
-                    vec![
-                        ("origin", ArgValue::U64(id.0)),
-                        ("seq", ArgValue::U64(id.1)),
-                        ("dst", ArgValue::U64(dst)),
-                        ("facts", ArgValue::U64(outcome.sent.len() as u64)),
-                    ]
-                });
-            }
+            let buffer = config.buffer.get_mut(y).expect("node buffer");
+            buffer.extend(outcome.sent.iter().cloned());
+            metrics.note_depth(y, buffer.len());
         }
     }
-
-    // Buffered-queue high-water marks (recipient buffers only grew in the
-    // send loop above; `x`'s own buffer only shrank or kept its size).
-    for y in tn.policy.network().others(x) {
-        let depth = buffers[y].len();
-        let hw = metrics.buffered_high_water.entry(y.clone()).or_insert(0);
-        if depth > *hw {
-            *hw = depth;
-        }
-        if obs.enabled() {
-            let track = tn
-                .policy
-                .network()
-                .nodes()
-                .position(|n| n == y)
-                .map_or(0, |i| i as u32 + 1);
-            obs.gauge("runtime", "queue_depth", track, depth as u64);
-        }
-    }
-    if obs.enabled() {
-        // The active node's own depth after delivery (non-zero only when
-        // Sample delivery kept occurrences back); recipient depths were
-        // gauged in the high-water loop above.
-        obs.gauge(
-            "runtime",
-            "queue_depth",
-            engine.track(),
-            buffers[x].len() as u64,
-        );
-    }
-
     outcome.state_changed
 }
 
-/// The union of all nodes' output facts — `out(R)` for the run so far.
-pub fn network_output(tn: &TransducerNetwork<'_>, config: &Configuration) -> Instance {
+/// One transition of node `i` among the warm `nodes` of a run: its
+/// step, then what it sent enqueued at every other node.
+fn fire(
+    nodes: &mut [NodeEngine<'_>],
+    i: usize,
+    delivery: Delivery,
+    metrics: &mut Metrics,
+    obs: &Obs,
+) -> bool {
+    let outcome = nodes[i].step(delivery, None, metrics, obs);
+    if !outcome.sent.is_empty() {
+        let _span = obs.span_on("runtime", i as u32 + 1, || "route".to_string());
+        for (j, y) in nodes.iter_mut().enumerate() {
+            if j != i {
+                y.enqueue(&outcome.sent, outcome.mid, metrics, obs);
+            }
+        }
+    }
+    outcome.state_changed
+}
+
+/// `out(R)`: the union over `states` — every node's `s(x)` — of the
+/// facts over the `output` schema.
+pub fn network_output(states: &BTreeMap<NodeId, Instance>, output: &Schema) -> Instance {
     let mut out = Instance::new();
-    for state in config.state.values() {
-        out.extend(state.restrict(&tn.transducer.schema().output).facts());
+    for state in states.values() {
+        out.extend(state.restrict(output).facts());
     }
     out
 }
@@ -556,47 +372,21 @@ pub fn run_with(
     obs: &Obs,
 ) -> RunResult {
     let dist = distribute(tn.policy, input);
-    let nodes: Vec<NodeId> = tn.policy.network().nodes().cloned().collect();
-    // One engine per node for the whole run: it holds the node's state.
+    let ids: Vec<&NodeId> = tn.policy.network().nodes().collect();
+    // One warm node per node of the network for the whole run.
     let empty = Instance::new();
-    let mut engines: BTreeMap<&NodeId, NodeEngine<'_>> = nodes
+    let mut nodes: Vec<NodeEngine<'_>> = ids
         .iter()
-        .map(|x| {
+        .map(|&x| {
             let input = dist.get(x).unwrap_or(&empty);
-            let engine = NodeEngine::new(tn.transducer, tn.policy, tn.config, x.clone(), input);
-            (x, engine)
+            NodeEngine::new(tn.transducer, tn.policy, tn.config, x.clone(), input)
         })
         .collect();
-    let mut buffers = Configuration::start(tn.policy.network()).buffer;
     let mut metrics = Metrics::default();
-    let mut trace = CausalTrace::default();
-    let mut delivered: BTreeMap<NodeId, std::collections::BTreeSet<Fact>> = nodes
-        .iter()
-        .map(|n| (n.clone(), std::collections::BTreeSet::new()))
-        .collect();
-    let note_delivery = |buffers: &BTreeMap<NodeId, Multiset<Fact>>,
-                         delivered: &mut BTreeMap<NodeId, std::collections::BTreeSet<Fact>>,
-                         x: &NodeId| {
-        let set = delivered.get_mut(x).expect("node");
-        for f in buffers[x].support() {
-            set.insert(f.clone());
-        }
-    };
-    let mut step = |x: &NodeId,
-                    delivery: Delivery,
-                    buffers: &mut BTreeMap<NodeId, Multiset<Fact>>,
-                    metrics: &mut Metrics| {
-        let engine = engines.get_mut(x).expect("node engine");
-        step_node(
-            tn,
-            engine,
-            buffers,
-            x,
-            delivery,
-            metrics,
-            obs,
-            Some(&mut trace),
-        )
+    // Per node, the distinct message facts a full delivery ever handed it.
+    let mut delivered: Vec<BTreeSet<Fact>> = vec![BTreeSet::new(); nodes.len()];
+    let note_delivery = |node: &NodeEngine<'_>, seen: &mut BTreeSet<Fact>| {
+        seen.extend(node.inbox().support().cloned());
     };
 
     if let Scheduler::Random {
@@ -624,7 +414,7 @@ pub fn run_with(
             if metrics.transitions >= max_transitions {
                 break;
             }
-            let x = &nodes[rng.gen_range(0..nodes.len())];
+            let i = rng.gen_range(0..nodes.len());
             let delivery = match rng.gen_range(0..3u8) {
                 0 => Delivery::All,
                 1 => Delivery::None,
@@ -637,9 +427,9 @@ pub fn run_with(
             // sampled delivery may skip occurrences; under-recording is
             // conservative for quiescence detection).
             if delivery == Delivery::All {
-                note_delivery(&buffers, &mut delivered, x);
+                note_delivery(&nodes[i], &mut delivered[i]);
             }
-            step(x, delivery, &mut buffers, &mut metrics);
+            fire(&mut nodes, i, delivery, &mut metrics, obs);
         }
     }
 
@@ -647,16 +437,17 @@ pub fn run_with(
     let mut quiescent = false;
     while metrics.transitions < max_transitions {
         let mut state_changed = false;
-        for x in &nodes {
+        for i in 0..nodes.len() {
             if metrics.transitions >= max_transitions {
                 break;
             }
-            note_delivery(&buffers, &mut delivered, x);
-            state_changed |= step(x, Delivery::All, &mut buffers, &mut metrics);
+            note_delivery(&nodes[i], &mut delivered[i]);
+            state_changed |= fire(&mut nodes, i, Delivery::All, &mut metrics, obs);
         }
         let all_messages_seen = nodes
             .iter()
-            .all(|x| buffers[x].support().all(|f| delivered[x].contains(f)));
+            .zip(&delivered)
+            .all(|(node, seen)| node.inbox().support().all(|f| seen.contains(f)));
         if !state_changed && all_messages_seen {
             quiescent = true;
             break;
@@ -665,15 +456,17 @@ pub fn run_with(
 
     metrics.report_run_summary(obs, quiescent);
 
-    let config = Configuration {
-        state: engines
-            .into_iter()
-            .map(|(x, engine)| (x.clone(), engine.into_state()))
-            .collect(),
-        buffer: buffers,
+    let mut config = Configuration {
+        state: BTreeMap::new(),
+        buffer: BTreeMap::new(),
     };
+    for (x, node) in ids.into_iter().zip(nodes) {
+        let (state, buffer) = node.into_parts();
+        config.state.insert(x.clone(), state);
+        config.buffer.insert(x.clone(), buffer);
+    }
     RunResult {
-        output: network_output(tn, &config),
+        output: network_output(&config.state, &tn.transducer.schema().output),
         config,
         metrics,
         quiescent,

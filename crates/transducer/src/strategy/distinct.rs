@@ -407,7 +407,7 @@ mod tests {
                 );
             }
         }
-        let partial = crate::runtime::network_output(&tn, &config);
+        let partial = crate::runtime::network_output(&config.state, &t.schema().output);
         assert!(
             partial.is_subset(&expected),
             "heartbeat outputs must be sound: {partial:?} ⊄ {expected:?}"

@@ -21,7 +21,6 @@ pub use disjoint::DisjointStrategy;
 pub use distinct::DistinctStrategy;
 pub use monotone::MonotoneBroadcast;
 
-use crate::multiset::Multiset;
 use crate::transducer::TransducerStep;
 use calm_common::fact::{rel, Fact, RelName};
 use calm_common::instance::Instance;
@@ -164,14 +163,14 @@ impl MessageClassCounts {
     }
 }
 
-/// Per-class occurrence counts of one sent batch, as `class.<label>`
-/// trace-event argument names. Zero classes are skipped, so a
-/// `trace/send` event carries only the classes the batch actually
-/// contains.
-pub(crate) fn class_arg_counts(batch: &Multiset<Fact>) -> Vec<(&'static str, u64)> {
+/// Per-class counts of one step's send (each fact once), as
+/// `class.<label>` trace-event argument names. Zero classes are
+/// skipped, so a `trace/send` event carries only the classes the send
+/// actually contains.
+pub(crate) fn class_arg_counts(sent: &[Fact]) -> Vec<(&'static str, u64)> {
     let mut counts = MessageClassCounts::default();
-    for (f, n) in batch.iter() {
-        counts.record(classify_message(f), n);
+    for f in sent {
+        counts.record(classify_message(f), 1);
     }
     [
         ("class.fact", counts.fact),

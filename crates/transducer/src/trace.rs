@@ -3,16 +3,14 @@
 //!
 //! Since the calm-obs layer landed, there is exactly one event mechanism:
 //! the runtime emits per-transition events through [`calm_obs::Obs`], and
-//! a traced run is simply [`run_with`] feeding a [`TraceSink`] that
+//! a traced run is simply [`crate::runtime::run_with`] feeding a [`TraceSink`] that
 //! collects those events back into a [`Trace`]. The same run can fan out
 //! to a JSONL log or Chrome trace at no extra cost via
 //! [`calm_obs::MultiSink`].
 
-use crate::runtime::{run_with, RunResult, Scheduler, TransducerNetwork};
-use calm_common::instance::Instance;
-use calm_obs::{ArgValue, Obs, Sink};
+use calm_obs::{ArgValue, Sink};
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// One transition's observable effects, reconstructed from the runtime's
 /// `runtime/transition` observability event.
@@ -133,30 +131,33 @@ impl Sink for TraceSink {
     fn histogram(&self, _: &str, _: &str, _: u64) {}
 }
 
-/// Run round-robin with full delivery until quiescence (same stopping rule
-/// as [`crate::runtime::run`]), recording a [`TraceEvent`] per transition.
-pub fn traced_run(
-    tn: &TransducerNetwork<'_>,
-    input: &Instance,
-    max_transitions: usize,
-) -> (RunResult, Trace) {
-    let sink = Arc::new(TraceSink::new());
-    let obs = Obs::new(sink.clone());
-    let result = run_with(tn, input, &Scheduler::RoundRobin, max_transitions, &obs);
-    (result, sink.take_trace())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::network::Network;
     use crate::policy::HashPolicy;
-    use crate::runtime::run;
+    use crate::runtime::{run, run_with, RunResult, Scheduler, TransducerNetwork};
     use crate::schema::SystemConfig;
     use crate::strategy::{expected_output, MonotoneBroadcast};
     use calm_common::generator::path;
+    use calm_common::instance::Instance;
+    use calm_obs::Obs;
     use calm_queries::tc::tc_datalog;
     use std::collections::BTreeSet;
+    use std::sync::Arc;
+
+    /// Run round-robin with full delivery until quiescence (same stopping rule
+    /// as [`crate::runtime::run`]), recording a [`TraceEvent`] per transition.
+    fn traced_run(
+        tn: &TransducerNetwork<'_>,
+        input: &Instance,
+        max_transitions: usize,
+    ) -> (RunResult, Trace) {
+        let sink = Arc::new(TraceSink::new());
+        let obs = Obs::new(sink.clone());
+        let result = run_with(tn, input, &Scheduler::RoundRobin, max_transitions, &obs);
+        (result, sink.take_trace())
+    }
 
     #[test]
     fn trace_matches_untraced_run() {

@@ -1,17 +1,20 @@
 //! Warm ≡ cold, every transition.
 //!
 //! A run steps one warm [`NodeEngine`] per node: `D`, the known values,
-//! the system facts and the node's open program all live across
-//! transitions. The *specification* is [`transition`]: a cold engine
-//! built from `(H(x), s(x))` for each call, stepping the stateless
-//! [`Transducer::step`] (the transducer is wrapped so that its own
-//! `open` is hidden and the default adapter runs). This suite drives
-//! both through the same schedule and compares, after **every**
-//! transition: the node's state, what it sent, `state_changed`,
-//! `grew_output` and the whole [`Metrics`]; and it recomputes the `S`
-//! part of the warm `D` from scratch with [`system_facts`] — the safety
-//! restriction (`policy_R` only over known values, §4.1.3) is a paper
-//! property, not an implementation detail.
+//! the system facts, the node's open program and its buffer all live
+//! across transitions. The *specification* is [`transition`]: a cold
+//! node built from `(H(x), s(x), b(x))` for each call, stepping the
+//! stateless [`Transducer::step`] (the transducer is wrapped so that its
+//! own `open` is hidden and the default adapter runs), its send put
+//! straight into the configuration's buffers. This suite drives both
+//! through the same schedule — the warm nodes through their own doors,
+//! `step` and `enqueue` — and compares, after **every** transition: the
+//! node's state and buffer, what it delivered and sent, `state_changed`,
+//! `grew_output` and the whole [`Metrics`], heartbeats and high-water
+//! marks included; and it recomputes the `S` part of the warm `D` from
+//! scratch with [`system_facts`] — the safety restriction (`policy_R`
+//! only over known values, §4.1.3) is a paper property, not an
+//! implementation detail.
 //!
 //! Deterministic seeded loops over [`calm_common::rng::Rng`], like
 //! `proptests.rs`.
@@ -129,19 +132,23 @@ fn check(
         });
 
         cold_starts += usize::from(engines[i].is_cold());
-        let outcome = engines[i].apply(&m, delivered.len(), None, &mut warm, &Obs::noop());
+        let outcome = engines[i].step(delivery, None, &mut warm, &Obs::noop());
+        for (j, y) in engines.iter_mut().enumerate() {
+            if j != i {
+                y.enqueue(&outcome.sent, None, &mut warm, &Obs::noop());
+            }
+        }
         assert_eq!(engines[i].state(), config.state[x], "{at}: state of {x}");
+        assert_eq!(outcome.delivered, delivered.len(), "{at}: |m|");
         assert_eq!(outcome.state_changed, changed, "{at}: state_changed");
         let grew = cold.last_output_growth_at == Some(cold.transitions);
         assert_eq!(outcome.grew_output, grew, "{at}: grew_output");
         if let Some(sent) = sent {
             assert_eq!(outcome.sent, sent, "{at}: sent");
         }
-        // The delivery half's counters are the caller's on both sides.
-        warm.messages_delivered = cold.messages_delivered;
-        warm.heartbeats = cold.heartbeats;
-        warm.buffered_high_water
-            .clone_from(&cold.buffered_high_water);
+        for (y, engine) in nodes.iter().zip(&engines) {
+            assert_eq!(engine.inbox(), &config.buffer[y], "{at}: buffer of {y}");
+        }
         assert_eq!(warm, cold, "{at}: metrics");
 
         // S, from scratch, for J = H(x) ∪ s(x) ∪ M.
@@ -167,7 +174,9 @@ fn check(
         }
     }
     for (x, engine) in nodes.iter().zip(engines) {
-        assert_eq!(engine.into_state(), config.state[x], "{label}: final {x}");
+        let (state, buffer) = engine.into_parts();
+        assert_eq!(state, config.state[x], "{label}: final state of {x}");
+        assert_eq!(buffer, config.buffer[x], "{label}: final buffer of {x}");
     }
     (cold_starts, config)
 }
