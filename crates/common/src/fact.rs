@@ -52,6 +52,12 @@ impl Fact {
         &self.args
     }
 
+    /// The argument tuple, to overwrite in place: a caller asking about
+    /// many tuples of one relation reuses one fact (the arity stays).
+    pub fn args_mut(&mut self) -> &mut [Value] {
+        &mut self.args
+    }
+
     /// The arity of the fact.
     pub fn arity(&self) -> usize {
         self.args.len()

@@ -54,6 +54,22 @@ impl Instance {
         }
     }
 
+    /// Insert many tuples into a named relation. Into a relation the
+    /// instance does not hold yet they are sorted and the set is built
+    /// from the sorted run in one pass — what un-interning a whole
+    /// stored relation wants — instead of one descent per tuple.
+    pub fn extend_relation(&mut self, relation: &RelName, tuples: impl IntoIterator<Item = Tuple>) {
+        match self.relations.get_mut(relation) {
+            Some(set) => set.extend(tuples),
+            None => {
+                let set: BTreeSet<Tuple> = tuples.into_iter().collect();
+                if !set.is_empty() {
+                    self.relations.insert(relation.clone(), set);
+                }
+            }
+        }
+    }
+
     /// Remove a fact; returns `true` if it was present.
     pub fn remove(&mut self, fact: &Fact) -> bool {
         if let Some(set) = self.relations.get_mut(fact.relation()) {

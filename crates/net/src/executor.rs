@@ -8,6 +8,7 @@ use crate::transport::proto::{decode_snapshot_blob, encode_snapshot_blob, FinalR
 use crate::wirefmt;
 use calm_common::fact::Fact;
 use calm_common::instance::Instance;
+use calm_common::storage::{SharedSymbols, SymbolTable};
 use calm_obs::{ArgValue, Obs};
 use calm_transducer::engine::{NodeEngine, NodeStepOutcome};
 use calm_transducer::multiset::Multiset;
@@ -370,6 +371,7 @@ pub fn run_threaded_with(
                         sys: tn.config,
                         dist,
                         empty,
+                        symbols: SharedSymbols::new(),
                     },
                     ports: &ports,
                     budget: cfg.step_budget,
@@ -560,7 +562,7 @@ struct Slot<'a> {
 impl Slot<'_> {
     /// Whether the node has inbox facts or is not at its local fixpoint.
     fn has_work(&self) -> bool {
-        self.dirty || !self.node.inbox().is_empty()
+        self.dirty || self.node.buffered() > 0
     }
 
     /// Go back to `snap` — a crash rollback to the node's own last
@@ -603,7 +605,7 @@ fn take_snapshot(slot: &mut Slot<'_>, rnet: &mut ReliableNet<'_>, out: &mut Vec<
     let links = rnet.snapshot(slot.global, out);
     slot.snap = Some(NodeSnapshot {
         state: slot.node.state(),
-        pending: slot.node.inbox().clone(),
+        pending: slot.node.pending(),
         ever_sent: slot.ever_sent.clone(),
         links,
     });
@@ -611,8 +613,10 @@ fn take_snapshot(slot: &mut Slot<'_>, rnet: &mut ReliableNet<'_>, out: &mut Vec<
 }
 
 /// One step's send in the delta wire format, with the trace context
-/// stamped in when the send was traced.
-fn encode(outcome: &NodeStepOutcome) -> Arc<[u8]> {
+/// stamped in when the send was traced: the rows un-interned into the
+/// multiset of facts they are, whose encoding is canonical — no symbol
+/// of the worker's `table` goes on the wire.
+fn encode(outcome: &NodeStepOutcome, table: &SymbolTable) -> Arc<[u8]> {
     let ctx = outcome
         .mid
         .map(|(origin_node, origin_seq)| wirefmt::TraceCtx {
@@ -620,7 +624,8 @@ fn encode(outcome: &NodeStepOutcome) -> Arc<[u8]> {
             origin_seq,
             cause: outcome.cause,
         });
-    let batch: Multiset<Fact> = outcome.sent.iter().cloned().collect();
+    let mut batch = Multiset::new();
+    outcome.sent.add_to(table, &mut batch);
     wirefmt::encode_traced(&batch, ctx.as_ref()).into()
 }
 
@@ -643,6 +648,9 @@ pub(crate) struct NodeFactory<'a> {
     pub(crate) sys: SystemConfig,
     pub(crate) dist: &'a BTreeMap<NodeId, Instance>,
     pub(crate) empty: &'a Instance,
+    /// The worker's symbol table: every node it mints is over it, so a
+    /// send between two of them is enqueued by handle.
+    pub(crate) symbols: SharedSymbols,
 }
 
 impl<'a> NodeFactory<'a> {
@@ -650,9 +658,10 @@ impl<'a> NodeFactory<'a> {
     fn slot(&self, g: usize) -> Slot<'a> {
         let id = self.node_ids[g].clone();
         let input = self.dist.get(&id).unwrap_or(self.empty);
+        let (transducer, policy) = (self.transducer, self.policy);
         Slot {
             global: g,
-            node: NodeEngine::new(self.transducer, self.policy, self.sys, id, input),
+            node: NodeEngine::new(transducer, policy, self.sys, id, input, &self.symbols),
             ever_sent: BTreeSet::new(),
             dirty: true,
             transitions: 0,
@@ -1161,7 +1170,11 @@ impl<'a> Worker<'a> {
         let track = sender as u32 + 1;
         let _span = self.obs.span_on("runtime", track, || "route".to_string());
         let mut encoded: Option<Arc<[u8]>> = None;
-        let mut payload = || encoded.get_or_insert_with(|| encode(outcome)).clone();
+        let symbols = &self.fab.symbols;
+        let mut payload = || {
+            let bytes = encoded.get_or_insert_with(|| encode(outcome, &symbols.read()));
+            Arc::clone(bytes)
+        };
         for g in (0..self.owner.len()).filter(|&g| g != sender) {
             let owner = self.owner[g];
             if let Some(rnet) = self.rnet.as_mut() {
@@ -1335,7 +1348,7 @@ impl<'a> Worker<'a> {
         // Adoption may have grown the shard since the initial assignment.
         let node_ids = self.fab.node_ids;
         stats.nodes = slots.iter().map(|s| node_ids[s.global].clone()).collect();
-        stats.buffered = slots.iter().map(|s| s.node.inbox().len()).sum();
+        stats.buffered = slots.iter().map(|s| s.node.buffered()).sum();
         stats.metrics = metrics;
         let states = slots
             .into_iter()
@@ -1431,6 +1444,7 @@ mod tests {
             sys: SystemConfig::ORIGINAL,
             dist: &dist,
             empty: &Instance::new(),
+            symbols: SharedSymbols::new(),
         };
         let plan = FaultPlan::none(1);
         // A live handle, so that the node mints ids.
@@ -1439,8 +1453,9 @@ mod tests {
         let mut metrics = Metrics::default();
         let mut slot = fab.slot(0);
         let mut step = |slot: &mut Slot<'_>, delivered: &[Fact]| {
+            let delivered = delivered.iter().cloned().collect();
             slot.node
-                .enqueue(delivered, Some((1, 0)), &mut metrics, &obs);
+                .enqueue_batch(delivered, Some((1, 0)), &mut metrics, &obs);
             let sent = Some(&mut slot.ever_sent);
             slot.node.step(Delivery::All, sent, &mut metrics, &obs)
         };
@@ -1451,16 +1466,16 @@ mod tests {
         // Progress past the checkpoint, with the engine warm and a fact
         // waiting in the inbox.
         assert_eq!(step(&mut slot, &[fact("m_E", [3, 4])]).mid, Some((0, 1)));
-        let waiting = [fact("m_E", [4, 5])];
+        let waiting = [fact("m_E", [4, 5])].into_iter().collect();
         let node = &mut slot.node;
-        node.enqueue(&waiting, None, &mut Metrics::default(), &obs);
+        node.enqueue_batch(waiting, None, &mut Metrics::default(), &obs);
         assert!(!slot.node.is_cold());
         assert_ne!(slot.node.state(), snap.state);
         // Crash rollback and supervised restore share this path.
         slot.roll_back(&snap, &mut rnet);
         assert!(slot.node.is_cold(), "nothing warm survives a restore");
         assert_eq!(slot.node.state(), snap.state);
-        assert_eq!(slot.node.inbox(), &snap.pending, "the inbox goes back too");
+        assert_eq!(slot.node.pending(), snap.pending, "the inbox goes back too");
         assert!(slot.dirty && slot.ever_sent == snap.ever_sent);
         // The redone step lands where the first one did — as a new send
         // event: the ids do not roll back with the state.

@@ -295,6 +295,7 @@ pub fn run_net_worker(
             sys: setup.config,
             dist: &dist,
             empty: &empty,
+            symbols: calm_common::storage::SharedSymbols::new(),
         },
         ports: &ports,
         budget: assign.spec.step_budget,

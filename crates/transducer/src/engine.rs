@@ -8,8 +8,8 @@
 //! first two and the receiving end of the third:
 //!
 //! * [`NodeEngine::step`] chooses `m` per [`Delivery`], counts the
-//!   delivery and the heartbeat, applies the four queries, folds
-//!   `out`/`ins`/`del` into the state and — with tracing on — mints the
+//!   delivery and the heartbeat, runs the node's program, reads back
+//!   what it added to the state and — with tracing on — mints the
 //!   send's causal id;
 //! * [`NodeEngine::enqueue`] / [`NodeEngine::enqueue_batch`] put a send
 //!   into `b(x)` with one accounting (high-water mark, gauge,
@@ -19,15 +19,27 @@
 //! sent to the other nodes' doors, so the equivalence tests compare
 //! engines that differ *only* in that.
 //!
+//! **Inside the node everything is a row** — a `(RelId, &[Sym])` over
+//! the one [`SymbolTable`] of the engine instance it runs in (handed to
+//! [`NodeEngine::new`]; the nodes of a run share it, so a sent
+//! [`Batch`] is enqueued by handle). `D` is a [`Storage`], the buffer an
+//! [`Inbox`] of shared batches, the known values sets of symbols.
+//! [`Fact`], [`Instance`] and [`Multiset`] are what the node speaks at
+//! its edges — [`NodeEngine::restore`], [`NodeEngine::state`],
+//! [`NodeEngine::pending`], [`NodeEngine::into_parts`],
+//! [`NodeEngine::enqueue_batch`], a sampled delivery, the `sent_filter`
+//! probe, the traced `new_output` — and nowhere else: no symbol is in a
+//! snapshot, on the wire or in a configuration (DESIGN §17).
+//!
 //! The engine *is* the node: it keeps `D` (without `M`) across
 //! transitions, so a transition costs what it delivers, not what the
 //! node already knows. A **warm** engine holds `D = H(x) ∪ s(x) ∪ S`,
 //! the value set `A` that `S` was built over, and the node's open
 //! [`NodeProgram`]; a transition extends `S` by the values that are new
-//! and folds only new facts. A **cold** engine holds `H(x) ∪ s(x)` and
-//! nothing else — the state after [`NodeEngine::new`] and
-//! [`NodeEngine::restore`], so everything warm is reconstructible from
-//! `(H(x), s(x))` — and its next transition builds `A`, `S` and the
+//! and the program writes only new rows. A **cold** engine holds
+//! `H(x) ∪ s(x)` and nothing else — the state after [`NodeEngine::new`]
+//! and [`NodeEngine::restore`], so everything warm is reconstructible
+//! from `(H(x), s(x))` — and its next transition builds `A`, `S` and the
 //! program from scratch through the same code, with every value new.
 //! The engine cools itself whenever a transition might have *shrunk*
 //! `A` or the memory: a deletion took effect, or a value seen only in a
@@ -36,17 +48,20 @@
 use crate::multiset::Multiset;
 use crate::network::NodeId;
 use crate::policy::DistributionPolicy;
+use crate::rows::{fact_of, values_of, Batch, Inbox, SymSet};
 use crate::runtime::{Delivery, Metrics};
 use crate::schema::{policy_relation, SystemConfig, TransducerSchema};
-use crate::strategy::{class_arg_counts, classify_message};
+use crate::strategy::{class_arg_counts, classify_message, MessageClass};
 use crate::system_facts::{for_each_new_tuple, POLICY_ARITY_CAP};
-use crate::transducer::{NodeProgram, NodeView, Transducer, TransducerStep};
-use calm_common::fact::{rel, Fact};
+use crate::transducer::{NodeProgram, NodeView, Transducer};
+use calm_common::fact::Fact;
 use calm_common::instance::Instance;
 use calm_common::rng::Rng;
+use calm_common::storage::{RelId, SharedSymbols, Storage, Sym, SymbolTable};
 use calm_common::value::Value;
 use calm_obs::{ArgValue, Obs};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// One node of a transducer network: its state `s(x)`, its buffer
 /// `b(x)`, and the step between them. Construct once per node, feed it
@@ -57,8 +72,15 @@ pub struct NodeEngine<'a> {
     policy: &'a dyn DistributionPolicy,
     sys: SystemConfig,
     node: NodeId,
-    /// `H(x)` — the node's fragment of the distributed input.
-    input: &'a Instance,
+    /// The table the node's rows are over, shared with the other nodes
+    /// of the same engine instance.
+    symbols: SharedSymbols,
+    /// What the node knows about the relations of that table.
+    rels: Relations,
+    /// `H(x)` — the node's fragment of the distributed input — without
+    /// facts named like an output or memory relation: `H(x)` is over
+    /// `Υin`, and the state is told from the rest of `D` by relation.
+    input: Batch,
     /// Obs display lane: `1 + <node index>` (track 0 is engine-level).
     /// The index is also the origin of the message ids the node mints.
     track: u32,
@@ -66,18 +88,25 @@ pub struct NodeEngine<'a> {
     recipients: usize,
     /// `H(x) ∪ s(x)`, plus `S` while warm. The node state `s(x)` is the
     /// part over the relations of `Υout ∪ Υmem` — it is stored nowhere
-    /// else.
-    d: Instance,
+    /// else. No column index is built on it, and between transitions it
+    /// holds no tombstone.
+    d: Storage,
     /// `A`, the values `S` covers; empty while cold.
-    known: BTreeSet<Value>,
+    known: SymSet,
     /// Values that entered the state after `S` was last extended (a
     /// constant of a rule head, say): they join `A` at the next
     /// transition, as they would in `adom(J)` computed from scratch.
-    unseen: BTreeSet<Value>,
+    unseen: SymSet,
     /// The node's program; `None` while cold.
     program: Option<Box<dyn NodeProgram + 'a>>,
     /// `b(x)` — sent to this node and not yet delivered.
-    inbox: Multiset<Fact>,
+    inbox: Inbox,
+    /// `M` of the transition under way: the delivered rows, each once.
+    m: Storage,
+    /// Every row a full delivery ever handed this node (since the last
+    /// restore) — what the sequential engine's quiescence test asks
+    /// about the buffer.
+    seen: Storage,
     /// The next message id this node mints (tracing only). Never moves
     /// back: a send re-derived after a restore is a new send event.
     next_seq: u64,
@@ -96,9 +125,10 @@ pub struct NodeStepOutcome {
     pub state_changed: bool,
     /// Whether the node's *output* portion grew.
     pub grew_output: bool,
-    /// `Qsnd(D)` — message facts, each to be enqueued at every other
-    /// node (already counted in the metrics; the caller only routes).
-    pub sent: Vec<Fact>,
+    /// `Qsnd(D)` — message rows, each once, to be enqueued at every
+    /// other node by handle (already counted in the metrics; the caller
+    /// only routes).
+    pub sent: Arc<Batch>,
     /// The `(origin, seq)` id minted for this send: `Some` iff tracing
     /// is on and `sent` is not empty. Recipients take it at their door.
     pub mid: Option<(u64, u64)>,
@@ -111,15 +141,94 @@ fn is_state(schema: &TransducerSchema, relation: &str) -> bool {
     schema.output.contains(relation) || schema.mem.contains(relation)
 }
 
+/// What a node needs to know about a relation, by id.
+#[derive(Debug, Clone, Copy)]
+struct RelInfo {
+    /// Holds node state (`Υout ∪ Υmem`).
+    state: bool,
+    /// Is an output relation (`Υout`).
+    output: bool,
+    /// Its class as a message relation.
+    class: MessageClass,
+}
+
+/// The relations of the node's table as the node sees them: the system
+/// relations by id (interned once, at construction), and for every id
+/// it meets its [`RelInfo`] — asked of the schema and of
+/// [`classify_message`] once, when the id is first met.
+struct Relations {
+    id: RelId,
+    all: RelId,
+    my_adom: RelId,
+    /// Per input relation `R` of arity `k`: an `R` fact to ask the
+    /// policy about (its arguments overwritten per candidate tuple),
+    /// `k`, and `policy_R`.
+    policy: Vec<(Fact, usize, RelId)>,
+    /// `Id`, `All`, `MyAdom` and every `policy_R`.
+    system: Vec<RelId>,
+    info: Vec<RelInfo>,
+}
+
+impl Relations {
+    fn new(transducer: &dyn Transducer, table: &mut SymbolTable) -> Self {
+        let (id, all, my_adom) = (table.rel("Id"), table.rel("All"), table.rel("MyAdom"));
+        let mut system = vec![id, all, my_adom];
+        let mut policy = Vec::new();
+        for (r, arity) in transducer.schema().input.iter() {
+            let policy_r = table.rel(&policy_relation(r));
+            system.push(policy_r);
+            if arity > 0 {
+                let candidate = Fact::from_rel(r.clone(), vec![Value::Int(0); arity]);
+                policy.push((candidate, arity, policy_r));
+            }
+        }
+        Relations {
+            id,
+            all,
+            my_adom,
+            policy,
+            system,
+            info: Vec::new(),
+        }
+    }
+
+    /// What the node knows about `r`, a relation of `table`.
+    fn info(&mut self, r: RelId, transducer: &dyn Transducer, table: &SymbolTable) -> RelInfo {
+        let schema = transducer.schema();
+        for next in self.info.len()..table.rel_count().max(r.0 as usize + 1) {
+            let name = table.rel_name(RelId(next as u32));
+            self.info.push(RelInfo {
+                state: is_state(schema, name),
+                output: schema.output.contains(name),
+                class: classify_message(name),
+            });
+        }
+        self.info[r.0 as usize]
+    }
+}
+
+/// What reading back a step's insertions found.
+#[derive(Default)]
+struct Folded {
+    state_changed: bool,
+    grew_output: bool,
+    deleted: bool,
+    /// The new output facts as text, in fact order (tracing only).
+    new_output: Vec<String>,
+}
+
 impl<'a> NodeEngine<'a> {
     /// The node `node` with input fragment `input` (`H(x)`, its share of
-    /// `dist_P(I)`), in the start configuration: empty state, cold.
+    /// `dist_P(I)`), in the start configuration: empty state, cold. Its
+    /// rows are over `symbols` — one table per engine instance, the
+    /// same for every node of it.
     pub fn new(
         transducer: &'a dyn Transducer,
         policy: &'a dyn DistributionPolicy,
         sys: SystemConfig,
         node: NodeId,
-        input: &'a Instance,
+        input: &Instance,
+        symbols: &SharedSymbols,
     ) -> Self {
         let track = policy
             .network()
@@ -127,47 +236,81 @@ impl<'a> NodeEngine<'a> {
             .position(|n| n == &node)
             .map_or(0, |i| i as u32 + 1);
         let recipients = policy.network().len() - 1;
+        let (rels, input) = {
+            let table = &mut *symbols.write();
+            let schema = transducer.schema();
+            let h = (input.iter())
+                .filter(|(r, _)| !is_state(schema, r))
+                .map(|(r, tuple)| (&**r, tuple.as_slice(), 1));
+            (Relations::new(transducer, table), Batch::intern(h, table))
+        };
         let mut engine = NodeEngine {
             transducer,
             policy,
             sys,
             node,
+            symbols: symbols.clone(),
+            rels,
             input,
             track,
             recipients,
-            d: Instance::new(),
-            known: BTreeSet::new(),
-            unseen: BTreeSet::new(),
+            d: Storage::new(),
+            known: SymSet::default(),
+            unseen: SymSet::default(),
             program: None,
-            inbox: Multiset::new(),
+            inbox: Inbox::default(),
+            m: Storage::new(),
+            seen: Storage::new(),
             next_seq: 0,
             last_arrival: None,
         };
-        engine.cool(Instance::new());
+        engine.cool(&symbols.read());
         engine
     }
 
     /// Make `(state, inbox)` the node's `(s(x), b(x))` and go cold: the
     /// one way a state enters a node — from a configuration, from a
-    /// checkpoint. The ids the node mints are not part of it.
+    /// checkpoint. Both are interned against the node's own table here,
+    /// so a snapshot taken under one table restores under another. The
+    /// ids the node mints are not part of it.
     pub fn restore(&mut self, state: Instance, inbox: Multiset<Fact>) {
-        self.cool(state);
-        self.inbox = inbox;
+        let symbols = self.symbols.clone();
+        let table = &mut *symbols.write();
+        self.d.clear();
+        self.cool(table);
+        let state = Batch::intern(state.iter().map(|(r, t)| (&**r, t.as_slice(), 1)), table);
+        for (r, row, _) in state.rows() {
+            self.d.insert(r, row);
+        }
+        self.inbox = Inbox::default();
+        if !inbox.is_empty() {
+            self.inbox.push(Arc::new(Batch::of_facts(&inbox, table)));
+        }
+        self.seen.clear();
     }
 
-    /// Rebuild `D` as `H(x) ∪ state` and forget everything warm — at
+    /// Rebuild `D` as `H(x) ∪ s(x)` and forget everything warm — at
     /// construction, on [`NodeEngine::restore`], and when the engine
-    /// cools itself. Input facts named like an output or memory
-    /// relation are left out of `D`: `H(x)` is over `Υin`, and the state
-    /// is told from the rest of `D` by relation name.
-    fn cool(&mut self, state: Instance) {
-        let schema = self.transducer.schema();
-        self.d = self.input.clone();
-        self.d.retain_relations(|r| !is_state(schema, r));
-        self.d.extend(state);
+    /// cools itself.
+    fn cool(&mut self, table: &SymbolTable) {
+        self.keep_state_only(table);
+        self.d.compact_retractions();
+        for (r, row, _) in self.input.rows() {
+            self.d.insert(r, row);
+        }
         self.known.clear();
         self.unseen.clear();
         self.program = None;
+    }
+
+    /// Empty every relation of `D` that does not hold node state.
+    fn keep_state_only(&mut self, table: &SymbolTable) {
+        let relations: Vec<RelId> = self.d.rel_ids().collect();
+        for r in relations {
+            if !self.rels.info(r, self.transducer, table).state {
+                self.d.clear_relation(r);
+            }
+        }
     }
 
     /// The node's index in network order: the origin of the message
@@ -182,23 +325,65 @@ impl<'a> NodeEngine<'a> {
         self.program.is_none()
     }
 
+    /// `D` un-interned: all of it, or its state part only — a relation
+    /// at a time, so that its set of tuples is built in one pass.
+    fn export(&self, state_only: bool) -> Instance {
+        let table = &*self.symbols.read();
+        let schema = self.transducer.schema();
+        let mut out = Instance::new();
+        for r in self.d.rel_ids() {
+            let name = table.rel_name(r);
+            if state_only && !is_state(schema, name) {
+                continue;
+            }
+            let rows = self.d.relation(r).expect("a listed relation").live_rows();
+            out.extend_relation(name, rows.map(|row| values_of(table, row)));
+        }
+        out
+    }
+
     /// A copy of the node's state `s(x)` (for a checkpoint).
     pub fn state(&self) -> Instance {
-        let schema = self.transducer.schema();
-        let mut state = self.d.clone();
-        state.retain_relations(|r| is_state(schema, r));
-        state
+        self.export(true)
     }
 
-    /// The node taken apart: `(s(x), b(x))`, by move.
-    pub fn into_parts(mut self) -> (Instance, Multiset<Fact>) {
-        (self.take_state(), self.inbox)
+    /// `D` as it stands between transitions: `H(x) ∪ s(x)`, and `S`
+    /// while warm (for the tests that hold `S` to its specification).
+    pub fn visible(&self) -> Instance {
+        self.export(false)
     }
 
-    /// `b(x)` as it stands (for a checkpoint, and for the engines'
-    /// passivity and quiescence tests).
-    pub fn inbox(&self) -> &Multiset<Fact> {
-        &self.inbox
+    /// A copy of `b(x)` as it stands (for a checkpoint).
+    pub fn pending(&self) -> Multiset<Fact> {
+        self.inbox.to_multiset(&self.symbols.read())
+    }
+
+    /// `|b(x)|` in occurrences — what the engines' passivity tests and
+    /// accounts read.
+    pub fn buffered(&self) -> usize {
+        self.inbox.len()
+    }
+
+    /// Whether every buffered row is one that a full delivery handed
+    /// this node before: condition (b) of the sequential engine's
+    /// quiescence test.
+    pub fn buffer_is_old_news(&self) -> bool {
+        (self.inbox.batches().iter())
+            .flat_map(|batch| batch.groups())
+            .all(|(r, mut rows)| rows.all(|row| self.seen.contains(r, row)))
+    }
+
+    /// The node taken apart: `(s(x), b(x))`.
+    pub fn into_parts(self) -> (Instance, Multiset<Fact>) {
+        (self.state(), self.pending())
+    }
+
+    /// The node taken apart, still in rows over its table: `(s(x),
+    /// b(x))`.
+    pub(crate) fn into_rows(mut self) -> (Storage, Inbox) {
+        let symbols = self.symbols.clone();
+        self.keep_state_only(&symbols.read());
+        (self.d, self.inbox)
     }
 
     /// The next message id the node would mint (for a checkpoint).
@@ -212,22 +397,24 @@ impl<'a> NodeEngine<'a> {
         self.next_seq = self.next_seq.max(next_seq);
     }
 
-    /// Enqueue one send — the slice a sender's step returned, one
-    /// occurrence of each fact — into `b(x)`. `mid` is the send's id
-    /// when it was traced.
+    /// Enqueue one send — the batch a sender's step returned, by its
+    /// handle — into `b(x)`. The sender must run over this node's table.
+    /// `mid` is the send's id when it was traced.
     pub fn enqueue(
         &mut self,
-        sent: &[Fact],
+        sent: &Arc<Batch>,
         mid: Option<(u64, u64)>,
         metrics: &mut Metrics,
         obs: &Obs,
     ) {
-        self.inbox.extend(sent.iter().cloned());
-        self.note_arrival(sent.len(), mid, metrics, obs);
+        if !sent.is_empty() {
+            self.inbox.push(Arc::clone(sent));
+            self.note_arrival(sent.len(), mid, metrics, obs);
+        }
     }
 
-    /// As [`NodeEngine::enqueue`], for the multiset a wire batch
-    /// decoded into.
+    /// As [`NodeEngine::enqueue`], for the multiset a wire batch decoded
+    /// into: interned here, at the door.
     pub fn enqueue_batch(
         &mut self,
         batch: Multiset<Fact>,
@@ -235,13 +422,12 @@ impl<'a> NodeEngine<'a> {
         metrics: &mut Metrics,
         obs: &Obs,
     ) {
-        let n = batch.len();
-        self.inbox.extend_from(batch);
-        self.note_arrival(n, mid, metrics, obs);
+        let batch = Arc::new(Batch::of_facts(&batch, &mut self.symbols.write()));
+        self.enqueue(&batch, mid, metrics, obs);
     }
 
-    /// The accounting behind both doors, for `n` occurrences that just
-    /// went into the inbox: the high-water mark, the `queue_depth`
+    /// The accounting behind both doors, for `n > 0` occurrences that
+    /// just went into the inbox: the high-water mark, the `queue_depth`
     /// gauge, and for a traced send the `trace/deliver` event and the
     /// causal parent of this node's next send.
     fn note_arrival(
@@ -251,9 +437,6 @@ impl<'a> NodeEngine<'a> {
         metrics: &mut Metrics,
         obs: &Obs,
     ) {
-        if n == 0 {
-            return;
-        }
         let depth = self.inbox.len();
         metrics.note_depth(&self.node, depth);
         if let Some((origin, seq)) = mid {
@@ -272,38 +455,50 @@ impl<'a> NodeEngine<'a> {
     }
 
     /// Choose the submultiset `m ⊆ b(x)` that `delivery` names, take it
-    /// out of the inbox and collapse it to the set `M`. Returns `M` and
-    /// `|m|`.
-    fn deliver(&mut self, delivery: Delivery) -> (Vec<Fact>, usize) {
-        let mut delivered_n = 0usize;
-        let delivered = match delivery {
-            Delivery::All => self
-                .inbox
-                .drain_all()
-                .map(|(f, count)| {
-                    delivered_n += count;
-                    f
-                })
-                .collect(),
-            Delivery::None => Vec::new(),
+    /// out of the inbox and collapse it to the set `M` (`self.m`).
+    /// Returns `|m|`.
+    fn deliver(&mut self, delivery: Delivery, table: &mut SymbolTable) -> usize {
+        if !self.m.is_empty() {
+            self.m.clear();
+        }
+        match delivery {
+            Delivery::None => 0,
+            Delivery::All => {
+                let delivered_n = self.inbox.len();
+                for batch in self.inbox.take() {
+                    for (r, rows) in batch.groups() {
+                        self.m.insert_batch(r, rows.clone());
+                        self.seen.insert_batch(r, rows);
+                    }
+                }
+                delivered_n
+            }
+            // Reached only under a random schedule, whose coins tests
+            // and experiments pin by seed: through the edge form, one
+            // coin per occurrence in fact order.
             Delivery::Sample { seed, deliver_p } => {
                 let mut rng = Rng::seed_from_u64(seed);
-                let mut support = Vec::new();
-                // `drain_all` empties the inbox, so kept-back occurrences
-                // go straight back in.
-                let drained: Vec<(Fact, usize)> = self.inbox.drain_all().collect();
-                for (f, count) in drained {
+                let mut delivered_n = 0;
+                let mut kept = Multiset::new();
+                let mut delivered = Multiset::new();
+                for (f, count) in self.inbox.to_multiset(table).drain_all() {
                     let kept_back = (0..count).filter(|_| !rng.gen_bool(deliver_p)).count();
                     delivered_n += count - kept_back;
                     if kept_back < count {
-                        support.push(f.clone());
+                        delivered.insert(f.clone());
                     }
-                    self.inbox.insert_n(f, kept_back);
+                    kept.insert_n(f, kept_back);
                 }
-                support
+                for (r, row, _) in Batch::of_facts(&delivered, table).rows() {
+                    self.m.insert(r, row);
+                }
+                self.inbox = Inbox::default();
+                if !kept.is_empty() {
+                    self.inbox.push(Arc::new(Batch::of_facts(&kept, table)));
+                }
+                delivered_n
             }
-        };
-        (delivered, delivered_n)
+        }
     }
 
     /// One transition's share of this node: deliver per `delivery`,
@@ -323,7 +518,7 @@ impl<'a> NodeEngine<'a> {
     /// reason the sequential engine's quiescence detection is (states
     /// accumulate everything they react to, so a re-delivered fact is a
     /// no-op at every receiver). The sequential engine passes `None`:
-    /// its delivered-set bookkeeping lives in [`crate::runtime::run`].
+    /// it asks [`NodeEngine::buffer_is_old_news`] instead.
     pub fn step(
         &mut self,
         delivery: Delivery,
@@ -332,7 +527,9 @@ impl<'a> NodeEngine<'a> {
         obs: &Obs,
     ) -> NodeStepOutcome {
         let _span = obs.span_on("runtime", self.track, || "step".to_string());
-        let (delivered, delivered_n) = self.deliver(delivery);
+        let symbols = self.symbols.clone();
+        let table = &mut *symbols.write();
+        let delivered_n = self.deliver(delivery, table);
         metrics.messages_delivered += delivered_n;
         if delivered_n == 0 {
             metrics.heartbeats += 1;
@@ -341,12 +538,15 @@ impl<'a> NodeEngine<'a> {
             let depth = self.inbox.len() as u64;
             obs.gauge("runtime", "queue_depth", self.track, depth);
         }
-        let mut outcome = self.apply(&delivered, delivered_n, sent_filter, metrics, obs);
+        let mut outcome = self.apply(table, delivered_n, sent_filter, metrics, obs);
         if obs.enabled() && !outcome.sent.is_empty() {
             let id = (self.origin(), self.next_seq);
             self.next_seq += 1;
             outcome.mid = Some(id);
             outcome.cause = self.last_arrival;
+            let classes: Vec<(MessageClass, usize)> = (outcome.sent.groups())
+                .map(|(r, rows)| (self.rels.info(r, self.transducer, table).class, rows.len()))
+                .collect();
             obs.event("trace", "send", self.track, || {
                 let mut args = vec![
                     ("origin", ArgValue::U64(id.0)),
@@ -358,7 +558,7 @@ impl<'a> NodeEngine<'a> {
                     args.push(("cause_origin", ArgValue::U64(co)));
                     args.push(("cause_seq", ArgValue::U64(cs)));
                 }
-                for (name, n) in class_arg_counts(&outcome.sent) {
+                for (name, n) in class_arg_counts(classes.into_iter()) {
                     args.push((name, ArgValue::U64(n)));
                 }
                 args
@@ -367,118 +567,171 @@ impl<'a> NodeEngine<'a> {
         outcome
     }
 
-    fn take_state(&mut self) -> Instance {
-        let schema = self.transducer.schema();
-        let mut state = std::mem::take(&mut self.d);
-        state.retain_relations(|r| is_state(schema, r));
-        state
-    }
-
-    /// `D` as it stands between transitions: `H(x) ∪ s(x)`, and `S`
-    /// while warm.
-    pub fn visible(&self) -> &Instance {
-        &self.d
-    }
-
-    /// Grow `A` by the values of `delivered` (cold: build it from
+    /// Grow `A` by the values of `M` (cold: build it from
     /// `N ∪ adom(H(x) ∪ s(x))` first) and `S` by what the new values
     /// add: `MyAdom(v)` and the `policy_R` tuples over `A` that contain
-    /// one — `|A'|^k − |A|^k` policy calls, where
-    /// [`crate::system_facts::system_facts`] makes `|A'|^k`. Returns the
-    /// system facts added, and the new values that `H(x) ∪ s(x)` does
-    /// not hold (they came with a message). A model without policy
-    /// relations has no use for `A`: `S` is `Id` and `All`.
-    fn extend_system_facts(&mut self, delivered: &[Fact]) -> (Instance, BTreeSet<Value>) {
-        let mut new_sys = Instance::new();
-        let mut from_messages = BTreeSet::new();
+    /// one — `|A'|^k − |A|^k` policy questions, where
+    /// [`crate::system_facts::system_facts`] asks `|A'|^k`. The new
+    /// system rows go into `D` above its delta watermark. Returns the
+    /// new values that `H(x) ∪ s(x)` does not hold (they came with a
+    /// message). A model without policy relations has no use for `A`:
+    /// `S` is `Id` and `All`.
+    fn extend_system_facts(&mut self, table: &mut SymbolTable) -> SymSet {
+        let mut from_messages = SymSet::default();
         if self.is_cold() {
             let network = self.policy.network();
+            if self.sys.policy_relations {
+                let held = self.d.rel_ids().filter_map(|r| self.d.relation(r));
+                for &v in held.flat_map(|rel| rel.live_rows()).flatten() {
+                    self.unseen.insert(v);
+                }
+                if self.sys.include_all {
+                    for y in network.nodes() {
+                        self.unseen.insert(table.sym(y));
+                    }
+                } else {
+                    self.unseen.insert(table.sym(&self.node));
+                }
+            }
             if self.sys.include_id {
-                new_sys.insert(Fact::new("Id", vec![self.node.clone()]));
+                self.d.insert(self.rels.id, &[table.sym(&self.node)]);
             }
             if self.sys.include_all {
-                new_sys.extend(network.nodes().map(|y| Fact::new("All", vec![y.clone()])));
-            }
-            if self.sys.policy_relations {
-                if self.sys.include_all {
-                    self.unseen.extend(network.nodes().cloned());
-                } else {
-                    self.unseen.insert(self.node.clone());
+                for y in network.nodes() {
+                    self.d.insert(self.rels.all, &[table.sym(y)]);
                 }
-                self.unseen.extend(self.d.adom());
             }
         }
         if self.sys.policy_relations {
-            let mut fresh = std::mem::take(&mut self.unseen);
-            fresh.retain(|v| !self.known.contains(v));
-            for v in delivered.iter().flat_map(Fact::values) {
-                if !self.known.contains(v) && !fresh.contains(v) {
-                    from_messages.insert(v.clone());
+            let mut fresh = SymSet::default();
+            for &v in self.unseen.as_slice() {
+                if !self.known.contains(v) {
+                    fresh.insert(v);
                 }
             }
-            fresh.extend(from_messages.iter().cloned());
-            self.policy_facts_over(&fresh, &mut new_sys);
-            self.known.extend(fresh);
+            self.unseen.clear();
+            let delivered = self.m.rel_ids().filter_map(|r| self.m.relation(r));
+            for &v in delivered.flat_map(|rel| rel.live_rows()).flatten() {
+                if !self.known.contains(v) && !fresh.contains(v) {
+                    from_messages.insert(v);
+                }
+            }
+            for &v in from_messages.as_slice() {
+                fresh.insert(v);
+            }
+            self.policy_facts_over(fresh.as_slice(), table);
+            for &v in fresh.as_slice() {
+                self.known.insert(v);
+            }
         }
-        for (r, tuple) in new_sys.iter() {
-            self.d.insert_tuple(r, tuple.clone());
-        }
-        (new_sys, from_messages)
+        from_messages
     }
 
     /// `MyAdom(v)` for every value of `fresh`, and `policy_R(ā)` for
     /// every tuple `ā` over `A ∪ fresh` that holds one and is this
-    /// node's under the policy.
-    fn policy_facts_over(&self, fresh: &BTreeSet<Value>, new_sys: &mut Instance) {
-        if fresh.is_empty() {
-            return;
+    /// node's under the policy. The tuples are enumerated as symbols;
+    /// one fact per input relation is un-interned into for the question.
+    fn policy_facts_over(&mut self, fresh: &[Sym], table: &SymbolTable) {
+        for &v in fresh {
+            self.d.insert(self.rels.my_adom, &[v]);
         }
-        let my_adom = rel("MyAdom");
-        for v in fresh {
-            new_sys.insert_tuple(&my_adom, vec![v.clone()]);
-        }
-        let old: Vec<Value> = self.known.iter().cloned().collect();
-        let new: Vec<Value> = fresh.iter().cloned().collect();
-        for (r, arity) in self.transducer.schema().input.iter() {
+        for (candidate, arity, policy_r) in &mut self.rels.policy {
             assert!(
-                arity <= POLICY_ARITY_CAP,
-                "policy relation enumeration capped at arity {POLICY_ARITY_CAP} (got {arity} for {r})"
+                *arity <= POLICY_ARITY_CAP,
+                "policy relation enumeration capped at arity {POLICY_ARITY_CAP} (got {arity} for {})",
+                candidate.relation()
             );
-            let policy_r = rel(policy_relation(r));
-            for_each_new_tuple(&old, &new, arity, |tuple| {
-                let candidate = Fact::from_rel(r.clone(), tuple.to_vec());
-                if self.policy.assign(&candidate).contains(&self.node) {
-                    new_sys.insert_tuple(&policy_r, candidate.into_parts().1);
+            for_each_new_tuple(self.known.as_slice(), fresh, *arity, |tuple| {
+                for (arg, &s) in candidate.args_mut().iter_mut().zip(tuple) {
+                    arg.clone_from(table.value(s));
+                }
+                if self.policy.assigns_to(candidate, &self.node) {
+                    self.d.insert(*policy_r, tuple);
                 }
             });
         }
     }
 
-    /// Store a state fact and account for its values: they are struck
+    /// Read back what the program wrote into the state: the rows above
+    /// the delta watermark of the relations of `Υout ∪ Υmem`, and
+    /// whether a row was retracted. The values of a new row are struck
     /// from `unstored` (the message values still waiting to be stored)
     /// and, when `A` does not cover them, queued for the next
-    /// transition. (For a fact already stored both are no-ops: its
-    /// values went through here before.) Returns whether it was new.
-    fn store(&mut self, f: Fact, unstored: &mut BTreeSet<Value>) -> bool {
-        if self.sys.policy_relations {
-            for v in f.values() {
-                unstored.remove(v);
-                if !self.known.contains(v) {
-                    self.unseen.insert(v.clone());
+    /// transition.
+    fn read_back(&mut self, table: &SymbolTable, unstored: &mut SymSet, trace: bool) -> Folded {
+        let deleted = self.d.any_dead();
+        let mut folded = Folded {
+            state_changed: deleted,
+            deleted,
+            ..Folded::default()
+        };
+        let mut new_output = Vec::new();
+        for r in self.d.rel_ids() {
+            let info = self.rels.info(r, self.transducer, table);
+            let relation = self.d.relation(r).expect("a listed relation");
+            if !info.state {
+                continue;
+            }
+            for id in relation.added_ids() {
+                let row = relation.row(id);
+                folded.state_changed = true;
+                folded.grew_output |= info.output;
+                if self.sys.policy_relations {
+                    for &v in row {
+                        unstored.remove(v);
+                        if !self.known.contains(v) {
+                            self.unseen.insert(v);
+                        }
+                    }
+                }
+                if trace && info.output {
+                    new_output.push(fact_of(table, r, row));
                 }
             }
         }
-        self.d.insert(f)
+        new_output.sort();
+        folded.new_output = new_output.iter().map(Fact::to_string).collect();
+        folded
     }
 
-    /// The step proper, after the delivery: `delivered` is the collapsed
+    /// Count what the program sent — one occurrence per (row, recipient)
+    /// pair, by the class of the row's relation — after dropping, under
+    /// a `sent_filter`, what the node sent before.
+    fn count_sends(
+        &mut self,
+        staged: Batch,
+        sent_filter: Option<&mut BTreeSet<Fact>>,
+        table: &SymbolTable,
+        metrics: &mut Metrics,
+    ) -> Batch {
+        let sent = match sent_filter {
+            None => staged,
+            Some(filter) => {
+                let mut fresh = Batch::default();
+                for (r, row, _) in staged.rows() {
+                    if filter.insert(fact_of(table, r, row)) {
+                        fresh.push(r, row);
+                    }
+                }
+                fresh
+            }
+        };
+        for (r, rows) in sent.groups() {
+            let class = self.rels.info(r, self.transducer, table).class;
+            metrics.by_class.record(class, rows.len() * self.recipients);
+        }
+        metrics.messages_sent += sent.len() * self.recipients;
+        sent
+    }
+
+    /// The step proper, after the delivery: `self.m` holds the collapsed
     /// set `M`, `delivered_occurrences` is `|m|` (for the observability
     /// event; [`NodeEngine::step`] has counted it).
     fn apply(
         &mut self,
-        delivered: &[Fact],
+        table: &mut SymbolTable,
         delivered_occurrences: usize,
-        mut sent_filter: Option<&mut BTreeSet<Fact>>,
+        sent_filter: Option<&mut BTreeSet<Fact>>,
         metrics: &mut Metrics,
         obs: &Obs,
     ) -> NodeStepOutcome {
@@ -486,89 +739,41 @@ impl<'a> NodeEngine<'a> {
 
         // S, for J = H(x) ∪ s(x) ∪ M.
         let cold = self.is_cold();
-        let (new_sys, mut unstored) = self.extend_system_facts(delivered);
+        self.d.mark_deltas();
+        let before = self.d.len();
+        let mut unstored = self.extend_system_facts(table);
         if obs.enabled() {
             if cold {
                 obs.counter("runtime", "engine.cold_starts", 1);
             }
-            let handed = if cold { self.d.len() } else { new_sys.len() } + delivered.len();
+            let handed = self.d.len() - if cold { 0 } else { before } + self.m.len();
             obs.histogram("runtime", "step.new_facts", handed as u64);
         }
 
+        // The four queries: the program writes Qout and Qins into D,
+        // retracts Qdel, stages Qsnd.
         let transducer = self.transducer;
-        let program = self.program.get_or_insert_with(|| transducer.open());
-        let TransducerStep {
-            out,
-            ins,
-            del,
-            snd,
-            metrics: eval,
-        } = program.advance(&mut NodeView::new(&mut self.d, &new_sys, delivered));
-        metrics.eval.merge(&eval);
-
-        // Update state: cumulative output, insert/delete memory. Change
-        // tracking is incremental (`store`/`remove` return whether they
-        // had an effect) — no state snapshot.
-        let schema = transducer.schema();
-        let mut state_changed = false;
-        let mut grew_output = false;
-        let mut new_output: Vec<String> = Vec::new();
-        for f in out {
-            debug_assert!(schema.output.covers(&f), "Qout must target Υout: {f}");
-            if obs.enabled() && !self.d.contains(&f) {
-                new_output.push(f.to_string());
-            }
-            if self.store(f, &mut unstored) {
-                state_changed = true;
-                grew_output = true;
-            }
-        }
-        // s' = (s ∪ (ins \ del)) \ (del \ ins).
-        let mut deleted = false;
-        let ins = if del.is_empty() {
-            ins
-        } else {
-            for f in del.difference(&ins) {
-                deleted |= self.d.remove(&f);
-            }
-            ins.difference(&del)
-        };
-        for f in ins {
-            debug_assert!(schema.mem.covers(&f), "Qins must target Υmem: {f}");
-            state_changed |= self.store(f, &mut unstored);
-        }
-        state_changed |= deleted;
-
-        // Count the sends: one occurrence per (fact, recipient) pair.
-        let mut sent = Vec::with_capacity(snd.len());
+        let program = (self.program).get_or_insert_with(|| transducer.open(table));
+        let mut staged = Batch::default();
+        let system = &self.rels.system;
+        let mut view = NodeView::new(table, &mut self.d, system, &self.m, &mut staged);
+        metrics.eval.merge(&program.advance(&mut view));
+        let folded = self.read_back(table, &mut unstored, obs.enabled());
         let class_before = metrics.by_class;
-        for f in snd {
-            debug_assert!(schema.msg.covers(&f), "Qsnd must target Υmsg: {f}");
-            if let Some(filter) = sent_filter.as_deref_mut() {
-                if !filter.insert(f.clone()) {
-                    continue;
-                }
-            }
-            metrics
-                .by_class
-                .record(classify_message(&f), self.recipients);
-            sent.push(f);
-        }
+        let sent = self.count_sends(staged, sent_filter, table, metrics);
         let sent_n = sent.len() * self.recipients;
-        metrics.messages_sent += sent_n;
 
         // A deletion may have taken values out of adom(s), and a message
         // value that was not stored leaves A with the message: either
         // way A and S (and what the program remembers) may now be too
         // large. Start over from (H(x), s(x)).
-        if deleted || !unstored.is_empty() {
-            let state = self.take_state();
-            self.cool(state);
+        if folded.deleted || !unstored.is_empty() {
+            self.cool(table);
         }
 
         // Output growth bookkeeping (transition index is 1-based and was
         // incremented above).
-        if grew_output {
+        if folded.grew_output {
             if metrics.first_output_at.is_none() {
                 metrics.first_output_at = Some(metrics.transitions);
             }
@@ -581,8 +786,8 @@ impl<'a> NodeEngine<'a> {
                     ("node", ArgValue::Str(self.node.to_string())),
                     ("delivered", ArgValue::U64(delivered_occurrences as u64)),
                     ("sent", ArgValue::U64(sent_n as u64)),
-                    ("state_changed", ArgValue::Bool(state_changed)),
-                    ("new_output", ArgValue::List(new_output)),
+                    ("state_changed", ArgValue::Bool(folded.state_changed)),
+                    ("new_output", ArgValue::List(folded.new_output)),
                 ]
             });
             if delivered_occurrences > 0 {
@@ -610,9 +815,9 @@ impl<'a> NodeEngine<'a> {
 
         NodeStepOutcome {
             delivered: delivered_occurrences,
-            state_changed,
-            grew_output,
-            sent,
+            state_changed: folded.state_changed,
+            grew_output: folded.grew_output,
+            sent: Arc::new(sent),
             mid: None,
             cause: None,
         }
@@ -630,6 +835,7 @@ mod tests {
     use crate::transducer::DatalogTransducer;
     use calm_common::fact::fact;
     use calm_common::schema::Schema;
+    use calm_common::storage::SharedSymbols;
     use calm_queries::tc::tc_datalog;
 
     /// A heartbeat: the node steps on what it holds.
@@ -637,9 +843,15 @@ mod tests {
         engine.step(Delivery::None, None, metrics, &Obs::noop())
     }
 
+    /// `facts` as one send — each once — over `engine`'s table.
+    fn send(engine: &NodeEngine<'_>, facts: &[Fact]) -> Arc<Batch> {
+        let facts: Multiset<Fact> = facts.iter().cloned().collect();
+        Arc::new(Batch::of_facts(&facts, &mut engine.symbols.write()))
+    }
+
     /// Enqueue `facts` as one send and deliver everything.
     fn hand(engine: &mut NodeEngine<'_>, facts: &[Fact], metrics: &mut Metrics) -> NodeStepOutcome {
-        engine.enqueue(facts, None, metrics, &Obs::noop());
+        engine.enqueue(&send(engine, facts), None, metrics, &Obs::noop());
         engine.step(Delivery::All, None, metrics, &Obs::noop())
     }
 
@@ -650,7 +862,14 @@ mod tests {
         let policy = HashPolicy::new(net.clone());
         let input = Instance::from_facts([fact("E", [1, 2])]);
         let x = net.first().clone();
-        let mut engine = NodeEngine::new(&t, &policy, SystemConfig::ORIGINAL, x, &input);
+        let mut engine = NodeEngine::new(
+            &t,
+            &policy,
+            SystemConfig::ORIGINAL,
+            x,
+            &input,
+            &SharedSymbols::new(),
+        );
         let mut metrics = Metrics::default();
         let outcome = beat(&mut engine, &mut metrics);
         assert!(outcome.state_changed);
@@ -670,7 +889,14 @@ mod tests {
         let policy = HashPolicy::new(net.clone());
         let input = Instance::from_facts([fact("E", [1, 2]), fact("E", [2, 3])]);
         let x = net.first().clone();
-        let mut engine = NodeEngine::new(&t, &policy, SystemConfig::ORIGINAL, x, &input);
+        let mut engine = NodeEngine::new(
+            &t,
+            &policy,
+            SystemConfig::ORIGINAL,
+            x,
+            &input,
+            &SharedSymbols::new(),
+        );
         let mut metrics = Metrics::default();
         let first = beat(&mut engine, &mut metrics);
         assert!(first.state_changed);
@@ -689,7 +915,14 @@ mod tests {
         let policy = HashPolicy::new(net.clone());
         let input = Instance::new();
         for (i, n) in net.nodes().enumerate() {
-            let engine = NodeEngine::new(&t, &policy, SystemConfig::ORIGINAL, n.clone(), &input);
+            let engine = NodeEngine::new(
+                &t,
+                &policy,
+                SystemConfig::ORIGINAL,
+                n.clone(),
+                &input,
+                &SharedSymbols::new(),
+            );
             assert_eq!(engine.track, i as u32 + 1);
         }
     }
@@ -702,7 +935,8 @@ mod tests {
         let input = Instance::from_facts([fact("E", [1, 2])]);
         let x = net.first().clone();
         let sys = SystemConfig::POLICY_AWARE;
-        let mut engine = NodeEngine::new(&t, &policy, sys, x.clone(), &input);
+        let mut engine =
+            NodeEngine::new(&t, &policy, sys, x.clone(), &input, &SharedSymbols::new());
         assert!(engine.is_cold());
         assert!(engine.state().is_empty());
         let mut metrics = Metrics::default();
@@ -760,7 +994,14 @@ mod tests {
              del_flag(x,y) :- E(x,y), flag(x,y).",
         )
         .unwrap();
-        let mut engine = NodeEngine::new(&toggle, &policy, sys, x.clone(), &input);
+        let mut engine = NodeEngine::new(
+            &toggle,
+            &policy,
+            sys,
+            x.clone(),
+            &input,
+            &SharedSymbols::new(),
+        );
         beat(&mut engine, &mut metrics);
         assert!(!engine.is_cold(), "an insertion keeps the engine warm");
         let off = beat(&mut engine, &mut metrics);
@@ -770,7 +1011,14 @@ mod tests {
         // back when the message leaves.
         let forgetful =
             DatalogTransducer::parse("forgetful", schema(), "out_seen(x) :- E(x,y).").unwrap();
-        let mut engine = NodeEngine::new(&forgetful, &policy, sys, x.clone(), &input);
+        let mut engine = NodeEngine::new(
+            &forgetful,
+            &policy,
+            sys,
+            x.clone(),
+            &input,
+            &SharedSymbols::new(),
+        );
         beat(&mut engine, &mut metrics);
         assert!(!engine.is_cold());
         hand(&mut engine, &[fact("msg_v", [1])], &mut metrics);
@@ -785,23 +1033,30 @@ mod tests {
         let policy = HashPolicy::new(Network::of_size(2));
         let input = Instance::new();
         let x = policy.network().first().clone();
-        let mut node = NodeEngine::new(&t, &policy, SystemConfig::ORIGINAL, x, &input);
+        let mut node = NodeEngine::new(
+            &t,
+            &policy,
+            SystemConfig::ORIGINAL,
+            x,
+            &input,
+            &SharedSymbols::new(),
+        );
         let (mut m, obs) = (Metrics::default(), Obs::noop());
         // Everything, of an empty buffer: |m| = 0.
         assert_eq!(node.step(Delivery::All, None, &mut m, &obs).delivered, 0);
         assert_eq!(m.heartbeats, 1);
         // Everything, of a buffer that holds something: not a heartbeat.
-        node.enqueue(&[fact("m_E", [1, 2])], None, &mut m, &obs);
+        node.enqueue(&send(&node, &[fact("m_E", [1, 2])]), None, &mut m, &obs);
         assert_eq!(node.step(Delivery::All, None, &mut m, &obs).delivered, 1);
         assert_eq!((m.heartbeats, m.messages_delivered), (1, 1));
         // A sample that keeps every occurrence back.
-        node.enqueue(&[fact("m_E", [2, 3])], None, &mut m, &obs);
+        node.enqueue(&send(&node, &[fact("m_E", [2, 3])]), None, &mut m, &obs);
         let kept = Delivery::Sample {
             seed: 5,
             deliver_p: 0.0,
         };
         assert_eq!(node.step(kept, None, &mut m, &obs).delivered, 0);
-        assert_eq!((m.heartbeats, node.inbox().len()), (2, 1));
+        assert_eq!((m.heartbeats, node.buffered()), (2, 1));
         // And the heartbeat the schedule names.
         node.step(Delivery::None, None, &mut m, &obs);
         assert_eq!((m.heartbeats, m.transitions), (3, 4));
@@ -818,17 +1073,25 @@ mod tests {
         let facts: Vec<Fact> = (0..40).map(|i| fact("m_E", [i, i + 1])).collect();
         let mut split = false;
         for seed in 0..8 {
-            let mut node = NodeEngine::new(&t, &policy, SystemConfig::ORIGINAL, x.clone(), &input);
+            let mut node = NodeEngine::new(
+                &t,
+                &policy,
+                SystemConfig::ORIGINAL,
+                x.clone(),
+                &input,
+                &SharedSymbols::new(),
+            );
             // Two sends of the same facts: two occurrences of each.
-            node.enqueue(&facts, None, &mut m, &obs);
-            node.enqueue(&facts, None, &mut m, &obs);
+            let sent = send(&node, &facts);
+            node.enqueue(&sent, None, &mut m, &obs);
+            node.enqueue(&sent, None, &mut m, &obs);
             let before = m.messages_delivered;
             let outcome = node.step(Delivery::sample(seed), None, &mut m, &obs);
             assert_eq!(m.messages_delivered - before, outcome.delivered);
-            assert_eq!(outcome.delivered + node.inbox().len(), 80, "seed {seed}");
-            assert!(node.inbox().support().all(|f| facts.contains(f)));
-            assert!(node.inbox().iter().all(|(_, n)| n <= 2));
-            split |= outcome.delivered > 0 && !node.inbox().is_empty();
+            assert_eq!(outcome.delivered + node.buffered(), 80, "seed {seed}");
+            assert!(node.pending().support().all(|f| facts.contains(f)));
+            assert!(node.pending().iter().all(|(_, n)| n <= 2));
+            split |= outcome.delivered > 0 && node.buffered() > 0;
             // M is m collapsed: what was delivered is stored once.
             let stored = node.state().relation_len("c_E");
             assert!(
@@ -849,29 +1112,32 @@ mod tests {
         let policy = HashPolicy::new(Network::of_size(2));
         let input = Instance::new();
         let x = policy.network().first().clone();
-        let mut node = NodeEngine::new(&t, &policy, SystemConfig::ORIGINAL, x.clone(), &input);
+        let mut node = NodeEngine::new(
+            &t,
+            &policy,
+            SystemConfig::ORIGINAL,
+            x.clone(),
+            &input,
+            &SharedSymbols::new(),
+        );
         let (mut m, obs) = (Metrics::default(), Obs::noop());
         let hw = |m: &Metrics| m.buffered_high_water.get(&x).copied();
-        node.enqueue(&[], None, &mut m, &obs);
+        node.enqueue(&send(&node, &[]), None, &mut m, &obs);
         assert_eq!(hw(&m), None, "an empty send is no arrival");
-        node.enqueue(
-            &[fact("m_E", [1, 2]), fact("m_E", [2, 3])],
-            None,
-            &mut m,
-            &obs,
-        );
+        let two = send(&node, &[fact("m_E", [1, 2]), fact("m_E", [2, 3])]);
+        node.enqueue(&two, None, &mut m, &obs);
         assert_eq!(hw(&m), Some(2));
         // A wire batch: three occurrences of one fact, one of another.
         let mut batch = Multiset::new();
         batch.insert_n(fact("m_E", [1, 2]), 3);
         batch.insert(fact("m_E", [4, 5]));
         node.enqueue_batch(batch, None, &mut m, &obs);
-        assert_eq!((hw(&m), node.inbox().len()), (Some(6), 6));
+        assert_eq!((hw(&m), node.buffered()), (Some(6), 6));
         // Draining does not lower it, and a shallower refill does not
         // raise it.
         assert_eq!(node.step(Delivery::All, None, &mut m, &obs).delivered, 6);
-        node.enqueue(&[fact("m_E", [7, 8])], None, &mut m, &obs);
-        assert_eq!((hw(&m), node.inbox().len()), (Some(6), 1));
+        node.enqueue(&send(&node, &[fact("m_E", [7, 8])]), None, &mut m, &obs);
+        assert_eq!((hw(&m), node.buffered()), (Some(6), 1));
         assert_eq!(m.max_queue_depth(), 6);
     }
 
@@ -882,7 +1148,14 @@ mod tests {
         let policy = HashPolicy::new(net.clone());
         let input = Instance::from_facts([fact("E", [1, 2])]);
         let x = net.nodes().nth(1).unwrap().clone();
-        let mut node = NodeEngine::new(&t, &policy, SystemConfig::ORIGINAL, x, &input);
+        let mut node = NodeEngine::new(
+            &t,
+            &policy,
+            SystemConfig::ORIGINAL,
+            x,
+            &input,
+            &SharedSymbols::new(),
+        );
         let mut m = Metrics::default();
         // Untraced: no id.
         let quiet = node.step(Delivery::None, None, &mut m, &Obs::noop());
@@ -891,7 +1164,12 @@ mod tests {
         node.restore(Instance::new(), Multiset::new());
         let first = node.step(Delivery::None, None, &mut m, &obs);
         assert_eq!((first.mid, first.cause), (Some((1, 0)), None));
-        node.enqueue(&[fact("m_E", [2, 3])], Some((0, 7)), &mut m, &obs);
+        node.enqueue(
+            &send(&node, &[fact("m_E", [2, 3])]),
+            Some((0, 7)),
+            &mut m,
+            &obs,
+        );
         let second = node.step(Delivery::All, None, &mut m, &obs);
         assert_eq!((second.mid, second.cause), (Some((1, 1)), Some((0, 7))));
         // A restore does not hand an id out twice; a predecessor's

@@ -30,6 +30,7 @@ pub mod netcompile;
 pub mod network;
 pub mod policy;
 pub mod proof_replay;
+pub mod rows;
 pub mod runtime;
 pub mod schema;
 pub mod strategy;
@@ -47,6 +48,7 @@ pub use policy::{
     ParityDomainGuidedPolicy, ParityFirstAttributePolicy, RangePolicy, ReplicatedDomainPolicy,
 };
 pub use proof_replay::{replay_no_all_indistinguishability, replay_policy_surgery, ReplayOutcome};
+pub use rows::Batch;
 pub use runtime::{
     network_output, run, run_with, transition, verify_computes, Configuration, Delivery, Metrics,
     RunResult, Scheduler, TransducerNetwork, DEFAULT_DELIVER_P,

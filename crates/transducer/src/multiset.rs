@@ -4,44 +4,53 @@
 use std::collections::BTreeMap;
 
 /// A multiset over an ordered element type.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Multiset<T: Ord> {
     counts: BTreeMap<T, usize>,
+    /// The sum of `counts`, kept by every mutator: `len` is a read. (A
+    /// function of `counts`, so the derived equality stands.)
+    total: usize,
+}
+
+impl<T: Ord> Default for Multiset<T> {
+    fn default() -> Self {
+        Multiset {
+            counts: BTreeMap::new(),
+            total: 0,
+        }
+    }
 }
 
 impl<T: Ord + Clone> Multiset<T> {
     /// The empty multiset.
     pub fn new() -> Self {
-        Multiset {
-            counts: BTreeMap::new(),
-        }
+        Multiset::default()
     }
 
     /// Add one occurrence.
     pub fn insert(&mut self, item: T) {
-        *self.counts.entry(item).or_insert(0) += 1;
+        self.insert_n(item, 1);
     }
 
     /// Add `n` occurrences.
     pub fn insert_n(&mut self, item: T, n: usize) {
         if n > 0 {
             *self.counts.entry(item).or_insert(0) += n;
+            self.total += n;
         }
     }
 
     /// Remove one occurrence; returns `false` when absent.
     pub fn remove_one(&mut self, item: &T) -> bool {
         match self.counts.get_mut(item) {
-            Some(c) if *c > 1 => {
-                *c -= 1;
-                true
-            }
+            Some(c) if *c > 1 => *c -= 1,
             Some(_) => {
                 self.counts.remove(item);
-                true
             }
-            None => false,
+            None => return false,
         }
+        self.total -= 1;
+        true
     }
 
     /// Multiset difference: remove the occurrences of `other` (saturating).
@@ -60,9 +69,9 @@ impl<T: Ord + Clone> Multiset<T> {
         self.counts.get(item).copied().unwrap_or(0)
     }
 
-    /// Total number of occurrences.
+    /// Total number of occurrences — O(1).
     pub fn len(&self) -> usize {
-        self.counts.values().sum()
+        self.total
     }
 
     /// Whether empty.
@@ -82,16 +91,14 @@ impl<T: Ord + Clone> Multiset<T> {
 
     /// Drain everything, returning the previous contents.
     pub fn take_all(&mut self) -> Multiset<T> {
-        Multiset {
-            counts: std::mem::take(&mut self.counts),
-        }
+        std::mem::take(self)
     }
 
     /// Drain everything as `(element, count)` pairs in element order —
     /// the bulk form of a deliver-everything sweep (one pass, no
     /// per-occurrence removes).
     pub fn drain_all(&mut self) -> impl Iterator<Item = (T, usize)> {
-        std::mem::take(&mut self.counts).into_iter()
+        self.take_all().counts.into_iter()
     }
 
     /// Absorb another multiset wholesale (the bulk form of repeated
@@ -99,11 +106,11 @@ impl<T: Ord + Clone> Multiset<T> {
     /// empty this is a move, not an element-by-element merge.
     pub fn extend_from(&mut self, other: Multiset<T>) {
         if self.counts.is_empty() {
-            self.counts = other.counts;
+            *self = other;
             return;
         }
         for (item, n) in other.counts {
-            *self.counts.entry(item).or_insert(0) += n;
+            self.insert_n(item, n);
         }
     }
 }
@@ -119,9 +126,7 @@ impl<T: Ord + Clone> Extend<T> for Multiset<T> {
 impl<T: Ord + Clone> FromIterator<T> for Multiset<T> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let mut m = Multiset::new();
-        for x in iter {
-            m.insert(x);
-        }
+        m.extend(iter);
         m
     }
 }
@@ -198,5 +203,42 @@ mod tests {
         m.extend([1, 1, 2]);
         assert_eq!(m.count(&1), 2);
         assert_eq!(m.len(), 3);
+    }
+
+    #[test]
+    fn the_running_total_is_the_sum_of_the_counts_after_any_sequence_of_mutations() {
+        use calm_common::rng::Rng;
+        let sum = |m: &Multiset<u8>| m.iter().map(|(_, n)| n).sum::<usize>();
+        for seed in 0..32 {
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut m: Multiset<u8> = Multiset::new();
+            let small = |rng: &mut Rng| -> Multiset<u8> {
+                (0..rng.gen_range(0..5usize))
+                    .map(|_| rng.gen_range(0..6u8))
+                    .collect()
+            };
+            for step in 0..200 {
+                let item = rng.gen_range(0..6u8);
+                match rng.gen_range(0..8u8) {
+                    0 | 1 => m.insert(item),
+                    2 => m.insert_n(item, rng.gen_range(0..4usize)),
+                    3 => {
+                        m.remove_one(&item);
+                    }
+                    4 => m.subtract(&small(&mut rng)),
+                    5 => m.extend_from(small(&mut rng)),
+                    6 => {
+                        let drained: usize = m.drain_all().map(|(_, n)| n).sum();
+                        assert!(m.is_empty() && drained > 0 || drained == 0);
+                    }
+                    _ => {
+                        let taken = m.take_all();
+                        assert_eq!(taken.len(), sum(&taken), "seed {seed}, step {step}");
+                    }
+                }
+                assert_eq!(m.len(), sum(&m), "seed {seed}, step {step}");
+                assert_eq!(m.is_empty(), sum(&m) == 0, "seed {seed}, step {step}");
+            }
+        }
     }
 }

@@ -56,6 +56,18 @@ impl Network {
         self.nodes.iter().next().expect("nonempty")
     }
 
+    /// The node a hashable item falls to: its `DefaultHasher` hash
+    /// modulo `|N|`, as an index in deterministic order. The hash
+    /// policies share it, so that asking for a fact's owner and asking
+    /// whether a node is the owner cannot disagree.
+    pub(crate) fn hashed(&self, item: &impl std::hash::Hash) -> &NodeId {
+        use std::hash::Hasher;
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        item.hash(&mut h);
+        let idx = (h.finish() as usize) % self.nodes.len();
+        self.nodes.iter().nth(idx).expect("index in range")
+    }
+
     /// All nodes except `x`, in deterministic order.
     pub fn others<'a>(&'a self, x: &'a NodeId) -> impl Iterator<Item = &'a NodeId> + 'a {
         self.nodes.iter().filter(move |n| *n != x)

@@ -23,6 +23,13 @@ pub trait DistributionPolicy: Send + Sync {
     /// `P(f)`: the (nonempty) set of nodes the fact is assigned to.
     fn assign(&self, fact: &Fact) -> BTreeSet<NodeId>;
 
+    /// Whether `node ∈ P(fact)` — what a node asks about every candidate
+    /// tuple of its policy relations. A policy that can answer without
+    /// building the set overrides this.
+    fn assigns_to(&self, fact: &Fact, node: &NodeId) -> bool {
+        self.assign(fact).contains(node)
+    }
+
     /// Whether this policy is (by construction) domain-guided.
     fn is_domain_guided(&self) -> bool {
         false
@@ -72,17 +79,24 @@ impl HashPolicy {
     }
 }
 
+impl HashPolicy {
+    /// The one node `fact` hashes to.
+    fn owner(&self, fact: &Fact) -> &NodeId {
+        self.network.hashed(fact)
+    }
+}
+
 impl DistributionPolicy for HashPolicy {
     fn network(&self) -> &Network {
         &self.network
     }
 
     fn assign(&self, fact: &Fact) -> BTreeSet<NodeId> {
-        let mut h = DefaultHasher::new();
-        fact.hash(&mut h);
-        let idx = (h.finish() as usize) % self.network.len();
-        let node = self.network.nodes().nth(idx).expect("index in range");
-        BTreeSet::from([node.clone()])
+        BTreeSet::from([self.owner(fact).clone()])
+    }
+
+    fn assigns_to(&self, fact: &Fact, node: &NodeId) -> bool {
+        self.owner(fact) == node
     }
 }
 
@@ -144,17 +158,18 @@ impl DomainGuidedPolicy {
 
     /// α(a) for this policy.
     pub fn alpha(&self, value: &Value) -> BTreeSet<NodeId> {
-        if let Some(explicit) = self.overrides.get(value) {
-            return explicit.clone();
+        match self.overrides.get(value) {
+            Some(explicit) => explicit.clone(),
+            None => BTreeSet::from([self.owner(value).clone()]),
         }
-        if let Some(owner) = &self.default_owner {
-            return BTreeSet::from([owner.clone()]);
+    }
+
+    /// The single owner of a value without an explicit assignment.
+    fn owner(&self, value: &Value) -> &NodeId {
+        match &self.default_owner {
+            Some(owner) => owner,
+            None => self.network.hashed(value),
         }
-        let mut h = DefaultHasher::new();
-        value.hash(&mut h);
-        let idx = (h.finish() as usize) % self.network.len();
-        let node = self.network.nodes().nth(idx).expect("index in range");
-        BTreeSet::from([node.clone()])
     }
 }
 
@@ -169,6 +184,13 @@ impl DistributionPolicy for DomainGuidedPolicy {
             out.extend(self.alpha(v));
         }
         out
+    }
+
+    fn assigns_to(&self, fact: &Fact, node: &NodeId) -> bool {
+        fact.values().any(|v| match self.overrides.get(v) {
+            Some(explicit) => explicit.contains(node),
+            None => self.owner(v) == node,
+        })
     }
 
     fn is_domain_guided(&self) -> bool {
@@ -534,5 +556,69 @@ mod tests {
         assert_eq!(p.alpha(&Value::Int(5)).len(), 2);
         // Fact containing 5 is replicated to both nodes.
         assert_eq!(p.assign(&fact("E", [5, 5])).len(), 2);
+    }
+
+    #[test]
+    fn membership_is_assign_contains_for_every_policy_tuple_and_node() {
+        use crate::system_facts::tuples_over;
+        let values = [
+            Value::Int(0),
+            Value::Int(1),
+            Value::Int(-7),
+            Value::Int(12),
+            Value::str("a"),
+            Value::str("n1"),
+            Value::skolem("f", vec![Value::Int(1), Value::str("a")]),
+        ];
+        let two = Network::of_size(2);
+        let four = Network::of_size(4);
+        let base: Arc<dyn DistributionPolicy> = Arc::new(HashPolicy::new(four.clone()));
+        let overridden = [fact("E", [0, 1]), fact("E", [12])];
+        let policies: Vec<(&str, Box<dyn DistributionPolicy>)> = vec![
+            ("hash", Box::new(HashPolicy::new(four.clone()))),
+            (
+                "domain-guided",
+                Box::new(
+                    DomainGuidedPolicy::new(four.clone())
+                        .with_value_assignment(Value::Int(1), [Value::str("n2"), Value::str("n4")]),
+                ),
+            ),
+            (
+                "all-to",
+                Box::new(DomainGuidedPolicy::all_to(four.clone(), Value::str("n3"))),
+            ),
+            (
+                "override",
+                Box::new(OverridePolicy::new(base, overridden, [Value::str("n2")])),
+            ),
+            (
+                "replicated",
+                Box::new(ReplicatedDomainPolicy::new(four.clone(), 2)),
+            ),
+            ("range", Box::new(RangePolicy::new(four, 0, 10))),
+            (
+                "parity-first",
+                Box::new(ParityFirstAttributePolicy::new(two.clone())),
+            ),
+            (
+                "parity-guided",
+                Box::new(ParityDomainGuidedPolicy::new(two)),
+            ),
+        ];
+        for (name, policy) in &policies {
+            let mut asked = 0;
+            for arity in 1..=3 {
+                for tuple in tuples_over(&values, arity) {
+                    let f = Fact::new("E", tuple);
+                    let assigned = policy.assign(&f);
+                    for node in policy.network().nodes() {
+                        let member = policy.assigns_to(&f, node);
+                        assert_eq!(member, assigned.contains(node), "{name}: {f} at {node}");
+                        asked += 1;
+                    }
+                }
+            }
+            assert!(asked >= 2 * (7 + 49 + 343), "{name}");
+        }
     }
 }

@@ -1,0 +1,259 @@
+//! What a node holds and moves between transitions, as interned rows:
+//! a [`Batch`] of message rows (one send, one decoded wire batch, the
+//! node's input fragment), the [`Inbox`] of batches waiting to be
+//! delivered, and [`SymSet`], a set of values.
+//!
+//! Every [`Sym`] and [`RelId`] here is an index into the one
+//! [`SymbolTable`] of the engine instance the node runs in — a
+//! [`crate::runtime::run_with`] call, a `calm-net` worker — and means
+//! nothing outside it: rows never go on the wire, into a snapshot or
+//! into a [`crate::runtime::Configuration`]. [`Batch::intern`] and
+//! [`Batch::add_to`] are the two conversions, called at the node's
+//! edges only (DESIGN §17).
+
+use crate::multiset::Multiset;
+use calm_common::fact::Fact;
+use calm_common::storage::{RelId, Sym, SymbolTable};
+use calm_common::value::Value;
+use std::sync::Arc;
+
+/// A run of rows of one relation and one arity, back to back in
+/// [`Batch::syms`] up to `end`. The arity is the group's, not the
+/// relation's: a wire batch may hold `m_E(1)` beside `m_E(1,2)`.
+#[derive(Debug, Clone)]
+struct Group {
+    rel: RelId,
+    arity: usize,
+    end: usize,
+}
+
+/// Message rows grouped by relation: what one step sent, what one wire
+/// batch decoded into. Built by pushing, then shared behind an [`Arc`]
+/// and never changed again — every recipient's inbox holds the handle.
+#[derive(Debug, Clone, Default)]
+pub struct Batch {
+    groups: Vec<Group>,
+    syms: Vec<Sym>,
+    /// How often each row occurs, in row order — empty while every row
+    /// occurs once (every send; most wire batches).
+    counts: Vec<u32>,
+    rows: usize,
+    occurrences: usize,
+}
+
+impl Batch {
+    /// One occurrence of `row` of relation `rel`.
+    pub(crate) fn push(&mut self, rel: RelId, row: &[Sym]) {
+        self.push_n(rel, row, 1);
+    }
+
+    /// `n` occurrences of `row` of relation `rel`.
+    pub(crate) fn push_n(&mut self, rel: RelId, row: &[Sym], n: usize) {
+        if n == 0 {
+            return;
+        }
+        if n > 1 && self.counts.is_empty() {
+            self.counts.resize(self.rows, 1);
+        }
+        if n > 1 || !self.counts.is_empty() {
+            self.counts
+                .push(u32::try_from(n).expect("occurrences of one fact in one batch"));
+        }
+        self.syms.extend_from_slice(row);
+        match self.groups.last_mut() {
+            Some(g) if g.rel == rel && g.arity == row.len() => g.end = self.syms.len(),
+            _ => self.groups.push(Group {
+                rel,
+                arity: row.len(),
+                end: self.syms.len(),
+            }),
+        }
+        self.rows += 1;
+        self.occurrences += n;
+    }
+
+    /// The occurrences the batch holds (`|m|` when it is delivered).
+    pub fn len(&self) -> usize {
+        self.occurrences
+    }
+
+    /// Whether the batch holds nothing.
+    pub fn is_empty(&self) -> bool {
+        self.occurrences == 0
+    }
+
+    /// The groups in push order: relation, and its rows of one arity.
+    pub(crate) fn groups(
+        &self,
+    ) -> impl Iterator<Item = (RelId, std::slice::ChunksExact<'_, Sym>)> + '_ {
+        let mut start = 0;
+        self.groups.iter().map(move |g| {
+            let rows = self.syms[start..g.end].chunks_exact(g.arity);
+            start = g.end;
+            (g.rel, rows)
+        })
+    }
+
+    /// Every row with how often it occurs, in push order.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = (RelId, &[Sym], usize)> + '_ {
+        let mut counts = self.counts.iter();
+        self.groups()
+            .flat_map(|(rel, rows)| rows.map(move |row| (rel, row)))
+            .map(move |(rel, row)| (rel, row, counts.next().map_or(1, |&n| n as usize)))
+    }
+
+    /// Intern facts — relation, arguments, number of occurrences —
+    /// against `table`: the way facts enter a node (a restored state or
+    /// buffer, a decoded wire batch, the input fragment).
+    pub(crate) fn intern<'f>(
+        facts: impl IntoIterator<Item = (&'f str, &'f [Value], usize)>,
+        table: &mut SymbolTable,
+    ) -> Batch {
+        let mut batch = Batch::default();
+        let mut row = Vec::new();
+        for (relation, args, n) in facts {
+            let rel = intern_row(table, relation, args, &mut row);
+            batch.push_n(rel, &row, n);
+        }
+        batch
+    }
+
+    /// As [`Batch::intern`], for a multiset of facts.
+    pub fn of_facts(facts: &Multiset<Fact>, table: &mut SymbolTable) -> Batch {
+        Batch::intern(
+            facts.iter().map(|(f, n)| (&**f.relation(), f.args(), n)),
+            table,
+        )
+    }
+
+    /// Add the batch's facts, un-interned, to `out`: the way rows leave
+    /// a node (a checkpoint, the wire encoding, a sampled delivery).
+    pub fn add_to(&self, table: &SymbolTable, out: &mut Multiset<Fact>) {
+        for (rel, row, n) in self.rows() {
+            out.insert_n(fact_of(table, rel, row), n);
+        }
+    }
+}
+
+/// Intern one fact — relation and arguments — against `table`: the
+/// relation's id, and the row in `row` (overwritten).
+pub(crate) fn intern_row(
+    table: &mut SymbolTable,
+    relation: &str,
+    args: &[Value],
+    row: &mut Vec<Sym>,
+) -> RelId {
+    row.clear();
+    row.extend(args.iter().map(|v| table.sym(v)));
+    table.rel(relation)
+}
+
+/// The fact a row stands for under `table`.
+pub(crate) fn fact_of(table: &SymbolTable, rel: RelId, row: &[Sym]) -> Fact {
+    Fact::from_rel(table.rel_name(rel).clone(), values_of(table, row))
+}
+
+/// The values a row stands for under `table`.
+pub(crate) fn values_of(table: &SymbolTable, row: &[Sym]) -> Vec<Value> {
+    row.iter().map(|&s| table.value(s).clone()).collect()
+}
+
+/// `b(x)`: the batches sent to a node and not yet delivered, each
+/// behind the handle its sender made, and how many occurrences they hold
+/// together — enqueueing is a push, and the depth is a read.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Inbox {
+    batches: Vec<Arc<Batch>>,
+    buffered: usize,
+}
+
+impl Inbox {
+    /// Take one more batch.
+    pub(crate) fn push(&mut self, batch: Arc<Batch>) {
+        self.buffered += batch.len();
+        self.batches.push(batch);
+    }
+
+    /// The occurrences buffered.
+    pub(crate) fn len(&self) -> usize {
+        self.buffered
+    }
+
+    /// The buffered batches, oldest first.
+    pub(crate) fn batches(&self) -> &[Arc<Batch>] {
+        &self.batches
+    }
+
+    /// Empty the inbox, returning what it held.
+    pub(crate) fn take(&mut self) -> Vec<Arc<Batch>> {
+        self.buffered = 0;
+        std::mem::take(&mut self.batches)
+    }
+
+    /// The buffer as the multiset of facts it is (for a checkpoint, a
+    /// configuration, a sampled delivery).
+    pub(crate) fn to_multiset(&self, table: &SymbolTable) -> Multiset<Fact> {
+        let mut out = Multiset::new();
+        for batch in &self.batches {
+            batch.add_to(table, &mut out);
+        }
+        out
+    }
+}
+
+/// A set of interned values: a membership flag per symbol of the table,
+/// and the members as a list.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SymSet {
+    member: Vec<bool>,
+    listed: Vec<Sym>,
+}
+
+impl SymSet {
+    /// Whether `s` is a member.
+    pub(crate) fn contains(&self, s: Sym) -> bool {
+        self.member.get(s.0 as usize).copied().unwrap_or(false)
+    }
+
+    /// Add `s`; `true` when it was not a member.
+    pub(crate) fn insert(&mut self, s: Sym) -> bool {
+        let i = s.0 as usize;
+        if self.member.len() <= i {
+            self.member.resize(i + 1, false);
+        }
+        let new = !std::mem::replace(&mut self.member[i], true);
+        if new {
+            self.listed.push(s);
+        }
+        new
+    }
+
+    /// Take `s` out; `true` when it was a member. Costs a scan of the
+    /// members when it was — for the few values a delivery brings.
+    pub(crate) fn remove(&mut self, s: Sym) -> bool {
+        let was = self.contains(s);
+        if was {
+            self.member[s.0 as usize] = false;
+            let at = self.listed.iter().position(|&m| m == s);
+            self.listed.swap_remove(at.expect("a member is listed"));
+        }
+        was
+    }
+
+    /// Whether the set has no member.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.listed.is_empty()
+    }
+
+    /// The members, in no particular order.
+    pub(crate) fn as_slice(&self) -> &[Sym] {
+        &self.listed
+    }
+
+    /// Remove every member, keeping the allocation.
+    pub(crate) fn clear(&mut self) {
+        for s in self.listed.drain(..) {
+            self.member[s.0 as usize] = false;
+        }
+    }
+}

@@ -5,6 +5,7 @@ use crate::engine::NodeEngine;
 use crate::multiset::Multiset;
 use crate::network::NodeId;
 use crate::policy::{distribute, DistributionPolicy};
+use crate::rows::Inbox;
 use crate::schema::SystemConfig;
 use crate::strategy::MessageClassCounts;
 use crate::transducer::Transducer;
@@ -12,8 +13,11 @@ use calm_common::fact::Fact;
 use calm_common::instance::Instance;
 use calm_common::rng::Rng;
 use calm_common::schema::Schema;
+use calm_common::storage::{
+    store_to_instance, store_to_instance_restricted, SharedSymbols, Storage,
+};
 use calm_obs::{ArgValue, Obs};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// A transducer network `Π = (N, Υ, Π, P)` ready to run on inputs.
 /// The network is taken from the policy.
@@ -97,8 +101,12 @@ impl Metrics {
 
     /// `node`'s buffer is `depth` deep: keep its high-water mark.
     pub(crate) fn note_depth(&mut self, node: &NodeId, depth: usize) {
-        let hw = self.buffered_high_water.entry(node.clone()).or_insert(0);
-        *hw = (*hw).max(depth);
+        match self.buffered_high_water.get_mut(node) {
+            Some(hw) => *hw = (*hw).max(depth),
+            None => {
+                self.buffered_high_water.insert(node.clone(), depth);
+            }
+        }
     }
 
     /// Fold another run's counters into this one: sums for the flow
@@ -208,7 +216,10 @@ pub fn transition(
 ) -> bool {
     let empty = Instance::new();
     let input = dist.get(x).unwrap_or(&empty);
-    let mut node = NodeEngine::new(tn.transducer, tn.policy, tn.config, x.clone(), input);
+    // A table of its own: nothing interned outlives the call.
+    let symbols = SharedSymbols::new();
+    let (transducer, policy) = (tn.transducer, tn.policy);
+    let mut node = NodeEngine::new(transducer, policy, tn.config, x.clone(), input, &symbols);
     node.restore(
         config.state.remove(x).expect("node state"),
         config.buffer.remove(x).expect("node buffer"),
@@ -218,9 +229,11 @@ pub fn transition(
     config.state.insert(x.clone(), state);
     config.buffer.insert(x.clone(), buffer);
     if !outcome.sent.is_empty() {
+        let mut sent = Multiset::new();
+        outcome.sent.add_to(&symbols.read(), &mut sent);
         for y in tn.policy.network().others(x) {
             let buffer = config.buffer.get_mut(y).expect("node buffer");
-            buffer.extend(outcome.sent.iter().cloned());
+            buffer.extend_from(sent.clone());
             metrics.note_depth(y, buffer.len());
         }
     }
@@ -263,12 +276,34 @@ pub fn network_output(states: &BTreeMap<NodeId, Instance>, output: &Schema) -> I
 pub struct RunResult {
     /// `out(R)` — the union of output facts across nodes.
     pub output: Instance,
-    /// The final configuration.
-    pub config: Configuration,
     /// Run counters.
     pub metrics: Metrics,
     /// Whether the run reached quiescence within the transition budget.
     pub quiescent: bool,
+    /// The final `(s(x), b(x))` of every node, as the rows the run left
+    /// (the state is told from the rest by relation) over `symbols`:
+    /// [`RunResult::config`] un-interns them for a caller that asks.
+    nodes: Vec<(NodeId, Storage, Inbox)>,
+    symbols: SharedSymbols,
+}
+
+impl RunResult {
+    /// The final configuration. Built on request: most callers read
+    /// `out(R)` and nothing else, and un-interning four nodes' memories
+    /// costs more than a run on rows does.
+    pub fn config(&self) -> Configuration {
+        let table = self.symbols.read();
+        let mut config = Configuration {
+            state: BTreeMap::new(),
+            buffer: BTreeMap::new(),
+        };
+        for (x, state, buffer) in &self.nodes {
+            let state = store_to_instance(state, &self.symbols);
+            config.state.insert(x.clone(), state);
+            config.buffer.insert(x.clone(), buffer.to_multiset(&table));
+        }
+        config
+    }
 }
 
 /// Schedulers: how nodes are activated and messages delivered. All
@@ -373,21 +408,19 @@ pub fn run_with(
 ) -> RunResult {
     let dist = distribute(tn.policy, input);
     let ids: Vec<&NodeId> = tn.policy.network().nodes().collect();
-    // One warm node per node of the network for the whole run.
+    // One warm node per node of the network for the whole run, all over
+    // one symbol table: what one sends, another enqueues by handle.
+    let symbols = SharedSymbols::new();
     let empty = Instance::new();
     let mut nodes: Vec<NodeEngine<'_>> = ids
         .iter()
         .map(|&x| {
             let input = dist.get(x).unwrap_or(&empty);
-            NodeEngine::new(tn.transducer, tn.policy, tn.config, x.clone(), input)
+            let (transducer, policy) = (tn.transducer, tn.policy);
+            NodeEngine::new(transducer, policy, tn.config, x.clone(), input, &symbols)
         })
         .collect();
     let mut metrics = Metrics::default();
-    // Per node, the distinct message facts a full delivery ever handed it.
-    let mut delivered: Vec<BTreeSet<Fact>> = vec![BTreeSet::new(); nodes.len()];
-    let note_delivery = |node: &NodeEngine<'_>, seen: &mut BTreeSet<Fact>| {
-        seen.extend(node.inbox().support().cloned());
-    };
 
     if let Scheduler::Random {
         seed,
@@ -423,17 +456,14 @@ pub fn run_with(
                     deliver_p,
                 },
             };
-            // Only full deliveries are recorded in the delivered-set (a
-            // sampled delivery may skip occurrences; under-recording is
-            // conservative for quiescence detection).
-            if delivery == Delivery::All {
-                note_delivery(&nodes[i], &mut delivered[i]);
-            }
             fire(&mut nodes, i, delivery, &mut metrics, obs);
         }
     }
 
-    // Closing round-robin sweeps with full delivery.
+    // Closing round-robin sweeps with full delivery. Each node keeps the
+    // set of rows a full delivery ever handed it (a sampled delivery may
+    // skip occurrences and records nothing; under-recording is
+    // conservative for quiescence detection).
     let mut quiescent = false;
     while metrics.transitions < max_transitions {
         let mut state_changed = false;
@@ -441,14 +471,10 @@ pub fn run_with(
             if metrics.transitions >= max_transitions {
                 break;
             }
-            note_delivery(&nodes[i], &mut delivered[i]);
             state_changed |= fire(&mut nodes, i, Delivery::All, &mut metrics, obs);
         }
-        let all_messages_seen = nodes
-            .iter()
-            .zip(&delivered)
-            .all(|(node, seen)| node.inbox().support().all(|f| seen.contains(f)));
-        if !state_changed && all_messages_seen {
+        let _span = obs.span("runtime", || "quiesce".to_string());
+        if !state_changed && nodes.iter().all(NodeEngine::buffer_is_old_news) {
             quiescent = true;
             break;
         }
@@ -456,20 +482,40 @@ pub fn run_with(
 
     metrics.report_run_summary(obs, quiescent);
 
-    let mut config = Configuration {
-        state: BTreeMap::new(),
-        buffer: BTreeMap::new(),
+    // out(R): the rows of the output relations, united before they are
+    // un-interned. Nothing else of the final states is — see
+    // [`RunResult::config`].
+    let _span = obs.span("runtime", || "finish".to_string());
+    let output_schema = &tn.transducer.schema().output;
+    let output_rels: Vec<_> = {
+        let table = symbols.read();
+        if obs.enabled() {
+            obs.gauge("runtime", "symbols", 0, table.sym_count() as u64);
+        }
+        (output_schema.iter())
+            .filter_map(|(name, arity)| Some((table.lookup_rel(name)?, arity)))
+            .collect()
     };
-    for (x, node) in ids.into_iter().zip(nodes) {
-        let (state, buffer) = node.into_parts();
-        config.state.insert(x.clone(), state);
-        config.buffer.insert(x.clone(), buffer);
+    let mut out = Storage::new();
+    let mut finals = Vec::with_capacity(nodes.len());
+    for (i, (x, node)) in ids.into_iter().zip(nodes).enumerate() {
+        let (state, buffer) = node.into_rows();
+        if obs.enabled() {
+            obs.gauge("runtime", "state_rows", i as u32 + 1, state.len() as u64);
+        }
+        for &(r, arity) in &output_rels {
+            if let Some(relation) = state.relation(r) {
+                out.insert_batch(r, relation.live_rows().filter(|row| row.len() == arity));
+            }
+        }
+        finals.push((x.clone(), state, buffer));
     }
     RunResult {
-        output: network_output(&config.state, &tn.transducer.schema().output),
-        config,
+        output: store_to_instance_restricted(&out, &symbols, output_schema),
         metrics,
         quiescent,
+        nodes: finals,
+        symbols,
     }
 }
 

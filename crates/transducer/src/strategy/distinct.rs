@@ -10,18 +10,20 @@
 //! the rest of the input is domain-distinct from the complete part).
 
 use super::{
-    absence_rel, coll_rel, collected_input, msg_rel, rename_to_out, renamed_output_schema, Gossip,
+    absence_rel, coll_rel, collected_input, msg_rel, rename_to_out, renamed_output_schema,
+    session_fact, store_answer, Gossip,
 };
 use crate::schema::{policy_relation, TransducerSchema};
 use crate::system_facts::{for_each_new_tuple, tuples_over};
 use crate::transducer::{NodeProgram, NodeView, Transducer, TransducerStep};
-use calm_common::fact::{rel, Fact, RelName};
+use calm_common::fact::{Fact, RelName};
 use calm_common::instance::Instance;
 use calm_common::query::{Query, QuerySession};
 use calm_common::schema::Schema;
+use calm_common::storage::{EvalMetrics, RelId, Sym, SymbolTable};
 use calm_common::update::UpdateBatch;
 use calm_common::value::Value;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Memory: absences known (`ab_R`), facts already broadcast (`sf_R`),
 /// absences already broadcast (`sb_R`).
@@ -145,19 +147,28 @@ impl Transducer for DistinctStrategy {
         &self.name
     }
 
-    fn open(&self) -> Box<dyn NodeProgram + '_> {
+    fn open(&self, table: &mut SymbolTable) -> Box<dyn NodeProgram + '_> {
         let names = self.query.input_schema().iter().map(|(r, arity)| Names {
             arity,
-            input: r.clone(),
-            policy: rel(policy_relation(r)),
-            fact: Gossip::new(coll_rel(r), sent_fact_rel(r), msg_rel(r)),
-            absence: Gossip::new(known_absence_rel(r), sent_absence_rel(r), absence_rel(r)),
+            name: r.clone(),
+            input: table.rel(r),
+            policy: table.rel(&policy_relation(r)),
+            fact: Gossip::new(table, &coll_rel(r), &sent_fact_rel(r), &msg_rel(r)),
+            absence: Gossip::new(
+                table,
+                &known_absence_rel(r),
+                &sent_absence_rel(r),
+                &absence_rel(r),
+            ),
         });
         Box::new(FactsAndAbsences {
             names: names.collect(),
+            my_adom: table.rel("MyAdom"),
             session: self.query.session(),
             started: false,
-            undetermined: BTreeMap::new(),
+            dirty: false,
+            values: Vec::new(),
+            undetermined: Vec::new(),
             restricted: Instance::new(),
         })
     }
@@ -166,10 +177,11 @@ impl Transducer for DistinctStrategy {
 /// The relations one input relation `R` gives rise to, interned.
 struct Names {
     arity: usize,
-    /// `R`.
-    input: RelName,
+    /// `R`, by name (for the session) and as interned.
+    name: RelName,
+    input: RelId,
     /// `policy_R`.
-    policy: RelName,
+    policy: RelId,
     /// `c_R`, `sf_R`, `m_R`.
     fact: Gossip,
     /// `ab_R`, `sb_R`, `n_R`.
@@ -178,12 +190,13 @@ struct Names {
 
 impl Names {
     /// Whether `t` is known to be a fact or known to be absent.
-    fn determined(&self, t: &[Value], d: &Instance, ins: &Instance) -> bool {
-        [&self.fact.known, &self.absence.known]
-            .into_iter()
-            .any(|known| d.contains_tuple(known, t) || ins.contains_tuple(known, t))
+    fn determined(&self, t: &[Sym], view: &NodeView<'_>) -> bool {
+        view.d().contains(self.fact.known, t) || view.d().contains(self.absence.known, t)
     }
 }
+
+/// In [`FactsAndAbsences::undetermined`]: not a known value.
+const UNKNOWN: u32 = u32::MAX;
 
 /// One node's [`DistinctStrategy`]. Each fact or absence is remembered
 /// and broadcast once, when it is first seen; the complete set is kept
@@ -196,105 +209,137 @@ impl Names {
 /// them out of the complete set until those are determined.
 struct FactsAndAbsences<'a> {
     names: Vec<Names>,
+    my_adom: RelId,
     session: Box<dyn QuerySession + 'a>,
     started: bool,
-    /// Known value (`MyAdom`) ↦ undetermined tuples holding it, counted
-    /// per occurrence.
-    undetermined: BTreeMap<Value, usize>,
+    /// Whether the session's input may have changed in this call.
+    dirty: bool,
+    /// The known values (`MyAdom`).
+    values: Vec<Sym>,
+    /// By symbol: the undetermined tuples holding a known value, counted
+    /// per occurrence; [`UNKNOWN`] for any other symbol.
+    undetermined: Vec<u32>,
     /// The session's input.
     restricted: Instance,
 }
 
+impl FactsAndAbsences<'_> {
+    /// The tuple `t` of input relation `i` became known, as a fact or
+    /// as an absence: remember and broadcast it, and release the values
+    /// of a tuple that was counted — one over values known before this
+    /// call, undetermined until now.
+    fn learn(&mut self, view: &mut NodeView<'_>, i: usize, is_fact: bool, t: &[Sym]) {
+        let names = &self.names[i];
+        let (k, other) = match is_fact {
+            true => (&names.fact, &names.absence),
+            false => (&names.absence, &names.fact),
+        };
+        let newly = k.learn(view, t);
+        self.dirty |= newly && is_fact;
+        let known = |v: &Sym| {
+            self.undetermined
+                .get(v.0 as usize)
+                .is_some_and(|&n| n != UNKNOWN)
+        };
+        let counted = newly
+            && t.len() == names.arity
+            && t.iter().all(known)
+            && !view.d().contains(other.known, t);
+        if counted {
+            for v in t {
+                let n = &mut self.undetermined[v.0 as usize];
+                *n -= 1;
+                self.dirty |= *n == 0;
+            }
+        }
+    }
+
+    /// Whether every value of `t` is complete.
+    fn complete(&self, t: &[Sym]) -> bool {
+        (t.iter()).all(|v| self.undetermined.get(v.0 as usize) == Some(&0))
+    }
+}
+
 impl NodeProgram for FactsAndAbsences<'_> {
-    fn advance(&mut self, view: &mut NodeView<'_>) -> TransducerStep {
-        let d = view.d();
-        let mut step = TransducerStep::default();
+    fn advance(&mut self, view: &mut NodeView<'_>) -> EvalMetrics {
         let first = !std::mem::replace(&mut self.started, true);
-        // Whether the session's input may have changed.
-        let mut dirty = first;
+        self.dirty = first;
 
         // 1. What became known: remember and broadcast it.
-        let undetermined = &mut self.undetermined;
-        let mut learn = |names: &Names, is_fact: bool, t: &[Value]| {
-            let (k, other) = match is_fact {
-                true => (&names.fact, &names.absence),
-                false => (&names.absence, &names.fact),
-            };
-            let newly = k.learn(d, t, &mut step);
-            dirty |= newly && is_fact;
-            // Release the values of a tuple that was counted: one over
-            // values known before this call, undetermined until now.
-            let counted = newly
-                && t.len() == names.arity
-                && t.iter().all(|v| undetermined.contains_key(v))
-                && !d.contains_tuple(&other.known, t)
-                && !step.ins.contains_tuple(&other.known, t);
-            if counted {
-                for v in t {
-                    let n = undetermined.get_mut(v).expect("checked above");
-                    *n -= 1;
-                    dirty |= *n == 0;
-                }
-            }
-        };
-        for names in &self.names {
+        for i in 0..self.names.len() {
+            let names = &self.names[i];
+            let (input, policy) = (names.input, names.policy);
             if first {
-                for t in d.tuples(&names.input).chain(d.tuples(&names.fact.known)) {
-                    learn(names, true, t);
-                }
-                for t in d.tuples(&names.absence.known) {
-                    learn(names, false, t);
+                // What D held before this call: learning writes to it.
+                let held = [
+                    (input, true),
+                    (names.fact.known, true),
+                    (names.absence.known, false),
+                ]
+                .map(|(r, is_fact)| (r, view.all_ids(r), is_fact));
+                for (r, ids, is_fact) in held {
+                    view.for_rows(r, ids, |view, t| self.learn(view, i, is_fact, t));
                 }
             }
             // Responsible for R(ā), and R(ā) not locally given: absent.
-            for t in view.new_sys.tuples(&names.policy) {
-                if !d.contains_tuple(&names.input, t) {
-                    learn(names, false, t);
+            let ids = view.new_ids(policy);
+            view.for_rows(policy, ids, |view, t| {
+                if !view.d().contains(input, t) {
+                    self.learn(view, i, false, t);
                 }
-            }
+            });
         }
-        for m in view.delivered {
-            for names in &self.names {
-                if names.fact.msg == *m.relation() {
-                    learn(names, true, m.args());
-                } else if names.absence.msg == *m.relation() {
-                    learn(names, false, m.args());
+        let delivered = view.delivered();
+        for r in delivered.rel_ids() {
+            let from = (self.names.iter().enumerate()).find_map(|(i, n)| {
+                (n.fact.msg == r)
+                    .then_some((i, true))
+                    .or((n.absence.msg == r).then_some((i, false)))
+            });
+            if let Some((i, is_fact)) = from {
+                for t in delivered
+                    .relation(r)
+                    .expect("a listed relation")
+                    .live_rows()
+                {
+                    self.learn(view, i, is_fact, t);
                 }
             }
         }
 
         // 2. New values: the tuples that contain one are new too, and
         // count against every value in them until determined.
-        let new_values: Vec<Value> = (view.new_sys.tuples("MyAdom"))
-            .map(|t| t[0].clone())
+        let new_values: Vec<Sym> = (view.new_ids(self.my_adom))
+            .map(|id| view.d().relation(self.my_adom).expect("has rows").row(id)[0])
             .collect();
         if !new_values.is_empty() {
-            dirty = true;
-            let old_values: Vec<Value> = self.undetermined.keys().cloned().collect();
-            self.undetermined
-                .extend(new_values.iter().map(|v| (v.clone(), 0)));
+            self.dirty = true;
+            self.undetermined.resize(view.table.sym_count(), UNKNOWN);
+            for v in &new_values {
+                self.undetermined[v.0 as usize] = 0;
+            }
             for names in &self.names {
-                for_each_new_tuple(&old_values, &new_values, names.arity, |t| {
-                    if !names.determined(t, d, &step.ins) {
+                for_each_new_tuple(&self.values, &new_values, names.arity, |t| {
+                    if !names.determined(t, view) {
                         for v in t {
-                            *self.undetermined.get_mut(v).expect("a known value") += 1;
+                            self.undetermined[v.0 as usize] += 1;
                         }
                     }
                 });
             }
+            self.values.extend(new_values);
         }
 
         // 3. The session's input — the collected facts over complete
         // values — and the signed difference to what it was.
-        if dirty {
-            let complete = |t: &[Value]| t.iter().all(|v| self.undetermined.get(v) == Some(&0));
+        if self.dirty {
             let mut restricted = Instance::new();
             for names in &self.names {
-                let collected = (d.tuples(&names.fact.known))
-                    .chain(step.ins.tuples(&names.fact.known))
-                    .filter(|t| complete(t));
-                for t in collected {
-                    restricted.insert_tuple(&names.input, t.clone());
+                let Some(collected) = view.d().relation(names.fact.known) else {
+                    continue;
+                };
+                for t in collected.live_rows().filter(|t| self.complete(t)) {
+                    restricted.insert(session_fact(view.table, &names.name, t));
                 }
             }
             let batch = UpdateBatch {
@@ -310,10 +355,10 @@ impl NodeProgram for FactsAndAbsences<'_> {
             };
             self.restricted = restricted;
             if first || !batch.is_empty() {
-                step.out = rename_to_out(self.session.apply(&batch));
+                store_answer(&self.session.apply(&batch), view);
             }
         }
-        step
+        EvalMetrics::default()
     }
 }
 

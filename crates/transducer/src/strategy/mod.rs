@@ -21,12 +21,13 @@ pub use disjoint::DisjointStrategy;
 pub use distinct::DistinctStrategy;
 pub use monotone::MonotoneBroadcast;
 
-use crate::transducer::TransducerStep;
+use crate::rows::{intern_row, values_of};
+use crate::transducer::NodeView;
 use calm_common::fact::{rel, Fact, RelName};
 use calm_common::instance::Instance;
 use calm_common::query::Query;
 use calm_common::schema::Schema;
-use calm_common::value::Value;
+use calm_common::storage::{RelId, Sym, SymbolTable};
 
 /// The protocol class of a message fact, keyed by the message-relation
 /// naming convention shared by the three strategies. This is the
@@ -69,9 +70,10 @@ impl MessageClass {
     }
 }
 
-/// Classify a message fact by its relation name.
-pub fn classify_message(f: &Fact) -> MessageClass {
-    let name = f.relation().as_ref();
+/// Classify a message relation by its name: the one definition of a
+/// class. A node asks once per relation, when it first meets the
+/// relation's id, and counts sends by the cached answer.
+pub fn classify_message(name: &str) -> MessageClass {
     match name {
         "v_a" => MessageClass::ValueBroadcast,
         "rq" => MessageClass::Request,
@@ -163,14 +165,16 @@ impl MessageClassCounts {
     }
 }
 
-/// Per-class counts of one step's send (each fact once), as
+/// Per-class counts of one step's send — `n` rows of each `class` — as
 /// `class.<label>` trace-event argument names. Zero classes are
 /// skipped, so a `trace/send` event carries only the classes the send
 /// actually contains.
-pub(crate) fn class_arg_counts(sent: &[Fact]) -> Vec<(&'static str, u64)> {
+pub(crate) fn class_arg_counts(
+    sent: impl Iterator<Item = (MessageClass, usize)>,
+) -> Vec<(&'static str, u64)> {
     let mut counts = MessageClassCounts::default();
-    for f in sent {
-        counts.record(classify_message(f), 1);
+    for (class, n) in sent {
+        counts.record(class, n);
     }
     [
         ("class.fact", counts.fact),
@@ -232,34 +236,50 @@ pub fn rename_to_out(answer: Instance) -> Instance {
 /// One kind of knowledge about the tuples of an input relation (that
 /// they are facts; that they are absent) as a node's program handles
 /// it: remembered in `known`, broadcast as `msg`, the broadcast marked
-/// in `sent`. The names are interned once per program.
+/// in `sent`. The names are interned once, when the program opens.
 pub(crate) struct Gossip {
-    pub(crate) known: RelName,
-    pub(crate) sent: RelName,
-    pub(crate) msg: RelName,
+    pub(crate) known: RelId,
+    pub(crate) sent: RelId,
+    pub(crate) msg: RelId,
 }
 
 impl Gossip {
-    pub(crate) fn new(known: String, sent: String, msg: String) -> Self {
+    pub(crate) fn new(table: &mut SymbolTable, known: &str, sent: &str, msg: &str) -> Self {
         Gossip {
-            known: rel(known),
-            sent: rel(sent),
-            msg: rel(msg),
+            known: table.rel(known),
+            sent: table.rel(sent),
+            msg: table.rel(msg),
         }
     }
 
     /// `t` was learned: remember it, and broadcast it unless that
-    /// happened (`d` holds the memory as it was before this step).
-    /// Returns whether `t` is new to the memory and to this step.
-    pub(crate) fn learn(&self, d: &Instance, t: &[Value], step: &mut TransducerStep) -> bool {
-        let new =
-            !d.contains_tuple(&self.known, t) && step.ins.insert_tuple(&self.known, t.to_vec());
-        if !d.contains_tuple(&self.sent, t) {
-            step.snd.insert_tuple(&self.msg, t.to_vec());
-            step.ins.insert_tuple(&self.sent, t.to_vec());
+    /// happened. Returns whether `t` is new to the memory.
+    pub(crate) fn learn(&self, view: &mut NodeView<'_>, t: &[Sym]) -> bool {
+        let new = view.insert(self.known, t);
+        if view.insert(self.sent, t) {
+            view.send(self.msg, t);
         }
         new
     }
+}
+
+/// Store a query session's answer as the node's output: every fact of
+/// relation `R` a row of `out_R` — the answer half of the session edge.
+pub(crate) fn store_answer(answer: &Instance, view: &mut NodeView<'_>) {
+    let mut row = Vec::new();
+    for r in answer.relation_names() {
+        let out = out_rel(r);
+        for t in answer.tuples(r) {
+            let out = intern_row(view.table, &out, t, &mut row);
+            view.insert(out, &row);
+        }
+    }
+}
+
+/// The fact of relation `r` that row `t` stands for — the input half of
+/// the session edge.
+pub(crate) fn session_fact(table: &SymbolTable, r: &RelName, t: &[Sym]) -> Fact {
+    Fact::from_rel(r.clone(), values_of(table, t))
 }
 
 /// Gather the "collected input" visible in `D`: for each input relation
@@ -286,22 +306,13 @@ mod tests {
 
     #[test]
     fn message_classification_follows_naming_convention() {
-        assert_eq!(
-            classify_message(&fact("m_E", [1, 2])),
-            MessageClass::FactBroadcast
-        );
-        assert_eq!(
-            classify_message(&fact("n_E", [1, 2])),
-            MessageClass::AbsenceBroadcast
-        );
-        assert_eq!(
-            classify_message(&fact("v_a", [1])),
-            MessageClass::ValueBroadcast
-        );
-        assert_eq!(classify_message(&fact("rq", [1, 2])), MessageClass::Request);
-        assert_eq!(classify_message(&fact("okm", [1, 2])), MessageClass::Ok);
-        assert_eq!(classify_message(&fact("k_E", [1, 2])), MessageClass::Ack);
-        assert_eq!(classify_message(&fact("weird", [1])), MessageClass::Other);
+        assert_eq!(classify_message("m_E"), MessageClass::FactBroadcast);
+        assert_eq!(classify_message("n_E"), MessageClass::AbsenceBroadcast);
+        assert_eq!(classify_message("v_a"), MessageClass::ValueBroadcast);
+        assert_eq!(classify_message("rq"), MessageClass::Request);
+        assert_eq!(classify_message("okm"), MessageClass::Ok);
+        assert_eq!(classify_message("k_E"), MessageClass::Ack);
+        assert_eq!(classify_message("weird"), MessageClass::Other);
     }
 
     #[test]

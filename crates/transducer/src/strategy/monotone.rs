@@ -3,15 +3,18 @@
 //! newly received fact, with no waiting at all. Correct exactly for
 //! monotone queries.
 
-use super::{coll_rel, collected_input, msg_rel, rename_to_out, renamed_output_schema, Gossip};
+use super::{
+    coll_rel, collected_input, msg_rel, rename_to_out, renamed_output_schema, session_fact,
+    store_answer, Gossip,
+};
 use crate::schema::TransducerSchema;
 use crate::transducer::{NodeProgram, NodeView, Transducer, TransducerStep};
 use calm_common::fact::{Fact, RelName};
 use calm_common::instance::Instance;
 use calm_common::query::{Query, QuerySession};
 use calm_common::schema::Schema;
+use calm_common::storage::{EvalMetrics, RelId, Sym, SymbolTable};
 use calm_common::update::UpdateBatch;
-use calm_common::value::Value;
 
 /// The broadcast-everything strategy for monotone queries.
 pub struct MonotoneBroadcast {
@@ -23,12 +26,6 @@ pub struct MonotoneBroadcast {
 /// Memory relation marking facts already broadcast.
 fn sent_rel(r: &str) -> String {
     format!("s_{r}")
-}
-
-/// `c_R`, `s_R`, `m_R`: where the facts of input relation `R` are
-/// collected, marked as broadcast, and broadcast.
-fn gossip(r: &str) -> Gossip {
-    Gossip::new(coll_rel(r), sent_rel(r), msg_rel(r))
 }
 
 impl MonotoneBroadcast {
@@ -70,10 +67,12 @@ impl Transducer for MonotoneBroadcast {
         // Remember everything we know; broadcast what we have not
         // broadcast yet.
         for (r, _) in self.query.input_schema().iter() {
-            let facts = gossip(r);
             for t in collected.tuples(r) {
-                step.ins.insert_tuple(&facts.known, t.clone());
-                facts.learn(d, t, &mut step);
+                step.ins.insert(Fact::new(coll_rel(r), t.clone()));
+                if !d.contains_tuple(&sent_rel(r), t) {
+                    step.snd.insert(Fact::new(msg_rel(r), t.clone()));
+                    step.ins.insert(Fact::new(sent_rel(r), t.clone()));
+                }
             }
         }
         // Output Q over everything currently known — monotonicity makes
@@ -86,57 +85,83 @@ impl Transducer for MonotoneBroadcast {
         &self.name
     }
 
-    fn open(&self) -> Box<dyn NodeProgram + '_> {
-        let input = self.query.input_schema();
+    fn open(&self, table: &mut SymbolTable) -> Box<dyn NodeProgram + '_> {
+        let relations = self.query.input_schema().names().map(|r| Collected {
+            name: r.clone(),
+            input: table.rel(r),
+            facts: Gossip::new(table, &coll_rel(r), &sent_rel(r), &msg_rel(r)),
+        });
         Box::new(Broadcast {
-            relations: input.names().map(|r| (r.clone(), gossip(r))).collect(),
+            relations: relations.collect(),
             session: self.query.session(),
             started: false,
+            collected: UpdateBatch::new(),
         })
     }
+}
+
+/// An input relation `R` with its `c_R`/`s_R`/`m_R`: where its facts
+/// are collected, marked as broadcast, and broadcast.
+struct Collected {
+    name: RelName,
+    input: RelId,
+    facts: Gossip,
 }
 
 /// One node's [`MonotoneBroadcast`]: each fact is collected, broadcast
 /// and handed to the query once — when it is first seen — and the query
 /// is a session over everything collected, which only grows.
 struct Broadcast<'a> {
-    /// Each input relation `R` with its `c_R`/`s_R`/`m_R`.
-    relations: Vec<(RelName, Gossip)>,
+    relations: Vec<Collected>,
     session: Box<dyn QuerySession + 'a>,
     started: bool,
+    /// What this step collected, for the session.
+    collected: UpdateBatch,
+}
+
+impl Broadcast<'_> {
+    /// A fact of input relation `i` is at hand. The session is told when
+    /// it is new — and on a first call in any case: the memory may be
+    /// there already (a restored state).
+    fn collect(&mut self, view: &mut NodeView<'_>, i: usize, first: bool, t: &[Sym]) {
+        let relation = &self.relations[i];
+        if relation.facts.learn(view, t) || first {
+            let fact = session_fact(view.table, &relation.name, t);
+            self.collected.insert.push(fact);
+        }
+    }
 }
 
 impl NodeProgram for Broadcast<'_> {
-    fn advance(&mut self, view: &mut NodeView<'_>) -> TransducerStep {
-        let d = view.d();
-        let mut step = TransducerStep::default();
-        let mut collected = UpdateBatch::new();
+    fn advance(&mut self, view: &mut NodeView<'_>) -> EvalMetrics {
         let first = !std::mem::replace(&mut self.started, true);
-        let mut collect = |(r, facts): &(RelName, Gossip), t: &[Value]| {
-            // A first call may find memory already there (a restored
-            // state): the session still has to be told.
-            if facts.learn(d, t, &mut step) || first {
-                collected.insert.push(Fact::from_rel(r.clone(), t.to_vec()));
-            }
-        };
         if first {
-            for relation in &self.relations {
-                let (r, facts) = relation;
-                for t in d.tuples(r).chain(d.tuples(&facts.known)) {
-                    collect(relation, t);
+            for i in 0..self.relations.len() {
+                // What D held before this call: collecting writes to `c_R`.
+                let held = [self.relations[i].input, self.relations[i].facts.known]
+                    .map(|r| (r, view.all_ids(r)));
+                for (r, ids) in held {
+                    view.for_rows(r, ids, |view, t| self.collect(view, i, true, t));
                 }
             }
         }
-        for m in view.delivered {
-            let from = |(_, facts): &&(RelName, Gossip)| facts.msg == *m.relation();
-            if let Some(relation) = self.relations.iter().find(from) {
-                collect(relation, m.args());
+        let delivered = view.delivered();
+        for r in delivered.rel_ids() {
+            if let Some(i) = self.relations.iter().position(|c| c.facts.msg == r) {
+                for t in delivered
+                    .relation(r)
+                    .expect("a listed relation")
+                    .live_rows()
+                {
+                    self.collect(view, i, first, t);
+                }
             }
         }
-        if first || !collected.is_empty() {
-            step.out = rename_to_out(self.session.apply(&collected));
+        if first || !self.collected.is_empty() {
+            store_answer(&self.session.apply(&self.collected), view);
+            self.collected.insert.clear();
         }
-        step
+        EvalMetrics::default()
     }
 }
 

@@ -66,11 +66,11 @@ pub fn system_facts(
                 arity <= POLICY_ARITY_CAP,
                 "policy relation enumeration capped at arity {POLICY_ARITY_CAP} (got {arity} for {rel})"
             );
-            let pname = policy_relation(rel);
+            let pname = calm_common::fact::rel(policy_relation(rel));
             for tuple in tuples_over(&a_vec, arity) {
-                let candidate = Fact::new(rel.as_ref(), tuple.clone());
+                let candidate = Fact::from_rel(rel.clone(), tuple);
                 if policy.assign(&candidate).contains(x) {
-                    s.insert(Fact::new(&pname, tuple));
+                    s.insert_tuple(&pname, candidate.into_parts().1);
                 }
             }
         }
@@ -80,43 +80,28 @@ pub fn system_facts(
 
 /// All tuples of the given arity over a value slice (odometer order).
 pub fn tuples_over(values: &[Value], arity: usize) -> Vec<Vec<Value>> {
-    if values.is_empty() {
-        return Vec::new();
-    }
     let mut out = Vec::with_capacity(values.len().pow(arity as u32));
-    let mut idx = vec![0usize; arity];
-    loop {
-        out.push(idx.iter().map(|&i| values[i].clone()).collect());
-        let mut pos = 0;
-        loop {
-            if pos == arity {
-                return out;
-            }
-            idx[pos] += 1;
-            if idx[pos] < values.len() {
-                break;
-            }
-            idx[pos] = 0;
-            pos += 1;
-        }
-    }
+    for_each_new_tuple(&[], values, arity, |t| out.push(t.to_vec()));
+    out
 }
 
 /// Call `f` on every tuple of the given arity over `old ∪ new` that
 /// holds at least one value of `new` — the `|A'|^k − |A|^k` tuples a
-/// grown value set adds to [`tuples_over`]. `old` and `new` must be
-/// disjoint; each tuple is visited once (grouped by the first position
-/// that holds a new value).
-pub(crate) fn for_each_new_tuple(
-    old: &[Value],
-    new: &[Value],
+/// grown value set adds to [`tuples_over`] (all of them, from an empty
+/// `old`). `old` and `new` must be disjoint; each tuple is visited once
+/// (grouped by the first position that holds a new value). Generic in
+/// the value: the specification enumerates [`Value`]s, a running node
+/// and its program interned symbols.
+pub(crate) fn for_each_new_tuple<T: Clone>(
+    old: &[T],
+    new: &[T],
     arity: usize,
-    mut f: impl FnMut(&[Value]),
+    mut f: impl FnMut(&[T]),
 ) {
     if new.is_empty() || arity == 0 {
         return;
     }
-    let all: Vec<Value> = old.iter().chain(new).cloned().collect();
+    let all: Vec<T> = old.iter().chain(new).cloned().collect();
     for first_new in 0..arity {
         let pool = |pos: usize| match pos.cmp(&first_new) {
             std::cmp::Ordering::Less => old,
@@ -127,7 +112,7 @@ pub(crate) fn for_each_new_tuple(
             break;
         }
         let mut idx = vec![0usize; arity];
-        let mut tuple: Vec<Value> = (0..arity).map(|pos| pool(pos)[0].clone()).collect();
+        let mut tuple: Vec<T> = (0..arity).map(|pos| pool(pos)[0].clone()).collect();
         'odometer: loop {
             f(&tuple);
             for pos in 0..arity {

@@ -1,10 +1,13 @@
 //! Relational transducers (Section 4.1.2): the per-node program
 //! `Π = (Qout, Qins, Qdel, Qsnd)`.
 
+use crate::rows::{fact_of, intern_row, values_of, Batch};
 use crate::schema::TransducerSchema;
 use calm_common::fact::{Fact, RelName};
 use calm_common::instance::Instance;
-use calm_common::storage::{EvalMetrics, RelId, SharedSymbols};
+use calm_common::storage::{
+    EvalMetrics, RelId, Relation, SharedSymbols, Storage, Sym, SymbolTable,
+};
 use calm_datalog::eval::{Database, RuleSet};
 use calm_datalog::program::Program;
 use std::collections::HashMap;
@@ -46,55 +49,126 @@ pub trait Transducer: Send + Sync {
         "transducer"
     }
 
-    /// Open the program of one node. The default calls the stateless
+    /// Open the program of one node, whose rows are over `table` (a
+    /// program interns the relation names it works with here, once).
+    /// The default is the adapter that calls the stateless
     /// [`step`](Transducer::step) on `D ∪ M` at every transition; a
     /// transducer whose memory only grows overrides it with a program
-    /// that handles each new fact once.
-    fn open(&self) -> Box<dyn NodeProgram + '_> {
-        Box::new(Stateless(self))
+    /// that handles each new row once.
+    fn open(&self, _table: &mut SymbolTable) -> Box<dyn NodeProgram + '_> {
+        Box::new(Stateless {
+            transducer: self,
+            d: None,
+        })
     }
 }
 
-/// What a node's program is shown at one transition.
+/// What a node's program is shown at one transition, in rows over the
+/// node's symbol table, and the three doors its answer leaves through:
+/// [`NodeView::insert`] (`Qout`, `Qins` — written into `D` directly,
+/// where the node reads back what the step added), [`NodeView::retract`]
+/// (`Qdel`) and [`NodeView::send`] (`Qsnd`).
 pub struct NodeView<'v> {
+    /// The table every row of the node is over.
+    pub table: &'v mut SymbolTable,
     /// `D` without the delivered messages: `H(x) ∪ s(x) ∪ S`.
-    d: &'v mut Instance,
-    /// The system facts (`Id`, `All`, `MyAdom`, `policy_R`) that joined
-    /// `D` since the program's previous call — all of `S` on its first.
-    pub new_sys: &'v Instance,
-    /// `M`: the distinct message facts delivered at this transition.
-    pub delivered: &'v [Fact],
+    d: &'v mut Storage,
+    /// The system relations (`Id`, `All`, `MyAdom`, `policy_R`): their
+    /// rows past the delta watermark joined `D` since the program's
+    /// previous call — all of `S` on its first.
+    sys: &'v [RelId],
+    /// `M`: the distinct message rows delivered at this transition.
+    delivered: &'v Storage,
+    sent: &'v mut Batch,
+    /// Row buffer of [`NodeView::for_rows`].
+    scratch: Vec<Sym>,
 }
 
 impl<'v> NodeView<'v> {
-    pub(crate) fn new(d: &'v mut Instance, new_sys: &'v Instance, delivered: &'v [Fact]) -> Self {
+    pub(crate) fn new(
+        table: &'v mut SymbolTable,
+        d: &'v mut Storage,
+        sys: &'v [RelId],
+        delivered: &'v Storage,
+        sent: &'v mut Batch,
+    ) -> Self {
         NodeView {
+            table,
             d,
-            new_sys,
+            sys,
             delivered,
+            sent,
+            scratch: Vec::new(),
         }
     }
 
-    /// `H(x) ∪ s(x) ∪ S`. On its first call a program reads what it
-    /// needs from here; later `new_sys`, `delivered` and its own earlier
-    /// answers are all that changed.
-    pub fn d(&self) -> &Instance {
+    /// `H(x) ∪ s(x) ∪ S`, this step's insertions included. On its first
+    /// call a program reads what it needs from here; later the new
+    /// system rows, `M` and its own earlier answers are all that
+    /// changed.
+    pub fn d(&self) -> &Storage {
         self.d
     }
 
-    /// Run `f` on `D ∪ M`, the database the stateless
-    /// [`Transducer::step`] is defined on: the delivered facts join `D`
-    /// for the call and leave it again.
-    pub fn with_delivered<R>(&mut self, f: impl FnOnce(&Instance) -> R) -> R {
-        let delivered = self.delivered;
-        let added: Vec<&Fact> = (delivered.iter())
-            .filter(|m| self.d.insert((*m).clone()))
-            .collect();
-        let result = f(self.d);
-        for m in added {
-            self.d.remove(m);
+    /// `M`. (The reference outlives the view's borrow: rows of `M` can
+    /// be walked while the view is written to.)
+    pub fn delivered(&self) -> &'v Storage {
+        self.delivered
+    }
+
+    /// The ids of all rows of relation `r` in `D`.
+    pub fn all_ids(&self, r: RelId) -> std::ops::Range<u32> {
+        self.d.relation(r).map_or(0..0, |rel| rel.rows())
+    }
+
+    /// The ids of the rows of system relation `r` that are new to this
+    /// call.
+    pub fn new_ids(&self, r: RelId) -> std::ops::Range<u32> {
+        self.d.relation(r).map_or(0..0, |rel| rel.delta_rows())
+    }
+
+    /// Call `f` on the rows `ids` of relation `r`, each copied out of
+    /// `D` first — so `f` may write to the view.
+    pub fn for_rows(
+        &mut self,
+        r: RelId,
+        ids: std::ops::Range<u32>,
+        mut f: impl FnMut(&mut Self, &[Sym]),
+    ) {
+        let mut row = std::mem::take(&mut self.scratch);
+        for id in ids {
+            row.clear();
+            row.extend_from_slice(self.d.relation(r).expect("ids of its rows").row(id));
+            f(self, &row);
         }
-        result
+        self.scratch = row;
+    }
+
+    /// Store a row of an output or memory relation; `true` when new.
+    pub fn insert(&mut self, r: RelId, row: &[Sym]) -> bool {
+        self.d.insert(r, row)
+    }
+
+    /// Delete a row of a memory relation; `true` when it was there. The
+    /// node starts over from `(H(x), s(x))` after a step that deleted.
+    pub fn retract(&mut self, r: RelId, row: &[Sym]) -> bool {
+        self.d.retract(r, row)
+    }
+
+    /// Send a row of a message relation to every other node. A program
+    /// sends a row at most once per step.
+    pub fn send(&mut self, r: RelId, row: &[Sym]) {
+        self.sent.push(r, row);
+    }
+
+    /// Take the row `f` stands for — interned here — through one of the
+    /// three doors: the way a program specified on facts answers.
+    fn through<R>(&mut self, f: &Fact, door: impl FnOnce(&mut Self, RelId, &[Sym]) -> R) -> R {
+        let mut row = std::mem::take(&mut self.scratch);
+        let r = intern_row(self.table, f.relation(), f.args(), &mut row);
+        let answer = door(self, r, &row);
+        self.scratch = row;
+        answer
     }
 }
 
@@ -102,23 +176,93 @@ impl<'v> NodeView<'v> {
 /// [`Transducer`]. The engine opens one per node and drops it whenever
 /// the node's state stopped being an extension of what the program has
 /// seen (a deletion, a restore): a program may assume that between two
-/// of its calls `D` changed only by [`NodeView::new_sys`] and by the
-/// `out`/`ins` it returned itself.
+/// of its calls `D` changed only by the new system rows and by what it
+/// inserted itself.
 pub trait NodeProgram {
     /// The transition's queries, as [`Transducer::step`] on `D ∪ M`
-    /// would answer them, minus what is in the state already: `snd` and
-    /// `del` exactly, `out` and `ins` at least the facts not yet in `D`
-    /// (the engine folds them into a set, so repeating one is harmless).
-    fn advance(&mut self, view: &mut NodeView<'_>) -> TransducerStep;
+    /// would answer them, through the view's doors: every `Qsnd` row
+    /// sent, every `Qdel` row that is not also inserted retracted, and
+    /// of `Qout` and `Qins` at least the rows not yet in `D` inserted
+    /// (`D` is a set, so repeating one is harmless). Returns the engine
+    /// counters of the evaluation.
+    fn advance(&mut self, view: &mut NodeView<'_>) -> EvalMetrics;
 }
 
-/// The default [`NodeProgram`]: no memory of its own, the stateless
-/// step at every transition.
-struct Stateless<'t, T: ?Sized>(&'t T);
+/// The default [`NodeProgram`], and the edge between a node's rows and
+/// every transducer *specified* on an [`Instance`]: it keeps the
+/// `Instance` form of `D` — built from the rows on its first call,
+/// extended afterwards by the new system rows and by what the step
+/// itself answered, which is all that can have changed — and runs the
+/// stateless step on it at every transition.
+struct Stateless<'t, T: ?Sized> {
+    transducer: &'t T,
+    d: Option<Instance>,
+}
+
+/// The facts that the rows `ids(r, relation)` of each relation of `store`
+/// stand for.
+fn facts(
+    table: &SymbolTable,
+    store: &Storage,
+    ids: impl Fn(RelId, &Relation) -> std::ops::Range<u32>,
+) -> Vec<Fact> {
+    let mut out = Vec::new();
+    for r in store.rel_ids() {
+        let rel = store.relation(r).expect("a listed relation");
+        out.extend(ids(r, rel).map(|id| fact_of(table, r, rel.row(id))));
+    }
+    out
+}
 
 impl<T: Transducer + ?Sized> NodeProgram for Stateless<'_, T> {
-    fn advance(&mut self, view: &mut NodeView<'_>) -> TransducerStep {
-        view.with_delivered(|d| self.0.step(d))
+    fn advance(&mut self, view: &mut NodeView<'_>) -> EvalMetrics {
+        let d = match &mut self.d {
+            None => {
+                let all = facts(view.table, view.d, |_, rel| rel.rows());
+                self.d.insert(all.into_iter().collect())
+            }
+            Some(d) => {
+                d.extend(facts(view.table, view.d, |r, rel| {
+                    match view.sys.contains(&r) {
+                        true => rel.delta_rows(),
+                        false => 0..0,
+                    }
+                }));
+                d
+            }
+        };
+        // `D ∪ M`, the database the stateless step is defined on: the
+        // delivered facts join `D` for the call and leave it again.
+        let delivered = facts(view.table, view.delivered, |_, rel| rel.rows());
+        let added: Vec<Fact> = (delivered.into_iter())
+            .filter(|m| d.insert(m.clone()))
+            .collect();
+        let step = self.transducer.step(d);
+        for m in &added {
+            d.remove(m);
+        }
+        // s' = (s ∪ out ∪ (ins \ del)) \ (del \ ins), on both forms.
+        let (ins, del) = match step.del.is_empty() {
+            true => (step.ins, step.del),
+            false => (
+                step.ins.difference(&step.del),
+                step.del.difference(&step.ins),
+            ),
+        };
+        for f in del {
+            if d.remove(&f) {
+                view.through(&f, |view, r, row| view.retract(r, row));
+            }
+        }
+        for f in step.out.into_iter().chain(ins) {
+            if d.insert(f.clone()) {
+                view.through(&f, |view, r, row| view.insert(r, row));
+            }
+        }
+        for f in step.snd {
+            view.through(&f, |view, r, row| view.send(r, row));
+        }
+        step.metrics
     }
 }
 
@@ -235,13 +379,14 @@ impl Transducer for DatalogTransducer {
                 let Some(route) = ctx.routes.get(&rel) else {
                     return;
                 };
-                let args: Vec<_> = row.iter().map(|s| table.value(*s).clone()).collect();
-                match route {
-                    Route::Out => step.out.insert(Fact::new(table.rel_name(rel), args)),
-                    Route::Snd => step.snd.insert(Fact::new(table.rel_name(rel), args)),
-                    Route::Ins => step.ins.insert(Fact::new(table.rel_name(rel), args)),
-                    Route::Del(base) => step.del.insert(Fact::new(base, args)),
+                let args = values_of(&table, row);
+                let (to, name) = match route {
+                    Route::Out => (&mut step.out, table.rel_name(rel)),
+                    Route::Snd => (&mut step.snd, table.rel_name(rel)),
+                    Route::Ins => (&mut step.ins, table.rel_name(rel)),
+                    Route::Del(base) => (&mut step.del, base),
                 };
+                to.insert(Fact::from_rel(name.clone(), args));
             });
         drop(table);
         step.metrics = metrics;

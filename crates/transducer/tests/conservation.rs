@@ -15,9 +15,10 @@ use calm_transducer::{
 
 fn check_conservation(r: &RunResult, label: &str) {
     let m = &r.metrics;
+    let config = r.config();
     assert_eq!(
         m.messages_sent,
-        m.messages_delivered + r.config.buffered(),
+        m.messages_delivered + config.buffered(),
         "{label}: sent = delivered + buffered must hold at quiescence"
     );
     assert_eq!(
@@ -26,7 +27,7 @@ fn check_conservation(r: &RunResult, label: &str) {
         "{label}: per-class counts must sum to messages_sent"
     );
     // High-water marks dominate the final depths.
-    for (node, buf) in &r.config.buffer {
+    for (node, buf) in &config.buffer {
         let hw = m.buffered_high_water.get(node).copied().unwrap_or(0);
         assert!(
             hw >= buf.len(),

@@ -9,7 +9,8 @@
 //! straight into the configuration's buffers. This suite drives both
 //! through the same schedule — the warm nodes through their own doors,
 //! `step` and `enqueue` — and compares, after **every** transition: the
-//! node's state and buffer, what it delivered and sent, `state_changed`,
+//! node's state and buffer (through `pending()`), what it delivered and
+//! sent (as a set: nothing orders a send), `state_changed`,
 //! `grew_output` and the whole [`Metrics`], heartbeats and high-water
 //! marks included; and it recomputes the `S` part of the warm `D` from
 //! scratch with [`system_facts`] — the safety restriction (`policy_R`
@@ -24,6 +25,7 @@ use calm_common::generator::mv;
 use calm_common::instance::Instance;
 use calm_common::rng::Rng;
 use calm_common::schema::Schema;
+use calm_common::storage::SharedSymbols;
 use calm_obs::Obs;
 use calm_queries::qtc::qtc_datalog;
 use calm_queries::tc::{edges_without_source_loop, tc_datalog};
@@ -31,10 +33,11 @@ use calm_queries::winmove::win_move;
 use calm_transducer::schema::is_system_relation;
 use calm_transducer::system_facts::system_facts;
 use calm_transducer::{
-    compile_monotone_program, distribute, transition, Configuration, DatalogTransducer, Delivery,
-    DisjointStrategy, DistinctStrategy, DistributionPolicy, DomainGuidedPolicy, HashPolicy,
-    Metrics, MonotoneBroadcast, Network, NodeEngine, NodeId, SystemConfig, Transducer,
-    TransducerNetwork, TransducerSchema, TransducerStep,
+    compile_monotone_program, distribute, network_output, run, transition, Configuration,
+    DatalogTransducer, Delivery, DisjointStrategy, DistinctStrategy, DistributionPolicy,
+    DomainGuidedPolicy, HashPolicy, Metrics, MonotoneBroadcast, Multiset, Network, NodeEngine,
+    NodeId, Scheduler, SystemConfig, Transducer, TransducerNetwork, TransducerSchema,
+    TransducerStep,
 };
 
 const SEEDS: u64 = 8;
@@ -102,10 +105,14 @@ fn check(
     let mut config = Configuration::start(network);
     let mut cold = Metrics::default();
 
-    // Warm: one engine per node for the run.
+    // Warm: one engine per node for the run, over one symbol table.
+    let symbols = SharedSymbols::new();
     let mut engines: Vec<NodeEngine<'_>> = nodes
         .iter()
-        .map(|x| NodeEngine::new(t, policy, sys, x.clone(), dist.get(x).unwrap_or(&empty)))
+        .map(|x| {
+            let input = dist.get(x).unwrap_or(&empty);
+            NodeEngine::new(t, policy, sys, x.clone(), input, &symbols)
+        })
         .collect();
     let mut warm = Metrics::default();
     let mut cold_starts = 0;
@@ -125,10 +132,10 @@ fn check(
         let mut delivered = buffers_before[x].clone();
         delivered.subtract(&config.buffer[x]);
         let m: Vec<Fact> = delivered.support().cloned().collect();
-        let sent: Option<Vec<Fact>> = network.others(x).next().map(|y| {
+        let sent: Option<Multiset<Fact>> = network.others(x).next().map(|y| {
             let mut grown = config.buffer[y].clone();
             grown.subtract(&buffers_before[y]);
-            grown.support().cloned().collect()
+            grown
         });
 
         cold_starts += usize::from(engines[i].is_cold());
@@ -144,10 +151,13 @@ fn check(
         let grew = cold.last_output_growth_at == Some(cold.transitions);
         assert_eq!(outcome.grew_output, grew, "{at}: grew_output");
         if let Some(sent) = sent {
-            assert_eq!(outcome.sent, sent, "{at}: sent");
+            let mut warm_sent = Multiset::new();
+            outcome.sent.add_to(&symbols.read(), &mut warm_sent);
+            assert_eq!(warm_sent, sent, "{at}: sent");
         }
         for (y, engine) in nodes.iter().zip(&engines) {
-            assert_eq!(engine.inbox(), &config.buffer[y], "{at}: buffer of {y}");
+            assert_eq!(engine.pending(), config.buffer[y], "{at}: buffer of {y}");
+            assert_eq!(engine.buffered(), config.buffer[y].len(), "{at}: |b({y})|");
         }
         assert_eq!(warm, cold, "{at}: metrics");
 
@@ -156,7 +166,7 @@ fn check(
             let mut j = dist.get(x).unwrap_or(&empty).union(&state_before);
             j.extend(m);
             let s = system_facts(x, network, input_schema, policy, sys, &j);
-            let mut mine = engines[i].visible().clone();
+            let mut mine = engines[i].visible();
             mine.retain_relations(|r| is_system_relation(r, input_schema));
             assert_eq!(mine, s, "{at}: system facts of {x}");
         }
@@ -256,6 +266,101 @@ fn distinct_strategy_of_an_sp_query() {
         ] {
             let cold = sweep("distinct(sp)", &t, &hash, sys, &input, seed);
             assert_eq!(cold, RUNS_NODES, "inflationary: no engine restarts");
+        }
+    }
+}
+
+#[test]
+fn a_schedule_that_grows_every_table_of_a_node_several_times() {
+    // Twelve values and three nodes: 225 tuples to determine per node,
+    // so `ab_E` and `sb_E` outgrow their row tables (8 slots, doubled
+    // when half full) five times, under deliveries of a few hundred
+    // rows from two senders.
+    let t = DistinctStrategy::new(Box::new(edges_without_source_loop()));
+    let mut r = Rng::seed_from_u64(700);
+    let mut input = random_binary(&mut r, "E", 12, 30);
+    input.insert(fact("E", [11, 0]));
+    input.extend(noise());
+    let policy = HashPolicy::new(Network::of_size(3));
+    let sys = SystemConfig::POLICY_AWARE;
+    for (name, prefix) in [
+        ("round-robin", Prefix::new()),
+        ("random", random_prefix(701, 3, 18)),
+    ] {
+        let label = format!("distinct(sp) on 12 values, {name}");
+        let (cold_starts, end) = check(&label, &t, &policy, sys, &input, prefix);
+        assert_eq!(cold_starts, 3, "{label}: no engine restarts");
+        for state in end.state.values() {
+            assert!(state.relation_len("ab_E") > 128, "{label}: {}", state.len());
+        }
+    }
+}
+
+#[test]
+fn a_run_ends_in_the_configuration_the_specification_reaches() {
+    // `run` keeps its final states as rows and builds the configuration
+    // on request: it must be the one the specification reaches through
+    // the same round-robin schedule, with the same counters, on every
+    // example program under every strategy.
+    let graph = include_str!("../../../examples/data/graph.facts");
+    let input = calm_datalog::parse_facts(graph).expect("the example facts parse");
+    for (program, src) in [
+        ("tc", include_str!("../../../examples/data/tc.dl")),
+        (
+            "tc_right",
+            include_str!("../../../examples/data/tc_right.dl"),
+        ),
+        ("qtc", include_str!("../../../examples/data/qtc.dl")),
+    ] {
+        let query = || Box::new(calm_datalog::DatalogQuery::parse(program, src).expect("parses"));
+        let strategies: [(&str, Box<dyn Transducer>, SystemConfig, _); 3] = [
+            (
+                "monotone",
+                Box::new(MonotoneBroadcast::new(query())),
+                SystemConfig::ORIGINAL,
+                hash as fn(Network) -> Box<dyn DistributionPolicy>,
+            ),
+            (
+                "distinct",
+                Box::new(DistinctStrategy::new(query())),
+                SystemConfig::POLICY_AWARE,
+                hash,
+            ),
+            (
+                "disjoint",
+                Box::new(DisjointStrategy::new(query())),
+                SystemConfig::POLICY_AWARE,
+                domain_guided,
+            ),
+        ];
+        for (strategy, t, sys, policy) in strategies {
+            let label = format!("{program}, {strategy}");
+            let policy = policy(Network::of_size(3));
+            let warm = TransducerNetwork {
+                transducer: t.as_ref(),
+                policy: policy.as_ref(),
+                config: sys,
+            };
+            let r = run(&warm, &input, &Scheduler::RoundRobin, 10_000);
+            assert!(r.quiescent, "{label}");
+
+            let spec = Spec(t.as_ref());
+            let cold = TransducerNetwork {
+                transducer: &spec,
+                ..warm
+            };
+            let nodes: Vec<NodeId> = policy.network().nodes().cloned().collect();
+            let dist = distribute(policy.as_ref(), &input);
+            let mut config = Configuration::start(policy.network());
+            let mut metrics = Metrics::default();
+            for k in 0..r.metrics.transitions {
+                let x = &nodes[k % nodes.len()];
+                transition(&cold, &dist, &mut config, x, Delivery::All, &mut metrics);
+            }
+            assert_eq!(r.config(), config, "{label}: configuration");
+            assert_eq!(r.metrics, metrics, "{label}: metrics");
+            let out = network_output(&config.state, &t.schema().output);
+            assert_eq!(r.output, out, "{label}: out(R)");
         }
     }
 }
