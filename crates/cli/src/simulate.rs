@@ -587,13 +587,13 @@ mod tests {
         for (strategy, counters) in [
             (
                 "monotone",
-                "% transitions: 6, messages sent: 18, delivered: 18\n\
-                 % message classes: fact=18, max queue depth: 6\n",
+                "% transitions: 6, messages sent: 6, delivered: 6\n\
+                 % message classes: fact=6, max queue depth: 3\n",
             ),
             (
                 "distinct",
-                "% transitions: 9, messages sent: 384, delivered: 384\n\
-                 % message classes: fact=18 absence=366, max queue depth: 111\n",
+                "% transitions: 9, messages sent: 128, delivered: 128\n\
+                 % message classes: fact=6 absence=122, max queue depth: 47\n",
             ),
             (
                 "disjoint",

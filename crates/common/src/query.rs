@@ -7,6 +7,7 @@
 
 use crate::instance::Instance;
 use crate::schema::Schema;
+use crate::storage::{RelId, Sym, SymbolTable};
 use crate::update::UpdateBatch;
 
 /// A query from instances over [`Query::input_schema`] to instances over
@@ -40,35 +41,43 @@ pub trait Query: Send + Sync {
             query: self,
             input: Instance::new(),
             evaluated: false,
+            table: SymbolTable::new(),
         })
     }
 }
+
+/// Where a [`QuerySession`] puts the growth of its answer: one call per
+/// fact, as a row of a relation over the session's own symbol table
+/// (handed along, to read the names and values off).
+pub type AnswerSink<'a> = dyn FnMut(&SymbolTable, RelId, &[Sym]) + 'a;
 
 /// One query maintained over an input that changes by signed batches —
 /// what a node's program holds across transitions in place of calling
 /// [`Query::eval`] on everything it knows at every one.
 pub trait QuerySession {
     /// Fold `batch` into the input (deletions first, like
-    /// [`UpdateBatch::apply_to_instance`]) and return how the answer
-    /// grew: every fact of the answer over the new input that was not
-    /// in the answer after the previous call (on the first call: the
-    /// whole answer). The result lies inside the current answer and may
-    /// repeat facts returned before — the caller folds it into a set.
-    /// Facts that *left* the answer are not reported: transducer output
-    /// is cumulative.
-    fn apply(&mut self, batch: &UpdateBatch) -> Instance;
+    /// [`UpdateBatch::apply_to_instance`]) and hand `grown` how the
+    /// answer grew: every fact of the answer over the new input that
+    /// was not in the answer after the previous call (on the first
+    /// call: the whole answer). What is handed lies inside the current
+    /// answer and may repeat facts handed before — the caller folds it
+    /// into a set. Facts that *left* the answer are not reported:
+    /// transducer output is cumulative.
+    fn apply(&mut self, batch: &UpdateBatch, grown: &mut AnswerSink<'_>);
 }
 
 /// The default [`Query::session`]: the input, and a from-scratch
-/// evaluation per batch that changed it.
+/// evaluation per batch that changed it, whose answer is interned into
+/// a table of the session's own on its way to the sink.
 struct ScratchSession<'q, Q: ?Sized> {
     query: &'q Q,
     input: Instance,
     evaluated: bool,
+    table: SymbolTable,
 }
 
 impl<Q: Query + ?Sized> QuerySession for ScratchSession<'_, Q> {
-    fn apply(&mut self, batch: &UpdateBatch) -> Instance {
+    fn apply(&mut self, batch: &UpdateBatch, grown: &mut AnswerSink<'_>) {
         let mut changed = false;
         for f in &batch.delete {
             changed |= self.input.remove(f);
@@ -78,9 +87,18 @@ impl<Q: Query + ?Sized> QuerySession for ScratchSession<'_, Q> {
         }
         let first = !std::mem::replace(&mut self.evaluated, true);
         if !changed && !first {
-            return Instance::new();
+            return;
         }
-        self.query.eval(&self.input)
+        let answer = self.query.eval(&self.input);
+        let mut row = Vec::new();
+        for name in answer.relation_names() {
+            let r = self.table.rel(name);
+            for t in answer.tuples(name) {
+                row.clear();
+                row.extend(t.iter().map(|v| self.table.sym(v)));
+                grown(&self.table, r, &row);
+            }
+        }
     }
 }
 
@@ -215,19 +233,26 @@ mod tests {
             },
         );
         let mut s = q.session();
+        // What a batch hands the sink, un-interned.
+        let mut grown = |batch: &UpdateBatch| {
+            let mut out = Instance::new();
+            s.apply(batch, &mut |table, r, row| {
+                let args = row.iter().map(|&v| table.value(v).clone()).collect();
+                out.insert_tuple(table.rel_name(r), args);
+            });
+            out
+        };
         // The first call evaluates even an empty input.
-        assert!(s.apply(&UpdateBatch::new()).is_empty());
+        assert!(grown(&UpdateBatch::new()).is_empty());
         assert_eq!(evals.load(Ordering::Relaxed), 1);
         let one = UpdateBatch::inserting([fact("E", [1, 2])]);
-        assert_eq!(s.apply(&one), Instance::from_facts([fact("E", [1, 2])]));
+        assert_eq!(grown(&one), Instance::from_facts([fact("E", [1, 2])]));
         // Nothing new: no evaluation, nothing reported.
-        assert!(s.apply(&one).is_empty());
-        assert!(s
-            .apply(&UpdateBatch::deleting([fact("E", [9, 9])]))
-            .is_empty());
+        assert!(grown(&one).is_empty());
+        assert!(grown(&UpdateBatch::deleting([fact("E", [9, 9])])).is_empty());
         assert_eq!(evals.load(Ordering::Relaxed), 2);
-        // A deletion shrinks the input; the answer over it is returned.
+        // A deletion shrinks the input; the answer over it is handed on.
         let swap = UpdateBatch::deleting([fact("E", [1, 2])]).with_insert(fact("E", [3, 4]));
-        assert_eq!(s.apply(&swap), Instance::from_facts([fact("E", [3, 4])]));
+        assert_eq!(grown(&swap), Instance::from_facts([fact("E", [3, 4])]));
     }
 }

@@ -9,7 +9,7 @@ use crate::program::Program;
 use crate::stratify::{stratify, NotStratifiable, Stratification};
 use calm_common::fact::Fact;
 use calm_common::instance::Instance;
-use calm_common::query::{Query, QuerySession};
+use calm_common::query::{AnswerSink, Query, QuerySession};
 use calm_common::schema::Schema;
 use calm_common::storage::SharedSymbols;
 use calm_common::update::UpdateBatch;
@@ -197,30 +197,6 @@ impl IncrementalEvaluation<'_> {
         self.db.to_instance_restricted(&self.query.output_schema)
     }
 
-    /// The output rows the last [`apply`](Self::apply) appended: every
-    /// fact of [`output`](Self::output) that was not in it before that
-    /// batch (a fact the batch retracted and rederived keeps its row
-    /// and is not listed). Read off the storage watermark `apply` sets
-    /// on entry, so it holds only for a batch that reported no
-    /// fallback — a re-evaluated stratum moves the watermark once per
-    /// fixpoint round.
-    pub fn added_output(&self) -> Instance {
-        let table = self.db.symbols().read();
-        let mut out = Instance::new();
-        for (name, arity) in self.query.output_schema.iter() {
-            let rows = table
-                .lookup_rel(name)
-                .and_then(|r| self.db.storage().relation(r));
-            let Some(rows) = rows else { continue };
-            for row in rows.added_ids().map(|id| rows.row(id)) {
-                if row.len() == arity {
-                    out.insert_tuple(name, row.iter().map(|&s| table.value(s).clone()).collect());
-                }
-            }
-        }
-        out
-    }
-
     /// The full materialized database (all IDB relations, not just the
     /// output schema).
     pub fn database(&self) -> &Database {
@@ -274,21 +250,36 @@ impl Query for DatalogQuery {
     /// the empty input (where every program's answer is empty — a rule
     /// needs a positive atom); a batch costs what it changes.
     fn session(&self) -> Box<dyn QuerySession + '_> {
-        Box::new(MaintainedSession(self.open(&Instance::new())))
+        Box::new(self.open(&Instance::new()))
     }
 }
 
-/// [`DatalogQuery`]'s [`QuerySession`]: the answer's growth is read off
-/// the rows a batch appended, or is the whole answer when the batch
-/// fell back to re-evaluation.
-struct MaintainedSession<'q>(IncrementalEvaluation<'q>);
-
-impl QuerySession for MaintainedSession<'_> {
-    fn apply(&mut self, batch: &UpdateBatch) -> Instance {
-        if self.0.apply(batch).fallbacks == 0 {
-            self.0.added_output()
-        } else {
-            self.0.output()
+/// As [`DatalogQuery`]'s session: the answer's growth is the rows a
+/// batch appended — the whole answer when it fell back to re-evaluation
+/// — handed on as the rows they are, over the query's symbol table.
+impl QuerySession for IncrementalEvaluation<'_> {
+    fn apply(&mut self, batch: &UpdateBatch, grown: &mut AnswerSink<'_>) {
+        let added_only = self.apply_obs(batch, &Obs::noop()).fallbacks == 0;
+        let table = self.db.symbols().read();
+        for (name, arity) in self.query.output_schema.iter() {
+            let r = table.lookup_rel(name);
+            let Some((r, rows)) = r.and_then(|r| Some((r, self.db.storage().relation(r)?))) else {
+                continue;
+            };
+            // The appended rows are read off the storage watermark the
+            // batch set on entry (a re-evaluated stratum moves it once
+            // per fixpoint round); a row the batch retracted and
+            // rederived keeps its id and is not among them.
+            let ids = if added_only {
+                rows.delta_rows()
+            } else {
+                rows.rows()
+            };
+            for id in ids.filter(|&id| rows.is_live(id)) {
+                if rows.row(id).len() == arity {
+                    grown(&table, r, rows.row(id));
+                }
+            }
         }
     }
 }
@@ -385,7 +376,11 @@ mod tests {
             UpdateBatch::deleting([ring[0].clone()]),
         ];
         for (k, b) in batches.iter().enumerate() {
-            let grown = session.apply(b);
+            let mut grown = Instance::new();
+            session.apply(b, &mut |table, r, row| {
+                let args = row.iter().map(|&v| table.value(v).clone()).collect();
+                grown.insert_tuple(table.rel_name(r), args);
+            });
             b.apply_to_instance(&mut edb);
             let answer = q.eval(&edb);
             assert!(grown.is_subset(&answer), "batch {k}: inside the answer");

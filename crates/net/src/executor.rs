@@ -17,7 +17,7 @@ use calm_transducer::policy::{distribute, DistributionPolicy};
 use calm_transducer::runtime::{network_output, Delivery, Metrics};
 use calm_transducer::schema::SystemConfig;
 use calm_transducer::transducer::Transducer;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::mpsc::{Receiver, RecvError, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -325,6 +325,12 @@ pub fn run_threaded(
 /// *output* is deterministic for coordination-free programs by the
 /// paper's confluence guarantee (the equivalence tests check it against
 /// the sequential engine).
+///
+/// The ring concludes once the sends stop, and nothing here stops them:
+/// the strategies mark in their state what they sent and send it once. A
+/// program that derives its sends anew at every step (`DatalogTransducer`,
+/// net-compiled) is the sequential engine's to run; here it exhausts its
+/// step budget (`quiescent: false`).
 pub fn run_threaded_with(
     tn: &ThreadedNetwork<'_>,
     input: &Instance,
@@ -538,9 +544,6 @@ pub(crate) struct WorkerOutcome {
 struct Slot<'a> {
     global: usize,
     node: NodeEngine<'a>,
-    /// Every message fact this node ever sent (see
-    /// [`NodeEngine::step`]'s `sent_filter`).
-    ever_sent: BTreeSet<Fact>,
     /// Needs another step: never stepped, or the last step delivered
     /// facts, changed state, or sent messages.
     dirty: bool,
@@ -568,12 +571,11 @@ impl Slot<'_> {
     /// Go back to `snap` — a crash rollback to the node's own last
     /// checkpoint, or a checkpoint the supervisor retained: the node is
     /// rebuilt from the snapshot's state and inbox alone (it comes back
-    /// cold; the ids it mints stay above every one it handed out), the
-    /// dedup set is reinstated, and `ReliableNet::restore` re-arms
-    /// every unacked outbox entry for replay.
+    /// cold; the ids it mints stay above every one it handed out; what
+    /// it sent is in the state, as its program's marks), and
+    /// `ReliableNet::restore` re-arms every unacked outbox entry.
     fn roll_back(&mut self, snap: &NodeSnapshot, rnet: &mut ReliableNet<'_>) {
         self.node.restore(snap.state.clone(), snap.pending.clone());
-        self.ever_sent = snap.ever_sent.clone();
         self.dirty = true;
         self.since_snapshot = 0;
         rnet.restore(self.global, snap.links.clone());
@@ -597,8 +599,8 @@ impl Slot<'_> {
     }
 }
 
-/// Take a crash-recovery snapshot of one node: capture state, inbox,
-/// send-dedup set and link state atomically. Cumulative acks for any
+/// Take a crash-recovery snapshot of one node: capture state, inbox
+/// and link state atomically. Cumulative acks for any
 /// receive-cursor advance are pushed into `out` (to be pumped by the
 /// caller) — the ack-on-snapshot discipline that makes rollback sound.
 fn take_snapshot(slot: &mut Slot<'_>, rnet: &mut ReliableNet<'_>, out: &mut Vec<Wire>) {
@@ -606,7 +608,6 @@ fn take_snapshot(slot: &mut Slot<'_>, rnet: &mut ReliableNet<'_>, out: &mut Vec<
     slot.snap = Some(NodeSnapshot {
         state: slot.node.state(),
         pending: slot.node.pending(),
-        ever_sent: slot.ever_sent.clone(),
         links,
     });
     slot.since_snapshot = 0;
@@ -662,7 +663,6 @@ impl<'a> NodeFactory<'a> {
         Slot {
             global: g,
             node: NodeEngine::new(transducer, policy, self.sys, id, input, &self.symbols),
-            ever_sent: BTreeSet::new(),
             dirty: true,
             transitions: 0,
             since_snapshot: 0,
@@ -1114,10 +1114,7 @@ impl<'a> Worker<'a> {
     fn step_slot(&mut self, l: usize) {
         let Shard { slots, metrics, .. } = &mut self.shard;
         let slot = &mut slots[l];
-        let sent_filter = Some(&mut slot.ever_sent);
-        let outcome = slot
-            .node
-            .step(Delivery::All, sent_filter, metrics, self.obs);
+        let outcome = slot.node.step(Delivery::All, metrics, self.obs);
         slot.dirty = outcome.state_changed || !outcome.sent.is_empty() || outcome.delivered > 0;
         slot.transitions += 1;
         slot.since_snapshot += 1;
@@ -1456,16 +1453,16 @@ mod tests {
             let delivered = delivered.iter().cloned().collect();
             slot.node
                 .enqueue_batch(delivered, Some((1, 0)), &mut metrics, &obs);
-            let sent = Some(&mut slot.ever_sent);
-            slot.node.step(Delivery::All, sent, &mut metrics, &obs)
+            slot.node.step(Delivery::All, &mut metrics, &obs)
         };
         assert_eq!(step(&mut slot, &[]).mid, Some((0, 0)));
         take_snapshot(&mut slot, &mut rnet, &mut Vec::new());
         let snap = slot.snap.clone().expect("just taken");
         assert_eq!(snap.state, slot.node.state());
         // Progress past the checkpoint, with the engine warm and a fact
-        // waiting in the inbox.
-        assert_eq!(step(&mut slot, &[fact("m_E", [3, 4])]).mid, Some((0, 1)));
+        // waiting in the inbox. A delivered fact is stored, not sent on:
+        // no send, no id.
+        assert_eq!(step(&mut slot, &[fact("m_E", [3, 4])]).mid, None);
         let waiting = [fact("m_E", [4, 5])].into_iter().collect();
         let node = &mut slot.node;
         node.enqueue_batch(waiting, None, &mut Metrics::default(), &obs);
@@ -1476,15 +1473,24 @@ mod tests {
         assert!(slot.node.is_cold(), "nothing warm survives a restore");
         assert_eq!(slot.node.state(), snap.state);
         assert_eq!(slot.node.pending(), snap.pending, "the inbox goes back too");
-        assert!(slot.dirty && slot.ever_sent == snap.ever_sent);
-        // The redone step lands where the first one did — as a new send
-        // event: the ids do not roll back with the state.
-        assert_eq!(slot.node.next_seq(), 2);
-        assert_eq!(step(&mut slot, &[fact("m_E", [3, 4])]).mid, Some((0, 2)));
+        assert!(slot.dirty);
+        // The redone step lands where the first one did.
+        step(&mut slot, &[fact("m_E", [3, 4])]);
         let mut reference = fab.slot(0);
         step(&mut reference, &[]);
         step(&mut reference, &[fact("m_E", [3, 4])]);
         assert_eq!(slot.node.state(), reference.node.state());
+        // Back at the start configuration the node says its own facts
+        // again — as a new send event: the ids do not roll back with
+        // the state.
+        let start = NodeSnapshot {
+            state: Instance::new(),
+            pending: Multiset::new(),
+            links: snap.links.clone(),
+        };
+        slot.roll_back(&start, &mut rnet);
+        assert_eq!(slot.node.next_seq(), 1);
+        assert_eq!(step(&mut slot, &[]).mid, Some((0, 1)));
         // A supervised restore resumes a dead incarnation's numbering.
         reference.restore(snap, 3, 7, 40, &mut rnet);
         assert_eq!((reference.transitions, reference.snap_version), (7, 3));

@@ -400,7 +400,7 @@ pub struct FaultStats {
     /// Data wires suppressed by receiver-side dedup.
     pub duplicates_suppressed: u64,
     /// Fact occurrences filtered by the end-to-end per-source dedup: a
-    /// crashed sender's rolled-back send-dedup set re-sent them under
+    /// crashed sender, its marks rolled back, re-sent them under
     /// fresh sequence numbers, but this node had already accepted them.
     pub replayed_facts_suppressed: u64,
     /// Cumulative acks emitted.

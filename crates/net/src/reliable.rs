@@ -7,8 +7,9 @@
 //! for crash recovery.
 //!
 //! **The correctness discipline.** A node's snapshot captures — in one
-//! atomic clone — its state, its undelivered inbox, its send-dedup set,
-//! and its link state (receive cursors *and* unacked outboxes). A
+//! atomic clone — its state (which holds its program's marks of what it
+//! sent), its undelivered inbox, and its link state (receive cursors
+//! *and* unacked outboxes). A
 //! receiver only acknowledges sequence numbers its snapshot has
 //! persisted. Together these give the invariant that makes crash
 //! recovery sound: *every delivered-but-unsnapshotted effect at the
@@ -135,15 +136,15 @@ pub struct NodeLinks {
     /// on a hole no surviving sender will fill.
     pub sent_floor: BTreeMap<usize, u64>,
     /// `src → facts` ever accepted from that source — the end-to-end
-    /// extension of the sender-side send-dedup. A crashed sender's
-    /// send-dedup set rolls back with its state, so it legitimately
-    /// re-sends facts its peers already consumed under fresh sequence
-    /// numbers; wire-level dedup cannot catch those, and non-monotone
-    /// strategies (request/OK memory protocols) are not duplicate-
-    /// tolerant at the engine level. Because fault-free traffic carries
-    /// each `(sender, fact)` pair at most once (PR 3's send-dedup),
-    /// filtering repeats here restores exactly the reachable fault-free
-    /// delivery multisets. Lives in the snapshot so a receiver rollback
+    /// extension of the senders' own marks. A strategy marks in its
+    /// state what it sent and sends it once; a crashed sender's marks
+    /// roll back with its state, so it legitimately re-sends facts its
+    /// peers already consumed under fresh sequence numbers; wire-level
+    /// dedup cannot catch those, and non-monotone strategies
+    /// (request/OK memory protocols) are not duplicate-tolerant at the
+    /// engine level. Because fault-free traffic carries each `(sender,
+    /// fact)` pair at most once (the marks), filtering repeats here
+    /// restores exactly the reachable fault-free delivery multisets. Lives in the snapshot so a receiver rollback
     /// (which also un-applies the facts' effects) forgets the filter
     /// entries consistently.
     pub recv_dedup: BTreeMap<usize, BTreeSet<Fact>>,
@@ -155,8 +156,8 @@ impl NodeLinks {
     }
 }
 
-/// A node's crash-recovery checkpoint: state, undelivered inbox,
-/// send-dedup set and link state, captured atomically. The receive
+/// A node's crash-recovery checkpoint: state, undelivered inbox and
+/// link state, captured atomically. The receive
 /// cursors in `links.cum` are exactly what the node has acknowledged,
 /// which is what makes restoring this snapshot sound.
 #[derive(Debug, Clone)]
@@ -165,8 +166,6 @@ pub struct NodeSnapshot {
     pub state: Instance,
     /// The node's undelivered inbox.
     pub pending: Multiset<Fact>,
-    /// Every message fact the node ever sent (the send-dedup set).
-    pub ever_sent: BTreeSet<Fact>,
     /// Outboxes and receive cursors.
     pub links: NodeLinks,
 }
@@ -531,7 +530,7 @@ impl<'a> ReliableNet<'a> {
                     seen.insert(seq);
                     // End-to-end fact dedup: drop occurrences this node
                     // already accepted from `src` (replays from a
-                    // crashed sender's rolled-back send-dedup set).
+                    // crashed sender whose marks rolled back).
                     let dedup = nl.recv_dedup.entry(src).or_default();
                     let mut fresh: Multiset<Fact> = Multiset::new();
                     let mut replayed = 0u64;

@@ -20,7 +20,7 @@
 //!   node states, its [`WorkerStats`], and its clean/quiescent verdict.
 //! * `Snapshot` — worker → coordinator (supervised runs): a versioned,
 //!   canonically encoded checkpoint of one node (instance state,
-//!   undelivered inbox, send-dedup set, outbox and seq/ack floors).
+//!   undelivered inbox, outbox and seq/ack floors).
 //!   The coordinator retains the latest per node and hands it back in
 //!   the re-`Assign` after a respawn, or inside a `Reassign` when a
 //!   survivor adopts a dead worker's shard.
@@ -558,9 +558,8 @@ fn read_fault_stats(r: &mut Reader<'_>) -> Result<FaultStats, WireError> {
 ///
 /// Layout (all lengths varint-prefixed, canonical wirefmt values):
 /// instance state, pending inbox as a `(fact, multiplicity)` multiset,
-/// the send-dedup set, the link state (`out` outboxes with payload
-/// bytes verbatim + staged flag, `cum`, `seen`,
-/// `sent_floor`, `recv_dedup`), then the node's monotone transition
+/// the link state (`out` outboxes with payload bytes verbatim + staged
+/// flag, `cum`, `seen`, `sent_floor`, `recv_dedup`), then the node's monotone transition
 /// count and trace-seq allocator. Retry timers (`attempt`, `retry_at`)
 /// are deliberately *not* shipped: a restore re-arms every unacked
 /// entry from zero, since the old backoff schedule belonged to a dead
@@ -576,10 +575,6 @@ pub(crate) fn encode_snapshot_blob(
     for (f, n) in snap.pending.iter() {
         put_fact(&mut out, f);
         put_varint(&mut out, n as u64);
-    }
-    put_varint(&mut out, snap.ever_sent.len() as u64);
-    for f in &snap.ever_sent {
-        put_fact(&mut out, f);
     }
     let l = &snap.links;
     put_varint(&mut out, l.out.len() as u64);
@@ -634,11 +629,6 @@ pub(crate) fn decode_snapshot_blob(bytes: &[u8]) -> Result<(NodeSnapshot, u64, u
         let f = read_fact(&mut r)?;
         let n = r.varint()? as usize;
         pending.insert_n(f, n);
-    }
-    let sent_count = r.count()?;
-    let mut ever_sent = BTreeSet::new();
-    for _ in 0..sent_count {
-        ever_sent.insert(read_fact(&mut r)?);
     }
     let mut links = NodeLinks::default();
     let out_count = r.count()?;
@@ -703,7 +693,6 @@ pub(crate) fn decode_snapshot_blob(bytes: &[u8]) -> Result<(NodeSnapshot, u64, u
         NodeSnapshot {
             state,
             pending,
-            ever_sent,
             links,
         },
         transitions,
@@ -1091,8 +1080,6 @@ mod tests {
         let mut pending: Multiset<Fact> = Multiset::new();
         pending.insert_n(fact("E", [1, salt as i64]), 2);
         pending.insert_n(fact("E", [4, 5]), 1);
-        let mut ever_sent = BTreeSet::new();
-        ever_sent.insert(fact("T", [salt as i64, 2]));
         let mut links = NodeLinks::default();
         let mut entries = BTreeMap::new();
         entries.insert(
@@ -1114,7 +1101,6 @@ mod tests {
         NodeSnapshot {
             state,
             pending,
-            ever_sent,
             links,
         }
     }
@@ -1137,7 +1123,6 @@ mod tests {
                 .map(|(f, n)| (f.clone(), n))
                 .collect::<Vec<_>>()
         );
-        assert_eq!(back.ever_sent, snap.ever_sent);
         assert_eq!(back.links.cum, snap.links.cum);
         assert_eq!(back.links.seen, snap.links.seen);
         assert_eq!(back.links.sent_floor, snap.links.sent_floor);

@@ -271,6 +271,41 @@ fn exhausted_budget_reports_not_quiescent() {
 }
 
 #[test]
+fn a_program_that_never_stops_sending_runs_out_its_budget() {
+    // The ring concludes once the sends stop, and this engine has no
+    // filter of its own to stop them: the strategies mark in their state
+    // what they sent and fall silent. A stateless re-sender — a
+    // net-compiled program says all it knows at every step — is the
+    // sequential engine's to run (its quiescence test tells old news
+    // from new); here it is cut off at the budget, and says so.
+    let program =
+        calm_datalog::parse_program("@output T.\nT(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).")
+            .unwrap();
+    let t = calm_transducer::compile_monotone_program("net-tc", &program).unwrap();
+    let policy = HashPolicy::new(Network::of_size(2));
+    let input = calm_common::generator::path(3);
+    let tn = TransducerNetwork {
+        transducer: &t,
+        policy: &policy,
+        config: SystemConfig::ORIGINAL,
+    };
+    let seq = run(&tn, &input, &Scheduler::RoundRobin, 100_000);
+    assert!(seq.quiescent);
+    let thr = run_threaded(
+        &ThreadedNetwork {
+            programs: Programs::Shared(&t),
+            policy: &policy,
+            config: SystemConfig::ORIGINAL,
+        },
+        &input,
+        &ThreadedConfig::new(2).with_budget(200),
+    );
+    assert!(!thr.quiescent, "every step sends: no step is the last");
+    assert!(thr.output.is_subset(&seq.output));
+    check_conservation(&thr, "re-sender");
+}
+
+#[test]
 fn single_node_network_runs_threaded() {
     let t = MonotoneBroadcast::new(Box::new(tc_datalog()));
     let policy = HashPolicy::new(Network::of_size(1));

@@ -27,9 +27,9 @@
 //! [`Fact`], [`Instance`] and [`Multiset`] are what the node speaks at
 //! its edges — [`NodeEngine::restore`], [`NodeEngine::state`],
 //! [`NodeEngine::pending`], [`NodeEngine::into_parts`],
-//! [`NodeEngine::enqueue_batch`], a sampled delivery, the `sent_filter`
-//! probe, the traced `new_output` — and nowhere else: no symbol is in a
-//! snapshot, on the wire or in a configuration (DESIGN §17).
+//! [`NodeEngine::enqueue_batch`], a sampled delivery, the traced
+//! `new_output` — and nowhere else: no symbol is in a snapshot, on the
+//! wire or in a configuration (DESIGN §17).
 //!
 //! The engine *is* the node: it keeps `D` (without `M`) across
 //! transitions, so a transition costs what it delivers, not what the
@@ -51,7 +51,7 @@ use crate::policy::DistributionPolicy;
 use crate::rows::{fact_of, values_of, Batch, Inbox, SymSet};
 use crate::runtime::{Delivery, Metrics};
 use crate::schema::{policy_relation, SystemConfig, TransducerSchema};
-use crate::strategy::{class_arg_counts, classify_message, MessageClass};
+use crate::strategy::{class_arg_counts, classify_message, MessageClass, MessageClassCounts};
 use crate::system_facts::{for_each_new_tuple, POLICY_ARITY_CAP};
 use crate::transducer::{NodeProgram, NodeView, Transducer};
 use calm_common::fact::Fact;
@@ -60,7 +60,6 @@ use calm_common::rng::Rng;
 use calm_common::storage::{RelId, SharedSymbols, Storage, Sym, SymbolTable};
 use calm_common::value::Value;
 use calm_obs::{ArgValue, Obs};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// One node of a transducer network: its state `s(x)`, its buffer
@@ -366,7 +365,10 @@ impl<'a> NodeEngine<'a> {
 
     /// Whether every buffered row is one that a full delivery handed
     /// this node before: condition (b) of the sequential engine's
-    /// quiescence test.
+    /// quiescence test — there for the programs that keep no mark of
+    /// what they sent and say it again at every step (a
+    /// `DatalogTransducer`, a net-compiled program): their buffers never
+    /// drain. The strategies' do, and this is trivially true of them.
     pub fn buffer_is_old_news(&self) -> bool {
         (self.inbox.batches().iter())
             .flat_map(|batch| batch.groups())
@@ -509,20 +511,9 @@ impl<'a> NodeEngine<'a> {
     /// `messages_delivered`, `heartbeats` and the sends per class,
     /// tracks output growth, and reports the `runtime/transition` event
     /// with per-class counter deltas to `obs`.
-    ///
-    /// `sent_filter`, when present, is this node's set of every message
-    /// fact it ever sent: facts already in the set are suppressed (not
-    /// returned, not counted), fresh facts are added. The threaded
-    /// executor passes it so the message flow is finite and its
-    /// termination-detection ring can conclude — sound for the same
-    /// reason the sequential engine's quiescence detection is (states
-    /// accumulate everything they react to, so a re-delivered fact is a
-    /// no-op at every receiver). The sequential engine passes `None`:
-    /// it asks [`NodeEngine::buffer_is_old_news`] instead.
     pub fn step(
         &mut self,
         delivery: Delivery,
-        sent_filter: Option<&mut BTreeSet<Fact>>,
         metrics: &mut Metrics,
         obs: &Obs,
     ) -> NodeStepOutcome {
@@ -538,7 +529,7 @@ impl<'a> NodeEngine<'a> {
             let depth = self.inbox.len() as u64;
             obs.gauge("runtime", "queue_depth", self.track, depth);
         }
-        let mut outcome = self.apply(table, delivered_n, sent_filter, metrics, obs);
+        let mut outcome = self.apply(table, delivered_n, metrics, obs);
         if obs.enabled() && !outcome.sent.is_empty() {
             let id = (self.origin(), self.next_seq);
             self.next_seq += 1;
@@ -694,36 +685,6 @@ impl<'a> NodeEngine<'a> {
         folded
     }
 
-    /// Count what the program sent — one occurrence per (row, recipient)
-    /// pair, by the class of the row's relation — after dropping, under
-    /// a `sent_filter`, what the node sent before.
-    fn count_sends(
-        &mut self,
-        staged: Batch,
-        sent_filter: Option<&mut BTreeSet<Fact>>,
-        table: &SymbolTable,
-        metrics: &mut Metrics,
-    ) -> Batch {
-        let sent = match sent_filter {
-            None => staged,
-            Some(filter) => {
-                let mut fresh = Batch::default();
-                for (r, row, _) in staged.rows() {
-                    if filter.insert(fact_of(table, r, row)) {
-                        fresh.push(r, row);
-                    }
-                }
-                fresh
-            }
-        };
-        for (r, rows) in sent.groups() {
-            let class = self.rels.info(r, self.transducer, table).class;
-            metrics.by_class.record(class, rows.len() * self.recipients);
-        }
-        metrics.messages_sent += sent.len() * self.recipients;
-        sent
-    }
-
     /// The step proper, after the delivery: `self.m` holds the collapsed
     /// set `M`, `delivered_occurrences` is `|m|` (for the observability
     /// event; [`NodeEngine::step`] has counted it).
@@ -731,7 +692,6 @@ impl<'a> NodeEngine<'a> {
         &mut self,
         table: &mut SymbolTable,
         delivered_occurrences: usize,
-        sent_filter: Option<&mut BTreeSet<Fact>>,
         metrics: &mut Metrics,
         obs: &Obs,
     ) -> NodeStepOutcome {
@@ -754,14 +714,20 @@ impl<'a> NodeEngine<'a> {
         // retracts Qdel, stages Qsnd.
         let transducer = self.transducer;
         let program = (self.program).get_or_insert_with(|| transducer.open(table));
-        let mut staged = Batch::default();
+        let mut sent = Batch::default();
         let system = &self.rels.system;
-        let mut view = NodeView::new(table, &mut self.d, system, &self.m, &mut staged);
+        let mut view = NodeView::new(table, &mut self.d, system, &self.m, &mut sent);
         metrics.eval.merge(&program.advance(&mut view));
         let folded = self.read_back(table, &mut unstored, obs.enabled());
-        let class_before = metrics.by_class;
-        let sent = self.count_sends(staged, sent_filter, table, metrics);
+        // Sends count once per (row, recipient), by the row's class.
+        let mut by_class = MessageClassCounts::default();
+        for (r, rows) in sent.groups() {
+            let class = self.rels.info(r, self.transducer, table).class;
+            by_class.record(class, rows.len() * self.recipients);
+        }
+        metrics.by_class.merge(&by_class);
         let sent_n = sent.len() * self.recipients;
+        metrics.messages_sent += sent_n;
 
         // A deletion may have taken values out of adom(s), and a message
         // value that was not stored leaves A with the message: either
@@ -800,15 +766,8 @@ impl<'a> NodeEngine<'a> {
             }
             if sent_n > 0 {
                 obs.counter("runtime", "messages.sent", sent_n as u64);
-                for ((label, now), (_, was)) in metrics
-                    .by_class
-                    .as_pairs()
-                    .iter()
-                    .zip(class_before.as_pairs().iter())
-                {
-                    if now > was {
-                        obs.counter("strategy", &format!("messages.{label}"), (now - was) as u64);
-                    }
+                for (label, n) in by_class.as_pairs().into_iter().filter(|&(_, n)| n > 0) {
+                    obs.counter("strategy", &format!("messages.{label}"), n as u64);
                 }
             }
         }
@@ -840,7 +799,7 @@ mod tests {
 
     /// A heartbeat: the node steps on what it holds.
     fn beat(engine: &mut NodeEngine<'_>, metrics: &mut Metrics) -> NodeStepOutcome {
-        engine.step(Delivery::None, None, metrics, &Obs::noop())
+        engine.step(Delivery::None, metrics, &Obs::noop())
     }
 
     /// `facts` as one send — each once — over `engine`'s table.
@@ -852,7 +811,7 @@ mod tests {
     /// Enqueue `facts` as one send and deliver everything.
     fn hand(engine: &mut NodeEngine<'_>, facts: &[Fact], metrics: &mut Metrics) -> NodeStepOutcome {
         engine.enqueue(&send(engine, facts), None, metrics, &Obs::noop());
-        engine.step(Delivery::All, None, metrics, &Obs::noop())
+        engine.step(Delivery::All, metrics, &Obs::noop())
     }
 
     #[test]
@@ -1043,11 +1002,11 @@ mod tests {
         );
         let (mut m, obs) = (Metrics::default(), Obs::noop());
         // Everything, of an empty buffer: |m| = 0.
-        assert_eq!(node.step(Delivery::All, None, &mut m, &obs).delivered, 0);
+        assert_eq!(node.step(Delivery::All, &mut m, &obs).delivered, 0);
         assert_eq!(m.heartbeats, 1);
         // Everything, of a buffer that holds something: not a heartbeat.
         node.enqueue(&send(&node, &[fact("m_E", [1, 2])]), None, &mut m, &obs);
-        assert_eq!(node.step(Delivery::All, None, &mut m, &obs).delivered, 1);
+        assert_eq!(node.step(Delivery::All, &mut m, &obs).delivered, 1);
         assert_eq!((m.heartbeats, m.messages_delivered), (1, 1));
         // A sample that keeps every occurrence back.
         node.enqueue(&send(&node, &[fact("m_E", [2, 3])]), None, &mut m, &obs);
@@ -1055,10 +1014,10 @@ mod tests {
             seed: 5,
             deliver_p: 0.0,
         };
-        assert_eq!(node.step(kept, None, &mut m, &obs).delivered, 0);
+        assert_eq!(node.step(kept, &mut m, &obs).delivered, 0);
         assert_eq!((m.heartbeats, node.buffered()), (2, 1));
         // And the heartbeat the schedule names.
-        node.step(Delivery::None, None, &mut m, &obs);
+        node.step(Delivery::None, &mut m, &obs);
         assert_eq!((m.heartbeats, m.transitions), (3, 4));
         assert_eq!(m.messages_delivered, 1);
     }
@@ -1086,7 +1045,7 @@ mod tests {
             node.enqueue(&sent, None, &mut m, &obs);
             node.enqueue(&sent, None, &mut m, &obs);
             let before = m.messages_delivered;
-            let outcome = node.step(Delivery::sample(seed), None, &mut m, &obs);
+            let outcome = node.step(Delivery::sample(seed), &mut m, &obs);
             assert_eq!(m.messages_delivered - before, outcome.delivered);
             assert_eq!(outcome.delivered + node.buffered(), 80, "seed {seed}");
             assert!(node.pending().support().all(|f| facts.contains(f)));
@@ -1099,7 +1058,7 @@ mod tests {
                 "seed {seed}"
             );
             // The rest is still there for a full delivery.
-            let rest = node.step(Delivery::All, None, &mut m, &obs);
+            let rest = node.step(Delivery::All, &mut m, &obs);
             assert_eq!(outcome.delivered + rest.delivered, 80, "seed {seed}");
             assert_eq!(node.state().relation_len("c_E"), 40);
         }
@@ -1135,7 +1094,7 @@ mod tests {
         assert_eq!((hw(&m), node.buffered()), (Some(6), 6));
         // Draining does not lower it, and a shallower refill does not
         // raise it.
-        assert_eq!(node.step(Delivery::All, None, &mut m, &obs).delivered, 6);
+        assert_eq!(node.step(Delivery::All, &mut m, &obs).delivered, 6);
         node.enqueue(&send(&node, &[fact("m_E", [7, 8])]), None, &mut m, &obs);
         assert_eq!((hw(&m), node.buffered()), (Some(6), 1));
         assert_eq!(m.max_queue_depth(), 6);
@@ -1143,7 +1102,18 @@ mod tests {
 
     #[test]
     fn a_traced_send_mints_increasing_ids_and_names_the_last_arrival_as_its_cause() {
-        let t = MonotoneBroadcast::new(Box::new(tc_datalog()));
+        // A program that sends at every step, whatever it did before.
+        let t = DatalogTransducer::parse(
+            "resender",
+            TransducerSchema::new(
+                Schema::from_pairs([("E", 2)]),
+                Schema::new(),
+                Schema::from_pairs([("m_E", 2)]),
+                Schema::new(),
+            ),
+            "m_E(x,y) :- E(x,y).",
+        )
+        .unwrap();
         let net = Network::of_size(3);
         let policy = HashPolicy::new(net.clone());
         let input = Instance::from_facts([fact("E", [1, 2])]);
@@ -1158,11 +1128,11 @@ mod tests {
         );
         let mut m = Metrics::default();
         // Untraced: no id.
-        let quiet = node.step(Delivery::None, None, &mut m, &Obs::noop());
+        let quiet = node.step(Delivery::None, &mut m, &Obs::noop());
         assert!(!quiet.sent.is_empty() && quiet.mid.is_none());
         let obs = Obs::new(std::sync::Arc::new(calm_obs::NoopSink));
         node.restore(Instance::new(), Multiset::new());
-        let first = node.step(Delivery::None, None, &mut m, &obs);
+        let first = node.step(Delivery::None, &mut m, &obs);
         assert_eq!((first.mid, first.cause), (Some((1, 0)), None));
         node.enqueue(
             &send(&node, &[fact("m_E", [2, 3])]),
@@ -1170,7 +1140,7 @@ mod tests {
             &mut m,
             &obs,
         );
-        let second = node.step(Delivery::All, None, &mut m, &obs);
+        let second = node.step(Delivery::All, &mut m, &obs);
         assert_eq!((second.mid, second.cause), (Some((1, 1)), Some((0, 7))));
         // A restore does not hand an id out twice; a predecessor's
         // numbering can only push the next one up.
@@ -1178,7 +1148,7 @@ mod tests {
         node.resume_ids_from(1);
         assert_eq!(node.next_seq(), 2);
         node.resume_ids_from(9);
-        let third = node.step(Delivery::None, None, &mut m, &obs);
+        let third = node.step(Delivery::None, &mut m, &obs);
         assert_eq!(third.mid, Some((1, 9)));
     }
 }

@@ -224,7 +224,7 @@ pub fn transition(
         config.state.remove(x).expect("node state"),
         config.buffer.remove(x).expect("node buffer"),
     );
-    let outcome = node.step(delivery, None, metrics, &Obs::noop());
+    let outcome = node.step(delivery, metrics, &Obs::noop());
     let (state, buffer) = node.into_parts();
     config.state.insert(x.clone(), state);
     config.buffer.insert(x.clone(), buffer);
@@ -249,7 +249,7 @@ fn fire(
     metrics: &mut Metrics,
     obs: &Obs,
 ) -> bool {
-    let outcome = nodes[i].step(delivery, None, metrics, obs);
+    let outcome = nodes[i].step(delivery, metrics, obs);
     if !outcome.sent.is_empty() {
         let _span = obs.span_on("runtime", i as u32 + 1, || "route".to_string());
         for (j, y) in nodes.iter_mut().enumerate() {
@@ -377,16 +377,19 @@ impl Scheduler {
 /// assert_eq!(result.output, expected);
 /// ```
 ///
-/// **Quiescence detection.** Transducers may legitimately keep re-sending
-/// messages forever (the formal runs are infinite), so "empty buffers" is
-/// not a usable stopping criterion. Instead we track, per node, the *set*
-/// of distinct message facts ever delivered to it; a configuration is
-/// declared quiescent when a full deliver-everything sweep (a) changes no
-/// node's state and (b) leaves no node with a buffered message it has
-/// never been delivered before. For deterministic transducers whose state
-/// accumulates everything they react to (all transducers in this
-/// workspace), such a configuration is the limit of every fair extension:
-/// re-delivering already-seen messages to unchanged states is a no-op.
+/// **Quiescence detection.** A transducer may keep sending the same
+/// messages forever (the formal runs are infinite), and one written as a
+/// rule set — a `DatalogTransducer`, a net-compiled program — does: it
+/// derives `Qsnd` anew at every step. So "empty buffers" is not a usable
+/// stopping criterion (though the strategies, which send each message
+/// once, end there). Instead each node keeps the *set* of message rows
+/// ever delivered to it; a configuration is declared quiescent when a
+/// full deliver-everything sweep (a) changes no node's state and (b)
+/// leaves no node with a buffered message it has never been delivered
+/// before. For deterministic transducers whose state accumulates
+/// everything they react to (all in this workspace) that is the limit of
+/// every fair extension: re-delivering already-seen messages to
+/// unchanged states is a no-op.
 pub fn run(
     tn: &TransducerNetwork<'_>,
     input: &Instance,

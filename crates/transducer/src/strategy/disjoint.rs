@@ -9,6 +9,14 @@
 //! that this per-value protocol is coordination determined purely by the
 //! data distribution — the strategy never reads `All` and cannot
 //! globally synchronize.
+//!
+//! **Who originates what** (audited when the other two strategies
+//! stopped forwarding; nothing to change): every send is the node's own,
+//! marked in its state — `v_a` for the active domain of the *local*
+//! fragment (`sv`); one `rq` per known value it does not own (`sq`);
+//! `m_R` for local facts only, answering a request (`sm_R`): a collected
+//! fact is never passed on; one `k_R` per collected fact (`sk_R`), the
+//! per-receiver answer; one `okm` per served request (`so`).
 
 use super::{coll_rel, collected_input, msg_rel, rename_to_out, renamed_output_schema};
 use crate::schema::{policy_relation, TransducerSchema};

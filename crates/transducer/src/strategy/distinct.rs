@@ -8,10 +8,15 @@
 //! presence/absence of every fact over `C` is known, and then
 //! `Q({f | adom(f) ⊆ C})` is output (sound for `Q ∈ Mdistinct` because
 //! the rest of the input is domain-distinct from the complete part).
+//!
+//! A node *originates* — marks in `sf_R` / `sb_R`, sends as `m_R` / `n_R`,
+//! once — the input facts it *holds* and the non-facts it is
+//! *responsible for*, and only *stores* (`c_R`, `ab_R`) what it is sent:
+//! nothing is forwarded (see [the module doc](super)).
 
 use super::{
-    absence_rel, coll_rel, collected_input, msg_rel, rename_to_out, renamed_output_schema,
-    session_fact, store_answer, Gossip,
+    absence_rel, coll_rel, collected_input, msg_rel, originate, rename_to_out,
+    renamed_output_schema, session_fact, AnswerRows, Gossip,
 };
 use crate::schema::{policy_relation, TransducerSchema};
 use crate::system_facts::{for_each_new_tuple, tuples_over};
@@ -25,8 +30,8 @@ use calm_common::update::UpdateBatch;
 use calm_common::value::Value;
 use std::collections::BTreeSet;
 
-/// Memory: absences known (`ab_R`), facts already broadcast (`sf_R`),
-/// absences already broadcast (`sb_R`).
+/// Memory: absences known (`ab_R`), own facts already broadcast
+/// (`sf_R`), own deductions already broadcast (`sb_R`).
 fn known_absence_rel(r: &str) -> String {
     format!("ab_{r}")
 }
@@ -95,31 +100,25 @@ impl Transducer for DistinctStrategy {
         let mut undetermined_values: BTreeSet<Value> = BTreeSet::new();
         for (r, arity) in input_schema.iter() {
             let pol = policy_relation(r);
-            let mut absences: BTreeSet<Vec<Value>> = d
-                .tuples(&known_absence_rel(r))
-                .cloned()
-                .chain(d.tuples(&absence_rel(r)).cloned())
-                .collect();
             // Deduce: responsible for R(ā) but R(ā) not locally given.
-            for tuple in tuples_over(&myadom, arity) {
-                if d.contains_tuple(&pol, &tuple) && !d.contains_tuple(r, &tuple) {
-                    absences.insert(tuple);
-                }
-            }
-            // Persist and broadcast.
+            let deduced: BTreeSet<Vec<Value>> = (tuples_over(&myadom, arity).into_iter())
+                .filter(|t| d.contains_tuple(&pol, t) && !d.contains_tuple(r, t))
+                .collect();
+            // Deductions and the facts of H(x) are ours to broadcast.
+            let names = (&*sent_absence_rel(r), &*absence_rel(r));
+            originate(d, &mut step, deduced.iter(), names);
+            originate(d, &mut step, d.tuples(r), (&sent_fact_rel(r), &msg_rel(r)));
+            // Persist everything known, delivered tuples included.
+            let absences: BTreeSet<Vec<Value>> = (d.tuples(&known_absence_rel(r)))
+                .chain(d.tuples(&absence_rel(r)))
+                .cloned()
+                .chain(deduced)
+                .collect();
             for t in &absences {
                 step.ins.insert(Fact::new(known_absence_rel(r), t.clone()));
-                if !d.contains_tuple(&sent_absence_rel(r), t) {
-                    step.snd.insert(Fact::new(absence_rel(r), t.clone()));
-                    step.ins.insert(Fact::new(sent_absence_rel(r), t.clone()));
-                }
             }
             for t in collected.tuples(r) {
                 step.ins.insert(Fact::new(coll_rel(r), t.clone()));
-                if !d.contains_tuple(&sent_fact_rel(r), t) {
-                    step.snd.insert(Fact::new(msg_rel(r), t.clone()));
-                    step.ins.insert(Fact::new(sent_fact_rel(r), t.clone()));
-                }
             }
             // Undetermined tuples poison their values.
             for tuple in tuples_over(&myadom, arity) {
@@ -170,6 +169,7 @@ impl Transducer for DistinctStrategy {
             values: Vec::new(),
             undetermined: Vec::new(),
             restricted: Instance::new(),
+            answer: AnswerRows::default(),
         })
     }
 }
@@ -199,7 +199,8 @@ impl Names {
 const UNKNOWN: u32 = u32::MAX;
 
 /// One node's [`DistinctStrategy`]. Each fact or absence is remembered
-/// and broadcast once, when it is first seen; the complete set is kept
+/// once, when it is first seen, the node's own broadcast; the complete
+/// set is kept
 /// through a count per known value of the undetermined tuples over the
 /// known values that contain it (a value is complete at zero), so a
 /// determination decrements and only a *new* value makes tuples to
@@ -221,20 +222,21 @@ struct FactsAndAbsences<'a> {
     undetermined: Vec<u32>,
     /// The session's input.
     restricted: Instance,
+    answer: AnswerRows,
 }
 
 impl FactsAndAbsences<'_> {
     /// The tuple `t` of input relation `i` became known, as a fact or
-    /// as an absence: remember and broadcast it, and release the values
-    /// of a tuple that was counted — one over values known before this
-    /// call, undetermined until now.
+    /// as an absence: remember it, and release the values of a tuple
+    /// that was counted — one over values known before this call,
+    /// undetermined until now.
     fn learn(&mut self, view: &mut NodeView<'_>, i: usize, is_fact: bool, t: &[Sym]) {
         let names = &self.names[i];
         let (k, other) = match is_fact {
             true => (&names.fact, &names.absence),
             false => (&names.absence, &names.fact),
         };
-        let newly = k.learn(view, t);
+        let newly = k.store(view, t);
         self.dirty |= newly && is_fact;
         let known = |v: &Sym| {
             self.undetermined
@@ -265,7 +267,7 @@ impl NodeProgram for FactsAndAbsences<'_> {
         let first = !std::mem::replace(&mut self.started, true);
         self.dirty = first;
 
-        // 1. What became known: remember and broadcast it.
+        // 1. What became known: remember it, and broadcast the node's own.
         for i in 0..self.names.len() {
             let names = &self.names[i];
             let (input, policy) = (names.input, names.policy);
@@ -277,6 +279,9 @@ impl NodeProgram for FactsAndAbsences<'_> {
                     (names.absence.known, false),
                 ]
                 .map(|(r, is_fact)| (r, view.all_ids(r), is_fact));
+                // H(x) is this node's to broadcast.
+                let (ids, own) = (held[0].1.clone(), &names.fact);
+                view.for_rows(input, ids, |view, t| own.originate(view, t));
                 for (r, ids, is_fact) in held {
                     view.for_rows(r, ids, |view, t| self.learn(view, i, is_fact, t));
                 }
@@ -286,6 +291,7 @@ impl NodeProgram for FactsAndAbsences<'_> {
             view.for_rows(policy, ids, |view, t| {
                 if !view.d().contains(input, t) {
                     self.learn(view, i, false, t);
+                    self.names[i].absence.originate(view, t);
                 }
             });
         }
@@ -355,7 +361,7 @@ impl NodeProgram for FactsAndAbsences<'_> {
             };
             self.restricted = restricted;
             if first || !batch.is_empty() {
-                store_answer(&self.session.apply(&batch), view);
+                (self.answer).apply(&mut *self.session, &batch, view);
             }
         }
         EvalMetrics::default()
@@ -457,6 +463,78 @@ mod tests {
             partial.is_subset(&expected),
             "heartbeat outputs must be sound: {partial:?} ⊄ {expected:?}"
         );
+    }
+
+    #[test]
+    fn message_volume_is_once_per_tuple_per_recipient() {
+        // 4 facts and, over the 5 values of the path and the 3 node ids,
+        // 8² − 4 absent tuples: each sent by its one owner to the 2
+        // other nodes, and passed on by nobody.
+        let t = strategy();
+        let policy = HashPolicy::new(Network::of_size(3));
+        let tn = TransducerNetwork {
+            transducer: &t,
+            policy: &policy,
+            config: SystemConfig::POLICY_AWARE,
+        };
+        for scheduler in [Scheduler::RoundRobin, Scheduler::random(3, 40)] {
+            let r = run(&tn, &path(4), &scheduler, 50_000);
+            assert!(r.quiescent);
+            assert_eq!(r.metrics.by_class.fact, 4 * 2);
+            assert_eq!(r.metrics.by_class.absence, (8 * 8 - 4) * 2);
+            assert_eq!(r.metrics.messages_sent, r.metrics.messages_delivered);
+        }
+    }
+
+    #[test]
+    fn a_restored_node_originates_what_its_marks_do_not_cover_and_nothing_it_stored() {
+        use crate::runtime::{transition, Configuration, Delivery, Metrics};
+
+        // The specification, one configuration to the next: every node
+        // is rebuilt from its state alone at every transition.
+        let t = strategy();
+        let net = Network::of_size(2);
+        let policy = HashPolicy::new(net.clone());
+        let tn = TransducerNetwork {
+            transducer: &t,
+            policy: &policy,
+            config: SystemConfig::POLICY_AWARE,
+        };
+        let input = path(2);
+        let dist = crate::policy::distribute(&policy, &input);
+        let mut config = Configuration::start(&net);
+        let mut m = Metrics::default();
+        let nodes: Vec<_> = net.nodes().cloned().collect();
+        for _ in 0..3 {
+            for x in &nodes {
+                transition(&tn, &dist, &mut config, x, Delivery::All, &mut m);
+            }
+        }
+        // 2 facts and (3 + 2)² − 2 absences, each to the one other node.
+        assert_eq!((m.by_class.fact, m.by_class.absence), (2, 23));
+        let x = &nodes[0];
+        let done = config.state[x].clone();
+        // The marks are the node's own tuples; the memory is everyone's.
+        let (own_facts, own_absences) = (done.relation_len("sf_E"), done.relation_len("sb_E"));
+        assert_eq!(own_facts, dist[x].len());
+        assert_eq!(
+            (done.relation_len("c_E"), done.relation_len("ab_E")),
+            (2, 23)
+        );
+        assert!(own_absences < 23 && own_facts + own_absences > 0);
+
+        // Forget that the own facts and one own deduction were sent: the
+        // node sends exactly those again, and not one of the tuples it
+        // holds because another node sent them.
+        let absence_mark = done.tuples("sb_E").next().expect("owns an absence");
+        let state = config.state.get_mut(x).unwrap();
+        state.retain_relations(|r| &**r != "sf_E");
+        state.remove(&Fact::new("sb_E", absence_mark.clone()));
+        let expected = own_facts + 1;
+        let before = m.messages_sent;
+        transition(&tn, &dist, &mut config, x, Delivery::None, &mut m);
+        assert_eq!(m.messages_sent - before, expected);
+        assert_eq!(config.state[x], done);
     }
 
     #[test]

@@ -1,11 +1,23 @@
 //! The three generic coordination-free evaluation strategies from the
 //! proofs of Theorems 4.3 and 4.4 and the discussion in Section 4.3:
 //!
-//! | Strategy | Class | Protocol |
-//! |---|---|---|
-//! | [`MonotoneBroadcast`] | `M` (`F0`) | broadcast input facts; output `Q` of everything known, immediately |
-//! | [`DistinctStrategy`] | `Mdistinct` (`F1`) | broadcast facts **and non-facts** (absences deduced from `policy_R`); output `Q` on complete value-subsets |
-//! | [`DisjointStrategy`] | `Mdisjoint` (`F2`) | broadcast the active domain; per-value request/ack/OK protocol with the responsible nodes; output `Q` on complete components |
+//! | Strategy | Class | A node originates | and stores | Output |
+//! |---|---|---|---|---|
+//! | [`MonotoneBroadcast`] | `M` (`F0`) | `m_R`: the facts of `H(x)` | every delivered fact (`c_R`) | `Q` of everything known, immediately |
+//! | [`DistinctStrategy`] | `Mdistinct` (`F1`) | `m_R`: the facts of `H(x)`; `n_R`: the **non-facts** it deduced itself (`policy_R` says mine, fact not local) | every delivered fact and absence (`c_R`, `ab_R`) | `Q` on complete value-subsets |
+//! | [`DisjointStrategy`] | `Mdisjoint` (`F2`) | `v_a`: the active domain of `H(x)`; per known value it does not own, one `rq`; to a requester, the `m_R` facts of `H(x)` that hold the value, then `okm`; per collected fact, one `k_R` ack | delivered facts, requests, acks, OKs | `Q` on complete components |
+//!
+//! **A node originates only what is its own, once, and forwards
+//! nothing.** §4.1.3's network is a clique: a send puts `snd` in the
+//! buffer of *every* other node. So the constructions behind `F0 = M`
+//! and Theorem 4.3 have a node send the input facts it *holds* and the
+//! non-facts it is *responsible for*, and that is all the code sends: a
+//! tuple crosses the network `n − 1` times per holder
+//! (`crates/net/tests/originate_once.rs`), and a node restored from its
+//! state re-sends exactly the own tuples its marks do not cover.
+//! Forwarding is how a fact reaches a non-neighbour in the
+//! arbitrary-topology networks of Ameloot–Neven–Van den Bussche's
+//! *Relational transducers for declarative networking*; it belongs there.
 //!
 //! Each strategy is a native [`Transducer`](crate::transducer::Transducer)
 //! parameterized by the query it
@@ -21,13 +33,14 @@ pub use disjoint::DisjointStrategy;
 pub use distinct::DistinctStrategy;
 pub use monotone::MonotoneBroadcast;
 
-use crate::rows::{intern_row, values_of};
-use crate::transducer::NodeView;
+use crate::rows::values_of;
+use crate::transducer::{NodeView, TransducerStep};
 use calm_common::fact::{rel, Fact, RelName};
-use calm_common::instance::Instance;
-use calm_common::query::Query;
+use calm_common::instance::{Instance, Tuple};
+use calm_common::query::{Query, QuerySession};
 use calm_common::schema::Schema;
 use calm_common::storage::{RelId, Sym, SymbolTable};
+use calm_common::update::UpdateBatch;
 
 /// The protocol class of a message fact, keyed by the message-relation
 /// naming convention shared by the three strategies. This is the
@@ -52,22 +65,6 @@ pub enum MessageClass {
     Ack,
     /// Anything else (custom transducers outside the three strategies).
     Other,
-}
-
-impl MessageClass {
-    /// A short stable label, used as the metric name suffix
-    /// (`messages.<label>`).
-    pub fn label(self) -> &'static str {
-        match self {
-            MessageClass::FactBroadcast => "fact",
-            MessageClass::AbsenceBroadcast => "absence",
-            MessageClass::ValueBroadcast => "value",
-            MessageClass::Request => "request",
-            MessageClass::Ok => "ok",
-            MessageClass::Ack => "ack",
-            MessageClass::Other => "other",
-        }
-    }
 }
 
 /// Classify a message relation by its name: the one definition of a
@@ -252,27 +249,70 @@ impl Gossip {
         }
     }
 
-    /// `t` was learned: remember it, and broadcast it unless that
-    /// happened. Returns whether `t` is new to the memory.
-    pub(crate) fn learn(&self, view: &mut NodeView<'_>, t: &[Sym]) -> bool {
-        let new = view.insert(self.known, t);
+    /// `t` became known, wherever from: remember it; `true` when new.
+    pub(crate) fn store(&self, view: &mut NodeView<'_>, t: &[Sym]) -> bool {
+        view.insert(self.known, t)
+    }
+
+    /// `t` is this node's own (a fact of `H(x)`, an absence it deduced
+    /// itself): broadcast it, unless the mark says that happened.
+    pub(crate) fn originate(&self, view: &mut NodeView<'_>, t: &[Sym]) {
         if view.insert(self.sent, t) {
             view.send(self.msg, t);
         }
-        new
     }
 }
 
-/// Store a query session's answer as the node's output: every fact of
-/// relation `R` a row of `out_R` — the answer half of the session edge.
-pub(crate) fn store_answer(answer: &Instance, view: &mut NodeView<'_>) {
-    let mut row = Vec::new();
-    for r in answer.relation_names() {
-        let out = out_rel(r);
-        for t in answer.tuples(r) {
-            let out = intern_row(view.table, &out, t, &mut row);
-            view.insert(out, &row);
-        }
+/// The answer half of the session edge: a session hands the growth of
+/// its answer in rows over *its* symbol table; a row of `R` becomes a
+/// row of `out_R` over the node's (whose write lock the node holds across
+/// the program: the tables cannot be one). Ids are translated by value
+/// when first seen, by index from then on.
+#[derive(Default)]
+pub(crate) struct AnswerRows {
+    /// By the session's id of `R`: `out_R`; by its symbol: the node's.
+    out: Vec<Option<RelId>>,
+    syms: Vec<Option<Sym>>,
+    row: Vec<Sym>,
+}
+
+impl AnswerRows {
+    /// Fold `batch` into `session`; its answer's growth is the node's output.
+    pub(crate) fn apply(
+        &mut self,
+        session: &mut dyn QuerySession,
+        batch: &UpdateBatch,
+        view: &mut NodeView<'_>,
+    ) {
+        session.apply(batch, &mut |of, r, t| {
+            if self.out.len() < of.rel_count() || self.syms.len() < of.sym_count() {
+                self.out.resize(of.rel_count(), None);
+                self.syms.resize(of.sym_count(), None);
+            }
+            let out = &mut self.out[r.0 as usize];
+            let out = *out.get_or_insert_with(|| view.table.rel(&out_rel(of.rel_name(r))));
+            self.row.clear();
+            for &s in t {
+                let sym = &mut self.syms[s.0 as usize];
+                let sym = *sym.get_or_insert_with(|| view.table.sym(of.value(s)));
+                self.row.push(sym);
+            }
+            view.insert(out, &self.row);
+        });
+    }
+}
+
+/// [`Gossip::originate`] as specified on an instance: the `own` tuples
+/// not marked in `sent` are sent as `msg` and marked.
+pub(crate) fn originate<'t>(
+    d: &Instance,
+    step: &mut TransducerStep,
+    own: impl Iterator<Item = &'t Tuple>,
+    (sent, msg): (&str, &str),
+) {
+    for t in own.filter(|t| !d.contains_tuple(sent, t)) {
+        step.snd.insert(Fact::new(msg, t.clone()));
+        step.ins.insert(Fact::new(sent, t.clone()));
     }
 }
 

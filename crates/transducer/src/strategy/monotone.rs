@@ -2,10 +2,14 @@
 //! node broadcasts its local input facts; output is generated for every
 //! newly received fact, with no waiting at all. Correct exactly for
 //! monotone queries.
+//!
+//! A node *originates* — marks in `s_R`, sends as `m_R`, once — the facts
+//! of its own fragment `H(x)` and only *stores* (`c_R`) what it is sent:
+//! nothing is forwarded (see [the module doc](super)).
 
 use super::{
-    coll_rel, collected_input, msg_rel, rename_to_out, renamed_output_schema, session_fact,
-    store_answer, Gossip,
+    coll_rel, collected_input, msg_rel, originate, rename_to_out, renamed_output_schema,
+    session_fact, AnswerRows, Gossip,
 };
 use crate::schema::TransducerSchema;
 use crate::transducer::{NodeProgram, NodeView, Transducer, TransducerStep};
@@ -23,7 +27,7 @@ pub struct MonotoneBroadcast {
     name: String,
 }
 
-/// Memory relation marking facts already broadcast.
+/// Memory relation marking the node's own facts already broadcast.
 fn sent_rel(r: &str) -> String {
     format!("s_{r}")
 }
@@ -64,15 +68,12 @@ impl Transducer for MonotoneBroadcast {
     fn step(&self, d: &Instance) -> TransducerStep {
         let mut step = TransducerStep::default();
         let collected = collected_input(self.query.input_schema(), d);
-        // Remember everything we know; broadcast what we have not
-        // broadcast yet.
         for (r, _) in self.query.input_schema().iter() {
+            // The facts of H(x) are ours to broadcast; everything we
+            // know, delivered facts included, is remembered.
+            originate(d, &mut step, d.tuples(r), (&sent_rel(r), &msg_rel(r)));
             for t in collected.tuples(r) {
                 step.ins.insert(Fact::new(coll_rel(r), t.clone()));
-                if !d.contains_tuple(&sent_rel(r), t) {
-                    step.snd.insert(Fact::new(msg_rel(r), t.clone()));
-                    step.ins.insert(Fact::new(sent_rel(r), t.clone()));
-                }
             }
         }
         // Output Q over everything currently known — monotonicity makes
@@ -96,6 +97,7 @@ impl Transducer for MonotoneBroadcast {
             session: self.query.session(),
             started: false,
             collected: UpdateBatch::new(),
+            answer: AnswerRows::default(),
         })
     }
 }
@@ -108,15 +110,16 @@ struct Collected {
     facts: Gossip,
 }
 
-/// One node's [`MonotoneBroadcast`]: each fact is collected, broadcast
-/// and handed to the query once — when it is first seen — and the query
-/// is a session over everything collected, which only grows.
+/// One node's [`MonotoneBroadcast`]: `H(x)` is broadcast, each fact is
+/// collected and handed to the query once — when it is first seen — and
+/// the query is a session over everything collected, which only grows.
 struct Broadcast<'a> {
     relations: Vec<Collected>,
     session: Box<dyn QuerySession + 'a>,
     started: bool,
     /// What this step collected, for the session.
     collected: UpdateBatch,
+    answer: AnswerRows,
 }
 
 impl Broadcast<'_> {
@@ -125,7 +128,7 @@ impl Broadcast<'_> {
     /// there already (a restored state).
     fn collect(&mut self, view: &mut NodeView<'_>, i: usize, first: bool, t: &[Sym]) {
         let relation = &self.relations[i];
-        if relation.facts.learn(view, t) || first {
+        if relation.facts.store(view, t) || first {
             let fact = session_fact(view.table, &relation.name, t);
             self.collected.insert.push(fact);
         }
@@ -138,8 +141,12 @@ impl NodeProgram for Broadcast<'_> {
         if first {
             for i in 0..self.relations.len() {
                 // What D held before this call: collecting writes to `c_R`.
-                let held = [self.relations[i].input, self.relations[i].facts.known]
-                    .map(|r| (r, view.all_ids(r)));
+                let Collected { input, facts, .. } = &self.relations[i];
+                let held = [*input, facts.known].map(|r| (r, view.all_ids(r)));
+                // H(x) is this node's to broadcast.
+                view.for_rows(*input, held[0].1.clone(), |view, t| {
+                    facts.originate(view, t)
+                });
                 for (r, ids) in held {
                     view.for_rows(r, ids, |view, t| self.collect(view, i, true, t));
                 }
@@ -158,7 +165,7 @@ impl NodeProgram for Broadcast<'_> {
             }
         }
         if first || !self.collected.is_empty() {
-            store_answer(&self.session.apply(&self.collected), view);
+            (self.answer).apply(&mut *self.session, &self.collected, view);
             self.collected.insert.clear();
         }
         EvalMetrics::default()
@@ -278,14 +285,61 @@ mod tests {
         };
         let r = run(&tn, &input, &Scheduler::RoundRobin, 20_000);
         assert!(r.quiescent);
-        // Each of the 4 facts is broadcast at most once by each node that
-        // knows it; re-broadcast of received facts is also once. Upper
-        // bound: |facts| × n × (n - 1).
-        assert!(r.metrics.messages_sent <= 4 * 3 * 2);
-        assert!(
-            r.metrics.messages_sent >= 4 * 2,
-            "every fact reaches the others"
-        );
+        // Each of the 4 facts is sent by the one node that holds it, to
+        // the 2 others; a received fact is stored, not passed on.
+        assert_eq!(r.metrics.messages_sent, 4 * 2);
+        assert_eq!(r.metrics.messages_delivered, 4 * 2);
+    }
+
+    #[test]
+    fn a_restored_node_originates_what_its_marks_do_not_cover_and_nothing_it_stored() {
+        use crate::engine::NodeEngine;
+        use crate::multiset::Multiset;
+        use crate::rows::Batch;
+        use crate::runtime::{Delivery, Metrics};
+        use calm_common::fact::{fact, Fact};
+        use calm_common::storage::SharedSymbols;
+        use calm_obs::Obs;
+        use std::sync::Arc;
+
+        let t = tc_strategy();
+        let net = Network::of_size(3);
+        let policy = HashPolicy::new(net.clone());
+        let x = net.first().clone();
+        let own = Instance::from_facts([fact("E", [1, 2]), fact("E", [2, 3])]);
+        let symbols = SharedSymbols::new();
+        let mut node = NodeEngine::new(&t, &policy, SystemConfig::ORIGINAL, x, &own, &symbols);
+        let (mut m, obs) = (Metrics::default(), Obs::noop());
+        let sent = |outcome: crate::engine::NodeStepOutcome| {
+            let mut facts = Multiset::new();
+            outcome.sent.add_to(&symbols.read(), &mut facts);
+            facts.support().cloned().collect::<Vec<Fact>>()
+        };
+        // Its own two facts, once.
+        let first = sent(node.step(Delivery::None, &mut m, &obs));
+        assert_eq!(first, [fact("m_E", [1, 2]), fact("m_E", [2, 3])]);
+        // A delivered fact is stored and answered from, not sent on.
+        let theirs: Multiset<Fact> = [fact("m_E", [3, 4])].into_iter().collect();
+        let batch = Arc::new(Batch::of_facts(&theirs, &mut symbols.write()));
+        node.enqueue(&batch, None, &mut m, &obs);
+        let outcome = node.step(Delivery::All, &mut m, &obs);
+        assert!(outcome.grew_output && outcome.sent.is_empty());
+        let state = node.state();
+        assert!(state.contains(&fact("c_E", [3, 4])) && state.contains(&fact("out_T", [1, 4])));
+        assert_eq!(state.relation_len("s_E"), 2, "marks: the node's own facts");
+
+        // Restored whole, it has nothing to say.
+        node.restore(state.clone(), Multiset::new());
+        assert!(node.step(Delivery::None, &mut m, &obs).sent.is_empty());
+        // Restored from a checkpoint whose marks cover one fact only —
+        // taken between the two sends, had they been two — it sends the
+        // other: not the covered one, not the one it merely stored.
+        let mut earlier = state.clone();
+        earlier.remove(&fact("s_E", [2, 3]));
+        node.restore(earlier, Multiset::new());
+        let again = sent(node.step(Delivery::None, &mut m, &obs));
+        assert_eq!(again, [fact("m_E", [2, 3])]);
+        assert_eq!(node.state(), state);
     }
 
     #[test]

@@ -140,7 +140,7 @@ fn the_inbox_is_a_multiset_of_facts_at_every_edge() {
                         1 => Delivery::None,
                         _ => Delivery::sample(rng.gen_u64()),
                     };
-                    let outcome = node.step(delivery, None, &mut metrics, &obs);
+                    let outcome = node.step(delivery, &mut metrics, &obs);
                     assert_eq!(outcome.delivered, model.deliver(delivery), "{at}: |m|");
                 }
                 // A restore: the state the node has, some other buffer.
@@ -193,7 +193,7 @@ fn a_sampled_delivery_flips_the_coins_it_always_did() {
             let batch = Arc::new(Batch::of_facts(sent, &mut symbols.write()));
             node.enqueue(&batch, None, &mut m, &obs);
         }
-        let outcome = node.step(Delivery::sample(seed as u64), None, &mut m, &obs);
+        let outcome = node.step(Delivery::sample(seed as u64), &mut m, &obs);
         assert_eq!(outcome.delivered, delivered, "seed {seed}: |m|");
         let mut want = Multiset::new();
         for &(i, n) in kept {
@@ -251,15 +251,16 @@ fn a_wire_batch_carries_the_arity_of_every_row() {
         let mut warm = Metrics::default();
         node.enqueue_batch(wire.clone(), None, &mut warm, &Obs::noop());
         assert_eq!(node.pending(), wire, "{x}: the batch as it was");
-        let outcome = node.step(Delivery::All, None, &mut warm, &Obs::noop());
+        let outcome = node.step(Delivery::All, &mut warm, &Obs::noop());
         assert_eq!(outcome.delivered, 5, "{x}");
         assert_eq!(node.state(), config.state[x], "{x}: state");
         let sent = facts_of(&outcome.sent, &symbols);
         assert_eq!(sent, config.buffer[other], "{x}: sends");
         assert!(
-            sent.count(&fact("n_E", [1, 2, 3])) == 1,
-            "{x}: re-broadcast"
+            node.state().contains(&fact("ab_E", [1, 2, 3])),
+            "{x}: stored at the arity it came with"
         );
+        assert_eq!(sent.count(&fact("n_E", [1, 2, 3])), 0, "{x}: not sent on");
         assert_eq!(warm.messages_sent, cold.messages_sent, "{x}");
         assert_eq!(warm.by_class, cold.by_class, "{x}");
     }
@@ -295,7 +296,7 @@ fn a_snapshot_knows_no_symbols() {
     let mut discarded = Metrics::default();
     for batch in &before {
         original.enqueue_batch(batch.clone(), None, &mut discarded, &obs);
-        original.step(Delivery::All, None, &mut discarded, &obs);
+        original.step(Delivery::All, &mut discarded, &obs);
     }
     original.enqueue_batch(waiting.clone(), None, &mut discarded, &obs);
     let (state, pending) = (original.state(), original.pending());
@@ -322,7 +323,7 @@ fn a_snapshot_knows_no_symbols() {
         let mut sends = Vec::new();
         for ((node, m), table) in nodes.iter_mut().zip(&mut metrics).zip(tables) {
             node.enqueue_batch(batch.clone(), None, m, &obs);
-            let outcome = node.step(Delivery::All, None, m, &obs);
+            let outcome = node.step(Delivery::All, m, &obs);
             sends.push((facts_of(&outcome.sent, table), outcome.delivered));
         }
         for i in 1..3 {

@@ -139,7 +139,7 @@ fn check(
         });
 
         cold_starts += usize::from(engines[i].is_cold());
-        let outcome = engines[i].step(delivery, None, &mut warm, &Obs::noop());
+        let outcome = engines[i].step(delivery, &mut warm, &Obs::noop());
         for (j, y) in engines.iter_mut().enumerate() {
             if j != i {
                 y.enqueue(&outcome.sent, None, &mut warm, &Obs::noop());
