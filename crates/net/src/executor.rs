@@ -164,6 +164,9 @@ pub struct WorkerStats {
     pub wire_bytes: u64,
 }
 
+crate::codec::wire_struct!(WorkerStats: worker, nodes, metrics, enqueued, buffered,
+    token_passes, exhausted, faults, link_counters, wire_bytes);
+
 /// The result of a threaded run — same shape as the sequential
 /// [`calm_transducer::RunResult`], plus the per-worker breakdown.
 #[derive(Debug)]
@@ -419,6 +422,18 @@ pub(crate) struct Joined {
     pub(crate) wire_bytes: u64,
 }
 
+/// The counters of [`FaultStats`] that `net/fault_summary` carries, by
+/// label, in the event's argument order.
+const FAULT_SUMMARY: [&str; 7] = [
+    "attempts",
+    "retransmissions",
+    "duplicates_suppressed",
+    "dropped",
+    "crashes",
+    "snapshots",
+    "retry_exhausted",
+];
+
 /// The deterministic join behind both engines: fold the workers' final
 /// reports in worker order (whatever order they arrived in) — so the
 /// merged totals are a function of the per-worker values alone — and
@@ -468,22 +483,15 @@ pub(crate) fn join_reports(
         ]
     });
     if faulted && obs.enabled() {
-        for (name, value) in faults.as_pairs() {
-            obs.counter("net", &format!("faults.{name}"), value);
+        let pairs = faults.as_pairs();
+        for (name, value) in &pairs {
+            obs.counter("net", &format!("faults.{name}"), *value);
         }
         obs.event("net", "fault_summary", 0, || {
-            vec![
-                ("attempts", ArgValue::U64(faults.attempts)),
-                ("retransmissions", ArgValue::U64(faults.retransmissions)),
-                (
-                    "duplicates_suppressed",
-                    ArgValue::U64(faults.duplicates_suppressed),
-                ),
-                ("dropped", ArgValue::U64(faults.dropped)),
-                ("crashes", ArgValue::U64(faults.crashes)),
-                ("snapshots", ArgValue::U64(faults.snapshots)),
-                ("retry_exhausted", ArgValue::U64(faults.retry_exhausted)),
-            ]
+            (FAULT_SUMMARY.iter())
+                .filter_map(|label| pairs.iter().find(|(name, _)| name == label))
+                .map(|&(name, value)| (name, ArgValue::U64(value)))
+                .collect()
         });
     }
     obs.counter("net", "wire.bytes", j.wire_bytes);

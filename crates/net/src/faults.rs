@@ -379,96 +379,53 @@ fn parse_edge(s: &str) -> Result<(usize, usize), String> {
     Ok((parse_num(a, "link src")?, parse_num(b, "link dst")?))
 }
 
-/// Per-fault-class counters, merged across workers at join and threaded
-/// through `calm-obs` as `net/faults.*` counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Wire data transmissions attempted (first sends + retransmits +
-    /// injected duplicate copies).
-    pub attempts: u64,
-    /// Retransmission events (an unacked entry re-entering the wire).
-    pub retransmissions: u64,
-    /// Extra copies injected by the duplication fault.
-    pub duplicates_injected: u64,
-    /// Attempts lost: fault drops, partition drops, crash-cleared
-    /// in-flight wires, and arrivals refused by a down node.
-    pub dropped: u64,
-    /// Attempts that took the delay path.
-    pub delayed: u64,
-    /// Data wires accepted (fresh sequence number, facts delivered).
-    pub delivered_batches: u64,
-    /// Data wires suppressed by receiver-side dedup.
-    pub duplicates_suppressed: u64,
-    /// Fact occurrences filtered by the end-to-end per-source dedup: a
-    /// crashed sender, its marks rolled back, re-sent them under
-    /// fresh sequence numbers, but this node had already accepted them.
-    pub replayed_facts_suppressed: u64,
-    /// Cumulative acks emitted.
-    pub acks_sent: u64,
-    /// Node snapshots taken.
-    pub snapshots: u64,
-    /// Crash points fired.
-    pub crashes: u64,
-    /// Messages abandoned after the retry budget (> 0 means fairness
-    /// could not be restored; the run reports `quiescent: false`).
-    pub retry_exhausted: u64,
-    /// Data wires whose payload failed wire-format validation at the
-    /// receiver (corruption): refused and counted as dropped, so the
-    /// sender's retransmission path covers them like any other loss.
-    pub decode_failures: u64,
-    /// Outbox entries re-armed for retransmission by a restore —
-    /// in-flight traffic replayed after a crash (node rollback or a
-    /// respawned worker restoring a shipped snapshot). Each replayed
-    /// entry re-enters the wire through `transmit`, so the per-link
-    /// identity `attempts == delivered + suppressed + dropped +
-    /// buffered` still holds with replays counted inside `attempts`.
-    pub replayed: u64,
-    /// Encoded snapshot-blob bytes shipped to the coordinator
-    /// (supervised process engine only; zero in-process).
-    pub snapshot_bytes: u64,
-}
-
-impl FaultStats {
-    /// Field-wise sum (associative, commutative, `Default` identity).
-    pub fn merge(&mut self, other: &FaultStats) {
-        self.attempts += other.attempts;
-        self.retransmissions += other.retransmissions;
-        self.duplicates_injected += other.duplicates_injected;
-        self.dropped += other.dropped;
-        self.delayed += other.delayed;
-        self.delivered_batches += other.delivered_batches;
-        self.duplicates_suppressed += other.duplicates_suppressed;
-        self.replayed_facts_suppressed += other.replayed_facts_suppressed;
-        self.acks_sent += other.acks_sent;
-        self.snapshots += other.snapshots;
-        self.crashes += other.crashes;
-        self.retry_exhausted += other.retry_exhausted;
-        self.decode_failures += other.decode_failures;
-        self.replayed += other.replayed;
-        self.snapshot_bytes += other.snapshot_bytes;
-    }
-
-    /// Non-zero counters as `(label, value)` pairs, for reports.
-    pub fn as_pairs(&self) -> Vec<(&'static str, u64)> {
-        [
-            ("attempts", self.attempts),
-            ("retransmissions", self.retransmissions),
-            ("duplicates_injected", self.duplicates_injected),
-            ("dropped", self.dropped),
-            ("delayed", self.delayed),
-            ("delivered_batches", self.delivered_batches),
-            ("duplicates_suppressed", self.duplicates_suppressed),
-            ("replayed_facts_suppressed", self.replayed_facts_suppressed),
-            ("acks_sent", self.acks_sent),
-            ("snapshots", self.snapshots),
-            ("crashes", self.crashes),
-            ("retry_exhausted", self.retry_exhausted),
-            ("decode_failures", self.decode_failures),
-            ("replayed", self.replayed),
-            ("snapshot_bytes", self.snapshot_bytes),
-        ]
-        .into_iter()
-        .collect()
+crate::codec::counters! {
+    /// Per-fault-class counters, merged across workers at join and threaded
+    /// through `calm-obs` as `net/faults.*` counters.
+    pub struct FaultStats {
+        /// Wire data transmissions attempted (first sends + retransmits +
+        /// injected duplicate copies).
+        pub attempts: u64,
+        /// Retransmission events (an unacked entry re-entering the wire).
+        pub retransmissions: u64,
+        /// Extra copies injected by the duplication fault.
+        pub duplicates_injected: u64,
+        /// Attempts lost: fault drops, partition drops, crash-cleared
+        /// in-flight wires, and arrivals refused by a down node.
+        pub dropped: u64,
+        /// Attempts that took the delay path.
+        pub delayed: u64,
+        /// Data wires accepted (fresh sequence number, facts delivered).
+        pub delivered_batches: u64,
+        /// Data wires suppressed by receiver-side dedup.
+        pub duplicates_suppressed: u64,
+        /// Fact occurrences filtered by the end-to-end per-source dedup: a
+        /// crashed sender, its marks rolled back, re-sent them under
+        /// fresh sequence numbers, but this node had already accepted them.
+        pub replayed_facts_suppressed: u64,
+        /// Cumulative acks emitted.
+        pub acks_sent: u64,
+        /// Node snapshots taken.
+        pub snapshots: u64,
+        /// Crash points fired.
+        pub crashes: u64,
+        /// Messages abandoned after the retry budget (> 0 means fairness
+        /// could not be restored; the run reports `quiescent: false`).
+        pub retry_exhausted: u64,
+        /// Data wires whose payload failed wire-format validation at the
+        /// receiver (corruption): refused and counted as dropped, so the
+        /// sender's retransmission path covers them like any other loss.
+        pub decode_failures: u64,
+        /// Outbox entries re-armed for retransmission by a restore —
+        /// in-flight traffic replayed after a crash (node rollback or a
+        /// respawned worker restoring a shipped snapshot). Each replayed
+        /// entry re-enters the wire through `transmit`, so the per-link
+        /// identity `attempts == delivered + suppressed + dropped +
+        /// buffered` still holds with replays counted inside `attempts`.
+        pub replayed: u64,
+        /// Encoded snapshot-blob bytes shipped to the coordinator
+        /// (supervised process engine only; zero in-process).
+        pub snapshot_bytes: u64,
     }
 }
 

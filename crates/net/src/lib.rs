@@ -57,6 +57,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::too_many_lines)]
 
+mod codec;
 pub mod executor;
 pub mod faults;
 pub mod reliable;

@@ -35,6 +35,7 @@
 //! peer could have observed, which is also what lets the sequence
 //! allocator roll back over staged-only seqs instead of leaving holes.
 
+use crate::codec::{counters, wire_struct};
 use crate::faults::{CrashPoint, FaultPlan, FaultStats, Tick};
 use crate::wirefmt;
 use calm_common::fact::Fact;
@@ -116,6 +117,11 @@ pub struct OutEntry {
     pub staged: bool,
 }
 
+// The retry timers are not shipped: a restore re-arms every unacked
+// entry from zero, since the old backoff schedule belonged to a dead
+// incarnation's clock.
+wire_struct!(OutEntry: payload, staged; not shipped: attempt = 0, retry_at = 0);
+
 /// The snapshot-able link state of one node: unacked outboxes per
 /// destination, and per-source receive cursors (`cum` = highest
 /// contiguous snapshotted seq; `seen` = out-of-order seqs above it).
@@ -150,6 +156,8 @@ pub struct NodeLinks {
     pub recv_dedup: BTreeMap<usize, BTreeSet<Fact>>,
 }
 
+wire_struct!(NodeLinks: out, cum, seen, sent_floor, recv_dedup);
+
 impl NodeLinks {
     fn unacked(&self) -> usize {
         self.out.values().map(BTreeMap::len).sum()
@@ -170,33 +178,25 @@ pub struct NodeSnapshot {
     pub links: NodeLinks,
 }
 
-/// Per-link wire accounting. The sender side fills `attempts`,
-/// `dropped` and `buffered`; the receiver side fills `delivered` and
-/// `suppressed`; merged across workers they reconcile:
-/// `attempts == delivered + suppressed + dropped + buffered`
-/// (the chaos suite asserts it per link at exit).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LinkCounters {
-    /// Data wires put on the link (all copies, all attempts).
-    pub attempts: u64,
-    /// Wires lost to drops, partitions, crash-clears or down receivers.
-    pub dropped: u64,
-    /// Wires accepted at the receiver (fresh seq).
-    pub delivered: u64,
-    /// Wires dedup-suppressed at the receiver.
-    pub suppressed: u64,
-    /// Wires still sitting in the delay buffer at exit.
-    pub buffered: u64,
-}
+wire_struct!(NodeSnapshot: state, pending, links);
 
-impl LinkCounters {
-    /// Field-wise sum.
-    pub fn merge(&mut self, other: &LinkCounters) {
-        self.attempts += other.attempts;
-        self.dropped += other.dropped;
-        self.delivered += other.delivered;
-        self.suppressed += other.suppressed;
-        self.buffered += other.buffered;
+counters! {
+    /// Per-link wire accounting. The sender side fills `attempts`,
+    /// `dropped` and `buffered`; the receiver side fills `delivered` and
+    /// `suppressed`; merged across workers they reconcile:
+    /// `attempts == delivered + suppressed + dropped + buffered`
+    /// (the chaos suite asserts it per link at exit).
+    pub struct LinkCounters {
+        /// Data wires put on the link (all copies, all attempts).
+        pub attempts: u64,
+        /// Wires lost to drops, partitions, crash-clears or down receivers.
+        pub dropped: u64,
+        /// Wires accepted at the receiver (fresh seq).
+        pub delivered: u64,
+        /// Wires dedup-suppressed at the receiver.
+        pub suppressed: u64,
+        /// Wires still sitting in the delay buffer at exit.
+        pub buffered: u64,
     }
 }
 

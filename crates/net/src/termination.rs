@@ -82,6 +82,8 @@ pub struct Token {
     pub epoch: u64,
 }
 
+crate::codec::wire_struct!(Token: count, black, passes, epoch);
+
 impl Token {
     /// A fresh white probe token for ring epoch `epoch`.
     pub fn probe(epoch: u64) -> Token {

@@ -7,9 +7,8 @@
 //!   read/write handling; resets and EOFs surface as typed errors,
 //!   never panics.
 //! * [`proto`] — the control-plane messages (handshake, job hand-off,
-//!   message relay, final-state collection) and their binary codec,
-//!   built on the same varint/value primitives as the batch wire
-//!   format.
+//!   message relay, final-state collection), each laid out once over
+//!   the crate's `Codec`.
 //! * [`worker`] — the worker side: connect, handshake, then run the
 //!   shared executor loop over a socket-backed [`Ports`] instead of
 //!   channels.

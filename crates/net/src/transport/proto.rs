@@ -1,7 +1,7 @@
 //! Control-plane messages of the process engine, and their binary
 //! codec.
 //!
-//! Five message kinds cross the coordinator↔worker streams, each one
+//! Seven message kinds cross the coordinator↔worker streams, each one
 //! frame ([`super::frame`]):
 //!
 //! * `Hello` — worker → coordinator, first frame of a connection:
@@ -28,23 +28,37 @@
 //!   hung-but-connected worker trips the supervisor's timeout instead
 //!   of stalling the run forever.
 //!
-//! The codec reuses the varint/value primitives of [`crate::wirefmt`],
-//! and decoding is strict in the same spirit: unknown tags, truncation
-//! and trailing bytes all surface as [`WireError`]s.
+//! ## Layouts
+//!
+//! Every layout is said once, over `crate::codec`: a struct is its
+//! field list in wire order — `wire_struct!(Name: a, b, c)`, beside the
+//! declaration for the structs of this crate, below for the run
+//! counters of `calm-transducer` / `calm-common` — and an enum is a tag
+//! byte, then the variant's fields, matched explicitly below (`Wire`'s
+//! two variants live in `Msg`'s tag space). Decoding is strict: an
+//! unknown tag, truncation at any prefix and trailing bytes are
+//! [`WireError`]s, on top of what the one reader refuses everywhere
+//! (see `crate::codec`).
+//!
+//! ## How to add a field
+//!
+//! Add it to the struct and, at the position it takes on the wire, to
+//! the struct's `wire_struct!` list — a field left out of the list does
+//! not compile. Then `golden_bytes` (below) fails on every frame whose
+//! bytes moved: re-pin those lines and bump [`PROTOCOL_VERSION`] in the
+//! same commit. A change that moves no byte — a `not shipped` field, a
+//! rename — touches neither.
 
+use crate::codec::{decode_all, wire_struct, Codec};
 use crate::executor::Msg;
-use crate::faults::FaultStats;
-use crate::reliable::{LinkCounters, NodeLinks, NodeSnapshot, OutEntry, Wire};
-use crate::termination::Token;
-use crate::wirefmt::{put_bytes, put_value, put_varint, zigzag, Reader, WireError};
+use crate::reliable::{NodeSnapshot, Wire};
+use crate::wirefmt::{Reader, WireError};
 use crate::WorkerStats;
-use calm_common::fact::Fact;
 use calm_common::instance::Instance;
-use calm_transducer::multiset::Multiset;
+use calm_common::storage::EvalMetrics;
 use calm_transducer::network::NodeId;
 use calm_transducer::runtime::Metrics;
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use calm_transducer::strategy::MessageClassCounts;
 
 /// The process-engine protocol version, checked at handshake. A
 /// coordinator refuses a worker speaking a different version — the two
@@ -199,704 +213,216 @@ const MSG_TERMINATE: u8 = 4;
 const MSG_RESET: u8 = 5;
 const MSG_REASSIGN: u8 = 6;
 
-fn put_opt_str(out: &mut Vec<u8>, s: &Option<String>) {
-    match s {
-        None => out.push(0),
-        Some(s) => {
-            out.push(1);
-            put_bytes(out, s.as_bytes());
-        }
-    }
-}
+wire_struct!(JobSpec: program, facts, strategy, nodes, eval_threads, step_budget, faults,
+    trace_prefix, flight_path);
+wire_struct!(Assign: worker, workers, spec, incarnation, epoch, supervised, owner, live,
+    restore);
+wire_struct!(FinalReport: stats, states, clean);
 
-fn read_opt_str(r: &mut Reader<'_>) -> Result<Option<String>, WireError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(r.str()?.to_string())),
-        _ => Err(WireError::NonCanonical("bad option flag")),
-    }
-}
+// The run counters of `calm-transducer` and `calm-common`, laid out
+// from here (the trait is local to this crate).
+wire_struct!(Metrics: transitions, heartbeats, messages_sent, messages_delivered,
+    first_output_at, last_output_growth_at, by_class, buffered_high_water, eval);
+wire_struct!(MessageClassCounts: fact, absence, value, request, ok, ack, other);
+wire_struct!(EvalMetrics: iterations, derivations, new_facts, index_probes, index_hits,
+    merge_probes, merge_hits, bytes_moved);
 
-fn put_opt_varint(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        None => out.push(0),
-        Some(v) => {
-            out.push(1);
-            put_varint(out, v);
-        }
-    }
-}
-
-fn read_opt_varint(r: &mut Reader<'_>) -> Result<Option<u64>, WireError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(r.varint()?)),
-        _ => Err(WireError::NonCanonical("bad option flag")),
-    }
-}
-
-/// Shared list layout for snapshot hand-backs: `(node, version, blob)`
-/// triples, used by both `Assign.restore` and `Msg::Reassign.adopted`.
-fn put_restores(out: &mut Vec<u8>, rs: &[(usize, u64, Vec<u8>)]) {
-    put_varint(out, rs.len() as u64);
-    for (node, version, blob) in rs {
-        put_varint(out, *node as u64);
-        put_varint(out, *version);
-        put_bytes(out, blob);
-    }
-}
-
-fn read_restores(r: &mut Reader<'_>) -> Result<Vec<(usize, u64, Vec<u8>)>, WireError> {
-    let n = r.count()?;
-    let mut rs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let node = r.varint()? as usize;
-        let version = r.varint()?;
-        let blob = r.prefixed_bytes()?.to_vec();
-        rs.push((node, version, blob));
-    }
-    Ok(rs)
-}
-
-fn put_owner(out: &mut Vec<u8>, owner: &Option<Vec<usize>>) {
-    match owner {
-        None => out.push(0),
-        Some(map) => {
-            out.push(1);
-            put_varint(out, map.len() as u64);
-            for w in map {
-                put_varint(out, *w as u64);
+impl Codec for Msg {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Msg::Batch { node, payload } => {
+                out.push(MSG_BATCH);
+                node.put(out);
+                payload.put(out);
             }
-        }
-    }
-}
-
-fn read_owner(r: &mut Reader<'_>) -> Result<Option<Vec<usize>>, WireError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => {
-            let n = r.count()?;
-            let mut map = Vec::with_capacity(n);
-            for _ in 0..n {
-                map.push(r.varint()? as usize);
+            Msg::Wire(Wire::Data {
+                src,
+                dst,
+                seq,
+                payload,
+            }) => {
+                out.push(MSG_WIRE_DATA);
+                src.put(out);
+                dst.put(out);
+                seq.put(out);
+                payload.put(out);
             }
-            Ok(Some(map))
-        }
-        _ => Err(WireError::NonCanonical("bad option flag")),
-    }
-}
-
-fn put_live(out: &mut Vec<u8>, live: &[bool]) {
-    put_varint(out, live.len() as u64);
-    for b in live {
-        out.push(*b as u8);
-    }
-}
-
-fn read_live(r: &mut Reader<'_>) -> Result<Vec<bool>, WireError> {
-    let n = r.count()?;
-    let mut live = Vec::with_capacity(n);
-    for _ in 0..n {
-        live.push(r.bool()?);
-    }
-    Ok(live)
-}
-
-fn put_msg(out: &mut Vec<u8>, msg: &Msg) {
-    match msg {
-        Msg::Batch { node, payload } => {
-            out.push(MSG_BATCH);
-            put_varint(out, *node as u64);
-            put_bytes(out, payload);
-        }
-        Msg::Wire(Wire::Data {
-            src,
-            dst,
-            seq,
-            payload,
-        }) => {
-            out.push(MSG_WIRE_DATA);
-            put_varint(out, *src as u64);
-            put_varint(out, *dst as u64);
-            put_varint(out, *seq);
-            put_bytes(out, payload);
-        }
-        Msg::Wire(Wire::Ack { src, dst, cum }) => {
-            out.push(MSG_WIRE_ACK);
-            put_varint(out, *src as u64);
-            put_varint(out, *dst as u64);
-            put_varint(out, *cum);
-        }
-        Msg::Token(t) => {
-            out.push(MSG_TOKEN);
-            put_varint(out, zigzag(t.count));
-            out.push(t.black as u8);
-            put_varint(out, t.passes);
-            put_varint(out, t.epoch);
-        }
-        Msg::Terminate => out.push(MSG_TERMINATE),
-        Msg::Reset { epoch } => {
-            out.push(MSG_RESET);
-            put_varint(out, *epoch);
-        }
-        Msg::Reassign {
-            owner,
-            live,
-            adopted,
-        } => {
-            out.push(MSG_REASSIGN);
-            put_varint(out, owner.len() as u64);
-            for w in owner {
-                put_varint(out, *w as u64);
+            Msg::Wire(Wire::Ack { src, dst, cum }) => {
+                out.push(MSG_WIRE_ACK);
+                src.put(out);
+                dst.put(out);
+                cum.put(out);
             }
-            put_live(out, live);
-            put_restores(out, adopted);
-        }
-    }
-}
-
-fn read_msg(r: &mut Reader<'_>) -> Result<Msg, WireError> {
-    Ok(match r.u8()? {
-        MSG_BATCH => Msg::Batch {
-            node: r.varint()? as usize,
-            payload: Arc::from(r.prefixed_bytes()?),
-        },
-        MSG_WIRE_DATA => Msg::Wire(Wire::Data {
-            src: r.varint()? as usize,
-            dst: r.varint()? as usize,
-            seq: r.varint()?,
-            payload: Arc::from(r.prefixed_bytes()?),
-        }),
-        MSG_WIRE_ACK => Msg::Wire(Wire::Ack {
-            src: r.varint()? as usize,
-            dst: r.varint()? as usize,
-            cum: r.varint()?,
-        }),
-        MSG_TOKEN => Msg::Token(Token {
-            count: crate::wirefmt::unzigzag(r.varint()?),
-            black: r.bool()?,
-            passes: r.varint()?,
-            epoch: r.varint()?,
-        }),
-        MSG_TERMINATE => Msg::Terminate,
-        MSG_RESET => Msg::Reset { epoch: r.varint()? },
-        MSG_REASSIGN => {
-            let n = r.count()?;
-            let mut owner = Vec::with_capacity(n);
-            for _ in 0..n {
-                owner.push(r.varint()? as usize);
+            Msg::Token(token) => {
+                out.push(MSG_TOKEN);
+                token.put(out);
+            }
+            Msg::Terminate => out.push(MSG_TERMINATE),
+            Msg::Reset { epoch } => {
+                out.push(MSG_RESET);
+                epoch.put(out);
             }
             Msg::Reassign {
                 owner,
-                live: read_live(r)?,
-                adopted: read_restores(r)?,
+                live,
+                adopted,
+            } => {
+                out.push(MSG_REASSIGN);
+                owner.put(out);
+                live.put(out);
+                adopted.put(out);
             }
         }
-        _ => return Err(WireError::NonCanonical("unknown msg tag")),
-    })
-}
+    }
 
-/// One fact: relation name, arity, values.
-fn put_fact(out: &mut Vec<u8>, f: &Fact) {
-    put_bytes(out, f.relation().as_bytes());
-    put_varint(out, f.arity() as u64);
-    for v in f.values() {
-        put_value(out, v);
-    }
-}
-
-fn read_fact(r: &mut Reader<'_>) -> Result<Fact, WireError> {
-    let name: Arc<str> = Arc::from(r.str()?);
-    let arity = r.count()?;
-    if arity == 0 {
-        // The paper's model has no nullary relations; `Fact` enforces
-        // arity >= 1, so a zero here is a corrupt or hostile frame.
-        return Err(WireError::NonCanonical("nullary fact"));
-    }
-    let mut args = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        args.push(r.value(0)?);
-    }
-    Ok(Fact::from_rel(name, args))
-}
-
-fn put_instance(out: &mut Vec<u8>, i: &Instance) {
-    let facts: Vec<Fact> = i.facts().collect();
-    put_varint(out, facts.len() as u64);
-    for f in &facts {
-        put_fact(out, f);
-    }
-}
-
-fn read_instance(r: &mut Reader<'_>) -> Result<Instance, WireError> {
-    let n = r.count()?;
-    let mut i = Instance::new();
-    for _ in 0..n {
-        i.insert(read_fact(r)?);
-    }
-    Ok(i)
-}
-
-fn put_metrics(out: &mut Vec<u8>, m: &Metrics) {
-    put_varint(out, m.transitions as u64);
-    put_varint(out, m.heartbeats as u64);
-    put_varint(out, m.messages_sent as u64);
-    put_varint(out, m.messages_delivered as u64);
-    put_opt_varint(out, m.first_output_at.map(|v| v as u64));
-    put_opt_varint(out, m.last_output_growth_at.map(|v| v as u64));
-    for n in [
-        m.by_class.fact,
-        m.by_class.absence,
-        m.by_class.value,
-        m.by_class.request,
-        m.by_class.ok,
-        m.by_class.ack,
-        m.by_class.other,
-    ] {
-        put_varint(out, n as u64);
-    }
-    put_varint(out, m.buffered_high_water.len() as u64);
-    for (node, hw) in &m.buffered_high_water {
-        put_value(out, node);
-        put_varint(out, *hw as u64);
-    }
-    for n in [
-        m.eval.iterations,
-        m.eval.derivations,
-        m.eval.new_facts,
-        m.eval.index_probes,
-        m.eval.index_hits,
-        m.eval.merge_probes,
-        m.eval.merge_hits,
-        m.eval.bytes_moved,
-    ] {
-        put_varint(out, n as u64);
+    fn read(r: &mut Reader<'_>) -> Result<Msg, WireError> {
+        Ok(match r.u8()? {
+            MSG_BATCH => Msg::Batch {
+                node: Codec::read(r)?,
+                payload: Codec::read(r)?,
+            },
+            MSG_WIRE_DATA => Msg::Wire(Wire::Data {
+                src: Codec::read(r)?,
+                dst: Codec::read(r)?,
+                seq: Codec::read(r)?,
+                payload: Codec::read(r)?,
+            }),
+            MSG_WIRE_ACK => Msg::Wire(Wire::Ack {
+                src: Codec::read(r)?,
+                dst: Codec::read(r)?,
+                cum: Codec::read(r)?,
+            }),
+            MSG_TOKEN => Msg::Token(Codec::read(r)?),
+            MSG_TERMINATE => Msg::Terminate,
+            MSG_RESET => Msg::Reset {
+                epoch: Codec::read(r)?,
+            },
+            MSG_REASSIGN => Msg::Reassign {
+                owner: Codec::read(r)?,
+                live: Codec::read(r)?,
+                adopted: Codec::read(r)?,
+            },
+            _ => return Err(WireError::NonCanonical("unknown msg tag")),
+        })
     }
 }
 
-// Decoders assign field-by-field because each `varint()?` is an ordered,
-// fallible read — a struct literal would hide the wire order.
-#[allow(clippy::field_reassign_with_default)]
-fn read_metrics(r: &mut Reader<'_>) -> Result<Metrics, WireError> {
-    let mut m = Metrics::default();
-    m.transitions = r.varint()? as usize;
-    m.heartbeats = r.varint()? as usize;
-    m.messages_sent = r.varint()? as usize;
-    m.messages_delivered = r.varint()? as usize;
-    m.first_output_at = read_opt_varint(r)?.map(|v| v as usize);
-    m.last_output_growth_at = read_opt_varint(r)?.map(|v| v as usize);
-    m.by_class.fact = r.varint()? as usize;
-    m.by_class.absence = r.varint()? as usize;
-    m.by_class.value = r.varint()? as usize;
-    m.by_class.request = r.varint()? as usize;
-    m.by_class.ok = r.varint()? as usize;
-    m.by_class.ack = r.varint()? as usize;
-    m.by_class.other = r.varint()? as usize;
-    let hw_count = r.count()?;
-    for _ in 0..hw_count {
-        let node = r.value(0)?;
-        let hw = r.varint()? as usize;
-        m.buffered_high_water.insert(node, hw);
-    }
-    m.eval.iterations = r.varint()? as usize;
-    m.eval.derivations = r.varint()? as usize;
-    m.eval.new_facts = r.varint()? as usize;
-    m.eval.index_probes = r.varint()? as usize;
-    m.eval.index_hits = r.varint()? as usize;
-    m.eval.merge_probes = r.varint()? as usize;
-    m.eval.merge_hits = r.varint()? as usize;
-    m.eval.bytes_moved = r.varint()? as usize;
-    Ok(m)
-}
-
-fn put_fault_stats(out: &mut Vec<u8>, f: &FaultStats) {
-    for n in [
-        f.attempts,
-        f.retransmissions,
-        f.duplicates_injected,
-        f.dropped,
-        f.delayed,
-        f.delivered_batches,
-        f.duplicates_suppressed,
-        f.replayed_facts_suppressed,
-        f.acks_sent,
-        f.snapshots,
-        f.crashes,
-        f.retry_exhausted,
-        f.decode_failures,
-        f.replayed,
-        f.snapshot_bytes,
-    ] {
-        put_varint(out, n);
-    }
-}
-
-#[allow(clippy::field_reassign_with_default)]
-fn read_fault_stats(r: &mut Reader<'_>) -> Result<FaultStats, WireError> {
-    let mut f = FaultStats::default();
-    f.attempts = r.varint()?;
-    f.retransmissions = r.varint()?;
-    f.duplicates_injected = r.varint()?;
-    f.dropped = r.varint()?;
-    f.delayed = r.varint()?;
-    f.delivered_batches = r.varint()?;
-    f.duplicates_suppressed = r.varint()?;
-    f.replayed_facts_suppressed = r.varint()?;
-    f.acks_sent = r.varint()?;
-    f.snapshots = r.varint()?;
-    f.crashes = r.varint()?;
-    f.retry_exhausted = r.varint()?;
-    f.decode_failures = r.varint()?;
-    f.replayed = r.varint()?;
-    f.snapshot_bytes = r.varint()?;
-    Ok(f)
-}
-
-/// Encode one node checkpoint into the blob carried by
-/// `CtrlMsg::Snapshot` and handed back in `Assign.restore` /
-/// `Msg::Reassign.adopted`.
-///
-/// Layout (all lengths varint-prefixed, canonical wirefmt values):
-/// instance state, pending inbox as a `(fact, multiplicity)` multiset,
-/// the link state (`out` outboxes with payload bytes verbatim + staged
-/// flag, `cum`, `seen`, `sent_floor`, `recv_dedup`), then the node's monotone transition
-/// count and trace-seq allocator. Retry timers (`attempt`, `retry_at`)
-/// are deliberately *not* shipped: a restore re-arms every unacked
-/// entry from zero, since the old backoff schedule belonged to a dead
-/// incarnation's clock.
-pub(crate) fn encode_snapshot_blob(
-    snap: &NodeSnapshot,
-    transitions: u64,
-    trace_next_seq: u64,
-) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_instance(&mut out, &snap.state);
-    put_varint(&mut out, snap.pending.iter().count() as u64);
-    for (f, n) in snap.pending.iter() {
-        put_fact(&mut out, f);
-        put_varint(&mut out, n as u64);
-    }
-    let l = &snap.links;
-    put_varint(&mut out, l.out.len() as u64);
-    for (dst, entries) in &l.out {
-        put_varint(&mut out, *dst as u64);
-        put_varint(&mut out, entries.len() as u64);
-        for (seq, e) in entries {
-            put_varint(&mut out, *seq);
-            put_bytes(&mut out, &e.payload);
-            out.push(e.staged as u8);
+impl Codec for CtrlMsg {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            CtrlMsg::Hello { version, worker } => {
+                out.push(TAG_HELLO);
+                version.put(out);
+                worker.put(out);
+            }
+            CtrlMsg::Assign(assign) => {
+                out.push(TAG_ASSIGN);
+                assign.put(out);
+            }
+            CtrlMsg::Route { dst, msg } => {
+                out.push(TAG_ROUTE);
+                dst.put(out);
+                msg.put(out);
+            }
+            CtrlMsg::Deliver(msg) => {
+                out.push(TAG_DELIVER);
+                msg.put(out);
+            }
+            CtrlMsg::Final(report) => {
+                out.push(TAG_FINAL);
+                report.put(out);
+            }
+            CtrlMsg::Snapshot {
+                node,
+                version,
+                blob,
+            } => {
+                out.push(TAG_SNAPSHOT);
+                node.put(out);
+                version.put(out);
+                blob.put(out);
+            }
+            CtrlMsg::Heartbeat { worker } => {
+                out.push(TAG_HEARTBEAT);
+                worker.put(out);
+            }
         }
     }
-    put_varint(&mut out, l.cum.len() as u64);
-    for (src, cum) in &l.cum {
-        put_varint(&mut out, *src as u64);
-        put_varint(&mut out, *cum);
-    }
-    put_varint(&mut out, l.seen.len() as u64);
-    for (src, seqs) in &l.seen {
-        put_varint(&mut out, *src as u64);
-        put_varint(&mut out, seqs.len() as u64);
-        for s in seqs {
-            put_varint(&mut out, *s);
-        }
-    }
-    put_varint(&mut out, l.sent_floor.len() as u64);
-    for (dst, floor) in &l.sent_floor {
-        put_varint(&mut out, *dst as u64);
-        put_varint(&mut out, *floor);
-    }
-    put_varint(&mut out, l.recv_dedup.len() as u64);
-    for (src, facts) in &l.recv_dedup {
-        put_varint(&mut out, *src as u64);
-        put_varint(&mut out, facts.len() as u64);
-        for f in facts {
-            put_fact(&mut out, f);
-        }
-    }
-    put_varint(&mut out, transitions);
-    put_varint(&mut out, trace_next_seq);
-    out
-}
 
-/// Decode a snapshot blob. Strict: truncation and trailing bytes are
-/// errors, like every other frame in this protocol.
-pub(crate) fn decode_snapshot_blob(bytes: &[u8]) -> Result<(NodeSnapshot, u64, u64), WireError> {
-    let mut r = Reader::new(bytes);
-    let state = read_instance(&mut r)?;
-    let pending_count = r.count()?;
-    let mut pending = Multiset::new();
-    for _ in 0..pending_count {
-        let f = read_fact(&mut r)?;
-        let n = r.varint()? as usize;
-        pending.insert_n(f, n);
+    fn read(r: &mut Reader<'_>) -> Result<CtrlMsg, WireError> {
+        Ok(match r.u8()? {
+            TAG_HELLO => CtrlMsg::Hello {
+                version: Codec::read(r)?,
+                worker: Codec::read(r)?,
+            },
+            TAG_ASSIGN => CtrlMsg::Assign(Codec::read(r)?),
+            TAG_ROUTE => CtrlMsg::Route {
+                dst: Codec::read(r)?,
+                msg: Codec::read(r)?,
+            },
+            TAG_DELIVER => CtrlMsg::Deliver(Codec::read(r)?),
+            TAG_FINAL => CtrlMsg::Final(Codec::read(r)?),
+            TAG_SNAPSHOT => CtrlMsg::Snapshot {
+                node: Codec::read(r)?,
+                version: Codec::read(r)?,
+                blob: Codec::read(r)?,
+            },
+            TAG_HEARTBEAT => CtrlMsg::Heartbeat {
+                worker: Codec::read(r)?,
+            },
+            _ => return Err(WireError::NonCanonical("unknown ctrl tag")),
+        })
     }
-    let mut links = NodeLinks::default();
-    let out_count = r.count()?;
-    for _ in 0..out_count {
-        let dst = r.varint()? as usize;
-        let entry_count = r.count()?;
-        let mut entries = BTreeMap::new();
-        for _ in 0..entry_count {
-            let seq = r.varint()?;
-            let payload: Arc<[u8]> = Arc::from(r.prefixed_bytes()?);
-            let staged = r.bool()?;
-            entries.insert(
-                seq,
-                OutEntry {
-                    payload,
-                    attempt: 0,
-                    retry_at: 0,
-                    staged,
-                },
-            );
-        }
-        links.out.insert(dst, entries);
-    }
-    let cum_count = r.count()?;
-    for _ in 0..cum_count {
-        let src = r.varint()? as usize;
-        let cum = r.varint()?;
-        links.cum.insert(src, cum);
-    }
-    let seen_count = r.count()?;
-    for _ in 0..seen_count {
-        let src = r.varint()? as usize;
-        let n = r.count()?;
-        let mut seqs = BTreeSet::new();
-        for _ in 0..n {
-            seqs.insert(r.varint()?);
-        }
-        links.seen.insert(src, seqs);
-    }
-    let floor_count = r.count()?;
-    for _ in 0..floor_count {
-        let dst = r.varint()? as usize;
-        let floor = r.varint()?;
-        links.sent_floor.insert(dst, floor);
-    }
-    let dedup_count = r.count()?;
-    for _ in 0..dedup_count {
-        let src = r.varint()? as usize;
-        let n = r.count()?;
-        let mut facts = BTreeSet::new();
-        for _ in 0..n {
-            facts.insert(read_fact(&mut r)?);
-        }
-        links.recv_dedup.insert(src, facts);
-    }
-    let transitions = r.varint()?;
-    let trace_next_seq = r.varint()?;
-    if r.remaining() > 0 {
-        return Err(WireError::TrailingBytes);
-    }
-    Ok((
-        NodeSnapshot {
-            state,
-            pending,
-            links,
-        },
-        transitions,
-        trace_next_seq,
-    ))
-}
-
-fn put_worker_stats(out: &mut Vec<u8>, s: &WorkerStats) {
-    put_varint(out, s.worker as u64);
-    put_varint(out, s.nodes.len() as u64);
-    for n in &s.nodes {
-        put_value(out, n);
-    }
-    put_metrics(out, &s.metrics);
-    put_varint(out, s.enqueued as u64);
-    put_varint(out, s.buffered as u64);
-    put_varint(out, s.token_passes);
-    out.push(s.exhausted as u8);
-    put_fault_stats(out, &s.faults);
-    put_varint(out, s.link_counters.len() as u64);
-    for ((src, dst), c) in &s.link_counters {
-        put_varint(out, *src as u64);
-        put_varint(out, *dst as u64);
-        for n in [c.attempts, c.dropped, c.delivered, c.suppressed, c.buffered] {
-            put_varint(out, n);
-        }
-    }
-    put_varint(out, s.wire_bytes);
-}
-
-#[allow(clippy::field_reassign_with_default)]
-fn read_worker_stats(r: &mut Reader<'_>) -> Result<WorkerStats, WireError> {
-    let mut s = WorkerStats {
-        worker: r.varint()? as usize,
-        ..WorkerStats::default()
-    };
-    let node_count = r.count()?;
-    for _ in 0..node_count {
-        s.nodes.push(r.value(0)?);
-    }
-    s.metrics = read_metrics(r)?;
-    s.enqueued = r.varint()? as usize;
-    s.buffered = r.varint()? as usize;
-    s.token_passes = r.varint()?;
-    s.exhausted = r.bool()?;
-    s.faults = read_fault_stats(r)?;
-    let link_count = r.count()?;
-    let mut links: BTreeMap<(usize, usize), LinkCounters> = BTreeMap::new();
-    for _ in 0..link_count {
-        let src = r.varint()? as usize;
-        let dst = r.varint()? as usize;
-        let mut c = LinkCounters::default();
-        c.attempts = r.varint()?;
-        c.dropped = r.varint()?;
-        c.delivered = r.varint()?;
-        c.suppressed = r.varint()?;
-        c.buffered = r.varint()?;
-        links.insert((src, dst), c);
-    }
-    s.link_counters = links;
-    s.wire_bytes = r.varint()?;
-    Ok(s)
 }
 
 /// Encode a control-plane message into one frame payload.
 pub(crate) fn encode_ctrl(msg: &CtrlMsg) -> Vec<u8> {
     let mut out = Vec::new();
-    match msg {
-        CtrlMsg::Hello { version, worker } => {
-            out.push(TAG_HELLO);
-            put_varint(&mut out, *version as u64);
-            put_varint(&mut out, *worker as u64);
-        }
-        CtrlMsg::Assign(a) => {
-            out.push(TAG_ASSIGN);
-            put_varint(&mut out, a.worker as u64);
-            put_varint(&mut out, a.workers as u64);
-            put_bytes(&mut out, a.spec.program.as_bytes());
-            put_bytes(&mut out, a.spec.facts.as_bytes());
-            put_bytes(&mut out, a.spec.strategy.as_bytes());
-            put_varint(&mut out, a.spec.nodes as u64);
-            put_varint(&mut out, a.spec.eval_threads as u64);
-            put_varint(&mut out, a.spec.step_budget as u64);
-            put_opt_str(&mut out, &a.spec.faults);
-            put_opt_str(&mut out, &a.spec.trace_prefix);
-            put_opt_str(&mut out, &a.spec.flight_path);
-            put_varint(&mut out, a.incarnation);
-            put_varint(&mut out, a.epoch);
-            out.push(a.supervised as u8);
-            put_owner(&mut out, &a.owner);
-            put_live(&mut out, &a.live);
-            put_restores(&mut out, &a.restore);
-        }
-        CtrlMsg::Route { dst, msg } => {
-            out.push(TAG_ROUTE);
-            put_varint(&mut out, *dst as u64);
-            put_msg(&mut out, msg);
-        }
-        CtrlMsg::Deliver(msg) => {
-            out.push(TAG_DELIVER);
-            put_msg(&mut out, msg);
-        }
-        CtrlMsg::Final(f) => {
-            out.push(TAG_FINAL);
-            put_worker_stats(&mut out, &f.stats);
-            put_varint(&mut out, f.states.len() as u64);
-            for (node, state) in &f.states {
-                put_value(&mut out, node);
-                put_instance(&mut out, state);
-            }
-            out.push(f.clean as u8);
-        }
-        CtrlMsg::Snapshot {
-            node,
-            version,
-            blob,
-        } => {
-            out.push(TAG_SNAPSHOT);
-            put_varint(&mut out, *node as u64);
-            put_varint(&mut out, *version);
-            put_bytes(&mut out, blob);
-        }
-        CtrlMsg::Heartbeat { worker } => {
-            out.push(TAG_HEARTBEAT);
-            put_varint(&mut out, *worker as u64);
-        }
-    }
+    msg.put(&mut out);
     out
 }
 
 /// Decode one frame payload. Strict: unknown tags, truncation and
 /// trailing bytes are all errors.
 pub(crate) fn decode_ctrl(bytes: &[u8]) -> Result<CtrlMsg, WireError> {
-    let mut r = Reader::new(bytes);
-    let msg = match r.u8()? {
-        TAG_HELLO => CtrlMsg::Hello {
-            version: r.varint()? as u32,
-            worker: r.varint()? as usize,
-        },
-        TAG_ASSIGN => CtrlMsg::Assign(Assign {
-            worker: r.varint()? as usize,
-            workers: r.varint()? as usize,
-            spec: JobSpec {
-                program: r.str()?.to_string(),
-                facts: r.str()?.to_string(),
-                strategy: r.str()?.to_string(),
-                nodes: r.varint()? as usize,
-                eval_threads: r.varint()? as usize,
-                step_budget: r.varint()? as usize,
-                faults: read_opt_str(&mut r)?,
-                trace_prefix: read_opt_str(&mut r)?,
-                flight_path: read_opt_str(&mut r)?,
-            },
-            incarnation: r.varint()?,
-            epoch: r.varint()?,
-            supervised: r.bool()?,
-            owner: read_owner(&mut r)?,
-            live: read_live(&mut r)?,
-            restore: read_restores(&mut r)?,
-        }),
-        TAG_ROUTE => CtrlMsg::Route {
-            dst: r.varint()? as usize,
-            msg: read_msg(&mut r)?,
-        },
-        TAG_DELIVER => CtrlMsg::Deliver(read_msg(&mut r)?),
-        TAG_FINAL => {
-            let stats = read_worker_stats(&mut r)?;
-            let state_count = r.count()?;
-            let mut states = Vec::with_capacity(state_count);
-            for _ in 0..state_count {
-                let node = r.value(0)?;
-                let state = read_instance(&mut r)?;
-                states.push((node, state));
-            }
-            let clean = r.bool()?;
-            CtrlMsg::Final(FinalReport {
-                stats,
-                states,
-                clean,
-            })
-        }
-        TAG_SNAPSHOT => CtrlMsg::Snapshot {
-            node: r.varint()? as usize,
-            version: r.varint()?,
-            blob: r.prefixed_bytes()?.to_vec(),
-        },
-        TAG_HEARTBEAT => CtrlMsg::Heartbeat {
-            worker: r.varint()? as usize,
-        },
-        _ => return Err(WireError::NonCanonical("unknown ctrl tag")),
-    };
-    if r.remaining() > 0 {
-        return Err(WireError::TrailingBytes);
-    }
-    Ok(msg)
+    decode_all(bytes)
+}
+
+/// Encode one node checkpoint into the blob carried by
+/// `CtrlMsg::Snapshot` and handed back in `Assign.restore` /
+/// `Msg::Reassign.adopted`: the [`NodeSnapshot`] (state, pending inbox,
+/// link state — each laid out beside its declaration in
+/// [`crate::reliable`]), then the node's monotone transition count and
+/// its trace-seq allocator.
+pub(crate) fn encode_snapshot_blob(
+    snap: &NodeSnapshot,
+    transitions: u64,
+    trace_next_seq: u64,
+) -> Vec<u8> {
+    let mut out = Vec::new();
+    snap.put(&mut out);
+    transitions.put(&mut out);
+    trace_next_seq.put(&mut out);
+    out
+}
+
+/// Decode a snapshot blob. Strict: truncation and trailing bytes are
+/// errors, like every other frame in this protocol.
+pub(crate) fn decode_snapshot_blob(bytes: &[u8]) -> Result<(NodeSnapshot, u64, u64), WireError> {
+    decode_all(bytes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wirefmt;
-    use calm_common::fact::fact;
+    use crate::reliable::{LinkCounters, NodeLinks, OutEntry};
+    use crate::termination::Token;
+    use crate::wirefmt::{self, put_bytes, put_value, put_varint};
+    use calm_common::fact::{fact, Fact};
     use calm_common::value::Value;
     use calm_transducer::multiset::Multiset;
+    use std::collections::{BTreeMap, BTreeSet};
+    use std::sync::Arc;
 
     fn round(msg: &CtrlMsg) -> CtrlMsg {
         let bytes = encode_ctrl(msg);
@@ -928,6 +454,76 @@ mod tests {
         }
     }
 
+    /// A recovery re-Assign: every supervision field populated.
+    fn full_assign() -> Assign {
+        Assign {
+            incarnation: 2,
+            epoch: 5,
+            supervised: true,
+            owner: Some(vec![0, 1, 0, 1]),
+            live: vec![true, true, false, true],
+            restore: vec![(2, 7, vec![1, 2, 3]), (6, 1, Vec::new())],
+            ..Assign::new(2, 4, spec())
+        }
+    }
+
+    /// A traced batch payload, as the executor puts it in a `Msg`.
+    fn traced_payload() -> (Arc<[u8]>, wirefmt::TraceCtx) {
+        let mut batch: Multiset<Fact> = Multiset::new();
+        batch.insert_n(fact("E", [1, 2]), 2);
+        let ctx = wirefmt::TraceCtx {
+            origin_node: 3,
+            origin_seq: 9,
+            cause: Some((1, 4)),
+        };
+        (wirefmt::encode_traced(&batch, Some(&ctx)).into(), ctx)
+    }
+
+    fn reassign_msg() -> Msg {
+        Msg::Reassign {
+            owner: vec![0, 1, 0, 1, 0, 1],
+            live: vec![true, false],
+            adopted: vec![(1, 3, vec![9, 9, 9]), (3, 2, vec![7])],
+        }
+    }
+
+    /// A worker's accounting with fault stats and link counters, and
+    /// the node state it reports.
+    fn final_fixture() -> (WorkerStats, Instance) {
+        let mut stats = WorkerStats {
+            worker: 2,
+            nodes: vec![Value::Int(2), Value::Int(6)],
+            enqueued: 31,
+            buffered: 0,
+            token_passes: 5,
+            exhausted: false,
+            wire_bytes: 900,
+            ..WorkerStats::default()
+        };
+        stats.metrics.transitions = 19;
+        stats.metrics.messages_sent = 40;
+        stats.metrics.by_class.fact = 40;
+        stats.metrics.first_output_at = Some(3);
+        stats.metrics.buffered_high_water.insert(Value::Int(2), 7);
+        stats.metrics.eval.derivations = 88;
+        stats.faults.attempts = 12;
+        stats.faults.dropped = 2;
+        stats.link_counters.insert(
+            (0, 2),
+            LinkCounters {
+                attempts: 12,
+                dropped: 2,
+                delivered: 9,
+                suppressed: 1,
+                buffered: 0,
+            },
+        );
+        let mut state = Instance::new();
+        state.insert(fact("T", [1, 2]));
+        state.insert(fact("Ready", ["up"]));
+        (stats, state)
+    }
+
     #[test]
     fn hello_and_assign_round_trip() {
         match round(&CtrlMsg::Hello {
@@ -945,16 +541,7 @@ mod tests {
             CtrlMsg::Assign(a) => assert_eq!(a, assign),
             _ => panic!("wrong tag"),
         }
-        // A recovery re-Assign: every supervision field populated.
-        let reassign = Assign {
-            incarnation: 2,
-            epoch: 5,
-            supervised: true,
-            owner: Some(vec![0, 1, 0, 1]),
-            live: vec![true, true, false, true],
-            restore: vec![(2, 7, vec![1, 2, 3]), (6, 1, Vec::new())],
-            ..Assign::new(2, 4, spec())
-        };
+        let reassign = full_assign();
         match round(&CtrlMsg::Assign(reassign.clone())) {
             CtrlMsg::Assign(a) => assert_eq!(a, reassign),
             _ => panic!("wrong tag"),
@@ -963,14 +550,7 @@ mod tests {
 
     #[test]
     fn routed_messages_round_trip_with_payloads_verbatim() {
-        let mut batch: Multiset<Fact> = Multiset::new();
-        batch.insert_n(fact("E", [1, 2]), 2);
-        let ctx = wirefmt::TraceCtx {
-            origin_node: 3,
-            origin_seq: 9,
-            cause: Some((1, 4)),
-        };
-        let payload: Arc<[u8]> = wirefmt::encode_traced(&batch, Some(&ctx)).into();
+        let (payload, ctx) = traced_payload();
         match round(&CtrlMsg::Route {
             dst: 2,
             msg: Msg::Batch {
@@ -1047,12 +627,7 @@ mod tests {
             CtrlMsg::Deliver(Msg::Reset { epoch: 9 }) => {}
             _ => panic!("wrong shape"),
         }
-        let reassign = Msg::Reassign {
-            owner: vec![0, 1, 0, 1, 0, 1],
-            live: vec![true, false],
-            adopted: vec![(1, 3, vec![9, 9, 9]), (3, 2, vec![7])],
-        };
-        match round(&CtrlMsg::Deliver(reassign)) {
+        match round(&CtrlMsg::Deliver(reassign_msg())) {
             CtrlMsg::Deliver(Msg::Reassign {
                 owner,
                 live,
@@ -1175,37 +750,7 @@ mod tests {
 
     #[test]
     fn final_reports_round_trip() {
-        let mut stats = WorkerStats {
-            worker: 2,
-            nodes: vec![Value::Int(2), Value::Int(6)],
-            enqueued: 31,
-            buffered: 0,
-            token_passes: 5,
-            exhausted: false,
-            wire_bytes: 900,
-            ..WorkerStats::default()
-        };
-        stats.metrics.transitions = 19;
-        stats.metrics.messages_sent = 40;
-        stats.metrics.by_class.fact = 40;
-        stats.metrics.first_output_at = Some(3);
-        stats.metrics.buffered_high_water.insert(Value::Int(2), 7);
-        stats.metrics.eval.derivations = 88;
-        stats.faults.attempts = 12;
-        stats.faults.dropped = 2;
-        stats.link_counters.insert(
-            (0, 2),
-            LinkCounters {
-                attempts: 12,
-                dropped: 2,
-                delivered: 9,
-                suppressed: 1,
-                buffered: 0,
-            },
-        );
-        let mut state = Instance::new();
-        state.insert(fact("T", [1, 2]));
-        state.insert(fact("Ready", ["up"]));
+        let (stats, state) = final_fixture();
         let report = FinalReport {
             stats: stats.clone(),
             states: vec![(Value::Int(2), state.clone())],
@@ -1236,5 +781,251 @@ mod tests {
         assert!(decode_ctrl(&[99]).is_err());
         assert!(decode_ctrl(&[]).is_err());
         assert!(decode_ctrl(&[TAG_ROUTE, 0, 77]).is_err(), "unknown msg tag");
+    }
+
+    /// One frame per `CtrlMsg` and `Msg` variant — the fixtures of the
+    /// round-trip tests above — then two snapshot blobs.
+    fn corpus() -> Vec<(&'static str, Vec<u8>)> {
+        let (payload, _) = traced_payload();
+        let (stats, state) = final_fixture();
+        let blob = encode_snapshot_blob(&snapshot_fixture(10), 17, 23);
+        let deliver = |msg| encode_ctrl(&CtrlMsg::Deliver(msg));
+        vec![
+            (
+                "hello",
+                encode_ctrl(&CtrlMsg::Hello {
+                    version: PROTOCOL_VERSION,
+                    worker: 3,
+                }),
+            ),
+            (
+                "assign",
+                encode_ctrl(&CtrlMsg::Assign(Assign::new(1, 4, spec()))),
+            ),
+            ("assign/full", encode_ctrl(&CtrlMsg::Assign(full_assign()))),
+            (
+                "route/batch",
+                encode_ctrl(&CtrlMsg::Route {
+                    dst: 2,
+                    msg: Msg::Batch {
+                        node: 5,
+                        payload: payload.clone(),
+                    },
+                }),
+            ),
+            (
+                "deliver/data",
+                deliver(Msg::Wire(Wire::Data {
+                    src: 1,
+                    dst: 6,
+                    seq: 44,
+                    payload,
+                })),
+            ),
+            (
+                "deliver/ack",
+                deliver(Msg::Wire(Wire::Ack {
+                    src: 2,
+                    dst: 0,
+                    cum: 17,
+                })),
+            ),
+            (
+                "deliver/token",
+                deliver(Msg::Token(Token {
+                    count: -3,
+                    black: true,
+                    passes: 12,
+                    epoch: 4,
+                })),
+            ),
+            ("deliver/terminate", deliver(Msg::Terminate)),
+            ("deliver/reset", deliver(Msg::Reset { epoch: 9 })),
+            ("deliver/reassign", deliver(reassign_msg())),
+            (
+                "final",
+                encode_ctrl(&CtrlMsg::Final(FinalReport {
+                    stats,
+                    states: vec![(Value::Int(2), state)],
+                    clean: true,
+                })),
+            ),
+            (
+                "snapshot",
+                encode_ctrl(&CtrlMsg::Snapshot {
+                    node: 6,
+                    version: 2,
+                    blob: blob.clone(),
+                }),
+            ),
+            ("heartbeat", encode_ctrl(&CtrlMsg::Heartbeat { worker: 3 })),
+            ("blob/10", blob),
+            (
+                "blob/0",
+                encode_snapshot_blob(&snapshot_fixture(0), 0, 1 << 40),
+            ),
+        ]
+    }
+
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Every fixture's length and FNV-1a-64, taken at the last commit
+    /// that wrote each layout by hand (PR 21): no layout has moved since,
+    /// which is why `PROTOCOL_VERSION` has not. Re-pin a line only
+    /// together with a version bump.
+    #[test]
+    fn golden_bytes() {
+        assert_eq!(PROTOCOL_VERSION, 3);
+        let golden = [
+            ("hello", 3, 0xd942e3186c068b55),
+            ("assign", 96, 0x815af62db12788d4),
+            ("assign/full", 114, 0x2d61f0d581a64042),
+            ("route/batch", 25, 0x7f9b6400a0a43b99),
+            ("deliver/data", 26, 0xa984c81dd179b7a5),
+            ("deliver/ack", 5, 0xc2c8e1f2ffdff4c9),
+            ("deliver/token", 6, 0x9058611ba1bd6e01),
+            ("deliver/terminate", 2, 0x0835f207b4ee59e2),
+            ("deliver/reset", 3, 0xe20792187105aa14),
+            ("deliver/reassign", 23, 0x4ff6b11917172371),
+            ("final", 85, 0xbfd9b381bc04c716),
+            ("snapshot", 72, 0x87247f0f7d6b08a4),
+            ("heartbeat", 2, 0x082bbd07b4e5ab4e),
+            ("blob/10", 68, 0xac6b986d3374ff3d),
+            ("blob/0", 73, 0xc6aa56bd1098a1f5),
+        ];
+        let got: Vec<(&str, usize, u64)> = corpus()
+            .iter()
+            .map(|(name, bytes)| (*name, bytes.len(), fnv1a64(bytes)))
+            .collect();
+        assert_eq!(got, golden);
+    }
+
+    /// A multiset on the wire: the count, then one `(E(i), multiplicity)`
+    /// record per entry — written by hand so that it can lie.
+    fn multiset_records(mults: &[u64]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_varint(&mut out, mults.len() as u64);
+        for (i, m) in mults.iter().enumerate() {
+            put_bytes(&mut out, b"E");
+            put_varint(&mut out, 1);
+            put_value(&mut out, &Value::Int(i as i64));
+            put_varint(&mut out, *m);
+        }
+        out
+    }
+
+    /// Multiplicities cross a socket (`Assign.restore`, `Reassign`): the
+    /// one multiset reader bounds them to `1..=u32::MAX`, for the blob
+    /// and for `decode_naive` alike. Two entries of 2⁶³ used to overflow
+    /// `Multiset::insert_n`'s running total (a panic in this build).
+    #[test]
+    fn hostile_multiplicities_are_rejected() {
+        // An empty state, the pending multiset, five empty link maps,
+        // the transition count and the trace seq.
+        let blob = |mults: &[u64]| [&[0][..], &multiset_records(mults), &[0; 7]].concat();
+        let naive = |mults: &[u64]| {
+            [
+                &[wirefmt::MAGIC, wirefmt::FORMAT_NAIVE][..],
+                &multiset_records(mults),
+            ]
+            .concat()
+        };
+        assert_eq!(
+            decode_snapshot_blob(&blob(&[2, 1]))
+                .unwrap()
+                .0
+                .pending
+                .len(),
+            3
+        );
+        assert_eq!(wirefmt::decode_naive(&naive(&[2, 1])).unwrap().len(), 3);
+        for mults in [
+            &[1 << 63, 1 << 63][..],
+            &[0],
+            &[u32::MAX as u64 + 1],
+            &[3, u64::MAX],
+        ] {
+            assert!(
+                matches!(
+                    decode_snapshot_blob(&blob(mults)),
+                    Err(WireError::NonCanonical(_))
+                ),
+                "blob with multiplicities {mults:?}"
+            );
+            assert!(
+                matches!(
+                    wirefmt::decode_naive(&naive(mults)),
+                    Err(WireError::NonCanonical(_))
+                ),
+                "naive batch with multiplicities {mults:?}"
+            );
+        }
+    }
+
+    /// The control plane's mutation target (ROADMAP 3(c)), in the shape of
+    /// `parser.rs::scanner_is_the_reference_on_mutated_bytes`: seeded
+    /// insert / delete / bit-flip / splice over the corpus, hostile
+    /// varints among the inserted bytes (a length used before it is
+    /// checked against what is left would abort or overflow a capacity
+    /// here). Nothing panics; what decodes re-encodes to at most the
+    /// input's length — no value is larger than the bytes that made it —
+    /// and to a fixed point: decoding that and encoding again gives the
+    /// same bytes, so the two values are equal.
+    #[test]
+    fn decoders_survive_mutated_frames() {
+        use calm_common::rng::Rng;
+        let hostile: Vec<Vec<u8>> = [0, 1, 2, 0x7f, 0x80, 0xff]
+            .iter()
+            .map(|&b| vec![b])
+            .chain([1 << 32, 1 << 40, 1 << 62, 1 << 63, u64::MAX].map(|v| {
+                let mut out = Vec::new();
+                put_varint(&mut out, v);
+                out
+            }))
+            .collect();
+        let corpus = corpus();
+        let mut rng = Rng::seed_from_u64(0xc0de_c0de);
+        let (mut accepted, mut rejected) = (0, 0);
+        for _ in 0..24_000 {
+            let (name, frame) = rng.choose(&corpus).unwrap();
+            let mut bytes = frame.clone();
+            for _ in 0..rng.gen_range(1..=3usize) {
+                let at = rng.gen_range(0..=bytes.len());
+                match rng.gen_range(0..4u32) {
+                    0 => drop(bytes.splice(at..at, rng.choose(&hostile).unwrap().iter().copied())),
+                    1 if at < bytes.len() => drop(bytes.remove(at)),
+                    2 if at < bytes.len() => bytes[at] ^= 1 << rng.gen_range(0..8u32),
+                    _ => {
+                        let other = &rng.choose(&corpus).unwrap().1;
+                        let from = rng.gen_range(0..=other.len());
+                        let to = rng.gen_range(from..=other.len());
+                        bytes.splice(at..at, other[from..to].iter().copied());
+                    }
+                }
+            }
+            let recode = |bytes: &[u8]| -> Result<Vec<u8>, WireError> {
+                if name.starts_with("blob") {
+                    decode_snapshot_blob(bytes).map(|(s, t, n)| encode_snapshot_blob(&s, t, n))
+                } else {
+                    decode_ctrl(bytes).map(|m| encode_ctrl(&m))
+                }
+            };
+            match recode(&bytes) {
+                Err(_) => rejected += 1,
+                Ok(again) => {
+                    accepted += 1;
+                    assert!(again.len() <= bytes.len(), "{name}: {bytes:?}");
+                    assert_eq!(recode(&again).as_ref(), Ok(&again), "{name}: {bytes:?}");
+                }
+            }
+        }
+        assert!(
+            accepted > 2_000 && rejected > 2_000,
+            "accepted {accepted}, rejected {rejected}"
+        );
     }
 }

@@ -38,6 +38,7 @@
 //! self-described values, no dictionary and no deltas. No engine sends
 //! or counts it.
 
+use crate::codec::{decode_all, Codec};
 use calm_common::fact::{Fact, RelName};
 use calm_common::value::{SkolemTerm, Value};
 use calm_transducer::multiset::Multiset;
@@ -243,6 +244,17 @@ impl<'a> Reader<'a> {
             0 => Ok(false),
             1 => Ok(true),
             _ => Err(WireError::NonCanonical("bad bool")),
+        }
+    }
+
+    /// A fact's multiplicity in a batch, `1..=u32::MAX`: zero is not
+    /// canonical, and more is no buffer an engine produced (so the sum
+    /// over what one frame can hold stays far inside a `usize`).
+    pub(crate) fn multiplicity(&mut self) -> Result<usize, WireError> {
+        match self.varint()? {
+            0 => Err(WireError::NonCanonical("zero multiplicity")),
+            n if n > u32::MAX as u64 => Err(WireError::NonCanonical("implausible multiplicity")),
+            n => Ok(n as usize),
         }
     }
 
@@ -473,16 +485,10 @@ pub fn decode_traced(bytes: &[u8]) -> Result<(Multiset<Fact>, Option<TraceCtx>),
             if i > 0 && row <= prev {
                 return Err(WireError::NonCanonical("rows not strictly sorted"));
             }
-            let mult = r.varint()?;
-            if mult == 0 {
-                return Err(WireError::NonCanonical("zero multiplicity"));
-            }
-            if mult > u32::MAX as u64 {
-                return Err(WireError::NonCanonical("implausible multiplicity"));
-            }
+            let mult = r.multiplicity()?;
             let args: Vec<Value> = row.iter().map(|&c| dict[c as usize].clone()).collect();
             let name = prev_group.as_ref().expect("group name set above").0.clone();
-            batch.insert_n(Fact::from_rel(name, args), mult as usize);
+            batch.insert_n(Fact::from_rel(name, args), mult);
             prev = row;
         }
     }
@@ -498,51 +504,16 @@ pub fn decode_traced(bytes: &[u8]) -> Result<(Multiset<Fact>, Option<TraceCtx>),
 /// baseline ("old fact payloads").
 pub fn encode_naive(batch: &Multiset<Fact>) -> Vec<u8> {
     let mut out = vec![MAGIC, FORMAT_NAIVE];
-    put_varint(&mut out, batch.support().count() as u64);
-    for (f, n) in batch.iter() {
-        put_bytes(&mut out, f.relation().as_bytes());
-        put_varint(&mut out, f.arity() as u64);
-        for v in f.values() {
-            put_value(&mut out, v);
-        }
-        put_varint(&mut out, n as u64);
-    }
+    batch.put(&mut out);
     out
 }
 
 /// Decode a naive payload (the E23 baseline decoder).
 pub fn decode_naive(bytes: &[u8]) -> Result<Multiset<Fact>, WireError> {
-    let mut r = Reader::new(bytes);
-    if r.u8().map_err(|_| WireError::BadHeader)? != MAGIC
-        || r.u8().map_err(|_| WireError::BadHeader)? != FORMAT_NAIVE
-    {
-        return Err(WireError::BadHeader);
+    match bytes {
+        [MAGIC, FORMAT_NAIVE, body @ ..] => decode_all(body),
+        _ => Err(WireError::BadHeader),
     }
-    let count = r.count()?;
-    let mut batch: Multiset<Fact> = Multiset::new();
-    for _ in 0..count {
-        let name: RelName = Arc::from(r.str()?);
-        let arity = r.count()?;
-        if arity == 0 {
-            return Err(WireError::NonCanonical("zero arity"));
-        }
-        let mut args = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            args.push(r.value(0)?);
-        }
-        let mult = r.varint()?;
-        if mult == 0 {
-            return Err(WireError::NonCanonical("zero multiplicity"));
-        }
-        if mult > u32::MAX as u64 {
-            return Err(WireError::NonCanonical("implausible multiplicity"));
-        }
-        batch.insert_n(Fact::from_rel(name, args), mult as usize);
-    }
-    if r.remaining() > 0 {
-        return Err(WireError::TrailingBytes);
-    }
-    Ok(batch)
 }
 
 /// Bytes the naive encoding would spend on this batch — the

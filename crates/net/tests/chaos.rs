@@ -15,9 +15,10 @@
 //! (metrics never roll back) — that identity belongs to the fault-free
 //! suite in `equivalence.rs`.
 
+mod common;
+
 use calm_common::query::Query;
-use calm_common::rng::Rng;
-use calm_common::{fact, Instance};
+use calm_common::Instance;
 use calm_net::{
     run_threaded, FaultPlan, Programs, ThreadedConfig, ThreadedNetwork, ThreadedRunResult,
 };
@@ -28,30 +29,9 @@ use calm_transducer::{
     DomainGuidedPolicy, HashPolicy, MonotoneBroadcast, Network, Scheduler, SystemConfig,
     Transducer, TransducerNetwork,
 };
+use common::{random_edges, seed_base};
 
 const WORKER_COUNTS: [usize; 2] = [2, 8];
-
-/// Base offset for the seed sweep (CI reruns with `CALM_NET_SEED=1..`).
-fn seed_base() -> u64 {
-    std::env::var("CALM_NET_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
-
-/// A small random edge relation over `domain` values, `edges` tuples.
-fn random_edges(seed: u64, domain: i64, edges: usize) -> Instance {
-    let mut rng = Rng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    Instance::from_facts((0..edges).map(|_| {
-        fact(
-            "E",
-            [
-                rng.gen_range(0..domain as u64) as i64,
-                rng.gen_range(0..domain as u64) as i64,
-            ],
-        )
-    }))
-}
 
 /// The three adversaries every family faces, parameterized by the run
 /// seed so every repetition draws a fresh fault pattern.

@@ -13,9 +13,10 @@
 //! interleaving. CI runs it repeatedly with distinct `CALM_NET_SEED`
 //! offsets to widen the swept input space.
 
+mod common;
+
 use calm_common::query::Query;
-use calm_common::rng::Rng;
-use calm_common::{fact, Instance};
+use calm_common::Instance;
 use calm_net::{run_threaded, Programs, ThreadedConfig, ThreadedNetwork, ThreadedRunResult};
 use calm_queries::qtc::qtc_datalog;
 use calm_queries::tc::{edges_without_source_loop, tc_datalog};
@@ -24,31 +25,9 @@ use calm_transducer::{
     DomainGuidedPolicy, HashPolicy, MonotoneBroadcast, Network, Scheduler, SystemConfig,
     Transducer, TransducerNetwork,
 };
+use common::{random_edges, seed_base};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
-
-/// Base offset for the seed sweep, so CI can rerun the suite over
-/// disjoint input spaces (`CALM_NET_SEED=1`, `2`, …).
-fn seed_base() -> u64 {
-    std::env::var("CALM_NET_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
-
-/// A small random edge relation over `domain` values, `edges` tuples.
-fn random_edges(seed: u64, domain: i64, edges: usize) -> Instance {
-    let mut rng = Rng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    Instance::from_facts((0..edges).map(|_| {
-        fact(
-            "E",
-            [
-                rng.gen_range(0..domain as u64) as i64,
-                rng.gen_range(0..domain as u64) as i64,
-            ],
-        )
-    }))
-}
 
 fn check_conservation(r: &ThreadedRunResult, label: &str) {
     for w in &r.per_worker {

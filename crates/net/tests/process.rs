@@ -16,90 +16,17 @@
 //! and a worker death mid-run ending in a reported non-quiescent
 //! result instead of a hang.
 
-use calm_common::rng::Rng;
-use calm_common::{fact, Instance};
+mod common;
+
+use calm_common::Instance;
 use calm_net::{
-    run_net_worker, run_process, Assign, JobSpec, ProcessConfig, ProcessRunResult, SpawnHandle,
-    WorkerSetup,
+    run_net_worker, run_process, Assign, ProcessConfig, ProcessRunResult, SpawnHandle, WorkerSetup,
 };
 use calm_obs::Obs;
-use calm_queries::qtc::qtc_datalog;
-use calm_queries::tc::{edges_without_source_loop, tc_datalog};
-use calm_transducer::{
-    run, DisjointStrategy, DistinctStrategy, DistributionPolicy, DomainGuidedPolicy, HashPolicy,
-    MonotoneBroadcast, Network, Scheduler, SystemConfig, Transducer, TransducerNetwork,
-};
+use calm_transducer::{run, Scheduler, TransducerNetwork};
+use common::{family, project_output, random_edges, seed_base, spec_for};
 
 const PROC_COUNTS: [usize; 2] = [2, 4];
-
-/// Base offset for the seed sweep (CI reruns with `CALM_NET_SEED=1..`).
-fn seed_base() -> u64 {
-    std::env::var("CALM_NET_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
-
-/// A small random edge relation over `domain` values, `edges` tuples.
-fn random_edges(seed: u64, domain: i64, edges: usize) -> Instance {
-    let mut rng = Rng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    Instance::from_facts((0..edges).map(|_| {
-        fact(
-            "E",
-            [
-                rng.gen_range(0..domain as u64) as i64,
-                rng.gen_range(0..domain as u64) as i64,
-            ],
-        )
-    }))
-}
-
-/// Build one strategy family by name — the same resolution the CLI's
-/// net-worker builder performs, minus the Datalog-source parsing (the
-/// suite closes over the input instance instead).
-fn family(
-    strategy: &str,
-    nodes: usize,
-) -> (
-    Box<dyn Transducer>,
-    Box<dyn DistributionPolicy>,
-    SystemConfig,
-) {
-    match strategy {
-        "monotone" => (
-            Box::new(MonotoneBroadcast::new(Box::new(tc_datalog()))),
-            Box::new(HashPolicy::new(Network::of_size(nodes))),
-            SystemConfig::ORIGINAL,
-        ),
-        "distinct" => (
-            Box::new(DistinctStrategy::new(Box::new(edges_without_source_loop()))),
-            Box::new(HashPolicy::new(Network::of_size(nodes))),
-            SystemConfig::POLICY_AWARE,
-        ),
-        "disjoint" => (
-            Box::new(DisjointStrategy::new(Box::new(qtc_datalog()))),
-            Box::new(DomainGuidedPolicy::new(Network::of_size(nodes))),
-            SystemConfig::POLICY_AWARE,
-        ),
-        other => panic!("unknown strategy family {other}"),
-    }
-}
-
-fn spec_for(strategy: &str, nodes: usize, faults: Option<String>) -> JobSpec {
-    JobSpec {
-        // The suite's builder closes over the input; the program/facts
-        // hand-off by value is exercised end-to-end by the CLI tests.
-        program: String::new(),
-        facts: String::new(),
-        strategy: strategy.to_string(),
-        nodes,
-        eval_threads: 1,
-        step_budget: 500_000,
-        faults,
-        trace_prefix: None,
-        flight_path: None,
-    }
-}
 
 /// Run the process engine over real sockets with thread-backed workers.
 fn run_process_tcp(
@@ -134,13 +61,6 @@ fn run_process_tcp(
         })))
     };
     run_process(&cfg, &spawner, &Obs::noop()).expect("process run starts")
-}
-
-/// Project `out(R)` from the collected states, exactly as the threaded
-/// engine's join does (the transport is program-agnostic, so the
-/// output schema lives with the caller).
-fn project_output(t: &dyn Transducer, r: &ProcessRunResult) -> Instance {
-    calm_transducer::network_output(&r.states, &t.schema().output)
 }
 
 /// Sequential oracle + process engine at every proc count; assert

@@ -16,84 +16,17 @@
 //! `any_snapshot_frame_strict_prefix_is_rejected`) — the frame types
 //! are crate-private by design.
 
-use calm_common::rng::Rng;
-use calm_common::{fact, Instance};
+mod common;
+
+use calm_common::Instance;
 use calm_net::{
-    run_net_worker, run_process, Assign, JobSpec, ProcessConfig, ProcessRunResult, SpawnHandle,
-    WorkerSetup,
+    run_net_worker, run_process, Assign, ProcessConfig, ProcessRunResult, SpawnHandle, WorkerSetup,
 };
 use calm_obs::Obs;
-use calm_queries::qtc::qtc_datalog;
-use calm_queries::tc::{edges_without_source_loop, tc_datalog};
-use calm_transducer::{
-    run, DisjointStrategy, DistinctStrategy, DistributionPolicy, DomainGuidedPolicy, HashPolicy,
-    MonotoneBroadcast, Network, Scheduler, SystemConfig, Transducer, TransducerNetwork,
-};
+use calm_transducer::{run, Scheduler, TransducerNetwork};
+use common::{family, project_output, random_edges, seed_base, spec_for};
 
 const PROC_COUNTS: [usize; 2] = [2, 4];
-
-/// Base offset for the seed sweep (CI reruns with `CALM_NET_SEED=1..`).
-fn seed_base() -> u64 {
-    std::env::var("CALM_NET_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
-
-fn random_edges(seed: u64, domain: i64, edges: usize) -> Instance {
-    let mut rng = Rng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    Instance::from_facts((0..edges).map(|_| {
-        fact(
-            "E",
-            [
-                rng.gen_range(0..domain as u64) as i64,
-                rng.gen_range(0..domain as u64) as i64,
-            ],
-        )
-    }))
-}
-
-fn family(
-    strategy: &str,
-    nodes: usize,
-) -> (
-    Box<dyn Transducer>,
-    Box<dyn DistributionPolicy>,
-    SystemConfig,
-) {
-    match strategy {
-        "monotone" => (
-            Box::new(MonotoneBroadcast::new(Box::new(tc_datalog()))),
-            Box::new(HashPolicy::new(Network::of_size(nodes))),
-            SystemConfig::ORIGINAL,
-        ),
-        "distinct" => (
-            Box::new(DistinctStrategy::new(Box::new(edges_without_source_loop()))),
-            Box::new(HashPolicy::new(Network::of_size(nodes))),
-            SystemConfig::POLICY_AWARE,
-        ),
-        "disjoint" => (
-            Box::new(DisjointStrategy::new(Box::new(qtc_datalog()))),
-            Box::new(DomainGuidedPolicy::new(Network::of_size(nodes))),
-            SystemConfig::POLICY_AWARE,
-        ),
-        other => panic!("unknown strategy family {other}"),
-    }
-}
-
-fn spec_for(strategy: &str, nodes: usize, faults: Option<String>) -> JobSpec {
-    JobSpec {
-        program: String::new(),
-        facts: String::new(),
-        strategy: strategy.to_string(),
-        nodes,
-        eval_threads: 1,
-        step_budget: 500_000,
-        faults,
-        trace_prefix: None,
-        flight_path: None,
-    }
-}
 
 /// Run the *supervised* process engine over real sockets with
 /// thread-backed workers: respawn budget 3, short backoff (the suite
@@ -132,10 +65,6 @@ fn run_supervised_tcp(
         })))
     };
     run_process(&cfg, &spawner, &Obs::noop()).expect("supervised run starts")
-}
-
-fn project_output(t: &dyn Transducer, r: &ProcessRunResult) -> Instance {
-    calm_transducer::network_output(&r.states, &t.schema().output)
 }
 
 /// The three kill-plan families of the issue, parameterized by seed.

@@ -98,6 +98,21 @@ fn faulty_threaded_trace_reconstructs_a_complete_acyclic_graph() {
         a.dedups, r.faults.duplicates_suppressed,
         "every dedup suppression carries a trace event"
     );
+    // The run's summary event: seven of the counters, in this order.
+    let f = &r.faults;
+    let summary = format!(
+        "\"args\":{{\"attempts\":{},\"retransmissions\":{},\"duplicates_suppressed\":{},\
+         \"dropped\":{},\"crashes\":{},\"snapshots\":{},\"retry_exhausted\":{}}}",
+        f.attempts,
+        f.retransmissions,
+        f.duplicates_suppressed,
+        f.dropped,
+        f.crashes,
+        f.snapshots,
+        f.retry_exhausted
+    );
+    let event = (text.lines().find(|l| l.contains("\"fault_summary\""))).expect("a summary event");
+    assert!(event.contains(&summary), "{event}");
     // The report walks a critical path back to a causal root.
     assert!(!a.critical_path.is_empty(), "critical path reconstructed");
     let root = a.critical_path.last().unwrap();
