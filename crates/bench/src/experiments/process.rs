@@ -31,7 +31,6 @@ use calm_net::{
     ThreadedConfig, WorkerSetup,
 };
 use calm_obs::Obs;
-use calm_transducer::network_output;
 
 pub(super) const NODES: usize = 8;
 const THREADED: [usize; 4] = [1, 2, 4, 8];
@@ -150,7 +149,7 @@ pub fn e25_process(obs: &Obs) -> Report {
             let proc = run_process_tcp(&cfg, &input, &Obs::noop());
             all_equal &= proc.quiescent
                 && proc.failed_workers.is_empty()
-                && network_output(&proc.states, &transducer.schema().output) == seq.output;
+                && proc.states.output(&transducer.schema().output) == seq.output;
             // Same payload-only accounting on both engines: the same
             // messages at every W, no bytes at all at W = 1 and some
             // above. (The byte totals above W = 1 wobble by up to ~15 %

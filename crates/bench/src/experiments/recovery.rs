@@ -27,7 +27,6 @@ use super::process::{job, run_process_tcp, NODES};
 use crate::report::{markdown_table, Report};
 use crate::workloads::{families, scaling_graph};
 use calm_obs::{ArgValue, Obs, Sink};
-use calm_transducer::network_output;
 
 const PROCS: [usize; 2] = [2, 4];
 const KILLS: [usize; 4] = [0, 1, 2, 4];
@@ -126,7 +125,7 @@ pub fn e26_recovery(obs: &Obs) -> Report {
                 let identical = run.quiescent
                     && run.failed_workers.is_empty()
                     && run.adopted_workers.is_empty()
-                    && network_output(&run.states, &transducer.schema().output) == seq.output;
+                    && run.states.output(&transducer.schema().output) == seq.output;
                 all_identical &= identical;
                 all_recovered &= run.respawns == kills as u64;
                 always_durable &= run.faults.snapshot_bytes > 0;

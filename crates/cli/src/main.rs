@@ -3,30 +3,40 @@
 use calm_cli::*;
 use std::io::{self, Write};
 
+/// Why `calm` did not do what it was asked.
+#[derive(Debug)]
+enum Failure {
+    /// The command line names no command of ours, or a flag the command
+    /// does not have: the usage text is the answer.
+    Usage(CliError),
+    /// The command was understood and failed — a file that is not
+    /// there, facts that do not parse, a trace that breaks an invariant,
+    /// a worker that died: the message says it all.
+    Run(StreamError),
+}
+
+impl<E: Into<StreamError>> From<E> for Failure {
+    fn from(e: E) -> Self {
+        Failure::Run(e.into())
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out = io::BufWriter::new(io::stdout().lock());
     let run = dispatch(&args, &mut out).and_then(|()| Ok(out.flush()?));
     match run {
-        Ok(()) => {}
+        Ok(()) => return,
         // The reader went away (`calm eval … | head -1`): not a failure
         // of ours, and nobody is left to tell.
-        Err(StreamError::Stdout(e)) if e.kind() == io::ErrorKind::BrokenPipe => {}
-        Err(StreamError::Stdout(e)) => {
-            eprintln!("error: stdout: {e}");
-            std::process::exit(1);
+        Err(Failure::Run(StreamError::Stdout(e))) if e.kind() == io::ErrorKind::BrokenPipe => {
+            return
         }
-        Err(StreamError::Command(e)) => {
-            eprintln!("error: {e}");
-            // Runtime failures inside a spawned net-worker (a scripted
-            // pkill, a lost coordinator) are not usage mistakes — keep
-            // the supervisor's stderr readable.
-            if args.first().map(String::as_str) != Some("net-worker") {
-                eprintln!("{USAGE}");
-            }
-            std::process::exit(1);
-        }
+        Err(Failure::Run(StreamError::Stdout(e))) => eprintln!("error: stdout: {e}"),
+        Err(Failure::Run(StreamError::Command(e))) => eprintln!("error: {e}"),
+        Err(Failure::Usage(e)) => eprintln!("error: {e}\n{USAGE}"),
     }
+    std::process::exit(1);
 }
 
 fn read(path: &str) -> Result<String, CliError> {
@@ -66,16 +76,18 @@ fn flags_of(cmd: &str) -> Option<&'static [(&'static str, bool)]> {
         ],
         "trace" => &[("--json", false)],
         "net-worker" => &[("--connect", true), ("--worker", true)],
+        "help" | "--help" | "-h" => &[],
         _ => return None,
     })
 }
 
-/// Reject what the lookups below would silently ignore: a flag the
-/// command does not have, and a value-taking flag followed by nothing
-/// or by another flag.
+/// Every usage mistake, found before anything runs: a command that is
+/// not one of ours and what the lookups below would silently ignore — a
+/// flag the command does not have, a value-taking flag followed by
+/// nothing or by another flag.
 fn check_flags(cmd: &str, args: &[String]) -> Result<(), CliError> {
     let Some(table) = flags_of(cmd) else {
-        return Ok(());
+        return Err(CliError(format!("unknown command '{cmd}'")));
     };
     let mut rest = args.iter().skip(1);
     while let Some(arg) = rest.next() {
@@ -132,11 +144,11 @@ fn eval_threads(args: &[String]) -> Result<usize, CliError> {
 
 /// Run the command `args` name, writing its output to `out`. A command
 /// that fails has written nothing.
-fn dispatch(args: &[String], out: &mut dyn Write) -> Result<(), StreamError> {
+fn dispatch(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     let cmd = args.first().map(String::as_str).unwrap_or("help");
-    check_flags(cmd, args)?;
+    check_flags(cmd, args).map_err(Failure::Usage)?;
     if cmd == "eval" {
-        return eval(args, out);
+        return Ok(eval(args, out)?);
     }
     let text = buffered(cmd, args)?;
     Ok(out.write_all(text.as_bytes())?)
@@ -238,7 +250,7 @@ fn buffered(cmd: &str, args: &[String]) -> Result<String, CliError> {
             cmd_net_worker(addr, worker)
         }
         "help" | "--help" | "-h" => Ok(USAGE.to_string()),
-        other => Err(CliError(format!("unknown command '{other}'"))),
+        other => unreachable!("check_flags let '{other}' through"),
     }
 }
 
@@ -267,16 +279,24 @@ mod tests {
         words.iter().map(|w| w.to_string()).collect()
     }
 
-    /// The message `dispatch` fails with, having written nothing.
-    fn failure(words: &[&str]) -> String {
+    /// The message `dispatch` fails with, having written nothing, and
+    /// whether the usage text goes with it.
+    fn failed(words: &[&str]) -> (String, bool) {
         let mut out = Vec::new();
-        match dispatch(&args(words), &mut out) {
-            Err(StreamError::Command(e)) => {
-                assert!(out.is_empty(), "a failing command writes nothing");
-                e.0
-            }
+        let (e, usage) = match dispatch(&args(words), &mut out) {
+            Err(Failure::Run(StreamError::Command(e))) => (e, false),
+            Err(Failure::Usage(e)) => (e, true),
             other => panic!("expected a command failure, got {other:?}"),
-        }
+        };
+        assert!(out.is_empty(), "a failing command writes nothing");
+        (e.0, usage)
+    }
+
+    /// The message of a command that was understood and failed.
+    fn failure(words: &[&str]) -> String {
+        let (message, usage) = failed(words);
+        assert!(!usage, "not a usage mistake: {message}");
+        message
     }
 
     #[test]
@@ -301,7 +321,8 @@ mod tests {
 
     /// `dispatch` must fail before touching any file, naming the flag.
     fn usage_error(words: &[&str]) -> String {
-        let err = failure(words);
+        let (err, usage) = failed(words);
+        assert!(usage, "a usage mistake: {err}");
         assert!(!err.contains("p.dl"), "flags are checked first: {err}");
         err
     }
@@ -324,6 +345,17 @@ mod tests {
         assert!(err.contains("unknown flag '--x'"), "{err}");
         let err = usage_error(&["trace", "report", "t.jsonl", "--jsonl"]);
         assert!(err.contains("unknown flag '--jsonl'"), "{err}");
+    }
+
+    #[test]
+    fn an_unknown_command_is_a_usage_error_and_help_is_not() {
+        let err = usage_error(&["evaluate", "p.dl", "f.dl"]);
+        assert_eq!(err, "unknown command 'evaluate'");
+        for help in [&["help"][..], &["--help"], &["-h"], &[]] {
+            let mut out = Vec::new();
+            dispatch(&args(help), &mut out).expect("help is a command");
+            assert_eq!(out, USAGE.as_bytes());
+        }
     }
 
     #[test]

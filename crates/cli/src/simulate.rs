@@ -15,9 +15,9 @@ use calm_net::{
 use calm_obs::{Obs, Sink};
 use calm_transducer::system_facts::POLICY_ARITY_CAP;
 use calm_transducer::{
-    expected_output, network_output, run_with, DisjointStrategy, DistinctStrategy,
-    DistributionPolicy, DomainGuidedPolicy, HashPolicy, Metrics, MonotoneBroadcast, Network,
-    Scheduler, SystemConfig, TraceSink, Transducer, TransducerNetwork,
+    expected_output, run_with, DisjointStrategy, DistinctStrategy, DistributionPolicy,
+    DomainGuidedPolicy, HashPolicy, Metrics, MonotoneBroadcast, Network, Scheduler, SystemConfig,
+    TraceSink, Transducer, TransducerNetwork,
 };
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -299,8 +299,9 @@ fn run_processes(
     }
     Ok(EngineRun {
         header: process_header(procs, faulted, &r),
-        // The transport is program-agnostic: out(R) is projected here.
-        output: network_output(&r.states, &job.transducer.schema().output),
+        // The transport is program-agnostic: the schema of out(R) is
+        // known here.
+        output: r.states.output(&job.transducer.schema().output),
         metrics: r.metrics,
         quiescent: r.quiescent,
     })

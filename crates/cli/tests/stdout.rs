@@ -1,6 +1,8 @@
-//! What only the real binary can show about `calm`'s standard output
-//! now that it streams: a reader that goes away ends the run quietly,
-//! and a command that fails has written nothing.
+//! What only the real binary can show about `calm`'s standard streams:
+//! a reader that goes away ends the run quietly, a command that fails
+//! has written nothing to its output and exactly its message to its
+//! error stream — the usage text follows a usage mistake and nothing
+//! else — and the three engines print one answer.
 
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
@@ -101,7 +103,99 @@ fn a_failing_eval_writes_nothing_to_stdout() {
         let stderr = String::from_utf8_lossy(&run.stderr);
         assert_eq!(run.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(run.stdout.is_empty(), "{args:?}: wrote {:?}", run.stdout);
-        assert!(stderr.starts_with(message), "{args:?}: {stderr}");
+        assert_eq!(stderr, message, "{args:?}");
+    }
+}
+
+#[test]
+fn a_run_failure_prints_its_message_and_only_a_usage_mistake_the_usage_text() {
+    // Every failure used to end in the 90-line usage text: a missing
+    // file, a broken trace, a dead worker.
+    let dir = Dir::new("stderr");
+    let data = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/data");
+    let (tc, graph) = (format!("{data}/tc.dl"), format!("{data}/graph.facts"));
+    let missing = dir.0.join("no.dl").display().to_string();
+    // One worker's half of a run: a delivery whose send is in another file.
+    let trace = dir.file(
+        "p.worker0.jsonl",
+        "{\"type\":\"event\",\"cat\":\"trace\",\"name\":\"deliver\",\"track\":1,\"ts_us\":5,\
+         \"args\":{\"origin\":2,\"seq\":0,\"dst\":0,\"facts\":1}}\n",
+    );
+    let usage = calm_cli::USAGE;
+    let process = ["--nodes", "4", "--engine", "process", "--procs", "2"];
+    let died: Vec<&str> = ["simulate", &tc, &graph]
+        .into_iter()
+        .chain(process)
+        .collect();
+    let cases: [(&[&str], String); 5] = [
+        (
+            &["eval", &missing, &graph],
+            format!("error: {missing}: No such file or directory (os error 2)\n"),
+        ),
+        (
+            &["trace", "report", &trace],
+            "error: trace invariants violated (1): deliver of (2,0) at node 0 has no matching send\n"
+                .to_string(),
+        ),
+        (
+            &died,
+            "error: process engine: worker(s) 1 died mid-run; run is not quiescent\n".to_string(),
+        ),
+        (
+            &["evaluate", &tc, &graph],
+            format!("error: unknown command 'evaluate'\n{usage}\n"),
+        ),
+        (
+            &["simulate", &tc, &graph, "--node", "4"],
+            format!("error: unknown flag '--node' for 'calm simulate'\n{usage}\n"),
+        ),
+    ];
+    for (args, message) in cases {
+        // Worker 1 of the process run exits right after its handshake.
+        let run = calm().args(args).env("CALM_NET_WORKER_DIE", "1").output();
+        let run = run.unwrap();
+        assert_eq!(run.status.code(), Some(1), "{args:?}");
+        assert!(run.stdout.is_empty(), "{args:?}: wrote {:?}", run.stdout);
+        assert_eq!(String::from_utf8_lossy(&run.stderr), message, "{args:?}");
+    }
+}
+
+#[test]
+fn the_three_engines_print_one_answer_and_none_builds_a_nodes_state_for_it() {
+    // `out(R)` is united from rows on every engine; the per-node
+    // `Instance`s are for a caller that asks, and `simulate` does not.
+    let dir = Dir::new("engines");
+    let edges: String = (0..40)
+        .map(|i| format!("E({i},{}). ", (i * 7) % 40))
+        .collect();
+    let facts = dir.file("ring.facts", &edges);
+    let tc = dir.file(
+        "tc.dl",
+        "@output T.\nT(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).\n",
+    );
+    let simulate = |engine: &[&str]| {
+        let run = calm()
+            .args(["simulate", &tc, &facts, "--nodes", "4", "--metrics"])
+            .args(engine)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(run.status.success(), "{engine:?}: {stderr}");
+        let out = String::from_utf8(run.stdout).unwrap();
+        assert!(out.contains("  runtime/finish "), "{engine:?}: {out}");
+        assert!(!out.contains("states.materialized"), "{engine:?}: {out}");
+        assert!(out.contains("% matches centralized evaluation: true"));
+        let answer = out.find("\nout_T(").expect("an answer");
+        out[answer..].to_string()
+    };
+    let sequential = simulate(&[]);
+    assert!(sequential.lines().count() > 40, "{sequential}");
+    for engine in [
+        &["--engine", "threaded", "--workers", "1"][..],
+        &["--engine", "threaded", "--workers", "2"],
+        &["--engine", "process", "--procs", "2"],
+    ] {
+        assert_eq!(simulate(engine), sequential, "{engine:?}");
     }
 }
 

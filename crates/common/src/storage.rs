@@ -986,39 +986,110 @@ fn export(storage: &Storage, symbols: &SharedSymbols, schema: Option<&Schema>) -
     out
 }
 
-/// Prints the live rows of a store as fact lines (`R(1,2).`) straight
-/// from the arena, in exactly the order [`Instance`] iterates the same
-/// facts — the text `store_to_instance_restricted` followed by one
-/// `Display` per fact would produce, without building a tuple, a fact
-/// or an instance.
-///
-/// The order is a specification, not an accident of a container:
-/// relations by name in `str` order; within a relation tuples in
-/// `Vec<Value>` order, i.e. lexicographically by [`Value`]'s `Ord`
-/// (`Int < Str < Skolem`) — the rows printed for one relation all have
-/// the schema's arity, so no tuple is a prefix of another. The printer
-/// gets there by sorting row ids: every symbol is ranked once by
-/// `Value::cmp`, so the order of two rows is the lexicographic order
-/// of their `u32` ranks (`sort_by_rank`), and every symbol's text is
-/// rendered once, so printing a value is a copy. Both tables stay valid
+/// The order [`Instance`] keeps facts in, reached on rows: relations by
+/// name in `str` order ([`relations_by_name`]); within a relation tuples
+/// in `Vec<Value>` order, i.e. lexicographically by [`Value`]'s `Ord`
+/// (`Int < Str < Skolem`), a tuple before the longer ones it is a prefix
+/// of. It is a specification, not an accident of a container — the text
+/// `calm eval` prints and the bytes of a `calm-net` final report are both
+/// in it — and it is reached by sorting row ids: every symbol is ranked
+/// once by `Value::cmp`, so the order of two rows is the lexicographic
+/// order of their `u32` ranks (`sort_by_rank`). The ranks stay valid
 /// while the symbol table does not grow (symbols are never removed) and
-/// are extended, not rebuilt, when it does: a printer kept across the
-/// batches of an update session pays for a symbol once.
-#[derive(Debug)]
-pub struct FactPrinter {
-    symbols: SharedSymbols,
-    known: SymbolText,
-}
-
-/// What [`FactPrinter`] knows about the first `rank.len()` symbols of
-/// its table.
+/// are extended, not rebuilt, when it does.
 #[derive(Debug, Default)]
-struct SymbolText {
-    /// Those symbols in [`Value`] order.
+pub struct CanonicalOrder {
+    /// The first `rank.len()` symbols of the table in [`Value`] order.
     by_value: Vec<Sym>,
     /// `rank[s]`: the position of symbol `s` in `by_value`.
     rank: Vec<u32>,
-    /// The `Display` text of each, back to back in symbol order.
+}
+
+impl CanonicalOrder {
+    /// Take in the symbols interned since the last call.
+    pub fn extend(&mut self, table: &SymbolTable) {
+        let known = self.rank.len();
+        if known == table.sym_count() {
+            return;
+        }
+        // Symbol ids passed the interning guard: they fit a `u32`.
+        (self.by_value).extend((known..table.sym_count()).map(|i| Sym(i as u32)));
+        // A sorted run followed by the newcomers: what a merge sort is
+        // quickest on.
+        self.by_value
+            .sort_by(|&a, &b| table.value(a).cmp(table.value(b)));
+        self.rank.resize(self.by_value.len(), 0);
+        for (position, s) in self.by_value.iter().enumerate() {
+            self.rank[s.0 as usize] = position as u32;
+        }
+    }
+
+    /// The ids of the live rows of `relation` in `Vec<Value>` order:
+    /// those of `arity` columns, or with `None` all of them. Every symbol
+    /// of `relation` must have been taken in by [`CanonicalOrder::extend`].
+    pub fn sorted_ids(&self, relation: &Relation, arity: Option<usize>) -> Vec<u32> {
+        let rank = &self.rank;
+        let mut ids: Vec<u32> = (relation.rows())
+            .filter(|&id| {
+                relation.live_in_log(id) && arity.is_none_or(|a| relation.row(id).len() == a)
+            })
+            .collect();
+        let (narrowest, widest) = arity.map_or_else(
+            || {
+                let widths = ids.iter().map(|&id| relation.row(id).len());
+                (widths.clone().min().unwrap_or(0), widths.max().unwrap_or(0))
+            },
+            |a| (a, a),
+        );
+        if narrowest == widest {
+            sort_by_rank(&mut ids, widest, rank.len(), |id, col| {
+                rank[relation.row(id)[col].0 as usize]
+            });
+        } else {
+            // Rows of several arities (`E(1). E(1,2).` is accepted
+            // input): a missing column ranks below every value.
+            sort_by_rank(&mut ids, widest, rank.len() + 1, |id, col| {
+                (relation.row(id).get(col)).map_or(0, |s| rank[s.0 as usize] + 1)
+            });
+        }
+        ids
+    }
+}
+
+/// The relations of `storage` that hold a live row, by name in `str`
+/// order — the order [`Instance`] iterates relations in.
+pub fn relations_by_name<'t>(
+    storage: &Storage,
+    table: &'t SymbolTable,
+) -> Vec<(&'t RelName, RelId)> {
+    let mut relations: Vec<_> = (storage.rel_ids())
+        .filter(|&r| storage.relation(r).is_some_and(|rel| !rel.is_empty()))
+        .map(|r| (table.rel_name(r), r))
+        .collect();
+    relations.sort();
+    relations
+}
+
+/// Prints the live rows of a store as fact lines (`R(1,2).`) straight
+/// from the arena, in exactly the order [`Instance`] iterates the same
+/// facts ([`CanonicalOrder`]) — the text `store_to_instance_restricted`
+/// followed by one `Display` per fact would produce, without building a
+/// tuple, a fact or an instance. Every symbol's text is rendered once,
+/// so printing a value is a copy; like the ranks, the texts are extended
+/// when the symbol table grows: a printer kept across the batches of an
+/// update session pays for a symbol once.
+#[derive(Debug)]
+pub struct FactPrinter {
+    symbols: SharedSymbols,
+    order: CanonicalOrder,
+    known: SymbolText,
+}
+
+/// The `Display` text of the first `text_end.len()` symbols of
+/// [`FactPrinter`]'s table.
+#[derive(Debug, Default)]
+struct SymbolText {
+    /// The texts, back to back in symbol order.
     text: Vec<u8>,
     /// `text_end[s]`: where the text of symbol `s` ends; it starts
     /// where its predecessor's ends.
@@ -1029,23 +1100,10 @@ impl SymbolText {
     /// Take in the symbols interned since the last call.
     fn extend(&mut self, table: &SymbolTable) {
         use std::io::Write as _;
-        let known = self.rank.len();
-        if known == table.sym_count() {
-            return;
-        }
         // Symbol ids passed the interning guard: they fit a `u32`.
-        for s in (known..table.sym_count()).map(|i| Sym(i as u32)) {
+        for s in (self.text_end.len()..table.sym_count()).map(|i| Sym(i as u32)) {
             write!(self.text, "{}", table.value(s)).expect("writing to memory");
             self.text_end.push(self.text.len());
-            self.by_value.push(s);
-        }
-        // A sorted run followed by the newcomers: what a merge sort is
-        // quickest on.
-        self.by_value
-            .sort_by(|&a, &b| table.value(a).cmp(table.value(b)));
-        self.rank.resize(self.by_value.len(), 0);
-        for (position, s) in self.by_value.iter().enumerate() {
-            self.rank[s.0 as usize] = position as u32;
         }
     }
 
@@ -1063,17 +1121,10 @@ impl SymbolText {
 /// reads every row once in the order the previous pass left, which is
 /// what a comparison sort's log n probes per row cost three times over
 /// on 10^5 rows.
-fn sort_by_rank(
-    ids: &mut Vec<u32>,
-    scratch: &mut Vec<u32>,
-    arity: usize,
-    ranks: usize,
-    rank: impl Fn(u32, usize) -> u32,
-) {
+fn sort_by_rank(ids: &mut Vec<u32>, arity: usize, ranks: usize, rank: impl Fn(u32, usize) -> u32) {
     const BITS: u32 = 11;
     let digits = (usize::BITS - ranks.leading_zeros()).div_ceil(BITS);
-    scratch.clear();
-    scratch.resize(ids.len(), 0);
+    let scratch = &mut vec![0; ids.len()];
     for col in (0..arity).rev() {
         for shift in (0..digits).map(|d| d * BITS) {
             let digit = |id: u32| (rank(id, col) >> shift) as usize & ((1 << BITS) - 1);
@@ -1105,6 +1156,7 @@ impl FactPrinter {
     pub fn new(symbols: SharedSymbols) -> Self {
         FactPrinter {
             symbols,
+            order: CanonicalOrder::default(),
             known: SymbolText::default(),
         }
     }
@@ -1128,26 +1180,15 @@ impl FactPrinter {
     ) -> std::io::Result<()> {
         let _span = obs.span("eval", || "write_facts".into());
         let table = self.symbols.read();
+        self.order.extend(&table);
         self.known.extend(&table);
         let known = &self.known;
-        let (mut ids, mut scratch) = (Vec::new(), Vec::new());
         let mut chunk = Vec::with_capacity(Self::CHUNK + 256);
         let (mut rows_written, mut bytes_out) = (0, 0);
         for (name, arity) in schema.iter() {
             let relation = table.lookup_rel(name).and_then(|r| storage.relation(r));
             let Some(relation) = relation else { continue };
-            ids.clear();
-            ids.extend(
-                (relation.rows())
-                    .filter(|&id| relation.live_in_log(id) && relation.row(id).len() == arity),
-            );
-            sort_by_rank(
-                &mut ids,
-                &mut scratch,
-                arity,
-                known.rank.len(),
-                |id, col| known.rank[relation.row(id)[col].0 as usize],
-            );
+            let ids = self.order.sorted_ids(relation, Some(arity));
             for &id in &ids {
                 chunk.extend_from_slice(name.as_bytes());
                 let mut separator = b'(';

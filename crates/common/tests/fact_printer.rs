@@ -18,7 +18,8 @@
 
 use calm_common::rng::Rng;
 use calm_common::storage::{
-    store_to_instance_restricted, FactPrinter, SharedSymbols, Storage, SymTuple,
+    relations_by_name, store_to_instance, store_to_instance_restricted, CanonicalOrder,
+    FactPrinter, SharedSymbols, Storage, SymTuple,
 };
 use calm_common::{v, Schema, Value};
 use calm_obs::{Obs, ReportSink};
@@ -150,6 +151,51 @@ fn printer_writes_what_the_instance_edge_prints() {
         lines > 10_000 && silent > 0,
         "{lines} lines, {silent} silent"
     );
+}
+
+#[test]
+fn the_canonical_order_walks_a_whole_store_as_instance_iterates_it() {
+    // The printer asks for one arity of a relation; the second caller (a
+    // `calm-net` final report) for all of them at once — `E(2)` before
+    // the `E(2,0)` it is a prefix of — and for the relations by name.
+    let mut prefixed = 0;
+    for seed in 0..200u64 {
+        let mut rng = Rng::seed_from_u64(seed);
+        let symbols = SharedSymbols::new();
+        let mut st = Storage::new();
+        churn(&mut rng, &symbols, &mut st, &NAMES, false);
+        let gone = symbols.write().rel("Gone");
+        st.insert(gone, &row(&mut rng, &symbols, false));
+        st.clear_relation(gone);
+        let mut order = CanonicalOrder::default();
+        // Half the time the ranks are extended, not built at once.
+        if rng.gen_bool(0.5) {
+            order.extend(&symbols.read());
+            churn(&mut rng, &symbols, &mut st, &NAMES, true);
+        }
+        let table = symbols.read();
+        order.extend(&table);
+        let mut walked = Vec::new();
+        for (name, r) in relations_by_name(&st, &table) {
+            let relation = st.relation(r).unwrap();
+            for id in order.sorted_ids(relation, None) {
+                let values = relation.row(id).iter().map(|&s| table.value(s).clone());
+                walked.push((name.clone(), values.collect::<Vec<_>>()));
+            }
+        }
+        drop(table);
+        let reference = store_to_instance(&st, &symbols);
+        let want: Vec<_> = reference
+            .iter()
+            .map(|(r, t)| (r.clone(), t.clone()))
+            .collect();
+        assert_eq!(walked, want, "seed {seed}");
+        prefixed += want
+            .windows(2)
+            .filter(|w| w[0].0 == w[1].0 && w[1].1.starts_with(&w[0].1))
+            .count();
+    }
+    assert!(prefixed > 200, "{prefixed} tuples followed one they extend");
 }
 
 #[test]

@@ -17,12 +17,19 @@
 //! `1`, nullary facts, values nested deeper than the bound and
 //! multiplicities outside `1..=u32::MAX` are refused. Trailing bytes are
 //! the caller's to refuse, with [`decode_all`].
+//!
+//! A set of facts has one layout and two forms in memory: [`Instance`]
+//! (a checkpoint's state) and rows ([`StateRows`], the final report) —
+//! written in the same order, byte for byte, and read through the same
+//! record.
 
 use crate::wirefmt::{put_bytes, put_value, put_varint, unzigzag, zigzag, Reader, WireError};
 use calm_common::fact::{Fact, RelName};
 use calm_common::instance::Instance;
+use calm_common::storage::{relations_by_name, CanonicalOrder, SharedSymbols, Storage};
 use calm_common::value::Value;
 use calm_transducer::multiset::Multiset;
+use calm_transducer::rows::StateRows;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -149,10 +156,26 @@ tuple!(A, B);
 tuple!(A, B, C);
 
 /// The one record for a fact: relation name, arity, values.
-fn put_record(out: &mut Vec<u8>, relation: &str, args: &[Value]) {
+fn put_record<'v>(
+    out: &mut Vec<u8>,
+    relation: &str,
+    args: impl ExactSizeIterator<Item = &'v Value>,
+) {
     put_bytes(out, relation.as_bytes());
     args.len().put(out);
-    args.iter().for_each(|value| put_value(out, value));
+    args.for_each(|value| put_value(out, value));
+}
+
+/// Read one record up to its values: the relation name and how many
+/// values follow, each for the caller to read with [`Reader::value`].
+fn read_record_head<'b>(r: &mut Reader<'b>) -> Result<(&'b str, usize), WireError> {
+    let (name, arity) = (r.str()?, r.count()?);
+    if arity == 0 {
+        // The paper's model has no nullary relations and `Fact` asserts
+        // arity >= 1: a zero here is a corrupt or hostile frame.
+        return Err(WireError::NonCanonical("nullary fact"));
+    }
+    Ok((name, arity))
 }
 
 /// Read one record. `last` is the relation name of the record before it:
@@ -163,23 +186,18 @@ fn read_record(
     r: &mut Reader<'_>,
     last: &mut Option<RelName>,
 ) -> Result<(RelName, Vec<Value>), WireError> {
-    let name = r.str()?;
+    let (name, arity) = read_record_head(r)?;
     let relation = match last {
         Some(shared) if **shared == *name => shared.clone(),
         _ => last.insert(Arc::from(name)).clone(),
     };
-    let args = Vec::<Value>::read(r)?;
-    if args.is_empty() {
-        // The paper's model has no nullary relations and `Fact` asserts
-        // arity >= 1: a zero here is a corrupt or hostile frame.
-        return Err(WireError::NonCanonical("nullary fact"));
-    }
+    let args = (0..arity).map(|_| r.value(0)).collect::<Result<_, _>>()?;
     Ok((relation, args))
 }
 
 impl Codec for Fact {
     fn put(&self, out: &mut Vec<u8>) {
-        put_record(out, self.relation(), self.args());
+        put_record(out, self.relation(), self.args().iter());
     }
     fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let (relation, args) = read_record(r, &mut None)?;
@@ -191,7 +209,7 @@ impl Codec for Instance {
     fn put(&self, out: &mut Vec<u8>) {
         self.len().put(out);
         for (relation, tuple) in self.iter() {
-            put_record(out, relation, tuple);
+            put_record(out, relation, tuple.iter());
         }
     }
     fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -201,6 +219,56 @@ impl Codec for Instance {
             instance.insert_tuple(&relation, args);
         }
         Ok(instance)
+    }
+}
+
+/// A worker's final states, laid out as the `Vec<(NodeId, Instance)>` of
+/// the same facts: the rows go out in [`Instance`] order
+/// ([`CanonicalOrder`]) as the values they stand for — no `Sym`, no
+/// `RelId` in a frame — and come back as rows over a table of the
+/// frame's own, a repeated record collapsing as it does in a set.
+impl Codec for StateRows {
+    fn put(&self, out: &mut Vec<u8>) {
+        let table = &*self.symbols.read();
+        let mut order = CanonicalOrder::default();
+        order.extend(table);
+        self.nodes.len().put(out);
+        for (node, state) in &self.nodes {
+            node.put(out);
+            state.len().put(out);
+            for (name, r) in relations_by_name(state, table) {
+                let relation = state.relation(r).expect("a listed relation");
+                for id in order.sorted_ids(relation, None) {
+                    let row = relation.row(id).iter();
+                    put_record(out, name, row.map(|&s| table.value(s)));
+                }
+            }
+        }
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let symbols = SharedSymbols::new();
+        let (mut nodes, mut row) = (Vec::new(), Vec::new());
+        // A state is written a relation at a time: most records repeat
+        // the name before them.
+        let mut last = None;
+        for _ in 0..r.count()? {
+            let (node, mut state) = (Value::read(r)?, Storage::new());
+            let table = &mut *symbols.write();
+            for _ in 0..r.count()? {
+                let (name, arity) = read_record_head(r)?;
+                let relation = match last {
+                    Some((named, relation)) if named == name => relation,
+                    _ => last.insert((name, table.rel(name))).1,
+                };
+                row.clear();
+                for _ in 0..arity {
+                    row.push(table.sym(&r.value(0)?));
+                }
+                state.insert(relation, &row);
+            }
+            nodes.push((node, state));
+        }
+        Ok(StateRows { symbols, nodes })
     }
 }
 
@@ -278,3 +346,262 @@ macro_rules! counters {
     };
 }
 pub(crate) use counters;
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use calm_common::fact::fact;
+    use calm_common::rng::Rng;
+    use calm_common::storage::{load_instance, store_to_instance};
+
+    /// `states` as the rows a worker would hold them in.
+    pub(crate) fn rows_of(states: &[(Value, Instance)]) -> StateRows {
+        let mut rows = StateRows::default();
+        for (node, state) in states {
+            let mut storage = Storage::new();
+            load_instance(state, &rows.symbols, &mut storage);
+            rows.nodes.push((node.clone(), storage));
+        }
+        rows
+    }
+
+    /// The facts `rows` stand for, node by node as they were read.
+    fn facts_of(rows: &StateRows) -> Vec<(Value, Instance)> {
+        let facts = |(node, state): &(Value, Storage)| {
+            (node.clone(), store_to_instance(state, &rows.symbols))
+        };
+        rows.nodes.iter().map(facts).collect()
+    }
+
+    fn encoded(value: &impl Codec) -> Vec<u8> {
+        let mut out = Vec::new();
+        value.put(&mut out);
+        out
+    }
+
+    /// One to three seeded edits of `bytes` — a hostile varint or byte
+    /// inserted (a length used before it is checked against what is left
+    /// would abort or overflow a capacity), a byte deleted, a bit
+    /// flipped, a run of another frame of `corpus` spliced in: the shape
+    /// of `parser.rs::scanner_is_the_reference_on_mutated_bytes`.
+    pub(crate) fn mutate(rng: &mut Rng, bytes: &mut Vec<u8>, corpus: &[(&str, Vec<u8>)]) {
+        let hostile: Vec<Vec<u8>> = [0, 1, 2, 0x7f, 0x80, 0xff]
+            .iter()
+            .map(|&b| vec![b])
+            .chain([1 << 32, 1 << 40, 1 << 62, 1 << 63, u64::MAX].map(|v| encoded(&v)))
+            .collect();
+        for _ in 0..rng.gen_range(1..=3usize) {
+            let at = rng.gen_range(0..=bytes.len());
+            match rng.gen_range(0..4u32) {
+                0 => drop(bytes.splice(at..at, rng.choose(&hostile).unwrap().iter().copied())),
+                1 if at < bytes.len() => drop(bytes.remove(at)),
+                2 if at < bytes.len() => bytes[at] ^= 1 << rng.gen_range(0..8u32),
+                _ => {
+                    let other = &rng.choose(corpus).unwrap().1;
+                    let from = rng.gen_range(0..=other.len());
+                    let to = rng.gen_range(from..=other.len());
+                    bytes.splice(at..at, other[from..to].iter().copied());
+                }
+            }
+        }
+    }
+
+    fn random_value(rng: &mut Rng, depth: usize) -> Value {
+        match rng.gen_range(0..if depth < 2 { 4u32 } else { 3 }) {
+            0 => Value::Int(rng.gen_range(0..7u64) as i64 - 3),
+            1 => Value::Int(rng.gen_u64() as i64),
+            2 => Value::str(rng.choose(&["", "a", "ab", "b", "Z", "é"]).unwrap()),
+            _ => {
+                let args = (0..rng.gen_range(0..3usize)).map(|_| random_value(rng, depth + 1));
+                let args = args.collect();
+                Value::skolem(rng.choose(&["f", "g"]).unwrap(), args)
+            }
+        }
+    }
+
+    /// Up to three nodes' states over four relations — negative ints,
+    /// strings, Skolem terms — where a tuple may sit beside the longer
+    /// one it is a prefix of; some states are empty.
+    fn random_states(rng: &mut Rng) -> Vec<(Value, Instance)> {
+        let relations = ["T", "Ta", "out_T", "c_E"].map(calm_common::fact::rel);
+        let nodes = rng.gen_range(0..4usize);
+        let mut state = |node: usize| {
+            let mut state = Instance::new();
+            for _ in 0..rng.gen_range(0..24usize) {
+                let relation = rng.choose(&relations).unwrap();
+                let arity = rng.gen_range(1..4usize);
+                let tuple: Vec<Value> = (0..arity).map(|_| random_value(rng, 0)).collect();
+                if arity > 1 && rng.gen_bool(0.3) {
+                    state.insert_tuple(relation, tuple[..arity - 1].to_vec());
+                }
+                state.insert_tuple(relation, tuple);
+            }
+            (Value::Int(node as i64 * 4 + 2), state)
+        };
+        (0..nodes).map(&mut state).collect()
+    }
+
+    /// `states` as rows that look nothing like them: symbols and
+    /// relations interned in a shuffled order, rows inserted in another,
+    /// tombstones among them, and a relation that was emptied again.
+    fn scrambled_rows(rng: &mut Rng, states: &[(Value, Instance)]) -> StateRows {
+        let symbols = SharedSymbols::new();
+        let table = &mut *symbols.write();
+        let mut facts: Vec<_> = states.iter().flat_map(|(_, state)| state.iter()).collect();
+        rng.shuffle(&mut facts);
+        for (relation, tuple) in &facts {
+            for value in tuple.iter().rev() {
+                table.sym(value);
+            }
+            table.rel(relation);
+        }
+        let (ghost, gone) = (table.rel("ghost"), table.sym(&Value::str("gone")));
+        let nodes = states.iter().map(|(node, state)| {
+            let mut storage = Storage::new();
+            storage.insert(ghost, &[gone]);
+            storage.retract(ghost, &[gone]);
+            let mut facts: Vec<_> = state.iter().collect();
+            rng.shuffle(&mut facts);
+            for (relation, tuple) in facts {
+                let relation = table.rel(relation);
+                let mut row: Vec<_> = tuple.iter().map(|value| table.sym(value)).collect();
+                storage.insert(relation, &row);
+                if rng.gen_bool(0.3) {
+                    // No live row ends in this value.
+                    row.push(gone);
+                    storage.insert(relation, &row);
+                    storage.retract(relation, &row);
+                }
+            }
+            (node.clone(), storage)
+        });
+        let nodes = nodes.collect();
+        StateRows {
+            symbols: symbols.clone(),
+            nodes,
+        }
+    }
+
+    #[test]
+    fn the_row_encoder_writes_the_bytes_of_the_instance_encoder() {
+        let mut rng = Rng::seed_from_u64(0xf1a7);
+        let (mut facts, mut two_arities) = (0, 0);
+        for case in 0..400 {
+            let states = random_states(&mut rng);
+            let rows = scrambled_rows(&mut rng, &states);
+            let bytes = encoded(&rows);
+            assert_eq!(bytes, encoded(&states), "case {case}: {states:?}");
+            // Read into rows, the frame is the states again — as it is
+            // through the decoder that built instances.
+            let back: StateRows = decode_all(&bytes).expect("what was written reads");
+            assert_eq!(facts_of(&back), states, "case {case}");
+            assert_eq!(
+                decode_all::<Vec<(Value, Instance)>>(&bytes),
+                Ok(states.clone())
+            );
+            assert_eq!(encoded(&back), bytes, "case {case}: re-encoded");
+            for (_, state) in &states {
+                facts += state.len();
+                let prefixed = |(r, t): (&RelName, &Vec<Value>)| {
+                    t.len() > 1 && state.contains_tuple(r, &t[..t.len() - 1])
+                };
+                two_arities += state.iter().filter(|&f| prefixed(f)).count();
+            }
+        }
+        assert!(
+            facts > 5_000 && two_arities > 500,
+            "{facts} facts, {two_arities} beside their prefix"
+        );
+    }
+
+    /// A final report's states written by hand, so that they can lie:
+    /// one node, `claimed` facts, then `records`.
+    fn states_frame(claimed: u64, records: &[u8]) -> Vec<u8> {
+        [
+            &[1][..],
+            &encoded(&Value::Int(2)),
+            &encoded(&claimed),
+            records,
+        ]
+        .concat()
+    }
+
+    #[test]
+    fn the_row_decoder_refuses_what_the_instance_decoder_refused() {
+        let decode = |bytes: &[u8]| decode_all::<StateRows>(bytes).map(|rows| facts_of(&rows));
+        let record = encoded(&fact("T", [1, -2]));
+        let state = Instance::from_facts([fact("T", [1, -2])]);
+        let honest = states_frame(1, &record);
+        assert_eq!(decode(&honest), Ok(vec![(Value::Int(2), state.clone())]));
+        for cut in 0..honest.len() {
+            assert_eq!(
+                decode(&honest[..cut]),
+                Err(WireError::Truncated),
+                "cut at {cut}"
+            );
+        }
+        let trailing = [&honest[..], &[0]].concat();
+        assert_eq!(decode(&trailing), Err(WireError::TrailingBytes));
+        // A count above what is left of the buffer is refused where it is
+        // read: reserving for this one would abort.
+        for claimed in [2, 1 << 40, u64::MAX] {
+            let lie = states_frame(claimed, &record);
+            assert_eq!(decode(&lie), Err(WireError::Truncated), "{claimed} facts");
+            let nodes = [&encoded(&claimed)[..], &honest[1..]].concat();
+            assert_eq!(decode(&nodes), Err(WireError::Truncated), "{claimed} nodes");
+        }
+        let nullary = states_frame(1, &[1, b'T', 0, 0, 0, 0]);
+        assert_eq!(
+            decode(&nullary),
+            Err(WireError::NonCanonical("nullary fact"))
+        );
+        let mut nested = Value::Int(0);
+        for _ in 0..70 {
+            nested = Value::skolem("f", vec![nested]);
+        }
+        let deep = [&[1, b'T', 1][..], &encoded(&nested)].concat();
+        assert_eq!(decode(&states_frame(1, &deep)), Err(WireError::TooDeep));
+        // A record said twice is one fact, as it is in a set.
+        let twice = states_frame(2, &[&record[..], &record].concat());
+        assert_eq!(decode(&twice), Ok(vec![(Value::Int(2), state)]));
+        let reread: StateRows = decode_all(&twice).unwrap();
+        assert_eq!(encoded(&reread), honest);
+
+        // The 24 000 mutations of `proto.rs::decoders_survive_mutated_frames`
+        // against this decoder alone, with the one it replaced as the
+        // reference: the same facts or the same refusal, never a panic.
+        let mut rng = Rng::seed_from_u64(0xc0de_f1a7);
+        let mut corpus = vec![("by hand", honest), ("twice", twice)];
+        while corpus.len() < 12 {
+            corpus.push(("random", encoded(&random_states(&mut rng))));
+        }
+        let (mut accepted, mut rejected) = (0, 0);
+        for _ in 0..24_000 {
+            let mut bytes = rng.choose(&corpus).unwrap().1.clone();
+            mutate(&mut rng, &mut bytes, &corpus);
+            let read = decode_all::<StateRows>(&bytes);
+            let facts = read.as_ref().map(facts_of).map_err(|e| *e);
+            assert_eq!(
+                facts,
+                decode_all::<Vec<(Value, Instance)>>(&bytes),
+                "{bytes:?}"
+            );
+            match read {
+                Err(_) => rejected += 1,
+                Ok(rows) => {
+                    accepted += 1;
+                    let again = encoded(&rows);
+                    assert!(again.len() <= bytes.len(), "{bytes:?}");
+                    assert_eq!(
+                        decode_all(&again).map(|r: StateRows| encoded(&r)),
+                        Ok(again)
+                    );
+                }
+            }
+        }
+        assert!(
+            accepted > 2_000 && rejected > 2_000,
+            "accepted {accepted}, rejected {rejected}"
+        );
+    }
+}

@@ -14,7 +14,8 @@ use calm_transducer::engine::{NodeEngine, NodeStepOutcome};
 use calm_transducer::multiset::Multiset;
 use calm_transducer::network::NodeId;
 use calm_transducer::policy::{distribute, DistributionPolicy};
-use calm_transducer::runtime::{network_output, Delivery, Metrics};
+use calm_transducer::rows::StateRows;
+use calm_transducer::runtime::{Delivery, FinalStates, Metrics};
 use calm_transducer::schema::SystemConfig;
 use calm_transducer::transducer::Transducer;
 use std::collections::{BTreeMap, VecDeque};
@@ -173,8 +174,9 @@ crate::codec::wire_struct!(WorkerStats: worker, nodes, metrics, enqueued, buffer
 pub struct ThreadedRunResult {
     /// `out(R)` — the union of output facts across nodes.
     pub output: Instance,
-    /// Final per-node states (output ∪ memory facts).
-    pub states: BTreeMap<NodeId, Instance>,
+    /// Final per-node states (output ∪ memory facts), as the rows the
+    /// workers held them in.
+    pub states: FinalStates,
     /// Merged run counters (fold of the per-worker metrics, in worker
     /// order — deterministic given the per-worker values).
     pub metrics: Metrics,
@@ -318,11 +320,13 @@ pub fn run_threaded(
 /// events for executor start and termination detection.
 ///
 /// Node `i` (in network order) runs on worker `i mod W`. Each worker
-/// owns its nodes' [`Instance`] states and inboxes and a local
-/// [`Metrics`]; nothing is shared between workers but the channels (and
-/// the read-only program/policy/input). Workers step their nodes to
-/// local fixpoint, exchange fact batches, and detect global quiescence
-/// with the Safra ring in [`crate::termination`]. At join the per-worker
+/// owns its nodes — states and inboxes, rows over the worker's own symbol
+/// table — and a local [`Metrics`]; nothing is shared between workers but
+/// the channels (and the read-only program/policy/input). Workers step
+/// their nodes to local fixpoint, exchange fact batches, and detect
+/// global quiescence with the Safra ring in [`crate::termination`]. At
+/// join the workers' final states are handed over as they are and
+/// `out(R)` is united from them ([`FinalStates::output`]); the per-worker
 /// metrics are folded in worker order with [`Metrics::merge`] — the
 /// merged totals are deterministic given the per-worker values, and the
 /// *output* is deterministic for coordination-free programs by the
@@ -399,7 +403,7 @@ pub fn run_threaded_with(
     let joined = join_reports(outcomes, workers, cfg.faults.is_some(), true, 0, obs);
     let probe = tn.programs.instantiate();
     ThreadedRunResult {
-        output: network_output(&joined.states, &probe.as_dyn().schema().output),
+        output: joined.states.output(&probe.as_dyn().schema().output),
         states: joined.states,
         metrics: joined.metrics,
         per_worker: joined.per_worker,
@@ -413,7 +417,7 @@ pub fn run_threaded_with(
 /// What a run on either engine comes out as: the fold of its workers'
 /// final reports.
 pub(crate) struct Joined {
-    pub(crate) states: BTreeMap<NodeId, Instance>,
+    pub(crate) states: FinalStates,
     pub(crate) metrics: Metrics,
     pub(crate) per_worker: Vec<WorkerStats>,
     pub(crate) quiescent: bool,
@@ -439,9 +443,10 @@ const FAULT_SUMMARY: [&str; 7] = [
 /// merged totals are a function of the per-worker values alone — and
 /// report the run to `obs` (`net/termination`, the fault counters and
 /// `net/fault_summary` when the run was `faulted`, `net/wire.bytes`,
-/// `runtime/run_summary`). `complete` is false when some worker never
-/// reported, which forfeits quiescence; `deaths` counts worker
-/// processes lost on the way (each one a crash, absorbed or not).
+/// `net/final.rows`, `runtime/run_summary`). The workers' final states
+/// are kept as they came, one part per report. `complete` is false when
+/// some worker never reported, which forfeits quiescence; `deaths` counts
+/// worker processes lost on the way (each one a crash, absorbed or not).
 pub(crate) fn join_reports(
     mut reports: Vec<FinalReport>,
     workers: usize,
@@ -451,8 +456,9 @@ pub(crate) fn join_reports(
     obs: &Obs,
 ) -> Joined {
     reports.sort_by_key(|r| r.stats.worker);
+    let mut parts = Vec::with_capacity(reports.len());
     let mut j = Joined {
-        states: BTreeMap::new(),
+        states: FinalStates::default(),
         metrics: Metrics::default(),
         per_worker: Vec::with_capacity(reports.len()),
         quiescent: complete,
@@ -468,10 +474,14 @@ pub(crate) fn join_reports(
         for (link, counters) in &report.stats.link_counters {
             j.link_counters.entry(*link).or_default().merge(counters);
         }
-        j.states.extend(report.states);
+        parts.push(report.states);
         j.per_worker.push(report.stats);
     }
     j.faults.crashes += deaths;
+    let states = parts.iter().flat_map(|part: &StateRows| &part.nodes);
+    let rows: usize = states.map(|(_, state)| state.len()).sum();
+    obs.counter("net", "final.rows", rows as u64);
+    j.states = FinalStates::new(parts, obs);
 
     let (quiescent, faults) = (j.quiescent, j.faults);
     let token_passes: u64 = j.per_worker.iter().map(|w| w.token_passes).sum();
@@ -1326,8 +1336,10 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// Take the worker apart into its final report.
+    /// Take the worker apart into its final report: accounting, and
+    /// every node's state as the rows it is.
     fn finish(mut self) -> WorkerOutcome {
+        let _span = self.phase("worker.finish");
         let Shard {
             slots,
             metrics,
@@ -1355,10 +1367,12 @@ impl<'a> Worker<'a> {
         stats.nodes = slots.iter().map(|s| node_ids[s.global].clone()).collect();
         stats.buffered = slots.iter().map(|s| s.node.buffered()).sum();
         stats.metrics = metrics;
-        let states = slots
-            .into_iter()
-            .map(|s| (node_ids[s.global].clone(), s.node.into_parts().0))
-            .collect();
+        let states = StateRows {
+            symbols: self.fab.symbols.clone(),
+            nodes: (slots.into_iter())
+                .map(|s| (node_ids[s.global].clone(), s.node.into_rows().0))
+                .collect(),
+        };
         WorkerOutcome {
             report: FinalReport {
                 states,
@@ -1424,12 +1438,10 @@ mod tests {
         sent.attempts = n;
         let shared = stats.link_counters.entry((0, 1)).or_default();
         shared.delivered = n;
+        let state = Instance::from_facts([fact("T", [k as i64, 1])]);
         FinalReport {
             stats,
-            states: vec![(
-                Value::Int(k as i64),
-                Instance::from_facts([fact("T", [k as i64, 1])]),
-            )],
+            states: crate::codec::tests::rows_of(&[(Value::Int(k as i64), state)]),
             clean: true,
         }
     }
@@ -1523,7 +1535,8 @@ mod tests {
             assert_eq!(j.metrics, base.metrics, "{order:?}");
             assert_eq!(j.faults, base.faults, "{order:?}");
             assert_eq!(j.link_counters, base.link_counters, "{order:?}");
-            assert_eq!(j.states, base.states, "{order:?}");
+            let (states, base) = (j.states.materialize(), base.states.materialize());
+            assert_eq!(states, base, "{order:?}");
             let workers: Vec<usize> = j.per_worker.iter().map(|w| w.worker).collect();
             assert_eq!(workers, [0, 1, 2], "{order:?}");
         }

@@ -24,17 +24,15 @@
 //! produces a dump, not a hang.
 
 use super::proto::{
-    decode_ctrl, encode_ctrl, Assign, CtrlMsg, FinalReport, JobSpec, PROTOCOL_VERSION,
+    decode_ctrl, encode_ctrl, is_final, Assign, CtrlMsg, FinalReport, JobSpec, PROTOCOL_VERSION,
 };
 use super::{frame, NetError};
 use crate::executor::{join_reports, Msg};
 use crate::faults::FaultStats;
 use crate::reliable::LinkCounters;
 use crate::WorkerStats;
-use calm_common::instance::Instance;
 use calm_obs::{ArgValue, Obs};
-use calm_transducer::network::NodeId;
-use calm_transducer::runtime::Metrics;
+use calm_transducer::runtime::{FinalStates, Metrics};
 use std::collections::BTreeMap;
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
@@ -139,11 +137,13 @@ pub type Spawner<'a> = dyn Fn(usize, &str) -> Result<SpawnHandle, String> + 'a;
 /// The result of a process-engine run. Same accounting as
 /// [`ThreadedRunResult`](crate::ThreadedRunResult) minus the output
 /// instance: the transport is program-agnostic, so the caller (which
-/// knows the output schema) projects `out(R)` from `states`.
+/// knows the output schema) asks `states` for `out(R)`
+/// ([`FinalStates::output`]).
 #[derive(Debug)]
 pub struct ProcessRunResult {
-    /// Final per-node states (missing the nodes of failed workers).
-    pub states: BTreeMap<NodeId, Instance>,
+    /// Final per-node states (missing the nodes of failed workers), as
+    /// the rows each `Final` frame was read into.
+    pub states: FinalStates,
     /// Merged run counters (fold of per-worker metrics in worker
     /// order).
     pub metrics: Metrics,
@@ -364,14 +364,16 @@ fn lock_writers(
 /// One worker's relay reader: decode frames and forward. `Route`
 /// frames go straight onto the destination's write queue (single
 /// reader per source + in-order queue append = per-link FIFO through
-/// the star). `Final` goes to the collector. Any transport or protocol
-/// error ends the stream and reports `Gone`.
+/// the star). `Final` — read into rows here, on the source's own thread,
+/// under the span `net/final.decode` — goes to the collector. Any
+/// transport or protocol error ends the stream and reports `Gone`.
 fn relay_reader(
     src: usize,
     incarnation: u64,
     mut stream: TcpStream,
     writers: Arc<Mutex<Vec<Sender<Vec<u8>>>>>,
     events: Sender<Event>,
+    obs: Obs,
 ) {
     let why = loop {
         let payload = match frame::read_frame(&mut stream) {
@@ -379,6 +381,10 @@ fn relay_reader(
             Err(frame::FrameError::Closed) => break "closed".to_string(),
             Err(e) => break e.to_string(),
         };
+        let _span = is_final(&payload).then(|| {
+            obs.counter("net", "final.bytes", payload.len() as u64);
+            obs.span_on("net", src as u32 + 1, || "final.decode".to_string())
+        });
         match decode_ctrl(&payload) {
             Ok(CtrlMsg::Route { dst, msg }) => {
                 if matches!(msg, Msg::Terminate) {
@@ -667,8 +673,9 @@ impl<'a> Supervisor<'a> {
         self.writer_threads.push(writer);
         let table = self.writers.clone();
         let events = self.events_tx.clone().expect("held while workers join");
+        let obs = self.obs.clone();
         let reader =
-            std::thread::spawn(move || relay_reader(k, incarnation, stream, table, events));
+            std::thread::spawn(move || relay_reader(k, incarnation, stream, table, events, obs));
         self.reader_threads.push(reader);
         self.last_seen[k] = Instant::now();
         Ok(())
@@ -1064,7 +1071,7 @@ mod tests {
     fn a_position_owes_its_final_until_it_reports_is_adopted_or_fails() {
         let report = || FinalReport {
             stats: WorkerStats::default(),
-            states: Vec::new(),
+            states: Default::default(),
             clean: true,
         };
         let mut finals: Vec<Option<FinalReport>> = (0..4).map(|_| None).collect();

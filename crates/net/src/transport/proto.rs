@@ -54,9 +54,8 @@ use crate::executor::Msg;
 use crate::reliable::{NodeSnapshot, Wire};
 use crate::wirefmt::{Reader, WireError};
 use crate::WorkerStats;
-use calm_common::instance::Instance;
 use calm_common::storage::EvalMetrics;
-use calm_transducer::network::NodeId;
+use calm_transducer::rows::StateRows;
 use calm_transducer::runtime::Metrics;
 use calm_transducer::strategy::MessageClassCounts;
 
@@ -157,8 +156,9 @@ pub struct FinalReport {
     /// Per-worker accounting (metrics, token passes, fault counters,
     /// wire bytes).
     pub stats: WorkerStats,
-    /// Final state of every node this worker owned.
-    pub states: Vec<(NodeId, Instance)>,
+    /// Final state of every node this worker owned, in the rows the
+    /// worker held them in. On the wire a `Vec<(NodeId, Instance)>`.
+    pub states: StateRows,
     /// No pending inbox facts, every node at local fixpoint, no retry
     /// exhaustion, transport link intact.
     pub clean: bool,
@@ -382,6 +382,12 @@ pub(crate) fn encode_ctrl(msg: &CtrlMsg) -> Vec<u8> {
     out
 }
 
+/// Whether a frame payload says it is a worker's final report — the one
+/// frame whose decoding is worth a span.
+pub(crate) fn is_final(payload: &[u8]) -> bool {
+    payload.first() == Some(&TAG_FINAL)
+}
+
 /// Decode one frame payload. Strict: unknown tags, truncation and
 /// trailing bytes are all errors.
 pub(crate) fn decode_ctrl(bytes: &[u8]) -> Result<CtrlMsg, WireError> {
@@ -415,12 +421,16 @@ pub(crate) fn decode_snapshot_blob(bytes: &[u8]) -> Result<(NodeSnapshot, u64, u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::tests::rows_of;
     use crate::reliable::{LinkCounters, NodeLinks, OutEntry};
     use crate::termination::Token;
     use crate::wirefmt::{self, put_bytes, put_value, put_varint};
     use calm_common::fact::{fact, Fact};
+    use calm_common::instance::Instance;
     use calm_common::value::Value;
+    use calm_obs::Obs;
     use calm_transducer::multiset::Multiset;
+    use calm_transducer::runtime::FinalStates;
     use std::collections::{BTreeMap, BTreeSet};
     use std::sync::Arc;
 
@@ -753,7 +763,7 @@ mod tests {
         let (stats, state) = final_fixture();
         let report = FinalReport {
             stats: stats.clone(),
-            states: vec![(Value::Int(2), state.clone())],
+            states: rows_of(&[(Value::Int(2), state.clone())]),
             clean: true,
         };
         match round(&CtrlMsg::Final(report)) {
@@ -768,9 +778,8 @@ mod tests {
                 assert_eq!(f.stats.faults, stats.faults);
                 assert_eq!(f.stats.link_counters, stats.link_counters);
                 assert_eq!(f.stats.wire_bytes, 900);
-                assert_eq!(f.states.len(), 1);
-                assert_eq!(f.states[0].0, Value::Int(2));
-                assert_eq!(f.states[0].1, state);
+                let states = FinalStates::new(vec![f.states], &Obs::noop()).materialize();
+                assert_eq!(states, BTreeMap::from([(Value::Int(2), state)]));
             }
             _ => panic!("wrong tag"),
         }
@@ -846,7 +855,7 @@ mod tests {
                 "final",
                 encode_ctrl(&CtrlMsg::Final(FinalReport {
                     stats,
-                    states: vec![(Value::Int(2), state)],
+                    states: rows_of(&[(Value::Int(2), state)]),
                     clean: true,
                 })),
             ),
@@ -966,47 +975,23 @@ mod tests {
         }
     }
 
-    /// The control plane's mutation target (ROADMAP 3(c)), in the shape of
-    /// `parser.rs::scanner_is_the_reference_on_mutated_bytes`: seeded
-    /// insert / delete / bit-flip / splice over the corpus, hostile
-    /// varints among the inserted bytes (a length used before it is
-    /// checked against what is left would abort or overflow a capacity
-    /// here). Nothing panics; what decodes re-encodes to at most the
-    /// input's length — no value is larger than the bytes that made it —
-    /// and to a fixed point: decoding that and encoding again gives the
-    /// same bytes, so the two values are equal.
+    /// The control plane's mutation target (ROADMAP 3(c)): seeded insert
+    /// / delete / bit-flip / splice over the corpus, hostile varints among
+    /// the inserted bytes (`codec::tests::mutate`). Nothing panics; what
+    /// decodes re-encodes to at most the input's length — no value is
+    /// larger than the bytes that made it — and to a fixed point: decoding
+    /// that and encoding again gives the same bytes, so the two values are
+    /// equal.
     #[test]
     fn decoders_survive_mutated_frames() {
         use calm_common::rng::Rng;
-        let hostile: Vec<Vec<u8>> = [0, 1, 2, 0x7f, 0x80, 0xff]
-            .iter()
-            .map(|&b| vec![b])
-            .chain([1 << 32, 1 << 40, 1 << 62, 1 << 63, u64::MAX].map(|v| {
-                let mut out = Vec::new();
-                put_varint(&mut out, v);
-                out
-            }))
-            .collect();
         let corpus = corpus();
         let mut rng = Rng::seed_from_u64(0xc0de_c0de);
         let (mut accepted, mut rejected) = (0, 0);
         for _ in 0..24_000 {
             let (name, frame) = rng.choose(&corpus).unwrap();
             let mut bytes = frame.clone();
-            for _ in 0..rng.gen_range(1..=3usize) {
-                let at = rng.gen_range(0..=bytes.len());
-                match rng.gen_range(0..4u32) {
-                    0 => drop(bytes.splice(at..at, rng.choose(&hostile).unwrap().iter().copied())),
-                    1 if at < bytes.len() => drop(bytes.remove(at)),
-                    2 if at < bytes.len() => bytes[at] ^= 1 << rng.gen_range(0..8u32),
-                    _ => {
-                        let other = &rng.choose(&corpus).unwrap().1;
-                        let from = rng.gen_range(0..=other.len());
-                        let to = rng.gen_range(from..=other.len());
-                        bytes.splice(at..at, other[from..to].iter().copied());
-                    }
-                }
-            }
+            crate::codec::tests::mutate(&mut rng, &mut bytes, &corpus);
             let recode = |bytes: &[u8]| -> Result<Vec<u8>, WireError> {
                 if name.starts_with("blob") {
                     decode_snapshot_blob(bytes).map(|(s, t, n)| encode_snapshot_blob(&s, t, n))

@@ -329,6 +329,7 @@ pub fn run_net_worker(
     // the coordinator has already counted us down.
     let report = CtrlMsg::Final(outcome.report);
     {
+        let _span = setup.obs.span("net", || "final.encode".to_string());
         let mut stream = ports.writer.lock().expect("writer mutex");
         let _ = write_frame(&mut *stream, &encode_ctrl(&report));
         let _ = stream.shutdown(std::net::Shutdown::Both);

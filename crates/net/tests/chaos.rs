@@ -135,7 +135,7 @@ fn assert_chaos_confluent(
             // never-interrupted sequential node does (the send marks
             // `s_R`, `sf_R`, `sb_R`, … are memory).
             assert_eq!(
-                thr.states,
+                thr.states.materialize(),
                 seq.config().state,
                 "{tag}: a node's final state differs from the sequential oracle"
             );
@@ -275,7 +275,7 @@ fn chaos_with_data_parallel_node_fixpoints_matches_the_oracle() {
             );
             // Per node, as in `assert_chaos_confluent`.
             assert_eq!(
-                thr.states,
+                thr.states.materialize(),
                 seq.config().state,
                 "{tag}: a node's final state differs from the sequential oracle"
             );
@@ -326,7 +326,8 @@ fn a_crashed_node_steps_on_from_its_snapshot_alone() {
             let tag = format!("{label} seed {seed}");
             assert!(thr.quiescent, "{tag}");
             assert!(thr.faults.crashes >= 2, "{tag}: the crash points fired");
-            assert_eq!(thr.states, seq.config().state, "{tag}: per-node states");
+            let states = thr.states.materialize();
+            assert_eq!(states, seq.config().state, "{tag}: per-node states");
             assert!(
                 thr.metrics.messages_sent >= seq.metrics.messages_sent,
                 "{tag}: a rolled-back node sends again what its snapshot had not marked"

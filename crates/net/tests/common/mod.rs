@@ -84,9 +84,9 @@ pub fn spec_for(strategy: &str, nodes: usize, faults: Option<String>) -> JobSpec
     }
 }
 
-/// Project `out(R)` from the collected states, exactly as the threaded
+/// `out(R)` of the collected states, united exactly as the threaded
 /// engine's join does (the transport is program-agnostic, so the
 /// output schema lives with the caller).
 pub fn project_output(t: &dyn Transducer, r: &ProcessRunResult) -> Instance {
-    calm_transducer::network_output(&r.states, &t.schema().output)
+    r.states.output(&t.schema().output)
 }

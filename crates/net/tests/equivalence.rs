@@ -21,7 +21,7 @@ use calm_net::{run_threaded, Programs, ThreadedConfig, ThreadedNetwork, Threaded
 use calm_queries::qtc::qtc_datalog;
 use calm_queries::tc::{edges_without_source_loop, tc_datalog};
 use calm_transducer::{
-    expected_output, run, DisjointStrategy, DistinctStrategy, DistributionPolicy,
+    expected_output, network_output, run, DisjointStrategy, DistinctStrategy, DistributionPolicy,
     DomainGuidedPolicy, HashPolicy, MonotoneBroadcast, Network, Scheduler, SystemConfig,
     Transducer, TransducerNetwork,
 };
@@ -90,6 +90,13 @@ fn assert_confluent(
         assert_eq!(
             thr.output, seq.output,
             "{label}: threaded x{workers} output differs from sequential"
+        );
+        // `output` was united from rows: the specification projects it
+        // from every node's state as facts.
+        assert_eq!(
+            thr.output,
+            network_output(&thr.states.materialize(), &t.schema().output),
+            "{label}: threaded x{workers} output is not out(R) of its states"
         );
         check_conservation(&thr, &format!("{label} x{workers}"));
     }

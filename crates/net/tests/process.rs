@@ -103,7 +103,8 @@ fn assert_process_confluent(strategy: &'static str, nodes: usize, input: &Instan
             r.metrics.messages_sent, r.metrics.messages_delivered,
             "{tag}: merged conservation"
         );
-        assert_eq!(r.states.len(), nodes, "{tag}: every node reported a state");
+        let reported = r.states.materialize().len();
+        assert_eq!(reported, nodes, "{tag}: every node reported a state");
     }
 }
 

@@ -139,7 +139,7 @@ fn assert_recovery_confluent(
             // still end exactly where the sequential node ends — send
             // marks (`s_R`, `sf_R`, `sb_R`, …) included.
             assert_eq!(
-                r.states,
+                r.states.materialize(),
                 seq.config().state,
                 "{tag}: a node's final state differs from the sequential oracle"
             );
@@ -319,7 +319,8 @@ fn budget_exhaustion_adopts_the_shard_and_still_converges() {
         "adopted shard diverged from the oracle"
     );
     assert_eq!(
-        r.states, seq.config().state,
+        r.states.materialize(),
+        seq.config().state,
         "every node — adopted ones rebuilt from their snapshot state — ends where the oracle's does"
     );
 }

@@ -153,6 +153,16 @@ pub struct Obs {
     inner: Option<Arc<ObsInner>>,
 }
 
+impl std::fmt::Debug for Obs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(if self.enabled() {
+            "Obs(live)"
+        } else {
+            "Obs(noop)"
+        })
+    }
+}
+
 impl Obs {
     /// The disabled handle: every operation compiles to an `Option`
     /// check. This is what un-traced callers pass.

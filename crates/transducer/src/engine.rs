@@ -29,7 +29,8 @@
 //! [`NodeEngine::pending`], [`NodeEngine::into_parts`],
 //! [`NodeEngine::enqueue_batch`], a sampled delivery, the traced
 //! `new_output` — and nowhere else: no symbol is in a snapshot, on the
-//! wire or in a configuration (DESIGN §17).
+//! wire or in a configuration (DESIGN §17). A run's end takes the node
+//! apart in rows ([`NodeEngine::into_rows`]).
 //!
 //! The engine *is* the node: it keeps `D` (without `M`) across
 //! transitions, so a transition costs what it delivers, not what the
@@ -381,8 +382,8 @@ impl<'a> NodeEngine<'a> {
     }
 
     /// The node taken apart, still in rows over its table: `(s(x),
-    /// b(x))`.
-    pub(crate) fn into_rows(mut self) -> (Storage, Inbox) {
+    /// b(x))` — how a run's end takes it ([`crate::rows::StateRows`]).
+    pub fn into_rows(mut self) -> (Storage, Inbox) {
         let symbols = self.symbols.clone();
         self.keep_state_only(&symbols.read());
         (self.d, self.inbox)

@@ -48,10 +48,10 @@ pub use policy::{
     ParityDomainGuidedPolicy, ParityFirstAttributePolicy, RangePolicy, ReplicatedDomainPolicy,
 };
 pub use proof_replay::{replay_no_all_indistinguishability, replay_policy_surgery, ReplayOutcome};
-pub use rows::Batch;
+pub use rows::{Batch, StateRows};
 pub use runtime::{
-    network_output, run, run_with, transition, verify_computes, Configuration, Delivery, Metrics,
-    RunResult, Scheduler, TransducerNetwork, DEFAULT_DELIVER_P,
+    network_output, run, run_with, transition, verify_computes, Configuration, Delivery,
+    FinalStates, Metrics, RunResult, Scheduler, TransducerNetwork, DEFAULT_DELIVER_P,
 };
 pub use schema::{policy_relation, SystemConfig, TransducerSchema};
 pub use strategy::{

@@ -1,7 +1,8 @@
 //! What a node holds and moves between transitions, as interned rows:
 //! a [`Batch`] of message rows (one send, one decoded wire batch, the
 //! node's input fragment), the [`Inbox`] of batches waiting to be
-//! delivered, and [`SymSet`], a set of values.
+//! delivered, [`SymSet`], a set of values, and [`StateRows`], the final
+//! states of an engine instance's nodes.
 //!
 //! Every [`Sym`] and [`RelId`] here is an index into the one
 //! [`SymbolTable`] of the engine instance the node runs in — a
@@ -9,11 +10,12 @@
 //! nothing outside it: rows never go on the wire, into a snapshot or
 //! into a [`crate::runtime::Configuration`]. [`Batch::intern`] and
 //! [`Batch::add_to`] are the two conversions, called at the node's
-//! edges only (DESIGN §17).
+//! edges only (DESIGN §17). [`StateRows`] carries its table with it.
 
 use crate::multiset::Multiset;
+use crate::network::NodeId;
 use calm_common::fact::Fact;
-use calm_common::storage::{RelId, Sym, SymbolTable};
+use calm_common::storage::{RelId, SharedSymbols, Storage, Sym, SymbolTable};
 use calm_common::value::Value;
 use std::sync::Arc;
 
@@ -158,11 +160,26 @@ pub(crate) fn values_of(table: &SymbolTable, row: &[Sym]) -> Vec<Value> {
     row.iter().map(|&s| table.value(s).clone()).collect()
 }
 
+/// The final `s(x)` of the nodes of one engine instance — a
+/// [`crate::runtime::run_with`] call, a `calm-net` worker, one decoded
+/// final report — as the instance held them: each node's rows over the
+/// relations of `Υout ∪ Υmem` ([`crate::engine::NodeEngine::into_rows`]),
+/// all over the one table `symbols`. What a run hands over when it
+/// ends; facts are made of it only for a caller that asks
+/// ([`crate::runtime::FinalStates`]).
+#[derive(Debug, Clone, Default)]
+pub struct StateRows {
+    /// The table every row of `nodes` is over.
+    pub symbols: SharedSymbols,
+    /// Each node with its state.
+    pub nodes: Vec<(NodeId, Storage)>,
+}
+
 /// `b(x)`: the batches sent to a node and not yet delivered, each
 /// behind the handle its sender made, and how many occurrences they hold
 /// together — enqueueing is a push, and the depth is a read.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Inbox {
+pub struct Inbox {
     batches: Vec<Arc<Batch>>,
     buffered: usize,
 }

@@ -5,7 +5,7 @@ use crate::engine::NodeEngine;
 use crate::multiset::Multiset;
 use crate::network::NodeId;
 use crate::policy::{distribute, DistributionPolicy};
-use crate::rows::Inbox;
+use crate::rows::{values_of, Inbox, StateRows};
 use crate::schema::SystemConfig;
 use crate::strategy::MessageClassCounts;
 use crate::transducer::Transducer;
@@ -14,7 +14,7 @@ use calm_common::instance::Instance;
 use calm_common::rng::Rng;
 use calm_common::schema::Schema;
 use calm_common::storage::{
-    store_to_instance, store_to_instance_restricted, SharedSymbols, Storage,
+    relations_by_name, store_to_instance, CanonicalOrder, Relation, SharedSymbols, Storage, Sym,
 };
 use calm_obs::{ArgValue, Obs};
 use std::collections::BTreeMap;
@@ -262,13 +262,107 @@ fn fire(
 }
 
 /// `out(R)`: the union over `states` — every node's `s(x)` — of the
-/// facts over the `output` schema.
+/// facts over the `output` schema. The specification: the engines unite
+/// rows ([`FinalStates::output`]) and the tests hold them to this.
 pub fn network_output(states: &BTreeMap<NodeId, Instance>, output: &Schema) -> Instance {
     let mut out = Instance::new();
     for state in states.values() {
         out.extend(state.restrict(output).facts());
     }
     out
+}
+
+/// The final `s(x)` of every node of a run, in the rows the run's engine
+/// instances left them in: one [`StateRows`] from the sequential engine,
+/// one per worker from the other two. `out(R)` is united from the rows
+/// ([`FinalStates::output`]); a node's state becomes an [`Instance`] only
+/// for a caller that asks ([`FinalStates::materialize`]) — un-interning
+/// four nodes' memories costs more than a run on rows does — and is
+/// counted (`runtime/states.materialized`), so that a run's report shows
+/// that it built none.
+#[derive(Debug, Clone, Default)]
+pub struct FinalStates {
+    parts: Vec<StateRows>,
+    obs: Obs,
+}
+
+impl FinalStates {
+    /// The states `parts` hold, node sets disjoint; what is made of them
+    /// later is reported to `obs`.
+    pub fn new(parts: Vec<StateRows>, obs: &Obs) -> Self {
+        FinalStates {
+            parts,
+            obs: obs.clone(),
+        }
+    }
+
+    /// `out(R)` — [`network_output`] of the materialised states, without
+    /// them — under the span `runtime/finish`.
+    pub fn output(&self, output: &Schema) -> Instance {
+        let _span = self.obs.span("runtime", || "finish".to_string());
+        self.unite(output)
+    }
+
+    /// The rows of the relations of `output` (name and arity both
+    /// matching) of every node's state, united in one store before
+    /// anything is un-interned. The store is over a table of its own:
+    /// each part's symbols are translated by value when first seen, by
+    /// index from then on.
+    fn unite(&self, output: &Schema) -> Instance {
+        let symbols = SharedSymbols::new();
+        let mut out = Storage::new();
+        let mut row = Vec::new();
+        for part in &self.parts {
+            let (of, into) = (part.symbols.read(), &mut *symbols.write());
+            let mut syms: Vec<Option<Sym>> = vec![None; of.sym_count()];
+            for (name, arity) in output.iter() {
+                let Some(r) = of.lookup_rel(name) else {
+                    continue;
+                };
+                let to = into.rel(name);
+                let states = part.nodes.iter().filter_map(|(_, state)| state.relation(r));
+                for t in states.flat_map(Relation::live_rows) {
+                    if t.len() != arity {
+                        continue;
+                    }
+                    row.clear();
+                    row.extend(t.iter().map(|&s| {
+                        *syms[s.0 as usize].get_or_insert_with(|| into.sym(of.value(s)))
+                    }));
+                    out.insert(to, &row);
+                }
+            }
+        }
+        // Un-interned once, a relation at a time in canonical order: the
+        // set of its tuples is built from one sorted run.
+        let (table, mut order) = (&*symbols.read(), CanonicalOrder::default());
+        order.extend(table);
+        let mut united = Instance::new();
+        for (name, r) in relations_by_name(&out, table) {
+            let relation = out.relation(r).expect("a listed relation");
+            let rows = order.sorted_ids(relation, None).into_iter();
+            united.extend_relation(name, rows.map(|id| values_of(table, relation.row(id))));
+        }
+        united
+    }
+
+    /// Every node's `s(x)` as an [`Instance`], built now.
+    pub fn materialize(&self) -> BTreeMap<NodeId, Instance> {
+        let states = (self.parts.iter()).flat_map(|part| {
+            let state =
+                |(x, rows): &(NodeId, Storage)| (x.clone(), store_to_instance(rows, &part.symbols));
+            part.nodes.iter().map(state)
+        });
+        let states: BTreeMap<NodeId, Instance> = states.collect();
+        self.obs
+            .counter("runtime", "states.materialized", states.len() as u64);
+        states
+    }
+
+    /// [`FinalStates::materialize`], the states alone.
+    pub fn values(&self) -> impl Iterator<Item = Instance> {
+        self.materialize().into_values()
+    }
 }
 
 /// The result of driving a run to quiescence.
@@ -280,29 +374,23 @@ pub struct RunResult {
     pub metrics: Metrics,
     /// Whether the run reached quiescence within the transition budget.
     pub quiescent: bool,
-    /// The final `(s(x), b(x))` of every node, as the rows the run left
-    /// (the state is told from the rest by relation) over `symbols`:
-    /// [`RunResult::config`] un-interns them for a caller that asks.
-    nodes: Vec<(NodeId, Storage, Inbox)>,
+    /// The final `s(x)` of every node, as the rows the run left.
+    states: FinalStates,
+    /// The final `b(x)` of every node, over `symbols` like the states.
+    buffers: Vec<(NodeId, Inbox)>,
     symbols: SharedSymbols,
 }
 
 impl RunResult {
     /// The final configuration. Built on request: most callers read
-    /// `out(R)` and nothing else, and un-interning four nodes' memories
-    /// costs more than a run on rows does.
+    /// `out(R)` and nothing else.
     pub fn config(&self) -> Configuration {
         let table = self.symbols.read();
-        let mut config = Configuration {
-            state: BTreeMap::new(),
-            buffer: BTreeMap::new(),
-        };
-        for (x, state, buffer) in &self.nodes {
-            let state = store_to_instance(state, &self.symbols);
-            config.state.insert(x.clone(), state);
-            config.buffer.insert(x.clone(), buffer.to_multiset(&table));
+        let buffer = |(x, b): &(NodeId, Inbox)| (x.clone(), b.to_multiset(&table));
+        Configuration {
+            state: self.states.materialize(),
+            buffer: self.buffers.iter().map(buffer).collect(),
         }
-        config
     }
 }
 
@@ -485,39 +573,33 @@ pub fn run_with(
 
     metrics.report_run_summary(obs, quiescent);
 
-    // out(R): the rows of the output relations, united before they are
-    // un-interned. Nothing else of the final states is — see
-    // [`RunResult::config`].
+    // out(R) is united from the rows the nodes come apart in; nothing
+    // else of the final states is un-interned — see [`RunResult::config`].
     let _span = obs.span("runtime", || "finish".to_string());
-    let output_schema = &tn.transducer.schema().output;
-    let output_rels: Vec<_> = {
-        let table = symbols.read();
-        if obs.enabled() {
-            obs.gauge("runtime", "symbols", 0, table.sym_count() as u64);
-        }
-        (output_schema.iter())
-            .filter_map(|(name, arity)| Some((table.lookup_rel(name)?, arity)))
-            .collect()
+    if obs.enabled() {
+        let symbols = symbols.read().sym_count();
+        obs.gauge("runtime", "symbols", 0, symbols as u64);
+    }
+    let mut rows = StateRows {
+        symbols: symbols.clone(),
+        nodes: Vec::with_capacity(nodes.len()),
     };
-    let mut out = Storage::new();
-    let mut finals = Vec::with_capacity(nodes.len());
+    let mut buffers = Vec::with_capacity(nodes.len());
     for (i, (x, node)) in ids.into_iter().zip(nodes).enumerate() {
         let (state, buffer) = node.into_rows();
         if obs.enabled() {
             obs.gauge("runtime", "state_rows", i as u32 + 1, state.len() as u64);
         }
-        for &(r, arity) in &output_rels {
-            if let Some(relation) = state.relation(r) {
-                out.insert_batch(r, relation.live_rows().filter(|row| row.len() == arity));
-            }
-        }
-        finals.push((x.clone(), state, buffer));
+        rows.nodes.push((x.clone(), state));
+        buffers.push((x.clone(), buffer));
     }
+    let states = FinalStates::new(vec![rows], obs);
     RunResult {
-        output: store_to_instance_restricted(&out, &symbols, output_schema),
+        output: states.unite(&tn.transducer.schema().output),
         metrics,
         quiescent,
-        nodes: finals,
+        states,
+        buffers,
         symbols,
     }
 }
@@ -830,6 +912,35 @@ mod tests {
         assert!(config.state[&x].contains(&fact("flag", [1, 2])));
         // Output is cumulative: the probe survives flag-off transitions.
         assert!(config.state[&x].contains(&fact("out_probe", [1, 2])));
+    }
+
+    #[test]
+    fn a_run_builds_no_nodes_state_until_it_is_asked_for_the_configuration() {
+        let policy = HashPolicy::new(Network::of_size(3));
+        let t = union_transducer();
+        let tn = TransducerNetwork {
+            transducer: &t,
+            policy: &policy,
+            config: SystemConfig::ORIGINAL,
+        };
+        let report = std::sync::Arc::new(calm_obs::ReportSink::new());
+        let input = calm_common::generator::path(5);
+        let r = run_with(
+            &tn,
+            &input,
+            &Scheduler::RoundRobin,
+            1000,
+            &Obs::new(report.clone()),
+        );
+        assert_eq!(r.output, expected_out(&input));
+        assert_eq!(report.counter_total("runtime", "states.materialized"), 0);
+        // The configuration is the one the specification's transitions
+        // reach, and `out(R)` its projection.
+        let config = r.config();
+        assert_eq!(report.counter_total("runtime", "states.materialized"), 3);
+        assert_eq!(network_output(&config.state, &t.schema().output), r.output);
+        assert_eq!(r.states.materialize(), config.state);
+        assert_eq!(r.states.output(&t.schema().output), r.output);
     }
 
     #[test]
