@@ -489,6 +489,8 @@ mod tests {
             "eval/write_facts ",
             "eval/facts_read                          2\n",
             "eval/bytes_in                            15\n",
+            "eval/rows_loaded                         2\n",
+            "eval/symbols                             3\n",
             "eval/rows_written                        3\n",
             "eval/bytes_out                           24\n",
         ] {

@@ -92,13 +92,53 @@ fn checked_id(len: usize, cap: u32, what: &str) -> u32 {
     len as u32
 }
 
+/// One step of the fixed multiply-rotate hash the open-addressing tables
+/// of this module share. A table takes its index from the *top* bits,
+/// where a multiplicative hash mixes best.
+#[inline]
+fn mix(h: u64, word: u64) -> u64 {
+    (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
+}
+
+/// Where the probe sequence of hash `h` starts in a table of `slots`
+/// slots (a power of two, at least two).
+#[inline]
+fn first_slot(h: u64, slots: usize) -> usize {
+    (h >> (64 - slots.trailing_zeros())) as usize
+}
+
 /// Bidirectional interner for relation names and domain values.
+///
+/// # Layout
+///
+/// `values[s]` is the value behind symbol `s`; ids are dense and handed
+/// out in first-occurrence order. The way back is keyed on the
+/// *borrowed* form of a value, one map per variant, so that interning an
+/// occurrence builds no [`Value`]:
+///
+/// * an integer probes `ints`, an open-addressing table of `(key, id)`
+///   slots — linear probing over a power-of-two number of slots, at most
+///   half of them taken, hashed with the rows' multiply-rotate
+///   (`mix`) — no SipHash on the reader's hottest call. A fixed
+///   multiplicative hash lets crafted keys chain; that is the exposure
+///   [`Relation`]'s row table, fed the same input, already has;
+/// * a string probes `strs` by `&str`. Its `Arc<str>` is allocated once
+///   per *distinct* string and shared with `values`. This map keeps
+///   std's SipHash on purpose: its keys are text from outside the
+///   program, of any length an input cares to make them;
+/// * a Skolem term (ILOG¬ only) probes `skolems` by the whole value.
 #[derive(Debug)]
 pub struct SymbolTable {
     rel_names: Vec<RelName>,
     rel_ids: HashMap<RelName, RelId>,
     values: Vec<Value>,
-    value_ids: HashMap<Value, Sym>,
+    /// Integer → id. A free slot holds [`EMPTY`] as its id; empty until
+    /// the first integer is interned.
+    ints: Vec<(i64, u32)>,
+    /// How many slots of `ints` are taken.
+    int_count: usize,
+    strs: HashMap<Arc<str>, Sym>,
+    skolems: HashMap<Value, Sym>,
     /// Maximum number of ids handed out per namespace; `u32::MAX` in
     /// production, injectable for tests of the overflow guard.
     id_cap: u32,
@@ -110,7 +150,10 @@ impl Default for SymbolTable {
             rel_names: Vec::new(),
             rel_ids: HashMap::new(),
             values: Vec::new(),
-            value_ids: HashMap::new(),
+            ints: Vec::new(),
+            int_count: 0,
+            strs: HashMap::new(),
+            skolems: HashMap::new(),
             id_cap: u32::MAX,
         }
     }
@@ -161,18 +204,98 @@ impl SymbolTable {
 
     /// Intern a value.
     pub fn sym(&mut self, v: &Value) -> Sym {
-        if let Some(&s) = self.value_ids.get(v) {
-            return s;
+        match v {
+            Value::Int(i) => self.sym_int(*i),
+            Value::Str(s) => match self.strs.get(&**s) {
+                Some(&known) => known,
+                // The caller's allocation is the one the table keeps.
+                None => self.new_str(s.clone()),
+            },
+            Value::Skolem(_) => {
+                if let Some(&known) = self.skolems.get(v) {
+                    return known;
+                }
+                let s = self.next_sym();
+                self.values.push(v.clone());
+                self.skolems.insert(v.clone(), s);
+                s
+            }
         }
-        let s = Sym(checked_id(self.values.len(), self.id_cap, "value"));
-        self.values.push(v.clone());
-        self.value_ids.insert(v.clone(), s);
+    }
+
+    /// Intern the integer `i`: [`SymbolTable::sym`] of `Value::Int(i)`.
+    #[inline]
+    pub fn sym_int(&mut self, i: i64) -> Sym {
+        // Keep the table at most half full, counting the key about to be
+        // added (a known one merely grows it one call early).
+        if (self.int_count + 1) * 2 > self.ints.len() {
+            self.grow_ints();
+        }
+        let slot = match self.find_int(i) {
+            Ok(known) => return known,
+            Err(slot) => slot,
+        };
+        let s = self.next_sym();
+        self.values.push(Value::Int(i));
+        self.ints[slot] = (i, s.0);
+        self.int_count += 1;
         s
+    }
+
+    /// Intern the string `text`: [`SymbolTable::sym`] of
+    /// `Value::str(text)`, allocating only when `text` is new.
+    pub fn sym_str(&mut self, text: &str) -> Sym {
+        match self.strs.get(text) {
+            Some(&known) => known,
+            None => self.new_str(Arc::from(text)),
+        }
+    }
+
+    fn new_str(&mut self, text: Arc<str>) -> Sym {
+        let s = self.next_sym();
+        self.values.push(Value::Str(text.clone()));
+        self.strs.insert(text, s);
+        s
+    }
+
+    /// The id of the value about to be pushed onto `values`.
+    fn next_sym(&self) -> Sym {
+        Sym(checked_id(self.values.len(), self.id_cap, "value"))
+    }
+
+    /// Walk the probe sequence of `i`: its symbol, or the free slot that
+    /// ends the sequence. `ints` must not be empty; it is never full.
+    #[inline]
+    fn find_int(&self, i: i64) -> Result<Sym, usize> {
+        let mask = self.ints.len() - 1;
+        let mut slot = first_slot(mix(0, i as u64), self.ints.len());
+        loop {
+            match self.ints[slot] {
+                (_, EMPTY) => return Err(slot),
+                (key, id) if key == i => return Ok(Sym(id)),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Double `ints` (from nothing: 8 slots) and re-enter every key.
+    fn grow_ints(&mut self) {
+        let slots = (self.ints.len() * 2).max(8);
+        let old = std::mem::replace(&mut self.ints, vec![(0, EMPTY); slots]);
+        for entry in old.into_iter().filter(|&(_, id)| id != EMPTY) {
+            let slot = self.find_int(entry.0).expect_err("keys are distinct");
+            self.ints[slot] = entry;
+        }
     }
 
     /// Look up a value without interning it.
     pub fn lookup_sym(&self, v: &Value) -> Option<Sym> {
-        self.value_ids.get(v).copied()
+        match v {
+            Value::Int(_) if self.ints.is_empty() => None,
+            Value::Int(i) => self.find_int(*i).ok(),
+            Value::Str(s) => self.strs.get(&**s).copied(),
+            Value::Skolem(_) => self.skolems.get(v).copied(),
+        }
     }
 
     /// The value behind an interned symbol.
@@ -218,18 +341,16 @@ impl SharedSymbols {
     }
 }
 
-/// Marks a free slot of [`Relation`]'s id table. Never a row id: the
-/// row-id guard hands out at most `u32::MAX` ids, `0..u32::MAX`.
+/// Marks a free slot of [`Relation`]'s id table and of
+/// [`SymbolTable`]'s integer table. Never an id: the capacity guards hand
+/// out at most `u32::MAX` ids, `0..u32::MAX`.
 const EMPTY: u32 = u32::MAX;
 
-/// The fixed multiply-rotate hash of a row, seeded with its length so
-/// that `(0)` and `(0,0)` start apart. The table index is taken from
-/// the *top* bits, where a multiplicative hash mixes best.
+/// The hash of a row ([`mix`] over its symbols), seeded with its length
+/// so that `(0)` and `(0,0)` start apart.
 #[inline]
 fn hash_row(row: &[Sym]) -> u64 {
-    row.iter().fold(row.len() as u64, |h, s| {
-        (h.rotate_left(5) ^ u64::from(s.0)).wrapping_mul(0x517c_c1b7_2722_0a95)
-    })
+    (row.iter()).fold(row.len() as u64, |h, s| mix(h, u64::from(s.0)))
 }
 
 /// One relation's rows: deduplicated, in insertion order, with
@@ -338,7 +459,7 @@ impl Relation {
     #[inline]
     fn find(&self, h: u64, t: &[Sym]) -> Result<u32, usize> {
         let mask = self.table.len() - 1;
-        let mut slot = (h >> (64 - self.table.len().trailing_zeros())) as usize;
+        let mut slot = first_slot(h, self.table.len());
         loop {
             match self.table[slot] {
                 EMPTY => return Err(slot),
@@ -354,15 +475,30 @@ impl Relation {
         let mut table = std::mem::take(&mut self.table);
         table.clear();
         table.resize(slots, EMPTY);
-        let (mask, shift) = (slots - 1, 64 - slots.trailing_zeros());
+        let mask = slots - 1;
         for id in self.rows() {
-            let mut slot = (hash_row(self.row(id)) >> shift) as usize;
+            let mut slot = first_slot(hash_row(self.row(id)), slots);
             while table[slot] != EMPTY {
                 slot = (slot + 1) & mask;
             }
             table[slot] = id;
         }
         self.table = table;
+    }
+
+    /// Make room for `rows` more rows of `arity` columns each: the arena
+    /// and the per-row vectors are reserved and the id table is rebuilt
+    /// once at the size those rows will need, instead of at every
+    /// doubling on the way there. A hint — more rows, or wider ones, grow
+    /// the relation as they always did.
+    pub fn reserve(&mut self, rows: usize, arity: usize) {
+        self.syms.reserve(rows.saturating_mul(arity));
+        self.starts.reserve(rows);
+        self.counts.reserve(rows);
+        let slots = ((self.starts.len() + rows) * 2).next_power_of_two();
+        if slots > self.table.len().max(8) {
+            self.rebuild_table(slots);
+        }
     }
 
     /// Insert a row; returns `true` when new *or revived*. Retracting a
@@ -999,8 +1135,11 @@ fn export(storage: &Storage, symbols: &SharedSymbols, schema: Option<&Schema>) -
 /// are extended, not rebuilt, when it does.
 #[derive(Debug, Default)]
 pub struct CanonicalOrder {
-    /// The first `rank.len()` symbols of the table in [`Value`] order.
+    /// The first `rank.len()` symbols of the table in [`Value`] order:
+    /// the integers, then the strings and the Skolem terms.
     by_value: Vec<Sym>,
+    /// How many of `by_value` are integers.
+    ints: usize,
     /// `rank[s]`: the position of symbol `s` in `by_value`.
     rank: Vec<u32>,
 }
@@ -1012,12 +1151,30 @@ impl CanonicalOrder {
         if known == table.sym_count() {
             return;
         }
+        // `Int < Str < Skolem`: the integers are ranked among themselves,
+        // by key — pairs sorted in place, not a `Value::cmp` through the
+        // table per comparison — and everything else above them.
+        let key = |s: Sym| match table.value(s) {
+            Value::Int(i) => Some((*i, s)),
+            _ => None,
+        };
         // Symbol ids passed the interning guard: they fit a `u32`.
-        (self.by_value).extend((known..table.sym_count()).map(|i| Sym(i as u32)));
-        // A sorted run followed by the newcomers: what a merge sort is
-        // quickest on.
-        self.by_value
-            .sort_by(|&a, &b| table.value(a).cmp(table.value(b)));
+        let new = (known..table.sym_count()).map(|i| Sym(i as u32));
+        let mut rest = self.by_value.split_off(self.ints);
+        let mut ints: Vec<(i64, Sym)> = self.by_value.drain(..).filter_map(key).collect();
+        for s in new {
+            match key(s) {
+                Some(pair) => ints.push(pair),
+                None => rest.push(s),
+            }
+        }
+        // A sorted run followed by the newcomers, both times: what a
+        // merge sort is quickest on.
+        ints.sort();
+        rest.sort_by(|&a, &b| table.value(a).cmp(table.value(b)));
+        self.ints = ints.len();
+        self.by_value.extend(ints.iter().map(|&(_, s)| s));
+        self.by_value.append(&mut rest);
         self.rank.resize(self.by_value.len(), 0);
         for (position, s) in self.by_value.iter().enumerate() {
             self.rank[s.0 as usize] = position as u32;
@@ -1102,7 +1259,11 @@ impl SymbolText {
         use std::io::Write as _;
         // Symbol ids passed the interning guard: they fit a `u32`.
         for s in (self.text_end.len()..table.sym_count()).map(|i| Sym(i as u32)) {
-            write!(self.text, "{}", table.value(s)).expect("writing to memory");
+            match table.value(s) {
+                Value::Int(i) => push_decimal(&mut self.text, *i),
+                Value::Str(text) => self.text.extend_from_slice(text.as_bytes()),
+                term => write!(self.text, "{term}").expect("writing to memory"),
+            }
             self.text_end.push(self.text.len());
         }
     }
@@ -1112,6 +1273,26 @@ impl SymbolText {
         let start = i.checked_sub(1).map_or(0, |prev| self.text_end[prev]);
         &self.text[start..self.text_end[i]]
     }
+}
+
+/// Append `i` as `Display` writes it, without the formatter: digits from
+/// the least significant into a buffer as long as `i64::MIN`, then copied.
+fn push_decimal(out: &mut Vec<u8>, i: i64) {
+    let mut digits = [0u8; 20];
+    let (mut at, mut left) = (digits.len(), i.unsigned_abs());
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (left % 10) as u8;
+        left /= 10;
+        if left == 0 {
+            break;
+        }
+    }
+    if i < 0 {
+        at -= 1;
+        digits[at] = b'-';
+    }
+    out.extend_from_slice(&digits[at..]);
 }
 
 /// Sort row ids by the rank tuples of their rows — `arity` columns each,
@@ -1349,10 +1530,34 @@ mod tests {
     fn interning_capacity_guard_only_fires_for_fresh_ids() {
         let mut t = SymbolTable::with_id_capacity(2);
         let a = t.sym(&v(1));
-        t.sym(&v(2));
-        // Re-interning existing values allocates no id: no panic.
+        let b = t.sym_str("b");
+        // Re-interning existing values allocates no id: no panic, through
+        // any door.
         assert_eq!(t.sym(&v(1)), a);
+        assert_eq!(t.sym_int(1), a);
+        assert_eq!(t.sym(&Value::str("b")), b);
+        assert_eq!(t.sym_str("b"), b);
         assert_eq!(t.sym_count(), 2);
+        // A fresh value trips the guard, through any door, and leaves the
+        // table as it was.
+        let fresh: [fn(&mut SymbolTable) -> Sym; 4] = [
+            |t| t.sym_int(2),
+            |t| t.sym_str("c"),
+            |t| t.sym(&v(2)),
+            |t| t.sym(&Value::skolem("f", vec![v(1)])),
+        ];
+        for door in fresh {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| door(&mut t)));
+            let message = *caught.unwrap_err().downcast::<String>().unwrap();
+            assert!(
+                message.contains("interning capacity exhausted"),
+                "{message}"
+            );
+            assert_eq!(t.sym_count(), 2);
+            assert_eq!(t.lookup_sym(&v(2)), None);
+            assert_eq!(t.lookup_sym(&Value::str("c")), None);
+            assert_eq!((t.sym_int(1), t.sym_str("b")), (a, b));
+        }
     }
 
     #[test]

@@ -154,6 +154,53 @@ fn printer_writes_what_the_instance_edge_prints() {
 }
 
 #[test]
+fn printer_ranks_and_renders_integers_from_their_keys() {
+    // Integers are ranked by key below everything else and rendered
+    // without `Display`: every length of literal up to both ends of
+    // `i64`, interned in an order that is not theirs, among strings that
+    // read as integers and Skolem terms over both. Half of the pool is
+    // printed, then the other half arrives — integers below, between and
+    // above the ranked ones, strings among the strings — under the same
+    // printer.
+    let mut pool: Vec<Value> = [0, 1, -1, 9, 10, -10, 99, i64::MAX, i64::MIN, i64::MIN + 1]
+        .into_iter()
+        .chain((1..19).flat_map(|digits| [10i64.pow(digits), -(10i64.pow(digits)) + 1]))
+        .map(v)
+        .collect();
+    for text in ["", "0", "-1", "10", "9", "9223372036854775807", "a"] {
+        pool.push(Value::str(text));
+        pool.push(Value::skolem(
+            "f",
+            vec![Value::str(text), v(text.len() as i64 - 3)],
+        ));
+    }
+    let mut lines = 0;
+    for seed in 0..60u64 {
+        let mut rng = Rng::seed_from_u64(seed ^ 0x1d16);
+        rng.shuffle(&mut pool);
+        let symbols = SharedSymbols::new();
+        let mut st = Storage::new();
+        let e = symbols.write().rel("E");
+        let mut printer = FactPrinter::new(symbols.clone());
+        let schema = Schema::from_pairs([("E", rng.gen_range(1..=2usize))]);
+        for known in [pool.len() / 2, pool.len()] {
+            for _ in 0..150 {
+                let row: SymTuple = (0..rng.gen_range(1..=2usize))
+                    .map(|_| symbols.write().sym(rng.choose(&pool[..known]).unwrap()))
+                    .collect();
+                st.insert(e, &row);
+            }
+            let want = reference(&st, &symbols, &schema);
+            assert_eq!(printed(&mut printer, &st, &schema), want, "seed {seed}");
+            let mut rebuilt = FactPrinter::new(symbols.clone());
+            assert_eq!(printed(&mut rebuilt, &st, &schema), want, "seed {seed}");
+            lines += want.lines().count();
+        }
+    }
+    assert!(lines > 5_000, "{lines} lines");
+}
+
+#[test]
 fn the_canonical_order_walks_a_whole_store_as_instance_iterates_it() {
     // The printer asks for one arity of a relation; the second caller (a
     // `calm-net` final report) for all of them at once — `E(2)` before

@@ -167,7 +167,8 @@ fn relation_agrees_with_the_reference_model() {
             }
             // Random maintenance: move the watermark, compact (after
             // the retractions and revivals above), clear — the built
-            // indexes survive and keep being maintained — or nothing.
+            // indexes survive and keep being maintained — reserve, or
+            // nothing.
             match rng.gen_u64() % 7 {
                 0 | 1 => {
                     rel.mark_delta();
@@ -178,6 +179,8 @@ fn relation_agrees_with_the_reference_model() {
                     rel.clear();
                     model = Model::default();
                 }
+                // Room made ahead of the rows is no change to any read.
+                5 => rel.reserve((rng.gen_u64() % 300) as usize, max_arity as usize),
                 _ => {}
             }
             check(&rel, &model, domain, &at);

@@ -7,17 +7,55 @@
 //! hash-based for speed; results are converted back to instances at the
 //! evaluation edges only.
 
-use crate::parser::{scan_facts, ParseError};
+use crate::parser::{scan_facts, GroundTerm, ParseError};
 use calm_common::instance::Instance;
 use calm_common::schema::Schema;
 use calm_common::storage::{
     load_instance, store_to_instance, store_to_instance_restricted, RelId, SharedSymbols, Storage,
-    Sym, SymTuple,
+    Sym, SymTuple, SymbolTable,
 };
 use calm_common::update::UpdateBatch;
 use calm_common::value::Value;
 use calm_obs::Obs;
 use std::collections::{HashMap, HashSet};
+
+/// The facts [`Database::read_facts`] has scanned and not yet loaded.
+/// They are interned and inserted a few hundred at a time, in file
+/// order: a probe of the symbol table or of a relation's id table is a
+/// cache miss on a large input, and a loop of nothing but probes keeps
+/// many of them in flight where one probe per scanned fact waits for
+/// each.
+#[derive(Default)]
+struct Pending<'a> {
+    /// The terms of the pending facts, back to back.
+    terms: Vec<GroundTerm<'a>>,
+    /// Per pending fact: its relation and where its terms end.
+    facts: Vec<(RelId, usize)>,
+    /// The symbols of `terms`, while they are being loaded.
+    syms: SymTuple,
+}
+
+impl Pending<'_> {
+    /// How many facts wait for each other: enough to fill the
+    /// processor's window with probes; 64 to 1 024 read the same.
+    const FACTS: usize = 256;
+
+    /// Intern every pending term, then insert every pending row.
+    fn load(&mut self, table: &mut SymbolTable, storage: &mut Storage) {
+        self.syms.clear();
+        self.syms.extend(self.terms.iter().map(|t| match *t {
+            GroundTerm::Int(i) => table.sym_int(i),
+            GroundTerm::Str(text) => table.sym_str(text),
+        }));
+        let mut start = 0;
+        for &(relation, end) in &self.facts {
+            storage.insert(relation, &self.syms[start..end]);
+            start = end;
+        }
+        self.terms.clear();
+        self.facts.clear();
+    }
+}
 
 /// A mutable store of relations used during evaluation.
 #[derive(Debug, Clone, Default)]
@@ -59,11 +97,14 @@ impl Database {
 
     /// Read ground facts in the [`crate::parse_facts`] grammar straight
     /// into this database: the one facts scanner, with a sink that
-    /// interns under a single write lock and inserts each row into
-    /// storage — no [`Instance`], fact or value tuple in between. Rows
-    /// arrive in file order; duplicates are dropped by storage as
-    /// everywhere. Reports the span `eval/read_facts` and the counters
-    /// `eval/facts_read` and `eval/bytes_in` to `obs`.
+    /// interns each term from its borrowed form under a single write
+    /// lock and inserts each row into storage — no [`Instance`], fact,
+    /// [`Value`] or value tuple in between. Rows arrive in file order;
+    /// duplicates are dropped by storage as everywhere. Reports the span
+    /// `eval/read_facts` and the counters `eval/facts_read`,
+    /// `eval/bytes_in`, `eval/rows_loaded` (the facts read less the
+    /// duplicates) and `eval/symbols` (the distinct values the table
+    /// holds afterwards) to `obs`.
     ///
     /// # Errors
     /// The scanner's [`ParseError`]; the facts before it are loaded.
@@ -71,24 +112,40 @@ impl Database {
         let _span = obs.span("eval", || "read_facts".into());
         let mut table = self.symbols.write();
         let storage = &mut self.storage;
-        let mut row = SymTuple::new();
+        let rows_before = storage.len();
         // Facts of one relation come in runs: resolve a name once per run.
         let mut run: Option<(&str, RelId)> = None;
-        let facts = scan_facts(src, |name, terms| {
+        // How many facts follow, at a guess — one per `(`, no more than
+        // fit in `src` at five bytes each (`E(1).`) — for the relation of
+        // the first of them to be sized once. Nothing depends on it.
+        let guess = (src.bytes().filter(|&b| b == b'(').count()).min(src.len() / 5);
+        let mut pending = Pending::default();
+        let scanned = scan_facts(src, |name, terms| {
             let relation = match run {
                 Some((known, id)) if known == name => id,
                 _ => {
                     let id = table.rel(name);
+                    if run.is_none() {
+                        // A term is two bytes at least (`1,`).
+                        let arity = terms.len().min(src.len() / 2 / guess.max(1));
+                        storage.relation_mut(id).reserve(guess, arity);
+                    }
                     run = Some((name, id));
                     id
                 }
             };
-            row.clear();
-            row.extend(terms.iter().map(|t| table.sym(&t.to_value())));
-            storage.insert(relation, &row);
-        })?;
+            pending.terms.extend_from_slice(terms);
+            pending.facts.push((relation, pending.terms.len()));
+            if pending.facts.len() == Pending::FACTS {
+                pending.load(&mut table, storage);
+            }
+        });
+        pending.load(&mut table, storage);
+        let facts = scanned?;
         obs.counter("eval", "facts_read", facts as u64);
         obs.counter("eval", "bytes_in", src.len() as u64);
+        obs.counter("eval", "rows_loaded", (storage.len() - rows_before) as u64);
+        obs.counter("eval", "symbols", table.sym_count() as u64);
         Ok(())
     }
 

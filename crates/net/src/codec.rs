@@ -262,7 +262,7 @@ impl Codec for StateRows {
                 };
                 row.clear();
                 for _ in 0..arity {
-                    row.push(table.sym(&r.value(0)?));
+                    row.push(r.sym(table)?);
                 }
                 state.insert(relation, &row);
             }

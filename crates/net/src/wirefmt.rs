@@ -40,6 +40,7 @@
 
 use crate::codec::{decode_all, Codec};
 use calm_common::fact::{Fact, RelName};
+use calm_common::storage::{Sym, SymbolTable};
 use calm_common::value::{SkolemTerm, Value};
 use calm_transducer::multiset::Multiset;
 use std::collections::{BTreeMap, BTreeSet};
@@ -266,6 +267,23 @@ impl<'a> Reader<'a> {
 
     pub(crate) fn str(&mut self) -> Result<&'a str, WireError> {
         std::str::from_utf8(self.prefixed_bytes()?).map_err(|_| WireError::BadUtf8)
+    }
+
+    /// A value as [`Reader::value`] reads it — the same layout, the same
+    /// refusals — interned into `table`: an integer or a string cell
+    /// goes in by its borrowed form, no [`Value`] built for it.
+    pub(crate) fn sym(&mut self, table: &mut SymbolTable) -> Result<Sym, WireError> {
+        match self.buf.get(self.pos) {
+            Some(0) => {
+                self.pos += 1;
+                Ok(table.sym_int(unzigzag(self.varint()?)))
+            }
+            Some(1) => {
+                self.pos += 1;
+                Ok(table.sym_str(self.str()?))
+            }
+            _ => Ok(table.sym(&self.value(0)?)),
+        }
     }
 
     pub(crate) fn value(&mut self, depth: usize) -> Result<Value, WireError> {
