@@ -1181,6 +1181,12 @@ impl CanonicalOrder {
         }
     }
 
+    /// The position of `s` in [`Value`] order among the symbols taken in
+    /// (which must include `s`): two symbols compare as their values do.
+    pub fn rank(&self, s: Sym) -> u32 {
+        self.rank[s.0 as usize]
+    }
+
     /// The ids of the live rows of `relation` in `Vec<Value>` order:
     /// those of `arity` columns, or with `None` all of them. Every symbol
     /// of `relation` must have been taken in by [`CanonicalOrder::extend`].

@@ -18,18 +18,20 @@
 //! multiplicities outside `1..=u32::MAX` are refused. Trailing bytes are
 //! the caller's to refuse, with [`decode_all`].
 //!
-//! A set of facts has one layout and two forms in memory: [`Instance`]
-//! (a checkpoint's state) and rows ([`StateRows`], the final report) —
-//! written in the same order, byte for byte, and read through the same
-//! record.
+//! Facts are written from rows in [`CanonicalOrder`] and read into rows
+//! ([`put_state`], [`put_pending`], [`read_rows`]): a node's state and
+//! inbox in a checkpoint, the states of the final report ([`StateRows`]).
 
-use crate::wirefmt::{put_bytes, put_value, put_varint, unzigzag, zigzag, Reader, WireError};
-use calm_common::fact::{Fact, RelName};
-use calm_common::instance::Instance;
-use calm_common::storage::{relations_by_name, CanonicalOrder, SharedSymbols, Storage};
+use crate::wirefmt::{
+    canonical_rows, put_bytes, put_value, put_varint, unzigzag, zigzag, Reader, WireError,
+};
+use calm_common::fact::Fact;
+use calm_common::storage::{
+    relations_by_name, CanonicalOrder, RelId, SharedSymbols, Storage, Sym, SymbolTable,
+};
 use calm_common::value::Value;
 use calm_transducer::multiset::Multiset;
-use calm_transducer::rows::StateRows;
+use calm_transducer::rows::{Batch, StateRows};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -178,55 +180,93 @@ fn read_record_head<'b>(r: &mut Reader<'b>) -> Result<(&'b str, usize), WireErro
     Ok((name, arity))
 }
 
-/// Read one record. `last` is the relation name of the record before it:
-/// a run of facts of one relation — which is how an instance and a
-/// multiset are written — shares one name instead of allocating one per
-/// fact.
-fn read_record(
-    r: &mut Reader<'_>,
-    last: &mut Option<RelName>,
-) -> Result<(RelName, Vec<Value>), WireError> {
-    let (name, arity) = read_record_head(r)?;
-    let relation = match last {
-        Some(shared) if **shared == *name => shared.clone(),
-        _ => last.insert(Arc::from(name)).clone(),
-    };
-    let args = (0..arity).map(|_| r.value(0)).collect::<Result<_, _>>()?;
-    Ok((relation, args))
-}
-
 impl Codec for Fact {
     fn put(&self, out: &mut Vec<u8>) {
         put_record(out, self.relation(), self.args().iter());
     }
     fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let (relation, args) = read_record(r, &mut None)?;
-        Ok(Fact::from_rel(relation, args))
+        let (name, arity) = read_record_head(r)?;
+        let args = (0..arity).map(|_| r.value(0)).collect::<Result<_, _>>()?;
+        Ok(Fact::new(name, args))
     }
 }
 
-impl Codec for Instance {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.len().put(out);
-        for (relation, tuple) in self.iter() {
-            put_record(out, relation, tuple.iter());
+/// A set of facts from rows: the count, then a record per live row of
+/// `state`, in the order of the facts they stand for (`order` has taken
+/// in `table`).
+pub(crate) fn put_state(
+    out: &mut Vec<u8>,
+    state: &Storage,
+    table: &SymbolTable,
+    order: &CanonicalOrder,
+) {
+    state.len().put(out);
+    for (name, r) in relations_by_name(state, table) {
+        let relation = state.relation(r).expect("a listed relation");
+        for id in order.sorted_ids(relation, None) {
+            let row = relation.row(id).iter();
+            put_record(out, name, row.map(|&s| table.value(s)));
         }
     }
-    fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let (mut instance, mut last) = (Instance::new(), None);
-        for _ in 0..r.count()? {
-            let (relation, args) = read_record(r, &mut last)?;
-            instance.insert_tuple(&relation, args);
-        }
-        Ok(instance)
+}
+
+/// A message buffer from rows, in `Codec for Multiset<Fact>`'s layout: a
+/// record per distinct row of `batches`, occurrences summed across them.
+pub(crate) fn put_pending(
+    out: &mut Vec<u8>,
+    batches: &[Arc<Batch>],
+    table: &SymbolTable,
+    order: &CanonicalOrder,
+) {
+    let rows = canonical_rows(batches.iter().flat_map(|b| b.rows()), table, order, false);
+    rows.len().put(out);
+    for (name, row, n) in rows {
+        put_record(out, name, row.iter().map(|&s| table.value(s)));
+        n.put(out);
     }
+}
+
+/// Read a count of records into rows over `table`, each handed to `take`
+/// with the reader after its values; a run of one relation's records
+/// interns its name once.
+pub(crate) fn read_rows<'b>(
+    r: &mut Reader<'b>,
+    table: &mut SymbolTable,
+    mut take: impl FnMut(&mut Reader<'b>, RelId, &[Sym]) -> Result<(), WireError>,
+) -> Result<(), WireError> {
+    let (mut row, mut last) = (Vec::new(), None);
+    for _ in 0..r.count()? {
+        let (name, arity) = read_record_head(r)?;
+        let relation = match last {
+            Some((named, relation)) if named == name => relation,
+            _ => last.insert((name, table.rel(name))).1,
+        };
+        row.clear();
+        for _ in 0..arity {
+            row.push(r.sym(table)?);
+        }
+        take(r, relation, &row)?;
+    }
+    Ok(())
+}
+
+/// A set of facts as [`put_state`] writes it, into rows over `table`: a
+/// repeated record collapses, as it does in a set.
+pub(crate) fn read_state(
+    r: &mut Reader<'_>,
+    table: &mut SymbolTable,
+) -> Result<Storage, WireError> {
+    let mut state = Storage::new();
+    read_rows(r, table, |_, relation, row| {
+        state.insert(relation, row);
+        Ok(())
+    })?;
+    Ok(state)
 }
 
 /// A worker's final states, laid out as the `Vec<(NodeId, Instance)>` of
-/// the same facts: the rows go out in [`Instance`] order
-/// ([`CanonicalOrder`]) as the values they stand for — no `Sym`, no
-/// `RelId` in a frame — and come back as rows over a table of the
-/// frame's own, a repeated record collapsing as it does in a set.
+/// the same facts — each state by [`put_state`] — and read back into rows
+/// over a table of the frame's own.
 impl Codec for StateRows {
     fn put(&self, out: &mut Vec<u8>) {
         let table = &*self.symbols.read();
@@ -235,38 +275,15 @@ impl Codec for StateRows {
         self.nodes.len().put(out);
         for (node, state) in &self.nodes {
             node.put(out);
-            state.len().put(out);
-            for (name, r) in relations_by_name(state, table) {
-                let relation = state.relation(r).expect("a listed relation");
-                for id in order.sorted_ids(relation, None) {
-                    let row = relation.row(id).iter();
-                    put_record(out, name, row.map(|&s| table.value(s)));
-                }
-            }
+            put_state(out, state, table, &order);
         }
     }
     fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let symbols = SharedSymbols::new();
-        let (mut nodes, mut row) = (Vec::new(), Vec::new());
-        // A state is written a relation at a time: most records repeat
-        // the name before them.
-        let mut last = None;
+        let mut nodes = Vec::new();
         for _ in 0..r.count()? {
-            let (node, mut state) = (Value::read(r)?, Storage::new());
-            let table = &mut *symbols.write();
-            for _ in 0..r.count()? {
-                let (name, arity) = read_record_head(r)?;
-                let relation = match last {
-                    Some((named, relation)) if named == name => relation,
-                    _ => last.insert((name, table.rel(name))).1,
-                };
-                row.clear();
-                for _ in 0..arity {
-                    row.push(r.sym(table)?);
-                }
-                state.insert(relation, &row);
-            }
-            nodes.push((node, state));
+            let node = Value::read(r)?;
+            nodes.push((node, read_state(r, &mut symbols.write())?));
         }
         Ok(StateRows { symbols, nodes })
     }
@@ -283,10 +300,9 @@ impl Codec for Multiset<Fact> {
         }
     }
     fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let (mut batch, mut last) = (Multiset::new(), None);
+        let mut batch = Multiset::new();
         for _ in 0..r.count()? {
-            let (relation, args) = read_record(r, &mut last)?;
-            batch.insert_n(Fact::from_rel(relation, args), r.multiplicity()?);
+            batch.insert_n(Fact::read(r)?, r.multiplicity()?);
         }
         Ok(batch)
     }
@@ -350,9 +366,28 @@ pub(crate) use counters;
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use calm_common::fact::fact;
+    use calm_common::fact::{fact, RelName};
+    use calm_common::instance::Instance;
     use calm_common::rng::Rng;
     use calm_common::storage::{load_instance, store_to_instance};
+
+    /// The instance codec the row writers replaced: the reference
+    /// [`put_state`] and [`read_state`] are held to.
+    impl Codec for Instance {
+        fn put(&self, out: &mut Vec<u8>) {
+            self.len().put(out);
+            for (relation, tuple) in self.iter() {
+                put_record(out, relation, tuple.iter());
+            }
+        }
+        fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
+            let mut instance = Instance::new();
+            for _ in 0..r.count()? {
+                instance.insert(Fact::read(r)?);
+            }
+            Ok(instance)
+        }
+    }
 
     /// `states` as the rows a worker would hold them in.
     pub(crate) fn rows_of(states: &[(Value, Instance)]) -> StateRows {
@@ -512,6 +547,114 @@ pub(crate) mod tests {
             facts > 5_000 && two_arities > 500,
             "{facts} facts, {two_arities} beside their prefix"
         );
+    }
+
+    /// One to three batches of messages over `table`, pushed in no order:
+    /// arities 1–3, a count sometimes above one, and the first message in
+    /// the last batch a second time. With the multiset they are.
+    fn random_inbox(rng: &mut Rng, table: &mut SymbolTable) -> (Vec<Arc<Batch>>, Multiset<Fact>) {
+        let (mut batches, mut all, mut first) = (Vec::new(), Multiset::new(), None);
+        for b in 0..rng.gen_range(1..4usize) {
+            let mut facts: Vec<(Fact, usize)> = (0..rng.gen_range(0..6usize))
+                .map(|_| {
+                    let args = (0..rng.gen_range(1..4usize)).map(|_| random_value(rng, 0));
+                    let args = args.collect();
+                    let relation = rng.choose(&["m_E", "n_E"]).unwrap();
+                    (Fact::new(relation, args), rng.gen_range(1..4usize))
+                })
+                .collect();
+            match &first {
+                Some(f) if b > 0 => facts.push((Fact::clone(f), 1)),
+                _ => first = facts.first().map(|(f, _)| f.clone()),
+            }
+            let mut batch = Batch::default();
+            for (f, n) in facts {
+                let row: Vec<Sym> = f.args().iter().map(|v| table.sym(v)).collect();
+                batch.push_n(table.rel(f.relation()), &row, n);
+                all.insert_n(f, n);
+            }
+            batches.push(Arc::new(batch));
+        }
+        (batches, all)
+    }
+
+    #[test]
+    fn the_snapshot_writer_writes_the_bytes_of_the_instance_and_multiset_encoders() {
+        use crate::reliable::{NodeLinks, NodeSnapshot};
+        use crate::transport::proto::{decode_snapshot_blob, encode_snapshot_blob};
+        let mut rng = Rng::seed_from_u64(0x5a_a9);
+        let (mut facts, mut pending, mut shared) = (0, 0, 0);
+        for case in 0..400u64 {
+            let states = random_states(&mut rng);
+            let state = states
+                .first()
+                .map_or_else(Instance::new, |(_, s)| s.clone());
+            let rows = scrambled_rows(&mut rng, &states[..states.len().min(1)]);
+            let (inbox, all) = random_inbox(&mut rng, &mut rows.symbols.write());
+            let mut links = NodeLinks::default();
+            links.cum.insert(0, case);
+            let reference = [
+                encoded(&state),
+                encoded(&all),
+                encoded(&links),
+                encoded(&(17u64, case)),
+            ]
+            .concat();
+            let table = &*rows.symbols.read();
+            let mut order = CanonicalOrder::default();
+            order.extend(table);
+            let (nodes, state_rows) = (rows.nodes.len(), rows.nodes.first());
+            let snap = NodeSnapshot {
+                state: state_rows.map_or_else(Storage::new, |(_, s)| s.clone()),
+                pending: inbox,
+                links,
+            };
+            let blob = encode_snapshot_blob(&snap, table, &order, 17, case);
+            assert_eq!(blob, reference, "case {case}: {state:?} {all:?}");
+            // Read into a table where the indexes mean other values: the
+            // same facts, and written from there, the same bytes.
+            let restorer = SharedSymbols::new();
+            restorer.write().sym(&Value::str("x"));
+            let (back, ..) = decode_snapshot_blob(&blob, &mut restorer.write()).expect("reads");
+            let mut again = Multiset::new();
+            back.pending
+                .iter()
+                .for_each(|b| b.add_to(&restorer.read(), &mut again));
+            assert_eq!(
+                store_to_instance(&back.state, &restorer),
+                state,
+                "case {case}"
+            );
+            assert_eq!(again, all, "case {case}");
+            let mut order = CanonicalOrder::default();
+            order.extend(&restorer.read());
+            let rewritten = encode_snapshot_blob(&back, &restorer.read(), &order, 17, case);
+            assert_eq!(rewritten, blob, "case {case}");
+            // And the decoders the rows replaced read what they wrote.
+            let mut r = Reader::new(&blob);
+            assert_eq!(Instance::read(&mut r), Ok(state.clone()));
+            assert_eq!(Multiset::<Fact>::read(&mut r), Ok(all.clone()));
+            facts += state.len() * usize::from(nodes > 0);
+            pending += all.len();
+            let held = |f: &Fact| {
+                snap.pending
+                    .iter()
+                    .filter(|b| batch_holds(b, table, f))
+                    .count()
+            };
+            shared += usize::from(all.support().any(|f| held(f) > 1));
+        }
+        assert!(
+            facts > 1_000 && pending > 2_000 && shared > 150,
+            "{facts} facts, {pending} pending, {shared} inboxes with a fact in two batches"
+        );
+    }
+
+    /// Whether `batch`, rows over `table`, holds `fact`.
+    fn batch_holds(batch: &Batch, table: &SymbolTable, fact: &Fact) -> bool {
+        let mut facts = Multiset::new();
+        batch.add_to(table, &mut facts);
+        facts.count(fact) > 0
     }
 
     /// A final report's states written by hand, so that they can lie:

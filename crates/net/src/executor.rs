@@ -6,15 +6,13 @@ use crate::reliable::{LinkCounters, NodeSnapshot, ReliableNet, Wire};
 use crate::termination::Token;
 use crate::transport::proto::{decode_snapshot_blob, encode_snapshot_blob, FinalReport};
 use crate::wirefmt;
-use calm_common::fact::Fact;
 use calm_common::instance::Instance;
-use calm_common::storage::{SharedSymbols, SymbolTable};
+use calm_common::storage::{CanonicalOrder, SharedSymbols};
 use calm_obs::{ArgValue, Obs};
 use calm_transducer::engine::{NodeEngine, NodeStepOutcome};
-use calm_transducer::multiset::Multiset;
 use calm_transducer::network::NodeId;
 use calm_transducer::policy::{distribute, DistributionPolicy};
-use calm_transducer::rows::StateRows;
+use calm_transducer::rows::{Batch, StateRows};
 use calm_transducer::runtime::{Delivery, FinalStates, Metrics};
 use calm_transducer::schema::SystemConfig;
 use calm_transducer::transducer::Transducer;
@@ -544,7 +542,8 @@ pub(crate) struct ProcCtx {
     pub(crate) owner: Option<Vec<usize>>,
     /// Live mask over ring positions (empty: all live).
     pub(crate) live: Vec<bool>,
-    /// Decoded restore state handed back on respawn:
+    /// Decoded restore state handed back on respawn — each snapshot in
+    /// rows over the worker's table, `fab.symbols`:
     /// `(node, version, snapshot, transitions, trace_next_seq)`.
     pub(crate) restore: Vec<(usize, u64, NodeSnapshot, u64, u64)>,
 }
@@ -593,7 +592,7 @@ impl Slot<'_> {
     /// it sent is in the state, as its program's marks), and
     /// `ReliableNet::restore` re-arms every unacked outbox entry.
     fn roll_back(&mut self, snap: &NodeSnapshot, rnet: &mut ReliableNet<'_>) {
-        self.node.restore(snap.state.clone(), snap.pending.clone());
+        self.node.restore(&snap.state, &snap.pending);
         self.dirty = true;
         self.since_snapshot = 0;
         rnet.restore(self.global, snap.links.clone());
@@ -618,24 +617,31 @@ impl Slot<'_> {
 }
 
 /// Take a crash-recovery snapshot of one node: capture state, inbox
-/// and link state atomically. Cumulative acks for any
+/// and link state atomically — the state and the inbox as the node holds
+/// them, rows and batch handles. Cumulative acks for any
 /// receive-cursor advance are pushed into `out` (to be pumped by the
 /// caller) — the ack-on-snapshot discipline that makes rollback sound.
 fn take_snapshot(slot: &mut Slot<'_>, rnet: &mut ReliableNet<'_>, out: &mut Vec<Wire>) {
     let links = rnet.snapshot(slot.global, out);
+    let (state, pending) = slot.node.checkpoint();
     slot.snap = Some(NodeSnapshot {
-        state: slot.node.state(),
-        pending: slot.node.pending(),
+        state,
+        pending,
         links,
     });
     slot.since_snapshot = 0;
 }
 
 /// One step's send in the delta wire format, with the trace context
-/// stamped in when the send was traced: the rows un-interned into the
-/// multiset of facts they are, whose encoding is canonical — no symbol
-/// of the worker's `table` goes on the wire.
-fn encode(outcome: &NodeStepOutcome, table: &SymbolTable) -> Arc<[u8]> {
+/// stamped in when the send was traced: written from the sent rows over
+/// the worker's table, ranked by the worker's `order` (extended here).
+fn encode(
+    outcome: &NodeStepOutcome,
+    symbols: &SharedSymbols,
+    order: &mut CanonicalOrder,
+) -> Arc<[u8]> {
+    let table = symbols.read();
+    order.extend(&table);
     let ctx = outcome
         .mid
         .map(|(origin_node, origin_seq)| wirefmt::TraceCtx {
@@ -643,9 +649,7 @@ fn encode(outcome: &NodeStepOutcome, table: &SymbolTable) -> Arc<[u8]> {
             origin_seq,
             cause: outcome.cause,
         });
-    let mut batch = Multiset::new();
-    outcome.sent.add_to(table, &mut batch);
-    wirefmt::encode_traced(&batch, ctx.as_ref()).into()
+    wirefmt::encode_rows(&outcome.sent, &table, order, ctx.as_ref()).into()
 }
 
 /// The next live ring position after `id` (wrapping). With every
@@ -699,16 +703,16 @@ struct Shard<'a> {
     stats: WorkerStats,
 }
 
-impl<'a> Shard<'a> {
-    /// Local node `g`, about to take `n` occurrences at one of its
-    /// doors — on the worker's account and, if there are any, dirty —
-    /// with the metrics the door wants.
-    fn receiving(&mut self, g: usize, n: usize) -> (&mut NodeEngine<'a>, &mut Metrics) {
+impl Shard<'_> {
+    /// Enqueue `batch` — a local send, a payload decoded into the
+    /// worker's table — at local node `g` by its handle, on the worker's
+    /// account. `mid` is the delivery's causal message id, if traced.
+    fn enqueue(&mut self, g: usize, batch: &Arc<Batch>, mid: Option<(u64, u64)>, obs: &Obs) {
         let l = self.local_index[g].expect("fact routed to non-local node");
-        self.stats.enqueued += n;
+        self.stats.enqueued += batch.len();
         let slot = &mut self.slots[l];
-        slot.dirty |= n > 0;
-        (&mut slot.node, &mut self.metrics)
+        slot.dirty |= !batch.is_empty();
+        slot.node.enqueue(batch, mid, &mut self.metrics, obs);
     }
 }
 
@@ -754,6 +758,8 @@ struct Worker<'a> {
     /// the token and never sent Terminate.
     live: Vec<bool>,
     shard: Shard<'a>,
+    /// Ranks what the worker encodes (a send, a blob); extended, never rebuilt.
+    order: CanonicalOrder,
     rnet: Option<ReliableNet<'a>>,
     /// Transitions between a node's periodic snapshots (fault mode).
     snapshot_every: usize,
@@ -819,6 +825,7 @@ impl<'a> Worker<'a> {
                 },
             },
             fab: ctx.fab,
+            order: CanonicalOrder::default(),
             rnet: faults.map(|plan| ReliableNet::new(plan, &locals, obs)),
             snapshot_every: faults.map_or(usize::MAX, |plan| plan.snapshot_every),
             steps_left: ctx.budget,
@@ -886,10 +893,10 @@ impl<'a> Worker<'a> {
             if self.owner[dst] == self.id {
                 let rnet = self.rnet.as_mut().expect("wire without a fault plan");
                 let mut replies = Vec::new();
-                let accepted = rnet.receive(wire, &mut replies);
+                let accepted = rnet.receive(wire, &mut self.fab.symbols.write(), &mut replies);
                 queue.extend(replies);
-                if let Some((node, facts, mid)) = accepted {
-                    self.enqueue_batch(node, facts, mid);
+                if let Some((node, rows, mid)) = accepted {
+                    self.shard.enqueue(node, &Arc::new(rows), mid, self.obs);
                 }
             } else {
                 if self.count_msgs {
@@ -916,18 +923,14 @@ impl<'a> Worker<'a> {
             // peers may see.
             slot.snap_version += bump as u64;
             let snap = slot.snap.as_ref().expect("just taken");
-            let blob = encode_snapshot_blob(snap, slot.transitions as u64, slot.node.next_seq());
+            let table = self.fab.symbols.read();
+            self.order.extend(&table);
+            let (transitions, next_seq) = (slot.transitions as u64, slot.node.next_seq());
+            let blob = encode_snapshot_blob(snap, &table, &self.order, transitions, next_seq);
             rnet.stats.snapshot_bytes += blob.len() as u64;
             self.ports
                 .ship_snapshot(slot.global, slot.snap_version, blob);
         }
-    }
-
-    /// Enqueue a decoded wire batch at local node `g`. `mid` is the
-    /// causal message id of the delivery (set iff the batch was traced).
-    fn enqueue_batch(&mut self, g: usize, batch: Multiset<Fact>, mid: Option<(u64, u64)>) {
-        let (node, metrics) = self.shard.receiving(g, batch.len());
-        node.enqueue_batch(batch, mid, metrics, self.obs);
     }
 
     /// React to one received message. `true` for `Terminate`.
@@ -941,8 +944,10 @@ impl<'a> Worker<'a> {
         }
         match msg {
             Msg::Batch { node, payload } => {
-                let (facts, ctx) = wirefmt::decode_traced(&payload).expect("channel batch decodes");
-                self.enqueue_batch(node, facts, ctx.map(|c| c.id()));
+                let decoded = wirefmt::decode_rows(&payload, &mut self.fab.symbols.write());
+                let (rows, ctx) = decoded.expect("channel batch decodes");
+                let mid = ctx.map(|c| c.id());
+                self.shard.enqueue(node, &Arc::new(rows), mid, self.obs);
             }
             Msg::Wire(wire) => self.pump(vec![wire]),
             Msg::Token(t) => {
@@ -1000,7 +1005,9 @@ impl<'a> Worker<'a> {
             if let Some(rnet) = self.rnet.as_mut() {
                 rnet.adopt(g);
                 if let Some((version, blob)) = blobs.get(&g) {
-                    match decode_snapshot_blob(blob) {
+                    // The table's lock is let go before the restore reads it.
+                    let decoded = decode_snapshot_blob(blob, &mut self.fab.symbols.write());
+                    match decoded {
                         Ok((snap, transitions, next_seq)) => {
                             self.shard.slots[l].restore(
                                 snap,
@@ -1025,17 +1032,15 @@ impl<'a> Worker<'a> {
                     debug_assert!(none.is_empty(), "fresh links cannot emit acks");
                 }
             }
-            if self.obs.enabled() {
-                let (id, version) = (self.id, self.shard.slots[l].snap_version);
-                self.obs.event("net", "adopt", g as u32 + 1, || {
-                    vec![
-                        ("node", ArgValue::U64(g as u64)),
-                        ("worker", ArgValue::U64(id as u64)),
-                        ("version", ArgValue::U64(version)),
-                        ("restored", ArgValue::Bool(restored)),
-                    ]
-                });
-            }
+            let (id, version) = (self.id, self.shard.slots[l].snap_version);
+            self.obs.event("net", "adopt", g as u32 + 1, || {
+                vec![
+                    ("node", ArgValue::U64(g as u64)),
+                    ("worker", ArgValue::U64(id as u64)),
+                    ("version", ArgValue::U64(version)),
+                    ("restored", ArgValue::Bool(restored)),
+                ]
+            });
         }
     }
 
@@ -1185,9 +1190,9 @@ impl<'a> Worker<'a> {
         let track = sender as u32 + 1;
         let _span = self.obs.span_on("runtime", track, || "route".to_string());
         let mut encoded: Option<Arc<[u8]>> = None;
-        let symbols = &self.fab.symbols;
+        let (symbols, order) = (&self.fab.symbols, &mut self.order);
         let mut payload = || {
-            let bytes = encoded.get_or_insert_with(|| encode(outcome, &symbols.read()));
+            let bytes = encoded.get_or_insert_with(|| encode(outcome, symbols, order));
             Arc::clone(bytes)
         };
         for g in (0..self.owner.len()).filter(|&g| g != sender) {
@@ -1195,8 +1200,7 @@ impl<'a> Worker<'a> {
             if let Some(rnet) = self.rnet.as_mut() {
                 rnet.send_payload(sender, g, payload());
             } else if owner == self.id {
-                let (node, metrics) = self.shard.receiving(g, outcome.sent.len());
-                node.enqueue(&outcome.sent, outcome.mid, metrics, self.obs);
+                self.shard.enqueue(g, &outcome.sent, outcome.mid, self.obs);
             } else {
                 let payload = payload();
                 self.shard.stats.wire_bytes += payload.len() as u64;
@@ -1412,8 +1416,10 @@ pub(crate) fn run_worker<'a>(ctx: WorkerCtx<'a>) -> WorkerOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use calm_common::fact::fact;
+    use calm_common::fact::{fact, Fact};
+    use calm_common::storage::{store_to_instance, Storage};
     use calm_common::value::Value;
+    use calm_transducer::multiset::Multiset;
 
     /// A synthetic final report for worker `k`, every folded quantity
     /// different per worker.
@@ -1446,6 +1452,24 @@ mod tests {
         }
     }
 
+    /// `facts` as one batch over `symbols`.
+    fn batch_of(facts: &[Fact], symbols: &SharedSymbols) -> Arc<Batch> {
+        let facts: Multiset<Fact> = facts.iter().cloned().collect();
+        Arc::new(Batch::of_facts(&facts, &mut symbols.write()))
+    }
+
+    /// Whether `snap` holds the batches `inbox` — the very handles.
+    fn holds_by_handle(snap: &NodeSnapshot, inbox: &[&Arc<Batch>]) -> bool {
+        let pending = snap.pending.iter().zip(inbox);
+        snap.pending.len() == inbox.len() && pending.into_iter().all(|(a, b)| Arc::ptr_eq(a, b))
+    }
+
+    fn sent(batch: &Batch, symbols: &SharedSymbols) -> Multiset<Fact> {
+        let mut facts = Multiset::new();
+        batch.add_to(&symbols.read(), &mut facts);
+        facts
+    }
+
     #[test]
     fn a_restored_slot_is_rebuilt_from_the_snapshot_state_alone() {
         use calm_transducer::{HashPolicy, MonotoneBroadcast, Network};
@@ -1463,6 +1487,7 @@ mod tests {
             empty: &Instance::new(),
             symbols: SharedSymbols::new(),
         };
+        let symbols = fab.symbols.clone();
         let plan = FaultPlan::none(1);
         // A live handle, so that the node mints ids.
         let obs = Obs::new(Arc::new(calm_obs::NoopSink));
@@ -1470,29 +1495,35 @@ mod tests {
         let mut metrics = Metrics::default();
         let mut slot = fab.slot(0);
         let mut step = |slot: &mut Slot<'_>, delivered: &[Fact]| {
-            let delivered = delivered.iter().cloned().collect();
+            let delivered = batch_of(delivered, &symbols);
             slot.node
-                .enqueue_batch(delivered, Some((1, 0)), &mut metrics, &obs);
+                .enqueue(&delivered, Some((1, 0)), &mut metrics, &obs);
             slot.node.step(Delivery::All, &mut metrics, &obs)
         };
         assert_eq!(step(&mut slot, &[]).mid, Some((0, 0)));
         take_snapshot(&mut slot, &mut rnet, &mut Vec::new());
         let snap = slot.snap.clone().expect("just taken");
-        assert_eq!(snap.state, slot.node.state());
+        let state = slot.node.state();
+        assert_eq!(store_to_instance(&snap.state, &symbols), state);
+        assert!(holds_by_handle(&snap, &[]), "an empty inbox");
         // Progress past the checkpoint, with the engine warm and a fact
         // waiting in the inbox. A delivered fact is stored, not sent on:
         // no send, no id.
         assert_eq!(step(&mut slot, &[fact("m_E", [3, 4])]).mid, None);
-        let waiting = [fact("m_E", [4, 5])].into_iter().collect();
+        let waiting = batch_of(&[fact("m_E", [4, 5])], &symbols);
         let node = &mut slot.node;
-        node.enqueue_batch(waiting, None, &mut Metrics::default(), &obs);
+        node.enqueue(&waiting, None, &mut Metrics::default(), &obs);
         assert!(!slot.node.is_cold());
-        assert_ne!(slot.node.state(), snap.state);
+        assert_ne!(slot.node.state(), state);
+        // A checkpoint holds the inbox by handle.
+        take_snapshot(&mut slot, &mut rnet, &mut Vec::new());
+        let later = slot.snap.clone().expect("just taken");
+        assert!(holds_by_handle(&later, &[&waiting]));
         // Crash rollback and supervised restore share this path.
         slot.roll_back(&snap, &mut rnet);
         assert!(slot.node.is_cold(), "nothing warm survives a restore");
-        assert_eq!(slot.node.state(), snap.state);
-        assert_eq!(slot.node.pending(), snap.pending, "the inbox goes back too");
+        assert_eq!(slot.node.state(), state);
+        assert!(slot.node.pending().is_empty(), "the inbox goes back too");
         assert!(slot.dirty);
         // The redone step lands where the first one did.
         step(&mut slot, &[fact("m_E", [3, 4])]);
@@ -1500,12 +1531,18 @@ mod tests {
         step(&mut reference, &[]);
         step(&mut reference, &[fact("m_E", [3, 4])]);
         assert_eq!(slot.node.state(), reference.node.state());
+        // Forward again, to the later checkpoint: its inbox comes back
+        // as the handle it was.
+        slot.roll_back(&later, &mut rnet);
+        assert_eq!(store_to_instance(&later.state, &symbols), slot.node.state());
+        assert_eq!(slot.node.checkpoint().1.len(), 1);
+        assert!(Arc::ptr_eq(&slot.node.checkpoint().1[0], &waiting));
         // Back at the start configuration the node says its own facts
         // again — as a new send event: the ids do not roll back with
         // the state.
         let start = NodeSnapshot {
-            state: Instance::new(),
-            pending: Multiset::new(),
+            state: Storage::new(),
+            pending: Vec::new(),
             links: snap.links.clone(),
         };
         slot.roll_back(&start, &mut rnet);
@@ -1515,6 +1552,75 @@ mod tests {
         reference.restore(snap, 3, 7, 40, &mut rnet);
         assert_eq!((reference.transitions, reference.snap_version), (7, 3));
         assert_eq!(reference.node.next_seq(), 40);
+    }
+
+    #[test]
+    fn a_checkpoint_blob_read_into_another_table_restores_the_same_node() {
+        use calm_queries::tc::edges_without_source_loop;
+        use calm_transducer::{DistinctStrategy, HashPolicy, Network};
+        let t = DistinctStrategy::new(Box::new(edges_without_source_loop()));
+        let policy = HashPolicy::new(Network::of_size(2));
+        let node_ids: Vec<NodeId> = policy.network().nodes().cloned().collect();
+        let input = Instance::from_facts([fact("E", [1, 2]), fact("E", [2, 2]), fact("E", [3, 1])]);
+        let dist = distribute(&policy, &input);
+        let empty = Instance::new();
+        let fab = |symbols: SharedSymbols| NodeFactory {
+            node_ids: &node_ids,
+            transducer: &t,
+            policy: &policy,
+            sys: SystemConfig::POLICY_AWARE,
+            dist: &dist,
+            empty: &empty,
+            symbols,
+        };
+        let (plan, obs) = (FaultPlan::none(1), Obs::noop());
+        let mut metrics = Metrics::default();
+        let (original, other) = (fab(SharedSymbols::new()), SharedSymbols::new());
+        let symbols = original.symbols.clone();
+        let mut slot = original.slot(0);
+        slot.node.step(Delivery::All, &mut metrics, &obs);
+        // Two batches waiting, one fact in both.
+        let waiting = [
+            batch_of(&[fact("m_E", [4, 5]), fact("n_E", [6, 6])], &symbols),
+            batch_of(&[fact("m_E", [4, 5]), fact("m_E", [7, 1])], &symbols),
+        ];
+        for batch in &waiting {
+            slot.node.enqueue(batch, None, &mut metrics, &obs);
+        }
+        let mut rnet = ReliableNet::new(&plan, &[0], &obs);
+        take_snapshot(&mut slot, &mut rnet, &mut Vec::new());
+        let snap = slot.snap.clone().expect("just taken");
+        assert!(holds_by_handle(&snap, &[&waiting[0], &waiting[1]]));
+
+        // The blob, read into a table where the indexes already mean
+        // other values and other relations.
+        let mut order = CanonicalOrder::default();
+        order.extend(&symbols.read());
+        let blob = encode_snapshot_blob(&snap, &symbols.read(), &order, 5, 9);
+        for k in 0..40 {
+            let mut table = other.write();
+            table.rel(&format!("r{k}"));
+            table.sym(&Value::Int(1000 - k));
+        }
+        let (back, transitions, next_seq) =
+            decode_snapshot_blob(&blob, &mut other.write()).expect("the blob reads");
+        let adopter = fab(other.clone());
+        let mut restored = adopter.slot(0);
+        let mut adopter_net = ReliableNet::new(&plan, &[0], &obs);
+        restored.restore(back, 1, transitions, next_seq, &mut adopter_net);
+        assert_eq!(restored.node.state(), slot.node.state());
+        assert_eq!(restored.node.pending(), slot.node.pending());
+        assert_eq!(restored.node.pending().count(&fact("m_E", [4, 5])), 2);
+        // And it goes on as the original does.
+        let (a, b) = (
+            slot.node.step(Delivery::All, &mut metrics, &obs),
+            restored
+                .node
+                .step(Delivery::All, &mut Metrics::default(), &obs),
+        );
+        assert!(!a.sent.is_empty(), "new values: absences to send");
+        assert_eq!(sent(&b.sent, &other), sent(&a.sent, &symbols));
+        assert_eq!(restored.node.state(), slot.node.state());
     }
 
     #[test]

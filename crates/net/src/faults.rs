@@ -24,6 +24,10 @@ use std::collections::BTreeMap;
 /// windows are measured in ticks.
 pub type Tick = u64;
 
+/// The longest backoff, crash downtime or delay a plan may ask for: a
+/// clock that ticks once per worker loop adds it to itself without overflow.
+pub const MAX_TICKS: Tick = 1 << 32;
+
 /// Fault probabilities of one directed link.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LinkFaults {
@@ -201,6 +205,8 @@ impl FaultPlan {
     /// pkill(worker=1@step=40)   kill worker 1's process at its 40th step
     /// seed=7 snapshot=4 retries=16 backoff=8
     /// ```
+    ///
+    /// A backoff, a downtime or a delay above [`MAX_TICKS`] is refused.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::none(0);
         for clause in spec.split(',').filter(|c| !c.trim().is_empty()) {
@@ -238,7 +244,7 @@ impl FaultPlan {
                         .split_once('/')
                         .ok_or_else(|| format!("delay wants P/MAXTICKS, got '{value}'"))?;
                     plan.link.delay_p = parse_prob(p, "delay")?;
-                    plan.link.max_delay = parse_num(max, "delay max")?;
+                    plan.link.max_delay = parse_ticks(max, "delay max")?;
                 }
                 "link" => {
                     let (ends, faults) = value
@@ -258,7 +264,7 @@ impl FaultPlan {
                                     .split_once('/')
                                     .ok_or_else(|| format!("link delay wants P/MAX, got '{v}'"))?;
                                 lf.delay_p = parse_prob(p, "link delay")?;
-                                lf.max_delay = parse_num(max, "link delay max")?;
+                                lf.max_delay = parse_ticks(max, "link delay max")?;
                             }
                             other => return Err(format!("unknown link fault '{other}'")),
                         }
@@ -285,7 +291,7 @@ impl FaultPlan {
                         format!("crash wants NODE@TRANSITION[~DOWN], got '{value}'")
                     })?;
                     let (at, down) = match rest.split_once('~') {
-                        Some((at, down)) => (at, parse_num(down, "crash downtime")?),
+                        Some((at, down)) => (at, parse_ticks(down, "crash downtime")?),
                         None => (rest, 4),
                     };
                     plan.crashes.push(CrashPoint {
@@ -296,7 +302,7 @@ impl FaultPlan {
                 }
                 "snapshot" => plan.snapshot_every = parse_num(value, "snapshot")?,
                 "retries" => plan.retry_budget = parse_num(value, "retries")?,
-                "backoff" => plan.backoff_base = parse_num(value, "backoff")?,
+                "backoff" => plan.backoff_base = parse_ticks(value, "backoff")?,
                 other => return Err(format!("unknown fault key '{other}'")),
             }
         }
@@ -362,6 +368,13 @@ fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
     s.trim()
         .parse()
         .map_err(|_| format!("{what}: '{s}' is not a number"))
+}
+
+fn parse_ticks(s: &str, what: &str) -> Result<Tick, String> {
+    match parse_num(s, what)? {
+        ticks if ticks > MAX_TICKS => Err(format!("{what}: {ticks} ticks, more than {MAX_TICKS}")),
+        ticks => Ok(ticks),
+    }
 }
 
 fn parse_prob(s: &str, what: &str) -> Result<f64, String> {
@@ -481,6 +494,70 @@ mod tests {
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "{bad} should be rejected");
         }
+    }
+
+    #[test]
+    fn tick_spans_past_the_bound_are_refused() {
+        // Each of these once reached `now + span` in a worker: an overflow
+        // panic in a debug build (the run then hung), a wrap in release.
+        for spec in [
+            format!("backoff={}", u64::MAX),
+            format!("crash=0@1~{}", u64::MAX),
+            format!("delay=0.1/{}", u64::MAX),
+            format!("link=0>1:delay=0.1/{}", MAX_TICKS + 1),
+        ] {
+            let refusal = FaultPlan::parse(&spec).expect_err(&spec);
+            assert!(refusal.contains("ticks, more than"), "{spec}: {refusal}");
+        }
+        // The bound itself is a plan, and the substrate adds it to a
+        // clock without overflow.
+        let spec = format!("backoff={MAX_TICKS},crash=0@1~{MAX_TICKS},delay=1/{MAX_TICKS}");
+        let plan = FaultPlan::parse(&spec).expect("at the bound");
+        let mut net = crate::ReliableNet::new(&plan, &[0], &calm_obs::Obs::noop());
+        let mut out = Vec::new();
+        net.send_payload(0, 1, crate::wirefmt::encode(&Default::default()).into());
+        net.snapshot(0, &mut out);
+        net.advance(&mut out);
+        net.crash(0, plan.crashes[0].down_ticks);
+        assert!(net.node_down(0) && net.has_obligations());
+    }
+
+    #[test]
+    fn any_spec_is_a_plan_inside_the_bound_or_a_refusal() {
+        // The `--faults` grammar's mutation target: seeded edits of
+        // specs (`codec::tests::mutate`), read as text. Nothing panics,
+        // and every plan that parses keeps each span within the bound.
+        let corpus = [
+            "seed=7,drop=0.2,dup=0.05,delay=0.3/6,link=1>2:drop=0.9:delay=0.5/9",
+            "partition=0>1@10..80,crash=2@5~20,crash=3@1,snapshot=4,retries=16,backoff=2",
+            "pkill(worker=1@step=40),backoff=4294967296,crash=0@1~4294967296",
+            "delay=1/4294967295,link=0>1:delay=0/4294967296,backoff=99999",
+        ]
+        .map(|spec| ("spec", spec.as_bytes().to_vec()));
+        let mut rng = Rng::seed_from_u64(0xfa17_5bec);
+        let (mut plans, mut refused) = (0, 0);
+        for _ in 0..24_000 {
+            let mut bytes = rng.choose(&corpus).unwrap().1.clone();
+            crate::codec::tests::mutate(&mut rng, &mut bytes, &corpus);
+            let spec = String::from_utf8_lossy(&bytes);
+            let Ok(plan) = FaultPlan::parse(&spec) else {
+                refused += 1;
+                continue;
+            };
+            plans += 1;
+            let delays = plan
+                .per_link
+                .values()
+                .chain([&plan.link])
+                .map(|l| l.max_delay);
+            let downtimes = plan.crashes.iter().map(|c| c.down_ticks);
+            let mut spans = delays.chain(downtimes).chain([plan.backoff_base]);
+            assert!(spans.all(|ticks| ticks <= MAX_TICKS), "{spec}");
+        }
+        assert!(
+            plans > 1_000 && refused > 1_000,
+            "{plans} plans, {refused} refused"
+        );
     }
 
     #[test]

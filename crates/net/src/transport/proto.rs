@@ -19,8 +19,8 @@
 //! * `Final` — worker → coordinator, last frame: the worker's final
 //!   node states, its [`WorkerStats`], and its clean/quiescent verdict.
 //! * `Snapshot` — worker → coordinator (supervised runs): a versioned,
-//!   canonically encoded checkpoint of one node (instance state,
-//!   undelivered inbox, outbox and seq/ack floors).
+//!   canonically encoded checkpoint of one node (state, undelivered
+//!   inbox, outbox and seq/ack floors).
 //!   The coordinator retains the latest per node and hands it back in
 //!   the re-`Assign` after a respawn, or inside a `Reassign` when a
 //!   survivor adopts a dead worker's shard.
@@ -49,15 +49,16 @@
 //! same commit. A change that moves no byte — a `not shipped` field, a
 //! rename — touches neither.
 
-use crate::codec::{decode_all, wire_struct, Codec};
+use crate::codec::{decode_all, put_pending, put_state, read_rows, read_state, wire_struct, Codec};
 use crate::executor::Msg;
 use crate::reliable::{NodeSnapshot, Wire};
 use crate::wirefmt::{Reader, WireError};
 use crate::WorkerStats;
-use calm_common::storage::EvalMetrics;
-use calm_transducer::rows::StateRows;
+use calm_common::storage::{CanonicalOrder, EvalMetrics, SymbolTable};
+use calm_transducer::rows::{Batch, StateRows};
 use calm_transducer::runtime::Metrics;
 use calm_transducer::strategy::MessageClassCounts;
+use std::sync::Arc;
 
 /// The process-engine protocol version, checked at handshake. A
 /// coordinator refuses a worker speaking a different version — the two
@@ -396,26 +397,48 @@ pub(crate) fn decode_ctrl(bytes: &[u8]) -> Result<CtrlMsg, WireError> {
 
 /// Encode one node checkpoint into the blob carried by
 /// `CtrlMsg::Snapshot` and handed back in `Assign.restore` /
-/// `Msg::Reassign.adopted`: the [`NodeSnapshot`] (state, pending inbox,
-/// link state — each laid out beside its declaration in
-/// [`crate::reliable`]), then the node's monotone transition count and
-/// its trace-seq allocator.
+/// `Msg::Reassign.adopted`: the [`NodeSnapshot`] — state and inbox as the
+/// facts their rows over `table` stand for, ranked by `order`, then link
+/// state — the node's transition count and its trace-seq allocator.
 pub(crate) fn encode_snapshot_blob(
     snap: &NodeSnapshot,
+    table: &SymbolTable,
+    order: &CanonicalOrder,
     transitions: u64,
     trace_next_seq: u64,
 ) -> Vec<u8> {
     let mut out = Vec::new();
-    snap.put(&mut out);
-    transitions.put(&mut out);
-    trace_next_seq.put(&mut out);
+    put_state(&mut out, &snap.state, table, order);
+    put_pending(&mut out, &snap.pending, table, order);
+    snap.links.put(&mut out);
+    (transitions, trace_next_seq).put(&mut out);
     out
 }
 
-/// Decode a snapshot blob. Strict: truncation and trailing bytes are
-/// errors, like every other frame in this protocol.
-pub(crate) fn decode_snapshot_blob(bytes: &[u8]) -> Result<(NodeSnapshot, u64, u64), WireError> {
-    decode_all(bytes)
+/// Decode a snapshot blob into rows over `table`, the table of the
+/// worker that restores or adopts the node. Strict: truncation and
+/// trailing bytes are errors, like every other frame in this protocol.
+pub(crate) fn decode_snapshot_blob(
+    bytes: &[u8],
+    table: &mut SymbolTable,
+) -> Result<(NodeSnapshot, u64, u64), WireError> {
+    let mut r = Reader::new(bytes);
+    let (state, mut pending) = (read_state(&mut r, table)?, Batch::default());
+    read_rows(&mut r, table, |r, relation, row| {
+        pending.push_n(relation, row, r.multiplicity()?);
+        Ok(())
+    })?;
+    let (links, transitions, trace_next_seq) = Codec::read(&mut r)?;
+    let pending = vec![Arc::new(pending)];
+    let snap = NodeSnapshot {
+        state,
+        pending,
+        links,
+    };
+    match r.remaining() {
+        0 => Ok((snap, transitions, trace_next_seq)),
+        _ => Err(WireError::TrailingBytes),
+    }
 }
 
 #[cfg(test)]
@@ -427,9 +450,11 @@ mod tests {
     use crate::wirefmt::{self, put_bytes, put_value, put_varint};
     use calm_common::fact::{fact, Fact};
     use calm_common::instance::Instance;
+    use calm_common::storage::{load_instance, store_to_instance, SharedSymbols, Storage};
     use calm_common::value::Value;
     use calm_obs::Obs;
     use calm_transducer::multiset::Multiset;
+    use calm_transducer::rows::Batch;
     use calm_transducer::runtime::FinalStates;
     use std::collections::{BTreeMap, BTreeSet};
     use std::sync::Arc;
@@ -657,8 +682,9 @@ mod tests {
         }
     }
 
-    /// Build a realistic node snapshot for blob round-trip tests.
-    fn snapshot_fixture(salt: u64) -> NodeSnapshot {
+    /// Build a realistic node snapshot for blob round-trip tests, in
+    /// rows over `symbols`.
+    fn snapshot_fixture(salt: u64, symbols: &SharedSymbols) -> NodeSnapshot {
         let mut state = Instance::new();
         state.insert(fact("T", [salt as i64, 2]));
         state.insert(fact("Ready", ["up"]));
@@ -683,31 +709,48 @@ mod tests {
         links
             .recv_dedup
             .insert(0, BTreeSet::from([fact("E", [1, 1])]));
+        let mut rows = Storage::new();
+        load_instance(&state, symbols, &mut rows);
         NodeSnapshot {
-            state,
-            pending,
+            state: rows,
+            pending: vec![Arc::new(Batch::of_facts(&pending, &mut symbols.write()))],
             links,
         }
     }
 
+    /// `snap`'s blob, written from its rows over `symbols`.
+    fn blob_of(
+        snap: &NodeSnapshot,
+        symbols: &SharedSymbols,
+        transitions: u64,
+        seq: u64,
+    ) -> Vec<u8> {
+        let table = symbols.read();
+        let mut order = CanonicalOrder::default();
+        order.extend(&table);
+        encode_snapshot_blob(snap, &table, &order, transitions, seq)
+    }
+
+    /// The facts a snapshot's rows over `symbols` stand for.
+    fn facts_of(snap: &NodeSnapshot, symbols: &SharedSymbols) -> (Instance, Multiset<Fact>) {
+        let mut pending = Multiset::new();
+        for batch in &snap.pending {
+            batch.add_to(&symbols.read(), &mut pending);
+        }
+        (store_to_instance(&snap.state, symbols), pending)
+    }
+
     #[test]
     fn snapshot_blobs_round_trip_and_reset_retry_timers() {
-        let snap = snapshot_fixture(10);
-        let blob = encode_snapshot_blob(&snap, 17, 23);
-        let (back, transitions, trace_seq) = decode_snapshot_blob(&blob).expect("blob round trip");
+        let symbols = SharedSymbols::new();
+        let snap = snapshot_fixture(10, &symbols);
+        let blob = blob_of(&snap, &symbols, 17, 23);
+        let restorer = SharedSymbols::new();
+        let (back, transitions, trace_seq) =
+            decode_snapshot_blob(&blob, &mut restorer.write()).expect("blob round trip");
         assert_eq!(transitions, 17);
         assert_eq!(trace_seq, 23);
-        assert_eq!(back.state, snap.state);
-        assert_eq!(
-            back.pending
-                .iter()
-                .map(|(f, n)| (f.clone(), n))
-                .collect::<Vec<_>>(),
-            snap.pending
-                .iter()
-                .map(|(f, n)| (f.clone(), n))
-                .collect::<Vec<_>>()
-        );
+        assert_eq!(facts_of(&back, &restorer), facts_of(&snap, &symbols));
         assert_eq!(back.links.cum, snap.links.cum);
         assert_eq!(back.links.seen, snap.links.seen);
         assert_eq!(back.links.sent_floor, snap.links.sent_floor);
@@ -720,12 +763,13 @@ mod tests {
         assert_eq!(e.attempt, 0);
         assert_eq!(e.retry_at, 0);
         // Strictness of the blob codec itself.
+        let decode = |bytes: &[u8]| decode_snapshot_blob(bytes, &mut SymbolTable::new());
         for cut in 0..blob.len() {
-            assert!(decode_snapshot_blob(&blob[..cut]).is_err());
+            assert!(decode(&blob[..cut]).is_err());
         }
         let mut long = blob.clone();
         long.push(0);
-        assert!(decode_snapshot_blob(&long).is_err());
+        assert!(decode(&long).is_err());
     }
 
     /// Satellite proptest: *any* strict prefix of *any* Snapshot frame
@@ -741,11 +785,12 @@ mod tests {
             lcg >> 33
         };
         for case in 0..24 {
-            let snap = snapshot_fixture(next() % 1000);
+            let symbols = SharedSymbols::new();
+            let snap = snapshot_fixture(next() % 1000, &symbols);
             let blob = if case % 4 == 0 {
                 Vec::new() // empty blob is legal at the frame layer
             } else {
-                encode_snapshot_blob(&snap, next(), next())
+                blob_of(&snap, &symbols, next(), next())
             };
             match round(&CtrlMsg::Snapshot {
                 node: (next() % 64) as usize,
@@ -797,7 +842,8 @@ mod tests {
     fn corpus() -> Vec<(&'static str, Vec<u8>)> {
         let (payload, _) = traced_payload();
         let (stats, state) = final_fixture();
-        let blob = encode_snapshot_blob(&snapshot_fixture(10), 17, 23);
+        let symbols = SharedSymbols::new();
+        let blob = blob_of(&snapshot_fixture(10, &symbols), &symbols, 17, 23);
         let deliver = |msg| encode_ctrl(&CtrlMsg::Deliver(msg));
         vec![
             (
@@ -871,7 +917,7 @@ mod tests {
             ("blob/10", blob),
             (
                 "blob/0",
-                encode_snapshot_blob(&snapshot_fixture(0), 0, 1 << 40),
+                blob_of(&snapshot_fixture(0, &symbols), &symbols, 0, 1 << 40),
             ),
         ]
     }
@@ -943,14 +989,9 @@ mod tests {
             ]
             .concat()
         };
-        assert_eq!(
-            decode_snapshot_blob(&blob(&[2, 1]))
-                .unwrap()
-                .0
-                .pending
-                .len(),
-            3
-        );
+        let decode = |bytes: &[u8]| decode_snapshot_blob(bytes, &mut SymbolTable::new());
+        let (snap, _, _) = decode(&blob(&[2, 1])).unwrap();
+        assert_eq!(snap.pending.iter().map(|b| b.len()).sum::<usize>(), 3);
         assert_eq!(wirefmt::decode_naive(&naive(&[2, 1])).unwrap().len(), 3);
         for mults in [
             &[1 << 63, 1 << 63][..],
@@ -959,10 +1000,7 @@ mod tests {
             &[3, u64::MAX],
         ] {
             assert!(
-                matches!(
-                    decode_snapshot_blob(&blob(mults)),
-                    Err(WireError::NonCanonical(_))
-                ),
+                matches!(decode(&blob(mults)), Err(WireError::NonCanonical(_))),
                 "blob with multiplicities {mults:?}"
             );
             assert!(
@@ -994,7 +1032,10 @@ mod tests {
             crate::codec::tests::mutate(&mut rng, &mut bytes, &corpus);
             let recode = |bytes: &[u8]| -> Result<Vec<u8>, WireError> {
                 if name.starts_with("blob") {
-                    decode_snapshot_blob(bytes).map(|(s, t, n)| encode_snapshot_blob(&s, t, n))
+                    // Read into a table of its own, written back from it.
+                    let symbols = SharedSymbols::new();
+                    let decoded = decode_snapshot_blob(bytes, &mut symbols.write());
+                    decoded.map(|(s, t, n)| blob_of(&s, &symbols, t, n))
                 } else {
                     decode_ctrl(bytes).map(|m| encode_ctrl(&m))
                 }

@@ -22,6 +22,7 @@ use super::proto::{
 use crate::executor::{run_worker, Msg, NodeFactory, Ports, ProcCtx, WorkerCtx};
 use crate::faults::FaultPlan;
 use calm_common::instance::Instance;
+use calm_common::storage::SharedSymbols;
 use calm_obs::Obs;
 use calm_transducer::network::NodeId;
 use calm_transducer::policy::{distribute, DistributionPolicy};
@@ -248,12 +249,13 @@ pub fn run_net_worker(
         faults = Some(FaultPlan::none(0));
     }
 
-    // Decode the snapshot hand-back (respawn/adoption) eagerly: a blob
-    // the coordinator retained but we cannot decode is a protocol
-    // error, not a run-time fault.
+    // Decode the snapshot hand-back (respawn/adoption) eagerly, into the
+    // worker's table: a blob the coordinator retained but we cannot
+    // decode is a protocol error, not a run-time fault.
+    let symbols = SharedSymbols::new();
     let mut restore = Vec::new();
     for (node, version, blob) in &assign.restore {
-        let (snap, transitions, next_seq) = decode_snapshot_blob(blob)
+        let (snap, transitions, next_seq) = decode_snapshot_blob(blob, &mut symbols.write())
             .map_err(|e| format!("restore blob for node {node} did not decode: {e}"))?;
         restore.push((*node, *version, snap, transitions, next_seq));
     }
@@ -295,7 +297,7 @@ pub fn run_net_worker(
             sys: setup.config,
             dist: &dist,
             empty: &empty,
-            symbols: calm_common::storage::SharedSymbols::new(),
+            symbols,
         },
         ports: &ports,
         budget: assign.spec.step_budget,

@@ -11,6 +11,7 @@
 use calm_common::fact::{fact, Fact};
 use calm_common::instance::Instance;
 use calm_common::rng::Rng;
+use calm_common::storage::SymbolTable;
 use calm_net::{
     run_threaded, FaultPlan, Programs, ReliableNet, ThreadedConfig, ThreadedNetwork, Wire,
 };
@@ -35,11 +36,11 @@ fn batch(rng: &mut Rng) -> Multiset<Fact> {
 /// node's inbox, i.e. what determines `Instance` state).
 fn accepted(plan: &FaultPlan, wires: &[Wire]) -> (Multiset<Fact>, u64, u64) {
     let mut net = ReliableNet::new(plan, &[1], &calm_obs::Obs::noop());
-    let mut out = Vec::new();
+    let (mut out, mut table) = (Vec::new(), SymbolTable::new());
     let mut got = Multiset::new();
     for w in wires {
-        if let Some((_, facts, _)) = net.receive(w.clone(), &mut out) {
-            got.extend_from(facts);
+        if let Some((_, rows, _)) = net.receive(w.clone(), &mut table, &mut out) {
+            rows.add_to(&table, &mut got);
         }
     }
     (

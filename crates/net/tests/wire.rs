@@ -13,6 +13,7 @@
 
 use calm_common::fact::Fact;
 use calm_common::rng::Rng;
+use calm_common::storage::SymbolTable;
 use calm_common::value::Value;
 use calm_net::wirefmt;
 use calm_net::{FaultPlan, ReliableNet, Wire};
@@ -130,7 +131,7 @@ fn reliability_layer_refuses_corrupted_prefixes_and_recovers() {
         }
         let bytes = wirefmt::encode(&batch);
         let mut net = ReliableNet::new(&plan, &[1], &calm_obs::Obs::noop());
-        let mut out = Vec::new();
+        let (mut out, mut table) = (Vec::new(), SymbolTable::new());
         let cuts = [2usize, bytes.len() / 2, bytes.len() - 1];
         for &cut in &cuts {
             let got = net.receive(
@@ -140,6 +141,7 @@ fn reliability_layer_refuses_corrupted_prefixes_and_recovers() {
                     seq: 1,
                     payload: bytes[..cut].to_vec().into(),
                 },
+                &mut table,
                 &mut out,
             );
             assert!(got.is_none(), "seed {seed}: truncated wire must be refused");
@@ -155,11 +157,17 @@ fn reliability_layer_refuses_corrupted_prefixes_and_recovers() {
                 seq: 1,
                 payload: bytes.clone().into(),
             },
+            &mut table,
             &mut out,
         );
         // The substrate's end-to-end per-source dedup collapses
         // multiplicities: what lands is the batch's support.
         let support: Multiset<Fact> = batch.support().cloned().collect();
+        let got = got.map(|(dst, rows, mid)| {
+            let mut facts = Multiset::new();
+            rows.add_to(&table, &mut facts);
+            (dst, facts, mid)
+        });
         assert_eq!(
             got,
             Some((1, support, None)),

@@ -11,9 +11,9 @@
 //!   delivery and the heartbeat, runs the node's program, reads back
 //!   what it added to the state and — with tracing on — mints the
 //!   send's causal id;
-//! * [`NodeEngine::enqueue`] / [`NodeEngine::enqueue_batch`] put a send
-//!   into `b(x)` with one accounting (high-water mark, gauge,
-//!   `trace/deliver`, causal parent).
+//! * [`NodeEngine::enqueue`] puts a send — a step's batch, a decoded
+//!   wire batch — into `b(x)` by its handle, with the accounting
+//!   (high-water mark, gauge, `trace/deliver`, causal parent).
 //!
 //! What is left to an engine is scheduling and carrying what a step
 //! sent to the other nodes' doors, so the equivalence tests compare
@@ -24,13 +24,13 @@
 //! [`NodeEngine::new`]; the nodes of a run share it, so a sent
 //! [`Batch`] is enqueued by handle). `D` is a [`Storage`], the buffer an
 //! [`Inbox`] of shared batches, the known values sets of symbols.
+//! A state enters the node as rows ([`NodeEngine::restore`]) and leaves
+//! it as rows ([`NodeEngine::checkpoint`], [`NodeEngine::into_rows`]);
 //! [`Fact`], [`Instance`] and [`Multiset`] are what the node speaks at
-//! its edges — [`NodeEngine::restore`], [`NodeEngine::state`],
+//! the specification's edges — [`NodeEngine::state`],
 //! [`NodeEngine::pending`], [`NodeEngine::into_parts`],
-//! [`NodeEngine::enqueue_batch`], a sampled delivery, the traced
-//! `new_output` — and nowhere else: no symbol is in a snapshot, on the
-//! wire or in a configuration (DESIGN §17). A run's end takes the node
-//! apart in rows ([`NodeEngine::into_rows`]).
+//! [`NodeEngine::visible`], a sampled delivery, the traced `new_output`
+//! — and nowhere else (DESIGN §17).
 //!
 //! The engine *is* the node: it keeps `D` (without `M`) across
 //! transitions, so a transition costs what it delivers, not what the
@@ -269,22 +269,22 @@ impl<'a> NodeEngine<'a> {
     }
 
     /// Make `(state, inbox)` the node's `(s(x), b(x))` and go cold: the
-    /// one way a state enters a node — from a configuration, from a
-    /// checkpoint. Both are interned against the node's own table here,
-    /// so a snapshot taken under one table restores under another. The
-    /// ids the node mints are not part of it.
-    pub fn restore(&mut self, state: Instance, inbox: Multiset<Fact>) {
+    /// one way a state enters a node — a checkpoint
+    /// ([`NodeEngine::checkpoint`], or a blob read into this node's
+    /// table), a configuration interned at its edge. Both are rows over
+    /// the node's table; the inbox is taken by its handles. The ids the
+    /// node mints are not part of it.
+    pub fn restore(&mut self, state: &Storage, inbox: &[Arc<Batch>]) {
         let symbols = self.symbols.clone();
-        let table = &mut *symbols.write();
         self.d.clear();
-        self.cool(table);
-        let state = Batch::intern(state.iter().map(|(r, t)| (&**r, t.as_slice(), 1)), table);
-        for (r, row, _) in state.rows() {
-            self.d.insert(r, row);
+        self.cool(&symbols.read());
+        for r in state.rel_ids() {
+            let rows = state.relation(r).expect("a listed relation").live_rows();
+            self.d.insert_batch(r, rows);
         }
         self.inbox = Inbox::default();
-        if !inbox.is_empty() {
-            self.inbox.push(Arc::new(Batch::of_facts(&inbox, table)));
+        for batch in inbox.iter().filter(|batch| !batch.is_empty()) {
+            self.inbox.push(Arc::clone(batch));
         }
         self.seen.clear();
     }
@@ -342,9 +342,23 @@ impl<'a> NodeEngine<'a> {
         out
     }
 
-    /// A copy of the node's state `s(x)` (for a checkpoint).
+    /// A copy of the node's state `s(x)`, as facts.
     pub fn state(&self) -> Instance {
         self.export(true)
+    }
+
+    /// The node as a checkpoint holds it, in rows over its table: a copy
+    /// of `s(x)` and the handles of `b(x)` — what [`NodeEngine::restore`]
+    /// takes back. Nothing is un-interned.
+    pub fn checkpoint(&self) -> (Storage, Vec<Arc<Batch>>) {
+        let table = &*self.symbols.read();
+        let schema = self.transducer.schema();
+        let mut state = Storage::new();
+        let stateful = |&r: &RelId| is_state(schema, table.rel_name(r));
+        for r in self.d.rel_ids().filter(stateful) {
+            state.insert_batch(r, self.d.relation(r).expect("listed").live_rows());
+        }
+        (state, self.inbox.batches().to_vec())
     }
 
     /// `D` as it stands between transitions: `H(x) ∪ s(x)`, and `S`
@@ -353,7 +367,7 @@ impl<'a> NodeEngine<'a> {
         self.export(false)
     }
 
-    /// A copy of `b(x)` as it stands (for a checkpoint).
+    /// A copy of `b(x)` as it stands, as facts.
     pub fn pending(&self) -> Multiset<Fact> {
         self.inbox.to_multiset(&self.symbols.read())
     }
@@ -400,9 +414,12 @@ impl<'a> NodeEngine<'a> {
         self.next_seq = self.next_seq.max(next_seq);
     }
 
-    /// Enqueue one send — the batch a sender's step returned, by its
-    /// handle — into `b(x)`. The sender must run over this node's table.
-    /// `mid` is the send's id when it was traced.
+    /// Enqueue one send into `b(x)` by its handle: the batch a sender's
+    /// step returned, or one a wire payload was decoded into. Its rows
+    /// must be over this node's table. `mid` is the send's id when it
+    /// was traced. An arrival is accounted for: the high-water mark, the
+    /// `queue_depth` gauge, and for a traced send the `trace/deliver`
+    /// event and the causal parent of this node's next send.
     pub fn enqueue(
         &mut self,
         sent: &Arc<Batch>,
@@ -410,36 +427,11 @@ impl<'a> NodeEngine<'a> {
         metrics: &mut Metrics,
         obs: &Obs,
     ) {
-        if !sent.is_empty() {
-            self.inbox.push(Arc::clone(sent));
-            self.note_arrival(sent.len(), mid, metrics, obs);
+        if sent.is_empty() {
+            return;
         }
-    }
-
-    /// As [`NodeEngine::enqueue`], for the multiset a wire batch decoded
-    /// into: interned here, at the door.
-    pub fn enqueue_batch(
-        &mut self,
-        batch: Multiset<Fact>,
-        mid: Option<(u64, u64)>,
-        metrics: &mut Metrics,
-        obs: &Obs,
-    ) {
-        let batch = Arc::new(Batch::of_facts(&batch, &mut self.symbols.write()));
-        self.enqueue(&batch, mid, metrics, obs);
-    }
-
-    /// The accounting behind both doors, for `n > 0` occurrences that
-    /// just went into the inbox: the high-water mark, the `queue_depth`
-    /// gauge, and for a traced send the `trace/deliver` event and the
-    /// causal parent of this node's next send.
-    fn note_arrival(
-        &mut self,
-        n: usize,
-        mid: Option<(u64, u64)>,
-        metrics: &mut Metrics,
-        obs: &Obs,
-    ) {
+        let n = sent.len();
+        self.inbox.push(Arc::clone(sent));
         let depth = self.inbox.len();
         metrics.note_depth(&self.node, depth);
         if let Some((origin, seq)) = mid {
@@ -920,8 +912,9 @@ mod tests {
         );
         assert_eq!(engine.visible().relation_len("MyAdom"), 5);
         // Restoring a state — even its own — starts over.
-        let state = engine.state();
-        engine.restore(state.clone(), Multiset::new());
+        let (state, rows) = (engine.state(), engine.checkpoint().0);
+        assert_eq!(rows.len(), state.len());
+        engine.restore(&rows, &[]);
         assert!(engine.is_cold());
         assert_eq!(engine.visible().relation_len("MyAdom"), 0);
         let again = beat(&mut engine, &mut metrics);
@@ -1091,7 +1084,8 @@ mod tests {
         let mut batch = Multiset::new();
         batch.insert_n(fact("m_E", [1, 2]), 3);
         batch.insert(fact("m_E", [4, 5]));
-        node.enqueue_batch(batch, None, &mut m, &obs);
+        let batch = Arc::new(Batch::of_facts(&batch, &mut node.symbols.write()));
+        node.enqueue(&batch, None, &mut m, &obs);
         assert_eq!((hw(&m), node.buffered()), (Some(6), 6));
         // Draining does not lower it, and a shallower refill does not
         // raise it.
@@ -1132,7 +1126,7 @@ mod tests {
         let quiet = node.step(Delivery::None, &mut m, &Obs::noop());
         assert!(!quiet.sent.is_empty() && quiet.mid.is_none());
         let obs = Obs::new(std::sync::Arc::new(calm_obs::NoopSink));
-        node.restore(Instance::new(), Multiset::new());
+        node.restore(&Storage::new(), &[]);
         let first = node.step(Delivery::None, &mut m, &obs);
         assert_eq!((first.mid, first.cause), (Some((1, 0)), None));
         node.enqueue(
@@ -1145,7 +1139,7 @@ mod tests {
         assert_eq!((second.mid, second.cause), (Some((1, 1)), Some((0, 7))));
         // A restore does not hand an id out twice; a predecessor's
         // numbering can only push the next one up.
-        node.restore(Instance::new(), Multiset::new());
+        node.restore(&Storage::new(), &[]);
         node.resume_ids_from(1);
         assert_eq!(node.next_seq(), 2);
         node.resume_ids_from(9);

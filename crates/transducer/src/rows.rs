@@ -7,10 +7,11 @@
 //! Every [`Sym`] and [`RelId`] here is an index into the one
 //! [`SymbolTable`] of the engine instance the node runs in — a
 //! [`crate::runtime::run_with`] call, a `calm-net` worker — and means
-//! nothing outside it: rows never go on the wire, into a snapshot or
-//! into a [`crate::runtime::Configuration`]. [`Batch::intern`] and
-//! [`Batch::add_to`] are the two conversions, called at the node's
-//! edges only (DESIGN §17). [`StateRows`] carries its table with it.
+//! nothing outside it: a frame or a snapshot blob carries the values the
+//! rows stand for, written and read by `calm-net`'s codec over the
+//! worker's table, and a [`crate::runtime::Configuration`] holds facts.
+//! [`Batch::intern`] and [`Batch::add_to`] are the conversions to and
+//! from facts (DESIGN §17). [`StateRows`] carries its table with it.
 
 use crate::multiset::Multiset;
 use crate::network::NodeId;
@@ -49,8 +50,8 @@ impl Batch {
         self.push_n(rel, row, 1);
     }
 
-    /// `n` occurrences of `row` of relation `rel`.
-    pub(crate) fn push_n(&mut self, rel: RelId, row: &[Sym], n: usize) {
+    /// `n` occurrences of `row` of relation `rel` (at most `u32::MAX`).
+    pub fn push_n(&mut self, rel: RelId, row: &[Sym], n: usize) {
         if n == 0 {
             return;
         }
@@ -97,7 +98,7 @@ impl Batch {
     }
 
     /// Every row with how often it occurs, in push order.
-    pub(crate) fn rows(&self) -> impl Iterator<Item = (RelId, &[Sym], usize)> + '_ {
+    pub fn rows(&self) -> impl Iterator<Item = (RelId, &[Sym], usize)> + '_ {
         let mut counts = self.counts.iter();
         self.groups()
             .flat_map(|(rel, rows)| rows.map(move |row| (rel, row)))
@@ -105,8 +106,8 @@ impl Batch {
     }
 
     /// Intern facts — relation, arguments, number of occurrences —
-    /// against `table`: the way facts enter a node (a restored state or
-    /// buffer, a decoded wire batch, the input fragment).
+    /// against `table`: the way facts enter a node (the input fragment,
+    /// a configuration's buffer, a sampled delivery).
     pub(crate) fn intern<'f>(
         facts: impl IntoIterator<Item = (&'f str, &'f [Value], usize)>,
         table: &mut SymbolTable,
@@ -129,7 +130,7 @@ impl Batch {
     }
 
     /// Add the batch's facts, un-interned, to `out`: the way rows leave
-    /// a node (a checkpoint, the wire encoding, a sampled delivery).
+    /// a node as facts (a configuration, a sampled delivery).
     pub fn add_to(&self, table: &SymbolTable, out: &mut Multiset<Fact>) {
         for (rel, row, n) in self.rows() {
             out.insert_n(fact_of(table, rel, row), n);
@@ -207,8 +208,8 @@ impl Inbox {
         std::mem::take(&mut self.batches)
     }
 
-    /// The buffer as the multiset of facts it is (for a checkpoint, a
-    /// configuration, a sampled delivery).
+    /// The buffer as the multiset of facts it is (for a configuration,
+    /// a sampled delivery).
     pub(crate) fn to_multiset(&self, table: &SymbolTable) -> Multiset<Fact> {
         let mut out = Multiset::new();
         for batch in &self.batches {

@@ -5,7 +5,7 @@ use crate::engine::NodeEngine;
 use crate::multiset::Multiset;
 use crate::network::NodeId;
 use crate::policy::{distribute, DistributionPolicy};
-use crate::rows::{values_of, Inbox, StateRows};
+use crate::rows::{values_of, Batch, Inbox, StateRows};
 use crate::schema::SystemConfig;
 use crate::strategy::MessageClassCounts;
 use crate::transducer::Transducer;
@@ -14,7 +14,8 @@ use calm_common::instance::Instance;
 use calm_common::rng::Rng;
 use calm_common::schema::Schema;
 use calm_common::storage::{
-    relations_by_name, store_to_instance, CanonicalOrder, Relation, SharedSymbols, Storage, Sym,
+    load_instance, relations_by_name, store_to_instance, CanonicalOrder, Relation, SharedSymbols,
+    Storage, Sym,
 };
 use calm_obs::{ArgValue, Obs};
 use std::collections::BTreeMap;
@@ -220,10 +221,12 @@ pub fn transition(
     let symbols = SharedSymbols::new();
     let (transducer, policy) = (tn.transducer, tn.policy);
     let mut node = NodeEngine::new(transducer, policy, tn.config, x.clone(), input, &symbols);
-    node.restore(
-        config.state.remove(x).expect("node state"),
-        config.buffer.remove(x).expect("node buffer"),
-    );
+    // The configuration's facts, interned at this edge.
+    let (state, buffer) = (config.state.remove(x), config.buffer.remove(x));
+    let mut rows = Storage::new();
+    load_instance(&state.expect("node state"), &symbols, &mut rows);
+    let buffer = Batch::of_facts(&buffer.expect("node buffer"), &mut symbols.write());
+    node.restore(&rows, &[buffer.into()]);
     let outcome = node.step(delivery, metrics, &Obs::noop());
     let (state, buffer) = node.into_parts();
     config.state.insert(x.clone(), state);

@@ -298,7 +298,7 @@ mod tests {
         use crate::rows::Batch;
         use crate::runtime::{Delivery, Metrics};
         use calm_common::fact::{fact, Fact};
-        use calm_common::storage::SharedSymbols;
+        use calm_common::storage::{load_instance, SharedSymbols, Storage};
         use calm_obs::Obs;
         use std::sync::Arc;
 
@@ -328,15 +328,21 @@ mod tests {
         assert!(state.contains(&fact("c_E", [3, 4])) && state.contains(&fact("out_T", [1, 4])));
         assert_eq!(state.relation_len("s_E"), 2, "marks: the node's own facts");
 
+        // A state as the rows a checkpoint holds.
+        let rows = |state: &Instance| {
+            let mut rows = Storage::new();
+            load_instance(state, &symbols, &mut rows);
+            rows
+        };
         // Restored whole, it has nothing to say.
-        node.restore(state.clone(), Multiset::new());
+        node.restore(&rows(&state), &[]);
         assert!(node.step(Delivery::None, &mut m, &obs).sent.is_empty());
         // Restored from a checkpoint whose marks cover one fact only —
         // taken between the two sends, had they been two — it sends the
         // other: not the covered one, not the one it merely stored.
         let mut earlier = state.clone();
         earlier.remove(&fact("s_E", [2, 3]));
-        node.restore(earlier, Multiset::new());
+        node.restore(&rows(&earlier), &[]);
         let again = sent(node.step(Delivery::None, &mut m, &obs));
         assert_eq!(again, [fact("m_E", [2, 3])]);
         assert_eq!(node.state(), state);

@@ -4,8 +4,8 @@
 //! running count (DESIGN §17); at its edges it is the multiset of facts
 //! of §4.1.3. This suite drives one node through random sequences of
 //! everything that touches the buffer — `enqueue` of a shared batch
-//! (sometimes the same handle twice), `enqueue_batch` of a multiset with
-//! counts above one, `step` with all three deliveries, `restore` — next
+//! (sometimes the same handle twice), `enqueue` of a decoded wire batch
+//! with counts above one, `step` with all three deliveries, `restore` — next
 //! to a model that *is* a `Multiset<Fact>`, and compares after every
 //! operation: `pending()`, the O(1) count, `|m|`, the high-water mark
 //! and the delivered *set* (read off the state: the broadcast strategy
@@ -21,7 +21,7 @@
 use calm_common::fact::{fact, Fact};
 use calm_common::instance::Instance;
 use calm_common::rng::Rng;
-use calm_common::storage::SharedSymbols;
+use calm_common::storage::{load_instance, SharedSymbols, Storage};
 use calm_common::value::Value;
 use calm_obs::Obs;
 use calm_queries::tc::{edges_without_source_loop, tc_datalog};
@@ -33,6 +33,22 @@ use calm_transducer::{
 };
 use std::collections::BTreeSet;
 use std::sync::Arc;
+
+/// `facts` as a batch over `symbols`: a decoded wire batch, a buffer.
+fn batch(facts: &Multiset<Fact>, symbols: &SharedSymbols) -> Arc<Batch> {
+    Arc::new(Batch::of_facts(facts, &mut symbols.write()))
+}
+
+/// `(state, buffer)` as the rows a restore takes, over `symbols`.
+fn rows(
+    state: &Instance,
+    buffer: &Multiset<Fact>,
+    symbols: &SharedSymbols,
+) -> (Storage, Arc<Batch>) {
+    let mut rows = Storage::new();
+    load_instance(state, symbols, &mut rows);
+    (rows, batch(buffer, symbols))
+}
 
 /// A message fact of arity 1–3 over a small domain.
 fn random_message(rng: &mut Rng) -> Fact {
@@ -131,7 +147,7 @@ fn the_inbox_is_a_multiset_of_facts_at_every_edge() {
                     for _ in 0..rng.gen_range(0..5usize) {
                         wire.insert_n(random_message(&mut rng), rng.gen_range(1..4usize));
                     }
-                    node.enqueue_batch(wire.clone(), None, &mut metrics, &obs);
+                    node.enqueue(&batch(&wire, &symbols), None, &mut metrics, &obs);
                     model.arrive(&wire);
                 }
                 4..=6 => {
@@ -149,7 +165,8 @@ fn the_inbox_is_a_multiset_of_facts_at_every_edge() {
                     for _ in 0..rng.gen_range(0..4usize) {
                         buffer.insert_n(random_message(&mut rng), rng.gen_range(1..3usize));
                     }
-                    node.restore(node.state(), buffer.clone());
+                    let (state, buffer_rows) = rows(&node.state(), &buffer, &symbols);
+                    node.restore(&state, &[buffer_rows]);
                     model.buffer = buffer;
                 }
             }
@@ -249,7 +266,7 @@ fn a_wire_batch_carries_the_arity_of_every_row() {
         let symbols = SharedSymbols::new();
         let mut node = NodeEngine::new(&t, &policy, sys, x.clone(), &dist[x], &symbols);
         let mut warm = Metrics::default();
-        node.enqueue_batch(wire.clone(), None, &mut warm, &Obs::noop());
+        node.enqueue(&batch(&wire, &symbols), None, &mut warm, &Obs::noop());
         assert_eq!(node.pending(), wire, "{x}: the batch as it was");
         let outcome = node.step(Delivery::All, &mut warm, &Obs::noop());
         assert_eq!(outcome.delivered, 5, "{x}");
@@ -294,11 +311,11 @@ fn a_snapshot_knows_no_symbols() {
     let first_table = SharedSymbols::new();
     let mut original = NodeEngine::new(&t, &policy, sys, x.clone(), &dist[&x], &first_table);
     let mut discarded = Metrics::default();
-    for batch in &before {
-        original.enqueue_batch(batch.clone(), None, &mut discarded, &obs);
+    for sent in &before {
+        original.enqueue(&batch(sent, &first_table), None, &mut discarded, &obs);
         original.step(Delivery::All, &mut discarded, &obs);
     }
-    original.enqueue_batch(waiting.clone(), None, &mut discarded, &obs);
+    original.enqueue(&batch(&waiting, &first_table), None, &mut discarded, &obs);
     let (state, pending) = (original.state(), original.pending());
     assert!(!original.is_cold() && pending == waiting);
 
@@ -313,16 +330,18 @@ fn a_snapshot_knows_no_symbols() {
         table.sym(&Value::str(format!("v{k}")));
     }
     let mut fresh = NodeEngine::new(&t, &policy, sys, x.clone(), &dist[&x], &other_table);
-    same.restore(state.clone(), pending.clone());
-    fresh.restore(state.clone(), pending.clone());
+    let (same_state, same_pending) = rows(&state, &pending, &first_table);
+    same.restore(&same_state, &[same_pending]);
+    let (fresh_state, fresh_pending) = rows(&state, &pending, &other_table);
+    fresh.restore(&fresh_state, &[fresh_pending]);
 
     let tables = [&first_table, &first_table, &other_table];
     let mut nodes = [original, same, fresh];
     let mut metrics = [(); 3].map(|()| Metrics::default());
-    for (k, batch) in after.iter().enumerate() {
+    for (k, sent) in after.iter().enumerate() {
         let mut sends = Vec::new();
         for ((node, m), table) in nodes.iter_mut().zip(&mut metrics).zip(tables) {
-            node.enqueue_batch(batch.clone(), None, m, &obs);
+            node.enqueue(&batch(sent, table), None, m, &obs);
             let outcome = node.step(Delivery::All, m, &obs);
             sends.push((facts_of(&outcome.sent, table), outcome.delivered));
         }
