@@ -257,13 +257,6 @@ impl Program {
             .all(|r| r.neg.iter().all(|a| !idb.contains(&a.relation)))
     }
 
-    /// Rules whose head is the given relation.
-    pub fn rules_for<'a>(&'a self, relation: &'a str) -> impl Iterator<Item = &'a Rule> + 'a {
-        self.rules
-            .iter()
-            .filter(move |r| r.head.relation.as_ref() == relation)
-    }
-
     /// A new program consisting of the subset of rules satisfying `keep`,
     /// with the same outputs intersected with the remaining idb.
     pub fn filter_rules(&self, mut keep: impl FnMut(&Rule) -> bool) -> Program {
@@ -456,7 +449,11 @@ mod tests {
     fn with_adom_adds_projection_rules() {
         let p = tc_program().with_adom();
         // E has two positions -> two Adom rules added.
-        let adom_rules: Vec<_> = p.rules_for("Adom").collect();
+        let adom_rules: Vec<_> = p
+            .rules
+            .iter()
+            .filter(|r| &*r.head.relation == "Adom")
+            .collect();
         assert_eq!(adom_rules.len(), 2);
         assert!(p.idb().contains("Adom"));
     }

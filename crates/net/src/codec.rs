@@ -19,19 +19,18 @@
 //! the caller's to refuse, with [`decode_all`].
 //!
 //! Facts are written from rows in [`CanonicalOrder`] and read into rows
-//! ([`put_state`], [`put_pending`], [`read_rows`]): a node's state and
-//! inbox in a checkpoint, the states of the final report ([`StateRows`]).
+//! ([`put_state`], [`put_pending`], [`read_rows`]): a node's state, inbox
+//! and receive filter in a checkpoint, the states of the final report
+//! ([`StateRows`]).
 
-use crate::wirefmt::{
-    canonical_rows, put_bytes, put_value, put_varint, unzigzag, zigzag, Reader, WireError,
-};
+use crate::wirefmt::{put_bytes, put_value, put_varint, unzigzag, zigzag, Reader, WireError};
 use calm_common::fact::Fact;
 use calm_common::storage::{
     relations_by_name, CanonicalOrder, RelId, SharedSymbols, Storage, Sym, SymbolTable,
 };
 use calm_common::value::Value;
 use calm_transducer::multiset::Multiset;
-use calm_transducer::rows::{Batch, StateRows};
+use calm_transducer::rows::{canonical_rows, Batch, StateRows};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -220,8 +219,8 @@ pub(crate) fn put_pending(
 ) {
     let rows = canonical_rows(batches.iter().flat_map(|b| b.rows()), table, order, false);
     rows.len().put(out);
-    for (name, row, n) in rows {
-        put_record(out, name, row.iter().map(|&s| table.value(s)));
+    for (r, row, n) in rows {
+        put_record(out, table.rel_name(r), row.iter().map(|&s| table.value(s)));
         n.put(out);
     }
 }
@@ -578,12 +577,46 @@ pub(crate) mod tests {
         (batches, all)
     }
 
+    /// A receive filter of one to three sources over `table`, rows
+    /// inserted in no order, with the sets of facts it holds: arities 1–3,
+    /// a fact beside the longer one it is a prefix of.
+    fn random_filter(
+        rng: &mut Rng,
+        table: &mut SymbolTable,
+    ) -> (BTreeMap<usize, Storage>, FactSets) {
+        let (mut rows, mut facts) = (BTreeMap::new(), FactSets::new());
+        for _ in 0..rng.gen_range(1..4usize) {
+            let src = rng.gen_range(0..6usize);
+            let mut set: Vec<Fact> = (0..rng.gen_range(1..6usize))
+                .map(|_| {
+                    let relation = rng.choose(&["m_E", "n_E"]).unwrap();
+                    let args = (0..rng.gen_range(1..4usize)).map(|_| random_value(rng, 0));
+                    Fact::new(relation, args.collect())
+                })
+                .collect();
+            if let Some(f) = set.first().filter(|f| f.arity() > 1) {
+                set.push(Fact::new(f.relation(), f.args()[..f.arity() - 1].to_vec()));
+            }
+            rng.shuffle(&mut set);
+            let held: &mut Storage = rows.entry(src).or_default();
+            for f in &set {
+                let row: Vec<Sym> = f.args().iter().map(|v| table.sym(v)).collect();
+                held.insert(table.rel(f.relation()), &row);
+            }
+            facts.entry(src).or_default().extend(set);
+        }
+        (rows, facts)
+    }
+
+    /// A receive filter as the facts it held.
+    type FactSets = BTreeMap<usize, BTreeSet<Fact>>;
+
     #[test]
     fn the_snapshot_writer_writes_the_bytes_of_the_instance_and_multiset_encoders() {
         use crate::reliable::{NodeLinks, NodeSnapshot};
         use crate::transport::proto::{decode_snapshot_blob, encode_snapshot_blob};
         let mut rng = Rng::seed_from_u64(0x5a_a9);
-        let (mut facts, mut pending, mut shared) = (0, 0, 0);
+        let (mut facts, mut pending, mut shared, mut filtered) = (0, 0, 0, 0);
         for case in 0..400u64 {
             let states = random_states(&mut rng);
             let state = states
@@ -591,15 +624,19 @@ pub(crate) mod tests {
                 .map_or_else(Instance::new, |(_, s)| s.clone());
             let rows = scrambled_rows(&mut rng, &states[..states.len().min(1)]);
             let (inbox, all) = random_inbox(&mut rng, &mut rows.symbols.write());
+            let (filter, filter_facts) = random_filter(&mut rng, &mut rows.symbols.write());
             let mut links = NodeLinks::default();
             links.cum.insert(0, case);
+            // The layout of the links with the filter kept in facts.
             let reference = [
                 encoded(&state),
                 encoded(&all),
                 encoded(&links),
+                encoded(&filter_facts),
                 encoded(&(17u64, case)),
             ]
             .concat();
+            links.recv_dedup = filter;
             let table = &*rows.symbols.read();
             let mut order = CanonicalOrder::default();
             order.extend(table);
@@ -626,6 +663,12 @@ pub(crate) mod tests {
                 "case {case}"
             );
             assert_eq!(again, all, "case {case}");
+            let held = back.links.recv_dedup.iter();
+            let held = held.map(|(&src, rows)| (src, store_to_instance(rows, &restorer)));
+            let held: FactSets = held
+                .map(|(src, set)| (src, set.facts().collect()))
+                .collect();
+            assert_eq!(held, filter_facts, "case {case}");
             let mut order = CanonicalOrder::default();
             order.extend(&restorer.read());
             let rewritten = encode_snapshot_blob(&back, &restorer.read(), &order, 17, case);
@@ -634,8 +677,11 @@ pub(crate) mod tests {
             let mut r = Reader::new(&blob);
             assert_eq!(Instance::read(&mut r), Ok(state.clone()));
             assert_eq!(Multiset::<Fact>::read(&mut r), Ok(all.clone()));
+            assert!(NodeLinks::read(&mut r).is_ok());
+            assert_eq!(FactSets::read(&mut r), Ok(filter_facts.clone()));
             facts += state.len() * usize::from(nodes > 0);
             pending += all.len();
+            filtered += filter_facts.values().map(BTreeSet::len).sum::<usize>();
             let held = |f: &Fact| {
                 snap.pending
                     .iter()
@@ -645,8 +691,9 @@ pub(crate) mod tests {
             shared += usize::from(all.support().any(|f| held(f) > 1));
         }
         assert!(
-            facts > 1_000 && pending > 2_000 && shared > 150,
-            "{facts} facts, {pending} pending, {shared} inboxes with a fact in two batches"
+            facts > 1_000 && pending > 2_000 && shared > 150 && filtered > 1_500,
+            "{facts} facts, {pending} pending, {shared} inboxes with a fact in two batches, \
+             {filtered} in receive filters"
         );
     }
 

@@ -11,12 +11,13 @@ use calm_common::storage::{CanonicalOrder, SharedSymbols};
 use calm_obs::{ArgValue, Obs};
 use calm_transducer::engine::{NodeEngine, NodeStepOutcome};
 use calm_transducer::network::NodeId;
-use calm_transducer::policy::{distribute, DistributionPolicy};
-use calm_transducer::rows::{Batch, StateRows};
+use calm_transducer::policy::DistributionPolicy;
+use calm_transducer::rows::{input_batches, Batch, StateRows};
 use calm_transducer::runtime::{Delivery, FinalStates, Metrics};
 use calm_transducer::schema::SystemConfig;
 use calm_transducer::transducer::Transducer;
 use std::collections::{BTreeMap, VecDeque};
+use std::panic::AssertUnwindSafe;
 use std::sync::mpsc::{Receiver, RecvError, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -46,29 +47,6 @@ pub enum Programs<'a> {
     Shared(&'a dyn Transducer),
     /// A factory invoked once per worker, on that worker's thread.
     PerWorker(&'a (dyn Fn() -> Box<dyn Transducer> + Sync)),
-}
-
-enum ProgramHandle<'a> {
-    Borrowed(&'a dyn Transducer),
-    Owned(Box<dyn Transducer>),
-}
-
-impl ProgramHandle<'_> {
-    fn as_dyn(&self) -> &dyn Transducer {
-        match self {
-            ProgramHandle::Borrowed(t) => *t,
-            ProgramHandle::Owned(b) => b.as_ref(),
-        }
-    }
-}
-
-impl<'a> Programs<'a> {
-    fn instantiate(&self) -> ProgramHandle<'a> {
-        match self {
-            Programs::Shared(t) => ProgramHandle::Borrowed(*t),
-            Programs::PerWorker(f) => ProgramHandle::Owned(f()),
-        }
-    }
 }
 
 /// A transducer network ready to run threaded: the same ingredients as
@@ -278,8 +256,8 @@ pub(crate) trait Ports {
 }
 
 /// The in-process transport: one `mpsc` receiver per worker, senders to
-/// every peer. Channels cannot fail short of a peer panic, so a send
-/// error is a harness bug and panics loudly.
+/// every peer. A send to a worker that has ended — it panicked, and its
+/// panic ends the run — is lost.
 pub(crate) struct ChannelPorts {
     rx: Receiver<Msg>,
     senders: Vec<Sender<Msg>>,
@@ -287,7 +265,7 @@ pub(crate) struct ChannelPorts {
 
 impl Ports for ChannelPorts {
     fn send(&self, dst: usize, msg: Msg) {
-        self.senders[dst].send(msg).expect("worker channel closed");
+        let _ = self.senders[dst].send(msg);
     }
 
     fn try_recv(&self) -> Result<Msg, TryRecvError> {
@@ -342,11 +320,8 @@ pub fn run_threaded_with(
     cfg: &ThreadedConfig,
     obs: &Obs,
 ) -> ThreadedRunResult {
-    let node_ids: Vec<NodeId> = tn.policy.network().nodes().cloned().collect();
-    let total_nodes = node_ids.len();
+    let total_nodes = tn.policy.network().len();
     let workers = cfg.workers.clamp(1, total_nodes.max(1));
-    let dist = distribute(tn.policy, input);
-    let empty = Instance::new();
 
     obs.event("net", "executor_start", 0, || {
         vec![
@@ -364,44 +339,51 @@ pub fn run_threaded_with(
         receivers.push(rx);
     }
 
-    let outcomes: Vec<FinalReport> = std::thread::scope(|scope| {
+    // A worker that panics tells every peer to terminate before it
+    // unwinds; its panic is raised here once every worker has ended.
+    let ended = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
         for (id, rx) in receivers.into_iter().enumerate() {
             let senders = senders.clone();
-            let (node_ids, dist, empty) = (&node_ids, &dist, &empty);
             handles.push(scope.spawn(move || {
-                let program = tn.programs.instantiate();
                 let ports = ChannelPorts { rx, senders };
-                run_worker(WorkerCtx {
-                    id,
-                    workers,
-                    fab: NodeFactory {
-                        node_ids,
-                        transducer: program.as_dyn(),
-                        policy: tn.policy,
-                        sys: tn.config,
-                        dist,
-                        empty,
-                        symbols: SharedSymbols::new(),
-                    },
-                    ports: &ports,
-                    budget: cfg.step_budget,
-                    faults: cfg.faults.as_ref(),
-                    obs,
-                    proc: ProcCtx::default(),
+                let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    let mut owned = None;
+                    let transducer = match tn.programs {
+                        Programs::Shared(t) => t,
+                        Programs::PerWorker(build) => &**owned.insert(build()),
+                    };
+                    let symbols = SharedSymbols::new();
+                    let fab = NodeFactory::new(transducer, tn.policy, tn.config, input, symbols);
+                    let outcome = run_worker(WorkerCtx {
+                        id,
+                        workers,
+                        fab,
+                        ports: &ports,
+                        budget: cfg.step_budget,
+                        faults: cfg.faults.as_ref(),
+                        obs,
+                        proc: ProcCtx::default(),
+                    });
+                    (outcome.report, transducer.schema().output.clone())
+                }));
+                run.unwrap_or_else(|panic| {
+                    for peer in (0..workers).filter(|&peer| peer != id) {
+                        ports.send(peer, Msg::Terminate);
+                    }
+                    std::panic::resume_unwind(panic)
                 })
             }));
         }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked").report)
-            .collect()
+        handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
     });
+    let (outcomes, schemas): (Vec<_>, Vec<_>) = (ended.into_iter())
+        .map(|worker| worker.unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+        .unzip();
 
     let joined = join_reports(outcomes, workers, cfg.faults.is_some(), true, 0, obs);
-    let probe = tn.programs.instantiate();
     ThreadedRunResult {
-        output: joined.states.output(&probe.as_dyn().schema().output),
+        output: joined.states.output(&schemas[0]),
         states: joined.states,
         metrics: joined.metrics,
         per_worker: joined.per_worker,
@@ -665,22 +647,41 @@ fn next_live(live: &[bool], id: usize) -> usize {
 /// The read-only ingredients a node is minted from — for the worker's
 /// own shard at start-up and for the nodes it adopts later.
 pub(crate) struct NodeFactory<'a> {
-    pub(crate) node_ids: &'a [NodeId],
-    pub(crate) transducer: &'a dyn Transducer,
-    pub(crate) policy: &'a dyn DistributionPolicy,
-    pub(crate) sys: SystemConfig,
-    pub(crate) dist: &'a BTreeMap<NodeId, Instance>,
-    pub(crate) empty: &'a Instance,
+    node_ids: Vec<NodeId>,
+    transducer: &'a dyn Transducer,
+    policy: &'a dyn DistributionPolicy,
+    sys: SystemConfig,
+    /// `H(x)` of every node, in network order, over `symbols`.
+    inputs: Vec<Batch>,
     /// The worker's symbol table: every node it mints is over it, so a
     /// send between two of them is enqueued by handle.
-    pub(crate) symbols: SharedSymbols,
+    symbols: SharedSymbols,
 }
 
 impl<'a> NodeFactory<'a> {
+    /// The factory of a worker whose table is `symbols`: `input` is
+    /// walked once, into the `H(x)` of every node of `policy`'s network.
+    pub(crate) fn new(
+        transducer: &'a dyn Transducer,
+        policy: &'a dyn DistributionPolicy,
+        sys: SystemConfig,
+        input: &Instance,
+        symbols: SharedSymbols,
+    ) -> Self {
+        let inputs = input_batches(policy, input, &mut symbols.write());
+        NodeFactory {
+            node_ids: policy.network().nodes().cloned().collect(),
+            transducer,
+            policy,
+            sys,
+            inputs,
+            symbols,
+        }
+    }
+
     /// Node `g`, not stepped yet.
     fn slot(&self, g: usize) -> Slot<'a> {
-        let id = self.node_ids[g].clone();
-        let input = self.dist.get(&id).unwrap_or(self.empty);
+        let (id, input) = (self.node_ids[g].clone(), &self.inputs[g]);
         let (transducer, policy) = (self.transducer, self.policy);
         Slot {
             global: g,
@@ -1367,7 +1368,7 @@ impl<'a> Worker<'a> {
             stats.wire_bytes += rnet.wire_bytes;
         }
         // Adoption may have grown the shard since the initial assignment.
-        let node_ids = self.fab.node_ids;
+        let node_ids = &self.fab.node_ids;
         stats.nodes = slots.iter().map(|s| node_ids[s.global].clone()).collect();
         stats.buffered = slots.iter().map(|s| s.node.buffered()).sum();
         stats.metrics = metrics;
@@ -1475,18 +1476,9 @@ mod tests {
         use calm_transducer::{HashPolicy, MonotoneBroadcast, Network};
         let t = MonotoneBroadcast::new(Box::new(calm_queries::tc::tc_datalog()));
         let policy = HashPolicy::new(Network::of_size(2));
-        let node_ids: Vec<NodeId> = policy.network().nodes().cloned().collect();
         let input = Instance::from_facts([fact("E", [1, 2]), fact("E", [2, 3])]);
-        let dist = distribute(&policy, &input);
-        let fab = NodeFactory {
-            node_ids: &node_ids,
-            transducer: &t,
-            policy: &policy,
-            sys: SystemConfig::ORIGINAL,
-            dist: &dist,
-            empty: &Instance::new(),
-            symbols: SharedSymbols::new(),
-        };
+        let sys = SystemConfig::ORIGINAL;
+        let fab = NodeFactory::new(&t, &policy, sys, &input, SharedSymbols::new());
         let symbols = fab.symbols.clone();
         let plan = FaultPlan::none(1);
         // A live handle, so that the node mints ids.
@@ -1560,19 +1552,9 @@ mod tests {
         use calm_transducer::{DistinctStrategy, HashPolicy, Network};
         let t = DistinctStrategy::new(Box::new(edges_without_source_loop()));
         let policy = HashPolicy::new(Network::of_size(2));
-        let node_ids: Vec<NodeId> = policy.network().nodes().cloned().collect();
         let input = Instance::from_facts([fact("E", [1, 2]), fact("E", [2, 2]), fact("E", [3, 1])]);
-        let dist = distribute(&policy, &input);
-        let empty = Instance::new();
-        let fab = |symbols: SharedSymbols| NodeFactory {
-            node_ids: &node_ids,
-            transducer: &t,
-            policy: &policy,
-            sys: SystemConfig::POLICY_AWARE,
-            dist: &dist,
-            empty: &empty,
-            symbols,
-        };
+        let sys = SystemConfig::POLICY_AWARE;
+        let fab = |symbols: SharedSymbols| NodeFactory::new(&t, &policy, sys, &input, symbols);
         let (plan, obs) = (FaultPlan::none(1), Obs::noop());
         let mut metrics = Metrics::default();
         let (original, other) = (fab(SharedSymbols::new()), SharedSymbols::new());
@@ -1621,6 +1603,76 @@ mod tests {
         assert!(!a.sent.is_empty(), "new values: absences to send");
         assert_eq!(sent(&b.sent, &other), sent(&a.sent, &symbols));
         assert_eq!(restored.node.state(), slot.node.state());
+    }
+
+    /// The broadcast strategy over `tc`, except that the second program it
+    /// opens panics when it is first advanced.
+    struct SecondFails {
+        strategy: calm_transducer::MonotoneBroadcast,
+        opened: std::sync::atomic::AtomicUsize,
+    }
+
+    struct Fails;
+
+    impl calm_transducer::transducer::NodeProgram for Fails {
+        fn advance(
+            &mut self,
+            _: &mut calm_transducer::transducer::NodeView<'_>,
+        ) -> calm_common::storage::EvalMetrics {
+            panic!("the second program fails")
+        }
+    }
+
+    impl Transducer for SecondFails {
+        fn schema(&self) -> &calm_transducer::TransducerSchema {
+            self.strategy.schema()
+        }
+        fn step(&self, d: &Instance) -> calm_transducer::transducer::TransducerStep {
+            self.strategy.step(d)
+        }
+        fn open(
+            &self,
+            table: &mut calm_common::storage::SymbolTable,
+        ) -> Box<dyn calm_transducer::transducer::NodeProgram + '_> {
+            match self
+                .opened
+                .fetch_add(1, std::sync::atomic::Ordering::SeqCst)
+            {
+                1 => Box::new(Fails),
+                _ => self.strategy.open(table),
+            }
+        }
+    }
+
+    #[test]
+    fn a_worker_that_panics_ends_the_run_with_its_panic() {
+        // Its peers used to wait for a token that never came, and the run
+        // with them.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let t = SecondFails {
+                strategy: calm_transducer::MonotoneBroadcast::new(Box::new(
+                    calm_queries::tc::tc_datalog(),
+                )),
+                opened: Default::default(),
+            };
+            let policy = calm_transducer::HashPolicy::new(calm_transducer::Network::of_size(4));
+            let tn = ThreadedNetwork {
+                programs: Programs::Shared(&t),
+                policy: &policy,
+                config: SystemConfig::ORIGINAL,
+            };
+            let input = calm_common::generator::path(20);
+            let cfg = ThreadedConfig::new(2);
+            let run =
+                std::panic::catch_unwind(AssertUnwindSafe(|| run_threaded(&tn, &input, &cfg)));
+            let panic = run
+                .err()
+                .and_then(|p| p.downcast_ref::<&str>().map(|s| s.to_string()));
+            tx.send(panic).expect("the test waits");
+        });
+        let ended = rx.recv_timeout(Duration::from_secs(10));
+        assert_eq!(ended, Ok(Some("the second program fails".to_string())));
     }
 
     #[test]

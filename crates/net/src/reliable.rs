@@ -38,7 +38,6 @@
 use crate::codec::{counters, wire_struct};
 use crate::faults::{CrashPoint, FaultPlan, FaultStats, Tick};
 use crate::wirefmt;
-use calm_common::fact::Fact;
 use calm_common::storage::{Storage, SymbolTable};
 use calm_obs::{ArgValue, Obs};
 use calm_transducer::rows::Batch;
@@ -139,22 +138,25 @@ pub struct NodeLinks {
     /// is collision-free, and receivers' cumulative cursors never wait
     /// on a hole no surviving sender will fill.
     pub sent_floor: BTreeMap<usize, u64>,
-    /// `src → facts` ever accepted from that source — the end-to-end
-    /// extension of the senders' own marks. A strategy marks in its
-    /// state what it sent and sends it once; a crashed sender's marks
-    /// roll back with its state, so it legitimately re-sends facts its
-    /// peers already consumed under fresh sequence numbers; wire-level
-    /// dedup cannot catch those, and non-monotone strategies
-    /// (request/OK memory protocols) are not duplicate-tolerant at the
-    /// engine level. Because fault-free traffic carries each `(sender,
-    /// fact)` pair at most once (the marks), filtering repeats here
-    /// restores exactly the reachable fault-free delivery multisets. Lives in the snapshot so a receiver rollback
+    /// `src → rows` ever accepted from that source, over the worker's
+    /// table — the end-to-end extension of the senders' own marks. A
+    /// strategy marks in its state what it sent and sends it once; a
+    /// crashed sender's marks roll back with its state, so it
+    /// legitimately re-sends facts its peers already consumed under fresh
+    /// sequence numbers; wire-level dedup cannot catch those, and
+    /// non-monotone strategies (request/OK memory protocols) are not
+    /// duplicate-tolerant at the engine level. Because fault-free traffic
+    /// carries each `(sender, fact)` pair at most once (the marks),
+    /// filtering repeats here restores exactly the reachable fault-free
+    /// delivery multisets. Lives in the snapshot so a receiver rollback
     /// (which also un-applies the facts' effects) forgets the filter
     /// entries consistently.
-    pub recv_dedup: BTreeMap<usize, BTreeSet<Fact>>,
+    pub recv_dedup: BTreeMap<usize, Storage>,
 }
 
-wire_struct!(NodeLinks: out, cum, seen, sent_floor, recv_dedup);
+// `recv_dedup` is rows over the worker's table: a snapshot blob lays it
+// out after these fields, as the `BTreeMap<usize, BTreeSet<Fact>>` it is.
+wire_struct!(NodeLinks: out, cum, seen, sent_floor; not shipped: recv_dedup = BTreeMap::new());
 
 impl NodeLinks {
     fn unacked(&self) -> usize {
@@ -492,15 +494,12 @@ impl<'a> ReliableNet<'a> {
                     seen.insert(seq);
                     // End-to-end fact dedup: drop occurrences this node
                     // already accepted from `src` (replays from a
-                    // crashed sender whose marks rolled back). The
-                    // filter is kept in facts, as the snapshot lays it
-                    // out: one is built per arriving row.
+                    // crashed sender whose marks rolled back).
                     let dedup = nl.recv_dedup.entry(src).or_default();
                     let mut fresh = Batch::default();
                     let mut replayed = 0u64;
                     for (r, row, n) in rows.rows() {
-                        let args = row.iter().map(|&s| table.value(s).clone()).collect();
-                        if dedup.insert(Fact::from_rel(table.rel_name(r).clone(), args)) {
+                        if dedup.insert(r, row) {
                             fresh.push_n(r, row, 1);
                             replayed += n as u64 - 1;
                         } else {
@@ -707,7 +706,10 @@ impl<'a> ReliableNet<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use calm_common::fact::fact;
+    use calm_common::fact::{fact, Fact};
+    use calm_common::rng::Rng;
+    use calm_common::storage::CanonicalOrder;
+    use calm_common::value::Value;
     use calm_transducer::multiset::Multiset;
 
     fn batch(n: i64) -> Multiset<Fact> {
@@ -726,13 +728,17 @@ mod tests {
     /// An arrival with its rows as the facts they stand for.
     type Arrival = (usize, Multiset<Fact>, Option<(u64, u64)>);
 
-    /// [`ReliableNet::receive`] into a table of its own, the rows it
-    /// accepted as the facts they stand for.
-    fn receive(net: &mut ReliableNet<'_>, wire: Wire, out: &mut Vec<Wire>) -> Option<Arrival> {
-        let mut table = SymbolTable::new();
-        let (dst, rows, mid) = net.receive(wire, &mut table, out)?;
+    /// [`ReliableNet::receive`] into `table` — the table of every row the
+    /// net holds — the rows it accepted as the facts they stand for.
+    fn receive(
+        net: &mut ReliableNet<'_>,
+        wire: Wire,
+        table: &mut SymbolTable,
+        out: &mut Vec<Wire>,
+    ) -> Option<Arrival> {
+        let (dst, rows, mid) = net.receive(wire, table, out)?;
         let mut facts = Multiset::new();
-        rows.add_to(&table, &mut facts);
+        rows.add_to(table, &mut facts);
         Some((dst, facts, mid))
     }
 
@@ -740,17 +746,17 @@ mod tests {
     fn dedup_suppresses_and_reacks() {
         let plan = FaultPlan::none(1);
         let mut net = ReliableNet::new(&plan, &[1], &Obs::noop());
-        let mut out = Vec::new();
+        let (mut out, table) = (Vec::new(), &mut SymbolTable::new());
         let d = |seq| Wire::Data {
             src: 0,
             dst: 1,
             seq,
             payload: payload(seq as i64),
         };
-        assert!(receive(&mut net, d(1), &mut out).is_some());
+        assert!(receive(&mut net, d(1), table, &mut out).is_some());
         assert!(out.is_empty(), "fresh data is not acked until snapshot");
         // Duplicate: suppressed, re-acked at the snapshotted cum (0).
-        assert!(receive(&mut net, d(1), &mut out).is_none());
+        assert!(receive(&mut net, d(1), table, &mut out).is_none());
         assert_eq!(net.stats.duplicates_suppressed, 1);
         assert!(matches!(out.pop(), Some(Wire::Ack { cum: 0, .. })));
         // Snapshot folds seq 1 into cum and acks it.
@@ -765,7 +771,7 @@ mod tests {
             })
         ));
         // Later duplicate of seq 1: suppressed by the cursor.
-        assert!(receive(&mut net, d(1), &mut out).is_none());
+        assert!(receive(&mut net, d(1), table, &mut out).is_none());
         assert_eq!(net.stats.duplicates_suppressed, 2);
     }
 
@@ -773,7 +779,7 @@ mod tests {
     fn out_of_order_receipt_acks_only_the_contiguous_prefix() {
         let plan = FaultPlan::none(1);
         let mut net = ReliableNet::new(&plan, &[1], &Obs::noop());
-        let mut out = Vec::new();
+        let (mut out, table) = (Vec::new(), &mut SymbolTable::new());
         for seq in [3u64, 1] {
             receive(
                 &mut net,
@@ -783,6 +789,7 @@ mod tests {
                     seq,
                     payload: payload(seq as i64),
                 },
+                table,
                 &mut out,
             );
         }
@@ -798,6 +805,7 @@ mod tests {
                 seq: 2,
                 payload: payload(2),
             },
+            table,
             &mut out,
         );
         out.clear();
@@ -835,6 +843,7 @@ mod tests {
                 dst: 0,
                 cum: 1,
             },
+            &mut SymbolTable::new(),
             &mut out,
         );
         assert_eq!(unacked(&net), 0);
@@ -959,7 +968,7 @@ mod tests {
         let plan = FaultPlan::none(13);
         let mut net = ReliableNet::new(&plan, &[1], &Obs::noop());
         net.crash(1, 5);
-        let mut out = Vec::new();
+        let (mut out, table) = (Vec::new(), &mut SymbolTable::new());
         let got = receive(
             &mut net,
             Wire::Data {
@@ -968,6 +977,7 @@ mod tests {
                 seq: 1,
                 payload: payload(1),
             },
+            table,
             &mut out,
         );
         assert!(got.is_none());
@@ -979,7 +989,7 @@ mod tests {
     fn corrupted_payload_is_refused_and_the_seq_stays_free() {
         let plan = FaultPlan::none(17);
         let mut net = ReliableNet::new(&plan, &[1], &Obs::noop());
-        let mut out = Vec::new();
+        let (mut out, table) = (Vec::new(), &mut SymbolTable::new());
         // Corrupt the payload past the header: decode fails, the wire
         // counts as a drop, and no ack is emitted.
         let mut bad: Vec<u8> = payload(1).to_vec();
@@ -994,6 +1004,7 @@ mod tests {
                 seq: 1,
                 payload: bad.into(),
             },
+            table,
             &mut out,
         );
         assert!(got.is_none());
@@ -1010,10 +1021,135 @@ mod tests {
                 seq: 1,
                 payload: payload(1),
             },
+            table,
             &mut out,
         );
         assert_eq!(got, Some((1, batch(1), None)));
         assert_eq!(net.stats.duplicates_suppressed, 0);
+    }
+
+    /// The receive filter as it was kept, in facts: what a fresh data wire
+    /// carrying `payload` from one source delivers, and how many of its
+    /// occurrences it suppresses.
+    fn filter_by_facts(
+        accepted: &mut BTreeSet<Fact>,
+        payload: &Multiset<Fact>,
+    ) -> (Multiset<Fact>, u64) {
+        let (mut fresh, mut replayed) = (Multiset::new(), 0);
+        for (f, n) in payload.iter() {
+            if accepted.insert(f.clone()) {
+                fresh.insert(f.clone());
+                replayed += n as u64 - 1;
+            } else {
+                replayed += n as u64;
+            }
+        }
+        (fresh, replayed)
+    }
+
+    /// One to four facts of `m_E` / `n_E`, arities 1–2, over small ints
+    /// and strings, each up to three times.
+    fn random_payload(rng: &mut Rng) -> Multiset<Fact> {
+        let mut payload = Multiset::new();
+        for _ in 0..rng.gen_range(1..5usize) {
+            let relation = rng.choose(&["m_E", "n_E"]).unwrap();
+            let args = (0..rng.gen_range(1..3usize)).map(|_| match rng.gen_range(0..2u32) {
+                0 => Value::Int(rng.gen_range(0..4i64) - 1),
+                _ => Value::str(rng.choose(&["a", "-1"]).unwrap()),
+            });
+            let f = Fact::new(relation, args.collect());
+            payload.insert_n(f, rng.gen_range(1..4usize));
+        }
+        payload
+    }
+
+    #[test]
+    fn the_row_filter_accepts_what_the_fact_filter_accepted() {
+        // Three senders to node 3: fresh payloads under fresh seqs, a wire
+        // sent twice (the seq cursor's to refuse), a payload sent again
+        // under a fresh seq (a crashed sender whose marks rolled back: the
+        // filter's). The receiver checkpoints now and then and rolls back
+        // to its checkpoint — in place, or through the blob into another
+        // table — and the filter with it.
+        use crate::transport::proto::{decode_snapshot_blob, encode_snapshot_blob};
+        let plan = FaultPlan::none(23);
+        let mut rng = Rng::seed_from_u64(0xdedf);
+        let (mut fresh_wires, mut replays, mut restores, mut through_blobs) = (0, 0, 0, 0);
+        for _ in 0..40 {
+            let mut net = ReliableNet::new(&plan, &[3], &Obs::noop());
+            let mut table = SymbolTable::new();
+            let mut model: BTreeMap<usize, BTreeSet<Fact>> = BTreeMap::new();
+            let mut sent: Vec<Vec<Arc<[u8]>>> = vec![Vec::new(); 3];
+            let mut checkpoint = (net.snapshot(3, &mut Vec::new()), model.clone());
+            let mut suppressed = 0;
+            for _ in 0..80 {
+                let src = rng.gen_range(0..3usize);
+                let (seq, payload) = match rng.gen_range(0..8u32) {
+                    0 if !sent[src].is_empty() => {
+                        let at = rng.gen_range(0..sent[src].len());
+                        (at + 1, sent[src][at].clone())
+                    }
+                    1 if !sent[src].is_empty() => {
+                        let again = rng.choose(&sent[src]).unwrap().clone();
+                        sent[src].push(again.clone());
+                        replays += 1;
+                        (sent[src].len(), again)
+                    }
+                    2 => {
+                        checkpoint = (net.snapshot(3, &mut Vec::new()), model.clone());
+                        continue;
+                    }
+                    3 => {
+                        if rng.gen_bool(0.5) {
+                            // The checkpoint moves to another table.
+                            let snap = NodeSnapshot {
+                                state: Storage::new(),
+                                pending: Vec::new(),
+                                links: checkpoint.0,
+                            };
+                            let mut order = CanonicalOrder::default();
+                            order.extend(&table);
+                            let blob = encode_snapshot_blob(&snap, &table, &order, 0, 0);
+                            table = SymbolTable::new();
+                            table.sym(&Value::str("the indexes mean other values"));
+                            let back = decode_snapshot_blob(&blob, &mut table).expect("reads");
+                            checkpoint.0 = back.0.links;
+                            through_blobs += 1;
+                        }
+                        net.restore(3, checkpoint.0.clone());
+                        model = checkpoint.1.clone();
+                        restores += 1;
+                        continue;
+                    }
+                    _ => {
+                        let payload: Arc<[u8]> = wirefmt::encode(&random_payload(&mut rng)).into();
+                        sent[src].push(payload.clone());
+                        (sent[src].len(), payload)
+                    }
+                };
+                let wire = Wire::Data {
+                    src,
+                    dst: 3,
+                    seq: seq as u64,
+                    payload: payload.clone(),
+                };
+                let Some((_, facts, _)) = receive(&mut net, wire, &mut table, &mut Vec::new())
+                else {
+                    continue;
+                };
+                let decoded = wirefmt::decode(&payload).expect("a payload of ours");
+                let (fresh, replayed) = filter_by_facts(model.entry(src).or_default(), &decoded);
+                assert_eq!(facts, fresh, "from {src}, seq {seq}: {decoded:?}");
+                suppressed += replayed;
+                assert_eq!(net.stats.replayed_facts_suppressed, suppressed);
+                fresh_wires += 1;
+            }
+        }
+        assert!(
+            fresh_wires > 1_500 && replays > 200 && restores > 200 && through_blobs > 100,
+            "{fresh_wires} fresh wires, {replays} replays, {restores} restores \
+             ({through_blobs} through a blob)"
+        );
     }
 
     #[test]

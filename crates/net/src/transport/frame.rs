@@ -26,6 +26,10 @@ pub const FRAME_MAGIC: [u8; 2] = [0xCF, 0x01];
 /// length prefix cannot demand an absurd allocation.
 pub const MAX_FRAME_LEN: usize = 256 << 20;
 
+/// The room a payload's buffer starts with: a frame this short is read
+/// into its exact size; a longer one grows with the bytes that arrive.
+const FIRST_READ: usize = 8 << 10;
+
 /// Why a frame could not be read or written.
 #[derive(Debug)]
 pub enum FrameError {
@@ -114,7 +118,10 @@ pub fn write_frame(w: &mut dyn Write, payload: &[u8]) -> Result<(), FrameError> 
 /// Read the next frame payload off the stream. Strict: bad magic or an
 /// oversized length is [`FrameError::Corrupt`]; a stream ending inside
 /// the header or payload is [`FrameError::LinkDown`]; a stream ending
-/// exactly between frames is [`FrameError::Closed`].
+/// exactly between frames is [`FrameError::Closed`]. Past [`FIRST_READ`]
+/// the payload's buffer grows with the bytes that arrive, not with the
+/// length the header claims: six bytes cannot make it reserve
+/// `MAX_FRAME_LEN`.
 pub fn read_frame(r: &mut dyn Read) -> Result<Vec<u8>, FrameError> {
     let mut header = [0u8; 6];
     read_full(r, &mut header, true)?;
@@ -125,8 +132,13 @@ pub fn read_frame(r: &mut dyn Read) -> Result<Vec<u8>, FrameError> {
     if len > MAX_FRAME_LEN {
         return Err(FrameError::Corrupt("frame length implausible"));
     }
-    let mut payload = vec![0u8; len];
-    read_full(r, &mut payload, false)?;
+    let mut payload = Vec::new();
+    while payload.len() < len {
+        // Room for as much again as has arrived, `FIRST_READ` at first.
+        let filled = payload.len();
+        payload.resize(filled + (len - filled).min(filled.max(FIRST_READ)), 0);
+        read_full(r, &mut payload[filled..], false)?;
+    }
     Ok(payload)
 }
 
@@ -225,6 +237,74 @@ mod tests {
             read_frame(&mut Cursor::new(&bytes)),
             Err(FrameError::Corrupt("frame length implausible"))
         ));
+    }
+
+    /// A reader that notes the largest buffer it is handed: what the
+    /// frame reader has made room for at that point.
+    struct Offered<'a> {
+        data: &'a [u8],
+        largest: usize,
+    }
+
+    impl Read for Offered<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            let n = buf.len().min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn what_a_frame_reserves_follows_the_bytes_under_24_000_mutations() {
+        // The frame layer's mutation target: every control frame of the
+        // protocol's corpus and three batch payloads (one past
+        // `FIRST_READ`), framed, then edited by `codec::tests::mutate`.
+        // Any bytes read to a payload or to an error, never a panic, and
+        // the room made for a payload follows the bytes that arrived —
+        // twice their length and `FIRST_READ` at most — never the length
+        // the header claims.
+        use crate::codec::tests::mutate;
+        use calm_common::{fact::fact, rng::Rng};
+        let batch = |n: i64| -> Vec<u8> {
+            let facts = (0..n).map(|i| fact("m_E", [i, i + 1])).collect();
+            crate::wirefmt::encode(&facts)
+        };
+        let payloads = super::super::proto::tests::corpus().into_iter();
+        let batches = [
+            ("batch/3", batch(3)),
+            ("batch/90", batch(90)),
+            ("batch/4k", batch(4000)),
+        ];
+        assert!(batches[2].1.len() > 2 * FIRST_READ);
+        let payloads = payloads.chain(batches);
+        let corpus: Vec<(&str, Vec<u8>)> = payloads.map(|(name, p)| (name, framed(&p))).collect();
+        let mut rng = Rng::seed_from_u64(0xf4a3_e0ff);
+        let (mut accepted, mut rejected) = (0, 0);
+        for _ in 0..24_000 {
+            let mut bytes = rng.choose(&corpus).unwrap().1.clone();
+            mutate(&mut rng, &mut bytes, &corpus);
+            let mut r = Offered {
+                data: &bytes,
+                largest: 0,
+            };
+            let read = read_frame(&mut r);
+            let room = 2 * bytes.len() + FIRST_READ;
+            assert!(r.largest <= room, "{} for {bytes:?}", r.largest);
+            match read {
+                Ok(payload) => {
+                    assert!(payload.capacity() <= room, "{bytes:?}");
+                    assert_eq!(payload, bytes[6..6 + payload.len()]);
+                    accepted += 1;
+                }
+                Err(_) => rejected += 1,
+            }
+        }
+        assert!(
+            accepted > 2_000 && rejected > 2_000,
+            "accepted {accepted}, rejected {rejected}"
+        );
     }
 
     #[test]

@@ -51,7 +51,7 @@
 
 use crate::codec::{decode_all, put_pending, put_state, read_rows, read_state, wire_struct, Codec};
 use crate::executor::Msg;
-use crate::reliable::{NodeSnapshot, Wire};
+use crate::reliable::{NodeLinks, NodeSnapshot, Wire};
 use crate::wirefmt::{Reader, WireError};
 use crate::WorkerStats;
 use calm_common::storage::{CanonicalOrder, EvalMetrics, SymbolTable};
@@ -397,9 +397,9 @@ pub(crate) fn decode_ctrl(bytes: &[u8]) -> Result<CtrlMsg, WireError> {
 
 /// Encode one node checkpoint into the blob carried by
 /// `CtrlMsg::Snapshot` and handed back in `Assign.restore` /
-/// `Msg::Reassign.adopted`: the [`NodeSnapshot`] — state and inbox as the
-/// facts their rows over `table` stand for, ranked by `order`, then link
-/// state — the node's transition count and its trace-seq allocator.
+/// `Msg::Reassign.adopted`: the [`NodeSnapshot`] — state, inbox, link
+/// state and receive filter, rows as the facts they stand for over
+/// `table`, ranked by `order` — the transition count and trace-seq.
 pub(crate) fn encode_snapshot_blob(
     snap: &NodeSnapshot,
     table: &SymbolTable,
@@ -411,6 +411,11 @@ pub(crate) fn encode_snapshot_blob(
     put_state(&mut out, &snap.state, table, order);
     put_pending(&mut out, &snap.pending, table, order);
     snap.links.put(&mut out);
+    snap.links.recv_dedup.len().put(&mut out);
+    for (src, accepted) in &snap.links.recv_dedup {
+        src.put(&mut out);
+        put_state(&mut out, accepted, table, order);
+    }
     (transitions, trace_next_seq).put(&mut out);
     out
 }
@@ -428,7 +433,12 @@ pub(crate) fn decode_snapshot_blob(
         pending.push_n(relation, row, r.multiplicity()?);
         Ok(())
     })?;
-    let (links, transitions, trace_next_seq) = Codec::read(&mut r)?;
+    let mut links = NodeLinks::read(&mut r)?;
+    for _ in 0..r.count()? {
+        let src = usize::read(&mut r)?;
+        links.recv_dedup.insert(src, read_state(&mut r, table)?);
+    }
+    let (transitions, trace_next_seq) = Codec::read(&mut r)?;
     let pending = vec![Arc::new(pending)];
     let snap = NodeSnapshot {
         state,
@@ -442,7 +452,7 @@ pub(crate) fn decode_snapshot_blob(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::codec::tests::rows_of;
     use crate::reliable::{LinkCounters, NodeLinks, OutEntry};
@@ -706,11 +716,11 @@ mod tests {
         links.cum.insert(0, salt);
         links.seen.insert(0, BTreeSet::from([salt + 2, salt + 4]));
         links.sent_floor.insert(2, salt + 4);
-        links
-            .recv_dedup
-            .insert(0, BTreeSet::from([fact("E", [1, 1])]));
-        let mut rows = Storage::new();
+        let (mut rows, mut accepted) = (Storage::new(), Storage::new());
         load_instance(&state, symbols, &mut rows);
+        let from_0 = Instance::from_facts([fact("E", [1, 1])]);
+        load_instance(&from_0, symbols, &mut accepted);
+        links.recv_dedup.insert(0, accepted);
         NodeSnapshot {
             state: rows,
             pending: vec![Arc::new(Batch::of_facts(&pending, &mut symbols.write()))],
@@ -731,13 +741,23 @@ mod tests {
         encode_snapshot_blob(snap, &table, &order, transitions, seq)
     }
 
-    /// The facts a snapshot's rows over `symbols` stand for.
-    fn facts_of(snap: &NodeSnapshot, symbols: &SharedSymbols) -> (Instance, Multiset<Fact>) {
+    /// The facts a snapshot's rows over `symbols` stand for: state, inbox
+    /// and receive filter.
+    fn facts_of(
+        snap: &NodeSnapshot,
+        symbols: &SharedSymbols,
+    ) -> (Instance, Multiset<Fact>, BTreeMap<usize, Instance>) {
         let mut pending = Multiset::new();
         for batch in &snap.pending {
             batch.add_to(&symbols.read(), &mut pending);
         }
-        (store_to_instance(&snap.state, symbols), pending)
+        let dedup = snap.links.recv_dedup.iter();
+        let dedup = dedup.map(|(&src, rows)| (src, store_to_instance(rows, symbols)));
+        (
+            store_to_instance(&snap.state, symbols),
+            pending,
+            dedup.collect(),
+        )
     }
 
     #[test]
@@ -754,7 +774,6 @@ mod tests {
         assert_eq!(back.links.cum, snap.links.cum);
         assert_eq!(back.links.seen, snap.links.seen);
         assert_eq!(back.links.sent_floor, snap.links.sent_floor);
-        assert_eq!(back.links.recv_dedup, snap.links.recv_dedup);
         let e = &back.links.out[&2][&13];
         assert_eq!(&e.payload[..], &[1, 2, 3]);
         assert!(!e.staged);
@@ -839,7 +858,7 @@ mod tests {
 
     /// One frame per `CtrlMsg` and `Msg` variant — the fixtures of the
     /// round-trip tests above — then two snapshot blobs.
-    fn corpus() -> Vec<(&'static str, Vec<u8>)> {
+    pub(crate) fn corpus() -> Vec<(&'static str, Vec<u8>)> {
         let (payload, _) = traced_payload();
         let (stats, state) = final_fixture();
         let symbols = SharedSymbols::new();

@@ -24,8 +24,7 @@ use crate::faults::FaultPlan;
 use calm_common::instance::Instance;
 use calm_common::storage::SharedSymbols;
 use calm_obs::Obs;
-use calm_transducer::network::NodeId;
-use calm_transducer::policy::{distribute, DistributionPolicy};
+use calm_transducer::policy::DistributionPolicy;
 use calm_transducer::schema::SystemConfig;
 use calm_transducer::transducer::Transducer;
 use std::net::TcpStream;
@@ -58,9 +57,9 @@ pub struct WorkerSetup {
     pub policy: Box<dyn DistributionPolicy>,
     /// Which system relations nodes see (model variant).
     pub config: SystemConfig,
-    /// The network input `I`. Every worker computes the full
-    /// `distribute(policy, input)` map locally — it is deterministic,
-    /// so all workers agree on it without further coordination.
+    /// The network input `I`. Every worker interns the `H(x)` of every
+    /// node from it locally — the policy is deterministic, so all
+    /// workers agree on it without further coordination.
     pub input: Instance,
     /// Per-worker observability (trace/flight paths already suffixed).
     pub obs: Obs,
@@ -268,9 +267,8 @@ pub fn run_net_worker(
         restore,
     };
 
-    let node_ids: Vec<NodeId> = setup.policy.network().nodes().cloned().collect();
-    let dist = distribute(setup.policy.as_ref(), &setup.input);
-    let empty = Instance::new();
+    let (transducer, policy) = (setup.transducer.as_ref(), setup.policy.as_ref());
+    let fab = NodeFactory::new(transducer, policy, setup.config, &setup.input, symbols);
 
     let reader_stream = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
     let down = Arc::new(AtomicBool::new(false));
@@ -290,15 +288,7 @@ pub fn run_net_worker(
     let mut outcome = run_worker(WorkerCtx {
         id: assign.worker,
         workers: assign.workers,
-        fab: NodeFactory {
-            node_ids: &node_ids,
-            transducer: setup.transducer.as_ref(),
-            policy: setup.policy.as_ref(),
-            sys: setup.config,
-            dist: &dist,
-            empty: &empty,
-            symbols,
-        },
+        fab,
         ports: &ports,
         budget: assign.spec.step_budget,
         faults: faults.as_ref(),

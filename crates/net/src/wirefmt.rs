@@ -41,10 +41,10 @@
 
 use crate::codec::{decode_all, Codec};
 use calm_common::fact::Fact;
-use calm_common::storage::{CanonicalOrder, RelId, Sym, SymbolTable};
+use calm_common::storage::{CanonicalOrder, Sym, SymbolTable};
 use calm_common::value::{SkolemTerm, Value};
 use calm_transducer::multiset::Multiset;
-use calm_transducer::rows::Batch;
+use calm_transducer::rows::{canonical_rows, Batch};
 use std::fmt;
 use std::sync::Arc;
 
@@ -388,33 +388,6 @@ fn read_header(r: &mut Reader<'_>) -> Result<Option<TraceCtx>, WireError> {
     }
 }
 
-/// `rows` over `table` (every symbol taken in by `order`), each distinct
-/// row once with its occurrences summed, in the order of the facts they
-/// stand for — by name, value ranks, a prefix first — or, `by_arity`, by
-/// name, arity and ranks: the wire's groups.
-pub(crate) fn canonical_rows<'r>(
-    rows: impl Iterator<Item = (RelId, &'r [Sym], usize)>,
-    table: &'r SymbolTable,
-    order: &CanonicalOrder,
-    by_arity: bool,
-) -> Vec<(&'r str, &'r [Sym], usize)> {
-    let mut rows: Vec<_> = rows
-        .map(|(r, row, n)| (&**table.rel_name(r), row, n))
-        .collect();
-    let arity = |row: &[Sym]| if by_arity { row.len() } else { 0 };
-    let ranks = |row: &'r [Sym]| row.iter().map(|&s| order.rank(s));
-    rows.sort_unstable_by(|a, b| {
-        let by_name = (a.0, arity(a.1)).cmp(&(b.0, arity(b.1)));
-        by_name.then_with(|| ranks(a.1).cmp(ranks(b.1)))
-    });
-    rows.dedup_by(|next, kept| {
-        let same = next.0 == kept.0 && next.1 == kept.1;
-        kept.2 += if same { next.2 } else { 0 };
-        same
-    });
-    rows
-}
-
 /// Encode `batch`, rows over `table` ranked by `order`, with `ctx` when
 /// the send was traced: the bytes of the multiset of facts it stands for.
 pub(crate) fn encode_rows(
@@ -437,7 +410,7 @@ pub(crate) fn encode_rows(
     put_varint(&mut out, groups.clone().count() as u64);
     let mut prev = Vec::new();
     for group in groups {
-        let (name, arity) = (group[0].0, group[0].1.len());
+        let (name, arity) = (table.rel_name(group[0].0), group[0].1.len());
         put_bytes(&mut out, name.as_bytes());
         put_varint(&mut out, arity as u64);
         put_varint(&mut out, group.len() as u64);

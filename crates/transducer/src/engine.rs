@@ -22,15 +22,15 @@
 //! **Inside the node everything is a row** — a `(RelId, &[Sym])` over
 //! the one [`SymbolTable`] of the engine instance it runs in (handed to
 //! [`NodeEngine::new`]; the nodes of a run share it, so a sent
-//! [`Batch`] is enqueued by handle). `D` is a [`Storage`], the buffer an
-//! [`Inbox`] of shared batches, the known values sets of symbols.
-//! A state enters the node as rows ([`NodeEngine::restore`]) and leaves
-//! it as rows ([`NodeEngine::checkpoint`], [`NodeEngine::into_rows`]);
-//! [`Fact`], [`Instance`] and [`Multiset`] are what the node speaks at
-//! the specification's edges — [`NodeEngine::state`],
+//! [`Batch`] is enqueued by handle). `D` is a [`Storage`], `H(x)` a
+//! [`Batch`], the buffer an [`Inbox`] of shared batches, the known values
+//! sets of symbols. A state enters and leaves the node as rows
+//! ([`NodeEngine::restore`], [`NodeEngine::checkpoint`]); [`Fact`],
+//! [`Instance`] and [`Multiset`] are what it speaks at the
+//! specification's edges — [`NodeEngine::state`],
 //! [`NodeEngine::pending`], [`NodeEngine::into_parts`],
-//! [`NodeEngine::visible`], a sampled delivery, the traced `new_output`
-//! — and nowhere else (DESIGN §17).
+//! [`NodeEngine::visible`], the traced `new_output` — and nowhere else
+//! (DESIGN §17).
 //!
 //! The engine *is* the node: it keeps `D` (without `M`) across
 //! transitions, so a transition costs what it delivers, not what the
@@ -49,7 +49,7 @@
 use crate::multiset::Multiset;
 use crate::network::NodeId;
 use crate::policy::DistributionPolicy;
-use crate::rows::{fact_of, values_of, Batch, Inbox, SymSet};
+use crate::rows::{canonical_rows, fact_of, values_of, Batch, Inbox, SymSet};
 use crate::runtime::{Delivery, Metrics};
 use crate::schema::{policy_relation, SystemConfig, TransducerSchema};
 use crate::strategy::{class_arg_counts, classify_message, MessageClass, MessageClassCounts};
@@ -58,7 +58,7 @@ use crate::transducer::{NodeProgram, NodeView, Transducer};
 use calm_common::fact::Fact;
 use calm_common::instance::Instance;
 use calm_common::rng::Rng;
-use calm_common::storage::{RelId, SharedSymbols, Storage, Sym, SymbolTable};
+use calm_common::storage::{CanonicalOrder, RelId, SharedSymbols, Storage, Sym, SymbolTable};
 use calm_common::value::Value;
 use calm_obs::{ArgValue, Obs};
 use std::sync::Arc;
@@ -77,9 +77,9 @@ pub struct NodeEngine<'a> {
     symbols: SharedSymbols,
     /// What the node knows about the relations of that table.
     rels: Relations,
-    /// `H(x)` — the node's fragment of the distributed input — without
-    /// facts named like an output or memory relation: `H(x)` is over
-    /// `Υin`, and the state is told from the rest of `D` by relation.
+    /// `H(x)` — the node's fragment of the distributed input. Its facts
+    /// named like an output or memory relation never enter `D`: `H(x)` is
+    /// over `Υin`, and the state is told from the rest of `D` by relation.
     input: Batch,
     /// Obs display lane: `1 + <node index>` (track 0 is engine-level).
     /// The index is also the origin of the message ids the node mints.
@@ -103,10 +103,9 @@ pub struct NodeEngine<'a> {
     inbox: Inbox,
     /// `M` of the transition under way: the delivered rows, each once.
     m: Storage,
-    /// Every row a full delivery ever handed this node (since the last
-    /// restore) — what the sequential engine's quiescence test asks
-    /// about the buffer.
-    seen: Storage,
+    /// Ranks the symbols of the table for a sampled delivery, which
+    /// draws over the buffer in fact order; extended, never rebuilt.
+    order: CanonicalOrder,
     /// The next message id this node mints (tracing only). Never moves
     /// back: a send re-derived after a restore is a new send event.
     next_seq: u64,
@@ -219,15 +218,16 @@ struct Folded {
 
 impl<'a> NodeEngine<'a> {
     /// The node `node` with input fragment `input` (`H(x)`, its share of
-    /// `dist_P(I)`), in the start configuration: empty state, cold. Its
-    /// rows are over `symbols` — one table per engine instance, the
-    /// same for every node of it.
+    /// `dist_P(I)`: [`crate::rows::input_batches`]), in the start
+    /// configuration: empty state, cold. Its rows, `input`'s among them,
+    /// are over `symbols` — one table per engine instance, the same for
+    /// every node of it.
     pub fn new(
         transducer: &'a dyn Transducer,
         policy: &'a dyn DistributionPolicy,
         sys: SystemConfig,
         node: NodeId,
-        input: &Instance,
+        input: &Batch,
         symbols: &SharedSymbols,
     ) -> Self {
         let track = policy
@@ -236,22 +236,14 @@ impl<'a> NodeEngine<'a> {
             .position(|n| n == &node)
             .map_or(0, |i| i as u32 + 1);
         let recipients = policy.network().len() - 1;
-        let (rels, input) = {
-            let table = &mut *symbols.write();
-            let schema = transducer.schema();
-            let h = (input.iter())
-                .filter(|(r, _)| !is_state(schema, r))
-                .map(|(r, tuple)| (&**r, tuple.as_slice(), 1));
-            (Relations::new(transducer, table), Batch::intern(h, table))
-        };
         let mut engine = NodeEngine {
             transducer,
             policy,
             sys,
             node,
             symbols: symbols.clone(),
-            rels,
-            input,
+            rels: Relations::new(transducer, &mut symbols.write()),
+            input: input.clone(),
             track,
             recipients,
             d: Storage::new(),
@@ -260,7 +252,7 @@ impl<'a> NodeEngine<'a> {
             program: None,
             inbox: Inbox::default(),
             m: Storage::new(),
-            seen: Storage::new(),
+            order: CanonicalOrder::default(),
             next_seq: 0,
             last_arrival: None,
         };
@@ -286,7 +278,6 @@ impl<'a> NodeEngine<'a> {
         for batch in inbox.iter().filter(|batch| !batch.is_empty()) {
             self.inbox.push(Arc::clone(batch));
         }
-        self.seen.clear();
     }
 
     /// Rebuild `D` as `H(x) ∪ s(x)` and forget everything warm — at
@@ -296,7 +287,9 @@ impl<'a> NodeEngine<'a> {
         self.keep_state_only(table);
         self.d.compact_retractions();
         for (r, row, _) in self.input.rows() {
-            self.d.insert(r, row);
+            if !self.rels.info(r, self.transducer, table).state {
+                self.d.insert(r, row);
+            }
         }
         self.known.clear();
         self.unseen.clear();
@@ -378,16 +371,9 @@ impl<'a> NodeEngine<'a> {
         self.inbox.len()
     }
 
-    /// Whether every buffered row is one that a full delivery handed
-    /// this node before: condition (b) of the sequential engine's
-    /// quiescence test — there for the programs that keep no mark of
-    /// what they sent and say it again at every step (a
-    /// `DatalogTransducer`, a net-compiled program): their buffers never
-    /// drain. The strategies' do, and this is trivially true of them.
-    pub fn buffer_is_old_news(&self) -> bool {
-        (self.inbox.batches().iter())
-            .flat_map(|batch| batch.groups())
-            .all(|(r, mut rows)| rows.all(|row| self.seen.contains(r, row)))
+    /// `b(x)` as it stands: the buffered batches, oldest first.
+    pub(crate) fn inbox(&self) -> &[Arc<Batch>] {
+        self.inbox.batches()
     }
 
     /// The node taken apart: `(s(x), b(x))`.
@@ -452,7 +438,7 @@ impl<'a> NodeEngine<'a> {
     /// Choose the submultiset `m ⊆ b(x)` that `delivery` names, take it
     /// out of the inbox and collapse it to the set `M` (`self.m`).
     /// Returns `|m|`.
-    fn deliver(&mut self, delivery: Delivery, table: &mut SymbolTable) -> usize {
+    fn deliver(&mut self, delivery: Delivery, table: &SymbolTable) -> usize {
         if !self.m.is_empty() {
             self.m.clear();
         }
@@ -462,34 +448,30 @@ impl<'a> NodeEngine<'a> {
                 let delivered_n = self.inbox.len();
                 for batch in self.inbox.take() {
                     for (r, rows) in batch.groups() {
-                        self.m.insert_batch(r, rows.clone());
-                        self.seen.insert_batch(r, rows);
+                        self.m.insert_batch(r, rows);
                     }
                 }
                 delivered_n
             }
-            // Reached only under a random schedule, whose coins tests
-            // and experiments pin by seed: through the edge form, one
-            // coin per occurrence in fact order.
+            // Reached only under a random schedule, whose coins tests and
+            // experiments pin by seed: one coin per occurrence, the rows in
+            // the order of the facts they stand for; the rest goes back.
             Delivery::Sample { seed, deliver_p } => {
                 let mut rng = Rng::seed_from_u64(seed);
-                let mut delivered_n = 0;
-                let mut kept = Multiset::new();
-                let mut delivered = Multiset::new();
-                for (f, count) in self.inbox.to_multiset(table).drain_all() {
+                self.order.extend(table);
+                let batches = self.inbox.take();
+                let buffered = batches.iter().flat_map(|batch| batch.rows());
+                let (mut delivered_n, mut kept) = (0, Batch::default());
+                for (r, row, count) in canonical_rows(buffered, table, &self.order, false) {
                     let kept_back = (0..count).filter(|_| !rng.gen_bool(deliver_p)).count();
                     delivered_n += count - kept_back;
                     if kept_back < count {
-                        delivered.insert(f.clone());
+                        self.m.insert(r, row);
                     }
-                    kept.insert_n(f, kept_back);
+                    kept.push_n(r, row, kept_back);
                 }
-                for (r, row, _) in Batch::of_facts(&delivered, table).rows() {
-                    self.m.insert(r, row);
-                }
-                self.inbox = Inbox::default();
                 if !kept.is_empty() {
-                    self.inbox.push(Arc::new(Batch::of_facts(&kept, table)));
+                    self.inbox.push(Arc::new(kept));
                 }
                 delivered_n
             }
@@ -780,7 +762,8 @@ impl<'a> NodeEngine<'a> {
 mod tests {
     use super::*;
     use crate::network::Network;
-    use crate::policy::HashPolicy;
+    use crate::policy::{distribute, DomainGuidedPolicy, HashPolicy, ReplicatedDomainPolicy};
+    use crate::rows::input_batches;
     use crate::runtime::Metrics;
     use crate::schema::TransducerSchema;
     use crate::strategy::MonotoneBroadcast;
@@ -789,6 +772,21 @@ mod tests {
     use calm_common::schema::Schema;
     use calm_common::storage::SharedSymbols;
     use calm_queries::tc::tc_datalog;
+    use std::collections::BTreeSet;
+
+    /// Node `x` of `t` holding `input` as `H(x)`, over a table of its
+    /// own: the instance interned at the edge, as `transition` does.
+    fn new_node<'a>(
+        t: &'a dyn Transducer,
+        policy: &'a dyn DistributionPolicy,
+        sys: SystemConfig,
+        x: NodeId,
+        input: &Instance,
+    ) -> NodeEngine<'a> {
+        let symbols = SharedSymbols::new();
+        let h = Batch::of_facts(&input.facts().collect(), &mut symbols.write());
+        NodeEngine::new(t, policy, sys, x, &h, &symbols)
+    }
 
     /// A heartbeat: the node steps on what it holds.
     fn beat(engine: &mut NodeEngine<'_>, metrics: &mut Metrics) -> NodeStepOutcome {
@@ -814,14 +812,7 @@ mod tests {
         let policy = HashPolicy::new(net.clone());
         let input = Instance::from_facts([fact("E", [1, 2])]);
         let x = net.first().clone();
-        let mut engine = NodeEngine::new(
-            &t,
-            &policy,
-            SystemConfig::ORIGINAL,
-            x,
-            &input,
-            &SharedSymbols::new(),
-        );
+        let mut engine = new_node(&t, &policy, SystemConfig::ORIGINAL, x, &input);
         let mut metrics = Metrics::default();
         let outcome = beat(&mut engine, &mut metrics);
         assert!(outcome.state_changed);
@@ -841,14 +832,7 @@ mod tests {
         let policy = HashPolicy::new(net.clone());
         let input = Instance::from_facts([fact("E", [1, 2]), fact("E", [2, 3])]);
         let x = net.first().clone();
-        let mut engine = NodeEngine::new(
-            &t,
-            &policy,
-            SystemConfig::ORIGINAL,
-            x,
-            &input,
-            &SharedSymbols::new(),
-        );
+        let mut engine = new_node(&t, &policy, SystemConfig::ORIGINAL, x, &input);
         let mut metrics = Metrics::default();
         let first = beat(&mut engine, &mut metrics);
         assert!(first.state_changed);
@@ -865,17 +849,73 @@ mod tests {
         let t = MonotoneBroadcast::new(Box::new(tc_datalog()));
         let net = Network::of_size(3);
         let policy = HashPolicy::new(net.clone());
-        let input = Instance::new();
         for (i, n) in net.nodes().enumerate() {
-            let engine = NodeEngine::new(
-                &t,
-                &policy,
-                SystemConfig::ORIGINAL,
-                n.clone(),
-                &input,
-                &SharedSymbols::new(),
-            );
+            let sys = SystemConfig::ORIGINAL;
+            let engine = new_node(&t, &policy, sys, n.clone(), &Instance::new());
             assert_eq!(engine.track, i as u32 + 1);
+        }
+    }
+
+    #[test]
+    fn a_node_born_of_rows_holds_what_distribute_assigns_it() {
+        // `H(x)` from the one walk over `I`, against `dist_P(I)(x)`: the
+        // batch is the node's share, replicas included, and the node
+        // holds it less the facts named like its state — as a node
+        // holds the specification's `Instance` interned at the edge.
+        let t = MonotoneBroadcast::new(Box::new(tc_datalog()));
+        let net = Network::of_size(3);
+        let replicated = [Value::str("n1"), Value::str("n3")];
+        let policies: [(&str, Box<dyn DistributionPolicy>); 3] = [
+            ("hash", Box::new(HashPolicy::new(net.clone()))),
+            (
+                "domain-guided, 2 on two nodes",
+                Box::new(
+                    DomainGuidedPolicy::new(net.clone())
+                        .with_value_assignment(Value::Int(2), replicated),
+                ),
+            ),
+            (
+                "two replicas",
+                Box::new(ReplicatedDomainPolicy::new(net.clone(), 2)),
+            ),
+        ];
+        // A path, a second arity, a string, and the memory and output
+        // relations of the strategy (`c_E`, `out_T`) among the input.
+        let mut input = calm_common::generator::path(8);
+        let more = [
+            fact("E", [2, 3, 4]),
+            fact("c_E", [1, 9]),
+            fact("out_T", [5, 2]),
+        ];
+        input.extend(more.into_iter().chain([fact("Other", ["a"])]));
+        let schema = t.schema();
+        for (name, policy) in &policies {
+            let dist = distribute(policy.as_ref(), &input);
+            let symbols = SharedSymbols::new();
+            let batches = input_batches(policy.as_ref(), &input, &mut symbols.write());
+            let (mut held, mut dropped) = (0, 0);
+            for (x, h) in net.nodes().zip(&batches) {
+                let mut facts = Multiset::new();
+                h.add_to(&symbols.read(), &mut facts);
+                let want: Multiset<Fact> = dist[x].facts().collect();
+                assert_eq!(facts, want, "{name}: H({x}) in rows");
+                let sys = SystemConfig::POLICY_AWARE;
+                let mut born = NodeEngine::new(&t, policy.as_ref(), sys, x.clone(), h, &symbols);
+                let mut edge = new_node(&t, policy.as_ref(), sys, x.clone(), &dist[x]);
+                let mut without_state = dist[x].clone();
+                without_state.retain_relations(|r| !is_state(schema, r));
+                assert_eq!(born.visible(), without_state, "{name}: {x}");
+                assert_eq!(born.visible(), edge.visible(), "{name}: {x}");
+                let mut metrics = Metrics::default();
+                beat(&mut born, &mut metrics);
+                beat(&mut edge, &mut metrics);
+                assert_eq!(born.visible(), edge.visible(), "{name}: {x}, stepped");
+                held += h.len();
+                dropped += dist[x].len() - without_state.len();
+            }
+            assert!(dropped > 0, "{name}: a state-named fact was assigned");
+            let replicates = !name.starts_with("hash");
+            assert_eq!(held > input.len(), replicates, "{name}: {held} rows");
         }
     }
 
@@ -887,8 +927,7 @@ mod tests {
         let input = Instance::from_facts([fact("E", [1, 2])]);
         let x = net.first().clone();
         let sys = SystemConfig::POLICY_AWARE;
-        let mut engine =
-            NodeEngine::new(&t, &policy, sys, x.clone(), &input, &SharedSymbols::new());
+        let mut engine = new_node(&t, &policy, sys, x.clone(), &input);
         assert!(engine.is_cold());
         assert!(engine.state().is_empty());
         let mut metrics = Metrics::default();
@@ -947,14 +986,7 @@ mod tests {
              del_flag(x,y) :- E(x,y), flag(x,y).",
         )
         .unwrap();
-        let mut engine = NodeEngine::new(
-            &toggle,
-            &policy,
-            sys,
-            x.clone(),
-            &input,
-            &SharedSymbols::new(),
-        );
+        let mut engine = new_node(&toggle, &policy, sys, x.clone(), &input);
         beat(&mut engine, &mut metrics);
         assert!(!engine.is_cold(), "an insertion keeps the engine warm");
         let off = beat(&mut engine, &mut metrics);
@@ -964,14 +996,7 @@ mod tests {
         // back when the message leaves.
         let forgetful =
             DatalogTransducer::parse("forgetful", schema(), "out_seen(x) :- E(x,y).").unwrap();
-        let mut engine = NodeEngine::new(
-            &forgetful,
-            &policy,
-            sys,
-            x.clone(),
-            &input,
-            &SharedSymbols::new(),
-        );
+        let mut engine = new_node(&forgetful, &policy, sys, x.clone(), &input);
         beat(&mut engine, &mut metrics);
         assert!(!engine.is_cold());
         hand(&mut engine, &[fact("msg_v", [1])], &mut metrics);
@@ -984,16 +1009,8 @@ mod tests {
     fn a_transition_that_delivers_nothing_is_a_heartbeat_whatever_asked_for_it() {
         let t = MonotoneBroadcast::new(Box::new(tc_datalog()));
         let policy = HashPolicy::new(Network::of_size(2));
-        let input = Instance::new();
         let x = policy.network().first().clone();
-        let mut node = NodeEngine::new(
-            &t,
-            &policy,
-            SystemConfig::ORIGINAL,
-            x,
-            &input,
-            &SharedSymbols::new(),
-        );
+        let mut node = new_node(&t, &policy, SystemConfig::ORIGINAL, x, &Instance::new());
         let (mut m, obs) = (Metrics::default(), Obs::noop());
         // Everything, of an empty buffer: |m| = 0.
         assert_eq!(node.step(Delivery::All, &mut m, &obs).delivered, 0);
@@ -1020,20 +1037,13 @@ mod tests {
     fn a_sample_delivers_some_occurrences_and_returns_the_rest_to_the_buffer() {
         let t = MonotoneBroadcast::new(Box::new(tc_datalog()));
         let policy = HashPolicy::new(Network::of_size(2));
-        let input = Instance::new();
         let x = policy.network().first().clone();
         let (mut m, obs) = (Metrics::default(), Obs::noop());
         let facts: Vec<Fact> = (0..40).map(|i| fact("m_E", [i, i + 1])).collect();
         let mut split = false;
         for seed in 0..8 {
-            let mut node = NodeEngine::new(
-                &t,
-                &policy,
-                SystemConfig::ORIGINAL,
-                x.clone(),
-                &input,
-                &SharedSymbols::new(),
-            );
+            let sys = SystemConfig::ORIGINAL;
+            let mut node = new_node(&t, &policy, sys, x.clone(), &Instance::new());
             // Two sends of the same facts: two occurrences of each.
             let sent = send(&node, &facts);
             node.enqueue(&sent, None, &mut m, &obs);
@@ -1059,20 +1069,114 @@ mod tests {
         assert!(split, "p = 0.6 over 80 occurrences splits the buffer");
     }
 
+    /// The sampled delivery as the node made it while it drew over a
+    /// `Multiset<Fact>`: one coin per occurrence, the facts in order.
+    /// Returns `|m|`, `M` and what is kept back.
+    fn sample_by_facts(
+        mut buffer: Multiset<Fact>,
+        seed: u64,
+        deliver_p: f64,
+    ) -> (usize, BTreeSet<Fact>, Multiset<Fact>) {
+        let mut rng = Rng::seed_from_u64(seed);
+        let (mut delivered_n, mut delivered, mut kept) = (0, BTreeSet::new(), Multiset::new());
+        for (f, count) in buffer.drain_all() {
+            let kept_back = (0..count).filter(|_| !rng.gen_bool(deliver_p)).count();
+            delivered_n += count - kept_back;
+            if kept_back < count {
+                delivered.insert(f.clone());
+            }
+            kept.insert_n(f, kept_back);
+        }
+        (delivered_n, delivered, kept)
+    }
+
+    /// One to four batches over `table`: `m_E` and `n_E` rows of arities
+    /// 1–3 over negative ints and strings that read like them, counts up
+    /// to 3, and from the second batch on the first row of the batch
+    /// before once more. With the number of rows repeated so.
+    fn random_inbox(rng: &mut Rng, table: &mut SymbolTable) -> (Vec<Arc<Batch>>, usize) {
+        let (mut batches, mut repeated) = (Vec::<Arc<Batch>>::new(), 0);
+        for _ in 0..rng.gen_range(1..5usize) {
+            let mut batch = Batch::default();
+            if let Some((r, row, _)) = batches.last().and_then(|b| b.rows().next()) {
+                batch.push(r, row);
+                repeated += 1;
+            }
+            for _ in 0..rng.gen_range(0..6usize) {
+                let row: Vec<Sym> = (0..rng.gen_range(1..4usize))
+                    .map(|_| match rng.gen_range(0..2u32) {
+                        0 => table.sym(&Value::Int(rng.gen_range(0..7i64) - 3)),
+                        _ => table.sym(&Value::str(rng.choose(&["", "a", "-1", "2"]).unwrap())),
+                    })
+                    .collect();
+                let r = table.rel(rng.choose(&["m_E", "n_E"]).unwrap());
+                batch.push_n(r, &row, rng.gen_range(1..4usize));
+            }
+            batches.push(Arc::new(batch));
+        }
+        (batches, repeated)
+    }
+
+    #[test]
+    fn a_sampled_delivery_over_rows_flips_the_coins_of_the_multiset_arm() {
+        let t = MonotoneBroadcast::new(Box::new(tc_datalog()));
+        let policy = HashPolicy::new(Network::of_size(3));
+        let x = policy.network().first().clone();
+        let sys = SystemConfig::ORIGINAL;
+        let mut rng = Rng::seed_from_u64(0x5a_4d1e);
+        let mut node = new_node(&t, &policy, sys, x.clone(), &Instance::new());
+        let (mut repeated, mut counted, mut two_arities, mut split) = (0, 0, 0, 0);
+        for case in 0..400 {
+            // One node over eight inboxes: its order is extended, not
+            // rebuilt, as the table grows under it.
+            if case % 8 == 0 {
+                node = new_node(&t, &policy, sys, x.clone(), &Instance::new());
+            }
+            let symbols = node.symbols.clone();
+            let (inbox, shared) = random_inbox(&mut rng, &mut symbols.write());
+            let seed = rng.gen_u64();
+            node.restore(&Storage::new(), &inbox);
+            let buffer = node.pending();
+            repeated += shared;
+            counted += buffer.iter().filter(|&(_, n)| n > 1).count();
+            let arities: BTreeSet<(&str, usize)> = buffer
+                .support()
+                .map(|f| (&**f.relation(), f.arity()))
+                .collect();
+            two_arities +=
+                arities.len() - arities.iter().map(|a| a.0).collect::<BTreeSet<_>>().len();
+            for deliver_p in [0.0, 0.3, 0.6, 1.0] {
+                node.restore(&Storage::new(), &inbox);
+                let (n, m, kept) = sample_by_facts(buffer.clone(), seed, deliver_p);
+                let sample = Delivery::Sample { seed, deliver_p };
+                let at = format!("case {case}, p = {deliver_p}: {buffer:?}");
+                assert_eq!(node.deliver(sample, &symbols.read()), n, "{at}: |m|");
+                let table = &*symbols.read();
+                let rows = node
+                    .m
+                    .rel_ids()
+                    .filter_map(|r| Some((r, node.m.relation(r)?)));
+                let rows = rows.flat_map(|(r, rel)| rel.live_rows().map(move |row| (r, row)));
+                let delivered: BTreeSet<Fact> =
+                    rows.map(|(r, row)| fact_of(table, r, row)).collect();
+                assert_eq!(delivered, m, "{at}: M");
+                assert_eq!(node.pending(), kept, "{at}: kept back");
+                split += usize::from(n > 0 && !kept.is_empty());
+            }
+        }
+        assert!(
+            repeated > 300 && counted > 300 && two_arities > 300 && split > 300,
+            "{repeated} repeated, {counted} counted, {two_arities} two arities, {split} split"
+        );
+    }
+
     #[test]
     fn the_high_water_mark_is_the_deepest_the_buffer_ever_was_by_either_door() {
         let t = MonotoneBroadcast::new(Box::new(tc_datalog()));
         let policy = HashPolicy::new(Network::of_size(2));
-        let input = Instance::new();
         let x = policy.network().first().clone();
-        let mut node = NodeEngine::new(
-            &t,
-            &policy,
-            SystemConfig::ORIGINAL,
-            x.clone(),
-            &input,
-            &SharedSymbols::new(),
-        );
+        let sys = SystemConfig::ORIGINAL;
+        let mut node = new_node(&t, &policy, sys, x.clone(), &Instance::new());
         let (mut m, obs) = (Metrics::default(), Obs::noop());
         let hw = |m: &Metrics| m.buffered_high_water.get(&x).copied();
         node.enqueue(&send(&node, &[]), None, &mut m, &obs);
@@ -1113,14 +1217,7 @@ mod tests {
         let policy = HashPolicy::new(net.clone());
         let input = Instance::from_facts([fact("E", [1, 2])]);
         let x = net.nodes().nth(1).unwrap().clone();
-        let mut node = NodeEngine::new(
-            &t,
-            &policy,
-            SystemConfig::ORIGINAL,
-            x,
-            &input,
-            &SharedSymbols::new(),
-        );
+        let mut node = new_node(&t, &policy, SystemConfig::ORIGINAL, x, &input);
         let mut m = Metrics::default();
         // Untraced: no id.
         let quiet = node.step(Delivery::None, &mut m, &Obs::noop());

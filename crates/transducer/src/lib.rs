@@ -48,7 +48,7 @@ pub use policy::{
     ParityDomainGuidedPolicy, ParityFirstAttributePolicy, RangePolicy, ReplicatedDomainPolicy,
 };
 pub use proof_replay::{replay_no_all_indistinguishability, replay_policy_surgery, ReplayOutcome};
-pub use rows::{Batch, StateRows};
+pub use rows::{input_batches, Batch, StateRows};
 pub use runtime::{
     network_output, run, run_with, transition, verify_computes, Configuration, Delivery,
     FinalStates, Metrics, RunResult, Scheduler, TransducerNetwork, DEFAULT_DELIVER_P,

@@ -10,13 +10,18 @@
 //! nothing outside it: a frame or a snapshot blob carries the values the
 //! rows stand for, written and read by `calm-net`'s codec over the
 //! worker's table, and a [`crate::runtime::Configuration`] holds facts.
-//! [`Batch::intern`] and [`Batch::add_to`] are the conversions to and
-//! from facts (DESIGN §17). [`StateRows`] carries its table with it.
+//! [`input_batches`] interns the input `I` into the `H(x)` of every node,
+//! [`Batch::of_facts`] and [`Batch::add_to`] are the conversions to and
+//! from facts at the specification's edges (DESIGN §17), and
+//! [`canonical_rows`] orders rows as the facts they stand for.
+//! [`StateRows`] carries its table with it.
 
 use crate::multiset::Multiset;
 use crate::network::NodeId;
+use crate::policy::DistributionPolicy;
 use calm_common::fact::Fact;
-use calm_common::storage::{RelId, SharedSymbols, Storage, Sym, SymbolTable};
+use calm_common::instance::Instance;
+use calm_common::storage::{CanonicalOrder, RelId, SharedSymbols, Storage, Sym, SymbolTable};
 use calm_common::value::Value;
 use std::sync::Arc;
 
@@ -105,32 +110,20 @@ impl Batch {
             .map(move |(rel, row)| (rel, row, counts.next().map_or(1, |&n| n as usize)))
     }
 
-    /// Intern facts — relation, arguments, number of occurrences —
-    /// against `table`: the way facts enter a node (the input fragment,
-    /// a configuration's buffer, a sampled delivery).
-    pub(crate) fn intern<'f>(
-        facts: impl IntoIterator<Item = (&'f str, &'f [Value], usize)>,
-        table: &mut SymbolTable,
-    ) -> Batch {
-        let mut batch = Batch::default();
-        let mut row = Vec::new();
-        for (relation, args, n) in facts {
-            let rel = intern_row(table, relation, args, &mut row);
+    /// Intern a multiset of facts against `table`: the way a
+    /// configuration's facts enter a node (its input fragment and its
+    /// buffer, in [`crate::runtime::transition`]).
+    pub fn of_facts(facts: &Multiset<Fact>, table: &mut SymbolTable) -> Batch {
+        let (mut batch, mut row) = (Batch::default(), Vec::new());
+        for (f, n) in facts.iter() {
+            let rel = intern_row(table, f.relation(), f.args(), &mut row);
             batch.push_n(rel, &row, n);
         }
         batch
     }
 
-    /// As [`Batch::intern`], for a multiset of facts.
-    pub fn of_facts(facts: &Multiset<Fact>, table: &mut SymbolTable) -> Batch {
-        Batch::intern(
-            facts.iter().map(|(f, n)| (&**f.relation(), f.args(), n)),
-            table,
-        )
-    }
-
     /// Add the batch's facts, un-interned, to `out`: the way rows leave
-    /// a node as facts (a configuration, a sampled delivery).
+    /// a node as facts (a configuration).
     pub fn add_to(&self, table: &SymbolTable, out: &mut Multiset<Fact>) {
         for (rel, row, n) in self.rows() {
             out.insert_n(fact_of(table, rel, row), n);
@@ -159,6 +152,50 @@ pub(crate) fn fact_of(table: &SymbolTable, rel: RelId, row: &[Sym]) -> Fact {
 /// The values a row stands for under `table`.
 pub(crate) fn values_of(table: &SymbolTable, row: &[Sym]) -> Vec<Value> {
     row.iter().map(|&s| table.value(s).clone()).collect()
+}
+
+/// `dist_P(I)` ([`crate::policy::distribute`]) in rows over `table`: the
+/// `H(x)` of every node, in network order — `I` walked once, each fact
+/// interned into the batch of every node the policy assigns it to.
+pub fn input_batches(
+    policy: &dyn DistributionPolicy,
+    input: &Instance,
+    table: &mut SymbolTable,
+) -> Vec<Batch> {
+    let nodes: Vec<&NodeId> = policy.network().nodes().collect();
+    let (mut batches, mut row) = (vec![Batch::default(); nodes.len()], Vec::new());
+    for f in input.facts() {
+        let rel = intern_row(table, f.relation(), f.args(), &mut row);
+        for x in policy.assign(&f) {
+            batches[nodes.binary_search(&&x).expect("a node of the network")].push(rel, &row);
+        }
+    }
+    batches
+}
+
+/// `rows` over `table` (every symbol taken in by `order`), each distinct
+/// row once with its occurrences summed, in the order of the facts they
+/// stand for — by name, value ranks, a prefix first — or, `by_arity`, by
+/// name, arity and ranks: the wire's groups.
+pub fn canonical_rows<'r>(
+    rows: impl Iterator<Item = (RelId, &'r [Sym], usize)>,
+    table: &SymbolTable,
+    order: &CanonicalOrder,
+    by_arity: bool,
+) -> Vec<(RelId, &'r [Sym], usize)> {
+    let mut rows: Vec<_> = rows.collect();
+    let group = |r: RelId, row: &[Sym]| (&**table.rel_name(r), by_arity.then_some(row.len()));
+    let ranks = |row: &'r [Sym]| row.iter().map(|&s| order.rank(s));
+    rows.sort_unstable_by(|a, b| {
+        let by_group = group(a.0, a.1).cmp(&group(b.0, b.1));
+        by_group.then_with(|| ranks(a.1).cmp(ranks(b.1)))
+    });
+    rows.dedup_by(|next, kept| {
+        let same = next.0 == kept.0 && next.1 == kept.1;
+        kept.2 += if same { next.2 } else { 0 };
+        same
+    });
+    rows
 }
 
 /// The final `s(x)` of the nodes of one engine instance — a
@@ -209,7 +246,7 @@ impl Inbox {
     }
 
     /// The buffer as the multiset of facts it is (for a configuration,
-    /// a sampled delivery).
+    /// [`crate::engine::NodeEngine::pending`]).
     pub(crate) fn to_multiset(&self, table: &SymbolTable) -> Multiset<Fact> {
         let mut out = Multiset::new();
         for batch in &self.batches {

@@ -4,8 +4,8 @@
 use crate::engine::NodeEngine;
 use crate::multiset::Multiset;
 use crate::network::NodeId;
-use crate::policy::{distribute, DistributionPolicy};
-use crate::rows::{values_of, Batch, Inbox, StateRows};
+use crate::policy::DistributionPolicy;
+use crate::rows::{input_batches, values_of, Batch, Inbox, StateRows};
 use crate::schema::SystemConfig;
 use crate::strategy::MessageClassCounts;
 use crate::transducer::Transducer;
@@ -215,13 +215,13 @@ pub fn transition(
     delivery: Delivery,
     metrics: &mut Metrics,
 ) -> bool {
-    let empty = Instance::new();
-    let input = dist.get(x).unwrap_or(&empty);
-    // A table of its own: nothing interned outlives the call.
+    // A table of its own: nothing interned outlives the call. The
+    // configuration's facts, `H(x)` among them, are interned at this edge.
     let symbols = SharedSymbols::new();
+    let input: Multiset<Fact> = dist.get(x).into_iter().flat_map(Instance::facts).collect();
+    let input = Batch::of_facts(&input, &mut symbols.write());
     let (transducer, policy) = (tn.transducer, tn.policy);
-    let mut node = NodeEngine::new(transducer, policy, tn.config, x.clone(), input, &symbols);
-    // The configuration's facts, interned at this edge.
+    let mut node = NodeEngine::new(transducer, policy, tn.config, x.clone(), &input, &symbols);
     let (state, buffer) = (config.state.remove(x), config.buffer.remove(x));
     let mut rows = Storage::new();
     load_instance(&state.expect("node state"), &symbols, &mut rows);
@@ -244,14 +244,21 @@ pub fn transition(
 }
 
 /// One transition of node `i` among the warm `nodes` of a run: its
-/// step, then what it sent enqueued at every other node.
+/// step, then what it sent enqueued at every other node. A full delivery
+/// is remembered in `seen[i]`, the rows it handed the node.
 fn fire(
     nodes: &mut [NodeEngine<'_>],
+    seen: &mut [Storage],
     i: usize,
     delivery: Delivery,
     metrics: &mut Metrics,
     obs: &Obs,
 ) -> bool {
+    if delivery == Delivery::All {
+        for (r, rows) in nodes[i].inbox().iter().flat_map(|batch| batch.groups()) {
+            seen[i].insert_batch(r, rows);
+        }
+    }
     let outcome = nodes[i].step(delivery, metrics, obs);
     if !outcome.sent.is_empty() {
         let _span = obs.span_on("runtime", i as u32 + 1, || "route".to_string());
@@ -473,8 +480,8 @@ impl Scheduler {
 /// rule set — a `DatalogTransducer`, a net-compiled program — does: it
 /// derives `Qsnd` anew at every step. So "empty buffers" is not a usable
 /// stopping criterion (though the strategies, which send each message
-/// once, end there). Instead each node keeps the *set* of message rows
-/// ever delivered to it; a configuration is declared quiescent when a
+/// once, end there). Instead the run keeps per node the *set* of message
+/// rows ever delivered to it; a configuration is declared quiescent when a
 /// full deliver-everything sweep (a) changes no node's state and (b)
 /// leaves no node with a buffered message it has never been delivered
 /// before. For deterministic transducers whose state accumulates
@@ -500,20 +507,16 @@ pub fn run_with(
     max_transitions: usize,
     obs: &Obs,
 ) -> RunResult {
-    let dist = distribute(tn.policy, input);
     let ids: Vec<&NodeId> = tn.policy.network().nodes().collect();
     // One warm node per node of the network for the whole run, all over
     // one symbol table: what one sends, another enqueues by handle.
     let symbols = SharedSymbols::new();
-    let empty = Instance::new();
-    let mut nodes: Vec<NodeEngine<'_>> = ids
-        .iter()
-        .map(|&x| {
-            let input = dist.get(x).unwrap_or(&empty);
-            let (transducer, policy) = (tn.transducer, tn.policy);
-            NodeEngine::new(transducer, policy, tn.config, x.clone(), input, &symbols)
-        })
+    let inputs = input_batches(tn.policy, input, &mut symbols.write());
+    let (transducer, policy) = (tn.transducer, tn.policy);
+    let mut nodes: Vec<NodeEngine<'_>> = (ids.iter().zip(&inputs))
+        .map(|(&x, h)| NodeEngine::new(transducer, policy, tn.config, x.clone(), h, &symbols))
         .collect();
+    let mut seen = vec![Storage::new(); nodes.len()];
     let mut metrics = Metrics::default();
 
     if let Scheduler::Random {
@@ -550,14 +553,14 @@ pub fn run_with(
                     deliver_p,
                 },
             };
-            fire(&mut nodes, i, delivery, &mut metrics, obs);
+            fire(&mut nodes, &mut seen, i, delivery, &mut metrics, obs);
         }
     }
 
-    // Closing round-robin sweeps with full delivery. Each node keeps the
-    // set of rows a full delivery ever handed it (a sampled delivery may
-    // skip occurrences and records nothing; under-recording is
-    // conservative for quiescence detection).
+    // Closing round-robin sweeps with full delivery. `seen` holds per
+    // node the set of rows a full delivery ever handed it (a sampled
+    // delivery may skip occurrences and records nothing; under-recording
+    // is conservative for quiescence detection).
     let mut quiescent = false;
     while metrics.transitions < max_transitions {
         let mut state_changed = false;
@@ -565,10 +568,15 @@ pub fn run_with(
             if metrics.transitions >= max_transitions {
                 break;
             }
-            state_changed |= fire(&mut nodes, i, Delivery::All, &mut metrics, obs);
+            state_changed |= fire(&mut nodes, &mut seen, i, Delivery::All, &mut metrics, obs);
         }
         let _span = obs.span("runtime", || "quiesce".to_string());
-        if !state_changed && nodes.iter().all(NodeEngine::buffer_is_old_news) {
+        // (b) of the quiescence test (see [`run`]).
+        let old_news = |(node, seen): (&NodeEngine<'_>, &Storage)| {
+            let mut groups = node.inbox().iter().flat_map(|batch| batch.groups());
+            groups.all(|(r, mut rows)| rows.all(|row| seen.contains(r, row)))
+        };
+        if !state_changed && nodes.iter().zip(&seen).all(old_news) {
             quiescent = true;
             break;
         }

@@ -306,8 +306,9 @@ mod tests {
         let net = Network::of_size(3);
         let policy = HashPolicy::new(net.clone());
         let x = net.first().clone();
-        let own = Instance::from_facts([fact("E", [1, 2]), fact("E", [2, 3])]);
+        let own: Multiset<Fact> = [fact("E", [1, 2]), fact("E", [2, 3])].into_iter().collect();
         let symbols = SharedSymbols::new();
+        let own = Batch::of_facts(&own, &mut symbols.write());
         let mut node = NodeEngine::new(&t, &policy, SystemConfig::ORIGINAL, x, &own, &symbols);
         let (mut m, obs) = (Metrics::default(), Obs::noop());
         let sent = |outcome: crate::engine::NodeStepOutcome| {

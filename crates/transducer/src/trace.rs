@@ -57,11 +57,6 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Only the events where output appeared.
-    pub fn output_events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter().filter(|e| !e.new_output.is_empty())
-    }
-
     /// Render the full log, one event per line.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -180,8 +175,7 @@ mod tests {
         let traced_delivered: usize = trace.events.iter().map(|e| e.delivered).sum();
         assert_eq!(traced_delivered, result.metrics.messages_delivered);
         // Output events reconstruct the final output (rendered form).
-        let from_trace: BTreeSet<String> = trace
-            .output_events()
+        let from_trace: BTreeSet<String> = (trace.events.iter())
             .flat_map(|e| e.new_output.iter().cloned())
             .collect();
         let rendered: BTreeSet<String> = result.output.facts().map(|f| f.to_string()).collect();

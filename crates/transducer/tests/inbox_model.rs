@@ -27,9 +27,9 @@ use calm_obs::Obs;
 use calm_queries::tc::{edges_without_source_loop, tc_datalog};
 use calm_transducer::runtime::DEFAULT_DELIVER_P;
 use calm_transducer::{
-    distribute, transition, Batch, Configuration, Delivery, DistinctStrategy, DistributionPolicy,
-    HashPolicy, Metrics, MonotoneBroadcast, Multiset, Network, NodeEngine, NodeId, SystemConfig,
-    TransducerNetwork,
+    distribute, input_batches, transition, Batch, Configuration, Delivery, DistinctStrategy,
+    DistributionPolicy, HashPolicy, Metrics, MonotoneBroadcast, Multiset, Network, NodeEngine,
+    NodeId, SystemConfig, TransducerNetwork,
 };
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -115,13 +115,13 @@ fn collected(node: &NodeEngine<'_>) -> BTreeSet<Fact> {
 fn the_inbox_is_a_multiset_of_facts_at_every_edge() {
     let t = MonotoneBroadcast::new(Box::new(tc_datalog()));
     let policy = HashPolicy::new(Network::of_size(3));
-    let input = Instance::new();
     let x = policy.network().first().clone();
     let obs = Obs::noop();
     for seed in 0..24u64 {
         let mut rng = Rng::seed_from_u64(seed);
         let symbols = SharedSymbols::new();
         let sys = SystemConfig::ORIGINAL;
+        let input = Batch::default();
         let mut node = NodeEngine::new(&t, &policy, sys, x.clone(), &input, &symbols);
         let mut model = Model::default();
         let mut metrics = Metrics::default();
@@ -197,8 +197,7 @@ fn a_sampled_delivery_flips_the_coins_it_always_did() {
     ];
     let t = MonotoneBroadcast::new(Box::new(tc_datalog()));
     let policy = HashPolicy::new(Network::of_size(3));
-    let input = Instance::new();
-    let x = policy.network().first().clone();
+    let (x, input) = (policy.network().first().clone(), Batch::default());
     let a: Multiset<Fact> = (0..6).map(|i| fact("m_E", [i, i + 1])).collect();
     let b: Multiset<Fact> = (3..9).map(|i| fact("m_E", [i, i + 1])).collect();
     for (seed, (delivered, kept)) in PINNED.into_iter().enumerate() {
@@ -264,7 +263,8 @@ fn a_wire_batch_carries_the_arity_of_every_row() {
         transition(&tn, &dist, &mut config, x, Delivery::All, &mut cold);
         // The node, fed through its wire door.
         let symbols = SharedSymbols::new();
-        let mut node = NodeEngine::new(&t, &policy, sys, x.clone(), &dist[x], &symbols);
+        let h = &input_batches(&policy, &input, &mut symbols.write())[i];
+        let mut node = NodeEngine::new(&t, &policy, sys, x.clone(), h, &symbols);
         let mut warm = Metrics::default();
         node.enqueue(&batch(&wire, &symbols), None, &mut warm, &Obs::noop());
         assert_eq!(node.pending(), wire, "{x}: the batch as it was");
@@ -288,7 +288,9 @@ fn a_snapshot_knows_no_symbols() {
     let (t, policy, input) = distinct_pair();
     let sys = SystemConfig::POLICY_AWARE;
     let x = policy.network().first().clone();
-    let dist = distribute(&policy, &input);
+    // `H(x)` over `symbols`: `x` is the first node.
+    let h =
+        |symbols: &SharedSymbols| input_batches(&policy, &input, &mut symbols.write()).remove(0);
     let obs = Obs::noop();
     let wire = |facts: &[Fact]| -> Multiset<Fact> { facts.iter().cloned().collect() };
     let before = [
@@ -309,7 +311,7 @@ fn a_snapshot_knows_no_symbols() {
     // The original: stepped under its own table, warm, with a batch
     // waiting when the snapshot is taken.
     let first_table = SharedSymbols::new();
-    let mut original = NodeEngine::new(&t, &policy, sys, x.clone(), &dist[&x], &first_table);
+    let mut original = NodeEngine::new(&t, &policy, sys, x.clone(), &h(&first_table), &first_table);
     let mut discarded = Metrics::default();
     for sent in &before {
         original.enqueue(&batch(sent, &first_table), None, &mut discarded, &obs);
@@ -321,7 +323,7 @@ fn a_snapshot_knows_no_symbols() {
 
     // Restored under the same table, and under a fresh one in which the
     // same indices already mean other values and other relations.
-    let mut same = NodeEngine::new(&t, &policy, sys, x.clone(), &dist[&x], &first_table);
+    let mut same = NodeEngine::new(&t, &policy, sys, x.clone(), &h(&first_table), &first_table);
     let other_table = SharedSymbols::new();
     for k in 0..40 {
         let mut table = other_table.write();
@@ -329,7 +331,7 @@ fn a_snapshot_knows_no_symbols() {
         table.sym(&Value::Int(1000 - k));
         table.sym(&Value::str(format!("v{k}")));
     }
-    let mut fresh = NodeEngine::new(&t, &policy, sys, x.clone(), &dist[&x], &other_table);
+    let mut fresh = NodeEngine::new(&t, &policy, sys, x.clone(), &h(&other_table), &other_table);
     let (same_state, same_pending) = rows(&state, &pending, &first_table);
     same.restore(&same_state, &[same_pending]);
     let (fresh_state, fresh_pending) = rows(&state, &pending, &other_table);

@@ -33,11 +33,11 @@ use calm_queries::winmove::win_move;
 use calm_transducer::schema::is_system_relation;
 use calm_transducer::system_facts::system_facts;
 use calm_transducer::{
-    compile_monotone_program, distribute, network_output, run, transition, Configuration,
-    DatalogTransducer, Delivery, DisjointStrategy, DistinctStrategy, DistributionPolicy,
-    DomainGuidedPolicy, HashPolicy, Metrics, MonotoneBroadcast, Multiset, Network, NodeEngine,
-    NodeId, Scheduler, SystemConfig, Transducer, TransducerNetwork, TransducerSchema,
-    TransducerStep,
+    compile_monotone_program, distribute, input_batches, network_output, run, transition,
+    Configuration, DatalogTransducer, Delivery, DisjointStrategy, DistinctStrategy,
+    DistributionPolicy, DomainGuidedPolicy, HashPolicy, Metrics, MonotoneBroadcast, Multiset,
+    Network, NodeEngine, NodeId, Scheduler, SystemConfig, Transducer, TransducerNetwork,
+    TransducerSchema, TransducerStep,
 };
 
 const SEEDS: u64 = 8;
@@ -105,14 +105,12 @@ fn check(
     let mut config = Configuration::start(network);
     let mut cold = Metrics::default();
 
-    // Warm: one engine per node for the run, over one symbol table.
+    // Warm: one engine per node for the run, over one symbol table, each
+    // born of its share of the rows of `I`.
     let symbols = SharedSymbols::new();
-    let mut engines: Vec<NodeEngine<'_>> = nodes
-        .iter()
-        .map(|x| {
-            let input = dist.get(x).unwrap_or(&empty);
-            NodeEngine::new(t, policy, sys, x.clone(), input, &symbols)
-        })
+    let inputs = input_batches(policy, input, &mut symbols.write());
+    let mut engines: Vec<NodeEngine<'_>> = (nodes.iter().zip(&inputs))
+        .map(|(x, h)| NodeEngine::new(t, policy, sys, x.clone(), h, &symbols))
         .collect();
     let mut warm = Metrics::default();
     let mut cold_starts = 0;
