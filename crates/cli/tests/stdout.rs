@@ -161,6 +161,20 @@ fn a_run_failure_prints_its_message_and_only_a_usage_mistake_the_usage_text() {
 }
 
 #[test]
+fn a_deeply_nested_trace_line_is_one_unparsed_line() {
+    // 30 000 unclosed objects on one line (180 KB) used to overflow the
+    // JSON parser's stack and abort the process.
+    let dir = Dir::new("nested");
+    let trace = dir.file("deep.jsonl", &format!("{}\n", r#"{"a":"#.repeat(30_000)));
+    let run = calm().args(["trace", "report", &trace]).output().unwrap();
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
+    let out = String::from_utf8(run.stdout).unwrap();
+    assert!(out.contains("\nunparsed lines: 1\n"), "{out}");
+}
+
+#[test]
 fn the_three_engines_print_one_answer_and_none_builds_a_nodes_state_for_it() {
     // `out(R)` is united from rows on every engine; the per-node
     // `Instance`s are for a caller that asks, and `simulate` does not.

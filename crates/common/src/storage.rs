@@ -17,13 +17,13 @@
 //!
 //! * [`Storage`] maps each [`RelId`] to a [`Relation`]: a deduplicated,
 //!   insertion-ordered row log that holds every tuple **exactly once**,
-//!   in a flat arena — all rows back to back in one `Vec<Sym>`, one
-//!   `u32` offset per row, the row id the position in the log, and
-//!   [`Relation::row`] a slice of the arena. Membership goes through an
-//!   open-addressing table of row ids that hashes and compares those
-//!   slices in place (see [`Relation`] for why not a `HashMap`, and why
-//!   offsets rather than an arity stride), so an insert copies the
-//!   symbols once and allocates nothing. Per-column hash indexes are
+//!   in a flat arena — all rows back to back in one `Vec<Sym>` at one
+//!   stride (offsets only once two arities meet), the row id the
+//!   position in the log, and [`Relation::row`] a slice of the arena.
+//!   Membership goes through an open-addressing table of row ids that
+//!   hashes and compares those slices in place (see [`Relation`] for
+//!   why not a `HashMap`), so an insert copies the symbols once and
+//!   allocates nothing. Per-column hash indexes are
 //!   built once ([`Relation::ensure_index`]) and *maintained
 //!   incrementally on every insert* — the semi-naive loop never
 //!   rebuilds an index. A per-relation `delta_start` watermark exposes
@@ -56,6 +56,7 @@ use crate::instance::Instance;
 use crate::schema::Schema;
 use crate::value::Value;
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// An interned relation name: index into a [`SymbolTable`].
@@ -99,6 +100,33 @@ fn checked_id(len: usize, cap: u32, what: &str) -> u32 {
 fn mix(h: u64, word: u64) -> u64 {
     (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
 }
+
+/// [`mix`] as a std [`Hasher`], for the column indexes: their keys are
+/// dense interned ids, not outside text, and an index is never
+/// iterated, so nothing depends on the hash — no SipHash per probe.
+/// hashbrown takes a bucket from the low bits (for `mix` of one word, a
+/// permutation of the key's) and a tag from the top seven.
+#[derive(Default)]
+struct MixHasher(u64);
+
+impl Hasher for MixHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = mix(self.0, u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.0 = mix(self.0, u64::from(word));
+    }
+}
+
+/// A column index: a symbol → the ids of the rows holding it there.
+type ColumnIndex = HashMap<Sym, Vec<u32>, BuildHasherDefault<MixHasher>>;
 
 /// Where the probe sequence of hash `h` starts in a table of `slots`
 /// slots (a power of two, at least two).
@@ -360,43 +388,49 @@ fn hash_row(row: &[Sym]) -> u64 {
 /// # Layout
 ///
 /// Every tuple is stored exactly once, in a flat arena: `syms` holds
-/// all rows back to back and `starts[id]` is the offset of row `id`
-/// (offsets rather than a fixed stride, because one relation may hold
-/// rows of different arities — `E(1). E(1,2).` is accepted input).
-/// Deduplication goes through `table`, an open-addressing table of row
-/// ids that hashes and compares slices *in the arena* — a std `HashMap`
-/// would need an owned copy of every tuple as its key. The table is
-/// never iterated, so row ids, delta order and every counter are
-/// independent of the hash.
+/// all rows back to back, and beside it the relation keeps nothing per
+/// row. The first row sets the `stride`, and row `id` is
+/// `syms[id * stride..][..stride]`. One relation may still hold rows of
+/// different arities (`E(1). E(1,2).` is accepted input): the first row
+/// of a second arity builds `starts`, the offset of every row, once, and
+/// the relation keeps it until it is emptied. Deduplication goes
+/// through `table`, an open-addressing table of row ids that hashes and
+/// compares slices *in the arena* — a std `HashMap` would need an owned
+/// copy of every tuple as its key. The table is never iterated, so row
+/// ids, delta order and every counter are independent of the hash.
 ///
 /// # Retraction
 ///
 /// Rows are never removed from the insertion log in place. A
-/// [`Relation::retract`] zeroes the row's support count, leaving a
+/// [`Relation::retract`] sets the row's bit in `killed`, leaving a
 /// *tombstone*: the id table and the indexes keep the id (readers
 /// filter by [`Relation::is_live`] or [`Relation::live_at_mark`]), and
 /// [`Relation::compact`] later rebuilds the relation over the live rows
-/// only. On an insert-only relation `dead == 0` and every tombstone
-/// check is a single branch.
+/// only. A relation is a set — semi-naive evaluation cannot count
+/// derivations (DESIGN.md §16) — so liveness is all a row carries. On
+/// an insert-only relation `killed` is never allocated, `dead == 0` and
+/// every tombstone check is a single branch.
 #[derive(Debug, Clone)]
 pub struct Relation {
     /// The arena: the symbols of all rows, in row-id order.
     syms: Vec<Sym>,
-    /// Offset of each row in `syms`; a row ends where the next starts
-    /// (the last one at `syms.len()`). The id doubles as the index into
-    /// `counts`.
+    /// The arity of the first row since the relation was last empty;
+    /// the arity of every row while `starts` is empty.
+    stride: usize,
+    /// Number of rows in the log, tombstones included.
+    len: u32,
+    /// Empty while every row has `stride` symbols; otherwise the offset
+    /// of each row in `syms`, a row ending where the next starts (the
+    /// last one at `syms.len()`).
     starts: Vec<u32>,
     /// Row → row id: linear probing over a power-of-two number of
     /// slots, at most half of them taken; empty until the first insert.
     table: Vec<u32>,
-    /// Per-row support count, parallel to `starts`; `0` marks a
-    /// tombstoned (retracted) row. Semi-naive evaluation is
-    /// set-semantic, so counts act as liveness markers (`0`/`1`) —
-    /// exact derivation multiplicities are not recoverable from the
-    /// delta rounds (see DESIGN.md §16); the incremental engine uses
-    /// delete-rederive on top of these markers.
-    counts: Vec<u32>,
-    /// Number of tombstoned rows (`counts[i] == 0`).
+    /// Bit `id % 64` of word `id / 64` is set when row `id` is
+    /// tombstoned; a word past the end reads as zero. Empty until the
+    /// first retraction, which allocates a word per 64 rows.
+    killed: Vec<u64>,
+    /// Number of tombstoned rows (set bits of `killed`).
     dead: usize,
     /// Row ids retracted since the last [`Relation::mark_delta`] — the
     /// retraction log mirroring the insertion log's delta region. May
@@ -405,7 +439,7 @@ pub struct Relation {
     retracted_since_mark: Vec<u32>,
     /// `indexes[col]`, when built, maps a symbol to the ids of the rows
     /// whose `col`-th component is that symbol.
-    indexes: Vec<Option<HashMap<Sym, Vec<u32>>>>,
+    indexes: Vec<Option<ColumnIndex>>,
     delta_start: u32,
     /// Maximum number of row ids; `u32::MAX` in production, injectable
     /// for tests of the overflow guard.
@@ -419,9 +453,11 @@ impl Default for Relation {
     fn default() -> Self {
         Relation {
             syms: Vec::new(),
+            stride: 0,
+            len: 0,
             starts: Vec::new(),
             table: Vec::new(),
-            counts: Vec::new(),
+            killed: Vec::new(),
             dead: 0,
             retracted_since_mark: Vec::new(),
             indexes: Vec::new(),
@@ -436,7 +472,8 @@ impl Relation {
     /// An empty relation that panics after `cap` rows — used by tests
     /// to exercise the row-id capacity guard without inserting 2^32
     /// rows.
-    pub fn with_row_capacity(cap: u32) -> Self {
+    #[cfg(test)]
+    fn with_row_capacity(cap: u32) -> Self {
         Relation {
             row_cap: cap,
             ..Relation::default()
@@ -446,7 +483,8 @@ impl Relation {
     /// An empty relation whose arena panics past `cap` symbols — used
     /// by tests to exercise the offset guard without storing 2^32
     /// symbols.
-    pub fn with_arena_capacity(cap: u32) -> Self {
+    #[cfg(test)]
+    fn with_arena_capacity(cap: u32) -> Self {
         Relation {
             arena_cap: cap,
             ..Relation::default()
@@ -487,15 +525,16 @@ impl Relation {
     }
 
     /// Make room for `rows` more rows of `arity` columns each: the arena
-    /// and the per-row vectors are reserved and the id table is rebuilt
-    /// once at the size those rows will need, instead of at every
-    /// doubling on the way there. A hint — more rows, or wider ones, grow
-    /// the relation as they always did.
+    /// (and the offsets, once two arities met) is reserved and the id
+    /// table is rebuilt once at the size those rows will need, instead
+    /// of at every doubling on the way there. A hint — more rows, or
+    /// wider ones, grow the relation as they always did.
     pub fn reserve(&mut self, rows: usize, arity: usize) {
         self.syms.reserve(rows.saturating_mul(arity));
-        self.starts.reserve(rows);
-        self.counts.reserve(rows);
-        let slots = ((self.starts.len() + rows) * 2).next_power_of_two();
+        if !self.starts.is_empty() {
+            self.starts.reserve(rows);
+        }
+        let slots = ((self.len as usize + rows) * 2).next_power_of_two();
         if slots > self.table.len().max(8) {
             self.rebuild_table(slots);
         }
@@ -503,10 +542,11 @@ impl Relation {
 
     /// Insert a row; returns `true` when new *or revived*. Retracting a
     /// row and re-inserting it resurrects the same row id in place
-    /// (support back to 1) — built indexes already reference that id,
-    /// so nothing is rebuilt and no duplicate row is ever enumerated. A
-    /// genuinely new row is copied to the end of the arena and updates
-    /// every built index in place — indexes never need rebuilding.
+    /// (its tombstone bit cleared) — built indexes already reference
+    /// that id, so nothing is rebuilt and no duplicate row is ever
+    /// enumerated. A genuinely new row is copied to the end of the arena
+    /// and updates every built index in place — indexes never need
+    /// rebuilding.
     #[inline]
     pub fn insert(&mut self, t: &[Sym]) -> bool {
         self.insert_id(t).is_some()
@@ -518,14 +558,14 @@ impl Relation {
     pub fn insert_id(&mut self, t: &[Sym]) -> Option<u32> {
         // Keep the table at most half full, counting the row about to
         // be added (a duplicate merely grows it one insert early).
-        if (self.starts.len() + 1) * 2 > self.table.len() {
+        if (self.len as usize + 1) * 2 > self.table.len() {
             self.rebuild_table((self.table.len() * 2).max(8));
         }
         let slot = match self.find(hash_row(t), t) {
             Ok(id) => return self.revive(id).then_some(id),
             Err(slot) => slot,
         };
-        let row_id = checked_id(self.starts.len(), self.row_cap, "row");
+        let row_id = checked_id(self.len as usize, self.row_cap, "row");
         let start = self.syms.len();
         assert!(
             t.len() <= self.arena_cap as usize - start,
@@ -539,14 +579,25 @@ impl Relation {
                 map.entry(s).or_default().push(row_id);
             }
         }
+        if self.len == 0 {
+            self.stride = t.len();
+        } else if t.len() != self.stride && self.starts.is_empty() {
+            // The first row of a second arity: from here on, offsets.
+            let stride = self.stride;
+            self.starts = (0..self.len as usize)
+                .map(|i| (i * stride) as u32)
+                .collect();
+        }
+        if !self.starts.is_empty() {
+            self.starts.push(start as u32);
+        }
         self.table[slot] = row_id;
         self.syms.extend_from_slice(t);
-        self.starts.push(start as u32);
-        self.counts.push(1);
+        self.len += 1;
         Some(row_id)
     }
 
-    /// Retract a row: zero its support count, leaving a tombstone in
+    /// Retract a row: set its tombstone bit, leaving it in
     /// the insertion log and appending the id to the retraction log;
     /// index probes keep returning the id until [`Relation::compact`]
     /// physically removes the row. Returns `true` when the row was
@@ -560,24 +611,32 @@ impl Relation {
         if !self.is_live(id) {
             return false;
         }
-        self.counts[id as usize] = 0;
+        let word = id as usize / 64;
+        if self.killed.len() <= word {
+            self.killed.resize((self.len as usize).div_ceil(64), 0);
+        }
+        self.killed[word] |= 1 << (id % 64);
         self.dead += 1;
         self.retracted_since_mark.push(id);
         true
     }
 
-    /// Resurrect a tombstoned row in place (support back to 1), as
+    /// Resurrect a tombstoned row in place (its bit cleared), as
     /// re-inserting its tuple would. Returns `true` when the row was
     /// dead.
     pub fn revive(&mut self, id: u32) -> bool {
-        match self.counts.get_mut(id as usize) {
-            Some(c) if *c == 0 => {
-                *c = 1;
-                self.dead -= 1;
-                true
-            }
-            _ => false,
+        if !self.is_killed(id) {
+            return false;
         }
+        self.killed[id as usize / 64] &= !(1 << (id % 64));
+        self.dead -= 1;
+        true
+    }
+
+    /// Whether row `id`'s tombstone bit is set (`false` past the log).
+    #[inline]
+    fn is_killed(&self, id: u32) -> bool {
+        (self.killed.get(id as usize / 64)).is_some_and(|&word| word >> (id % 64) & 1 == 1)
     }
 
     /// The row id of a tuple in the insertion log — live *or*
@@ -598,20 +657,16 @@ impl Relation {
     }
 
     /// [`Relation::is_live`] for an id known to be in the log, without
-    /// touching the counts of a relation that holds no tombstone.
+    /// touching the bits of a relation that holds no tombstone.
     #[inline]
     fn live_in_log(&self, id: u32) -> bool {
-        self.dead == 0 || self.counts[id as usize] > 0
-    }
-
-    /// The support count of a row (`0` when absent or tombstoned).
-    pub fn support(&self, t: &[Sym]) -> u32 {
-        self.lookup(t).map_or(0, |id| self.counts[id as usize])
+        self.dead == 0 || !self.is_killed(id)
     }
 
     /// Whether the row with the given id is live (not tombstoned).
+    #[inline]
     pub fn is_live(&self, id: u32) -> bool {
-        self.counts.get(id as usize).is_some_and(|&c| c > 0)
+        id < self.len && self.live_in_log(id)
     }
 
     /// Whether the row with the given id was live at the last
@@ -635,8 +690,7 @@ impl Relation {
     /// [`Relation::live_rows`]); liveness-aware callers filter with
     /// [`Relation::is_live`].
     pub fn rows(&self) -> std::ops::Range<u32> {
-        // Row ids passed the capacity guard on insert: the count fits.
-        0..self.starts.len() as u32
+        0..self.len
     }
 
     /// The live rows, in insertion order.
@@ -673,9 +727,7 @@ impl Relation {
         self.retracted_since_mark
             .iter()
             .copied()
-            .filter(move |&id| {
-                id < self.delta_start && self.counts[id as usize] == 0 && emitted.insert(id)
-            })
+            .filter(move |&id| id < self.delta_start && self.is_killed(id) && emitted.insert(id))
     }
 
     /// Row id of the start of the delta region.
@@ -685,7 +737,7 @@ impl Relation {
 
     /// Number of live rows.
     pub fn len(&self) -> usize {
-        self.starts.len() - self.dead
+        self.len as usize - self.dead
     }
 
     /// Whether the relation has no live rows.
@@ -715,13 +767,13 @@ impl Relation {
         if self.indexes[col].is_some() {
             return;
         }
-        let mut map = HashMap::new();
+        let mut map = ColumnIndex::default();
         self.fill_index(col, &mut map);
         self.indexes[col] = Some(map);
     }
 
     /// Enter every row that has a `col`-th component into `map`.
-    fn fill_index(&self, col: usize, map: &mut HashMap<Sym, Vec<u32>>) {
+    fn fill_index(&self, col: usize, map: &mut ColumnIndex) {
         for id in self.rows() {
             if let Some(&s) = self.row(id).get(col) {
                 map.entry(s).or_default().push(id);
@@ -743,14 +795,24 @@ impl Relation {
         &self.syms[self.span(id as usize)]
     }
 
-    /// Where row `i` lies in the arena.
+    /// Where row `i` lies in the arena: the one reader of the layout.
     #[inline]
     fn span(&self, i: usize) -> std::ops::Range<usize> {
+        if self.starts.is_empty() {
+            let start = i * self.stride;
+            return start..start + self.stride;
+        }
         let end = self
             .starts
             .get(i + 1)
             .map_or(self.syms.len(), |&e| e as usize);
         self.starts[i] as usize..end
+    }
+
+    /// The arity of every row — `None` once rows of two arities met
+    /// (until the relation is next emptied). Stale on an empty relation.
+    fn uniform_arity(&self) -> Option<usize> {
+        self.starts.is_empty().then_some(self.stride)
     }
 
     /// Remove all rows, keeping allocations (arena, id table and index
@@ -759,9 +821,10 @@ impl Relation {
     /// held — not the current row count.
     pub fn clear(&mut self) {
         self.syms.clear();
+        self.len = 0;
         self.starts.clear();
         self.table.fill(EMPTY);
-        self.counts.clear();
+        self.killed.clear();
         self.dead = 0;
         self.retracted_since_mark.clear();
         self.delta_start = 0;
@@ -773,7 +836,9 @@ impl Relation {
     /// Physically remove tombstoned rows: slide the live rows down the
     /// arena in place (ids are renumbered, order kept), then re-enter
     /// them into the id table and the built indexes — one pass over
-    /// the whole relation, however few rows died. The delta watermark
+    /// the whole relation, however few rows died. The tombstone bits
+    /// are emptied, and so are the offsets when no row is left (the
+    /// next row sets the stride). The delta watermark
     /// is remapped to the number of live rows that preceded it, so
     /// "past the watermark" keeps meaning "not yet seen by the previous
     /// `mark_delta` reader". A no-op (and allocation-free) when no row
@@ -788,25 +853,28 @@ impl Relation {
             return 0;
         }
         let removed = self.dead;
-        let (mut live, mut len, mut live_before_mark) = (0, 0, 0);
-        for i in 0..self.starts.len() {
-            if self.counts[i] == 0 {
+        let (mut live, mut end, mut live_before_mark) = (0, 0, 0);
+        for i in 0..self.len {
+            if self.is_killed(i) {
                 continue;
             }
             // Read row `i`'s span before slot `live <= i` is rewritten.
-            let span = self.span(i);
-            // `len <= span.start`: offsets only shrink, so they still fit.
-            self.starts[live] = len as u32;
-            self.counts[live] = self.counts[i];
+            let span = self.span(i as usize);
+            if !self.starts.is_empty() {
+                // `end <= span.start`: offsets only shrink, so they fit.
+                self.starts[live] = end as u32;
+            }
             let arity = span.len();
-            self.syms.copy_within(span, len);
-            len += arity;
+            self.syms.copy_within(span, end);
+            end += arity;
             live += 1;
-            live_before_mark += u32::from(i < self.delta_start as usize);
+            live_before_mark += u32::from(i < self.delta_start);
         }
-        self.syms.truncate(len);
+        self.syms.truncate(end);
         self.starts.truncate(live);
-        self.counts.truncate(live);
+        // `live` ids were in use: the count fits.
+        self.len = live as u32;
+        self.killed.clear();
         self.dead = 0;
         self.retracted_since_mark.clear();
         self.delta_start = live_before_mark;
@@ -1192,10 +1260,19 @@ impl CanonicalOrder {
     /// of `relation` must have been taken in by [`CanonicalOrder::extend`].
     pub fn sorted_ids(&self, relation: &Relation, arity: Option<usize>) -> Vec<u32> {
         let rank = &self.rank;
-        let mut ids: Vec<u32> = (relation.rows())
-            .filter(|&id| {
-                relation.live_in_log(id) && arity.is_none_or(|a| relation.row(id).len() == a)
-            })
+        let live = relation.rows().filter(|&id| relation.live_in_log(id));
+        if let Some(stride) = relation.uniform_arity() {
+            if arity.is_some_and(|a| a != stride) {
+                return Vec::new();
+            }
+            let mut ids: Vec<u32> = live.collect();
+            sort_by_rank(&mut ids, stride, rank.len(), |id, col| {
+                rank[relation.row(id)[col].0 as usize]
+            });
+            return ids;
+        }
+        let mut ids: Vec<u32> = live
+            .filter(|&id| arity.is_none_or(|a| relation.row(id).len() == a))
             .collect();
         let (narrowest, widest) = arity.map_or_else(
             || {
@@ -1589,6 +1666,38 @@ mod tests {
     }
 
     #[test]
+    fn a_relation_of_one_arity_keeps_nothing_per_row_beside_its_symbols() {
+        let mut r = Relation::default();
+        r.reserve(10_000, 2);
+        for i in 0..10_000 {
+            assert!(r.insert(&[Sym(i), Sym(i % 7)]));
+        }
+        assert_eq!(r.syms.len(), 20_000);
+        assert_eq!((r.starts.capacity(), r.killed.capacity()), (0, 0));
+        assert_eq!(r.row(9_999), [Sym(9_999), Sym(9_999 % 7)]);
+        // One retraction: one tombstone bit per row, in 64-bit words.
+        assert!(r.retract_id(70));
+        assert_eq!(r.killed.len(), 10_000usize.div_ceil(64));
+        assert!(!r.is_live(70) && r.is_live(69) && r.is_live(71));
+        assert!(r.revive(70));
+        assert_eq!(r.dead_rows(), 0);
+        // A second arity builds the offsets once, from the stride.
+        assert!(r.insert(&[Sym(1)]));
+        assert_eq!(r.starts.len(), 10_001);
+        assert_eq!(r.row(9_999), [Sym(9_999), Sym(9_999 % 7)]);
+        assert_eq!(r.row(10_000), [Sym(1)]);
+        // Compaction down to nothing forgets both, and the next row
+        // sets the stride again.
+        for id in r.rows() {
+            r.retract_id(id);
+        }
+        assert_eq!(r.compact(), 10_001);
+        assert_eq!((r.starts.len(), r.killed.len()), (0, 0));
+        assert!(r.insert(&[Sym(1), Sym(2), Sym(3)]));
+        assert_eq!((r.stride, r.starts.len()), (3, 0));
+    }
+
+    #[test]
     fn insert_batch_counts_new_rows_and_bytes() {
         let mut t = SymbolTable::new();
         let mut st = Storage::new();
@@ -1623,7 +1732,6 @@ mod tests {
         assert_eq!(r.len(), 1);
         assert_eq!(r.dead_rows(), 1);
         assert!(!r.contains(&syms(&mut t, &[1, 2])));
-        assert_eq!(r.support(&syms(&mut t, &[1, 2])), 0);
         assert!(r.contains(&syms(&mut t, &[2, 3])));
         let live: Vec<_> = r.live_rows().collect();
         assert_eq!(live, vec![&syms(&mut t, &[2, 3])[..]]);

@@ -9,8 +9,9 @@
 //! eval --updates` uses it).
 //!
 //! The stores are shaped to put the order under strain: relation names
-//! that are prefixes of each other and differ in case; rows of arities
-//! 1–4 inside one relation; integers around zero, strings that read as
+//! that are prefixes of each other and differ in case; relations of one
+//! arity, and rows of arities 1–4 inside one relation — a second arity
+//! arriving after the first was ranked; integers around zero, strings that read as
 //! integers (`"10"` against `10`, `"2"` against `"10"`), the empty
 //! string, and Skolem terms; tombstones, revivals and compaction; and
 //! output schemas that name a relation the store never held, one it
@@ -49,9 +50,11 @@ fn value(rng: &mut Rng, fresh: bool) -> Value {
     }
 }
 
-fn row(rng: &mut Rng, symbols: &SharedSymbols, fresh: bool) -> SymTuple {
+/// A row of `arity` values, or of a random arity 1–4.
+fn row(rng: &mut Rng, symbols: &SharedSymbols, fresh: bool, arity: Option<usize>) -> SymTuple {
+    let arity = arity.unwrap_or_else(|| rng.gen_range(1..=4usize));
     let mut table = symbols.write();
-    (0..rng.gen_range(1..=4usize))
+    (0..arity)
         .map(|_| {
             let fresh = fresh && rng.gen_bool(0.5);
             table.sym(&value(rng, fresh))
@@ -59,13 +62,16 @@ fn row(rng: &mut Rng, symbols: &SharedSymbols, fresh: bool) -> SymTuple {
         .collect()
 }
 
-/// Insert up to `rows` rows per relation, retract a third of what is
-/// there, revive some of those, and half the time compact.
+/// Insert up to 60 rows per relation — half the time all of one arity,
+/// so that a relation that held one arity may meet a second in a later
+/// churn — retract a third of what is there, revive some of those, and
+/// half the time compact.
 fn churn(rng: &mut Rng, symbols: &SharedSymbols, st: &mut Storage, names: &[&str], fresh: bool) {
     for name in names {
         let r = symbols.write().rel(name);
+        let arity = rng.gen_bool(0.5).then(|| rng.gen_range(1..=4usize));
         for _ in 0..rng.gen_range(0..60usize) {
-            st.insert(r, &row(rng, symbols, fresh));
+            st.insert(r, &row(rng, symbols, fresh, arity));
         }
         let ids = st.relation(r).map_or(0..0, |rel| rel.rows());
         for id in ids {
@@ -119,7 +125,7 @@ fn printer_writes_what_the_instance_edge_prints() {
         let names = &names[..rng.gen_range(1..=4usize)];
         // One relation is held with no live row: everything retracted.
         let emptied = symbols.write().rel("Gone");
-        st.insert(emptied, &row(&mut rng, &symbols, false));
+        st.insert(emptied, &row(&mut rng, &symbols, false, None));
         st.clear_relation(emptied);
 
         churn(&mut rng, &symbols, &mut st, names, false);
@@ -212,7 +218,7 @@ fn the_canonical_order_walks_a_whole_store_as_instance_iterates_it() {
         let mut st = Storage::new();
         churn(&mut rng, &symbols, &mut st, &NAMES, false);
         let gone = symbols.write().rel("Gone");
-        st.insert(gone, &row(&mut rng, &symbols, false));
+        st.insert(gone, &row(&mut rng, &symbols, false, None));
         st.clear_relation(gone);
         let mut order = CanonicalOrder::default();
         // Half the time the ranks are extended, not built at once.

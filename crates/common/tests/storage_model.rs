@@ -4,14 +4,17 @@
 //! delta watermark — on random schedules of inserts, retractions,
 //! revivals, watermark moves, compactions and clears. After every phase
 //! the whole read surface (`rows`, `delta_rows`, `live_rows`, `row`,
-//! `lookup`, `contains`, `support`, `is_live`, `probe`) must agree with
-//! the model.
+//! `lookup`, `contains`, `is_live`, `probe`) must agree with the model.
 //!
-//! The relation keeps its rows in one flat arena behind an
-//! open-addressing id table; the schedules below are shaped to stress
-//! exactly that: rows of different arities in one relation, rows that
-//! are permutations or prefixes of each other, thousands of rows over a
-//! 4-value domain (so probe sequences chain and the table is rebuilt
+//! The relation keeps its rows in one flat arena at one stride — with
+//! offsets only once a row of a second arity arrives — behind an
+//! open-addressing id table, and its tombstones as one bit per row in
+//! 64-bit words; the schedules below are shaped to stress exactly that:
+//! rows of different arities in one relation, a second arity arriving
+//! at any row (the first after a clear or a compaction to nothing
+//! included), rows that are permutations or prefixes of each other,
+//! retractions on both sides of a word boundary, thousands of rows over
+//! a 4-value domain (so probe sequences chain and the table is rebuilt
 //! many times), and lookups of absent rows while the table is empty or
 //! holds as many rows as it admits before growing.
 
@@ -87,7 +90,6 @@ fn check(rel: &Relation, model: &Model, domain: u32, at: &str) {
         assert_eq!(rel.row(i as u32), &row[..], "{at}: row({i})");
         assert_eq!(rel.lookup(row), Some(i as u32), "{at}: lookup {row:?}");
         assert_eq!(rel.contains(row), l, "{at}: contains {row:?}");
-        assert_eq!(rel.support(row), u32::from(l), "{at}: support {row:?}");
         assert_eq!(rel.is_live(i as u32), l, "{at}: is_live({i})");
     }
     assert!(
@@ -126,7 +128,26 @@ fn check_absent(rel: &Relation, model: &Model, domain: u32, at: &str) {
     for row in absent.iter().filter(|row| !model.ids.contains_key(*row)) {
         assert_eq!(rel.lookup(row), None, "{at}: lookup {row:?}");
         assert!(!rel.contains(row), "{at}: contains {row:?}");
-        assert_eq!(rel.support(row), 0, "{at}: support {row:?}");
+    }
+}
+
+/// The prefixes, rotations and one-symbol extensions of every stored
+/// row are found exactly when the model holds them.
+fn check_neighbours(rel: &Relation, model: &Model, at: &str) {
+    for row in &model.rows {
+        let mut near: Vec<SymTuple> = (0..row.len()).map(|k| row[..k].to_vec()).collect();
+        for k in 1..row.len() {
+            let mut rotated = row.clone();
+            rotated.rotate_left(k);
+            near.push(rotated);
+        }
+        near.push([&row[..], &[Sym(0)]].concat());
+        for t in near {
+            let id = model.ids.get(&t).map(|&i| i as u32);
+            assert_eq!(rel.lookup(&t), id, "{at}: lookup {t:?}");
+            let live = id.is_some_and(|i| model.live[i as usize]);
+            assert_eq!(rel.contains(&t), live, "{at}: contains {t:?}");
+        }
     }
 }
 
@@ -241,6 +262,78 @@ fn thousands_of_rows_over_four_values_survive_every_table_growth() {
         assert_eq!(rel.insert(&row), model.insert(row));
     }
     check(&rel, &model, domain, "reused");
+}
+
+#[test]
+fn a_second_arity_may_arrive_at_any_row_and_tombstones_straddle_words() {
+    // Each phase inserts up to 200 rows of one arity with, at a random
+    // row or never, one row of another: the first phase sets the
+    // stride, a later phase's first row may be the second arity of a
+    // relation that still holds rows, or the first row after a clear or
+    // a compaction to nothing. Then a run of rows on both sides of a
+    // 64-row word boundary is retracted and some of it revived, and the
+    // relation is cleared, compacted (to nothing, or just the dead rows
+    // — a mixed relation then refills with one arity), watermarked or
+    // left as it is.
+    let (mut switched, mut emptied) = (0, 0);
+    for seed in 0..200u64 {
+        let mut rng = Rng::seed_from_u64(seed ^ 0x57_41DE);
+        let domain = 2 + (rng.gen_u64() % 5) as u32;
+        let mut rel = indexed_relation();
+        let mut model = Model::default();
+        for phase in 0..8 {
+            let at = format!("seed {seed}, phase {phase}");
+            let base = 1 + rng.gen_u64() % 4;
+            let other = 1 + (base + rng.gen_u64() % 3) % 4;
+            let count = rng.gen_u64() % 200;
+            let switch = rng.gen_u64() % (count + 1);
+            switched += u64::from(switch < count);
+            for i in 0..count {
+                let arity = if i == switch { other } else { base };
+                let row: SymTuple = (0..arity)
+                    .map(|_| Sym((rng.gen_u64() % u64::from(domain)) as u32))
+                    .collect();
+                assert_eq!(rel.insert(&row), model.insert(row), "{at}");
+            }
+            let n = model.rows.len();
+            let edge = 64 * (rng.gen_u64() as usize % (n / 64 + 1));
+            let run = edge.saturating_sub(5)..(edge + 5).min(n);
+            for id in run.clone() {
+                let row = model.rows[id].clone();
+                assert_eq!(rel.retract(&row), model.retract(&row), "{at}");
+            }
+            for id in run.step_by(3) {
+                let row = model.rows[id].clone();
+                assert_eq!(rel.insert(&row), model.insert(row), "{at}");
+            }
+            check(&rel, &model, domain, &at);
+            check_neighbours(&rel, &model, &at);
+            match rng.gen_u64() % 5 {
+                0 => {
+                    rel.clear();
+                    model = Model::default();
+                    emptied += 1;
+                }
+                1 => {
+                    for row in model.rows.clone() {
+                        assert_eq!(rel.retract(&row), model.retract(&row), "{at}");
+                    }
+                    assert_eq!(rel.compact(), model.compact(), "{at}");
+                    emptied += 1;
+                }
+                2 => assert_eq!(rel.compact(), model.compact(), "{at}"),
+                3 => {
+                    rel.mark_delta();
+                    model.delta_start = model.rows.len();
+                }
+                _ => {}
+            }
+            check(&rel, &model, domain, &at);
+            check_neighbours(&rel, &model, &at);
+            check_absent(&rel, &model, domain, &at);
+        }
+    }
+    assert!(switched > 1_000 && emptied > 400, "{switched} {emptied}");
 }
 
 #[test]

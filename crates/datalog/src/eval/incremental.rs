@@ -11,16 +11,16 @@
 //!
 //! # Why DRed and not pure counting
 //!
-//! The substrate keeps a per-row support count
-//! ([`calm_common::storage::Relation::support`]), but our semi-naive
-//! engine is *set-semantic*: delta rounds place the delta at one body
-//! position at a time while the other positions range over the full
-//! store, so a derivation touching two delta tuples is enumerated
-//! twice, and re-derivations of already-present facts are filtered by
-//! the membership guard before they could be counted. Exact derivation
-//! multiplicities are therefore not recoverable from the fixpoint, and
-//! counting-only maintenance would either under- or over-delete. The
-//! counts act as liveness markers (tombstones), and deletion runs the
+//! The substrate keeps a tombstone bit per row
+//! ([`calm_common::storage::Relation::is_live`]), not a count: our
+//! semi-naive engine is *set-semantic*: delta rounds place the delta at
+//! one body position at a time while the other positions range over
+//! the full store, so a derivation touching two delta tuples is
+//! enumerated twice, and re-derivations of already-present facts are
+//! filtered by the membership guard before they could be counted.
+//! Exact derivation multiplicities are therefore not recoverable from
+//! the fixpoint, and counting-only maintenance would either under- or
+//! over-delete. Deletion runs the
 //! classic three-phase DRed instead — which is also the only sound
 //! choice once stratified negation is involved:
 //!

@@ -95,12 +95,18 @@ impl JsonValue {
     }
 }
 
-/// Parse one complete JSON document. Trailing non-whitespace input, or
-/// any syntax error, yields `Err` with a byte offset and message.
+/// How deep arrays and objects may nest. A tracer line holds one object
+/// inside another; a far deeper line is garbage, refused before its
+/// recursion can exhaust the stack.
+const MAX_DEPTH: usize = 64;
+
+/// Parse one complete JSON document. Trailing non-whitespace input,
+/// nesting past [`MAX_DEPTH`], or any syntax error, yields `Err` with a
+/// byte offset and message.
 pub fn parse_json(input: &str) -> Result<JsonValue, String> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing input at byte {pos}"));
@@ -114,12 +120,17 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Parse the value at `pos`, inside `depth` arrays and objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nested deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_obj(b, pos, depth + 1),
+        Some(b'[') => parse_arr(b, pos, depth + 1),
         Some(b'"') => Ok(JsonValue::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", JsonValue::Bool(false)),
@@ -208,7 +219,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -217,7 +228,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         return Ok(JsonValue::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => {
@@ -232,7 +243,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     *pos += 1; // '{'
     let mut map = BTreeMap::new();
     skip_ws(b, pos);
@@ -251,7 +262,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
             return Err(format!("expected ':' at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         map.insert(key, value);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -331,5 +342,16 @@ mod tests {
         ] {
             assert!(parse_json(bad).is_err(), "must reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_refused_past_the_bound_not_by_the_stack() {
+        let nest = |depth: usize| format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_json(&nest(MAX_DEPTH)).is_ok());
+        let err = parse_json(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nested deeper than 64"), "{err}");
+        // 30 000 unclosed objects: an error, not a stack overflow.
+        let line = r#"{"a":"#.repeat(30_000);
+        assert!(parse_json(&line).unwrap_err().contains("nested deeper"));
     }
 }
