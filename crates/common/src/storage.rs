@@ -41,10 +41,10 @@
 //! [`Storage`] and [`Relation`] hold no interior mutability, so a
 //! `&Storage` is freely shareable across threads: the data-parallel
 //! semi-naive driver hands read-only views of the same store (rows,
-//! delta watermarks and indexes) to scoped worker threads and merges
-//! their derivation buffers back through [`Storage::insert_batch`] on
-//! the single mutating thread. A compile-time assertion below pins the
-//! `Send + Sync` guarantee.
+//! delta watermarks and indexes) to scoped worker threads and inserts
+//! their derivation buffers through [`Storage::insert_batch`] — the
+//! fixpoint's one dedup — on the single mutating thread. A compile-time
+//! assertion below pins the `Send + Sync` guarantee.
 //!
 //! Ids and arena offsets are `u32`s; the interning, row-id and arena
 //! paths use *checked* conversions that panic with a clear "interning
@@ -933,11 +933,10 @@ impl Storage {
         id
     }
 
-    /// Bulk-insert rows into one relation — the merge edge of the
-    /// data-parallel fixpoint. Returns `(new_rows, bytes_moved)`,
-    /// where bytes count only the tuples that were actually new; the
-    /// relation is resolved once for the whole batch instead of per
-    /// row.
+    /// Bulk-insert rows into one relation: the fixpoint's one dedup.
+    /// Returns `(new_rows, bytes_moved)`, where bytes count only the
+    /// tuples that were actually new; the relation is resolved once
+    /// for the whole batch instead of per row.
     pub fn insert_batch<'a, I>(&mut self, r: RelId, rows: I) -> (usize, usize)
     where
         I: IntoIterator<Item = &'a [Sym]>,

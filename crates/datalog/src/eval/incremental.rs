@@ -17,7 +17,7 @@
 //! one body position at a time while the other positions range over
 //! the full store, so a derivation touching two delta tuples is
 //! enumerated twice, and re-derivations of already-present facts are
-//! filtered by the membership guard before they could be counted.
+//! dropped by the insert without being counted.
 //! Exact derivation multiplicities are therefore not recoverable from
 //! the fixpoint, and counting-only maintenance would either under- or
 //! over-delete. Deletion runs the
@@ -384,31 +384,30 @@ fn maintain_stratum(
     // Seeds: derivations touching an added tuple at a positive atom or
     // a removed tuple at a negative atom, evaluated over the current
     // store. Then explicit-delta semi-naive propagation within the
-    // stratum. A head derived twice in a round is pushed twice; the
-    // second insert is a no-op.
+    // stratum. Every derived head is pushed: the insert is the dedup,
+    // and a round that inserts nothing ends the propagation.
     let mut pending = Derived::default();
     let mut delta = Ids::new();
     let (mut pos, mut neg) = (&*added, &*removed);
     loop {
-        let storage = db.storage();
-        st.derive(storage, View::New, pos, neg, stats, &mut |r, h| {
-            if !storage.contains(r, h) {
-                pending.push(r, h);
-            }
+        st.derive(db.storage(), View::New, pos, neg, stats, &mut |r, h| {
+            pending.push(r, h);
             true
         });
-        if pending.is_empty() {
-            break;
-        }
         delta.clear();
-        for j in 0..pending.len() {
-            let (r, row) = pending.get(j);
-            if let Some(id) = db.storage_mut().insert_id(r, row) {
-                stats.insertions += 1;
-                delta.entry(r).or_default().push(id);
+        for (r, rows) in pending.runs() {
+            for row in rows {
+                // `None` for a live row; an overdeleted one is revived.
+                if let Some(id) = db.storage_mut().insert_id(r, row) {
+                    stats.insertions += 1;
+                    delta.entry(r).or_default().push(id);
+                }
             }
         }
         pending.clear();
+        if delta.is_empty() {
+            break;
+        }
         (pos, neg) = (&delta, &none);
     }
 
@@ -719,6 +718,43 @@ mod tests {
                 UpdateBatch::deleting([fact("V", [3])]).with_insert(fact("E", [1, 2])),
             ],
         );
+    }
+
+    #[test]
+    fn insert_propagation_counts_a_head_once_and_revives_in_place() {
+        // Deleting E(1,2) overdeletes T(1,2) and T(1,3) with nothing to
+        // rederive them; the inserted detours 1→4→2 and 1→5→2 derive
+        // T(1,2) twice in one round of insert propagation. The insert
+        // drops the second derivation and revives the overdeleted row
+        // under its old id; T(1,3) follows one round later.
+        let initial = Instance::from_facts([fact("E", [1, 2]), fact("E", [2, 3])]);
+        let m = Maintained::new(TC);
+        let mut db = m.materialize(&initial);
+        let t = m.symbols.read().lookup_rel("T").unwrap();
+        let id_of = |db: &Database, a: i64, b: i64| {
+            let table = m.symbols.read();
+            let row: Vec<Sym> = [a, b]
+                .iter()
+                .map(|&v| table.lookup_sym(&calm_common::v(v)).unwrap())
+                .collect();
+            db.storage().relation(t).unwrap().lookup(&row)
+        };
+        let (t12, t13) = (id_of(&db, 1, 2), id_of(&db, 1, 3));
+        let batch = UpdateBatch::deleting([fact("E", [1, 2])])
+            .with_insert(fact("E", [1, 4]))
+            .with_insert(fact("E", [4, 2]))
+            .with_insert(fact("E", [1, 5]))
+            .with_insert(fact("E", [5, 2]));
+        let stats = m.apply(&mut db, &batch);
+        assert_eq!((stats.retractions, stats.rederivations), (2, 0));
+        // T(1,4) T(4,2) T(1,5) T(5,2); T(1,2) once, T(4,3) T(5,3); T(1,3).
+        assert_eq!(stats.insertions, 8);
+        assert_eq!((id_of(&db, 1, 2), id_of(&db, 1, 3)), (t12, t13));
+        let rel = db.storage().relation(t).unwrap();
+        assert_eq!((rel.len(), rel.rows().len()), (9, 9), "no row stored twice");
+        let mut edb = initial;
+        batch.apply_to_instance(&mut edb);
+        assert!(db.same_facts(&m.materialize(&edb)));
     }
 
     const TGH: &str = "T(x,y) :- E(x,y).\n\

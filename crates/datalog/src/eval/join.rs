@@ -51,46 +51,39 @@ pub(crate) fn instantiate(atom: &CompiledAtom, binding: &[Sym], out: &mut SymTup
     out.extend(atom.slots.iter().map(|&s| val(s, binding)));
 }
 
-/// Derived rows awaiting insertion, in emission order: the symbols of
-/// all rows back to back under one `(relation, end offset)` header per
-/// row, so buffering a derivation allocates nothing.
+/// Derived rows awaiting insertion, in emission order, laid out like
+/// `transducer::rows::Batch`: the symbols of all rows back to back, one
+/// `(relation, arity, end)` header per run of one relation and arity —
+/// a buffered row is its symbols, and buffering one allocates nothing.
 #[derive(Debug, Default)]
 pub(crate) struct Derived {
     syms: Vec<Sym>,
-    heads: Vec<(RelId, usize)>,
+    runs: Vec<(RelId, usize, usize)>,
 }
 
 impl Derived {
+    /// Buffer `row` (arity ≥ 1: the workspace has no nullary relation).
     pub fn push(&mut self, rel: RelId, row: &[Sym]) {
         self.syms.extend_from_slice(row);
-        self.heads.push((rel, self.syms.len()));
+        match self.runs.last_mut() {
+            Some((r, arity, end)) if *r == rel && *arity == row.len() => *end = self.syms.len(),
+            _ => self.runs.push((rel, row.len(), self.syms.len())),
+        }
     }
 
-    /// Append `other`'s rows after this buffer's own.
-    pub fn append(&mut self, other: &Derived) {
-        let base = self.syms.len();
-        self.syms.extend_from_slice(&other.syms);
-        (self.heads).extend(other.heads.iter().map(|&(rel, end)| (rel, base + end)));
-    }
-
-    pub fn len(&self) -> usize {
-        self.heads.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.heads.is_empty()
-    }
-
-    /// The `j`-th row pushed and the relation it was derived for.
-    pub fn get(&self, j: usize) -> (RelId, &[Sym]) {
-        let start = j.checked_sub(1).map_or(0, |prev| self.heads[prev].1);
-        let (rel, end) = self.heads[j];
-        (rel, &self.syms[start..end])
+    /// The runs in push order: each relation with its rows of one arity.
+    pub fn runs(&self) -> impl Iterator<Item = (RelId, std::slice::ChunksExact<'_, Sym>)> + '_ {
+        let mut start = 0;
+        self.runs.iter().map(move |&(rel, arity, end)| {
+            let rows = self.syms[start..end].chunks_exact(arity);
+            start = end;
+            (rel, rows)
+        })
     }
 
     pub fn clear(&mut self) {
         self.syms.clear();
-        self.heads.clear();
+        self.runs.clear();
     }
 }
 
@@ -239,5 +232,65 @@ impl<'a> Join<'a> {
                 (start as u32..end as u32).all(|id| visit(self, id))
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn rows(d: &Derived) -> Vec<(RelId, Vec<Sym>)> {
+        (d.runs())
+            .flat_map(|(rel, rows)| rows.map(move |row| (rel, row.to_vec())))
+            .collect()
+    }
+
+    #[test]
+    fn derived_runs_break_exactly_where_relation_or_arity_changes() {
+        let (e, t) = (RelId(0), RelId(1));
+        let pushes: Vec<(RelId, Vec<Sym>)> = [
+            (e, &[1, 2][..]),
+            (e, &[3, 4]),
+            (t, &[5, 6]),
+            (t, &[7]),
+            (t, &[8]),
+            (e, &[9, 1]),
+            (e, &[2, 3, 4]),
+            (t, &[5, 6]),
+        ]
+        .iter()
+        .map(|&(rel, row)| (rel, row.iter().map(|&s| Sym(s)).collect()))
+        .collect();
+        let mut d = Derived::default();
+        for (rel, row) in &pushes {
+            d.push(*rel, row);
+        }
+        assert_eq!(rows(&d), pushes, "the runs hand rows back in push order");
+        assert_eq!(
+            d.runs,
+            [
+                (e, 2, 4),
+                (t, 2, 6),
+                (t, 1, 8),
+                (e, 2, 10),
+                (e, 3, 13),
+                (t, 2, 15)
+            ]
+        );
+        d.clear();
+        assert!(d.syms.is_empty() && d.runs.is_empty());
+    }
+
+    #[test]
+    fn n_binary_rows_are_2n_symbols_under_one_header() {
+        let mut d = Derived::default();
+        let n = 1000;
+        for i in 0..n {
+            d.push(RelId(3), &[Sym(i), Sym(i + 1)]);
+        }
+        assert_eq!(d.syms.len(), 2 * n as usize);
+        assert_eq!(d.runs.len(), 1);
+        let (rel, rows) = d.runs().next().unwrap();
+        assert_eq!((rel, rows.len()), (RelId(3), n as usize));
     }
 }

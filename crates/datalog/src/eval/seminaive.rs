@@ -19,11 +19,12 @@
 //! With [`EvalOptions::eval_threads`] > 1 each iteration's rule
 //! evaluations are split into [`EvalJob`]s — one path of one rule over a
 //! contiguous chunk of its *outermost* scan (the seeding delta rows, or
-//! the leading scan of a body path) — and executed by scoped worker
-//! threads (`std::thread::scope`, no new dependencies) sharing the
-//! storage read-only. Each worker keeps a private derivation buffer and
-//! [`EvalMetrics`] block; after the round the buffers are merged in job
-//! order (rule index, then delta position, then partition index), which
+//! the leading scan of a body path) — and executed by at most one
+//! scoped worker thread per job (`std::thread::scope`, no new
+//! dependencies) sharing the storage read-only. Each job fills a
+//! private derivation buffer and [`EvalMetrics`] block; after the round
+//! the buffers are inserted, and the blocks merged, in job order (rule
+//! index, then delta position, then partition index), which
 //! reproduces the exact sequential emission order. Because the chunks
 //! partition the same outer scan, every counter is a sum over the same
 //! event multiset, so the derived database **and** the metrics are
@@ -137,12 +138,10 @@ pub fn fixpoint_naive(program: &Program, db: &mut Database) -> EvalMetrics {
             });
         }
         let mut added = 0;
-        for j in 0..fresh.len() {
-            let (rel, row) = fresh.get(j);
-            if db.storage_mut().insert(rel, row) {
-                added += 1;
-                metrics.bytes_moved += std::mem::size_of_val(row);
-            }
+        for (rel, rows) in fresh.runs() {
+            let (new_rows, bytes) = db.storage_mut().insert_batch(rel, rows);
+            added += new_rows;
+            metrics.bytes_moved += bytes;
         }
         metrics.new_facts += added;
         if added == 0 {
@@ -340,7 +339,8 @@ fn plan_unit(
     }
 }
 
-/// Run one job, appending derived-and-not-yet-stored rows to `sink`.
+/// Run one job, appending every derived row to `sink` — stored or not:
+/// the insert is the round's dedup.
 fn run_job(
     cp: &CompiledProgram,
     job: &EvalJob,
@@ -350,13 +350,10 @@ fn run_job(
     sink: &mut Derived,
 ) {
     let rule = &cp.rules[job.rule];
-    let rel = rule.head.relation;
     let mut head = SymTuple::new();
     let mut emit = |b: &[Sym]| {
         instantiate(&rule.head, b, &mut head);
-        if !storage.contains(rel, &head) {
-            sink.push(rel, &head);
-        }
+        sink.push(rule.head.relation, &head);
         true
     };
     let mut join;
@@ -383,21 +380,25 @@ fn run_job(
 /// order, the facts it derived, and the counters it accumulated.
 type JobResult = (usize, Derived, EvalMetrics);
 
-/// Execute one round's jobs, extending `pending` with the derivations
-/// in sequential order. Sequential (`eval_threads` ≤ 1) runs inline
-/// with the classic per-rule spans; parallel fans the jobs out to
-/// scoped worker threads over a work-stealing counter and merges the
-/// per-job buffers and metrics back in job order.
+/// Execute one round's jobs into `bufs`, whose concatenation is the
+/// round's derivations in sequential order. Sequential (`eval_threads`
+/// ≤ 1) runs inline into one reused buffer with the classic per-rule
+/// spans; parallel fans the jobs out to `min(eval_threads, jobs)`
+/// scoped workers over a work-stealing counter (one worker is the
+/// calling thread) and hands back one buffer per job, in job order,
+/// merging the metrics in that order.
 fn run_round(
     cp: &CompiledProgram,
     storage: &Storage,
     neg: &Storage,
     jobs: &[EvalJob],
-    pending: &mut Derived,
+    bufs: &mut Vec<Derived>,
     metrics: &mut EvalMetrics,
     obs: &Obs,
 ) {
     if cp.options.eval_threads <= 1 {
+        bufs.resize_with(1, Derived::default);
+        let pending = &mut bufs[0];
         let mut k = 0;
         while k < jobs.len() {
             let rule_idx = jobs[k].rule;
@@ -417,65 +418,55 @@ fn run_round(
         }
         return;
     }
+    bufs.clear();
     let _par_span = obs.span("eval.parallel", || format!("jobs#{}", jobs.len()));
+    let workers = cp.options.eval_threads.min(jobs.len());
     if obs.enabled() {
         obs.counter("eval.parallel", "partitions", jobs.len() as u64);
+        obs.counter("eval.parallel", "workers", workers as u64);
     }
     let next = AtomicUsize::new(0);
-    let mut results: Vec<JobResult> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..cp.options.eval_threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let j = next.fetch_add(1, Ordering::Relaxed);
-                        if j >= jobs.len() {
-                            break;
-                        }
-                        let mut job_metrics = EvalMetrics::default();
-                        let mut buf = Derived::default();
-                        run_job(cp, &jobs[j], storage, neg, &mut job_metrics, &mut buf);
-                        local.push((j, buf, job_metrics));
-                    }
-                    local
-                })
-            })
-            .collect();
-        workers
-            .into_iter()
-            .flat_map(|w| w.join().expect("eval worker panicked"))
-            .collect()
-    });
+    let work = || {
+        let mut local = Vec::new();
+        loop {
+            let j = next.fetch_add(1, Ordering::Relaxed);
+            if j >= jobs.len() {
+                break;
+            }
+            let mut job_metrics = EvalMetrics::default();
+            let mut buf = Derived::default();
+            run_job(cp, &jobs[j], storage, neg, &mut job_metrics, &mut buf);
+            local.push((j, buf, job_metrics));
+        }
+        local
+    };
+    let mut results: Vec<JobResult> = if workers <= 1 {
+        work()
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+            (handles.into_iter())
+                .flat_map(|w| w.join().expect("eval worker panicked"))
+                .collect()
+        })
+    };
     // Deterministic merge: every job index occurs exactly once, and job
     // order equals sequential evaluation order, so after sorting the
-    // concatenated buffers reproduce the sequential `pending` exactly
-    // (insertion order, delta regions and all counters included).
+    // buffers, inserted one after another, reproduce the sequential
+    // round exactly (insertion order, delta regions and all counters
+    // included).
     results.sort_unstable_by_key(|&(j, _, _)| j);
     let mut rule_derivations = 0;
-    let mut current_rule = usize::MAX;
     for (j, buf, job_metrics) in results {
-        let rule_idx = jobs[j].rule;
-        if rule_idx != current_rule {
-            if current_rule != usize::MAX && obs.enabled() {
-                obs.counter(
-                    "eval.rule",
-                    &cp.labels[current_rule],
-                    rule_derivations as u64,
-                );
-            }
-            current_rule = rule_idx;
-            rule_derivations = 0;
-        }
         rule_derivations += job_metrics.derivations;
         metrics.merge(&job_metrics);
-        pending.append(&buf);
-    }
-    if current_rule != usize::MAX && obs.enabled() {
-        obs.counter(
-            "eval.rule",
-            &cp.labels[current_rule],
-            rule_derivations as u64,
-        );
+        bufs.push(buf);
+        // One `eval.rule` counter per rule, at its last job.
+        let rule = jobs[j].rule;
+        if jobs.get(j + 1).is_none_or(|next| next.rule != rule) {
+            obs.counter("eval.rule", &cp.labels[rule], rule_derivations as u64);
+            rule_derivations = 0;
+        }
     }
 }
 
@@ -519,16 +510,16 @@ pub fn fixpoint_seminaive_full(
         obs.counter("eval.plan", "atoms.scan", scan as u64);
     }
     let mut metrics = EvalMetrics::default();
-    let mut pending = Derived::default();
+    let mut pending: Vec<Derived> = Vec::new();
     let mut jobs: Vec<EvalJob> = Vec::new();
     loop {
         // Round 0 walks every rule's body path once on the initial
         // database: this covers non-recursive rules completely (their
         // inputs never change within this stratum) and seeds the delta
         // for recursive ones. Every later round is a delta round:
-        // recursive rules only, one delta position at a time. Dedup
-        // across repeated relations at multiple positions is handled by
-        // the membership guard on `pending` insertion.
+        // recursive rules only, one delta position at a time. A row
+        // derived at several delta positions, or already stored, is
+        // dropped by the insert.
         let first = metrics.iterations == 0;
         metrics.iterations += 1;
         {
@@ -547,24 +538,20 @@ pub fn fixpoint_seminaive_full(
             run_round(cp, storage, neg, &jobs, &mut pending, &mut metrics, obs);
         }
         // Rows inserted now form the next delta region: move every
-        // watermark to the current end first, then insert. Consecutive
-        // same-relation runs go through one `insert_batch` each, so the
-        // relation is resolved once per run instead of once per row.
+        // watermark to the current end first, then insert. The insert
+        // is the round's only membership test; each buffered run goes
+        // through one `insert_batch`, so the relation is resolved once
+        // per run instead of once per row.
         db.storage_mut().mark_deltas();
         let mut added = 0;
-        let mut k = 0;
-        while k < pending.len() {
-            let rel = pending.get(k).0;
-            let run = (k..pending.len())
-                .take_while(|&j| pending.get(j).0 == rel)
-                .count();
-            let rows = (k..k + run).map(|j| pending.get(j).1);
-            let (new_rows, bytes) = db.storage_mut().insert_batch(rel, rows);
-            added += new_rows;
-            metrics.bytes_moved += bytes;
-            k += run;
+        for buf in &mut pending {
+            for (rel, rows) in buf.runs() {
+                let (new_rows, bytes) = db.storage_mut().insert_batch(rel, rows);
+                added += new_rows;
+                metrics.bytes_moved += bytes;
+            }
+            buf.clear();
         }
-        pending.clear();
         metrics.new_facts += added;
         if obs.enabled() {
             obs.histogram("eval", "iteration_new_facts", added as u64);
@@ -832,6 +819,56 @@ mod tests {
         check_delta_rounds_probe("T(x,z) :- T(x,y), T(y,z).", 2, 0);
     }
 
+    /// FNV-1a over the rows of relation `name` in row-id order, as the
+    /// values they stand for.
+    fn row_order_digest(db: &Database, name: &str) -> u64 {
+        let table = db.symbols().read();
+        let rel = (db.storage().relation(table.lookup_rel(name).unwrap())).unwrap();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for id in rel.rows() {
+            for &s in rel.row(id) {
+                for b in format!("{},", table.value(s)).bytes() {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn the_insert_drops_the_duplicate_derivations_of_the_doubling_rule() {
+        // Most valuations of `T(x,y), T(y,z)` re-derive a stored pair;
+        // no membership test precedes the insert, so every one is
+        // buffered and `insert_batch` drops it. What is stored, its
+        // row ids and the counters do not depend on that, nor on the
+        // thread count (1 here, then 2 and 8): the digest pins the row
+        // order the fixpoint had when a pre-insert membership test
+        // dropped re-derivations.
+        let p = parse_program("T(x,y) :- E(x,y).\nT(x,z) :- T(x,y), T(y,z).").unwrap();
+        let input = ring_with_chords(200);
+        let mut seq = Database::from_instance(&input);
+        let m = fixpoint_seminaive(&p, &mut seq);
+        assert_eq!(m.new_facts, 200 * 200);
+        assert_eq!(m.bytes_moved, m.new_facts * 2 * std::mem::size_of::<Sym>());
+        assert!(
+            m.derivations > 4 * m.new_facts,
+            "{} derivations for {} facts",
+            m.derivations,
+            m.new_facts
+        );
+        assert_eq!(row_order_digest(&seq, "T"), 0xfb47_cee2_dd25_0abd);
+        for threads in [2, 8] {
+            let mut par = Database::from_instance(&input);
+            let options = EvalOptions::default().with_eval_threads(threads);
+            assert_eq!(
+                fixpoint_seminaive_with(&p, &mut par, options),
+                m,
+                "T={threads}"
+            );
+            assert_byte_identical(&seq, &par);
+        }
+    }
+
     #[test]
     fn indexed_run_matches_baseline_on_small_graphs() {
         // Differential: indexed vs BASELINE (pure scans) must derive
@@ -949,6 +986,48 @@ mod tests {
             );
             assert_eq!(m_seq, m_par, "EvalMetrics diverged at T={threads}");
             assert_byte_identical(&seq, &par);
+        }
+    }
+
+    /// The `eval.parallel` counters, one `(name, delta)` per report.
+    #[derive(Default)]
+    struct ParallelCounters(std::sync::Mutex<Vec<(String, u64)>>);
+
+    impl calm_obs::Sink for ParallelCounters {
+        fn span(&self, _: &str, _: &str, _: u32, _: u64, _: u64) {}
+        fn event(&self, _: &str, _: &str, _: u32, _: u64, _: &[(&str, calm_obs::ArgValue)]) {}
+        fn counter(&self, cat: &str, name: &str, _: u64, delta: u64) {
+            if cat == "eval.parallel" {
+                self.0.lock().unwrap().push((name.to_string(), delta));
+            }
+        }
+        fn gauge(&self, _: &str, _: &str, _: u32, _: u64, _: u64) {}
+        fn histogram(&self, _: &str, _: &str, _: u64) {}
+    }
+
+    #[test]
+    fn parallel_round_spawns_at_most_one_worker_per_job() {
+        let input = calm_common::generator::cycle(12);
+        let mut seq = Database::from_instance(&input);
+        let m_seq = fixpoint_seminaive(&tc(), &mut seq);
+        for threads in [2, 50_000] {
+            let mut par = Database::from_instance(&input);
+            let options = EvalOptions::default().with_eval_threads(threads);
+            let cp = CompiledProgram::new(&tc(), &mut par.symbols().clone().write(), options);
+            let sink = std::sync::Arc::new(ParallelCounters::default());
+            let m_par = fixpoint_seminaive_full(&cp, &mut par, None, &Obs::new(sink.clone()));
+            assert_eq!(m_seq, m_par, "EvalMetrics diverged at T={threads}");
+            assert_byte_identical(&seq, &par);
+            // One `partitions` then one `workers` report per round.
+            let counters = sink.0.lock().unwrap();
+            assert_eq!(counters.len(), 2 * m_par.iterations);
+            for round in counters.chunks(2) {
+                let [(p, jobs), (w, workers)] = round else {
+                    unreachable!()
+                };
+                assert_eq!((p.as_str(), w.as_str()), ("partitions", "workers"));
+                assert_eq!(*workers, (*jobs).min(threads as u64), "T={threads}");
+            }
         }
     }
 
