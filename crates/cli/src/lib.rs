@@ -243,7 +243,7 @@ fn render_instance(i: &Instance) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::trace_path;
+    use calm_obs::trace_path;
 
     /// `calm simulate` on `engine` with `opts`, one eval thread.
     fn simulate_on(
@@ -1059,22 +1059,6 @@ mod tests {
         for p in [jsonl_path, a, b, trace_path(&prefix, "trace.json")] {
             let _ = std::fs::remove_file(p);
         }
-    }
-
-    #[test]
-    fn trace_report_rejects_violated_traces() {
-        let path = std::env::temp_dir().join(format!("calm-cli-bad-trace-{}", std::process::id()));
-        // A delivery with no matching send: the causal graph is torn.
-        std::fs::write(
-            &path,
-            "{\"type\":\"event\",\"cat\":\"trace\",\"name\":\"deliver\",\"track\":1,\"ts_us\":5,\
-             \"args\":{\"origin\":3,\"seq\":9,\"dst\":0,\"facts\":1}}\n",
-        )
-        .unwrap();
-        let e = cmd_trace_report(std::slice::from_ref(&path), false).unwrap_err();
-        assert!(e.0.contains("trace invariants violated"), "{e}");
-        assert!(e.0.contains("no matching send"), "{e}");
-        let _ = std::fs::remove_file(path);
     }
 
     #[test]

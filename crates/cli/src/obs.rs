@@ -3,7 +3,7 @@
 //! options and the [`Obs`] assembled from them.
 
 use crate::{err, CliError};
-use calm_obs::{ChromeTraceSink, FlightRecorder, JsonlSink, MultiSink, Obs, ReportSink, Sink};
+use calm_obs::{Obs, ReportSink, Sink};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -29,15 +29,6 @@ pub struct ObsOptions {
     pub dump_plan: bool,
 }
 
-/// Derive `<prefix>.<ext>` from a `--trace-out` prefix, appending to the
-/// file name rather than replacing an existing extension.
-pub(crate) fn trace_path(prefix: &Path, ext: &str) -> PathBuf {
-    let mut name = prefix.as_os_str().to_os_string();
-    name.push(".");
-    name.push(ext);
-    PathBuf::from(name)
-}
-
 /// A path like `out/run42/trace` usually points into a directory that
 /// doesn't exist yet; create it rather than surfacing the opaque ENOENT
 /// the sink would hit.
@@ -53,38 +44,24 @@ fn ensure_parent(flag: &str, path: &Path) -> Result<(), CliError> {
     }
 }
 
-/// Assemble an [`Obs`] from the options, plus handles needed afterwards:
-/// the report sink to render (when `--metrics`) and extra sinks such as
-/// a [`TraceSink`] the caller wants fanned in.
+/// Assemble an [`Obs`] from the options, plus the report sink to render
+/// (when `--metrics`). `extra` sinks (such as a `TraceSink` the caller
+/// wants fanned in) come first.
 pub(crate) fn build_obs(
     opts: &ObsOptions,
     extra: Vec<Arc<dyn Sink>>,
 ) -> Result<(Obs, Option<Arc<ReportSink>>), CliError> {
-    let mut sinks: Vec<Arc<dyn Sink>> = extra;
     if let Some(prefix) = &opts.trace_out {
         ensure_parent("--trace-out", prefix)?;
-        let jsonl = JsonlSink::create(&trace_path(prefix, "jsonl"))
-            .map_err(|e| err(format!("--trace-out: {e}")))?;
-        let chrome = ChromeTraceSink::create(&trace_path(prefix, "trace.json"))
-            .map_err(|e| err(format!("--trace-out: {e}")))?;
-        sinks.push(Arc::new(jsonl));
-        sinks.push(Arc::new(chrome));
     }
     if let Some(path) = &opts.flight_recorder {
         ensure_parent("--flight-recorder", path)?;
-        sinks.push(Arc::new(FlightRecorder::new(path)));
     }
-    let report = if opts.metrics {
-        let r = Arc::new(ReportSink::new());
-        sinks.push(r.clone());
-        Some(r)
-    } else {
-        None
-    };
-    let obs = match sinks.len() {
-        0 => Obs::noop(),
-        1 => Obs::new(sinks.pop().expect("one sink")),
-        _ => Obs::new(Arc::new(MultiSink::new(sinks))),
-    };
-    Ok((obs, report))
+    calm_obs::assemble(
+        extra,
+        opts.trace_out.as_deref(),
+        opts.flight_recorder.as_deref(),
+        opts.metrics,
+    )
+    .map_err(|(_, e)| err(format!("--trace-out: {e}")))
 }

@@ -1482,7 +1482,7 @@ mod tests {
         let symbols = fab.symbols.clone();
         let plan = FaultPlan::none(1);
         // A live handle, so that the node mints ids.
-        let obs = Obs::new(Arc::new(calm_obs::NoopSink));
+        let obs = Obs::new(Arc::new(calm_obs::ReportSink::new()));
         let mut rnet = ReliableNet::new(&plan, &[0], &obs);
         let mut metrics = Metrics::default();
         let mut slot = fab.slot(0);

@@ -9,10 +9,10 @@
 //! node.
 
 use crate::json::escape_json;
+use crate::record::{args_object, Totals};
 use crate::{ArgValue, Sink};
-use std::collections::HashMap;
 use std::io::{BufWriter, Write};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// A sink writing a Chrome trace-event JSON array.
 ///
@@ -27,9 +27,25 @@ struct ChromeState {
     writer: BufWriter<Box<dyn Write + Send>>,
     /// Running totals per counter series — Chrome "C" events carry the
     /// current value, not a delta.
-    totals: HashMap<String, u64>,
+    totals: Totals,
     any_written: bool,
     finished: bool,
+}
+
+impl ChromeState {
+    /// Write one event object, handling the array syntax (`[` before the
+    /// first event, `,` separators).
+    fn record(&mut self, record: &str) {
+        if self.finished {
+            return;
+        }
+        if self.any_written {
+            let _ = writeln!(self.writer, ",\n{record}");
+        } else {
+            let _ = write!(self.writer, "[\n{record}");
+            self.any_written = true;
+        }
+    }
 }
 
 impl ChromeTraceSink {
@@ -38,55 +54,21 @@ impl ChromeTraceSink {
         ChromeTraceSink {
             out: Mutex::new(ChromeState {
                 writer: BufWriter::new(writer),
-                totals: HashMap::new(),
+                totals: Totals::default(),
                 any_written: false,
                 finished: false,
             }),
         }
     }
 
-    /// Create (truncate) a file at `path` and write to it.
-    ///
-    /// # Errors
-    /// Propagates file-creation errors.
-    pub fn create(path: &std::path::Path) -> std::io::Result<ChromeTraceSink> {
-        let f = std::fs::File::create(path)?;
-        Ok(ChromeTraceSink::to_writer(Box::new(f)))
+    fn state(&self) -> MutexGuard<'_, ChromeState> {
+        self.out.lock().expect("chrome trace writer")
     }
-
-    /// Write one event object, handling the array syntax (`[` before the
-    /// first event, `,` separators).
-    fn write_record(&self, record: &str) {
-        let mut state = self.out.lock().expect("chrome trace writer");
-        if state.finished {
-            return;
-        }
-        if state.any_written {
-            let _ = writeln!(state.writer, ",\n{record}");
-        } else {
-            let _ = write!(state.writer, "[\n{record}");
-            state.any_written = true;
-        }
-    }
-}
-
-fn args_json(args: &[(&str, ArgValue)]) -> String {
-    let mut out = String::from("{");
-    for (i, (k, v)) in args.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&escape_json(k));
-        out.push(':');
-        out.push_str(&v.to_json());
-    }
-    out.push('}');
-    out
 }
 
 impl Sink for ChromeTraceSink {
     fn span(&self, cat: &str, name: &str, track: u32, start_us: u64, dur_us: u64) {
-        self.write_record(&format!(
+        self.state().record(&format!(
             "{{\"ph\":\"X\",\"pid\":0,\"tid\":{track},\"cat\":{},\"name\":{},\"ts\":{start_us},\"dur\":{dur_us}}}",
             escape_json(cat),
             escape_json(name)
@@ -94,23 +76,18 @@ impl Sink for ChromeTraceSink {
     }
 
     fn event(&self, cat: &str, name: &str, track: u32, ts_us: u64, args: &[(&str, ArgValue)]) {
-        self.write_record(&format!(
+        self.state().record(&format!(
             "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":{track},\"cat\":{},\"name\":{},\"ts\":{ts_us},\"args\":{}}}",
             escape_json(cat),
             escape_json(name),
-            args_json(args)
+            args_object(args)
         ));
     }
 
     fn counter(&self, cat: &str, name: &str, ts_us: u64, delta: u64) {
-        let total = {
-            let mut state = self.out.lock().expect("chrome trace writer");
-            let key = format!("{cat}/{name}");
-            let t = state.totals.entry(key).or_insert(0);
-            *t += delta;
-            *t
-        };
-        self.write_record(&format!(
+        let mut state = self.state();
+        let total = state.totals.add(cat, name, delta);
+        state.record(&format!(
             "{{\"ph\":\"C\",\"pid\":0,\"tid\":0,\"cat\":{},\"name\":{},\"ts\":{ts_us},\"args\":{{\"value\":{total}}}}}",
             escape_json(cat),
             escape_json(name)
@@ -120,7 +97,7 @@ impl Sink for ChromeTraceSink {
     fn gauge(&self, cat: &str, name: &str, track: u32, ts_us: u64, value: u64) {
         // Gauges are absolute samples: emit the value directly, one
         // counter series per track so per-node queue depths stay apart.
-        self.write_record(&format!(
+        self.state().record(&format!(
             "{{\"ph\":\"C\",\"pid\":0,\"tid\":{track},\"cat\":{},\"name\":{},\"ts\":{ts_us},\"args\":{{\"value\":{value}}}}}",
             escape_json(cat),
             escape_json(&format!("{name}[{track}]"))
@@ -133,7 +110,7 @@ impl Sink for ChromeTraceSink {
     }
 
     fn finish(&self) {
-        let mut state = self.out.lock().expect("chrome trace writer");
+        let mut state = self.state();
         if state.finished {
             return;
         }

@@ -4,171 +4,109 @@
 //! anomaly event fires — so a chaos failure produces an artifact showing
 //! the events *leading up to* the failure instead of a bare counter.
 //!
-//! Anomaly triggers (the defaults; see [`FlightRecorder::with_triggers`]):
-//!
-//! * `net/retry_exhausted` — a link gave up retransmitting;
-//! * `net/decode_failure` — a wire payload failed strict decoding;
-//! * `net/crash` — a node crashed (each restore has a matching dump);
-//! * `net/termination` with `quiescent=false` — the run ended without
-//!   reaching quiescence.
+//! The anomalies are the `net` events of `TRIGGERS`, and
+//! `net/termination` with `quiescent=false` (the run ended without
+//! reaching quiescence).
 //!
 //! The ring is sharded (by display track for spans/events/gauges, by
 //! name hash for counters/histograms) so concurrent workers rarely
-//! contend on one lock; a global atomic sequence number restores total
-//! arrival order when shards are merged at dump time. Records are
-//! pre-rendered to their JSONL line on entry — the dump path then only
-//! writes bytes, and dump files parse with the same tooling as
-//! `--trace-out` logs.
+//! contend on one lock; a global sequence number, taken under the
+//! shard's lock, restores total arrival order when shards are merged at
+//! dump time. Each shard renders its records with the JSONL record
+//! writer on entry — the dump path then only writes bytes, and a dump
+//! line is a `--trace-out` line.
 
-use crate::json::escape_json;
+use crate::record::{dump, key, Lines, Records};
 use crate::{ArgValue, Sink};
 use std::collections::VecDeque;
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Default total ring capacity (records), split across shards.
-pub const DEFAULT_FLIGHT_CAPACITY: usize = 4096;
+/// Total ring capacity (records), split across shards.
+const CAPACITY: usize = 4096;
 
 const SHARDS: usize = 8;
 
-/// An anomaly pattern that makes the recorder dump: an event category +
-/// name, optionally refined by a boolean argument that must hold.
-#[derive(Debug, Clone)]
-pub struct Trigger {
-    /// Event category to match (e.g. `"net"`).
-    pub cat: String,
-    /// Event name to match (e.g. `"retry_exhausted"`).
-    pub name: String,
-    /// When set, the event must carry this boolean argument with this
-    /// value (e.g. `("quiescent", false)` on `net/termination`).
-    pub arg_bool: Option<(String, bool)>,
+/// The `net` events that make the recorder dump: a link gave up
+/// retransmitting, a wire payload failed strict decoding, a node
+/// crashed (each restore has a matching dump), or a worker process died,
+/// was lost, hung or was killed.
+const TRIGGERS: [&str; 7] = [
+    "retry_exhausted",
+    "decode_failure",
+    "crash",
+    "worker_die",
+    "worker_down",
+    "worker_hung",
+    "worker_killed",
+];
+
+fn is_anomaly(cat: &str, name: &str, args: &[(&str, ArgValue)]) -> bool {
+    let unquiescent = || {
+        args.iter()
+            .any(|(k, v)| *k == "quiescent" && *v == ArgValue::Bool(false))
+    };
+    cat == "net" && (TRIGGERS.contains(&name) || name == "termination" && unquiescent())
 }
 
-impl Trigger {
-    /// A trigger on every `cat/name` event.
-    pub fn on(cat: &str, name: &str) -> Trigger {
-        Trigger {
-            cat: cat.to_string(),
-            name: name.to_string(),
-            arg_bool: None,
-        }
-    }
+/// One shard's ring: `(global_seq, line)`, oldest first.
+struct Ring {
+    lines: VecDeque<(u64, String)>,
+    capacity: usize,
+    seq: Arc<AtomicU64>,
+}
 
-    /// A trigger on `cat/name` events whose `arg` boolean equals `value`.
-    pub fn on_arg(cat: &str, name: &str, arg: &str, value: bool) -> Trigger {
-        Trigger {
-            cat: cat.to_string(),
-            name: name.to_string(),
-            arg_bool: Some((arg.to_string(), value)),
+impl Lines for Ring {
+    fn put(&mut self, line: String) {
+        // Numbered under the shard's lock: the lines of one counter (one
+        // shard per name) are numbered in the order of their totals.
+        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        if self.lines.len() >= self.capacity {
+            self.lines.pop_front();
         }
-    }
-
-    fn matches(&self, cat: &str, name: &str, args: &[(&str, ArgValue)]) -> bool {
-        if cat != self.cat || name != self.name {
-            return false;
-        }
-        match &self.arg_bool {
-            None => true,
-            Some((arg, want)) => args
-                .iter()
-                .any(|(k, v)| k == arg && *v == ArgValue::Bool(*want)),
-        }
+        self.lines.push_back((seq, line));
     }
 }
 
-struct Shard {
-    /// `(global_seq, pre-rendered JSONL line)`, oldest first.
-    ring: VecDeque<(u64, String)>,
-    /// Running totals for counters routed to this shard (a counter name
-    /// always hashes to the same shard, so its total is shard-local).
-    totals: std::collections::HashMap<String, u64>,
+/// FNV-1a over a name's bytes: a counter's or histogram's shard, stable
+/// for the name, so a counter's running total is shard-local.
+fn name_shard(bytes: impl Iterator<Item = u8>) -> usize {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h as usize
 }
 
 /// The flight-recorder sink. See the module docs for the model.
 pub struct FlightRecorder {
-    shards: Vec<Mutex<Shard>>,
-    per_shard: usize,
-    triggers: Vec<Trigger>,
+    shards: Vec<Mutex<Records<Ring>>>,
     path: PathBuf,
-    seq: AtomicU64,
-    dumps: AtomicU64,
 }
 
 impl FlightRecorder {
-    /// A recorder with the default capacity and anomaly triggers,
-    /// dumping to `path` (appending — one file collects every dump of a
-    /// run).
+    /// A recorder dumping to `path` (appending — one file collects every
+    /// dump of a run).
     pub fn new(path: impl Into<PathBuf>) -> FlightRecorder {
-        FlightRecorder::with_capacity(path, DEFAULT_FLIGHT_CAPACITY)
-    }
-
-    /// As [`FlightRecorder::new`] with an explicit total ring capacity.
-    pub fn with_capacity(path: impl Into<PathBuf>, capacity: usize) -> FlightRecorder {
-        let triggers = vec![
-            Trigger::on("net", "retry_exhausted"),
-            Trigger::on("net", "decode_failure"),
-            Trigger::on("net", "crash"),
-            Trigger::on("net", "worker_die"),
-            Trigger::on("net", "worker_down"),
-            Trigger::on("net", "worker_hung"),
-            Trigger::on("net", "worker_killed"),
-            Trigger::on_arg("net", "termination", "quiescent", false),
-        ];
-        FlightRecorder::with_triggers(path, capacity, triggers)
-    }
-
-    /// A recorder with explicit triggers (replacing the defaults).
-    pub fn with_triggers(
-        path: impl Into<PathBuf>,
-        capacity: usize,
-        triggers: Vec<Trigger>,
-    ) -> FlightRecorder {
+        let seq = Arc::new(AtomicU64::new(0));
+        let ring = || Ring {
+            lines: VecDeque::new(),
+            capacity: CAPACITY / SHARDS,
+            seq: seq.clone(),
+        };
         FlightRecorder {
             shards: (0..SHARDS)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        ring: VecDeque::new(),
-                        totals: std::collections::HashMap::new(),
-                    })
-                })
+                .map(|_| Mutex::new(Records::new(ring())))
                 .collect(),
-            per_shard: (capacity / SHARDS).max(1),
-            triggers,
             path: path.into(),
-            seq: AtomicU64::new(0),
-            dumps: AtomicU64::new(0),
         }
     }
 
-    /// How many anomaly dumps have been written so far.
-    pub fn dump_count(&self) -> u64 {
-        self.dumps.load(Ordering::SeqCst)
-    }
-
-    /// Where dumps are appended.
-    pub fn path(&self) -> &std::path::Path {
-        &self.path
-    }
-
-    fn push(&self, shard: usize, line: String) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let mut s = self.shards[shard % SHARDS].lock().expect("flight shard");
-        if s.ring.len() >= self.per_shard {
-            s.ring.pop_front();
-        }
-        s.ring.push_back((seq, line));
-    }
-
-    fn name_shard(name: &str) -> usize {
-        // FNV-1a over the name bytes: stable, dependency-free.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in name.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        h as usize
+    fn shard(&self, i: usize) -> MutexGuard<'_, Records<Ring>> {
+        self.shards[i % SHARDS].lock().expect("flight shard")
     }
 
     /// Dump the ring to the post-mortem file now, regardless of
@@ -176,112 +114,47 @@ impl FlightRecorder {
     /// cleared: a later anomaly still sees this history.
     pub fn force_dump(&self, reason: &str) -> bool {
         let mut records: Vec<(u64, String)> = Vec::new();
-        for shard in &self.shards {
-            let s = shard.lock().expect("flight shard");
-            records.extend(s.ring.iter().cloned());
+        for i in 0..SHARDS {
+            records.extend(self.shard(i).out.lines.iter().cloned());
         }
         records.sort_unstable_by_key(|(seq, _)| *seq);
-        let file = std::fs::OpenOptions::new()
+        let text = dump(reason, records.iter().map(|(_, line)| line.as_str()));
+        std::fs::OpenOptions::new()
             .create(true)
             .append(true)
-            .open(&self.path);
-        let Ok(file) = file else {
-            return false;
-        };
-        let mut w = std::io::BufWriter::new(file);
-        let header = format!(
-            "{{\"type\":\"flight_dump\",\"reason\":{},\"records\":{}}}",
-            escape_json(reason),
-            records.len()
-        );
-        let ok = writeln!(w, "{header}").is_ok()
-            && records
-                .iter()
-                .all(|(_, line)| writeln!(w, "{line}").is_ok())
-            && w.flush().is_ok();
-        if ok {
-            self.dumps.fetch_add(1, Ordering::SeqCst);
-        }
-        ok
+            .open(&self.path)
+            .and_then(|mut file| file.write_all(text.as_bytes()))
+            .is_ok()
     }
 }
 
 impl Sink for FlightRecorder {
     fn span(&self, cat: &str, name: &str, track: u32, start_us: u64, dur_us: u64) {
-        self.push(
-            track as usize,
-            format!(
-                "{{\"type\":\"span\",\"cat\":{},\"name\":{},\"track\":{track},\"ts_us\":{start_us},\"dur_us\":{dur_us}}}",
-                escape_json(cat),
-                escape_json(name)
-            ),
-        );
+        self.shard(track as usize)
+            .span(cat, name, track, start_us, dur_us);
     }
 
     fn event(&self, cat: &str, name: &str, track: u32, ts_us: u64, args: &[(&str, ArgValue)]) {
-        let mut body = String::from("{");
-        for (i, (k, v)) in args.iter().enumerate() {
-            if i > 0 {
-                body.push(',');
-            }
-            body.push_str(&escape_json(k));
-            body.push(':');
-            body.push_str(&v.to_json());
-        }
-        body.push('}');
-        self.push(
-            track as usize,
-            format!(
-                "{{\"type\":\"event\",\"cat\":{},\"name\":{},\"track\":{track},\"ts_us\":{ts_us},\"args\":{body}}}",
-                escape_json(cat),
-                escape_json(name)
-            ),
-        );
-        if self.triggers.iter().any(|t| t.matches(cat, name, args)) {
-            self.force_dump(&format!("{cat}/{name}"));
+        self.shard(track as usize)
+            .event(cat, name, track, ts_us, args);
+        if is_anomaly(cat, name, args) {
+            self.force_dump(&key(cat, name));
         }
     }
 
     fn counter(&self, cat: &str, name: &str, ts_us: u64, delta: u64) {
-        let key = format!("{cat}/{name}");
-        let shard = Self::name_shard(&key);
-        let total = {
-            let mut s = self.shards[shard % SHARDS].lock().expect("flight shard");
-            let t = s.totals.entry(key).or_insert(0);
-            *t += delta;
-            *t
-        };
-        self.push(
-            shard,
-            format!(
-                "{{\"type\":\"counter\",\"cat\":{},\"name\":{},\"ts_us\":{ts_us},\"delta\":{delta},\"total\":{total}}}",
-                escape_json(cat),
-                escape_json(name)
-            ),
-        );
+        let shard = name_shard(cat.bytes().chain([b'/']).chain(name.bytes()));
+        self.shard(shard).counter(cat, name, ts_us, delta);
     }
 
     fn gauge(&self, cat: &str, name: &str, track: u32, ts_us: u64, value: u64) {
-        self.push(
-            track as usize,
-            format!(
-                "{{\"type\":\"gauge\",\"cat\":{},\"name\":{},\"track\":{track},\"ts_us\":{ts_us},\"value\":{value}}}",
-                escape_json(cat),
-                escape_json(name)
-            ),
-        );
+        self.shard(track as usize)
+            .gauge(cat, name, track, ts_us, value);
     }
 
     fn histogram(&self, cat: &str, name: &str, value: u64) {
-        let shard = Self::name_shard(name);
-        self.push(
-            shard,
-            format!(
-                "{{\"type\":\"histogram\",\"cat\":{},\"name\":{},\"value\":{value}}}",
-                escape_json(cat),
-                escape_json(name)
-            ),
-        );
+        self.shard(name_shard(name.bytes()))
+            .histogram(cat, name, value);
     }
 }
 
@@ -300,20 +173,28 @@ mod tests {
     #[test]
     fn ring_overwrites_oldest() {
         let path = temp_path("ring");
-        let fr = FlightRecorder::with_capacity(&path, SHARDS * 4);
-        // All on track 0 → one shard of capacity 4.
-        for i in 0..10u64 {
+        let fr = FlightRecorder::new(&path);
+        // All on track 0 → one shard, holding the `CAPACITY / SHARDS`
+        // newest of `CAPACITY / SHARDS + 4` records.
+        let per_shard = (CAPACITY / SHARDS) as u64;
+        for i in 0..per_shard + 4 {
             fr.gauge("runtime", "queue_depth", 0, i, i);
         }
         assert!(fr.force_dump("test"));
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        // Header + the 4 newest records.
-        assert_eq!(lines.len(), 5, "{text}");
+        assert_eq!(lines.len() as u64, 1 + per_shard, "{text}");
         assert!(lines[0].contains("\"type\":\"flight_dump\""));
-        assert!(lines[1].contains("\"value\":6"));
-        assert!(lines[4].contains("\"value\":9"));
+        let value = |line: &str| parse_json(line).ok()?.get("value")?.as_u64();
+        assert_eq!(value(lines[1]), Some(4));
+        assert_eq!(value(lines[lines.len() - 1]), Some(per_shard + 3));
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// How many dumps the file at `path` holds.
+    fn dumps(path: &std::path::Path) -> usize {
+        let text = std::fs::read_to_string(path).unwrap_or_default();
+        text.matches("\"type\":\"flight_dump\"").count()
     }
 
     #[test]
@@ -321,9 +202,9 @@ mod tests {
         let path = temp_path("trigger");
         let fr = FlightRecorder::new(&path);
         fr.counter("net", "faults.dropped", 5, 1);
-        assert_eq!(fr.dump_count(), 0);
+        assert_eq!(dumps(&path), 0);
         fr.event("net", "retry_exhausted", 1, 9, &[("dst", ArgValue::U64(3))]);
-        assert_eq!(fr.dump_count(), 1);
+        assert_eq!(dumps(&path), 1);
         // A quiescent termination must NOT trigger; a failed one must.
         fr.event(
             "net",
@@ -332,7 +213,7 @@ mod tests {
             10,
             &[("quiescent", ArgValue::Bool(true))],
         );
-        assert_eq!(fr.dump_count(), 1);
+        assert_eq!(dumps(&path), 1);
         fr.event(
             "net",
             "termination",
@@ -340,7 +221,7 @@ mod tests {
             11,
             &[("quiescent", ArgValue::Bool(false))],
         );
-        assert_eq!(fr.dump_count(), 2);
+        assert_eq!(dumps(&path), 2);
         // Every dumped line parses as standalone JSON, and the anomaly
         // event itself is included in its own dump.
         let text = std::fs::read_to_string(&path).unwrap();

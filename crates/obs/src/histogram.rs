@@ -1,5 +1,5 @@
-//! Fixed-bucket power-of-two histograms: constant-size, allocation-free
-//! once constructed, mergeable — the distribution primitive behind
+//! Fixed-bucket power-of-two histograms: constant-size and allocation-free
+//! once constructed — the distribution primitive behind
 //! latency and batch-size recording.
 
 /// A histogram with 65 fixed buckets: bucket `i` (for `i < 64`) counts
@@ -43,11 +43,6 @@ fn bucket_lo(i: usize) -> u64 {
 }
 
 impl Pow2Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Pow2Histogram::default()
-    }
-
     /// Record one observation.
     #[inline]
     pub fn record(&mut self, v: u64) {
@@ -62,11 +57,6 @@ impl Pow2Histogram {
         self.count
     }
 
-    /// Sum of observations (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
     /// Largest observation (0 when empty).
     pub fn max(&self) -> u64 {
         self.max
@@ -79,30 +69,6 @@ impl Pow2Histogram {
         } else {
             self.sum as f64 / self.count as f64
         }
-    }
-
-    /// The smallest bucket lower bound `b` such that at least `q` (in
-    /// `[0, 1]`) of the observations are `< 2b` (i.e. fall in that bucket
-    /// or below) — a power-of-two upper estimate of the `q`-quantile.
-    /// Returns 0 when empty.
-    pub fn quantile_bound(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target.max(1) {
-                // Upper edge of bucket i.
-                return match i {
-                    0 => 0,
-                    i if i >= 64 => u64::MAX,
-                    i => (1u64 << i) - 1,
-                };
-            }
-        }
-        self.max
     }
 
     /// Estimate the `q`-quantile (`q` in `[0, 1]`) by locating the
@@ -141,42 +107,6 @@ impl Pow2Histogram {
         }
         self.max as f64
     }
-
-    /// Accumulate another histogram into this one.
-    pub fn merge(&mut self, other: &Pow2Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Non-empty buckets as `(lower_bound, count)` pairs, ascending.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_lo(i), c))
-            .collect()
-    }
-
-    /// Render a compact one-line distribution: `lo:count` pairs.
-    pub fn render(&self) -> String {
-        let parts: Vec<String> = self
-            .nonzero_buckets()
-            .iter()
-            .map(|(lo, c)| format!("{lo}:{c}"))
-            .collect();
-        format!(
-            "n={} mean={:.1} max={} [{}]",
-            self.count,
-            self.mean(),
-            self.max,
-            parts.join(" ")
-        )
-    }
 }
 
 #[cfg(test)]
@@ -197,59 +127,21 @@ mod tests {
 
     #[test]
     fn record_tracks_aggregates() {
-        let mut h = Pow2Histogram::new();
+        let mut h = Pow2Histogram::default();
         for v in [0, 1, 2, 3, 4, 100] {
             h.record(v);
         }
         assert_eq!(h.count(), 6);
-        assert_eq!(h.sum(), 110);
+        assert_eq!(h.sum, 110);
         assert_eq!(h.max(), 100);
         assert!((h.mean() - 110.0 / 6.0).abs() < 1e-9);
         // 0 → bucket 0; 1 → b1; 2,3 → b2; 4 → b3; 100 → b7 ([64,128)).
-        assert_eq!(
-            h.nonzero_buckets(),
-            vec![(0, 1), (1, 1), (2, 2), (4, 1), (64, 1)]
-        );
-    }
-
-    #[test]
-    fn merge_is_addition() {
-        let mut a = Pow2Histogram::new();
-        let mut b = Pow2Histogram::new();
-        a.record(1);
-        a.record(8);
-        b.record(8);
-        b.record(300);
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(merged.count(), 4);
-        assert_eq!(merged.sum(), 317);
-        assert_eq!(merged.max(), 300);
-        // Merging in the other order gives the same histogram.
-        let mut merged2 = b.clone();
-        merged2.merge(&a);
-        assert_eq!(merged, merged2);
-    }
-
-    #[test]
-    fn quantile_bounds() {
-        let mut h = Pow2Histogram::new();
-        for _ in 0..90 {
-            h.record(3);
-        }
-        for _ in 0..10 {
-            h.record(1000);
-        }
-        // Median lands in the [2,4) bucket → upper edge 3.
-        assert_eq!(h.quantile_bound(0.5), 3);
-        // p99 lands in the [512,1024) bucket → upper edge 1023.
-        assert_eq!(h.quantile_bound(0.99), 1023);
-        assert_eq!(Pow2Histogram::new().quantile_bound(0.5), 0);
+        assert_eq!(h.buckets[..8], [1, 1, 2, 1, 0, 0, 0, 1]);
     }
 
     #[test]
     fn quantile_interpolates_within_buckets() {
-        let mut h = Pow2Histogram::new();
+        let mut h = Pow2Histogram::default();
         for _ in 0..90 {
             h.record(3);
         }
@@ -270,7 +162,7 @@ mod tests {
     fn quantile_on_single_value_buckets() {
         // Buckets 0 and 1 hold exactly one value each (0 and 1): low
         // ranks interpolate inside [0,1), high ranks clamp to the max.
-        let mut h = Pow2Histogram::new();
+        let mut h = Pow2Histogram::default();
         for _ in 0..4 {
             h.record(0);
         }
@@ -286,7 +178,7 @@ mod tests {
     fn quantile_at_bucket_boundaries() {
         // 4 values exactly on a bucket's lower edge: every quantile is
         // inside [lo, hi) of that bucket and never exceeds max.
-        let mut h = Pow2Histogram::new();
+        let mut h = Pow2Histogram::default();
         for _ in 0..4 {
             h.record(8); // bucket [8,16)
         }
@@ -295,9 +187,9 @@ mod tests {
             assert!((8.0..=8.0).contains(&est), "q={q} est={est}");
         }
         // Empty histogram: 0.
-        assert_eq!(Pow2Histogram::new().quantile(0.5), 0.0);
+        assert_eq!(Pow2Histogram::default().quantile(0.5), 0.0);
         // Quantile estimates are monotone in q.
-        let mut m = Pow2Histogram::new();
+        let mut m = Pow2Histogram::default();
         for v in [1u64, 2, 4, 9, 17, 80, 300, 5000] {
             m.record(v);
         }
@@ -308,15 +200,5 @@ mod tests {
             assert!(est <= m.max() as f64);
             prev = est;
         }
-    }
-
-    #[test]
-    fn render_is_compact() {
-        let mut h = Pow2Histogram::new();
-        h.record(2);
-        h.record(3);
-        let s = h.render();
-        assert!(s.contains("n=2"));
-        assert!(s.contains("2:2"));
     }
 }

@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 
 /// Escape a string into a quoted JSON string literal.
-pub fn escape_json(s: &str) -> String {
+pub(crate) fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -23,6 +23,25 @@ pub fn escape_json(s: &str) -> String {
     }
     out.push('"');
     out
+}
+
+/// Push `items` between `open` and `close`, comma-separated, each
+/// rendered by `item`.
+pub(crate) fn push_joined<T>(
+    out: &mut String,
+    open: char,
+    close: char,
+    items: impl IntoIterator<Item = T>,
+    mut item: impl FnMut(&mut String, T),
+) {
+    out.push(open);
+    for (i, x) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(out, x);
+    }
+    out.push(close);
 }
 
 /// A parsed JSON value. Numbers are kept as `f64` — every number the
@@ -53,14 +72,6 @@ impl JsonValue {
         }
     }
 
-    /// The numeric payload, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
     /// The numeric payload as a `u64` (truncating), if this is a
     /// non-negative number.
     pub fn as_u64(&self) -> Option<u64> {
@@ -82,14 +93,6 @@ impl JsonValue {
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
             JsonValue::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(v) => Some(v),
             _ => None,
         }
     }
@@ -319,10 +322,8 @@ mod tests {
         assert_eq!(v.get("ts_us").and_then(JsonValue::as_u64), Some(12));
         let args = v.get("args").unwrap();
         assert_eq!(args.get("ok").and_then(JsonValue::as_bool), Some(true));
-        assert_eq!(
-            args.get("xs").and_then(JsonValue::as_arr).map(<[_]>::len),
-            Some(2)
-        );
+        let xs = JsonValue::Arr(vec![JsonValue::Num(1.0), JsonValue::Num(2.0)]);
+        assert_eq!(args.get("xs"), Some(&xs));
         assert_eq!(parse_json("[]").unwrap(), JsonValue::Arr(vec![]));
         assert_eq!(parse_json("{}").unwrap(), JsonValue::Obj(BTreeMap::new()));
     }

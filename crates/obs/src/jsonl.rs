@@ -1,14 +1,16 @@
 //! JSON Lines event log: one self-contained JSON object per line, in
 //! arrival order — the machine-readable artifact behind `--trace-out`.
 
-use crate::json::escape_json;
+use crate::record::{Lines, Records};
 use crate::{ArgValue, Sink};
 use std::io::{BufWriter, Write};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
+
+type Out = BufWriter<Box<dyn Write + Send>>;
 
 /// A sink writing one JSON object per observation, one per line.
 ///
-/// Record shapes (all carry `"type"`, `"cat"`, `"name"`, `"ts_us"`):
+/// Record shapes (all carry `"type"`, `"cat"`, `"name"`):
 ///
 /// ```text
 /// {"type":"span","cat":"eval","name":"stratum#0","track":0,"ts_us":12,"dur_us":340}
@@ -21,106 +23,51 @@ use std::sync::Mutex;
 /// Counters also carry the running `total`, so the final line per counter
 /// name is the run's total — consumers need not sum deltas.
 pub struct JsonlSink {
-    out: Mutex<JsonlState>,
+    records: Mutex<Records<Out>>,
 }
 
-struct JsonlState {
-    writer: BufWriter<Box<dyn Write + Send>>,
-    totals: std::collections::HashMap<String, u64>,
+impl Lines for Out {
+    fn put(&mut self, line: String) {
+        let _ = writeln!(self, "{line}");
+    }
 }
 
 impl JsonlSink {
     /// Write to an arbitrary writer.
     pub fn to_writer(writer: Box<dyn Write + Send>) -> JsonlSink {
         JsonlSink {
-            out: Mutex::new(JsonlState {
-                writer: BufWriter::new(writer),
-                totals: std::collections::HashMap::new(),
-            }),
+            records: Mutex::new(Records::new(BufWriter::new(writer))),
         }
     }
 
-    /// Create (truncate) a file at `path` and write to it.
-    ///
-    /// # Errors
-    /// Propagates file-creation errors.
-    pub fn create(path: &std::path::Path) -> std::io::Result<JsonlSink> {
-        let f = std::fs::File::create(path)?;
-        Ok(JsonlSink::to_writer(Box::new(f)))
+    fn records(&self) -> MutexGuard<'_, Records<Out>> {
+        self.records.lock().expect("jsonl writer")
     }
-
-    fn write_line(&self, line: &str) {
-        let mut state = self.out.lock().expect("jsonl writer");
-        let _ = writeln!(state.writer, "{line}");
-    }
-}
-
-fn args_json(args: &[(&str, ArgValue)]) -> String {
-    let mut out = String::from("{");
-    for (i, (k, v)) in args.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&escape_json(k));
-        out.push(':');
-        out.push_str(&v.to_json());
-    }
-    out.push('}');
-    out
 }
 
 impl Sink for JsonlSink {
     fn span(&self, cat: &str, name: &str, track: u32, start_us: u64, dur_us: u64) {
-        self.write_line(&format!(
-            "{{\"type\":\"span\",\"cat\":{},\"name\":{},\"track\":{track},\"ts_us\":{start_us},\"dur_us\":{dur_us}}}",
-            escape_json(cat),
-            escape_json(name)
-        ));
+        self.records().span(cat, name, track, start_us, dur_us);
     }
 
     fn event(&self, cat: &str, name: &str, track: u32, ts_us: u64, args: &[(&str, ArgValue)]) {
-        self.write_line(&format!(
-            "{{\"type\":\"event\",\"cat\":{},\"name\":{},\"track\":{track},\"ts_us\":{ts_us},\"args\":{}}}",
-            escape_json(cat),
-            escape_json(name),
-            args_json(args)
-        ));
+        self.records().event(cat, name, track, ts_us, args);
     }
 
     fn counter(&self, cat: &str, name: &str, ts_us: u64, delta: u64) {
-        let total = {
-            let mut state = self.out.lock().expect("jsonl writer");
-            let key = format!("{cat}/{name}");
-            let t = state.totals.entry(key).or_insert(0);
-            *t += delta;
-            *t
-        };
-        self.write_line(&format!(
-            "{{\"type\":\"counter\",\"cat\":{},\"name\":{},\"ts_us\":{ts_us},\"delta\":{delta},\"total\":{total}}}",
-            escape_json(cat),
-            escape_json(name)
-        ));
+        self.records().counter(cat, name, ts_us, delta);
     }
 
     fn gauge(&self, cat: &str, name: &str, track: u32, ts_us: u64, value: u64) {
-        self.write_line(&format!(
-            "{{\"type\":\"gauge\",\"cat\":{},\"name\":{},\"track\":{track},\"ts_us\":{ts_us},\"value\":{value}}}",
-            escape_json(cat),
-            escape_json(name)
-        ));
+        self.records().gauge(cat, name, track, ts_us, value);
     }
 
     fn histogram(&self, cat: &str, name: &str, value: u64) {
-        self.write_line(&format!(
-            "{{\"type\":\"histogram\",\"cat\":{},\"name\":{},\"value\":{value}}}",
-            escape_json(cat),
-            escape_json(name)
-        ));
+        self.records().histogram(cat, name, value);
     }
 
     fn finish(&self) {
-        let mut state = self.out.lock().expect("jsonl writer");
-        let _ = state.writer.flush();
+        let _ = self.records().out.flush();
     }
 }
 

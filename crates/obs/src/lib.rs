@@ -9,51 +9,49 @@
 //!
 //! Dependency-free by design (like `calm_common::rng`): no `tracing`, no
 //! `serde`. Four primitives are threaded through the engine, the
-//! transducer runtime and the coordination strategies:
-//!
-//! * **spans** — named durations (per stratum, per rule, per iteration,
-//!   per transition) with a `track` lane for per-node timelines; the
-//!   data-parallel fixpoint driver adds an `eval.parallel` span around
-//!   every partitioned round;
-//! * **counters** — monotone totals (derivations, per-class message
-//!   counts, and the `eval.parallel`/`partitions` count of jobs each
-//!   partitioned round fanned out);
-//! * **gauges** — sampled instantaneous values (per-node message-queue
-//!   depth);
-//! * **histograms** — fixed-bucket power-of-two distributions
-//!   ([`Pow2Histogram`]) for latencies and batch sizes.
+//! transducer runtime and the coordination strategies: **spans** (named
+//! durations on a `track` lane, one per node), **counters** (monotone
+//! totals such as derivations and per-class message counts), **gauges**
+//! (sampled levels such as queue depth) and **histograms**
+//! ([`Pow2Histogram`] distributions of latencies and batch sizes).
 //!
 //! Everything funnels through a [`Sink`]. The disabled path is an
 //! [`Obs::noop`] handle whose every operation is a single `Option`
 //! branch — no clock reads, no formatting, no allocation — so
 //! instrumented hot loops stay within noise of uninstrumented ones.
-//! Three concrete sinks ship here:
+//! Four concrete sinks ship here:
 //!
 //! * [`JsonlSink`] — one JSON object per line, machine-readable;
+//! * [`FlightRecorder`] — the last few thousand of those lines in a ring,
+//!   dumped to a file when an anomaly event fires;
 //! * [`ChromeTraceSink`] — Chrome trace-event JSON, loadable in
 //!   `chrome://tracing` or Perfetto;
 //! * [`ReportSink`] — an aggregating sink rendering a human-readable
 //!   terminal run report.
 //!
-//! [`MultiSink`] fans one event stream out to several sinks.
+//! [`MultiSink`] fans one event stream out to several sinks, and
+//! [`assemble`] builds the handle a command asked for.
 
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
 mod chrome;
 mod flight;
 mod histogram;
 mod json;
 mod jsonl;
+mod record;
 mod report;
 pub mod trace;
 
 pub use chrome::ChromeTraceSink;
-pub use flight::{FlightRecorder, Trigger, DEFAULT_FLIGHT_CAPACITY};
+pub use flight::FlightRecorder;
 pub use histogram::Pow2Histogram;
-pub use json::{escape_json, parse_json, JsonValue};
+pub use json::{parse_json, JsonValue};
 pub use jsonl::JsonlSink;
 pub use report::ReportSink;
 
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -78,37 +76,12 @@ fn epoch_us() -> u64 {
 pub enum ArgValue {
     /// An unsigned integer.
     U64(u64),
-    /// A signed integer.
-    I64(i64),
     /// A boolean.
     Bool(bool),
     /// A string.
     Str(String),
     /// A list of strings (e.g. the facts newly output by a transition).
     List(Vec<String>),
-}
-
-impl ArgValue {
-    /// Render as a JSON value fragment.
-    pub fn to_json(&self) -> String {
-        match self {
-            ArgValue::U64(v) => v.to_string(),
-            ArgValue::I64(v) => v.to_string(),
-            ArgValue::Bool(b) => b.to_string(),
-            ArgValue::Str(s) => escape_json(s),
-            ArgValue::List(items) => {
-                let mut out = String::from("[");
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&escape_json(item));
-                }
-                out.push(']');
-                out
-            }
-        }
-    }
 }
 
 /// Where observations go. All methods take `&self`: sinks are shared
@@ -141,16 +114,12 @@ pub trait Sink: Send + Sync {
     fn finish(&self) {}
 }
 
-struct ObsInner {
-    sink: Arc<dyn Sink>,
-}
-
 /// The handle threaded through instrumented code: either a live sink or
 /// a no-op. Cloning is cheap (an `Arc` bump); the no-op handle is a
 /// `None` and every operation on it is one branch.
 #[derive(Clone, Default)]
 pub struct Obs {
-    inner: Option<Arc<ObsInner>>,
+    sink: Option<Arc<dyn Sink>>,
 }
 
 impl std::fmt::Debug for Obs {
@@ -167,7 +136,7 @@ impl Obs {
     /// The disabled handle: every operation compiles to an `Option`
     /// check. This is what un-traced callers pass.
     pub fn noop() -> Obs {
-        Obs { inner: None }
+        Obs { sink: None }
     }
 
     /// A live handle feeding `sink`. Timestamps are measured from the
@@ -177,9 +146,7 @@ impl Obs {
     /// threads — are directly comparable.
     pub fn new(sink: Arc<dyn Sink>) -> Obs {
         EPOCH.get_or_init(Instant::now);
-        Obs {
-            inner: Some(Arc::new(ObsInner { sink })),
-        }
+        Obs { sink: Some(sink) }
     }
 
     /// Whether observations are being recorded. Callers computing
@@ -187,17 +154,14 @@ impl Obs {
     /// guard on this.
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.inner.is_some()
+        self.sink.is_some()
     }
 
     /// Microseconds since the shared process-wide epoch (0 when
     /// disabled).
     #[inline]
     pub fn now_us(&self) -> u64 {
-        match &self.inner {
-            Some(_) => epoch_us(),
-            None => 0,
-        }
+        self.sink.as_ref().map_or(0, |_| epoch_us())
     }
 
     /// Open a span on track 0. The name closure only runs when enabled.
@@ -214,18 +178,14 @@ impl Obs {
         track: u32,
         name: impl FnOnce() -> String,
     ) -> SpanGuard {
-        match &self.inner {
-            Some(inner) => SpanGuard {
-                state: Some(SpanState {
-                    inner: inner.clone(),
-                    cat,
-                    name: name(),
-                    track,
-                    start_us: epoch_us(),
-                }),
-            },
-            None => SpanGuard { state: None },
-        }
+        let state = self.sink.as_ref().map(|sink| SpanState {
+            sink: sink.clone(),
+            cat,
+            name: name(),
+            track,
+            start_us: epoch_us(),
+        });
+        SpanGuard { state }
     }
 
     /// Emit a structured event. The args closure only runs when enabled.
@@ -237,48 +197,45 @@ impl Obs {
         track: u32,
         args: impl FnOnce() -> Vec<(&'static str, ArgValue)>,
     ) {
-        if let Some(inner) = &self.inner {
-            let ts = epoch_us();
-            inner.sink.event(cat, name, track, ts, &args());
+        if let Some(sink) = &self.sink {
+            sink.event(cat, name, track, epoch_us(), &args());
         }
     }
 
     /// Increment a counter.
     #[inline]
     pub fn counter(&self, cat: &'static str, name: &str, delta: u64) {
-        if let Some(inner) = &self.inner {
-            let ts = epoch_us();
-            inner.sink.counter(cat, name, ts, delta);
+        if let Some(sink) = &self.sink {
+            sink.counter(cat, name, epoch_us(), delta);
         }
     }
 
     /// Sample a gauge value.
     #[inline]
     pub fn gauge(&self, cat: &'static str, name: &str, track: u32, value: u64) {
-        if let Some(inner) = &self.inner {
-            let ts = epoch_us();
-            inner.sink.gauge(cat, name, track, ts, value);
+        if let Some(sink) = &self.sink {
+            sink.gauge(cat, name, track, epoch_us(), value);
         }
     }
 
     /// Record a histogram observation.
     #[inline]
     pub fn histogram(&self, cat: &'static str, name: &str, value: u64) {
-        if let Some(inner) = &self.inner {
-            inner.sink.histogram(cat, name, value);
+        if let Some(sink) = &self.sink {
+            sink.histogram(cat, name, value);
         }
     }
 
     /// Finish the underlying sink (flush file trailers).
     pub fn finish(&self) {
-        if let Some(inner) = &self.inner {
-            inner.sink.finish();
+        if let Some(sink) = &self.sink {
+            sink.finish();
         }
     }
 }
 
 struct SpanState {
-    inner: Arc<ObsInner>,
+    sink: Arc<dyn Sink>,
     cat: &'static str,
     name: String,
     track: u32,
@@ -296,8 +253,7 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(s) = self.state.take() {
             let end = epoch_us();
-            s.inner
-                .sink
+            s.sink
                 .span(s.cat, &s.name, s.track, s.start_us, end - s.start_us);
         }
     }
@@ -356,18 +312,54 @@ impl Sink for MultiSink {
     }
 }
 
-/// A sink that drops everything. [`Obs::noop`] never reaches a sink at
-/// all; this type exists for call sites that need a `dyn Sink` value
-/// (e.g. filling a [`MultiSink`] slot conditionally).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopSink;
+/// `<prefix>.<ext>`: a file of a `--trace-out PREFIX` run, the suffix
+/// appended to the file name (never replacing an extension).
+pub fn trace_path(prefix: &Path, ext: &str) -> PathBuf {
+    let mut name = prefix.as_os_str().to_os_string();
+    name.push(".");
+    name.push(ext);
+    PathBuf::from(name)
+}
 
-impl Sink for NoopSink {
-    fn span(&self, _: &str, _: &str, _: u32, _: u64, _: u64) {}
-    fn event(&self, _: &str, _: &str, _: u32, _: u64, _: &[(&str, ArgValue)]) {}
-    fn counter(&self, _: &str, _: &str, _: u64, _: u64) {}
-    fn gauge(&self, _: &str, _: &str, _: u32, _: u64, _: u64) {}
-    fn histogram(&self, _: &str, _: &str, _: u64) {}
+/// What [`assemble`] builds: a command's handle, and the report sink to
+/// render once the run is over (when it asked for `metrics`).
+pub type Assembled = (Obs, Option<Arc<ReportSink>>);
+
+/// The handle a command runs on, built from what it asked to record:
+/// the `sinks` it brings, then `<prefix>.jsonl` ([`JsonlSink`]) and
+/// `<prefix>.trace.json` ([`ChromeTraceSink`]) for `trace_out`, a
+/// [`FlightRecorder`] dumping to `flight`, and a [`ReportSink`] when
+/// `metrics`. No sink is [`Obs::noop`], one is used as it is, more share
+/// a [`MultiSink`].
+///
+/// # Errors
+/// The trace file that could not be created, and why.
+pub fn assemble(
+    mut sinks: Vec<Arc<dyn Sink>>,
+    trace_out: Option<&Path>,
+    flight: Option<&Path>,
+    metrics: bool,
+) -> Result<Assembled, (PathBuf, std::io::Error)> {
+    if let Some(prefix) = trace_out {
+        let create = |ext: &str| {
+            let path = trace_path(prefix, ext);
+            std::fs::File::create(&path).map_err(|e| (path, e))
+        };
+        sinks.push(Arc::new(JsonlSink::to_writer(Box::new(create("jsonl")?))));
+        let chrome = create("trace.json")?;
+        sinks.push(Arc::new(ChromeTraceSink::to_writer(Box::new(chrome))));
+    }
+    if let Some(path) = flight {
+        sinks.push(Arc::new(FlightRecorder::new(path)));
+    }
+    let report = metrics.then(|| Arc::new(ReportSink::new()));
+    sinks.extend(report.iter().map(|r| r.clone() as Arc<dyn Sink>));
+    let obs = match sinks.len() {
+        0 => Obs::noop(),
+        1 => Obs::new(sinks.pop().expect("one sink")),
+        _ => Obs::new(Arc::new(MultiSink::new(sinks))),
+    };
+    Ok((obs, report))
 }
 
 #[cfg(test)]
@@ -467,7 +459,7 @@ mod tests {
     fn multi_sink_fans_out() {
         let a = Arc::new(RecordingSink::default());
         let b = Arc::new(RecordingSink::default());
-        let multi = MultiSink::new(vec![a.clone(), b.clone(), Arc::new(NoopSink)]);
+        let multi = MultiSink::new(vec![a.clone(), b.clone()]);
         let obs = Obs::new(Arc::new(multi));
         obs.counter("x", "c", 1);
         obs.finish();
@@ -476,15 +468,24 @@ mod tests {
     }
 
     #[test]
-    fn argvalue_json_fragments() {
-        assert_eq!(ArgValue::U64(3).to_json(), "3");
-        assert_eq!(ArgValue::I64(-4).to_json(), "-4");
-        assert_eq!(ArgValue::Bool(true).to_json(), "true");
-        assert_eq!(ArgValue::Str("a\"b".into()).to_json(), "\"a\\\"b\"");
-        assert_eq!(
-            ArgValue::List(vec!["x".into(), "y".into()]).to_json(),
-            "[\"x\",\"y\"]"
-        );
+    fn assemble_is_noop_one_sink_or_a_fan_out() {
+        let (none, report) = assemble(Vec::new(), None, None, false).unwrap();
+        assert!(!none.enabled() && report.is_none());
+        let (one, report) = assemble(Vec::new(), None, None, true).unwrap();
+        one.counter("x", "c", 2);
+        assert_eq!(report.expect("metrics").counter_total("x", "c"), 2);
+        let extra = Arc::new(RecordingSink::default());
+        let (many, report) = assemble(vec![extra.clone()], None, None, true).unwrap();
+        many.counter("x", "c", 3);
+        assert_eq!(extra.lines.lock().unwrap().len(), 1);
+        assert_eq!(report.expect("metrics").counter_total("x", "c"), 3);
+        // A trace file that cannot be created is named in the error.
+        let dir = std::env::temp_dir().join(format!("calm-obs-absent-{}", std::process::id()));
+        let prefix = dir.join("trace");
+        let Err((path, _)) = assemble(Vec::new(), Some(&prefix), None, false) else {
+            panic!("no directory, no trace file");
+        };
+        assert_eq!(path, trace_path(&prefix, "jsonl"));
     }
 
     #[test]

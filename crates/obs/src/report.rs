@@ -3,8 +3,10 @@
 //! histogram summaries.
 
 use crate::histogram::Pow2Histogram;
+use crate::record::{key, Totals};
 use crate::{ArgValue, Sink};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::Mutex;
 
 #[derive(Default, Clone)]
@@ -23,8 +25,7 @@ struct GaugeStat {
 
 #[derive(Default)]
 struct ReportState {
-    /// `cat/name` → total.
-    counters: BTreeMap<String, u64>,
+    counters: Totals,
     /// `cat/name` → duration stats (summed across tracks).
     spans: BTreeMap<String, SpanStat>,
     /// `cat/name[track]` → last/max sample.
@@ -32,7 +33,7 @@ struct ReportState {
     /// `cat/name` → distribution.
     histograms: BTreeMap<String, Pow2Histogram>,
     /// `cat/name` → occurrences (structured events, args dropped).
-    events: BTreeMap<String, u64>,
+    events: Totals,
 }
 
 /// A sink that keeps aggregates only — no per-event storage — and
@@ -51,85 +52,70 @@ impl ReportSink {
     /// The accumulated total of counter `cat/name` (0 if never seen).
     pub fn counter_total(&self, cat: &str, name: &str) -> u64 {
         let state = self.state.lock().expect("report state");
-        state
-            .counters
-            .get(&format!("{cat}/{name}"))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// The largest sample of gauge `cat/name` on `track` (0 if never seen).
-    pub fn gauge_max(&self, cat: &str, name: &str, track: u32) -> u64 {
-        let state = self.state.lock().expect("report state");
-        state
-            .gauges
-            .get(&format!("{cat}/{name}[{track}]"))
-            .map(|g| g.max)
-            .unwrap_or(0)
+        state.counters.0.get(&key(cat, name)).copied().unwrap_or(0)
     }
 
     /// Render the aggregates as a plain-text report.
     pub fn render(&self) -> String {
         let state = self.state.lock().expect("report state");
-        let mut out = String::new();
-        out.push_str("== run report ==\n");
-        if !state.spans.is_empty() {
-            out.push_str("spans (count, total, mean, max):\n");
-            for (key, s) in &state.spans {
+        let mut out = String::from("== run report ==\n");
+        section(
+            &mut out,
+            "spans (count, total, mean, max)",
+            &state.spans,
+            |s| {
                 let mean = if s.count == 0 {
                     0.0
                 } else {
                     s.total_us as f64 / s.count as f64
                 };
-                out.push_str(&format!(
-                    "  {key:<40} n={:<8} total={}us mean={:.1}us max={}us\n",
+                format!(
+                    "n={:<8} total={}us mean={:.1}us max={}us",
                     s.count, s.total_us, mean, s.max_us
-                ));
-            }
-        }
-        if !state.counters.is_empty() {
-            out.push_str("counters:\n");
-            for (key, total) in &state.counters {
-                out.push_str(&format!("  {key:<40} {total}\n"));
-            }
-        }
-        if !state.events.is_empty() {
-            out.push_str("events:\n");
-            for (key, n) in &state.events {
-                out.push_str(&format!("  {key:<40} {n}\n"));
-            }
-        }
-        if !state.gauges.is_empty() {
-            out.push_str("gauges (last, max):\n");
-            for (key, g) in &state.gauges {
-                out.push_str(&format!(
-                    "  {key:<40} last={} max={} samples={}\n",
-                    g.last, g.max, g.samples
-                ));
-            }
-        }
-        if !state.histograms.is_empty() {
-            out.push_str("histograms (count, mean, p50/p90/p99, max):\n");
-            for (key, h) in &state.histograms {
-                out.push_str(&format!(
-                    "  {key:<40} n={} mean={:.1} p50={:.1} p90={:.1} p99={:.1} max={}\n",
-                    h.count(),
-                    h.mean(),
-                    h.quantile(0.5),
-                    h.quantile(0.9),
-                    h.quantile(0.99),
-                    h.max()
-                ));
-            }
-        }
+                )
+            },
+        );
+        section(&mut out, "counters", &state.counters.0, u64::to_string);
+        section(&mut out, "events", &state.events.0, u64::to_string);
+        section(&mut out, "gauges (last, max)", &state.gauges, |g| {
+            format!("last={} max={} samples={}", g.last, g.max, g.samples)
+        });
+        let title = "histograms (count, mean, p50/p90/p99, max)";
+        section(&mut out, title, &state.histograms, |h| {
+            format!(
+                "n={} mean={:.1} p50={:.1} p90={:.1} p99={:.1} max={}",
+                h.count(),
+                h.mean(),
+                h.quantile(0.5),
+                h.quantile(0.9),
+                h.quantile(0.99),
+                h.max()
+            )
+        });
         out
+    }
+}
+
+/// One section of the report, when it has rows: its title, then a line
+/// per key in key order.
+fn section<V>(
+    out: &mut String,
+    title: &str,
+    rows: &BTreeMap<String, V>,
+    row: impl Fn(&V) -> String,
+) {
+    if !rows.is_empty() {
+        let _ = writeln!(out, "{title}:");
+        for (key, v) in rows {
+            let _ = writeln!(out, "  {key:<40} {}", row(v));
+        }
     }
 }
 
 impl Sink for ReportSink {
     fn span(&self, cat: &str, name: &str, _track: u32, _start_us: u64, dur_us: u64) {
         let mut state = self.state.lock().expect("report state");
-        let s = state.spans.entry(format!("{cat}/{name}")).or_default();
+        let s = state.spans.entry(key(cat, name)).or_default();
         s.count += 1;
         s.total_us += dur_us;
         s.max_us = s.max_us.max(dur_us);
@@ -137,12 +123,12 @@ impl Sink for ReportSink {
 
     fn event(&self, cat: &str, name: &str, _track: u32, _ts_us: u64, _args: &[(&str, ArgValue)]) {
         let mut state = self.state.lock().expect("report state");
-        *state.events.entry(format!("{cat}/{name}")).or_default() += 1;
+        state.events.add(cat, name, 1);
     }
 
     fn counter(&self, cat: &str, name: &str, _ts_us: u64, delta: u64) {
         let mut state = self.state.lock().expect("report state");
-        *state.counters.entry(format!("{cat}/{name}")).or_default() += delta;
+        state.counters.add(cat, name, delta);
     }
 
     fn gauge(&self, cat: &str, name: &str, track: u32, _ts_us: u64, value: u64) {
@@ -160,7 +146,7 @@ impl Sink for ReportSink {
         let mut state = self.state.lock().expect("report state");
         state
             .histograms
-            .entry(format!("{cat}/{name}"))
+            .entry(key(cat, name))
             .or_default()
             .record(value);
     }
@@ -180,8 +166,9 @@ mod tests {
         r.gauge("runtime", "queue_depth", 1, 2, 2);
         assert_eq!(r.counter_total("strategy", "messages.fact"), 5);
         assert_eq!(r.counter_total("strategy", "missing"), 0);
-        assert_eq!(r.gauge_max("runtime", "queue_depth", 1), 9);
-        assert_eq!(r.gauge_max("runtime", "queue_depth", 2), 0);
+        let text = r.render();
+        assert!(text.contains("runtime/queue_depth[1]                   last=2 max=9 samples=3"));
+        assert!(!text.contains("queue_depth[2]"));
     }
 
     #[test]

@@ -1,25 +1,14 @@
 //! Post-mortem trace analysis: rebuild the happens-before message graph
 //! from a JSONL event log and report on it.
 //!
-//! The executor and reliability substrate stamp every minted message
-//! batch with a `(origin_node, origin_seq)` id and the id of the
-//! delivery that causally triggered it, and emit `trace/*` events
-//! carrying those ids (see `calm-net`). This module ingests the JSONL
-//! log (written by `JsonlSink` or a `FlightRecorder` dump), checks the
-//! causal invariants, and derives:
-//!
-//! * **per-link latency percentiles** — `deliver.ts − send.ts` for every
-//!   delivered copy, bucketed per `(origin → dst)` link through
-//!   [`Pow2Histogram::quantile`];
-//! * **retransmit-gap percentiles** — the spacing of retransmissions per
-//!   link, the observable face of the backoff policy;
-//! * **the critical path** — walking the latest delivery back through
-//!   `send → cause → send → …` to a root send triggered by input
-//!   distribution alone;
-//! * **per-node queue-depth timelines** from `runtime/queue_depth`
-//!   gauges;
-//! * **per-message-class fan-out** from the class counts stamped on
-//!   send events.
+//! The engines stamp every sent batch with a `(origin_node, origin_seq)`
+//! id and the id of the delivery that caused it, and emit `trace/*`
+//! events carrying those ids (see `calm-net`). [`analyze_lines`] reads a
+//! `--trace-out` log or a flight dump in three passes: ingest, the
+//! invariant checks (with per-link latency and retransmit-gap
+//! percentiles, queue-depth timelines and per-class fan-out), and the
+//! critical path — the latest delivery walked back through
+//! `send → cause → send → …` to a send the input distribution caused.
 //!
 //! Invariants checked (violations fail `calm trace report`):
 //!
@@ -31,8 +20,8 @@
 //!    cause's send event exists).
 
 use crate::histogram::Pow2Histogram;
-use crate::json::{parse_json, JsonValue};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use crate::json::{escape_json, parse_json, push_joined, JsonValue};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
 
 /// A message id: `(origin_node, origin_seq)`. Minted once per sent
@@ -42,7 +31,6 @@ pub type MsgId = (u64, u64);
 #[derive(Debug, Clone)]
 struct SendEv {
     ts: u64,
-    id: MsgId,
     cause: Option<MsgId>,
     fanout: u64,
     classes: Vec<(String, u64)>,
@@ -98,7 +86,7 @@ pub struct ClassStats {
 }
 
 /// The analysis of one JSONL trace. Build with [`analyze_lines`] or
-/// [`analyze_file`], inspect programmatically or render with
+/// [`analyze_files`], inspect programmatically or render with
 /// [`TraceAnalysis::render_human`] / [`TraceAnalysis::render_json`].
 #[derive(Debug, Default)]
 pub struct TraceAnalysis {
@@ -137,267 +125,276 @@ fn arg_u64(args: &JsonValue, key: &str) -> Option<u64> {
     args.get(key).and_then(JsonValue::as_u64)
 }
 
+fn str_field<'v>(rec: &'v JsonValue, key: &str) -> &'v str {
+    rec.get(key).and_then(JsonValue::as_str).unwrap_or("")
+}
+
 fn id_of(args: &JsonValue) -> Option<MsgId> {
     Some((arg_u64(args, "origin")?, arg_u64(args, "seq")?))
 }
 
-/// Analyze a JSONL trace given as lines. Unparseable lines are counted
+/// The link `src -> dst` a reliability-substrate event names.
+fn link_of(args: &JsonValue) -> (u64, u64) {
+    let end = |key| arg_u64(args, key).unwrap_or(0);
+    (end("src"), end("dst"))
+}
+
+/// What the ingest pass keeps of a log for the two passes after it.
+#[derive(Default)]
+struct Log {
+    sends: HashMap<MsgId, SendEv>,
+    delivers: Vec<DeliverEv>,
+    /// Per `(src, dst, link_seq)`: timestamps of transmissions, for gaps.
+    link_txs: HashMap<(u64, u64, u64), Vec<u64>>,
+    /// `(id, src, dst)` of every retransmit that carries an id.
+    retransmit_ids: Vec<(MsgId, u64, u64)>,
+}
+
+/// Analyze a JSONL trace given as lines, in three passes: ingest, the
+/// invariant checks, the critical path. Unparseable lines are counted
 /// in [`TraceAnalysis::unparsed_lines`] rather than failing the whole
 /// report (a killed run may leave a torn final line); an input with *no*
 /// parseable trace content still produces an (empty) analysis.
 pub fn analyze_lines<'a>(lines: impl Iterator<Item = &'a str>) -> TraceAnalysis {
     let mut a = TraceAnalysis::default();
-    let mut sends: HashMap<MsgId, SendEv> = HashMap::new();
-    let mut delivers: Vec<DeliverEv> = Vec::new();
-    // Per (src, dst, link_seq): timestamps of transmissions, for gaps.
-    let mut link_txs: HashMap<(u64, u64, u64), Vec<u64>> = HashMap::new();
-    let mut retransmit_ids: Vec<(MsgId, u64, u64)> = Vec::new();
-
+    let mut log = Log::default();
     for line in lines {
+        log.ingest(&mut a, line);
+    }
+    log.check(&mut a);
+    a.critical_path = log.critical_path();
+    a
+}
+
+impl Log {
+    /// Pass 1, one line: count it, and keep what the later passes need.
+    fn ingest(&mut self, a: &mut TraceAnalysis, line: &str) {
         let line = line.trim();
         if line.is_empty() {
-            continue;
+            return;
         }
         let Ok(rec) = parse_json(line) else {
             a.unparsed_lines += 1;
-            continue;
+            return;
         };
-        let ty = rec.get("type").and_then(JsonValue::as_str).unwrap_or("");
-        if ty == "flight_dump" {
-            a.flight_dumps += 1;
-            continue;
-        }
-        let cat = rec.get("cat").and_then(JsonValue::as_str).unwrap_or("");
-        let name = rec.get("name").and_then(JsonValue::as_str).unwrap_or("");
-        let ts = rec.get("ts_us").and_then(JsonValue::as_u64).unwrap_or(0);
-        match (ty, cat, name) {
+        let name = str_field(&rec, "name");
+        let ts = arg_u64(&rec, "ts_us").unwrap_or(0);
+        match (str_field(&rec, "type"), str_field(&rec, "cat"), name) {
+            ("flight_dump", _, _) => a.flight_dumps += 1,
             ("gauge", "runtime", "queue_depth") => {
-                let track = rec.get("track").and_then(JsonValue::as_u64).unwrap_or(0);
-                let value = rec.get("value").and_then(JsonValue::as_u64).unwrap_or(0);
+                let track = arg_u64(&rec, "track").unwrap_or(0);
+                let value = arg_u64(&rec, "value").unwrap_or(0);
                 if track > 0 {
-                    a.queue_depth
-                        .entry(track - 1)
-                        .or_default()
-                        .push((ts, value));
+                    let series = a.queue_depth.entry(track - 1).or_default();
+                    series.push((ts, value));
                 }
             }
             ("event", "net", "decode_failure") => a.decode_failures += 1,
             ("event", "trace", _) => {
                 let empty = JsonValue::Obj(Default::default());
-                let args = rec.get("args").unwrap_or(&empty);
-                match name {
-                    "send" => {
-                        let Some(id) = id_of(args) else { continue };
-                        let cause =
-                            match (arg_u64(args, "cause_origin"), arg_u64(args, "cause_seq")) {
-                                (Some(o), Some(s)) => Some((o, s)),
-                                _ => None,
-                            };
-                        let mut classes = Vec::new();
-                        if let JsonValue::Obj(m) = args {
-                            for (k, v) in m {
-                                if let Some(rest) = k.strip_prefix("class.") {
-                                    if let Some(n) = v.as_u64() {
-                                        classes.push((rest.to_string(), n));
-                                    }
-                                }
-                            }
-                        }
-                        a.sends += 1;
-                        sends.insert(
-                            id,
-                            SendEv {
-                                ts,
-                                id,
-                                cause,
-                                fanout: arg_u64(args, "fanout").unwrap_or(0),
-                                classes,
-                            },
-                        );
-                    }
-                    "deliver" => {
-                        let Some(id) = id_of(args) else { continue };
-                        let dst = arg_u64(args, "dst").unwrap_or(0);
-                        a.deliveries += 1;
-                        delivers.push(DeliverEv { ts, id, dst });
-                    }
-                    "retransmit" => {
-                        a.retransmits += 1;
-                        let src = arg_u64(args, "src").unwrap_or(0);
-                        let dst = arg_u64(args, "dst").unwrap_or(0);
-                        let link_seq = arg_u64(args, "link_seq").unwrap_or(0);
-                        link_txs.entry((src, dst, link_seq)).or_default().push(ts);
-                        if let Some(id) = id_of(args) {
-                            retransmit_ids.push((id, src, dst));
-                        }
-                        a.links.entry((src, dst)).or_default().retransmits += 1;
-                    }
-                    "drop" => {
-                        a.drops += 1;
-                        let src = arg_u64(args, "src").unwrap_or(0);
-                        let dst = arg_u64(args, "dst").unwrap_or(0);
-                        a.links.entry((src, dst)).or_default().drops += 1;
-                    }
-                    "dedup" => {
-                        a.dedups += 1;
-                        let src = arg_u64(args, "src").unwrap_or(0);
-                        let dst = arg_u64(args, "dst").unwrap_or(0);
-                        a.links.entry((src, dst)).or_default().dedups += 1;
-                        if let Some(id) = id_of(args) {
-                            if !sends.contains_key(&id) {
-                                a.violations.push(format!(
-                                    "dedup of ({},{}) has no matching send",
-                                    id.0, id.1
-                                ));
-                            }
+                self.trace_event(a, name, ts, rec.get("args").unwrap_or(&empty));
+            }
+            _ => {}
+        }
+    }
+
+    /// Pass 1, one `trace/*` event.
+    fn trace_event(&mut self, a: &mut TraceAnalysis, name: &str, ts: u64, args: &JsonValue) {
+        match name {
+            "send" => {
+                let Some(id) = id_of(args) else { return };
+                let cause = match (arg_u64(args, "cause_origin"), arg_u64(args, "cause_seq")) {
+                    (Some(o), Some(s)) => Some((o, s)),
+                    _ => None,
+                };
+                let mut classes = Vec::new();
+                if let JsonValue::Obj(m) = args {
+                    for (k, v) in m {
+                        if let (Some(class), Some(n)) = (k.strip_prefix("class."), v.as_u64()) {
+                            classes.push((class.to_string(), n));
                         }
                     }
-                    _ => {}
+                }
+                a.sends += 1;
+                let fanout = arg_u64(args, "fanout").unwrap_or(0);
+                let send = SendEv {
+                    ts,
+                    cause,
+                    fanout,
+                    classes,
+                };
+                self.sends.insert(id, send);
+            }
+            "deliver" => {
+                let Some(id) = id_of(args) else { return };
+                let dst = arg_u64(args, "dst").unwrap_or(0);
+                a.deliveries += 1;
+                self.delivers.push(DeliverEv { ts, id, dst });
+            }
+            "retransmit" => {
+                a.retransmits += 1;
+                let (src, dst) = link_of(args);
+                let link_seq = arg_u64(args, "link_seq").unwrap_or(0);
+                self.link_txs
+                    .entry((src, dst, link_seq))
+                    .or_default()
+                    .push(ts);
+                if let Some(id) = id_of(args) {
+                    self.retransmit_ids.push((id, src, dst));
+                }
+                a.links.entry((src, dst)).or_default().retransmits += 1;
+            }
+            "drop" => {
+                a.drops += 1;
+                a.links.entry(link_of(args)).or_default().drops += 1;
+            }
+            "dedup" => {
+                a.dedups += 1;
+                a.links.entry(link_of(args)).or_default().dedups += 1;
+                if let Some(id) = id_of(args).filter(|id| !self.sends.contains_key(id)) {
+                    a.violations
+                        .push(format!("dedup of ({},{}) has no matching send", id.0, id.1));
                 }
             }
             _ => {}
         }
     }
 
-    // Invariant 1: every delivery traces to its send; per-link latency.
-    for d in &delivers {
-        match sends.get(&d.id) {
-            Some(s) => {
-                let link = a.links.entry((s.id.0, d.dst)).or_default();
-                link.deliveries += 1;
-                link.latency_us.record(d.ts.saturating_sub(s.ts));
-            }
-            None => a.violations.push(format!(
-                "deliver of ({},{}) at node {} has no matching send",
-                d.id.0, d.id.1, d.dst
-            )),
-        }
-    }
-
-    // Invariant 2: every retransmit with a known id links to a send.
-    for (id, src, dst) in &retransmit_ids {
-        if !sends.contains_key(id) {
-            a.violations.push(format!(
-                "retransmit of ({},{}) on link {src}->{dst} has no matching send",
-                id.0, id.1
-            ));
-        }
-    }
-
-    // Retransmit gaps: spacing of transmissions per wire seq, seeded
-    // with the original send time when the id is known.
-    for ((src, dst, _), mut txs) in link_txs {
-        txs.sort_unstable();
-        let link = a.links.entry((src, dst)).or_default();
-        for pair in txs.windows(2) {
-            link.gap_us.record(pair[1] - pair[0]);
-        }
-    }
-
-    // Queue-depth samples arrive in file order, which for merged
-    // multi-file input is not time order; sort each node's timeline so
-    // the analysis is the same however the lines were interleaved.
-    for series in a.queue_depth.values_mut() {
-        series.sort_unstable();
-    }
-
-    // Invariants 3 + 4: cause edges are acyclic and point backwards.
-    // Ids are minted per-origin in strictly increasing seq order, so a
-    // cause edge into the *same* origin must decrease seq; cross-origin
-    // edges are checked by explicit cycle detection.
-    let mut visiting: HashSet<MsgId> = HashSet::new();
-    let mut done: HashSet<MsgId> = HashSet::new();
-    for &start in sends.keys() {
-        if done.contains(&start) {
-            continue;
-        }
-        // Iterative DFS along the single `cause` edge per node.
-        let mut chain: Vec<MsgId> = Vec::new();
-        let mut cur = Some(start);
-        while let Some(id) = cur {
-            if done.contains(&id) {
-                break;
-            }
-            if !visiting.insert(id) {
-                a.violations
-                    .push(format!("causal cycle through ({},{})", id.0, id.1));
-                break;
-            }
-            chain.push(id);
-            let next = sends.get(&id).and_then(|s| s.cause);
-            if let Some(c) = next {
-                if let Some(s) = sends.get(&id) {
-                    if c.0 == s.id.0 && c.1 >= s.id.1 {
-                        a.violations.push(format!(
-                            "cause ({},{}) does not precede send ({},{})",
-                            c.0, c.1, s.id.0, s.id.1
-                        ));
-                    }
+    /// Pass 2: the causal invariants, and the aggregates their loops
+    /// pass by (per-link latency and retransmit gaps, sorted queue-depth
+    /// timelines, per-class fan-out).
+    fn check(&mut self, a: &mut TraceAnalysis) {
+        // Invariant 1: every delivery traces to its send; per-link latency.
+        for d in &self.delivers {
+            match self.sends.get(&d.id) {
+                Some(s) => {
+                    let link = a.links.entry((d.id.0, d.dst)).or_default();
+                    link.deliveries += 1;
+                    link.latency_us.record(d.ts.saturating_sub(s.ts));
                 }
-                if !sends.contains_key(&c) {
-                    a.violations.push(format!(
-                        "cause ({},{}) of send ({},{}) has no matching send",
-                        c.0, c.1, id.0, id.1
-                    ));
+                None => a.violations.push(format!(
+                    "deliver of ({},{}) at node {} has no matching send",
+                    d.id.0, d.id.1, d.dst
+                )),
+            }
+        }
+
+        // Invariant 2: every retransmit with a known id links to a send.
+        for (id, src, dst) in &self.retransmit_ids {
+            if !self.sends.contains_key(id) {
+                a.violations.push(format!(
+                    "retransmit of ({},{}) on link {src}->{dst} has no matching send",
+                    id.0, id.1
+                ));
+            }
+        }
+
+        // Retransmit gaps: the spacing of transmissions per wire seq.
+        for ((src, dst, _), txs) in &mut self.link_txs {
+            txs.sort_unstable();
+            let link = a.links.entry((*src, *dst)).or_default();
+            for pair in txs.windows(2) {
+                link.gap_us.record(pair[1] - pair[0]);
+            }
+        }
+
+        // Queue-depth samples arrive in file order, which for merged
+        // multi-file input is not time order; sort each node's timeline so
+        // the analysis is the same however the lines were interleaved.
+        for series in a.queue_depth.values_mut() {
+            series.sort_unstable();
+        }
+
+        // Invariants 3 + 4: cause edges are acyclic and point backwards.
+        // Ids are minted per-origin in strictly increasing seq order, so a
+        // cause edge into the *same* origin must decrease seq; cross-origin
+        // edges are checked by explicit cycle detection.
+        let mut visiting: HashSet<MsgId> = HashSet::new();
+        let mut done: HashSet<MsgId> = HashSet::new();
+        for &start in self.sends.keys() {
+            // Iterative DFS along the single `cause` edge per node.
+            let mut chain: Vec<MsgId> = Vec::new();
+            let mut cur = Some(start);
+            while let Some(id) = cur.filter(|id| !done.contains(id)) {
+                if !visiting.insert(id) {
+                    a.violations
+                        .push(format!("causal cycle through ({},{})", id.0, id.1));
                     break;
                 }
+                chain.push(id);
+                cur = self.sends.get(&id).and_then(|s| s.cause);
+                if let Some(c) = cur {
+                    if c.0 == id.0 && c.1 >= id.1 {
+                        a.violations.push(format!(
+                            "cause ({},{}) does not precede send ({},{})",
+                            c.0, c.1, id.0, id.1
+                        ));
+                    }
+                    if !self.sends.contains_key(&c) {
+                        a.violations.push(format!(
+                            "cause ({},{}) of send ({},{}) has no matching send",
+                            c.0, c.1, id.0, id.1
+                        ));
+                        break;
+                    }
+                }
             }
-            cur = next;
+            for id in chain.drain(..) {
+                visiting.remove(&id);
+                done.insert(id);
+            }
         }
-        for id in chain.drain(..) {
-            visiting.remove(&id);
-            done.insert(id);
+
+        // Class fan-out.
+        for s in self.sends.values() {
+            for (class, n) in &s.classes {
+                let cs = a.classes.entry(class.clone()).or_default();
+                cs.sends += 1;
+                cs.fanout += s.fanout;
+                cs.facts += n * s.fanout;
+            }
         }
     }
 
-    // Class fan-out.
-    for s in sends.values() {
-        for (class, n) in &s.classes {
-            let cs = a.classes.entry(class.clone()).or_default();
-            cs.sends += 1;
-            cs.fanout += s.fanout;
-            cs.facts += n * s.fanout;
+    /// Pass 3: the critical path — the latest delivery walked back
+    /// through its send's cause chain, each cause to the delivery that
+    /// triggered the send: the cause's latest delivery into the sending
+    /// node no later than the send. A cycle (reported by pass 2) ends
+    /// the walk.
+    fn critical_path(&self) -> Vec<PathHop> {
+        let mut path = Vec::new();
+        let Some(last) = self.delivers.iter().max_by_key(|d| d.ts) else {
+            return path;
+        };
+        // Delivery times by `(id, dst)`, ascending.
+        let mut delivered: HashMap<(MsgId, u64), Vec<u64>> = HashMap::new();
+        for d in &self.delivers {
+            delivered.entry((d.id, d.dst)).or_default().push(d.ts);
         }
-    }
-
-    // Critical path: walk the latest delivery back through its send's
-    // cause chain. Cap the walk defensively (cycles are reported above
-    // but must not hang the report).
-    if let Some(last) = delivers.iter().max_by_key(|d| d.ts) {
-        let mut seen: BTreeSet<MsgId> = BTreeSet::new();
+        for times in delivered.values_mut() {
+            times.sort_unstable();
+        }
+        let mut seen: HashSet<MsgId> = HashSet::new();
         let mut cur = Some((last.id, Some(last.ts), Some(last.dst)));
         while let Some((id, delivered_us, dst)) = cur {
             if !seen.insert(id) {
                 break;
             }
-            let Some(s) = sends.get(&id) else { break };
-            a.critical_path.push(PathHop {
+            let Some(s) = self.sends.get(&id) else { break };
+            path.push(PathHop {
                 id,
                 sent_us: s.ts,
                 delivered_us,
                 dst,
             });
             cur = s.cause.map(|c| {
-                // The delivery that triggered this send happened at the
-                // sending node: find the matching deliver event.
-                let trigger = delivers
-                    .iter()
-                    .filter(|d| d.id == c && d.dst == id.0 && d.ts <= s.ts)
-                    .max_by_key(|d| d.ts);
-                (c, trigger.map(|d| d.ts), trigger.map(|d| d.dst))
+                let times = delivered.get(&(c, id.0)).map_or(&[][..], Vec::as_slice);
+                let trigger = times[..times.partition_point(|&t| t <= s.ts)].last();
+                (c, trigger.copied(), trigger.map(|_| id.0))
             });
         }
+        path
     }
-
-    a
-}
-
-/// Analyze the JSONL trace at `path`.
-///
-/// # Errors
-/// Fails when the file cannot be read.
-pub fn analyze_file(path: &std::path::Path) -> Result<TraceAnalysis, String> {
-    analyze_files(std::slice::from_ref(&path.to_path_buf()))
 }
 
 /// Analyze several JSONL traces as *one* happens-before graph — the
@@ -412,13 +409,11 @@ pub fn analyze_file(path: &std::path::Path) -> Result<TraceAnalysis, String> {
 /// # Errors
 /// Fails when any file cannot be read.
 pub fn analyze_files(paths: &[std::path::PathBuf]) -> Result<TraceAnalysis, String> {
-    let mut texts = Vec::with_capacity(paths.len());
-    for path in paths {
-        texts.push(
-            std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read trace {}: {e}", path.display()))?,
-        );
-    }
+    let read = |path: &std::path::PathBuf| {
+        std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read trace {}: {e}", path.display()))
+    };
+    let texts = paths.iter().map(read).collect::<Result<Vec<_>, _>>()?;
     Ok(analyze_lines(texts.iter().flat_map(|t| t.lines())))
 }
 
@@ -520,16 +515,11 @@ impl TraceAnalysis {
                     "  ({},{}) sent at {}us",
                     hop.id.0, hop.id.1, hop.sent_us
                 );
-                match (hop.delivered_us, hop.dst) {
-                    (Some(ts), Some(dst)) => {
-                        let _ = writeln!(
-                            out,
-                            ", delivered to node {dst} at {ts}us (+{}us)",
-                            ts.saturating_sub(hop.sent_us)
-                        );
-                    }
-                    _ => out.push('\n'),
+                if let (Some(ts), Some(dst)) = (hop.delivered_us, hop.dst) {
+                    let lag = ts.saturating_sub(hop.sent_us);
+                    let _ = write!(out, ", delivered to node {dst} at {ts}us (+{lag}us)");
                 }
+                out.push('\n');
             }
         }
         if !self.queue_depth.is_empty() {
@@ -574,21 +564,14 @@ impl TraceAnalysis {
         );
         let _ = write!(
             out,
-            ",\"invariants\":{{\"ok\":{},\"violations\":[",
+            ",\"invariants\":{{\"ok\":{},\"violations\":",
             self.invariants_ok()
         );
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&crate::escape_json(v));
-        }
-        out.push_str("]}");
-        out.push_str(",\"links\":[");
-        for (i, ((from, to), l)) in self.links.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        push_joined(&mut out, '[', ']', &self.violations, |out, v| {
+            out.push_str(&escape_json(v));
+        });
+        out.push_str("},\"links\":");
+        push_joined(&mut out, '[', ']', &self.links, |out, ((from, to), l)| {
             let _ = write!(
                 out,
                 "{{\"from\":{from},\"to\":{to},\"deliveries\":{},\"latency_us\":{},\"retransmits\":{},\"retransmit_gap_us\":{},\"drops\":{},\"dedups\":{}}}",
@@ -599,13 +582,9 @@ impl TraceAnalysis {
                 l.drops,
                 l.dedups
             );
-        }
-        out.push(']');
-        out.push_str(",\"critical_path\":[");
-        for (i, hop) in self.critical_path.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        });
+        out.push_str(",\"critical_path\":");
+        push_joined(&mut out, '[', ']', &self.critical_path, |out, hop| {
             let _ = write!(
                 out,
                 "{{\"origin\":{},\"seq\":{},\"sent_us\":{}",
@@ -618,43 +597,38 @@ impl TraceAnalysis {
                 let _ = write!(out, ",\"dst\":{dst}");
             }
             out.push('}');
-        }
-        out.push(']');
-        out.push_str(",\"queue_depth\":[");
-        for (i, (node, series)) in self.queue_depth.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let max = series.iter().map(|&(_, v)| v).max().unwrap_or(0);
-            let _ = write!(
-                out,
-                "{{\"node\":{node},\"samples\":{},\"max\":{max},\"series\":[",
-                series.len()
-            );
-            for (j, (ts, v)) in downsample(series, 64).iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "[{ts},{v}]");
-            }
-            out.push_str("]}");
-        }
-        out.push(']');
-        out.push_str(",\"classes\":[");
-        for (i, (class, cs)) in self.classes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        });
+        out.push_str(",\"queue_depth\":");
+        push_joined(
+            &mut out,
+            '[',
+            ']',
+            &self.queue_depth,
+            |out, (node, series)| {
+                let max = series.iter().map(|&(_, v)| v).max().unwrap_or(0);
+                let _ = write!(
+                    out,
+                    "{{\"node\":{node},\"samples\":{},\"max\":{max},\"series\":",
+                    series.len()
+                );
+                push_joined(out, '[', ']', downsample(series, 64), |out, (ts, v)| {
+                    let _ = write!(out, "[{ts},{v}]");
+                });
+                out.push('}');
+            },
+        );
+        out.push_str(",\"classes\":");
+        push_joined(&mut out, '[', ']', &self.classes, |out, (class, cs)| {
             let _ = write!(
                 out,
                 "{{\"class\":{},\"sends\":{},\"fanout\":{},\"facts\":{}}}",
-                crate::escape_json(class),
+                escape_json(class),
                 cs.sends,
                 cs.fanout,
                 cs.facts
             );
-        }
-        out.push_str("]}");
+        });
+        out.push('}');
         out
     }
 }
@@ -797,12 +771,13 @@ mod tests {
         assert_eq!(a.queue_depth[&1].len(), 200);
         let json = a.render_json();
         let parsed = parse_json(&json).unwrap();
-        let nodes = parsed
-            .get("queue_depth")
-            .and_then(JsonValue::as_arr)
-            .unwrap();
+        let Some(JsonValue::Arr(nodes)) = parsed.get("queue_depth") else {
+            panic!("queue_depth is an array: {json}");
+        };
         assert_eq!(nodes.len(), 1);
-        let series = nodes[0].get("series").and_then(JsonValue::as_arr).unwrap();
+        let Some(JsonValue::Arr(series)) = nodes[0].get("series") else {
+            panic!("series is an array: {json}");
+        };
         assert!(series.len() <= 64, "downsampled: {}", series.len());
         assert_eq!(
             nodes[0].get("samples").and_then(JsonValue::as_u64),

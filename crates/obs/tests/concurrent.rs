@@ -32,6 +32,19 @@ impl Write for SharedBuf {
     }
 }
 
+/// The run's total of the one counter [`hammer`] increments.
+const COUNTER_TOTAL: u64 = (THREADS * OPS_PER_THREAD / 5) as u64;
+
+/// A counter's totals in output order must rise with every line, so the
+/// last one is the run's total: a sink that takes a total under one lock
+/// and writes its line under another can write 5 before 2.
+fn assert_totals_in_order(totals: &[u64], last: u64) {
+    if let Some(w) = totals.windows(2).find(|w| w[0] >= w[1]) {
+        panic!("a counter total went backwards: {} then {}", w[0], w[1]);
+    }
+    assert_eq!(totals.last(), Some(&last), "the last line holds the total");
+}
+
 /// Drive every primitive from `THREADS` threads through one handle.
 fn hammer(obs: &Obs) {
     std::thread::scope(|scope| {
@@ -75,7 +88,7 @@ fn jsonl_sink_is_line_complete_under_contention() {
         THREADS * OPS_PER_THREAD,
         "every record emitted exactly one line"
     );
-    let mut counter_max = 0u64;
+    let mut totals = Vec::new();
     for line in &lines {
         let rec = parse_json(line).unwrap_or_else(|e| panic!("torn line ({e}): {line}"));
         let ty = rec.get("type").and_then(JsonValue::as_str).expect("type");
@@ -84,11 +97,11 @@ fn jsonl_sink_is_line_complete_under_contention() {
             "{line}"
         );
         if ty == "counter" {
-            counter_max = counter_max.max(rec.get("total").and_then(JsonValue::as_u64).unwrap());
+            totals.push(rec.get("total").and_then(JsonValue::as_u64).unwrap());
         }
     }
     // The running total survived concurrent increments without loss.
-    assert_eq!(counter_max, (THREADS * OPS_PER_THREAD / 5) as u64);
+    assert_totals_in_order(&totals, COUNTER_TOTAL);
 }
 
 #[test]
@@ -100,12 +113,22 @@ fn chrome_sink_emits_valid_json_under_contention() {
     obs.finish();
 
     let trace = parse_json(&buf.text()).expect("whole trace parses as one JSON document");
-    let events = trace.as_arr().expect("a JSON array");
+    let JsonValue::Arr(events) = trace else {
+        panic!("a JSON array");
+    };
     assert!(!events.is_empty());
+    let mut totals = Vec::new();
     for e in events {
         assert!(e.get("ph").is_some(), "trace event has a phase: {e:?}");
-        assert!(e.get("name").is_some(), "trace event has a name: {e:?}");
+        let name = e.get("name").and_then(JsonValue::as_str);
+        assert!(name.is_some(), "trace event has a name: {e:?}");
+        if name == Some("faults.attempts") {
+            let value = e.get("args").and_then(|a| a.get("value"));
+            totals.push(value.and_then(JsonValue::as_u64).unwrap());
+        }
     }
+    // A Perfetto counter lane never dips.
+    assert_totals_in_order(&totals, COUNTER_TOTAL);
 }
 
 #[test]
@@ -125,7 +148,7 @@ fn multi_sink_keeps_every_fanout_line_complete() {
         parse_json(line).unwrap_or_else(|e| panic!("torn line ({e}): {line}"));
     }
     let trace = parse_json(&chrome_buf.text()).expect("chrome output parses");
-    assert!(!trace.as_arr().expect("array").is_empty());
+    assert!(matches!(trace, JsonValue::Arr(events) if !events.is_empty()));
 }
 
 #[test]
@@ -151,6 +174,7 @@ fn flight_recorder_dump_is_line_complete_under_contention() {
     let declared = header.get("records").and_then(JsonValue::as_u64).unwrap() as usize;
     assert_eq!(lines.len() - 1, declared, "record count matches header");
     let mut prev_ts: Option<u64> = None;
+    let mut totals = Vec::new();
     for line in &lines[1..] {
         let rec = parse_json(line).unwrap_or_else(|e| panic!("torn line ({e}): {line}"));
         let ty = rec.get("type").and_then(JsonValue::as_str).expect("type");
@@ -165,6 +189,12 @@ fn flight_recorder_dump_is_line_complete_under_contention() {
         if let Some(ts) = rec.get("ts_us").and_then(JsonValue::as_u64) {
             prev_ts = Some(prev_ts.map_or(ts, |p| p.max(ts)));
         }
+        if ty == "counter" {
+            totals.push(rec.get("total").and_then(JsonValue::as_u64).unwrap());
+        }
     }
     let _ = std::fs::remove_file(&path);
+    // The ring keeps the newest lines of the counter's shard: whatever
+    // it kept must still count up to the run's total.
+    assert_totals_in_order(&totals, COUNTER_TOTAL);
 }

@@ -1222,7 +1222,7 @@ mod tests {
         // Untraced: no id.
         let quiet = node.step(Delivery::None, &mut m, &Obs::noop());
         assert!(!quiet.sent.is_empty() && quiet.mid.is_none());
-        let obs = Obs::new(std::sync::Arc::new(calm_obs::NoopSink));
+        let obs = Obs::new(std::sync::Arc::new(calm_obs::ReportSink::new()));
         node.restore(&Storage::new(), &[]);
         let first = node.step(Delivery::None, &mut m, &obs);
         assert_eq!((first.mid, first.cause), (Some((1, 0)), None));
