@@ -5,7 +5,7 @@
 
 use crate::report::{markdown_table, Report};
 use crate::workloads::{scaling_graph, structured};
-use calm_datalog::eval::{eval_stratification_opts, Engine};
+use calm_datalog::eval::{eval_program, Engine, EvalOptions};
 use calm_datalog::parse_program;
 use calm_obs::Obs;
 
@@ -18,7 +18,6 @@ pub fn e18_engine(obs: &Obs) -> Report {
         "engine ablation — naive vs semi-naive vs ordered+indexed (TC derivation counts)",
     );
     let p = parse_program("T(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).").unwrap();
-    let strat = calm_datalog::stratify(&p).unwrap();
     let mut rows = Vec::new();
     let mut seminaive_always_leq_naive = true;
     let mut engines_agree = true;
@@ -37,14 +36,8 @@ pub fn e18_engine(obs: &Obs) -> Report {
         };
         let eval = |engine: Engine, threads: usize| {
             let _span = obs.span("bench", || format!("e18:{kind} {engine:?} T={threads}"));
-            eval_stratification_opts(
-                &strat,
-                &input,
-                engine,
-                calm_common::storage::SharedSymbols::new(),
-                obs,
-                threads,
-            )
+            let options = EvalOptions::from(engine).with_eval_threads(threads);
+            eval_program(&p, &input, options, obs).unwrap()
         };
         let (out_naive, stats_naive) = eval(Engine::Naive, 1);
         let (out_base, stats_base) = eval(Engine::SemiNaiveBaseline, 1);

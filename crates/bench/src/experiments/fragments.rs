@@ -176,12 +176,14 @@ pub fn e14_semicon() -> Report {
     let q = calm_queries::qtc::qtc_datalog();
     let (prefix, suffix) = semicon_split(q.program()).expect("semicon");
     let input = calm_common::generator::path(3);
-    let whole = calm_datalog::eval::eval_program(q.program(), &input).unwrap();
-    let composed = calm_datalog::eval::eval_program(
-        &suffix,
-        &calm_datalog::eval::eval_program(&prefix, &input).unwrap(),
-    )
-    .unwrap();
+    let eval = |p, input| {
+        let options = calm_datalog::EvalOptions::default();
+        calm_datalog::eval_program(p, input, options, &calm_obs::Obs::noop())
+            .unwrap()
+            .0
+    };
+    let whole = eval(q.program(), &input);
+    let composed = eval(&suffix, &eval(&prefix, &input));
     r.claim(
         "P = P_s ∘ P_{≤s−1} (the proof's composition)",
         "Q_TC on a path",

@@ -215,14 +215,9 @@ pub fn e27_incremental(obs: &Obs) -> Report {
 /// derivations its full fixpoint enumerates — the deterministic work
 /// baseline both work claims compare against.
 fn from_scratch(q: &DatalogQuery, edb: &Instance) -> (Instance, usize) {
-    let (db, stats) = calm_datalog::eval::eval_stratification_opts(
-        q.stratification(),
-        edb,
-        calm_datalog::eval::Engine::SemiNaive,
-        calm_common::storage::SharedSymbols::new(),
-        &Obs::noop(),
-        1,
-    );
+    let options = calm_datalog::EvalOptions::default();
+    let (db, stats) = calm_datalog::eval_program(q.program(), edb, options, &Obs::noop())
+        .expect("the query's program stratifies");
     let derivations = stats.iter().map(|s| s.derivations).sum();
     (db.restrict(q.output_schema()), derivations)
 }

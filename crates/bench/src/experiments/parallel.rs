@@ -14,9 +14,8 @@
 use crate::report::{markdown_table, Report};
 use crate::workloads::{scaling_game, scaling_graph};
 use calm_common::query::Query;
-use calm_common::storage::SharedSymbols;
-use calm_datalog::eval::{eval_stratification_opts, Engine};
-use calm_datalog::{parse_program, stratify};
+use calm_datalog::eval::{eval_program, EvalOptions};
+use calm_datalog::parse_program;
 use calm_obs::Obs;
 use calm_queries::winmove::win_move;
 
@@ -60,18 +59,11 @@ pub fn e21_parallel(obs: &Obs) -> Report {
         ("TC", &tc, scaling_graph(31, 160, 1.5)),
         ("Q_TC", &qtc, scaling_graph(33, 56, 1.5)),
     ] {
-        let strat = stratify(program).unwrap();
         let mut seq = None;
         for threads in THREADS {
             let _span = obs.span("bench", || format!("e21:{label} T={threads}"));
-            let run = eval_stratification_opts(
-                &strat,
-                &input,
-                Engine::SemiNaive,
-                SharedSymbols::new(),
-                obs,
-                threads,
-            );
+            let options = EvalOptions::default().with_eval_threads(threads);
+            let run = eval_program(program, &input, options, obs).unwrap();
             record(label, threads, seq.as_ref().map(|s| run == *s));
             seq.get_or_insert(run);
         }

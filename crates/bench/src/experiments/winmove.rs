@@ -7,8 +7,9 @@ use calm_common::generator::{chain_game, cycle_game, mv};
 use calm_common::query::Query;
 use calm_common::{is_domain_distinct, Instance};
 use calm_datalog::wellfounded::doubled_program;
-use calm_datalog::{parse_program, well_founded_model};
+use calm_datalog::{parse_program, well_founded_model, EvalOptions};
 use calm_monotone::{check_pair, Exhaustive, ExtensionKind, Falsifier};
+use calm_obs::Obs;
 use calm_queries::winmove::{win_move, win_move_native};
 
 /// E16: win-move correctness, the doubled program, and class membership.
@@ -40,7 +41,7 @@ pub fn e16_winmove() -> Report {
     let mut doubled_ok = true;
     for seed in 0..15u64 {
         let g = scaling_game(100 + seed, 10, 3);
-        let direct = well_founded_model(&p, &g);
+        let direct = well_founded_model(&p, &g, EvalOptions::default(), &Obs::noop());
         let via = d.eval(&g);
         let out = p.output_schema();
         if direct.true_facts.restrict(&out) != via.true_facts.restrict(&out)
@@ -98,7 +99,7 @@ pub fn e16_winmove() -> Report {
         ("3-cycle", cycle_game(0, 3)),
         ("cycle+escape", calm_common::generator::cycle_with_escape(0)),
     ] {
-        let m = well_founded_model(&p, &game);
+        let m = well_founded_model(&p, &game, EvalOptions::default(), &Obs::noop());
         rows.push(vec![
             name.to_string(),
             m.true_facts.relation_len("win").to_string(),

@@ -54,7 +54,8 @@ pub fn cmd_eval_full_to(
     let mut db = Database::new();
     db.read_facts(facts_src, &obs)
         .map_err(|e| err(format!("facts: {e}")))?;
-    let db = calm_datalog::eval_database(&p, db, &obs, eval_threads)
+    let options = EvalOptions::default().with_eval_threads(eval_threads);
+    calm_datalog::eval_database(&p, &mut db, options, &obs)
         .map_err(|e| err(format!("evaluation: {e}")))?;
     let plan = if obs_opts.dump_plan {
         render_plan(&p)?
@@ -106,7 +107,9 @@ pub fn cmd_eval_updates(
 /// answer `Instance` — same output format, no maintenance, no arena
 /// printer. Diffing the two modes' outputs is the differential oracle
 /// the CI `incremental` job checks, for the maintenance and for the
-/// printer alike.
+/// printer alike. Either mode prints the `--dump-plan` plan first and
+/// reports every fixpoint it runs — the initial one, and in
+/// `from_scratch` mode each re-evaluation — to the run report.
 pub fn cmd_eval_updates_to(
     program_src: &str,
     facts_src: &str,
@@ -123,17 +126,32 @@ pub fn cmd_eval_updates_to(
     let mut edb = load_facts(facts_src)?;
     let batches =
         calm_datalog::parse_updates(updates_src).map_err(|e| err(format!("updates: {e}")))?;
+    let plan = if obs_opts.dump_plan {
+        render_plan(q.program())?
+    } else {
+        String::new()
+    };
     let (obs, report) = build_obs(obs_opts, Vec::new())?;
+    out.write_all(plan.as_bytes())?;
     writeln!(out, "% initial")?;
     if from_scratch {
-        out.write_all(render_instance(&q.eval(&edb)).as_bytes())?;
+        // The query answer `q.eval` would print, through the evaluation
+        // door that reports to `obs`.
+        let options = EvalOptions::default().with_eval_threads(eval_threads);
+        let answer = |edb: &calm_common::Instance| {
+            let input = edb.restrict(q.input_schema());
+            let (model, _) = calm_datalog::eval_program(q.program(), &input, options, &obs)
+                .expect("the query's program stratifies");
+            render_instance(&model.restrict(q.output_schema()))
+        };
+        out.write_all(answer(&edb).as_bytes())?;
         for (k, b) in batches.iter().enumerate() {
             b.apply_to_instance(&mut edb);
             writeln!(out, "% after batch {}", k + 1)?;
-            out.write_all(render_instance(&q.eval(&edb)).as_bytes())?;
+            out.write_all(answer(&edb).as_bytes())?;
         }
     } else {
-        let mut session = q.open(&edb);
+        let mut session = q.open_obs(&edb, &obs);
         let mut printer = FactPrinter::new(session.database().symbols().clone());
         let answer = q.output_schema();
         printer.write(session.database().storage(), answer, out, &obs)?;
@@ -178,7 +196,7 @@ pub fn cmd_wfs(
 ) -> Result<String, CliError> {
     let p = load_program(program_src)?;
     let input = load_facts(facts_src)?;
-    let model = calm_datalog::well_founded_model_opts(
+    let model = calm_datalog::well_founded_model(
         &p,
         &input,
         EvalOptions::default().with_eval_threads(eval_threads),

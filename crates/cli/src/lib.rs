@@ -18,6 +18,7 @@
 //! processes.
 
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
 mod eval;
 mod obs;
@@ -350,6 +351,48 @@ mod tests {
         );
         // Bad update syntax is a CliError, not a panic.
         assert!(cmd_eval_updates(TC, FACTS, "E(1,2).", false, &opts, 1).is_err());
+    }
+
+    #[test]
+    fn the_updates_report_covers_every_fixpoint_in_both_modes() {
+        // The initial fixpoint (incremental) and every re-evaluation
+        // (`--from-scratch`) report their stratum spans and `eval`
+        // counters; the maintenance summary is what it was.
+        let facts = include_str!("../../../examples/data/graph.facts");
+        let updates = include_str!("../../../examples/data/graph.updates");
+        let m = ObsOptions {
+            metrics: true,
+            ..Default::default()
+        };
+        let counter = |out: &str, name: &str| -> u64 {
+            let line = out
+                .lines()
+                .find(|l| l.split_whitespace().next() == Some(name));
+            let line = line.unwrap_or_else(|| panic!("no {name} in {out}"));
+            line.split_whitespace().last().unwrap().parse().unwrap()
+        };
+        // [derivations, iterations, new_facts]: one fixpoint of three
+        // rounds, then four of the updated EDB.
+        for (from_scratch, stratum_spans, eval) in [(false, 1, [4, 3, 4]), (true, 4, [44, 16, 39])]
+        {
+            let out = cmd_eval_updates(TC, facts, updates, from_scratch, &m, 1).unwrap();
+            let spans = out
+                .lines()
+                .find(|l| l.trim_start().starts_with("eval/stratum#0"));
+            let spans = spans.unwrap_or_else(|| panic!("no stratum span in {out}"));
+            assert!(spans.contains(&format!("n={stratum_spans} ")), "{spans}");
+            let counters = ["eval/derivations", "eval/iterations", "eval/new_facts"];
+            assert_eq!(counters.map(|c| counter(&out, c)), eval, "{out}");
+            let maintenance = out.lines().find(|l| l.starts_with("% maintenance:"));
+            assert_eq!(
+                maintenance,
+                (!from_scratch).then_some(
+                    "% maintenance: 3 batches, +4 -2 edb, 5 retractions, 0 rederivations, \
+                     26 insertions, 36 derivations, 0 fallbacks"
+                ),
+                "{out}"
+            );
+        }
     }
 
     /// The incremental arm prints from the arena, `--from-scratch`

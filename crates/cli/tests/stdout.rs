@@ -2,7 +2,8 @@
 //! a reader that goes away ends the run quietly, a command that fails
 //! has written nothing to its output and exactly its message to its
 //! error stream — the usage text follows a usage mistake and nothing
-//! else — and the three engines print one answer.
+//! else — the plan `--dump-plan` asks for under `--updates` precedes
+//! the answers in both modes, and the three engines print one answer.
 
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
@@ -104,6 +105,37 @@ fn a_failing_eval_writes_nothing_to_stdout() {
         assert_eq!(run.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(run.stdout.is_empty(), "{args:?}: wrote {:?}", run.stdout);
         assert_eq!(stderr, message, "{args:?}");
+    }
+}
+
+#[test]
+fn a_plan_asked_for_under_updates_precedes_the_initial_answer_in_both_modes() {
+    let dir = Dir::new("plan");
+    let tc = dir.file(
+        "tc.dl",
+        "@output T.\nT(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).\n",
+    );
+    let facts = dir.file("graph.facts", "E(1,2). E(2,3).\n");
+    let updates = dir.file("graph.updates", "- E(2,3).\n+ E(3,1).\n");
+    let expected = "% plan:\n\
+                    %   stratum 0:\n\
+                    %     T#0: E[scan]\n\
+                    %     T#1: T[scan], E[probe@0]\n\
+                    %     T#1: T[delta], E[probe@0]\n\
+                    % initial\n\
+                    T(1,2).\nT(1,3).\nT(2,3).\n\
+                    % after batch 1\n\
+                    T(1,2).\nT(3,1).\nT(3,2).\n";
+    for mode in [&[][..], &["--from-scratch"]] {
+        let run = calm()
+            .args(["eval", &tc, &facts, "--updates", &updates, "--dump-plan"])
+            .args(mode)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(0), "{mode:?}: {stderr}");
+        assert!(stderr.is_empty(), "{mode:?}: {stderr}");
+        assert_eq!(String::from_utf8_lossy(&run.stdout), expected, "{mode:?}");
     }
 }
 

@@ -1,6 +1,6 @@
 //! Seeded random instance generators (reproducible across runs).
 
-use crate::fact::{fact, Fact};
+use crate::fact::fact;
 use crate::instance::Instance;
 use crate::rng::Rng;
 use crate::value::{v, Value};
@@ -83,14 +83,6 @@ impl InstanceRng {
         i
     }
 
-    /// Pick `k` random facts out of an instance (without replacement).
-    pub fn sample_facts(&mut self, i: &Instance, k: usize) -> Vec<Fact> {
-        let mut all: Vec<Fact> = i.facts().collect();
-        self.rng.shuffle(&mut all);
-        all.truncate(k);
-        all
-    }
-
     /// Direct access to the underlying RNG for ad-hoc draws.
     pub fn rng(&mut self) -> &mut Rng {
         &mut self.rng
@@ -147,15 +139,5 @@ mod tests {
         }
         assert!(i.relation_len("R") <= 5);
         assert!(i.relation_len("R") >= 1);
-    }
-
-    #[test]
-    fn sample_facts_subset() {
-        let g = InstanceRng::seeded(3).gnm(6, 12);
-        let sample = InstanceRng::seeded(4).sample_facts(&g, 5);
-        assert_eq!(sample.len(), 5);
-        for f in &sample {
-            assert!(g.contains(f));
-        }
     }
 }

@@ -10,6 +10,7 @@
 //! Section 2.
 
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
 pub mod component;
 pub mod domain;

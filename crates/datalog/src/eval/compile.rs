@@ -516,7 +516,7 @@ mod tests {
         // are order-independent (n² full bindings) and pin that both
         // orders enumerate the same bindings.
         use crate::eval::database::Database;
-        use crate::eval::seminaive::fixpoint_seminaive;
+        use crate::eval::seminaive::{fixpoint_with, EvalOptions};
         use calm_common::fact::fact;
         use calm_common::instance::Instance;
         let n: i64 = 64;
@@ -528,7 +528,7 @@ mod tests {
         }
         let p = crate::parser::parse_program("O(x) :- S(u), A(x, y), B(y, z).").unwrap();
         let mut db = Database::from_instance(&Instance::from_facts(facts));
-        let m = fixpoint_seminaive(&p, &mut db);
+        let m = fixpoint_with(&p, &mut db, EvalOptions::default());
         assert_eq!(db.to_instance().relation_len("O"), n as usize);
         assert_eq!(m.derivations, (n * n) as usize);
         assert!(
@@ -627,7 +627,7 @@ mod tests {
     #[test]
     fn ordering_preserves_semantics() {
         use crate::eval::database::Database;
-        use crate::eval::seminaive::fixpoint_seminaive;
+        use crate::eval::seminaive::{fixpoint_with, EvalOptions};
         use calm_common::fact::fact;
         use calm_common::instance::Instance;
         let src = "O(w) :- C(y, w), A(x), B(x, y).";
@@ -640,7 +640,7 @@ mod tests {
             fact("C", [7, 8]),
         ]);
         let mut db = Database::from_instance(&input);
-        fixpoint_seminaive(&p, &mut db);
+        fixpoint_with(&p, &mut db, EvalOptions::default());
         let out = db.to_instance();
         assert_eq!(out.relation_len("O"), 1);
         assert!(out.contains(&fact("O", [3])));

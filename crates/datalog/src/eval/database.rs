@@ -288,23 +288,6 @@ impl Database {
         self.storage.insert(r, &row)
     }
 
-    /// Membership test by relation name. Edge/test convenience.
-    pub fn contains_values(&self, relation: &str, tuple: &[Value]) -> bool {
-        let table = self.symbols.read();
-        let Some(r) = table.lookup_rel(relation) else {
-            return false;
-        };
-        let mut row = SymTuple::with_capacity(tuple.len());
-        for v in tuple {
-            match table.lookup_sym(v) {
-                Some(s) => row.push(s),
-                None => return false,
-            }
-        }
-        drop(table);
-        self.storage.contains(r, &row)
-    }
-
     /// Bulk-insert all facts of another database over the *same* symbol
     /// table; returns the number of genuinely new rows.
     pub fn absorb(&mut self, other: &Database) -> usize {
@@ -364,9 +347,6 @@ mod tests {
         let db = Database::from_instance(&i);
         assert_eq!(db.len(), 2);
         assert_eq!(db.to_instance(), i);
-        assert!(db.contains_values("E", &[v(1), v(2)]));
-        assert!(!db.contains_values("E", &[v(2), v(1)]));
-        assert!(!db.contains_values("Missing", &[v(1)]));
     }
 
     #[test]
@@ -436,11 +416,11 @@ mod tests {
         i.remove(&fact("E", [2, 3]));
         stale.load(&i);
         assert!(
-            stale.contains_values("E", &[v(2), v(3)]),
+            stale.to_instance().contains(&fact("E", [2, 3])),
             "additive load keeps the removed fact (the bug being guarded)"
         );
         synced.sync_with_instance(&i);
-        assert!(!synced.contains_values("E", &[v(2), v(3)]));
+        assert!(!synced.to_instance().contains(&fact("E", [2, 3])));
         assert_eq!(synced.to_instance(), i);
         // Tombstones were compacted away: storage is physically clean.
         assert!(!synced.storage().any_dead());

@@ -7,9 +7,12 @@
 //!   one planner: every access path of every rule;
 //! * `join` — the one kernel that enumerates body valuations along
 //!   those paths;
-//! * [`seminaive`] — naive and semi-naive fixpoints for semi-positive
-//!   programs;
-//! * [`stratified`] — the stratified semantics driver;
+//! * [`seminaive`] — the fixpoint of a semi-positive program, by the
+//!   engine its [`EvalOptions`] name: planned semi-naive, or one of its
+//!   two references (baseline semi-naive, naive);
+//! * [`stratified`] — the stratified semantics driver and its two
+//!   doors, [`eval_database`] over rows and [`eval_program`] over an
+//!   [`calm_common::instance::Instance`];
 //! * [`incremental`] — DRed maintenance of a materialized stratified
 //!   database under signed update batches.
 
@@ -23,10 +26,7 @@ pub mod stratified;
 pub use database::Database;
 pub use incremental::{apply_update_compiled, MaintenancePlan, UpdateStats};
 pub use seminaive::{
-    body_valuations, derive_once, fixpoint_naive, fixpoint_seminaive, fixpoint_seminaive_compiled,
-    fixpoint_seminaive_full, CompiledProgram, EvalMetrics, EvalOptions, RuleSet, ValuationQuery,
+    fixpoint_seminaive_compiled, CompiledProgram, Engine, EvalMetrics, EvalOptions, RuleSet,
+    ValuationQuery,
 };
-pub use stratified::{
-    eval_database, eval_program, eval_program_with, eval_query, eval_query_opts,
-    eval_stratification_opts, plan_report, Engine,
-};
+pub use stratified::{eval_database, eval_program, plan_report};

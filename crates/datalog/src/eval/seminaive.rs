@@ -40,50 +40,59 @@ use crate::ast::{Rule, Var};
 use crate::program::Program;
 use calm_common::fact::RelName;
 use calm_common::storage::{RelId, Storage, Sym, SymTuple, SymbolTable};
-use calm_common::value::Value;
 use calm_obs::Obs;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 pub use calm_common::storage::EvalMetrics;
 
-/// Evaluation options: the ablation knobs behind
-/// `Engine::SemiNaiveBaseline` (the reference `proptest_engine` and
-/// E18 compare the planned, indexed engine against), plus the
+/// Which fixpoint engine evaluates a stratum: the product's planned,
+/// indexed semi-naive loop, or one of the two references it is checked
+/// against (`proptest_engine`, E18).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Engine {
+    /// Semi-naive with join reordering and hash indexes (default).
+    #[default]
+    SemiNaive,
+    /// Semi-naive in body order and without indexes: every probe scans.
+    SemiNaiveBaseline,
+    /// Naive re-derivation over the baseline's paths: every round walks
+    /// every rule's whole body.
+    Naive,
+}
+
+/// Evaluation options: the engine (the ablation knob) and the
 /// data-parallel driver knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalOptions {
-    /// Greedily reorder positive body atoms (join planning).
-    pub reorder: bool,
-    /// Build the hash indexes the access paths probe (once per
-    /// fixpoint, maintained on insert); without them every probe scans.
-    pub index: bool,
+    /// The fixpoint engine. Only [`Engine::SemiNaive`] reorders body
+    /// atoms and builds the hash indexes its access paths probe (once
+    /// per fixpoint, maintained on insert).
+    pub engine: Engine,
     /// Worker threads for the data-parallel semi-naive driver; 1 (the
     /// default) runs the classic sequential loop. Any value produces a
     /// byte-identical database and [`EvalMetrics`] — see the module
-    /// docs on deterministic merging.
+    /// docs on deterministic merging. [`Engine::Naive`] ignores it.
     pub eval_threads: usize,
 }
 
 impl Default for EvalOptions {
     fn default() -> Self {
+        Engine::SemiNaive.into()
+    }
+}
+
+impl From<Engine> for EvalOptions {
+    /// `engine`, sequential.
+    fn from(engine: Engine) -> Self {
         EvalOptions {
-            reorder: true,
-            index: true,
+            engine,
             eval_threads: 1,
         }
     }
 }
 
 impl EvalOptions {
-    /// The unoptimized baseline (original body order, full scans,
-    /// sequential).
-    pub const BASELINE: EvalOptions = EvalOptions {
-        reorder: false,
-        index: false,
-        eval_threads: 1,
-    };
-
     /// The same options with `eval_threads` set to `max(n, 1)`.
     #[must_use]
     pub fn with_eval_threads(mut self, n: usize) -> Self {
@@ -101,15 +110,17 @@ fn compile_program(program: &Program, table: &mut SymbolTable, reorder: bool) ->
         .collect()
 }
 
-/// Walk `rule`'s body path over `storage`, passing the head of every
-/// valuation to `emit` through one reused buffer.
+/// Walk `rule`'s body path over `storage` (negation against `neg`),
+/// passing the head of every valuation to `emit` through one reused
+/// buffer.
 fn derive_rule(
     rule: &CompiledRule,
     storage: &Storage,
+    neg: &Storage,
     metrics: &mut EvalMetrics,
     emit: &mut dyn FnMut(RelId, &[Sym]),
 ) {
-    let mut join = Join::new(rule, &rule.paths.body, storage, storage, View::New);
+    let mut join = Join::new(rule, &rule.paths.body, storage, neg, View::New);
     let mut head = SymTuple::new();
     join.all(None, &mut |b| {
         instantiate(&rule.head, b, &mut head);
@@ -119,19 +130,21 @@ fn derive_rule(
     join.tally(metrics);
 }
 
-/// Compute the minimal fixpoint of a semi-positive program over `db`,
-/// **naively**: every iteration re-derives everything. Kept as the
-/// reference `proptest_engine` and E18 check the semi-naive engines
-/// against.
-pub fn fixpoint_naive(program: &Program, db: &mut Database) -> EvalMetrics {
-    let compiled = compile_program(program, &mut db.symbols().clone().write(), false);
+/// The minimal fixpoint of `cp` over `db`, **naively**: every
+/// iteration re-derives everything ([`Engine::Naive`]).
+fn fixpoint_naive(
+    cp: &CompiledProgram,
+    db: &mut Database,
+    frozen: Option<&Database>,
+) -> EvalMetrics {
     let mut metrics = EvalMetrics::default();
     loop {
         metrics.iterations += 1;
         let mut fresh = Derived::default();
         let storage = db.storage();
-        for rule in &compiled {
-            derive_rule(rule, storage, &mut metrics, &mut |rel, row| {
+        let neg = frozen.map_or(storage, |f| f.storage());
+        for rule in &cp.rules {
+            derive_rule(rule, storage, neg, &mut metrics, &mut |rel, row| {
                 if !storage.contains(rel, row) {
                     fresh.push(rel, row);
                 }
@@ -150,18 +163,6 @@ pub fn fixpoint_naive(program: &Program, db: &mut Database) -> EvalMetrics {
     }
 }
 
-/// Compute the minimal fixpoint of a semi-positive program over `db` using
-/// **semi-naive** evaluation: recursive rules only join against the delta
-/// of the previous iteration.
-pub fn fixpoint_seminaive(program: &Program, db: &mut Database) -> EvalMetrics {
-    let cp = CompiledProgram::new(
-        program,
-        &mut db.symbols().clone().write(),
-        EvalOptions::default(),
-    );
-    fixpoint_seminaive_compiled(&cp, db)
-}
-
 /// A semi-positive program compiled once against a symbol table, for
 /// repeated fixpoint evaluation. [`crate::query::DatalogQuery`] holds one
 /// per stratum: the monotonicity falsifiers evaluate the same query
@@ -169,8 +170,8 @@ pub fn fixpoint_seminaive(program: &Program, db: &mut Database) -> EvalMetrics {
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     rules: Vec<CompiledRule>,
-    /// The hash indexes the fixpoint's own paths probe (empty without
-    /// [`EvalOptions::index`]).
+    /// The hash indexes the fixpoint's own paths probe (empty but for
+    /// [`Engine::SemiNaive`]).
     indexes: Vec<(RelId, usize)>,
     options: EvalOptions,
     /// Per-rule span labels (`<head-relation>#<rule-index>`), computed at
@@ -191,7 +192,9 @@ impl CompiledProgram {
         table: &mut SymbolTable,
         options: EvalOptions,
     ) -> CompiledProgram {
-        let rules = compile_program(program, table, options.reorder);
+        // Reordered bodies and indexes come together: the planned engine.
+        let planned = options.engine == Engine::SemiNaive;
+        let rules = compile_program(program, table, planned);
         let labels: Vec<String> = rules
             .iter()
             .enumerate()
@@ -203,7 +206,7 @@ impl CompiledProgram {
         for (rule, label) in rules.iter().zip(&labels) {
             let name = |a: &CompiledAtom| table.rel_name(a.relation);
             for (seed, path) in rule.fixpoint_paths() {
-                if options.index {
+                if planned {
                     indexes.extend(rule.probed([path]));
                 }
                 let mut parts: Vec<String> = (seed.iter())
@@ -211,7 +214,7 @@ impl CompiledProgram {
                     .collect();
                 for step in &path.steps {
                     let (kind, tag) = match step.access {
-                        Access::Probe(col) if options.index => (0, format!("probe@{col}")),
+                        Access::Probe(col) if planned => (0, format!("probe@{col}")),
                         Access::Lookup => (1, "lookup".into()),
                         // A probe of a column without an index scans.
                         Access::Probe(_) | Access::Scan => (2, "scan".into()),
@@ -247,11 +250,6 @@ impl CompiledProgram {
         self.options.eval_threads = n.max(1);
     }
 
-    /// The data-parallel worker count this program will run with.
-    pub fn eval_threads(&self) -> usize {
-        self.options.eval_threads
-    }
-
     /// The compiled rules — incremental maintenance joins along their
     /// seeded paths.
     pub(crate) fn rules(&self) -> &[CompiledRule] {
@@ -259,10 +257,11 @@ impl CompiledProgram {
     }
 }
 
-/// Semi-naive fixpoint of a precompiled program. `db` must use the table
-/// the program was compiled against.
+/// The fixpoint of a precompiled program, by the engine it was
+/// compiled for. `db` must use the table the program was compiled
+/// against.
 pub fn fixpoint_seminaive_compiled(cp: &CompiledProgram, db: &mut Database) -> EvalMetrics {
-    fixpoint_seminaive_full(cp, db, None, &Obs::noop())
+    fixpoint(cp, db, None, &Obs::noop())
 }
 
 /// One unit of evaluation work inside a fixpoint round: one path of a
@@ -474,9 +473,10 @@ fn run_round(
 /// every negative body atom is checked against it instead of the
 /// evolving database — the `Γ` operator of the well-founded alternating
 /// fixpoint ([`crate::wellfounded`]), for which the program need not be
-/// semi-positive; `frozen` must share `db`'s symbol table. Per-iteration
-/// and per-rule spans plus derivation counters go to `obs`.
-pub fn fixpoint_seminaive_full(
+/// semi-positive; `frozen` must share `db`'s symbol table. The
+/// semi-naive engines report per-iteration and per-rule spans plus
+/// derivation counters to `obs`; the naive reference reports nothing.
+pub(crate) fn fixpoint(
     cp: &CompiledProgram,
     db: &mut Database,
     frozen: Option<&Database>,
@@ -497,6 +497,9 @@ pub fn fixpoint_seminaive_full(
         !db.storage().any_dead() && !frozen.is_some_and(|f| f.storage().any_dead()),
         "fixpoint over an uncompacted store: compact_retractions() first"
     );
+    if cp.options.engine == Engine::Naive {
+        return fixpoint_naive(cp, db, frozen);
+    }
     let threads = cp.options.eval_threads.max(1);
     // Build the probed indexes once; inserts keep them current, so the
     // fixpoint loop below never rebuilds an index.
@@ -592,23 +595,9 @@ impl RuleSet {
         emit: &mut impl FnMut(RelId, &[Sym]),
     ) {
         for rule in &self.compiled {
-            derive_rule(rule, db.storage(), metrics, emit);
+            derive_rule(rule, db.storage(), db.storage(), metrics, emit);
         }
     }
-}
-
-/// Evaluate a program's rules against a fixed database *without* fixpoint
-/// iteration: derive all facts firing on `db` directly. Used for one-shot
-/// queries; the transducer simulator keeps a precompiled [`RuleSet`]
-/// instead of calling this per transition.
-pub fn derive_once(program: &Program, db: &Database) -> Database {
-    let rules = RuleSet::new(program, &mut db.symbols().clone().write());
-    let mut out = Database::with_symbols(db.symbols().clone());
-    let mut metrics = EvalMetrics::default();
-    rules.derive(db, &mut metrics, &mut |rel, row| {
-        out.insert(rel, row);
-    });
-    out
 }
 
 /// A rule body compiled once for repeated valuation enumeration — the
@@ -649,34 +638,31 @@ impl ValuationQuery {
     /// deterministic (interning) order.
     pub fn eval(&self, db: &Database, metrics: &mut EvalMetrics) -> BTreeSet<SymTuple> {
         let mut out = BTreeSet::new();
-        derive_rule(&self.compiled, db.storage(), metrics, &mut |_, row| {
-            if !out.contains(row) {
-                out.insert(row.to_vec());
-            }
-        });
+        derive_rule(
+            &self.compiled,
+            db.storage(),
+            db.storage(),
+            metrics,
+            &mut |_, row| {
+                if !out.contains(row) {
+                    out.insert(row.to_vec());
+                }
+            },
+        );
         out
     }
 }
 
-/// Enumerate every satisfying valuation of a rule's body against `db`
-/// (negation also checked against `db`). Returns the valuations as
-/// variable→value maps in deterministic (value) order.
-///
-/// Compiles the body on every call; repeated evaluation should hold a
-/// [`ValuationQuery`] instead.
-pub fn body_valuations(rule: &Rule, db: &Database) -> Vec<std::collections::BTreeMap<Var, Value>> {
-    let q = ValuationQuery::new(rule, &mut db.symbols().clone().write());
-    let mut metrics = EvalMetrics::default();
-    let rows = q.eval(db, &mut metrics);
-    let table = db.symbols().read();
-    let ordered: BTreeSet<Vec<Value>> = rows
-        .iter()
-        .map(|row| row.iter().map(|&s| table.value(s).clone()).collect())
-        .collect();
-    ordered
-        .into_iter()
-        .map(|t| q.vars().iter().cloned().zip(t).collect())
-        .collect()
+/// Compile `program` with `options` against `db`'s table and run its
+/// fixpoint over `db`: the unit tests' shorthand.
+#[cfg(test)]
+pub(crate) fn fixpoint_with(
+    program: &Program,
+    db: &mut Database,
+    options: EvalOptions,
+) -> EvalMetrics {
+    let cp = CompiledProgram::new(program, &mut db.symbols().clone().write(), options);
+    fixpoint_seminaive_compiled(&cp, db)
 }
 
 #[cfg(test)]
@@ -687,14 +673,14 @@ mod tests {
     use calm_common::generator::path;
     use calm_common::instance::Instance;
 
-    fn fixpoint_seminaive_with(
-        program: &Program,
-        db: &mut Database,
-        options: EvalOptions,
-    ) -> EvalMetrics {
-        let cp = CompiledProgram::new(program, &mut db.symbols().clone().write(), options);
-        fixpoint_seminaive_compiled(&cp, db)
+    fn fixpoint_seminaive(program: &Program, db: &mut Database) -> EvalMetrics {
+        fixpoint_with(program, db, EvalOptions::default())
     }
+
+    const BASELINE: EvalOptions = EvalOptions {
+        engine: Engine::SemiNaiveBaseline,
+        eval_threads: 1,
+    };
 
     fn tc() -> Program {
         parse_program(
@@ -709,7 +695,7 @@ mod tests {
         let input = path(5);
         let mut db1 = Database::from_instance(&input);
         let mut db2 = Database::from_instance(&input);
-        let s1 = fixpoint_naive(&tc(), &mut db1);
+        let s1 = fixpoint_with(&tc(), &mut db1, Engine::Naive.into());
         let s2 = fixpoint_seminaive(&tc(), &mut db2);
         assert_eq!(db1.to_instance(), db2.to_instance());
         // Path with 5 edges: TC has 5+4+3+2+1 = 15 pairs.
@@ -734,7 +720,7 @@ mod tests {
         assert!(s.bytes_moved > 0);
         // The baseline builds no index, so its probes scan.
         let mut db2 = Database::from_instance(&input);
-        let s2 = fixpoint_seminaive_with(&tc(), &mut db2, EvalOptions::BASELINE);
+        let s2 = fixpoint_with(&tc(), &mut db2, BASELINE);
         assert_eq!(s2.index_probes, 0);
         assert_eq!(s2.index_hits, 0);
         assert_eq!(db.to_instance(), db2.to_instance());
@@ -804,7 +790,7 @@ mod tests {
         // The same counters at any thread count.
         let mut par = Database::from_instance(&input);
         let options = EvalOptions::default().with_eval_threads(4);
-        assert_eq!(fixpoint_seminaive_with(&p, &mut par, options), m, "{rule}");
+        assert_eq!(fixpoint_with(&p, &mut par, options), m, "{rule}");
     }
 
     #[test]
@@ -860,11 +846,7 @@ mod tests {
         for threads in [2, 8] {
             let mut par = Database::from_instance(&input);
             let options = EvalOptions::default().with_eval_threads(threads);
-            assert_eq!(
-                fixpoint_seminaive_with(&p, &mut par, options),
-                m,
-                "T={threads}"
-            );
+            assert_eq!(fixpoint_with(&p, &mut par, options), m, "T={threads}");
             assert_byte_identical(&seq, &par);
         }
     }
@@ -878,7 +860,7 @@ mod tests {
                 let mut a = Database::from_instance(&input);
                 fixpoint_seminaive(&tc(), &mut a);
                 let mut b = Database::from_instance(&input);
-                fixpoint_seminaive_with(&tc(), &mut b, EvalOptions::BASELINE);
+                fixpoint_with(&tc(), &mut b, BASELINE);
                 assert_eq!(a.to_instance(), b.to_instance(), "diverged at n={n}");
             }
         }
@@ -924,10 +906,13 @@ mod tests {
     }
 
     #[test]
-    fn derive_once_no_recursion() {
-        let input = path(3);
-        let db = Database::from_instance(&input);
-        let out = derive_once(&tc(), &db);
+    fn rule_set_derives_once_without_recursion() {
+        let db = Database::from_instance(&path(3));
+        let rules = RuleSet::new(&tc(), &mut db.symbols().clone().write());
+        let mut out = Database::with_symbols(db.symbols().clone());
+        rules.derive(&db, &mut EvalMetrics::default(), &mut |rel, row| {
+            out.insert(rel, row);
+        });
         // Only the base rule fires (T empty in input db).
         assert_eq!(out.to_instance().relation_len("T"), 3);
     }
@@ -941,7 +926,7 @@ mod tests {
     }
 
     #[test]
-    fn body_valuations_enumerates_matches() {
+    fn valuation_query_enumerates_matches() {
         let r = crate::parser::parse_rule("O(x) :- E(x,y), not F(y), x != y.").unwrap();
         let db = Database::from_instance(&Instance::from_facts([
             fact("E", [1, 2]),
@@ -949,11 +934,14 @@ mod tests {
             fact("E", [4, 5]),
             fact("F", [5]), // kills E(4,5)
         ]));
-        let vals = body_valuations(&r, &db);
-        assert_eq!(vals.len(), 1);
-        let m = &vals[0];
-        assert_eq!(m[&Var::new("x")], calm_common::v(1));
-        assert_eq!(m[&Var::new("y")], calm_common::v(2));
+        let q = ValuationQuery::new(&r, &mut db.symbols().clone().write());
+        assert_eq!(q.vars(), [Var::new("x"), Var::new("y")]);
+        let rows = q.eval(&db, &mut EvalMetrics::default());
+        let table = db.symbols().read();
+        let values: Vec<Vec<_>> = (rows.iter())
+            .map(|row| row.iter().map(|&s| table.value(s).clone()).collect())
+            .collect();
+        assert_eq!(values, [[calm_common::v(1), calm_common::v(2)]]);
     }
 
     /// Row-level (insertion-order) equality of two databases over
@@ -979,7 +967,7 @@ mod tests {
         let m_seq = fixpoint_seminaive(&tc(), &mut seq);
         for threads in [2, 3, 8] {
             let mut par = Database::from_instance(&input);
-            let m_par = fixpoint_seminaive_with(
+            let m_par = fixpoint_with(
                 &tc(),
                 &mut par,
                 EvalOptions::default().with_eval_threads(threads),
@@ -1015,7 +1003,7 @@ mod tests {
             let options = EvalOptions::default().with_eval_threads(threads);
             let cp = CompiledProgram::new(&tc(), &mut par.symbols().clone().write(), options);
             let sink = std::sync::Arc::new(ParallelCounters::default());
-            let m_par = fixpoint_seminaive_full(&cp, &mut par, None, &Obs::new(sink.clone()));
+            let m_par = fixpoint(&cp, &mut par, None, &Obs::new(sink.clone()));
             assert_eq!(m_seq, m_par, "EvalMetrics diverged at T={threads}");
             assert_byte_identical(&seq, &par);
             // One `partitions` then one `workers` report per round.
@@ -1037,10 +1025,9 @@ mod tests {
         // exception); the scan-only driver must still be identical.
         let input = path(9);
         let mut seq = Database::from_instance(&input);
-        let m_seq = fixpoint_seminaive_with(&tc(), &mut seq, EvalOptions::BASELINE);
+        let m_seq = fixpoint_with(&tc(), &mut seq, BASELINE);
         let mut par = Database::from_instance(&input);
-        let m_par =
-            fixpoint_seminaive_with(&tc(), &mut par, EvalOptions::BASELINE.with_eval_threads(8));
+        let m_par = fixpoint_with(&tc(), &mut par, BASELINE.with_eval_threads(8));
         assert_eq!(m_seq, m_par);
         assert_byte_identical(&seq, &par);
         assert_eq!(m_par.index_probes, 0);
@@ -1062,8 +1049,7 @@ mod tests {
         let mut seq = Database::from_instance(&input);
         let m_seq = fixpoint_seminaive(&p, &mut seq);
         let mut par = Database::from_instance(&input);
-        let m_par =
-            fixpoint_seminaive_with(&p, &mut par, EvalOptions::default().with_eval_threads(4));
+        let m_par = fixpoint_with(&p, &mut par, EvalOptions::default().with_eval_threads(4));
         assert_eq!(m_seq, m_par);
         assert_byte_identical(&seq, &par);
         assert!(!par.to_instance().contains(&fact("O", [1, 3])));
@@ -1079,7 +1065,7 @@ mod tests {
             EvalOptions::default(),
         );
         cp.set_eval_threads(0);
-        assert_eq!(cp.eval_threads(), 1);
+        assert_eq!(cp.options.eval_threads, 1);
         fixpoint_seminaive_compiled(&cp, &mut cp_db);
         assert_eq!(cp_db.to_instance().relation_len("T"), 10);
     }

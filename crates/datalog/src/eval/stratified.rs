@@ -1,99 +1,23 @@
 //! Stratified semantics: evaluate `P1, ..., Pk` in order (Section 2).
 
 use super::database::Database;
-use super::seminaive::{
-    fixpoint_naive, fixpoint_seminaive_full, CompiledProgram, EvalMetrics, EvalOptions,
-};
+use super::seminaive::{fixpoint, CompiledProgram, EvalMetrics, EvalOptions};
 use crate::program::Program;
 use crate::stratify::{stratify, NotStratifiable, Stratification};
 use calm_common::instance::Instance;
+use calm_common::storage::SharedSymbols;
 use calm_obs::Obs;
 
-/// Which fixpoint engine to use within each stratum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Semi-naive with join reordering and hash indexes (default).
-    #[default]
-    SemiNaive,
-    /// Semi-naive without reordering or indexes (ablation baseline).
-    SemiNaiveBaseline,
-    /// Naive re-derivation (reference for differential tests and E18).
-    Naive,
-}
-
-/// Evaluate a stratifiable Datalog¬ program on an input instance,
-/// returning the full derived database as an instance (all relations —
-/// restrict with [`Program::output_schema`] for the query answer).
-///
-/// # Errors
-/// Returns [`NotStratifiable`] for programs with a negative cycle.
-pub fn eval_program(p: &Program, input: &Instance) -> Result<Instance, NotStratifiable> {
-    eval_program_with(p, input, Engine::SemiNaive).map(|(i, _)| i)
-}
-
-/// As [`eval_program`], with engine selection and per-stratum statistics.
-///
-/// # Errors
-/// Returns [`NotStratifiable`] for programs with a negative cycle.
-pub fn eval_program_with(
-    p: &Program,
-    input: &Instance,
-    engine: Engine,
-) -> Result<(Instance, Vec<EvalMetrics>), NotStratifiable> {
-    let strat = stratify(p)?;
-    let symbols = calm_common::storage::SharedSymbols::new();
-    Ok(eval_stratification_opts(
-        &strat,
-        input,
-        engine,
-        symbols,
-        &Obs::noop(),
-        1,
-    ))
-}
-
-/// Evaluate an existing stratification (avoids recomputing it per call),
-/// interning into `symbols` — callers that evaluate the same program
-/// many times reuse one table so rule constants and recurring domain
-/// values are interned once. Reports per-stratum spans (and, through the
-/// semi-naive engine, per-iteration/per-rule spans and derivation
-/// counters) to `obs`, and runs `eval_threads` data-parallel workers
-/// inside every semi-naive stratum fixpoint (`1` = sequential; the
-/// output and per-stratum stats are byte-identical either way).
-/// [`Engine::Naive`] ignores the knob.
-pub fn eval_stratification_opts(
-    strat: &Stratification,
-    input: &Instance,
-    engine: Engine,
-    symbols: calm_common::storage::SharedSymbols,
-    obs: &Obs,
-    eval_threads: usize,
-) -> (Instance, Vec<EvalMetrics>) {
-    let mut db = Database::from_instance_with(input, symbols);
-    let stats = run_strata(strat, &mut db, engine, obs, eval_threads);
-    (db.to_instance(), stats)
-}
-
-/// Compile every stratum of `strat` against `symbols`; `None` for
-/// [`Engine::Naive`], which evaluates the uncompiled rules.
+/// Compile every stratum of `strat` against `symbols` with `options`.
 pub(crate) fn precompile(
     strat: &Stratification,
-    symbols: &calm_common::storage::SharedSymbols,
-    engine: Engine,
-) -> Option<Vec<CompiledProgram>> {
-    let options = match engine {
-        Engine::SemiNaive => EvalOptions::default(),
-        Engine::SemiNaiveBaseline => EvalOptions::BASELINE,
-        Engine::Naive => return None,
-    };
+    symbols: &SharedSymbols,
+    options: EvalOptions,
+) -> Vec<CompiledProgram> {
     let mut table = symbols.write();
-    Some(
-        strat
-            .strata
-            .iter()
-            .map(|stratum| CompiledProgram::new(stratum, &mut table, options))
-            .collect(),
-    )
+    (strat.strata.iter())
+        .map(|stratum| CompiledProgram::new(stratum, &mut table, options))
+        .collect()
 }
 
 /// Run every compiled stratum's fixpoint over `db`, lowest stratum
@@ -110,37 +34,66 @@ pub(crate) fn fixpoint_strata(
     let mut stats = Vec::with_capacity(strata.len());
     for (i, cp) in strata.iter().enumerate() {
         let _span = spans.then(|| obs.span("eval", || format!("stratum#{i}")));
-        stats.push(fixpoint_seminaive_full(cp, db, None, obs));
+        stats.push(fixpoint(cp, db, None, obs));
     }
     stats
 }
 
-/// Run every stratum's fixpoint over an already loaded `db`; the caller
-/// chooses what to export from the derived database.
-fn run_strata(
-    strat: &Stratification,
+/// Evaluate `p` over an already loaded database, every derived
+/// relation added to it in place, and return each stratum's counters —
+/// the evaluation without an [`Instance`] on either side, which `calm
+/// eval` runs. The caller reads the answer off the rows of the output
+/// relations ([`Database::to_instance_restricted`], or
+/// [`calm_common::storage::FactPrinter`] for text). Each stratum runs
+/// in an `eval/stratum#i` span with its per-iteration and per-rule
+/// spans and derivation counters reported to `obs`.
+///
+/// # Errors
+/// Returns [`NotStratifiable`] for programs with a negative cycle.
+pub fn eval_database(
+    p: &Program,
     db: &mut Database,
-    engine: Engine,
+    options: EvalOptions,
     obs: &Obs,
-    eval_threads: usize,
-) -> Vec<EvalMetrics> {
-    match precompile(strat, db.symbols(), engine) {
-        Some(mut strata) => {
-            for cp in &mut strata {
-                cp.set_eval_threads(eval_threads);
-            }
-            fixpoint_strata(&strata, db, obs, true)
-        }
-        None => strat
-            .strata
-            .iter()
-            .enumerate()
-            .map(|(i, stratum)| {
-                let _span = obs.span("eval", || format!("stratum#{i}"));
-                fixpoint_naive(stratum, db)
-            })
-            .collect(),
-    }
+) -> Result<Vec<EvalMetrics>, NotStratifiable> {
+    let strata = precompile(&stratify(p)?, db.symbols(), options);
+    Ok(fixpoint_strata(&strata, db, obs, true))
+}
+
+/// Evaluate a stratifiable Datalog¬ program on an input instance,
+/// returning the full derived model (all relations — restrict with
+/// [`Program::output_schema`] for the query answer `P(I)|σ'`) and each
+/// stratum's counters. The output and the counters are the same at any
+/// `options.eval_threads`.
+///
+/// ```
+/// use calm_datalog::{parse_program, eval_program, EvalOptions};
+/// use calm_common::{fact, Instance};
+/// use calm_obs::Obs;
+///
+/// let p = parse_program(
+///     "@output T.\n\
+///      T(x,y) :- E(x,y).\n\
+///      T(x,z) :- T(x,y), E(y,z).",
+/// ).unwrap();
+/// let input = Instance::from_facts([fact("E", [1, 2]), fact("E", [2, 3])]);
+/// let (model, stats) = eval_program(&p, &input, EvalOptions::default(), &Obs::noop()).unwrap();
+/// assert!(model.contains(&fact("T", [1, 3])));
+/// assert_eq!(model.restrict(&p.output_schema()).len(), 3);
+/// assert_eq!(stats[0].new_facts, 3);
+/// ```
+///
+/// # Errors
+/// Returns [`NotStratifiable`] for programs with a negative cycle.
+pub fn eval_program(
+    p: &Program,
+    input: &Instance,
+    options: EvalOptions,
+    obs: &Obs,
+) -> Result<(Instance, Vec<EvalMetrics>), NotStratifiable> {
+    let mut db = Database::from_instance(input);
+    let stats = eval_database(p, &mut db, options, obs)?;
+    Ok((db.to_instance(), stats))
 }
 
 /// Render the per-stratum evaluation plan of a program — what the join
@@ -153,11 +106,9 @@ fn run_strata(
 /// # Errors
 /// Returns [`NotStratifiable`] for programs with a negative cycle.
 pub fn plan_report(p: &Program) -> Result<String, NotStratifiable> {
-    let strat = stratify(p)?;
-    let symbols = calm_common::storage::SharedSymbols::new();
+    let strata = precompile(&stratify(p)?, &SharedSymbols::new(), EvalOptions::default());
     let mut out = String::new();
-    for (i, stratum) in strat.strata.iter().enumerate() {
-        let cp = CompiledProgram::new(stratum, &mut symbols.write(), EvalOptions::default());
+    for (i, cp) in strata.iter().enumerate() {
         out.push_str(&format!("stratum {i}:\n"));
         for line in cp.plan_lines() {
             out.push_str("  ");
@@ -168,74 +119,24 @@ pub fn plan_report(p: &Program) -> Result<String, NotStratifiable> {
     Ok(out)
 }
 
-/// Evaluate and project onto the program's output schema — the query
-/// answer `P(I)|σ'`.
-///
-/// ```
-/// use calm_datalog::{parse_program, eval_query};
-/// use calm_common::{fact, Instance};
-///
-/// let p = parse_program(
-///     "@output T.\n\
-///      T(x,y) :- E(x,y).\n\
-///      T(x,z) :- T(x,y), E(y,z).",
-/// ).unwrap();
-/// let input = Instance::from_facts([fact("E", [1, 2]), fact("E", [2, 3])]);
-/// let answer = eval_query(&p, &input).unwrap();
-/// assert!(answer.contains(&fact("T", [1, 3])));
-/// assert_eq!(answer.len(), 3);
-/// ```
-///
-/// # Errors
-/// Returns [`NotStratifiable`] for programs with a negative cycle.
-pub fn eval_query(p: &Program, input: &Instance) -> Result<Instance, NotStratifiable> {
-    eval_query_opts(p, input, &Obs::noop(), 1)
-}
-
-/// As [`eval_query`], reporting spans and counters to `obs`, with
-/// `eval_threads` data-parallel workers inside every stratum fixpoint
-/// (the answer is identical for any thread count).
-///
-/// # Errors
-/// Returns [`NotStratifiable`] for programs with a negative cycle.
-pub fn eval_query_opts(
-    p: &Program,
-    input: &Instance,
-    obs: &Obs,
-    eval_threads: usize,
-) -> Result<Instance, NotStratifiable> {
-    let db = eval_database(p, Database::from_instance(input), obs, eval_threads)?;
-    // Unintern only the answer: exporting the whole database and
-    // restricting it afterwards would hold two copies of it.
-    Ok(db.to_instance_restricted(&p.output_schema()))
-}
-
-/// Evaluate `p` over an already loaded database and hand the database
-/// back with every derived relation in it — the evaluation under
-/// [`eval_query_opts`] without its [`Instance`] on either side. The
-/// caller reads the answer off the rows of the output relations
-/// ([`Database::to_instance_restricted`], or
-/// [`calm_common::storage::FactPrinter`] for text).
-///
-/// # Errors
-/// Returns [`NotStratifiable`] for programs with a negative cycle.
-pub fn eval_database(
-    p: &Program,
-    mut db: Database,
-    obs: &Obs,
-    eval_threads: usize,
-) -> Result<Database, NotStratifiable> {
-    let strat = stratify(p)?;
-    run_strata(&strat, &mut db, Engine::SemiNaive, obs, eval_threads);
-    Ok(db)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::seminaive::Engine;
     use crate::parser::parse_program;
     use calm_common::fact::fact;
     use calm_common::generator::path;
+
+    fn eval(p: &Program, input: &Instance, engine: Engine) -> (Instance, Vec<EvalMetrics>) {
+        eval_program(p, input, engine.into(), &Obs::noop()).unwrap()
+    }
+
+    /// The query answer `P(I)|σ'`.
+    fn answer(p: &Program, input: &Instance) -> Instance {
+        eval(p, input, Engine::SemiNaive)
+            .0
+            .restrict(&p.output_schema())
+    }
 
     #[test]
     fn complement_of_tc() {
@@ -248,7 +149,7 @@ mod tests {
         )
         .unwrap();
         let input = path(2); // 0 -> 1 -> 2
-        let out = eval_query(&p, &input).unwrap();
+        let out = answer(&p, &input);
         // 9 pairs total, TC = {(0,1),(1,2),(0,2)}: complement has 6.
         assert_eq!(out.relation_len("O"), 6);
         assert!(out.contains(&fact("O", [2, 0])));
@@ -259,7 +160,7 @@ mod tests {
     }
 
     #[test]
-    fn eval_query_exports_exactly_the_restricted_database() {
+    fn the_rows_door_exports_exactly_the_restricted_model() {
         // Adom and T are derived but not output; E holds rows of two
         // arities, and so does the output relation's name in the input
         // (`O(7)` is not over the output schema's binary `O`).
@@ -279,17 +180,21 @@ mod tests {
             fact("E", [1, 2, 3]),
             fact("O", [7]),
         ]);
-        let full = eval_program(&p, &input).unwrap();
+        let (full, stats) = eval(&p, &input, Engine::SemiNaive);
         assert!(full.relation_len("T") > 0 && full.relation_len("Adom") > 0);
         assert!(full.contains(&fact("O", [7])) && full.contains(&fact("E", [1])));
-        let answer = eval_query(&p, &input).unwrap();
-        assert_eq!(answer, full.restrict(&p.output_schema()));
-        assert_eq!(answer.relation_len("O"), 6);
-        assert_eq!(answer.len(), 6, "nothing but binary O rows");
-        assert_eq!(
-            eval_query_opts(&p, &input, &Obs::noop(), 4).unwrap(),
-            answer
-        );
+        for threads in [1, 4] {
+            let mut db = Database::from_instance(&input);
+            let options = EvalOptions::default().with_eval_threads(threads);
+            assert_eq!(
+                eval_database(&p, &mut db, options, &Obs::noop()).unwrap(),
+                stats
+            );
+            let answer = db.to_instance_restricted(&p.output_schema());
+            assert_eq!(answer, full.restrict(&p.output_schema()));
+            assert_eq!(answer.relation_len("O"), 6);
+            assert_eq!(answer.len(), 6, "nothing but binary O rows");
+        }
     }
 
     #[test]
@@ -305,7 +210,7 @@ mod tests {
             fact("V", [2]),
             fact("W", [1]),
         ]);
-        let out = eval_query(&p, &input).unwrap();
+        let out = answer(&p, &input);
         // 1: W(1) so not A(1); B(1); so O excludes 1.
         // 2: A(2); not B(2); O(2).
         assert_eq!(out.relation_len("O"), 1);
@@ -321,8 +226,8 @@ mod tests {
         )
         .unwrap();
         let input = calm_common::generator::cycle(5);
-        let (a, _) = eval_program_with(&p, &input, Engine::SemiNaive).unwrap();
-        let (b, _) = eval_program_with(&p, &input, Engine::Naive).unwrap();
+        let (a, _) = eval(&p, &input, Engine::SemiNaive);
+        let (b, _) = eval(&p, &input, Engine::Naive);
         assert_eq!(a, b);
         assert_eq!(a.relation_len("O"), 5);
     }
@@ -330,7 +235,9 @@ mod tests {
     #[test]
     fn non_stratifiable_is_error() {
         let p = parse_program("win(x) :- move(x,y), not win(y).").unwrap();
-        assert!(eval_program(&p, &calm_common::instance::Instance::new()).is_err());
+        let (options, obs) = (EvalOptions::default(), Obs::noop());
+        assert!(eval_program(&p, &Instance::new(), options, &obs).is_err());
+        assert!(eval_database(&p, &mut Database::new(), options, &obs).is_err());
     }
 
     #[test]
@@ -342,10 +249,11 @@ mod tests {
         )
         .unwrap();
         let input = path(4);
-        let plain = eval_query(&p, &input).unwrap();
+        let plain = answer(&p, &input);
         let sink = std::sync::Arc::new(calm_obs::ReportSink::new());
         let obs = Obs::new(sink.clone());
-        let traced = eval_query_opts(&p, &input, &obs, 1).unwrap();
+        let (traced, _) = eval_program(&p, &input, EvalOptions::default(), &obs).unwrap();
+        let traced = traced.restrict(&p.output_schema());
         assert_eq!(plain, traced, "instrumentation must not change results");
         assert!(sink.counter_total("eval", "derivations") > 0);
         assert!(sink.counter_total("eval", "iterations") > 0);
@@ -364,7 +272,7 @@ mod tests {
              Adom(y) :- E(x,y).",
         )
         .unwrap();
-        let (_, stats) = eval_program_with(&p, &path(4), Engine::SemiNaive).unwrap();
+        let (_, stats) = eval(&p, &path(4), Engine::SemiNaive);
         let mut merged = EvalMetrics::default();
         for s in &stats {
             merged.merge(s);
@@ -418,7 +326,7 @@ mod tests {
              Adom(y) :- E(x,y).",
         )
         .unwrap();
-        let (_, stats) = eval_program_with(&p, &path(4), Engine::SemiNaive).unwrap();
+        let (_, stats) = eval(&p, &path(4), Engine::SemiNaive);
         assert_eq!(stats.len(), 2);
         assert!(stats[0].new_facts > 0);
     }

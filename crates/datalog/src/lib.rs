@@ -7,16 +7,22 @@
 //! stratified Datalog¬) and the well-founded semantics (alternating
 //! fixpoint and the doubled-program construction) used for win-move.
 //!
-//! Entry points:
+//! Entry points, one per job:
 //! * [`parser::parse_program`] — text syntax → [`program::Program`];
-//! * [`eval::eval_query`] — stratified evaluation projected onto the
-//!   output schema;
 //! * [`query::DatalogQuery`] — a program packaged as a
-//!   [`calm_common::query::Query`];
+//!   [`calm_common::query::Query`], compiled once: `eval` for the
+//!   answer `P(I)|σ'`, `open` for a maintained evaluation under signed
+//!   update batches;
+//! * [`eval::eval_program`] — the full stratified model of an
+//!   instance and each stratum's counters, under [`eval::EvalOptions`]
+//!   (the engine ablation and the data-parallel driver) and an
+//!   observer; [`eval::eval_database`] is the same evaluation over rows
+//!   already loaded into a [`eval::Database`];
 //! * [`fragment::classify`] — Figure 2 fragment membership;
 //! * [`wellfounded::well_founded_model`] — the three-valued WFS.
 
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
 pub mod ast;
 pub mod eval;
@@ -30,13 +36,10 @@ pub mod wellfounded;
 
 pub use ast::{Atom, Rule, Term, Var};
 pub use eval::{apply_update_compiled, MaintenancePlan, UpdateStats};
-pub use eval::{eval_database, eval_program, eval_query, eval_query_opts, plan_report, Engine};
+pub use eval::{eval_database, eval_program, plan_report, Engine, EvalOptions};
 pub use fragment::{classify, is_rule_connected, FragmentReport};
 pub use parser::{parse_facts, parse_program, parse_rule, parse_updates};
 pub use program::{Program, ProgramError};
 pub use query::{DatalogQuery, IncrementalEvaluation};
 pub use stratify::{is_stratifiable, stratify, Stratification};
-pub use wellfounded::{
-    well_founded_model, well_founded_model_opts, WellFoundedModel, WellFoundedQuery,
-    WellFoundedSession,
-};
+pub use wellfounded::{well_founded_model, WellFoundedModel, WellFoundedQuery};

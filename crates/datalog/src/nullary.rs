@@ -92,8 +92,9 @@ pub fn decode_instance(i: &Instance) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::{parse_facts, parse_program};
+    use crate::parser::parse_facts;
     use calm_common::fact::fact;
+    use calm_common::query::Query;
 
     #[test]
     fn encode_rewrites_nullary_atoms_only() {
@@ -115,9 +116,9 @@ mod tests {
              Nonempty() :- E(x,y).\n\
              O(x,y) :- E(x,y), Nonempty().",
         );
-        let p = parse_program(&enc).unwrap();
+        let q = crate::DatalogQuery::parse("nullary", &enc).unwrap();
         let input = Instance::from_facts([fact("E", [1, 2])]);
-        let out = crate::eval::eval_query(&p, &input).unwrap();
+        let out = q.eval(&input);
         assert_eq!(out.relation_len("O"), 1);
     }
 

@@ -3,10 +3,10 @@
 
 use crate::eval::database::Database;
 use crate::eval::incremental::{apply_update_compiled, MaintenancePlan, UpdateStats};
-use crate::eval::seminaive::CompiledProgram;
-use crate::eval::stratified::{eval_stratification_opts, fixpoint_strata, precompile, Engine};
+use crate::eval::seminaive::{CompiledProgram, EvalOptions};
+use crate::eval::stratified::{fixpoint_strata, precompile};
 use crate::program::Program;
-use crate::stratify::{stratify, NotStratifiable, Stratification};
+use crate::stratify::{stratify, NotStratifiable};
 use calm_common::fact::Fact;
 use calm_common::instance::Instance;
 use calm_common::query::{AnswerSink, Query, QuerySession};
@@ -26,17 +26,12 @@ use calm_obs::Obs;
 pub struct DatalogQuery {
     name: String,
     program: Program,
-    stratification: Stratification,
     input_schema: Schema,
     output_schema: Schema,
-    engine: Engine,
     symbols: SharedSymbols,
-    /// Data-parallel workers inside every stratum fixpoint (1 =
-    /// sequential; the answer is byte-identical either way).
-    eval_threads: usize,
-    /// One compiled program per stratum; `None` for [`Engine::Naive`],
-    /// which falls back to the uncompiled ablation path.
-    compiled: Option<Vec<CompiledProgram>>,
+    /// One compiled program per stratum, each holding the data-parallel
+    /// worker count of its fixpoint.
+    strata: Vec<CompiledProgram>,
 }
 
 impl DatalogQuery {
@@ -47,21 +42,15 @@ impl DatalogQuery {
     /// stratification (evaluate such programs with
     /// [`crate::wellfounded`] instead).
     pub fn new(name: impl Into<String>, program: Program) -> Result<Self, NotStratifiable> {
-        let stratification = stratify(&program)?;
-        let input_schema = program.edb();
-        let output_schema = program.output_schema();
         let symbols = SharedSymbols::new();
-        let compiled = precompile(&stratification, &symbols, Engine::SemiNaive);
+        let strata = precompile(&stratify(&program)?, &symbols, EvalOptions::default());
         Ok(DatalogQuery {
             name: name.into(),
+            input_schema: program.edb(),
+            output_schema: program.output_schema(),
             program,
-            stratification,
-            input_schema,
-            output_schema,
-            engine: Engine::SemiNaive,
             symbols,
-            eval_threads: 1,
-            compiled,
+            strata,
         })
     }
 
@@ -75,36 +64,15 @@ impl DatalogQuery {
         DatalogQuery::new(name, p).map_err(|e| e.to_string())
     }
 
-    /// Use the given evaluation engine (default: semi-naive).
-    #[must_use]
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self.compiled = precompile(&self.stratification, &self.symbols, engine);
-        self.apply_eval_threads();
-        self
-    }
-
     /// Run every stratum fixpoint with `n` data-parallel eval threads
     /// (default 1 = sequential; the answer is byte-identical either
-    /// way). [`Engine::Naive`] ignores the knob.
+    /// way).
     #[must_use]
     pub fn with_eval_threads(mut self, n: usize) -> Self {
-        self.eval_threads = n.max(1);
-        self.apply_eval_threads();
-        self
-    }
-
-    /// The configured data-parallel worker count.
-    pub fn eval_threads(&self) -> usize {
-        self.eval_threads
-    }
-
-    fn apply_eval_threads(&mut self) {
-        if let Some(strata) = &mut self.compiled {
-            for cp in strata {
-                cp.set_eval_threads(self.eval_threads);
-            }
+        for cp in &mut self.strata {
+            cp.set_eval_threads(n);
         }
+        self
     }
 
     /// The underlying program.
@@ -112,31 +80,25 @@ impl DatalogQuery {
         &self.program
     }
 
-    /// The stratification (computed once at construction).
-    pub fn stratification(&self) -> &Stratification {
-        &self.stratification
-    }
-
     /// Open a maintained evaluation over `input`: materialize the
     /// fixpoint once, then fold signed [`UpdateBatch`]es into it with
     /// [`IncrementalEvaluation::apply`] instead of re-running the
     /// fixpoint per change. The session reuses the query's cached
-    /// [`CompiledProgram`]s and shared symbol table ([`Engine::Naive`]
-    /// queries compile on demand — maintenance always runs compiled).
+    /// [`CompiledProgram`]s and shared symbol table.
     pub fn open(&self, input: &Instance) -> IncrementalEvaluation<'_> {
+        self.open_obs(input, &Obs::noop())
+    }
+
+    /// As [`open`](Self::open), reporting the initial fixpoint to
+    /// `obs` as evaluation does: one `eval/stratum#i` span per stratum
+    /// with its iteration and rule spans and the `eval` counters.
+    pub fn open_obs(&self, input: &Instance, obs: &Obs) -> IncrementalEvaluation<'_> {
         let restricted = input.restrict(&self.input_schema);
-        let owned = if self.compiled.is_none() {
-            precompile(&self.stratification, &self.symbols, Engine::SemiNaive)
-        } else {
-            None
-        };
         let mut db = Database::from_instance_with(&restricted, self.symbols.clone());
-        let strata = owned.as_deref().or(self.compiled.as_deref()).unwrap();
-        fixpoint_strata(strata, &mut db, &Obs::noop(), false);
-        MaintenancePlan::new(strata).prepare(&mut db);
+        fixpoint_strata(&self.strata, &mut db, obs, true);
+        MaintenancePlan::new(&self.strata).prepare(&mut db);
         IncrementalEvaluation {
             query: self,
-            owned,
             db,
             stats: UpdateStats::default(),
         }
@@ -150,9 +112,6 @@ impl DatalogQuery {
 /// byte-identical to `query.eval(current_edb)`.
 pub struct IncrementalEvaluation<'q> {
     query: &'q DatalogQuery,
-    /// Compiled strata owned by the session when the query itself has
-    /// no cached compilation (the naive-engine ablation).
-    owned: Option<Vec<CompiledProgram>>,
     /// The materialized fixpoint, carrying the indexes of the strata's
     /// [`MaintenancePlan`] since the session opened.
     db: Database,
@@ -178,15 +137,7 @@ impl IncrementalEvaluation<'_> {
             insert: batch.insert.iter().filter(keep).cloned().collect(),
             delete: batch.delete.iter().filter(keep).cloned().collect(),
         };
-        let strata: &[CompiledProgram] = match &self.owned {
-            Some(v) => v,
-            None => self
-                .query
-                .compiled
-                .as_deref()
-                .expect("query lost its compilation while a session was open"),
-        };
-        let stats = apply_update_compiled(strata, &mut self.db, &restricted, obs);
+        let stats = apply_update_compiled(&self.query.strata, &mut self.db, &restricted, obs);
         self.stats.merge(&stats);
         stats
     }
@@ -220,26 +171,11 @@ impl Query for DatalogQuery {
 
     fn eval(&self, input: &Instance) -> Instance {
         let restricted = input.restrict(&self.input_schema);
-        match &self.compiled {
-            Some(strata) => {
-                let mut db = Database::from_instance_with(&restricted, self.symbols.clone());
-                fixpoint_strata(strata, &mut db, &Obs::noop(), false);
-                // Unintern only the output relations — everything else
-                // would be dropped by the restriction anyway.
-                db.to_instance_restricted(&self.output_schema)
-            }
-            None => {
-                let (full, _) = eval_stratification_opts(
-                    &self.stratification,
-                    &restricted,
-                    self.engine,
-                    self.symbols.clone(),
-                    &Obs::noop(),
-                    1,
-                );
-                full.restrict(&self.output_schema)
-            }
-        }
+        let mut db = Database::from_instance_with(&restricted, self.symbols.clone());
+        fixpoint_strata(&self.strata, &mut db, &Obs::noop(), false);
+        // Unintern only the output relations — everything else would be
+        // dropped by the restriction anyway.
+        db.to_instance_restricted(&self.output_schema)
     }
 
     fn name(&self) -> &str {
@@ -392,16 +328,6 @@ mod tests {
             union.extend(answer);
             assert_eq!(folded, union, "batch {k}");
         }
-    }
-
-    #[test]
-    fn incremental_session_compiles_for_naive_engine() {
-        let q = DatalogQuery::parse("tc", "@output T.\nT(x,y) :- E(x,y).")
-            .unwrap()
-            .with_engine(crate::eval::stratified::Engine::Naive);
-        let mut session = q.open(&path(2));
-        session.apply(&calm_common::UpdateBatch::deleting([fact("E", [0, 1])]));
-        assert_eq!(session.output().relation_len("T"), 1);
     }
 
     #[test]

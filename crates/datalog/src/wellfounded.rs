@@ -15,14 +15,13 @@
 
 use crate::ast::{Atom, Rule};
 use crate::eval::database::Database;
-use crate::eval::seminaive::{fixpoint_seminaive_full, CompiledProgram, EvalOptions};
+use crate::eval::seminaive::{fixpoint, CompiledProgram, EvalOptions};
 use crate::program::Program;
 use calm_common::fact::{rel, Fact, RelName};
 use calm_common::instance::Instance;
 use calm_common::query::Query;
 use calm_common::schema::Schema;
 use calm_common::storage::SharedSymbols;
-use calm_common::update::UpdateBatch;
 use calm_obs::Obs;
 use std::collections::BTreeSet;
 
@@ -66,18 +65,22 @@ impl WellFoundedModel {
 /// symbol table (which the program was compiled against).
 fn gamma(cp: &CompiledProgram, input: &Instance, k: &Database, obs: &Obs) -> Database {
     let mut db = Database::from_instance_with(input, k.symbols().clone());
-    fixpoint_seminaive_full(cp, &mut db, Some(k), obs);
+    fixpoint(cp, &mut db, Some(k), obs);
     db
 }
 
 /// Compute the well-founded model of `p` on `input` by the alternating
 /// fixpoint. Works for every Datalog¬ program (stratifiable or not); on
 /// stratifiable programs the result is total and equals the stratified
-/// semantics.
+/// semantics. Every `Γ` application runs with `options` (with
+/// `options.eval_threads` > 1, data-parallel; the model is the same
+/// for any thread count) in one span on `obs`, labelled over/under by
+/// alternation side, and a final `gamma_applications` counter follows.
 ///
 /// ```
-/// use calm_datalog::{parse_program, well_founded_model};
+/// use calm_datalog::{parse_program, well_founded_model, EvalOptions};
 /// use calm_common::{fact, Instance};
+/// use calm_obs::Obs;
 ///
 /// let win_move = parse_program("win(x) :- move(x,y), not win(y).").unwrap();
 /// // 1 -> 2 -> 3 plus the drawn 2-cycle {8, 9}.
@@ -85,22 +88,12 @@ fn gamma(cp: &CompiledProgram, input: &Instance, k: &Database, obs: &Obs) -> Dat
 ///     fact("move", [1, 2]), fact("move", [2, 3]),
 ///     fact("move", [8, 9]), fact("move", [9, 8]),
 /// ]);
-/// let model = well_founded_model(&win_move, &game);
+/// let model = well_founded_model(&win_move, &game, EvalOptions::default(), &Obs::noop());
 /// assert_eq!(model.truth(&fact("win", [2])), Some(true));  // won
 /// assert_eq!(model.truth(&fact("win", [3])), Some(false)); // lost (sink)
 /// assert_eq!(model.truth(&fact("win", [8])), None);        // drawn
 /// ```
-pub fn well_founded_model(p: &Program, input: &Instance) -> WellFoundedModel {
-    well_founded_model_opts(p, input, EvalOptions::default(), &Obs::noop())
-}
-
-/// As [`well_founded_model`], reporting one span per `Γ` application
-/// (labelled over/under by alternation side) plus a final
-/// `gamma_applications` counter to `obs`, with explicit [`EvalOptions`]
-/// — the entry point for data-parallel `Γ` applications
-/// (`options.eval_threads` > 1); the model is identical for any thread
-/// count.
-pub fn well_founded_model_opts(
+pub fn well_founded_model(
     p: &Program,
     input: &Instance,
     options: EvalOptions,
@@ -210,8 +203,17 @@ impl DoubledProgram {
     /// Evaluate the doubled program by alternating the two sides until
     /// both stabilize; returns the same model as [`well_founded_model`].
     pub fn eval(&self, input: &Instance) -> WellFoundedModel {
+        // Both sides are compiled once against one shared table; the
+        // alternation only re-runs the fixpoints.
         let symbols = SharedSymbols::new();
-        let (possible_cp, true_cp) = self.compile(&symbols, 1);
+        let (possible_cp, true_cp) = {
+            let mut table = symbols.write();
+            let options = EvalOptions::default();
+            (
+                CompiledProgram::new(&self.possible_side, &mut table, options),
+                CompiledProgram::new(&self.true_side, &mut table, options),
+            )
+        };
         // The input is interned once, in both forms the two sides read:
         // the possible side takes primed idb positives (edb stays
         // unprimed, so both forms are loaded), the true side unprimed.
@@ -219,35 +221,6 @@ impl DoubledProgram {
             Database::from_instance_with(&prime_instance(input, &self.doubled), symbols.clone());
         base_over.load(input);
         let base_under = Database::from_instance_with(input, symbols);
-        self.alternate(&possible_cp, &true_cp, &base_over, &base_under, input)
-    }
-
-    /// Compile both sides once against one shared table; the
-    /// alternation only re-runs the fixpoints.
-    fn compile(
-        &self,
-        symbols: &SharedSymbols,
-        eval_threads: usize,
-    ) -> (CompiledProgram, CompiledProgram) {
-        let options = EvalOptions::default().with_eval_threads(eval_threads);
-        let mut table = symbols.write();
-        (
-            CompiledProgram::new(&self.possible_side, &mut table, options),
-            CompiledProgram::new(&self.true_side, &mut table, options),
-        )
-    }
-
-    /// The alternation itself, over the interned input in the form each
-    /// side reads (`base_over` for the possible side, `base_under` for
-    /// the true side; `input` is their value-level mirror).
-    fn alternate(
-        &self,
-        possible_cp: &CompiledProgram,
-        true_cp: &CompiledProgram,
-        base_over: &Database,
-        base_under: &Database,
-        input: &Instance,
-    ) -> WellFoundedModel {
         let mut gamma_applications = 0;
         // Under-approximation state: unprimed facts (initially empty).
         let mut under = Database::with_symbols(base_under.symbols().clone());
@@ -256,14 +229,19 @@ impl DoubledProgram {
             let mut frozen_under = base_under.clone();
             frozen_under.absorb(&under);
             let mut over_db = base_over.clone();
-            fixpoint_seminaive_full(possible_cp, &mut over_db, Some(&frozen_under), &Obs::noop());
+            fixpoint(
+                &possible_cp,
+                &mut over_db,
+                Some(&frozen_under),
+                &Obs::noop(),
+            );
             gamma_applications += 1;
 
             // True side: freeze negation on the primed overestimate —
             // `over_db` holds exactly the primed idb facts plus the input,
             // so it serves as the frozen database directly.
             let mut under_db = base_under.clone();
-            fixpoint_seminaive_full(true_cp, &mut under_db, Some(&over_db), &Obs::noop());
+            fixpoint(&true_cp, &mut under_db, Some(&over_db), &Obs::noop());
             gamma_applications += 1;
 
             if under_db.same_facts(&under) {
@@ -314,7 +292,7 @@ pub struct WellFoundedQuery {
     program: Program,
     input_schema: Schema,
     output_schema: Schema,
-    eval_threads: usize,
+    options: EvalOptions,
 }
 
 impl WellFoundedQuery {
@@ -327,7 +305,7 @@ impl WellFoundedQuery {
             program,
             input_schema,
             output_schema,
-            eval_threads: 1,
+            options: EvalOptions::default(),
         }
     }
 
@@ -335,7 +313,7 @@ impl WellFoundedQuery {
     /// (default 1 = sequential; the model is identical either way).
     #[must_use]
     pub fn with_eval_threads(mut self, n: usize) -> Self {
-        self.eval_threads = n.max(1);
+        self.options = self.options.with_eval_threads(n);
         self
     }
 
@@ -355,114 +333,11 @@ impl WellFoundedQuery {
 
     /// The full three-valued model on an input.
     pub fn model(&self, input: &Instance) -> WellFoundedModel {
-        well_founded_model_opts(
+        well_founded_model(
             &self.program,
             &input.restrict(&self.input_schema),
-            EvalOptions::default().with_eval_threads(self.eval_threads),
+            self.options,
             &Obs::noop(),
-        )
-    }
-
-    /// Open a maintained evaluation over `input`: the doubled program
-    /// is constructed and compiled once, the EDB interned once, and
-    /// signed [`UpdateBatch`]es are folded in with
-    /// [`WellFoundedSession::apply`].
-    ///
-    /// Unlike [`crate::DatalogQuery::open`], maintenance here is
-    /// batch-level re-alternation rather than DRed: the alternating
-    /// fixpoint is non-monotone end to end (each Γ application flips
-    /// the sign of every idb fact's role), so delete–rederive does not
-    /// compose across Γ applications. What the session caches is the
-    /// doubled-program construction, its compilation against a shared
-    /// symbol table, and the interned EDB — the per-batch cost is the
-    /// alternation itself, not parsing, doubling, compiling or
-    /// re-interning.
-    pub fn open(&self, input: &Instance) -> WellFoundedSession<'_> {
-        let doubled = doubled_program(&self.program);
-        let symbols = SharedSymbols::new();
-        let (possible_cp, true_cp) = doubled.compile(&symbols, self.eval_threads);
-        let edb = input.restrict(&self.input_schema);
-        let base = Database::from_instance_with(&edb, symbols);
-        let mut session = WellFoundedSession {
-            query: self,
-            doubled,
-            possible_cp,
-            true_cp,
-            base,
-            edb,
-            model: WellFoundedModel {
-                true_facts: Instance::new(),
-                possible_facts: Instance::new(),
-                gamma_applications: 0,
-            },
-        };
-        session.model = session.alternate();
-        session
-    }
-}
-
-/// A maintained well-founded evaluation (see
-/// [`WellFoundedQuery::open`]): the current EDB stays interned in a
-/// [`Database`] updated in place by signed batches (tombstone retract,
-/// revive-on-reinsert, compaction at the batch boundary), and each
-/// [`apply`](WellFoundedSession::apply) re-runs the alternating
-/// fixpoint with the cached doubled compilation.
-pub struct WellFoundedSession<'q> {
-    query: &'q WellFoundedQuery,
-    doubled: DoubledProgram,
-    possible_cp: CompiledProgram,
-    true_cp: CompiledProgram,
-    /// The current EDB, interned (input restricted to the input schema).
-    base: Database,
-    /// Value-level mirror of `base`, for the possible-facts union.
-    edb: Instance,
-    model: WellFoundedModel,
-}
-
-impl WellFoundedSession<'_> {
-    /// Fold one signed batch into the EDB and recompute the model.
-    /// Facts outside the query's input schema are ignored, mirroring
-    /// [`WellFoundedQuery::model`]'s input restriction. Returns
-    /// `(inserted, deleted)` EDB fact counts.
-    pub fn apply(&mut self, batch: &UpdateBatch) -> (usize, usize) {
-        let schema = &self.query.input_schema;
-        let keep = |f: &&Fact| schema.arity(f.relation()) == Some(f.arity());
-        let restricted = UpdateBatch {
-            insert: batch.insert.iter().filter(keep).cloned().collect(),
-            delete: batch.delete.iter().filter(keep).cloned().collect(),
-        };
-        let (ins, del) = self.base.apply_update_batch(&restricted);
-        self.base.storage_mut().compact_retractions();
-        restricted.apply_to_instance(&mut self.edb);
-        self.model = self.alternate();
-        (ins, del)
-    }
-
-    /// The current three-valued model.
-    pub fn model(&self) -> &WellFoundedModel {
-        &self.model
-    }
-
-    /// The current query answer: true facts over the output schema.
-    pub fn output(&self) -> Instance {
-        self.model.true_facts.restrict(&self.query.output_schema)
-    }
-
-    /// The current (restricted) EDB.
-    pub fn edb(&self) -> &Instance {
-        &self.edb
-    }
-
-    /// The alternating fixpoint over the maintained EDB. The session
-    /// EDB is restricted to `edb(P)`, which the doubling never primes,
-    /// so one interned base serves both sides.
-    fn alternate(&self) -> WellFoundedModel {
-        self.doubled.alternate(
-            &self.possible_cp,
-            &self.true_cp,
-            &self.base,
-            &self.base,
-            &self.edb,
         )
     }
 }
@@ -492,6 +367,10 @@ mod tests {
     use calm_common::fact::fact;
     use calm_common::generator::{chain_game, cycle_game, cycle_with_escape};
 
+    fn wfs(p: &Program, input: &Instance) -> WellFoundedModel {
+        well_founded_model(p, input, EvalOptions::default(), &Obs::noop())
+    }
+
     fn win_move() -> Program {
         parse_program("win(x) :- move(x,y), not win(y).").unwrap()
     }
@@ -499,7 +378,7 @@ mod tests {
     #[test]
     fn chain_alternates_win_lose() {
         // 0 -> 1 -> 2 -> 3: 3 lost, 2 won, 1 lost, 0 won.
-        let m = well_founded_model(&win_move(), &chain_game(0, 3));
+        let m = wfs(&win_move(), &chain_game(0, 3));
         assert!(m.is_total());
         assert_eq!(m.truth(&fact("win", [0])), Some(true));
         assert_eq!(m.truth(&fact("win", [1])), Some(false));
@@ -509,7 +388,7 @@ mod tests {
 
     #[test]
     fn even_cycle_all_drawn() {
-        let m = well_founded_model(&win_move(), &cycle_game(0, 4));
+        let m = wfs(&win_move(), &cycle_game(0, 4));
         assert!(!m.is_total());
         for k in 0..4 {
             assert_eq!(m.truth(&fact("win", [k])), None, "position {k} drawn");
@@ -519,7 +398,7 @@ mod tests {
     #[test]
     fn cycle_with_escape_is_determined() {
         // a=10, b=11, c=12: c lost, b won (b->c), a lost (only move to won b).
-        let m = well_founded_model(&win_move(), &cycle_with_escape(10));
+        let m = wfs(&win_move(), &cycle_with_escape(10));
         assert!(m.is_total());
         assert_eq!(m.truth(&fact("win", [10])), Some(false));
         assert_eq!(m.truth(&fact("win", [11])), Some(true));
@@ -537,10 +416,11 @@ mod tests {
         )
         .unwrap();
         let input = calm_common::generator::path(3);
-        let wfs = well_founded_model(&p, &input);
-        assert!(wfs.is_total());
-        let strat = crate::eval::eval_program(&p, &input).unwrap();
-        assert_eq!(wfs.true_facts, strat);
+        let model = wfs(&p, &input);
+        assert!(model.is_total());
+        let (strat, _) =
+            crate::eval::eval_program(&p, &input, EvalOptions::default(), &Obs::noop()).unwrap();
+        assert_eq!(model.true_facts, strat);
     }
 
     #[test]
@@ -553,7 +433,7 @@ mod tests {
             cycle_game(0, 4),
             cycle_with_escape(0),
         ] {
-            let direct = well_founded_model(&p, &input);
+            let direct = wfs(&p, &input);
             let via_doubled = d.eval(&input);
             assert_eq!(
                 direct.true_facts.restrict(&p.output_schema()),
@@ -589,44 +469,14 @@ mod tests {
 
     #[test]
     fn odd_cycle_drawn() {
-        let m = well_founded_model(&win_move(), &cycle_game(0, 3));
+        let m = wfs(&win_move(), &cycle_game(0, 3));
         assert_eq!(m.undefined().relation_len("win"), 3);
     }
 
     #[test]
     fn empty_game_empty_model() {
-        let m = well_founded_model(&win_move(), &Instance::new());
+        let m = wfs(&win_move(), &Instance::new());
         assert!(m.is_total());
         assert!(m.true_facts.is_empty());
-    }
-
-    #[test]
-    fn session_tracks_model_across_updates() {
-        let q = WellFoundedQuery::parse("win-move", "win(x) :- move(x,y), not win(y).").unwrap();
-        let mut edb = chain_game(0, 3);
-        let mut session = q.open(&edb);
-        assert_eq!(session.model().true_facts, q.model(&edb).true_facts);
-        let batches = [
-            // Close the chain into an even cycle: everything drawn.
-            UpdateBatch::inserting([fact("move", [3, 0])]),
-            // Break it again and shorten the chain.
-            UpdateBatch::deleting([fact("move", [3, 0]), fact("move", [2, 3])]),
-            // Mixed batch with an out-of-schema fact (ignored).
-            UpdateBatch::inserting([fact("win", [9]), fact("move", [2, 0])]),
-        ];
-        for (k, b) in batches.iter().enumerate() {
-            session.apply(b);
-            b.apply_to_instance(&mut edb);
-            let expect = q.model(&edb.restrict(q.input_schema()));
-            assert_eq!(session.model().true_facts, expect.true_facts, "batch {k}");
-            assert_eq!(
-                session.model().possible_facts,
-                expect.possible_facts,
-                "batch {k}"
-            );
-            assert_eq!(session.output(), q.eval(&edb), "batch {k}");
-        }
-        // The out-of-schema win(9) never entered the session EDB.
-        assert!(!session.edb().contains(&fact("win", [9])));
     }
 }

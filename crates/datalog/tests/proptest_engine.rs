@@ -9,12 +9,24 @@ use calm_common::fact::fact;
 use calm_common::instance::Instance;
 use calm_common::rng::Rng;
 use calm_datalog::ast::{Atom, Rule, Term};
-use calm_datalog::eval::{eval_program_with, Engine};
+use calm_datalog::eval::{eval_program, Engine, EvalMetrics, EvalOptions};
 use calm_datalog::program::Program;
 use calm_datalog::stratify::stratify;
 use calm_datalog::{parse_program, parse_rule};
 
 const CASES: u64 = 48;
+
+/// The full model of `p` on `input` and each stratum's counters, by
+/// `engine` at `threads` eval threads.
+fn eval(
+    p: &Program,
+    input: &Instance,
+    engine: Engine,
+    threads: usize,
+) -> (Instance, Vec<EvalMetrics>) {
+    let options = EvalOptions::from(engine).with_eval_threads(threads);
+    eval_program(p, input, options, &calm_obs::Obs::noop()).unwrap()
+}
 
 /// Random positive rule over a fixed schema {E(2), V(1)} with idb T(2),
 /// S(1): choose a head and 1..3 body atoms over the head's variables.
@@ -96,9 +108,9 @@ fn engines_agree_on_random_programs() {
         let rules = rand_rules(&mut r, 5);
         let input = small_instance(&mut r);
         if let Ok(p) = Program::new(rules) {
-            let (a, _) = eval_program_with(&p, &input, Engine::SemiNaive).unwrap();
-            let (b, _) = eval_program_with(&p, &input, Engine::SemiNaiveBaseline).unwrap();
-            let (c, _) = eval_program_with(&p, &input, Engine::Naive).unwrap();
+            let (a, _) = eval(&p, &input, Engine::SemiNaive, 1);
+            let (b, _) = eval(&p, &input, Engine::SemiNaiveBaseline, 1);
+            let (c, _) = eval(&p, &input, Engine::Naive, 1);
             assert_eq!(a, b, "seed {seed}: optimized vs baseline\n{p}");
             assert_eq!(a, c, "seed {seed}: seminaive vs naive\n{p}");
         }
@@ -169,9 +181,9 @@ fn engines_agree_on_random_stratified_programs() {
         let rules = rand_stratified_rules(&mut r);
         let input = small_instance(&mut r);
         if let Ok(p) = Program::new(rules) {
-            let (a, sa) = eval_program_with(&p, &input, Engine::SemiNaive).unwrap();
-            let (b, sb) = eval_program_with(&p, &input, Engine::SemiNaiveBaseline).unwrap();
-            let (c, _) = eval_program_with(&p, &input, Engine::Naive).unwrap();
+            let (a, sa) = eval(&p, &input, Engine::SemiNaive, 1);
+            let (b, sb) = eval(&p, &input, Engine::SemiNaiveBaseline, 1);
+            let (c, _) = eval(&p, &input, Engine::Naive, 1);
             assert_eq!(a, b, "seed {seed}: indexed vs baseline\n{p}");
             assert_eq!(a, c, "seed {seed}: semi-naive vs naive\n{p}");
             let baseline_probes: usize = sb.iter().map(|s| s.index_probes).sum();
@@ -204,9 +216,6 @@ fn engines_agree_on_random_stratified_programs() {
 /// [`EvalMetrics`]: calm_datalog::eval::EvalMetrics
 #[test]
 fn parallel_eval_is_byte_identical_to_sequential_on_random_programs() {
-    use calm_common::storage::SharedSymbols;
-    use calm_datalog::eval::eval_stratification_opts;
-    let noop = calm_obs::Obs::noop();
     let mut exercised = 0usize;
     for seed in 0..CASES {
         let mut r = Rng::seed_from_u64(seed);
@@ -215,19 +224,10 @@ fn parallel_eval_is_byte_identical_to_sequential_on_random_programs() {
         let Ok(p) = Program::new(rules) else {
             continue;
         };
-        let strat = stratify(&p).unwrap();
         for engine in [Engine::SemiNaive, Engine::SemiNaiveBaseline] {
-            let (seq_out, seq_stats) =
-                eval_stratification_opts(&strat, &input, engine, SharedSymbols::new(), &noop, 1);
+            let (seq_out, seq_stats) = eval(&p, &input, engine, 1);
             for threads in [2, 4] {
-                let (par_out, par_stats) = eval_stratification_opts(
-                    &strat,
-                    &input,
-                    engine,
-                    SharedSymbols::new(),
-                    &noop,
-                    threads,
-                );
+                let (par_out, par_stats) = eval(&p, &input, engine, threads);
                 assert_eq!(
                     seq_out, par_out,
                     "seed {seed} engine {engine:?} T={threads}: output diverged\n{p}"
@@ -251,11 +251,11 @@ fn evaluation_is_inflationary_and_monotone_for_positive_programs() {
         let input = small_instance(&mut r);
         let extra = small_instance(&mut r);
         if let Ok(p) = Program::new(rules) {
-            let out1 = calm_datalog::eval::eval_program(&p, &input).unwrap();
+            let (out1, _) = eval(&p, &input, Engine::SemiNaive, 1);
             // Inflationary: the input is contained in the model.
             assert!(input.is_subset(&out1), "seed {seed}\n{p}");
             // Monotone: positive programs only grow with more input.
-            let out2 = calm_datalog::eval::eval_program(&p, &input.union(&extra)).unwrap();
+            let (out2, _) = eval(&p, &input.union(&extra), Engine::SemiNaive, 1);
             assert!(out1.is_subset(&out2), "seed {seed}\n{p}");
         }
     }
@@ -293,7 +293,7 @@ fn adom_rules_compute_active_domain() {
         // comparison to the part of the input the program sees.
         let p = parse_program("T(x,y) :- E(x,y).").unwrap().with_adom();
         let visible = input.restrict(&p.edb());
-        let out = calm_datalog::eval::eval_program(&p, &visible).unwrap();
+        let (out, _) = eval(&p, &visible, Engine::SemiNaive, 1);
         let adom_vals: std::collections::BTreeSet<_> =
             out.tuples("Adom").map(|t| t[0].clone()).collect();
         assert_eq!(adom_vals, visible.adom(), "seed {seed}");

@@ -67,8 +67,8 @@ fn invention_free_ilog_equals_datalog() {
         let src = "@output T.\nT(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).";
         let p = IlogProgram::parse(src).unwrap();
         let via_ilog = eval_ilog_query(&p, &i, Limits::default()).unwrap();
-        let via_datalog =
-            calm_datalog::eval::eval_query(&calm_datalog::parse_program(src).unwrap(), &i).unwrap();
+        let q = calm_datalog::DatalogQuery::parse("tc", src).unwrap();
+        let via_datalog = calm_common::query::Query::eval(&q, &i);
         assert_eq!(via_ilog, via_datalog, "seed {seed}");
     }
 }

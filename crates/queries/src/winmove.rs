@@ -93,13 +93,13 @@ pub fn win_move_native() -> impl Query {
 /// query is in `Mdisjoint` (disjoint subgames cannot resolve a draw) but
 /// not in `Mdistinct` (a fresh escape edge can determine a drawn cycle).
 pub fn win_move_drawn() -> impl Query {
-    let program = calm_datalog::parse_program(WIN_MOVE_SRC).expect("well-formed");
+    let wfs = WellFoundedQuery::parse("win-move", WIN_MOVE_SRC).expect("well-formed");
     FnQuery::new(
         "win-move-drawn",
         Schema::from_pairs([("move", 2)]),
         Schema::from_pairs([("drawn", 1)]),
         move |i: &Instance| {
-            let model = calm_datalog::well_founded_model(&program, i);
+            let model = wfs.model(i);
             Instance::from_facts(
                 model
                     .undefined()

@@ -151,7 +151,8 @@ mod tests {
     use calm_common::instance::Instance;
 
     fn expected(p: &calm_datalog::Program, input: &Instance) -> Instance {
-        let answer = calm_datalog::eval::eval_query(p, input).unwrap();
+        let q = calm_datalog::DatalogQuery::new("expected", p.clone()).unwrap();
+        let answer = calm_common::query::Query::eval(&q, input);
         Instance::from_facts(
             answer
                 .facts()

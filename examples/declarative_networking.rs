@@ -34,8 +34,9 @@ fn main() {
 
     // The centralized answer, renamed into the transducer's output schema.
     let expected = Instance::from_facts(
-        calm::datalog::eval::eval_query(&program, &input)
+        calm::datalog::DatalogQuery::new("net-reach", program.clone())
             .unwrap()
+            .eval(&input)
             .facts()
             .map(|f| Fact::new(format!("out_{}", f.relation()), f.args().to_vec())),
     );

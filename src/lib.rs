@@ -88,9 +88,7 @@ pub mod prelude {
     pub use calm_common::query::{FnQuery, Query};
     pub use calm_common::update::UpdateBatch;
     pub use calm_common::{fact, v, Fact, Instance, Schema, Value};
-    pub use calm_datalog::{
-        parse_program, DatalogQuery, IncrementalEvaluation, WellFoundedQuery, WellFoundedSession,
-    };
+    pub use calm_datalog::{parse_program, DatalogQuery, IncrementalEvaluation, WellFoundedQuery};
     pub use calm_monotone::{ExtensionKind, Falsifier};
     pub use calm_transducer::{
         expected_output, run, DisjointStrategy, DistinctStrategy, DistributionPolicy,

@@ -85,9 +85,15 @@ fn e14_semicon_split_composition_equals_whole_program() {
     let q = qtc_datalog();
     let (prefix, suffix) = semicon_split(q.program()).expect("semicon");
     for input in [path(3), disjoint_triangles(0, 2)] {
-        let whole = calm::datalog::eval_program(q.program(), &input).unwrap();
-        let mid = calm::datalog::eval_program(&prefix, &input).unwrap();
-        let composed = calm::datalog::eval_program(&suffix, &mid).unwrap();
+        let eval = |p, input| {
+            let options = calm::datalog::EvalOptions::default();
+            calm::datalog::eval_program(p, input, options, &calm_obs::Obs::noop())
+                .unwrap()
+                .0
+        };
+        let whole = eval(q.program(), &input);
+        let mid = eval(&prefix, &input);
+        let composed = eval(&suffix, &mid);
         assert_eq!(
             whole.restrict(&q.program().output_schema()),
             composed.restrict(&q.program().output_schema())

@@ -11,7 +11,7 @@ use calm::common::rng::Rng;
 use calm::common::{
     fact, is_domain_disjoint, is_domain_distinct, is_induced_subinstance, v, Instance,
 };
-use calm::datalog::eval::{eval_program_with, Engine};
+use calm::datalog::eval::{eval_program, Engine, EvalOptions};
 use calm::datalog::parse_program;
 use calm::monotone::check_distributes_over_components;
 use calm::prelude::*;
@@ -186,8 +186,9 @@ fn naive_and_seminaive_agree() {
         let a = edge_instance(&mut r, 6, 12);
         let p =
             parse_program("T(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).\nS(x) :- T(x,x).").unwrap();
-        let (x, _) = eval_program_with(&p, &a, Engine::SemiNaive).unwrap();
-        let (y, _) = eval_program_with(&p, &a, Engine::Naive).unwrap();
+        let eval = |engine: Engine| eval_program(&p, &a, engine.into(), &calm_obs::Obs::noop());
+        let (x, _) = eval(Engine::SemiNaive).unwrap();
+        let (y, _) = eval(Engine::Naive).unwrap();
         assert_eq!(x, y, "seed {seed}");
     }
 }
@@ -229,7 +230,12 @@ fn wfs_true_subset_possible() {
         let mut r = Rng::seed_from_u64(seed);
         let g = move_instance(&mut r, 8, 12);
         let p = parse_program("win(x) :- move(x,y), not win(y).").unwrap();
-        let m = calm::datalog::well_founded_model(&p, &g);
+        let m = calm::datalog::well_founded_model(
+            &p,
+            &g,
+            EvalOptions::default(),
+            &calm_obs::Obs::noop(),
+        );
         assert!(m.true_facts.is_subset(&m.possible_facts), "seed {seed}");
     }
 }

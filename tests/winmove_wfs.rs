@@ -5,10 +5,15 @@
 use calm::common::generator::{chain_game, cycle_game, cycle_with_escape, mv, InstanceRng};
 use calm::common::{is_domain_disjoint, Instance};
 use calm::datalog::wellfounded::doubled_program;
-use calm::datalog::{parse_program, well_founded_model};
+use calm::datalog::wellfounded::WellFoundedModel;
+use calm::datalog::{parse_program, well_founded_model, EvalOptions, Program};
 use calm::monotone::{check_pair, Exhaustive, ExtensionKind, Falsifier};
 use calm::prelude::*;
 use calm::queries::winmove::{win_move, win_move_native};
+
+fn wfs(p: &Program, game: &Instance) -> WellFoundedModel {
+    well_founded_model(p, game, EvalOptions::default(), &calm_obs::Obs::noop())
+}
 
 #[test]
 fn wfs_equals_backward_induction_on_many_random_games() {
@@ -26,7 +31,7 @@ fn doubled_program_equals_alternating_fixpoint_on_random_games() {
     let d = doubled_program(&p);
     for seed in 0..25u64 {
         let game = InstanceRng::seeded(1000 + seed).move_graph(10, 3);
-        let direct = well_founded_model(&p, &game);
+        let direct = wfs(&p, &game);
         let doubled = d.eval(&game);
         let out = p.output_schema();
         assert_eq!(
@@ -47,10 +52,10 @@ fn three_valued_structure_of_classic_games() {
     let p = parse_program("win(x) :- move(x,y), not win(y).").unwrap();
     // Chains are total; even cycles fully drawn; odd cycles fully drawn;
     // cycle-with-escape total.
-    assert!(well_founded_model(&p, &chain_game(0, 6)).is_total());
-    assert!(well_founded_model(&p, &cycle_with_escape(0)).is_total());
+    assert!(wfs(&p, &chain_game(0, 6)).is_total());
+    assert!(wfs(&p, &cycle_with_escape(0)).is_total());
     for n in [2, 3, 4, 5] {
-        let m = well_founded_model(&p, &cycle_game(0, n));
+        let m = wfs(&p, &cycle_game(0, n));
         assert_eq!(m.undefined().relation_len("win"), n, "cycle of {n}");
     }
 }
