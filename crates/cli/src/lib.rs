@@ -18,7 +18,6 @@
 //! processes.
 
 #![warn(missing_docs)]
-#![warn(clippy::too_many_lines)]
 
 mod eval;
 mod obs;

@@ -1,7 +1,5 @@
 //! The `calm` binary: see [`calm_cli::USAGE`].
 
-#![warn(clippy::too_many_lines)]
-
 use calm_cli::*;
 use std::io::{self, Write};
 

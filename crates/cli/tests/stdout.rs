@@ -3,7 +3,8 @@
 //! has written nothing to its output and exactly its message to its
 //! error stream — the usage text follows a usage mistake and nothing
 //! else — the plan `--dump-plan` asks for under `--updates` precedes
-//! the answers in both modes, and the three engines print one answer.
+//! the answers in both modes, every command spells a string so that it
+//! reads back, and the three engines print one answer.
 
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
@@ -137,6 +138,46 @@ fn a_plan_asked_for_under_updates_precedes_the_initial_answer_in_both_modes() {
         assert!(stderr.is_empty(), "{mode:?}: {stderr}");
         assert_eq!(String::from_utf8_lossy(&run.stdout), expected, "{mode:?}");
     }
+}
+
+#[test]
+fn distinct_strings_print_apart_and_read_back() {
+    // `"5"` and `5` used to print alike, `""` as nothing and `"x,y"` as
+    // two values: four facts came out as one line four times, and the
+    // answer could not be read back. A string that is not an identifier
+    // prints quoted, under every command and both `eval` printers.
+    let dir = Dir::new("quoted");
+    let copy = dir.file("copy.dl", "@output P.\nP(x,y) :- E(x,y).\n");
+    let facts = dir.file(
+        "quoted.facts",
+        "E(\"5\",5). E(5,\"5\"). E(5,5). E(\"5\",\"5\").\nE(\"x,y\",\"\"). E(\"a b\",a).\n",
+    );
+    let updates = dir.file("quoted.updates", "+ E(\"(\",b).\n");
+    let answer =
+        "P(5,5).\nP(5,\"5\").\nP(\"5\",5).\nP(\"5\",\"5\").\nP(\"a b\",a).\nP(\"x,y\",\"\").\n";
+    let stdout = |args: &[&str]| {
+        let run = calm().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(0), "{args:?}: {stderr}");
+        String::from_utf8(run.stdout).unwrap()
+    };
+    assert_eq!(stdout(&["eval", &copy, &facts]), answer);
+    assert_eq!(stdout(&["wfs", &copy, &facts]), format!("% true\n{answer}"));
+    let simulated = stdout(&["simulate", &copy, &facts, "--nodes", "2"]);
+    let out: String = (simulated.lines())
+        .filter(|line| !line.starts_with('%'))
+        .map(|line| format!("{}\n", line.strip_prefix("out_").unwrap()))
+        .collect();
+    assert_eq!(out, answer);
+    let after = "P(5,5).\nP(5,\"5\").\nP(\"(\",b).\nP(\"5\",5).\nP(\"5\",\"5\").\nP(\"a b\",a).\nP(\"x,y\",\"\").\n";
+    let maintained = format!("% initial\n{answer}% after batch 1\n{after}");
+    for mode in [&[][..], &["--from-scratch"]] {
+        let args = [&["eval", &copy, &facts, "--updates", &updates][..], mode].concat();
+        assert_eq!(stdout(&args), maintained, "{mode:?}");
+    }
+    // The answer, read as facts, is the answer again.
+    let printed = dir.file("printed.facts", &answer.replace("P(", "E("));
+    assert_eq!(stdout(&["eval", &copy, &printed]), answer);
 }
 
 #[test]

@@ -72,11 +72,6 @@ pub fn components(i: &Instance) -> Vec<Instance> {
     out
 }
 
-/// Number of components of `I` without materializing them.
-pub fn component_count(i: &Instance) -> usize {
-    components(i).len()
-}
-
 /// Check Definition 5 part of the component contract: components partition
 /// `I` and have pairwise disjoint active domains. Returns `true` when the
 /// given decomposition is a valid `co(I)`. Used by property tests.
@@ -127,7 +122,7 @@ mod tests {
     #[test]
     fn chain_is_one_component() {
         let i = Instance::from_facts([fact("E", [1, 2]), fact("E", [2, 3]), fact("E", [3, 4])]);
-        assert_eq!(component_count(&i), 1);
+        assert_eq!(components(&i).len(), 1);
     }
 
     #[test]
@@ -186,8 +181,8 @@ mod tests {
     fn transitive_bridging_across_many_facts() {
         // 1-2, 4-5 separate; then 2-4 bridges them.
         let mut i = Instance::from_facts([fact("E", [1, 2]), fact("E", [4, 5])]);
-        assert_eq!(component_count(&i), 2);
+        assert_eq!(components(&i).len(), 2);
         i.insert(fact("E", [2, 4]));
-        assert_eq!(component_count(&i), 1);
+        assert_eq!(components(&i).len(), 1);
     }
 }

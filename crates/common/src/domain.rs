@@ -49,62 +49,10 @@ pub fn is_induced_subinstance(j: &Instance, i: &Instance) -> bool {
         .all(|f| j.contains(&f))
 }
 
-/// A fresh-value supply: hands out integer values guaranteed not to occur in
-/// a given base set. Used by checkers and generators to build
-/// domain-distinct / domain-disjoint extensions deterministically.
-#[derive(Debug, Clone)]
-pub struct FreshValues {
-    next: i64,
-    taken: BTreeSet<Value>,
-}
-
-impl FreshValues {
-    /// A supply avoiding every value of `avoid`.
-    pub fn avoiding(avoid: &BTreeSet<Value>) -> Self {
-        let next = avoid
-            .iter()
-            .filter_map(|v| match v {
-                Value::Int(i) => Some(*i + 1),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(0)
-            .max(0);
-        FreshValues {
-            next,
-            taken: avoid.clone(),
-        }
-    }
-
-    /// A supply avoiding the active domain of `i`.
-    pub fn avoiding_instance(i: &Instance) -> Self {
-        Self::avoiding(&i.adom())
-    }
-
-    /// Produce the next fresh value.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Value {
-        loop {
-            let candidate = Value::Int(self.next);
-            self.next += 1;
-            if !self.taken.contains(&candidate) {
-                self.taken.insert(candidate.clone());
-                return candidate;
-            }
-        }
-    }
-
-    /// Produce `n` fresh values.
-    pub fn take(&mut self, n: usize) -> Vec<Value> {
-        (0..n).map(|_| self.next()).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fact::fact;
-    use crate::value::v;
 
     fn base() -> Instance {
         Instance::from_facts([fact("E", [1, 2]), fact("E", [2, 3])])
@@ -172,20 +120,5 @@ mod tests {
             is_induced_subinstance(&j, &i),
             is_domain_distinct(&complement, &j)
         );
-    }
-
-    #[test]
-    fn fresh_values_avoid_base() {
-        let i = base();
-        let mut fresh = FreshValues::avoiding_instance(&i);
-        let vals = fresh.take(5);
-        let adom = i.adom();
-        for val in &vals {
-            assert!(!adom.contains(val));
-        }
-        // All distinct.
-        let set: BTreeSet<_> = vals.iter().cloned().collect();
-        assert_eq!(set.len(), 5);
-        assert!(!set.contains(&v(1)));
     }
 }

@@ -46,7 +46,7 @@ pub fn cycle_with_escape(base: i64) -> Instance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::component::component_count;
+    use crate::component::components;
 
     #[test]
     fn chain_game_shape() {
@@ -60,7 +60,7 @@ mod tests {
     fn cycle_game_wraps() {
         let g = cycle_game(0, 3);
         assert!(g.contains(&mv(2, 0)));
-        assert_eq!(component_count(&g), 1);
+        assert_eq!(components(&g).len(), 1);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use crate::fact::fact;
 use crate::instance::Instance;
-use crate::value::Value;
 
 /// The relation name used by all graph generators.
 pub const EDGE: &str = "E";
@@ -22,16 +21,11 @@ pub fn path(n: usize) -> Instance {
     path_from(0, n)
 }
 
-/// A directed cycle on `n >= 1` vertices `base..base+n`.
-pub fn cycle_from(base: i64, n: usize) -> Instance {
+/// A directed cycle on `n >= 1` vertices `0..n`.
+pub fn cycle(n: usize) -> Instance {
     assert!(n >= 1, "cycle needs at least one vertex");
     let n = n as i64;
-    Instance::from_facts((0..n).map(|k| edge(base + k, base + (k + 1) % n)))
-}
-
-/// A directed cycle on `n` vertices `0..n`.
-pub fn cycle(n: usize) -> Instance {
-    cycle_from(0, n)
+    Instance::from_facts((0..n).map(|k| edge(k, (k + 1) % n)))
 }
 
 /// A *clique* on `k` vertices `base..base+k` in the paper's undirected
@@ -48,11 +42,6 @@ pub fn clique_from(base: i64, k: usize) -> Instance {
         }
     }
     i
-}
-
-/// A bidirected clique on vertices `0..k`.
-pub fn clique(k: usize) -> Instance {
-    clique_from(0, k)
 }
 
 /// A *star* with `spokes` spokes: centre `base`, edges
@@ -110,18 +99,6 @@ pub fn disjoint_edges(base: i64, count: usize) -> Instance {
     Instance::from_facts((0..count as i64).map(|k| edge(base + 2 * k, base + 2 * k + 1)))
 }
 
-/// Vertices of an instance over `E`: the active domain as integers.
-/// Panics on non-integer values (graph generators only emit integers).
-pub fn vertices(i: &Instance) -> Vec<i64> {
-    i.adom()
-        .into_iter()
-        .map(|v| match v {
-            Value::Int(k) => k,
-            other => panic!("non-integer vertex {other}"),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,7 +109,7 @@ mod tests {
         assert_eq!(p.len(), 3);
         assert!(p.contains(&edge(0, 1)));
         assert!(p.contains(&edge(2, 3)));
-        assert_eq!(vertices(&p), vec![0, 1, 2, 3]);
+        assert_eq!(p.adom(), (0..=3).map(crate::value::v).collect());
     }
 
     #[test]
@@ -148,9 +125,9 @@ mod tests {
     fn clique_edge_count() {
         // k*(k-1) directed edges.
         for k in 1..=5 {
-            assert_eq!(clique(k).len(), k * k.saturating_sub(1));
+            assert_eq!(clique_from(0, k).len(), k * k.saturating_sub(1));
         }
-        assert!(clique(3).contains(&edge(2, 1)));
+        assert!(clique_from(0, 3).contains(&edge(2, 1)));
     }
 
     #[test]
@@ -166,7 +143,7 @@ mod tests {
     fn disjoint_triangles_are_disjoint() {
         let t = disjoint_triangles(0, 3);
         assert_eq!(t.len(), 9);
-        assert_eq!(crate::component::component_count(&t), 3);
+        assert_eq!(crate::component::components(&t).len(), 3);
     }
 
     #[test]
@@ -182,7 +159,7 @@ mod tests {
     fn disjoint_edges_disjoint() {
         let d = disjoint_edges(10, 3);
         assert_eq!(d.len(), 3);
-        assert_eq!(crate::component::component_count(&d), 3);
+        assert_eq!(crate::component::components(&d).len(), 3);
         assert!(d.contains(&edge(14, 15)));
     }
 }

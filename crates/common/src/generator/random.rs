@@ -82,11 +82,6 @@ impl InstanceRng {
         }
         i
     }
-
-    /// Direct access to the underlying RNG for ad-hoc draws.
-    pub fn rng(&mut self) -> &mut Rng {
-        &mut self.rng
-    }
 }
 
 #[cfg(test)]

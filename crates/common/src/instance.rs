@@ -149,21 +149,6 @@ impl Instance {
             .collect()
     }
 
-    /// The minimal schema this instance is over (each relation with the
-    /// arity of its tuples). Panics if a relation holds tuples of mixed
-    /// arity (cannot happen through the public API when facts come from a
-    /// single schema).
-    pub fn schema(&self) -> Schema {
-        let mut s = Schema::new();
-        for (r, tuples) in &self.relations {
-            let mut arities = tuples.iter().map(Vec::len);
-            if let Some(a) = arities.next() {
-                s.add(r, a);
-            }
-        }
-        s
-    }
-
     /// `I|σ`: the maximal subset of `I` over schema `σ`.
     pub fn restrict(&self, schema: &Schema) -> Instance {
         Instance {
@@ -192,13 +177,6 @@ impl Instance {
         let mut out = self.clone();
         out.extend(other.facts());
         out
-    }
-
-    /// In-place union.
-    pub fn extend(&mut self, facts: impl IntoIterator<Item = Fact>) {
-        for f in facts {
-            self.insert(f);
-        }
     }
 
     /// Set difference `I \ J`.
@@ -406,13 +384,6 @@ mod tests {
         assert!(x.is_subset(&j));
         assert!(!i.is_subset(&j));
         assert!(i.is_subset(&u));
-    }
-
-    #[test]
-    fn schema_inference() {
-        let s = abc().schema();
-        assert_eq!(s.arity("E"), Some(2));
-        assert_eq!(s.arity("V"), Some(1));
     }
 
     #[test]

@@ -58,7 +58,7 @@ impl Rng {
     }
 
     /// A uniform `f64` in `[0, 1)`.
-    pub fn gen_f64(&mut self) -> f64 {
+    fn gen_f64(&mut self) -> f64 {
         (self.gen_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 

@@ -1,6 +1,6 @@
 //! Database schemas: finite maps from relation names to arities.
 
-use crate::fact::{rel, Fact, RelName};
+use crate::fact::{rel, RelName};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -13,45 +13,6 @@ pub struct Schema {
     relations: BTreeMap<RelName, usize>,
 }
 
-/// Errors raised when constructing or combining schemas.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SchemaError {
-    /// A relation was declared with arity zero.
-    NullaryRelation(String),
-    /// The same relation name was declared with two different arities.
-    ArityConflict {
-        /// The conflicting relation name.
-        relation: String,
-        /// Arity seen first.
-        first: usize,
-        /// Arity seen second.
-        second: usize,
-    },
-}
-
-impl fmt::Display for SchemaError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SchemaError::NullaryRelation(r) => {
-                write!(
-                    f,
-                    "relation {r} has arity 0; nullary relations are not supported"
-                )
-            }
-            SchemaError::ArityConflict {
-                relation,
-                first,
-                second,
-            } => write!(
-                f,
-                "relation {relation} declared with conflicting arities {first} and {second}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for SchemaError {}
-
 impl Schema {
     /// The empty schema.
     pub fn new() -> Self {
@@ -60,49 +21,27 @@ impl Schema {
 
     /// Build a schema from `(name, arity)` pairs.
     ///
-    /// # Errors
-    /// Returns an error for nullary relations or conflicting arities.
-    pub fn try_from_pairs<'a>(
-        pairs: impl IntoIterator<Item = (&'a str, usize)>,
-    ) -> Result<Self, SchemaError> {
+    /// # Panics
+    /// As [`Schema::add`] does, on any pair.
+    pub fn from_pairs<'a>(pairs: impl IntoIterator<Item = (&'a str, usize)>) -> Self {
         let mut s = Schema::new();
         for (name, arity) in pairs {
-            s.try_add(name, arity)?;
+            s.add(name, arity);
         }
-        Ok(s)
+        s
     }
 
-    /// Build a schema from `(name, arity)` pairs, panicking on error.
-    pub fn from_pairs<'a>(pairs: impl IntoIterator<Item = (&'a str, usize)>) -> Self {
-        Self::try_from_pairs(pairs).expect("invalid schema")
-    }
-
-    /// Add a relation.
+    /// Add a relation. Re-adding it with the same arity is a no-op.
     ///
-    /// # Errors
-    /// Returns an error if `arity == 0` or the relation exists with a
-    /// different arity. Re-adding with the same arity is a no-op.
-    pub fn try_add(&mut self, name: &str, arity: usize) -> Result<(), SchemaError> {
-        if arity == 0 {
-            return Err(SchemaError::NullaryRelation(name.to_string()));
-        }
-        if let Some(&existing) = self.relations.get(name) {
-            if existing != arity {
-                return Err(SchemaError::ArityConflict {
-                    relation: name.to_string(),
-                    first: existing,
-                    second: arity,
-                });
-            }
-            return Ok(());
-        }
-        self.relations.insert(rel(name), arity);
-        Ok(())
-    }
-
-    /// Add a relation, panicking on error.
+    /// # Panics
+    /// If `arity == 0`, or the relation is there with another arity.
+    /// (The text parser refuses both before it builds a schema.)
     pub fn add(&mut self, name: &str, arity: usize) -> &mut Self {
-        self.try_add(name, arity).expect("invalid relation");
+        assert!(arity > 0, "relation {name} has arity 0");
+        match self.relations.get(name) {
+            Some(&first) => assert_eq!(first, arity, "relation {name}: conflicting arities"),
+            None => _ = self.relations.insert(rel(name), arity),
+        }
         self
     }
 
@@ -114,12 +53,6 @@ impl Schema {
     /// Whether the schema contains the relation.
     pub fn contains(&self, name: &str) -> bool {
         self.relations.contains_key(name)
-    }
-
-    /// Whether a fact is *over* this schema (relation present, arity
-    /// matches).
-    pub fn covers(&self, fact: &Fact) -> bool {
-        self.arity(fact.relation()) == Some(fact.arity())
     }
 
     /// Iterate `(name, arity)` pairs in deterministic (sorted) order.
@@ -144,19 +77,14 @@ impl Schema {
 
     /// Union of two schemas.
     ///
-    /// # Errors
-    /// Returns an error on arity conflicts.
-    pub fn try_union(&self, other: &Schema) -> Result<Schema, SchemaError> {
+    /// # Panics
+    /// As [`Schema::add`] does, on a relation of both with two arities.
+    pub fn union(&self, other: &Schema) -> Schema {
         let mut out = self.clone();
         for (name, arity) in other.iter() {
-            out.try_add(name, arity)?;
+            out.add(name, arity);
         }
-        Ok(out)
-    }
-
-    /// Union of two schemas, panicking on arity conflicts.
-    pub fn union(&self, other: &Schema) -> Schema {
-        self.try_union(other).expect("schema union conflict")
+        out
     }
 
     /// Whether the two schemas share no relation names.
@@ -193,7 +121,6 @@ impl fmt::Debug for Schema {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fact::fact;
 
     #[test]
     fn build_and_query() {
@@ -206,29 +133,36 @@ mod tests {
     }
 
     #[test]
-    fn rejects_nullary() {
-        assert!(matches!(
-            Schema::try_from_pairs([("P", 0)]),
-            Err(SchemaError::NullaryRelation(_))
-        ));
+    #[should_panic]
+    fn add_rejects_nullary() {
+        Schema::new().add("P", 0);
     }
 
     #[test]
-    fn rejects_conflicting_arity() {
+    #[should_panic]
+    fn add_rejects_conflicting_arity() {
         let mut s = Schema::from_pairs([("E", 2)]);
-        assert!(s.try_add("E", 2).is_ok());
-        assert!(matches!(
-            s.try_add("E", 3),
-            Err(SchemaError::ArityConflict { .. })
-        ));
+        s.add("E", 2);
+        assert_eq!(s.arity("E"), Some(2));
+        s.add("E", 3);
     }
 
     #[test]
-    fn covers_checks_relation_and_arity() {
-        let s = Schema::from_pairs([("E", 2)]);
-        assert!(s.covers(&fact("E", [1, 2])));
-        assert!(!s.covers(&fact("E", [1, 2, 3])));
-        assert!(!s.covers(&fact("F", [1, 2])));
+    #[should_panic]
+    fn from_pairs_rejects_nullary() {
+        Schema::from_pairs([("E", 2), ("P", 0)]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn from_pairs_rejects_conflicting_arity() {
+        Schema::from_pairs([("E", 2), ("E", 3)]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn union_rejects_conflicting_arity() {
+        Schema::from_pairs([("E", 2)]).union(&Schema::from_pairs([("E", 3)]));
     }
 
     #[test]
@@ -239,8 +173,6 @@ mod tests {
         assert_eq!(u.len(), 2);
         assert!(a.is_disjoint(&b));
         assert!(!u.is_disjoint(&a));
-        let c = Schema::from_pairs([("E", 3)]);
-        assert!(a.try_union(&c).is_err());
     }
 
     #[test]

@@ -54,7 +54,7 @@
 use crate::fact::{rel, RelName};
 use crate::instance::Instance;
 use crate::schema::Schema;
-use crate::value::Value;
+use crate::value::{prints_bare, Value};
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -196,7 +196,8 @@ impl SymbolTable {
     /// An empty table that panics after `cap` ids per namespace — used
     /// by tests to exercise the interning-capacity guard without
     /// interning 2^32 values.
-    pub fn with_id_capacity(cap: u32) -> Self {
+    #[cfg(test)]
+    fn with_id_capacity(cap: u32) -> Self {
         SymbolTable {
             id_cap: cap,
             ..SymbolTable::default()
@@ -1042,11 +1043,6 @@ impl Storage {
         }
     }
 
-    /// Whether any relation has rows past its delta watermark.
-    pub fn any_delta(&self) -> bool {
-        self.rels.iter().any(|r| !r.delta_rows().is_empty())
-    }
-
     /// Whether two stores (over the *same* symbol table) hold the same
     /// facts, ignoring insertion order.
     pub fn same_facts(&self, other: &Storage) -> bool {
@@ -1343,8 +1339,8 @@ impl SymbolText {
         for s in (self.text_end.len()..table.sym_count()).map(|i| Sym(i as u32)) {
             match table.value(s) {
                 Value::Int(i) => push_decimal(&mut self.text, *i),
-                Value::Str(text) => self.text.extend_from_slice(text.as_bytes()),
-                term => write!(self.text, "{term}").expect("writing to memory"),
+                Value::Str(s) if prints_bare(s) => self.text.extend_from_slice(s.as_bytes()),
+                other => write!(self.text, "{other}").expect("writing to memory"),
             }
             self.text_end.push(self.text.len());
         }
@@ -1547,10 +1543,9 @@ mod tests {
         let e = t.rel("E");
         st.insert(e, &syms(&mut t, &[1, 2]));
         st.mark_deltas();
-        assert!(!st.any_delta());
+        assert!(st.relation(e).unwrap().delta_rows().is_empty());
         st.insert(e, &syms(&mut t, &[2, 3]));
         st.insert(e, &syms(&mut t, &[3, 4]));
-        assert!(st.any_delta());
         let rel = st.relation(e).unwrap();
         assert_eq!(rel.delta_rows().len(), 2);
         assert_eq!(rel.rows().len(), 3);

@@ -40,7 +40,7 @@ pub struct SkolemTerm {
 impl SkolemTerm {
     /// The nesting depth of this term (a term with no Skolem arguments has
     /// depth 1). Used to bound Herbrand evaluation (divergence cutoff).
-    pub fn depth(&self) -> usize {
+    fn depth(&self) -> usize {
         1 + self.args.iter().map(Value::skolem_depth).max().unwrap_or(0)
     }
 }
@@ -102,11 +102,23 @@ impl fmt::Debug for Value {
     }
 }
 
+/// Whether a string value prints bare: only when the facts grammar reads
+/// the bare text back as this string — an identifier, its first character
+/// alphabetic or `_`, the others alphanumeric, `_` or `'`. Any other string
+/// prints quoted, so no two values print alike. (The grammar has no
+/// escapes: a string holding `"` has no spelling.)
+pub(crate) fn prints_bare(s: &str) -> bool {
+    let mut chars = s.chars();
+    chars.next().is_some_and(|c| c.is_alphabetic() || c == '_')
+        && chars.all(|c| c.is_alphanumeric() || c == '_' || c == '\'')
+}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Value::Int(i) => write!(f, "{i}"),
-            Value::Str(s) => write!(f, "{s}"),
+            Value::Str(s) if prints_bare(s) => f.write_str(s),
+            Value::Str(s) => write!(f, "\"{s}\""),
             Value::Skolem(t) => write!(f, "{t}"),
         }
     }
@@ -180,5 +192,14 @@ mod tests {
         assert_eq!(Value::str("abc").to_string(), "abc");
         let t = Value::skolem("f_R", vec![v(1), Value::str("x")]);
         assert_eq!(t.to_string(), "f_R(1,x)");
+        // A string prints bare only as an identifier, else quoted.
+        for bare in ["_x", "x'", "n1", "élan"] {
+            assert_eq!(Value::str(bare).to_string(), bare);
+        }
+        for quoted in ["", "5", "-1", "a b", "x,y", "(", "f(1)", "'a", "x.y"] {
+            assert_eq!(Value::str(quoted).to_string(), format!("\"{quoted}\""));
+        }
+        let t = Value::skolem("g", vec![Value::str("a b"), Value::skolem("f", vec![v(1)])]);
+        assert_eq!(t.to_string(), "g(\"a b\",f(1))");
     }
 }

@@ -13,7 +13,8 @@
 //! arity, and rows of arities 1–4 inside one relation — a second arity
 //! arriving after the first was ranked; integers around zero, strings that read as
 //! integers (`"10"` against `10`, `"2"` against `"10"`), the empty
-//! string, and Skolem terms; tombstones, revivals and compaction; and
+//! string, strings that print quoted (`"a b"`, `"x,y"`, `"("`, and
+//! `"f(1)"` beside the Skolem term `f(1)`), and Skolem terms; tombstones, revivals and compaction; and
 //! output schemas that name a relation the store never held, one it
 //! holds no live row of, and one it holds only at another arity.
 
@@ -43,7 +44,12 @@ fn value(rng: &mut Rng, fresh: bool) -> Value {
     }
     match rng.gen_range(0..10u32) {
         0..=4 => v(rng.gen_range(-3..13i64)),
-        5 | 6 => Value::str(*rng.choose(&["10", "2", "-1", "", "a", "ab", "B"]).unwrap()),
+        5 | 6 => {
+            let texts = [
+                "10", "2", "-1", "", "a", "ab", "B", "a b", "x,y", "(", "f(1)",
+            ];
+            Value::str(rng.choose(&texts).unwrap())
+        }
         7 => Value::skolem("f", vec![v(rng.gen_range(0..3i64))]),
         8 => Value::skolem("f", vec![v(1), Value::str("10")]),
         _ => Value::skolem("g", vec![Value::skolem("f", vec![v(2)])]),
@@ -277,7 +283,7 @@ fn printer_orders_values_as_value_does() {
     let unary = printed(&mut printer, &st, &Schema::from_pairs([("E", 1)]));
     assert_eq!(
         unary,
-        "E(-1).\nE(2).\nE(10).\nE().\nE(10).\nE(2).\nE(f()).\nE(f(1)).\n"
+        "E(-1).\nE(2).\nE(10).\nE(\"\").\nE(\"10\").\nE(\"2\").\nE(f()).\nE(f(1)).\n"
     );
     assert_eq!(
         printed(&mut printer, &st, &Schema::from_pairs([("E", 2)])),

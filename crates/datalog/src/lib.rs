@@ -22,7 +22,6 @@
 //! * [`wellfounded::well_founded_model`] — the three-valued WFS.
 
 #![warn(missing_docs)]
-#![warn(clippy::too_many_lines)]
 
 pub mod ast;
 pub mod eval;

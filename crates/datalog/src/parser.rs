@@ -977,6 +977,79 @@ mod tests {
         );
     }
 
+    /// What either printer writes reads back as the instance printed:
+    /// one `Display` line per fact (the `Instance` edge, `calm eval
+    /// --from-scratch`) and [`FactPrinter`] (the arena edge, `calm eval`),
+    /// on seeded instances whose strings take both spellings — bare
+    /// identifiers, and quoted ones: empty, digits, blanks, commas,
+    /// brackets, comment starts and a whole fact.
+    ///
+    /// [`FactPrinter`]: calm_common::storage::FactPrinter
+    #[test]
+    fn printed_facts_read_back_as_the_instance() {
+        use calm_common::rng::Rng;
+        use calm_common::storage::{load_instance, FactPrinter, SharedSymbols, Storage};
+        use calm_common::Schema;
+        const STRINGS: [&str; 16] = [
+            "a",
+            "_x",
+            "x'",
+            "\u{e9}t\u{e9}",
+            "B2",
+            "",
+            "5",
+            "-1",
+            "a b",
+            "x,y",
+            "(",
+            "f(1)",
+            "'a",
+            "% no",
+            "//",
+            "E(1).",
+        ];
+        const NAMES: [&str; 3] = ["U", "B", "T"];
+        let schema = Schema::from_pairs([("U", 1), ("B", 2), ("T", 3)]);
+        let mut quoted = 0;
+        for seed in 0..200u64 {
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut instance = Instance::new();
+            for _ in 0..rng.gen_range(0..30usize) {
+                let arity = rng.gen_range(1..=3usize);
+                let args = (0..arity)
+                    .map(|_| {
+                        if rng.gen_bool(0.6) {
+                            Value::str(rng.choose(&STRINGS).unwrap())
+                        } else {
+                            Value::int(rng.gen_range(-3..7i64))
+                        }
+                    })
+                    .collect();
+                instance.insert(Fact::new(NAMES[arity - 1], args));
+            }
+            let displayed: String = instance.facts().map(|f| format!("{f}.\n")).collect();
+            assert_eq!(
+                parse_facts(&displayed).as_ref(),
+                Ok(&instance),
+                "{displayed}"
+            );
+            let symbols = SharedSymbols::new();
+            let mut storage = Storage::new();
+            load_instance(&instance, &symbols, &mut storage);
+            let mut printed = Vec::new();
+            FactPrinter::new(symbols)
+                .write(&storage, &schema, &mut printed, &Obs::noop())
+                .unwrap();
+            assert_eq!(
+                String::from_utf8(printed).unwrap(),
+                displayed,
+                "seed {seed}"
+            );
+            quoted += displayed.matches('"').count() / 2;
+        }
+        assert!(quoted > 1_000, "{quoted} quoted strings");
+    }
+
     #[test]
     fn parse_facts_empty_input() {
         assert!(parse_facts("  % nothing\n").unwrap().is_empty());

@@ -2,12 +2,20 @@
 //! `H ⊊ Hinj = M ⊊ E = Mdistinct`.
 
 use calm_common::domain::is_induced_subinstance;
-use calm_common::homomorphism::{apply, ValueMap};
 use calm_common::instance::Instance;
 use calm_common::query::Query;
 use calm_common::rng::Rng;
 use calm_common::value::{v, Value};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+
+/// A (partial or total) value mapping.
+pub type ValueMap = BTreeMap<Value, Value>;
+
+/// `h(I)`: apply `h` to every value of `I`, leaving the values it does
+/// not map unchanged.
+fn apply(h: &ValueMap, i: &Instance) -> Instance {
+    i.map_values(|v| h.get(v).cloned().unwrap_or_else(|| v.clone()))
+}
 
 /// A witnessed preservation failure.
 #[derive(Debug, Clone)]

@@ -55,7 +55,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![warn(clippy::too_many_lines)]
 
 mod codec;
 pub mod executor;

@@ -33,7 +33,6 @@
 //! [`assemble`] builds the handle a command asked for.
 
 #![warn(missing_docs)]
-#![warn(clippy::too_many_lines)]
 
 mod chrome;
 mod flight;

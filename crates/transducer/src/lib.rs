@@ -21,7 +21,6 @@
 //! coordination-freeness witnesses in [`coordination`].
 
 #![warn(missing_docs)]
-#![warn(clippy::too_many_lines)]
 
 pub mod coordination;
 pub mod engine;

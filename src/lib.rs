@@ -16,8 +16,9 @@
 //!
 //! This facade re-exports the workspace crates:
 //!
-//! * [`common`] — values, facts, instances, components, homomorphisms,
-//!   generators, and the [`common::query::Query`] trait;
+//! * [`common`] — values, facts, instances, components, the
+//!   domain-distinct/disjoint predicates, generators, the interned row
+//!   store, and the [`common::query::Query`] trait;
 //! * [`datalog`] — the Datalog¬ engine (parser, stratified semantics,
 //!   fragments, well-founded semantics);
 //! * [`ilog`] — value invention (ILOG¬, weak safety, wILOG¬ fragments);
