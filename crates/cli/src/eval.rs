@@ -52,8 +52,7 @@ pub fn cmd_eval_full_to(
     let p = load_program(program_src)?;
     let (obs, report) = build_obs(obs_opts, Vec::new())?;
     let mut db = Database::new();
-    db.read_facts(facts_src, &obs)
-        .map_err(|e| err(format!("facts: {e}")))?;
+    crate::read_input(&p, facts_src, &mut db, &obs)?;
     let options = EvalOptions::default().with_eval_threads(eval_threads);
     calm_datalog::eval_database(&p, &mut db, options, &obs)
         .map_err(|e| err(format!("evaluation: {e}")))?;
@@ -195,10 +194,11 @@ pub fn cmd_wfs(
     eval_threads: usize,
 ) -> Result<String, CliError> {
     let p = load_program(program_src)?;
-    let input = load_facts(facts_src)?;
+    let mut input = Database::new();
+    crate::read_input(&p, facts_src, &mut input, &Obs::noop())?;
     let model = calm_datalog::well_founded_model(
         &p,
-        &input,
+        &input.to_instance(),
         EvalOptions::default().with_eval_threads(eval_threads),
         &Obs::noop(),
     );

@@ -31,9 +31,11 @@ pub use usage::USAGE;
 
 use calm_common::instance::Instance;
 use calm_common::query::Query;
+use calm_datalog::eval::Database;
 use calm_datalog::fragment::classify;
 use calm_datalog::{parse_facts, parse_program, DatalogQuery, Program};
 use calm_monotone::{Exhaustive, ExtensionKind, Falsifier};
+use calm_obs::Obs;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -85,6 +87,13 @@ pub fn load_program(src: &str) -> Result<Program, CliError> {
 /// Parse a facts source string with a friendly error.
 pub fn load_facts(src: &str) -> Result<Instance, CliError> {
     parse_facts(src).map_err(|e| err(format!("facts: {e}")))
+}
+
+/// The input of `p` in `facts_src`, read into `db`: the facts of its input
+/// relations (`edb(P)`) by name and arity, as `Query::eval` reads them —
+/// the one reading of `eval`, `wfs` and `simulate`'s check (DESIGN §18).
+fn read_input(p: &Program, facts_src: &str, db: &mut Database, obs: &Obs) -> Result<(), CliError> {
+    (db.read_facts(facts_src, Some(&p.edb()), obs)).map_err(|e| err(format!("facts: {e}")))
 }
 
 /// `calm classify`: the Figure-2 fragment report.
@@ -146,28 +155,17 @@ pub fn cmd_check(program_src: &str, class: &str, trials: usize) -> Result<String
                 r.random_instance(&schema, 4, 5)
             })
     });
-    let mut out = String::new();
-    match hit {
-        Some(v) => {
-            let _ = writeln!(
-                out,
-                "NOT in {}: counterexample found",
-                kind.class_name(None)
-            );
-            let _ = writeln!(out, "  I = {:?}", v.base);
-            let _ = writeln!(out, "  J = {:?}", v.extension);
-            let _ = writeln!(out, "  lost = {:?}", v.lost);
-        }
-        None => {
-            let _ = writeln!(
-                out,
-                "consistent with {} (exhaustive small-domain + {} randomized trials; membership is undecidable in general)",
-                kind.class_name(None),
-                trials
-            );
-        }
-    }
-    Ok(out)
+    let class = kind.class_name(None);
+    Ok(match hit {
+        Some(v) => format!(
+            "NOT in {class}: counterexample found\n  I = {:?}\n  J = {:?}\n  lost = {:?}\n",
+            v.base, v.extension, v.lost
+        ),
+        None => format!(
+            "consistent with {class} (exhaustive small-domain + {trials} randomized trials; \
+             membership is undecidable in general)\n"
+        ),
+    })
 }
 
 /// `calm trace report`: ingest one or more JSONL traces (`--trace-out`
@@ -193,9 +191,7 @@ pub fn cmd_trace_report(paths: &[PathBuf], json: bool) -> Result<String, CliErro
     }
     let analysis = calm_obs::trace::analyze_files(paths).map_err(err)?;
     let out = if json {
-        let mut s = analysis.render_json();
-        s.push('\n');
-        s
+        format!("{}\n", analysis.render_json())
     } else {
         analysis.render_human()
     };

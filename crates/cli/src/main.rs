@@ -220,9 +220,8 @@ fn buffered(cmd: &str, args: &[String]) -> Result<String, CliError> {
             )
         }
         "trace" => {
-            match args.get(1).map(String::as_str) {
-                Some("report") => {}
-                _ => return Err(CliError("expected 'trace report <trace.jsonl>...'".into())),
+            if args.get(1).map(String::as_str) != Some("report") {
+                return Err(CliError("expected 'trace report <trace.jsonl>...'".into()));
             }
             // Every non-flag argument is a trace file; multiple files
             // (the per-worker traces of a process-engine run) merge

@@ -3,9 +3,11 @@
 //! engine.
 
 use crate::obs::{build_obs, ObsOptions};
-use crate::{err, load_facts, load_program, render_instance, render_plan, CliError};
+use crate::{err, load_facts, load_program, read_input, render_plan, CliError};
 use calm_common::instance::Instance;
 use calm_common::query::Query;
+use calm_common::storage::{FactPrinter, Relation, SharedSymbols, Storage};
+use calm_datalog::eval::{Database, EvalOptions};
 use calm_datalog::{DatalogQuery, Program};
 use calm_net::{
     run_net_worker, run_process, run_threaded_with, Assign, FaultPlan, FaultStats, JobSpec,
@@ -13,10 +15,11 @@ use calm_net::{
     WorkerSetup, WorkerStats,
 };
 use calm_obs::{Obs, Sink};
+use calm_transducer::strategy::out_rel;
 use calm_transducer::system_facts::POLICY_ARITY_CAP;
 use calm_transducer::{
-    expected_output, run_with, DisjointStrategy, DistinctStrategy, DistributionPolicy,
-    DomainGuidedPolicy, HashPolicy, Metrics, MonotoneBroadcast, Network, Scheduler, SystemConfig,
+    run_with, DisjointStrategy, DistinctStrategy, DistributionPolicy, DomainGuidedPolicy,
+    FinalStates, HashPolicy, Metrics, MonotoneBroadcast, Network, Scheduler, SystemConfig,
     TraceSink, Transducer, TransducerNetwork,
 };
 use std::fmt::Write as _;
@@ -137,10 +140,10 @@ struct Job<'a> {
 }
 
 /// What a run comes out as, whichever engine made it: the engine's own
-/// `%` header lines, then `out(R)`, the merged counters and quiescence.
+/// `%` header lines, then its final states, merged counters and quiescence.
 struct EngineRun {
     header: String,
-    output: Instance,
+    states: FinalStates,
     metrics: Metrics,
     quiescent: bool,
 }
@@ -191,7 +194,7 @@ fn run_sequential(job: &Job<'_>, obs: &Obs) -> EngineRun {
     let r = run_with(&tn, job.input, &Scheduler::RoundRobin, STEP_BUDGET, obs);
     EngineRun {
         header: String::new(),
-        output: r.output,
+        states: r.states,
         metrics: r.metrics,
         quiescent: r.quiescent,
     }
@@ -220,7 +223,7 @@ fn run_threaded(job: &Job<'_>, workers: usize, faults: Option<FaultPlan>, obs: &
     net_header(&mut header, faulted, &r.faults, &r.per_worker);
     EngineRun {
         header,
-        output: r.output,
+        states: r.states,
         metrics: r.metrics,
         quiescent: r.quiescent,
     }
@@ -299,9 +302,7 @@ fn run_processes(
     }
     Ok(EngineRun {
         header: process_header(procs, faulted, &r),
-        // The transport is program-agnostic: the schema of out(R) is
-        // known here.
-        output: r.states.output(&job.transducer.schema().output),
+        states: r.states,
         metrics: r.metrics,
         quiescent: r.quiescent,
     })
@@ -329,6 +330,25 @@ fn summary_lines(out: &mut String, metrics: &Metrics, quiescent: bool) {
             metrics.max_queue_depth()
         );
     }
+}
+
+/// Whether `out(R)` — `out`, over `symbols` — is `Q(I)` as `calm eval`
+/// computes it, over the same table: per output relation `R`, the rows of
+/// `R` and of `out_R` are one set (each of the program's arity).
+fn agrees(job: &Job<'_>, out: &Storage, symbols: &SharedSymbols) -> Result<bool, CliError> {
+    let (quiet, mut db) = (Obs::noop(), Database::with_symbols(symbols.clone()));
+    read_input(job.program, job.facts_src, &mut db, &quiet)?;
+    let options = EvalOptions::default().with_eval_threads(job.eval_threads);
+    calm_datalog::eval_database(job.program, &mut db, options, &quiet)
+        .map_err(|e| err(format!("evaluation: {e}")))?;
+    let table = symbols.read();
+    Ok(job.program.output_schema().iter().all(|(name, _)| {
+        let [expected, got] = [(db.storage(), name.to_string()), (out, out_rel(name))]
+            .map(|(storage, name)| table.lookup_rel(&name).and_then(|r| storage.relation(r)));
+        let len = |relation: Option<&Relation>| relation.map_or(0, Relation::len);
+        let mut rows = expected.into_iter().flat_map(Relation::live_rows);
+        len(expected) == len(got) && rows.all(|row| got.is_some_and(|got| got.contains(row)))
+    }))
 }
 
 /// `calm simulate`: run the program through a coordination-free
@@ -393,9 +413,12 @@ pub fn cmd_simulate_run(
         let _ = writeln!(out, "% eval threads: {eval_threads}");
     }
 
+    // The transport is program-agnostic: the schema of `out(R)` is known
+    // here. `out(R)` is united in rows as the run's last step.
+    let output = &transducer.schema().output;
     let run = {
         let _span = obs.span("simulate", || "run".to_string());
-        match engine {
+        let run = match engine {
             Engine::Sequential => Ok(run_sequential(&job, &obs)),
             Engine::Threaded { workers, faults } => Ok(run_threaded(&job, workers, faults, &obs)),
             Engine::Process {
@@ -403,18 +426,19 @@ pub fn cmd_simulate_run(
                 faults,
                 respawn_budget,
             } => run_processes(&job, procs, faults, respawn_budget, obs_opts, &obs),
-        }
+        };
+        run.map(|run| (run.states.united(output), run))
     };
-    // Compare against the centralized answer, and render — before the
-    // report is, so that it covers them.
-    let checked = run.and_then(|run| {
+    // Compare against the centralized answer, and print — from those
+    // rows, before the report is, so that it covers them.
+    let checked = run.and_then(|((out, symbols), run)| {
         let matches = {
             let _span = obs.span("simulate", || "expected".to_string());
-            let q = DatalogQuery::new("query", program.clone()).map_err(|e| err(e.to_string()))?;
-            run.output == expected_output(&q, &input)
+            agrees(&job, &out, &symbols)?
         };
         let _span = obs.span("simulate", || "write".to_string());
-        let facts = render_instance(&run.output);
+        let (mut facts, mut printer) = (Vec::new(), FactPrinter::new(symbols));
+        (printer.write(&out, output, &mut facts, &Obs::noop())).expect("writing to memory");
         Ok((run, matches, facts))
     });
     obs.finish();
@@ -430,7 +454,7 @@ pub fn cmd_simulate_run(
     }
     summary_lines(&mut out, &run.metrics, run.quiescent);
     let _ = writeln!(out, "% matches centralized evaluation: {matches}");
-    out.push_str(&facts);
+    out.push_str(std::str::from_utf8(&facts).expect("facts print UTF-8"));
     Ok(out)
 }
 

@@ -4,7 +4,8 @@
 //! error stream — the usage text follows a usage mistake and nothing
 //! else — the plan `--dump-plan` asks for under `--updates` precedes
 //! the answers in both modes, every command spells a string so that it
-//! reads back, and the three engines print one answer.
+//! reads back and reads one input, and the three engines print one
+//! answer — `calm eval`'s.
 
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
@@ -36,6 +37,14 @@ impl Drop for Dir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
     }
+}
+
+/// What `calm args` prints on a successful run.
+fn stdout(args: &[&str]) -> String {
+    let run = calm().args(args).output().unwrap();
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(0), "{args:?}: {stderr}");
+    String::from_utf8(run.stdout).unwrap()
 }
 
 #[test]
@@ -155,12 +164,6 @@ fn distinct_strings_print_apart_and_read_back() {
     let updates = dir.file("quoted.updates", "+ E(\"(\",b).\n");
     let answer =
         "P(5,5).\nP(5,\"5\").\nP(\"5\",5).\nP(\"5\",\"5\").\nP(\"a b\",a).\nP(\"x,y\",\"\").\n";
-    let stdout = |args: &[&str]| {
-        let run = calm().args(args).output().unwrap();
-        let stderr = String::from_utf8_lossy(&run.stderr);
-        assert_eq!(run.status.code(), Some(0), "{args:?}: {stderr}");
-        String::from_utf8(run.stdout).unwrap()
-    };
     assert_eq!(stdout(&["eval", &copy, &facts]), answer);
     assert_eq!(stdout(&["wfs", &copy, &facts]), format!("% true\n{answer}"));
     let simulated = stdout(&["simulate", &copy, &facts, "--nodes", "2"]);
@@ -271,19 +274,81 @@ fn the_three_engines_print_one_answer_and_none_builds_a_nodes_state_for_it() {
         let out = String::from_utf8(run.stdout).unwrap();
         assert!(out.contains("  runtime/finish "), "{engine:?}: {out}");
         assert!(!out.contains("states.materialized"), "{engine:?}: {out}");
-        assert!(out.contains("% matches centralized evaluation: true"));
-        let answer = out.find("\nout_T(").expect("an answer");
-        out[answer..].to_string()
+        let (_, answer) = (out.split_once("% matches centralized evaluation: true\n"))
+            .unwrap_or_else(|| panic!("{engine:?}: {out}"));
+        answer.to_string()
     };
-    let sequential = simulate(&[]);
-    assert!(sequential.lines().count() > 40, "{sequential}");
+    // `calm eval`'s answer, each relation renamed to `out_R`.
+    let eval: String = (stdout(&["eval", &tc, &facts]).lines())
+        .map(|line| format!("out_{line}\n"))
+        .collect();
+    assert!(eval.lines().count() > 40, "{eval}");
     for engine in [
-        &["--engine", "threaded", "--workers", "1"][..],
+        &[][..],
+        &["--engine", "threaded", "--workers", "1"],
         &["--engine", "threaded", "--workers", "2"],
         &["--engine", "process", "--procs", "2"],
     ] {
-        assert_eq!(simulate(engine), sequential, "{engine:?}");
+        assert_eq!(simulate(engine), eval, "{engine:?}");
     }
+}
+
+#[test]
+fn every_command_reads_only_the_facts_of_the_programs_input_relations() {
+    // `T(7,8)` is a fact of a derived relation. `calm eval` and `calm
+    // wfs` used to print it, `eval --updates` and `simulate` to leave it
+    // out — and `simulate`'s check agreed with the latter. Every command
+    // reads the input as `Query::eval` does: the facts of `edb(P)`.
+    let data = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/data");
+    let tc = format!("{data}/tc.dl");
+    let dir = Dir::new("input");
+    let facts = dir.file("t78.facts", "E(1,2). E(2,3). T(7,8).\n");
+    let updates = dir.file("none.updates", "");
+    let answer = "T(1,2).\nT(1,3).\nT(2,3).\n";
+    assert_eq!(stdout(&["eval", &tc, &facts]), answer);
+    for mode in [&[][..], &["--from-scratch"]] {
+        let args = [&["eval", &tc, &facts, "--updates", &updates][..], mode].concat();
+        assert_eq!(stdout(&args), format!("% initial\n{answer}"), "{mode:?}");
+    }
+    assert_eq!(stdout(&["wfs", &tc, &facts]), format!("% true\n{answer}"));
+    assert_eq!(
+        stdout(&["simulate", &tc, &facts, "--nodes", "2"]),
+        "% quiescent: true\n\
+         % transitions: 6, messages sent: 2, delivered: 2\n\
+         % message classes: fact=2, max queue depth: 1\n\
+         % matches centralized evaluation: true\n\
+         out_T(1,2).\nout_T(1,3).\nout_T(2,3).\n"
+    );
+}
+
+#[test]
+fn a_broadcast_of_a_non_monotone_query_does_not_match() {
+    // `O` holds of `x` when an edge leaves `x` and none comes back:
+    // nothing here, where every edge has its reverse. Node n1 steps
+    // first, holding `E(4,3)` but not `E(3,4)`, and outputs `O(4)`; an
+    // output is never retracted. The broadcast is for monotone queries.
+    let dir = Dir::new("nonmonotone");
+    let program = dir.file("o.dl", "O(x) :- E(x,y), not E(y,x).\n");
+    let facts = dir.file(
+        "sym.facts",
+        "E(1,2). E(2,1). E(3,4). E(4,3). E(5,6). E(6,5).\n",
+    );
+    assert_eq!(
+        stdout(&[
+            "simulate",
+            &program,
+            &facts,
+            "--nodes",
+            "2",
+            "--strategy",
+            "monotone"
+        ]),
+        "% quiescent: true\n\
+         % transitions: 6, messages sent: 6, delivered: 6\n\
+         % message classes: fact=6, max queue depth: 3\n\
+         % matches centralized evaluation: false\n\
+         out_O(4).\n"
+    );
 }
 
 #[test]

@@ -99,41 +99,51 @@ impl Database {
     /// into this database: the one facts scanner, with a sink that
     /// interns each term from its borrowed form under a single write
     /// lock and inserts each row into storage — no [`Instance`], fact,
-    /// [`Value`] or value tuple in between. Rows arrive in file order;
-    /// duplicates are dropped by storage as everywhere. Reports the span
-    /// `eval/read_facts` and the counters `eval/facts_read`,
-    /// `eval/bytes_in`, `eval/rows_loaded` (the facts read less the
+    /// [`Value`] or value tuple in between — with `only`, the facts
+    /// [`Instance::restrict`] would keep of them. Rows arrive in file
+    /// order; duplicates are dropped by storage as everywhere. Reports the
+    /// span `eval/read_facts` and the counters `eval/facts_read`,
+    /// `eval/bytes_in`, `eval/rows_loaded` (the facts kept less the
     /// duplicates) and `eval/symbols` (the distinct values the table
     /// holds afterwards) to `obs`.
     ///
     /// # Errors
     /// The scanner's [`ParseError`]; the facts before it are loaded.
-    pub fn read_facts(&mut self, src: &str, obs: &Obs) -> Result<(), ParseError> {
+    pub fn read_facts(
+        &mut self,
+        src: &str,
+        only: Option<&Schema>,
+        obs: &Obs,
+    ) -> Result<(), ParseError> {
         let _span = obs.span("eval", || "read_facts".into());
         let mut table = self.symbols.write();
         let storage = &mut self.storage;
         let rows_before = storage.len();
-        // Facts of one relation come in runs: resolve a name once per run.
-        let mut run: Option<(&str, RelId)> = None;
+        // Facts of one relation come in runs: resolve a name once per run,
+        // to its id and the arity `only` reads (`Some(None)`: none).
+        let mut run: Option<(&str, RelId, Option<Option<usize>>)> = None;
         // How many facts follow, at a guess — one per `(`, no more than
         // fit in `src` at five bytes each (`E(1).`) — for the relation of
         // the first of them to be sized once. Nothing depends on it.
         let guess = (src.bytes().filter(|&b| b == b'(').count()).min(src.len() / 5);
         let mut pending = Pending::default();
         let scanned = scan_facts(src, |name, terms| {
-            let relation = match run {
-                Some((known, id)) if known == name => id,
+            let (relation, read) = match run {
+                Some((known, id, read)) if known == name => (id, read),
                 _ => {
-                    let id = table.rel(name);
-                    if run.is_none() {
+                    let (id, read) = (table.rel(name), only.map(|schema| schema.arity(name)));
+                    if run.is_none() && read != Some(None) {
                         // A term is two bytes at least (`1,`).
                         let arity = terms.len().min(src.len() / 2 / guess.max(1));
                         storage.relation_mut(id).reserve(guess, arity);
                     }
-                    run = Some((name, id));
-                    id
+                    run = Some((name, id, read));
+                    (id, read)
                 }
             };
+            if read.is_some_and(|arity| arity != Some(terms.len())) {
+                return;
+            }
             pending.terms.extend_from_slice(terms);
             pending.facts.push((relation, pending.terms.len()));
             if pending.facts.len() == Pending::FACTS {

@@ -8,13 +8,10 @@
 //!
 //! This module implements the standard encoding: a conceptually nullary
 //! atom `R()` becomes the unary atom `R(⊥)` over the reserved marker
-//! value [`marker`]. [`encode_source`] rewrites program/fact text;
-//! [`decode_instance`] strips the marker for display. For domain-guided
-//! distribution, assign the marker value to every node (see the test in
-//! `calm-transducer` exercising exactly that).
+//! value [`marker`]. [`encode_source`] rewrites program/fact text. For
+//! domain-guided distribution, assign the marker value to every node (see
+//! the test in `calm-transducer` exercising exactly that).
 
-use calm_common::fact::Fact;
-use calm_common::instance::Instance;
 use calm_common::value::Value;
 
 /// The reserved marker value standing in for "the" nullary tuple.
@@ -70,30 +67,12 @@ pub fn encode_source(src: &str) -> String {
     out
 }
 
-/// Whether a fact is the encoding of a nullary fact: a single argument
-/// equal to the marker.
-pub fn is_encoded_nullary(f: &Fact) -> bool {
-    f.arity() == 1 && f.args()[0] == marker()
-}
-
-/// Render an instance with encoded nullary facts shown as `R()`.
-pub fn decode_instance(i: &Instance) -> Vec<String> {
-    i.facts()
-        .map(|f| {
-            if is_encoded_nullary(&f) {
-                format!("{}()", f.relation())
-            } else {
-                f.to_string()
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse_facts;
     use calm_common::fact::fact;
+    use calm_common::instance::Instance;
     use calm_common::query::Query;
 
     #[test]
@@ -123,18 +102,12 @@ mod tests {
     }
 
     #[test]
-    fn encoded_nullary_facts_parse_and_decode() {
+    fn encoded_nullary_facts_parse() {
         let enc = encode_source("Enabled(). E(1,2).");
         let i = parse_facts(&enc).unwrap();
         assert_eq!(i.len(), 2);
-        let shown = decode_instance(&i);
-        assert!(shown.contains(&"Enabled()".to_string()));
-        assert!(shown.contains(&"E(1,2)".to_string()));
-        let enabled = i
-            .facts()
-            .find(|f| f.relation().as_ref() == "Enabled")
-            .unwrap();
-        assert!(is_encoded_nullary(&enabled));
+        assert!(i.contains(&fact("Enabled", [marker()])));
+        assert!(i.contains(&fact("E", [1, 2])));
     }
 
     #[test]

@@ -647,6 +647,7 @@ mod tests {
     use crate::eval::Database;
     use calm_common::fact::{fact, Fact};
     use calm_common::instance::Instance;
+    use calm_common::schema::Schema;
     use calm_common::update::UpdateBatch;
     use calm_obs::Obs;
 
@@ -818,8 +819,19 @@ mod tests {
             _ => panic!("{src:?}: reference {want:?}, scanner {got:?}"),
         }
         let mut db = Database::new();
-        match db.read_facts(src, &Obs::noop()) {
+        match db.read_facts(src, None, &Obs::noop()) {
             Ok(()) => assert_eq!(Ok(db.to_instance()), got, "{src:?}"),
+            Err(e) => assert_eq!(Err(e), got, "{src:?}"),
+        }
+        // Reading only some relations is reading all, then restricting.
+        let only = Schema::from_pairs([("E", 2), ("F", 1)]);
+        let mut db = Database::new();
+        match db.read_facts(src, Some(&only), &Obs::noop()) {
+            Ok(()) => assert_eq!(
+                Ok(db.to_instance()),
+                got.map(|i| i.restrict(&only)),
+                "{src:?}"
+            ),
             Err(e) => assert_eq!(Err(e), got, "{src:?}"),
         }
         want.is_ok()

@@ -75,18 +75,7 @@ impl Program {
     /// # Errors
     /// Returns the first well-formedness violation found.
     pub fn new(rules: Vec<Rule>) -> Result<Self, ProgramError> {
-        let mut p = Program {
-            rules,
-            outputs: BTreeSet::new(),
-        };
-        p.validate(false)?;
-        let idb = p.idb();
-        if idb.contains("O") {
-            p.outputs.insert(calm_common::fact::rel("O"));
-        } else {
-            p.outputs = idb.names().cloned().collect();
-        }
-        Ok(p)
+        Program::with_default_outputs(rules, false)
     }
 
     /// Create a program with explicit output relations.
@@ -121,11 +110,16 @@ impl Program {
     /// # Errors
     /// Returns non-invention well-formedness violations.
     pub fn new_ilog(rules: Vec<Rule>) -> Result<Self, ProgramError> {
+        Program::with_default_outputs(rules, true)
+    }
+
+    /// [`Program::new`], with invention atoms allowed when `invention`.
+    fn with_default_outputs(rules: Vec<Rule>, invention: bool) -> Result<Self, ProgramError> {
         let mut p = Program {
             rules,
             outputs: BTreeSet::new(),
         };
-        p.validate(true)?;
+        p.validate(invention)?;
         let idb = p.idb();
         if idb.contains("O") {
             p.outputs.insert(calm_common::fact::rel("O"));

@@ -138,7 +138,7 @@ pub type Spawner<'a> = dyn Fn(usize, &str) -> Result<SpawnHandle, String> + 'a;
 /// [`ThreadedRunResult`](crate::ThreadedRunResult) minus the output
 /// instance: the transport is program-agnostic, so the caller (which
 /// knows the output schema) asks `states` for `out(R)`
-/// ([`FinalStates::output`]).
+/// ([`FinalStates::united`], [`FinalStates::output`]).
 #[derive(Debug)]
 pub struct ProcessRunResult {
     /// Final per-node states (missing the nodes of failed workers), as

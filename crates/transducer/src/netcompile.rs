@@ -19,6 +19,7 @@
 //! network output converges to `Q(I)` on every fair run and any policy.
 
 use crate::schema::TransducerSchema;
+use crate::strategy::{coll_rel, msg_rel, out_rel};
 use crate::transducer::DatalogTransducer;
 use calm_common::schema::Schema;
 use calm_datalog::ast::{Atom, Rule};
@@ -47,20 +48,8 @@ impl std::fmt::Display for NetCompileError {
 
 impl std::error::Error for NetCompileError {}
 
-fn collected(r: &str) -> String {
-    format!("c_{r}")
-}
-
-fn message(r: &str) -> String {
-    format!("m_{r}")
-}
-
 fn derived(r: &str) -> String {
     format!("t_{r}")
-}
-
-fn output(r: &str) -> String {
-    format!("out_{r}")
 }
 
 /// Compile a positive Datalog(≠) program into a broadcast transducer.
@@ -83,15 +72,15 @@ pub fn compile_monotone_program(
     let mut mem = Schema::new();
     let mut out = Schema::new();
     for (r, a) in edb.iter() {
-        msg.add(&message(r), a);
-        mem.add(&collected(r), a);
+        msg.add(&msg_rel(r), a);
+        mem.add(&coll_rel(r), a);
     }
     for (t, a) in idb.iter() {
         mem.add(&derived(t), a);
     }
     for o in p.outputs() {
         let a = idb.arity(o).expect("outputs are idb");
-        out.add(&output(o), a);
+        out.add(&out_rel(o), a);
     }
     let schema = TransducerSchema::new(edb.clone(), out, msg, mem);
 
@@ -100,8 +89,8 @@ pub fn compile_monotone_program(
     for (r, arity) in edb.iter() {
         let vars: Vec<&str> = (0..arity).map(|i| VAR_NAMES[i]).collect();
         let local = Atom::vars(r, &vars);
-        let coll = Atom::vars(collected(r), &vars);
-        let m = Atom::vars(message(r), &vars);
+        let coll = Atom::vars(coll_rel(r), &vars);
+        let m = Atom::vars(msg_rel(r), &vars);
         rules.push(Rule::positive(coll.clone(), vec![local.clone()]));
         rules.push(Rule::positive(coll.clone(), vec![m.clone()]));
         rules.push(Rule::positive(m.clone(), vec![local]));
@@ -114,7 +103,7 @@ pub fn compile_monotone_program(
             if idb.contains(name) {
                 Atom::new(derived(name), a.terms.clone())
             } else {
-                Atom::new(collected(name), a.terms.clone())
+                Atom::new(coll_rel(name), a.terms.clone())
             }
         };
         rules.push(Rule {
@@ -129,7 +118,7 @@ pub fn compile_monotone_program(
         let arity = idb.arity(o).expect("outputs are idb");
         let vars: Vec<&str> = (0..arity).map(|i| VAR_NAMES[i]).collect();
         rules.push(Rule::positive(
-            Atom::vars(output(o), &vars),
+            Atom::vars(out_rel(o), &vars),
             vec![Atom::vars(derived(o), &vars)],
         ));
     }
@@ -156,7 +145,7 @@ mod tests {
         Instance::from_facts(
             answer
                 .facts()
-                .map(|f| Fact::new(output(f.relation()), f.args().to_vec())),
+                .map(|f| Fact::new(out_rel(f.relation()), f.args().to_vec())),
         )
     }
 

@@ -285,7 +285,7 @@ pub fn network_output(states: &BTreeMap<NodeId, Instance>, output: &Schema) -> I
 /// The final `s(x)` of every node of a run, in the rows the run's engine
 /// instances left them in: one [`StateRows`] from the sequential engine,
 /// one per worker from the other two. `out(R)` is united from the rows
-/// ([`FinalStates::output`]); a node's state becomes an [`Instance`] only
+/// ([`FinalStates::united`]); a node's state becomes an [`Instance`] only
 /// for a caller that asks ([`FinalStates::materialize`]) — un-interning
 /// four nodes' memories costs more than a run on rows does — and is
 /// counted (`runtime/states.materialized`), so that a run's report shows
@@ -307,18 +307,24 @@ impl FinalStates {
     }
 
     /// `out(R)` — [`network_output`] of the materialised states, without
-    /// them — under the span `runtime/finish`.
+    /// them — under the span `runtime/finish`: [`FinalStates::united`],
+    /// un-interned.
     pub fn output(&self, output: &Schema) -> Instance {
+        let _span = self.obs.span("runtime", || "finish".to_string());
+        un_intern(&self.unite(output))
+    }
+
+    /// `out(R)` as rows, under the span `runtime/finish`: the rows of the
+    /// relations of `output` (name and arity both matching) of every
+    /// node's state, united in one store over a table of its own — each
+    /// part's symbols are translated by value when first seen, by index
+    /// from then on.
+    pub fn united(&self, output: &Schema) -> (Storage, SharedSymbols) {
         let _span = self.obs.span("runtime", || "finish".to_string());
         self.unite(output)
     }
 
-    /// The rows of the relations of `output` (name and arity both
-    /// matching) of every node's state, united in one store before
-    /// anything is un-interned. The store is over a table of its own:
-    /// each part's symbols are translated by value when first seen, by
-    /// index from then on.
-    fn unite(&self, output: &Schema) -> Instance {
+    fn unite(&self, output: &Schema) -> (Storage, SharedSymbols) {
         let symbols = SharedSymbols::new();
         let mut out = Storage::new();
         let mut row = Vec::new();
@@ -343,17 +349,7 @@ impl FinalStates {
                 }
             }
         }
-        // Un-interned once, a relation at a time in canonical order: the
-        // set of its tuples is built from one sorted run.
-        let (table, mut order) = (&*symbols.read(), CanonicalOrder::default());
-        order.extend(table);
-        let mut united = Instance::new();
-        for (name, r) in relations_by_name(&out, table) {
-            let relation = out.relation(r).expect("a listed relation");
-            let rows = order.sorted_ids(relation, None).into_iter();
-            united.extend_relation(name, rows.map(|id| values_of(table, relation.row(id))));
-        }
-        united
+        (out, symbols)
     }
 
     /// Every node's `s(x)` as an [`Instance`], built now.
@@ -375,6 +371,20 @@ impl FinalStates {
     }
 }
 
+/// A store as an [`Instance`], un-interned once, a relation at a time in
+/// canonical order: the set of its tuples is built from one sorted run.
+fn un_intern((rows, symbols): &(Storage, SharedSymbols)) -> Instance {
+    let (table, mut order) = (&*symbols.read(), CanonicalOrder::default());
+    order.extend(table);
+    let mut united = Instance::new();
+    for (name, r) in relations_by_name(rows, table) {
+        let relation = rows.relation(r).expect("a listed relation");
+        let ids = order.sorted_ids(relation, None).into_iter();
+        united.extend_relation(name, ids.map(|id| values_of(table, relation.row(id))));
+    }
+    united
+}
+
 /// The result of driving a run to quiescence.
 #[derive(Debug, Clone)]
 pub struct RunResult {
@@ -385,7 +395,7 @@ pub struct RunResult {
     /// Whether the run reached quiescence within the transition budget.
     pub quiescent: bool,
     /// The final `s(x)` of every node, as the rows the run left.
-    states: FinalStates,
+    pub states: FinalStates,
     /// The final `b(x)` of every node, over `symbols` like the states.
     buffers: Vec<(NodeId, Inbox)>,
     symbols: SharedSymbols,
@@ -606,7 +616,7 @@ pub fn run_with(
     }
     let states = FinalStates::new(vec![rows], obs);
     RunResult {
-        output: states.unite(&tn.transducer.schema().output),
+        output: un_intern(&states.unite(&tn.transducer.schema().output)),
         metrics,
         quiescent,
         states,
