@@ -162,7 +162,7 @@ pub fn e27_incremental(obs: &Obs) -> Report {
             // A fallback *is* the full fixpoint (of the strata it
             // re-evaluates), so the work claim is about the single-fact
             // updates the guard lets through.
-            if batch.len() == 1 && stats.fallbacks == 0 {
+            if batch.insert.len() + batch.delete.len() == 1 && stats.fallbacks == 0 {
                 singles_maintained += 1;
                 small_batch_cheaper &= stats.derivations < scratch;
             }

@@ -427,7 +427,8 @@ pub fn cmd_simulate_run(
                 respawn_budget,
             } => run_processes(&job, procs, faults, respawn_budget, obs_opts, &obs),
         };
-        run.map(|run| (run.states.united(output), run))
+        // The states are let go once united: what follows reads `out(R)`.
+        run.map(|mut run| (std::mem::take(&mut run.states).united(output), run))
     };
     // Compare against the centralized answer, and print — from those
     // rows, before the report is, so that it covers them.

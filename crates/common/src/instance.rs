@@ -243,16 +243,6 @@ impl Instance {
         self.relations.retain(|r, _| keep(r));
     }
 
-    /// Rename relations, moving every tuple of `R` to `rename(R)` —
-    /// whole relations at a time when the new names are distinct.
-    pub fn rename_relations(self, mut rename: impl FnMut(&RelName) -> RelName) -> Instance {
-        let mut out = Instance::new();
-        for (r, mut tuples) in self.relations {
-            (out.relations.entry(rename(&r)).or_default()).append(&mut tuples);
-        }
-        out
-    }
-
     /// Apply a value mapping to every fact (the image instance `h(I)`).
     pub fn map_values(&self, mut h: impl FnMut(&Value) -> Value) -> Instance {
         let mut out = Instance::new();
@@ -435,7 +425,5 @@ mod tests {
         );
         let owned: Vec<Fact> = abc().into_iter().collect();
         assert_eq!(owned, abc().facts().collect::<Vec<_>>());
-        let merged = abc().rename_relations(|_| rel("R"));
-        assert_eq!(merged.relation_len("R"), 3);
     }
 }

@@ -28,7 +28,7 @@ pub use component::components;
 pub use domain::{is_domain_disjoint, is_domain_distinct, is_induced_subinstance};
 pub use fact::{fact, rel, Fact, RelName};
 pub use instance::{Instance, Tuple};
-pub use query::{FnQuery, Query, QuerySession};
+pub use query::{FnQuery, Query, QuerySession, RowBatch};
 pub use schema::Schema;
 pub use update::UpdateBatch;
 pub use value::{v, SkolemTerm, Value};

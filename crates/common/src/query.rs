@@ -5,10 +5,10 @@
 //! engine, the native query implementations, the monotonicity checkers and
 //! the transducer strategies — speaks this trait.
 
+use crate::fact::Fact;
 use crate::instance::Instance;
 use crate::schema::Schema;
-use crate::storage::{RelId, Sym, SymbolTable};
-use crate::update::UpdateBatch;
+use crate::storage::{RelId, Rows, Sym, SymbolTable};
 
 /// A query from instances over [`Query::input_schema`] to instances over
 /// [`Query::output_schema`].
@@ -32,71 +32,69 @@ pub trait Query: Send + Sync {
         "query"
     }
 
-    /// Open a maintained evaluation over the empty input. The default
-    /// keeps the input and re-evaluates [`Query::eval`] from scratch
-    /// whenever a batch changed it; a query with an incremental engine
-    /// overrides this.
-    fn session(&self) -> Box<dyn QuerySession + '_> {
+    /// Open a maintained evaluation over the empty input, in rows over
+    /// the caller's `table` (interned into here, never locked). The
+    /// default re-evaluates [`Query::eval`] whenever a batch changed the
+    /// input; a query with an incremental engine overrides it.
+    fn session(&self, _table: &mut SymbolTable) -> Box<dyn QuerySession + '_> {
         Box::new(ScratchSession {
             query: self,
             input: Instance::new(),
             evaluated: false,
-            table: SymbolTable::new(),
         })
     }
 }
 
-/// Where a [`QuerySession`] puts the growth of its answer: one call per
-/// fact, as a row of a relation over the session's own symbol table
-/// (handed along, to read the names and values off).
-pub type AnswerSink<'a> = dyn FnMut(&SymbolTable, RelId, &[Sym]) + 'a;
+/// Where a [`QuerySession`] puts its answer's growth, one call per row.
+pub type AnswerSink<'a> = dyn FnMut(RelId, &[Sym]) + 'a;
 
-/// One query maintained over an input that changes by signed batches —
-/// what a node's program holds across transitions in place of calling
-/// [`Query::eval`] on everything it knows at every one.
-pub trait QuerySession {
-    /// Fold `batch` into the input (deletions first, like
-    /// [`UpdateBatch::apply_to_instance`]) and hand `grown` how the
-    /// answer grew: every fact of the answer over the new input that
-    /// was not in the answer after the previous call (on the first
-    /// call: the whole answer). What is handed lies inside the current
-    /// answer and may repeat facts handed before — the caller folds it
-    /// into a set. Facts that *left* the answer are not reported:
-    /// transducer output is cumulative.
-    fn apply(&mut self, batch: &UpdateBatch, grown: &mut AnswerSink<'_>);
+/// An [`UpdateBatch`](crate::update::UpdateBatch) in rows.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RowBatch {
+    /// Rows to insert.
+    pub insert: Rows,
+    /// Rows to delete.
+    pub delete: Rows,
 }
 
-/// The default [`Query::session`]: the input, and a from-scratch
-/// evaluation per batch that changed it, whose answer is interned into
-/// a table of the session's own on its way to the sink.
+/// One query maintained over an input that changes by signed batches of
+/// rows — what a node's program holds across transitions in place of
+/// calling [`Query::eval`] on everything it knows at every one.
+pub trait QuerySession {
+    /// Fold `batch` — rows over the `table` the session was opened on —
+    /// into the input, deletions first, and hand `grown` every row of the
+    /// answer over the new input that was not in it after the previous
+    /// call (on the first call: the whole answer). Rows may repeat earlier
+    /// ones — the caller folds them into a set — and rows that *left* the
+    /// answer are not reported: transducer output is cumulative.
+    fn apply(&mut self, table: &mut SymbolTable, batch: &RowBatch, grown: &mut AnswerSink<'_>);
+}
+
+/// The default [`Query::session`]: the input as facts, evaluated from
+/// scratch per batch that changed it, the answer interned into `table`.
 struct ScratchSession<'q, Q: ?Sized> {
     query: &'q Q,
     input: Instance,
     evaluated: bool,
-    table: SymbolTable,
 }
 
 impl<Q: Query + ?Sized> QuerySession for ScratchSession<'_, Q> {
-    fn apply(&mut self, batch: &UpdateBatch, grown: &mut AnswerSink<'_>) {
-        let mut changed = false;
-        for f in &batch.delete {
-            changed |= self.input.remove(f);
+    fn apply(&mut self, table: &mut SymbolTable, batch: &RowBatch, grown: &mut AnswerSink<'_>) {
+        let mut changed = !std::mem::replace(&mut self.evaluated, true);
+        let fact = |table: &SymbolTable, r: RelId, row: &[Sym]| {
+            let args = row.iter().map(|&s| table.value(s).clone()).collect();
+            Fact::from_rel(table.rel_name(r).clone(), args)
+        };
+        for (r, run) in batch.delete.runs() {
+            run.for_each(|row| changed |= self.input.remove(&fact(table, r, row)));
         }
-        for f in &batch.insert {
-            changed |= self.input.insert(f.clone());
+        for (r, run) in batch.insert.runs() {
+            run.for_each(|row| changed |= self.input.insert(fact(table, r, row)));
         }
-        let first = !std::mem::replace(&mut self.evaluated, true);
-        if !changed && !first {
-            return;
-        }
-        let answer = self.query.eval(&self.input);
-        let mut row = Vec::new();
-        for name in answer.relation_names() {
-            let r = self.table.rel(name);
-            for t in answer.tuples(name) {
-                row.clear();
-                row.extend(t.iter().map(|v| self.table.sym(v)));
-                grown(&self.table, r, &row);
+        if changed {
+            for (name, t) in self.query.eval(&self.input).iter() {
+                let row: Vec<Sym> = t.iter().map(|v| table.sym(v)).collect();
+                grown(table.rel(name), &row);
             }
         }
     }
@@ -148,28 +146,6 @@ where
 
     fn name(&self) -> &str {
         &self.name
-    }
-}
-
-impl Query for Box<dyn Query> {
-    fn input_schema(&self) -> &Schema {
-        (**self).input_schema()
-    }
-
-    fn output_schema(&self) -> &Schema {
-        (**self).output_schema()
-    }
-
-    fn eval(&self, input: &Instance) -> Instance {
-        (**self).eval(input)
-    }
-
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
-    fn session(&self) -> Box<dyn QuerySession + '_> {
-        (**self).session()
     }
 }
 
@@ -232,27 +208,39 @@ mod tests {
                 i.clone()
             },
         );
-        let mut s = q.session();
-        // What a batch hands the sink, un-interned.
-        let mut grown = |batch: &UpdateBatch| {
+        let mut table = SymbolTable::new();
+        let mut s = q.session(&mut table);
+        // A batch in rows, and what it hands the sink, un-interned.
+        let mut grown = |insert: &[Fact], delete: &[Fact]| {
+            let mut batch = RowBatch::default();
+            for (facts, rows) in [(insert, &mut batch.insert), (delete, &mut batch.delete)] {
+                for f in facts {
+                    let row: Vec<Sym> = f.args().iter().map(|v| table.sym(v)).collect();
+                    rows.push(table.rel(f.relation()), &row);
+                }
+            }
+            let mut rows = Vec::new();
+            s.apply(&mut table, &batch, &mut |r, row| {
+                rows.push((r, row.to_vec()))
+            });
             let mut out = Instance::new();
-            s.apply(batch, &mut |table, r, row| {
+            for (r, row) in rows {
                 let args = row.iter().map(|&v| table.value(v).clone()).collect();
                 out.insert_tuple(table.rel_name(r), args);
-            });
+            }
             out
         };
         // The first call evaluates even an empty input.
-        assert!(grown(&UpdateBatch::new()).is_empty());
+        assert!(grown(&[], &[]).is_empty());
         assert_eq!(evals.load(Ordering::Relaxed), 1);
-        let one = UpdateBatch::inserting([fact("E", [1, 2])]);
-        assert_eq!(grown(&one), Instance::from_facts([fact("E", [1, 2])]));
+        let one = [fact("E", [1, 2])];
+        assert_eq!(grown(&one, &[]), Instance::from_facts(one.clone()));
         // Nothing new: no evaluation, nothing reported.
-        assert!(grown(&one).is_empty());
-        assert!(grown(&UpdateBatch::deleting([fact("E", [9, 9])])).is_empty());
+        assert!(grown(&one, &[]).is_empty());
+        assert!(grown(&[], &[fact("E", [9, 9])]).is_empty());
         assert_eq!(evals.load(Ordering::Relaxed), 2);
         // A deletion shrinks the input; the answer over it is handed on.
-        let swap = UpdateBatch::deleting([fact("E", [1, 2])]).with_insert(fact("E", [3, 4]));
-        assert_eq!(grown(&swap), Instance::from_facts([fact("E", [3, 4])]));
+        let swap = grown(&[fact("E", [3, 4])], &one);
+        assert_eq!(swap, Instance::from_facts([fact("E", [3, 4])]));
     }
 }

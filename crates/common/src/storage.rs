@@ -76,6 +76,43 @@ pub struct Sym(pub u32);
 /// out as `&[Sym]`.
 pub type SymTuple = Vec<Sym>;
 
+/// Rows of any relations in push order, back to back, with a header per
+/// run of one relation and arity: a fixpoint round's derivations, one
+/// side of a [`crate::query::RowBatch`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Rows {
+    syms: Vec<Sym>,
+    runs: Vec<(RelId, usize, usize)>,
+}
+
+impl Rows {
+    /// Append `row` of `rel` (arity ≥ 1).
+    #[inline]
+    pub fn push(&mut self, rel: RelId, row: &[Sym]) {
+        self.syms.extend_from_slice(row);
+        match self.runs.last_mut() {
+            Some((r, arity, end)) if *r == rel && *arity == row.len() => *end = self.syms.len(),
+            _ => self.runs.push((rel, row.len(), self.syms.len())),
+        }
+    }
+
+    /// The runs in push order: each relation with its rows of one arity.
+    pub fn runs(&self) -> impl Iterator<Item = (RelId, std::slice::ChunksExact<'_, Sym>)> + '_ {
+        let mut start = 0;
+        self.runs.iter().map(move |&(rel, arity, end)| {
+            let rows = self.syms[start..end].chunks_exact(arity);
+            start = end;
+            (rel, rows)
+        })
+    }
+
+    /// Forget every row, keeping the allocations.
+    pub fn clear(&mut self) {
+        self.syms.clear();
+        self.runs.clear();
+    }
+}
+
 /// Allocate the next `u32` id for a collection currently holding `len`
 /// entries, panicking with a clear message once `cap` ids are in use.
 ///
@@ -926,6 +963,7 @@ impl Storage {
 
     /// As [`Storage::insert`], returning the id of the new or revived
     /// row (see [`Relation::insert_id`]).
+    #[inline]
     pub fn insert_id(&mut self, r: RelId, t: &[Sym]) -> Option<u32> {
         let id = self.relation_mut(r).insert_id(t);
         if id.is_some() {
@@ -1478,6 +1516,61 @@ mod tests {
     use super::*;
     use crate::fact::fact;
     use crate::value::v;
+
+    fn pushed(d: &Rows) -> Vec<(RelId, Vec<Sym>)> {
+        (d.runs())
+            .flat_map(|(rel, rows)| rows.map(move |row| (rel, row.to_vec())))
+            .collect()
+    }
+
+    #[test]
+    fn rows_runs_break_exactly_where_relation_or_arity_changes() {
+        let (e, t) = (RelId(0), RelId(1));
+        let pushes: Vec<(RelId, Vec<Sym>)> = [
+            (e, &[1, 2][..]),
+            (e, &[3, 4]),
+            (t, &[5, 6]),
+            (t, &[7]),
+            (t, &[8]),
+            (e, &[9, 1]),
+            (e, &[2, 3, 4]),
+            (t, &[5, 6]),
+        ]
+        .iter()
+        .map(|&(rel, row)| (rel, row.iter().map(|&s| Sym(s)).collect()))
+        .collect();
+        let mut d = Rows::default();
+        for (rel, row) in &pushes {
+            d.push(*rel, row);
+        }
+        assert_eq!(pushed(&d), pushes, "the runs hand rows back in push order");
+        assert_eq!(
+            d.runs,
+            [
+                (e, 2, 4),
+                (t, 2, 6),
+                (t, 1, 8),
+                (e, 2, 10),
+                (e, 3, 13),
+                (t, 2, 15)
+            ]
+        );
+        d.clear();
+        assert!(d.syms.is_empty() && d.runs.is_empty());
+    }
+
+    #[test]
+    fn n_binary_rows_are_2n_symbols_under_one_header() {
+        let mut d = Rows::default();
+        let n = 1000;
+        for i in 0..n {
+            d.push(RelId(3), &[Sym(i), Sym(i + 1)]);
+        }
+        assert_eq!(d.syms.len(), 2 * n as usize);
+        assert_eq!(d.runs.len(), 1);
+        let (rel, rows) = d.runs().next().unwrap();
+        assert_eq!((rel, rows.len()), (RelId(3), n as usize));
+    }
 
     fn syms(table: &mut SymbolTable, vals: &[i64]) -> SymTuple {
         vals.iter().map(|&k| table.sym(&v(k))).collect()

@@ -24,11 +24,6 @@ pub struct UpdateBatch {
 }
 
 impl UpdateBatch {
-    /// An empty batch.
-    pub fn new() -> Self {
-        UpdateBatch::default()
-    }
-
     /// A batch that only inserts.
     pub fn inserting(facts: impl IntoIterator<Item = Fact>) -> Self {
         UpdateBatch {
@@ -64,11 +59,6 @@ impl UpdateBatch {
         self.insert.is_empty() && self.delete.is_empty()
     }
 
-    /// Total number of signed changes.
-    pub fn len(&self) -> usize {
-        self.insert.len() + self.delete.len()
-    }
-
     /// Apply the batch to a plain [`Instance`]: deletions first, then
     /// insertions — the reference semantics every incremental engine is
     /// checked against (evaluate from scratch over the updated
@@ -98,9 +88,8 @@ mod tests {
             i,
             Instance::from_facts([fact("E", [1, 2]), fact("E", [3, 4])])
         );
-        assert_eq!(b.len(), 3);
         assert!(!b.is_empty());
-        assert!(UpdateBatch::new().is_empty());
+        assert!(UpdateBatch::default().is_empty());
     }
 
     #[test]

@@ -12,9 +12,8 @@ use calm_common::instance::Instance;
 use calm_common::schema::Schema;
 use calm_common::storage::{
     load_instance, store_to_instance, store_to_instance_restricted, RelId, SharedSymbols, Storage,
-    Sym, SymTuple, SymbolTable,
+    SymTuple, SymbolTable,
 };
-use calm_common::update::UpdateBatch;
 use calm_common::value::Value;
 use calm_obs::Obs;
 use std::collections::{HashMap, HashSet};
@@ -186,66 +185,6 @@ impl Database {
         &mut self.storage
     }
 
-    /// Insert an interned row; returns `true` if new.
-    pub fn insert(&mut self, relation: RelId, row: &[Sym]) -> bool {
-        self.storage.insert(relation, row)
-    }
-
-    /// Retract an interned row (tombstone it; see
-    /// [`calm_common::storage::Relation::retract`]); returns `true` if
-    /// the row was present and live.
-    pub fn retract(&mut self, relation: RelId, row: &[Sym]) -> bool {
-        self.storage.retract(relation, row)
-    }
-
-    /// Interned membership test.
-    pub fn contains(&self, relation: RelId, row: &[Sym]) -> bool {
-        self.storage.contains(relation, row)
-    }
-
-    /// Retract a tuple by relation name; returns `true` if the fact was
-    /// present and live. A never-interned relation or value means the
-    /// fact cannot be present — a no-op, not an interning.
-    pub fn retract_values(&mut self, relation: &str, tuple: &[Value]) -> bool {
-        let row = {
-            let table = self.symbols.read();
-            let Some(r) = table.lookup_rel(relation) else {
-                return false;
-            };
-            let mut row = SymTuple::with_capacity(tuple.len());
-            for v in tuple {
-                match table.lookup_sym(v) {
-                    Some(s) => row.push(s),
-                    None => return false,
-                }
-            }
-            (r, row)
-        };
-        self.storage.retract(row.0, &row.1)
-    }
-
-    /// Apply a raw [`UpdateBatch`] to this database's facts: deletions
-    /// first (tombstones), then insertions (interning as needed) —
-    /// matching [`UpdateBatch::apply_to_instance`]. Returns
-    /// `(inserted, deleted)` counts of facts that actually changed.
-    /// This is the *EDB half* only — no rule maintenance; the
-    /// incremental engine layers retraction propagation on top.
-    pub fn apply_update_batch(&mut self, batch: &UpdateBatch) -> (usize, usize) {
-        let mut deleted = 0;
-        for f in &batch.delete {
-            if self.retract_values(f.relation().as_ref(), f.args()) {
-                deleted += 1;
-            }
-        }
-        let mut inserted = 0;
-        for f in &batch.insert {
-            if self.insert_values(f.relation().as_ref(), f.args().to_vec()) {
-                inserted += 1;
-            }
-        }
-        (inserted, deleted)
-    }
-
     /// Make this database's facts exactly equal to `i`: insert (or
     /// revive) every fact of `i`, retract every live row that is not
     /// one of them, then compact the tombstones. Unlike
@@ -338,11 +277,6 @@ impl Database {
     pub fn is_empty(&self) -> bool {
         self.storage.is_empty()
     }
-
-    /// Remove all facts, keeping allocations and indexes warm.
-    pub fn clear(&mut self) {
-        self.storage.clear();
-    }
 }
 
 #[cfg(test)]
@@ -393,26 +327,6 @@ mod tests {
         b.insert_values("E", vec![v(2), v(3)]);
         b.insert_values("E", vec![v(1), v(2)]);
         assert!(a.same_facts(&b));
-    }
-
-    #[test]
-    fn retract_values_and_update_batches() {
-        let mut db = Database::from_instance(&Instance::from_facts([
-            fact("E", [1, 2]),
-            fact("E", [2, 3]),
-        ]));
-        // Retracting unknown relations/values is a no-op, not interning.
-        assert!(!db.retract_values("Missing", &[v(1)]));
-        assert!(!db.retract_values("E", &[v(1), v(99)]));
-        assert!(db.retract_values("E", &[v(2), v(3)]));
-        assert!(!db.retract_values("E", &[v(2), v(3)]), "already gone");
-        assert_eq!(db.to_instance(), Instance::from_facts([fact("E", [1, 2])]));
-        let batch = calm_common::UpdateBatch::deleting([fact("E", [1, 2])])
-            .with_insert(fact("E", [5, 6]))
-            .with_insert(fact("E", [5, 6])); // duplicate: one insert
-        let (ins, del) = db.apply_update_batch(&batch);
-        assert_eq!((ins, del), (1, 1));
-        assert_eq!(db.to_instance(), Instance::from_facts([fact("E", [5, 6])]));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Incremental view maintenance with retractions: DRed
 //! (delete–rederive) over compiled stratified programs.
 //!
-//! [`apply_update_compiled`] takes a materialized [`Database`] (the
+//! [`apply_update_rows`] takes a materialized [`Storage`] (the
 //! fixpoint of some stratified program over its old EDB), a signed
-//! [`UpdateBatch`] and the per-stratum [`CompiledProgram`]s, and
+//! change in rows and the per-stratum [`CompiledProgram`]s, and
 //! maintains the database *in place*. The
 //! contract is differential: after any interleaving of batches, the
 //! database holds exactly the facts a from-scratch evaluation of the
@@ -80,18 +80,15 @@
 //! holds at any thread count.
 
 use super::compile::{CompiledAtom, CompiledRule, RulePaths};
-use super::database::Database;
-use super::join::{instantiate, Derived, Join, View};
-use super::seminaive::CompiledProgram;
+use super::join::{instantiate, Join, View};
+use super::seminaive::{fixpoint, CompiledProgram, Ids};
 use super::stratified::fixpoint_strata;
-use calm_common::storage::{RelId, Relation, Storage, Sym, SymTuple};
+use calm_common::fact::Fact;
+use calm_common::query::RowBatch;
+use calm_common::storage::{RelId, Relation, Storage, Sym, SymTuple, SymbolTable};
 use calm_common::update::UpdateBatch;
 use calm_obs::Obs;
-use std::collections::{BTreeSet, HashMap, HashSet};
-
-/// Row ids per relation: a signed change set carried across strata, or
-/// the delta of one propagation round.
-type Ids = HashMap<RelId, Vec<u32>>;
+use std::collections::{BTreeSet, HashSet};
 
 /// Counters for one update-batch application.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -182,9 +179,9 @@ impl MaintenancePlan {
 
     /// Build the planned indexes on `db` — once, when a session opens:
     /// inserts and compaction keep them current from then on.
-    pub fn prepare(&self, db: &mut Database) {
+    pub fn prepare(&self, db: &mut Storage) {
         for (rel, col) in self.indexes() {
-            db.storage_mut().relation_mut(rel).ensure_index(col);
+            db.relation_mut(rel).ensure_index(col);
         }
     }
 }
@@ -267,15 +264,16 @@ impl Stratum<'_> {
 /// changes. Returns `false` — with nothing in the stratum mutated —
 /// when the re-evaluation guard tripped during overdeletion.
 fn maintain_stratum(
-    st: &Stratum<'_>,
-    db: &mut Database,
+    cp: &CompiledProgram,
+    db: &mut Storage,
     added: &mut Ids,
     removed: &mut Ids,
     stats: &mut UpdateStats,
 ) -> bool {
+    let st = Stratum { rules: cp.rules() };
     let heads = st.heads();
     let none = Ids::new();
-    let storage = db.storage();
+    let storage = &*db;
 
     // The guard, ahead of the work: a batch that has already rewritten
     // more than the guard's share of a relation the stratum reads
@@ -339,7 +337,7 @@ fn maintain_stratum(
     let mut dead: Vec<(RelId, u32)> = doomed.iter().copied().collect();
     dead.sort_unstable();
     for &(r, id) in &dead {
-        db.storage_mut().retract_id(r, id);
+        db.retract_id(r, id);
     }
 
     // --- Phase 2: rederive (semi-naive). ---
@@ -350,7 +348,7 @@ fn maintain_stratum(
     // tuple at some positive atom — propagate forward with delta joins
     // into the still-deleted set (`doomed`, from here on) instead of
     // rechecking the whole overdeletion every round.
-    let storage = db.storage();
+    let storage = &*db;
     let mut revive: Vec<(RelId, u32)> = dead
         .into_iter()
         .filter(|&(r, id)| {
@@ -364,11 +362,11 @@ fn maintain_stratum(
     while !revive.is_empty() {
         let mut delta = Ids::new();
         for (r, id) in revive.drain(..) {
-            db.storage_mut().revive(r, id);
+            db.revive(r, id);
             stats.rederivations += 1;
             delta.entry(r).or_default().push(id);
         }
-        let storage = db.storage();
+        let storage = &*db;
         st.derive(storage, View::New, &delta, &none, stats, &mut |r, h| {
             if let Some(id) = storage.relation(r).and_then(|rel| rel.lookup(h)) {
                 // Two rules can derive the same head in one round.
@@ -381,40 +379,18 @@ fn maintain_stratum(
     }
 
     // --- Phase 3: insert propagation over the new view. ---
-    // Seeds: derivations touching an added tuple at a positive atom or
-    // a removed tuple at a negative atom, evaluated over the current
-    // store. Then explicit-delta semi-naive propagation within the
-    // stratum. Every derived head is pushed: the insert is the dedup,
-    // and a round that inserts nothing ends the propagation.
-    let mut pending = Derived::default();
-    let mut delta = Ids::new();
-    let (mut pos, mut neg) = (&*added, &*removed);
-    loop {
-        st.derive(db.storage(), View::New, pos, neg, stats, &mut |r, h| {
-            pending.push(r, h);
-            true
-        });
-        delta.clear();
-        for (r, rows) in pending.runs() {
-            for row in rows {
-                // `None` for a live row; an overdeleted one is revived.
-                if let Some(id) = db.storage_mut().insert_id(r, row) {
-                    stats.insertions += 1;
-                    delta.entry(r).or_default().push(id);
-                }
-            }
-        }
-        pending.clear();
-        if delta.is_empty() {
-            break;
-        }
-        (pos, neg) = (&delta, &none);
-    }
+    // The fixpoint's own delta rounds, seeded by derivations touching
+    // an added tuple at a positive atom or a removed tuple at a negative
+    // atom: the insert is the dedup, revives an overdeleted row in
+    // place, and a round that inserts nothing ends the propagation.
+    let m = fixpoint(cp, db, None, Some((added, removed)), &Obs::noop());
+    stats.insertions += m.new_facts;
+    stats.derivations += m.derivations;
 
     // The stratum's net changes, for the strata above: what is still
     // tombstoned (an insertion may have revived an overdeleted row),
     // and what was appended past the watermark.
-    let storage = db.storage();
+    let storage = &*db;
     for (r, id) in doomed {
         if !storage.relation(r).is_some_and(|rel| rel.is_live(id)) {
             removed.entry(r).or_default().push(id);
@@ -436,54 +412,80 @@ fn maintain_stratum(
 /// program, whose lowest stratum has not been mutated in this batch)
 /// over the already-maintained strata below. Returns the derivations
 /// the fixpoints enumerated.
-fn reevaluate(strata: &[CompiledProgram], db: &mut Database, obs: &Obs) -> usize {
+fn reevaluate(strata: &[CompiledProgram], db: &mut Storage, obs: &Obs) -> usize {
     // The fixpoint's scan path iterates the raw insertion log, so the
     // tombstones of the EDB and the maintained strata go first.
-    db.storage_mut().compact_retractions();
+    db.compact_retractions();
     for cp in strata {
         for rule in cp.rules() {
-            db.storage_mut().clear_relation(rule.head.relation);
+            db.clear_relation(rule.head.relation);
         }
     }
     let stats = fixpoint_strata(strata, db, obs, false);
     stats.iter().map(|m| m.derivations).sum()
 }
 
-/// Apply a signed [`UpdateBatch`] to a materialized stratified
-/// database, maintaining every stratum incrementally (see the module
-/// docs). `db` must be the fixpoint of `strata` over its current EDB,
-/// compacted (no tombstones), should carry the indexes of `strata`'s
-/// [`MaintenancePlan`] (a probe without its index scans), and the
-/// batch must only touch EDB relations — the query-level wrappers
-/// ([`crate::query::IncrementalEvaluation`]) enforce all of it.
+/// The facts of `batch` that `keep` passes, as rows over `table`: an
+/// insertion interned, a deletion looked up (a fact whose relation or
+/// value was never interned is not stored) — the fact door onto
+/// [`apply_update_rows`].
+pub(crate) fn rows_of_update(
+    table: &mut SymbolTable,
+    batch: &UpdateBatch,
+    keep: impl Fn(&Fact) -> bool,
+) -> RowBatch {
+    let (mut rows, mut row) = (RowBatch::default(), SymTuple::new());
+    for f in batch.delete.iter().filter(|f| keep(f)) {
+        row.clear();
+        let known = (f.args().iter()).all(|v| table.lookup_sym(v).map(|s| row.push(s)).is_some());
+        if let Some(r) = table.lookup_rel(f.relation()).filter(|_| known) {
+            rows.delete.push(r, &row);
+        }
+    }
+    for f in batch.insert.iter().filter(|f| keep(f)) {
+        row.clear();
+        row.extend(f.args().iter().map(|v| table.sym(v)));
+        rows.insert.push(table.rel(f.relation()), &row);
+    }
+    rows
+}
+
+/// Apply a signed change in rows, deletions first, to `db`: the
+/// compacted fixpoint of `strata` over its EDB, carrying the indexes of
+/// their [`MaintenancePlan`]; the change touches EDB relations only (the
+/// wrappers in [`crate::query`] see to all of it). A change that only
+/// inserts, into relations no stratum reads under negation, overdeletes
+/// nothing: it is the fixpoint's delta rounds, stratum by stratum.
 ///
 /// Reports `eval.retractions`, `eval.rederivations` and
 /// `eval.maintenance_fallback` counters (plus insertion and work
 /// counters) to `obs`.
-pub fn apply_update_compiled(
+pub(crate) fn apply_update_rows(
     strata: &[CompiledProgram],
-    db: &mut Database,
-    batch: &UpdateBatch,
+    db: &mut Storage,
+    change: &RowBatch,
     obs: &Obs,
 ) -> UpdateStats {
     assert!(
-        !db.storage().any_dead(),
+        !db.any_dead(),
         "incremental maintenance requires a compacted database"
     );
     let mut stats = UpdateStats::default();
     // One watermark move up front: the storage-level signed deltas
     // (`added_ids`/`removed_ids`) then capture exactly this batch's
     // net change, and "below the watermark" is the old view.
-    db.storage_mut().mark_deltas();
-    let (ins, del) = db.apply_update_batch(batch);
-    stats.edb_inserted = ins;
-    stats.edb_deleted = del;
+    db.mark_deltas();
+    for (r, rows) in change.delete.runs() {
+        stats.edb_deleted += rows.filter(|row| db.retract(r, row)).count();
+    }
+    for (r, rows) in change.insert.runs() {
+        stats.edb_inserted += db.insert_batch(r, rows).0;
+    }
 
     let mut added = Ids::new();
     let mut removed = Ids::new();
-    let storage = db.storage();
-    for r in storage.rel_ids() {
-        let Some(rel) = storage.relation(r) else {
+    for r in db.rel_ids() {
+        let Some(rel) = db.relation(r) else {
             continue;
         };
         let (a, rm): (Vec<u32>, Vec<u32>) =
@@ -497,8 +499,7 @@ pub fn apply_update_compiled(
     }
 
     for (k, cp) in strata.iter().enumerate() {
-        let st = Stratum { rules: cp.rules() };
-        if !maintain_stratum(&st, db, &mut added, &mut removed, &mut stats) {
+        if !maintain_stratum(cp, db, &mut added, &mut removed, &mut stats) {
             let _span = obs.span("eval", || format!("maintenance_fallback#{k}"));
             stats.derivations += reevaluate(&strata[k..], db, obs);
             stats.fallbacks += strata.len() - k;
@@ -509,7 +510,7 @@ pub fn apply_update_compiled(
     // Tombstones served their purpose (old-view reconstruction and
     // in-place revival); the fixpoint engines require a compacted
     // store, so physically drop them at the batch boundary.
-    db.storage_mut().compact_retractions();
+    db.compact_retractions();
     if obs.enabled() {
         obs.counter("eval", "retractions", stats.retractions as u64);
         obs.counter("eval", "rederivations", stats.rederivations as u64);
@@ -523,6 +524,7 @@ pub fn apply_update_compiled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::database::Database;
     use crate::eval::seminaive::{fixpoint_seminaive_compiled, EvalOptions};
     use crate::eval::stratified::precompile;
     use crate::stratify::stratify;
@@ -541,7 +543,11 @@ mod tests {
         fn new(src: &str) -> Maintained {
             let symbols = SharedSymbols::new();
             let p = crate::parser::parse_program(src).unwrap();
-            let strata = precompile(&stratify(&p).unwrap(), &symbols, EvalOptions::default());
+            let strata = precompile(
+                &stratify(&p).unwrap(),
+                &mut symbols.write(),
+                EvalOptions::default(),
+            );
             let plan = MaintenancePlan::new(&strata);
             Maintained {
                 strata,
@@ -558,12 +564,13 @@ mod tests {
             for cp in &self.strata {
                 fixpoint_seminaive_compiled(cp, &mut db);
             }
-            self.plan.prepare(&mut db);
+            self.plan.prepare(db.storage_mut());
             db
         }
 
         fn apply(&self, db: &mut Database, batch: &UpdateBatch) -> UpdateStats {
-            apply_update_compiled(&self.strata, db, batch, &Obs::noop())
+            let rows = rows_of_update(&mut db.symbols().write(), batch, |_| true);
+            apply_update_rows(&self.strata, db.storage_mut(), &rows, &Obs::noop())
         }
     }
 
@@ -669,7 +676,7 @@ mod tests {
         let m = Maintained::new(TC);
         let mut db = m.materialize(&initial);
         let before = db.to_instance();
-        let stats = m.apply(&mut db, &UpdateBatch::new());
+        let stats = m.apply(&mut db, &UpdateBatch::default());
         assert_eq!(stats, UpdateStats::default());
         // Deleting an absent fact and re-inserting a present one: no-ops.
         let noop = UpdateBatch::deleting([fact("E", [9, 9])]).with_insert(fact("E", [1, 2]));
@@ -890,6 +897,6 @@ mod tests {
                 .collect()
         };
         db.storage_mut().retract(e, &row);
-        m.apply(&mut db, &UpdateBatch::new());
+        m.apply(&mut db, &UpdateBatch::default());
     }
 }

@@ -14,7 +14,7 @@
 //! the seeding rows come from and what the sink does with a binding.
 
 use super::compile::{Access, AccessPath, ColOp, CompiledAtom, CompiledRule, Slot};
-use calm_common::storage::{EvalMetrics, RelId, Relation, Storage, Sym, SymTuple};
+use calm_common::storage::{EvalMetrics, Relation, Storage, Sym, SymTuple};
 
 /// Which contents of the store a join ranges over, as a filter on row
 /// ids: a retraction leaves a tombstone whose id the indexes keep and
@@ -49,42 +49,6 @@ fn val(slot: Slot, binding: &[Sym]) -> Sym {
 pub(crate) fn instantiate(atom: &CompiledAtom, binding: &[Sym], out: &mut SymTuple) {
     out.clear();
     out.extend(atom.slots.iter().map(|&s| val(s, binding)));
-}
-
-/// Derived rows awaiting insertion, in emission order, laid out like
-/// `transducer::rows::Batch`: the symbols of all rows back to back, one
-/// `(relation, arity, end)` header per run of one relation and arity —
-/// a buffered row is its symbols, and buffering one allocates nothing.
-#[derive(Debug, Default)]
-pub(crate) struct Derived {
-    syms: Vec<Sym>,
-    runs: Vec<(RelId, usize, usize)>,
-}
-
-impl Derived {
-    /// Buffer `row` (arity ≥ 1: the workspace has no nullary relation).
-    pub fn push(&mut self, rel: RelId, row: &[Sym]) {
-        self.syms.extend_from_slice(row);
-        match self.runs.last_mut() {
-            Some((r, arity, end)) if *r == rel && *arity == row.len() => *end = self.syms.len(),
-            _ => self.runs.push((rel, row.len(), self.syms.len())),
-        }
-    }
-
-    /// The runs in push order: each relation with its rows of one arity.
-    pub fn runs(&self) -> impl Iterator<Item = (RelId, std::slice::ChunksExact<'_, Sym>)> + '_ {
-        let mut start = 0;
-        self.runs.iter().map(move |&(rel, arity, end)| {
-            let rows = self.syms[start..end].chunks_exact(arity);
-            start = end;
-            (rel, rows)
-        })
-    }
-
-    pub fn clear(&mut self) {
-        self.syms.clear();
-        self.runs.clear();
-    }
 }
 
 /// Run a column program over `row`: bind first occurrences, compare
@@ -232,65 +196,5 @@ impl<'a> Join<'a> {
                 (start as u32..end as u32).all(|id| visit(self, id))
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn rows(d: &Derived) -> Vec<(RelId, Vec<Sym>)> {
-        (d.runs())
-            .flat_map(|(rel, rows)| rows.map(move |row| (rel, row.to_vec())))
-            .collect()
-    }
-
-    #[test]
-    fn derived_runs_break_exactly_where_relation_or_arity_changes() {
-        let (e, t) = (RelId(0), RelId(1));
-        let pushes: Vec<(RelId, Vec<Sym>)> = [
-            (e, &[1, 2][..]),
-            (e, &[3, 4]),
-            (t, &[5, 6]),
-            (t, &[7]),
-            (t, &[8]),
-            (e, &[9, 1]),
-            (e, &[2, 3, 4]),
-            (t, &[5, 6]),
-        ]
-        .iter()
-        .map(|&(rel, row)| (rel, row.iter().map(|&s| Sym(s)).collect()))
-        .collect();
-        let mut d = Derived::default();
-        for (rel, row) in &pushes {
-            d.push(*rel, row);
-        }
-        assert_eq!(rows(&d), pushes, "the runs hand rows back in push order");
-        assert_eq!(
-            d.runs,
-            [
-                (e, 2, 4),
-                (t, 2, 6),
-                (t, 1, 8),
-                (e, 2, 10),
-                (e, 3, 13),
-                (t, 2, 15)
-            ]
-        );
-        d.clear();
-        assert!(d.syms.is_empty() && d.runs.is_empty());
-    }
-
-    #[test]
-    fn n_binary_rows_are_2n_symbols_under_one_header() {
-        let mut d = Derived::default();
-        let n = 1000;
-        for i in 0..n {
-            d.push(RelId(3), &[Sym(i), Sym(i + 1)]);
-        }
-        assert_eq!(d.syms.len(), 2 * n as usize);
-        assert_eq!(d.runs.len(), 1);
-        let (rel, rows) = d.runs().next().unwrap();
-        assert_eq!((rel, rows.len()), (RelId(3), n as usize));
     }
 }

@@ -24,7 +24,7 @@ pub mod seminaive;
 pub mod stratified;
 
 pub use database::Database;
-pub use incremental::{apply_update_compiled, MaintenancePlan, UpdateStats};
+pub use incremental::{MaintenancePlan, UpdateStats};
 pub use seminaive::{
     fixpoint_seminaive_compiled, CompiledProgram, Engine, EvalMetrics, EvalOptions, RuleSet,
     ValuationQuery,

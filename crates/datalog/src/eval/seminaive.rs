@@ -33,15 +33,15 @@
 //! probe or a lookup issues exactly one, so such a unit is never split
 //! (splitting would multiply `index_probes`).
 
-use super::compile::{compile_rule, Access, CompiledAtom, CompiledRule};
+use super::compile::{compile_rule, Access, AccessPath, CompiledAtom, CompiledRule};
 use super::database::Database;
-use super::join::{instantiate, Derived, Join, View};
+use super::join::{instantiate, Join, View};
 use crate::ast::{Rule, Var};
 use crate::program::Program;
 use calm_common::fact::RelName;
-use calm_common::storage::{RelId, Storage, Sym, SymTuple, SymbolTable};
+use calm_common::storage::{RelId, Rows, Storage, Sym, SymTuple, SymbolTable};
 use calm_obs::Obs;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 pub use calm_common::storage::EvalMetrics;
@@ -72,7 +72,7 @@ pub struct EvalOptions {
     /// Worker threads for the data-parallel semi-naive driver; 1 (the
     /// default) runs the classic sequential loop. Any value produces a
     /// byte-identical database and [`EvalMetrics`] — see the module
-    /// docs on deterministic merging. [`Engine::Naive`] ignores it.
+    /// docs on deterministic merging.
     pub eval_threads: usize,
 }
 
@@ -130,39 +130,6 @@ fn derive_rule(
     join.tally(metrics);
 }
 
-/// The minimal fixpoint of `cp` over `db`, **naively**: every
-/// iteration re-derives everything ([`Engine::Naive`]).
-fn fixpoint_naive(
-    cp: &CompiledProgram,
-    db: &mut Database,
-    frozen: Option<&Database>,
-) -> EvalMetrics {
-    let mut metrics = EvalMetrics::default();
-    loop {
-        metrics.iterations += 1;
-        let mut fresh = Derived::default();
-        let storage = db.storage();
-        let neg = frozen.map_or(storage, |f| f.storage());
-        for rule in &cp.rules {
-            derive_rule(rule, storage, neg, &mut metrics, &mut |rel, row| {
-                if !storage.contains(rel, row) {
-                    fresh.push(rel, row);
-                }
-            });
-        }
-        let mut added = 0;
-        for (rel, rows) in fresh.runs() {
-            let (new_rows, bytes) = db.storage_mut().insert_batch(rel, rows);
-            added += new_rows;
-            metrics.bytes_moved += bytes;
-        }
-        metrics.new_facts += added;
-        if added == 0 {
-            return metrics;
-        }
-    }
-}
-
 /// A semi-positive program compiled once against a symbol table, for
 /// repeated fixpoint evaluation. [`crate::query::DatalogQuery`] holds one
 /// per stratum: the monotonicity falsifiers evaluate the same query
@@ -173,7 +140,7 @@ pub struct CompiledProgram {
     /// The hash indexes the fixpoint's own paths probe (empty but for
     /// [`Engine::SemiNaive`]).
     indexes: Vec<(RelId, usize)>,
-    options: EvalOptions,
+    pub(crate) options: EvalOptions,
     /// Per-rule span labels (`<head-relation>#<rule-index>`), computed at
     /// compile time so tracing never consults the symbol table.
     labels: Vec<String>,
@@ -261,35 +228,40 @@ impl CompiledProgram {
 /// compiled for. `db` must use the table the program was compiled
 /// against.
 pub fn fixpoint_seminaive_compiled(cp: &CompiledProgram, db: &mut Database) -> EvalMetrics {
-    fixpoint(cp, db, None, &Obs::noop())
+    fixpoint(cp, db.storage_mut(), None, None, &Obs::noop())
 }
 
+/// Row ids per relation: the rows a round seeds its delta paths from —
+/// a signed change set carried across strata, or what one round
+/// inserted.
+pub(crate) type Ids = HashMap<RelId, Vec<u32>>;
+
 /// One unit of evaluation work inside a fixpoint round: one path of a
-/// rule — its body path, or the path seeded at positive atom `seed`
-/// from that relation's delta rows — over an optional contiguous
-/// `[start, end)` slice of its outermost scan.
+/// rule — its body path, or a path seeded at one atom from `seeds`, rows
+/// of the atom's relation — over an optional contiguous `[start, end)`
+/// slice of its outermost scan.
 ///
 /// The planner emits jobs in sequential evaluation order (rule index,
 /// then delta position, then partition index); merging worker buffers
 /// in job order therefore reproduces the exact sequential emission
 /// order — see the module docs.
 #[derive(Debug, Clone, Copy)]
-struct EvalJob {
+struct EvalJob<'d> {
     rule: usize,
-    seed: Option<usize>,
+    path: &'d AccessPath,
+    seeds: Option<(RelId, &'d [u32])>,
     range: Option<(usize, usize)>,
 }
 
-/// Plan the jobs for one `(rule, seed)` unit: a single unpartitioned
-/// job when partitioning is pointless or would change the metrics (a
-/// body path that does not start with a scan), otherwise
+/// Plan the jobs for one unit — `job` with no range: a single
+/// unpartitioned job when partitioning is pointless or would change the
+/// metrics (a body path that does not start with a scan), otherwise
 /// `min(threads, rows)` contiguous chunks of the outermost scan whose
 /// sizes differ by at most one.
-fn plan_unit(
-    jobs: &mut Vec<EvalJob>,
-    rule_idx: usize,
+fn plan_unit<'d>(
+    jobs: &mut Vec<EvalJob<'d>>,
+    job: EvalJob<'d>,
     rule: &CompiledRule,
-    seed: Option<usize>,
     storage: &Storage,
     threads: usize,
 ) {
@@ -297,8 +269,8 @@ fn plan_unit(
         if threads <= 1 {
             return None;
         }
-        let len = match seed {
-            Some(i) => storage.relation(rule.pos[i].relation)?.delta_rows().len(),
+        let len = match job.seeds {
+            Some((_, ids)) => ids.len(),
             None => {
                 // A leading probe is a single event: splitting the
                 // unit would issue one per partition and break the
@@ -316,22 +288,16 @@ fn plan_unit(
         };
         (len >= 2).then_some(len)
     })();
-    let mut push = |range| {
-        jobs.push(EvalJob {
-            rule: rule_idx,
-            seed,
-            range,
-        });
-    };
     match scan_len {
-        None => push(None),
+        None => jobs.push(job),
         Some(len) => {
             let parts = threads.min(len);
             let (base, rem) = (len / parts, len % parts);
             let mut start = 0;
             for p in 0..parts {
                 let end = start + base + usize::from(p < rem);
-                push(Some((start, end)));
+                let range = Some((start, end));
+                jobs.push(EvalJob { range, ..job });
                 start = end;
             }
         }
@@ -342,11 +308,10 @@ fn plan_unit(
 /// the insert is the round's dedup.
 fn run_job(
     cp: &CompiledProgram,
-    job: &EvalJob,
-    storage: &Storage,
-    neg: &Storage,
+    job: &EvalJob<'_>,
+    (storage, neg): (&Storage, &Storage),
     metrics: &mut EvalMetrics,
-    sink: &mut Derived,
+    sink: &mut Rows,
 ) {
     let rule = &cp.rules[job.rule];
     let mut head = SymTuple::new();
@@ -355,20 +320,18 @@ fn run_job(
         sink.push(rule.head.relation, &head);
         true
     };
-    let mut join;
-    match job.seed {
+    let mut join = Join::new(rule, job.path, storage, neg, View::New);
+    match job
+        .seeds
+        .and_then(|(r, ids)| Some((storage.relation(r)?, ids)))
+    {
         None => {
-            join = Join::new(rule, &rule.paths.body, storage, neg, View::New);
             join.all(job.range, &mut emit);
         }
-        Some(i) => {
-            join = Join::new(rule, &rule.paths.pos[i], storage, neg, View::New);
-            if let Some(seeds) = storage.relation(rule.pos[i].relation) {
-                let delta = seeds.delta_rows();
-                let (start, end) = job.range.unwrap_or((0, delta.len()));
-                for id in delta.skip(start).take(end - start) {
-                    join.seeded(seeds.row(id), &mut emit);
-                }
+        Some((relation, ids)) => {
+            let (start, end) = job.range.unwrap_or((0, ids.len()));
+            for &id in &ids[start..end] {
+                join.seeded(relation.row(id), &mut emit);
             }
         }
     }
@@ -377,7 +340,7 @@ fn run_job(
 
 /// What one parallel job hands back: its index in the round's job
 /// order, the facts it derived, and the counters it accumulated.
-type JobResult = (usize, Derived, EvalMetrics);
+type JobResult = (usize, Rows, EvalMetrics);
 
 /// Execute one round's jobs into `bufs`, whose concatenation is the
 /// round's derivations in sequential order. Sequential (`eval_threads`
@@ -388,15 +351,14 @@ type JobResult = (usize, Derived, EvalMetrics);
 /// merging the metrics in that order.
 fn run_round(
     cp: &CompiledProgram,
-    storage: &Storage,
-    neg: &Storage,
-    jobs: &[EvalJob],
-    bufs: &mut Vec<Derived>,
+    over: (&Storage, &Storage),
+    jobs: &[EvalJob<'_>],
+    bufs: &mut Vec<Rows>,
     metrics: &mut EvalMetrics,
     obs: &Obs,
 ) {
     if cp.options.eval_threads <= 1 {
-        bufs.resize_with(1, Derived::default);
+        bufs.resize_with(1, Rows::default);
         let pending = &mut bufs[0];
         let mut k = 0;
         while k < jobs.len() {
@@ -404,7 +366,7 @@ fn run_round(
             let before = metrics.derivations;
             let _rule_span = obs.span("eval.rule", || cp.labels[rule_idx].clone());
             while k < jobs.len() && jobs[k].rule == rule_idx {
-                run_job(cp, &jobs[k], storage, neg, metrics, pending);
+                run_job(cp, &jobs[k], over, metrics, pending);
                 k += 1;
             }
             if obs.enabled() {
@@ -433,8 +395,8 @@ fn run_round(
                 break;
             }
             let mut job_metrics = EvalMetrics::default();
-            let mut buf = Derived::default();
-            run_job(cp, &jobs[j], storage, neg, &mut job_metrics, &mut buf);
+            let mut buf = Rows::default();
+            run_job(cp, &jobs[j], over, &mut job_metrics, &mut buf);
             local.push((j, buf, job_metrics));
         }
         local
@@ -469,42 +431,40 @@ fn run_round(
     }
 }
 
-/// The full form of [`fixpoint_seminaive_compiled`]: with `frozen`,
-/// every negative body atom is checked against it instead of the
-/// evolving database — the `Γ` operator of the well-founded alternating
-/// fixpoint ([`crate::wellfounded`]), for which the program need not be
-/// semi-positive; `frozen` must share `db`'s symbol table. The
-/// semi-naive engines report per-iteration and per-rule spans plus
-/// derivation counters to `obs`; the naive reference reports nothing.
+/// The full form of [`fixpoint_seminaive_compiled`], over the rows of
+/// `db`. With `frozen` (over `db`'s table), every negative body atom is
+/// checked against it instead — the `Γ` operator of the well-founded
+/// alternating fixpoint ([`crate::wellfounded`]). With `seeds = (pos,
+/// neg)`, `db` is the fixpoint but for the rows of `pos` (entered) and
+/// `neg` (entered or left a relation read under negation), and round 0
+/// seeds every atom from them instead of walking the body paths: DRed's
+/// insert phase, of which a session's insert-only step is the whole
+/// ([`crate::eval::incremental`]). Spans and counters go to `obs`.
 pub(crate) fn fixpoint(
     cp: &CompiledProgram,
-    db: &mut Database,
-    frozen: Option<&Database>,
+    db: &mut Storage,
+    frozen: Option<&Storage>,
+    seeds: Option<(&Ids, &Ids)>,
     obs: &Obs,
 ) -> EvalMetrics {
-    if let Some(f) = frozen {
-        assert!(
-            db.symbols().same_table(f.symbols()),
-            "frozen negation database must share the symbol table"
-        );
-    }
-    // Fixpoints run over compacted stores: seeding iterates the raw
-    // insertion log (`Relation::delta_rows`), tombstones included. A
-    // caller that retracts must compact first (the update drivers do,
-    // at every batch boundary and before a maintenance fallback) —
-    // fail in tests rather than join against dead rows.
+    // A fixpoint from scratch runs over compacted stores: round 0 scans
+    // the raw insertion log, tombstones included. A caller that retracts
+    // must compact first (the update drivers do, at every batch boundary
+    // and before a maintenance fallback) — fail in tests rather than
+    // join against dead rows.
     debug_assert!(
-        !db.storage().any_dead() && !frozen.is_some_and(|f| f.storage().any_dead()),
+        seeds.is_some() || (!db.any_dead() && !frozen.is_some_and(Storage::any_dead)),
         "fixpoint over an uncompacted store: compact_retractions() first"
     );
-    if cp.options.engine == Engine::Naive {
-        return fixpoint_naive(cp, db, frozen);
-    }
+    // The naive reference walks every body path in every round, and
+    // reports nothing.
+    let (naive, noop) = (cp.options.engine == Engine::Naive, Obs::noop());
+    let obs = if naive { &noop } else { obs };
     let threads = cp.options.eval_threads.max(1);
     // Build the probed indexes once; inserts keep them current, so the
     // fixpoint loop below never rebuilds an index.
     for &(rel, col) in &cp.indexes {
-        db.storage_mut().relation_mut(rel).ensure_index(col);
+        db.relation_mut(rel).ensure_index(col);
     }
     if obs.enabled() {
         let [probe, lookup, scan] = cp.access_counts;
@@ -513,45 +473,70 @@ pub(crate) fn fixpoint(
         obs.counter("eval.plan", "atoms.scan", scan as u64);
     }
     let mut metrics = EvalMetrics::default();
-    let mut pending: Vec<Derived> = Vec::new();
-    let mut jobs: Vec<EvalJob> = Vec::new();
+    let mut pending: Vec<Rows> = Vec::new();
+    let (none, mut inserted) = (Ids::new(), Ids::new());
     loop {
-        // Round 0 walks every rule's body path once on the initial
-        // database: this covers non-recursive rules completely (their
-        // inputs never change within this stratum) and seeds the delta
-        // for recursive ones. Every later round is a delta round:
-        // recursive rules only, one delta position at a time. A row
-        // derived at several delta positions, or already stored, is
+        // From scratch, round 0 walks every rule's body path once: this
+        // covers non-recursive rules completely (their inputs never
+        // change within this stratum) and seeds the delta for recursive
+        // ones. Every other round seeds one path per atom whose relation
+        // has rows in the delta — after round 0, the stratum's own heads.
+        // A row derived at several delta positions, or already stored, is
         // dropped by the insert.
         let first = metrics.iterations == 0;
         metrics.iterations += 1;
         {
             let iter = metrics.iterations;
             let _iter_span = obs.span("eval", || format!("iteration#{}", iter - 1));
-            let storage = db.storage();
-            let neg = frozen.map_or(storage, |f| f.storage());
-            jobs.clear();
+            let storage = &*db;
+            let (pos, neg) = match seeds {
+                Some(seeds) if first => seeds,
+                _ => (&inserted, &none),
+            };
+            let mut jobs = Vec::new();
             for (i, rule) in cp.rules.iter().enumerate() {
-                for (seed, _) in rule.fixpoint_paths() {
-                    if seed.is_none() == first {
-                        plan_unit(&mut jobs, i, rule, seed, storage, threads);
+                let job = |path, seeds| EvalJob {
+                    rule: i,
+                    path,
+                    seeds,
+                    range: None,
+                };
+                if naive || (first && seeds.is_none()) {
+                    let body = job(&rule.paths.body, None);
+                    plan_unit(&mut jobs, body, rule, storage, threads);
+                    continue;
+                }
+                let at_pos = rule.pos.iter().zip(&rule.paths.pos).map(|p| (p, pos));
+                let at_neg = rule.neg.iter().zip(&rule.paths.neg).map(|n| (n, neg));
+                for ((atom, path), delta) in at_pos.chain(at_neg) {
+                    if let Some(ids) = delta.get(&atom.relation).filter(|ids| !ids.is_empty()) {
+                        let job = job(path, Some((atom.relation, &ids[..])));
+                        plan_unit(&mut jobs, job, rule, storage, threads);
                     }
                 }
             }
-            run_round(cp, storage, neg, &jobs, &mut pending, &mut metrics, obs);
+            let over = (storage, frozen.unwrap_or(storage));
+            run_round(cp, over, &jobs, &mut pending, &mut metrics, obs);
         }
-        // Rows inserted now form the next delta region: move every
-        // watermark to the current end first, then insert. The insert
-        // is the round's only membership test; each buffered run goes
-        // through one `insert_batch`, so the relation is resolved once
-        // per run instead of once per row.
-        db.storage_mut().mark_deltas();
+        // The insert is the round's only membership test. What it added
+        // to a relation the rules read — a new row, or one revived in
+        // place where the store holds tombstones — is the next round's
+        // delta.
+        inserted.values_mut().for_each(Vec::clear);
         let mut added = 0;
         for buf in &mut pending {
             for (rel, rows) in buf.runs() {
-                let (new_rows, bytes) = db.storage_mut().insert_batch(rel, rows);
-                added += new_rows;
-                metrics.bytes_moved += bytes;
+                let read = (cp.rules.iter()).any(|r| r.pos.iter().any(|a| a.relation == rel));
+                let ids = inserted.entry(rel).or_default();
+                for row in rows {
+                    if let Some(id) = db.insert_id(rel, row) {
+                        if read {
+                            ids.push(id);
+                        }
+                        added += 1;
+                        metrics.bytes_moved += std::mem::size_of_val(row);
+                    }
+                }
             }
             buf.clear();
         }
@@ -911,7 +896,7 @@ mod tests {
         let rules = RuleSet::new(&tc(), &mut db.symbols().clone().write());
         let mut out = Database::with_symbols(db.symbols().clone());
         rules.derive(&db, &mut EvalMetrics::default(), &mut |rel, row| {
-            out.insert(rel, row);
+            out.storage_mut().insert(rel, row);
         });
         // Only the base rule fires (T empty in input db).
         assert_eq!(out.to_instance().relation_len("T"), 3);
@@ -1003,7 +988,7 @@ mod tests {
             let options = EvalOptions::default().with_eval_threads(threads);
             let cp = CompiledProgram::new(&tc(), &mut par.symbols().clone().write(), options);
             let sink = std::sync::Arc::new(ParallelCounters::default());
-            let m_par = fixpoint(&cp, &mut par, None, &Obs::new(sink.clone()));
+            let m_par = fixpoint(&cp, par.storage_mut(), None, None, &Obs::new(sink.clone()));
             assert_eq!(m_seq, m_par, "EvalMetrics diverged at T={threads}");
             assert_byte_identical(&seq, &par);
             // One `partitions` then one `workers` report per round.

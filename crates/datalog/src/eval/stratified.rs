@@ -5,36 +5,35 @@ use super::seminaive::{fixpoint, CompiledProgram, EvalMetrics, EvalOptions};
 use crate::program::Program;
 use crate::stratify::{stratify, NotStratifiable, Stratification};
 use calm_common::instance::Instance;
-use calm_common::storage::SharedSymbols;
+use calm_common::storage::{Storage, SymbolTable};
 use calm_obs::Obs;
 
-/// Compile every stratum of `strat` against `symbols` with `options`.
+/// Compile every stratum of `strat` against `table` with `options`.
 pub(crate) fn precompile(
     strat: &Stratification,
-    symbols: &SharedSymbols,
+    table: &mut SymbolTable,
     options: EvalOptions,
 ) -> Vec<CompiledProgram> {
-    let mut table = symbols.write();
     (strat.strata.iter())
-        .map(|stratum| CompiledProgram::new(stratum, &mut table, options))
+        .map(|stratum| CompiledProgram::new(stratum, table, options))
         .collect()
 }
 
 /// Run every compiled stratum's fixpoint over `db`, lowest stratum
-/// first: the one loop under evaluation, the query object's `eval` and
-/// `open`, and the maintenance fallback. `spans` wraps each fixpoint in
+/// first: under evaluation, the query object's `eval`, `open` and
+/// session cold start, and the maintenance fallback. `spans` wraps each fixpoint in
 /// an `eval/stratum#i` span — evaluation reports them; the fallback
 /// (already inside a `maintenance_fallback#k` span) does not.
 pub(crate) fn fixpoint_strata(
     strata: &[CompiledProgram],
-    db: &mut Database,
+    db: &mut Storage,
     obs: &Obs,
     spans: bool,
 ) -> Vec<EvalMetrics> {
     let mut stats = Vec::with_capacity(strata.len());
     for (i, cp) in strata.iter().enumerate() {
         let _span = spans.then(|| obs.span("eval", || format!("stratum#{i}")));
-        stats.push(fixpoint(cp, db, None, obs));
+        stats.push(fixpoint(cp, db, None, None, obs));
     }
     stats
 }
@@ -56,8 +55,8 @@ pub fn eval_database(
     options: EvalOptions,
     obs: &Obs,
 ) -> Result<Vec<EvalMetrics>, NotStratifiable> {
-    let strata = precompile(&stratify(p)?, db.symbols(), options);
-    Ok(fixpoint_strata(&strata, db, obs, true))
+    let strata = precompile(&stratify(p)?, &mut db.symbols().write(), options);
+    Ok(fixpoint_strata(&strata, db.storage_mut(), obs, true))
 }
 
 /// Evaluate a stratifiable Datalog¬ program on an input instance,
@@ -106,7 +105,8 @@ pub fn eval_program(
 /// # Errors
 /// Returns [`NotStratifiable`] for programs with a negative cycle.
 pub fn plan_report(p: &Program) -> Result<String, NotStratifiable> {
-    let strata = precompile(&stratify(p)?, &SharedSymbols::new(), EvalOptions::default());
+    let (mut table, options) = (SymbolTable::new(), EvalOptions::default());
+    let strata = precompile(&stratify(p)?, &mut table, options);
     let mut out = String::new();
     for (i, cp) in strata.iter().enumerate() {
         out.push_str(&format!("stratum {i}:\n"));

@@ -34,8 +34,8 @@ pub mod stratify;
 pub mod wellfounded;
 
 pub use ast::{Atom, Rule, Term, Var};
-pub use eval::{apply_update_compiled, MaintenancePlan, UpdateStats};
 pub use eval::{eval_database, eval_program, plan_report, Engine, EvalOptions};
+pub use eval::{MaintenancePlan, UpdateStats};
 pub use fragment::{classify, is_rule_connected, FragmentReport};
 pub use parser::{parse_facts, parse_program, parse_rule, parse_updates};
 pub use program::{Program, ProgramError};

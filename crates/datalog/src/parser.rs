@@ -359,7 +359,7 @@ fn line_end(bytes: &[u8], pos: usize) -> usize {
 pub fn parse_updates(src: &str) -> Result<Vec<calm_common::update::UpdateBatch>, String> {
     use calm_common::update::UpdateBatch;
     let mut batches = Vec::new();
-    let mut cur = UpdateBatch::new();
+    let mut cur = UpdateBatch::default();
     for (i, raw) in src.lines().enumerate() {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('%') || line.starts_with("//") {
@@ -1114,7 +1114,7 @@ mod tests {
     /// [`parse_updates`] said again, a line at a time over
     /// [`parse_facts`]: what the batches of an accepted file must be.
     fn parse_updates_reference(src: &str) -> Option<Vec<UpdateBatch>> {
-        let (mut batches, mut cur) = (Vec::new(), UpdateBatch::new());
+        let (mut batches, mut cur) = (Vec::new(), UpdateBatch::default());
         for line in src.lines().map(str::trim) {
             if line.is_empty() || line.starts_with('%') || line.starts_with("//") {
                 continue;

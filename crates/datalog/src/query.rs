@@ -2,16 +2,16 @@
 //! [`calm_common::query::Query`].
 
 use crate::eval::database::Database;
-use crate::eval::incremental::{apply_update_compiled, MaintenancePlan, UpdateStats};
+use crate::eval::incremental::{apply_update_rows, rows_of_update, MaintenancePlan, UpdateStats};
 use crate::eval::seminaive::{CompiledProgram, EvalOptions};
 use crate::eval::stratified::{fixpoint_strata, precompile};
 use crate::program::Program;
 use crate::stratify::{stratify, NotStratifiable};
 use calm_common::fact::Fact;
 use calm_common::instance::Instance;
-use calm_common::query::{AnswerSink, Query, QuerySession};
+use calm_common::query::{AnswerSink, Query, QuerySession, RowBatch};
 use calm_common::schema::Schema;
-use calm_common::storage::SharedSymbols;
+use calm_common::storage::{RelId, SharedSymbols, Storage, SymbolTable};
 use calm_common::update::UpdateBatch;
 use calm_obs::Obs;
 
@@ -43,7 +43,11 @@ impl DatalogQuery {
     /// [`crate::wellfounded`] instead).
     pub fn new(name: impl Into<String>, program: Program) -> Result<Self, NotStratifiable> {
         let symbols = SharedSymbols::new();
-        let strata = precompile(&stratify(&program)?, &symbols, EvalOptions::default());
+        let strata = precompile(
+            &stratify(&program)?,
+            &mut symbols.write(),
+            EvalOptions::default(),
+        );
         Ok(DatalogQuery {
             name: name.into(),
             input_schema: program.edb(),
@@ -80,6 +84,20 @@ impl DatalogQuery {
         &self.program
     }
 
+    /// [`Query::session`], unboxed: the strata compiled against `table`.
+    fn row_session(&self, table: &mut SymbolTable) -> RowSession {
+        let strat = stratify(&self.program).expect("stratified when the query was built");
+        let options = (self.strata.first()).map_or_else(EvalOptions::default, |cp| cp.options);
+        let mut ids = |schema: &Schema| schema.iter().map(|(r, n)| (table.rel(r), n)).collect();
+        RowSession {
+            input: ids(&self.input_schema),
+            output: ids(&self.output_schema),
+            strata: precompile(&strat, table, options),
+            rows: Storage::new(),
+            started: false,
+        }
+    }
+
     /// Open a maintained evaluation over `input`: materialize the
     /// fixpoint once, then fold signed [`UpdateBatch`]es into it with
     /// [`IncrementalEvaluation::apply`] instead of re-running the
@@ -95,8 +113,8 @@ impl DatalogQuery {
     pub fn open_obs(&self, input: &Instance, obs: &Obs) -> IncrementalEvaluation<'_> {
         let restricted = input.restrict(&self.input_schema);
         let mut db = Database::from_instance_with(&restricted, self.symbols.clone());
-        fixpoint_strata(&self.strata, &mut db, obs, true);
-        MaintenancePlan::new(&self.strata).prepare(&mut db);
+        fixpoint_strata(&self.strata, db.storage_mut(), obs, true);
+        MaintenancePlan::new(&self.strata).prepare(db.storage_mut());
         IncrementalEvaluation {
             query: self,
             db,
@@ -119,8 +137,9 @@ pub struct IncrementalEvaluation<'q> {
 }
 
 impl IncrementalEvaluation<'_> {
-    /// Fold one signed batch into the materialized database. Facts
-    /// outside the query's input schema are ignored, mirroring the
+    /// Fold one signed batch into the materialized database: the facts
+    /// interned, then the row door a [`Query::session`] goes through.
+    /// Facts outside the query's input schema are ignored, mirroring the
     /// input restriction of [`Query::eval`]. Returns this batch's
     /// maintenance counters.
     pub fn apply(&mut self, batch: &UpdateBatch) -> UpdateStats {
@@ -132,12 +151,9 @@ impl IncrementalEvaluation<'_> {
     /// `obs`.
     pub fn apply_obs(&mut self, batch: &UpdateBatch, obs: &Obs) -> UpdateStats {
         let schema = &self.query.input_schema;
-        let keep = |f: &&Fact| schema.arity(f.relation()) == Some(f.arity());
-        let restricted = UpdateBatch {
-            insert: batch.insert.iter().filter(keep).cloned().collect(),
-            delete: batch.delete.iter().filter(keep).cloned().collect(),
-        };
-        let stats = apply_update_compiled(&self.query.strata, &mut self.db, &restricted, obs);
+        let keep = |f: &Fact| schema.arity(f.relation()) == Some(f.arity());
+        let rows = rows_of_update(&mut self.db.symbols().write(), batch, keep);
+        let stats = apply_update_rows(&self.query.strata, self.db.storage_mut(), &rows, obs);
         self.stats.merge(&stats);
         stats
     }
@@ -172,7 +188,7 @@ impl Query for DatalogQuery {
     fn eval(&self, input: &Instance) -> Instance {
         let restricted = input.restrict(&self.input_schema);
         let mut db = Database::from_instance_with(&restricted, self.symbols.clone());
-        fixpoint_strata(&self.strata, &mut db, &Obs::noop(), false);
+        fixpoint_strata(&self.strata, db.storage_mut(), &Obs::noop(), false);
         // Unintern only the output relations — everything else would be
         // dropped by the restriction anyway.
         db.to_instance_restricted(&self.output_schema)
@@ -182,41 +198,71 @@ impl Query for DatalogQuery {
         &self.name
     }
 
-    /// The maintained form: one [`IncrementalEvaluation`] opened over
-    /// the empty input (where every program's answer is empty — a rule
-    /// needs a positive atom); a batch costs what it changes.
-    fn session(&self) -> Box<dyn QuerySession + '_> {
-        Box::new(self.open(&Instance::new()))
+    /// The maintained form over the caller's table ([`RowSession`]).
+    fn session(&self, table: &mut SymbolTable) -> Box<dyn QuerySession + '_> {
+        Box::new(self.row_session(table))
     }
 }
 
-/// As [`DatalogQuery`]'s session: the answer's growth is the rows a
-/// batch appended — the whole answer when it fell back to re-evaluation
-/// — handed on as the rows they are, over the query's symbol table.
-impl QuerySession for IncrementalEvaluation<'_> {
-    fn apply(&mut self, batch: &UpdateBatch, grown: &mut AnswerSink<'_>) {
-        let added_only = self.apply_obs(batch, &Obs::noop()).fallbacks == 0;
-        let table = self.db.symbols().read();
-        for (name, arity) in self.query.output_schema.iter() {
-            let r = table.lookup_rel(name);
-            let Some((r, rows)) = r.and_then(|r| Some((r, self.db.storage().relation(r)?))) else {
-                continue;
-            };
-            // The appended rows are read off the storage watermark the
-            // batch set on entry (a re-evaluated stratum moves it once
-            // per fixpoint round); a row the batch retracted and
-            // rederived keeps its id and is not among them.
-            let ids = if added_only {
-                rows.delta_rows()
-            } else {
-                rows.rows()
-            };
-            for id in ids.filter(|&id| rows.is_live(id)) {
-                if rows.row(id).len() == arity {
-                    grown(&table, r, rows.row(id));
-                }
+/// [`DatalogQuery`]'s [`QuerySession`]: its strata compiled against the
+/// caller's table, over a store of its own in rows of that table. The
+/// first call is `calm eval`'s fixpoint, every later one
+/// [`apply_update_rows`]; the growth is the output rows a call appended.
+struct RowSession {
+    /// The input and the output relations, by id, with their arities.
+    input: Vec<(RelId, usize)>,
+    output: Vec<(RelId, usize)>,
+    strata: Vec<CompiledProgram>,
+    rows: Storage,
+    started: bool,
+}
+
+impl QuerySession for RowSession {
+    fn apply(&mut self, _table: &mut SymbolTable, batch: &RowBatch, grown: &mut AnswerSink<'_>) {
+        self.step(batch, grown);
+    }
+}
+
+impl RowSession {
+    /// [`QuerySession::apply`], returning the call's maintenance
+    /// counters: none on the first call, which is the fixpoint.
+    fn step(&mut self, batch: &RowBatch, grown: &mut AnswerSink<'_>) -> UpdateStats {
+        // The rows of the input schema, as `Query::eval` restricts it.
+        let mut change = RowBatch::default();
+        for (from, to) in [
+            (&batch.insert, &mut change.insert),
+            (&batch.delete, &mut change.delete),
+        ] {
+            for (r, run) in from.runs() {
+                let kept = run.filter(|row| self.input.contains(&(r, row.len())));
+                kept.for_each(|row| to.push(r, row));
             }
         }
+        let mut stats = UpdateStats::default();
+        let added_only = if std::mem::replace(&mut self.started, true) {
+            stats = apply_update_rows(&self.strata, &mut self.rows, &change, &Obs::noop());
+            stats.fallbacks == 0
+        } else {
+            for (r, run) in change.insert.runs() {
+                self.rows.insert_batch(r, run);
+            }
+            fixpoint_strata(&self.strata, &mut self.rows, &Obs::noop(), false);
+            MaintenancePlan::new(&self.strata).prepare(&mut self.rows);
+            false
+        };
+        for &(r, arity) in &self.output {
+            let Some(rows) = self.rows.relation(r) else {
+                continue;
+            };
+            // Past the watermark the call set on entry; a row it
+            // retracted and rederived keeps its id and is not among them.
+            let start = if added_only { rows.delta_start() } else { 0 };
+            let ids = start as u32..rows.rows().end;
+            for id in ids.filter(|&id| rows.is_live(id) && rows.row(id).len() == arity) {
+                grown(r, rows.row(id));
+            }
+        }
+        stats
     }
 }
 
@@ -284,39 +330,35 @@ mod tests {
         assert!(session.database().storage().rel_ids().count() > 0);
     }
 
-    #[test]
-    fn query_session_reports_the_growth_of_the_answer() {
-        // What the session returns, folded into a set, is the union of
-        // the answers over every prefix — through a deletion, a
-        // re-insertion, and a dense view whose deletion trips the
-        // re-evaluation fallback.
-        let q = DatalogQuery::parse(
-            "indirect",
-            "@output O.\nT(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).\n\
-             O(x,y) :- T(x,y), not E(x,y).",
-        )
-        .unwrap();
-        let mut session = q.session();
-        let mut edb = Instance::new();
-        let mut folded = Instance::new();
-        let mut union = Instance::new();
-        let ring: Vec<_> = (0..12).map(|i| fact("E", [i, (i + 1) % 12])).collect();
-        let batches = [
-            UpdateBatch::new(),
-            UpdateBatch::inserting([fact("E", [1, 2]), fact("E", [2, 3])]),
-            UpdateBatch::inserting([fact("E", [3, 4])]),
-            UpdateBatch::deleting([fact("E", [2, 3])]),
-            UpdateBatch::inserting([fact("E", [2, 3])]),
-            UpdateBatch::inserting(ring.clone()),
-            // Every closure tuple of the ring depends on this edge.
-            UpdateBatch::deleting([ring[0].clone()]),
-        ];
+    /// A session fed batches of facts as rows over one table: each
+    /// batch's growth, un-interned, must lie inside `Query::eval` of the
+    /// prefix it ends, report every fact that answer holds beyond the
+    /// answers before it, and — folded — be the union of those answers.
+    /// Returns the session's maintenance counters and how many batches
+    /// were insert-only and how many deleted something present.
+    fn check_session(q: &DatalogQuery, batches: &[UpdateBatch]) -> (UpdateStats, usize, usize) {
+        let mut table = SymbolTable::new();
+        let mut session = q.row_session(&mut table);
+        let (mut edb, mut folded, mut union) = (Instance::new(), Instance::new(), Instance::new());
+        let (mut stats, mut inserting, mut deleting) = (UpdateStats::default(), 0, 0);
         for (k, b) in batches.iter().enumerate() {
+            let mut rows = RowBatch::default();
+            for (facts, to) in [(&b.insert, &mut rows.insert), (&b.delete, &mut rows.delete)] {
+                for f in facts {
+                    let row: Vec<_> = f.args().iter().map(|v| table.sym(v)).collect();
+                    to.push(table.rel(f.relation()), &row);
+                }
+            }
+            let mut grown_rows = Vec::new();
+            let step = session.step(&rows, &mut |r, row| grown_rows.push((r, row.to_vec())));
+            stats.merge(&step);
             let mut grown = Instance::new();
-            session.apply(b, &mut |table, r, row| {
+            for (r, row) in grown_rows {
                 let args = row.iter().map(|&v| table.value(v).clone()).collect();
                 grown.insert_tuple(table.rel_name(r), args);
-            });
+            }
+            deleting += usize::from(b.delete.iter().any(|f| edb.contains(f)));
+            inserting += usize::from(k > 0 && b.delete.is_empty() && !b.insert.is_empty());
             b.apply_to_instance(&mut edb);
             let answer = q.eval(&edb);
             assert!(grown.is_subset(&answer), "batch {k}: inside the answer");
@@ -327,6 +369,84 @@ mod tests {
             folded.extend(grown);
             union.extend(answer);
             assert_eq!(folded, union, "batch {k}");
+        }
+        (stats, inserting, deleting)
+    }
+
+    const INDIRECT: &str = "@output O.\nT(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).\n\
+                            O(x,y) :- T(x,y), not E(x,y).";
+
+    #[test]
+    fn query_session_reports_the_growth_of_the_answer() {
+        // Through a deletion, a re-insertion, and a dense view whose
+        // deletion trips the re-evaluation fallback.
+        let q = DatalogQuery::parse("indirect", INDIRECT).unwrap();
+        let ring: Vec<_> = (0..12).map(|i| fact("E", [i, (i + 1) % 12])).collect();
+        let batches = [
+            UpdateBatch::default(),
+            UpdateBatch::inserting([fact("E", [1, 2]), fact("E", [2, 3])]),
+            UpdateBatch::inserting([fact("E", [3, 4])]),
+            UpdateBatch::deleting([fact("E", [2, 3])]),
+            UpdateBatch::inserting([fact("E", [2, 3])]),
+            UpdateBatch::inserting(ring.clone()),
+            // Every closure tuple of the ring depends on this edge.
+            UpdateBatch::deleting([ring[0].clone()]),
+        ];
+        let (stats, _, deleting) = check_session(&q, &batches);
+        assert!(stats.fallbacks > 0 && deleting == 2);
+    }
+
+    #[test]
+    fn a_session_is_the_answer_of_every_prefix_under_random_signed_batches() {
+        // Three programs: positive recursion, negation over the input,
+        // three strata (a closure, negation over it, negation over that).
+        // Each run opens on a ring whose edge deletion trips the guard,
+        // then takes random signed batches over a small domain.
+        let programs = [
+            ("tc", include_str!("../../../examples/data/tc.dl")),
+            ("indirect", INDIRECT),
+            (
+                "strata",
+                "@output O.\nT(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).\n\
+                 U(x) :- V(x), not T(x,x).\nO(x,y) :- E(x,y), not U(x).",
+            ),
+        ];
+        let mut rng = calm_common::rng::Rng::seed_from_u64(0x5e55);
+        for (name, src) in programs {
+            let q = DatalogQuery::parse(name, src).unwrap();
+            assert!(name != "strata" || q.strata.len() == 3);
+            let ring: Vec<_> = (20..32)
+                .map(|i| fact("E", [i, 20 + (i - 19) % 12]))
+                .collect();
+            let mut batches = vec![
+                UpdateBatch::inserting(ring.clone()),
+                UpdateBatch::deleting([ring[3].clone()]),
+            ];
+            let random_fact = |rng: &mut calm_common::rng::Rng| match rng.gen_range(0..4u32) {
+                0 => fact("V", [rng.gen_range(0..6i64)]),
+                _ => fact("E", [rng.gen_range(0..6i64), rng.gen_range(0..6i64)]),
+            };
+            for _ in 0..60 {
+                let mut b = UpdateBatch::default();
+                for _ in 0..rng.gen_range(0..5usize) {
+                    b.insert.push(random_fact(&mut rng));
+                }
+                if rng.gen_bool(0.4) {
+                    for _ in 0..rng.gen_range(1..4usize) {
+                        b.delete.push(random_fact(&mut rng));
+                    }
+                }
+                batches.push(b);
+            }
+            let (stats, inserting, deleting) = check_session(&q, &batches);
+            assert!(
+                stats.fallbacks > 0 && inserting > 10 && deleting > 5,
+                "{name}: {stats:?}, {inserting} insert-only, {deleting} deleting"
+            );
+            assert!(
+                stats.retractions > 0 && stats.insertions > 0,
+                "{name}: {stats:?}"
+            );
         }
     }
 

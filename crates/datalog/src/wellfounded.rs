@@ -65,7 +65,7 @@ impl WellFoundedModel {
 /// symbol table (which the program was compiled against).
 fn gamma(cp: &CompiledProgram, input: &Instance, k: &Database, obs: &Obs) -> Database {
     let mut db = Database::from_instance_with(input, k.symbols().clone());
-    fixpoint(cp, &mut db, Some(k), obs);
+    fixpoint(cp, db.storage_mut(), Some(k.storage()), None, obs);
     db
 }
 
@@ -221,7 +221,7 @@ impl DoubledProgram {
             Database::from_instance_with(&prime_instance(input, &self.doubled), symbols.clone());
         base_over.load(input);
         let base_under = Database::from_instance_with(input, symbols);
-        let mut gamma_applications = 0;
+        let (mut gamma_applications, noop) = (0, Obs::noop());
         // Under-approximation state: unprimed facts (initially empty).
         let mut under = Database::with_symbols(base_under.symbols().clone());
         loop {
@@ -229,19 +229,16 @@ impl DoubledProgram {
             let mut frozen_under = base_under.clone();
             frozen_under.absorb(&under);
             let mut over_db = base_over.clone();
-            fixpoint(
-                &possible_cp,
-                &mut over_db,
-                Some(&frozen_under),
-                &Obs::noop(),
-            );
+            let frozen = Some(frozen_under.storage());
+            fixpoint(&possible_cp, over_db.storage_mut(), frozen, None, &noop);
             gamma_applications += 1;
 
             // True side: freeze negation on the primed overestimate —
             // `over_db` holds exactly the primed idb facts plus the input,
             // so it serves as the frozen database directly.
             let mut under_db = base_under.clone();
-            fixpoint(&true_cp, &mut under_db, Some(&over_db), &Obs::noop());
+            let frozen = Some(over_db.storage());
+            fixpoint(&true_cp, under_db.storage_mut(), frozen, None, &noop);
             gamma_applications += 1;
 
             if under_db.same_facts(&under) {

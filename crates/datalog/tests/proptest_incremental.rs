@@ -96,7 +96,7 @@ fn small_instance(r: &mut Rng) -> Instance {
 /// toward facts actually present (so retraction paths really fire),
 /// insertions are fresh-or-duplicate uniformly.
 fn rand_batch(r: &mut Rng, current: &Instance) -> UpdateBatch {
-    let mut b = UpdateBatch::new();
+    let mut b = UpdateBatch::default();
     let present: Vec<_> = current.facts().collect();
     for _ in 0..r.gen_range(0..3usize) {
         if !present.is_empty() && r.gen_bool(0.7) {

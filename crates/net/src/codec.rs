@@ -20,13 +20,16 @@
 //!
 //! Facts are written from rows in [`CanonicalOrder`] and read into rows
 //! ([`put_state`], [`put_pending`], [`read_rows`]): a node's state, inbox
-//! and receive filter in a checkpoint, the states of the final report
-//! ([`StateRows`]).
+//! and receive filter in a checkpoint. The states of the final report
+//! ([`StateRows`]) are one wire batch per node ([`encode_state`]).
 
-use crate::wirefmt::{put_bytes, put_value, put_varint, unzigzag, zigzag, Reader, WireError};
+use crate::wirefmt::{
+    decode_rows_into, encode_state, put_bytes, put_value, put_varint, unzigzag, zigzag, Reader,
+    WireError,
+};
 use calm_common::fact::Fact;
 use calm_common::storage::{
-    relations_by_name, CanonicalOrder, RelId, SharedSymbols, Storage, Sym, SymbolTable,
+    relations_by_name, CanonicalOrder, RelId, Rows, SharedSymbols, Storage, Sym, SymbolTable,
 };
 use calm_common::value::Value;
 use calm_transducer::multiset::Multiset;
@@ -263,9 +266,11 @@ pub(crate) fn read_state(
     Ok(state)
 }
 
-/// A worker's final states, laid out as the `Vec<(NodeId, Instance)>` of
-/// the same facts — each state by [`put_state`] — and read back into rows
-/// over a table of the frame's own.
+/// A worker's final states: per node, its id and its state as one
+/// length-prefixed wire batch ([`encode_state`]), read back with
+/// [`decode_rows_into`] into rows over a table of the frame's own, one
+/// `insert_batch` per relation run — a row counted twice is one fact, as
+/// in a set.
 impl Codec for StateRows {
     fn put(&self, out: &mut Vec<u8>) {
         let table = &*self.symbols.read();
@@ -274,15 +279,20 @@ impl Codec for StateRows {
         self.nodes.len().put(out);
         for (node, state) in &self.nodes {
             node.put(out);
-            put_state(out, state, table, &order);
+            put_bytes(out, &encode_state(state, table, &order));
         }
     }
     fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let symbols = SharedSymbols::new();
-        let mut nodes = Vec::new();
+        let (symbols, mut nodes, mut rows) = (SharedSymbols::new(), Vec::new(), Rows::default());
         for _ in 0..r.count()? {
-            let node = Value::read(r)?;
-            nodes.push((node, read_state(r, &mut symbols.write())?));
+            let (node, mut state) = (Value::read(r)?, Storage::new());
+            let (bytes, table) = (r.prefixed_bytes()?, &mut symbols.write());
+            decode_rows_into(bytes, table, |rel, row, _| rows.push(rel, row))?;
+            for (rel, run) in rows.runs() {
+                state.insert_batch(rel, run);
+            }
+            rows.clear();
+            nodes.push((node, state));
         }
         Ok(StateRows { symbols, nodes })
     }
@@ -516,23 +526,48 @@ pub(crate) mod tests {
         }
     }
 
+    /// The final report's states as the fact codecs say them: per node,
+    /// its id and the bytes [`crate::wirefmt::encode`] writes for its
+    /// facts — the reference the row encoder is held to.
+    fn reference_states(states: &[(Value, Instance)]) -> Vec<u8> {
+        let batch = |state: &Instance| crate::wirefmt::encode(&state.facts().collect());
+        let blobs: Vec<(Value, Vec<u8>)> = (states.iter())
+            .map(|(node, state)| (node.clone(), batch(state)))
+            .collect();
+        encoded(&blobs)
+    }
+
+    /// Read a final report's states with the fact decoder
+    /// ([`crate::wirefmt::decode`]), node by node: a fact said with a
+    /// count above one is one fact, as it is in a set.
+    fn reference_facts(bytes: &[u8]) -> Result<Vec<(Value, Instance)>, WireError> {
+        let mut r = Reader::new(bytes);
+        let mut states = Vec::new();
+        for _ in 0..r.count()? {
+            let node = Value::read(&mut r)?;
+            let facts = crate::wirefmt::decode(r.prefixed_bytes()?)?;
+            states.push((node, Instance::from_facts(facts.support().cloned())));
+        }
+        match r.remaining() {
+            0 => Ok(states),
+            _ => Err(WireError::TrailingBytes),
+        }
+    }
+
     #[test]
-    fn the_row_encoder_writes_the_bytes_of_the_instance_encoder() {
+    fn the_final_states_are_the_bytes_of_the_fact_batch_encoder() {
         let mut rng = Rng::seed_from_u64(0xf1a7);
         let (mut facts, mut two_arities) = (0, 0);
         for case in 0..400 {
             let states = random_states(&mut rng);
             let rows = scrambled_rows(&mut rng, &states);
             let bytes = encoded(&rows);
-            assert_eq!(bytes, encoded(&states), "case {case}: {states:?}");
+            assert_eq!(bytes, reference_states(&states), "case {case}: {states:?}");
             // Read into rows, the frame is the states again — as it is
-            // through the decoder that built instances.
+            // through the fact decoder.
             let back: StateRows = decode_all(&bytes).expect("what was written reads");
             assert_eq!(facts_of(&back), states, "case {case}");
-            assert_eq!(
-                decode_all::<Vec<(Value, Instance)>>(&bytes),
-                Ok(states.clone())
-            );
+            assert_eq!(reference_facts(&bytes), Ok(states.clone()));
             assert_eq!(encoded(&back), bytes, "case {case}: re-encoded");
             for (_, state) in &states {
                 facts += state.len();
@@ -705,23 +740,36 @@ pub(crate) mod tests {
     }
 
     /// A final report's states written by hand, so that they can lie:
-    /// one node, `claimed` facts, then `records`.
-    fn states_frame(claimed: u64, records: &[u8]) -> Vec<u8> {
+    /// one node, and a batch of `claimed` bytes holding `batch`.
+    fn states_frame(claimed: u64, batch: &[u8]) -> Vec<u8> {
         [
             &[1][..],
             &encoded(&Value::Int(2)),
             &encoded(&claimed),
-            records,
+            batch,
         ]
         .concat()
     }
 
+    /// A batch by hand: the header, a dictionary of `values`, and one
+    /// group of `T` rows of `arity`, each its column bytes and a count.
+    fn batch_of(values: &[Value], arity: u8, rows: &[&[u8]]) -> Vec<u8> {
+        let mut out = vec![crate::wirefmt::MAGIC, crate::wirefmt::FORMAT_DELTA];
+        out.push(values.len() as u8);
+        values.iter().for_each(|v| put_value(&mut out, v));
+        out.extend([1, 1, b'T', arity, rows.len() as u8]);
+        rows.iter().for_each(|row| out.extend_from_slice(row));
+        out
+    }
+
     #[test]
-    fn the_row_decoder_refuses_what_the_instance_decoder_refused() {
+    fn the_final_states_decoder_refuses_what_the_fact_batch_decoder_refused() {
         let decode = |bytes: &[u8]| decode_all::<StateRows>(bytes).map(|rows| facts_of(&rows));
-        let record = encoded(&fact("T", [1, -2]));
+        let (one, minus_two) = (Value::Int(1), Value::Int(-2));
+        let batch = batch_of(&[minus_two, one], 2, &[&[1, 0, 1]]);
         let state = Instance::from_facts([fact("T", [1, -2])]);
-        let honest = states_frame(1, &record);
+        let honest = states_frame(batch.len() as u64, &batch);
+        assert_eq!(honest, reference_states(&[(Value::Int(2), state.clone())]));
         assert_eq!(decode(&honest), Ok(vec![(Value::Int(2), state.clone())]));
         for cut in 0..honest.len() {
             assert_eq!(
@@ -734,36 +782,42 @@ pub(crate) mod tests {
         assert_eq!(decode(&trailing), Err(WireError::TrailingBytes));
         // A count above what is left of the buffer is refused where it is
         // read: reserving for this one would abort.
-        for claimed in [2, 1 << 40, u64::MAX] {
-            let lie = states_frame(claimed, &record);
-            assert_eq!(decode(&lie), Err(WireError::Truncated), "{claimed} facts");
+        for claimed in [batch.len() as u64 + 1, 1 << 40, u64::MAX] {
+            let lie = states_frame(claimed, &batch);
+            assert_eq!(decode(&lie), Err(WireError::Truncated), "{claimed} bytes");
             let nodes = [&encoded(&claimed)[..], &honest[1..]].concat();
             assert_eq!(decode(&nodes), Err(WireError::Truncated), "{claimed} nodes");
         }
-        let nullary = states_frame(1, &[1, b'T', 0, 0, 0, 0]);
+        let nullary = batch_of(&[], 0, &[]);
         assert_eq!(
-            decode(&nullary),
-            Err(WireError::NonCanonical("nullary fact"))
+            decode(&states_frame(nullary.len() as u64, &nullary)),
+            Err(WireError::NonCanonical("zero arity"))
         );
         let mut nested = Value::Int(0);
         for _ in 0..70 {
             nested = Value::skolem("f", vec![nested]);
         }
-        let deep = [&[1, b'T', 1][..], &encoded(&nested)].concat();
-        assert_eq!(decode(&states_frame(1, &deep)), Err(WireError::TooDeep));
-        // A record said twice is one fact, as it is in a set.
-        let twice = states_frame(2, &[&record[..], &record].concat());
+        let deep = batch_of(&[nested], 1, &[&[0, 1]]);
+        let deep = states_frame(deep.len() as u64, &deep);
+        assert_eq!(decode(&deep), Err(WireError::TooDeep));
+        // A row said twice in a state is one fact, as it is in a set.
+        let twice = batch_of(&[Value::Int(-2), Value::Int(1)], 2, &[&[1, 0, 2]]);
+        let twice = states_frame(twice.len() as u64, &twice);
         assert_eq!(decode(&twice), Ok(vec![(Value::Int(2), state)]));
         let reread: StateRows = decode_all(&twice).unwrap();
         assert_eq!(encoded(&reread), honest);
 
         // The 24 000 mutations of `proto.rs::decoders_survive_mutated_frames`
-        // against this decoder alone, with the one it replaced as the
+        // against this decoder alone, with the fact batch decoder as the
         // reference: the same facts or the same refusal, never a panic.
         let mut rng = Rng::seed_from_u64(0xc0de_f1a7);
+        // Small states: an edit of a long batch is nearly always a refusal.
         let mut corpus = vec![("by hand", honest), ("twice", twice)];
         while corpus.len() < 12 {
-            corpus.push(("random", encoded(&random_states(&mut rng))));
+            let states = random_states(&mut rng);
+            if states.iter().map(|(_, state)| state.len()).sum::<usize>() <= 3 {
+                corpus.push(("random", encoded(&rows_of(&states))));
+            }
         }
         let (mut accepted, mut rejected) = (0, 0);
         for _ in 0..24_000 {
@@ -771,11 +825,7 @@ pub(crate) mod tests {
             mutate(&mut rng, &mut bytes, &corpus);
             let read = decode_all::<StateRows>(&bytes);
             let facts = read.as_ref().map(facts_of).map_err(|e| *e);
-            assert_eq!(
-                facts,
-                decode_all::<Vec<(Value, Instance)>>(&bytes),
-                "{bytes:?}"
-            );
+            assert_eq!(facts, reference_facts(&bytes), "{bytes:?}");
             match read {
                 Err(_) => rejected += 1,
                 Ok(rows) => {

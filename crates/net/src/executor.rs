@@ -631,7 +631,7 @@ fn encode(
             origin_seq,
             cause: outcome.cause,
         });
-    wirefmt::encode_rows(&outcome.sent, &table, order, ctx.as_ref()).into()
+    wirefmt::encode_rows(outcome.sent.rows(), &table, order, ctx.as_ref()).into()
 }
 
 /// The next live ring position after `id` (wrapping). With every

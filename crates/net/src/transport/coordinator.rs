@@ -230,10 +230,6 @@ fn suffixed(base: &Option<String>, worker: usize, incarnation: u64) -> Option<St
     })
 }
 
-/// Accept one connection and read its `Hello`, enforcing the protocol
-/// version. The per-stream read timeout is capped by the remaining
-/// barrier time, so a connected-but-silent peer cannot stall past the
-/// deadline.
 /// One accepted connection's Hello verdict: a worker that spoke, or a
 /// dud connection (connected, then hung up / went silent) that should
 /// not doom the barrier while the deadline still has time on it.
@@ -242,20 +238,10 @@ enum HelloOutcome {
     Dud(String),
 }
 
-fn accept_hello(listener: &TcpListener, deadline: Instant) -> Result<HelloOutcome, NetError> {
-    let mut stream = loop {
-        match listener.accept() {
-            Ok((s, _)) => break s,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if Instant::now() > deadline {
-                    return Err(NetError::Handshake("never connected".into()));
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => return Err(NetError::Listen(e)),
-        }
-    };
-    stream.set_nonblocking(false).map_err(NetError::Listen)?;
+/// Read an accepted connection's `Hello`, enforcing the protocol
+/// version. The read timeout is capped by the remaining barrier time, so
+/// a connected-but-silent peer cannot stall past the deadline.
+fn read_hello(mut stream: TcpStream, deadline: Instant) -> Result<HelloOutcome, NetError> {
     stream.set_nodelay(true).ok();
     let remaining = deadline
         .saturating_duration_since(Instant::now())
@@ -284,29 +270,48 @@ fn accept_hello(listener: &TcpListener, deadline: Instant) -> Result<HelloOutcom
     Ok(HelloOutcome::Worker(worker, stream))
 }
 
-/// Accept `workers` connections and read each one's `Hello`, enforcing
-/// protocol version and index uniqueness. Returns streams indexed by
-/// worker. Any failure names the ring positions still missing, so a
-/// worker that never connects — or connects and never speaks — produces
-/// a diagnosable error, not a hang.
+/// A Hello verdict, as the acceptor hands it over.
+type Verdict = Result<HelloOutcome, NetError>;
+
+/// Accept connections on `listener` for the whole run, reading each
+/// one's Hello in turn — a silent peer waits out at most `wait` — and
+/// handing the verdict over `verdicts`. Ends at the first connection made
+/// once the run stopped listening.
+fn accept_hellos(listener: TcpListener, wait: Duration, verdicts: Sender<Verdict>) {
+    while let Ok((stream, _)) = listener.accept() {
+        if verdicts
+            .send(read_hello(stream, Instant::now() + wait))
+            .is_err()
+        {
+            return;
+        }
+    }
+}
+
+/// Take Hello verdicts until each of the ring positions `workers` spoke,
+/// enforcing protocol version and index uniqueness; the streams, in
+/// position order. A connection is taken the moment it is made. A
+/// failure names the positions still missing, so a worker that never
+/// connects, or never speaks, is an error, not a hang.
 fn handshake(
-    listener: &TcpListener,
-    workers: usize,
+    verdict: &Receiver<Verdict>,
+    workers: std::ops::Range<usize>,
     deadline: Duration,
 ) -> Result<Vec<TcpStream>, NetError> {
-    listener.set_nonblocking(true).map_err(NetError::Listen)?;
     let deadline = Instant::now() + deadline;
-    let mut streams: Vec<Option<TcpStream>> = (0..workers).map(|_| None).collect();
+    let mut streams: Vec<Option<TcpStream>> = workers.clone().map(|_| None).collect();
     let mut connected = 0usize;
     let mut last_dud: Option<String> = None;
-    while connected < workers {
-        let missing: Vec<String> = streams
-            .iter()
-            .enumerate()
+    while connected < streams.len() {
+        let missing: Vec<String> = (workers.clone().zip(&streams))
             .filter(|(_, s)| s.is_none())
             .map(|(k, _)| k.to_string())
             .collect();
-        let (worker, stream) = match accept_hello(listener, deadline) {
+        let left = deadline.saturating_duration_since(Instant::now());
+        let outcome = verdict
+            .recv_timeout(left)
+            .unwrap_or_else(|_| Err(NetError::Handshake("never connected".into())));
+        let (worker, stream) = match outcome {
             Ok(HelloOutcome::Worker(w, s)) => (w, s),
             Ok(HelloOutcome::Dud(why)) => {
                 // A connection that went silent before Hello. Keep
@@ -327,23 +332,20 @@ fn handshake(
             }
             Err(e) => return Err(e),
         };
-        if worker >= workers {
+        if !workers.contains(&worker) {
             return Err(NetError::Handshake(format!(
-                "worker index {worker} out of range (W = {workers})"
+                "worker index {worker} out of range (W = {})",
+                workers.end
             )));
         }
-        if streams[worker].is_some() {
+        if streams[worker - workers.start].replace(stream).is_some() {
             return Err(NetError::Handshake(format!(
                 "duplicate worker index {worker}"
             )));
         }
-        streams[worker] = Some(stream);
         connected += 1;
     }
-    Ok(streams
-        .into_iter()
-        .map(|s| s.expect("all connected"))
-        .collect())
+    Ok(streams.into_iter().flatten().collect())
 }
 
 /// Lock the shared writer table, recovering from poisoning. A relay
@@ -518,7 +520,8 @@ struct Supervisor<'a> {
     obs: &'a Obs,
     workers: usize,
     supervised: bool,
-    listener: TcpListener,
+    /// The Hello verdicts of the connections made to `addr`.
+    hellos: Receiver<Verdict>,
     addr: String,
 
     // The relay fabric.
@@ -567,6 +570,9 @@ impl<'a> Supervisor<'a> {
         let workers = cfg.procs.clamp(1, cfg.spec.nodes.max(1));
         let listener = bind_with_retry()?;
         let addr = listener.local_addr().map_err(NetError::Listen)?.to_string();
+        let (verdicts, hellos) = std::sync::mpsc::channel();
+        let wait = cfg.handshake_deadline;
+        std::thread::spawn(move || accept_hellos(listener, wait, verdicts));
         let (events_tx, events_rx) = std::sync::mpsc::channel();
         let closed = |_| std::sync::mpsc::channel().0;
         Ok(Supervisor {
@@ -575,7 +581,7 @@ impl<'a> Supervisor<'a> {
             obs,
             workers,
             supervised: cfg.respawn_budget > 0,
-            listener,
+            hellos,
             addr,
             writers: Arc::new(Mutex::new((0..workers).map(closed).collect())),
             events_tx: Some(events_tx),
@@ -617,7 +623,7 @@ impl<'a> Supervisor<'a> {
             let handle = spawned.map_err(|e| NetError::Spawn(format!("worker {k}: {e}")))?;
             self.handles[k] = Some(handle);
         }
-        let streams = handshake(&self.listener, self.workers, self.cfg.handshake_deadline)?;
+        let streams = handshake(&self.hellos, 0..self.workers, self.cfg.handshake_deadline)?;
         // The table stays locked until the whole fleet is wired in: a
         // relay reader started here routes only once every queue it may
         // route to exists.
@@ -796,11 +802,11 @@ impl<'a> Supervisor<'a> {
                 continue;
             };
             self.handles[k] = Some(handle);
-            let deadline = Instant::now() + self.cfg.handshake_deadline;
-            let stream = match accept_hello(&self.listener, deadline) {
-                Ok(HelloOutcome::Worker(w, s)) if w == k => s,
-                _ => continue,
+            let Ok(mut stream) = handshake(&self.hellos, k..k + 1, self.cfg.handshake_deadline)
+            else {
+                continue;
             };
+            let stream = stream.remove(0);
             // Recovery epoch: minted into the re-Assign and broadcast
             // once the new incarnation is wired in.
             self.ring_epoch += 1;
@@ -921,6 +927,10 @@ impl<'a> Supervisor<'a> {
         for h in self.handles.iter_mut().filter_map(Option::take) {
             reap(h);
         }
+        // Stop listening: with the verdicts' receiver gone, the acceptor
+        // ends at the next connection, which this one makes.
+        self.hellos = std::sync::mpsc::channel().1;
+        let _ = TcpStream::connect(&self.addr);
     }
 
     /// Tear the run down and come out through the join the threaded

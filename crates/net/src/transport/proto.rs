@@ -68,8 +68,10 @@ use std::sync::Arc;
 /// v2 adds supervision: `Snapshot`/`Heartbeat` control frames, ring
 /// epochs on tokens, `Reset`/`Reassign` executor messages, and the
 /// incarnation/epoch/restore fields of `Assign`. v3 drops the naive
-/// wire-byte baseline from outbox entries and worker stats.
-pub const PROTOCOL_VERSION: u32 = 3;
+/// wire-byte baseline from outbox entries and worker stats. v4 writes
+/// each node's state in `Final` as one delta-coded batch
+/// ([`crate::wirefmt`]) instead of a record per fact.
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// The job a coordinator hands every worker: sources and knobs, all
 /// engine-agnostic strings the worker's builder interprets (the
@@ -158,7 +160,8 @@ pub struct FinalReport {
     /// wire bytes).
     pub stats: WorkerStats,
     /// Final state of every node this worker owned, in the rows the
-    /// worker held them in. On the wire a `Vec<(NodeId, Instance)>`.
+    /// worker held them in. On the wire, per node, its id and one
+    /// delta-coded batch of its facts ([`crate::wirefmt`]).
     pub states: StateRows,
     /// No pending inbox facts, every node at local fixpoint, no retry
     /// exhaustion, transport link intact.
@@ -947,15 +950,16 @@ pub(crate) mod tests {
         })
     }
 
-    /// Every fixture's length and FNV-1a-64, taken at the last commit
-    /// that wrote each layout by hand (PR 21): no layout has moved since,
-    /// which is why `PROTOCOL_VERSION` has not. Re-pin a line only
-    /// together with a version bump.
+    /// Every fixture's length and FNV-1a-64. `hello` (it carries the
+    /// version) and `final` (each state one delta-coded batch) were
+    /// re-pinned with v4; the other layouts have not moved since they
+    /// were last written by hand. Re-pin a line only together with a
+    /// version bump.
     #[test]
     fn golden_bytes() {
-        assert_eq!(PROTOCOL_VERSION, 3);
+        assert_eq!(PROTOCOL_VERSION, 4);
         let golden = [
-            ("hello", 3, 0xd942e3186c068b55),
+            ("hello", 3, 0xd93f7b186c03a4c6),
             ("assign", 96, 0x815af62db12788d4),
             ("assign/full", 114, 0x2d61f0d581a64042),
             ("route/batch", 25, 0x7f9b6400a0a43b99),
@@ -965,7 +969,7 @@ pub(crate) mod tests {
             ("deliver/terminate", 2, 0x0835f207b4ee59e2),
             ("deliver/reset", 3, 0xe20792187105aa14),
             ("deliver/reassign", 23, 0x4ff6b11917172371),
-            ("final", 85, 0xbfd9b381bc04c716),
+            ("final", 96, 0xdca46ddb9dc00a25),
             ("snapshot", 72, 0x87247f0f7d6b08a4),
             ("heartbeat", 2, 0x082bbd07b4e5ab4e),
             ("blob/10", 68, 0xac6b986d3374ff3d),

@@ -41,7 +41,7 @@
 
 use crate::codec::{decode_all, Codec};
 use calm_common::fact::Fact;
-use calm_common::storage::{CanonicalOrder, Sym, SymbolTable};
+use calm_common::storage::{relations_by_name, CanonicalOrder, RelId, Storage, Sym, SymbolTable};
 use calm_common::value::{SkolemTerm, Value};
 use calm_transducer::multiset::Multiset;
 use calm_transducer::rows::{canonical_rows, Batch};
@@ -323,7 +323,7 @@ pub fn encode_traced(batch: &Multiset<Fact>, ctx: Option<&TraceCtx>) -> Vec<u8> 
     let rows = Batch::of_facts(batch, &mut table);
     let mut order = CanonicalOrder::default();
     order.extend(&table);
-    encode_rows(&rows, &table, &order, ctx)
+    encode_rows(rows.rows(), &table, &order, ctx)
 }
 
 /// Decode a delta wire payload back into a batch, discarding any trace
@@ -388,35 +388,89 @@ fn read_header(r: &mut Reader<'_>) -> Result<Option<TraceCtx>, WireError> {
     }
 }
 
-/// Encode `batch`, rows over `table` ranked by `order`, with `ctx` when
-/// the send was traced: the bytes of the multiset of facts it stands for.
-pub(crate) fn encode_rows(
-    batch: &Batch,
+/// Encode `rows` — each over `table`, ranked by `order`, with how often
+/// it occurs — with `ctx` when the send was traced: the bytes of the
+/// multiset of facts they stand for.
+pub(crate) fn encode_rows<'r>(
+    rows: impl Iterator<Item = (RelId, &'r [Sym], usize)>,
     table: &SymbolTable,
     order: &CanonicalOrder,
     ctx: Option<&TraceCtx>,
 ) -> Vec<u8> {
-    let (mut out, rank) = (header(ctx), |s: Sym| order.rank(s));
-    let rows = canonical_rows(batch.rows(), table, order, true);
+    let rank = |s: Sym| order.rank(s);
+    let rows = canonical_rows(rows, table, order, true);
+    // A step's send is small against the table: sort all its cells.
     let mut dict: Vec<Sym> = rows.iter().flat_map(|row| row.1).copied().collect();
     dict.sort_unstable_by_key(|&s| rank(s));
     dict.dedup();
+    let index = |s: Sym| dict.partition_point(|&d| rank(d) < rank(s)) as u64;
+    put_rows(header(ctx), || rows.iter().copied(), table, &dict, index)
+}
+
+/// A node's final state as one batch: the bytes [`encode`] writes for
+/// its facts, each relation's rows sorted by [`CanonicalOrder::sorted_ids`].
+pub(crate) fn encode_state(
+    state: &Storage,
+    table: &SymbolTable,
+    order: &CanonicalOrder,
+) -> Vec<u8> {
+    let sorted: Vec<_> = (relations_by_name(state, table).into_iter())
+        .map(|(_, r)| {
+            let relation = state.relation(r).expect("a listed relation");
+            let mut ids = order.sorted_ids(relation, None);
+            ids.sort_by_key(|&id| relation.row(id).len());
+            (r, relation, ids)
+        })
+        .collect();
+    let rows =
+        || (sorted.iter()).flat_map(|(r, rel, ids)| ids.iter().map(|&id| (*r, rel.row(id), 1)));
+    // A whole state is large against its table: a slot per symbol marks
+    // it seen, then holds its index.
+    let mut slots = vec![u32::MAX; table.sym_count()];
+    let mut dict: Vec<Sym> = (rows().flat_map(|row| row.1.iter().copied()))
+        .filter(|s| std::mem::replace(&mut slots[s.0 as usize], 0) != 0)
+        .collect();
+    dict.sort_unstable_by_key(|&s| order.rank(s));
+    for (i, &s) in dict.iter().enumerate() {
+        slots[s.0 as usize] = i as u32;
+    }
+    put_rows(header(None), rows, table, &dict, |s| {
+        u64::from(slots[s.0 as usize])
+    })
+}
+
+/// Append `dict` — every symbol of the rows, once, by rank — and the
+/// groups of `rows()` (distinct, in the wire's order) to `out`, each
+/// symbol written as its `index` in `dict`; the rows are read twice and
+/// none is held.
+fn put_rows<'r, I: Iterator<Item = (RelId, &'r [Sym], usize)>>(
+    mut out: Vec<u8>,
+    rows: impl Fn() -> I,
+    table: &SymbolTable,
+    dict: &[Sym],
+    index: impl Fn(Sym) -> u64,
+) -> Vec<u8> {
+    // The groups: relation, arity and row count.
+    let mut groups = Vec::<(RelId, usize, usize)>::new();
+    for (r, row, _) in rows() {
+        match groups.last_mut() {
+            Some((g, arity, n)) if *g == r && *arity == row.len() => *n += 1,
+            _ => groups.push((r, row.len(), 1)),
+        }
+    }
     put_varint(&mut out, dict.len() as u64);
-    for &s in &dict {
+    for &s in dict {
         put_value(&mut out, table.value(s));
     }
-    let index = |s: Sym| dict.partition_point(|&d| rank(d) < rank(s)) as u64;
-    let groups = rows.chunk_by(|a, b| (a.0, a.1.len()) == (b.0, b.1.len()));
-    put_varint(&mut out, groups.clone().count() as u64);
-    let mut prev = Vec::new();
-    for group in groups {
-        let (name, arity) = (table.rel_name(group[0].0), group[0].1.len());
-        put_bytes(&mut out, name.as_bytes());
+    put_varint(&mut out, groups.len() as u64);
+    let (mut rows, mut prev) = (rows(), Vec::new());
+    for &(r, arity, len) in &groups {
+        put_bytes(&mut out, table.rel_name(r).as_bytes());
         put_varint(&mut out, arity as u64);
-        put_varint(&mut out, group.len() as u64);
+        put_varint(&mut out, len as u64);
         prev.clear();
         prev.resize(arity, 0);
-        for &(_, row, n) in group {
+        for (_, row, n) in rows.by_ref().take(len) {
             // Column 0 is non-decreasing down a sorted group.
             put_varint(&mut out, index(row[0]) - prev[0]);
             prev[0] = index(row[0]);
@@ -436,6 +490,18 @@ pub(crate) fn decode_rows(
     bytes: &[u8],
     table: &mut SymbolTable,
 ) -> Result<(Batch, Option<TraceCtx>), WireError> {
+    let mut batch = Batch::default();
+    let ctx = decode_rows_into(bytes, table, |rel, row, n| batch.push_n(rel, row, n))?;
+    Ok((batch, ctx))
+}
+
+/// [`decode_rows`], each row — with how often it occurs — handed to
+/// `take` as it is read instead of kept.
+pub(crate) fn decode_rows_into(
+    bytes: &[u8],
+    table: &mut SymbolTable,
+    mut take: impl FnMut(RelId, &[Sym], usize),
+) -> Result<Option<TraceCtx>, WireError> {
     let mut r = Reader::new(bytes);
     let ctx = read_header(&mut r)?;
     let dict_len = r.count()?;
@@ -448,7 +514,6 @@ pub(crate) fn decode_rows(
         }
         dict.push(s);
     }
-    let mut batch = Batch::default();
     let mut prev_group: Option<(&str, usize)> = None;
     let (mut prev, mut cells, mut row) = (Vec::new(), Vec::new(), Vec::new());
     for _ in 0..r.count()? {
@@ -492,14 +557,14 @@ pub(crate) fn decode_rows(
             let n = r.multiplicity()?;
             row.clear();
             row.extend(cells.iter().map(|&c| dict[c as usize]));
-            batch.push_n(rel, &row, n);
+            take(rel, &row, n);
             std::mem::swap(&mut prev, &mut cells);
         }
     }
     if r.remaining() > 0 {
         return Err(WireError::TrailingBytes);
     }
-    Ok((batch, ctx))
+    Ok(ctx)
 }
 
 /// Encode a batch the pre-v2 way: one record per distinct fact, each
@@ -746,17 +811,23 @@ mod tests {
         let mut rng = Rng::seed_from_u64(0xde17a);
         let (mut facts, mut two_arities, mut counted, mut empty) = (0, 0, 0, 0);
         // A worker's table and order, extended from send to send and
-        // started afresh every eight.
+        // started afresh every eight; every other fresh table already
+        // holds 4 096 values, far more than any send names.
         let (mut table, mut order) = (SymbolTable::new(), CanonicalOrder::default());
         for case in 0..480 {
             if case % 8 == 0 {
                 (table, order) = (SymbolTable::new(), CanonicalOrder::default());
             }
+            if case % 16 == 8 {
+                for i in 0..4_096 {
+                    table.sym(&Value::str(format!("w{i}")));
+                }
+            }
             let batch = random_batch(&mut rng);
             let rows = scrambled(&mut rng, &batch, &mut table);
             order.extend(&table);
             for ctx in [None, Some(random_ctx(&mut rng))] {
-                let bytes = encode_rows(&rows, &table, &order, ctx.as_ref());
+                let bytes = encode_rows(rows.rows(), &table, &order, ctx.as_ref());
                 let reference = reference_encode(&batch, ctx.as_ref());
                 assert_eq!(bytes, reference, "case {case}: {batch:?}");
                 assert_eq!(encode_traced(&batch, ctx.as_ref()), bytes, "case {case}");
@@ -822,7 +893,7 @@ mod tests {
             accepted += 1;
             let mut order = CanonicalOrder::default();
             order.extend(&table);
-            let again = encode_rows(&rows, &table, &order, ctx.as_ref());
+            let again = encode_rows(rows.rows(), &table, &order, ctx.as_ref());
             assert!(again.len() <= bytes.len(), "{bytes:?}");
             let twice = decode_traced(&again).map(|(m, ctx)| encode_traced(&m, ctx.as_ref()));
             assert_eq!(twice, Ok(again), "{bytes:?}");

@@ -15,18 +15,17 @@
 //! nothing is forwarded (see [the module doc](super)).
 
 use super::{
-    absence_rel, coll_rel, collected_input, msg_rel, originate, rename_to_out,
-    renamed_output_schema, session_fact, AnswerRows, Gossip,
+    absence_rel, coll_rel, collected_input, msg_rel, originate, out_relations, rename_to_out,
+    renamed_output_schema, Gossip,
 };
 use crate::schema::{policy_relation, TransducerSchema};
 use crate::system_facts::{for_each_new_tuple, tuples_over};
 use crate::transducer::{NodeProgram, NodeView, Transducer, TransducerStep};
-use calm_common::fact::{Fact, RelName};
+use calm_common::fact::Fact;
 use calm_common::instance::Instance;
-use calm_common::query::{Query, QuerySession};
+use calm_common::query::{Query, QuerySession, RowBatch};
 use calm_common::schema::Schema;
-use calm_common::storage::{EvalMetrics, RelId, Sym, SymbolTable};
-use calm_common::update::UpdateBatch;
+use calm_common::storage::{EvalMetrics, RelId, Storage, Sym, SymbolTable};
 use calm_common::value::Value;
 use std::collections::BTreeSet;
 
@@ -149,7 +148,6 @@ impl Transducer for DistinctStrategy {
     fn open(&self, table: &mut SymbolTable) -> Box<dyn NodeProgram + '_> {
         let names = self.query.input_schema().iter().map(|(r, arity)| Names {
             arity,
-            name: r.clone(),
             input: table.rel(r),
             policy: table.rel(&policy_relation(r)),
             fact: Gossip::new(table, &coll_rel(r), &sent_fact_rel(r), &msg_rel(r)),
@@ -163,13 +161,13 @@ impl Transducer for DistinctStrategy {
         Box::new(FactsAndAbsences {
             names: names.collect(),
             my_adom: table.rel("MyAdom"),
-            session: self.query.session(),
+            out: out_relations(self.query.as_ref(), table),
+            session: self.query.session(table),
             started: false,
             dirty: false,
             values: Vec::new(),
             undetermined: Vec::new(),
-            restricted: Instance::new(),
-            answer: AnswerRows::default(),
+            restricted: Storage::new(),
         })
     }
 }
@@ -177,8 +175,7 @@ impl Transducer for DistinctStrategy {
 /// The relations one input relation `R` gives rise to, interned.
 struct Names {
     arity: usize,
-    /// `R`, by name (for the session) and as interned.
-    name: RelName,
+    /// `R`.
     input: RelId,
     /// `policy_R`.
     policy: RelId,
@@ -211,6 +208,8 @@ const UNKNOWN: u32 = u32::MAX;
 struct FactsAndAbsences<'a> {
     names: Vec<Names>,
     my_adom: RelId,
+    /// `R` ↦ `out_R`, by id.
+    out: Vec<(RelId, RelId)>,
     session: Box<dyn QuerySession + 'a>,
     started: bool,
     /// Whether the session's input may have changed in this call.
@@ -220,9 +219,8 @@ struct FactsAndAbsences<'a> {
     /// By symbol: the undetermined tuples holding a known value, counted
     /// per occurrence; [`UNKNOWN`] for any other symbol.
     undetermined: Vec<u32>,
-    /// The session's input.
-    restricted: Instance,
-    answer: AnswerRows,
+    /// The session's input: rows of `R`.
+    restricted: Storage,
 }
 
 impl FactsAndAbsences<'_> {
@@ -339,29 +337,33 @@ impl NodeProgram for FactsAndAbsences<'_> {
         // 3. The session's input — the collected facts over complete
         // values — and the signed difference to what it was.
         if self.dirty {
-            let mut restricted = Instance::new();
+            let mut change = RowBatch::default();
             for names in &self.names {
+                let r = names.input;
+                if let Some(held) = self.restricted.relation(r) {
+                    for t in held.live_rows().filter(|t| !self.complete(t)) {
+                        change.delete.push(r, t);
+                    }
+                }
                 let Some(collected) = view.d().relation(names.fact.known) else {
                     continue;
                 };
-                for t in collected.live_rows().filter(|t| self.complete(t)) {
-                    restricted.insert(session_fact(view.table, &names.name, t));
+                let entering = |t: &&[Sym]| self.complete(t) && !self.restricted.contains(r, t);
+                for t in collected.live_rows().filter(entering) {
+                    change.insert.push(r, t);
                 }
             }
-            let batch = UpdateBatch {
-                insert: restricted
-                    .difference(&self.restricted)
-                    .into_iter()
-                    .collect(),
-                delete: self
-                    .restricted
-                    .difference(&restricted)
-                    .into_iter()
-                    .collect(),
-            };
-            self.restricted = restricted;
-            if first || !batch.is_empty() {
-                (self.answer).apply(&mut *self.session, &batch, view);
+            for (r, rows) in change.delete.runs() {
+                for t in rows {
+                    self.restricted.retract(r, t);
+                }
+            }
+            self.restricted.compact_retractions();
+            for (r, rows) in change.insert.runs() {
+                self.restricted.insert_batch(r, rows);
+            }
+            if first || change != RowBatch::default() {
+                view.answer(&mut *self.session, &change, &self.out);
             }
         }
         EvalMetrics::default()

@@ -33,14 +33,12 @@ pub use disjoint::DisjointStrategy;
 pub use distinct::DistinctStrategy;
 pub use monotone::MonotoneBroadcast;
 
-use crate::rows::values_of;
 use crate::transducer::{NodeView, TransducerStep};
-use calm_common::fact::{rel, Fact, RelName};
+use calm_common::fact::{rel, Fact};
 use calm_common::instance::{Instance, Tuple};
-use calm_common::query::{Query, QuerySession};
+use calm_common::query::Query;
 use calm_common::schema::Schema;
 use calm_common::storage::{RelId, Sym, SymbolTable};
-use calm_common::update::UpdateBatch;
 
 /// The protocol class of a message fact, keyed by the message-relation
 /// naming convention shared by the three strategies. This is the
@@ -224,10 +222,13 @@ pub fn expected_output(q: &dyn Query, input: &Instance) -> Instance {
     rename_to_out(q.eval(input))
 }
 
-/// Rename every relation `R` of a query answer to `out_R` (one interned
-/// name per relation; the tuples move).
+/// Rename every relation `R` of a query answer to `out_R`.
 pub fn rename_to_out(answer: Instance) -> Instance {
-    answer.rename_relations(|r| rel(out_rel(r)))
+    let mut out = Instance::new();
+    for r in answer.relation_names() {
+        out.extend_relation(&rel(out_rel(r)), answer.tuples(r).cloned());
+    }
+    out
 }
 
 /// One kind of knowledge about the tuples of an input relation (that
@@ -263,43 +264,13 @@ impl Gossip {
     }
 }
 
-/// The answer half of the session edge: a session hands the growth of
-/// its answer in rows over *its* symbol table; a row of `R` becomes a
-/// row of `out_R` over the node's (whose write lock the node holds across
-/// the program: the tables cannot be one). Ids are translated by value
-/// when first seen, by index from then on.
-#[derive(Default)]
-pub(crate) struct AnswerRows {
-    /// By the session's id of `R`: `out_R`; by its symbol: the node's.
-    out: Vec<Option<RelId>>,
-    syms: Vec<Option<Sym>>,
-    row: Vec<Sym>,
-}
-
-impl AnswerRows {
-    /// Fold `batch` into `session`; its answer's growth is the node's output.
-    pub(crate) fn apply(
-        &mut self,
-        session: &mut dyn QuerySession,
-        batch: &UpdateBatch,
-        view: &mut NodeView<'_>,
-    ) {
-        session.apply(batch, &mut |of, r, t| {
-            if self.out.len() < of.rel_count() || self.syms.len() < of.sym_count() {
-                self.out.resize(of.rel_count(), None);
-                self.syms.resize(of.sym_count(), None);
-            }
-            let out = &mut self.out[r.0 as usize];
-            let out = *out.get_or_insert_with(|| view.table.rel(&out_rel(of.rel_name(r))));
-            self.row.clear();
-            for &s in t {
-                let sym = &mut self.syms[s.0 as usize];
-                let sym = *sym.get_or_insert_with(|| view.table.sym(of.value(s)));
-                self.row.push(sym);
-            }
-            view.insert(out, &self.row);
-        });
-    }
+/// The relations a node's answer goes to: by the id of each output
+/// relation `R` of `q` in the node's table, the id of `out_R` — the map
+/// a session's answer rows cross into `D` by ([`NodeView::answer`]).
+pub(crate) fn out_relations(q: &dyn Query, table: &mut SymbolTable) -> Vec<(RelId, RelId)> {
+    (q.output_schema().names())
+        .map(|r| (table.rel(r), table.rel(&out_rel(r))))
+        .collect()
 }
 
 /// [`Gossip::originate`] as specified on an instance: the `own` tuples
@@ -314,12 +285,6 @@ pub(crate) fn originate<'t>(
         step.snd.insert(Fact::new(msg, t.clone()));
         step.ins.insert(Fact::new(sent, t.clone()));
     }
-}
-
-/// The fact of relation `r` that row `t` stands for — the input half of
-/// the session edge.
-pub(crate) fn session_fact(table: &SymbolTable, r: &RelName, t: &[Sym]) -> Fact {
-    Fact::from_rel(r.clone(), values_of(table, t))
 }
 
 /// Gather the "collected input" visible in `D`: for each input relation

@@ -8,17 +8,16 @@
 //! nothing is forwarded (see [the module doc](super)).
 
 use super::{
-    coll_rel, collected_input, msg_rel, originate, rename_to_out, renamed_output_schema,
-    session_fact, AnswerRows, Gossip,
+    coll_rel, collected_input, msg_rel, originate, out_relations, rename_to_out,
+    renamed_output_schema, Gossip,
 };
 use crate::schema::TransducerSchema;
 use crate::transducer::{NodeProgram, NodeView, Transducer, TransducerStep};
-use calm_common::fact::{Fact, RelName};
+use calm_common::fact::Fact;
 use calm_common::instance::Instance;
-use calm_common::query::{Query, QuerySession};
+use calm_common::query::{Query, QuerySession, RowBatch};
 use calm_common::schema::Schema;
 use calm_common::storage::{EvalMetrics, RelId, Sym, SymbolTable};
-use calm_common::update::UpdateBatch;
 
 /// The broadcast-everything strategy for monotone queries.
 pub struct MonotoneBroadcast {
@@ -88,16 +87,15 @@ impl Transducer for MonotoneBroadcast {
 
     fn open(&self, table: &mut SymbolTable) -> Box<dyn NodeProgram + '_> {
         let relations = self.query.input_schema().names().map(|r| Collected {
-            name: r.clone(),
             input: table.rel(r),
             facts: Gossip::new(table, &coll_rel(r), &sent_rel(r), &msg_rel(r)),
         });
         Box::new(Broadcast {
             relations: relations.collect(),
-            session: self.query.session(),
+            out: out_relations(self.query.as_ref(), table),
+            session: self.query.session(table),
             started: false,
-            collected: UpdateBatch::new(),
-            answer: AnswerRows::default(),
+            collected: RowBatch::default(),
         })
     }
 }
@@ -105,7 +103,6 @@ impl Transducer for MonotoneBroadcast {
 /// An input relation `R` with its `c_R`/`s_R`/`m_R`: where its facts
 /// are collected, marked as broadcast, and broadcast.
 struct Collected {
-    name: RelName,
     input: RelId,
     facts: Gossip,
 }
@@ -115,11 +112,12 @@ struct Collected {
 /// the query is a session over everything collected, which only grows.
 struct Broadcast<'a> {
     relations: Vec<Collected>,
+    /// `R` ↦ `out_R`, by id.
+    out: Vec<(RelId, RelId)>,
     session: Box<dyn QuerySession + 'a>,
     started: bool,
-    /// What this step collected, for the session.
-    collected: UpdateBatch,
-    answer: AnswerRows,
+    /// What this step collected, for the session: rows of `R`.
+    collected: RowBatch,
 }
 
 impl Broadcast<'_> {
@@ -129,8 +127,7 @@ impl Broadcast<'_> {
     fn collect(&mut self, view: &mut NodeView<'_>, i: usize, first: bool, t: &[Sym]) {
         let relation = &self.relations[i];
         if relation.facts.store(view, t) || first {
-            let fact = session_fact(view.table, &relation.name, t);
-            self.collected.insert.push(fact);
+            self.collected.insert.push(relation.input, t);
         }
     }
 }
@@ -164,8 +161,8 @@ impl NodeProgram for Broadcast<'_> {
                 }
             }
         }
-        if first || !self.collected.is_empty() {
-            (self.answer).apply(&mut *self.session, &self.collected, view);
+        if first || self.collected != RowBatch::default() {
+            view.answer(&mut *self.session, &self.collected, &self.out);
             self.collected.insert.clear();
         }
         EvalMetrics::default()

@@ -5,6 +5,7 @@ use crate::rows::{fact_of, intern_row, values_of, Batch};
 use crate::schema::TransducerSchema;
 use calm_common::fact::{Fact, RelName};
 use calm_common::instance::Instance;
+use calm_common::query::{QuerySession, RowBatch};
 use calm_common::storage::{
     EvalMetrics, RelId, Relation, SharedSymbols, Storage, Sym, SymbolTable,
 };
@@ -159,6 +160,22 @@ impl<'v> NodeView<'v> {
     /// sends a row at most once per step.
     pub fn send(&mut self, r: RelId, row: &[Sym]) {
         self.sent.push(r, row);
+    }
+
+    /// Fold batch `b` into session `q`, and store each row its answer grew
+    /// by in the relation `out` pairs its relation with (`R` with `out_R`).
+    pub(crate) fn answer(
+        &mut self,
+        q: &mut dyn QuerySession,
+        b: &RowBatch,
+        out: &[(RelId, RelId)],
+    ) {
+        let NodeView { table, d, .. } = self;
+        q.apply(table, b, &mut |r, row| {
+            if let Some(&(_, to)) = out.iter().find(|&&(from, _)| from == r) {
+                d.insert(to, row);
+            }
+        });
     }
 
     /// Take the row `f` stands for — interned here — through one of the

@@ -44,7 +44,7 @@ fn random_edges(rng: &mut Rng, domain: i64, edges: usize) -> Instance {
 /// A random signed batch over the `E` input relation; deletions are
 /// drawn from the current input so they actually remove something.
 fn rand_batch(rng: &mut Rng, current: &Instance, domain: i64) -> UpdateBatch {
-    let mut b = UpdateBatch::new();
+    let mut b = UpdateBatch::default();
     let present: Vec<_> = current.facts().collect();
     for _ in 0..rng.gen_range(0..3usize) {
         if !present.is_empty() {

@@ -67,7 +67,7 @@
 //! let mut input = calm::common::generator::path(3);
 //! let mut live = qtc.open(&input);              // evaluates once
 //!
-//! let batch = UpdateBatch::new()
+//! let batch = UpdateBatch::default()
 //!     .with_delete(fact("E", [1, 2]))           // cut the path
 //!     .with_insert(fact("E", [0, 2]));          // add a shortcut
 //! let stats = live.apply(&batch);
