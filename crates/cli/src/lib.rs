@@ -935,8 +935,9 @@ mod tests {
         {
             Engine::Threaded {
                 workers: 2,
-                faults: Some(plan),
+                faults: Some((spec, plan)),
             } => {
+                assert_eq!(spec, "seed=7,drop=0.2,dup=0.1");
                 assert_eq!(plan.seed, 7);
                 assert!(plan.injects_faults());
             }

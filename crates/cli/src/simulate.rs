@@ -42,8 +42,9 @@ pub enum Engine {
         /// Worker threads (0 = auto).
         workers: usize,
         /// Fault plan (`--faults SPEC`): run the network through the
-        /// fault-injection + reliable-delivery substrate.
-        faults: Option<FaultPlan>,
+        /// fault-injection + reliable-delivery substrate. The spec is kept
+        /// beside the plan it parsed into, to name a clause in a refusal.
+        faults: Option<(String, FaultPlan)>,
     },
     /// The process engine (`calm-net` transport): `procs` OS worker
     /// processes connected to a coordinator over loopback TCP, the
@@ -200,7 +201,12 @@ fn run_sequential(job: &Job<'_>, obs: &Obs) -> EngineRun {
     }
 }
 
-fn run_threaded(job: &Job<'_>, workers: usize, faults: Option<FaultPlan>, obs: &Obs) -> EngineRun {
+fn run_threaded(
+    job: &Job<'_>,
+    workers: usize,
+    faults: Option<(String, FaultPlan)>,
+    obs: &Obs,
+) -> EngineRun {
     let workers = or_one_per_core(workers, job.nodes);
     // Each worker gets its own transducer instance (own interner and
     // scratch database) so steps never contend on a shared evaluation
@@ -217,7 +223,7 @@ fn run_threaded(job: &Job<'_>, workers: usize, faults: Option<FaultPlan>, obs: &
     };
     let faulted = faults.is_some();
     let mut tcfg = ThreadedConfig::new(workers);
-    tcfg.faults = faults;
+    tcfg.faults = faults.map(|(_, plan)| plan);
     let r = run_threaded_with(&tn, job.input, &tcfg, obs);
     let mut header = format!("% engine: threaded, workers: {workers}\n");
     net_header(&mut header, faulted, &r.faults, &r.per_worker);
@@ -390,6 +396,18 @@ pub fn cmd_simulate_run(
     if nodes == 0 {
         return Err(err("--nodes must be at least 1"));
     }
+    match &engine {
+        Engine::Threaded {
+            workers,
+            faults: Some((spec, _)),
+        }
+        | Engine::Process {
+            procs: workers,
+            faults: Some((spec, _)),
+            ..
+        } => check_fault_targets(spec, nodes, or_one_per_core(*workers, nodes))?,
+        _ => {}
+    }
     let eval_threads = eval_threads.max(1);
     let program = load_program(program_src)?;
     let (transducer, policy, config) = build_strategy(&program, strategy, nodes, eval_threads)?;
@@ -517,6 +535,41 @@ pub fn cmd_net_worker(addr: &str, worker: usize) -> Result<String, CliError> {
     Ok(String::new())
 }
 
+/// Refuse a `--faults` clause that names a node outside the network of
+/// `nodes` nodes, or a worker outside the `workers` the run starts: it
+/// would inject nothing, and the run would look like it survived it.
+fn check_fault_targets(spec: &str, nodes: usize, workers: usize) -> Result<(), CliError> {
+    for clause in spec.split(',').map(str::trim) {
+        // Each clause of a spec that parsed parses alone, up to the
+        // whole-plan checks — which name no node.
+        let Ok(plan) = FaultPlan::parse(clause) else {
+            continue;
+        };
+        let links =
+            (plan.per_link.keys().copied()).chain(plan.partitions.iter().map(|p| (p.src, p.dst)));
+        let named = plan.crashes.iter().map(|c| c.node);
+        if let Some(node) = named
+            .chain(links.flat_map(|(src, dst)| [src, dst]))
+            .find(|&n| n >= nodes)
+        {
+            return Err(err(format!(
+                "--faults: clause '{clause}' names node {node}, outside the {nodes} nodes \
+                 of the network (0 to {})",
+                nodes - 1
+            )));
+        }
+        if let Some(kill) = plan.pkills.iter().find(|p| p.worker >= workers) {
+            return Err(err(format!(
+                "--faults: clause '{clause}' names worker {}, outside the {workers} workers \
+                 of the run (0 to {})",
+                kill.worker,
+                workers - 1
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// The numeric value of `flag`, if it was given.
 fn number<T: std::str::FromStr>(flag: &str, value: Option<&str>) -> Result<Option<T>, CliError> {
     value
@@ -572,7 +625,7 @@ pub fn parse_engine(
             }
             Ok(Engine::Threaded {
                 workers: workers_n,
-                faults: plan,
+                faults: faults.map(String::from).zip(plan),
             })
         }
         "process" => {
@@ -745,7 +798,10 @@ mod tests {
     fn threaded_header_lines_have_their_shape() {
         let engine = Engine::Threaded {
             workers: 2,
-            faults: Some(FaultPlan::parse("seed=7,drop=0.05").unwrap()),
+            faults: Some((
+                "seed=7,drop=0.05".into(),
+                FaultPlan::parse("seed=7,drop=0.05").unwrap(),
+            )),
         };
         let out = simulate("monotone", engine);
         let lines: Vec<&str> = out.lines().collect();

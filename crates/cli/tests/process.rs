@@ -96,6 +96,50 @@ fn a_five_ary_relation_is_a_usage_error_not_a_worker_panic() {
 }
 
 #[test]
+fn a_fault_clause_outside_the_run_is_refused_by_name() {
+    // A clause naming a node outside `--nodes`, or a worker outside the
+    // ring the run starts, would inject nothing, and the run would exit
+    // 0 as if it had survived the fault. It is refused before anything
+    // runs, by name.
+    let inputs = write_inputs("range", TC);
+    let refusal = |engine: &[&str], spec: &str| {
+        let mut cmd = calm();
+        cmd.args(["simulate", &inputs.program, &inputs.facts, "--nodes", "4"]);
+        let run = cmd.args(engine).args(["--faults", spec]).output().unwrap();
+        let stderr = String::from_utf8_lossy(&run.stderr).to_string();
+        assert_eq!(run.status.code(), Some(1), "{spec}: {stderr}");
+        assert!(run.stdout.is_empty(), "{spec}: nothing ran");
+        stderr
+    };
+    let threaded = ["--engine", "threaded", "--workers", "2"];
+    for (spec, named) in [
+        (
+            "crash=9@1,link=7>8:drop=1.0,partition=5>6@0..100",
+            "clause 'crash=9@1' names node 9",
+        ),
+        (
+            "seed=3,link=1>4:drop=1.0",
+            "clause 'link=1>4:drop=1.0' names node 4",
+        ),
+        (
+            "partition=5>0@0..100",
+            "clause 'partition=5>0@0..100' names node 5",
+        ),
+    ] {
+        let stderr = refusal(&threaded, spec);
+        assert!(stderr.contains(named), "{spec}: {stderr}");
+    }
+    let stderr = refusal(
+        &["--engine", "process", "--procs", "2"],
+        "pkill(worker=5@step=1)",
+    );
+    assert!(
+        stderr.contains("clause 'pkill(worker=5@step=1)' names worker 5"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn process_engine_matches_sequential_for_every_family() {
     for (tag, program, strategy) in [
         ("m", TC, "monotone"),

@@ -18,22 +18,21 @@
 //! multiplicities outside `1..=u32::MAX` are refused. Trailing bytes are
 //! the caller's to refuse, with [`decode_all`].
 //!
-//! Facts are written from rows in [`CanonicalOrder`] and read into rows
-//! ([`put_state`], [`put_pending`], [`read_rows`]): a node's state, inbox
-//! and receive filter in a checkpoint. The states of the final report
-//! ([`StateRows`]) are one wire batch per node ([`encode_state`]).
+//! Facts cross as wire batches ([`crate::wirefmt`]), written from rows
+//! and read into rows ([`decode_state`]): a node's state in the final
+//! report ([`StateRows`]), and a checkpoint's state, inbox and receive
+//! filter. A record per fact is left only in the naive E23 baseline
+//! (`Codec for Multiset<Fact>`).
 
 use crate::wirefmt::{
     decode_rows_into, encode_state, put_bytes, put_value, put_varint, unzigzag, zigzag, Reader,
     WireError,
 };
 use calm_common::fact::Fact;
-use calm_common::storage::{
-    relations_by_name, CanonicalOrder, RelId, Rows, SharedSymbols, Storage, Sym, SymbolTable,
-};
+use calm_common::storage::{CanonicalOrder, Rows, SharedSymbols, Storage, SymbolTable};
 use calm_common::value::Value;
 use calm_transducer::multiset::Multiset;
-use calm_transducer::rows::{canonical_rows, Batch, StateRows};
+use calm_transducer::rows::StateRows;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -160,117 +159,45 @@ tuple!(A, B);
 tuple!(A, B, C);
 
 /// The one record for a fact: relation name, arity, values.
-fn put_record<'v>(
-    out: &mut Vec<u8>,
-    relation: &str,
-    args: impl ExactSizeIterator<Item = &'v Value>,
-) {
-    put_bytes(out, relation.as_bytes());
-    args.len().put(out);
-    args.for_each(|value| put_value(out, value));
-}
-
-/// Read one record up to its values: the relation name and how many
-/// values follow, each for the caller to read with [`Reader::value`].
-fn read_record_head<'b>(r: &mut Reader<'b>) -> Result<(&'b str, usize), WireError> {
-    let (name, arity) = (r.str()?, r.count()?);
-    if arity == 0 {
-        // The paper's model has no nullary relations and `Fact` asserts
-        // arity >= 1: a zero here is a corrupt or hostile frame.
-        return Err(WireError::NonCanonical("nullary fact"));
-    }
-    Ok((name, arity))
-}
-
 impl Codec for Fact {
     fn put(&self, out: &mut Vec<u8>) {
-        put_record(out, self.relation(), self.args().iter());
+        put_bytes(out, self.relation().as_bytes());
+        self.arity().put(out);
+        self.args().iter().for_each(|value| put_value(out, value));
     }
     fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let (name, arity) = read_record_head(r)?;
+        let (name, arity) = (r.str()?, r.count()?);
+        if arity == 0 {
+            // The paper's model has no nullary relations and `Fact` asserts
+            // arity >= 1: a zero here is a corrupt or hostile frame.
+            return Err(WireError::NonCanonical("nullary fact"));
+        }
         let args = (0..arity).map(|_| r.value(0)).collect::<Result<_, _>>()?;
         Ok(Fact::new(name, args))
     }
 }
 
-/// A set of facts from rows: the count, then a record per live row of
-/// `state`, in the order of the facts they stand for (`order` has taken
-/// in `table`).
-pub(crate) fn put_state(
-    out: &mut Vec<u8>,
-    state: &Storage,
-    table: &SymbolTable,
-    order: &CanonicalOrder,
-) {
-    state.len().put(out);
-    for (name, r) in relations_by_name(state, table) {
-        let relation = state.relation(r).expect("a listed relation");
-        for id in order.sorted_ids(relation, None) {
-            let row = relation.row(id).iter();
-            put_record(out, name, row.map(|&s| table.value(s)));
-        }
-    }
-}
-
-/// A message buffer from rows, in `Codec for Multiset<Fact>`'s layout: a
-/// record per distinct row of `batches`, occurrences summed across them.
-pub(crate) fn put_pending(
-    out: &mut Vec<u8>,
-    batches: &[Arc<Batch>],
-    table: &SymbolTable,
-    order: &CanonicalOrder,
-) {
-    let rows = canonical_rows(batches.iter().flat_map(|b| b.rows()), table, order, false);
-    rows.len().put(out);
-    for (r, row, n) in rows {
-        put_record(out, table.rel_name(r), row.iter().map(|&s| table.value(s)));
-        n.put(out);
-    }
-}
-
-/// Read a count of records into rows over `table`, each handed to `take`
-/// with the reader after its values; a run of one relation's records
-/// interns its name once.
-pub(crate) fn read_rows<'b>(
-    r: &mut Reader<'b>,
+/// A set of facts as one wire batch ([`encode_state`]), into rows over
+/// `table` with one `insert_batch` per relation run: a row said twice, or
+/// with a count above one, is one fact, as in a set. `rows` is scratch,
+/// kept by the caller from one state to the next.
+pub(crate) fn decode_state(
+    bytes: &[u8],
     table: &mut SymbolTable,
-    mut take: impl FnMut(&mut Reader<'b>, RelId, &[Sym]) -> Result<(), WireError>,
-) -> Result<(), WireError> {
-    let (mut row, mut last) = (Vec::new(), None);
-    for _ in 0..r.count()? {
-        let (name, arity) = read_record_head(r)?;
-        let relation = match last {
-            Some((named, relation)) if named == name => relation,
-            _ => last.insert((name, table.rel(name))).1,
-        };
-        row.clear();
-        for _ in 0..arity {
-            row.push(r.sym(table)?);
-        }
-        take(r, relation, &row)?;
-    }
-    Ok(())
-}
-
-/// A set of facts as [`put_state`] writes it, into rows over `table`: a
-/// repeated record collapses, as it does in a set.
-pub(crate) fn read_state(
-    r: &mut Reader<'_>,
-    table: &mut SymbolTable,
+    rows: &mut Rows,
 ) -> Result<Storage, WireError> {
+    rows.clear();
+    decode_rows_into(bytes, table, |rel, row, _| rows.push(rel, row))?;
     let mut state = Storage::new();
-    read_rows(r, table, |_, relation, row| {
-        state.insert(relation, row);
-        Ok(())
-    })?;
+    for (rel, run) in rows.runs() {
+        state.insert_batch(rel, run);
+    }
     Ok(state)
 }
 
 /// A worker's final states: per node, its id and its state as one
 /// length-prefixed wire batch ([`encode_state`]), read back with
-/// [`decode_rows_into`] into rows over a table of the frame's own, one
-/// `insert_batch` per relation run — a row counted twice is one fact, as
-/// in a set.
+/// [`decode_state`] into rows over a table of the frame's own.
 impl Codec for StateRows {
     fn put(&self, out: &mut Vec<u8>) {
         let table = &*self.symbols.read();
@@ -285,21 +212,17 @@ impl Codec for StateRows {
     fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let (symbols, mut nodes, mut rows) = (SharedSymbols::new(), Vec::new(), Rows::default());
         for _ in 0..r.count()? {
-            let (node, mut state) = (Value::read(r)?, Storage::new());
-            let (bytes, table) = (r.prefixed_bytes()?, &mut symbols.write());
-            decode_rows_into(bytes, table, |rel, row, _| rows.push(rel, row))?;
-            for (rel, run) in rows.runs() {
-                state.insert_batch(rel, run);
-            }
-            rows.clear();
+            let node = Value::read(r)?;
+            let state = decode_state(r.prefixed_bytes()?, &mut symbols.write(), &mut rows)?;
             nodes.push((node, state));
         }
         Ok(StateRows { symbols, nodes })
     }
 }
 
-/// A message buffer (§4.1.3): one record and a bounded multiplicity
-/// ([`Reader::multiplicity`]) per distinct fact.
+/// A message buffer (§4.1.3) in the naive E23 baseline
+/// ([`crate::wirefmt::encode_naive`]): one record and a bounded
+/// multiplicity ([`Reader::multiplicity`]) per distinct fact.
 impl Codec for Multiset<Fact> {
     fn put(&self, out: &mut Vec<u8>) {
         self.support().count().put(out);
@@ -375,28 +298,13 @@ pub(crate) use counters;
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::reliable::{NodeLinks, NodeSnapshot};
+    use crate::transport::proto::{decode_snapshot_blob, encode_snapshot_blob};
     use calm_common::fact::{fact, RelName};
     use calm_common::instance::Instance;
     use calm_common::rng::Rng;
-    use calm_common::storage::{load_instance, store_to_instance};
-
-    /// The instance codec the row writers replaced: the reference
-    /// [`put_state`] and [`read_state`] are held to.
-    impl Codec for Instance {
-        fn put(&self, out: &mut Vec<u8>) {
-            self.len().put(out);
-            for (relation, tuple) in self.iter() {
-                put_record(out, relation, tuple.iter());
-            }
-        }
-        fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
-            let mut instance = Instance::new();
-            for _ in 0..r.count()? {
-                instance.insert(Fact::read(r)?);
-            }
-            Ok(instance)
-        }
-    }
+    use calm_common::storage::{load_instance, store_to_instance, Sym};
+    use calm_transducer::rows::Batch;
 
     /// `states` as the rows a worker would hold them in.
     pub(crate) fn rows_of(states: &[(Value, Instance)]) -> StateRows {
@@ -646,89 +554,184 @@ pub(crate) mod tests {
     /// A receive filter as the facts it held.
     type FactSets = BTreeMap<usize, BTreeSet<Fact>>;
 
+    /// What a snapshot blob holds, as facts: state, inbox, link state
+    /// (as its bytes), receive filter, transition count and trace seq.
+    type BlobFacts = (Instance, Multiset<Fact>, Vec<u8>, FactSets, (u64, u64));
+
+    /// The bytes [`crate::wirefmt::encode`] writes for `facts`, each once.
+    fn fact_batch(facts: impl IntoIterator<Item = Fact>) -> Vec<u8> {
+        crate::wirefmt::encode(&facts.into_iter().collect())
+    }
+
+    /// A snapshot blob as the fact codecs say it: the state, the inbox and
+    /// each source's filter the length-prefixed bytes
+    /// [`crate::wirefmt::encode`] writes for their facts, around the link
+    /// state — the reference the blob writer is held to.
+    fn reference_blob((state, inbox, links, filter, tail): &BlobFacts) -> Vec<u8> {
+        let filter: BTreeMap<usize, Vec<u8>> = (filter.iter())
+            .map(|(&src, set)| (src, fact_batch(set.iter().cloned())))
+            .collect();
+        let (state, inbox) = (fact_batch(state.facts()), crate::wirefmt::encode(inbox));
+        let parts = [encoded(&state), encoded(&inbox), links.clone()];
+        [parts.concat(), encoded(&filter), encoded(tail)].concat()
+    }
+
+    /// Read a snapshot blob part by part with the fact decoder
+    /// ([`crate::wirefmt::decode`]): a fact said with a count above one in
+    /// a set is one fact.
+    fn reference_read(bytes: &[u8]) -> Result<BlobFacts, WireError> {
+        let mut r = Reader::new(bytes);
+        let set = |bytes| -> Result<BTreeSet<Fact>, WireError> {
+            Ok(crate::wirefmt::decode(bytes)?.support().cloned().collect())
+        };
+        let state = Instance::from_facts(set(r.prefixed_bytes()?)?);
+        let inbox = crate::wirefmt::decode(r.prefixed_bytes()?)?;
+        let links = encoded(&NodeLinks::read(&mut r)?);
+        let mut filter = FactSets::new();
+        for _ in 0..r.count()? {
+            let src = usize::read(&mut r)?;
+            filter.insert(src, set(r.prefixed_bytes()?)?);
+        }
+        let tail = Codec::read(&mut r)?;
+        match r.remaining() {
+            0 => Ok((state, inbox, links, filter, tail)),
+            _ => Err(WireError::TrailingBytes),
+        }
+    }
+
+    /// The blob decoder into a table where the indexes mean other values:
+    /// the facts its rows stand for there, and the blob written from them.
+    fn blob_read(bytes: &[u8]) -> Result<(BlobFacts, Vec<u8>), WireError> {
+        let restorer = SharedSymbols::new();
+        restorer.write().sym(&Value::str("x"));
+        let (snap, transitions, seq) = decode_snapshot_blob(bytes, &mut restorer.write())?;
+        let mut inbox = Multiset::new();
+        for batch in &snap.pending {
+            batch.add_to(&restorer.read(), &mut inbox);
+        }
+        let filter = snap.links.recv_dedup.iter();
+        let filter = filter.map(|(&src, rows)| (src, store_to_instance(rows, &restorer)));
+        let filter = filter.map(|(src, set)| (src, set.facts().collect()));
+        let state = store_to_instance(&snap.state, &restorer);
+        let order = order_of(&restorer);
+        let written = encode_snapshot_blob(&snap, &restorer.read(), &order, transitions, seq);
+        let links = encoded(&snap.links);
+        Ok((
+            (state, inbox, links, filter.collect(), (transitions, seq)),
+            written,
+        ))
+    }
+
+    /// The canonical order of `symbols`'s table as it stands.
+    fn order_of(symbols: &SharedSymbols) -> CanonicalOrder {
+        let mut order = CanonicalOrder::default();
+        order.extend(&symbols.read());
+        order
+    }
+
+    /// A checkpoint — the first of [`random_states`], a [`random_inbox`] and
+    /// a [`random_filter`], in rows over one scrambled table — as its blob
+    /// and as the facts it holds, `case` its one receive cursor; and
+    /// whether a fact of its inbox sits in two of its batches.
+    fn random_blob(rng: &mut Rng, case: u64) -> (Vec<u8>, BlobFacts, bool) {
+        let states = random_states(rng);
+        let state = states
+            .first()
+            .map_or_else(Instance::new, |(_, s)| s.clone());
+        let rows = scrambled_rows(rng, &states[..states.len().min(1)]);
+        let (pending, inbox) = random_inbox(rng, &mut rows.symbols.write());
+        let (filter, filter_facts) = random_filter(rng, &mut rows.symbols.write());
+        let mut links = NodeLinks::default();
+        links.cum.insert(0, case);
+        let link_bytes = encoded(&links);
+        links.recv_dedup = filter;
+        let table = &*rows.symbols.read();
+        let holds = |f: &Fact| pending.iter().filter(|b| batch_holds(b, table, f)).count();
+        let shared = inbox.support().any(|f| holds(f) > 1);
+        let snap = NodeSnapshot {
+            state: rows
+                .nodes
+                .first()
+                .map_or_else(Storage::new, |(_, s)| s.clone()),
+            pending,
+            links,
+        };
+        let blob = encode_snapshot_blob(&snap, table, &order_of(&rows.symbols), 17, case);
+        (
+            blob,
+            (state, inbox, link_bytes, filter_facts, (17, case)),
+            shared,
+        )
+    }
+
     #[test]
-    fn the_snapshot_writer_writes_the_bytes_of_the_instance_and_multiset_encoders() {
-        use crate::reliable::{NodeLinks, NodeSnapshot};
-        use crate::transport::proto::{decode_snapshot_blob, encode_snapshot_blob};
+    fn the_snapshot_writer_writes_the_bytes_of_the_fact_batch_encoder() {
         let mut rng = Rng::seed_from_u64(0x5a_a9);
         let (mut facts, mut pending, mut shared, mut filtered) = (0, 0, 0, 0);
         for case in 0..400u64 {
-            let states = random_states(&mut rng);
-            let state = states
-                .first()
-                .map_or_else(Instance::new, |(_, s)| s.clone());
-            let rows = scrambled_rows(&mut rng, &states[..states.len().min(1)]);
-            let (inbox, all) = random_inbox(&mut rng, &mut rows.symbols.write());
-            let (filter, filter_facts) = random_filter(&mut rng, &mut rows.symbols.write());
-            let mut links = NodeLinks::default();
-            links.cum.insert(0, case);
-            // The layout of the links with the filter kept in facts.
-            let reference = [
-                encoded(&state),
-                encoded(&all),
-                encoded(&links),
-                encoded(&filter_facts),
-                encoded(&(17u64, case)),
-            ]
-            .concat();
-            links.recv_dedup = filter;
-            let table = &*rows.symbols.read();
-            let mut order = CanonicalOrder::default();
-            order.extend(table);
-            let (nodes, state_rows) = (rows.nodes.len(), rows.nodes.first());
-            let snap = NodeSnapshot {
-                state: state_rows.map_or_else(Storage::new, |(_, s)| s.clone()),
-                pending: inbox,
-                links,
-            };
-            let blob = encode_snapshot_blob(&snap, table, &order, 17, case);
-            assert_eq!(blob, reference, "case {case}: {state:?} {all:?}");
-            // Read into a table where the indexes mean other values: the
-            // same facts, and written from there, the same bytes.
-            let restorer = SharedSymbols::new();
-            restorer.write().sym(&Value::str("x"));
-            let (back, ..) = decode_snapshot_blob(&blob, &mut restorer.write()).expect("reads");
-            let mut again = Multiset::new();
-            back.pending
-                .iter()
-                .for_each(|b| b.add_to(&restorer.read(), &mut again));
+            let (blob, held, two_batches) = random_blob(&mut rng, case);
+            assert_eq!(blob, reference_blob(&held), "case {case}: {held:?}");
+            // Read into rows over another table, the blob is the facts
+            // again — those the fact decoder reads from its parts — and
+            // written from there, the same bytes.
             assert_eq!(
-                store_to_instance(&back.state, &restorer),
-                state,
+                blob_read(&blob),
+                Ok((held.clone(), blob.clone())),
                 "case {case}"
             );
-            assert_eq!(again, all, "case {case}");
-            let held = back.links.recv_dedup.iter();
-            let held = held.map(|(&src, rows)| (src, store_to_instance(rows, &restorer)));
-            let held: FactSets = held
-                .map(|(src, set)| (src, set.facts().collect()))
-                .collect();
-            assert_eq!(held, filter_facts, "case {case}");
-            let mut order = CanonicalOrder::default();
-            order.extend(&restorer.read());
-            let rewritten = encode_snapshot_blob(&back, &restorer.read(), &order, 17, case);
-            assert_eq!(rewritten, blob, "case {case}");
-            // And the decoders the rows replaced read what they wrote.
-            let mut r = Reader::new(&blob);
-            assert_eq!(Instance::read(&mut r), Ok(state.clone()));
-            assert_eq!(Multiset::<Fact>::read(&mut r), Ok(all.clone()));
-            assert!(NodeLinks::read(&mut r).is_ok());
-            assert_eq!(FactSets::read(&mut r), Ok(filter_facts.clone()));
-            facts += state.len() * usize::from(nodes > 0);
-            pending += all.len();
-            filtered += filter_facts.values().map(BTreeSet::len).sum::<usize>();
-            let held = |f: &Fact| {
-                snap.pending
-                    .iter()
-                    .filter(|b| batch_holds(b, table, f))
-                    .count()
-            };
-            shared += usize::from(all.support().any(|f| held(f) > 1));
+            assert_eq!(reference_read(&blob), Ok(held.clone()), "case {case}");
+            facts += held.0.len();
+            pending += held.1.len();
+            filtered += held.3.values().map(BTreeSet::len).sum::<usize>();
+            shared += usize::from(two_batches);
         }
         assert!(
             facts > 1_000 && pending > 2_000 && shared > 150 && filtered > 1_500,
             "{facts} facts, {pending} pending, {shared} inboxes with a fact in two batches, \
              {filtered} in receive filters"
+        );
+    }
+
+    #[test]
+    fn the_snapshot_reader_is_the_fact_batch_decoder_on_mutated_blobs() {
+        // 24 000 seeded edits of small blobs (`mutate`): the blob decoder,
+        // into rows, and the fact decoder on each part give the same facts
+        // or the same refusal, and neither panics; what is accepted is
+        // written again in at most the bytes it was read from.
+        let mut rng = Rng::seed_from_u64(0xb10b_f1a7);
+        // Small checkpoints, every other one with no receive filter: an
+        // edit of a long batch is nearly always a refusal, and one of a
+        // blob's five parts is mostly one. Their bytes are the writer's
+        // (`the_snapshot_writer_writes_the_bytes_of_the_fact_batch_encoder`).
+        let mut corpus = Vec::new();
+        while corpus.len() < 12 {
+            let (_, mut held, _) = random_blob(&mut rng, corpus.len() as u64);
+            if corpus.len() % 2 == 0 {
+                held.3.clear();
+            }
+            let filtered: usize = held.3.values().map(BTreeSet::len).sum();
+            if held.0.len() + held.1.len() + filtered <= 2 {
+                corpus.push(("blob", reference_blob(&held)));
+            }
+        }
+        let (mut accepted, mut rejected) = (0, 0);
+        for _ in 0..24_000 {
+            let mut bytes = rng.choose(&corpus).unwrap().1.clone();
+            mutate(&mut rng, &mut bytes, &corpus);
+            let read = blob_read(&bytes);
+            let facts = read.as_ref().map(|(facts, _)| facts.clone());
+            assert_eq!(facts.map_err(|e| *e), reference_read(&bytes), "{bytes:?}");
+            match read {
+                Err(_) => rejected += 1,
+                Ok((_, written)) => {
+                    accepted += 1;
+                    assert!(written.len() <= bytes.len(), "{bytes:?}");
+                }
+            }
+        }
+        assert!(
+            accepted > 800 && rejected > 20_000,
+            "accepted {accepted}, rejected {rejected}"
         );
     }
 

@@ -90,12 +90,6 @@ impl ThreadedConfig {
         }
     }
 
-    /// Override the per-worker step budget.
-    pub fn with_budget(mut self, step_budget: usize) -> ThreadedConfig {
-        self.step_budget = step_budget;
-        self
-    }
-
     /// Run under a fault plan (with the reliability substrate enabled).
     pub fn with_faults(mut self, plan: FaultPlan) -> ThreadedConfig {
         self.faults = Some(plan);

@@ -54,7 +54,7 @@ impl LinkFaults {
     };
 
     /// Whether this link never misbehaves.
-    pub fn is_none(&self) -> bool {
+    pub(crate) fn is_none(&self) -> bool {
         self.drop_p <= 0.0 && self.dup_p <= 0.0 && self.delay_p <= 0.0
     }
 }
@@ -162,34 +162,6 @@ impl FaultPlan {
         p.link.drop_p = drop_p;
         p.link.dup_p = dup_p;
         p
-    }
-
-    /// Builder: set the default delay fault.
-    pub fn with_delay(mut self, delay_p: f64, max_delay: Tick) -> FaultPlan {
-        self.link.delay_p = delay_p;
-        self.link.max_delay = max_delay;
-        self
-    }
-
-    /// Builder: add a crash point.
-    pub fn with_crash(mut self, node: usize, at_transition: usize, down_ticks: Tick) -> FaultPlan {
-        self.crashes.push(CrashPoint {
-            node,
-            at_transition,
-            down_ticks,
-        });
-        self
-    }
-
-    /// Builder: add a one-way partition.
-    pub fn with_partition(mut self, src: usize, dst: usize, from: Tick, heal: Tick) -> FaultPlan {
-        self.partitions.push(Partition {
-            src,
-            dst,
-            from,
-            heal,
-        });
-        self
     }
 
     /// Parse a `--faults` spec: comma-separated `key=value` clauses.
@@ -316,7 +288,7 @@ impl FaultPlan {
     }
 
     /// The faults of one directed link.
-    pub fn link_faults(&self, src: usize, dst: usize) -> &LinkFaults {
+    pub(crate) fn link_faults(&self, src: usize, dst: usize) -> &LinkFaults {
         self.per_link.get(&(src, dst)).unwrap_or(&self.link)
     }
 
@@ -335,7 +307,7 @@ impl FaultPlan {
     /// first `incarnation` of them already consumed by the
     /// predecessors. The incarnation dies at the first remaining step
     /// (if its run lasts that long).
-    pub fn pkill_steps(&self, worker: usize, incarnation: u64) -> Vec<u64> {
+    pub(crate) fn pkill_steps(&self, worker: usize, incarnation: u64) -> Vec<u64> {
         let mut steps: Vec<u64> = self
             .pkills
             .iter()
@@ -513,7 +485,7 @@ mod tests {
         // clock without overflow.
         let spec = format!("backoff={MAX_TICKS},crash=0@1~{MAX_TICKS},delay=1/{MAX_TICKS}");
         let plan = FaultPlan::parse(&spec).expect("at the bound");
-        let mut net = crate::ReliableNet::new(&plan, &[0], &calm_obs::Obs::noop());
+        let mut net = crate::reliable::ReliableNet::new(&plan, &[0], &calm_obs::Obs::noop());
         let mut out = Vec::new();
         net.send_payload(0, 1, crate::wirefmt::encode(&Default::default()).into());
         net.snapshot(0, &mut out);

@@ -1,14 +1,18 @@
 //! # calm-net
 //!
-//! A threaded executor for relational transducer networks: each node of
-//! the network is owned by a worker thread (nodes are sharded over a
-//! pool when the network is larger than the worker count), message
-//! buffers are `mpsc` channels carrying fact batches, and global
-//! quiescence is detected with a Safra-style token ring
-//! ([`termination`]).
+//! Two network engines for relational transducer networks, over one
+//! worker loop. The threaded executor ([`run_threaded`]) gives each
+//! worker thread a shard of the nodes (node `i` on worker `i mod W`)
+//! and carries messages over `mpsc` channels; the process engine
+//! ([`run_process`], [`transport`]) runs them as OS processes that a
+//! coordinator relays for over TCP, and under supervision respawns a
+//! killed one from its nodes' shipped checkpoints. A send
+//! crosses as a delta-coded fact batch ([`wirefmt`]), a fault plan
+//! ([`faults`]) makes the wire hostile and a reliability layer repairs
+//! it, and global quiescence is detected with a Safra-style token ring.
 //!
 //! The sequential simulator in `calm-transducer` is the semantic
-//! oracle: both engines run the same per-node step core
+//! oracle: every engine runs the same per-node step core
 //! ([`calm_transducer::engine::NodeEngine`]), so they can differ only
 //! in *scheduling* — and for coordination-free programs the paper's
 //! confluence guarantee says scheduling cannot matter. The equivalence
@@ -59,8 +63,8 @@
 mod codec;
 pub mod executor;
 pub mod faults;
-pub mod reliable;
-pub mod termination;
+mod reliable;
+mod termination;
 pub mod transport;
 pub mod wirefmt;
 
@@ -69,10 +73,9 @@ pub use executor::{
     WorkerStats,
 };
 pub use faults::{CrashPoint, FaultPlan, FaultStats, LinkFaults, Partition};
-pub use reliable::{LinkCounters, ReliableNet, Wire};
-pub use termination::Token;
+pub use reliable::LinkCounters;
 pub use transport::{
-    run_net_worker, run_process, Assign, FinalReport, JobSpec, NetError, ProcessConfig,
-    ProcessRunResult, SpawnHandle, Spawner, WorkerBuilder, WorkerSetup, PROTOCOL_VERSION,
+    run_net_worker, run_process, Assign, JobSpec, NetError, ProcessConfig, ProcessRunResult,
+    SpawnHandle, Spawner, WorkerBuilder, WorkerSetup, PROTOCOL_VERSION,
 };
 pub use wirefmt::WireError;

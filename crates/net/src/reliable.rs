@@ -45,7 +45,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// What a fresh data wire brings: see [`ReliableNet::receive`].
-pub type TracedArrival = (usize, Batch, Option<(u64, u64)>);
+pub(crate) type TracedArrival = (usize, Batch, Option<(u64, u64)>);
 
 /// A message on the (possibly faulty) wire. `Data` carries a sequenced
 /// fact batch and is subject to the fault plan; `Ack` is the
@@ -53,7 +53,7 @@ pub type TracedArrival = (usize, Batch, Option<(u64, u64)>);
 /// channels unfaulted — dropping acks only causes retransmission,
 /// which dropping data already exercises).
 #[derive(Debug, Clone)]
-pub enum Wire {
+pub(crate) enum Wire {
     /// A sequenced fact batch on link `src → dst`.
     Data {
         /// Sending node (global index).
@@ -84,7 +84,7 @@ pub enum Wire {
 
 impl Wire {
     /// The node this wire is addressed to.
-    pub fn dst(&self) -> usize {
+    pub(crate) fn dst(&self) -> usize {
         match self {
             Wire::Data { dst, .. } | Wire::Ack { dst, .. } => *dst,
         }
@@ -94,7 +94,7 @@ impl Wire {
 /// One outbox entry: a batch staged for release or awaiting its
 /// cumulative ack.
 #[derive(Debug, Clone)]
-pub struct OutEntry {
+pub(crate) struct OutEntry {
     /// The encoded batch (retransmitted byte-for-byte under its
     /// original seq — the shared buffer makes "verbatim" structural).
     pub payload: Arc<[u8]>,
@@ -123,7 +123,7 @@ wire_struct!(OutEntry: payload, staged; not shipped: attempt = 0, retry_at = 0);
 /// destination, and per-source receive cursors (`cum` = highest
 /// contiguous snapshotted seq; `seen` = out-of-order seqs above it).
 #[derive(Debug, Clone, Default)]
-pub struct NodeLinks {
+pub(crate) struct NodeLinks {
     /// `dst → seq → entry`: batches sent and not yet cumulatively acked.
     pub out: BTreeMap<usize, BTreeMap<u64, OutEntry>>,
     /// `src → cum`: every seq ≤ cum has been received *and snapshotted*.
@@ -155,7 +155,7 @@ pub struct NodeLinks {
 }
 
 // `recv_dedup` is rows over the worker's table: a snapshot blob lays it
-// out after these fields, as the `BTreeMap<usize, BTreeSet<Fact>>` it is.
+// out after these fields, one wire batch per source.
 wire_struct!(NodeLinks: out, cum, seen, sent_floor; not shipped: recv_dedup = BTreeMap::new());
 
 impl NodeLinks {
@@ -169,7 +169,7 @@ impl NodeLinks {
 /// captured atomically. The receive cursors in `links.cum` are exactly
 /// what the node has acknowledged, which makes restoring it sound.
 #[derive(Debug, Clone)]
-pub struct NodeSnapshot {
+pub(crate) struct NodeSnapshot {
     /// The node's state (output ∪ memory rows).
     pub state: Storage,
     /// The node's undelivered inbox: the batches it held, by handle.
@@ -201,7 +201,7 @@ counters! {
 /// The per-worker reliability substrate: owns the link state of the
 /// worker's local nodes, the delay buffer ("the network"), and the
 /// per-link sequence counters.
-pub struct ReliableNet<'a> {
+pub(crate) struct ReliableNet<'a> {
     plan: &'a FaultPlan,
     /// Trace handle: retransmit/drop/dedup events and the
     /// `retry_exhausted`/`decode_failure` anomalies carry the causal
@@ -237,7 +237,7 @@ impl<'a> ReliableNet<'a> {
     /// indexes). Wire-level trace events (retransmits, drops, dedup
     /// suppressions, anomalies) go to `obs`; pass [`Obs::noop`] to
     /// trace nothing.
-    pub fn new(plan: &'a FaultPlan, local_nodes: &[usize], obs: &Obs) -> ReliableNet<'a> {
+    pub(crate) fn new(plan: &'a FaultPlan, local_nodes: &[usize], obs: &Obs) -> ReliableNet<'a> {
         let mut net = ReliableNet {
             plan,
             obs: obs.clone(),
@@ -260,7 +260,7 @@ impl<'a> ReliableNet<'a> {
 
     /// Advance one tick: release due delayed wires and retransmit due
     /// unacked entries into `out`.
-    pub fn advance(&mut self, out: &mut Vec<Wire>) {
+    pub(crate) fn advance(&mut self, out: &mut Vec<Wire>) {
         self.tick += 1;
         // Release the network's delay buffer.
         let later = self.delayed.split_off(&(self.tick + 1, 0));
@@ -303,7 +303,7 @@ impl<'a> ReliableNet<'a> {
     /// the wire until the sender's next snapshot releases it (see
     /// [`OutEntry::staged`]) — sends are committed output, and output
     /// is only committed by a checkpoint that contains it.
-    pub fn send_payload(&mut self, src: usize, dst: usize, payload: Arc<[u8]>) {
+    pub(crate) fn send_payload(&mut self, src: usize, dst: usize, payload: Arc<[u8]>) {
         let seq = {
             let next = self.next_seq.entry((src, dst)).or_insert(1);
             let seq = *next;
@@ -330,7 +330,7 @@ impl<'a> ReliableNet<'a> {
     /// Whether `node` has staged sends waiting on a snapshot to be
     /// released — a passivity obligation: the worker must checkpoint
     /// (committing and transmitting them) before it may look quiet.
-    pub fn staged(&self, node: usize) -> bool {
+    pub(crate) fn staged(&self, node: usize) -> bool {
         self.links.get(&node).is_some_and(|nl| {
             nl.out
                 .values()
@@ -433,7 +433,7 @@ impl<'a> ReliableNet<'a> {
     /// data wire is decoded into `table`, the worker's: it yields the
     /// destination, the rows the node had not yet accepted from that
     /// sender, and — when the send was traced — its causal message id.
-    pub fn receive(
+    pub(crate) fn receive(
         &mut self,
         wire: Wire,
         table: &mut SymbolTable,
@@ -527,7 +527,7 @@ impl<'a> ReliableNet<'a> {
     /// Whether `node`'s receive cursor can advance — i.e. a snapshot
     /// now would fold fresh receipts into `cum` and emit acks peers
     /// are waiting for.
-    pub fn ackable(&self, node: usize) -> bool {
+    pub(crate) fn ackable(&self, node: usize) -> bool {
         let Some(nl) = self.links.get(&node) else {
             return false;
         };
@@ -542,7 +542,7 @@ impl<'a> ReliableNet<'a> {
     /// links that advanced, record the per-destination sequence floor,
     /// and return the (cloned) link state to store in the node's
     /// [`NodeSnapshot`].
-    pub fn snapshot(&mut self, node: usize, out: &mut Vec<Wire>) -> NodeLinks {
+    pub(crate) fn snapshot(&mut self, node: usize, out: &mut Vec<Wire>) -> NodeLinks {
         // Output commit: the checkpoint being taken now contains every
         // staged entry, so they may be released — first transmission,
         // through the fault gauntlet.
@@ -596,7 +596,7 @@ impl<'a> ReliableNet<'a> {
     /// wire*, so reusing it cannot collide with an in-flight or
     /// delivered wire, and a receiver's cumulative cursor never waits
     /// on a hole no one will fill.
-    pub fn restore(&mut self, node: usize, mut snap: NodeLinks) {
+    pub(crate) fn restore(&mut self, node: usize, mut snap: NodeLinks) {
         for entries in snap.out.values_mut() {
             for entry in entries.values_mut() {
                 if !entry.staged {
@@ -625,7 +625,7 @@ impl<'a> ReliableNet<'a> {
     /// node typically overwritten right away by [`ReliableNet::restore`]
     /// from the coordinator's retained snapshot — and queue any of the
     /// plan's crash points for it, sorted by transition.
-    pub fn adopt(&mut self, node: usize) {
+    pub(crate) fn adopt(&mut self, node: usize) {
         self.links.entry(node).or_default();
         let mut points: Vec<CrashPoint> = self
             .plan
@@ -645,7 +645,7 @@ impl<'a> ReliableNet<'a> {
     /// Crash bookkeeping: drop the node's in-flight outgoing wires from
     /// the delay buffer (the network loses them; the restored outbox
     /// retransmits) and open the recovery window.
-    pub fn crash(&mut self, node: usize, down_ticks: Tick) {
+    pub(crate) fn crash(&mut self, node: usize, down_ticks: Tick) {
         let from_node = |w: &Wire| matches!(w, Wire::Data { src, .. } if *src == node);
         let (lost, kept): (BTreeMap<_, _>, _) = std::mem::take(&mut self.delayed)
             .into_iter()
@@ -672,13 +672,13 @@ impl<'a> ReliableNet<'a> {
 
     /// The next crash point due for `node`, given its (monotone)
     /// transition count. Consumes the point.
-    pub fn due_crash(&mut self, node: usize, transitions: usize) -> Option<CrashPoint> {
+    pub(crate) fn due_crash(&mut self, node: usize, transitions: usize) -> Option<CrashPoint> {
         let queue = self.crash_queue.get_mut(&node)?;
         queue.pop_front_if(|c| transitions >= c.at_transition)
     }
 
     /// Whether `node` is inside its crash-recovery window.
-    pub fn node_down(&self, node: usize) -> bool {
+    pub(crate) fn node_down(&self, node: usize) -> bool {
         self.down_until.get(&node).is_some_and(|&t| t > self.tick)
     }
 
@@ -686,7 +686,7 @@ impl<'a> ReliableNet<'a> {
     /// outboxes, wires in the delay buffer, or nodes in recovery. A
     /// worker with obligations is *not* passive — this is the
     /// fault-mode extension of the Safra passivity predicate.
-    pub fn has_obligations(&self) -> bool {
+    pub(crate) fn has_obligations(&self) -> bool {
         !self.delayed.is_empty()
             || self.down_until.values().any(|&t| t > self.tick)
             || self.links.values().any(|nl| nl.unacked() > 0)
@@ -694,7 +694,7 @@ impl<'a> ReliableNet<'a> {
 
     /// Exit accounting: fold wires still in the delay buffer into the
     /// per-link `buffered` counters (zero on a clean quiescent run).
-    pub fn finalize(&mut self) {
+    pub(crate) fn finalize(&mut self) {
         for wire in self.delayed.values() {
             if let Wire::Data { src, dst, .. } = wire {
                 self.link_counters.entry((*src, *dst)).or_default().buffered += 1;
@@ -877,8 +877,7 @@ mod tests {
 
     #[test]
     fn partition_drops_until_heal_then_retransmission_crosses() {
-        let mut plan = FaultPlan::none(5).with_partition(0, 1, 0, 10);
-        plan.backoff_base = 2;
+        let mut plan = FaultPlan::parse("seed=5,partition=0>1@0..10,backoff=2").unwrap();
         plan.max_backoff = 2;
         let mut net = ReliableNet::new(&plan, &[0], &Obs::noop());
         let mut out = Vec::new();
@@ -900,8 +899,8 @@ mod tests {
 
     #[test]
     fn delay_buffers_and_releases_in_tick_order() {
-        let mut plan = FaultPlan::none(9).with_delay(1.0, 4);
-        plan.backoff_base = 64; // keep retransmission out of the picture
+        // A long backoff keeps retransmission out of the picture.
+        let plan = FaultPlan::parse("seed=9,delay=1.0/4,backoff=64").unwrap();
         let mut net = ReliableNet::new(&plan, &[0], &Obs::noop());
         let mut out = Vec::new();
         net.send_payload(0, 1, payload(1));
@@ -924,7 +923,7 @@ mod tests {
 
     #[test]
     fn crash_restore_rolls_back_staged_sends_and_reissues_their_seqs() {
-        let plan = FaultPlan::none(11).with_crash(0, 1, 2);
+        let plan = FaultPlan::parse("seed=11,crash=0@1~2").unwrap();
         let mut net = ReliableNet::new(&plan, &[0], &Obs::noop());
         let mut out = Vec::new();
         // Release seq 1 with a snapshot; stage seq 2 with no covering
@@ -1169,5 +1168,141 @@ mod tests {
         }
         assert_eq!(net.stats.retransmissions, 1);
         assert_eq!(net.wire_bytes, first * 2);
+    }
+
+    /// A random batch: a few relations of random arity (1..=8) over a
+    /// small mixed int/str/Skolem domain, with multiplicities.
+    fn random_batch(rng: &mut Rng) -> Multiset<Fact> {
+        let mut batch = Multiset::new();
+        let relations = 1 + (rng.gen_u64() % 4) as usize;
+        for r in 0..relations {
+            let name = format!("rel_{r}");
+            let arity = 1 + (rng.gen_u64() % 8) as usize;
+            let rows = rng.gen_u64() % 12;
+            for _ in 0..rows {
+                let args: Vec<Value> = (0..arity)
+                    .map(|_| match rng.gen_u64() % 4 {
+                        0 => Value::Int(rng.gen_u64() as i64 % 100),
+                        1 => Value::Int(-((rng.gen_u64() % 1_000_000) as i64)),
+                        2 => Value::str(format!("node-{}", rng.gen_u64() % 8)),
+                        _ => Value::skolem("f", vec![Value::Int((rng.gen_u64() % 16) as i64)]),
+                    })
+                    .collect();
+                let mult = 1 + (rng.gen_u64() % 3) as usize;
+                batch.insert_n(Fact::new(&name, args), mult);
+            }
+        }
+        batch
+    }
+
+    #[test]
+    fn reliability_layer_refuses_corrupted_prefixes_and_recovers() {
+        // End-to-end corruption handling: feed truncated payloads through
+        // the substrate's receive path. Each must be refused (counted as a
+        // dropped decode failure, no ack, seq unconsumed); the intact
+        // payload must then land exactly once.
+        let plan = FaultPlan::none(23);
+        for seed in 0..10u64 {
+            let mut rng = Rng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xC0DE);
+            let mut batch = random_batch(&mut rng);
+            if batch.is_empty() {
+                batch.insert(Fact::new("pad", vec![Value::Int(0)]));
+            }
+            let bytes = wirefmt::encode(&batch);
+            let mut net = ReliableNet::new(&plan, &[1], &Obs::noop());
+            let (mut out, mut table) = (Vec::new(), SymbolTable::new());
+            let wire = |payload: &[u8]| Wire::Data {
+                src: 0,
+                dst: 1,
+                seq: 1,
+                payload: payload.into(),
+            };
+            let cuts = [2usize, bytes.len() / 2, bytes.len() - 1];
+            for &cut in &cuts {
+                let got = receive(&mut net, wire(&bytes[..cut]), &mut table, &mut out);
+                assert!(got.is_none(), "seed {seed}: truncated wire must be refused");
+                assert!(out.is_empty(), "seed {seed}: refused wires are not acked");
+            }
+            assert_eq!(net.stats.decode_failures, cuts.len() as u64);
+            assert_eq!(net.stats.dropped, cuts.len() as u64);
+            // The sender retransmits the intact payload under the same seq.
+            let got = receive(&mut net, wire(&bytes), &mut table, &mut out);
+            // The substrate's end-to-end per-source dedup collapses
+            // multiplicities: what lands is the batch's support.
+            let support: Multiset<Fact> = batch.support().cloned().collect();
+            assert_eq!(
+                got,
+                Some((1, support, None)),
+                "seed {seed}: the clean retransmission lands"
+            );
+            assert_eq!(
+                net.stats.duplicates_suppressed, 0,
+                "seed {seed}: refusals must not have consumed the seq"
+            );
+        }
+    }
+
+    /// Feed `wires` into a fresh receiver and return the accepted
+    /// fact-occurrence multiset (what the engine would enqueue into the
+    /// node's inbox, i.e. what determines `Instance` state), with the
+    /// delivered and suppressed counts.
+    fn accepted(plan: &FaultPlan, wires: &[Wire]) -> (Multiset<Fact>, u64, u64) {
+        let mut net = ReliableNet::new(plan, &[1], &Obs::noop());
+        let (mut out, mut table) = (Vec::new(), SymbolTable::new());
+        let mut got = Multiset::new();
+        for w in wires {
+            if let Some((_, rows, _)) = net.receive(w.clone(), &mut table, &mut out) {
+                rows.add_to(&table, &mut got);
+            }
+        }
+        (
+            got,
+            net.stats.delivered_batches,
+            net.stats.duplicates_suppressed,
+        )
+    }
+
+    #[test]
+    fn duplicating_any_wire_prefix_never_changes_delivery() {
+        // Property: for every stream of data wires and every prefix length
+        // k, re-injecting the first k wires (the network duplicating a
+        // prefix in flight) leaves the accepted fact multiset — and hence
+        // the receiving node's `Instance` state — unchanged, while every
+        // duplicate is counted suppressed and re-acked.
+        let plan = FaultPlan::none(0);
+        for seed in 0..40u64 {
+            let mut rng = Rng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD1CE);
+            let n = 3 + (rng.gen_u64() % 8) as usize;
+            let stream: Vec<Wire> = (1..=n as u64)
+                .map(|seq| {
+                    let facts = 1 + (rng.gen_u64() % 3) as i64;
+                    let batch: Multiset<Fact> = (0..facts)
+                        .map(|_| {
+                            fact(
+                                "m",
+                                [(rng.gen_u64() % 5) as i64, (rng.gen_u64() % 5) as i64],
+                            )
+                        })
+                        .collect();
+                    Wire::Data {
+                        src: 0,
+                        dst: 1,
+                        seq,
+                        payload: wirefmt::encode(&batch).into(),
+                    }
+                })
+                .collect();
+            let (base, base_batches, base_supp) = accepted(&plan, &stream);
+            assert_eq!(base_supp, 0, "seed {seed}: clean stream has no duplicates");
+            for k in 1..=n {
+                let mut dup: Vec<Wire> = stream[..k].to_vec();
+                dup.extend_from_slice(&stream[..k]); // the duplicated prefix
+                dup.extend_from_slice(&stream[k..]);
+                let (got, batches, supp) = accepted(&plan, &dup);
+                assert_eq!(got, base, "seed {seed} k {k}: delivery must not change");
+                assert_eq!(batches, base_batches, "seed {seed} k {k}: batches");
+                assert_eq!(supp, k as u64, "seed {seed} k {k}: duplicates suppressed");
+            }
+        }
     }
 }

@@ -61,7 +61,7 @@
 
 /// The probe token circulating `0 → 1 → … → W−1 → 0`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Token {
+pub(crate) struct Token {
     /// Sum of the counters (messages sent − received) of the workers
     /// the token has passed, this probe.
     pub count: i64,
@@ -86,7 +86,7 @@ crate::codec::wire_struct!(Token: count, black, passes, epoch);
 
 impl Token {
     /// A fresh white probe token for ring epoch `epoch`.
-    pub fn probe(epoch: u64) -> Token {
+    pub(crate) fn probe(epoch: u64) -> Token {
         Token {
             count: 0,
             black: false,
@@ -98,7 +98,7 @@ impl Token {
     /// A passive worker forwards the token: add its counter, OR in its
     /// color, count the hop. (The worker whitens itself afterwards;
     /// that is its own state, not the token's.)
-    pub fn absorb(&mut self, counter: i64, black: bool) {
+    pub(crate) fn absorb(&mut self, counter: i64, black: bool) {
         self.count += counter;
         self.black |= black;
         self.passes += 1;
@@ -107,7 +107,7 @@ impl Token {
     /// Worker 0's verdict when the probe returns: termination iff the
     /// token stayed white, the initiator is white, and the token's
     /// count plus the initiator's counter is zero.
-    pub fn concludes(&self, initiator_counter: i64, initiator_black: bool) -> bool {
+    pub(crate) fn concludes(&self, initiator_counter: i64, initiator_black: bool) -> bool {
         !self.black && !initiator_black && self.count + initiator_counter == 0
     }
 }

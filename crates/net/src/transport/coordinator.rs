@@ -112,12 +112,6 @@ impl ProcessConfig {
         self.respawn_budget = budget;
         self
     }
-
-    /// Override the handshake barrier deadline.
-    pub fn with_handshake_deadline(mut self, deadline: Duration) -> ProcessConfig {
-        self.handshake_deadline = deadline;
-        self
-    }
 }
 
 /// A spawned worker, however it was started: a real OS process (the

@@ -49,13 +49,13 @@
 //! same commit. A change that moves no byte — a `not shipped` field, a
 //! rename — touches neither.
 
-use crate::codec::{decode_all, put_pending, put_state, read_rows, read_state, wire_struct, Codec};
+use crate::codec::{decode_all, decode_state, wire_struct, Codec};
 use crate::executor::Msg;
 use crate::reliable::{NodeLinks, NodeSnapshot, Wire};
-use crate::wirefmt::{Reader, WireError};
+use crate::wirefmt::{decode_rows, encode_rows, encode_state, Reader, WireError};
 use crate::WorkerStats;
-use calm_common::storage::{CanonicalOrder, EvalMetrics, SymbolTable};
-use calm_transducer::rows::{Batch, StateRows};
+use calm_common::storage::{CanonicalOrder, EvalMetrics, Rows, SymbolTable};
+use calm_transducer::rows::StateRows;
 use calm_transducer::runtime::Metrics;
 use calm_transducer::strategy::MessageClassCounts;
 use std::sync::Arc;
@@ -70,8 +70,10 @@ use std::sync::Arc;
 /// incarnation/epoch/restore fields of `Assign`. v3 drops the naive
 /// wire-byte baseline from outbox entries and worker stats. v4 writes
 /// each node's state in `Final` as one delta-coded batch
-/// ([`crate::wirefmt`]) instead of a record per fact.
-pub const PROTOCOL_VERSION: u32 = 4;
+/// ([`crate::wirefmt`]) instead of a record per fact. v5 does the same
+/// for a `Snapshot` blob: its state, inbox and each receive-filter entry
+/// are one batch each.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// The job a coordinator hands every worker: sources and knobs, all
 /// engine-agnostic strings the worker's builder interprets (the
@@ -137,7 +139,7 @@ pub struct Assign {
 impl Assign {
     /// A first-spawn assignment with default topology (no supervision
     /// extras): incarnation 0, epoch 0, implicit ownership, all live.
-    pub fn new(worker: usize, workers: usize, spec: JobSpec) -> Assign {
+    pub(crate) fn new(worker: usize, workers: usize, spec: JobSpec) -> Assign {
         Assign {
             worker,
             workers,
@@ -400,9 +402,11 @@ pub(crate) fn decode_ctrl(bytes: &[u8]) -> Result<CtrlMsg, WireError> {
 
 /// Encode one node checkpoint into the blob carried by
 /// `CtrlMsg::Snapshot` and handed back in `Assign.restore` /
-/// `Msg::Reassign.adopted`: the [`NodeSnapshot`] — state, inbox, link
-/// state and receive filter, rows as the facts they stand for over
-/// `table`, ranked by `order` — the transition count and trace-seq.
+/// `Msg::Reassign.adopted`: the [`NodeSnapshot`] — its state, its inbox
+/// and each source's receive filter as one length-prefixed wire batch
+/// each ([`crate::wirefmt`]), written from rows over `table` ranked by
+/// `order`, with the link state between inbox and filter — then the
+/// transition count and trace-seq.
 pub(crate) fn encode_snapshot_blob(
     snap: &NodeSnapshot,
     table: &SymbolTable,
@@ -411,41 +415,40 @@ pub(crate) fn encode_snapshot_blob(
     trace_next_seq: u64,
 ) -> Vec<u8> {
     let mut out = Vec::new();
-    put_state(&mut out, &snap.state, table, order);
-    put_pending(&mut out, &snap.pending, table, order);
+    encode_state(&snap.state, table, order).put(&mut out);
+    let pending = snap.pending.iter().flat_map(|batch| batch.rows());
+    encode_rows(pending, table, order, None).put(&mut out);
     snap.links.put(&mut out);
     snap.links.recv_dedup.len().put(&mut out);
     for (src, accepted) in &snap.links.recv_dedup {
         src.put(&mut out);
-        put_state(&mut out, accepted, table, order);
+        encode_state(accepted, table, order).put(&mut out);
     }
     (transitions, trace_next_seq).put(&mut out);
     out
 }
 
 /// Decode a snapshot blob into rows over `table`, the table of the
-/// worker that restores or adopts the node. Strict: truncation and
-/// trailing bytes are errors, like every other frame in this protocol.
+/// worker that restores or adopts the node, every batch through the one
+/// row decoder. Strict: truncation and trailing bytes are errors, like
+/// every other frame in this protocol.
 pub(crate) fn decode_snapshot_blob(
     bytes: &[u8],
     table: &mut SymbolTable,
 ) -> Result<(NodeSnapshot, u64, u64), WireError> {
-    let mut r = Reader::new(bytes);
-    let (state, mut pending) = (read_state(&mut r, table)?, Batch::default());
-    read_rows(&mut r, table, |r, relation, row| {
-        pending.push_n(relation, row, r.multiplicity()?);
-        Ok(())
-    })?;
+    let (mut r, rows) = (Reader::new(bytes), &mut Rows::default());
+    let state = decode_state(r.prefixed_bytes()?, table, rows)?;
+    let (pending, _) = decode_rows(r.prefixed_bytes()?, table)?;
     let mut links = NodeLinks::read(&mut r)?;
     for _ in 0..r.count()? {
         let src = usize::read(&mut r)?;
-        links.recv_dedup.insert(src, read_state(&mut r, table)?);
+        let accepted = decode_state(r.prefixed_bytes()?, table, rows)?;
+        links.recv_dedup.insert(src, accepted);
     }
     let (transitions, trace_next_seq) = Codec::read(&mut r)?;
-    let pending = vec![Arc::new(pending)];
     let snap = NodeSnapshot {
         state,
-        pending,
+        pending: vec![Arc::new(pending)],
         links,
     };
     match r.remaining() {
@@ -951,15 +954,16 @@ pub(crate) mod tests {
     }
 
     /// Every fixture's length and FNV-1a-64. `hello` (it carries the
-    /// version) and `final` (each state one delta-coded batch) were
-    /// re-pinned with v4; the other layouts have not moved since they
-    /// were last written by hand. Re-pin a line only together with a
-    /// version bump.
+    /// version), `snapshot` and the two blobs (state, inbox and receive
+    /// filter each one delta-coded batch) were re-pinned with v5, `final`
+    /// (each state one delta-coded batch) with v4; the other layouts have
+    /// not moved since they were last written by hand. Re-pin a line only
+    /// together with a version bump.
     #[test]
     fn golden_bytes() {
-        assert_eq!(PROTOCOL_VERSION, 4);
+        assert_eq!(PROTOCOL_VERSION, 5);
         let golden = [
-            ("hello", 3, 0xd93f7b186c03a4c6),
+            ("hello", 3, 0xd93c13186c00be37),
             ("assign", 96, 0x815af62db12788d4),
             ("assign/full", 114, 0x2d61f0d581a64042),
             ("route/batch", 25, 0x7f9b6400a0a43b99),
@@ -970,10 +974,10 @@ pub(crate) mod tests {
             ("deliver/reset", 3, 0xe20792187105aa14),
             ("deliver/reassign", 23, 0x4ff6b11917172371),
             ("final", 96, 0xdca46ddb9dc00a25),
-            ("snapshot", 72, 0x87247f0f7d6b08a4),
+            ("snapshot", 95, 0xd2a38ba11772c068),
             ("heartbeat", 2, 0x082bbd07b4e5ab4e),
-            ("blob/10", 68, 0xac6b986d3374ff3d),
-            ("blob/0", 73, 0xc6aa56bd1098a1f5),
+            ("blob/10", 91, 0xe6d379191a7bbc94),
+            ("blob/0", 96, 0x8ad4447c1f37328b),
         ];
         let got: Vec<(&str, usize, u64)> = corpus()
             .iter()
@@ -982,7 +986,7 @@ pub(crate) mod tests {
         assert_eq!(got, golden);
     }
 
-    /// A multiset on the wire: the count, then one `(E(i), multiplicity)`
+    /// A naive batch's body: the count, then one `(E(i), multiplicity)`
     /// record per entry — written by hand so that it can lie.
     fn multiset_records(mults: &[u64]) -> Vec<u8> {
         let mut out = Vec::new();
@@ -996,15 +1000,41 @@ pub(crate) mod tests {
         out
     }
 
+    /// An inbox on the wire: one batch of an `E(i)` row per entry of
+    /// `mults`, each with that multiplicity — written by hand so that it
+    /// can lie.
+    fn inbox_batch(mults: &[u64]) -> Vec<u8> {
+        let mut out = vec![wirefmt::MAGIC, wirefmt::FORMAT_DELTA];
+        put_varint(&mut out, mults.len() as u64);
+        for i in 0..mults.len() {
+            put_value(&mut out, &Value::Int(i as i64));
+        }
+        put_varint(&mut out, 1); // one group
+        put_bytes(&mut out, b"E");
+        put_varint(&mut out, 1); // arity 1
+        put_varint(&mut out, mults.len() as u64);
+        for (i, m) in mults.iter().enumerate() {
+            put_varint(&mut out, u64::from(i > 0)); // E(i) after E(i - 1)
+            put_varint(&mut out, *m);
+        }
+        out
+    }
+
     /// Multiplicities cross a socket (`Assign.restore`, `Reassign`): the
-    /// one multiset reader bounds them to `1..=u32::MAX`, for the blob
-    /// and for `decode_naive` alike. Two entries of 2⁶³ used to overflow
-    /// `Multiset::insert_n`'s running total (a panic in this build).
+    /// row decoder bounds them to `1..=u32::MAX` in a blob's inbox, and the
+    /// multiset reader in `decode_naive`. Two entries of 2⁶³ used to
+    /// overflow `Multiset::insert_n`'s running total (a panic in this build).
     #[test]
     fn hostile_multiplicities_are_rejected() {
-        // An empty state, the pending multiset, five empty link maps,
-        // the transition count and the trace seq.
-        let blob = |mults: &[u64]| [&[0][..], &multiset_records(mults), &[0; 7]].concat();
+        // An empty state, the inbox, four empty link maps, an empty
+        // receive filter, the transition count and the trace seq.
+        let blob = |mults: &[u64]| {
+            let mut out = Vec::new();
+            put_bytes(&mut out, &[wirefmt::MAGIC, wirefmt::FORMAT_DELTA, 0, 0]);
+            put_bytes(&mut out, &inbox_batch(mults));
+            out.extend([0; 7]);
+            out
+        };
         let naive = |mults: &[u64]| {
             [
                 &[wirefmt::MAGIC, wirefmt::FORMAT_NAIVE][..],

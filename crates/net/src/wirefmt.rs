@@ -24,9 +24,8 @@
 //! worker's table as it stands — the dictionary ranked by the worker's
 //! [`CanonicalOrder`], no fact built — and [`decode_rows`] reads the
 //! dictionary into the receiving worker's table ([`Reader::sym`]) and the
-//! rows into one [`Batch`]. [`encode`], [`decode`] and their traced forms
-//! are the same codec behind a `Multiset<Fact>` door, over a table of
-//! their own.
+//! rows into one [`Batch`]. [`encode`] and [`decode`] are the same codec
+//! behind a `Multiset<Fact>` door, over a table of their own.
 //!
 //! Decoding is strict: bad magic, truncation, a dictionary that is not
 //! strictly sorted, unsorted groups or rows, zero arity, out-of-range
@@ -49,16 +48,16 @@ use std::fmt;
 use std::sync::Arc;
 
 /// First byte of every encoded batch.
-pub const MAGIC: u8 = 0xCA;
+pub(crate) const MAGIC: u8 = 0xCA;
 /// Second byte of a delta-encoded batch (format discriminator).
-pub const FORMAT_DELTA: u8 = 0x01;
+pub(crate) const FORMAT_DELTA: u8 = 0x01;
 /// Second byte of a naive-encoded batch (the E23 baseline).
-pub const FORMAT_NAIVE: u8 = 0x02;
+pub(crate) const FORMAT_NAIVE: u8 = 0x02;
 /// Flag OR'd into the format byte when a [`TraceCtx`] extension sits
 /// between the header and the body. Tracing off ⇒ the flag is clear and
 /// the payload is byte-identical to the untraced encoding — the
 /// extension costs zero bytes unless used.
-pub const FLAG_TRACE: u8 = 0x80;
+pub(crate) const FLAG_TRACE: u8 = 0x80;
 
 /// The causal trace context carried on a traced payload: the message's
 /// own id (minted by the origin node, strictly increasing per origin)
@@ -73,19 +72,19 @@ pub const FLAG_TRACE: u8 = 0x80;
 ///   [ varint cause_node | varint cause_seq ]   -- iff cause? == 1
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceCtx {
+pub(crate) struct TraceCtx {
     /// The node that minted this message id.
-    pub origin_node: u64,
+    pub(crate) origin_node: u64,
     /// The per-origin sequence number (strictly increasing).
-    pub origin_seq: u64,
+    pub(crate) origin_seq: u64,
     /// The id of the delivery that causally triggered this send, or
     /// `None` for a root send triggered by input distribution alone.
-    pub cause: Option<(u64, u64)>,
+    pub(crate) cause: Option<(u64, u64)>,
 }
 
 impl TraceCtx {
     /// This context's message id as a `(origin_node, origin_seq)` pair.
-    pub fn id(&self) -> (u64, u64) {
+    pub(crate) fn id(&self) -> (u64, u64) {
         (self.origin_node, self.origin_seq)
     }
 }
@@ -99,8 +98,8 @@ const MAX_VALUE_DEPTH: usize = 64;
 /// a well-formed batch; the reliability layer counts it as a drop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireError {
-    /// The payload does not start with [`MAGIC`] + the expected format
-    /// byte, or is shorter than the header.
+    /// The payload does not start with the magic byte and the expected
+    /// format byte, or is shorter than the header.
     BadHeader,
     /// The payload ended inside a field.
     Truncated,
@@ -311,19 +310,11 @@ impl<'a> Reader<'a> {
 /// Encode a batch into the delta wire format. The encoding is
 /// canonical: equal multisets produce identical bytes.
 pub fn encode(batch: &Multiset<Fact>) -> Vec<u8> {
-    encode_traced(batch, None)
-}
-
-/// As [`encode`], optionally carrying a [`TraceCtx`] extension. With
-/// `ctx = None` the output is byte-identical to [`encode`]; with a
-/// context the [`FLAG_TRACE`] bit is set and the context precedes the
-/// body. Canonical per `(batch, ctx)` pair.
-pub fn encode_traced(batch: &Multiset<Fact>, ctx: Option<&TraceCtx>) -> Vec<u8> {
     let mut table = SymbolTable::new();
     let rows = Batch::of_facts(batch, &mut table);
     let mut order = CanonicalOrder::default();
     order.extend(&table);
-    encode_rows(rows.rows(), &table, &order, ctx)
+    encode_rows(rows.rows(), &table, &order, None)
 }
 
 /// Decode a delta wire payload back into a batch, discarding any trace
@@ -331,25 +322,17 @@ pub fn encode_traced(batch: &Multiset<Fact>, ctx: Option<&TraceCtx>) -> Vec<u8> 
 /// is checked, so a corrupted payload fails instead of producing a
 /// garbled batch.
 pub fn decode(bytes: &[u8]) -> Result<Multiset<Fact>, WireError> {
-    decode_traced(bytes).map(|(batch, _)| batch)
-}
-
-/// As [`decode`], returning the [`TraceCtx`] extension when the payload
-/// carries one. Both format bytes are accepted: [`FORMAT_DELTA`] (no
-/// context) and [`FORMAT_DELTA`]`|`[`FLAG_TRACE`] (context precedes the
-/// body).
-pub fn decode_traced(bytes: &[u8]) -> Result<(Multiset<Fact>, Option<TraceCtx>), WireError> {
     let mut table = SymbolTable::new();
-    let (rows, ctx) = decode_rows(bytes, &mut table)?;
+    let (rows, _) = decode_rows(bytes, &mut table)?;
     let mut batch = Multiset::new();
     rows.add_to(&table, &mut batch);
-    Ok((batch, ctx))
+    Ok(batch)
 }
 
 /// Read just the header + trace extension of a delta payload, without
 /// touching the body. `None` when the payload is untraced or too
 /// corrupt to carry a context — cheap enough to call on every hand-off.
-pub fn peek_trace(bytes: &[u8]) -> Option<TraceCtx> {
+pub(crate) fn peek_trace(bytes: &[u8]) -> Option<TraceCtx> {
     read_header(&mut Reader::new(bytes)).ok().flatten()
 }
 
@@ -589,6 +572,19 @@ pub fn decode_naive(bytes: &[u8]) -> Result<Multiset<Fact>, WireError> {
 /// per-message baseline of E23's byte table.
 pub fn naive_len(batch: &Multiset<Fact>) -> usize {
     encode_naive(batch).len()
+}
+
+/// As [`encode`], carrying `ctx` when the send was traced: the
+/// [`FLAG_TRACE`] bit set and the context between header and body.
+#[cfg(test)]
+pub(crate) fn encode_traced(batch: &Multiset<Fact>, ctx: Option<&TraceCtx>) -> Vec<u8> {
+    [header(ctx), encode(batch).split_off(2)].concat()
+}
+
+/// As [`decode`], with the [`TraceCtx`] the payload carries, if any.
+#[cfg(test)]
+pub(crate) fn decode_traced(bytes: &[u8]) -> Result<(Multiset<Fact>, Option<TraceCtx>), WireError> {
+    Ok((decode(bytes)?, peek_trace(bytes)))
 }
 
 #[cfg(test)]

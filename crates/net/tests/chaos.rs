@@ -20,7 +20,8 @@ mod common;
 use calm_common::query::Query;
 use calm_common::Instance;
 use calm_net::{
-    run_threaded, FaultPlan, Programs, ThreadedConfig, ThreadedNetwork, ThreadedRunResult,
+    run_threaded, CrashPoint, FaultPlan, Programs, ThreadedConfig, ThreadedNetwork,
+    ThreadedRunResult,
 };
 use calm_queries::qtc::qtc_datalog;
 use calm_queries::tc::{edges_without_source_loop, tc_datalog};
@@ -42,21 +43,26 @@ const WORKER_COUNTS: [usize; 2] = [2, 8];
 /// * `crash`: loss + delay with two node crash/restart points (node 1
 ///   early, node 2 later) and a one-way partition that heals.
 fn fault_plans(seed: u64) -> Vec<(&'static str, FaultPlan)> {
+    let (havoc, crash) = (seed ^ 0xA5A5, seed ^ 0x5A5A);
     vec![
         ("loss+dup", FaultPlan::uniform(seed, 0.10, 0.10)),
         (
             "havoc",
-            FaultPlan::uniform(seed ^ 0xA5A5, 0.25, 0.10).with_delay(0.30, 6),
+            plan(&format!("seed={havoc},drop=0.25,dup=0.10,delay=0.30/6")),
         ),
         (
             "crash",
-            FaultPlan::uniform(seed ^ 0x5A5A, 0.05, 0.05)
-                .with_delay(0.20, 4)
-                .with_crash(1, 3, 10)
-                .with_crash(2, 6, 5)
-                .with_partition(0, 1, 5, 60),
+            plan(&format!(
+                "seed={crash},drop=0.05,dup=0.05,delay=0.20/4,crash=1@3~10,crash=2@6~5,\
+                 partition=0>1@5..60"
+            )),
         ),
     ]
+}
+
+/// A plan spelled as `--faults` spells it.
+fn plan(spec: &str) -> FaultPlan {
+    FaultPlan::parse(spec).expect("a valid fault spec")
 }
 
 /// Wire-level accounting: per-link and global conservation, no message
@@ -311,9 +317,10 @@ fn a_crashed_node_steps_on_from_its_snapshot_alone() {
             };
             let seq = run(&tn, &input, &Scheduler::RoundRobin, 500_000);
             assert!(seq.quiescent);
-            let mut plan = FaultPlan::none(seed).with_crash(0, 2, 3);
-            plan = plan.with_crash(1, 2, 5).with_crash(1, 4, 2);
-            plan.snapshot_every = 1 + (i as usize % 3);
+            let snapshot = 1 + i % 3;
+            let plan = plan(&format!(
+                "seed={seed},crash=0@2~3,crash=1@2~5,crash=1@4~2,snapshot={snapshot}"
+            ));
             let thr = run_threaded(
                 &ThreadedNetwork {
                     programs: Programs::Shared(t),
@@ -396,7 +403,7 @@ fn single_worker_runs_the_gauntlet_too() {
     let policy = HashPolicy::new(Network::of_size(4));
     let input = random_edges(seed_base() * 1000 + 301, 6, 5);
     let expected = expected_output(t.query(), &input);
-    let plan = FaultPlan::uniform(11, 0.2, 0.1).with_delay(0.2, 4);
+    let plan = plan("seed=11,drop=0.2,dup=0.1,delay=0.2/4");
     let thr = run_threaded(
         &ThreadedNetwork {
             programs: Programs::Shared(&t),
@@ -417,12 +424,16 @@ fn single_worker_runs_the_gauntlet_too() {
 
 #[test]
 fn parsed_plan_equals_built_plan() {
-    // The CLI spec grammar and the builder API construct the same plan,
-    // so a `--faults` run is reproducible from its spec string.
-    let parsed = FaultPlan::parse("seed=9,drop=0.1,dup=0.05,delay=0.2/4,crash=1@3~10").unwrap();
-    let built = FaultPlan::uniform(9, 0.1, 0.05)
-        .with_delay(0.2, 4)
-        .with_crash(1, 3, 10);
+    // The CLI spec grammar and the plan's fields construct the same
+    // plan, so a `--faults` run is reproducible from its spec string.
+    let parsed = plan("seed=9,drop=0.1,dup=0.05,delay=0.2/4,crash=1@3~10");
+    let mut built = FaultPlan::uniform(9, 0.1, 0.05);
+    (built.link.delay_p, built.link.max_delay) = (0.2, 4);
+    built.crashes.push(CrashPoint {
+        node: 1,
+        at_transition: 3,
+        down_ticks: 10,
+    });
     assert_eq!(parsed, built);
     let t = DistinctStrategy::new(Box::new(edges_without_source_loop()));
     let policy = HashPolicy::new(Network::of_size(3));

@@ -248,7 +248,10 @@ fn exhausted_budget_reports_not_quiescent() {
             config: SystemConfig::ORIGINAL,
         },
         &input,
-        &ThreadedConfig::new(2).with_budget(1),
+        &ThreadedConfig {
+            step_budget: 1,
+            ..ThreadedConfig::new(2)
+        },
     );
     assert!(!thr.quiescent, "a 1-step budget cannot reach quiescence");
     // Conservation still holds: exhausted workers keep draining their
@@ -284,7 +287,10 @@ fn a_program_that_never_stops_sending_runs_out_its_budget() {
             config: SystemConfig::ORIGINAL,
         },
         &input,
-        &ThreadedConfig::new(2).with_budget(200),
+        &ThreadedConfig {
+            step_budget: 200,
+            ..ThreadedConfig::new(2)
+        },
     );
     assert!(!thr.quiescent, "every step sends: no step is the last");
     assert!(thr.output.is_subset(&seq.output));

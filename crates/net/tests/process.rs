@@ -248,9 +248,10 @@ fn handshake_barrier_names_a_worker_that_never_says_hello() {
     // at the configured deadline and fail with an error *naming* the
     // missing worker, not hang waiting on a read.
     let input = calm_common::generator::path(4);
-    let cfg = ProcessConfig::new(2, spec_for("monotone", 4, None))
-        .with_respawn_budget(0)
-        .with_handshake_deadline(std::time::Duration::from_millis(500));
+    let cfg = ProcessConfig {
+        handshake_deadline: std::time::Duration::from_millis(500),
+        ..ProcessConfig::new(2, spec_for("monotone", 4, None)).with_respawn_budget(0)
+    };
     let spawner = move |k: usize, addr: &str| -> Result<SpawnHandle, String> {
         let addr = addr.to_string();
         let input = input.clone();
@@ -300,9 +301,10 @@ fn handshake_barrier_names_a_worker_that_never_connects() {
     // Worker 1 never even dials in. Same contract: deadline, named
     // worker, nonzero error.
     let input = calm_common::generator::path(4);
-    let cfg = ProcessConfig::new(2, spec_for("monotone", 4, None))
-        .with_respawn_budget(0)
-        .with_handshake_deadline(std::time::Duration::from_millis(400));
+    let cfg = ProcessConfig {
+        handshake_deadline: std::time::Duration::from_millis(400),
+        ..ProcessConfig::new(2, spec_for("monotone", 4, None)).with_respawn_budget(0)
+    };
     let spawner = move |k: usize, addr: &str| -> Result<SpawnHandle, String> {
         let addr = addr.to_string();
         let input = input.clone();
