@@ -1,9 +1,12 @@
 //! `calm eval` (plain and `--updates`) and `calm wfs`.
 
 use crate::obs::{build_obs, ObsOptions};
-use crate::{err, load_facts, load_program, render_instance, render_plan, CliError, StreamError};
+use crate::{err, load_program, read_input, render_instance, render_plan, CliError, StreamError};
+use calm_common::fact::Fact;
 use calm_common::query::Query;
+use calm_common::schema::Schema;
 use calm_common::storage::FactPrinter;
+use calm_common::update::UpdateBatch;
 use calm_datalog::eval::{Database, EvalOptions};
 use calm_datalog::DatalogQuery;
 use calm_obs::Obs;
@@ -52,15 +55,11 @@ pub fn cmd_eval_full_to(
     let p = load_program(program_src)?;
     let (obs, report) = build_obs(obs_opts, Vec::new())?;
     let mut db = Database::new();
-    crate::read_input(&p, facts_src, &mut db, &obs)?;
+    read_input(&p, facts_src, &mut db, &obs)?;
     let options = EvalOptions::default().with_eval_threads(eval_threads);
     calm_datalog::eval_database(&p, &mut db, options, &obs)
         .map_err(|e| err(format!("evaluation: {e}")))?;
-    let plan = if obs_opts.dump_plan {
-        render_plan(&p)?
-    } else {
-        String::new()
-    };
+    let plan = render_plan(&p, obs_opts.dump_plan)?;
     out.write_all(plan.as_bytes())?;
     FactPrinter::new(db.symbols().clone()).write(db.storage(), &p.output_schema(), out, &obs)?;
     obs.finish();
@@ -97,18 +96,20 @@ pub fn cmd_eval_updates(
 }
 
 /// [`cmd_eval_updates`] writing to `out` as it goes: every print is the
-/// session's database through one [`FactPrinter`] kept across the
-/// batches. Nothing is written unless program, facts and updates all
-/// parse and the program stratifies.
+/// answer rows through one [`FactPrinter`] kept across the batches.
+/// Nothing is written unless program, facts and updates all parse and
+/// the program stratifies.
 ///
-/// With `from_scratch` (the `--from-scratch` flag), every batch instead
-/// re-evaluates the updated EDB with the normal fixpoint and prints the
-/// answer `Instance` — same output format, no maintenance, no arena
-/// printer. Diffing the two modes' outputs is the differential oracle
-/// the CI `incremental` job checks, for the maintenance and for the
-/// printer alike. Either mode prints the `--dump-plan` plan first and
-/// reports every fixpoint it runs — the initial one, and in
-/// `from_scratch` mode each re-evaluation — to the run report.
+/// The incremental arm reads the input into a maintained session
+/// ([`DatalogQuery::read_session`]) and folds every batch into it. With
+/// `from_scratch` (the `--from-scratch` flag), every batch instead
+/// updates the input rows, and `calm eval`'s fixpoint
+/// ([`calm_datalog::eval_database`]) runs on a copy of them — same
+/// output, no maintenance. Diffing the two modes' outputs is the
+/// differential oracle the CI `incremental` job checks. Either mode
+/// prints the `--dump-plan` plan first and reports every fixpoint it
+/// runs — the initial one, and in `from_scratch` mode each
+/// re-evaluation — to the run report.
 pub fn cmd_eval_updates_to(
     program_src: &str,
     facts_src: &str,
@@ -122,41 +123,41 @@ pub fn cmd_eval_updates_to(
     let q = DatalogQuery::new("eval", p)
         .map_err(|e| err(format!("program: {e}")))?
         .with_eval_threads(eval_threads);
-    let mut edb = load_facts(facts_src)?;
     let batches =
         calm_datalog::parse_updates(updates_src).map_err(|e| err(format!("updates: {e}")))?;
-    let plan = if obs_opts.dump_plan {
-        render_plan(q.program())?
-    } else {
-        String::new()
-    };
+    let plan = render_plan(q.program(), obs_opts.dump_plan)?;
     let (obs, report) = build_obs(obs_opts, Vec::new())?;
-    out.write_all(plan.as_bytes())?;
-    writeln!(out, "% initial")?;
+    let answer = q.output_schema();
+    let section = |out: &mut dyn io::Write, k: usize| match k {
+        0 => writeln!(out, "% initial"),
+        k => writeln!(out, "% after batch {k}"),
+    };
     if from_scratch {
-        // The query answer `q.eval` would print, through the evaluation
-        // door that reports to `obs`.
+        let mut edb = Database::new();
+        read_input(q.program(), facts_src, &mut edb, &obs)?;
+        out.write_all(plan.as_bytes())?;
+        let mut printer = FactPrinter::new(edb.symbols().clone());
         let options = EvalOptions::default().with_eval_threads(eval_threads);
-        let answer = |edb: &calm_common::Instance| {
-            let input = edb.restrict(q.input_schema());
-            let (model, _) = calm_datalog::eval_program(q.program(), &input, options, &obs)
+        for k in 0..=batches.len() {
+            if k > 0 {
+                apply_to_rows(&batches[k - 1], q.input_schema(), &mut edb);
+            }
+            let mut db = edb.clone();
+            calm_datalog::eval_database(q.program(), &mut db, options, &obs)
                 .expect("the query's program stratifies");
-            render_instance(&model.restrict(q.output_schema()))
-        };
-        out.write_all(answer(&edb).as_bytes())?;
-        for (k, b) in batches.iter().enumerate() {
-            b.apply_to_instance(&mut edb);
-            writeln!(out, "% after batch {}", k + 1)?;
-            out.write_all(answer(&edb).as_bytes())?;
+            section(out, k)?;
+            printer.write(db.storage(), answer, out, &obs)?;
         }
     } else {
-        let mut session = q.open_obs(&edb, &obs);
+        let session = q.read_session(facts_src, &obs);
+        let mut session = session.map_err(|e| err(format!("facts: {e}")))?;
+        out.write_all(plan.as_bytes())?;
         let mut printer = FactPrinter::new(session.database().symbols().clone());
-        let answer = q.output_schema();
-        printer.write(session.database().storage(), answer, out, &obs)?;
-        for (k, b) in batches.iter().enumerate() {
-            session.apply_obs(b, &obs);
-            writeln!(out, "% after batch {}", k + 1)?;
+        for k in 0..=batches.len() {
+            if k > 0 {
+                session.apply_obs(&batches[k - 1], &obs);
+            }
+            section(out, k)?;
             printer.write(session.database().storage(), answer, out, &obs)?;
         }
         // Summary only under --metrics: the plain output must stay
@@ -184,6 +185,28 @@ pub fn cmd_eval_updates_to(
     Ok(())
 }
 
+/// Fold `batch` into the input rows `edb`, deletions first, as
+/// [`UpdateBatch::apply_to_instance`] folds it into an instance — only
+/// the facts of `input`, the input schema, as [`read_input`] reads them.
+fn apply_to_rows(batch: &UpdateBatch, input: &Schema, edb: &mut Database) {
+    let symbols = edb.symbols().clone();
+    let (mut table, rows) = (symbols.write(), edb.storage_mut());
+    let read = |f: &&Fact| input.arity(f.relation()) == Some(f.arity());
+    let mut row = |f: &Fact| -> (_, Vec<_>) {
+        (
+            table.rel(f.relation()),
+            f.args().iter().map(|v| table.sym(v)).collect(),
+        )
+    };
+    for (r, row) in batch.delete.iter().filter(read).map(&mut row) {
+        rows.retract(r, &row);
+    }
+    for (r, row) in batch.insert.iter().filter(read).map(&mut row) {
+        rows.insert(r, &row);
+    }
+    rows.compact_retractions();
+}
+
 /// `calm wfs`: well-founded semantics; prints true facts and, when the
 /// model is partial, the undefined facts. The alternating-fixpoint
 /// inner loops run with `eval_threads` data-parallel workers
@@ -195,13 +218,9 @@ pub fn cmd_wfs(
 ) -> Result<String, CliError> {
     let p = load_program(program_src)?;
     let mut input = Database::new();
-    crate::read_input(&p, facts_src, &mut input, &Obs::noop())?;
-    let model = calm_datalog::well_founded_model(
-        &p,
-        &input.to_instance(),
-        EvalOptions::default().with_eval_threads(eval_threads),
-        &Obs::noop(),
-    );
+    read_input(&p, facts_src, &mut input, &Obs::noop())?;
+    let options = EvalOptions::default().with_eval_threads(eval_threads);
+    let model = calm_datalog::well_founded_model(&p, &input.to_instance(), options, &Obs::noop());
     let out_schema = p.output_schema();
     let mut out = String::new();
     let _ = writeln!(out, "% true");

@@ -13,9 +13,10 @@
 //! ```
 //!
 //! All commands read the Datalog syntax documented in
-//! [`calm_datalog::parser`]. The library half of this crate holds the
-//! command implementations so they can be unit-tested without spawning
-//! processes.
+//! [`calm_datalog::parser`], a facts file as the program's input: the
+//! facts of `edb(P)`, read into rows by one reader. The library half of
+//! this crate holds the command implementations so they can be
+//! unit-tested without spawning processes.
 
 #![warn(missing_docs)]
 
@@ -33,7 +34,7 @@ use calm_common::instance::Instance;
 use calm_common::query::Query;
 use calm_datalog::eval::Database;
 use calm_datalog::fragment::classify;
-use calm_datalog::{parse_facts, parse_program, DatalogQuery, Program};
+use calm_datalog::{parse_program, DatalogQuery, Program};
 use calm_monotone::{Exhaustive, ExtensionKind, Falsifier};
 use calm_obs::Obs;
 use std::fmt::Write as _;
@@ -80,18 +81,13 @@ impl From<std::io::Error> for StreamError {
 }
 
 /// Parse a program source string with a friendly error.
-pub fn load_program(src: &str) -> Result<Program, CliError> {
+fn load_program(src: &str) -> Result<Program, CliError> {
     parse_program(src).map_err(|e| err(format!("program: {e}")))
-}
-
-/// Parse a facts source string with a friendly error.
-pub fn load_facts(src: &str) -> Result<Instance, CliError> {
-    parse_facts(src).map_err(|e| err(format!("facts: {e}")))
 }
 
 /// The input of `p` in `facts_src`, read into `db`: the facts of its input
 /// relations (`edb(P)`) by name and arity, as `Query::eval` reads them —
-/// the one reading of `eval`, `wfs` and `simulate`'s check (DESIGN §18).
+/// the one reading of every command (DESIGN §18).
 fn read_input(p: &Program, facts_src: &str, db: &mut Database, obs: &Obs) -> Result<(), CliError> {
     (db.read_facts(facts_src, Some(&p.edb()), obs)).map_err(|e| err(format!("facts: {e}")))
 }
@@ -216,9 +212,13 @@ fn parse_class(s: &str) -> Result<ExtensionKind, CliError> {
     }
 }
 
-/// Render the compiled query plan (`--dump-plan`) as `% `-prefixed
-/// comment lines so the fact output stays machine-diffable.
-fn render_plan(p: &Program) -> Result<String, CliError> {
+/// Render the compiled query plan as `% `-prefixed comment lines, so
+/// that the fact output stays machine-diffable — when `--dump-plan`
+/// asks for it (`dump`), and nothing otherwise.
+fn render_plan(p: &Program, dump: bool) -> Result<String, CliError> {
+    if !dump {
+        return Ok(String::new());
+    }
     let report = calm_datalog::plan_report(p).map_err(|e| err(format!("plan: {e}")))?;
     let mut out = String::from("% plan:\n");
     for line in report.lines() {
@@ -352,7 +352,8 @@ mod tests {
     fn the_updates_report_covers_every_fixpoint_in_both_modes() {
         // The initial fixpoint (incremental) and every re-evaluation
         // (`--from-scratch`) report their stratum spans and `eval`
-        // counters; the maintenance summary is what it was.
+        // counters, and either arm one print per section; the
+        // maintenance summary is what it was.
         let facts = include_str!("../../../examples/data/graph.facts");
         let updates = include_str!("../../../examples/data/graph.updates");
         let m = ObsOptions {
@@ -376,6 +377,11 @@ mod tests {
                 .find(|l| l.trim_start().starts_with("eval/stratum#0"));
             let spans = spans.unwrap_or_else(|| panic!("no stratum span in {out}"));
             assert!(spans.contains(&format!("n={stratum_spans} ")), "{spans}");
+            let prints = out
+                .lines()
+                .find(|l| l.trim_start().starts_with("eval/write_facts"));
+            let prints = prints.unwrap_or_else(|| panic!("no print span in {out}"));
+            assert!(prints.contains("n=4 "), "{prints}");
             let counters = ["eval/derivations", "eval/iterations", "eval/new_facts"];
             assert_eq!(counters.map(|c| counter(&out, c)), eval, "{out}");
             let maintenance = out.lines().find(|l| l.starts_with("% maintenance:"));
@@ -390,9 +396,9 @@ mod tests {
         }
     }
 
-    /// The incremental arm prints from the arena, `--from-scratch`
-    /// from the answer `Instance`: equal output holds the maintenance
-    /// and the printer at once.
+    /// Both arms print through the one `FactPrinter` (its `Instance`
+    /// oracle is `calm-common`'s `fact_printer` suite): equal output holds
+    /// the maintenance to `calm eval`'s fixpoint on the updated input.
     fn both_arms(program: &str, facts: &str, updates: &str) -> String {
         let opts = ObsOptions::default();
         let inc = cmd_eval_updates(program, facts, updates, false, &opts, 1).unwrap();
@@ -773,7 +779,7 @@ mod tests {
             let seq = simulate(program, 4, strategy).unwrap();
             let engine = parse_engine(
                 Some("threaded"),
-                Some("8"),
+                Some(8),
                 None,
                 Some("seed=3,drop=0.05"),
                 None,
@@ -871,12 +877,11 @@ mod tests {
             threaded(0)
         );
         assert_eq!(
-            parse_engine(Some("threaded"), Some("4"), None, None, None).unwrap(),
+            parse_engine(Some("threaded"), Some(4), None, None, None).unwrap(),
             threaded(4)
         );
         assert!(parse_engine(Some("warp"), None, None, None, None).is_err());
-        assert!(parse_engine(Some("threaded"), Some("two"), None, None, None).is_err());
-        assert!(parse_engine(Some("sequential"), Some("4"), None, None, None).is_err());
+        assert!(parse_engine(Some("sequential"), Some(4), None, None, None).is_err());
     }
 
     #[test]
@@ -890,7 +895,7 @@ mod tests {
             }
         );
         assert_eq!(
-            parse_engine(Some("process"), None, Some("4"), None, None).unwrap(),
+            parse_engine(Some("process"), None, Some(4), None, None).unwrap(),
             Engine::Process {
                 procs: 4,
                 faults: None,
@@ -901,7 +906,7 @@ mod tests {
         // the plan that validated it.
         let spec = "seed=7,drop=0.1,pkill(worker=1@step=4)";
         assert_eq!(
-            parse_engine(Some("process"), None, Some("2"), Some(spec), None).unwrap(),
+            parse_engine(Some("process"), None, Some(2), Some(spec), None).unwrap(),
             Engine::Process {
                 procs: 2,
                 faults: Some((spec.into(), calm_net::FaultPlan::parse(spec).unwrap())),
@@ -912,13 +917,12 @@ mod tests {
         let e = parse_engine(Some("process"), None, None, Some("warp=0.5"), None).unwrap_err();
         assert!(e.0.contains("--faults:"), "{e}");
         // Flag/engine mismatches are named.
-        let e = parse_engine(Some("process"), Some("4"), None, None, None).unwrap_err();
+        let e = parse_engine(Some("process"), Some(4), None, None, None).unwrap_err();
         assert!(e.0.contains("--procs"), "{e}");
-        let e = parse_engine(Some("threaded"), None, Some("4"), None, None).unwrap_err();
+        let e = parse_engine(Some("threaded"), None, Some(4), None, None).unwrap_err();
         assert!(e.0.contains("--procs requires --engine process"), "{e}");
-        let e = parse_engine(Some("sequential"), None, Some("4"), None, None).unwrap_err();
+        let e = parse_engine(Some("sequential"), None, Some(4), None, None).unwrap_err();
         assert!(e.0.contains("--procs requires --engine process"), "{e}");
-        assert!(parse_engine(Some("process"), None, Some("two"), None, None).is_err());
     }
 
     #[test]
@@ -926,7 +930,7 @@ mod tests {
         // A well-formed spec parses into a plan carried by the engine.
         match parse_engine(
             Some("threaded"),
-            Some("2"),
+            Some(2),
             None,
             Some("seed=7,drop=0.2,dup=0.1"),
             None,
@@ -967,7 +971,7 @@ mod tests {
         for (strategy, program) in [("monotone", TC), ("distinct", TC), ("disjoint", QTC)] {
             let engine = parse_engine(
                 Some("threaded"),
-                Some("2"),
+                Some(2),
                 None,
                 Some("seed=11,drop=0.15,dup=0.1,crash=1@12~10,snapshot=3"),
                 None,
@@ -1013,7 +1017,7 @@ mod tests {
         };
         let engine = parse_engine(
             Some("threaded"),
-            Some("4"),
+            Some(4),
             None,
             Some("seed=5,drop=0.05"),
             None,
@@ -1065,7 +1069,7 @@ mod tests {
         };
         let engine = parse_engine(
             Some("threaded"),
-            Some("4"),
+            Some(4),
             None,
             Some("seed=8,drop=0.05"),
             None,
@@ -1118,7 +1122,7 @@ mod tests {
         // trace report` ingests.
         let engine = parse_engine(
             Some("threaded"),
-            Some("2"),
+            Some(2),
             None,
             Some("seed=9,link=0>1:drop=1.0,retries=2,backoff=1"),
             None,

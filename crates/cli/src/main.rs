@@ -108,6 +108,11 @@ fn check_flags(cmd: &str, args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Whether the valueless flag `name` was given.
+fn has(args: &[String], name: &str) -> bool {
+    args.iter().any(|a| a == name)
+}
+
 fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.iter()
         .position(|a| a == name)
@@ -119,13 +124,13 @@ fn obs_options(args: &[String]) -> ObsOptions {
     ObsOptions {
         trace_out: flag_value(args, "--trace-out").map(Into::into),
         flight_recorder: flag_value(args, "--flight-recorder").map(Into::into),
-        metrics: args.iter().any(|a| a == "--metrics"),
-        dump_plan: args.iter().any(|a| a == "--dump-plan"),
+        metrics: has(args, "--metrics"),
+        dump_plan: has(args, "--dump-plan"),
     }
 }
 
 /// The numeric value of flag `name`, if it was given.
-fn number_flag(args: &[String], name: &str) -> Result<Option<usize>, CliError> {
+fn number_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, CliError> {
     flag_value(args, name)
         .map(|n| {
             n.parse()
@@ -157,27 +162,25 @@ fn dispatch(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
 /// `calm eval`: the command that writes as it goes.
 fn eval(args: &[String], out: &mut dyn Write) -> Result<(), StreamError> {
     let (p, f) = two_files(args)?;
-    let from_scratch = args.iter().any(|a| a == "--from-scratch");
-    match flag_value(args, "--updates") {
-        Some(u) => cmd_eval_updates_to(
-            &read(p)?,
-            &read(f)?,
-            &read(u)?,
-            from_scratch,
-            &obs_options(args),
-            eval_threads(args)?,
-            out,
-        ),
-        None if from_scratch => {
-            Err(CliError("--from-scratch only applies to --updates <file>".into()).into())
+    let (from_scratch, updates) = (has(args, "--from-scratch"), flag_value(args, "--updates"));
+    if from_scratch && updates.is_none() {
+        return Err(CliError("--from-scratch only applies to --updates <file>".into()).into());
+    }
+    let (program, facts, opts) = (read(p)?, read(f)?, obs_options(args));
+    match updates {
+        Some(u) => {
+            let (updates, threads) = (read(u)?, eval_threads(args)?);
+            cmd_eval_updates_to(
+                &program,
+                &facts,
+                &updates,
+                from_scratch,
+                &opts,
+                threads,
+                out,
+            )
         }
-        None => cmd_eval_full_to(
-            &read(p)?,
-            &read(f)?,
-            &obs_options(args),
-            eval_threads(args)?,
-            out,
-        ),
+        None => cmd_eval_full_to(&program, &facts, &opts, eval_threads(args)?, out),
     }
 }
 
@@ -200,13 +203,13 @@ fn buffered(cmd: &str, args: &[String]) -> Result<String, CliError> {
             let (p, f) = two_files(args)?;
             let nodes = number_flag(args, "--nodes")?.unwrap_or(3);
             let strategy = flag_value(args, "--strategy").unwrap_or("monotone");
-            let trace = args.iter().any(|a| a == "--trace");
+            let trace = has(args, "--trace");
             let engine = parse_engine(
                 flag_value(args, "--engine"),
-                flag_value(args, "--workers"),
-                flag_value(args, "--procs"),
+                number_flag(args, "--workers")?,
+                number_flag(args, "--procs")?,
                 flag_value(args, "--faults"),
-                flag_value(args, "--respawn-budget"),
+                number_flag(args, "--respawn-budget")?,
             )?;
             cmd_simulate_run(
                 &read(p)?,
@@ -231,21 +234,15 @@ fn buffered(cmd: &str, args: &[String]) -> Result<String, CliError> {
                 .filter(|a| !a.starts_with("--"))
                 .map(std::path::PathBuf::from)
                 .collect();
-            if paths.is_empty() {
-                return Err(CliError("expected a trace file".into()));
-            }
-            let json = args.iter().any(|a| a == "--json");
-            cmd_trace_report(&paths, json)
+            cmd_trace_report(&paths, has(args, "--json"))
         }
         // Hidden: the worker half of `--engine process`. Spawned by the
         // coordinator, never by hand.
         "net-worker" => {
             let addr = flag_value(args, "--connect")
                 .ok_or_else(|| CliError("net-worker: expected --connect ADDR".into()))?;
-            let worker: usize = flag_value(args, "--worker")
-                .ok_or_else(|| CliError("net-worker: expected --worker K".into()))?
-                .parse()
-                .map_err(|_| CliError("net-worker: --worker must be a number".into()))?;
+            let worker = number_flag(args, "--worker")?
+                .ok_or_else(|| CliError("net-worker: expected --worker K".into()))?;
             cmd_net_worker(addr, worker)
         }
         "help" | "--help" | "-h" => Ok(USAGE.to_string()),
@@ -253,21 +250,20 @@ fn buffered(cmd: &str, args: &[String]) -> Result<String, CliError> {
     }
 }
 
-fn one_file(args: &[String]) -> Result<&str, CliError> {
-    args.get(1)
+/// The `k`-th argument: the `what` file.
+fn file<'a>(args: &'a [String], k: usize, what: &str) -> Result<&'a str, CliError> {
+    let named = args.get(k).filter(|a| !a.starts_with("--"));
+    named
         .map(String::as_str)
-        .filter(|a| !a.starts_with("--"))
-        .ok_or_else(|| CliError("expected a program file".into()))
+        .ok_or_else(|| CliError(format!("expected a {what} file")))
+}
+
+fn one_file(args: &[String]) -> Result<&str, CliError> {
+    file(args, 1, "program")
 }
 
 fn two_files(args: &[String]) -> Result<(&str, &str), CliError> {
-    let p = one_file(args)?;
-    let f = args
-        .get(2)
-        .map(String::as_str)
-        .filter(|a| !a.starts_with("--"))
-        .ok_or_else(|| CliError("expected a facts file".into()))?;
-    Ok((p, f))
+    Ok((file(args, 1, "program")?, file(args, 2, "facts")?))
 }
 
 #[cfg(test)]
@@ -381,6 +377,55 @@ mod tests {
         // Before the facts are even parsed.
         let err = failure(&["simulate", &p, &p, "--engine", "process", "--trace"]);
         assert!(err.contains("--trace-out PREFIX"), "{err}");
+    }
+
+    #[test]
+    fn a_count_that_is_not_a_number_is_refused_by_name() {
+        for (engine, flag) in [
+            ("sequential", "--nodes"),
+            ("threaded", "--workers"),
+            ("process", "--procs"),
+            ("process", "--respawn-budget"),
+        ] {
+            let err = failure(&["simulate", "p.dl", "f.dl", "--engine", engine, flag, "two"]);
+            assert_eq!(err, format!("{flag} must be a number"));
+        }
+        let err = failure(&["net-worker", "--connect", "a:1", "--worker", "one"]);
+        assert_eq!(err, "--worker must be a number");
+        let err = failure(&["trace", "report", "--json"]);
+        assert_eq!(err, "expected at least one trace file");
+    }
+
+    #[test]
+    fn a_refused_simulate_run_leaves_no_artefact() {
+        // `--nodes 0` used to be refused after the sinks had opened,
+        // leaving `run.jsonl` and `run.trace.json` behind.
+        let data = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/data");
+        let (p, f) = (format!("{data}/tc.dl"), format!("{data}/graph.facts"));
+        let root = std::env::temp_dir().join(format!("calm-cli-refused-{}", std::process::id()));
+        let prefix = root.join("tz").join("run").display().to_string();
+        let flight = root.join("flight").join("dump.jsonl").display().to_string();
+        let sinks = ["--trace-out", &prefix, "--flight-recorder", &flight];
+        for (refused, says) in [
+            (&["--nodes", "0"][..], "--nodes must be at least 1"),
+            (
+                &[
+                    "--nodes",
+                    "4",
+                    "--engine",
+                    "threaded",
+                    "--faults",
+                    "crash=9@1",
+                ],
+                "names node 9",
+            ),
+            (&["--engine", "process", "--trace"], "--trace-out PREFIX"),
+        ] {
+            let words = [&["simulate", &p, &f][..], refused, &sinks].concat();
+            let err = failure(&words);
+            assert!(err.contains(says), "{refused:?}: {err}");
+            assert!(!root.exists(), "{refused:?} left {}", root.display());
+        }
     }
 
     #[test]

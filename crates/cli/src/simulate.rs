@@ -3,10 +3,9 @@
 //! engine.
 
 use crate::obs::{build_obs, ObsOptions};
-use crate::{err, load_facts, load_program, read_input, render_plan, CliError};
-use calm_common::instance::Instance;
+use crate::{err, load_program, read_input, render_plan, CliError};
 use calm_common::query::Query;
-use calm_common::storage::{FactPrinter, Relation, SharedSymbols, Storage};
+use calm_common::storage::{FactPrinter, Relation, Storage};
 use calm_datalog::eval::{Database, EvalOptions};
 use calm_datalog::{DatalogQuery, Program};
 use calm_net::{
@@ -131,7 +130,6 @@ struct Job<'a> {
     program_src: &'a str,
     facts_src: &'a str,
     program: &'a Program,
-    input: &'a Instance,
     nodes: usize,
     strategy: &'a str,
     eval_threads: usize,
@@ -170,11 +168,8 @@ fn net_header(out: &mut String, faulted: bool, faults: &FaultStats, per_worker: 
         .iter()
         .map(|w| format!(" {}", w.metrics.transitions))
         .collect();
-    let token_passes: u64 = per_worker.iter().map(|w| w.token_passes).sum();
-    let _ = writeln!(
-        out,
-        "% per-worker steps:{steps}, token passes: {token_passes}"
-    );
+    let passes: u64 = per_worker.iter().map(|w| w.token_passes).sum();
+    let _ = writeln!(out, "% per-worker steps:{steps}, token passes: {passes}");
 }
 
 /// ` label=n` for every non-zero counter.
@@ -186,13 +181,14 @@ fn nonzero(pairs: impl IntoIterator<Item = (&'static str, u64)>) -> String {
         .collect()
 }
 
-fn run_sequential(job: &Job<'_>, obs: &Obs) -> EngineRun {
+fn run_sequential(job: &Job<'_>, input: &Database, obs: &Obs) -> EngineRun {
     let tn = TransducerNetwork {
         transducer: job.transducer,
         policy: job.policy,
         config: job.config,
     };
-    let r = run_with(&tn, job.input, &Scheduler::RoundRobin, STEP_BUDGET, obs);
+    let input = input.to_instance();
+    let r = run_with(&tn, &input, &Scheduler::RoundRobin, STEP_BUDGET, obs);
     EngineRun {
         header: String::new(),
         states: r.states,
@@ -203,6 +199,7 @@ fn run_sequential(job: &Job<'_>, obs: &Obs) -> EngineRun {
 
 fn run_threaded(
     job: &Job<'_>,
+    input: &Database,
     workers: usize,
     faults: Option<(String, FaultPlan)>,
     obs: &Obs,
@@ -224,7 +221,7 @@ fn run_threaded(
     let faulted = faults.is_some();
     let mut tcfg = ThreadedConfig::new(workers);
     tcfg.faults = faults.map(|(_, plan)| plan);
-    let r = run_threaded_with(&tn, job.input, &tcfg, obs);
+    let r = run_threaded_with(&tn, &input.to_instance(), &tcfg, obs);
     let mut header = format!("% engine: threaded, workers: {workers}\n");
     net_header(&mut header, faulted, &r.faults, &r.per_worker);
     EngineRun {
@@ -324,37 +321,29 @@ fn summary_lines(out: &mut String, metrics: &Metrics, quiescent: bool) {
         metrics.transitions, metrics.messages_sent, metrics.messages_delivered
     );
     if metrics.by_class.total() > 0 {
-        let _ = writeln!(
-            out,
-            "% message classes:{}, max queue depth: {}",
-            nonzero(
-                metrics
-                    .by_class
-                    .as_pairs()
-                    .map(|(label, n)| (label, n as u64))
-            ),
-            metrics.max_queue_depth()
-        );
+        let pairs = metrics.by_class.as_pairs();
+        let classes = nonzero(pairs.map(|(label, n)| (label, n as u64)));
+        let depth = metrics.max_queue_depth();
+        let _ = writeln!(out, "% message classes:{classes}, max queue depth: {depth}");
     }
 }
 
-/// Whether `out(R)` — `out`, over `symbols` — is `Q(I)` as `calm eval`
-/// computes it, over the same table: per output relation `R`, the rows of
-/// `R` and of `out_R` are one set (each of the program's arity).
-fn agrees(job: &Job<'_>, out: &Storage, symbols: &SharedSymbols) -> Result<bool, CliError> {
-    let (quiet, mut db) = (Obs::noop(), Database::with_symbols(symbols.clone()));
-    read_input(job.program, job.facts_src, &mut db, &quiet)?;
+/// Whether `out(R)` — `out`, over the table of `input` — is `Q(I)` as
+/// `calm eval` computes it on `input`, the rows [`read_input`] read: per
+/// output relation `R`, the rows of `R` and of `out_R` are one set (each
+/// of the program's arity).
+fn agrees(job: &Job<'_>, input: &mut Database, out: &Storage) -> bool {
     let options = EvalOptions::default().with_eval_threads(job.eval_threads);
-    calm_datalog::eval_database(job.program, &mut db, options, &quiet)
-        .map_err(|e| err(format!("evaluation: {e}")))?;
-    let table = symbols.read();
-    Ok(job.program.output_schema().iter().all(|(name, _)| {
-        let [expected, got] = [(db.storage(), name.to_string()), (out, out_rel(name))]
+    calm_datalog::eval_database(job.program, input, options, &Obs::noop())
+        .expect("the program stratified when its strategy was built");
+    let table = input.symbols().read();
+    job.program.output_schema().iter().all(|(name, _)| {
+        let [expected, got] = [(input.storage(), name.to_string()), (out, out_rel(name))]
             .map(|(storage, name)| table.lookup_rel(&name).and_then(|r| storage.relation(r)));
         let len = |relation: Option<&Relation>| relation.map_or(0, Relation::len);
         let mut rows = expected.into_iter().flat_map(Relation::live_rows);
         len(expected) == len(got) && rows.all(|row| got.is_some_and(|got| got.contains(row)))
-    }))
+    })
 }
 
 /// `calm simulate`: run the program through a coordination-free
@@ -376,6 +365,7 @@ pub fn cmd_simulate_run(
     engine: Engine,
     eval_threads: usize,
 ) -> Result<String, CliError> {
+    // What the arguments alone refuse is refused before a sink opens.
     if trace && matches!(engine, Engine::Process { .. }) {
         return Err(err(
             "--trace prints the transitions of this process, and --engine process steps its \
@@ -383,39 +373,28 @@ pub fn cmd_simulate_run(
              them with 'calm trace report PREFIX.worker*.jsonl'",
         ));
     }
-    let trace_sink = trace.then(|| Arc::new(TraceSink::new()));
-    let extra = trace_sink
-        .iter()
-        .map(|s| Arc::clone(s) as Arc<dyn Sink>)
-        .collect();
-    let (obs, report) = build_obs(obs_opts, extra)?;
-    let input = {
-        let _span = obs.span("simulate", || "read_facts".to_string());
-        load_facts(facts_src)?
-    };
     if nodes == 0 {
         return Err(err("--nodes must be at least 1"));
     }
-    match &engine {
-        Engine::Threaded {
-            workers,
-            faults: Some((spec, _)),
-        }
-        | Engine::Process {
-            procs: workers,
-            faults: Some((spec, _)),
-            ..
-        } => check_fault_targets(spec, nodes, or_one_per_core(*workers, nodes))?,
-        _ => {}
-    }
+    check_fault_targets(&engine, nodes)?;
     let eval_threads = eval_threads.max(1);
     let program = load_program(program_src)?;
     let (transducer, policy, config) = build_strategy(&program, strategy, nodes, eval_threads)?;
+    let trace_sink = trace.then(|| Arc::new(TraceSink::new()));
+    let extra = Vec::from_iter(trace_sink.clone().map(|s| s as Arc<dyn Sink>));
+    let (obs, report) = build_obs(obs_opts, extra)?;
+    // `I`: the facts of `edb(P)`, read once — for the engines of this
+    // process and for the check. Process workers read the facts they
+    // are shipped themselves.
+    let mut input = Database::new();
+    {
+        let _span = obs.span("simulate", || "read_facts".to_string());
+        read_input(&program, facts_src, &mut input, &obs)?;
+    }
     let job = Job {
         program_src,
         facts_src,
         program: &program,
-        input: &input,
         nodes,
         strategy,
         eval_threads,
@@ -424,9 +403,7 @@ pub fn cmd_simulate_run(
         config,
     };
     let mut out = String::new();
-    if obs_opts.dump_plan {
-        out.push_str(&render_plan(&program)?);
-    }
+    out.push_str(&render_plan(&program, obs_opts.dump_plan)?);
     if eval_threads > 1 {
         let _ = writeln!(out, "% eval threads: {eval_threads}");
     }
@@ -437,28 +414,34 @@ pub fn cmd_simulate_run(
     let run = {
         let _span = obs.span("simulate", || "run".to_string());
         let run = match engine {
-            Engine::Sequential => Ok(run_sequential(&job, &obs)),
-            Engine::Threaded { workers, faults } => Ok(run_threaded(&job, workers, faults, &obs)),
+            Engine::Sequential => Ok(run_sequential(&job, &input, &obs)),
+            Engine::Threaded { workers, faults } => {
+                Ok(run_threaded(&job, &input, workers, faults, &obs))
+            }
             Engine::Process {
                 procs,
                 faults,
                 respawn_budget,
             } => run_processes(&job, procs, faults, respawn_budget, obs_opts, &obs),
         };
-        // The states are let go once united: what follows reads `out(R)`.
-        run.map(|mut run| (std::mem::take(&mut run.states).united(output), run))
+        // The states are let go once united, over the table of `I`: what
+        // follows reads `out(R)`.
+        run.map(|mut run| {
+            let states = std::mem::take(&mut run.states);
+            (states.united(output, input.symbols()), run)
+        })
     };
     // Compare against the centralized answer, and print — from those
     // rows, before the report is, so that it covers them.
-    let checked = run.and_then(|((out, symbols), run)| {
+    let checked = run.map(|(out, run)| {
         let matches = {
             let _span = obs.span("simulate", || "expected".to_string());
-            agrees(&job, &out, &symbols)?
+            agrees(&job, &mut input, &out)
         };
         let _span = obs.span("simulate", || "write".to_string());
-        let (mut facts, mut printer) = (Vec::new(), FactPrinter::new(symbols));
+        let (mut facts, mut printer) = (Vec::new(), FactPrinter::new(input.symbols().clone()));
         (printer.write(&out, output, &mut facts, &Obs::noop())).expect("writing to memory");
-        Ok((run, matches, facts))
+        (run, matches, facts)
     });
     obs.finish();
     let (run, matches, facts) = checked?;
@@ -497,21 +480,18 @@ pub fn cmd_net_worker(addr: &str, worker: usize) -> Result<String, CliError> {
         let eval_threads = spec.eval_threads.max(1);
         let (transducer, policy, config) =
             build_strategy(&program, &spec.strategy, spec.nodes, eval_threads).map_err(|e| e.0)?;
-        let input = load_facts(&spec.facts).map_err(|e| e.0)?;
+        let mut input = Database::new();
+        read_input(&program, &spec.facts, &mut input, &Obs::noop()).map_err(|e| e.0)?;
         // The coordinator already suffixed these paths per worker
         // (PREFIX.workerK), so this worker's sinks own their files.
         let opts = ObsOptions {
             trace_out: spec.trace_prefix.as_ref().map(PathBuf::from),
             flight_recorder: spec.flight_path.as_ref().map(PathBuf::from),
-            metrics: false,
-            dump_plan: false,
+            ..ObsOptions::default()
         };
         let (obs, _) = build_obs(&opts, Vec::new()).map_err(|e| e.0)?;
-        if std::env::var("CALM_NET_WORKER_DIE")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            == Some(assign.worker)
-        {
+        let die = std::env::var("CALM_NET_WORKER_DIE");
+        if die.is_ok_and(|k| k.parse() == Ok(assign.worker)) {
             // Die *after* the sinks exist, and flush them first: the
             // post-mortem contract is that even a killed worker leaves
             // well-formed JSONL behind (trace + flight dump), never a
@@ -527,7 +507,7 @@ pub fn cmd_net_worker(addr: &str, worker: usize) -> Result<String, CliError> {
             transducer,
             policy,
             config,
-            input,
+            input: input.to_instance(),
             obs,
         })
     };
@@ -535,10 +515,23 @@ pub fn cmd_net_worker(addr: &str, worker: usize) -> Result<String, CliError> {
     Ok(String::new())
 }
 
-/// Refuse a `--faults` clause that names a node outside the network of
-/// `nodes` nodes, or a worker outside the `workers` the run starts: it
+/// Refuse a `--faults` clause of `engine` that names a node outside the
+/// network of `nodes` nodes, or a worker outside those the run starts: it
 /// would inject nothing, and the run would look like it survived it.
-fn check_fault_targets(spec: &str, nodes: usize, workers: usize) -> Result<(), CliError> {
+fn check_fault_targets(engine: &Engine, nodes: usize) -> Result<(), CliError> {
+    let (Engine::Threaded {
+        workers,
+        faults: Some((spec, _)),
+    }
+    | Engine::Process {
+        procs: workers,
+        faults: Some((spec, _)),
+        ..
+    }) = engine
+    else {
+        return Ok(());
+    };
+    let workers = or_one_per_core(*workers, nodes);
     for clause in spec.split(',').map(str::trim) {
         // Each clause of a spec that parsed parses alone, up to the
         // whole-plan checks — which name no node.
@@ -570,28 +563,15 @@ fn check_fault_targets(spec: &str, nodes: usize, workers: usize) -> Result<(), C
     Ok(())
 }
 
-/// The numeric value of `flag`, if it was given.
-fn number<T: std::str::FromStr>(flag: &str, value: Option<&str>) -> Result<Option<T>, CliError> {
-    value
-        .map(|v| {
-            v.parse()
-                .map_err(|_| err(format!("{flag} must be a number")))
-        })
-        .transpose()
-}
-
-/// Parse `--engine` / `--workers` / `--procs` / `--faults` /
-/// `--respawn-budget` values into an [`Engine`].
+/// Parse the `--engine` / `--workers` / `--procs` / `--faults` /
+/// `--respawn-budget` values, those that were given, into an [`Engine`].
 pub fn parse_engine(
     engine: Option<&str>,
-    workers: Option<&str>,
-    procs: Option<&str>,
+    workers: Option<usize>,
+    procs: Option<usize>,
     faults: Option<&str>,
-    respawn_budget: Option<&str>,
+    respawn_budget: Option<u32>,
 ) -> Result<Engine, CliError> {
-    let workers_n: usize = number("--workers", workers)?.unwrap_or(0);
-    let procs_n: usize = number("--procs", procs)?.unwrap_or(0);
-    let budget: Option<u32> = number("--respawn-budget", respawn_budget)?;
     // Validate the fault spec up front for every engine. The process
     // engine keeps the spec beside the plan: it ships the text to its
     // workers, which parse it themselves.
@@ -603,7 +583,7 @@ pub fn parse_engine(
     }
     match engine.unwrap_or("sequential") {
         "sequential" => {
-            if workers_n != 0 {
+            if workers.is_some_and(|w| w != 0) {
                 return Err(err("--workers requires --engine threaded"));
             }
             if procs.is_some() {
@@ -624,7 +604,7 @@ pub fn parse_engine(
                 ));
             }
             Ok(Engine::Threaded {
-                workers: workers_n,
+                workers: workers.unwrap_or(0),
                 faults: faults.map(String::from).zip(plan),
             })
         }
@@ -635,9 +615,9 @@ pub fn parse_engine(
                 ));
             }
             Ok(Engine::Process {
-                procs: procs_n,
+                procs: procs.unwrap_or(0),
                 faults: faults.map(String::from).zip(plan),
-                respawn_budget: budget,
+                respawn_budget,
             })
         }
         other => Err(err(format!(

@@ -23,10 +23,10 @@ USAGE:
   re-evaluation) through the signed batches in FILE: lines '+ E(1,2).'
   insert, '- E(2,3).' delete, a line of dashes (---) separates batches,
   '%' comments. The output relations are printed initially and after
-  every batch. --from-scratch re-evaluates each batch with the full
-  fixpoint instead — byte-identical output by construction, which makes
-  'diff' between the two modes a correctness oracle (it is an error
-  without --updates). A batch that would overdelete more than a fixed
+  every batch. --from-scratch instead runs calm eval's fixpoint on the
+  updated input after each batch and prints it through the same printer
+  — byte-identical output by construction, which makes 'diff' between
+  the two modes a correctness oracle (it is an error without --updates). A batch that would overdelete more than a fixed
   share of a stratum re-evaluates that stratum and the ones above it
   instead. With --metrics a '% maintenance:' summary line is appended
   in incremental mode; its 'fallbacks' counts those re-evaluated strata.

@@ -11,8 +11,8 @@ use crate::parser::{scan_facts, GroundTerm, ParseError};
 use calm_common::instance::Instance;
 use calm_common::schema::Schema;
 use calm_common::storage::{
-    load_instance, store_to_instance, store_to_instance_restricted, RelId, SharedSymbols, Storage,
-    SymTuple, SymbolTable,
+    load_instance, store_to_instance, store_to_instance_restricted, RelId, Relation, SharedSymbols,
+    Storage, SymTuple, SymbolTable,
 };
 use calm_common::value::Value;
 use calm_obs::Obs;
@@ -246,14 +246,12 @@ impl Database {
         );
         let mut added = 0;
         for r in other.storage.rel_ids() {
-            let Some(rel) = other.storage.relation(r) else {
-                continue;
-            };
-            for row in rel.live_rows() {
-                if self.storage.insert(r, row) {
-                    added += 1;
-                }
-            }
+            let rows = other
+                .storage
+                .relation(r)
+                .into_iter()
+                .flat_map(Relation::live_rows);
+            added += rows.filter(|row| self.storage.insert(r, row)).count();
         }
         added
     }

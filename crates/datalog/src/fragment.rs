@@ -15,7 +15,7 @@
 
 use crate::ast::{Rule, Var};
 use crate::program::Program;
-use crate::stratify::is_stratifiable;
+use crate::stratify::stratify;
 use calm_common::fact::RelName;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -71,7 +71,7 @@ pub struct FragmentReport {
 /// Classify a program into the fragments of Figure 2.
 pub fn classify(p: &Program) -> FragmentReport {
     let positive = p.is_positive();
-    let stratifiable = is_stratifiable(p);
+    let stratifiable = stratify(p).is_ok();
     FragmentReport {
         datalog: positive && !p.uses_inequalities(),
         datalog_neq: positive,
@@ -87,7 +87,7 @@ pub fn classify(p: &Program) -> FragmentReport {
 /// strata, so the exists-a-stratification condition reduces to a per-rule
 /// check.)
 pub fn is_connected_program(p: &Program) -> bool {
-    is_stratifiable(p) && p.rules().iter().all(is_rule_connected)
+    stratify(p).is_ok() && p.rules().iter().all(is_rule_connected)
 }
 
 /// `semicon-Datalog¬`: stratifiable, and some stratification puts every
@@ -102,7 +102,7 @@ pub fn is_connected_program(p: &Program) -> bool {
 /// `L`-predicate (that would force two strata inside the would-be last
 /// stratum).
 pub fn is_semi_connected_program(p: &Program) -> bool {
-    if !is_stratifiable(p) {
+    if stratify(p).is_err() {
         return false;
     }
     let last = last_stratum_closure(p);
@@ -126,24 +126,17 @@ pub fn last_stratum_closure(p: &Program) -> BTreeSet<RelName> {
         .filter(|h| idb.contains(h))
         .collect();
     loop {
-        let mut changed = false;
-        for r in p.rules() {
-            if l.contains(&r.head.relation) {
-                continue;
-            }
-            let uses_l = r
-                .pos
-                .iter()
-                .chain(r.neg.iter())
-                .any(|a| l.contains(&a.relation));
-            if uses_l {
-                l.insert(r.head.relation.clone());
-                changed = true;
-            }
-        }
-        if !changed {
+        let uses_l = |r: &&Rule| r.pos.iter().chain(&r.neg).any(|a| l.contains(&a.relation));
+        let heads = p
+            .rules()
+            .iter()
+            .filter(uses_l)
+            .map(|r| r.head.relation.clone());
+        let grown: Vec<RelName> = heads.filter(|h| !l.contains(h)).collect();
+        if grown.is_empty() {
             return l;
         }
+        l.extend(grown);
     }
 }
 

@@ -40,5 +40,5 @@ pub use fragment::{classify, is_rule_connected, FragmentReport};
 pub use parser::{parse_facts, parse_program, parse_rule, parse_updates};
 pub use program::{Program, ProgramError};
 pub use query::{DatalogQuery, IncrementalEvaluation};
-pub use stratify::{is_stratifiable, stratify, Stratification};
+pub use stratify::{stratify, Stratification};
 pub use wellfounded::{well_founded_model, WellFoundedModel, WellFoundedQuery};

@@ -5,6 +5,7 @@ use crate::eval::database::Database;
 use crate::eval::incremental::{apply_update_rows, rows_of_update, MaintenancePlan, UpdateStats};
 use crate::eval::seminaive::{CompiledProgram, EvalOptions};
 use crate::eval::stratified::{fixpoint_strata, precompile};
+use crate::parser::ParseError;
 use crate::program::Program;
 use crate::stratify::{stratify, NotStratifiable};
 use calm_common::fact::Fact;
@@ -104,15 +105,28 @@ impl DatalogQuery {
     /// fixpoint per change. The session reuses the query's cached
     /// [`CompiledProgram`]s and shared symbol table.
     pub fn open(&self, input: &Instance) -> IncrementalEvaluation<'_> {
-        self.open_obs(input, &Obs::noop())
+        let db =
+            Database::from_instance_with(&input.restrict(&self.input_schema), self.symbols.clone());
+        self.maintain(db, &Obs::noop())
     }
 
-    /// As [`open`](Self::open), reporting the initial fixpoint to
-    /// `obs` as evaluation does: one `eval/stratum#i` span per stratum
-    /// with its iteration and rule spans and the `eval` counters.
-    pub fn open_obs(&self, input: &Instance, obs: &Obs) -> IncrementalEvaluation<'_> {
-        let restricted = input.restrict(&self.input_schema);
-        let mut db = Database::from_instance_with(&restricted, self.symbols.clone());
+    /// As [`open`](Self::open) over the facts of the input schema in
+    /// `src`, read into rows by [`Database::read_facts`]; the reading
+    /// and the initial fixpoint are reported to `obs` as evaluation's.
+    ///
+    /// # Errors
+    /// The facts scanner's [`ParseError`].
+    pub fn read_session(
+        &self,
+        src: &str,
+        obs: &Obs,
+    ) -> Result<IncrementalEvaluation<'_>, ParseError> {
+        let mut db = Database::with_symbols(self.symbols.clone());
+        db.read_facts(src, Some(&self.input_schema), obs)?;
+        Ok(self.maintain(db, obs))
+    }
+
+    fn maintain(&self, mut db: Database, obs: &Obs) -> IncrementalEvaluation<'_> {
         fixpoint_strata(&self.strata, db.storage_mut(), obs, true);
         MaintenancePlan::new(&self.strata).prepare(db.storage_mut());
         IncrementalEvaluation {

@@ -152,11 +152,6 @@ pub fn stratify(p: &Program) -> Result<Stratification, NotStratifiable> {
     })
 }
 
-/// Whether `P` is syntactically stratifiable.
-pub fn is_stratifiable(p: &Program) -> bool {
-    stratify(p).is_ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,7 +195,7 @@ mod tests {
         let p = parse_program("win(x) :- move(x,y), not win(y).").unwrap();
         let e = stratify(&p).unwrap_err();
         assert_eq!(e.witness, "win");
-        assert!(!is_stratifiable(&p));
+        assert!(stratify(&p).is_err());
     }
 
     #[test]
@@ -236,7 +231,7 @@ mod tests {
              B(x) :- V(x), not A(x).",
         )
         .unwrap();
-        assert!(!is_stratifiable(&p));
+        assert!(stratify(&p).is_err());
     }
 
     #[test]

@@ -237,12 +237,9 @@ enum HelloOutcome {
 /// a connected-but-silent peer cannot stall past the deadline.
 fn read_hello(mut stream: TcpStream, deadline: Instant) -> Result<HelloOutcome, NetError> {
     stream.set_nodelay(true).ok();
-    let remaining = deadline
-        .saturating_duration_since(Instant::now())
-        .max(Duration::from_millis(10));
-    stream
-        .set_read_timeout(Some(remaining.min(HELLO_TIMEOUT)))
-        .ok();
+    let remaining = deadline.saturating_duration_since(Instant::now());
+    let timeout = remaining.clamp(Duration::from_millis(10), HELLO_TIMEOUT);
+    stream.set_read_timeout(Some(timeout)).ok();
     // A connection that never produces a Hello frame is a dud, not a
     // fatal barrier failure: other workers may still be dialing in, and
     // the barrier's own deadline decides when to give up.
@@ -270,13 +267,12 @@ type Verdict = Result<HelloOutcome, NetError>;
 /// Accept connections on `listener` for the whole run, reading each
 /// one's Hello in turn — a silent peer waits out at most `wait` — and
 /// handing the verdict over `verdicts`. Ends at the first connection made
-/// once the run stopped listening.
+/// once the run stopped listening. A run has one per worker and one more:
+/// a silent peer holds up one of them, and no other Hello.
 fn accept_hellos(listener: TcpListener, wait: Duration, verdicts: Sender<Verdict>) {
     while let Ok((stream, _)) = listener.accept() {
-        if verdicts
-            .send(read_hello(stream, Instant::now() + wait))
-            .is_err()
-        {
+        let verdict = read_hello(stream, Instant::now() + wait);
+        if verdicts.send(verdict).is_err() {
             return;
         }
     }
@@ -294,9 +290,8 @@ fn handshake(
 ) -> Result<Vec<TcpStream>, NetError> {
     let deadline = Instant::now() + deadline;
     let mut streams: Vec<Option<TcpStream>> = workers.clone().map(|_| None).collect();
-    let mut connected = 0usize;
     let mut last_dud: Option<String> = None;
-    while connected < streams.len() {
+    while streams.iter().any(Option::is_none) {
         let missing: Vec<String> = (workers.clone().zip(&streams))
             .filter(|(_, s)| s.is_none())
             .map(|(k, _)| k.to_string())
@@ -337,7 +332,6 @@ fn handshake(
                 "duplicate worker index {worker}"
             )));
         }
-        connected += 1;
     }
     Ok(streams.into_iter().flatten().collect())
 }
@@ -566,7 +560,11 @@ impl<'a> Supervisor<'a> {
         let addr = listener.local_addr().map_err(NetError::Listen)?.to_string();
         let (verdicts, hellos) = std::sync::mpsc::channel();
         let wait = cfg.handshake_deadline;
-        std::thread::spawn(move || accept_hellos(listener, wait, verdicts));
+        let listeners: Result<Vec<_>, _> = (0..=workers).map(|_| listener.try_clone()).collect();
+        for listener in listeners.map_err(NetError::Listen)? {
+            let verdicts = verdicts.clone();
+            std::thread::spawn(move || accept_hellos(listener, wait, verdicts));
+        }
         let (events_tx, events_rx) = std::sync::mpsc::channel();
         let closed = |_| std::sync::mpsc::channel().0;
         Ok(Supervisor {
@@ -902,11 +900,16 @@ impl<'a> Supervisor<'a> {
         }
     }
 
-    /// Close every stream (unblocks workers parked in recv and our own
-    /// reader threads), join the readers, drop the write-queue table
-    /// (the readers' clones go with them), join the writers, stop
-    /// listening, reap every worker.
+    /// Stop listening (a Hello not taken closes its stream: its worker
+    /// ends now), close every stream (unblocks workers parked in recv
+    /// and our own reader threads), join the readers, drop the
+    /// write-queue table (the readers' clones go with them), join the
+    /// writers, reap every worker.
     fn teardown(&mut self) {
+        self.hellos = std::sync::mpsc::channel().1;
+        for _ in 0..=self.workers {
+            let _ = TcpStream::connect(&self.addr);
+        }
         for s in self.shutdown_streams.iter().flatten() {
             let _ = s.shutdown(std::net::Shutdown::Both);
         }
@@ -921,10 +924,6 @@ impl<'a> Supervisor<'a> {
         for h in self.handles.iter_mut().filter_map(Option::take) {
             reap(h);
         }
-        // Stop listening: with the verdicts' receiver gone, the acceptor
-        // ends at the next connection, which this one makes.
-        self.hellos = std::sync::mpsc::channel().1;
-        let _ = TcpStream::connect(&self.addr);
     }
 
     /// Tear the run down and come out through the join the threaded

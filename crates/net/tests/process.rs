@@ -297,6 +297,62 @@ fn handshake_barrier_names_a_worker_that_never_says_hello() {
 }
 
 #[test]
+fn a_silent_peer_that_connects_first_delays_no_other_workers_hello() {
+    // Worker 1 connects and says nothing; worker 0 dials in once it
+    // has. Hellos used to be read one connection at a time, so worker
+    // 0's waited behind the silent one past the deadline: the barrier
+    // named `worker(s) 0,1`, and worker 0 then sat out its 30 s wait
+    // for an Assign before it was reaped.
+    let input = calm_common::generator::path(4);
+    let cfg = ProcessConfig {
+        handshake_deadline: std::time::Duration::from_millis(500),
+        ..ProcessConfig::new(2, spec_for("monotone", 4, None)).with_respawn_budget(0)
+    };
+    let (connected, silent_first) = std::sync::mpsc::channel::<()>();
+    let silent_first = std::sync::Arc::new(std::sync::Mutex::new(silent_first));
+    let spawner = move |k: usize, addr: &str| -> Result<SpawnHandle, String> {
+        let addr = addr.to_string();
+        let input = input.clone();
+        let (connected, silent_first) = (connected.clone(), silent_first.clone());
+        Ok(SpawnHandle::Thread(std::thread::spawn(move || {
+            if k == 1 {
+                let s = std::net::TcpStream::connect(&addr);
+                connected.send(()).expect("worker 0 waits for it");
+                std::thread::sleep(std::time::Duration::from_millis(1500));
+                drop(s);
+                return;
+            }
+            let first = silent_first.lock().expect("one waiter").recv();
+            first.expect("the silent peer connects");
+            let builder = move |assign: &Assign| -> Result<WorkerSetup, String> {
+                let (transducer, policy, config) = family(&assign.spec.strategy, assign.spec.nodes);
+                Ok(WorkerSetup {
+                    transducer,
+                    policy,
+                    config,
+                    input: input.clone(),
+                    obs: Obs::noop(),
+                })
+            };
+            let _ = run_net_worker(&addr, k, &builder);
+        })))
+    };
+    let start = std::time::Instant::now();
+    let err = run_process(&cfg, &spawner, &Obs::noop())
+        .expect_err("a silent worker must fail the barrier");
+    let msg = err.to_string();
+    assert!(
+        msg.contains("worker(s) 1 missing"),
+        "only the silent worker is named: {msg}"
+    );
+    assert!(
+        start.elapsed() < std::time::Duration::from_secs(10),
+        "took {:?}",
+        start.elapsed()
+    );
+}
+
+#[test]
 fn handshake_barrier_names_a_worker_that_never_connects() {
     // Worker 1 never even dials in. Same contract: deadline, named
     // worker, nonzero error.

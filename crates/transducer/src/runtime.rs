@@ -311,21 +311,20 @@ impl FinalStates {
     /// un-interned.
     pub fn output(&self, output: &Schema) -> Instance {
         let _span = self.obs.span("runtime", || "finish".to_string());
-        un_intern(&self.unite(output))
+        un_intern(output, self)
     }
 
     /// `out(R)` as rows, under the span `runtime/finish`: the rows of the
     /// relations of `output` (name and arity both matching) of every
-    /// node's state, united in one store over a table of its own — each
-    /// part's symbols are translated by value when first seen, by index
-    /// from then on.
-    pub fn united(&self, output: &Schema) -> (Storage, SharedSymbols) {
+    /// node's state, united in one store over `symbols` — a table no
+    /// node's state is over. Each part's symbols are translated by value
+    /// when first seen, by index from then on.
+    pub fn united(&self, output: &Schema, symbols: &SharedSymbols) -> Storage {
         let _span = self.obs.span("runtime", || "finish".to_string());
-        self.unite(output)
+        self.unite(output, symbols)
     }
 
-    fn unite(&self, output: &Schema) -> (Storage, SharedSymbols) {
-        let symbols = SharedSymbols::new();
+    fn unite(&self, output: &Schema, symbols: &SharedSymbols) -> Storage {
         let mut out = Storage::new();
         let mut row = Vec::new();
         for part in &self.parts {
@@ -349,7 +348,7 @@ impl FinalStates {
                 }
             }
         }
-        (out, symbols)
+        out
     }
 
     /// Every node's `s(x)` as an [`Instance`], built now.
@@ -371,13 +370,16 @@ impl FinalStates {
     }
 }
 
-/// A store as an [`Instance`], un-interned once, a relation at a time in
-/// canonical order: the set of its tuples is built from one sorted run.
-fn un_intern((rows, symbols): &(Storage, SharedSymbols)) -> Instance {
+/// `out(R)` of `states` as an [`Instance`], united over a table of its
+/// own and un-interned once, a relation at a time in canonical order: the
+/// set of its tuples is built from one sorted run.
+fn un_intern(output: &Schema, states: &FinalStates) -> Instance {
+    let symbols = SharedSymbols::new();
+    let rows = states.unite(output, &symbols);
     let (table, mut order) = (&*symbols.read(), CanonicalOrder::default());
     order.extend(table);
     let mut united = Instance::new();
-    for (name, r) in relations_by_name(rows, table) {
+    for (name, r) in relations_by_name(&rows, table) {
         let relation = rows.relation(r).expect("a listed relation");
         let ids = order.sorted_ids(relation, None).into_iter();
         united.extend_relation(name, ids.map(|id| values_of(table, relation.row(id))));
@@ -616,7 +618,7 @@ pub fn run_with(
     }
     let states = FinalStates::new(vec![rows], obs);
     RunResult {
-        output: un_intern(&states.unite(&tn.transducer.schema().output)),
+        output: un_intern(&tn.transducer.schema().output, &states),
         metrics,
         quiescent,
         states,
