@@ -71,7 +71,7 @@ pub fn cmd_eval_full_to(
 
 /// `calm eval --updates FILE`: evaluate once, then fold each signed
 /// update batch into the materialized answer by incremental
-/// maintenance (DRed), printing the output relations after the initial
+/// maintenance, printing the output relations after the initial
 /// evaluation and after every batch. [`cmd_eval_updates_to`] collected
 /// into a `String`.
 pub fn cmd_eval_updates(

@@ -389,7 +389,7 @@ mod tests {
                 maintenance,
                 (!from_scratch).then_some(
                     "% maintenance: 3 batches, +4 -2 edb, 5 retractions, 0 rederivations, \
-                     26 insertions, 36 derivations, 0 fallbacks"
+                     26 insertions, 38 derivations, 0 fallbacks"
                 ),
                 "{out}"
             );

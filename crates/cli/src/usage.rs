@@ -18,18 +18,18 @@ USAGE:
                  [--trace-out PREFIX] [--metrics] [--dump-plan] [--flight-recorder PATH]
   calm trace     report <trace.jsonl>... [--json]
 
-  --updates FILE evaluates once, then maintains the answer
-  incrementally (delete-rederive over the compiled rules, no per-batch
-  re-evaluation) through the signed batches in FILE: lines '+ E(1,2).'
-  insert, '- E(2,3).' delete, a line of dashes (---) separates batches,
-  '%' comments. The output relations are printed initially and after
-  every batch. --from-scratch instead runs calm eval's fixpoint on the
-  updated input after each batch and prints it through the same printer
-  — byte-identical output by construction, which makes 'diff' between
-  the two modes a correctness oracle (it is an error without --updates). A batch that would overdelete more than a fixed
-  share of a stratum re-evaluates that stratum and the ones above it
-  instead. With --metrics a '% maintenance:' summary line is appended
-  in incremental mode; its 'fallbacks' counts those re-evaluated strata.
+  --updates FILE evaluates once, then maintains the answer through the
+  signed batches in FILE ('+ E(1,2).' inserts, '- E(2,3).' deletes,
+  '---' separates batches, '%' comments), printing the output relations
+  initially and after every batch. A derived fact a deletion may have
+  cost a derivation is searched for another before it is deleted; a
+  batch whose search visits over a fixed share of a stratum re-evaluates
+  it and those above. --from-scratch runs calm eval's fixpoint on the
+  updated input instead, through the same printer: 'diff' of the two
+  modes is a correctness oracle (an error without --updates). --metrics
+  appends '% maintenance:': retractions/insertions = derived facts
+  deleted/added, rederivations = facts the search kept, derivations =
+  rule instances enumerated, fallbacks = strata re-evaluated.
 
   --dump-plan prints the compiled query plan — per rule, the join order
   of round 0 and of every delta seed ('R[delta]' first), each atom

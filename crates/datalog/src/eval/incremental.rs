@@ -1,85 +1,18 @@
-//! Incremental view maintenance with retractions: DRed
-//! (delete–rederive) over compiled stratified programs.
-//!
-//! [`apply_update_rows`] takes a materialized [`Storage`] (the
-//! fixpoint of some stratified program over its old EDB), a signed
-//! change in rows and the per-stratum [`CompiledProgram`]s, and
-//! maintains the database *in place*. The
-//! contract is differential: after any interleaving of batches, the
-//! database holds exactly the facts a from-scratch evaluation of the
-//! final EDB would produce.
-//!
-//! # Why DRed and not pure counting
-//!
-//! The substrate keeps a tombstone bit per row
-//! ([`calm_common::storage::Relation::is_live`]), not a count: our
-//! semi-naive engine is *set-semantic*: delta rounds place the delta at
-//! one body position at a time while the other positions range over
-//! the full store, so a derivation touching two delta tuples is
-//! enumerated twice, and re-derivations of already-present facts are
-//! dropped by the insert without being counted.
-//! Exact derivation multiplicities are therefore not recoverable from
-//! the fixpoint, and counting-only maintenance would either under- or
-//! over-delete. Deletion runs the
-//! classic three-phase DRed instead — which is also the only sound
-//! choice once stratified negation is involved:
-//!
-//! 1. **Overdelete**: every derivation over the *old* view that
-//!    touched a removed tuple (positive atom) or a newly added tuple
-//!    (negative atom) has its head scheduled, transitively within the
-//!    stratum (in-stratum recursion is purely positive — stratified
-//!    negation only looks down); the scheduled rows are then
-//!    tombstoned.
-//! 2. **Rederive**: each overdeleted tuple is kept deleted only if no
-//!    rule re-derives it from the surviving facts (head-bound backward
-//!    check, then forward propagation of the revivals).
-//! 3. **Insert**: new derivations from added tuples (positive atoms)
-//!    and removed tuples (negative atoms) are propagated semi-naively
-//!    with explicit deltas.
-//!
-//! Strata are processed in order; each stratum's net changes join the
-//! signed change sets consumed by the strata above it.
-//!
-//! # The fixpoint's kernel, by row id
-//!
-//! Every join of every phase runs through the kernel the fixpoint uses
-//! (`eval/join.rs`) along the seeded access paths the rule compiler
-//! planned ([`super::compile::RulePaths`]): the seeded atom first, then
-//! an index probe (or, fully bound, a membership lookup) per remaining
-//! atom; [`MaintenancePlan`] is the set of hash indexes those paths
-//! probe beyond the fixpoint's own. The two views are filters on the
-//! probed row ids, not copies: the batch starts compacted and moves
-//! every watermark once, a retraction leaves a tombstone whose id the
-//! indexes keep, and new rows are appended — so the *new* view is
-//! "live" and the *old* view is "below the watermark"
-//! ([`Relation::live_at_mark`]). Changed, overdeleted and revived
-//! tuples are `u32` row ids throughout; only a tuple that does not
-//! exist yet (phase 3) is ever materialized.
-//!
-//! # The re-evaluation guard
-//!
-//! DRed's cost follows the overdeleted set, and on a dense recursive
-//! view a few deleted edges overdelete almost everything — several
-//! times the work of evaluating the stratum again. While a stratum is
-//! being overdeleted (nothing in it has been mutated yet), the number
-//! of scheduled rows is compared with [`fallback_limit`] of the
-//! stratum's live head rows; past it, maintenance stops, compacts the
-//! tombstones below, clears the head relations of this stratum and
-//! every one above, and re-runs their fixpoints over the already
-//! maintained lower strata. The same limit is applied to the
-//! stratum's inputs before any work is done: when the changes below
-//! have already rewritten more than that share of a relation the
-//! stratum reads, overdeleting a quarter of the view only to abandon
-//! it is skipped. No diff is computed for the re-evaluated strata:
-//! change sets only feed the strata above, and all of those are
-//! re-evaluated too.
-//!
-//! Maintenance is sequential (the fallback fixpoints run at the
-//! program's `eval_threads`); the from-scratch fixpoint is
-//! byte-identical at any `eval_threads`, so the differential oracle
-//! holds at any thread count.
+//! Incremental view maintenance over compiled stratified programs
+//! (DESIGN.md §16): [`apply_update_rows`] folds a signed change in rows
+//! into a materialized [`Storage`] in place, so that it holds what a
+//! from-scratch evaluation of the new EDB would. Stratum by stratum, the
+//! heads of old-view derivations through a changed row are candidates;
+//! a Backward/Forward support check (Motik–Nenov–Piro–Horrocks, AAAI
+//! 2015) searches each for a derivation over the new view through rows
+//! not deleted — supports in ascending row id, depth first on an
+//! explicit stack, checked and proved rows memoised, proofs saturated
+//! forward — and an unproved candidate is deleted and cascades; then the
+//! fixpoint's delta rounds insert. Nothing in a stratum is mutated before
+//! its check ends; a check that visits more than [`fallback_limit`] of
+//! the stratum's rows gives way to re-evaluating it and those above.
 
-use super::compile::{CompiledAtom, CompiledRule, RulePaths};
+use super::compile::{CompiledAtom, CompiledRule};
 use super::join::{instantiate, Join, View};
 use super::seminaive::{fixpoint, CompiledProgram, Ids};
 use super::stratified::fixpoint_strata;
@@ -88,7 +21,7 @@ use calm_common::query::RowBatch;
 use calm_common::storage::{RelId, Relation, Storage, Sym, SymTuple, SymbolTable};
 use calm_common::update::UpdateBatch;
 use calm_obs::Obs;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 /// Counters for one update-batch application.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -97,23 +30,15 @@ pub struct UpdateStats {
     pub edb_inserted: usize,
     /// EDB facts actually deleted (present before).
     pub edb_deleted: usize,
-    /// Derived tuples scheduled for overdeletion by retraction
-    /// propagation, *including* those later rederived. In a stratum
-    /// where the re-evaluation guard tripped this counts only what was
-    /// scheduled before the stop.
+    /// Derived tuples the support check deleted (none if re-evaluated).
     pub retractions: usize,
-    /// Overdeleted tuples with a surviving alternative derivation,
-    /// resurrected by the rederive pass. A stratum re-evaluated by the
-    /// guard rederives nothing (it is recomputed instead).
+    /// Candidates for deletion the support check kept (proved anew).
     pub rederivations: usize,
-    /// Derived tuples newly inserted by insertion propagation (not by a
-    /// guard re-evaluation).
+    /// Derived tuples inserted by insert propagation.
     pub insertions: usize,
-    /// Body valuations enumerated across all phases, fallback
-    /// fixpoints included (work measure).
+    /// Body valuations enumerated, fallback fixpoints included (work).
     pub derivations: usize,
-    /// Strata re-evaluated from scratch because the re-evaluation
-    /// guard tripped (the tripping stratum and every one above it).
+    /// Strata re-evaluated because the guard tripped (and those above).
     pub fallbacks: usize,
 }
 
@@ -130,17 +55,11 @@ impl UpdateStats {
     }
 }
 
-/// The re-evaluation guard's threshold: overdeleting more than this
-/// many of a stratum's `live` head rows (or finding more than this
-/// many of an input relation's rows changed) abandons DRed for a fresh
-/// fixpoint of the stratum. One internal constant — reported through
-/// [`UpdateStats::fallbacks`], never set. Measured with the guard off
-/// (E27; DESIGN.md §16 has the table), DRed carried through costs half
-/// a rebuild of the view at 11 % of it overdeleted and meets the
-/// rebuild just under 40 %; at a quarter a completed batch stays
-/// under 0.75× and an abandoned prefix adds at most 0.3×. The floor
-/// keeps views of a few dozen rows, where neither path costs anything
-/// measurable, on the incremental path.
+/// The re-evaluation guard's threshold: checking more than this many
+/// of a stratum's `live` head rows (or finding more than this many of
+/// an input relation's rows changed) abandons maintenance for a fresh
+/// fixpoint of the stratum. One internal constant, reported through
+/// [`UpdateStats::fallbacks`]; the floor keeps small views maintained.
 pub fn fallback_limit(live: usize) -> usize {
     live / 4 + 64
 }
@@ -158,18 +77,13 @@ impl MaintenancePlan {
     /// Plan maintenance of `strata`.
     pub fn new(strata: &[CompiledProgram]) -> MaintenancePlan {
         let rules = strata.iter().flat_map(CompiledProgram::rules);
-        let indexes = rules
-            .flat_map(|rule| {
-                let RulePaths {
-                    body,
-                    pos,
-                    neg,
-                    head,
-                } = &rule.paths;
-                rule.probed([body, head].into_iter().chain(pos).chain(neg))
-            })
-            .collect();
-        MaintenancePlan { indexes }
+        let indexes = rules.flat_map(|rule| {
+            let p = &rule.paths;
+            rule.probed([&p.body, &p.head].into_iter().chain(&p.pos).chain(&p.neg))
+        });
+        MaintenancePlan {
+            indexes: indexes.collect(),
+        }
     }
 
     /// The `(relation, column)` hash indexes the seeded paths probe.
@@ -186,45 +100,131 @@ impl MaintenancePlan {
     }
 }
 
-/// One stratum's rules.
-struct Stratum<'a> {
-    rules: &'a [CompiledRule],
+/// A row of one of the stratum's own (head) relations.
+type Row = (RelId, u32);
+
+/// What the support check knows of a row: flags in the top bits of its
+/// mark, and below them one more than the index of the first support
+/// waiting for the row to be proved (0: none).
+const CANDIDATE: u32 = 1 << 31;
+const CHECKED: u32 = 1 << 30;
+const PROVED: u32 = 1 << 29;
+const DELETED: u32 = 1 << 28;
+const WAITING: u32 = DELETED - 1;
+
+/// Per relation and row id, the row's mark.
+#[derive(Default)]
+struct Marks(Vec<Vec<u32>>);
+
+impl Marks {
+    fn get(&self, (r, id): Row) -> u32 {
+        let mark = self.0.get(r.0 as usize).and_then(|m| m.get(id as usize));
+        mark.copied().unwrap_or(0)
+    }
+
+    fn mark(&mut self, (r, id): Row) -> &mut u32 {
+        let (r, id) = (r.0 as usize, id as usize);
+        if self.0.len() <= r {
+            self.0.resize_with(r + 1, Vec::new);
+        }
+        let m = &mut self.0[r];
+        if m.len() <= id {
+            m.resize(id + 1, 0);
+        }
+        &mut m[id]
+    }
 }
 
-impl Stratum<'_> {
-    /// Enumerate, over `view`, every body valuation that places a
-    /// tuple of `pos` at a positive atom or a tuple of `neg` at a
-    /// negative atom, passing each derived head to `sink`. `sink`
-    /// returns `false` to stop the enumeration; so does this, when
-    /// stopped.
-    fn derive(
-        &self,
-        storage: &Storage,
-        view: View,
-        pos: &Ids,
-        neg: &Ids,
-        stats: &mut UpdateStats,
-        sink: &mut dyn FnMut(RelId, &[Sym]) -> bool,
-    ) -> bool {
-        let mut head = SymTuple::new();
+/// The stored row of the `atom` a valuation `b` instantiates, if any.
+fn row_of(storage: &Storage, atom: &CompiledAtom, b: &[Sym], key: &mut SymTuple) -> Option<Row> {
+    instantiate(atom, b, key);
+    let id = (storage.relation(atom.relation)).and_then(|rel| rel.lookup(key));
+    id.map(|id| (atom.relation, id))
+}
+
+/// A derivation of a checked row whose in-stratum rows `rows[start..end]`
+/// were not all proved: it waits on one at a time, linked through `next`.
+#[derive(Clone, Copy)]
+struct Support {
+    head: Row,
+    start: u32,
+    end: u32,
+    next: u32,
+}
+
+/// The support check of one stratum, over a store it does not mutate.
+struct SupportCheck<'a> {
+    rules: &'a [CompiledRule],
+    storage: &'a Storage,
+    /// Per rule, its join on the head-bound path.
+    back: Vec<Join<'a>>,
+    marks: Marks,
+    /// Rows checked, against the guard's `limit`.
+    checked: usize,
+    limit: usize,
+    /// Valuations enumerated by the candidates' joins.
+    derivations: usize,
+    supports: Vec<Support>,
+    rows: Vec<Row>,
+    key: SymTuple,
+}
+
+impl<'a> SupportCheck<'a> {
+    /// Decide every candidate: the rows to delete, in id order, and how
+    /// many candidates were kept — or `None` when the guard tripped.
+    fn run(&mut self, added: &Ids, removed: &Ids) -> Option<(Vec<Row>, usize)> {
+        let (mut round, mut deleted, mut kept) = (Vec::new(), Vec::new(), 0);
+        let mut within = self.candidates(removed, added, &mut round);
+        while within && !round.is_empty() {
+            let mut dying = Ids::new();
+            for &f in &round {
+                if self.marks.get(f) & CHECKED == 0 && !self.check(f) {
+                    return None;
+                }
+                if self.marks.get(f) & PROVED != 0 {
+                    kept += 1;
+                } else {
+                    *self.marks.mark(f) |= DELETED;
+                    deleted.push(f);
+                    dying.entry(f.0).or_default().push(f.1);
+                }
+            }
+            round.clear();
+            within = self.candidates(&dying, &Ids::new(), &mut round);
+        }
+        deleted.sort_unstable();
+        within.then_some((deleted, kept))
+    }
+
+    /// Append to `out`, once each, the heads of old-view derivations
+    /// through a row of `pos` at a positive atom or of `neg` at a negative
+    /// one; `false` once checking them would pass the guard's limit.
+    fn candidates(&mut self, pos: &Ids, neg: &Ids, out: &mut Vec<Row>) -> bool {
+        let (storage, marks, key) = (self.storage, &mut self.marks, &mut self.key);
+        let (room, mut unchecked) = (self.limit.saturating_sub(self.checked), 0);
         for rule in self.rules {
-            let paths = &rule.paths;
-            let mut emit = |b: &[Sym]| {
-                instantiate(&rule.head, b, &mut head);
-                sink(rule.head.relation, &head)
-            };
-            let seeds = (rule.pos.iter().zip(&paths.pos).map(|s| (s, pos)))
-                .chain(rule.neg.iter().zip(&paths.neg).map(|s| (s, neg)));
+            let seeds = (rule.pos.iter().zip(&rule.paths.pos).map(|s| (s, pos)))
+                .chain(rule.neg.iter().zip(&rule.paths.neg).map(|s| (s, neg)));
             for ((atom, path), delta) in seeds {
                 let (Some(ids), Some(rel)) =
                     (delta.get(&atom.relation), storage.relation(atom.relation))
                 else {
                     continue;
                 };
-                let mut join = Join::new(rule, path, storage, storage, view);
-                let go = ids.iter().all(|&id| join.seeded(rel.row(id), &mut emit));
-                stats.derivations += join.derivations;
-                if !go {
+                let mut join = Join::new(rule, path, storage, storage, View::Old);
+                let within = ids.iter().all(|&id| {
+                    join.seeded(rel.row(id), &mut |b| {
+                        let h = row_of(storage, &rule.head, b, key);
+                        if let Some(h) = h.filter(|&h| marks.get(h) & CANDIDATE == 0) {
+                            unchecked += usize::from(marks.get(h) & CHECKED == 0);
+                            *marks.mark(h) |= CANDIDATE;
+                            out.push(h);
+                        }
+                        unchecked <= room
+                    })
+                });
+                self.derivations += join.derivations;
+                if !within {
                     return false;
                 }
             }
@@ -232,37 +232,118 @@ impl Stratum<'_> {
         true
     }
 
-    /// Whether `row` (a tuple of relation `rel`) has at least one
-    /// derivation over the current store through the stratum's rules —
-    /// the head-bound backward check of the rederive pass (early exit
-    /// on the first derivation).
-    fn derivable(
-        &self,
-        storage: &Storage,
-        rel: RelId,
-        row: &[Sym],
-        stats: &mut UpdateStats,
-    ) -> bool {
-        self.rules.iter().any(|rule| {
-            if rule.head.relation != rel {
+    /// Check `f` and the rows its supports lead to, depth first on a stack
+    /// of `(row, rows still to try)`; `false` when the guard tripped.
+    fn check(&mut self, f: Row) -> bool {
+        let mut stack: Vec<_> = self.open(f).into_iter().collect();
+        while let Some((row, next, end)) = stack.last_mut() {
+            if self.checked > self.limit {
                 return false;
             }
-            let mut join = Join::new(rule, &rule.paths.head, storage, storage, View::New);
-            let underivable = join.seeded(row, &mut |_| false);
-            stats.derivations += join.derivations;
-            !underivable
-        })
+            match self.rows[*next..*end].first() {
+                Some(&g) if self.marks.get(*row) & PROVED == 0 => {
+                    *next += 1;
+                    if self.marks.get(g) & CHECKED == 0 {
+                        stack.extend(self.open(g));
+                    }
+                }
+                _ => drop(stack.pop()),
+            }
+        }
+        self.checked <= self.limit
     }
 
-    fn heads(&self) -> BTreeSet<RelId> {
-        self.rules.iter().map(|r| r.head.relation).collect()
+    /// Mark `row` checked and gather its supports (derivations over the
+    /// new view through rows not deleted): `None` when one rests on proved
+    /// rows only, else a frame that tries them shallowest first.
+    fn open(&mut self, row: Row) -> Option<(Row, usize, usize)> {
+        *self.marks.mark(row) |= CHECKED;
+        self.checked += 1;
+        let (storage, marks, key) = (self.storage, &self.marks, &mut self.key);
+        let tuple = storage.relation(row.0).expect("a checked row is stored");
+        let tuple = tuple.row(row.1);
+        let (mut found, mut bounds, mut proved) = (Vec::new(), Vec::new(), false);
+        for (rule, join) in self.rules.iter().zip(&mut self.back) {
+            if rule.head.relation != row.0 {
+                continue;
+            }
+            join.seeded(tuple, &mut |b| {
+                let start = found.len();
+                let own = (rule.pos.iter().zip(&rule.recursive_pos)).filter(|a| *a.1);
+                found.extend(own.map(|(a, _)| row_of(storage, a, b, key).expect("joined")));
+                let rows = &found[start..];
+                if rows.iter().any(|&g| marks.get(g) & DELETED != 0) {
+                    found.truncate(start);
+                    return true;
+                }
+                proved = rows.iter().all(|&g| marks.get(g) & PROVED != 0);
+                let depth = rows.iter().map(|g| g.1).max();
+                bounds.push((depth, start, found.len()));
+                !proved
+            });
+            if proved {
+                self.prove(row);
+                return None;
+            }
+        }
+        bounds.sort_by_key(|b| b.0);
+        let first = self.rows.len();
+        for (_, from, to) in bounds {
+            let start = self.rows.len() as u32;
+            self.rows.extend_from_slice(&found[from..to]);
+            let end = self.rows.len() as u32;
+            let (head, next) = (row, 0);
+            self.supports.push(Support {
+                head,
+                start,
+                end,
+                next,
+            });
+            assert!(self.supports.len() < WAITING as usize, "too many supports");
+            self.wait(self.supports.len() as u32);
+        }
+        Some((row, first, self.rows.len()))
+    }
+
+    /// Prove `row`, then saturate: a support whose rows are all proved
+    /// proves its head, if that is checked and not proved nor deleted.
+    fn prove(&mut self, row: Row) {
+        *self.marks.mark(row) |= PROVED;
+        let mut queue = vec![row];
+        while let Some(proved) = queue.pop() {
+            let mark = self.marks.mark(proved);
+            let mut s = *mark & WAITING;
+            *mark &= !WAITING;
+            while s != 0 {
+                let Support { head, next, .. } = self.supports[s as usize - 1];
+                let waiting = self.marks.get(head) & (CHECKED | PROVED | DELETED) == CHECKED;
+                if waiting && !self.wait(s) {
+                    *self.marks.mark(head) |= PROVED;
+                    queue.push(head);
+                }
+                s = next;
+            }
+        }
+    }
+
+    /// Put support `s` (one more than its index) on the waiting list of
+    /// its first row not proved yet; `false` when all of them are.
+    fn wait(&mut self, s: u32) -> bool {
+        let Support { start, end, .. } = self.supports[s as usize - 1];
+        let rows = &self.rows[start as usize..end as usize];
+        let Some(&g) = rows.iter().find(|&&g| self.marks.get(g) & PROVED == 0) else {
+            return false;
+        };
+        let mark = self.marks.mark(g);
+        self.supports[s as usize - 1].next = *mark & WAITING;
+        *mark = *mark & !WAITING | s;
+        true
     }
 }
 
-/// Maintain one stratum given the net changes below it (EDB and lower
-/// strata), extending `added`/`removed` with the stratum's own net
-/// changes. Returns `false` — with nothing in the stratum mutated —
-/// when the re-evaluation guard tripped during overdeletion.
+/// Maintain one stratum given the net changes below it, extending
+/// `added`/`removed` with its own. `false` — with nothing in the stratum
+/// mutated — when the re-evaluation guard tripped.
 fn maintain_stratum(
     cp: &CompiledProgram,
     db: &mut Storage,
@@ -270,17 +351,12 @@ fn maintain_stratum(
     removed: &mut Ids,
     stats: &mut UpdateStats,
 ) -> bool {
-    let st = Stratum { rules: cp.rules() };
-    let heads = st.heads();
-    let none = Ids::new();
+    let rules = cp.rules();
+    let heads: BTreeSet<RelId> = rules.iter().map(|r| r.head.relation).collect();
     let storage = &*db;
 
-    // The guard, ahead of the work: a batch that has already rewritten
-    // more than the guard's share of a relation the stratum reads
-    // (rows gone from under a positive atom, rows new under a negative
-    // one — the seeds of overdeletion, against the relation's old size)
-    // is headed for the fallback; do not overdelete a quarter of the
-    // view first only to abandon it.
+    // The guard, ahead of the work: a batch that rewrote more than its
+    // share of a relation the stratum reads falls back at once.
     let churned = |atoms: &[CompiledAtom], delta: &Ids| {
         atoms.iter().any(|a| {
             let old_len = storage
@@ -291,107 +367,45 @@ fn maintain_stratum(
                 .is_some_and(|ids| ids.len() > fallback_limit(old_len))
         })
     };
-    if (st.rules.iter()).any(|r| churned(&r.pos, removed) || churned(&r.neg, added)) {
+    if (rules.iter()).any(|r| churned(&r.pos, removed) || churned(&r.neg, added)) {
         return false;
     }
 
-    // --- Phase 1: overdelete over the old view. ---
-    // Seeds: old-view derivations touching a removed tuple at a
-    // positive atom, or a newly added tuple at a negative atom. Then
-    // propagate within the stratum (in-stratum recursion is purely
-    // positive) until no new head is scheduled — or the guard trips.
-    let live: usize = heads
-        .iter()
-        .filter_map(|&r| storage.relation(r))
-        .map(Relation::len)
-        .sum();
-    let limit = fallback_limit(live);
-    let mut doomed: HashSet<(RelId, u32)> = HashSet::new();
-    let mut frontier = Ids::new();
-    let mut schedule = |rel: RelId, head: &[Sym], frontier: &mut Ids| {
-        let id = storage
-            .relation(rel)
-            .and_then(|r| r.lookup(head).filter(|&id| r.is_live(id)));
-        if let Some(id) = id {
-            if doomed.insert((rel, id)) {
-                frontier.entry(rel).or_default().push(id);
-            }
-        }
-        doomed.len() <= limit
+    let live = heads.iter().filter_map(|&r| storage.relation(r));
+    let mut check = SupportCheck {
+        rules,
+        storage,
+        back: (rules.iter())
+            .map(|r| Join::new(r, &r.paths.head, storage, storage, View::New))
+            .collect(),
+        marks: Marks::default(),
+        checked: 0,
+        limit: fallback_limit(live.map(Relation::len).sum()),
+        derivations: 0,
+        supports: Vec::new(),
+        rows: Vec::new(),
+        key: SymTuple::new(),
     };
-    let mut within = st.derive(storage, View::Old, removed, added, stats, &mut |r, h| {
-        schedule(r, h, &mut frontier)
-    });
-    while within && !frontier.is_empty() {
-        let delta = std::mem::take(&mut frontier);
-        within = st.derive(storage, View::Old, &delta, &none, stats, &mut |r, h| {
-            schedule(r, h, &mut frontier)
-        });
-    }
-    stats.retractions += doomed.len();
-    if !within {
+    let decided = check.run(added, removed);
+    let joins = check.back.iter().map(|j| j.derivations);
+    stats.derivations += check.derivations + joins.sum::<usize>();
+    let Some((deleted, kept)) = decided else {
         return false;
-    }
-    // Apply the overdeletion: tombstone every scheduled row (in id
-    // order, so that a run does not depend on the set's hash order).
-    let mut dead: Vec<(RelId, u32)> = doomed.iter().copied().collect();
-    dead.sort_unstable();
-    for &(r, id) in &dead {
+    };
+    stats.retractions += deleted.len();
+    stats.rederivations += kept;
+    for &(r, id) in &deleted {
         db.retract_id(r, id);
     }
 
-    // --- Phase 2: rederive (semi-naive). ---
-    // A tuple stays deleted only if no rule derives it from the
-    // surviving facts. One head-bound backward check per overdeleted
-    // row seeds the revivals; after that the view only grows by
-    // revived tuples, so any further revival must consume a revived
-    // tuple at some positive atom — propagate forward with delta joins
-    // into the still-deleted set (`doomed`, from here on) instead of
-    // rechecking the whole overdeletion every round.
-    let storage = &*db;
-    let mut revive: Vec<(RelId, u32)> = dead
-        .into_iter()
-        .filter(|&(r, id)| {
-            let row = storage.relation(r).expect("overdeleted relation").row(id);
-            st.derivable(storage, r, row, stats)
-        })
-        .collect();
-    for key in &revive {
-        doomed.remove(key);
-    }
-    while !revive.is_empty() {
-        let mut delta = Ids::new();
-        for (r, id) in revive.drain(..) {
-            db.revive(r, id);
-            stats.rederivations += 1;
-            delta.entry(r).or_default().push(id);
-        }
-        let storage = &*db;
-        st.derive(storage, View::New, &delta, &none, stats, &mut |r, h| {
-            if let Some(id) = storage.relation(r).and_then(|rel| rel.lookup(h)) {
-                // Two rules can derive the same head in one round.
-                if doomed.remove(&(r, id)) {
-                    revive.push((r, id));
-                }
-            }
-            true
-        });
-    }
-
-    // --- Phase 3: insert propagation over the new view. ---
-    // The fixpoint's own delta rounds, seeded by derivations touching
-    // an added tuple at a positive atom or a removed tuple at a negative
-    // atom: the insert is the dedup, revives an overdeleted row in
-    // place, and a round that inserts nothing ends the propagation.
+    // Insert propagation: the fixpoint's delta rounds (dedup, revival).
     let m = fixpoint(cp, db, None, Some((added, removed)), &Obs::noop());
     stats.insertions += m.new_facts;
     stats.derivations += m.derivations;
 
-    // The stratum's net changes, for the strata above: what is still
-    // tombstoned (an insertion may have revived an overdeleted row),
-    // and what was appended past the watermark.
+    // Net changes for the strata above: still dead, or appended.
     let storage = &*db;
-    for (r, id) in doomed {
+    for (r, id) in deleted {
         if !storage.relation(r).is_some_and(|rel| rel.is_live(id)) {
             removed.entry(r).or_default().push(id);
         }
@@ -408,10 +422,8 @@ fn maintain_stratum(
     true
 }
 
-/// The guard's fallback: re-evaluate `strata` (a suffix of the
-/// program, whose lowest stratum has not been mutated in this batch)
-/// over the already-maintained strata below. Returns the derivations
-/// the fixpoints enumerated.
+/// The guard's fallback: re-evaluate `strata`, a suffix of the program,
+/// over the maintained strata below; returns the derivations enumerated.
 fn reevaluate(strata: &[CompiledProgram], db: &mut Storage, obs: &Obs) -> usize {
     // The fixpoint's scan path iterates the raw insertion log, so the
     // tombstones of the EDB and the maintained strata go first.
@@ -453,13 +465,8 @@ pub(crate) fn rows_of_update(
 /// Apply a signed change in rows, deletions first, to `db`: the
 /// compacted fixpoint of `strata` over its EDB, carrying the indexes of
 /// their [`MaintenancePlan`]; the change touches EDB relations only (the
-/// wrappers in [`crate::query`] see to all of it). A change that only
-/// inserts, into relations no stratum reads under negation, overdeletes
-/// nothing: it is the fixpoint's delta rounds, stratum by stratum.
-///
-/// Reports `eval.retractions`, `eval.rederivations` and
-/// `eval.maintenance_fallback` counters (plus insertion and work
-/// counters) to `obs`.
+/// wrappers in [`crate::query`] see to it). Reports the counters of
+/// [`UpdateStats`] (`eval.retractions`, …) to `obs`.
 pub(crate) fn apply_update_rows(
     strata: &[CompiledProgram],
     db: &mut Storage,
@@ -471,9 +478,8 @@ pub(crate) fn apply_update_rows(
         "incremental maintenance requires a compacted database"
     );
     let mut stats = UpdateStats::default();
-    // One watermark move up front: the storage-level signed deltas
-    // (`added_ids`/`removed_ids`) then capture exactly this batch's
-    // net change, and "below the watermark" is the old view.
+    // One watermark move: the signed deltas (`added_ids`/`removed_ids`)
+    // are this batch's net change, and "below the watermark" is the old view.
     db.mark_deltas();
     for (r, rows) in change.delete.runs() {
         stats.edb_deleted += rows.filter(|row| db.retract(r, row)).count();
@@ -482,19 +488,14 @@ pub(crate) fn apply_update_rows(
         stats.edb_inserted += db.insert_batch(r, rows).0;
     }
 
-    let mut added = Ids::new();
-    let mut removed = Ids::new();
-    for r in db.rel_ids() {
-        let Some(rel) = db.relation(r) else {
-            continue;
-        };
+    let (mut added, mut removed) = (Ids::new(), Ids::new());
+    for (r, rel) in db.rel_ids().filter_map(|r| Some((r, db.relation(r)?))) {
         let (a, rm): (Vec<u32>, Vec<u32>) =
             (rel.added_ids().collect(), rel.removed_ids().collect());
-        if !a.is_empty() {
-            added.insert(r, a);
-        }
-        if !rm.is_empty() {
-            removed.insert(r, rm);
+        for (ids, set) in [(a, &mut added), (rm, &mut removed)] {
+            if !ids.is_empty() {
+                set.insert(r, ids);
+            }
         }
     }
 
@@ -507,9 +508,8 @@ pub(crate) fn apply_update_rows(
         }
     }
 
-    // Tombstones served their purpose (old-view reconstruction and
-    // in-place revival); the fixpoint engines require a compacted
-    // store, so physically drop them at the batch boundary.
+    // The fixpoint engines require a compacted store: tombstones go at
+    // the batch boundary.
     db.compact_retractions();
     if obs.enabled() {
         obs.counter("eval", "retractions", stats.retractions as u64);
@@ -618,7 +618,7 @@ mod tests {
     #[test]
     fn tc_rederivation_keeps_alternate_paths() {
         // Two parallel routes 1→2→4 and 1→3→4: deleting one leaves
-        // T(1,4) derivable through the other (rederive must fire).
+        // T(1,4) derivable through the other (the check must keep it).
         let initial = Instance::from_facts([
             fact("E", [1, 2]),
             fact("E", [2, 4]),
@@ -723,11 +723,11 @@ mod tests {
 
     #[test]
     fn insert_propagation_counts_a_head_once_and_revives_in_place() {
-        // Deleting E(1,2) overdeletes T(1,2) and T(1,3) with nothing to
-        // rederive them; the inserted detours 1→4→2 and 1→5→2 derive
-        // T(1,2) twice in one round of insert propagation. The insert
-        // drops the second derivation and revives the overdeleted row
-        // under its old id; T(1,3) follows one round later.
+        // Deleting E(1,2) deletes T(1,2) and T(1,3), which have no other
+        // support; the inserted detours 1→4→2 and 1→5→2 derive T(1,2)
+        // twice in one round of insert propagation. The insert drops the
+        // second derivation and revives the deleted row under its old
+        // id; T(1,3) follows one round later.
         let initial = Instance::from_facts([fact("E", [1, 2]), fact("E", [2, 3])]);
         let m = Maintained::new(TC);
         let mut db = m.materialize(&initial);
@@ -777,44 +777,120 @@ mod tests {
         (graph, chords)
     }
 
-    #[test]
-    fn guard_reevaluates_a_dense_view_and_the_strata_above_it() {
-        let n = 40;
-        let (mut initial, chords) = ring_with_chords(n);
+    /// `ring_with_chords(n)` with `V` over the ring and two vertices off
+    /// it, so that `G` and `H` of [`TGH`] are not empty.
+    fn ring_with_chords_and_vertices(n: i64) -> (Instance, Vec<calm_common::fact::Fact>) {
+        let (mut graph, chords) = ring_with_chords(n);
         for v in 0..n + 2 {
-            initial.insert(fact("V", [v])); // two vertices off the ring: G, H nonempty
+            graph.insert(fact("V", [v]));
         }
+        (graph, chords)
+    }
+
+    #[test]
+    fn a_chord_deleted_from_a_dense_view_is_checked_not_rebuilt() {
+        // Every T tuple has a derivation through the chord, and every
+        // one keeps a derivation without it: the check finds a support
+        // for each candidate, deletes nothing and re-evaluates nothing.
+        let n = 40;
+        let (initial, chords) = ring_with_chords_and_vertices(n);
         let m = Maintained::new(TGH);
         let mut db = m.materialize(&initial);
-        // Every T tuple has a derivation through the chord: overdeletion
-        // would schedule all 1600 of them, the guard stops it near 464.
-        let stats = m.apply(&mut db, &UpdateBatch::deleting([chords[0].clone()]));
-        // T tripped; everything above it (G, H) is re-evaluated too.
+        let batch = UpdateBatch::deleting([chords[0].clone()]);
+        let stats = m.apply(&mut db, &batch);
+        assert_eq!(stats.fallbacks, 0);
+        assert_eq!((stats.retractions, stats.rederivations), (0, 40));
+        let mut edb = initial;
+        batch.apply_to_instance(&mut edb);
+        assert!(db.same_facts(&m.materialize(&edb)));
+    }
+
+    #[test]
+    fn guard_reevaluates_a_dense_view_and_the_strata_above_it() {
+        // Half the ring and every chord deleted: T loses far more than a
+        // quarter of its rows, the check passes the guard's limit, and T
+        // is re-evaluated — and G and H above it with it.
+        let n = 40;
+        let (initial, chords) = ring_with_chords_and_vertices(n);
+        let half_ring = (0..n).step_by(2).map(|i| fact("E", [i, (i + 1) % n]));
+        let gutted = UpdateBatch::deleting(half_ring.chain(chords.iter().cloned()));
+        let m = Maintained::new(TGH);
+        let mut db = m.materialize(&initial);
+        let stats = m.apply(&mut db, &gutted);
         assert!(m.strata.len() >= 2);
         assert_eq!(stats.fallbacks, m.strata.len());
+        assert_eq!((stats.retractions, stats.rederivations), (0, 0));
         let live = (n * n) as usize;
-        assert_eq!(stats.retractions, fallback_limit(live) + 1);
-        assert_eq!(stats.rederivations, 0);
         assert!(stats.derivations > live, "fallback fixpoints are counted");
-        // Differential, through the guard and back: a tripping batch, a
-        // batch that changes G and H *above* the tripped stratum, the
-        // chords back in (pure insertion, no fallback), then a small
-        // batch on the re-evaluated store (indexes, watermarks and
-        // compaction state must all still be valid).
+        // Differential, through the guard and back: the tripping batch,
+        // everything back in, a chord batch that is maintained, a batch
+        // that changes G and H above T, then small batches on the
+        // re-evaluated store (indexes, watermarks and compaction state
+        // must all still be valid).
         let cut = UpdateBatch::deleting([fact("E", [0, 1]), chords[1].clone()]);
         let total = check_differential(
             TGH,
-            initial,
+            initial.clone(),
             &[
+                gutted.clone(),
+                UpdateBatch::inserting(gutted.delete.iter().cloned()),
                 UpdateBatch::deleting(chords[..3].iter().cloned()),
                 cut,
-                UpdateBatch::inserting(chords[..3].iter().cloned()),
                 UpdateBatch::deleting([fact("V", [n + 1])]),
                 UpdateBatch::inserting([fact("E", [n, 0])]),
             ],
         );
-        assert!(total.fallbacks >= 2);
-        assert!(total.insertions > 0 && total.retractions > 0);
+        assert!(total.fallbacks >= m.strata.len());
+        assert!(total.insertions > 0 && total.retractions > 0 && total.rederivations > 0);
+    }
+
+    #[test]
+    fn the_maintain_delete_batch_deletes_only_the_leaf_rows() {
+        // The maintain-delete benchmark's shape: a strongly connected
+        // core of 160 vertices (ring and chords) with 8 leaves hanging
+        // off it; three chords and one leaf edge go. The chords cost T
+        // nothing; the leaf takes its 160 incoming pairs with it.
+        let (mut initial, chords) = ring_with_chords(160);
+        let leaves: Vec<_> = (0..8).map(|j| fact("E", [20 * j, 160 + j])).collect();
+        for leaf in &leaves {
+            initial.insert(leaf.clone());
+        }
+        let batch = UpdateBatch::deleting(chords[..3].iter().chain(&leaves[..1]).cloned());
+        let m = Maintained::new(TC);
+        let mut db = m.materialize(&initial);
+        let stats = m.apply(&mut db, &batch);
+        assert_eq!((stats.fallbacks, stats.retractions), (0, 160));
+        let mut edb = initial;
+        batch.apply_to_instance(&mut edb);
+        assert_eq!(db.to_instance(), m.materialize(&edb).to_instance());
+    }
+
+    #[test]
+    fn a_support_as_long_as_the_graph_is_checked_without_recursion() {
+        // Reachability from 0 on a ring of 100 000 vertices with chords
+        // 0 → 20 000 k. Without the chord into 60 000, the shallowest
+        // support of R(60 000) is the ring back to 40 000: a chain of
+        // 20 000 rows checked one below the other. Then a ring edge goes,
+        // and the 9 999 rows up to the next chord with it.
+        let src = "R(x) :- S(x).\nR(y) :- R(x), E(x,y).";
+        let n = 100_000;
+        let ring = (0..n).map(|i| fact("E", [i, (i + 1) % n]));
+        let chords = (1..5).map(|k| fact("E", [0, 20_000 * k]));
+        let initial = Instance::from_facts(ring.chain(chords).chain([fact("S", [0])]));
+        let batches = [
+            UpdateBatch::deleting([fact("E", [0, 60_000])]),
+            UpdateBatch::deleting([fact("E", [70_000, 70_001])]),
+        ];
+        let m = Maintained::new(src);
+        let (mut db, mut edb) = (m.materialize(&initial), initial);
+        let mut decided = Vec::new();
+        for batch in &batches {
+            let s = m.apply(&mut db, batch);
+            decided.push((s.fallbacks, s.retractions, s.rederivations));
+            batch.apply_to_instance(&mut edb);
+            assert!(db.same_facts(&m.materialize(&edb)), "{decided:?}");
+        }
+        assert_eq!(decided, [(0, 0, 1), (0, 9_999, 1)]);
     }
 
     #[test]

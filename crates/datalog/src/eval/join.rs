@@ -9,9 +9,9 @@
 //! a hash-index probe (some column bound) or a scan, and at the body's
 //! end inequalities and negative atoms are checked before the binding
 //! goes to the caller's sink. The semi-naive fixpoint, naive
-//! evaluation, one-shot derivation, ILOG valuation queries and the three
-//! DRed phases are all callers; they differ in the path, the view, where
-//! the seeding rows come from and what the sink does with a binding.
+//! evaluation, one-shot derivation, ILOG valuation queries and the steps
+//! of incremental maintenance are all callers; they differ in the path,
+//! the view, where the seeding rows come from and what the sink does.
 
 use super::compile::{Access, AccessPath, ColOp, CompiledAtom, CompiledRule, Slot};
 use calm_common::storage::{EvalMetrics, Relation, Storage, Sym, SymTuple};

@@ -13,7 +13,7 @@
 //! * [`stratified`] — the stratified semantics driver and its two
 //!   doors, [`eval_database`] over rows and [`eval_program`] over an
 //!   [`calm_common::instance::Instance`];
-//! * [`incremental`] — DRed maintenance of a materialized stratified
+//! * [`incremental`] — maintenance of a materialized stratified
 //!   database under signed update batches.
 
 pub mod compile;

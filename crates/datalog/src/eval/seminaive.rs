@@ -437,8 +437,8 @@ fn run_round(
 /// alternating fixpoint ([`crate::wellfounded`]). With `seeds = (pos,
 /// neg)`, `db` is the fixpoint but for the rows of `pos` (entered) and
 /// `neg` (entered or left a relation read under negation), and round 0
-/// seeds every atom from them instead of walking the body paths: DRed's
-/// insert phase, of which a session's insert-only step is the whole
+/// seeds every atom from them instead of walking the body paths:
+/// maintenance's insert step, of which a session's insert-only step is the whole
 /// ([`crate::eval::incremental`]). Spans and counters go to `obs`.
 pub(crate) fn fixpoint(
     cp: &CompiledProgram,

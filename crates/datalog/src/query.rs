@@ -138,7 +138,7 @@ impl DatalogQuery {
 }
 
 /// A maintained evaluation of one [`DatalogQuery`] over a mutating
-/// input: the materialized database is updated in place by DRed
+/// input: the materialized database is updated in place by incremental
 /// maintenance ([`crate::eval::incremental`]) as signed batches
 /// arrive, and [`output`](IncrementalEvaluation::output) is always
 /// byte-identical to `query.eval(current_edb)`.
@@ -269,7 +269,7 @@ impl RowSession {
                 continue;
             };
             // Past the watermark the call set on entry; a row it
-            // retracted and rederived keeps its id and is not among them.
+            // deleted and inserted again keeps its id and is not among them.
             let start = if added_only { rows.delta_start() } else { 0 };
             let ids = start as u32..rows.rows().end;
             for id in ids.filter(|&id| rows.is_live(id) && rows.row(id).len() == arity) {
@@ -414,8 +414,9 @@ mod tests {
     fn a_session_is_the_answer_of_every_prefix_under_random_signed_batches() {
         // Three programs: positive recursion, negation over the input,
         // three strata (a closure, negation over it, negation over that).
-        // Each run opens on a ring whose edge deletion trips the guard,
-        // then takes random signed batches over a small domain.
+        // Each run opens on a ring, cuts it in two — a batch that deletes
+        // most of the closure and trips the guard — then takes random
+        // signed batches over a small domain.
         let programs = [
             ("tc", include_str!("../../../examples/data/tc.dl")),
             ("indirect", INDIRECT),
@@ -434,7 +435,7 @@ mod tests {
                 .collect();
             let mut batches = vec![
                 UpdateBatch::inserting(ring.clone()),
-                UpdateBatch::deleting([ring[3].clone()]),
+                UpdateBatch::deleting([ring[3].clone(), ring[9].clone()]),
             ];
             let random_fact = |rng: &mut calm_common::rng::Rng| match rng.gen_range(0..4u32) {
                 0 => fact("V", [rng.gen_range(0..6i64)]),

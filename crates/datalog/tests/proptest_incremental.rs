@@ -174,16 +174,17 @@ fn incremental_matches_from_scratch_on_random_programs() {
     );
 }
 
-/// Dense recursive views, where DRed overdeletes (almost) everything
-/// and the re-evaluation guard takes over: a ring plus random chords —
-/// strongly connected, so every closure tuple has a derivation through
-/// every chord. Batches delete chords, cut the ring, change the `V`
-/// guard relation of the strata above, and insert everything back, so
-/// each case runs the guard path, a negation stratum *above* a
-/// re-evaluated stratum, and ordinary batches *after* a fallback
-/// (planned indexes, watermarks and compaction state must survive
-/// it) — against from-scratch after every batch, at eval-threads 1
-/// and 4 (the fallback fixpoints run at the session's thread count).
+/// Dense recursive views, where a deletion makes (almost) every row a
+/// candidate and the re-evaluation guard can take over: a ring plus
+/// random chords — strongly connected, so every closure tuple has a
+/// derivation through every chord. Batches delete chords, cut the ring,
+/// change the `V` guard relation of the strata above, and insert
+/// everything back, so each case runs the guard path, a negation
+/// stratum *above* a re-evaluated stratum, and ordinary batches *after*
+/// a fallback (planned indexes, watermarks and compaction state must
+/// survive it) — against from-scratch after every batch, at
+/// eval-threads 1 and 4 (the fallback fixpoints run at the session's
+/// thread count).
 #[test]
 fn dense_recursive_views_match_from_scratch_through_the_guard() {
     const TC: &str = "@output T.\nT(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).";
