@@ -4,7 +4,7 @@
 use crate::report::{markdown_table, Report};
 use calm_common::value::v;
 use calm_common::{fact, Instance, Schema};
-use calm_transducer::system_facts::system_facts;
+use calm_spec::system_facts;
 use calm_transducer::{
     distribute, DistributionPolicy, Network, ParityDomainGuidedPolicy, ParityFirstAttributePolicy,
     SystemConfig,

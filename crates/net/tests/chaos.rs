@@ -25,6 +25,7 @@ use calm_net::{
 };
 use calm_queries::qtc::qtc_datalog;
 use calm_queries::tc::{edges_without_source_loop, tc_datalog};
+use calm_spec::final_config;
 use calm_transducer::{
     expected_output, run, DisjointStrategy, DistinctStrategy, DistributionPolicy,
     DomainGuidedPolicy, HashPolicy, MonotoneBroadcast, Network, Scheduler, SystemConfig,
@@ -142,7 +143,7 @@ fn assert_chaos_confluent(
             // `s_R`, `sf_R`, `sb_R`, … are memory).
             assert_eq!(
                 thr.states.materialize(),
-                seq.config().state,
+                final_config(&seq).state,
                 "{tag}: a node's final state differs from the sequential oracle"
             );
             check_chaos_accounting(&thr, &tag);
@@ -282,7 +283,7 @@ fn chaos_with_data_parallel_node_fixpoints_matches_the_oracle() {
             // Per node, as in `assert_chaos_confluent`.
             assert_eq!(
                 thr.states.materialize(),
-                seq.config().state,
+                final_config(&seq).state,
                 "{tag}: a node's final state differs from the sequential oracle"
             );
             check_chaos_accounting(&thr, &tag);
@@ -334,7 +335,7 @@ fn a_crashed_node_steps_on_from_its_snapshot_alone() {
             assert!(thr.quiescent, "{tag}");
             assert!(thr.faults.crashes >= 2, "{tag}: the crash points fired");
             let states = thr.states.materialize();
-            assert_eq!(states, seq.config().state, "{tag}: per-node states");
+            assert_eq!(states, final_config(&seq).state, "{tag}: per-node states");
             assert!(
                 thr.metrics.messages_sent >= seq.metrics.messages_sent,
                 "{tag}: a rolled-back node sends again what its snapshot had not marked"

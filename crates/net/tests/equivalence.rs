@@ -20,8 +20,9 @@ use calm_common::Instance;
 use calm_net::{run_threaded, Programs, ThreadedConfig, ThreadedNetwork, ThreadedRunResult};
 use calm_queries::qtc::qtc_datalog;
 use calm_queries::tc::{edges_without_source_loop, tc_datalog};
+use calm_spec::network_output;
 use calm_transducer::{
-    expected_output, network_output, run, DisjointStrategy, DistinctStrategy, DistributionPolicy,
+    expected_output, run, DisjointStrategy, DistinctStrategy, DistributionPolicy,
     DomainGuidedPolicy, HashPolicy, MonotoneBroadcast, Network, Scheduler, SystemConfig,
     Transducer, TransducerNetwork,
 };
@@ -270,7 +271,7 @@ fn a_program_that_never_stops_sending_runs_out_its_budget() {
     let program =
         calm_datalog::parse_program("@output T.\nT(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).")
             .unwrap();
-    let t = calm_transducer::compile_monotone_program("net-tc", &program).unwrap();
+    let t = calm_spec::compile_monotone_program("net-tc", &program).unwrap();
     let policy = HashPolicy::new(Network::of_size(2));
     let input = calm_common::generator::path(3);
     let tn = TransducerNetwork {

@@ -23,6 +23,7 @@ use calm_net::{
     run_net_worker, run_process, Assign, ProcessConfig, ProcessRunResult, SpawnHandle, WorkerSetup,
 };
 use calm_obs::Obs;
+use calm_spec::final_config;
 use calm_transducer::{run, Scheduler, TransducerNetwork};
 use common::{family, project_output, random_edges, seed_base, spec_for};
 
@@ -140,7 +141,7 @@ fn assert_recovery_confluent(
             // marks (`s_R`, `sf_R`, `sb_R`, …) included.
             assert_eq!(
                 r.states.materialize(),
-                seq.config().state,
+                final_config(&seq).state,
                 "{tag}: a node's final state differs from the sequential oracle"
             );
 
@@ -320,7 +321,7 @@ fn budget_exhaustion_adopts_the_shard_and_still_converges() {
     );
     assert_eq!(
         r.states.materialize(),
-        seq.config().state,
+        final_config(&seq).state,
         "every node — adopted ones rebuilt from their snapshot state — ends where the oracle's does"
     );
 }

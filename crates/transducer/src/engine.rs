@@ -537,7 +537,7 @@ impl<'a> NodeEngine<'a> {
     /// `N ∪ adom(H(x) ∪ s(x))` first) and `S` by what the new values
     /// add: `MyAdom(v)` and the `policy_R` tuples over `A` that contain
     /// one — `|A'|^k − |A|^k` policy questions, where
-    /// [`crate::system_facts::system_facts`] asks `|A'|^k`. The new
+    /// `S` from scratch (`calm-spec`'s `system_facts`) asks `|A'|^k`. The new
     /// system rows go into `D` above its delta watermark. Returns the
     /// new values that `H(x) ∪ s(x)` does not hold (they came with a
     /// message). A model without policy relations has no use for `A`:
@@ -765,11 +765,8 @@ mod tests {
     use crate::policy::{distribute, DomainGuidedPolicy, HashPolicy, ReplicatedDomainPolicy};
     use crate::rows::input_batches;
     use crate::runtime::Metrics;
-    use crate::schema::TransducerSchema;
     use crate::strategy::MonotoneBroadcast;
-    use crate::transducer::DatalogTransducer;
     use calm_common::fact::fact;
-    use calm_common::schema::Schema;
     use calm_common::storage::SharedSymbols;
     use calm_queries::tc::tc_datalog;
     use std::collections::BTreeSet;
@@ -959,50 +956,6 @@ mod tests {
         let again = beat(&mut engine, &mut metrics);
         assert!(!again.state_changed && again.sent.is_empty());
         assert_eq!(engine.into_parts().0, state);
-    }
-
-    #[test]
-    fn deletions_and_unstored_message_values_cool_the_engine() {
-        let schema = || {
-            TransducerSchema::new(
-                Schema::from_pairs([("E", 2)]),
-                Schema::from_pairs([("out_seen", 1)]),
-                Schema::from_pairs([("msg_v", 1)]),
-                Schema::from_pairs([("flag", 2)]),
-            )
-        };
-        let net = Network::of_size(1);
-        let policy = HashPolicy::new(net.clone());
-        let input = Instance::from_facts([fact("E", [1, 2])]);
-        let x = net.first().clone();
-        let sys = SystemConfig::POLICY_AWARE;
-        let mut metrics = Metrics::default();
-
-        // A toggle deletes every other transition.
-        let toggle = DatalogTransducer::parse(
-            "toggle",
-            schema(),
-            "flag(x,y) :- E(x,y), not flag(x,y).\n\
-             del_flag(x,y) :- E(x,y), flag(x,y).",
-        )
-        .unwrap();
-        let mut engine = new_node(&toggle, &policy, sys, x.clone(), &input);
-        beat(&mut engine, &mut metrics);
-        assert!(!engine.is_cold(), "an insertion keeps the engine warm");
-        let off = beat(&mut engine, &mut metrics);
-        assert!(off.state_changed && engine.is_cold() && engine.state().is_empty());
-
-        // A program that stores nothing of a delivered value: A shrinks
-        // back when the message leaves.
-        let forgetful =
-            DatalogTransducer::parse("forgetful", schema(), "out_seen(x) :- E(x,y).").unwrap();
-        let mut engine = new_node(&forgetful, &policy, sys, x.clone(), &input);
-        beat(&mut engine, &mut metrics);
-        assert!(!engine.is_cold());
-        hand(&mut engine, &[fact("msg_v", [1])], &mut metrics);
-        assert!(!engine.is_cold(), "1 is a value of H(x)");
-        hand(&mut engine, &[fact("msg_v", [9])], &mut metrics);
-        assert!(engine.is_cold(), "9 was seen in the message only");
     }
 
     #[test]
@@ -1197,50 +1150,5 @@ mod tests {
         node.enqueue(&send(&node, &[fact("m_E", [7, 8])]), None, &mut m, &obs);
         assert_eq!((hw(&m), node.buffered()), (Some(6), 1));
         assert_eq!(m.max_queue_depth(), 6);
-    }
-
-    #[test]
-    fn a_traced_send_mints_increasing_ids_and_names_the_last_arrival_as_its_cause() {
-        // A program that sends at every step, whatever it did before.
-        let t = DatalogTransducer::parse(
-            "resender",
-            TransducerSchema::new(
-                Schema::from_pairs([("E", 2)]),
-                Schema::new(),
-                Schema::from_pairs([("m_E", 2)]),
-                Schema::new(),
-            ),
-            "m_E(x,y) :- E(x,y).",
-        )
-        .unwrap();
-        let net = Network::of_size(3);
-        let policy = HashPolicy::new(net.clone());
-        let input = Instance::from_facts([fact("E", [1, 2])]);
-        let x = net.nodes().nth(1).unwrap().clone();
-        let mut node = new_node(&t, &policy, SystemConfig::ORIGINAL, x, &input);
-        let mut m = Metrics::default();
-        // Untraced: no id.
-        let quiet = node.step(Delivery::None, &mut m, &Obs::noop());
-        assert!(!quiet.sent.is_empty() && quiet.mid.is_none());
-        let obs = Obs::new(std::sync::Arc::new(calm_obs::ReportSink::new()));
-        node.restore(&Storage::new(), &[]);
-        let first = node.step(Delivery::None, &mut m, &obs);
-        assert_eq!((first.mid, first.cause), (Some((1, 0)), None));
-        node.enqueue(
-            &send(&node, &[fact("m_E", [2, 3])]),
-            Some((0, 7)),
-            &mut m,
-            &obs,
-        );
-        let second = node.step(Delivery::All, &mut m, &obs);
-        assert_eq!((second.mid, second.cause), (Some((1, 1)), Some((0, 7))));
-        // A restore does not hand an id out twice; a predecessor's
-        // numbering can only push the next one up.
-        node.restore(&Storage::new(), &[]);
-        node.resume_ids_from(1);
-        assert_eq!(node.next_seq(), 2);
-        node.resume_ids_from(9);
-        let third = node.step(Delivery::None, &mut m, &obs);
-        assert_eq!(third.mid, Some((1, 9)));
     }
 }

@@ -17,18 +17,17 @@
 //! }
 //! ```
 //!
-//! and driven with [`runtime::run`] (to quiescence) or the
-//! coordination-freeness witnesses in [`coordination`].
+//! and driven with [`runtime::run`] (to quiescence). The semantics it is
+//! checked against — transitions one configuration to the next, the
+//! coordination-freeness witnesses, the proof replays — are the
+//! `calm-spec` crate's.
 
 #![warn(missing_docs)]
 
-pub mod coordination;
 pub mod engine;
 pub mod multiset;
-pub mod netcompile;
 pub mod network;
 pub mod policy;
-pub mod proof_replay;
 pub mod rows;
 pub mod runtime;
 pub mod schema;
@@ -37,25 +36,21 @@ pub mod system_facts;
 pub mod trace;
 pub mod transducer;
 
-pub use coordination::heartbeat_witness;
 pub use engine::{NodeEngine, NodeStepOutcome};
 pub use multiset::Multiset;
-pub use netcompile::{compile_monotone_program, NetCompileError};
 pub use network::{Network, NodeId};
 pub use policy::{
     distribute, DistributionPolicy, DomainGuidedPolicy, HashPolicy, OverridePolicy,
-    ParityDomainGuidedPolicy, ParityFirstAttributePolicy, RangePolicy, ReplicatedDomainPolicy,
+    ParityDomainGuidedPolicy, ParityFirstAttributePolicy, ReplicatedDomainPolicy,
 };
-pub use proof_replay::{replay_no_all_indistinguishability, replay_policy_surgery, ReplayOutcome};
 pub use rows::{input_batches, Batch, StateRows};
 pub use runtime::{
-    network_output, run, run_with, transition, verify_computes, Configuration, Delivery,
-    FinalStates, Metrics, RunResult, Scheduler, TransducerNetwork, DEFAULT_DELIVER_P,
+    run, run_with, Delivery, FinalStates, Metrics, RunResult, Scheduler, TransducerNetwork,
+    DEFAULT_DELIVER_P,
 };
 pub use schema::{policy_relation, SystemConfig, TransducerSchema};
 pub use strategy::{
-    classify_message, collected_input, expected_output, DisjointStrategy, DistinctStrategy,
-    MessageClass, MessageClassCounts, MonotoneBroadcast,
+    expected_output, DisjointStrategy, DistinctStrategy, MessageClassCounts, MonotoneBroadcast,
 };
 pub use trace::{Trace, TraceEvent, TraceSink};
-pub use transducer::{DatalogTransducer, Transducer, TransducerStep};
+pub use transducer::{Transducer, TransducerStep};

@@ -90,7 +90,7 @@ impl<T: Ord + Clone> Multiset<T> {
     }
 
     /// Drain everything, returning the previous contents.
-    pub fn take_all(&mut self) -> Multiset<T> {
+    fn take_all(&mut self) -> Multiset<T> {
         std::mem::take(self)
     }
 

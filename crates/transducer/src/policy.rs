@@ -157,7 +157,7 @@ impl DomainGuidedPolicy {
     }
 
     /// α(a) for this policy.
-    pub fn alpha(&self, value: &Value) -> BTreeSet<NodeId> {
+    fn alpha(&self, value: &Value) -> BTreeSet<NodeId> {
         match self.overrides.get(value) {
             Some(explicit) => explicit.clone(),
             None => BTreeSet::from([self.owner(value).clone()]),
@@ -259,7 +259,7 @@ impl ReplicatedDomainPolicy {
     }
 
     /// α(a): `replicas` consecutive nodes starting at the value's hash.
-    pub fn alpha(&self, value: &Value) -> BTreeSet<NodeId> {
+    fn alpha(&self, value: &Value) -> BTreeSet<NodeId> {
         let mut h = DefaultHasher::new();
         value.hash(&mut h);
         let start = (h.finish() as usize) % self.network.len();
@@ -289,47 +289,6 @@ impl DistributionPolicy for ReplicatedDomainPolicy {
 
     fn domain_assignment(&self, value: &Value) -> BTreeSet<NodeId> {
         self.alpha(value)
-    }
-}
-
-/// Range partitioning on the first attribute: integer values are split
-/// into `|N|` contiguous buckets over `lo..hi`; non-integers and
-/// out-of-range values go to the last node. *Not* domain-guided (like
-/// Example 4.1's P1, ownership follows one attribute position, not the
-/// value wherever it occurs).
-pub struct RangePolicy {
-    network: Network,
-    lo: i64,
-    hi: i64,
-}
-
-impl RangePolicy {
-    /// Partition `lo..hi` into `|N|` equal buckets.
-    pub fn new(network: Network, lo: i64, hi: i64) -> Self {
-        assert!(lo < hi);
-        RangePolicy { network, lo, hi }
-    }
-}
-
-impl DistributionPolicy for RangePolicy {
-    fn network(&self) -> &Network {
-        &self.network
-    }
-
-    fn assign(&self, fact: &Fact) -> BTreeSet<NodeId> {
-        let n = self.network.len() as i64;
-        let idx = match &fact.args()[0] {
-            Value::Int(k) if *k >= self.lo && *k < self.hi => {
-                ((k - self.lo) * n / (self.hi - self.lo)).clamp(0, n - 1)
-            }
-            _ => n - 1,
-        };
-        let node = self
-            .network
-            .nodes()
-            .nth(idx as usize)
-            .expect("bucket in range");
-        BTreeSet::from([node.clone()])
     }
 }
 
@@ -539,17 +498,6 @@ mod tests {
     }
 
     #[test]
-    fn range_policy_buckets_by_first_attribute() {
-        let p = RangePolicy::new(Network::of_size(2), 0, 10);
-        let lowf = fact("E", [1, 9]);
-        let highf = fact("E", [9, 1]);
-        assert_ne!(p.assign(&lowf), p.assign(&highf));
-        // Out-of-range goes to the last node.
-        let off = fact("E", [999, 0]);
-        assert_eq!(p.assign(&off), BTreeSet::from([Value::str("n2")]));
-    }
-
-    #[test]
     fn value_assignment_override() {
         let p = DomainGuidedPolicy::new(Network::of_size(2))
             .with_value_assignment(Value::Int(5), [Value::str("n1"), Value::str("n2")]);
@@ -591,11 +539,7 @@ mod tests {
                 "override",
                 Box::new(OverridePolicy::new(base, overridden, [Value::str("n2")])),
             ),
-            (
-                "replicated",
-                Box::new(ReplicatedDomainPolicy::new(four.clone(), 2)),
-            ),
-            ("range", Box::new(RangePolicy::new(four, 0, 10))),
+            ("replicated", Box::new(ReplicatedDomainPolicy::new(four, 2))),
             (
                 "parity-first",
                 Box::new(ParityFirstAttributePolicy::new(two.clone())),

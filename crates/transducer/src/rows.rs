@@ -1,7 +1,7 @@
 //! What a node holds and moves between transitions, as interned rows:
 //! a [`Batch`] of message rows (one send, one decoded wire batch, the
 //! node's input fragment), the [`Inbox`] of batches waiting to be
-//! delivered, [`SymSet`], a set of values, and [`StateRows`], the final
+//! delivered, `SymSet`, a set of values, and [`StateRows`], the final
 //! states of an engine instance's nodes.
 //!
 //! Every [`Sym`] and [`RelId`] here is an index into the one
@@ -9,7 +9,8 @@
 //! [`crate::runtime::run_with`] call, a `calm-net` worker — and means
 //! nothing outside it: a frame or a snapshot blob carries the values the
 //! rows stand for, written and read by `calm-net`'s codec over the
-//! worker's table, and a [`crate::runtime::Configuration`] holds facts.
+//! worker's table, and a configuration `(s, b)` of the specification
+//! (`calm-spec`) holds facts.
 //! [`input_batches`] interns the input `I` into the `H(x)` of every node,
 //! [`Batch::of_facts`] and [`Batch::add_to`] are the conversions to and
 //! from facts at the specification's edges (DESIGN §17), and
@@ -112,7 +113,7 @@ impl Batch {
 
     /// Intern a multiset of facts against `table`: the way a
     /// configuration's facts enter a node (its input fragment and its
-    /// buffer, in [`crate::runtime::transition`]).
+    /// buffer, in `calm-spec`'s `transition`).
     pub fn of_facts(facts: &Multiset<Fact>, table: &mut SymbolTable) -> Batch {
         let (mut batch, mut row) = (Batch::default(), Vec::new());
         for (f, n) in facts.iter() {

@@ -1,11 +1,13 @@
-//! The asynchronous operational semantics (Section 4.1.3): configurations,
-//! transitions, fair runs — driven to quiescence by pluggable schedulers.
+//! Fair runs of the asynchronous operational semantics (Section 4.1.3),
+//! driven to quiescence by pluggable schedulers over warm nodes. The
+//! transition one configuration to the next, which they are checked
+//! against, is the `calm-spec` crate's.
 
 use crate::engine::NodeEngine;
 use crate::multiset::Multiset;
 use crate::network::NodeId;
 use crate::policy::DistributionPolicy;
-use crate::rows::{input_batches, values_of, Batch, Inbox, StateRows};
+use crate::rows::{input_batches, values_of, Inbox, StateRows};
 use crate::schema::SystemConfig;
 use crate::strategy::MessageClassCounts;
 use crate::transducer::Transducer;
@@ -14,8 +16,7 @@ use calm_common::instance::Instance;
 use calm_common::rng::Rng;
 use calm_common::schema::Schema;
 use calm_common::storage::{
-    load_instance, relations_by_name, store_to_instance, CanonicalOrder, Relation, SharedSymbols,
-    Storage, Sym,
+    relations_by_name, store_to_instance, CanonicalOrder, Relation, SharedSymbols, Storage, Sym,
 };
 use calm_obs::{ArgValue, Obs};
 use std::collections::BTreeMap;
@@ -29,37 +30,6 @@ pub struct TransducerNetwork<'a> {
     pub policy: &'a dyn DistributionPolicy,
     /// Which system relations nodes see (model variant).
     pub config: SystemConfig,
-}
-
-/// A configuration `(s, b)`: per-node state (output ∪ memory facts) and
-/// per-node message buffer (a multiset).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Configuration {
-    /// `s(x)` — output and memory facts stored at each node.
-    pub state: BTreeMap<NodeId, Instance>,
-    /// `b(x)` — messages sent to each node and not yet delivered.
-    pub buffer: BTreeMap<NodeId, Multiset<Fact>>,
-}
-
-impl Configuration {
-    /// The start configuration: everything empty.
-    pub fn start(network: &crate::network::Network) -> Self {
-        Configuration {
-            state: network
-                .nodes()
-                .map(|n| (n.clone(), Instance::new()))
-                .collect(),
-            buffer: network
-                .nodes()
-                .map(|n| (n.clone(), Multiset::new()))
-                .collect(),
-        }
-    }
-
-    /// Total buffered messages across all nodes.
-    pub fn buffered(&self) -> usize {
-        self.buffer.values().map(Multiset::len).sum()
-    }
 }
 
 /// Counters for one run.
@@ -197,52 +167,6 @@ impl Delivery {
     }
 }
 
-/// Execute one transition of node `x`: deliver per `delivery`, expose
-/// `D = J ∪ S`, apply the four queries, and update the configuration.
-/// Returns `true` when the node's state changed.
-///
-/// A cold [`NodeEngine`] is built from `(H(x), s(x), b(x))` for the call
-/// and taken apart after it, and what it sent goes straight into the
-/// other nodes' buffers: the transition exactly as §4.1.3 defines it,
-/// one configuration to the next — the specification the warm nodes of
-/// [`run_with`] are checked against, and what the heartbeat witnesses
-/// and proof replays step with. It reports to no [`Obs`].
-pub fn transition(
-    tn: &TransducerNetwork<'_>,
-    dist: &BTreeMap<NodeId, Instance>,
-    config: &mut Configuration,
-    x: &NodeId,
-    delivery: Delivery,
-    metrics: &mut Metrics,
-) -> bool {
-    // A table of its own: nothing interned outlives the call. The
-    // configuration's facts, `H(x)` among them, are interned at this edge.
-    let symbols = SharedSymbols::new();
-    let input: Multiset<Fact> = dist.get(x).into_iter().flat_map(Instance::facts).collect();
-    let input = Batch::of_facts(&input, &mut symbols.write());
-    let (transducer, policy) = (tn.transducer, tn.policy);
-    let mut node = NodeEngine::new(transducer, policy, tn.config, x.clone(), &input, &symbols);
-    let (state, buffer) = (config.state.remove(x), config.buffer.remove(x));
-    let mut rows = Storage::new();
-    load_instance(&state.expect("node state"), &symbols, &mut rows);
-    let buffer = Batch::of_facts(&buffer.expect("node buffer"), &mut symbols.write());
-    node.restore(&rows, &[buffer.into()]);
-    let outcome = node.step(delivery, metrics, &Obs::noop());
-    let (state, buffer) = node.into_parts();
-    config.state.insert(x.clone(), state);
-    config.buffer.insert(x.clone(), buffer);
-    if !outcome.sent.is_empty() {
-        let mut sent = Multiset::new();
-        outcome.sent.add_to(&symbols.read(), &mut sent);
-        for y in tn.policy.network().others(x) {
-            let buffer = config.buffer.get_mut(y).expect("node buffer");
-            buffer.extend_from(sent.clone());
-            metrics.note_depth(y, buffer.len());
-        }
-    }
-    outcome.state_changed
-}
-
 /// One transition of node `i` among the warm `nodes` of a run: its
 /// step, then what it sent enqueued at every other node. A full delivery
 /// is remembered in `seen[i]`, the rows it handed the node.
@@ -271,17 +195,6 @@ fn fire(
     outcome.state_changed
 }
 
-/// `out(R)`: the union over `states` — every node's `s(x)` — of the
-/// facts over the `output` schema. The specification: the engines unite
-/// rows ([`FinalStates::output`]) and the tests hold them to this.
-pub fn network_output(states: &BTreeMap<NodeId, Instance>, output: &Schema) -> Instance {
-    let mut out = Instance::new();
-    for state in states.values() {
-        out.extend(state.restrict(output).facts());
-    }
-    out
-}
-
 /// The final `s(x)` of every node of a run, in the rows the run's engine
 /// instances left them in: one [`StateRows`] from the sequential engine,
 /// one per worker from the other two. `out(R)` is united from the rows
@@ -306,7 +219,7 @@ impl FinalStates {
         }
     }
 
-    /// `out(R)` — [`network_output`] of the materialised states, without
+    /// `out(R)` — the output facts of the materialised states, without
     /// them — under the span `runtime/finish`: [`FinalStates::united`],
     /// un-interned.
     pub fn output(&self, output: &Schema) -> Instance {
@@ -404,15 +317,12 @@ pub struct RunResult {
 }
 
 impl RunResult {
-    /// The final configuration. Built on request: most callers read
-    /// `out(R)` and nothing else.
-    pub fn config(&self) -> Configuration {
+    /// The final `b(x)` of every node, as facts. Built on request: most
+    /// callers read `out(R)` and nothing else.
+    pub fn buffers(&self) -> BTreeMap<NodeId, Multiset<Fact>> {
         let table = self.symbols.read();
         let buffer = |(x, b): &(NodeId, Inbox)| (x.clone(), b.to_multiset(&table));
-        Configuration {
-            state: self.states.materialize(),
-            buffer: self.buffers.iter().map(buffer).collect(),
-        }
+        self.buffers.iter().map(buffer).collect()
     }
 }
 
@@ -597,7 +507,7 @@ pub fn run_with(
     metrics.report_run_summary(obs, quiescent);
 
     // out(R) is united from the rows the nodes come apart in; nothing
-    // else of the final states is un-interned — see [`RunResult::config`].
+    // else of the final states is un-interned — see [`RunResult::buffers`].
     let _span = obs.span("runtime", || "finish".to_string());
     if obs.enabled() {
         let symbols = symbols.read().sym_count();
@@ -624,361 +534,5 @@ pub fn run_with(
         states,
         buffers,
         symbols,
-    }
-}
-
-/// Check that the network *computes* a query on this input: every
-/// scheduler in `schedulers` must quiesce with output exactly `expected`.
-/// Returns the per-scheduler results for inspection.
-pub fn verify_computes(
-    tn: &TransducerNetwork<'_>,
-    input: &Instance,
-    expected: &Instance,
-    schedulers: &[Scheduler],
-    max_transitions: usize,
-) -> Result<Vec<RunResult>, String> {
-    let mut results = Vec::new();
-    for s in schedulers {
-        let r = run(tn, input, s, max_transitions);
-        if !r.quiescent {
-            return Err(format!(
-                "run did not quiesce within {max_transitions} transitions under {s:?}"
-            ));
-        }
-        if &r.output != expected {
-            return Err(format!(
-                "scheduler {s:?}: output {:?} != expected {:?}",
-                r.output, expected
-            ));
-        }
-        results.push(r);
-    }
-    Ok(results)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::network::Network;
-    use crate::policy::HashPolicy;
-    use crate::schema::TransducerSchema;
-    use crate::transducer::DatalogTransducer;
-    use calm_common::fact::fact;
-    use calm_common::schema::Schema;
-
-    /// A broadcast-union transducer: every node broadcasts its local edges
-    /// and outputs everything it knows. Computes the identity query on E
-    /// (a monotone query) — the simplest CALM-style example.
-    fn union_transducer() -> DatalogTransducer {
-        DatalogTransducer::parse(
-            "union",
-            TransducerSchema::new(
-                Schema::from_pairs([("E", 2)]),
-                Schema::from_pairs([("out_E", 2)]),
-                Schema::from_pairs([("msg_E", 2)]),
-                Schema::from_pairs([("seen_E", 2)]),
-            ),
-            "msg_E(x,y) :- E(x,y).\n\
-             seen_E(x,y) :- E(x,y).\n\
-             seen_E(x,y) :- msg_E(x,y).\n\
-             out_E(x,y) :- seen_E(x,y).\n\
-             out_E(x,y) :- E(x,y).",
-        )
-        .unwrap()
-    }
-
-    fn expected_out(input: &Instance) -> Instance {
-        Instance::from_facts(
-            input
-                .tuples("E")
-                .map(|t| fact("out_E", [t[0].clone(), t[1].clone()])),
-        )
-    }
-
-    #[test]
-    fn union_network_computes_identity() {
-        let net = Network::of_size(3);
-        let policy = HashPolicy::new(net);
-        let t = union_transducer();
-        let tn = TransducerNetwork {
-            transducer: &t,
-            policy: &policy,
-            config: SystemConfig::ORIGINAL,
-        };
-        let input = calm_common::generator::path(6);
-        let expected = expected_out(&input);
-        let results = verify_computes(
-            &tn,
-            &input,
-            &expected,
-            &[
-                Scheduler::RoundRobin,
-                Scheduler::random(1, 20),
-                Scheduler::random(2, 50),
-            ],
-            10_000,
-        )
-        .unwrap();
-        assert!(results.iter().all(|r| r.quiescent));
-        // Messages flowed (3 nodes, nonempty input).
-        assert!(results[0].metrics.messages_sent > 0);
-    }
-
-    #[test]
-    fn single_node_needs_no_messages_delivered_for_output() {
-        let net = Network::of_size(1);
-        let policy = HashPolicy::new(net);
-        let t = union_transducer();
-        let tn = TransducerNetwork {
-            transducer: &t,
-            policy: &policy,
-            config: SystemConfig::ORIGINAL,
-        };
-        let input = calm_common::generator::path(3);
-        let r = run(&tn, &input, &Scheduler::RoundRobin, 1000);
-        assert!(r.quiescent);
-        assert_eq!(r.output, expected_out(&input));
-        // No other nodes: nothing is ever enqueued.
-        assert_eq!(r.metrics.messages_sent, 0);
-    }
-
-    #[test]
-    fn empty_input_quiesces_immediately() {
-        let net = Network::of_size(2);
-        let policy = HashPolicy::new(net);
-        let t = union_transducer();
-        let tn = TransducerNetwork {
-            transducer: &t,
-            policy: &policy,
-            config: SystemConfig::ORIGINAL,
-        };
-        let r = run(&tn, &Instance::new(), &Scheduler::RoundRobin, 100);
-        assert!(r.quiescent);
-        assert!(r.output.is_empty());
-    }
-
-    #[test]
-    fn random_schedules_converge_to_same_output() {
-        let net = Network::of_size(4);
-        let policy = HashPolicy::new(net);
-        let t = union_transducer();
-        let tn = TransducerNetwork {
-            transducer: &t,
-            policy: &policy,
-            config: SystemConfig::ORIGINAL,
-        };
-        let input = calm_common::generator::cycle(5);
-        let expected = expected_out(&input);
-        for seed in 0..8 {
-            let r = run(&tn, &input, &Scheduler::random(seed, 60), 10_000);
-            assert!(r.quiescent, "seed {seed}");
-            assert_eq!(r.output, expected, "confluence under seed {seed}");
-        }
-    }
-
-    #[test]
-    fn empty_delivery_scheduler_terminates_via_heartbeats() {
-        // Regression: at `deliver_p = 0` every prefix transition is a
-        // heartbeat or an empty sampled delivery. An unbounded prefix
-        // used to spin the entire transition budget without delivering
-        // a single message, so the closing sweeps never ran and the
-        // run livelocked into a non-quiescent report. The prefix cap
-        // reserves budget for the sweeps: the run still quiesces, on
-        // the right output, with the prefix visible as heartbeats.
-        let net = Network::of_size(3);
-        let policy = HashPolicy::new(net);
-        let t = union_transducer();
-        let tn = TransducerNetwork {
-            transducer: &t,
-            policy: &policy,
-            config: SystemConfig::ORIGINAL,
-        };
-        let input = calm_common::generator::path(4);
-        let expected = expected_out(&input);
-        for deliver_p in [0.0, f64::NAN, -3.0] {
-            let r = run(
-                &tn,
-                &input,
-                &Scheduler::Random {
-                    seed: 3,
-                    prefix: usize::MAX,
-                    deliver_p,
-                },
-                2_000,
-            );
-            assert!(r.quiescent, "sweeps must still run at p={deliver_p}");
-            assert_eq!(r.output, expected, "p={deliver_p}");
-            assert!(r.metrics.heartbeats > 0, "the prefix ran, as heartbeats");
-            assert!(
-                r.metrics.transitions <= 2_000,
-                "budget respected at p={deliver_p}"
-            );
-        }
-    }
-
-    #[test]
-    fn delivery_probability_is_sweepable() {
-        // deliver_p = 0 keeps every sampled occurrence in flight (a
-        // heartbeat), deliver_p = 1 delivers everything; the closing
-        // sweeps make the output identical either way.
-        let net = Network::of_size(3);
-        let policy = HashPolicy::new(net);
-        let t = union_transducer();
-        let tn = TransducerNetwork {
-            transducer: &t,
-            policy: &policy,
-            config: SystemConfig::ORIGINAL,
-        };
-        let input = calm_common::generator::path(4);
-        let expected = expected_out(&input);
-        for deliver_p in [0.0, 0.3, 1.0] {
-            let r = run(
-                &tn,
-                &input,
-                &Scheduler::Random {
-                    seed: 9,
-                    prefix: 30,
-                    deliver_p,
-                },
-                10_000,
-            );
-            assert!(r.quiescent, "p={deliver_p}");
-            assert_eq!(r.output, expected, "confluence at p={deliver_p}");
-        }
-    }
-
-    #[test]
-    fn metrics_merge_is_associative_with_identity() {
-        let sample = |seed: u64| {
-            let net = Network::of_size(3);
-            let policy = HashPolicy::new(net);
-            let t = union_transducer();
-            let tn = TransducerNetwork {
-                transducer: &t,
-                policy: &policy,
-                config: SystemConfig::ORIGINAL,
-            };
-            run(
-                &tn,
-                &calm_common::generator::path(4),
-                &Scheduler::random(seed, 25),
-                10_000,
-            )
-            .metrics
-        };
-        let (a, b, c) = (sample(1), sample(2), sample(3));
-        // (a ⊕ b) ⊕ c == a ⊕ (b ⊕ c)
-        let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut right = a.clone();
-        right.merge(&bc);
-        assert_eq!(left, right, "merge must be associative");
-        // default is an identity on both sides
-        let mut with_id = Metrics::default();
-        with_id.merge(&a);
-        assert_eq!(with_id, a);
-        let mut id_after = a.clone();
-        id_after.merge(&Metrics::default());
-        assert_eq!(id_after, a);
-    }
-
-    #[test]
-    fn memory_update_follows_the_paper_formula() {
-        // s2 = (s1 ∪ (ins \ del)) \ (del \ ins): facts both inserted and
-        // deleted in one transition cancel out; deletions of stored facts
-        // take effect.
-        use crate::schema::TransducerSchema;
-        let t = DatalogTransducer::parse(
-            "toggler",
-            TransducerSchema::new(
-                Schema::from_pairs([("E", 2)]),
-                Schema::from_pairs([("out_probe", 2)]),
-                Schema::new(),
-                Schema::from_pairs([("flag", 2), ("both", 2)]),
-            ),
-            // flag is inserted when absent and deleted when present — a
-            // genuine toggle across transitions. `both` is inserted AND
-            // deleted every transition: (ins\del) and (del\ins) are both
-            // empty for it, so it never appears.
-            "flag(x,y) :- E(x,y), not flag(x,y).\n\
-             del_flag(x,y) :- E(x,y), flag(x,y).\n\
-             both(x,y) :- E(x,y).\n\
-             del_both(x,y) :- E(x,y).\n\
-             out_probe(x,y) :- flag(x,y).",
-        )
-        .unwrap();
-        let net = Network::of_size(1);
-        let policy = HashPolicy::new(net.clone());
-        let tn = TransducerNetwork {
-            transducer: &t,
-            policy: &policy,
-            config: SystemConfig::ORIGINAL,
-        };
-        let input = Instance::from_facts([fact("E", [1, 2])]);
-        let dist = crate::policy::distribute(&policy, &input);
-        let mut config = Configuration::start(&net);
-        let mut metrics = Metrics::default();
-        let x = net.first().clone();
-        // Transition 1: flag inserted.
-        transition(&tn, &dist, &mut config, &x, Delivery::None, &mut metrics);
-        assert!(config.state[&x].contains(&fact("flag", [1, 2])));
-        assert!(!config.state[&x].contains(&fact("both", [1, 2])));
-        // Transition 2: flag present -> deleted (the insertion rule needs
-        // ¬flag, so only the deletion fires).
-        transition(&tn, &dist, &mut config, &x, Delivery::None, &mut metrics);
-        assert!(!config.state[&x].contains(&fact("flag", [1, 2])));
-        // Transition 3: toggles back on.
-        transition(&tn, &dist, &mut config, &x, Delivery::None, &mut metrics);
-        assert!(config.state[&x].contains(&fact("flag", [1, 2])));
-        // Output is cumulative: the probe survives flag-off transitions.
-        assert!(config.state[&x].contains(&fact("out_probe", [1, 2])));
-    }
-
-    #[test]
-    fn a_run_builds_no_nodes_state_until_it_is_asked_for_the_configuration() {
-        let policy = HashPolicy::new(Network::of_size(3));
-        let t = union_transducer();
-        let tn = TransducerNetwork {
-            transducer: &t,
-            policy: &policy,
-            config: SystemConfig::ORIGINAL,
-        };
-        let report = std::sync::Arc::new(calm_obs::ReportSink::new());
-        let input = calm_common::generator::path(5);
-        let r = run_with(
-            &tn,
-            &input,
-            &Scheduler::RoundRobin,
-            1000,
-            &Obs::new(report.clone()),
-        );
-        assert_eq!(r.output, expected_out(&input));
-        assert_eq!(report.counter_total("runtime", "states.materialized"), 0);
-        // The configuration is the one the specification's transitions
-        // reach, and `out(R)` its projection.
-        let config = r.config();
-        assert_eq!(report.counter_total("runtime", "states.materialized"), 3);
-        assert_eq!(network_output(&config.state, &t.schema().output), r.output);
-        assert_eq!(r.states.materialize(), config.state);
-        assert_eq!(r.states.output(&t.schema().output), r.output);
-    }
-
-    #[test]
-    fn metrics_track_first_output() {
-        let net = Network::of_size(2);
-        let policy = HashPolicy::new(net);
-        let t = union_transducer();
-        let tn = TransducerNetwork {
-            transducer: &t,
-            policy: &policy,
-            config: SystemConfig::ORIGINAL,
-        };
-        let input = calm_common::generator::path(2);
-        let r = run(&tn, &input, &Scheduler::RoundRobin, 1000);
-        assert!(r.metrics.first_output_at.is_some());
-        assert!(r.metrics.first_output_at <= r.metrics.last_output_growth_at);
     }
 }

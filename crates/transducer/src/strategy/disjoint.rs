@@ -256,88 +256,12 @@ mod tests {
     use super::*;
     use crate::network::Network;
     use crate::policy::DomainGuidedPolicy;
-    use crate::runtime::{run, verify_computes, Scheduler, TransducerNetwork};
+    use crate::runtime::{run, Scheduler, TransducerNetwork};
     use crate::schema::SystemConfig;
     use crate::strategy::expected_output;
-    use calm_common::generator::{chain_game, cycle_game, path};
+    use calm_common::generator::chain_game;
     use calm_common::value::Value;
-    use calm_queries::qtc::qtc_datalog;
     use calm_queries::winmove::win_move;
-
-    #[test]
-    fn computes_win_move_under_domain_guidance() {
-        // The paper's headline: the non-monotone win-move query computed
-        // coordination-free in the domain-guided model.
-        let t = DisjointStrategy::new(Box::new(win_move()));
-        let input = chain_game(0, 3).union(&cycle_game(10, 3));
-        let expected = expected_output(t.query(), &input);
-        for n in [1, 2, 4] {
-            let policy = DomainGuidedPolicy::new(Network::of_size(n));
-            let tn = TransducerNetwork {
-                transducer: &t,
-                policy: &policy,
-                config: SystemConfig::POLICY_AWARE,
-            };
-            verify_computes(
-                &tn,
-                &input,
-                &expected,
-                &[Scheduler::RoundRobin, Scheduler::random(5, 60)],
-                100_000,
-            )
-            .unwrap_or_else(|e| panic!("n={n}: {e}"));
-        }
-    }
-
-    #[test]
-    fn computes_qtc_under_domain_guidance() {
-        // Q_TC ∈ Mdisjoint (Theorem 3.1): the strategy computes it.
-        let t = DisjointStrategy::new(Box::new(qtc_datalog()));
-        let input = path(3);
-        let expected = expected_output(t.query(), &input);
-        let policy = DomainGuidedPolicy::new(Network::of_size(3));
-        let tn = TransducerNetwork {
-            transducer: &t,
-            policy: &policy,
-            config: SystemConfig::POLICY_AWARE,
-        };
-        verify_computes(&tn, &input, &expected, &[Scheduler::RoundRobin], 100_000).unwrap();
-    }
-
-    #[test]
-    fn computes_without_all_relation() {
-        // Theorem 4.5 (A2 = Mdisjoint): same transducer, no All.
-        let t = DisjointStrategy::new(Box::new(win_move()));
-        let input = chain_game(0, 4);
-        let expected = expected_output(t.query(), &input);
-        let policy = DomainGuidedPolicy::new(Network::of_size(2));
-        let tn = TransducerNetwork {
-            transducer: &t,
-            policy: &policy,
-            config: SystemConfig::POLICY_AWARE_NO_ALL,
-        };
-        verify_computes(&tn, &input, &expected, &[Scheduler::RoundRobin], 100_000).unwrap();
-    }
-
-    #[test]
-    fn heartbeat_witness_on_ideal_assignment() {
-        // Coordination-freeness: assign every value to x; x answers in
-        // heartbeats alone.
-        let t = DisjointStrategy::new(Box::new(win_move()));
-        let input = chain_game(0, 3);
-        let expected = expected_output(t.query(), &input);
-        let net = Network::of_size(3);
-        let x = Value::str("n1");
-        let policy = DomainGuidedPolicy::all_to(net, x.clone());
-        let tn = TransducerNetwork {
-            transducer: &t,
-            policy: &policy,
-            config: SystemConfig::POLICY_AWARE,
-        };
-        let steps = crate::coordination::heartbeat_witness(&tn, &input, &x, &expected, 10)
-            .expect("heartbeat-only witness");
-        assert!(steps <= 2);
-    }
 
     #[test]
     fn wrong_under_non_domain_guided_policy() {
@@ -390,30 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn works_with_replicated_domain_assignments() {
-        // The paper allows α(a) with several owners ("possibly with
-        // replication"); the protocol must stay correct when every value
-        // has two responsible nodes.
-        let t = DisjointStrategy::new(Box::new(win_move()));
-        let input = chain_game(0, 4).union(&cycle_game(30, 3));
-        let expected = expected_output(t.query(), &input);
-        let policy = crate::policy::ReplicatedDomainPolicy::new(Network::of_size(4), 2);
-        let tn = TransducerNetwork {
-            transducer: &t,
-            policy: &policy,
-            config: SystemConfig::POLICY_AWARE,
-        };
-        verify_computes(
-            &tn,
-            &input,
-            &expected,
-            &[Scheduler::RoundRobin, Scheduler::random(8, 80)],
-            500_000,
-        )
-        .unwrap();
-    }
-
-    #[test]
     fn protocol_message_kinds_appear() {
         let t = DisjointStrategy::new(Box::new(win_move()));
         let input = chain_game(0, 4);
@@ -427,34 +327,6 @@ mod tests {
         assert!(r.quiescent);
         // The protocol used requests and OKs (multi-node, split values).
         assert!(r.metrics.messages_sent > 0);
-    }
-
-    #[test]
-    fn nullary_encoding_under_domain_guidance() {
-        // Section 7: nullary facts (encoded over the ⊥ marker) must be
-        // assigned to all nodes in a domain-guided policy. With the
-        // marker's α(⊥) = N, the strategy computes the query.
-        use calm_datalog::nullary::{encode_source, marker};
-        let src = encode_source("@output O.\nO(x,y) :- E(x,y), Enabled().");
-        let q = calm_datalog::DatalogQuery::parse("flagged", &src).unwrap();
-        let t = DisjointStrategy::new(Box::new(q));
-        let input =
-            calm_datalog::parse_facts(&encode_source("E(1,2). E(2,3). Enabled().")).unwrap();
-        let expected = expected_output(t.query(), &input);
-        assert_eq!(expected.len(), 2, "Enabled() gates the copy");
-        let net = Network::of_size(3);
-        let policy = DomainGuidedPolicy::new(net.clone())
-            .with_value_assignment(marker(), net.nodes().cloned());
-        let tn = TransducerNetwork {
-            transducer: &t,
-            policy: &policy,
-            config: SystemConfig::POLICY_AWARE,
-        };
-        verify_computes(&tn, &input, &expected, &[Scheduler::RoundRobin], 200_000).unwrap();
-        // Without the flag, nothing is output.
-        let bare = calm_datalog::parse_facts("E(1,2).").unwrap();
-        let r = run(&tn, &bare, &Scheduler::RoundRobin, 200_000);
-        assert!(r.quiescent && r.output.is_empty());
     }
 
     #[test]

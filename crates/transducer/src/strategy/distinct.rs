@@ -375,7 +375,7 @@ mod tests {
     use super::*;
     use crate::network::Network;
     use crate::policy::{DomainGuidedPolicy, HashPolicy};
-    use crate::runtime::{run, verify_computes, Scheduler, TransducerNetwork};
+    use crate::runtime::{run, Scheduler, TransducerNetwork};
     use crate::schema::SystemConfig;
     use crate::strategy::expected_output;
     use calm_common::generator::path;
@@ -383,88 +383,6 @@ mod tests {
 
     fn strategy() -> DistinctStrategy {
         DistinctStrategy::new(Box::new(edges_without_source_loop()))
-    }
-
-    #[test]
-    fn computes_sp_datalog_query_on_hash_policy() {
-        // The SP-Datalog query O(x,y) :- E(x,y), ¬E(x,x) is in Mdistinct;
-        // the strategy must compute it for arbitrary policies.
-        let t = strategy();
-        let mut input = path(3);
-        input.insert(calm_common::fact::fact("E", [2, 2]));
-        let expected = expected_output(t.query(), &input);
-        for n in [1, 2, 3] {
-            let policy = HashPolicy::new(Network::of_size(n));
-            let tn = TransducerNetwork {
-                transducer: &t,
-                policy: &policy,
-                config: SystemConfig::POLICY_AWARE,
-            };
-            verify_computes(
-                &tn,
-                &input,
-                &expected,
-                &[Scheduler::RoundRobin, Scheduler::random(3, 40)],
-                50_000,
-            )
-            .unwrap_or_else(|e| panic!("n={n}: {e}"));
-        }
-    }
-
-    #[test]
-    fn computes_without_all_relation() {
-        // Theorem 4.5 (A1 = Mdistinct): the same transducer, never reading
-        // All, still computes the query.
-        let t = strategy();
-        let mut input = path(3);
-        input.insert(calm_common::fact::fact("E", [0, 0]));
-        let expected = expected_output(t.query(), &input);
-        let policy = HashPolicy::new(Network::of_size(2));
-        let tn = TransducerNetwork {
-            transducer: &t,
-            policy: &policy,
-            config: SystemConfig::POLICY_AWARE_NO_ALL,
-        };
-        verify_computes(&tn, &input, &expected, &[Scheduler::RoundRobin], 50_000).unwrap();
-    }
-
-    #[test]
-    fn no_premature_output_on_incomplete_knowledge() {
-        // With messages withheld (heartbeats only), a node holding only
-        // part of the input must not output facts that the full input
-        // would retract. Run a heartbeat-only prefix and check the output
-        // stays inside Q(I).
-        use crate::policy::{distribute, DistributionPolicy};
-        let t = strategy();
-        let mut input = path(3);
-        input.insert(calm_common::fact::fact("E", [0, 0]));
-        let expected = expected_output(t.query(), &input);
-        let policy = HashPolicy::new(Network::of_size(2));
-        let tn = TransducerNetwork {
-            transducer: &t,
-            policy: &policy,
-            config: SystemConfig::POLICY_AWARE,
-        };
-        let dist = distribute(&policy, &input);
-        let mut config = crate::runtime::Configuration::start(policy.network());
-        let mut metrics = crate::runtime::Metrics::default();
-        for node in policy.network().nodes() {
-            for _ in 0..3 {
-                crate::runtime::transition(
-                    &tn,
-                    &dist,
-                    &mut config,
-                    node,
-                    crate::runtime::Delivery::None,
-                    &mut metrics,
-                );
-            }
-        }
-        let partial = crate::runtime::network_output(&config.state, &t.schema().output);
-        assert!(
-            partial.is_subset(&expected),
-            "heartbeat outputs must be sound: {partial:?} ⊄ {expected:?}"
-        );
     }
 
     #[test]
@@ -486,77 +404,6 @@ mod tests {
             assert_eq!(r.metrics.by_class.absence, (8 * 8 - 4) * 2);
             assert_eq!(r.metrics.messages_sent, r.metrics.messages_delivered);
         }
-    }
-
-    #[test]
-    fn a_restored_node_originates_what_its_marks_do_not_cover_and_nothing_it_stored() {
-        use crate::runtime::{transition, Configuration, Delivery, Metrics};
-
-        // The specification, one configuration to the next: every node
-        // is rebuilt from its state alone at every transition.
-        let t = strategy();
-        let net = Network::of_size(2);
-        let policy = HashPolicy::new(net.clone());
-        let tn = TransducerNetwork {
-            transducer: &t,
-            policy: &policy,
-            config: SystemConfig::POLICY_AWARE,
-        };
-        let input = path(2);
-        let dist = crate::policy::distribute(&policy, &input);
-        let mut config = Configuration::start(&net);
-        let mut m = Metrics::default();
-        let nodes: Vec<_> = net.nodes().cloned().collect();
-        for _ in 0..3 {
-            for x in &nodes {
-                transition(&tn, &dist, &mut config, x, Delivery::All, &mut m);
-            }
-        }
-        // 2 facts and (3 + 2)² − 2 absences, each to the one other node.
-        assert_eq!((m.by_class.fact, m.by_class.absence), (2, 23));
-        let x = &nodes[0];
-        let done = config.state[x].clone();
-        // The marks are the node's own tuples; the memory is everyone's.
-        let (own_facts, own_absences) = (done.relation_len("sf_E"), done.relation_len("sb_E"));
-        assert_eq!(own_facts, dist[x].len());
-        assert_eq!(
-            (done.relation_len("c_E"), done.relation_len("ab_E")),
-            (2, 23)
-        );
-        assert!(own_absences < 23 && own_facts + own_absences > 0);
-
-        // Forget that the own facts and one own deduction were sent: the
-        // node sends exactly those again, and not one of the tuples it
-        // holds because another node sent them.
-        let absence_mark = done.tuples("sb_E").next().expect("owns an absence");
-        let state = config.state.get_mut(x).unwrap();
-        state.retain_relations(|r| &**r != "sf_E");
-        state.remove(&Fact::new("sb_E", absence_mark.clone()));
-        let expected = own_facts + 1;
-        let before = m.messages_sent;
-        transition(&tn, &dist, &mut config, x, Delivery::None, &mut m);
-        assert_eq!(m.messages_sent - before, expected);
-        assert_eq!(config.state[x], done);
-    }
-
-    #[test]
-    fn ideal_policy_completes_in_heartbeats() {
-        // Coordination-freeness witness: everything at one node.
-        let t = strategy();
-        let mut input = path(2);
-        input.insert(calm_common::fact::fact("E", [1, 1]));
-        let expected = expected_output(t.query(), &input);
-        let net = Network::of_size(3);
-        let x = calm_common::value::Value::str("n2");
-        let policy = DomainGuidedPolicy::all_to(net, x.clone());
-        let tn = TransducerNetwork {
-            transducer: &t,
-            policy: &policy,
-            config: SystemConfig::POLICY_AWARE,
-        };
-        let steps = crate::coordination::heartbeat_witness(&tn, &input, &x, &expected, 10)
-            .expect("heartbeat-only prefix computes Q(I)");
-        assert!(steps <= 3);
     }
 
     #[test]

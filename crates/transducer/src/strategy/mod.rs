@@ -46,7 +46,7 @@ use calm_common::storage::{RelId, Sym, SymbolTable};
 /// broadcasts; `Mdistinct` adds absence broadcasts; `Mdisjoint` trades
 /// fact broadcasts for a per-value request/OK/ack protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum MessageClass {
+pub(crate) enum MessageClass {
     /// `m_R` — a broadcast input fact (all strategies).
     FactBroadcast,
     /// `n_R` — a broadcast input *non-fact* (`DistinctStrategy`).
@@ -68,7 +68,7 @@ pub enum MessageClass {
 /// Classify a message relation by its name: the one definition of a
 /// class. A node asks once per relation, when it first meets the
 /// relation's id, and counts sends by the cached answer.
-pub fn classify_message(name: &str) -> MessageClass {
+pub(crate) fn classify_message(name: &str) -> MessageClass {
     match name {
         "v_a" => MessageClass::ValueBroadcast,
         "rq" => MessageClass::Request,
@@ -88,7 +88,7 @@ pub fn classify_message(name: &str) -> MessageClass {
 }
 
 /// Per-class message counts for one run: one counter per
-/// [`MessageClass`], each counting (fact, recipient) pairs like
+/// `MessageClass`, each counting (fact, recipient) pairs like
 /// `messages_sent`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MessageClassCounts {
@@ -110,7 +110,7 @@ pub struct MessageClassCounts {
 
 impl MessageClassCounts {
     /// Count `n` messages of `class`.
-    pub fn record(&mut self, class: MessageClass, n: usize) {
+    pub(crate) fn record(&mut self, class: MessageClass, n: usize) {
         match class {
             MessageClass::FactBroadcast => self.fact += n,
             MessageClass::AbsenceBroadcast => self.absence += n,
@@ -192,7 +192,7 @@ pub fn msg_rel(r: &str) -> String {
 }
 
 /// Message relation carrying *absences* of input relation `R`.
-pub fn absence_rel(r: &str) -> String {
+pub(crate) fn absence_rel(r: &str) -> String {
     format!("n_{r}")
 }
 
@@ -208,7 +208,7 @@ pub fn out_rel(r: &str) -> String {
 }
 
 /// The renamed output schema of a query: `R ↦ out_R`.
-pub fn renamed_output_schema(q: &dyn Query) -> Schema {
+pub(crate) fn renamed_output_schema(q: &dyn Query) -> Schema {
     let mut s = Schema::new();
     for (name, arity) in q.output_schema().iter() {
         s.add(&out_rel(name), arity);
@@ -223,7 +223,7 @@ pub fn expected_output(q: &dyn Query, input: &Instance) -> Instance {
 }
 
 /// Rename every relation `R` of a query answer to `out_R`.
-pub fn rename_to_out(answer: Instance) -> Instance {
+pub(crate) fn rename_to_out(answer: Instance) -> Instance {
     let mut out = Instance::new();
     for r in answer.relation_names() {
         out.extend_relation(&rel(out_rel(r)), answer.tuples(r).cloned());
@@ -291,7 +291,7 @@ pub(crate) fn originate<'t>(
 /// `R`, the union of local `R` facts, remembered `c_R` facts and freshly
 /// delivered `m_R` facts — under the original relation name `R`, ready
 /// for query evaluation.
-pub fn collected_input(input_schema: &Schema, d: &Instance) -> Instance {
+pub(crate) fn collected_input(input_schema: &Schema, d: &Instance) -> Instance {
     let mut out = Instance::new();
     for (r, _) in input_schema.iter() {
         for source in [r.as_ref(), &coll_rel(r), &msg_rel(r)] {

@@ -1,18 +1,12 @@
 //! Relational transducers (Section 4.1.2): the per-node program
 //! `Π = (Qout, Qins, Qdel, Qsnd)`.
 
-use crate::rows::{fact_of, intern_row, values_of, Batch};
+use crate::rows::{fact_of, intern_row, Batch};
 use crate::schema::TransducerSchema;
-use calm_common::fact::{Fact, RelName};
+use calm_common::fact::Fact;
 use calm_common::instance::Instance;
 use calm_common::query::{QuerySession, RowBatch};
-use calm_common::storage::{
-    EvalMetrics, RelId, Relation, SharedSymbols, Storage, Sym, SymbolTable,
-};
-use calm_datalog::eval::{Database, RuleSet};
-use calm_datalog::program::Program;
-use std::collections::HashMap;
-use std::sync::Mutex;
+use calm_common::storage::{EvalMetrics, RelId, Relation, Storage, Sym, SymbolTable};
 
 /// The result of one transition's queries.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -33,9 +27,9 @@ pub struct TransducerStep {
 /// A relational transducer: four queries over the combined schema
 /// `Υin ∪ Υout ∪ Υmsg ∪ Υmem ∪ Υsys`.
 ///
-/// Implementations may be Datalog programs ([`DatalogTransducer`]) or
-/// native Rust ([`crate::strategy`]) — the formal model only requires
-/// *queries*, i.e. generic deterministic mappings.
+/// Implementations may be native Rust ([`crate::strategy`]) or Datalog
+/// programs (`calm-spec`'s `DatalogTransducer`) — the formal model only
+/// requires *queries*, i.e. generic deterministic mappings.
 pub trait Transducer: Send + Sync {
     /// The transducer schema.
     fn schema(&self) -> &TransducerSchema;
@@ -118,19 +112,19 @@ impl<'v> NodeView<'v> {
     }
 
     /// The ids of all rows of relation `r` in `D`.
-    pub fn all_ids(&self, r: RelId) -> std::ops::Range<u32> {
+    pub(crate) fn all_ids(&self, r: RelId) -> std::ops::Range<u32> {
         self.d.relation(r).map_or(0..0, |rel| rel.rows())
     }
 
     /// The ids of the rows of system relation `r` that are new to this
     /// call.
-    pub fn new_ids(&self, r: RelId) -> std::ops::Range<u32> {
+    pub(crate) fn new_ids(&self, r: RelId) -> std::ops::Range<u32> {
         self.d.relation(r).map_or(0..0, |rel| rel.delta_rows())
     }
 
     /// Call `f` on the rows `ids` of relation `r`, each copied out of
     /// `D` first — so `f` may write to the view.
-    pub fn for_rows(
+    pub(crate) fn for_rows(
         &mut self,
         r: RelId,
         ids: std::ops::Range<u32>,
@@ -280,233 +274,5 @@ impl<T: Transducer + ?Sized> NodeProgram for Stateless<'_, T> {
             view.through(&f, |view, r, row| view.send(r, row));
         }
         step.metrics
-    }
-}
-
-/// A transducer whose four queries are (unions of) non-recursive Datalog¬
-/// rule sets, evaluated in one shot over `D`. Rules whose heads are over
-/// `Υout`/`Υmem`/`Υmsg` feed `Qout`/`Qins`/`Qsnd`; deletion rules use
-/// head relations prefixed `del_` (targeting the memory relation after
-/// the prefix).
-pub struct DatalogTransducer {
-    schema: TransducerSchema,
-    name: String,
-    /// Per-transducer evaluation state reused across transitions: the
-    /// symbol table, the compiled rule set, head-relation routing by
-    /// interned id, and a scratch database whose allocations survive
-    /// `clear()`. A `Mutex` keeps `step(&self)` shareable across the
-    /// simulator's threads without rebuilding any of it per transition.
-    ctx: Mutex<StepContext>,
-}
-
-/// Where facts derived for a head relation go in a [`TransducerStep`].
-enum Route {
-    Out,
-    Snd,
-    Ins,
-    /// `del_<base>` head: route to `del`, renamed to the base relation.
-    Del(RelName),
-}
-
-struct StepContext {
-    symbols: SharedSymbols,
-    rules: RuleSet,
-    routes: HashMap<RelId, Route>,
-    scratch: Database,
-}
-
-impl DatalogTransducer {
-    /// Build from a rule set. Head relations must lie in `Υout`, `Υmem`,
-    /// `Υmsg`, or be `del_<mem-relation>`.
-    pub fn new(name: impl Into<String>, schema: TransducerSchema, rules: Program) -> Self {
-        let symbols = SharedSymbols::new();
-        let compiled;
-        let mut routes = HashMap::new();
-        {
-            let mut table = symbols.write();
-            for rule in rules.rules() {
-                let head = rule.head.relation.as_ref();
-                let route = if schema.output.contains(head) {
-                    Route::Out
-                } else if schema.mem.contains(head) {
-                    Route::Ins
-                } else if schema.msg.contains(head) {
-                    Route::Snd
-                } else if let Some(base) = head
-                    .strip_prefix("del_")
-                    .filter(|base| schema.mem.contains(base))
-                {
-                    Route::Del(calm_common::fact::rel(base))
-                } else {
-                    panic!("rule head {head} is not an output/memory/message relation");
-                };
-                routes.insert(table.rel(head), route);
-            }
-            compiled = RuleSet::new(&rules, &mut table);
-        }
-        let scratch = Database::with_symbols(symbols.clone());
-        DatalogTransducer {
-            schema,
-            name: name.into(),
-            ctx: Mutex::new(StepContext {
-                symbols,
-                rules: compiled,
-                routes,
-                scratch,
-            }),
-        }
-    }
-
-    /// Parse the rule set from Datalog source.
-    ///
-    /// # Errors
-    /// Returns the parser/validation error message.
-    pub fn parse(
-        name: impl Into<String>,
-        schema: TransducerSchema,
-        src: &str,
-    ) -> Result<Self, String> {
-        let rules = calm_datalog::parser::parse_program(src).map_err(|e| e.to_string())?;
-        Ok(DatalogTransducer::new(name, schema, rules))
-    }
-}
-
-impl Transducer for DatalogTransducer {
-    fn schema(&self) -> &TransducerSchema {
-        &self.schema
-    }
-
-    fn step(&self, d: &Instance) -> TransducerStep {
-        let mut guard = self.ctx.lock().expect("step context");
-        let ctx = &mut *guard;
-        // Diff-reload, not `clear()` + additive `load()`: the scratch
-        // database persists across transitions, and `load` alone would
-        // keep rows the instance no longer holds (deleted memory or
-        // consumed messages), deriving from facts whose supports are
-        // gone. `sync_with_instance` retracts exactly the stale rows
-        // and keeps unchanged ones interned.
-        ctx.scratch.sync_with_instance(d);
-        let mut step = TransducerStep::default();
-        let mut metrics = EvalMetrics::default();
-        // One read lock across the whole derivation: rows are uninterned
-        // as they are emitted, no intermediate Database or Instance.
-        let table = ctx.symbols.read();
-        ctx.rules
-            .derive(&ctx.scratch, &mut metrics, &mut |rel, row| {
-                let Some(route) = ctx.routes.get(&rel) else {
-                    return;
-                };
-                let args = values_of(&table, row);
-                let (to, name) = match route {
-                    Route::Out => (&mut step.out, table.rel_name(rel)),
-                    Route::Snd => (&mut step.snd, table.rel_name(rel)),
-                    Route::Ins => (&mut step.ins, table.rel_name(rel)),
-                    Route::Del(base) => (&mut step.del, base),
-                };
-                to.insert(Fact::from_rel(name.clone(), args));
-            });
-        drop(table);
-        step.metrics = metrics;
-        step
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use calm_common::fact::fact;
-    use calm_common::schema::Schema;
-
-    fn echo_schema() -> TransducerSchema {
-        TransducerSchema::new(
-            Schema::from_pairs([("E", 2)]),
-            Schema::from_pairs([("out_E", 2)]),
-            Schema::from_pairs([("msg_E", 2)]),
-            Schema::from_pairs([("seen", 2)]),
-        )
-    }
-
-    #[test]
-    fn datalog_transducer_routes_heads() {
-        let t = DatalogTransducer::parse(
-            "echo",
-            echo_schema(),
-            "out_E(x,y) :- E(x,y).\n\
-             msg_E(x,y) :- E(x,y).\n\
-             seen(x,y) :- msg_E(x,y).",
-        )
-        .unwrap();
-        let d = Instance::from_facts([fact("E", [1, 2]), fact("msg_E", [3, 4])]);
-        let step = t.step(&d);
-        assert_eq!(step.out, Instance::from_facts([fact("out_E", [1, 2])]));
-        assert_eq!(step.snd, Instance::from_facts([fact("msg_E", [1, 2])]));
-        assert_eq!(step.ins, Instance::from_facts([fact("seen", [3, 4])]));
-        assert!(step.del.is_empty());
-    }
-
-    #[test]
-    fn deletion_rules_use_del_prefix() {
-        let t = DatalogTransducer::parse(
-            "forgetter",
-            echo_schema(),
-            "del_seen(x,y) :- seen(x,y), E(x,y).",
-        )
-        .unwrap();
-        let d = Instance::from_facts([fact("seen", [1, 2]), fact("E", [1, 2])]);
-        let step = t.step(&d);
-        assert_eq!(step.del, Instance::from_facts([fact("seen", [1, 2])]));
-    }
-
-    #[test]
-    fn step_after_fact_removal_drops_stale_derivations() {
-        // Regression for the Instance::remove / scratch-Database
-        // mismatch: the StepContext database persists across steps, so
-        // a step over a shrunk instance must not keep deriving from the
-        // removed fact's old row.
-        let t = DatalogTransducer::parse("echo", echo_schema(), "out_E(x,y) :- E(x,y).").unwrap();
-        let mut d = Instance::from_facts([fact("E", [1, 2]), fact("E", [3, 4])]);
-        assert_eq!(t.step(&d).out.relation_len("out_E"), 2);
-        d.remove(&fact("E", [3, 4]));
-        let step = t.step(&d);
-        assert_eq!(
-            step.out,
-            Instance::from_facts([fact("out_E", [1, 2])]),
-            "removed fact must stop feeding derivations"
-        );
-        // And re-adding works too (revive path).
-        d.insert(fact("E", [3, 4]));
-        assert_eq!(t.step(&d).out.relation_len("out_E"), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "not an output/memory/message")]
-    fn stray_head_rejected() {
-        let rules = calm_datalog::parser::parse_program("Other(x) :- E(x,x).").unwrap();
-        let _ = DatalogTransducer::new("bad", echo_schema(), rules);
-    }
-
-    #[test]
-    fn system_relations_readable() {
-        let t = DatalogTransducer::parse(
-            "id-echo",
-            TransducerSchema::new(
-                Schema::from_pairs([("E", 2)]),
-                Schema::from_pairs([("out_owner", 2)]),
-                Schema::new(),
-                Schema::new(),
-            ),
-            "out_owner(n, x) :- Id(n), E(x, y).",
-        )
-        .unwrap();
-        let d = Instance::from_facts([
-            fact("E", [1, 2]),
-            calm_common::fact::Fact::new("Id", vec![calm_common::value::Value::str("n1")]),
-        ]);
-        let step = t.step(&d);
-        assert_eq!(step.out.relation_len("out_owner"), 1);
     }
 }

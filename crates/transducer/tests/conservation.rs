@@ -7,15 +7,16 @@ use calm_common::generator::path;
 use calm_common::Instance;
 use calm_queries::qtc::qtc_datalog;
 use calm_queries::tc::{edges_without_source_loop, tc_datalog};
+use calm_spec::{final_config, transition, Configuration};
 use calm_transducer::{
-    distribute, run, transition, Configuration, Delivery, DisjointStrategy, DistinctStrategy,
-    DistributionPolicy, DomainGuidedPolicy, HashPolicy, Metrics, MonotoneBroadcast, Network,
-    RunResult, Scheduler, SystemConfig, Transducer, TransducerNetwork,
+    distribute, run, Delivery, DisjointStrategy, DistinctStrategy, DistributionPolicy,
+    DomainGuidedPolicy, HashPolicy, Metrics, MonotoneBroadcast, Network, RunResult, Scheduler,
+    SystemConfig, Transducer, TransducerNetwork,
 };
 
 fn check_conservation(r: &RunResult, label: &str) {
     let m = &r.metrics;
-    let config = r.config();
+    let config = final_config(r);
     assert_eq!(
         m.messages_sent,
         m.messages_delivered + config.buffered(),

@@ -25,11 +25,12 @@ use calm_common::storage::{load_instance, SharedSymbols, Storage};
 use calm_common::value::Value;
 use calm_obs::Obs;
 use calm_queries::tc::{edges_without_source_loop, tc_datalog};
+use calm_spec::{transition, Configuration};
 use calm_transducer::runtime::DEFAULT_DELIVER_P;
 use calm_transducer::{
-    distribute, input_batches, transition, Batch, Configuration, Delivery, DistinctStrategy,
-    DistributionPolicy, HashPolicy, Metrics, MonotoneBroadcast, Multiset, Network, NodeEngine,
-    NodeId, SystemConfig, TransducerNetwork,
+    distribute, input_batches, Batch, Delivery, DistinctStrategy, DistributionPolicy, HashPolicy,
+    Metrics, MonotoneBroadcast, Multiset, Network, NodeEngine, NodeId, SystemConfig,
+    TransducerNetwork,
 };
 use std::collections::BTreeSet;
 use std::sync::Arc;

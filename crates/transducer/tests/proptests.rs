@@ -9,7 +9,7 @@ use calm_common::instance::Instance;
 use calm_common::rng::Rng;
 use calm_common::schema::Schema;
 use calm_common::value::v;
-use calm_transducer::system_facts::system_facts;
+use calm_spec::system_facts;
 use calm_transducer::{
     distribute, DistributionPolicy, DomainGuidedPolicy, HashPolicy, Multiset, Network,
     ReplicatedDomainPolicy, SystemConfig,

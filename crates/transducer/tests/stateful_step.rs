@@ -30,11 +30,13 @@ use calm_obs::Obs;
 use calm_queries::qtc::qtc_datalog;
 use calm_queries::tc::{edges_without_source_loop, tc_datalog};
 use calm_queries::winmove::win_move;
+use calm_spec::{
+    compile_monotone_program, final_config, network_output, system_facts, transition,
+    Configuration, DatalogTransducer,
+};
 use calm_transducer::schema::is_system_relation;
-use calm_transducer::system_facts::system_facts;
 use calm_transducer::{
-    compile_monotone_program, distribute, input_batches, network_output, run, transition,
-    Configuration, DatalogTransducer, Delivery, DisjointStrategy, DistinctStrategy,
+    distribute, input_batches, run, Delivery, DisjointStrategy, DistinctStrategy,
     DistributionPolicy, DomainGuidedPolicy, HashPolicy, Metrics, MonotoneBroadcast, Multiset,
     Network, NodeEngine, NodeId, Scheduler, SystemConfig, Transducer, TransducerNetwork,
     TransducerSchema, TransducerStep,
@@ -355,7 +357,7 @@ fn a_run_ends_in_the_configuration_the_specification_reaches() {
                 let x = &nodes[k % nodes.len()];
                 transition(&cold, &dist, &mut config, x, Delivery::All, &mut metrics);
             }
-            assert_eq!(r.config(), config, "{label}: configuration");
+            assert_eq!(final_config(&r), config, "{label}: configuration");
             assert_eq!(r.metrics, metrics, "{label}: metrics");
             let out = network_output(&config.state, &t.schema().output);
             assert_eq!(r.output, out, "{label}: out(R)");

@@ -11,7 +11,7 @@ use calm::common::fact::Fact;
 use calm::common::generator::path;
 use calm::common::Instance;
 use calm::prelude::*;
-use calm::transducer::{compile_monotone_program, heartbeat_witness};
+use calm::spec::{compile_monotone_program, heartbeat_witness};
 
 fn main() {
     // A recursive, monotone program: reachability from seed vertices.

@@ -11,7 +11,7 @@
 
 use calm::common::{fact, v, Instance, Schema, Value};
 use calm::prelude::{Network, SystemConfig};
-use calm::transducer::system_facts::system_facts;
+use calm::spec::system_facts;
 use calm::transducer::{
     distribute, DistributionPolicy, ParityDomainGuidedPolicy, ParityFirstAttributePolicy,
 };

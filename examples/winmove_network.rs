@@ -13,7 +13,7 @@
 use calm::common::generator::InstanceRng;
 use calm::prelude::*;
 use calm::queries::winmove::{win_move, win_move_native};
-use calm::transducer::heartbeat_witness;
+use calm::spec::heartbeat_witness;
 
 fn main() {
     let n_nodes = 8;

@@ -26,7 +26,9 @@
 //!   monotonicity and preservation classes;
 //! * [`queries`] — the paper's concrete separating queries;
 //! * [`transducer`] — relational transducer networks and the three
-//!   coordination-free evaluation strategies.
+//!   coordination-free evaluation strategies;
+//! * [`spec`] — the semantics they are checked against: transitions,
+//!   coordination-freeness witnesses, proof replays, Datalog transducers.
 //!
 //! ## Quickstart
 //!
@@ -82,6 +84,7 @@ pub use calm_datalog as datalog;
 pub use calm_ilog as ilog;
 pub use calm_monotone as monotone;
 pub use calm_queries as queries;
+pub use calm_spec as spec;
 pub use calm_transducer as transducer;
 
 /// The most commonly used items in one import.

@@ -9,7 +9,7 @@ use calm::prelude::*;
 use calm::queries::qtc_datalog;
 use calm::queries::tc::{edges_without_source_loop, tc_datalog};
 use calm::queries::winmove::win_move;
-use calm::transducer::{heartbeat_witness, verify_computes};
+use calm::spec::{heartbeat_witness, verify_computes};
 
 fn schedulers() -> Vec<Scheduler> {
     vec![
