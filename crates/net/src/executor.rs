@@ -4,7 +4,7 @@
 use crate::faults::{FaultPlan, FaultStats};
 use crate::reliable::{LinkCounters, NodeSnapshot, ReliableNet, Wire};
 use crate::termination::Token;
-use crate::transport::proto::{decode_snapshot_blob, encode_snapshot_blob, FinalReport};
+use crate::transport::proto::{decode_snapshot_blob, encode_snapshot_blob, FinalReport, Handoff};
 use crate::wirefmt;
 use calm_common::instance::Instance;
 use calm_common::storage::{CanonicalOrder, SharedSymbols};
@@ -200,18 +200,9 @@ pub(crate) enum Msg {
         epoch: u64,
     },
     /// Supervised process engine only: a dead worker's respawn budget
-    /// ran out and its shards move to survivors. Carries the new
-    /// node-to-worker owner map, the live mask, and — for the adoptive
-    /// worker — the coordinator's retained snapshot blobs of the nodes
-    /// it inherits.
-    Reassign {
-        /// New node → worker owner map.
-        owner: Vec<usize>,
-        /// Which ring positions are still alive.
-        live: Vec<bool>,
-        /// `(node, version, blob)` for nodes this recipient adopts.
-        adopted: Vec<(usize, u64, Vec<u8>)>,
-    },
+    /// ran out and its shards move to survivors: the hand-off of each,
+    /// taken over like a respawned incarnation's `Assign`.
+    Reassign(Handoff),
 }
 
 /// How a worker reaches its peers. The worker loop is written against
@@ -502,8 +493,7 @@ pub(crate) struct WorkerCtx<'a> {
 
 /// What the process engine's worker knows beyond the threaded engine:
 /// its incarnation, the ring epoch it starts in, whether a supervisor
-/// retains its snapshots, and any ownership/restore state handed back
-/// in a recovery `Assign`.
+/// retains its snapshots, and what a respawn hands it.
 #[derive(Default)]
 pub(crate) struct ProcCtx {
     /// 0 for a worker's first process, +1 per respawn. Selects which
@@ -514,14 +504,9 @@ pub(crate) struct ProcCtx {
     /// Whether the coordinator supervises (retains snapshots, expects
     /// heartbeats, respawns). `false` keeps the PR 8 abort semantics.
     pub(crate) supervised: bool,
-    /// Node → worker owner map override (`None`: `g % workers`).
-    pub(crate) owner: Option<Vec<usize>>,
-    /// Live mask over ring positions (empty: all live).
-    pub(crate) live: Vec<bool>,
-    /// Decoded restore state handed back on respawn — each snapshot in
-    /// rows over the worker's table, `fab.symbols`:
-    /// `(node, version, snapshot, transitions, trace_next_seq)`.
-    pub(crate) restore: Vec<(usize, u64, NodeSnapshot, u64, u64)>,
+    /// A respawned incarnation's hand-off (`None`: `g % workers`, all
+    /// live, nothing to restore), taken over like a `Msg::Reassign`.
+    pub(crate) handoff: Option<Handoff>,
 }
 
 pub(crate) struct WorkerOutcome {
@@ -746,8 +731,8 @@ struct Worker<'a> {
     /// the token. Epochs still fence *tokens*: one written to a dead
     /// worker's socket must not resurface and race a fresh probe.
     count_msgs: bool,
-    /// Node -> owning worker. `g % W` until a `Reassign` overrides it
-    /// (shard adoption after a respawn budget runs out).
+    /// Node -> owning worker: as the last hand-off said (`g % W` for a
+    /// first spawn).
     owner: Vec<usize>,
     /// Live ring positions; dead positions are skipped when forwarding
     /// the token and never sent Terminate.
@@ -768,6 +753,8 @@ struct Worker<'a> {
     /// ones belong to later incarnations — the process is gone by then.
     kill_at: Option<u64>,
     killed: bool,
+    /// A hand-off could not be applied: the worker stops, non-clean.
+    refused: bool,
     /// Supervised: when this worker last proved liveness.
     last_beat: Instant,
     // Safra state.
@@ -780,26 +767,16 @@ struct Worker<'a> {
 }
 
 impl<'a> Worker<'a> {
-    /// The worker in its start configuration: its share of the nodes
-    /// minted (or, on a respawn, restored from what the `Assign` handed
-    /// back), and under a fault plan a checkpoint of every node.
+    /// The worker in its start configuration: the nodes its hand-off
+    /// gives it, taken over by [`Worker::take_over`].
     fn new(ctx: WorkerCtx<'a>) -> Worker<'a> {
         let (id, workers, obs, proc, faults) = (ctx.id, ctx.workers, ctx.obs, ctx.proc, ctx.faults);
         let total_nodes = ctx.fab.node_ids.len();
-        let owner: Vec<usize> = match proc.owner {
-            Some(o) if o.len() == total_nodes => o,
-            _ => (0..total_nodes).map(|g| g % workers).collect(),
+        let first = Handoff {
+            owner: (0..total_nodes).map(|g| g % workers).collect(),
+            live: vec![true; workers],
+            nodes: Vec::new(),
         };
-        let live = if proc.live.len() == workers {
-            proc.live
-        } else {
-            vec![true; workers]
-        };
-        let locals: Vec<usize> = (0..total_nodes).filter(|&g| owner[g] == id).collect();
-        let mut local_index: Vec<Option<usize>> = vec![None; total_nodes];
-        for (l, &g) in locals.iter().enumerate() {
-            local_index[g] = Some(l);
-        }
         let mut w = Worker {
             id,
             ports: ctx.ports,
@@ -808,11 +785,11 @@ impl<'a> Worker<'a> {
             incarnation: proc.incarnation,
             supervised: proc.supervised,
             count_msgs: !proc.supervised,
-            owner,
-            live,
+            owner: first.owner.clone(),
+            live: first.live.clone(),
             shard: Shard {
-                slots: locals.iter().map(|&g| ctx.fab.slot(g)).collect(),
-                local_index,
+                slots: Vec::new(),
+                local_index: vec![None; total_nodes],
                 metrics: Metrics::default(),
                 stats: WorkerStats {
                     worker: id,
@@ -821,12 +798,13 @@ impl<'a> Worker<'a> {
             },
             fab: ctx.fab,
             order: CanonicalOrder::default(),
-            rnet: faults.map(|plan| ReliableNet::new(plan, &locals, obs)),
+            rnet: faults.map(|plan| ReliableNet::new(plan, obs)),
             snapshot_every: faults.map_or(usize::MAX, |plan| plan.snapshot_every),
             steps_left: ctx.budget,
             steps_done: 0,
             kill_at: faults.and_then(|p| p.pkill_steps(id, proc.incarnation).first().copied()),
             killed: false,
+            refused: false,
             last_beat: Instant::now(),
             counter: 0,
             black: false,
@@ -834,41 +812,99 @@ impl<'a> Worker<'a> {
             probe_outstanding: false,
             ring_epoch: proc.epoch,
         };
-        w.reinstate(proc.restore);
+        w.take_over(proc.handoff.unwrap_or(first), false);
         w
     }
 
-    /// Fault mode: restore the nodes an `Assign` handed back from their
-    /// retained snapshots, and give every other node an initial (empty)
-    /// checkpoint so the first crash point always has one to restore —
-    /// supervised, that publishes v0 before any traffic, so the
-    /// supervisor always holds a restore point.
-    fn reinstate(&mut self, restore: Vec<(usize, u64, NodeSnapshot, u64, u64)>) {
-        let Some(rnet) = self.rnet.as_mut() else {
-            return;
+    /// Take over the nodes `handoff` gives this worker — its shard at
+    /// start-up, a dead peer's nodes on a `Msg::Reassign` (`adopting`):
+    /// install the owner map and the live mask, mint a slot for every
+    /// owned node that has none, restore each node the hand-off carries
+    /// a checkpoint of (a node without one never shipped one, so its
+    /// fresh start is its committed history), and under a fault plan
+    /// checkpoint every slot that has none yet — supervised, that
+    /// publishes v0 before any traffic. A hand-off that does not fit —
+    /// `owner` not one live position per node, `live` not one entry per
+    /// position, a node taken away, a checkpoint of a node this worker
+    /// will not own or already holds — or a checkpoint that does not
+    /// decode is [`Worker::refuse`]d (`false`).
+    fn take_over(&mut self, handoff: Handoff, adopting: bool) -> bool {
+        let Handoff { owner, live, nodes } = handoff;
+        let (id, held) = (self.id, &self.shard.local_index);
+        let fits = owner.len() == held.len()
+            && live.len() == self.live.len()
+            && owner.iter().all(|&k| live.get(k) == Some(&true))
+            && self.shard.slots.iter().all(|s| owner[s.global] == id)
+            && (nodes.iter()).all(|&(g, ..)| owner.get(g) == Some(&id) && held[g].is_none())
+            && (nodes.is_empty() || self.rnet.is_some());
+        let table = &self.fab.symbols;
+        let decode = |(g, version, blob): (usize, u64, Vec<u8>)| {
+            decode_snapshot_blob(&blob, &mut table.write()).map(|snap| (g, version, snap))
         };
-        for (g, version, snap, transitions, next_seq) in restore {
-            let Some(l) = self.shard.local_index.get(g).copied().flatten() else {
-                continue;
-            };
-            self.shard.slots[l].restore(snap, version, transitions, next_seq, rnet);
-            let (id, incarnation) = (self.id, self.incarnation);
-            self.obs.event("net", "restore", g as u32 + 1, || {
-                vec![
-                    ("node", ArgValue::U64(g as u64)),
-                    ("worker", ArgValue::U64(id as u64)),
-                    ("incarnation", ArgValue::U64(incarnation)),
-                    ("version", ArgValue::U64(version)),
-                ]
-            });
+        let decoded = fits.then(|| nodes.into_iter().map(decode).collect::<Result<Vec<_>, _>>());
+        let Some(Ok(decoded)) = decoded else {
+            return self.refuse();
+        };
+        let minted: Vec<usize> = (0..owner.len())
+            .filter(|&g| owner[g] == id && held[g].is_none())
+            .collect();
+        (self.owner, self.live) = (owner, live);
+        for &g in &minted {
+            self.shard.local_index[g] = Some(self.shard.slots.len());
+            self.shard.slots.push(self.fab.slot(g));
+            if let Some(rnet) = self.rnet.as_mut() {
+                rnet.adopt(g);
+            }
         }
-        let mut none = Vec::new();
+        for (g, version, (snap, transitions, next_seq)) in decoded {
+            let rnet = self.rnet.as_mut().expect("checked above");
+            let slot = &mut self.shard.slots[self.shard.local_index[g].expect("minted above")];
+            slot.restore(snap, version, transitions, next_seq, rnet);
+        }
+        for g in minted {
+            let slot = &self.shard.slots[self.shard.local_index[g].expect("minted above")];
+            let version = ("version", ArgValue::U64(slot.snap_version));
+            let node = ("node", ArgValue::U64(g as u64));
+            let worker = ("worker", ArgValue::U64(id as u64));
+            if adopting {
+                let restored = ("restored", ArgValue::Bool(slot.snap.is_some()));
+                let args = || vec![node, worker, version, restored];
+                self.obs.event("net", "adopt", g as u32 + 1, args);
+            } else if slot.snap.is_some() {
+                let incarnation = ("incarnation", ArgValue::U64(self.incarnation));
+                let args = || vec![node, worker, incarnation, version];
+                self.obs.event("net", "restore", g as u32 + 1, args);
+            }
+        }
+        let (mut none, faulty) = (Vec::new(), self.rnet.is_some());
         for l in 0..self.shard.slots.len() {
-            if self.shard.slots[l].snap.is_none() {
+            if faulty && self.shard.slots[l].snap.is_none() {
                 self.checkpoint(l, false, &mut none);
             }
         }
-        debug_assert!(none.is_empty(), "empty links cannot emit acks");
+        debug_assert!(none.is_empty(), "fresh links cannot emit acks");
+        true
+    }
+
+    /// Stop on a hand-off that cannot be applied, so that no node ever
+    /// starts over fresh after shipping a snapshot: count a decode
+    /// failure, leave non-clean and end the run for every live peer.
+    fn refuse(&mut self) -> bool {
+        self.refused = true;
+        if let Some(rnet) = self.rnet.as_mut() {
+            rnet.stats.decode_failures += 1;
+        }
+        self.terminate_peers();
+        false
+    }
+
+    /// Send `Terminate` to every other live ring position.
+    fn terminate_peers(&self) {
+        for (peer, &alive) in self.live.iter().enumerate() {
+            if peer != self.id && alive {
+                self.ports.send(peer, Msg::Terminate);
+            }
+        }
     }
 
     /// A span around one phase of the loop, on the worker's own lane.
@@ -928,7 +964,8 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// React to one received message. `true` for `Terminate`.
+    /// React to one received message. `true` to leave the loop: on
+    /// `Terminate`, or a hand-off refused.
     fn on_msg(&mut self, msg: Msg) -> bool {
         if matches!(msg, Msg::Batch { .. } | Msg::Wire(_)) {
             // A basic message of the termination-detection algorithm.
@@ -960,83 +997,12 @@ impl<'a> Worker<'a> {
                     self.probe_outstanding = false;
                 }
             }
-            Msg::Reassign {
-                owner,
-                live,
-                adopted,
-            } => {
+            Msg::Reassign(handoff) => {
                 self.black = true;
-                self.reassign(owner, live, adopted);
+                return !self.take_over(handoff, true);
             }
         }
         false
-    }
-
-    /// Apply a `Msg::Reassign`: install the new owner map and live
-    /// mask, and adopt every node newly owned by this worker —
-    /// restoring it from the coordinator's retained snapshot blob when
-    /// one was shipped, starting it fresh from the input distribution
-    /// otherwise (a node whose worker died before its first snapshot
-    /// never released any output, so a fresh start is exactly its
-    /// committed history).
-    fn reassign(
-        &mut self,
-        owner: Vec<usize>,
-        live: Vec<bool>,
-        adopted: Vec<(usize, u64, Vec<u8>)>,
-    ) {
-        self.owner = owner;
-        self.live = live;
-        let blobs: BTreeMap<usize, (u64, Vec<u8>)> =
-            adopted.into_iter().map(|(g, v, b)| (g, (v, b))).collect();
-        for g in 0..self.owner.len().min(self.shard.local_index.len()) {
-            if self.owner[g] != self.id || self.shard.local_index[g].is_some() {
-                continue;
-            }
-            let l = self.shard.slots.len();
-            self.shard.slots.push(self.fab.slot(g));
-            self.shard.local_index[g] = Some(l);
-            let mut restored = false;
-            if let Some(rnet) = self.rnet.as_mut() {
-                rnet.adopt(g);
-                if let Some((version, blob)) = blobs.get(&g) {
-                    // The table's lock is let go before the restore reads it.
-                    let decoded = decode_snapshot_blob(blob, &mut self.fab.symbols.write());
-                    match decoded {
-                        Ok((snap, transitions, next_seq)) => {
-                            self.shard.slots[l].restore(
-                                snap,
-                                *version,
-                                transitions,
-                                next_seq,
-                                rnet,
-                            );
-                            restored = true;
-                        }
-                        Err(_) => rnet.stats.decode_failures += 1,
-                    }
-                }
-                if !restored {
-                    // Never snapshotted before its worker died: nothing
-                    // was ever committed to the wire, so its fresh start
-                    // is its committed history. Checkpoint it (crash
-                    // points need a restore target) and publish v0 to
-                    // the supervisor.
-                    let mut none = Vec::new();
-                    self.checkpoint(l, false, &mut none);
-                    debug_assert!(none.is_empty(), "fresh links cannot emit acks");
-                }
-            }
-            let (id, version) = (self.id, self.shard.slots[l].snap_version);
-            self.obs.event("net", "adopt", g as u32 + 1, || {
-                vec![
-                    ("node", ArgValue::U64(g as u64)),
-                    ("worker", ArgValue::U64(id as u64)),
-                    ("version", ArgValue::U64(version)),
-                    ("restored", ArgValue::Bool(restored)),
-                ]
-            });
-        }
     }
 
     /// Supervised: prove liveness on a clock, not on progress — a busy
@@ -1284,11 +1250,7 @@ impl<'a> Worker<'a> {
             if token.concludes(self.counter, self.black) {
                 // Termination: nothing in flight, all passive through a
                 // full white round.
-                for (peer, &alive) in self.live.iter().enumerate() {
-                    if peer != self.id && alive {
-                        self.ports.send(peer, Msg::Terminate);
-                    }
-                }
+                self.terminate_peers();
                 return Flow::Exit;
             }
         }
@@ -1347,11 +1309,13 @@ impl<'a> Worker<'a> {
         } = self.shard;
         // A lost transport link forfeits the quiescence claim: facts may
         // have been abandoned in flight. So does a scripted kill — the
-        // process is about to die without flushing anything.
+        // process is about to die without flushing anything — and a
+        // refused hand-off.
         let mut clean = !slots.iter().any(Slot::has_work)
             && !stats.exhausted
             && self.ports.link_ok()
-            && !self.killed;
+            && !self.killed
+            && !self.refused;
         if let Some(rnet) = self.rnet.as_mut() {
             // A message abandoned to the retry budget means fairness was
             // not restored: the run must not claim quiescence.
@@ -1383,8 +1347,8 @@ impl<'a> Worker<'a> {
     }
 }
 
-/// Build a [`Worker`], loop over its phases until one says to leave,
-/// take it apart.
+/// Build a [`Worker`], loop over its phases until one says to leave —
+/// not at all if it refused its hand-off — take it apart.
 pub(crate) fn run_worker<'a>(ctx: WorkerCtx<'a>) -> WorkerOutcome {
     let mut w = Worker::new(ctx);
     let phases: [fn(&mut Worker<'a>) -> Flow; 6] = [
@@ -1395,7 +1359,7 @@ pub(crate) fn run_worker<'a>(ctx: WorkerCtx<'a>) -> WorkerOutcome {
         Worker::token_turn,
         Worker::wait,
     ];
-    'run: loop {
+    'run: while !w.refused {
         w.beat();
         for phase in phases {
             match phase(&mut w) {
@@ -1477,7 +1441,8 @@ mod tests {
         let plan = FaultPlan::none(1);
         // A live handle, so that the node mints ids.
         let obs = Obs::new(Arc::new(calm_obs::ReportSink::new()));
-        let mut rnet = ReliableNet::new(&plan, &[0], &obs);
+        let mut rnet = ReliableNet::new(&plan, &obs);
+        rnet.adopt(0);
         let mut metrics = Metrics::default();
         let mut slot = fab.slot(0);
         let mut step = |slot: &mut Slot<'_>, delivered: &[Fact]| {
@@ -1563,7 +1528,8 @@ mod tests {
         for batch in &waiting {
             slot.node.enqueue(batch, None, &mut metrics, &obs);
         }
-        let mut rnet = ReliableNet::new(&plan, &[0], &obs);
+        let mut rnet = ReliableNet::new(&plan, &obs);
+        rnet.adopt(0);
         take_snapshot(&mut slot, &mut rnet, &mut Vec::new());
         let snap = slot.snap.clone().expect("just taken");
         assert!(holds_by_handle(&snap, &[&waiting[0], &waiting[1]]));
@@ -1582,7 +1548,8 @@ mod tests {
             decode_snapshot_blob(&blob, &mut other.write()).expect("the blob reads");
         let adopter = fab(other.clone());
         let mut restored = adopter.slot(0);
-        let mut adopter_net = ReliableNet::new(&plan, &[0], &obs);
+        let mut adopter_net = ReliableNet::new(&plan, &obs);
+        adopter_net.adopt(0);
         restored.restore(back, 1, transitions, next_seq, &mut adopter_net);
         assert_eq!(restored.node.state(), slot.node.state());
         assert_eq!(restored.node.pending(), slot.node.pending());
@@ -1667,6 +1634,106 @@ mod tests {
         });
         let ended = rx.recv_timeout(Duration::from_secs(10));
         assert_eq!(ended, Ok(Some("the second program fails".to_string())));
+    }
+
+    /// Worker 0 of a supervised two-worker ring over four `tc` nodes,
+    /// started with `handoff` and with `inbox` waiting for it, run to
+    /// its end: its final report, and what its peer was sent.
+    fn run_handed_over(handoff: Option<Handoff>, inbox: Vec<Msg>) -> (FinalReport, Vec<Msg>) {
+        use calm_transducer::{HashPolicy, MonotoneBroadcast, Network};
+        let t = MonotoneBroadcast::new(Box::new(calm_queries::tc::tc_datalog()));
+        let policy = HashPolicy::new(Network::of_size(4));
+        let input = Instance::from_facts([fact("E", [1, 2]), fact("E", [2, 3])]);
+        let sys = SystemConfig::ORIGINAL;
+        let fab = NodeFactory::new(&t, &policy, sys, &input, SharedSymbols::new());
+        let ((tx, rx), (peer, peer_rx)) = (std::sync::mpsc::channel(), std::sync::mpsc::channel());
+        for msg in inbox {
+            tx.send(msg).expect("the worker's own channel");
+        }
+        let ports = ChannelPorts {
+            rx,
+            senders: vec![tx, peer],
+        };
+        let plan = FaultPlan::none(0);
+        let outcome = run_worker(WorkerCtx {
+            id: 0,
+            workers: 2,
+            fab,
+            ports: &ports,
+            budget: 10_000,
+            faults: Some(&plan),
+            obs: &Obs::noop(),
+            proc: ProcCtx {
+                supervised: true,
+                handoff,
+                ..ProcCtx::default()
+            },
+        });
+        (outcome.report, peer_rx.try_iter().collect())
+    }
+
+    /// A hand-off after worker 1 died for good: worker 0 owns every
+    /// node, and `nodes` are the checkpoints it carries.
+    fn sole_survivor(nodes: Vec<(usize, u64, Vec<u8>)>) -> Handoff {
+        Handoff {
+            owner: vec![0; 4],
+            live: vec![true, false],
+            nodes,
+        }
+    }
+
+    /// Whether `report` is that of a worker that refused its hand-off and
+    /// told its peer to terminate.
+    fn refused(report: &FinalReport, to_peer: &[Msg]) -> bool {
+        !report.clean
+            && report.stats.faults.decode_failures == 1
+            && matches!(to_peer, [.., Msg::Terminate])
+    }
+
+    #[test]
+    fn a_checkpoint_that_does_not_decode_stops_the_worker_on_either_path() {
+        let garbage = || vec![(1, 3, vec![0xff; 5])];
+        // Adopted: the worker used to count the failure and start node 1
+        // over fresh, though it had shipped a snapshot.
+        let reassign = Msg::Reassign(sole_survivor(garbage()));
+        let (report, to_peer) = run_handed_over(None, vec![reassign]);
+        assert!(refused(&report, &to_peer));
+        assert_eq!(report.states.nodes.len(), 2, "its own two nodes alone");
+        // Respawned: the same outcome, before any node is minted.
+        let (report, to_peer) = run_handed_over(Some(sole_survivor(garbage())), Vec::new());
+        assert!(refused(&report, &to_peer));
+        assert!(report.states.nodes.is_empty());
+    }
+
+    #[test]
+    fn a_handoff_that_does_not_fit_is_refused_like_an_undecodable_checkpoint() {
+        // A `Terminate` waits in case the hand-off is taken over: the
+        // worker then owns every node and leaves at once, none stepped.
+        let run = |handoff| run_handed_over(Some(handoff), vec![Msg::Terminate]);
+        let (report, to_peer) = run(sole_survivor(Vec::new()));
+        assert!(!refused(&report, &to_peer));
+        assert_eq!(report.states.nodes.len(), 4);
+        let short = Handoff {
+            owner: vec![0; 3],
+            ..sole_survivor(Vec::new())
+        };
+        let dead_owner = Handoff {
+            owner: vec![0, 1, 0, 0],
+            ..sole_survivor(Vec::new())
+        };
+        let short_live = Handoff {
+            live: vec![true],
+            ..sole_survivor(Vec::new())
+        };
+        let not_ours = Handoff {
+            owner: vec![0, 1, 0, 1],
+            live: vec![true, true],
+            nodes: vec![(3, 0, Vec::new())],
+        };
+        for handoff in [short, dead_owner, short_live, not_ours] {
+            let (report, to_peer) = run(handoff.clone());
+            assert!(refused(&report, &to_peer), "{handoff:?}");
+        }
     }
 
     #[test]

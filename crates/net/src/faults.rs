@@ -400,6 +400,9 @@ crate::codec::counters! {
         /// Data wires whose payload failed wire-format validation at the
         /// receiver (corruption): refused and counted as dropped, so the
         /// sender's retransmission path covers them like any other loss.
+        /// Also a recovery hand-off the worker refused — a checkpoint
+        /// that does not decode, a topology that does not fit — after
+        /// which the worker stops, non-clean.
         pub decode_failures: u64,
         /// Outbox entries re-armed for retransmission by a restore —
         /// in-flight traffic replayed after a crash (node rollback or a
@@ -485,7 +488,8 @@ mod tests {
         // clock without overflow.
         let spec = format!("backoff={MAX_TICKS},crash=0@1~{MAX_TICKS},delay=1/{MAX_TICKS}");
         let plan = FaultPlan::parse(&spec).expect("at the bound");
-        let mut net = crate::reliable::ReliableNet::new(&plan, &[0], &calm_obs::Obs::noop());
+        let mut net = crate::reliable::ReliableNet::new(&plan, &calm_obs::Obs::noop());
+        net.adopt(0);
         let mut out = Vec::new();
         net.send_payload(0, 1, crate::wirefmt::encode(&Default::default()).into());
         net.snapshot(0, &mut out);

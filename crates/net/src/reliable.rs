@@ -233,12 +233,12 @@ pub(crate) struct ReliableNet<'a> {
 }
 
 impl<'a> ReliableNet<'a> {
-    /// Build the substrate for a worker owning `local_nodes` (global
-    /// indexes). Wire-level trace events (retransmits, drops, dedup
-    /// suppressions, anomalies) go to `obs`; pass [`Obs::noop`] to
-    /// trace nothing.
-    pub(crate) fn new(plan: &'a FaultPlan, local_nodes: &[usize], obs: &Obs) -> ReliableNet<'a> {
-        let mut net = ReliableNet {
+    /// Build the substrate of a worker that holds no node yet: each one
+    /// it takes over is registered by [`ReliableNet::adopt`]. Wire-level
+    /// trace events (retransmits, drops, dedup suppressions, anomalies)
+    /// go to `obs`; pass [`Obs::noop`] to trace nothing.
+    pub(crate) fn new(plan: &'a FaultPlan, obs: &Obs) -> ReliableNet<'a> {
+        ReliableNet {
             plan,
             obs: obs.clone(),
             tick: 0,
@@ -251,11 +251,7 @@ impl<'a> ReliableNet<'a> {
             stats: FaultStats::default(),
             link_counters: BTreeMap::new(),
             wire_bytes: 0,
-        };
-        for &g in local_nodes {
-            net.adopt(g);
         }
-        net
     }
 
     /// Advance one tick: release due delayed wires and retransmit due
@@ -621,10 +617,10 @@ impl<'a> ReliableNet<'a> {
 
     /// Register a node with this worker — its own at start-up, or one
     /// it did not originally own (shard adoption after a dead peer's
-    /// respawn budget ran out): create its link state — for an adopted
-    /// node typically overwritten right away by [`ReliableNet::restore`]
-    /// from the coordinator's retained snapshot — and queue any of the
-    /// plan's crash points for it, sorted by transition.
+    /// respawn budget ran out): create its link state — overwritten
+    /// right away by [`ReliableNet::restore`] when a hand-off carries
+    /// the node's retained snapshot — and queue any of the plan's crash
+    /// points for it, sorted by transition.
     pub(crate) fn adopt(&mut self, node: usize) {
         self.links.entry(node).or_default();
         let mut points: Vec<CrashPoint> = self
@@ -720,6 +716,13 @@ mod tests {
         wirefmt::encode(&batch(n)).into()
     }
 
+    /// The substrate of a worker holding node `g` alone.
+    fn net_of(plan: &FaultPlan, g: usize) -> ReliableNet<'_> {
+        let mut net = ReliableNet::new(plan, &Obs::noop());
+        net.adopt(g);
+        net
+    }
+
     /// Total unacked outbox entries across `net`'s nodes.
     fn unacked(net: &ReliableNet<'_>) -> usize {
         net.links.values().map(NodeLinks::unacked).sum()
@@ -745,7 +748,7 @@ mod tests {
     #[test]
     fn dedup_suppresses_and_reacks() {
         let plan = FaultPlan::none(1);
-        let mut net = ReliableNet::new(&plan, &[1], &Obs::noop());
+        let mut net = net_of(&plan, 1);
         let (mut out, table) = (Vec::new(), &mut SymbolTable::new());
         let d = |seq| Wire::Data {
             src: 0,
@@ -778,7 +781,7 @@ mod tests {
     #[test]
     fn out_of_order_receipt_acks_only_the_contiguous_prefix() {
         let plan = FaultPlan::none(1);
-        let mut net = ReliableNet::new(&plan, &[1], &Obs::noop());
+        let mut net = net_of(&plan, 1);
         let (mut out, table) = (Vec::new(), &mut SymbolTable::new());
         for seq in [3u64, 1] {
             receive(
@@ -818,7 +821,7 @@ mod tests {
     #[test]
     fn retransmission_backs_off_and_acks_clear_the_outbox() {
         let plan = FaultPlan::none(3);
-        let mut net = ReliableNet::new(&plan, &[0], &Obs::noop());
+        let mut net = net_of(&plan, 0);
         let mut out = Vec::new();
         net.send_payload(0, 1, payload(1));
         assert!(out.is_empty(), "sends are staged until a snapshot");
@@ -860,7 +863,7 @@ mod tests {
         plan.retry_budget = 3;
         plan.backoff_base = 1;
         plan.max_backoff = 1;
-        let mut net = ReliableNet::new(&plan, &[0], &Obs::noop());
+        let mut net = net_of(&plan, 0);
         let mut out = Vec::new();
         net.send_payload(0, 1, payload(1));
         net.snapshot(0, &mut out);
@@ -879,7 +882,7 @@ mod tests {
     fn partition_drops_until_heal_then_retransmission_crosses() {
         let mut plan = FaultPlan::parse("seed=5,partition=0>1@0..10,backoff=2").unwrap();
         plan.max_backoff = 2;
-        let mut net = ReliableNet::new(&plan, &[0], &Obs::noop());
+        let mut net = net_of(&plan, 0);
         let mut out = Vec::new();
         net.send_payload(0, 1, payload(1));
         net.snapshot(0, &mut out);
@@ -891,7 +894,7 @@ mod tests {
         assert!(net.tick >= 10);
         // Reverse direction was never partitioned.
         let mut rev = Vec::new();
-        let mut net2 = ReliableNet::new(&plan, &[1], &Obs::noop());
+        let mut net2 = net_of(&plan, 1);
         net2.send_payload(1, 0, payload(2));
         net2.snapshot(1, &mut rev);
         assert_eq!(rev.len(), 1);
@@ -901,7 +904,7 @@ mod tests {
     fn delay_buffers_and_releases_in_tick_order() {
         // A long backoff keeps retransmission out of the picture.
         let plan = FaultPlan::parse("seed=9,delay=1.0/4,backoff=64").unwrap();
-        let mut net = ReliableNet::new(&plan, &[0], &Obs::noop());
+        let mut net = net_of(&plan, 0);
         let mut out = Vec::new();
         net.send_payload(0, 1, payload(1));
         net.snapshot(0, &mut out);
@@ -924,7 +927,7 @@ mod tests {
     #[test]
     fn crash_restore_rolls_back_staged_sends_and_reissues_their_seqs() {
         let plan = FaultPlan::parse("seed=11,crash=0@1~2").unwrap();
-        let mut net = ReliableNet::new(&plan, &[0], &Obs::noop());
+        let mut net = net_of(&plan, 0);
         let mut out = Vec::new();
         // Release seq 1 with a snapshot; stage seq 2 with no covering
         // snapshot.
@@ -965,7 +968,7 @@ mod tests {
     #[test]
     fn down_node_refuses_arrivals() {
         let plan = FaultPlan::none(13);
-        let mut net = ReliableNet::new(&plan, &[1], &Obs::noop());
+        let mut net = net_of(&plan, 1);
         net.crash(1, 5);
         let (mut out, table) = (Vec::new(), &mut SymbolTable::new());
         let got = receive(
@@ -987,7 +990,7 @@ mod tests {
     #[test]
     fn corrupted_payload_is_refused_and_the_seq_stays_free() {
         let plan = FaultPlan::none(17);
-        let mut net = ReliableNet::new(&plan, &[1], &Obs::noop());
+        let mut net = net_of(&plan, 1);
         let (mut out, table) = (Vec::new(), &mut SymbolTable::new());
         // Corrupt the payload past the header: decode fails, the wire
         // counts as a drop, and no ack is emitted.
@@ -1075,7 +1078,7 @@ mod tests {
         let mut rng = Rng::seed_from_u64(0xdedf);
         let (mut fresh_wires, mut replays, mut restores, mut through_blobs) = (0, 0, 0, 0);
         for _ in 0..40 {
-            let mut net = ReliableNet::new(&plan, &[3], &Obs::noop());
+            let mut net = net_of(&plan, 3);
             let mut table = SymbolTable::new();
             let mut model: BTreeMap<usize, BTreeSet<Fact>> = BTreeMap::new();
             let mut sent: Vec<Vec<Arc<[u8]>>> = vec![Vec::new(); 3];
@@ -1154,7 +1157,7 @@ mod tests {
     #[test]
     fn wire_bytes_count_every_copy() {
         let plan = FaultPlan::none(19);
-        let mut net = ReliableNet::new(&plan, &[0], &Obs::noop());
+        let mut net = net_of(&plan, 0);
         let mut out = Vec::new();
         let dense: Multiset<Fact> = (0..64).map(|i| fact("reach", [i, i + 1])).collect();
         net.send_payload(0, 1, wirefmt::encode(&dense).into());
@@ -1209,7 +1212,7 @@ mod tests {
                 batch.insert(Fact::new("pad", vec![Value::Int(0)]));
             }
             let bytes = wirefmt::encode(&batch);
-            let mut net = ReliableNet::new(&plan, &[1], &Obs::noop());
+            let mut net = net_of(&plan, 1);
             let (mut out, mut table) = (Vec::new(), SymbolTable::new());
             let wire = |payload: &[u8]| Wire::Data {
                 src: 0,
@@ -1247,7 +1250,7 @@ mod tests {
     /// node's inbox, i.e. what determines `Instance` state), with the
     /// delivered and suppressed counts.
     fn accepted(plan: &FaultPlan, wires: &[Wire]) -> (Multiset<Fact>, u64, u64) {
-        let mut net = ReliableNet::new(plan, &[1], &Obs::noop());
+        let mut net = net_of(plan, 1);
         let (mut out, mut table) = (Vec::new(), SymbolTable::new());
         let mut got = Multiset::new();
         for w in wires {

@@ -24,7 +24,8 @@
 //! produces a dump, not a hang.
 
 use super::proto::{
-    decode_ctrl, encode_ctrl, is_final, Assign, CtrlMsg, FinalReport, JobSpec, PROTOCOL_VERSION,
+    decode_ctrl, encode_ctrl, is_final, Assign, CtrlMsg, FinalReport, Handoff, JobSpec,
+    PROTOCOL_VERSION,
 };
 use super::{frame, NetError};
 use crate::executor::{join_reports, Msg};
@@ -466,9 +467,9 @@ fn owned_by(k: usize, owner: &[usize]) -> impl Iterator<Item = usize> + '_ {
 }
 
 /// The retained checkpoints of `nodes` as `(node, version, blob)`: what
-/// a re-`Assign` hands a respawned worker back, and what a `Reassign`
-/// carries to an adoptive one. A node that never shipped one is left
-/// out — its fresh start is its committed history.
+/// a [`Handoff`] carries, to a respawned worker in its re-`Assign` and
+/// to an adoptive one in a `Reassign`. A node that never shipped one is
+/// left out — its fresh start is its committed history.
 fn handed_back(
     nodes: impl IntoIterator<Item = usize>,
     retained: &BTreeMap<usize, (u64, Vec<u8>)>,
@@ -647,6 +648,16 @@ impl<'a> Supervisor<'a> {
         assign
     }
 
+    /// The hand-off that gives a worker `nodes` — a respawned incarnation
+    /// its own, a survivor those dealt to it — in the current topology.
+    fn handoff(&self, nodes: impl IntoIterator<Item = usize>) -> Handoff {
+        Handoff {
+            owner: self.owner.clone(),
+            live: self.live.clone(),
+            nodes: handed_back(nodes, &self.retained),
+        }
+    }
+
     /// Hand an incarnation of worker `k` its assignment and wire it
     /// into the relay, the first and every later one alike: the `Assign`
     /// frame, then a fresh write queue in position `k` of `writers`
@@ -803,11 +814,10 @@ impl<'a> Supervisor<'a> {
             // once the new incarnation is wired in.
             self.ring_epoch += 1;
             let mut assign = self.assign(k);
+            let handoff = self.handoff(owned_by(k, &self.owner));
+            let (inc, restored_nodes) = (assign.incarnation, handoff.nodes.len() as u64);
             assign.epoch = self.ring_epoch;
-            assign.owner = Some(self.owner.clone());
-            assign.live = self.live.clone();
-            assign.restore = handed_back(owned_by(k, &self.owner), &self.retained);
-            let (inc, restored_nodes) = (assign.incarnation, assign.restore.len() as u64);
+            assign.handoff = Some(handoff);
             let table = self.writers.clone();
             let wired = self.wire_in(&mut lock_writers(&table), k, stream, assign);
             if wired.is_err() {
@@ -854,12 +864,8 @@ impl<'a> Supervisor<'a> {
         // worker installs its new shard, then joins the fresh ring
         // epoch.
         for &w in &survivors {
-            let msg = Msg::Reassign {
-                owner: self.owner.clone(),
-                live: self.live.clone(),
-                adopted: handed_back(adopts.remove(&w).unwrap_or_default(), &self.retained),
-            };
-            self.push([w], msg);
+            let handoff = self.handoff(adopts.remove(&w).unwrap_or_default());
+            self.push([w], Msg::Reassign(handoff));
         }
         self.reset_ring(survivors.iter().copied());
         let epoch = self.ring_epoch;

@@ -8,9 +8,11 @@
 //!   protocol version + the worker's ring position.
 //! * `Assign` — coordinator → worker, the reply: the full job hand-off
 //!   (program + input sources, strategy, node count, fault spec, obs
-//!   paths) plus this worker's index and the ring size. Node-shard
-//!   assignment is implied: node `i` runs on worker `i mod W`, the same
-//!   rule as the threaded executor.
+//!   paths) plus this worker's index and the ring size. A first spawn
+//!   carries no [`Handoff`]: node `i` runs on worker `i mod W`, the same
+//!   rule as the threaded executor. A respawned incarnation's carries
+//!   one — the owner map, the live mask and the retained checkpoints of
+//!   its nodes — the same hand-off a `Reassign` brings a survivor.
 //! * `Route` — worker → coordinator: an executor message ([`Msg`])
 //!   addressed to another worker. The coordinator relays it; batch
 //!   payloads pass through verbatim in the canonical [`crate::wirefmt`]
@@ -21,9 +23,9 @@
 //! * `Snapshot` — worker → coordinator (supervised runs): a versioned,
 //!   canonically encoded checkpoint of one node (state, undelivered
 //!   inbox, outbox and seq/ack floors).
-//!   The coordinator retains the latest per node and hands it back in
-//!   the re-`Assign` after a respawn, or inside a `Reassign` when a
-//!   survivor adopts a dead worker's shard.
+//!   The coordinator retains the latest per node and hands it back in a
+//!   [`Handoff`]: in the re-`Assign` after a respawn, or in the
+//!   `Reassign` of a survivor that adopts a dead worker's shard.
 //! * `Heartbeat` — worker → coordinator: liveness beacon, so a
 //!   hung-but-connected worker trips the supervisor's timeout instead
 //!   of stalling the run forever.
@@ -72,8 +74,10 @@ use std::sync::Arc;
 /// each node's state in `Final` as one delta-coded batch
 /// ([`crate::wirefmt`]) instead of a record per fact. v5 does the same
 /// for a `Snapshot` blob: its state, inbox and each receive-filter entry
-/// are one batch each.
-pub const PROTOCOL_VERSION: u32 = 5;
+/// are one batch each. v6 has one hand-off: `Assign`'s `owner`, `live`
+/// and `restore` become one optional [`Handoff`], which `Reassign`
+/// carries too (its bytes are the three fields they replace).
+pub const PROTOCOL_VERSION: u32 = 6;
 
 /// The job a coordinator hands every worker: sources and knobs, all
 /// engine-agnostic strings the worker's builder interprets (the
@@ -125,15 +129,23 @@ pub struct Assign {
     /// worker ships versioned `Snapshot` frames so a respawn can
     /// restore its shard instead of aborting the run.
     pub supervised: bool,
-    /// Explicit node→worker ownership map, or `None` for the default
-    /// `node i mod W` rule. Becomes `Some` after shard adoption.
-    pub owner: Option<Vec<usize>>,
-    /// Liveness mask over ring positions (`empty` = all live). Dead
-    /// positions are skipped by the token ring and receive no traffic.
+    /// A respawned incarnation's hand-off; `None` on a first spawn: node
+    /// `i` on worker `i mod W`, all live, nothing to restore.
+    pub handoff: Option<Handoff>,
+}
+
+/// How a worker takes over nodes — a respawned incarnation its own (in
+/// its `Assign`), a survivor a dead worker's (in a `Reassign`) — applied
+/// the same way both times.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Handoff {
+    /// Node → worker owner map, one live position per node.
+    pub owner: Vec<usize>,
+    /// Which ring positions are live, one entry per position.
     pub live: Vec<bool>,
-    /// Snapshot hand-back for a respawned or adoptive worker: for each
-    /// restored node, its latest retained `(node, version, blob)`.
-    pub restore: Vec<(usize, u64, Vec<u8>)>,
+    /// `(node, version, blob)`: the latest retained checkpoint of each
+    /// node taken over that ever shipped one; the others start fresh.
+    pub nodes: Vec<(usize, u64, Vec<u8>)>,
 }
 
 impl Assign {
@@ -147,9 +159,7 @@ impl Assign {
             incarnation: 0,
             epoch: 0,
             supervised: false,
-            owner: None,
-            live: Vec::new(),
-            restore: Vec::new(),
+            handoff: None,
         }
     }
 }
@@ -221,8 +231,8 @@ const MSG_REASSIGN: u8 = 6;
 
 wire_struct!(JobSpec: program, facts, strategy, nodes, eval_threads, step_budget, faults,
     trace_prefix, flight_path);
-wire_struct!(Assign: worker, workers, spec, incarnation, epoch, supervised, owner, live,
-    restore);
+wire_struct!(Assign: worker, workers, spec, incarnation, epoch, supervised, handoff);
+wire_struct!(Handoff: owner, live, nodes);
 wire_struct!(FinalReport: stats, states, clean);
 
 // The run counters of `calm-transducer` and `calm-common`, laid out
@@ -268,15 +278,9 @@ impl Codec for Msg {
                 out.push(MSG_RESET);
                 epoch.put(out);
             }
-            Msg::Reassign {
-                owner,
-                live,
-                adopted,
-            } => {
+            Msg::Reassign(handoff) => {
                 out.push(MSG_REASSIGN);
-                owner.put(out);
-                live.put(out);
-                adopted.put(out);
+                handoff.put(out);
             }
         }
     }
@@ -303,11 +307,7 @@ impl Codec for Msg {
             MSG_RESET => Msg::Reset {
                 epoch: Codec::read(r)?,
             },
-            MSG_REASSIGN => Msg::Reassign {
-                owner: Codec::read(r)?,
-                live: Codec::read(r)?,
-                adopted: Codec::read(r)?,
-            },
+            MSG_REASSIGN => Msg::Reassign(Codec::read(r)?),
             _ => return Err(WireError::NonCanonical("unknown msg tag")),
         })
     }
@@ -401,8 +401,8 @@ pub(crate) fn decode_ctrl(bytes: &[u8]) -> Result<CtrlMsg, WireError> {
 }
 
 /// Encode one node checkpoint into the blob carried by
-/// `CtrlMsg::Snapshot` and handed back in `Assign.restore` /
-/// `Msg::Reassign.adopted`: the [`NodeSnapshot`] — its state, its inbox
+/// `CtrlMsg::Snapshot` and handed back in a [`Handoff`]: the
+/// [`NodeSnapshot`] — its state, its inbox
 /// and each source's receive filter as one length-prefixed wire batch
 /// each ([`crate::wirefmt`]), written from rows over `table` ranked by
 /// `order`, with the link state between inbox and filter — then the
@@ -511,9 +511,11 @@ pub(crate) mod tests {
             incarnation: 2,
             epoch: 5,
             supervised: true,
-            owner: Some(vec![0, 1, 0, 1]),
-            live: vec![true, true, false, true],
-            restore: vec![(2, 7, vec![1, 2, 3]), (6, 1, Vec::new())],
+            handoff: Some(Handoff {
+                owner: vec![0, 1, 0, 1],
+                live: vec![true, true, false, true],
+                nodes: vec![(2, 7, vec![1, 2, 3]), (6, 1, Vec::new())],
+            }),
             ..Assign::new(2, 4, spec())
         }
     }
@@ -530,11 +532,11 @@ pub(crate) mod tests {
         (wirefmt::encode_traced(&batch, Some(&ctx)).into(), ctx)
     }
 
-    fn reassign_msg() -> Msg {
-        Msg::Reassign {
+    fn reassign_handoff() -> Handoff {
+        Handoff {
             owner: vec![0, 1, 0, 1, 0, 1],
             live: vec![true, false],
-            adopted: vec![(1, 3, vec![9, 9, 9]), (3, 2, vec![7])],
+            nodes: vec![(1, 3, vec![9, 9, 9]), (3, 2, vec![7])],
         }
     }
 
@@ -678,18 +680,8 @@ pub(crate) mod tests {
             CtrlMsg::Deliver(Msg::Reset { epoch: 9 }) => {}
             _ => panic!("wrong shape"),
         }
-        match round(&CtrlMsg::Deliver(reassign_msg())) {
-            CtrlMsg::Deliver(Msg::Reassign {
-                owner,
-                live,
-                adopted,
-            }) => {
-                assert_eq!(owner, vec![0, 1, 0, 1, 0, 1]);
-                assert_eq!(live, vec![true, false]);
-                assert_eq!(adopted.len(), 2);
-                assert_eq!(adopted[0], (1, 3, vec![9, 9, 9]));
-                assert_eq!(adopted[1], (3, 2, vec![7]));
-            }
+        match round(&CtrlMsg::Deliver(Msg::Reassign(reassign_handoff()))) {
+            CtrlMsg::Deliver(Msg::Reassign(handoff)) => assert_eq!(handoff, reassign_handoff()),
             _ => panic!("wrong shape"),
         }
         match round(&CtrlMsg::Heartbeat { worker: 3 }) {
@@ -921,7 +913,10 @@ pub(crate) mod tests {
             ),
             ("deliver/terminate", deliver(Msg::Terminate)),
             ("deliver/reset", deliver(Msg::Reset { epoch: 9 })),
-            ("deliver/reassign", deliver(reassign_msg())),
+            (
+                "deliver/reassign",
+                deliver(Msg::Reassign(reassign_handoff())),
+            ),
             (
                 "final",
                 encode_ctrl(&CtrlMsg::Final(FinalReport {
@@ -954,17 +949,20 @@ pub(crate) mod tests {
     }
 
     /// Every fixture's length and FNV-1a-64. `hello` (it carries the
-    /// version), `snapshot` and the two blobs (state, inbox and receive
-    /// filter each one delta-coded batch) were re-pinned with v5, `final`
-    /// (each state one delta-coded batch) with v4; the other layouts have
-    /// not moved since they were last written by hand. Re-pin a line only
-    /// together with a version bump.
+    /// version) and `assign` (a first spawn's three empty topology fields
+    /// became one `None` hand-off) were re-pinned with v6 — `assign/full`
+    /// and `deliver/reassign` did not move: a [`Handoff`]'s bytes are the
+    /// fields it replaced. `snapshot` and the two blobs (state, inbox and
+    /// receive filter each one delta-coded batch) were re-pinned with v5,
+    /// `final` (each state one delta-coded batch) with v4; the other
+    /// layouts have not moved since they were last written by hand.
+    /// Re-pin a line only together with a version bump.
     #[test]
     fn golden_bytes() {
-        assert_eq!(PROTOCOL_VERSION, 5);
+        assert_eq!(PROTOCOL_VERSION, 6);
         let golden = [
-            ("hello", 3, 0xd93c13186c00be37),
-            ("assign", 96, 0x815af62db12788d4),
+            ("hello", 3, 0xd938ab186bfdd7a8),
+            ("assign", 94, 0xeed062f9e66b50b4),
             ("assign/full", 114, 0x2d61f0d581a64042),
             ("route/batch", 25, 0x7f9b6400a0a43b99),
             ("deliver/data", 26, 0xa984c81dd179b7a5),
@@ -1020,7 +1018,7 @@ pub(crate) mod tests {
         out
     }
 
-    /// Multiplicities cross a socket (`Assign.restore`, `Reassign`): the
+    /// Multiplicities cross a socket (a [`Handoff`]'s blobs): the
     /// row decoder bounds them to `1..=u32::MAX` in a blob's inbox, and the
     /// multiset reader in `decode_naive`. Two entries of 2⁶³ used to
     /// overflow `Multiset::insert_n`'s running total (a panic in this build).

@@ -16,9 +16,7 @@
 //! [`FaultStats::dropped`](crate::FaultStats::dropped).
 
 use super::frame::{read_frame, write_frame, FrameError};
-use super::proto::{
-    decode_ctrl, decode_snapshot_blob, encode_ctrl, Assign, CtrlMsg, PROTOCOL_VERSION,
-};
+use super::proto::{decode_ctrl, encode_ctrl, Assign, CtrlMsg, PROTOCOL_VERSION};
 use crate::executor::{run_worker, Msg, NodeFactory, Ports, ProcCtx, WorkerCtx};
 use crate::faults::FaultPlan;
 use calm_common::instance::Instance;
@@ -220,7 +218,7 @@ pub fn run_net_worker(
     .map_err(|e| format!("hello failed: {e}"))?;
     stream.set_read_timeout(Some(ASSIGN_TIMEOUT)).ok();
     let payload = read_frame(&mut stream).map_err(|e| format!("no assignment: {e}"))?;
-    let assign = match decode_ctrl(&payload) {
+    let mut assign = match decode_ctrl(&payload) {
         Ok(CtrlMsg::Assign(a)) => a,
         Ok(_) => return Err("expected Assign as the second frame".into()),
         Err(e) => return Err(format!("assignment did not decode: {e}")),
@@ -248,26 +246,15 @@ pub fn run_net_worker(
         faults = Some(FaultPlan::none(0));
     }
 
-    // Decode the snapshot hand-back (respawn/adoption) eagerly, into the
-    // worker's table: a blob the coordinator retained but we cannot
-    // decode is a protocol error, not a run-time fault.
-    let symbols = SharedSymbols::new();
-    let mut restore = Vec::new();
-    for (node, version, blob) in &assign.restore {
-        let (snap, transitions, next_seq) = decode_snapshot_blob(blob, &mut symbols.write())
-            .map_err(|e| format!("restore blob for node {node} did not decode: {e}"))?;
-        restore.push((*node, *version, snap, transitions, next_seq));
-    }
     let proc = ProcCtx {
         incarnation: assign.incarnation,
         epoch: assign.epoch,
         supervised: assign.supervised,
-        owner: assign.owner.clone(),
-        live: assign.live.clone(),
-        restore,
+        handoff: assign.handoff.take(),
     };
 
     let (transducer, policy) = (setup.transducer.as_ref(), setup.policy.as_ref());
+    let symbols = SharedSymbols::new();
     let fab = NodeFactory::new(transducer, policy, setup.config, &setup.input, symbols);
 
     let reader_stream = stream.try_clone().map_err(|e| format!("clone: {e}"))?;

@@ -22,31 +22,24 @@ use crate::network::NodeId;
 use crate::policy::DistributionPolicy;
 use calm_common::fact::Fact;
 use calm_common::instance::Instance;
-use calm_common::storage::{CanonicalOrder, RelId, SharedSymbols, Storage, Sym, SymbolTable};
+use calm_common::storage::{CanonicalOrder, RelId, Rows, SharedSymbols, Storage, Sym, SymbolTable};
 use calm_common::value::Value;
 use std::sync::Arc;
-
-/// A run of rows of one relation and one arity, back to back in
-/// [`Batch::syms`] up to `end`. The arity is the group's, not the
-/// relation's: a wire batch may hold `m_E(1)` beside `m_E(1,2)`.
-#[derive(Debug, Clone)]
-struct Group {
-    rel: RelId,
-    arity: usize,
-    end: usize,
-}
 
 /// Message rows grouped by relation: what one step sent, what one wire
 /// batch decoded into. Built by pushing, then shared behind an [`Arc`]
 /// and never changed again — every recipient's inbox holds the handle.
 #[derive(Debug, Clone, Default)]
 pub struct Batch {
-    groups: Vec<Group>,
-    syms: Vec<Sym>,
+    /// The rows in push order, a run per relation and arity: the arity
+    /// is the run's, not the relation's — a wire batch may hold `m_E(1)`
+    /// beside `m_E(1,2)`.
+    rows: Rows,
     /// How often each row occurs, in row order — empty while every row
     /// occurs once (every send; most wire batches).
     counts: Vec<u32>,
-    rows: usize,
+    /// How many rows were pushed.
+    pushed: usize,
     occurrences: usize,
 }
 
@@ -62,22 +55,14 @@ impl Batch {
             return;
         }
         if n > 1 && self.counts.is_empty() {
-            self.counts.resize(self.rows, 1);
+            self.counts.resize(self.pushed, 1);
         }
         if n > 1 || !self.counts.is_empty() {
             self.counts
                 .push(u32::try_from(n).expect("occurrences of one fact in one batch"));
         }
-        self.syms.extend_from_slice(row);
-        match self.groups.last_mut() {
-            Some(g) if g.rel == rel && g.arity == row.len() => g.end = self.syms.len(),
-            _ => self.groups.push(Group {
-                rel,
-                arity: row.len(),
-                end: self.syms.len(),
-            }),
-        }
-        self.rows += 1;
+        self.rows.push(rel, row);
+        self.pushed += 1;
         self.occurrences += n;
     }
 
@@ -91,16 +76,11 @@ impl Batch {
         self.occurrences == 0
     }
 
-    /// The groups in push order: relation, and its rows of one arity.
+    /// The runs in push order: relation, and its rows of one arity.
     pub(crate) fn groups(
         &self,
     ) -> impl Iterator<Item = (RelId, std::slice::ChunksExact<'_, Sym>)> + '_ {
-        let mut start = 0;
-        self.groups.iter().map(move |g| {
-            let rows = self.syms[start..g.end].chunks_exact(g.arity);
-            start = g.end;
-            (g.rel, rows)
-        })
+        self.rows.runs()
     }
 
     /// Every row with how often it occurs, in push order.
