@@ -1,55 +1,13 @@
-//! The shared evaluation substrate: symbol interning and indexed,
-//! delta-tracked relation storage.
-//!
-//! Every evaluation path in the workspace — the stratified Datalog¬
-//! engine, the well-founded alternating fixpoint, ILOG¬ Herbrand
-//! evaluation and the transducer simulator — runs over the two types in
-//! this module:
-//!
-//! * [`SymbolTable`] interns relation names to [`RelId`] and domain
-//!   values to [`Sym`], both plain `u32`s. Hot joins compare and hash
-//!   `Copy` integers instead of cloning [`RelName`]s and [`Value`]s;
-//!   conversion back to the deterministic [`Instance`] boundary happens
-//!   only at the edges. Tables are shared between stores through
-//!   [`SharedSymbols`] so that facts from different stores (e.g. the
-//!   under- and over-approximations of the alternating fixpoint, or a
-//!   transducer's persistent scratch state) stay directly comparable.
-//!
-//! * [`Storage`] maps each [`RelId`] to a [`Relation`]: a deduplicated,
-//!   insertion-ordered row log that holds every tuple **exactly once**,
-//!   in a flat arena — all rows back to back in one `Vec<Sym>` at one
-//!   stride (offsets only once two arities meet), the row id the
-//!   position in the log, and [`Relation::row`] a slice of the arena.
-//!   Membership goes through an open-addressing table of row ids that
-//!   hashes and compares those slices in place (see [`Relation`] for
-//!   why not a `HashMap`), so an insert copies the symbols once and
-//!   allocates nothing. Per-column hash indexes are
-//!   built once ([`Relation::ensure_index`]) and *maintained
-//!   incrementally on every insert* — the semi-naive loop never
-//!   rebuilds an index. A per-relation `delta_start` watermark exposes
-//!   the rows added since the last [`Storage::mark_deltas`] call as the
-//!   semi-naive delta ([`Relation::delta_rows`], a range of ids), with
-//!   no second store and no copying. `Storage` also keeps a running
-//!   fact counter, making [`Storage::len`] and [`Storage::is_empty`]
-//!   O(1).
-//!
-//! [`EvalMetrics`] is the engine-level counter block threaded from the
-//! innermost join loop up to benchmark and experiment reports: fixpoint
-//! iterations, derivations, index probes/hits and bytes moved into
-//! storage.
-//!
-//! [`Storage`] and [`Relation`] hold no interior mutability, so a
-//! `&Storage` is freely shareable across threads: the data-parallel
-//! semi-naive driver hands read-only views of the same store (rows,
-//! delta watermarks and indexes) to scoped worker threads and inserts
-//! their derivation buffers through [`Storage::insert_batch`] — the
-//! fixpoint's one dedup — on the single mutating thread. A compile-time
-//! assertion below pins the `Send + Sync` guarantee.
-//!
-//! Ids and arena offsets are `u32`s; the interning, row-id and arena
-//! paths use *checked* conversions that panic with a clear "interning
-//! capacity" message instead of silently wrapping past 2^32 and
-//! aliasing unrelated symbols or rows.
+//! The shared evaluation substrate (DESIGN §6): [`SymbolTable`] interns
+//! relation names to [`RelId`] and values to [`Sym`], both `u32`s, shared
+//! between stores through [`SharedSymbols`]; [`Storage`] maps each
+//! relation to a [`Relation`], a deduplicated, insertion-ordered row log
+//! in one flat arena with incrementally maintained column indexes and a
+//! delta watermark; [`EvalMetrics`] counts the engine's work. The text
+//! edge out is [`FactPrinter`] (DESIGN §18). A `&Storage` is shareable
+//! across threads (asserted below), and ids and arena offsets are
+//! `u32`s behind checked conversions that panic with an "interning
+//! capacity" message rather than wrap.
 
 use crate::fact::{rel, RelName};
 use crate::instance::Instance;
@@ -113,13 +71,9 @@ impl Rows {
     }
 }
 
-/// Allocate the next `u32` id for a collection currently holding `len`
-/// entries, panicking with a clear message once `cap` ids are in use.
-///
-/// Ids are indexes, so a collection of `len` entries hands out id `len`
-/// next; `cap` is normally `u32::MAX` (tests inject a small cap to
-/// exercise the guard). Without this check the former `as u32` casts
-/// silently wrapped past 2^32 and aliased unrelated symbols or rows.
+/// Allocate id `len`, the next of a collection holding `len` entries,
+/// panicking with a clear message once `cap` ids (normally `u32::MAX`;
+/// tests inject a small cap) are in use.
 #[inline]
 fn checked_id(len: usize, cap: u32, what: &str) -> u32 {
     assert!(
@@ -172,26 +126,11 @@ fn first_slot(h: u64, slots: usize) -> usize {
     (h >> (64 - slots.trailing_zeros())) as usize
 }
 
-/// Bidirectional interner for relation names and domain values.
-///
-/// # Layout
-///
-/// `values[s]` is the value behind symbol `s`; ids are dense and handed
-/// out in first-occurrence order. The way back is keyed on the
-/// *borrowed* form of a value, one map per variant, so that interning an
-/// occurrence builds no [`Value`]:
-///
-/// * an integer probes `ints`, an open-addressing table of `(key, id)`
-///   slots — linear probing over a power-of-two number of slots, at most
-///   half of them taken, hashed with the rows' multiply-rotate
-///   (`mix`) — no SipHash on the reader's hottest call. A fixed
-///   multiplicative hash lets crafted keys chain; that is the exposure
-///   [`Relation`]'s row table, fed the same input, already has;
-/// * a string probes `strs` by `&str`. Its `Arc<str>` is allocated once
-///   per *distinct* string and shared with `values`. This map keeps
-///   std's SipHash on purpose: its keys are text from outside the
-///   program, of any length an input cares to make them;
-/// * a Skolem term (ILOG¬ only) probes `skolems` by the whole value.
+/// Bidirectional interner for relation names and domain values:
+/// `values[s]` is the value behind symbol `s`, ids dense in
+/// first-occurrence order; the way back is keyed on the *borrowed* form of
+/// a value, one map per variant — an open-addressing table for integers,
+/// `&str` for strings, the whole value for Skolem terms (DESIGN §6).
 #[derive(Debug)]
 pub struct SymbolTable {
     rel_names: Vec<RelName>,
@@ -375,12 +314,8 @@ impl SymbolTable {
     }
 }
 
-/// A clonable handle to a [`SymbolTable`] shared by several stores.
-///
-/// Interning only happens at the edges (loading instances, compiling
-/// rule constants, emitting invented values); the hot join loops
-/// operate on [`Sym`]s without touching the table, so the lock is
-/// uncontended in practice.
+/// A clonable handle to a [`SymbolTable`] shared by several stores;
+/// interning happens at the edges, so the lock is uncontended.
 #[derive(Debug, Clone, Default)]
 pub struct SharedSymbols(Arc<RwLock<SymbolTable>>);
 
@@ -421,33 +356,12 @@ fn hash_row(row: &[Sym]) -> u64 {
 
 /// One relation's rows: deduplicated, in insertion order, with
 /// incrementally maintained per-column hash indexes and a delta
-/// watermark.
-///
-/// # Layout
-///
-/// Every tuple is stored exactly once, in a flat arena: `syms` holds
-/// all rows back to back, and beside it the relation keeps nothing per
-/// row. The first row sets the `stride`, and row `id` is
-/// `syms[id * stride..][..stride]`. One relation may still hold rows of
-/// different arities (`E(1). E(1,2).` is accepted input): the first row
-/// of a second arity builds `starts`, the offset of every row, once, and
-/// the relation keeps it until it is emptied. Deduplication goes
-/// through `table`, an open-addressing table of row ids that hashes and
-/// compares slices *in the arena* — a std `HashMap` would need an owned
-/// copy of every tuple as its key. The table is never iterated, so row
-/// ids, delta order and every counter are independent of the hash.
-///
-/// # Retraction
-///
-/// Rows are never removed from the insertion log in place. A
-/// [`Relation::retract`] sets the row's bit in `killed`, leaving a
-/// *tombstone*: the id table and the indexes keep the id (readers
-/// filter by [`Relation::is_live`] or [`Relation::live_at_mark`]), and
-/// [`Relation::compact`] later rebuilds the relation over the live rows
-/// only. A relation is a set — semi-naive evaluation cannot count
-/// derivations (DESIGN.md §16) — so liveness is all a row carries. On
-/// an insert-only relation `killed` is never allocated, `dead == 0` and
-/// every tombstone check is a single branch.
+/// watermark (DESIGN §6). Every tuple is stored once in a flat arena at
+/// the first row's `stride` (offsets only once two arities meet), and an
+/// open-addressing table of row ids hashes and compares rows in place.
+/// A [`Relation::retract`] leaves a tombstone bit until
+/// [`Relation::compact`] (DESIGN §16); on an insert-only relation every
+/// tombstone check is a single branch.
 #[derive(Debug, Clone)]
 pub struct Relation {
     /// The arena: the symbols of all rows, in row-id order.
@@ -578,13 +492,10 @@ impl Relation {
         }
     }
 
-    /// Insert a row; returns `true` when new *or revived*. Retracting a
-    /// row and re-inserting it resurrects the same row id in place
-    /// (its tombstone bit cleared) — built indexes already reference
-    /// that id, so nothing is rebuilt and no duplicate row is ever
-    /// enumerated. A genuinely new row is copied to the end of the arena
-    /// and updates every built index in place — indexes never need
-    /// rebuilding.
+    /// Insert a row; returns `true` when new *or revived*. A retracted
+    /// row comes back under its id, its tombstone bit cleared; a new row
+    /// is copied to the end of the arena and entered into every built
+    /// index in place.
     #[inline]
     pub fn insert(&mut self, t: &[Sym]) -> bool {
         self.insert_id(t).is_some()
@@ -708,25 +619,16 @@ impl Relation {
     }
 
     /// Whether the row with the given id was live at the last
-    /// [`Relation::mark_delta`] — the *old view* as a filter on row
-    /// ids. When the relation held no tombstones at mark time (the
-    /// update driver compacts at every batch boundary), every id below
-    /// the watermark was live then, whatever happened to it since: a
-    /// retraction leaves the row in the log as a tombstone, a revival
-    /// keeps its id, and new rows are appended past the watermark. So
-    /// `(live ∧ ¬added) ∨ (dead ∧ removed)` is exactly `id <
-    /// delta_start`, and index probes keep returning the ids of both
-    /// kinds until [`Relation::compact`].
+    /// [`Relation::mark_delta`] — the *old view* as a filter on row ids:
+    /// on a relation compacted at mark time, `(live ∧ ¬added) ∨ (dead ∧
+    /// removed)` is exactly `id < delta_start` (DESIGN §16).
     pub fn live_at_mark(&self, id: u32) -> bool {
         id < self.delta_start
     }
 
     /// The ids of all rows in the insertion log, in insertion order —
-    /// *including* tombstoned rows when `dead_rows() > 0`; read a row
-    /// with [`Relation::row`]. The fixpoint engines only run over
-    /// compacted relations (where this enumerates
-    /// [`Relation::live_rows`]); liveness-aware callers filter with
-    /// [`Relation::is_live`].
+    /// *including* tombstoned rows when `dead_rows() > 0` (filter with
+    /// [`Relation::is_live`]); read a row with [`Relation::row`].
     pub fn rows(&self) -> std::ops::Range<u32> {
         0..self.len
     }
@@ -872,20 +774,12 @@ impl Relation {
     }
 
     /// Physically remove tombstoned rows: slide the live rows down the
-    /// arena in place (ids are renumbered, order kept), then re-enter
-    /// them into the id table and the built indexes — one pass over
-    /// the whole relation, however few rows died. The tombstone bits
-    /// are emptied, and so are the offsets when no row is left (the
-    /// next row sets the stride). The delta watermark
-    /// is remapped to the number of live rows that preceded it, so
-    /// "past the watermark" keeps meaning "not yet seen by the previous
-    /// `mark_delta` reader". A no-op (and allocation-free) when no row
-    /// is dead. Returns the number of rows removed.
-    ///
-    /// Must not run between a `mark_delta` and a `delta_rows()`
-    /// consumer — compaction moves rows. The update driver compacts
-    /// only at update-batch boundaries, so the fixpoint engines always
-    /// run over compacted relations.
+    /// arena (ids renumbered, order kept) and re-enter them into the id
+    /// table and the built indexes; the delta watermark is remapped to
+    /// the live rows before it. A no-op when no row is dead. Returns the
+    /// number of rows removed. Compaction moves rows, so it must not run
+    /// between a `mark_delta` and a `delta_rows()` consumer (the update
+    /// driver compacts only at batch boundaries, DESIGN §16).
     pub fn compact(&mut self) -> usize {
         if self.dead == 0 {
             return 0;
@@ -1223,17 +1117,11 @@ fn export(storage: &Storage, symbols: &SharedSymbols, schema: Option<&Schema>) -
     out
 }
 
-/// The order [`Instance`] keeps facts in, reached on rows: relations by
-/// name in `str` order ([`relations_by_name`]); within a relation tuples
-/// in `Vec<Value>` order, i.e. lexicographically by [`Value`]'s `Ord`
-/// (`Int < Str < Skolem`), a tuple before the longer ones it is a prefix
-/// of. It is a specification, not an accident of a container — the text
-/// `calm eval` prints and the bytes of a `calm-net` final report are both
-/// in it — and it is reached by sorting row ids: every symbol is ranked
-/// once by `Value::cmp`, so the order of two rows is the lexicographic
-/// order of their `u32` ranks (`sort_by_rank`). The ranks stay valid
-/// while the symbol table does not grow (symbols are never removed) and
-/// are extended, not rebuilt, when it does.
+/// The order [`Instance`] keeps facts in, reached on rows (DESIGN §18):
+/// relations by name ([`relations_by_name`]), tuples in `Vec<Value>`
+/// order. Every symbol is ranked once by `Value::cmp`, so two rows
+/// compare as their `u32` rank tuples do; the ranks are extended, not
+/// rebuilt, when the symbol table grows.
 #[derive(Debug, Default)]
 pub struct CanonicalOrder {
     /// The first `rank.len()` symbols of the table in [`Value`] order:
@@ -1289,44 +1177,38 @@ impl CanonicalOrder {
     }
 
     /// The ids of the live rows of `relation` in `Vec<Value>` order:
-    /// those of `arity` columns, or with `None` all of them. Every symbol
-    /// of `relation` must have been taken in by [`CanonicalOrder::extend`].
+    /// those of `arity` columns, or with `None` all of them, radix-sorted
+    /// by ranks gathered from the arena per pass. The wire encoder sorts
+    /// here; [`FactPrinter`] only for rank tuples wider than a word. Every
+    /// symbol of `relation` must have been taken in by
+    /// [`CanonicalOrder::extend`].
     pub fn sorted_ids(&self, relation: &Relation, arity: Option<usize>) -> Vec<u32> {
         let rank = &self.rank;
-        let live = relation.rows().filter(|&id| relation.live_in_log(id));
-        if let Some(stride) = relation.uniform_arity() {
-            if arity.is_some_and(|a| a != stride) {
-                return Vec::new();
-            }
-            let mut ids: Vec<u32> = live.collect();
-            sort_by_rank(&mut ids, stride, rank.len(), |id, col| {
-                rank[relation.row(id)[col].0 as usize]
-            });
-            return ids;
+        let other = |a: usize| relation.uniform_arity().is_some_and(|stride| stride != a);
+        if arity.is_some_and(other) {
+            return Vec::new();
         }
-        let mut ids: Vec<u32> = live
-            .filter(|&id| arity.is_none_or(|a| relation.row(id).len() == a))
-            .collect();
-        let (narrowest, widest) = arity.map_or_else(
-            || {
-                let widths = ids.iter().map(|&id| relation.row(id).len());
-                (widths.clone().min().unwrap_or(0), widths.max().unwrap_or(0))
-            },
-            |a| (a, a),
-        );
-        if narrowest == widest {
-            sort_by_rank(&mut ids, widest, rank.len(), |id, col| {
-                rank[relation.row(id)[col].0 as usize]
-            });
-        } else {
-            // Rows of several arities (`E(1). E(1,2).` is accepted
-            // input): a missing column ranks below every value.
-            sort_by_rank(&mut ids, widest, rank.len() + 1, |id, col| {
-                (relation.row(id).get(col)).map_or(0, |s| rank[s.0 as usize] + 1)
-            });
-        }
+        let wanted = |id: u32| arity.is_none_or(|a| relation.row(id).len() == a);
+        let live = relation
+            .rows()
+            .filter(|&id| relation.live_in_log(id) && wanted(id));
+        let mut ids: Vec<u32> = live.collect();
+        let widths = ids.iter().map(|&id| relation.row(id).len());
+        let (narrowest, widest) = (widths.clone().min().unwrap_or(0), widths.max().unwrap_or(0));
+        // Rows of several arities (`E(1). E(1,2).` is accepted input): a
+        // missing column ranks below every value.
+        let pad = u32::from(narrowest < widest);
+        let bits = width(rank.len() + pad as usize);
+        sort_by_rank(&mut ids, widest, bits, |id, col| {
+            (relation.row(id).get(col)).map_or(0, |s| rank[s.0 as usize] + pad)
+        });
         ids
     }
+}
+
+/// How many bits the numbers below `n` take.
+fn width(n: usize) -> u32 {
+    usize::BITS - n.saturating_sub(1).leading_zeros()
 }
 
 /// The relations of `storage` that hold a live row, by name in `str`
@@ -1343,14 +1225,14 @@ pub fn relations_by_name<'t>(
     relations
 }
 
-/// Prints the live rows of a store as fact lines (`R(1,2).`) straight
-/// from the arena, in exactly the order [`Instance`] iterates the same
-/// facts ([`CanonicalOrder`]) — the text `store_to_instance_restricted`
-/// followed by one `Display` per fact would produce, without building a
-/// tuple, a fact or an instance. Every symbol's text is rendered once,
-/// so printing a value is a copy; like the ranks, the texts are extended
-/// when the symbol table grows: a printer kept across the batches of an
-/// update session pays for a symbol once.
+/// Prints the live rows of a store as fact lines (`R(1,2).`) in
+/// [`CanonicalOrder`] — the text `store_to_instance_restricted` and one
+/// `Display` per fact would give, with no tuple, fact or instance built
+/// (DESIGN §18). A row's rank tuple is packed into one `u32` key when it
+/// fits; the keys are sorted and each line is rendered from its key and
+/// the symbols' texts, rendered once, without reading the arena again.
+/// Ranks and texts are extended when the symbol table grows: a printer
+/// kept across the batches of an update session pays for a symbol once.
 #[derive(Debug)]
 pub struct FactPrinter {
     symbols: SharedSymbols,
@@ -1358,36 +1240,55 @@ pub struct FactPrinter {
     known: SymbolText,
 }
 
-/// The `Display` text of the first `text_end.len()` symbols of
-/// [`FactPrinter`]'s table.
+/// The `Display` text of the first `bounds.len() - 1` symbols of
+/// [`FactPrinter`]'s table, back to back in symbol order and followed by
+/// `SLACK` bytes, so that a text is copied in whole 16-byte steps.
 #[derive(Debug, Default)]
 struct SymbolText {
-    /// The texts, back to back in symbol order.
     text: Vec<u8>,
-    /// `text_end[s]`: where the text of symbol `s` ends; it starts
-    /// where its predecessor's ends.
-    text_end: Vec<usize>,
+    /// The text of symbol `s` is `text[bounds[s]..bounds[s + 1]]`.
+    bounds: Vec<usize>,
+    /// The length of the longest text.
+    longest: usize,
 }
+
+/// The bytes [`copy16`] may read and write past the end of a piece.
+const SLACK: usize = 16;
 
 impl SymbolText {
     /// Take in the symbols interned since the last call.
     fn extend(&mut self, table: &SymbolTable) {
         use std::io::Write as _;
+        // The first text starts at 0; the slack moves past the newcomers.
+        self.bounds.resize(self.bounds.len().max(1), 0);
+        self.text.truncate(self.bounds[self.bounds.len() - 1]);
         // Symbol ids passed the interning guard: they fit a `u32`.
-        for s in (self.text_end.len()..table.sym_count()).map(|i| Sym(i as u32)) {
+        for s in (self.bounds.len() - 1..table.sym_count()).map(|i| Sym(i as u32)) {
+            let start = self.text.len();
             match table.value(s) {
                 Value::Int(i) => push_decimal(&mut self.text, *i),
                 Value::Str(s) if prints_bare(s) => self.text.extend_from_slice(s.as_bytes()),
                 other => write!(self.text, "{other}").expect("writing to memory"),
             }
-            self.text_end.push(self.text.len());
+            self.longest = self.longest.max(self.text.len() - start);
+            self.bounds.push(self.text.len());
         }
+        self.text.resize(self.text.len() + SLACK, 0);
     }
+}
 
-    fn text(&self, s: Sym) -> &[u8] {
-        let i = s.0 as usize;
-        let start = i.checked_sub(1).map_or(0, |prev| self.text_end[prev]);
-        &self.text[start..self.text_end[i]]
+/// Copy `len` bytes of `from` to `line[at..]` in 16-byte steps — at least
+/// one, so a text of up to 16 bytes is one fixed-size copy. Both sides
+/// must hold `SLACK` bytes past the piece; returns where it ends.
+#[inline]
+fn copy16(line: &mut [u8], at: usize, from: &[u8], len: usize) -> usize {
+    let mut done = 0;
+    loop {
+        line[at + done..at + done + SLACK].copy_from_slice(&from[done..done + SLACK]);
+        done += SLACK;
+        if done >= len {
+            return at + len;
+        }
     }
 }
 
@@ -1411,44 +1312,114 @@ fn push_decimal(out: &mut Vec<u8>, i: i64) {
     out.extend_from_slice(&digits[at..]);
 }
 
-/// Sort row ids by the rank tuples of their rows — `arity` columns each,
-/// `rank(id, col)` below `ranks` — without comparing two rows: one
-/// stable counting sort per 11-bit digit of a rank, last column first,
-/// so the order that comes out is lexicographic from the first. A pass
-/// reads every row once in the order the previous pass left, which is
-/// what a comparison sort's log n probes per row cost three times over
-/// on 10^5 rows.
-fn sort_by_rank(ids: &mut Vec<u32>, arity: usize, ranks: usize, rank: impl Fn(u32, usize) -> u32) {
+/// Sort `words` by their tuples of `columns` ranks, `rank(word, col)` of
+/// `bits` bits each: a stable counting sort per 11-bit digit, last column
+/// first, so that the order is lexicographic from the first column.
+/// The printer's words are packed rank keys (one column, the digits read
+/// from the word); the wire encoder's are row ids, its ranks gathered.
+fn sort_by_rank(words: &mut Vec<u32>, columns: usize, bits: u32, rank: impl Fn(u32, usize) -> u32) {
     const BITS: u32 = 11;
-    let digits = (usize::BITS - ranks.leading_zeros()).div_ceil(BITS);
-    let scratch = &mut vec![0; ids.len()];
-    for col in (0..arity).rev() {
-        for shift in (0..digits).map(|d| d * BITS) {
-            let digit = |id: u32| (rank(id, col) >> shift) as usize & ((1 << BITS) - 1);
-            // How many rows carry each digit, then where each digit's
-            // run starts; ids are row ids, so the counts fit a `u32`.
+    let scratch = &mut vec![0; words.len()];
+    for col in (0..columns).rev() {
+        for shift in (0..bits.div_ceil(BITS)).map(|d| d * BITS) {
+            let digit = |word: u32| (rank(word, col) >> shift) as usize & ((1 << BITS) - 1);
+            // How many words carry each digit, then where each digit's
+            // run starts; a word per row, so the counts fit a `u32`.
             let mut next = [0u32; 1 << BITS];
-            for &id in ids.iter() {
-                next[digit(id)] += 1;
+            for &word in words.iter() {
+                next[digit(word)] += 1;
             }
             let mut start = 0;
             for n in &mut next {
                 start += std::mem::replace(n, start);
             }
-            for &id in ids.iter() {
-                let slot = &mut next[digit(id)];
-                scratch[*slot as usize] = id;
+            for &word in words.iter() {
+                let slot = &mut next[digit(word)];
+                scratch[*slot as usize] = word;
                 *slot += 1;
             }
-            std::mem::swap(ids, scratch);
+            std::mem::swap(words, scratch);
         }
     }
 }
 
-impl FactPrinter {
+/// The rank tuple of every live row of `relation`, all of `stride`
+/// columns, packed into one word `bits` a column, the first column
+/// highest: one pass over the arena in id order.
+fn packed_keys(relation: &Relation, rank: &[u32], bits: u32) -> Vec<u32> {
+    let rank = |s: &Sym| rank[s.0 as usize];
+    let pack = |row: &[Sym]| match *row {
+        [a, b] => rank(&a) << bits | rank(&b),
+        _ => row
+            .iter()
+            .fold(0u64, |key, s| key << bits | u64::from(rank(s))) as u32,
+    };
+    let (rows, mut keys) = (relation.syms.chunks_exact(relation.stride), Vec::new());
+    keys.reserve_exact(relation.len());
+    if relation.dead == 0 {
+        keys.extend(rows.map(pack));
+    } else {
+        let live = (0..).zip(rows).filter(|&(id, _)| relation.live_in_log(id));
+        keys.extend(live.map(|(_, row)| pack(row)));
+    }
+    keys
+}
+
+/// Fact lines on their way to the writer: `buf[..at]` is text, and past
+/// `CHUNK` there is room for one more line.
+struct Lines<'o> {
+    buf: Vec<u8>,
+    at: usize,
+    out: &'o mut dyn std::io::Write,
+    bytes_out: usize,
+}
+
+impl Lines<'_> {
     /// How much text is gathered before it is handed to the writer.
     const CHUNK: usize = 1 << 16;
 
+    /// Write one `name(a,b).` line per word, its `arity` (a schema's: at
+    /// least one) symbols `sym(word, col)`. Kept out of line: inlined into its caller, the
+    /// loop's values no longer fit the registers.
+    #[inline(never)]
+    fn render(
+        &mut self,
+        name: &str,
+        arity: usize,
+        words: &[u32],
+        text: &SymbolText,
+        sym: impl Fn(u32, usize) -> Sym,
+    ) -> std::io::Result<()> {
+        let head = [name.as_bytes(), b"(", &[0; SLACK]].concat();
+        let room = head.len() + arity * (text.longest + 1) + b").\n".len() + SLACK;
+        if self.buf.len() < Self::CHUNK + room {
+            self.buf.resize(Self::CHUNK + room, 0);
+        }
+        let (texts, bounds) = (&text.text[..], &text.bounds[..]);
+        // Every column is followed by a comma; the last one's becomes `)`.
+        let (line, mut at) = (&mut self.buf[..], self.at);
+        for &word in words {
+            if at >= Self::CHUNK {
+                self.out.write_all(&line[..at])?;
+                (self.bytes_out, at) = (self.bytes_out + at, 0);
+            }
+            at = copy16(line, at, &head, name.len() + 1);
+            for col in 0..arity {
+                let s = sym(word, col).0 as usize;
+                let start = bounds[s];
+                at = copy16(line, at, &texts[start..], bounds[s + 1] - start);
+                line[at] = b',';
+                at += 1;
+            }
+            line[at - 1..][..3].copy_from_slice(b").\n");
+            at += 2;
+        }
+        self.at = at;
+        Ok(())
+    }
+}
+
+impl FactPrinter {
     /// A printer for stores interned against `symbols`.
     pub fn new(symbols: SharedSymbols) -> Self {
         FactPrinter {
@@ -1479,34 +1450,37 @@ impl FactPrinter {
         let table = self.symbols.read();
         self.order.extend(&table);
         self.known.extend(&table);
-        let known = &self.known;
-        let mut chunk = Vec::with_capacity(Self::CHUNK + 256);
-        let (mut rows_written, mut bytes_out) = (0, 0);
+        let (order, known) = (&self.order, &self.known);
+        let bits = width(order.by_value.len());
+        let mut lines = Lines {
+            buf: Vec::new(),
+            at: 0,
+            out,
+            bytes_out: 0,
+        };
+        let mut rows_written = 0;
         for (name, arity) in schema.iter() {
             let relation = table.lookup_rel(name).and_then(|r| storage.relation(r));
             let Some(relation) = relation else { continue };
-            let ids = self.order.sorted_ids(relation, Some(arity));
-            for &id in &ids {
-                chunk.extend_from_slice(name.as_bytes());
-                let mut separator = b'(';
-                for &s in relation.row(id) {
-                    chunk.push(separator);
-                    chunk.extend_from_slice(known.text(s));
-                    separator = b',';
-                }
-                chunk.extend_from_slice(b").\n");
-                if chunk.len() >= Self::CHUNK {
-                    out.write_all(&chunk)?;
-                    bytes_out += chunk.len();
-                    chunk.clear();
-                }
+            let packs = arity * bits as usize <= 32;
+            if packs && relation.uniform_arity() == Some(arity) {
+                let mut keys = packed_keys(relation, &order.rank, bits);
+                sort_by_rank(&mut keys, 1, arity as u32 * bits, |key, _| key);
+                let (by_value, mask, last) = (&order.by_value[..], (1u64 << bits) - 1, arity - 1);
+                let sym = move |key: u32, col: usize| {
+                    by_value[(u64::from(key) >> (bits as usize * (last - col)) & mask) as usize]
+                };
+                lines.render(name, arity, &keys, known, sym)?;
+                rows_written += keys.len();
+            } else {
+                let ids = order.sorted_ids(relation, Some(arity));
+                lines.render(name, arity, &ids, known, |id, col| relation.row(id)[col])?;
+                rows_written += ids.len();
             }
-            rows_written += ids.len();
         }
-        out.write_all(&chunk)?;
-        bytes_out += chunk.len();
+        lines.out.write_all(&lines.buf[..lines.at])?;
         obs.counter("eval", "rows_written", rows_written as u64);
-        obs.counter("eval", "bytes_out", bytes_out as u64);
+        obs.counter("eval", "bytes_out", (lines.bytes_out + lines.at) as u64);
         Ok(())
     }
 }

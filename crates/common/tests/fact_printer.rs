@@ -293,9 +293,10 @@ fn printer_orders_values_as_value_does() {
 
 #[test]
 fn printer_orders_ranks_of_more_than_one_digit() {
-    // The sort takes a rank 11 bits at a time: 5 000 symbols need two
-    // passes a column, and interning them shuffled makes rank and
-    // symbol id disagree in every digit.
+    // The sort takes 11 bits at a time: over 5 000 symbols a binary
+    // row's packed key of 26 bits takes three passes, a ternary row (39
+    // bits, not packed) two a column, and interning the symbols shuffled
+    // makes rank and symbol id disagree in every digit.
     let mut rng = Rng::seed_from_u64(11);
     let symbols = SharedSymbols::new();
     let mut values: Vec<i64> = (-2_500..2_500).collect();
@@ -360,4 +361,162 @@ fn printer_stops_at_the_first_write_error() {
         )
         .unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe);
+}
+
+/// A store of relation `E` over `count` integer symbols interned in an
+/// order unlike their values', holding every corner of the rank space at
+/// `arity` — the lowest and highest rank in each column — beside random
+/// rows.
+fn store_over(count: i64, arity: usize, seed: u64) -> (SharedSymbols, Storage) {
+    let mut rng = Rng::seed_from_u64(seed);
+    let symbols = SharedSymbols::new();
+    let mut values: Vec<i64> = (0..count).map(|i| i * 7 - count * 3).collect();
+    rng.shuffle(&mut values);
+    let syms: Vec<_> = values.iter().map(|&i| symbols.write().sym(&v(i))).collect();
+    let sym_of = |i: i64| symbols.read().lookup_sym(&v(i * 7 - count * 3)).unwrap();
+    let (low, high) = (sym_of(0), sym_of(count - 1));
+    let mut st = Storage::new();
+    let e = symbols.write().rel("E");
+    for corner in 0..1usize << arity {
+        let row: SymTuple = (0..arity)
+            .map(|col| if corner >> col & 1 == 1 { high } else { low })
+            .collect();
+        st.insert(e, &row);
+    }
+    for _ in 0..3_000 {
+        let row: SymTuple = (0..arity).map(|_| *rng.choose(&syms).unwrap()).collect();
+        st.insert(e, &row);
+    }
+    (symbols, st)
+}
+
+#[test]
+fn printer_orders_rank_tuples_on_both_sides_of_the_word() {
+    // A row's rank tuple is packed into one `u32` while arity × rank
+    // width ≤ 32: binary rows up to 65 536 symbols, ternary up to 1 024.
+    // At the largest such table and one symbol past it the printer takes
+    // the packed path and the row-id path; both must print the reference.
+    for (arity, fits) in [(2, 1i64 << 16), (3, 1 << 10)] {
+        for count in [fits, fits + 1] {
+            let (symbols, st) = store_over(count, arity, count as u64);
+            assert_eq!(symbols.read().sym_count() as i64, count);
+            let schema = Schema::from_pairs([("E", arity)]);
+            let want = reference(&st, &symbols, &schema);
+            assert!(want.lines().count() > 2_900);
+            let mut printer = FactPrinter::new(symbols.clone());
+            assert_eq!(
+                printed(&mut printer, &st, &schema),
+                want,
+                "arity {arity}, {count} symbols"
+            );
+        }
+    }
+}
+
+#[test]
+fn printer_copies_long_texts_whole() {
+    // A text is copied in 16-byte steps: texts of 15 to 33 bytes, the
+    // 20 of `i64::MIN`, a quoted string past 32 bytes and a Skolem term
+    // over it, in both columns of a binary relation and in a ternary one,
+    // beside one-byte texts.
+    let symbols = SharedSymbols::new();
+    let mut st = Storage::new();
+    let mut pool: Vec<Value> = [15, 16, 17, 31, 32, 33]
+        .map(|n| Value::str("a".repeat(n)))
+        .into();
+    let long = "a quoted string, longer than thirty-two bytes";
+    pool.extend([
+        v(i64::MIN),
+        v(i64::MAX),
+        v(0),
+        Value::str("b"),
+        Value::str(long),
+    ]);
+    pool.push(Value::skolem("f", vec![Value::str(long), v(i64::MIN)]));
+    let syms: Vec<_> = pool.iter().map(|x| symbols.write().sym(x)).collect();
+    let e = symbols.write().rel("E");
+    let t = symbols.write().rel("T");
+    for &a in &syms {
+        for &b in &syms {
+            st.insert(e, &[a, b]);
+            st.insert(t, &[b, a, b]);
+        }
+    }
+    let schema = Schema::from_pairs([("E", 2), ("T", 3)]);
+    let want = reference(&st, &symbols, &schema);
+    assert_eq!(want.lines().count(), 2 * syms.len() * syms.len());
+    assert_eq!(
+        printed(&mut FactPrinter::new(symbols.clone()), &st, &schema),
+        want
+    );
+}
+
+#[test]
+fn printer_skips_tombstones_and_other_arities_at_print_time() {
+    // Rows retracted and not compacted when the printer runs, in a
+    // relation of one arity (the packed path) and in one that also holds
+    // rows of another (the row-id path), each printed at both arities.
+    let (symbols, mut st) = store_over(300, 2, 5);
+    let e = symbols.write().rel("E");
+    let d = symbols.write().rel("D");
+    let syms: Vec<_> = (0..300)
+        .map(|i| symbols.write().sym(&v(i * 7 - 900)))
+        .collect();
+    for (i, pair) in syms.windows(3).enumerate() {
+        st.insert(d, &pair[..2 + i % 2]);
+    }
+    let mut rng = Rng::seed_from_u64(9);
+    for r in [e, d] {
+        for id in st.relation(r).unwrap().rows() {
+            if rng.gen_bool(0.3) {
+                st.retract_id(r, id);
+            }
+        }
+    }
+    assert!(st.any_dead());
+    let mut printer = FactPrinter::new(symbols.clone());
+    for arity in [2, 3] {
+        let schema = Schema::from_pairs([("D", arity), ("E", arity)]);
+        let want = reference(&st, &symbols, &schema);
+        assert!(!want.is_empty());
+        assert_eq!(printed(&mut printer, &st, &schema), want, "arity {arity}");
+    }
+}
+
+#[test]
+fn a_carried_printer_follows_the_rank_width_across_a_growth() {
+    // One printer, two writes; between them the symbol table grows from
+    // 1 000 symbols (ten bits a rank: a ternary row packs) to 1 100
+    // (eleven: it does not), and from 512 to 513 (nine bits to ten).
+    for (before, after) in [(1_000, 1_100), (512, 513)] {
+        let (symbols, mut st) = store_over(before, 3, before as u64);
+        let e = symbols.write().rel("E");
+        let schema = Schema::from_pairs([("E", 3)]);
+        let mut printer = FactPrinter::new(symbols.clone());
+        assert_eq!(
+            printed(&mut printer, &st, &schema),
+            reference(&st, &symbols, &schema)
+        );
+        let mut rng = Rng::seed_from_u64(after as u64);
+        let newcomers: Vec<_> = (before..after)
+            .map(|i| symbols.write().sym(&Value::str(format!("n{i}"))))
+            .collect();
+        assert_eq!(symbols.read().sym_count() as i64, after);
+        let known = symbols.read().sym_count();
+        for _ in 0..500 {
+            let row: SymTuple = (0..3)
+                .map(|_| match rng.gen_bool(0.5) {
+                    true => *rng.choose(&newcomers).unwrap(),
+                    false => calm_common::storage::Sym(rng.gen_range(0..known as u32)),
+                })
+                .collect();
+            st.insert(e, &row);
+        }
+        let want = reference(&st, &symbols, &schema);
+        assert_eq!(
+            printed(&mut printer, &st, &schema),
+            want,
+            "{before} -> {after}"
+        );
+    }
 }

@@ -1,5 +1,5 @@
 //! Incremental view maintenance over compiled stratified programs
-//! (DESIGN.md §16): [`apply_update_rows`] folds a signed change in rows
+//! (DESIGN.md §16): `apply_update_rows` folds a signed change in rows
 //! into a materialized [`Storage`] in place, so that it holds what a
 //! from-scratch evaluation of the new EDB would. Stratum by stratum, the
 //! heads of old-view derivations through a changed row are candidates;

@@ -17,7 +17,7 @@
 //! # Data-parallel evaluation
 //!
 //! With [`EvalOptions::eval_threads`] > 1 each iteration's rule
-//! evaluations are split into [`EvalJob`]s — one path of one rule over a
+//! evaluations are split into `EvalJob`s — one path of one rule over a
 //! contiguous chunk of its *outermost* scan (the seeding delta rows, or
 //! the leading scan of a body path) — and executed by at most one
 //! scoped worker thread per job (`std::thread::scope`, no new

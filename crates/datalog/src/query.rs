@@ -212,7 +212,7 @@ impl Query for DatalogQuery {
         &self.name
     }
 
-    /// The maintained form over the caller's table ([`RowSession`]).
+    /// The maintained form over the caller's table (`RowSession`).
     fn session(&self, table: &mut SymbolTable) -> Box<dyn QuerySession + '_> {
         Box::new(self.row_session(table))
     }

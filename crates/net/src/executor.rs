@@ -285,7 +285,7 @@ pub fn run_threaded(
 /// table — and a local [`Metrics`]; nothing is shared between workers but
 /// the channels (and the read-only program/policy/input). Workers step
 /// their nodes to local fixpoint, exchange fact batches, and detect
-/// global quiescence with the Safra ring in [`crate::termination`]. At
+/// global quiescence with the Safra ring in `crate::termination`. At
 /// join the workers' final states are handed over as they are and
 /// `out(R)` is united from them ([`FinalStates::output`]); the per-worker
 /// metrics are folded in worker order with [`Metrics::merge`] — the

@@ -14,7 +14,7 @@
 //! the plan did to a run.
 //!
 //! Fairness is earned back by the reliability substrate in
-//! [`crate::reliable`], which a fault-free run never touches.
+//! `crate::reliable`, which a fault-free run never touches.
 
 use calm_common::rng::Rng;
 use std::collections::BTreeMap;

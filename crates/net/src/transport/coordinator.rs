@@ -13,7 +13,7 @@
 //!
 //! Crash semantics: a worker connection that ends before its `Final`
 //! frame is a dead worker. With a respawn budget the coordinator is a
-//! [`Supervisor`]: it fences the ring in a fresh epoch, respawns the
+//! `Supervisor`: it fences the ring in a fresh epoch, respawns the
 //! position and hands it its shard's latest retained snapshots back in
 //! a re-`Assign`; when the budget is spent the survivors adopt the
 //! shard. With a budget of zero (or no survivor left) it broadcasts

@@ -118,7 +118,7 @@ pub fn write_frame(w: &mut dyn Write, payload: &[u8]) -> Result<(), FrameError> 
 /// Read the next frame payload off the stream. Strict: bad magic or an
 /// oversized length is [`FrameError::Corrupt`]; a stream ending inside
 /// the header or payload is [`FrameError::LinkDown`]; a stream ending
-/// exactly between frames is [`FrameError::Closed`]. Past [`FIRST_READ`]
+/// exactly between frames is [`FrameError::Closed`]. Past `FIRST_READ`
 /// the payload's buffer grows with the bytes that arrive, not with the
 /// length the header claims: six bytes cannot make it reserve
 /// `MAX_FRAME_LEN`.

@@ -10,7 +10,7 @@
 //!   message relay, final-state collection), each laid out once over
 //!   the crate's `Codec`.
 //! * [`worker`] — the worker side: connect, handshake, then run the
-//!   shared executor loop over a socket-backed [`Ports`] instead of
+//!   shared executor loop over a socket-backed `executor::Ports` instead of
 //!   channels.
 //! * [`coordinator`] — the coordinator side: listen, spawn W workers,
 //!   relay their messages (star topology — per-link FIFO survives the
@@ -22,8 +22,6 @@
 //! `run_worker`, same reliable-delivery substrate, same token ring —
 //! parameterized only by the transport. That is what makes the process
 //! engine byte-identical to `--engine sequential` by construction.
-//!
-//! [`Ports`]: crate::executor::Ports
 
 pub mod coordinator;
 pub mod frame;

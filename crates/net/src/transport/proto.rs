@@ -13,7 +13,7 @@
 //!   rule as the threaded executor. A respawned incarnation's carries
 //!   one — the owner map, the live mask and the retained checkpoints of
 //!   its nodes — the same hand-off a `Reassign` brings a survivor.
-//! * `Route` — worker → coordinator: an executor message ([`Msg`])
+//! * `Route` — worker → coordinator: an executor message (`Msg`)
 //!   addressed to another worker. The coordinator relays it; batch
 //!   payloads pass through verbatim in the canonical [`crate::wirefmt`]
 //!   encoding, trace extension headers included.

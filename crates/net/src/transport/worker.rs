@@ -11,7 +11,7 @@
 //! Transport failures never panic: a reset, broken pipe, or coordinator
 //! EOF marks the link down, the worker loop exits non-clean (the lost
 //! link forfeits the quiescence claim through
-//! [`Ports::link_ok`](crate::executor::Ports::link_ok)), and every
+//! `Ports::link_ok`), and every
 //! message that could not be put on the wire is counted in
 //! [`FaultStats::dropped`](crate::FaultStats::dropped).
 

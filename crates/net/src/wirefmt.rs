@@ -1,7 +1,7 @@
 //! The delta-encoded wire format for fact batches.
 //!
 //! A step's send crosses between workers as bytes ([`crate::executor`]'s
-//! `Msg::Batch`, [`crate::reliable::Wire::Data`]), retransmitted
+//! `Msg::Batch`, `reliable::Wire::Data`), retransmitted
 //! verbatim under a fault plan. The layout applies the storage idea
 //! (sorted rows, leading-column runs) to one message:
 //!
@@ -20,10 +20,10 @@
 //! retransmitted payload is byte-for-byte the original and tests compare
 //! payloads with `==`.
 //!
-//! **One codec, on rows.** [`encode_rows`] writes a [`Batch`] over a
+//! **One codec, on rows.** `encode_rows` writes a [`Batch`] over a
 //! worker's table as it stands — the dictionary ranked by the worker's
-//! [`CanonicalOrder`], no fact built — and [`decode_rows`] reads the
-//! dictionary into the receiving worker's table ([`Reader::sym`]) and the
+//! [`CanonicalOrder`], no fact built — and `decode_rows` reads the
+//! dictionary into the receiving worker's table (`Reader::sym`) and the
 //! rows into one [`Batch`]. [`encode`] and [`decode`] are the same codec
 //! behind a `Multiset<Fact>` door, over a table of their own.
 //!
@@ -109,7 +109,7 @@ pub enum WireError {
     BadUtf8,
     /// A row column decoded to an index outside the dictionary.
     IndexOutOfRange,
-    /// A Skolem term nests deeper than [`MAX_VALUE_DEPTH`].
+    /// A Skolem term nests deeper than `MAX_VALUE_DEPTH`.
     TooDeep,
     /// A structural invariant of the canonical encoding is violated
     /// (unsorted dictionary/groups/rows, zero arity, zero multiplicity,

@@ -104,7 +104,7 @@ impl JsonValue {
 const MAX_DEPTH: usize = 64;
 
 /// Parse one complete JSON document. Trailing non-whitespace input,
-/// nesting past [`MAX_DEPTH`], or any syntax error, yields `Err` with a
+/// nesting past `MAX_DEPTH`, or any syntax error, yields `Err` with a
 /// byte offset and message.
 pub fn parse_json(input: &str) -> Result<JsonValue, String> {
     let bytes = input.as_bytes();
