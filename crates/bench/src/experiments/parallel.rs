@@ -21,8 +21,8 @@ use calm_queries::winmove::win_move;
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
-/// E21: sequential vs data-parallel fixpoint evaluation; the parallel
-/// driver's spans and partition counters (`eval.parallel`) go to `obs`.
+/// E21: sequential vs data-parallel fixpoint evaluation; the fixpoint's
+/// rule spans and partition counters (`eval.parallel`) go to `obs`.
 pub fn e21_parallel(obs: &Obs) -> Report {
     let mut r = Report::new(
         "E21",

@@ -866,8 +866,8 @@ impl Storage {
         id
     }
 
-    /// Bulk-insert rows into one relation: the fixpoint's one dedup.
-    /// Returns `(new_rows, bytes_moved)`, where bytes count only the
+    /// Bulk-insert rows into one relation (a node's state, a decoded
+    /// batch). Returns `(new_rows, bytes_moved)`, where bytes count only the
     /// tuples that were actually new; the relation is resolved once
     /// for the whole batch instead of per row.
     pub fn insert_batch<'a, I>(&mut self, r: RelId, rows: I) -> (usize, usize)

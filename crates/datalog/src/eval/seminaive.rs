@@ -14,24 +14,24 @@
 //! before the loop and maintained incrementally on insert — nothing is
 //! rebuilt per iteration.
 //!
-//! # Data-parallel evaluation
+//! # One round loop, data-parallel at T > 1
 //!
-//! With [`EvalOptions::eval_threads`] > 1 each iteration's rule
-//! evaluations are split into `EvalJob`s — one path of one rule over a
-//! contiguous chunk of its *outermost* scan (the seeding delta rows, or
-//! the leading scan of a body path) — and executed by at most one
-//! scoped worker thread per job (`std::thread::scope`, no new
-//! dependencies) sharing the storage read-only. Each job fills a
-//! private derivation buffer and [`EvalMetrics`] block; after the round
-//! the buffers are inserted, and the blocks merged, in job order (rule
-//! index, then delta position, then partition index), which
-//! reproduces the exact sequential emission order. Because the chunks
-//! partition the same outer scan, every counter is a sum over the same
-//! event multiset, so the derived database **and** the metrics are
-//! byte-identical to the sequential path at any thread count. The one
-//! exception guarded by the planner: a body path that starts with a
-//! probe or a lookup issues exactly one, so such a unit is never split
-//! (splitting would multiply `index_probes`).
+//! Every round is split into `EvalJob`s — one path of one rule, and
+//! with [`EvalOptions::eval_threads`] > 1 one contiguous chunk of its
+//! *outermost* scan (the seeding delta rows, or the leading scan of a
+//! body path) — and run by `min(eval_threads, jobs)` workers sharing the
+//! storage read-only: the calling thread, plus scoped threads
+//! (`std::thread::scope`) when there is more than one. Each job appends
+//! to a private derivation buffer and fills its own [`EvalMetrics`]
+//! block under its rule's `eval.rule` span; after the round the buffers
+//! are inserted, and the blocks merged, in job order (rule index, then
+//! delta position, then partition index), the order one thread walks
+//! them in. Because the chunks partition the same outer scan, every
+//! counter is a sum over the same event multiset, so the derived
+//! database **and** the metrics are byte-identical at any thread count.
+//! The one exception guarded by the planner: a body path that starts
+//! with a probe or a lookup performs exactly one, so such a unit is
+//! never split (splitting would multiply `index_probes`).
 
 use super::compile::{compile_rule, Access, AccessPath, CompiledAtom, CompiledRule};
 use super::database::Database;
@@ -42,7 +42,7 @@ use calm_common::fact::RelName;
 use calm_common::storage::{RelId, Rows, Storage, Sym, SymTuple, SymbolTable};
 use calm_obs::Obs;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 pub use calm_common::storage::EvalMetrics;
 
@@ -69,8 +69,8 @@ pub struct EvalOptions {
     /// atoms and builds the hash indexes its access paths probe (once
     /// per fixpoint, maintained on insert).
     pub engine: Engine,
-    /// Worker threads for the data-parallel semi-naive driver; 1 (the
-    /// default) runs the classic sequential loop. Any value produces a
+    /// Worker threads for the semi-naive rounds; 1 (the default)
+    /// runs every job on the calling thread. Any value produces a
     /// byte-identical database and [`EvalMetrics`] — see the module
     /// docs on deterministic merging.
     pub eval_threads: usize,
@@ -338,17 +338,15 @@ fn run_job(
     join.tally(metrics);
 }
 
-/// What one parallel job hands back: its index in the round's job
-/// order, the facts it derived, and the counters it accumulated.
-type JobResult = (usize, Rows, EvalMetrics);
-
 /// Execute one round's jobs into `bufs`, whose concatenation is the
-/// round's derivations in sequential order. Sequential (`eval_threads`
-/// ≤ 1) runs inline into one reused buffer with the classic per-rule
-/// spans; parallel fans the jobs out to `min(eval_threads, jobs)`
-/// scoped workers over a work-stealing counter (one worker is the
-/// calling thread) and hands back one buffer per job, in job order,
-/// merging the metrics in that order.
+/// round's derivations in job order. `min(eval_threads, jobs)` workers
+/// take the jobs from a shared queue — one worker is the calling thread,
+/// so T=1 spawns none — and run each under its rule's `eval.rule` span,
+/// into a private [`EvalMetrics`] block and a buffer: the worker's last
+/// one when the job follows the one it ran before, else one from the
+/// pool of `bufs` (the insert empties them and hands them back), so at
+/// T=1 a round fills one buffer. The blocks are merged, and one
+/// `eval.rule` counter per rule reported, in job order.
 fn run_round(
     cp: &CompiledProgram,
     over: (&Storage, &Storage),
@@ -357,75 +355,50 @@ fn run_round(
     metrics: &mut EvalMetrics,
     obs: &Obs,
 ) {
-    if cp.options.eval_threads <= 1 {
-        bufs.resize_with(1, Rows::default);
-        let pending = &mut bufs[0];
-        let mut k = 0;
-        while k < jobs.len() {
-            let rule_idx = jobs[k].rule;
-            let before = metrics.derivations;
-            let _rule_span = obs.span("eval.rule", || cp.labels[rule_idx].clone());
-            while k < jobs.len() && jobs[k].rule == rule_idx {
-                run_job(cp, &jobs[k], over, metrics, pending);
-                k += 1;
-            }
-            if obs.enabled() {
-                obs.counter(
-                    "eval.rule",
-                    &cp.labels[rule_idx],
-                    (metrics.derivations - before) as u64,
-                );
-            }
-        }
-        return;
-    }
-    bufs.clear();
-    let _par_span = obs.span("eval.parallel", || format!("jobs#{}", jobs.len()));
     let workers = cp.options.eval_threads.min(jobs.len());
-    if obs.enabled() {
+    if cp.options.eval_threads > 1 {
         obs.counter("eval.parallel", "partitions", jobs.len() as u64);
         obs.counter("eval.parallel", "workers", workers as u64);
     }
-    let next = AtomicUsize::new(0);
+    let mut blocks = vec![EvalMetrics::default(); jobs.len()];
+    let pool = Mutex::new(&mut *bufs);
+    let queue = Mutex::new(jobs.iter().zip(&mut blocks).enumerate());
+    // A worker's buffers, each with the index of its first job.
     let work = || {
-        let mut local = Vec::new();
+        let (mut filled, mut follows) = (Vec::<(usize, Rows)>::new(), None);
         loop {
-            let j = next.fetch_add(1, Ordering::Relaxed);
-            if j >= jobs.len() {
-                break;
+            let next = queue.lock().expect("eval job queue").next();
+            let Some((j, (job, block))) = next else {
+                return filled;
+            };
+            if follows != Some(j) {
+                let buf = pool.lock().expect("eval buffer pool").pop();
+                filled.push((j, buf.unwrap_or_default()));
             }
-            let mut job_metrics = EvalMetrics::default();
-            let mut buf = Rows::default();
-            run_job(cp, &jobs[j], over, &mut job_metrics, &mut buf);
-            local.push((j, buf, job_metrics));
+            follows = Some(j + 1);
+            let _rule_span = obs.span("eval.rule", || cp.labels[job.rule].clone());
+            let (_, buf) = filled.last_mut().expect("pushed");
+            run_job(cp, job, over, block, buf);
         }
-        local
     };
-    let mut results: Vec<JobResult> = if workers <= 1 {
-        work()
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
-            (handles.into_iter())
-                .flat_map(|w| w.join().expect("eval worker panicked"))
-                .collect()
-        })
-    };
-    // Deterministic merge: every job index occurs exactly once, and job
-    // order equals sequential evaluation order, so after sorting the
-    // buffers, inserted one after another, reproduce the sequential
-    // round exactly (insertion order, delta regions and all counters
-    // included).
-    results.sort_unstable_by_key(|&(j, _, _)| j);
+    let mut filled = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut filled = work();
+        for helper in helpers {
+            filled.extend(helper.join().expect("eval worker panicked"));
+        }
+        filled
+    });
+    // What is left in the pool is empty; the filled buffers follow, in job order.
+    filled.sort_unstable_by_key(|&(first, _)| first);
+    bufs.extend(filled.into_iter().map(|(_, buf)| buf));
     let mut rule_derivations = 0;
-    for (j, buf, job_metrics) in results {
-        rule_derivations += job_metrics.derivations;
-        metrics.merge(&job_metrics);
-        bufs.push(buf);
+    for (j, (job, block)) in jobs.iter().zip(&blocks).enumerate() {
+        rule_derivations += block.derivations;
+        metrics.merge(block);
         // One `eval.rule` counter per rule, at its last job.
-        let rule = jobs[j].rule;
-        if jobs.get(j + 1).is_none_or(|next| next.rule != rule) {
-            obs.counter("eval.rule", &cp.labels[rule], rule_derivations as u64);
+        if jobs.get(j + 1).is_none_or(|next| next.rule != job.rule) {
+            obs.counter("eval.rule", &cp.labels[job.rule], rule_derivations as u64);
             rule_derivations = 0;
         }
     }
@@ -485,9 +458,9 @@ pub(crate) fn fixpoint(
         // dropped by the insert.
         let first = metrics.iterations == 0;
         metrics.iterations += 1;
+        let iter = metrics.iterations - 1;
+        let _iter_span = obs.span("eval", || format!("iteration#{iter}"));
         {
-            let iter = metrics.iterations;
-            let _iter_span = obs.span("eval", || format!("iteration#{}", iter - 1));
             let storage = &*db;
             let (pos, neg) = match seeds {
                 Some(seeds) if first => seeds,
@@ -522,6 +495,7 @@ pub(crate) fn fixpoint(
         // to a relation the rules read — a new row, or one revived in
         // place where the store holds tombstones — is the next round's
         // delta.
+        let _merge_span = obs.span("eval", || "merge".into());
         inserted.values_mut().for_each(Vec::clear);
         let mut added = 0;
         for buf in &mut pending {
@@ -962,46 +936,101 @@ mod tests {
         }
     }
 
-    /// The `eval.parallel` counters, one `(name, delta)` per report.
+    /// What a fixpoint reported, in report order: every span as
+    /// `cat/name`, every counter report as `(cat/name, delta)`.
     #[derive(Default)]
-    struct ParallelCounters(std::sync::Mutex<Vec<(String, u64)>>);
+    struct Capture {
+        spans: Mutex<Vec<String>>,
+        counters: Mutex<Vec<(String, u64)>>,
+    }
 
-    impl calm_obs::Sink for ParallelCounters {
-        fn span(&self, _: &str, _: &str, _: u32, _: u64, _: u64) {}
+    impl calm_obs::Sink for Capture {
+        fn span(&self, cat: &str, name: &str, _: u32, _: u64, _: u64) {
+            self.spans.lock().unwrap().push(format!("{cat}/{name}"));
+        }
         fn event(&self, _: &str, _: &str, _: u32, _: u64, _: &[(&str, calm_obs::ArgValue)]) {}
         fn counter(&self, cat: &str, name: &str, _: u64, delta: u64) {
-            if cat == "eval.parallel" {
-                self.0.lock().unwrap().push((name.to_string(), delta));
-            }
+            self.counters
+                .lock()
+                .unwrap()
+                .push((format!("{cat}/{name}"), delta));
         }
         fn gauge(&self, _: &str, _: &str, _: u32, _: u64, _: u64) {}
         fn histogram(&self, _: &str, _: &str, _: u64) {}
     }
 
+    /// The closure of a 12-ring at `threads`: the database, its metrics,
+    /// and the spans and counter reports (`cat/name` under `prefix`).
+    fn captured_tc(threads: usize, prefix: &str) -> (Database, EvalMetrics, Capture) {
+        let mut db = Database::from_instance(&calm_common::generator::cycle(12));
+        let options = EvalOptions::default().with_eval_threads(threads);
+        let cp = CompiledProgram::new(&tc(), &mut db.symbols().clone().write(), options);
+        let sink = std::sync::Arc::new(Capture::default());
+        let metrics = fixpoint(&cp, db.storage_mut(), None, None, &Obs::new(sink.clone()));
+        let capture = std::sync::Arc::into_inner(sink).expect("one handle");
+        capture
+            .spans
+            .lock()
+            .unwrap()
+            .retain(|s| s.starts_with(prefix));
+        capture
+            .counters
+            .lock()
+            .unwrap()
+            .retain(|(c, _)| c.starts_with(prefix));
+        (db, metrics, capture)
+    }
+
     #[test]
     fn parallel_round_spawns_at_most_one_worker_per_job() {
-        let input = calm_common::generator::cycle(12);
-        let mut seq = Database::from_instance(&input);
-        let m_seq = fixpoint_seminaive(&tc(), &mut seq);
+        let (seq, m_seq, _) = captured_tc(1, "");
         for threads in [2, 50_000] {
-            let mut par = Database::from_instance(&input);
-            let options = EvalOptions::default().with_eval_threads(threads);
-            let cp = CompiledProgram::new(&tc(), &mut par.symbols().clone().write(), options);
-            let sink = std::sync::Arc::new(ParallelCounters::default());
-            let m_par = fixpoint(&cp, par.storage_mut(), None, None, &Obs::new(sink.clone()));
+            let (par, m_par, capture) = captured_tc(threads, "eval.parallel/");
             assert_eq!(m_seq, m_par, "EvalMetrics diverged at T={threads}");
             assert_byte_identical(&seq, &par);
             // One `partitions` then one `workers` report per round.
-            let counters = sink.0.lock().unwrap();
+            let counters = capture.counters.into_inner().unwrap();
             assert_eq!(counters.len(), 2 * m_par.iterations);
             for round in counters.chunks(2) {
                 let [(p, jobs), (w, workers)] = round else {
                     unreachable!()
                 };
-                assert_eq!((p.as_str(), w.as_str()), ("partitions", "workers"));
+                assert!(p.ends_with("/partitions") && w.ends_with("/workers"));
                 assert_eq!(*workers, (*jobs).min(threads as u64), "T={threads}");
             }
         }
+    }
+
+    #[test]
+    fn every_thread_count_reports_the_rule_spans_and_counters_of_one() {
+        // The set of `eval.rule/*` spans, and the per-rule counter totals.
+        let rules = |threads| {
+            let (_, metrics, capture) = captured_tc(threads, "eval.rule/");
+            let names: BTreeSet<String> = capture.spans.into_inner().unwrap().into_iter().collect();
+            let mut totals = std::collections::BTreeMap::new();
+            for (rule, delta) in capture.counters.into_inner().unwrap() {
+                *totals.entry(rule).or_insert(0) += delta;
+            }
+            assert_eq!(totals.values().sum::<u64>(), metrics.derivations as u64);
+            (names, totals)
+        };
+        let one = rules(1);
+        assert_eq!(
+            one.0,
+            BTreeSet::from(["eval.rule/T#0".into(), "eval.rule/T#1".into()])
+        );
+        for threads in [2, 8] {
+            assert_eq!(rules(threads), one, "T={threads}");
+        }
+    }
+
+    #[test]
+    fn every_round_spans_its_merge() {
+        let (_, metrics, capture) = captured_tc(1, "eval/merge");
+        assert_eq!(
+            capture.spans.into_inner().unwrap().len(),
+            metrics.iterations
+        );
     }
 
     #[test]

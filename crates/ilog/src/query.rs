@@ -8,17 +8,16 @@ use calm_common::instance::Instance;
 use calm_common::query::Query;
 use calm_common::schema::Schema;
 
-/// A query computed by a weakly safe ILOG¬ program. Divergence (possible
-/// for non-terminating invention) yields the empty output together with a
-/// panic in debug assertions — construct only terminating programs for
-/// query use, or call [`crate::eval::eval_ilog_query`] directly to handle
-/// divergence.
+/// A query computed by a weakly safe ILOG¬ program. Divergence past the
+/// default [`Limits`] (possible for non-terminating invention) yields the
+/// empty output together with a panic in debug assertions — construct
+/// only terminating programs for query use, or call
+/// [`crate::eval::eval_ilog_query`] directly to handle divergence.
 pub struct IlogQuery {
     name: String,
     program: IlogProgram,
     input_schema: Schema,
     output_schema: Schema,
-    limits: Limits,
 }
 
 impl IlogQuery {
@@ -37,7 +36,6 @@ impl IlogQuery {
             program,
             input_schema,
             output_schema,
-            limits: Limits::default(),
         })
     }
 
@@ -47,13 +45,6 @@ impl IlogQuery {
     /// Returns the parse/validation error message.
     pub fn parse(name: impl Into<String>, src: &str) -> Result<Self, String> {
         IlogQuery::new(name, IlogProgram::parse(src)?)
-    }
-
-    /// Override the divergence limits.
-    #[must_use]
-    pub fn with_limits(mut self, limits: Limits) -> Self {
-        self.limits = limits;
-        self
     }
 
     /// The underlying program.
@@ -73,7 +64,7 @@ impl Query for IlogQuery {
 
     fn eval(&self, input: &Instance) -> Instance {
         let restricted = input.restrict(&self.input_schema);
-        match eval_ilog_query(&self.program, &restricted, self.limits) {
+        match eval_ilog_query(&self.program, &restricted, Limits::default()) {
             Ok(out) => out,
             Err(e) => {
                 debug_assert!(false, "ILOG query diverged: {e}");
