@@ -4,11 +4,8 @@
 use crate::report::{markdown_table, Report};
 use calm_common::value::v;
 use calm_common::{fact, Instance, Schema};
-use calm_spec::system_facts;
-use calm_transducer::{
-    distribute, DistributionPolicy, Network, ParityDomainGuidedPolicy, ParityFirstAttributePolicy,
-    SystemConfig,
-};
+use calm_spec::{system_facts, ParityDomainGuidedPolicy, ParityFirstAttributePolicy};
+use calm_transducer::{distribute, DistributionPolicy, Network, SystemConfig};
 
 /// E7: reproduce the distributions and system facts of Examples 4.1/4.2.
 pub fn e7_policies() -> Report {

@@ -11,11 +11,11 @@ use calm_obs::Obs;
 use calm_queries::qtc::qtc_datalog;
 use calm_queries::tc::{edges_without_source_loop, tc_datalog};
 use calm_queries::winmove::win_move;
-use calm_spec::{compile_monotone_program, heartbeat_witness, verify_computes};
+use calm_spec::{compile_monotone_program, heartbeat_witness, verify_computes, OverridePolicy};
 use calm_transducer::{
     expected_output, run, run_with, DisjointStrategy, DistinctStrategy, DistributionPolicy,
-    DomainGuidedPolicy, HashPolicy, MessageClassCounts, MonotoneBroadcast, Network, OverridePolicy,
-    Scheduler, SystemConfig, TransducerNetwork,
+    DomainGuidedPolicy, HashPolicy, MessageClassCounts, MonotoneBroadcast, Network, Scheduler,
+    SystemConfig, TransducerNetwork,
 };
 
 fn schedulers() -> Vec<Scheduler> {

@@ -6,11 +6,11 @@ use crate::workloads::scaling_game;
 use calm_common::generator::{chain_game, cycle_game, mv};
 use calm_common::query::Query;
 use calm_common::{is_domain_distinct, Instance};
-use calm_datalog::wellfounded::doubled_program;
 use calm_datalog::{parse_program, well_founded_model, EvalOptions};
 use calm_monotone::{check_pair, Exhaustive, ExtensionKind, Falsifier};
 use calm_obs::Obs;
 use calm_queries::winmove::{win_move, win_move_native};
+use calm_spec::doubled_program;
 
 /// E16: win-move correctness, the doubled program, and class membership.
 pub fn e16_winmove() -> Report {

@@ -197,17 +197,7 @@ fn run_sequential(job: &Job<'_>, input: &Database, obs: &Obs) -> EngineRun {
     }
 }
 
-fn run_threaded(
-    job: &Job<'_>,
-    input: &Database,
-    workers: usize,
-    faults: Option<(String, FaultPlan)>,
-    obs: &Obs,
-) -> EngineRun {
-    let workers = or_one_per_core(workers, job.nodes);
-    // Each worker gets its own transducer instance (own interner and
-    // scratch database) so steps never contend on a shared evaluation
-    // context.
+fn run_threaded(job: &Job<'_>, input: &Database, cfg: &ThreadedConfig, obs: &Obs) -> EngineRun {
     let factory = || {
         build_strategy(job.program, job.strategy, job.nodes, job.eval_threads)
             .expect("strategy built once already")
@@ -218,18 +208,23 @@ fn run_threaded(
         policy: job.policy,
         config: job.config,
     };
-    let faulted = faults.is_some();
-    let mut tcfg = ThreadedConfig::new(workers);
-    tcfg.faults = faults.map(|(_, plan)| plan);
-    let r = run_threaded_with(&tn, &input.to_instance(), &tcfg, obs);
-    let mut header = format!("% engine: threaded, workers: {workers}\n");
-    net_header(&mut header, faulted, &r.faults, &r.per_worker);
+    let r = run_threaded_with(&tn, &input.to_instance(), cfg, obs);
+    let mut header = format!("% engine: threaded, workers: {}\n", cfg.workers);
+    net_header(&mut header, cfg.faults.is_some(), &r.faults, &r.per_worker);
     EngineRun {
         header,
         states: r.states,
         metrics: r.metrics,
         quiescent: r.quiescent,
     }
+}
+
+/// The threaded engine's configuration: the workers that run, and the
+/// step budget of the other two engines.
+fn threaded_config(workers: usize, nodes: usize, faults: Option<FaultPlan>) -> ThreadedConfig {
+    let mut cfg = ThreadedConfig::new(or_one_per_core(workers, nodes));
+    (cfg.step_budget, cfg.faults) = (STEP_BUDGET, faults);
+    cfg
 }
 
 /// The process engine's header: engine line, the supervisor's work (if
@@ -416,7 +411,8 @@ pub fn cmd_simulate_run(
         let run = match engine {
             Engine::Sequential => Ok(run_sequential(&job, &input, &obs)),
             Engine::Threaded { workers, faults } => {
-                Ok(run_threaded(&job, &input, workers, faults, &obs))
+                let cfg = threaded_config(workers, nodes, faults.map(|(_, plan)| plan));
+                Ok(run_threaded(&job, &input, &cfg, &obs))
             }
             Engine::Process {
                 procs,
@@ -772,6 +768,20 @@ mod tests {
             let words: Vec<&str> = rest.split(' ').collect();
             words.len() == count && words.iter().all(|w| w.parse::<u64>().is_ok())
         })
+    }
+
+    #[test]
+    fn the_threaded_engine_has_the_step_budget_of_the_others() {
+        let plan = FaultPlan::parse("seed=7,drop=0.05").unwrap();
+        let cfg = threaded_config(3, 4, Some(plan.clone()));
+        assert_eq!((cfg.workers, cfg.step_budget), (3, STEP_BUDGET));
+        assert_eq!(cfg.faults, Some(plan));
+        let cfg = threaded_config(8, 2, None);
+        assert_eq!(
+            (cfg.workers, cfg.faults),
+            (2, None),
+            "a worker per node at most"
+        );
     }
 
     #[test]

@@ -11,12 +11,11 @@ use crate::parser::{scan_facts, GroundTerm, ParseError};
 use calm_common::instance::Instance;
 use calm_common::schema::Schema;
 use calm_common::storage::{
-    load_instance, store_to_instance, store_to_instance_restricted, RelId, Relation, SharedSymbols,
-    Storage, SymTuple, SymbolTable,
+    load_instance, store_to_instance, store_to_instance_restricted, RelId, SharedSymbols, Storage,
+    SymTuple, SymbolTable,
 };
 use calm_common::value::Value;
 use calm_obs::Obs;
-use std::collections::{HashMap, HashSet};
 
 /// The facts [`Database::read_facts`] has scanned and not yet loaded.
 /// They are interned and inserted a few hundred at a time, in file
@@ -85,13 +84,8 @@ impl Database {
     /// Load an instance into a fresh database over an existing table.
     pub fn from_instance_with(i: &Instance, symbols: SharedSymbols) -> Self {
         let mut db = Database::with_symbols(symbols);
-        db.load(i);
+        load_instance(i, &db.symbols, &mut db.storage);
         db
-    }
-
-    /// Intern an instance's facts into this database.
-    pub fn load(&mut self, i: &Instance) {
-        load_instance(i, &self.symbols, &mut self.storage);
     }
 
     /// Read ground facts in the [`crate::parse_facts`] grammar straight
@@ -185,48 +179,6 @@ impl Database {
         &mut self.storage
     }
 
-    /// Make this database's facts exactly equal to `i`: insert (or
-    /// revive) every fact of `i`, retract every live row that is not
-    /// one of them, then compact the tombstones. Unlike
-    /// [`Database::load`] (which is additive and silently keeps rows a
-    /// shrunk instance no longer holds), this is the correct reload
-    /// path for a persistent scratch database whose source instance
-    /// may have had facts removed.
-    pub fn sync_with_instance(&mut self, i: &Instance) {
-        // Per relation, the row ids that hold a fact of `i`.
-        let mut wanted: HashMap<RelId, HashSet<u32>> = HashMap::new();
-        {
-            let mut table = self.symbols.write();
-            let mut row = SymTuple::new();
-            for name in i.relation_names() {
-                let r = table.rel(name);
-                let ids = wanted.entry(r).or_default();
-                for t in i.tuples(name) {
-                    row.clear();
-                    row.extend(t.iter().map(|v| table.sym(v)));
-                    let known = self.storage.relation(r).and_then(|rel| rel.lookup(&row));
-                    ids.insert(match known {
-                        Some(id) => {
-                            self.storage.revive(r, id);
-                            id
-                        }
-                        None => (self.storage.insert_id(r, &row)).expect("an absent row is new"),
-                    });
-                }
-            }
-        }
-        let none = HashSet::new();
-        let rel_ids: Vec<RelId> = self.storage.rel_ids().collect();
-        for r in rel_ids {
-            let keep = wanted.get(&r).unwrap_or(&none);
-            let rows = self.storage.relation(r).map_or(0..0, |rel| rel.rows());
-            for id in rows.filter(|id| !keep.contains(id)) {
-                self.storage.retract_id(r, id);
-            }
-        }
-        self.storage.compact_retractions();
-    }
-
     /// Insert a tuple by relation name, interning it; returns `true` if
     /// new. Edge/test convenience — hot paths insert interned rows.
     pub fn insert_values(&mut self, relation: &str, tuple: Vec<Value>) -> bool {
@@ -235,25 +187,6 @@ impl Database {
         let row: SymTuple = tuple.iter().map(|v| table.sym(v)).collect();
         drop(table);
         self.storage.insert(r, &row)
-    }
-
-    /// Bulk-insert all facts of another database over the *same* symbol
-    /// table; returns the number of genuinely new rows.
-    pub fn absorb(&mut self, other: &Database) -> usize {
-        assert!(
-            self.symbols.same_table(&other.symbols),
-            "absorb requires databases sharing one symbol table"
-        );
-        let mut added = 0;
-        for r in other.storage.rel_ids() {
-            let rows = other
-                .storage
-                .relation(r)
-                .into_iter()
-                .flat_map(Relation::live_rows);
-            added += rows.filter(|row| self.storage.insert(r, row)).count();
-        }
-        added
     }
 
     /// Whether two databases over the same symbol table hold the same
@@ -301,21 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn absorb_counts_new() {
-        let symbols = SharedSymbols::new();
-        let mut a = Database::from_instance_with(
-            &Instance::from_facts([fact("E", [1, 2])]),
-            symbols.clone(),
-        );
-        let b = Database::from_instance_with(
-            &Instance::from_facts([fact("E", [1, 2]), fact("E", [2, 3])]),
-            symbols,
-        );
-        assert_eq!(a.absorb(&b), 1);
-        assert_eq!(a.len(), 2);
-    }
-
-    #[test]
     fn same_facts_across_shared_tables() {
         let symbols = SharedSymbols::new();
         let i = Instance::from_facts([fact("E", [1, 2]), fact("E", [2, 3])]);
@@ -328,35 +246,10 @@ mod tests {
     }
 
     #[test]
-    fn sync_with_instance_drops_stale_rows_load_keeps() {
-        // Regression shape for the Instance::remove / Storage mismatch:
-        // reloading a shrunk instance via the additive `load` keeps the
-        // removed fact; `sync_with_instance` does not.
-        let mut i = Instance::from_facts([fact("E", [1, 2]), fact("E", [2, 3])]);
-        let mut stale = Database::from_instance(&i);
-        let mut synced = stale.clone();
-        i.remove(&fact("E", [2, 3]));
-        stale.load(&i);
-        assert!(
-            stale.to_instance().contains(&fact("E", [2, 3])),
-            "additive load keeps the removed fact (the bug being guarded)"
-        );
-        synced.sync_with_instance(&i);
-        assert!(!synced.to_instance().contains(&fact("E", [2, 3])));
-        assert_eq!(synced.to_instance(), i);
-        // Tombstones were compacted away: storage is physically clean.
-        assert!(!synced.storage().any_dead());
-        // Growing again also works through sync.
-        i.insert(fact("E", [7, 8]));
-        synced.sync_with_instance(&i);
-        assert_eq!(synced.to_instance(), i);
-    }
-
-    #[test]
     #[should_panic(expected = "sharing one symbol table")]
-    fn absorb_rejects_foreign_tables() {
-        let mut a = Database::from_instance(&Instance::from_facts([fact("E", [1, 2])]));
+    fn same_facts_rejects_foreign_tables() {
+        let a = Database::from_instance(&Instance::from_facts([fact("E", [1, 2])]));
         let b = Database::from_instance(&Instance::from_facts([fact("E", [1, 2])]));
-        a.absorb(&b);
+        a.same_facts(&b);
     }
 }

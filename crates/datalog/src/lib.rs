@@ -5,7 +5,8 @@
 //! rules `(head, pos, neg, ineq)`, semi-positive and stratified semantics,
 //! plus the fragment analysis of Section 5.1 (connected and semi-connected
 //! stratified Datalog¬) and the well-founded semantics (alternating
-//! fixpoint and the doubled-program construction) used for win-move.
+//! fixpoint) used for win-move; the doubled-program construction is
+//! `calm-spec`'s.
 //!
 //! Entry points, one per job:
 //! * [`parser::parse_program`] — text syntax → [`program::Program`];

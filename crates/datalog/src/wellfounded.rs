@@ -1,6 +1,7 @@
 //! The well-founded semantics for (possibly non-stratifiable) Datalog¬,
-//! via the alternating fixpoint, plus the "doubled program" construction
-//! the paper invokes for connected Datalog under WFS (Section 7).
+//! via the alternating fixpoint. The "doubled program" construction the
+//! paper invokes for connected Datalog under WFS (Section 7) is
+//! `calm-spec`'s.
 //!
 //! The alternating fixpoint computes two approximations of the
 //! three-valued well-founded model:
@@ -13,17 +14,14 @@
 //! every negative literal `¬R(t̄)` frozen to "`t̄ ∉ K`". True facts are the
 //! limit of `U`, undefined facts are `V \ U`.
 
-use crate::ast::{Atom, Rule};
 use crate::eval::database::Database;
 use crate::eval::seminaive::{fixpoint, CompiledProgram, EvalOptions};
 use crate::program::Program;
-use calm_common::fact::{rel, Fact, RelName};
+use calm_common::fact::Fact;
 use calm_common::instance::Instance;
 use calm_common::query::Query;
 use calm_common::schema::Schema;
-use calm_common::storage::SharedSymbols;
 use calm_obs::Obs;
-use std::collections::BTreeSet;
 
 /// The three-valued well-founded model of a program on an input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -133,152 +131,6 @@ pub fn well_founded_model(
         }
         u = u_next;
     }
-}
-
-/// The *doubled program* construction: two semi-positive-style programs
-/// over a schema where every idb predicate `R` has a primed companion
-/// `R__p`. Alternating their evaluation reproduces the alternating
-/// fixpoint as a pure program transformation — this is the "well-known
-/// doubled program approach" the paper uses to place connected Datalog
-/// under WFS inside `Mdisjoint` (Section 7).
-#[derive(Debug, Clone)]
-pub struct DoubledProgram {
-    /// Derives unprimed (true-side) facts; its negative literals mention
-    /// only primed predicates.
-    pub true_side: Program,
-    /// Derives primed (possible-side) facts; its negative literals mention
-    /// only unprimed predicates.
-    pub possible_side: Program,
-    /// The idb predicates that were doubled.
-    pub doubled: BTreeSet<RelName>,
-}
-
-/// The primed companion name of a relation.
-pub fn primed(r: &str) -> RelName {
-    rel(format!("{r}__p"))
-}
-
-/// Build the doubled program of `p`.
-pub fn doubled_program(p: &Program) -> DoubledProgram {
-    let idb = p.idb();
-    let doubled: BTreeSet<RelName> = idb.names().cloned().collect();
-    let prime_atom = |a: &Atom| -> Atom {
-        if doubled.contains(&a.relation) {
-            Atom {
-                relation: primed(&a.relation),
-                terms: a.terms.clone(),
-            }
-        } else {
-            a.clone()
-        }
-    };
-    let mut true_rules = Vec::new();
-    let mut possible_rules = Vec::new();
-    for r in p.rules() {
-        // True side: positive atoms unprimed, negated idb atoms primed
-        // (checked against the possible-side overestimate).
-        true_rules.push(Rule {
-            head: r.head.clone(),
-            pos: r.pos.clone(),
-            neg: r.neg.iter().map(&prime_atom).collect(),
-            ineq: r.ineq.clone(),
-        });
-        // Possible side: head and positive idb atoms primed, negated idb
-        // atoms unprimed (checked against the true-side underestimate).
-        possible_rules.push(Rule {
-            head: prime_atom(&r.head),
-            pos: r.pos.iter().map(&prime_atom).collect(),
-            neg: r.neg.clone(),
-            ineq: r.ineq.clone(),
-        });
-    }
-    DoubledProgram {
-        true_side: Program::new(true_rules).expect("doubling preserves well-formedness"),
-        possible_side: Program::new(possible_rules).expect("doubling preserves well-formedness"),
-        doubled,
-    }
-}
-
-impl DoubledProgram {
-    /// Evaluate the doubled program by alternating the two sides until
-    /// both stabilize; returns the same model as [`well_founded_model`].
-    pub fn eval(&self, input: &Instance) -> WellFoundedModel {
-        // Both sides are compiled once against one shared table; the
-        // alternation only re-runs the fixpoints.
-        let symbols = SharedSymbols::new();
-        let (possible_cp, true_cp) = {
-            let mut table = symbols.write();
-            let options = EvalOptions::default();
-            (
-                CompiledProgram::new(&self.possible_side, &mut table, options),
-                CompiledProgram::new(&self.true_side, &mut table, options),
-            )
-        };
-        // The input is interned once, in both forms the two sides read:
-        // the possible side takes primed idb positives (edb stays
-        // unprimed, so both forms are loaded), the true side unprimed.
-        let mut base_over =
-            Database::from_instance_with(&prime_instance(input, &self.doubled), symbols.clone());
-        base_over.load(input);
-        let base_under = Database::from_instance_with(input, symbols);
-        let (mut gamma_applications, noop) = (0, Obs::noop());
-        // Under-approximation state: unprimed facts (initially empty).
-        let mut under = Database::with_symbols(base_under.symbols().clone());
-        loop {
-            // Possible side: freeze negation on input ∪ `under`.
-            let mut frozen_under = base_under.clone();
-            frozen_under.absorb(&under);
-            let mut over_db = base_over.clone();
-            let frozen = Some(frozen_under.storage());
-            fixpoint(&possible_cp, over_db.storage_mut(), frozen, None, &noop);
-            gamma_applications += 1;
-
-            // True side: freeze negation on the primed overestimate —
-            // `over_db` holds exactly the primed idb facts plus the input,
-            // so it serves as the frozen database directly.
-            let mut under_db = base_under.clone();
-            let frozen = Some(over_db.storage());
-            fixpoint(&true_cp, under_db.storage_mut(), frozen, None, &noop);
-            gamma_applications += 1;
-
-            if under_db.same_facts(&under) {
-                let over = unprime_instance(&over_db.to_instance(), &self.doubled);
-                return WellFoundedModel {
-                    true_facts: under_db.to_instance(),
-                    possible_facts: over.union(input),
-                    gamma_applications,
-                };
-            }
-            under = under_db;
-        }
-    }
-}
-
-fn prime_instance(i: &Instance, doubled: &BTreeSet<RelName>) -> Instance {
-    let mut out = Instance::new();
-    for f in i.facts() {
-        if doubled.contains(f.relation()) {
-            out.insert(Fact::from_rel(primed(f.relation()), f.args().to_vec()));
-        } else {
-            out.insert(f);
-        }
-    }
-    out
-}
-
-fn unprime_instance(i: &Instance, doubled: &BTreeSet<RelName>) -> Instance {
-    let mut out = Instance::new();
-    for f in i.facts() {
-        let name = f.relation().as_ref();
-        if let Some(base) = name.strip_suffix("__p") {
-            if doubled.contains(base) {
-                out.insert(Fact::new(base, f.args().to_vec()));
-                continue;
-            }
-        }
-        out.insert(f);
-    }
-    out
 }
 
 /// A query evaluated under the well-founded semantics: the answer is the
@@ -418,41 +270,6 @@ mod tests {
         let (strat, _) =
             crate::eval::eval_program(&p, &input, EvalOptions::default(), &Obs::noop()).unwrap();
         assert_eq!(model.true_facts, strat);
-    }
-
-    #[test]
-    fn doubled_program_matches_alternating_fixpoint() {
-        let p = win_move();
-        let d = doubled_program(&p);
-        for input in [
-            chain_game(0, 4),
-            cycle_game(0, 3),
-            cycle_game(0, 4),
-            cycle_with_escape(0),
-        ] {
-            let direct = wfs(&p, &input);
-            let via_doubled = d.eval(&input);
-            assert_eq!(
-                direct.true_facts.restrict(&p.output_schema()),
-                via_doubled.true_facts.restrict(&p.output_schema()),
-                "true facts must agree on {input:?}"
-            );
-            assert_eq!(
-                direct.undefined().restrict(&p.output_schema()),
-                via_doubled.undefined().restrict(&p.output_schema()),
-                "undefined facts must agree on {input:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn doubled_program_structure() {
-        let d = doubled_program(&win_move());
-        // True side negates only the primed predicate.
-        assert_eq!(d.true_side.rules()[0].neg[0].relation.as_ref(), "win__p");
-        // Possible side derives primed and negates unprimed.
-        assert_eq!(d.possible_side.rules()[0].head.relation.as_ref(), "win__p");
-        assert_eq!(d.possible_side.rules()[0].neg[0].relation.as_ref(), "win");
     }
 
     #[test]

@@ -143,11 +143,6 @@ impl IlogProgram {
         let body = body.split_once(":-").map(|(_, b)| b.trim()).unwrap_or("");
         format!("{head} :- {body}")
     }
-
-    /// Whether the program is plain Datalog¬ (no invention at all).
-    pub fn is_invention_free(&self) -> bool {
-        self.invention_relations.is_empty()
-    }
 }
 
 /// Helper: the non-invention head terms of an invention rule (the Skolem
@@ -166,7 +161,7 @@ mod tests {
         let p = IlogProgram::parse("R(*, x1, x2) :- E(x1, x2).").unwrap();
         assert_eq!(p.invention_relations().len(), 1);
         assert!(p.invention_relations().contains("R"));
-        assert!(!p.is_invention_free());
+        assert!(!p.invention_relations().is_empty());
     }
 
     #[test]
@@ -213,6 +208,6 @@ mod tests {
     #[test]
     fn plain_datalog_is_invention_free() {
         let p = IlogProgram::parse("T(x,y) :- E(x,y).").unwrap();
-        assert!(p.is_invention_free());
+        assert!(p.invention_relations().is_empty());
     }
 }

@@ -33,18 +33,10 @@ const TIMER_WAIT: Duration = Duration::from_micros(200);
 /// killed and respawned like a dead socket.
 const HEARTBEAT_EVERY: Duration = Duration::from_millis(200);
 
-/// How workers obtain their per-node transducer program.
-///
-/// `Shared` hands every worker the same instance — correct for any
-/// `Transducer` (the trait is `Send + Sync`), but a `DatalogTransducer`
-/// serializes concurrent steps on its internal scratch-context mutex,
-/// so sharing one across workers caps parallel speedup. `PerWorker`
-/// gives each worker its own instance from a factory (each with its own
-/// scratch database and symbol interner), which is what the CLI and the
-/// benches use.
+/// How workers obtain their per-node transducer program: each worker
+/// builds its own instance from a factory, on its own thread, so no
+/// program state is shared between workers.
 pub enum Programs<'a> {
-    /// One transducer instance shared by every worker.
-    Shared(&'a dyn Transducer),
     /// A factory invoked once per worker, on that worker's thread.
     PerWorker(&'a (dyn Fn() -> Box<dyn Transducer> + Sync)),
 }
@@ -333,13 +325,10 @@ pub fn run_threaded_with(
             handles.push(scope.spawn(move || {
                 let ports = ChannelPorts { rx, senders };
                 let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    let mut owned = None;
-                    let transducer = match tn.programs {
-                        Programs::Shared(t) => t,
-                        Programs::PerWorker(build) => &**owned.insert(build()),
-                    };
+                    let Programs::PerWorker(build) = tn.programs;
+                    let transducer = build();
                     let symbols = SharedSymbols::new();
-                    let fab = NodeFactory::new(transducer, tn.policy, tn.config, input, symbols);
+                    let fab = NodeFactory::new(&*transducer, tn.policy, tn.config, input, symbols);
                     let outcome = run_worker(WorkerCtx {
                         id,
                         workers,
@@ -1378,6 +1367,7 @@ mod tests {
     use calm_common::fact::{fact, Fact};
     use calm_common::storage::{store_to_instance, Storage};
     use calm_common::value::Value;
+    use calm_spec::{node_pending, node_state};
     use calm_transducer::multiset::Multiset;
 
     /// A synthetic final report for worker `k`, every folded quantity
@@ -1454,7 +1444,7 @@ mod tests {
         assert_eq!(step(&mut slot, &[]).mid, Some((0, 0)));
         take_snapshot(&mut slot, &mut rnet, &mut Vec::new());
         let snap = slot.snap.clone().expect("just taken");
-        let state = slot.node.state();
+        let state = node_state(&slot.node, &symbols);
         assert_eq!(store_to_instance(&snap.state, &symbols), state);
         assert!(holds_by_handle(&snap, &[]), "an empty inbox");
         // Progress past the checkpoint, with the engine warm and a fact
@@ -1465,7 +1455,7 @@ mod tests {
         let node = &mut slot.node;
         node.enqueue(&waiting, None, &mut Metrics::default(), &obs);
         assert!(!slot.node.is_cold());
-        assert_ne!(slot.node.state(), state);
+        assert_ne!(node_state(&slot.node, &symbols), state);
         // A checkpoint holds the inbox by handle.
         take_snapshot(&mut slot, &mut rnet, &mut Vec::new());
         let later = slot.snap.clone().expect("just taken");
@@ -1473,19 +1463,26 @@ mod tests {
         // Crash rollback and supervised restore share this path.
         slot.roll_back(&snap, &mut rnet);
         assert!(slot.node.is_cold(), "nothing warm survives a restore");
-        assert_eq!(slot.node.state(), state);
-        assert!(slot.node.pending().is_empty(), "the inbox goes back too");
+        assert_eq!(node_state(&slot.node, &symbols), state);
+        assert!(
+            node_pending(&slot.node, &symbols).is_empty(),
+            "the inbox goes back too"
+        );
         assert!(slot.dirty);
         // The redone step lands where the first one did.
         step(&mut slot, &[fact("m_E", [3, 4])]);
         let mut reference = fab.slot(0);
         step(&mut reference, &[]);
         step(&mut reference, &[fact("m_E", [3, 4])]);
-        assert_eq!(slot.node.state(), reference.node.state());
+        assert_eq!(
+            node_state(&slot.node, &symbols),
+            node_state(&reference.node, &symbols)
+        );
         // Forward again, to the later checkpoint: its inbox comes back
         // as the handle it was.
         slot.roll_back(&later, &mut rnet);
-        assert_eq!(store_to_instance(&later.state, &symbols), slot.node.state());
+        let restored = node_state(&slot.node, &symbols);
+        assert_eq!(store_to_instance(&later.state, &symbols), restored);
         assert_eq!(slot.node.checkpoint().1.len(), 1);
         assert!(Arc::ptr_eq(&slot.node.checkpoint().1[0], &waiting));
         // Back at the start configuration the node says its own facts
@@ -1551,9 +1548,13 @@ mod tests {
         let mut adopter_net = ReliableNet::new(&plan, &obs);
         adopter_net.adopt(0);
         restored.restore(back, 1, transitions, next_seq, &mut adopter_net);
-        assert_eq!(restored.node.state(), slot.node.state());
-        assert_eq!(restored.node.pending(), slot.node.pending());
-        assert_eq!(restored.node.pending().count(&fact("m_E", [4, 5])), 2);
+        let pending = node_pending(&restored.node, &other);
+        assert_eq!(
+            node_state(&restored.node, &other),
+            node_state(&slot.node, &symbols)
+        );
+        assert_eq!(pending, node_pending(&slot.node, &symbols));
+        assert_eq!(pending.count(&fact("m_E", [4, 5])), 2);
         // And it goes on as the original does.
         let (a, b) = (
             slot.node.step(Delivery::All, &mut metrics, &obs),
@@ -1563,14 +1564,18 @@ mod tests {
         );
         assert!(!a.sent.is_empty(), "new values: absences to send");
         assert_eq!(sent(&b.sent, &other), sent(&a.sent, &symbols));
-        assert_eq!(restored.node.state(), slot.node.state());
+        assert_eq!(
+            node_state(&restored.node, &other),
+            node_state(&slot.node, &symbols)
+        );
     }
 
-    /// The broadcast strategy over `tc`, except that the second program it
-    /// opens panics when it is first advanced.
+    /// The broadcast strategy over `tc`, except that the second program
+    /// the instances sharing `opened` open panics when it is first
+    /// advanced.
     struct SecondFails {
         strategy: calm_transducer::MonotoneBroadcast,
-        opened: std::sync::atomic::AtomicUsize,
+        opened: Arc<std::sync::atomic::AtomicUsize>,
     }
 
     struct Fails;
@@ -1611,15 +1616,18 @@ mod tests {
         // with them.
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let t = SecondFails {
-                strategy: calm_transducer::MonotoneBroadcast::new(Box::new(
-                    calm_queries::tc::tc_datalog(),
-                )),
-                opened: Default::default(),
+            let opened = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+            let factory = move || -> Box<dyn Transducer> {
+                Box::new(SecondFails {
+                    strategy: calm_transducer::MonotoneBroadcast::new(Box::new(
+                        calm_queries::tc::tc_datalog(),
+                    )),
+                    opened: Arc::clone(&opened),
+                })
             };
             let policy = calm_transducer::HashPolicy::new(calm_transducer::Network::of_size(4));
             let tn = ThreadedNetwork {
-                programs: Programs::Shared(&t),
+                programs: Programs::PerWorker(&factory),
                 policy: &policy,
                 config: SystemConfig::ORIGINAL,
             };

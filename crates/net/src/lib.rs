@@ -24,33 +24,36 @@
 //! ```
 //! use calm_net::{run_threaded, Programs, ThreadedConfig, ThreadedNetwork};
 //! use calm_transducer::{
-//!     expected_output, run, HashPolicy, MonotoneBroadcast, Network, Scheduler,
-//!     SystemConfig, TransducerNetwork,
+//!     run, HashPolicy, MonotoneBroadcast, Network, Scheduler, SystemConfig, Transducer,
+//!     TransducerNetwork,
 //! };
 //! use calm_common::{fact, FnQuery, Instance, Schema};
 //!
-//! let copy = FnQuery::new(
-//!     "copy",
-//!     Schema::from_pairs([("E", 2)]),
-//!     Schema::from_pairs([("E2", 2)]),
-//!     |i: &Instance| Instance::from_facts(
-//!         i.tuples("E").map(|t| fact("E2", [t[0].clone(), t[1].clone()])),
-//!     ),
-//! );
-//! let strategy = MonotoneBroadcast::new(Box::new(copy));
+//! // The broadcast strategy over a copy of `E`; every worker builds its own.
+//! fn strategy() -> Box<dyn Transducer> {
+//!     let copy = FnQuery::new(
+//!         "copy",
+//!         Schema::from_pairs([("E", 2)]),
+//!         Schema::from_pairs([("E2", 2)]),
+//!         |i: &Instance| Instance::from_facts(
+//!             i.tuples("E").map(|t| fact("E2", [t[0].clone(), t[1].clone()])),
+//!         ),
+//!     );
+//!     Box::new(MonotoneBroadcast::new(Box::new(copy)))
+//! }
 //! let input = Instance::from_facts([fact("E", [1, 2]), fact("E", [2, 3])]);
 //! let policy = HashPolicy::new(Network::of_size(3));
 //!
 //! // Sequential oracle…
 //! let seq = run(
-//!     &TransducerNetwork { transducer: &strategy, policy: &policy, config: SystemConfig::ORIGINAL },
+//!     &TransducerNetwork { transducer: &*strategy(), policy: &policy, config: SystemConfig::ORIGINAL },
 //!     &input,
 //!     &Scheduler::RoundRobin,
 //!     10_000,
 //! );
 //! // …and the threaded engine agree, per the CALM confluence guarantee.
 //! let thr = run_threaded(
-//!     &ThreadedNetwork { programs: Programs::Shared(&strategy), policy: &policy, config: SystemConfig::ORIGINAL },
+//!     &ThreadedNetwork { programs: Programs::PerWorker(&strategy), policy: &policy, config: SystemConfig::ORIGINAL },
 //!     &input,
 //!     &ThreadedConfig::new(2),
 //! );

@@ -29,9 +29,9 @@ use calm_spec::final_config;
 use calm_transducer::{
     expected_output, run, DisjointStrategy, DistinctStrategy, DistributionPolicy,
     DomainGuidedPolicy, HashPolicy, MonotoneBroadcast, Network, Scheduler, SystemConfig,
-    Transducer, TransducerNetwork,
+    TransducerNetwork,
 };
-use common::{random_edges, seed_base};
+use common::{per_worker, random_edges, seed_base, Factory};
 
 const WORKER_COUNTS: [usize; 2] = [2, 8];
 
@@ -101,7 +101,7 @@ fn check_chaos_accounting(r: &ThreadedRunResult, label: &str) {
 /// must be *detected* (no waivers) and output must match the oracle
 /// byte for byte.
 fn assert_chaos_confluent(
-    t: &dyn Transducer,
+    programs: &Factory,
     query: &dyn Query,
     policy: &dyn DistributionPolicy,
     sys: SystemConfig,
@@ -111,7 +111,7 @@ fn assert_chaos_confluent(
 ) {
     let expected = expected_output(query, input);
     let tn = TransducerNetwork {
-        transducer: t,
+        transducer: &*programs(),
         policy,
         config: sys,
     };
@@ -122,7 +122,7 @@ fn assert_chaos_confluent(
         for workers in WORKER_COUNTS {
             let thr = run_threaded(
                 &ThreadedNetwork {
-                    programs: Programs::Shared(t),
+                    programs: Programs::PerWorker(programs),
                     policy,
                     config: sys,
                 },
@@ -153,14 +153,14 @@ fn assert_chaos_confluent(
 
 #[test]
 fn monotone_broadcast_survives_chaos_across_20_seeds() {
-    let t = MonotoneBroadcast::new(Box::new(tc_datalog()));
+    let programs = per_worker(|| MonotoneBroadcast::new(Box::new(tc_datalog())));
     let policy = HashPolicy::new(Network::of_size(4));
     for i in 0..20 {
         let seed = seed_base() * 1000 + i;
         let input = random_edges(seed, 6, 3 + (i as usize % 5));
         assert_chaos_confluent(
-            &t,
-            t.query(),
+            &programs,
+            &tc_datalog(),
             &policy,
             SystemConfig::ORIGINAL,
             &input,
@@ -172,14 +172,14 @@ fn monotone_broadcast_survives_chaos_across_20_seeds() {
 
 #[test]
 fn distinct_strategy_survives_chaos_across_20_seeds() {
-    let t = DistinctStrategy::new(Box::new(edges_without_source_loop()));
+    let programs = per_worker(|| DistinctStrategy::new(Box::new(edges_without_source_loop())));
     let policy = HashPolicy::new(Network::of_size(3));
     for i in 0..20 {
         let seed = seed_base() * 1000 + 100 + i;
         let input = random_edges(seed, 5, 3 + (i as usize % 3));
         assert_chaos_confluent(
-            &t,
-            t.query(),
+            &programs,
+            &edges_without_source_loop(),
             &policy,
             SystemConfig::POLICY_AWARE,
             &input,
@@ -191,15 +191,15 @@ fn distinct_strategy_survives_chaos_across_20_seeds() {
 
 #[test]
 fn disjoint_strategy_survives_chaos_across_20_seeds() {
-    let t = DisjointStrategy::new(Box::new(qtc_datalog()));
+    let programs = per_worker(|| DisjointStrategy::new(Box::new(qtc_datalog())));
     let policy = DomainGuidedPolicy::new(Network::of_size(3));
     for i in 0..20 {
         let seed = seed_base() * 1000 + 200 + i;
         // The request/OK/ack protocol is per-value: keep domains small.
         let input = random_edges(seed, 4, 2 + (i as usize % 2));
         assert_chaos_confluent(
-            &t,
-            t.query(),
+            &programs,
+            &qtc_datalog(),
             &policy,
             SystemConfig::POLICY_AWARE,
             &input,
@@ -220,43 +220,43 @@ fn chaos_with_data_parallel_node_fixpoints_matches_the_oracle() {
     // substrate repairs that.
     type Family = (
         &'static str,
-        Box<dyn Transducer>,
+        Box<Factory>,
         Box<dyn DistributionPolicy>,
         SystemConfig,
     );
     let families: Vec<Family> = vec![
         (
             "M",
-            Box::new(MonotoneBroadcast::new(Box::new(
-                tc_datalog().with_eval_threads(4),
-            ))),
+            Box::new(per_worker(|| {
+                MonotoneBroadcast::new(Box::new(tc_datalog().with_eval_threads(4)))
+            })),
             Box::new(HashPolicy::new(Network::of_size(4))),
             SystemConfig::ORIGINAL,
         ),
         (
             "Mdistinct",
-            Box::new(DistinctStrategy::new(Box::new(
-                edges_without_source_loop().with_eval_threads(4),
-            ))),
+            Box::new(per_worker(|| {
+                DistinctStrategy::new(Box::new(edges_without_source_loop().with_eval_threads(4)))
+            })),
             Box::new(HashPolicy::new(Network::of_size(3))),
             SystemConfig::POLICY_AWARE,
         ),
         (
             "Mdisjoint",
-            Box::new(DisjointStrategy::new(Box::new(
-                qtc_datalog().with_eval_threads(4),
-            ))),
+            Box::new(per_worker(|| {
+                DisjointStrategy::new(Box::new(qtc_datalog().with_eval_threads(4)))
+            })),
             Box::new(DomainGuidedPolicy::new(Network::of_size(3))),
             SystemConfig::POLICY_AWARE,
         ),
     ];
-    for (label, t, policy, sys) in &families {
+    for (label, programs, policy, sys) in &families {
         for i in 0..4u64 {
             let seed = seed_base() * 1000 + 400 + i;
             let input = random_edges(seed, 4, 2 + (i as usize % 3));
             let seq = run(
                 &TransducerNetwork {
-                    transducer: t.as_ref(),
+                    transducer: &*programs(),
                     policy: policy.as_ref(),
                     config: *sys,
                 },
@@ -267,7 +267,7 @@ fn chaos_with_data_parallel_node_fixpoints_matches_the_oracle() {
             assert!(seq.quiescent, "{label} seed {seed}: oracle must quiesce");
             let thr = run_threaded(
                 &ThreadedNetwork {
-                    programs: Programs::Shared(t.as_ref()),
+                    programs: Programs::PerWorker(programs.as_ref()),
                     policy: policy.as_ref(),
                     config: *sys,
                 },
@@ -300,19 +300,19 @@ fn a_crashed_node_steps_on_from_its_snapshot_alone() {
     // query session all describe a state the node no longer has — and
     // everything but `NodeSnapshot.state` must be thrown away. Each
     // node ends where the sequential node ends, send marks included.
-    let monotone = MonotoneBroadcast::new(Box::new(tc_datalog()));
-    let distinct = DistinctStrategy::new(Box::new(edges_without_source_loop()));
-    let families: [(&str, &dyn Transducer, SystemConfig); 2] = [
+    let monotone = per_worker(|| MonotoneBroadcast::new(Box::new(tc_datalog())));
+    let distinct = per_worker(|| DistinctStrategy::new(Box::new(edges_without_source_loop())));
+    let families: [(&str, &Factory, SystemConfig); 2] = [
         ("M", &monotone, SystemConfig::ORIGINAL),
         ("Mdistinct", &distinct, SystemConfig::POLICY_AWARE),
     ];
     let policy = HashPolicy::new(Network::of_size(3));
-    for (label, t, sys) in families {
+    for (label, programs, sys) in families {
         for i in 0..6u64 {
             let seed = seed_base() * 1000 + 500 + i;
             let input = random_edges(seed, 5, 4 + (i as usize % 3));
             let tn = TransducerNetwork {
-                transducer: t,
+                transducer: &*programs(),
                 policy: &policy,
                 config: sys,
             };
@@ -324,7 +324,7 @@ fn a_crashed_node_steps_on_from_its_snapshot_alone() {
             ));
             let thr = run_threaded(
                 &ThreadedNetwork {
-                    programs: Programs::Shared(t),
+                    programs: Programs::PerWorker(programs),
                     policy: &policy,
                     config: sys,
                 },
@@ -350,12 +350,12 @@ fn zero_fault_plan_pays_only_the_substrate() {
     // with no fault ever injected: every attempt is a first attempt
     // that gets delivered, nothing is suppressed or dropped, and the
     // engine-level message flow matches the fault-free engine exactly.
-    let t = MonotoneBroadcast::new(Box::new(tc_datalog()));
+    let programs = per_worker(|| MonotoneBroadcast::new(Box::new(tc_datalog())));
     let policy = HashPolicy::new(Network::of_size(4));
     let input = random_edges(seed_base() * 1000 + 300, 6, 6);
     let reference = run_threaded(
         &ThreadedNetwork {
-            programs: Programs::Shared(&t),
+            programs: Programs::PerWorker(&programs),
             policy: &policy,
             config: SystemConfig::ORIGINAL,
         },
@@ -366,7 +366,7 @@ fn zero_fault_plan_pays_only_the_substrate() {
     assert_eq!(reference.faults, Default::default(), "no plan, no counters");
     let thr = run_threaded(
         &ThreadedNetwork {
-            programs: Programs::Shared(&t),
+            programs: Programs::PerWorker(&programs),
             policy: &policy,
             config: SystemConfig::ORIGINAL,
         },
@@ -400,14 +400,14 @@ fn zero_fault_plan_pays_only_the_substrate() {
 fn single_worker_runs_the_gauntlet_too() {
     // Faults interpose on *local* delivery as well: one worker, no
     // channels, yet drops/dups/delays still happen and are repaired.
-    let t = MonotoneBroadcast::new(Box::new(tc_datalog()));
+    let programs = per_worker(|| MonotoneBroadcast::new(Box::new(tc_datalog())));
     let policy = HashPolicy::new(Network::of_size(4));
     let input = random_edges(seed_base() * 1000 + 301, 6, 5);
-    let expected = expected_output(t.query(), &input);
+    let expected = expected_output(&tc_datalog(), &input);
     let plan = plan("seed=11,drop=0.2,dup=0.1,delay=0.2/4");
     let thr = run_threaded(
         &ThreadedNetwork {
-            programs: Programs::Shared(&t),
+            programs: Programs::PerWorker(&programs),
             policy: &policy,
             config: SystemConfig::ORIGINAL,
         },
@@ -436,12 +436,12 @@ fn parsed_plan_equals_built_plan() {
         down_ticks: 10,
     });
     assert_eq!(parsed, built);
-    let t = DistinctStrategy::new(Box::new(edges_without_source_loop()));
+    let programs = per_worker(|| DistinctStrategy::new(Box::new(edges_without_source_loop())));
     let policy = HashPolicy::new(Network::of_size(3));
     let input = random_edges(seed_base() * 1000 + 302, 5, 4);
     let thr = run_threaded(
         &ThreadedNetwork {
-            programs: Programs::Shared(&t),
+            programs: Programs::PerWorker(&programs),
             policy: &policy,
             config: SystemConfig::POLICY_AWARE,
         },
@@ -449,5 +449,8 @@ fn parsed_plan_equals_built_plan() {
         &ThreadedConfig::new(2).with_faults(parsed),
     );
     assert!(thr.quiescent);
-    assert_eq!(thr.output, expected_output(t.query(), &input));
+    assert_eq!(
+        thr.output,
+        expected_output(&edges_without_source_loop(), &input)
+    );
 }

@@ -13,6 +13,17 @@ use calm_transducer::{
     MonotoneBroadcast, Network, SystemConfig, Transducer,
 };
 
+/// What `Programs::PerWorker` takes: a program factory each worker calls.
+pub type Factory = dyn Fn() -> Box<dyn Transducer> + Sync;
+
+/// The `Programs::PerWorker` factory of the strategy `make` builds:
+/// every worker builds its own.
+pub fn per_worker<T: Transducer + 'static>(
+    make: fn() -> T,
+) -> impl Fn() -> Box<dyn Transducer> + Sync {
+    move || Box::new(make())
+}
+
 /// Base offset for the seed sweep, so CI can rerun the suites over
 /// disjoint input spaces (`CALM_NET_SEED=1`, `2`, …).
 pub fn seed_base() -> u64 {

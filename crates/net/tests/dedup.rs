@@ -14,7 +14,12 @@ use calm_common::instance::Instance;
 use calm_common::rng::Rng;
 use calm_net::{run_threaded, FaultPlan, Programs, ThreadedConfig, ThreadedNetwork};
 use calm_queries::tc::tc_datalog;
-use calm_transducer::{HashPolicy, MonotoneBroadcast, Network, SystemConfig};
+use calm_transducer::{HashPolicy, MonotoneBroadcast, Network, SystemConfig, Transducer};
+
+/// The broadcast strategy over `tc`: every worker builds its own.
+fn tc_broadcast() -> Box<dyn Transducer> {
+    Box::new(MonotoneBroadcast::new(Box::new(tc_datalog())))
+}
 
 #[test]
 fn injected_duplicates_never_change_output_or_engine_sends() {
@@ -22,7 +27,6 @@ fn injected_duplicates_never_change_output_or_engine_sends() {
     // be invisible to the engine — identical output (Instance state)
     // and identical `messages_sent` — with the wire-level dedup
     // absorbing every extra copy.
-    let t = MonotoneBroadcast::new(Box::new(tc_datalog()));
     let policy = HashPolicy::new(Network::of_size(4));
     for seed in 0..10u64 {
         let mut rng = Rng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xFACE);
@@ -35,7 +39,7 @@ fn injected_duplicates_never_change_output_or_engine_sends() {
         let mk = |plan: FaultPlan| {
             run_threaded(
                 &ThreadedNetwork {
-                    programs: Programs::Shared(&t),
+                    programs: Programs::PerWorker(&tc_broadcast),
                     policy: &policy,
                     config: SystemConfig::ORIGINAL,
                 },
@@ -72,7 +76,6 @@ fn link_counters_reconcile_under_random_fault_plans() {
     // balances — every attempt is delivered, suppressed, dropped, or
     // still buffered — and the global stats agree with the per-link
     // sums.
-    let t = MonotoneBroadcast::new(Box::new(tc_datalog()));
     let policy = HashPolicy::new(Network::of_size(4));
     for seed in 0..12u64 {
         let mut rng = Rng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xACC7);
@@ -88,7 +91,7 @@ fn link_counters_reconcile_under_random_fault_plans() {
         (plan.link.delay_p, plan.link.max_delay) = (0.2, 4);
         let r = run_threaded(
             &ThreadedNetwork {
-                programs: Programs::Shared(&t),
+                programs: Programs::PerWorker(&tc_broadcast),
                 policy: &policy,
                 config: SystemConfig::ORIGINAL,
             },

@@ -24,9 +24,9 @@ use calm_spec::network_output;
 use calm_transducer::{
     expected_output, run, DisjointStrategy, DistinctStrategy, DistributionPolicy,
     DomainGuidedPolicy, HashPolicy, MonotoneBroadcast, Network, Scheduler, SystemConfig,
-    Transducer, TransducerNetwork,
+    TransducerNetwork,
 };
-use common::{random_edges, seed_base};
+use common::{per_worker, random_edges, seed_base, Factory};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -61,7 +61,7 @@ fn check_conservation(r: &ThreadedRunResult, label: &str) {
 /// threaded engine at every worker count; assert byte-identical output
 /// everywhere (and equality with the centralized evaluation).
 fn assert_confluent(
-    t: &dyn Transducer,
+    programs: &Factory,
     query: &dyn Query,
     policy: &dyn DistributionPolicy,
     sys: SystemConfig,
@@ -69,8 +69,9 @@ fn assert_confluent(
     label: &str,
 ) {
     let expected = expected_output(query, input);
+    let t = programs();
     let tn = TransducerNetwork {
-        transducer: t,
+        transducer: &*t,
         policy,
         config: sys,
     };
@@ -80,7 +81,7 @@ fn assert_confluent(
     for workers in WORKER_COUNTS {
         let thr = run_threaded(
             &ThreadedNetwork {
-                programs: Programs::Shared(t),
+                programs: Programs::PerWorker(programs),
                 policy,
                 config: sys,
             },
@@ -105,14 +106,14 @@ fn assert_confluent(
 
 #[test]
 fn monotone_broadcast_confluent_across_20_seeds() {
-    let t = MonotoneBroadcast::new(Box::new(tc_datalog()));
+    let programs = per_worker(|| MonotoneBroadcast::new(Box::new(tc_datalog())));
     let policy = HashPolicy::new(Network::of_size(4));
     for i in 0..20 {
         let seed = seed_base() * 1000 + i;
         let input = random_edges(seed, 6, 3 + (i as usize % 5));
         assert_confluent(
-            &t,
-            t.query(),
+            &programs,
+            &tc_datalog(),
             &policy,
             SystemConfig::ORIGINAL,
             &input,
@@ -123,14 +124,14 @@ fn monotone_broadcast_confluent_across_20_seeds() {
 
 #[test]
 fn distinct_strategy_confluent_across_20_seeds() {
-    let t = DistinctStrategy::new(Box::new(edges_without_source_loop()));
+    let programs = per_worker(|| DistinctStrategy::new(Box::new(edges_without_source_loop())));
     let policy = HashPolicy::new(Network::of_size(3));
     for i in 0..20 {
         let seed = seed_base() * 1000 + 100 + i;
         let input = random_edges(seed, 5, 3 + (i as usize % 3));
         assert_confluent(
-            &t,
-            t.query(),
+            &programs,
+            &edges_without_source_loop(),
             &policy,
             SystemConfig::POLICY_AWARE,
             &input,
@@ -141,15 +142,15 @@ fn distinct_strategy_confluent_across_20_seeds() {
 
 #[test]
 fn disjoint_strategy_confluent_across_20_seeds() {
-    let t = DisjointStrategy::new(Box::new(qtc_datalog()));
+    let programs = per_worker(|| DisjointStrategy::new(Box::new(qtc_datalog())));
     let policy = DomainGuidedPolicy::new(Network::of_size(3));
     for i in 0..20 {
         let seed = seed_base() * 1000 + 200 + i;
         // The request/OK/ack protocol is per-value: keep domains small.
         let input = random_edges(seed, 4, 2 + (i as usize % 2));
         assert_confluent(
-            &t,
-            t.query(),
+            &programs,
+            &qtc_datalog(),
             &policy,
             SystemConfig::POLICY_AWARE,
             &input,
@@ -159,50 +160,16 @@ fn disjoint_strategy_confluent_across_20_seeds() {
 }
 
 #[test]
-fn per_worker_programs_match_shared_program() {
-    // The factory path (one DatalogTransducer per worker, each with its
-    // own interner and scratch database) computes the same output as a
-    // single shared instance.
-    let shared = MonotoneBroadcast::new(Box::new(tc_datalog()));
-    let policy = HashPolicy::new(Network::of_size(5));
-    let input = calm_common::generator::path(6);
-    let factory =
-        || Box::new(MonotoneBroadcast::new(Box::new(tc_datalog()))) as Box<dyn Transducer>;
-    for workers in [2, 4] {
-        let a = run_threaded(
-            &ThreadedNetwork {
-                programs: Programs::Shared(&shared),
-                policy: &policy,
-                config: SystemConfig::ORIGINAL,
-            },
-            &input,
-            &ThreadedConfig::new(workers),
-        );
-        let b = run_threaded(
-            &ThreadedNetwork {
-                programs: Programs::PerWorker(&factory),
-                policy: &policy,
-                config: SystemConfig::ORIGINAL,
-            },
-            &input,
-            &ThreadedConfig::new(workers),
-        );
-        assert!(a.quiescent && b.quiescent);
-        assert_eq!(a.output, b.output, "shared vs per-worker at {workers}");
-        assert_eq!(a.output, expected_output(shared.query(), &input));
-    }
-}
-
-#[test]
 fn cross_schedule_confluence_includes_deliver_p_sweep() {
     // RoundRobin, Random at several seeds and delivery probabilities,
     // and threaded at 1/2/8 workers all agree.
-    let t = MonotoneBroadcast::new(Box::new(tc_datalog()));
+    let programs = per_worker(|| MonotoneBroadcast::new(Box::new(tc_datalog())));
     let policy = HashPolicy::new(Network::of_size(4));
     let input = random_edges(seed_base() * 1000 + 300, 6, 6);
-    let reference = expected_output(t.query(), &input);
+    let reference = expected_output(&tc_datalog(), &input);
+    let t = programs();
     let tn = TransducerNetwork {
-        transducer: &t,
+        transducer: &*t,
         policy: &policy,
         config: SystemConfig::ORIGINAL,
     };
@@ -225,7 +192,7 @@ fn cross_schedule_confluence_includes_deliver_p_sweep() {
     for workers in WORKER_COUNTS {
         let thr = run_threaded(
             &ThreadedNetwork {
-                programs: Programs::Shared(&t),
+                programs: Programs::PerWorker(&programs),
                 policy: &policy,
                 config: SystemConfig::ORIGINAL,
             },
@@ -239,12 +206,12 @@ fn cross_schedule_confluence_includes_deliver_p_sweep() {
 
 #[test]
 fn exhausted_budget_reports_not_quiescent() {
-    let t = MonotoneBroadcast::new(Box::new(tc_datalog()));
+    let programs = per_worker(|| MonotoneBroadcast::new(Box::new(tc_datalog())));
     let policy = HashPolicy::new(Network::of_size(3));
     let input = calm_common::generator::path(5);
     let thr = run_threaded(
         &ThreadedNetwork {
-            programs: Programs::Shared(&t),
+            programs: Programs::PerWorker(&programs),
             policy: &policy,
             config: SystemConfig::ORIGINAL,
         },
@@ -266,16 +233,18 @@ fn a_program_that_never_stops_sending_runs_out_its_budget() {
     // filter of its own to stop them: the strategies mark in their state
     // what they sent and fall silent. A stateless re-sender — a
     // net-compiled program says all it knows at every step — is the
-    // sequential engine's to run (its quiescence test tells old news
-    // from new); here it is cut off at the budget, and says so.
-    let program =
-        calm_datalog::parse_program("@output T.\nT(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).")
-            .unwrap();
-    let t = calm_spec::compile_monotone_program("net-tc", &program).unwrap();
+    // sequential engine's to run (its quiescence test knows a
+    // re-delivery); here it is cut off at the budget, and says so.
+    let programs = per_worker(|| {
+        let src = "@output T.\nT(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).";
+        let program = calm_datalog::parse_program(src).unwrap();
+        calm_spec::compile_monotone_program("net-tc", &program).unwrap()
+    });
     let policy = HashPolicy::new(Network::of_size(2));
     let input = calm_common::generator::path(3);
+    let t = programs();
     let tn = TransducerNetwork {
-        transducer: &t,
+        transducer: &*t,
         policy: &policy,
         config: SystemConfig::ORIGINAL,
     };
@@ -283,7 +252,7 @@ fn a_program_that_never_stops_sending_runs_out_its_budget() {
     assert!(seq.quiescent);
     let thr = run_threaded(
         &ThreadedNetwork {
-            programs: Programs::Shared(&t),
+            programs: Programs::PerWorker(&programs),
             policy: &policy,
             config: SystemConfig::ORIGINAL,
         },
@@ -300,12 +269,12 @@ fn a_program_that_never_stops_sending_runs_out_its_budget() {
 
 #[test]
 fn single_node_network_runs_threaded() {
-    let t = MonotoneBroadcast::new(Box::new(tc_datalog()));
+    let programs = per_worker(|| MonotoneBroadcast::new(Box::new(tc_datalog())));
     let policy = HashPolicy::new(Network::of_size(1));
     let input = calm_common::generator::path(4);
     let thr = run_threaded(
         &ThreadedNetwork {
-            programs: Programs::Shared(&t),
+            programs: Programs::PerWorker(&programs),
             policy: &policy,
             config: SystemConfig::ORIGINAL,
         },
@@ -315,5 +284,5 @@ fn single_node_network_runs_threaded() {
     assert!(thr.quiescent);
     assert_eq!(thr.per_worker.len(), 1);
     assert_eq!(thr.metrics.messages_sent, 0);
-    assert_eq!(thr.output, expected_output(t.query(), &input));
+    assert_eq!(thr.output, expected_output(&tc_datalog(), &input));
 }

@@ -27,10 +27,10 @@ use calm_net::{
 };
 use calm_obs::Obs;
 use calm_queries::tc::{edges_without_source_loop, tc_datalog};
+use calm_spec::OverridePolicy;
 use calm_transducer::{
     run, DistinctStrategy, DistributionPolicy, HashPolicy, MessageClassCounts, Metrics,
-    MonotoneBroadcast, Network, OverridePolicy, Scheduler, SystemConfig, Transducer,
-    TransducerNetwork,
+    MonotoneBroadcast, Network, Scheduler, SystemConfig, Transducer, TransducerNetwork,
 };
 use std::sync::Arc;
 
@@ -161,9 +161,10 @@ fn check(
         assert!(r.quiescent, "{label}: {scheduler:?}");
         assert_counts(&r.metrics, &expected, &format!("{label} {scheduler:?}"));
     }
+    let programs = move || family(strategy).0;
     let threaded = run_threaded(
         &ThreadedNetwork {
-            programs: Programs::Shared(t.as_ref()),
+            programs: Programs::PerWorker(&programs),
             policy: policy.as_ref(),
             config: sys,
         },

@@ -14,10 +14,16 @@ use calm_obs::trace::analyze_lines;
 use calm_obs::{JsonlSink, Obs};
 use calm_queries::tc::tc_datalog;
 use calm_transducer::{
-    run, HashPolicy, MonotoneBroadcast, Network, Scheduler, SystemConfig, TransducerNetwork,
+    run, HashPolicy, MonotoneBroadcast, Network, Scheduler, SystemConfig, Transducer,
+    TransducerNetwork,
 };
 use std::io::Write;
 use std::sync::{Arc, Mutex};
+
+/// The broadcast strategy over `tc`: every worker builds its own.
+fn tc_broadcast() -> Box<dyn Transducer> {
+    Box::new(MonotoneBroadcast::new(Box::new(tc_datalog())))
+}
 
 /// An in-memory writer sharing its buffer with the test.
 #[derive(Clone, Default)]
@@ -55,10 +61,9 @@ fn faulty_threaded_trace_reconstructs_a_complete_acyclic_graph() {
     // broadcasting a chain of 24 attempt 180-650, so a run without a
     // single drop has probability 0.95^180 < 1e-4 (a chain of 8 on 4
     // nodes attempts 40-50 and drops nothing in two runs of five).
-    let t = MonotoneBroadcast::new(Box::new(tc_datalog()));
     let policy = HashPolicy::new(Network::of_size(8));
     let tn = ThreadedNetwork {
-        programs: Programs::Shared(&t),
+        programs: Programs::PerWorker(&tc_broadcast),
         policy: &policy,
         config: SystemConfig::ORIGINAL,
     };
@@ -164,11 +169,11 @@ fn tracing_never_perturbs_outputs() {
     // worker count, with and without faults, the traced run's output
     // must equal the untraced run's output must equal the sequential
     // oracle's.
-    let t = MonotoneBroadcast::new(Box::new(tc_datalog()));
+    let t = tc_broadcast();
     let policy = HashPolicy::new(Network::of_size(4));
     let input = chain_input(6);
     let seq_tn = TransducerNetwork {
-        transducer: &t,
+        transducer: &*t,
         policy: &policy,
         config: SystemConfig::ORIGINAL,
     };
@@ -183,7 +188,7 @@ fn tracing_never_perturbs_outputs() {
     assert_eq!(seq_traced.output, oracle.output, "sequential traced");
 
     let tn = ThreadedNetwork {
-        programs: Programs::Shared(&t),
+        programs: Programs::PerWorker(&tc_broadcast),
         policy: &policy,
         config: SystemConfig::ORIGINAL,
     };

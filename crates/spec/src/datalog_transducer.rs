@@ -3,11 +3,11 @@
 
 use calm_common::fact::{Fact, RelName};
 use calm_common::instance::Instance;
-use calm_common::storage::{EvalMetrics, RelId, SharedSymbols};
+use calm_common::storage::{EvalMetrics, RelId, SharedSymbols, SymTuple};
 use calm_datalog::eval::{Database, RuleSet};
 use calm_datalog::program::Program;
 use calm_transducer::{Transducer, TransducerSchema, TransducerStep};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Mutex;
 
 /// A transducer whose four queries are (unions of) non-recursive Datalog¬
@@ -125,9 +125,9 @@ impl Transducer for DatalogTransducer {
         // database persists across transitions, and `load` alone would
         // keep rows the instance no longer holds (deleted memory or
         // consumed messages), deriving from facts whose supports are
-        // gone. `sync_with_instance` retracts exactly the stale rows
-        // and keeps unchanged ones interned.
-        ctx.scratch.sync_with_instance(d);
+        // gone. `sync` retracts exactly the stale rows and keeps
+        // unchanged ones interned.
+        sync(&mut ctx.scratch, d);
         let mut step = TransducerStep::default();
         let mut metrics = EvalMetrics::default();
         // One read lock across the whole derivation: rows are uninterned
@@ -155,6 +155,47 @@ impl Transducer for DatalogTransducer {
     fn name(&self) -> &str {
         &self.name
     }
+}
+
+/// Make `db`'s facts exactly those of `i`: insert (or revive) every fact
+/// of `i`, retract every live row that is not one of them, then compact
+/// the tombstones. An additive load would keep the rows of facts a
+/// shrunk instance no longer holds.
+fn sync(db: &mut Database, i: &Instance) {
+    // Per relation, the row ids that hold a fact of `i`.
+    let mut wanted: HashMap<RelId, HashSet<u32>> = HashMap::new();
+    let symbols = db.symbols().clone();
+    let storage = db.storage_mut();
+    {
+        let mut table = symbols.write();
+        let mut row = SymTuple::new();
+        for name in i.relation_names() {
+            let r = table.rel(name);
+            let ids = wanted.entry(r).or_default();
+            for t in i.tuples(name) {
+                row.clear();
+                row.extend(t.iter().map(|v| table.sym(v)));
+                let known = storage.relation(r).and_then(|rel| rel.lookup(&row));
+                ids.insert(match known {
+                    Some(id) => {
+                        storage.revive(r, id);
+                        id
+                    }
+                    None => (storage.insert_id(r, &row)).expect("an absent row is new"),
+                });
+            }
+        }
+    }
+    let none = HashSet::new();
+    let rel_ids: Vec<RelId> = storage.rel_ids().collect();
+    for r in rel_ids {
+        let keep = wanted.get(&r).unwrap_or(&none);
+        let rows = storage.relation(r).map_or(0..0, |rel| rel.rows());
+        for id in rows.filter(|id| !keep.contains(id)) {
+            storage.retract_id(r, id);
+        }
+    }
+    storage.compact_retractions();
 }
 
 #[cfg(test)]
@@ -222,6 +263,21 @@ mod tests {
         // And re-adding works too (revive path).
         d.insert(fact("E", [3, 4]));
         assert_eq!(t.step(&d).out.relation_len("out_E"), 2);
+    }
+
+    #[test]
+    fn sync_drops_stale_rows_and_revives_returning_ones() {
+        let mut i = Instance::from_facts([fact("E", [1, 2]), fact("E", [2, 3])]);
+        let mut db = Database::from_instance(&i);
+        i.remove(&fact("E", [2, 3]));
+        sync(&mut db, &i);
+        assert_eq!(db.to_instance(), i);
+        // Tombstones were compacted away: storage is physically clean.
+        assert!(!db.storage().any_dead());
+        i.insert(fact("E", [2, 3]));
+        i.insert(fact("E", [7, 8]));
+        sync(&mut db, &i);
+        assert_eq!(db.to_instance(), i);
     }
 
     #[test]

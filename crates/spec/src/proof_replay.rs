@@ -12,11 +12,12 @@
 //! returning the measured artifacts of each step.
 
 use crate::coordination::heartbeat_witness;
+use crate::policies::OverridePolicy;
 use crate::semantics::{network_output, transition, Configuration};
 use calm_common::instance::Instance;
 use calm_transducer::{
-    distribute, run, Delivery, DistributionPolicy, DomainGuidedPolicy, Metrics, Network,
-    OverridePolicy, Scheduler, SystemConfig, Transducer, TransducerNetwork,
+    distribute, run, Delivery, DistributionPolicy, DomainGuidedPolicy, Metrics, Network, Scheduler,
+    SystemConfig, Transducer, TransducerNetwork,
 };
 use std::sync::Arc;
 

@@ -4,7 +4,7 @@
 use calm_common::fact::Fact;
 use calm_common::instance::Instance;
 use calm_common::schema::Schema;
-use calm_common::storage::{load_instance, SharedSymbols, Storage};
+use calm_common::storage::{load_instance, store_to_instance, SharedSymbols, Storage};
 use calm_obs::Obs;
 use calm_transducer::{
     run, Batch, Delivery, Metrics, Multiset, Network, NodeEngine, NodeId, RunResult, Scheduler,
@@ -84,20 +84,46 @@ pub fn transition(
     let buffer = Batch::of_facts(&buffer.expect("node buffer"), &mut symbols.write());
     node.restore(&rows, &[buffer.into()]);
     let outcome = node.step(delivery, metrics, &Obs::noop());
-    let (state, buffer) = node.into_parts();
-    config.state.insert(x.clone(), state);
-    config.buffer.insert(x.clone(), buffer);
+    config.state.insert(x.clone(), node_state(&node, &symbols));
+    config
+        .buffer
+        .insert(x.clone(), node_pending(&node, &symbols));
     if !outcome.sent.is_empty() {
         let mut sent = Multiset::new();
         outcome.sent.add_to(&symbols.read(), &mut sent);
         for y in tn.policy.network().others(x) {
             let buffer = config.buffer.get_mut(y).expect("node buffer");
-            buffer.extend_from(sent.clone());
+            for (f, n) in sent.iter() {
+                buffer.insert_n(f.clone(), n);
+            }
             let hw = metrics.buffered_high_water.entry(y.clone()).or_default();
             *hw = (*hw).max(buffer.len());
         }
     }
     outcome.state_changed
+}
+
+/// `s(x)` of `node` as facts: its checkpoint's state, un-interned over
+/// `symbols`, the table the node was built over.
+pub fn node_state(node: &NodeEngine<'_>, symbols: &SharedSymbols) -> Instance {
+    store_to_instance(&node.checkpoint().0, symbols)
+}
+
+/// `b(x)` of `node` as facts: its checkpoint's buffer, un-interned over
+/// `symbols`, the table the node was built over.
+pub fn node_pending(node: &NodeEngine<'_>, symbols: &SharedSymbols) -> Multiset<Fact> {
+    let batches = node.checkpoint().1;
+    let (table, mut pending) = (symbols.read(), Multiset::new());
+    for batch in &batches {
+        batch.add_to(&table, &mut pending);
+    }
+    pending
+}
+
+/// `D` of `node` as it stands between transitions, as facts: `H(x) ∪
+/// s(x)`, and `S` while the node is warm.
+pub fn node_visible(node: &NodeEngine<'_>, symbols: &SharedSymbols) -> Instance {
+    store_to_instance(node.rows(), symbols)
 }
 
 /// `out(R)`: the union over `states` — every node's `s(x)` — of the

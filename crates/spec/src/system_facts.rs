@@ -65,9 +65,9 @@ pub fn system_facts(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policies::ParityFirstAttributePolicy;
     use calm_common::fact::fact;
     use calm_common::value::Value;
-    use calm_transducer::ParityFirstAttributePolicy;
 
     fn setup() -> (Network, Schema, ParityFirstAttributePolicy) {
         let net = Network::of_size(2);

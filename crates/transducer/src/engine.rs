@@ -25,12 +25,10 @@
 //! [`Batch`] is enqueued by handle). `D` is a [`Storage`], `H(x)` a
 //! [`Batch`], the buffer an [`Inbox`] of shared batches, the known values
 //! sets of symbols. A state enters and leaves the node as rows
-//! ([`NodeEngine::restore`], [`NodeEngine::checkpoint`]); [`Fact`],
-//! [`Instance`] and [`Multiset`] are what it speaks at the
-//! specification's edges — [`NodeEngine::state`],
-//! [`NodeEngine::pending`], [`NodeEngine::into_parts`],
-//! [`NodeEngine::visible`], the traced `new_output` — and nowhere else
-//! (DESIGN §17).
+//! ([`NodeEngine::restore`], [`NodeEngine::checkpoint`]). The node
+//! speaks no [`Fact`] but the traced `new_output`: the specification
+//! (`calm-spec`) reads its state, buffer and `D` as facts from
+//! [`NodeEngine::checkpoint`] and [`NodeEngine::rows`] (DESIGN §17).
 //!
 //! The engine *is* the node: it keeps `D` (without `M`) across
 //! transitions, so a transition costs what it delivers, not what the
@@ -46,17 +44,15 @@
 //! `A` or the memory: a deletion took effect, or a value seen only in a
 //! delivered message was not stored.
 
-use crate::multiset::Multiset;
 use crate::network::NodeId;
 use crate::policy::DistributionPolicy;
-use crate::rows::{canonical_rows, fact_of, values_of, Batch, Inbox, SymSet};
+use crate::rows::{canonical_rows, fact_of, Batch, Inbox, SymSet};
 use crate::runtime::{Delivery, Metrics};
 use crate::schema::{policy_relation, SystemConfig, TransducerSchema};
 use crate::strategy::{class_arg_counts, classify_message, MessageClass, MessageClassCounts};
 use crate::system_facts::{for_each_new_tuple, POLICY_ARITY_CAP};
 use crate::transducer::{NodeProgram, NodeView, Transducer};
 use calm_common::fact::Fact;
-use calm_common::instance::Instance;
 use calm_common::rng::Rng;
 use calm_common::storage::{CanonicalOrder, RelId, SharedSymbols, Storage, Sym, SymbolTable};
 use calm_common::value::Value;
@@ -318,26 +314,10 @@ impl<'a> NodeEngine<'a> {
         self.program.is_none()
     }
 
-    /// `D` un-interned: all of it, or its state part only — a relation
-    /// at a time, so that its set of tuples is built in one pass.
-    fn export(&self, state_only: bool) -> Instance {
-        let table = &*self.symbols.read();
-        let schema = self.transducer.schema();
-        let mut out = Instance::new();
-        for r in self.d.rel_ids() {
-            let name = table.rel_name(r);
-            if state_only && !is_state(schema, name) {
-                continue;
-            }
-            let rows = self.d.relation(r).expect("a listed relation").live_rows();
-            out.extend_relation(name, rows.map(|row| values_of(table, row)));
-        }
-        out
-    }
-
-    /// A copy of the node's state `s(x)`, as facts.
-    pub fn state(&self) -> Instance {
-        self.export(true)
+    /// `D` as it stands between transitions: `H(x) ∪ s(x)`, and `S`
+    /// while warm (for the tests that hold `S` to its specification).
+    pub fn rows(&self) -> &Storage {
+        &self.d
     }
 
     /// The node as a checkpoint holds it, in rows over its table: a copy
@@ -354,31 +334,18 @@ impl<'a> NodeEngine<'a> {
         (state, self.inbox.batches().to_vec())
     }
 
-    /// `D` as it stands between transitions: `H(x) ∪ s(x)`, and `S`
-    /// while warm (for the tests that hold `S` to its specification).
-    pub fn visible(&self) -> Instance {
-        self.export(false)
-    }
-
-    /// A copy of `b(x)` as it stands, as facts.
-    pub fn pending(&self) -> Multiset<Fact> {
-        self.inbox.to_multiset(&self.symbols.read())
-    }
-
     /// `|b(x)|` in occurrences — what the engines' passivity tests and
     /// accounts read.
     pub fn buffered(&self) -> usize {
         self.inbox.len()
     }
 
-    /// `b(x)` as it stands: the buffered batches, oldest first.
-    pub(crate) fn inbox(&self) -> &[Arc<Batch>] {
-        self.inbox.batches()
-    }
-
-    /// The node taken apart: `(s(x), b(x))`.
-    pub fn into_parts(self) -> (Instance, Multiset<Fact>) {
-        (self.state(), self.pending())
+    /// Whether every row of `b(x)` is in `M`, the set the node's last
+    /// transition was delivered: what the sequential engine's quiescence
+    /// test asks of every node after a sweep ([`crate::runtime::run`]).
+    pub(crate) fn holds_only_redeliveries(&self) -> bool {
+        let mut groups = self.inbox.batches().iter().flat_map(|batch| batch.groups());
+        groups.all(|(r, mut rows)| rows.all(|row| self.m.contains(r, row)))
     }
 
     /// The node taken apart, still in rows over its table: `(s(x),
@@ -761,15 +728,32 @@ impl<'a> NodeEngine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multiset::Multiset;
     use crate::network::Network;
-    use crate::policy::{distribute, DomainGuidedPolicy, HashPolicy, ReplicatedDomainPolicy};
+    use crate::policy::{distribute, DomainGuidedPolicy, HashPolicy};
     use crate::rows::input_batches;
     use crate::runtime::Metrics;
     use crate::strategy::MonotoneBroadcast;
     use calm_common::fact::fact;
-    use calm_common::storage::SharedSymbols;
+    use calm_common::instance::Instance;
+    use calm_common::storage::{store_to_instance, SharedSymbols};
     use calm_queries::tc::tc_datalog;
     use std::collections::BTreeSet;
+
+    /// `s(x)` of `engine`, as facts.
+    fn state_of(engine: &NodeEngine<'_>) -> Instance {
+        store_to_instance(&engine.checkpoint().0, &engine.symbols)
+    }
+
+    /// `D` of `engine` between transitions, as facts.
+    fn visible_of(engine: &NodeEngine<'_>) -> Instance {
+        store_to_instance(engine.rows(), &engine.symbols)
+    }
+
+    /// `b(x)` of `engine`, as facts.
+    fn pending_of(engine: &NodeEngine<'_>) -> Multiset<Fact> {
+        engine.inbox.to_multiset(&engine.symbols.read())
+    }
 
     /// Node `x` of `t` holding `input` as `H(x)`, over a table of its
     /// own: the instance interned at the edge, as `transition` does.
@@ -862,6 +846,11 @@ mod tests {
         let t = MonotoneBroadcast::new(Box::new(tc_datalog()));
         let net = Network::of_size(3);
         let replicated = [Value::str("n1"), Value::str("n3")];
+        let nodes: Vec<&NodeId> = net.nodes().collect();
+        let two_replicas = (0..10).fold(DomainGuidedPolicy::new(net.clone()), |p, k| {
+            let pair = [nodes[k % 3].clone(), nodes[(k + 1) % 3].clone()];
+            p.with_value_assignment(Value::Int(k as i64), pair)
+        });
         let policies: [(&str, Box<dyn DistributionPolicy>); 3] = [
             ("hash", Box::new(HashPolicy::new(net.clone()))),
             (
@@ -871,10 +860,7 @@ mod tests {
                         .with_value_assignment(Value::Int(2), replicated),
                 ),
             ),
-            (
-                "two replicas",
-                Box::new(ReplicatedDomainPolicy::new(net.clone(), 2)),
-            ),
+            ("two replicas", Box::new(two_replicas)),
         ];
         // A path, a second arity, a string, and the memory and output
         // relations of the strategy (`c_E`, `out_T`) among the input.
@@ -901,12 +887,12 @@ mod tests {
                 let mut edge = new_node(&t, policy.as_ref(), sys, x.clone(), &dist[x]);
                 let mut without_state = dist[x].clone();
                 without_state.retain_relations(|r| !is_state(schema, r));
-                assert_eq!(born.visible(), without_state, "{name}: {x}");
-                assert_eq!(born.visible(), edge.visible(), "{name}: {x}");
+                assert_eq!(visible_of(&born), without_state, "{name}: {x}");
+                assert_eq!(visible_of(&born), visible_of(&edge), "{name}: {x}");
                 let mut metrics = Metrics::default();
                 beat(&mut born, &mut metrics);
                 beat(&mut edge, &mut metrics);
-                assert_eq!(born.visible(), edge.visible(), "{name}: {x}, stepped");
+                assert_eq!(visible_of(&born), visible_of(&edge), "{name}: {x}, stepped");
                 held += h.len();
                 dropped += dist[x].len() - without_state.len();
             }
@@ -926,15 +912,15 @@ mod tests {
         let sys = SystemConfig::POLICY_AWARE;
         let mut engine = new_node(&t, &policy, sys, x.clone(), &input);
         assert!(engine.is_cold());
-        assert!(engine.state().is_empty());
+        assert!(state_of(&engine).is_empty());
         let mut metrics = Metrics::default();
         beat(&mut engine, &mut metrics);
         assert!(!engine.is_cold());
         // D holds the input and S beside the state; the state is the
         // part over Υout ∪ Υmem.
-        let state = engine.state();
-        assert!(engine.visible().contains(&fact("E", [1, 2])));
-        assert_eq!(engine.visible().relation_len("MyAdom"), 4);
+        let state = state_of(&engine);
+        assert!(visible_of(&engine).contains(&fact("E", [1, 2])));
+        assert_eq!(visible_of(&engine).relation_len("MyAdom"), 4);
         assert!(state.contains(&fact("c_E", [1, 2])));
         assert!(state.contains(&fact("out_T", [1, 2])));
         assert_eq!(state.len(), 3, "c_E, s_E, out_T: {state:?}");
@@ -943,19 +929,19 @@ mod tests {
         let outcome = hand(&mut engine, &m, &mut metrics);
         assert!(outcome.grew_output && !engine.is_cold());
         assert!(
-            !engine.visible().contains(&m[0]),
+            !visible_of(&engine).contains(&m[0]),
             "M leaves D with the step"
         );
-        assert_eq!(engine.visible().relation_len("MyAdom"), 5);
+        assert_eq!(visible_of(&engine).relation_len("MyAdom"), 5);
         // Restoring a state — even its own — starts over.
-        let (state, rows) = (engine.state(), engine.checkpoint().0);
+        let (state, rows) = (state_of(&engine), engine.checkpoint().0);
         assert_eq!(rows.len(), state.len());
         engine.restore(&rows, &[]);
         assert!(engine.is_cold());
-        assert_eq!(engine.visible().relation_len("MyAdom"), 0);
+        assert_eq!(visible_of(&engine).relation_len("MyAdom"), 0);
         let again = beat(&mut engine, &mut metrics);
         assert!(!again.state_changed && again.sent.is_empty());
-        assert_eq!(engine.into_parts().0, state);
+        assert_eq!(state_of(&engine), state);
     }
 
     #[test]
@@ -1005,11 +991,11 @@ mod tests {
             let outcome = node.step(Delivery::sample(seed), &mut m, &obs);
             assert_eq!(m.messages_delivered - before, outcome.delivered);
             assert_eq!(outcome.delivered + node.buffered(), 80, "seed {seed}");
-            assert!(node.pending().support().all(|f| facts.contains(f)));
-            assert!(node.pending().iter().all(|(_, n)| n <= 2));
+            assert!(pending_of(&node).support().all(|f| facts.contains(f)));
+            assert!(pending_of(&node).iter().all(|(_, n)| n <= 2));
             split |= outcome.delivered > 0 && node.buffered() > 0;
             // M is m collapsed: what was delivered is stored once.
-            let stored = node.state().relation_len("c_E");
+            let stored = state_of(&node).relation_len("c_E");
             assert!(
                 stored <= 40 && stored * 2 >= outcome.delivered,
                 "seed {seed}"
@@ -1017,7 +1003,7 @@ mod tests {
             // The rest is still there for a full delivery.
             let rest = node.step(Delivery::All, &mut m, &obs);
             assert_eq!(outcome.delivered + rest.delivered, 80, "seed {seed}");
-            assert_eq!(node.state().relation_len("c_E"), 40);
+            assert_eq!(state_of(&node).relation_len("c_E"), 40);
         }
         assert!(split, "p = 0.6 over 80 occurrences splits the buffer");
     }
@@ -1026,19 +1012,19 @@ mod tests {
     /// `Multiset<Fact>`: one coin per occurrence, the facts in order.
     /// Returns `|m|`, `M` and what is kept back.
     fn sample_by_facts(
-        mut buffer: Multiset<Fact>,
+        buffer: Multiset<Fact>,
         seed: u64,
         deliver_p: f64,
     ) -> (usize, BTreeSet<Fact>, Multiset<Fact>) {
         let mut rng = Rng::seed_from_u64(seed);
         let (mut delivered_n, mut delivered, mut kept) = (0, BTreeSet::new(), Multiset::new());
-        for (f, count) in buffer.drain_all() {
+        for (f, count) in buffer.iter() {
             let kept_back = (0..count).filter(|_| !rng.gen_bool(deliver_p)).count();
             delivered_n += count - kept_back;
             if kept_back < count {
                 delivered.insert(f.clone());
             }
-            kept.insert_n(f, kept_back);
+            kept.insert_n(f.clone(), kept_back);
         }
         (delivered_n, delivered, kept)
     }
@@ -1089,7 +1075,7 @@ mod tests {
             let (inbox, shared) = random_inbox(&mut rng, &mut symbols.write());
             let seed = rng.gen_u64();
             node.restore(&Storage::new(), &inbox);
-            let buffer = node.pending();
+            let buffer = pending_of(&node);
             repeated += shared;
             counted += buffer.iter().filter(|&(_, n)| n > 1).count();
             let arities: BTreeSet<(&str, usize)> = buffer
@@ -1113,7 +1099,7 @@ mod tests {
                 let delivered: BTreeSet<Fact> =
                     rows.map(|(r, row)| fact_of(table, r, row)).collect();
                 assert_eq!(delivered, m, "{at}: M");
-                assert_eq!(node.pending(), kept, "{at}: kept back");
+                assert_eq!(pending_of(&node), kept, "{at}: kept back");
                 split += usize::from(n > 0 && !kept.is_empty());
             }
         }

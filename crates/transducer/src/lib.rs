@@ -39,10 +39,7 @@ pub mod transducer;
 pub use engine::{NodeEngine, NodeStepOutcome};
 pub use multiset::Multiset;
 pub use network::{Network, NodeId};
-pub use policy::{
-    distribute, DistributionPolicy, DomainGuidedPolicy, HashPolicy, OverridePolicy,
-    ParityDomainGuidedPolicy, ParityFirstAttributePolicy, ReplicatedDomainPolicy,
-};
+pub use policy::{distribute, DistributionPolicy, DomainGuidedPolicy, HashPolicy};
 pub use rows::{input_batches, Batch, StateRows};
 pub use runtime::{
     run, run_with, Delivery, FinalStates, Metrics, RunResult, Scheduler, TransducerNetwork,

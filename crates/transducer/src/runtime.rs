@@ -168,21 +168,14 @@ impl Delivery {
 }
 
 /// One transition of node `i` among the warm `nodes` of a run: its
-/// step, then what it sent enqueued at every other node. A full delivery
-/// is remembered in `seen[i]`, the rows it handed the node.
+/// step, then what it sent enqueued at every other node.
 fn fire(
     nodes: &mut [NodeEngine<'_>],
-    seen: &mut [Storage],
     i: usize,
     delivery: Delivery,
     metrics: &mut Metrics,
     obs: &Obs,
 ) -> bool {
-    if delivery == Delivery::All {
-        for (r, rows) in nodes[i].inbox().iter().flat_map(|batch| batch.groups()) {
-            seen[i].insert_batch(r, rows);
-        }
-    }
     let outcome = nodes[i].step(delivery, metrics, obs);
     if !outcome.sent.is_empty() {
         let _span = obs.span_on("runtime", i as u32 + 1, || "route".to_string());
@@ -402,14 +395,18 @@ impl Scheduler {
 /// rule set — a `DatalogTransducer`, a net-compiled program — does: it
 /// derives `Qsnd` anew at every step. So "empty buffers" is not a usable
 /// stopping criterion (though the strategies, which send each message
-/// once, end there). Instead the run keeps per node the *set* of message
-/// rows ever delivered to it; a configuration is declared quiescent when a
-/// full deliver-everything sweep (a) changes no node's state and (b)
-/// leaves no node with a buffered message it has never been delivered
-/// before. For deterministic transducers whose state accumulates
-/// everything they react to (all in this workspace) that is the limit of
-/// every fair extension: re-delivering already-seen messages to
-/// unchanged states is a no-op.
+/// once, end there). A configuration is declared quiescent when a full
+/// deliver-everything sweep (a) changes no node's state and (b) leaves
+/// every node's buffer inside `M`, the set of rows the node's own step in
+/// that sweep was delivered. The next fair step of a node then delivers a
+/// subset of what its last step was, to the state that step left
+/// unchanged. For deterministic transducers whose state accumulates
+/// everything they react to (all in this workspace) that is a no-op, so
+/// the configuration is the limit of every fair extension. `M` is a
+/// subset of every row the node was ever delivered, so the test never
+/// stops a run earlier than one against all past deliveries would; a
+/// resender may take one sweep more, since a row sent to a node after its
+/// step reaches its `M` only at its next step.
 pub fn run(
     tn: &TransducerNetwork<'_>,
     input: &Instance,
@@ -438,7 +435,6 @@ pub fn run_with(
     let mut nodes: Vec<NodeEngine<'_>> = (ids.iter().zip(&inputs))
         .map(|(&x, h)| NodeEngine::new(transducer, policy, tn.config, x.clone(), h, &symbols))
         .collect();
-    let mut seen = vec![Storage::new(); nodes.len()];
     let mut metrics = Metrics::default();
 
     if let Scheduler::Random {
@@ -475,14 +471,11 @@ pub fn run_with(
                     deliver_p,
                 },
             };
-            fire(&mut nodes, &mut seen, i, delivery, &mut metrics, obs);
+            fire(&mut nodes, i, delivery, &mut metrics, obs);
         }
     }
 
-    // Closing round-robin sweeps with full delivery. `seen` holds per
-    // node the set of rows a full delivery ever handed it (a sampled
-    // delivery may skip occurrences and records nothing; under-recording
-    // is conservative for quiescence detection).
+    // Closing round-robin sweeps with full delivery.
     let mut quiescent = false;
     while metrics.transitions < max_transitions {
         let mut state_changed = false;
@@ -490,15 +483,11 @@ pub fn run_with(
             if metrics.transitions >= max_transitions {
                 break;
             }
-            state_changed |= fire(&mut nodes, &mut seen, i, Delivery::All, &mut metrics, obs);
+            state_changed |= fire(&mut nodes, i, Delivery::All, &mut metrics, obs);
         }
         let _span = obs.span("runtime", || "quiesce".to_string());
         // (b) of the quiescence test (see [`run`]).
-        let old_news = |(node, seen): (&NodeEngine<'_>, &Storage)| {
-            let mut groups = node.inbox().iter().flat_map(|batch| batch.groups());
-            groups.all(|(r, mut rows)| rows.all(|row| seen.contains(r, row)))
-        };
-        if !state_changed && nodes.iter().zip(&seen).all(old_news) {
+        if !state_changed && nodes.iter().all(NodeEngine::holds_only_redeliveries) {
             quiescent = true;
             break;
         }

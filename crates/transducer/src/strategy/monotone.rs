@@ -176,52 +176,12 @@ mod tests {
     use crate::policy::HashPolicy;
     use crate::runtime::{run, Scheduler, TransducerNetwork};
     use crate::schema::SystemConfig;
-    use crate::strategy::expected_output;
     use calm_common::generator::path;
     use calm_common::instance::Instance;
     use calm_queries::tc::tc_datalog;
 
     fn tc_strategy() -> MonotoneBroadcast {
         MonotoneBroadcast::new(Box::new(tc_datalog()))
-    }
-
-    #[test]
-    fn non_monotone_query_miscomputed() {
-        // Running the M strategy on Q_TC (not monotone) on a 2-node
-        // network produces wrong (unretractable) outputs for some
-        // distribution: the core of the CALM only-if direction.
-        //
-        // Input: the cycle 0 -> 1 -> 2 -> 0, whose complement-of-TC is
-        // empty. Place E(0,1), E(2,0) on n1 and E(1,2) on n2: before the
-        // exchange completes, n1 sees a graph where (e.g.) 0 cannot reach
-        // 2 and emits O-facts that the full input refutes.
-        use crate::policy::{DomainGuidedPolicy, OverridePolicy};
-        use calm_common::value::Value;
-        let t = MonotoneBroadcast::new(Box::new(calm_queries::qtc::qtc_datalog()));
-        let input = calm_common::generator::cycle(3);
-        let expected = expected_output(t.query(), &input);
-        assert!(expected.is_empty(), "complement of TC on a cycle is empty");
-        let net = Network::of_size(2);
-        let base: std::sync::Arc<dyn crate::policy::DistributionPolicy> =
-            std::sync::Arc::new(DomainGuidedPolicy::all_to(net.clone(), Value::str("n1")));
-        let policy = OverridePolicy::new(
-            base,
-            [calm_common::fact::fact("E", [1, 2])],
-            [Value::str("n2")],
-        );
-        let tn = TransducerNetwork {
-            transducer: &t,
-            policy: &policy,
-            config: SystemConfig::ORIGINAL,
-        };
-        let r = run(&tn, &input, &Scheduler::RoundRobin, 20_000);
-        // The run quiesces but output ⊋ Q(I) = ∅: nodes answered on
-        // partial inputs and could never retract.
-        assert!(r.quiescent);
-        assert!(
-            !r.output.is_empty(),
-            "the M strategy must overshoot on a non-monotone query"
-        );
     }
 
     #[test]
@@ -249,7 +209,7 @@ mod tests {
         use crate::rows::Batch;
         use crate::runtime::{Delivery, Metrics};
         use calm_common::fact::{fact, Fact};
-        use calm_common::storage::{load_instance, SharedSymbols, Storage};
+        use calm_common::storage::{load_instance, store_to_instance, SharedSymbols, Storage};
         use calm_obs::Obs;
         use std::sync::Arc;
 
@@ -276,7 +236,8 @@ mod tests {
         node.enqueue(&batch, None, &mut m, &obs);
         let outcome = node.step(Delivery::All, &mut m, &obs);
         assert!(outcome.grew_output && outcome.sent.is_empty());
-        let state = node.state();
+        let state_of = |node: &NodeEngine<'_>| store_to_instance(&node.checkpoint().0, &symbols);
+        let state = state_of(&node);
         assert!(state.contains(&fact("c_E", [3, 4])) && state.contains(&fact("out_T", [1, 4])));
         assert_eq!(state.relation_len("s_E"), 2, "marks: the node's own facts");
 
@@ -297,7 +258,7 @@ mod tests {
         node.restore(&rows(&earlier), &[]);
         let again = sent(node.step(Delivery::None, &mut m, &obs));
         assert_eq!(again, [fact("m_E", [2, 3])]);
-        assert_eq!(node.state(), state);
+        assert_eq!(state_of(&node), state);
     }
 
     #[test]

@@ -126,6 +126,48 @@ fn random_schedules_converge_to_same_output() {
     }
 }
 
+/// An echo transducer: every node sends its local edges and, at every
+/// step, what it was delivered. Its sends depend on `M`, so no buffer is
+/// ever empty for good: the run stops on the quiescence test alone.
+fn echo_transducer() -> DatalogTransducer {
+    DatalogTransducer::parse(
+        "echo",
+        TransducerSchema::new(
+            Schema::from_pairs([("E", 2)]),
+            Schema::from_pairs([("out_E", 2)]),
+            Schema::from_pairs([("msg_E", 2)]),
+            Schema::new(),
+        ),
+        "msg_E(x,y) :- E(x,y).\n\
+         msg_E(x,y) :- msg_E(x,y).\n\
+         out_E(x,y) :- E(x,y).\n\
+         out_E(x,y) :- msg_E(x,y).",
+    )
+    .unwrap()
+}
+
+#[test]
+fn a_resender_of_its_deliveries_quiesces_with_the_whole_input() {
+    let t = echo_transducer();
+    let input = calm_common::generator::cycle(5);
+    let expected = expected_out(&input);
+    for n in 2..=5 {
+        let policy = HashPolicy::new(Network::of_size(n));
+        let tn = TransducerNetwork {
+            transducer: &t,
+            policy: &policy,
+            config: SystemConfig::ORIGINAL,
+        };
+        let schedulers = (0..10).map(|seed| Scheduler::random(seed, 40));
+        for scheduler in std::iter::once(Scheduler::RoundRobin).chain(schedulers) {
+            let r = run(&tn, &input, &scheduler, 10_000);
+            assert!(r.quiescent, "{n} nodes, {scheduler:?}");
+            assert_eq!(r.output, expected, "{n} nodes, {scheduler:?}");
+            assert!(r.metrics.messages_sent > 0, "{n} nodes, {scheduler:?}");
+        }
+    }
+}
+
 #[test]
 fn empty_delivery_scheduler_terminates_via_heartbeats() {
     // Regression: at `deliver_p = 0` every prefix transition is a

@@ -31,8 +31,8 @@ use calm_queries::qtc::qtc_datalog;
 use calm_queries::tc::{edges_without_source_loop, tc_datalog};
 use calm_queries::winmove::win_move;
 use calm_spec::{
-    compile_monotone_program, final_config, network_output, system_facts, transition,
-    Configuration, DatalogTransducer,
+    compile_monotone_program, final_config, network_output, node_pending, node_state, node_visible,
+    system_facts, transition, Configuration, DatalogTransducer,
 };
 use calm_transducer::schema::is_system_relation;
 use calm_transducer::{
@@ -129,14 +129,10 @@ fn check(
         let changed = transition(&tn, &dist, &mut config, x, delivery, &mut cold);
 
         // What the cold side delivered and sent, read off the buffers.
-        let mut delivered = buffers_before[x].clone();
-        delivered.subtract(&config.buffer[x]);
+        let delivered = difference(&buffers_before[x], &config.buffer[x]);
         let m: Vec<Fact> = delivered.support().cloned().collect();
-        let sent: Option<Multiset<Fact>> = network.others(x).next().map(|y| {
-            let mut grown = config.buffer[y].clone();
-            grown.subtract(&buffers_before[y]);
-            grown
-        });
+        let sent: Option<Multiset<Fact>> =
+            (network.others(x).next()).map(|y| difference(&config.buffer[y], &buffers_before[y]));
 
         cold_starts += usize::from(engines[i].is_cold());
         let outcome = engines[i].step(delivery, &mut warm, &Obs::noop());
@@ -145,7 +141,11 @@ fn check(
                 y.enqueue(&outcome.sent, None, &mut warm, &Obs::noop());
             }
         }
-        assert_eq!(engines[i].state(), config.state[x], "{at}: state of {x}");
+        assert_eq!(
+            node_state(&engines[i], &symbols),
+            config.state[x],
+            "{at}: state of {x}"
+        );
         assert_eq!(outcome.delivered, delivered.len(), "{at}: |m|");
         assert_eq!(outcome.state_changed, changed, "{at}: state_changed");
         let grew = cold.last_output_growth_at == Some(cold.transitions);
@@ -156,7 +156,11 @@ fn check(
             assert_eq!(warm_sent, sent, "{at}: sent");
         }
         for (y, engine) in nodes.iter().zip(&engines) {
-            assert_eq!(engine.pending(), config.buffer[y], "{at}: buffer of {y}");
+            assert_eq!(
+                node_pending(engine, &symbols),
+                config.buffer[y],
+                "{at}: buffer of {y}"
+            );
             assert_eq!(engine.buffered(), config.buffer[y].len(), "{at}: |b({y})|");
         }
         assert_eq!(warm, cold, "{at}: metrics");
@@ -166,7 +170,7 @@ fn check(
             let mut j = dist.get(x).unwrap_or(&empty).union(&state_before);
             j.extend(m);
             let s = system_facts(x, network, input_schema, policy, sys, &j);
-            let mut mine = engines[i].visible();
+            let mut mine = node_visible(&engines[i], &symbols);
             mine.retain_relations(|r| is_system_relation(r, input_schema));
             assert_eq!(mine, s, "{at}: system facts of {x}");
         }
@@ -184,11 +188,24 @@ fn check(
         }
     }
     for (x, engine) in nodes.iter().zip(engines) {
-        let (state, buffer) = engine.into_parts();
+        let (state, buffer) = (
+            node_state(&engine, &symbols),
+            node_pending(&engine, &symbols),
+        );
         assert_eq!(state, config.state[x], "{label}: final state of {x}");
         assert_eq!(buffer, config.buffer[x], "{label}: final buffer of {x}");
     }
     (cold_starts, config)
+}
+
+/// `a − b` as multisets: each fact of `a` as often as it occurs in `a`
+/// more than in `b`.
+fn difference(a: &Multiset<Fact>, b: &Multiset<Fact>) -> Multiset<Fact> {
+    let mut out = Multiset::new();
+    for (f, n) in a.iter() {
+        out.insert_n(f.clone(), n.saturating_sub(b.count(f)));
+    }
+    out
 }
 
 /// Up to `max` random facts of a binary relation over `0..domain`.
@@ -401,7 +418,7 @@ fn distinct_complete_set_shrinks_when_a_value_arrives() {
     // undetermined: 7 leaves the complete set it was in, move(6,7)
     // leaves the query's input — nothing was collected, the input only
     // shrank — and the query on what is left answers win(5).
-    use calm_transducer::OverridePolicy;
+    use calm_spec::OverridePolicy;
     use std::sync::Arc;
     let t = DistinctStrategy::new(Box::new(win_move()));
     let net = Network::of_size(2);

@@ -62,6 +62,47 @@ mod monotone {
                 .unwrap_or_else(|e| panic!("{config:?}: {e}"));
         }
     }
+
+    #[test]
+    fn non_monotone_query_miscomputed() {
+        // Running the M strategy on Q_TC (not monotone) on a 2-node
+        // network produces wrong (unretractable) outputs for some
+        // distribution: the core of the CALM only-if direction.
+        //
+        // Input: the cycle 0 -> 1 -> 2 -> 0, whose complement-of-TC is
+        // empty. Place E(0,1), E(2,0) on n1 and E(1,2) on n2: before the
+        // exchange completes, n1 sees a graph where (e.g.) 0 cannot reach
+        // 2 and emits O-facts that the full input refutes.
+        use calm_common::value::Value;
+        use calm_spec::OverridePolicy;
+        use calm_transducer::{DistributionPolicy, DomainGuidedPolicy};
+        use std::sync::Arc;
+        let t = MonotoneBroadcast::new(Box::new(calm_queries::qtc::qtc_datalog()));
+        let input = calm_common::generator::cycle(3);
+        let expected = expected_output(t.query(), &input);
+        assert!(expected.is_empty(), "complement of TC on a cycle is empty");
+        let net = Network::of_size(2);
+        let base: Arc<dyn DistributionPolicy> =
+            Arc::new(DomainGuidedPolicy::all_to(net.clone(), Value::str("n1")));
+        let policy = OverridePolicy::new(
+            base,
+            [calm_common::fact::fact("E", [1, 2])],
+            [Value::str("n2")],
+        );
+        let tn = TransducerNetwork {
+            transducer: &t,
+            policy: &policy,
+            config: SystemConfig::ORIGINAL,
+        };
+        let r = calm_transducer::run(&tn, &input, &Scheduler::RoundRobin, 20_000);
+        // The run quiesces but output ⊋ Q(I) = ∅: nodes answered on
+        // partial inputs and could never retract.
+        assert!(r.quiescent);
+        assert!(
+            !r.output.is_empty(),
+            "the M strategy must overshoot on a non-monotone query"
+        );
+    }
 }
 
 mod distinct {
@@ -231,6 +272,37 @@ mod distinct {
             .expect("heartbeat-only prefix computes Q(I)");
         assert!(steps <= 3);
     }
+
+    #[test]
+    fn non_member_query_goes_wrong() {
+        // Feeding win-move (∉ Mdistinct) through the distinct strategy on
+        // a 2-node network yields a wrong quiescent output for at least
+        // one policy/input: the strategy's soundness argument needs
+        // domain-distinct monotonicity.
+        let t = DistinctStrategy::new(Box::new(calm_queries::winmove::win_move()));
+        let input = calm_common::generator::chain_game(0, 2);
+        let expected = expected_output(t.query(), &input);
+        // Split the two move facts across nodes.
+        let net = Network::of_size(2);
+        let base: std::sync::Arc<dyn calm_transducer::DistributionPolicy> =
+            std::sync::Arc::new(calm_transducer::DomainGuidedPolicy::all_to(
+                net.clone(),
+                calm_common::value::Value::str("n1"),
+            ));
+        let policy = calm_spec::OverridePolicy::new(
+            base,
+            [calm_common::generator::mv(1, 2)],
+            [calm_common::value::Value::str("n2")],
+        );
+        let tn = TransducerNetwork {
+            transducer: &t,
+            policy: &policy,
+            config: SystemConfig::POLICY_AWARE,
+        };
+        let r = calm_transducer::run(&tn, &input, &Scheduler::RoundRobin, 50_000);
+        assert!(r.quiescent);
+        assert_ne!(r.output, expected, "win-move must break the strategy");
+    }
 }
 
 mod disjoint {
@@ -327,7 +399,7 @@ mod disjoint {
         let t = DisjointStrategy::new(Box::new(win_move()));
         let input = chain_game(0, 4).union(&cycle_game(30, 3));
         let expected = expected_output(t.query(), &input);
-        let policy = calm_transducer::ReplicatedDomainPolicy::new(Network::of_size(4), 2);
+        let policy = calm_spec::ReplicatedDomainPolicy::new(Network::of_size(4), 2);
         let tn = TransducerNetwork {
             transducer: &t,
             policy: &policy,

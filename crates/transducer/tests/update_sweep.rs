@@ -7,7 +7,7 @@
 //! The reused transducer is the interesting half: its per-node
 //! `StepContext` scratch [`Database`] persists across transitions *and*
 //! across runs, so every delivery over a shrunk instance exercises the
-//! `sync_with_instance` diff-reload path (the `Instance::remove` /
+//! scratch database's diff-reload path (the `Instance::remove` /
 //! scratch-database mismatch regression at the network level, not just
 //! the single-step level).
 //!

@@ -11,10 +11,8 @@
 
 use calm::common::{fact, v, Instance, Schema, Value};
 use calm::prelude::{Network, SystemConfig};
-use calm::spec::system_facts;
-use calm::transducer::{
-    distribute, DistributionPolicy, ParityDomainGuidedPolicy, ParityFirstAttributePolicy,
-};
+use calm::spec::{system_facts, ParityDomainGuidedPolicy, ParityFirstAttributePolicy};
+use calm::transducer::{distribute, DistributionPolicy};
 
 fn show(label: &str, dist: &std::collections::BTreeMap<Value, Instance>) {
     println!("{label}:");

@@ -225,7 +225,7 @@ fn strategy_class_mismatch_grid() {
     let base: std::sync::Arc<dyn calm::transducer::DistributionPolicy> = std::sync::Arc::new(
         DomainGuidedPolicy::all_to(net.clone(), calm::common::Value::str("n1")),
     );
-    let policy = calm::transducer::OverridePolicy::new(
+    let policy = calm::spec::OverridePolicy::new(
         base,
         [fact("E", [1, 1])],
         [calm::common::Value::str("n2")],
@@ -259,7 +259,7 @@ fn distinct_strategy_fails_on_win_move_somewhere() {
     let base: std::sync::Arc<dyn calm::transducer::DistributionPolicy> = std::sync::Arc::new(
         DomainGuidedPolicy::all_to(net.clone(), calm::common::Value::str("n1")),
     );
-    let policy = calm::transducer::OverridePolicy::new(
+    let policy = calm::spec::OverridePolicy::new(
         base,
         [calm::common::generator::mv(1, 2)],
         [calm::common::Value::str("n2")],

@@ -4,12 +4,12 @@
 
 use calm::common::generator::{chain_game, cycle_game, cycle_with_escape, mv, InstanceRng};
 use calm::common::{is_domain_disjoint, Instance};
-use calm::datalog::wellfounded::doubled_program;
 use calm::datalog::wellfounded::WellFoundedModel;
 use calm::datalog::{parse_program, well_founded_model, EvalOptions, Program};
 use calm::monotone::{check_pair, Exhaustive, ExtensionKind, Falsifier};
 use calm::prelude::*;
 use calm::queries::winmove::{win_move, win_move_native};
+use calm::spec::doubled_program;
 
 fn wfs(p: &Program, game: &Instance) -> WellFoundedModel {
     well_founded_model(p, game, EvalOptions::default(), &calm_obs::Obs::noop())
