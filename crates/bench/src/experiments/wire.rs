@@ -126,9 +126,9 @@ pub fn e23_wire(obs: &Obs) -> Report {
             let naive = bytes.naive.load(Ordering::Relaxed);
             all_smaller &= 0 < delta && delta < naive;
             if transport == "channel" {
-                // Every batch goes once to each node on another worker:
-                // the recording prices exactly what the executor ships.
-                let remote = (NODES - NODES / WORKERS) as u64;
+                // Every batch goes once to each other worker: the
+                // recording prices exactly what the executor ships.
+                let remote = (WORKERS - 1) as u64;
                 recording_exact &= thr.wire_bytes == delta * remote;
             }
             let saved = 100.0 * (1.0 - delta as f64 / naive.max(1) as f64);
@@ -161,7 +161,7 @@ pub fn e23_wire(obs: &Obs) -> Report {
         "delta payloads beat the naive encoding on the batches every strategy sends",
         "the batches sent in each run, priced in both formats: delta < naive in every cell \
          (fan-out and retransmission copy both formats alike); on the channel transport \
-         their delta bytes × 6 remote destinations are the executor's wire_bytes exactly",
+         their delta bytes × 3 other workers are the executor's wire_bytes exactly",
         all_smaller && recording_exact,
     );
     r.claim(

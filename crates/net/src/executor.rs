@@ -119,11 +119,11 @@ pub struct WorkerStats {
     /// receiving worker; the merged map reconciles (see
     /// [`LinkCounters`]).
     pub link_counters: BTreeMap<(usize, usize), LinkCounters>,
-    /// Delta-encoded payload bytes this worker put on the wire:
-    /// cross-worker `Msg::Batch` payloads on the fault-free path, every
-    /// transmitted copy (retransmissions and duplicates included) under
-    /// a fault plan. Same-worker deliveries move in memory and cost no
-    /// wire bytes.
+    /// Delta-encoded payload bytes this worker put on the wire: one
+    /// `Msg::Batch` payload per (send, other worker) on the fault-free
+    /// path, every transmitted copy (retransmissions and duplicates
+    /// included) under a fault plan, one per (send, destination node).
+    /// Same-worker deliveries move in memory and cost no wire bytes.
     pub wire_bytes: u64,
 }
 
@@ -163,15 +163,15 @@ pub struct ThreadedRunResult {
 /// the termination-detection algorithm (counted in Safra counters);
 /// `Token` and `Terminate` are control traffic (not counted).
 pub(crate) enum Msg {
-    /// Facts for one destination node, batched per sending step.
+    /// One step's send, for every node of the receiving worker (the
+    /// sender is on another): the fault-free path, one per (send, other
+    /// worker).
     Batch {
-        /// Destination node, as a global node index.
-        node: usize,
-        /// One step's send in the delta wire format of
-        /// [`crate::wirefmt`] (a multiset: the same fact may be in
-        /// flight several times from different senders). Encoded once
-        /// per step and shared (`Arc`) across destinations; decoded at
-        /// the receiving worker.
+        /// The send in the delta wire format of [`crate::wirefmt`] (a
+        /// multiset: the same fact may be in flight several times from
+        /// different senders). Encoded once per step and shared (`Arc`)
+        /// across workers; decoded once at the receiving worker and
+        /// enqueued, as one batch, at each of its nodes.
         payload: Arc<[u8]>,
     },
     /// A wire of the reliability substrate (fault mode only): sequenced
@@ -666,22 +666,27 @@ impl<'a> NodeFactory<'a> {
 /// The worker's nodes and the accounting every delivery touches.
 struct Shard<'a> {
     slots: Vec<Slot<'a>>,
-    /// Global node index → position in `slots` (`None`: not ours).
-    local_index: Vec<Option<usize>>,
     metrics: Metrics,
     stats: WorkerStats,
 }
 
 impl Shard<'_> {
-    /// Enqueue `batch` — a local send, a payload decoded into the
-    /// worker's table — at local node `g` by its handle, on the worker's
-    /// account. `mid` is the delivery's causal message id, if traced.
-    fn enqueue(&mut self, g: usize, batch: &Arc<Batch>, mid: Option<(u64, u64)>, obs: &Obs) {
-        let l = self.local_index[g].expect("fact routed to non-local node");
-        self.stats.enqueued += batch.len();
-        let slot = &mut self.slots[l];
-        slot.dirty |= !batch.is_empty();
-        slot.node.enqueue(batch, mid, &mut self.metrics, obs);
+    /// Enqueue `batch` by its handle at each node of this shard that `to`
+    /// names, on the worker's account: a send at each but its sender, a
+    /// decoded [`Msg::Batch`] at each, an accepted wire at its one
+    /// destination. `mid` is the delivery's causal message id, if traced.
+    fn enqueue(
+        &mut self,
+        to: impl Fn(usize) -> bool,
+        batch: &Arc<Batch>,
+        mid: Option<(u64, u64)>,
+        obs: &Obs,
+    ) {
+        for slot in self.slots.iter_mut().filter(|slot| to(slot.global)) {
+            self.stats.enqueued += batch.len();
+            slot.dirty |= !batch.is_empty();
+            slot.node.enqueue(batch, mid, &mut self.metrics, obs);
+        }
     }
 }
 
@@ -707,9 +712,8 @@ struct Worker<'a> {
     track: u32,
     /// 0 for a worker's first process, +1 per respawn.
     incarnation: u64,
-    /// Whether the coordinator supervises (process engine only).
-    supervised: bool,
-    /// Supervised mode does not count basic messages in the Safra
+    /// Whether the coordinator supervises (process engine only). If so,
+    /// the worker does not count basic messages in the Safra
     /// counters: a ring reset (epoch bump on worker death/recovery)
     /// zeroes the sender's count while the receipt lands after the
     /// reset, so counting would skew permanently negative and the ring
@@ -719,7 +723,7 @@ struct Worker<'a> {
     /// receiver's snapshot acks it; a worker with obligations withholds
     /// the token. Epochs still fence *tokens*: one written to a dead
     /// worker's socket must not resurface and race a fresh probe.
-    count_msgs: bool,
+    supervised: bool,
     /// Node -> owning worker: as the last hand-off said (`g % W` for a
     /// first spawn).
     owner: Vec<usize>,
@@ -732,8 +736,8 @@ struct Worker<'a> {
     rnet: Option<ReliableNet<'a>>,
     /// Transitions between a node's periodic snapshots (fault mode).
     snapshot_every: usize,
-    /// Node transitions this worker may still execute.
-    steps_left: usize,
+    /// The most node transitions this worker may execute.
+    budget: u64,
     /// Node transitions this incarnation has executed or died at.
     steps_done: u64,
     /// `pkill(worker=K@step=S)`: the step count, in this incarnation's
@@ -773,12 +777,10 @@ impl<'a> Worker<'a> {
             track: (total_nodes + 1 + id) as u32,
             incarnation: proc.incarnation,
             supervised: proc.supervised,
-            count_msgs: !proc.supervised,
             owner: first.owner.clone(),
             live: first.live.clone(),
             shard: Shard {
                 slots: Vec::new(),
-                local_index: vec![None; total_nodes],
                 metrics: Metrics::default(),
                 stats: WorkerStats {
                     worker: id,
@@ -789,7 +791,7 @@ impl<'a> Worker<'a> {
             order: CanonicalOrder::default(),
             rnet: faults.map(|plan| ReliableNet::new(plan, obs)),
             snapshot_every: faults.map_or(usize::MAX, |plan| plan.snapshot_every),
-            steps_left: ctx.budget,
+            budget: ctx.budget as u64,
             steps_done: 0,
             kill_at: faults.and_then(|p| p.pkill_steps(id, proc.incarnation).first().copied()),
             killed: false,
@@ -819,12 +821,13 @@ impl<'a> Worker<'a> {
     /// decode is [`Worker::refuse`]d (`false`).
     fn take_over(&mut self, handoff: Handoff, adopting: bool) -> bool {
         let Handoff { owner, live, nodes } = handoff;
-        let (id, held) = (self.id, &self.shard.local_index);
-        let fits = owner.len() == held.len()
+        let (id, slots) = (self.id, &self.shard.slots);
+        let held = |g: usize| slots.iter().any(|s| s.global == g);
+        let fits = owner.len() == self.owner.len()
             && live.len() == self.live.len()
             && owner.iter().all(|&k| live.get(k) == Some(&true))
-            && self.shard.slots.iter().all(|s| owner[s.global] == id)
-            && (nodes.iter()).all(|&(g, ..)| owner.get(g) == Some(&id) && held[g].is_none())
+            && slots.iter().all(|s| owner[s.global] == id)
+            && (nodes.iter()).all(|&(g, ..)| owner.get(g) == Some(&id) && !held(g))
             && (nodes.is_empty() || self.rnet.is_some());
         let table = &self.fab.symbols;
         let decode = |(g, version, blob): (usize, u64, Vec<u8>)| {
@@ -835,11 +838,11 @@ impl<'a> Worker<'a> {
             return self.refuse();
         };
         let minted: Vec<usize> = (0..owner.len())
-            .filter(|&g| owner[g] == id && held[g].is_none())
+            .filter(|&g| owner[g] == id && !held(g))
             .collect();
         (self.owner, self.live) = (owner, live);
-        for &g in &minted {
-            self.shard.local_index[g] = Some(self.shard.slots.len());
+        let fresh = self.shard.slots.len();
+        for g in minted {
             self.shard.slots.push(self.fab.slot(g));
             if let Some(rnet) = self.rnet.as_mut() {
                 rnet.adopt(g);
@@ -847,11 +850,12 @@ impl<'a> Worker<'a> {
         }
         for (g, version, (snap, transitions, next_seq)) in decoded {
             let rnet = self.rnet.as_mut().expect("checked above");
-            let slot = &mut self.shard.slots[self.shard.local_index[g].expect("minted above")];
+            let slot = (self.shard.slots[fresh..].iter_mut()).find(|s| s.global == g);
+            let slot = slot.expect("minted above");
             slot.restore(snap, version, transitions, next_seq, rnet);
         }
-        for g in minted {
-            let slot = &self.shard.slots[self.shard.local_index[g].expect("minted above")];
+        for slot in &self.shard.slots[fresh..] {
+            let g = slot.global;
             let version = ("version", ArgValue::U64(slot.snap_version));
             let node = ("node", ArgValue::U64(g as u64));
             let worker = ("worker", ArgValue::U64(id as u64));
@@ -905,7 +909,7 @@ impl<'a> Worker<'a> {
     /// substrate's receive path (which may emit re-ack wires, queued
     /// back here); remote wires go onto the owning worker's channel as
     /// [`Msg::Wire`] — counted in the Safra counter like any basic
-    /// message, unless `count_msgs` is off.
+    /// message, unless supervised.
     fn pump(&mut self, start: Vec<Wire>) {
         let mut queue: VecDeque<Wire> = start.into();
         while let Some(wire) = queue.pop_front() {
@@ -916,10 +920,10 @@ impl<'a> Worker<'a> {
                 let accepted = rnet.receive(wire, &mut self.fab.symbols.write(), &mut replies);
                 queue.extend(replies);
                 if let Some((node, rows, mid)) = accepted {
-                    self.shard.enqueue(node, &Arc::new(rows), mid, self.obs);
+                    (self.shard).enqueue(|g| g == node, &Arc::new(rows), mid, self.obs);
                 }
             } else {
-                if self.count_msgs {
+                if !self.supervised {
                     self.counter += 1;
                 }
                 self.ports.send(self.owner[dst], Msg::Wire(wire));
@@ -958,17 +962,16 @@ impl<'a> Worker<'a> {
     fn on_msg(&mut self, msg: Msg) -> bool {
         if matches!(msg, Msg::Batch { .. } | Msg::Wire(_)) {
             // A basic message of the termination-detection algorithm.
-            if self.count_msgs {
+            if !self.supervised {
                 self.counter -= 1;
             }
             self.black = true;
         }
         match msg {
-            Msg::Batch { node, payload } => {
+            Msg::Batch { payload } => {
                 let decoded = wirefmt::decode_rows(&payload, &mut self.fab.symbols.write());
                 let (rows, ctx) = decoded.expect("channel batch decodes");
-                let mid = ctx.map(|c| c.id());
-                self.shard.enqueue(node, &Arc::new(rows), mid, self.obs);
+                (self.shard).enqueue(|_| true, &Arc::new(rows), ctx.map(|c| c.id()), self.obs);
             }
             Msg::Wire(wire) => self.pump(vec![wire]),
             Msg::Token(t) => {
@@ -1041,7 +1044,7 @@ impl<'a> Worker<'a> {
         if !self.shard.slots.iter().any(Slot::has_work) {
             return Flow::Next;
         }
-        if self.steps_left == 0 {
+        if self.steps_done >= self.budget {
             self.shard.stats.exhausted = true;
             return Flow::Next;
         }
@@ -1054,10 +1057,9 @@ impl<'a> Worker<'a> {
             if !slot.has_work() || self.rnet.as_ref().is_some_and(down) {
                 continue;
             }
-            if self.steps_left == 0 {
+            if self.steps_done >= self.budget {
                 break;
             }
-            self.steps_left -= 1;
             self.steps_done += 1;
             if self.kill_at.is_some_and(|s| self.steps_done >= s) {
                 // This incarnation dies in place of its S-th step —
@@ -1125,14 +1127,14 @@ impl<'a> Worker<'a> {
     }
 
     /// Send what node `sender`'s step sent to every other node. Under a
-    /// fault plan every send — local or remote — is staged in the
-    /// substrate (sequence number + outbox entry) and the next snapshot
-    /// commits it to the wire through the fault gauntlet. Without one,
-    /// local inboxes take the sent slice in memory and remote workers
-    /// one [`Msg::Batch`] per destination node (the Safra counter
-    /// counts batches). One encoding of the send — with the trace
-    /// context stamped in when tracing is on — serves every destination
-    /// that needs bytes.
+    /// fault plan every send is staged in the substrate per (sender,
+    /// destination node) link and the next snapshot commits it to the
+    /// wire through the fault gauntlet. Without one (so unsupervised),
+    /// the shard's other nodes take the sent slice in memory and every
+    /// other worker one [`Msg::Batch`] for all its nodes, counted in the
+    /// Safra counter. One encoding of the send — with the trace context
+    /// stamped in when tracing is on — serves every destination that
+    /// needs bytes.
     fn route(&mut self, sender: usize, outcome: &NodeStepOutcome) {
         if outcome.sent.is_empty() {
             return;
@@ -1145,20 +1147,18 @@ impl<'a> Worker<'a> {
             let bytes = encoded.get_or_insert_with(|| encode(outcome, symbols, order));
             Arc::clone(bytes)
         };
-        for g in (0..self.owner.len()).filter(|&g| g != sender) {
-            let owner = self.owner[g];
-            if let Some(rnet) = self.rnet.as_mut() {
+        if let Some(rnet) = self.rnet.as_mut() {
+            for g in (0..self.owner.len()).filter(|&g| g != sender) {
                 rnet.send_payload(sender, g, payload());
-            } else if owner == self.id {
-                self.shard.enqueue(g, &outcome.sent, outcome.mid, self.obs);
-            } else {
-                let payload = payload();
-                self.shard.stats.wire_bytes += payload.len() as u64;
-                if self.count_msgs {
-                    self.counter += 1;
-                }
-                self.ports.send(owner, Msg::Batch { node: g, payload });
             }
+            return;
+        }
+        (self.shard).enqueue(|g| g != sender, &outcome.sent, outcome.mid, self.obs);
+        for peer in (0..self.live.len()).filter(|&k| k != self.id && self.live[k]) {
+            let payload = payload();
+            self.shard.stats.wire_bytes += payload.len() as u64;
+            self.counter += 1;
+            self.ports.send(peer, Msg::Batch { payload });
         }
     }
 
@@ -1741,6 +1741,126 @@ mod tests {
         for handoff in [short, dead_owner, short_live, not_ours] {
             let (report, to_peer) = run(handoff.clone());
             assert!(refused(&report, &to_peer), "{handoff:?}");
+        }
+    }
+
+    /// The channel transport, keeping the message id and the length of
+    /// every [`Msg::Batch`] the worker receives.
+    struct Tapped {
+        ports: ChannelPorts,
+        batches: std::sync::Mutex<Vec<((u64, u64), usize)>>,
+    }
+
+    impl Tapped {
+        fn tap(&self, msg: Msg) -> Msg {
+            if let Msg::Batch { payload } = &msg {
+                let id = wirefmt::peek_trace(payload).expect("a traced send").id();
+                self.batches.lock().unwrap().push((id, payload.len()));
+            }
+            msg
+        }
+    }
+
+    impl Ports for Tapped {
+        fn send(&self, dst: usize, msg: Msg) {
+            self.ports.send(dst, msg);
+        }
+        fn try_recv(&self) -> Result<Msg, TryRecvError> {
+            self.ports.try_recv().map(|msg| self.tap(msg))
+        }
+        fn recv(&self) -> Result<Msg, RecvError> {
+            self.ports.recv().map(|msg| self.tap(msg))
+        }
+        fn recv_timeout(&self, timeout: Duration) -> Result<Msg, RecvTimeoutError> {
+            self.ports.recv_timeout(timeout).map(|msg| self.tap(msg))
+        }
+    }
+
+    /// The id of every non-empty send: each `trace/send` event's
+    /// `(origin, seq)`.
+    #[derive(Default)]
+    struct Sends(std::sync::Mutex<Vec<(u64, u64)>>);
+
+    impl calm_obs::Sink for Sends {
+        fn span(&self, _: &str, _: &str, _: u32, _: u64, _: u64) {}
+        fn event(&self, cat: &str, name: &str, _: u32, _: u64, args: &[(&str, ArgValue)]) {
+            let arg = |key: &str| match args.iter().find(|(k, _)| *k == key) {
+                Some((_, ArgValue::U64(n))) => *n,
+                _ => panic!("a send event without {key}"),
+            };
+            if (cat, name) == ("trace", "send") {
+                self.0.lock().unwrap().push((arg("origin"), arg("seq")));
+            }
+        }
+        fn counter(&self, _: &str, _: &str, _: u64, _: u64) {}
+        fn gauge(&self, _: &str, _: &str, _: u32, _: u64, _: u64) {}
+        fn histogram(&self, _: &str, _: &str, _: u64) {}
+    }
+
+    #[test]
+    fn a_send_reaches_each_other_worker_once() {
+        use calm_transducer::{HashPolicy, MonotoneBroadcast, Network};
+        let t = MonotoneBroadcast::new(Box::new(calm_queries::tc::tc_datalog()));
+        let input = calm_common::generator::path(20);
+        for nodes in [4, 6] {
+            let policy = HashPolicy::new(Network::of_size(nodes));
+            let sends = Arc::new(Sends::default());
+            let obs = Obs::new(sends.clone());
+            let (senders, receivers): (Vec<_>, Vec<_>) =
+                (0..2).map(|_| std::sync::mpsc::channel()).unzip();
+            let taps: Vec<Tapped> = (receivers.into_iter())
+                .map(|rx| Tapped {
+                    ports: ChannelPorts {
+                        rx,
+                        senders: senders.clone(),
+                    },
+                    batches: Default::default(),
+                })
+                .collect();
+            // What each worker reported, and the batches it received.
+            let ended: Vec<(FinalReport, Vec<_>)> = std::thread::scope(|scope| {
+                let run = |(id, ports): (usize, Tapped)| {
+                    let (t, policy, input, obs) = (&t, &policy, &input, &obs);
+                    scope.spawn(move || {
+                        let sys = SystemConfig::ORIGINAL;
+                        let fab = NodeFactory::new(t, policy, sys, input, SharedSymbols::new());
+                        let proc = ProcCtx::default();
+                        let (budget, faults) = (10_000, None);
+                        let ctx = WorkerCtx {
+                            id,
+                            workers: 2,
+                            fab,
+                            ports: &ports,
+                            budget,
+                            faults,
+                            obs,
+                            proc,
+                        };
+                        let report = run_worker(ctx).report;
+                        (report, ports.batches.into_inner().unwrap())
+                    })
+                };
+                let handles: Vec<_> = taps.into_iter().enumerate().map(run).collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            let sent = sends.0.lock().unwrap().clone();
+            for (k, (report, received)) in ended.iter().enumerate() {
+                assert!(report.clean, "{nodes} nodes");
+                // Node g runs on worker g % 2: every send of a node on the
+                // other worker, each once.
+                let from_peer = |&(origin, _): &(u64, u64)| origin as usize % 2 != k;
+                let mut expected: Vec<(u64, u64)> =
+                    sent.iter().copied().filter(from_peer).collect();
+                let mut ids: Vec<(u64, u64)> = received.iter().map(|&(id, _)| id).collect();
+                expected.sort_unstable();
+                ids.sort_unstable();
+                assert!(!ids.is_empty(), "{nodes} nodes");
+                assert_eq!(ids, expected, "worker {k} of 2, {nodes} nodes");
+                // The peer put those payloads on the wire, each once.
+                let bytes: usize = received.iter().map(|&(_, len)| len).sum();
+                let peer = &ended[1 - k].0.stats;
+                assert_eq!(peer.wire_bytes, bytes as u64, "worker {k}, {nodes} nodes");
+            }
         }
     }
 

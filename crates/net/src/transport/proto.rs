@@ -76,8 +76,9 @@ use std::sync::Arc;
 /// for a `Snapshot` blob: its state, inbox and each receive-filter entry
 /// are one batch each. v6 has one hand-off: `Assign`'s `owner`, `live`
 /// and `restore` become one optional [`Handoff`], which `Reassign`
-/// carries too (its bytes are the three fields they replace).
-pub const PROTOCOL_VERSION: u32 = 6;
+/// carries too (its bytes are the three fields they replace). v7 sends a
+/// batch to a worker, for each of its nodes: `Msg::Batch` names no node.
+pub const PROTOCOL_VERSION: u32 = 7;
 
 /// The job a coordinator hands every worker: sources and knobs, all
 /// engine-agnostic strings the worker's builder interprets (the
@@ -246,9 +247,8 @@ wire_struct!(EvalMetrics: iterations, derivations, new_facts, index_probes, inde
 impl Codec for Msg {
     fn put(&self, out: &mut Vec<u8>) {
         match self {
-            Msg::Batch { node, payload } => {
+            Msg::Batch { payload } => {
                 out.push(MSG_BATCH);
-                node.put(out);
                 payload.put(out);
             }
             Msg::Wire(Wire::Data {
@@ -288,7 +288,6 @@ impl Codec for Msg {
     fn read(r: &mut Reader<'_>) -> Result<Msg, WireError> {
         Ok(match r.u8()? {
             MSG_BATCH => Msg::Batch {
-                node: Codec::read(r)?,
                 payload: Codec::read(r)?,
             },
             MSG_WIRE_DATA => Msg::Wire(Wire::Data {
@@ -607,17 +606,12 @@ pub(crate) mod tests {
         match round(&CtrlMsg::Route {
             dst: 2,
             msg: Msg::Batch {
-                node: 5,
                 payload: payload.clone(),
             },
         }) {
             CtrlMsg::Route {
                 dst: 2,
-                msg:
-                    Msg::Batch {
-                        node: 5,
-                        payload: p,
-                    },
+                msg: Msg::Batch { payload: p },
             } => {
                 // The canonical batch bytes — trace header included —
                 // survive the relay hop byte-for-byte.
@@ -880,7 +874,6 @@ pub(crate) mod tests {
                 encode_ctrl(&CtrlMsg::Route {
                     dst: 2,
                     msg: Msg::Batch {
-                        node: 5,
                         payload: payload.clone(),
                     },
                 }),
@@ -949,8 +942,9 @@ pub(crate) mod tests {
     }
 
     /// Every fixture's length and FNV-1a-64. `hello` (it carries the
-    /// version) and `assign` (a first spawn's three empty topology fields
-    /// became one `None` hand-off) were re-pinned with v6 — `assign/full`
+    /// version) and `route/batch` (a batch names no node) were re-pinned
+    /// with v7. `assign` (a first spawn's three empty topology fields
+    /// became one `None` hand-off) was re-pinned with v6 — `assign/full`
     /// and `deliver/reassign` did not move: a [`Handoff`]'s bytes are the
     /// fields it replaced. `snapshot` and the two blobs (state, inbox and
     /// receive filter each one delta-coded batch) were re-pinned with v5,
@@ -959,12 +953,12 @@ pub(crate) mod tests {
     /// Re-pin a line only together with a version bump.
     #[test]
     fn golden_bytes() {
-        assert_eq!(PROTOCOL_VERSION, 6);
+        assert_eq!(PROTOCOL_VERSION, 7);
         let golden = [
-            ("hello", 3, 0xd938ab186bfdd7a8),
+            ("hello", 3, 0xd9354b186bfafeb1),
             ("assign", 94, 0xeed062f9e66b50b4),
             ("assign/full", 114, 0x2d61f0d581a64042),
-            ("route/batch", 25, 0x7f9b6400a0a43b99),
+            ("route/batch", 24, 0xded2e63f42142aee),
             ("deliver/data", 26, 0xa984c81dd179b7a5),
             ("deliver/ack", 5, 0xc2c8e1f2ffdff4c9),
             ("deliver/token", 6, 0x9058611ba1bd6e01),
