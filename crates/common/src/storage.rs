@@ -169,17 +169,6 @@ impl SymbolTable {
         SymbolTable::default()
     }
 
-    /// An empty table that panics after `cap` ids per namespace — used
-    /// by tests to exercise the interning-capacity guard without
-    /// interning 2^32 values.
-    #[cfg(test)]
-    fn with_id_capacity(cap: u32) -> Self {
-        SymbolTable {
-            id_cap: cap,
-            ..SymbolTable::default()
-        }
-    }
-
     /// Intern a relation name.
     pub fn rel(&mut self, name: &str) -> RelId {
         if let Some(&id) = self.rel_ids.get(name) {
@@ -421,28 +410,6 @@ impl Default for Relation {
 }
 
 impl Relation {
-    /// An empty relation that panics after `cap` rows — used by tests
-    /// to exercise the row-id capacity guard without inserting 2^32
-    /// rows.
-    #[cfg(test)]
-    fn with_row_capacity(cap: u32) -> Self {
-        Relation {
-            row_cap: cap,
-            ..Relation::default()
-        }
-    }
-
-    /// An empty relation whose arena panics past `cap` symbols — used
-    /// by tests to exercise the offset guard without storing 2^32
-    /// symbols.
-    #[cfg(test)]
-    fn with_arena_capacity(cap: u32) -> Self {
-        Relation {
-            arena_cap: cap,
-            ..Relation::default()
-        }
-    }
-
     /// Walk the probe sequence of a row with hash `h`: the id of the
     /// stored row equal to `t`, or the free slot that ends the
     /// sequence. The table must not be empty; it is never full.
@@ -890,37 +857,26 @@ impl Storage {
     /// Retract a row (tombstone it; see [`Relation::retract`]); returns
     /// `true` when the row was present and live.
     pub fn retract(&mut self, r: RelId, t: &[Sym]) -> bool {
-        let hit = self
-            .rels
-            .get_mut(r.0 as usize)
-            .is_some_and(|rel| rel.retract(t));
-        if hit {
-            self.count -= 1;
-        }
-        hit
+        self.tally(r, -1, |rel| rel.retract(t))
     }
 
     /// As [`Storage::retract`], by row id.
     pub fn retract_id(&mut self, r: RelId, id: u32) -> bool {
-        let hit = self
-            .rels
-            .get_mut(r.0 as usize)
-            .is_some_and(|rel| rel.retract_id(id));
-        if hit {
-            self.count -= 1;
-        }
-        hit
+        self.tally(r, -1, |rel| rel.retract_id(id))
     }
 
     /// Resurrect a tombstoned row by id (see [`Relation::revive`]);
     /// returns `true` when the row was dead.
     pub fn revive(&mut self, r: RelId, id: u32) -> bool {
-        let hit = self
-            .rels
-            .get_mut(r.0 as usize)
-            .is_some_and(|rel| rel.revive(id));
+        self.tally(r, 1, |rel| rel.revive(id))
+    }
+
+    /// Apply `change` to relation `r` if it exists; when it reports a
+    /// hit, the fact count moves by `step`.
+    fn tally(&mut self, r: RelId, step: isize, change: impl FnOnce(&mut Relation) -> bool) -> bool {
+        let hit = self.rels.get_mut(r.0 as usize).is_some_and(change);
         if hit {
-            self.count += 1;
+            self.count = self.count.checked_add_signed(step).expect("row count");
         }
         hit
     }
@@ -1095,13 +1051,7 @@ pub fn store_to_instance_restricted(
 fn export(storage: &Storage, symbols: &SharedSymbols, schema: Option<&Schema>) -> Instance {
     let table = symbols.read();
     let mut out = Instance::new();
-    for r in storage.rel_ids() {
-        let Some(relation) = storage.relation(r) else {
-            continue;
-        };
-        if relation.is_empty() {
-            continue;
-        }
+    for (r, relation) in storage.rel_ids().zip(&storage.rels) {
         let name = table.rel_name(r);
         let arity = match schema.map(|s| s.arity(name)) {
             None => None,
@@ -1229,8 +1179,10 @@ pub fn relations_by_name<'t>(
 /// [`CanonicalOrder`] — the text `store_to_instance_restricted` and one
 /// `Display` per fact would give, with no tuple, fact or instance built
 /// (DESIGN §18). A row's rank tuple is packed into one `u32` key when it
-/// fits; the keys are sorted and each line is rendered from its key and
-/// the symbols' texts, rendered once, without reading the arena again.
+/// fits. The keys are sorted — by one bit each in a bitmap of the key
+/// space when that is no larger than the keys, by a radix sort
+/// otherwise — and each line is rendered from its key and the symbols'
+/// texts, rendered once, without reading the arena again.
 /// Ranks and texts are extended when the symbol table grows: a printer
 /// kept across the batches of an update session pays for a symbol once.
 #[derive(Debug)]
@@ -1315,8 +1267,9 @@ fn push_decimal(out: &mut Vec<u8>, i: i64) {
 /// Sort `words` by their tuples of `columns` ranks, `rank(word, col)` of
 /// `bits` bits each: a stable counting sort per 11-bit digit, last column
 /// first, so that the order is lexicographic from the first column.
-/// The printer's words are packed rank keys (one column, the digits read
-/// from the word); the wire encoder's are row ids, its ranks gathered.
+/// The printer's words are packed rank keys of a sparse key space (one
+/// column, the digits read from the word; a dense one is sorted by
+/// [`bitmap_keys`]); the wire encoder's are row ids, its ranks gathered.
 fn sort_by_rank(words: &mut Vec<u32>, columns: usize, bits: u32, rank: impl Fn(u32, usize) -> u32) {
     const BITS: u32 = 11;
     let scratch = &mut vec![0; words.len()];
@@ -1343,10 +1296,10 @@ fn sort_by_rank(words: &mut Vec<u32>, columns: usize, bits: u32, rank: impl Fn(u
     }
 }
 
-/// The rank tuple of every live row of `relation`, all of `stride`
-/// columns, packed into one word `bits` a column, the first column
-/// highest: one pass over the arena in id order.
-fn packed_keys(relation: &Relation, rank: &[u32], bits: u32) -> Vec<u32> {
+/// Hand `take` the rank tuple of every live row of `relation`, all of
+/// `stride` columns, packed into one word `bits` a column, the first
+/// column highest: one pass over the arena in id order.
+fn packed_keys(relation: &Relation, rank: &[u32], bits: u32, mut take: impl FnMut(u32)) {
     let rank = |s: &Sym| rank[s.0 as usize];
     let pack = |row: &[Sym]| match *row {
         [a, b] => rank(&a) << bits | rank(&b),
@@ -1354,15 +1307,46 @@ fn packed_keys(relation: &Relation, rank: &[u32], bits: u32) -> Vec<u32> {
             .iter()
             .fold(0u64, |key, s| key << bits | u64::from(rank(s))) as u32,
     };
-    let (rows, mut keys) = (relation.syms.chunks_exact(relation.stride), Vec::new());
-    keys.reserve_exact(relation.len());
+    let rows = relation.syms.chunks_exact(relation.stride);
     if relation.dead == 0 {
-        keys.extend(rows.map(pack));
+        rows.for_each(|row| take(pack(row)));
     } else {
         let live = (0..).zip(rows).filter(|&(id, _)| relation.live_in_log(id));
-        keys.extend(live.map(|(_, row)| pack(row)));
+        live.for_each(|(_, row)| take(pack(row)));
     }
-    keys
+}
+
+/// Hand `take` the packed keys of `relation` in ascending order, up to
+/// 1 024 at a time, from a bitmap of all `2^key_bits` keys — no larger
+/// than a `u32` per row while the key space is dense. The keys are
+/// distinct (rows are, ranks are injective), so setting their bits
+/// sorts them. Returns how many there were.
+fn bitmap_keys(
+    relation: &Relation,
+    rank: &[u32],
+    bits: u32,
+    key_bits: u32,
+    mut take: impl FnMut(&[u32]) -> std::io::Result<()>,
+) -> std::io::Result<usize> {
+    const CHUNK: usize = 1 << 10;
+    let mut set = vec![0u64; (1usize << key_bits).div_ceil(64)];
+    packed_keys(relation, rank, bits, |key| {
+        set[key as usize / 64] |= 1 << (key % 64)
+    });
+    let (mut chunk, mut count) = (Vec::with_capacity(CHUNK + 64), 0);
+    for (at, mut word) in set.into_iter().enumerate() {
+        while word != 0 {
+            chunk.push((at * 64) as u32 | word.trailing_zeros());
+            word &= word - 1;
+        }
+        if chunk.len() >= CHUNK {
+            take(&chunk)?;
+            count += chunk.len();
+            chunk.clear();
+        }
+    }
+    take(&chunk)?;
+    Ok(count + chunk.len())
 }
 
 /// Fact lines on their way to the writer: `buf[..at]` is text, and past
@@ -1464,14 +1448,25 @@ impl FactPrinter {
             let Some(relation) = relation else { continue };
             let packs = arity * bits as usize <= 32;
             if packs && relation.uniform_arity() == Some(arity) {
-                let mut keys = packed_keys(relation, &order.rank, bits);
-                sort_by_rank(&mut keys, 1, arity as u32 * bits, |key, _| key);
                 let (by_value, mask, last) = (&order.by_value[..], (1u64 << bits) - 1, arity - 1);
                 let sym = move |key: u32, col: usize| {
                     by_value[(u64::from(key) >> (bits as usize * (last - col)) & mask) as usize]
                 };
-                lines.render(name, arity, &keys, known, sym)?;
-                rows_written += keys.len();
+                let key_bits = arity as u32 * bits;
+                // Dense: a bit per key is no more than a `u32` per row.
+                if 1u64 << key_bits <= 32 * relation.len() as u64 {
+                    let walked = bitmap_keys(relation, &order.rank, bits, key_bits, |keys| {
+                        lines.render(name, arity, keys, known, sym)
+                    })?;
+                    debug_assert_eq!(walked, relation.len(), "one key per live row of {name}");
+                    rows_written += walked;
+                } else {
+                    let mut keys = Vec::with_capacity(relation.len());
+                    packed_keys(relation, &order.rank, bits, |key| keys.push(key));
+                    sort_by_rank(&mut keys, 1, key_bits, |key, _| key);
+                    lines.render(name, arity, &keys, known, sym)?;
+                    rows_written += keys.len();
+                }
             } else {
                 let ids = order.sorted_ids(relation, Some(arity));
                 lines.render(name, arity, &ids, known, |id, col| relation.row(id)[col])?;
@@ -1655,7 +1650,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "interning capacity exhausted")]
     fn value_interning_capacity_guard_panics_instead_of_wrapping() {
-        let mut t = SymbolTable::with_id_capacity(3);
+        let mut t = SymbolTable {
+            id_cap: 3,
+            ..SymbolTable::default()
+        };
         for k in 0..4 {
             t.sym(&v(k)); // the 4th distinct value must trip the guard
         }
@@ -1664,7 +1662,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "interning capacity exhausted")]
     fn relation_interning_capacity_guard_panics_instead_of_wrapping() {
-        let mut t = SymbolTable::with_id_capacity(2);
+        let mut t = SymbolTable {
+            id_cap: 2,
+            ..SymbolTable::default()
+        };
         t.rel("A");
         t.rel("B");
         t.rel("C");
@@ -1672,7 +1673,10 @@ mod tests {
 
     #[test]
     fn interning_capacity_guard_only_fires_for_fresh_ids() {
-        let mut t = SymbolTable::with_id_capacity(2);
+        let mut t = SymbolTable {
+            id_cap: 2,
+            ..SymbolTable::default()
+        };
         let a = t.sym(&v(1));
         let b = t.sym_str("b");
         // Re-interning existing values allocates no id: no panic, through
@@ -1708,7 +1712,10 @@ mod tests {
     #[should_panic(expected = "interning capacity exhausted")]
     fn row_id_capacity_guard_panics_instead_of_wrapping() {
         let mut t = SymbolTable::new();
-        let mut r = Relation::with_row_capacity(2);
+        let mut r = Relation {
+            row_cap: 2,
+            ..Relation::default()
+        };
         assert!(r.insert(&syms(&mut t, &[1])));
         assert!(r.insert(&syms(&mut t, &[2])));
         assert!(!r.insert(&syms(&mut t, &[1]))); // duplicate: no id, no panic
@@ -1719,7 +1726,10 @@ mod tests {
     #[should_panic(expected = "interning capacity exhausted")]
     fn arena_offset_capacity_guard_panics_instead_of_wrapping() {
         let mut t = SymbolTable::new();
-        let mut r = Relation::with_arena_capacity(5);
+        let mut r = Relation {
+            arena_cap: 5,
+            ..Relation::default()
+        };
         assert!(r.insert(&syms(&mut t, &[1, 2])));
         assert!(r.insert(&syms(&mut t, &[3, 4, 5]))); // exactly full: fine
         assert!(!r.insert(&syms(&mut t, &[1, 2]))); // duplicate: no symbols, no panic

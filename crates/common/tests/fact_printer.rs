@@ -487,12 +487,16 @@ fn printer_skips_tombstones_and_other_arities_at_print_time() {
 fn a_carried_printer_follows_the_rank_width_across_a_growth() {
     // One printer, two writes; between them the symbol table grows from
     // 1 000 symbols (ten bits a rank: a ternary row packs) to 1 100
-    // (eleven: it does not), and from 512 to 513 (nine bits to ten).
-    for (before, after) in [(1_000, 1_100), (512, 513)] {
+    // (eleven: it does not), from 512 to 513 (nine bits to ten), and
+    // from 32 to 100 (five bits: the key space is dense and sorted by
+    // bitmap; seven: sparse, and radix-sorted).
+    for (before, after) in [(1_000, 1_100), (512, 513), (32, 100)] {
         let (symbols, mut st) = store_over(before, 3, before as u64);
         let e = symbols.write().rel("E");
         let schema = Schema::from_pairs([("E", 3)]);
         let mut printer = FactPrinter::new(symbols.clone());
+        let live = st.relation(e).unwrap().len();
+        assert_eq!(dense(before as usize, 3, live), before == 32);
         assert_eq!(
             printed(&mut printer, &st, &schema),
             reference(&st, &symbols, &schema)
@@ -512,6 +516,7 @@ fn a_carried_printer_follows_the_rank_width_across_a_growth() {
                 .collect();
             st.insert(e, &row);
         }
+        assert!(!dense(after as usize, 3, st.relation(e).unwrap().len()));
         let want = reference(&st, &symbols, &schema);
         assert_eq!(
             printed(&mut printer, &st, &schema),
@@ -519,4 +524,104 @@ fn a_carried_printer_follows_the_rank_width_across_a_growth() {
             "{before} -> {after}"
         );
     }
+}
+
+/// Whether the printer sorts a relation of `arity` over `symbols` symbols
+/// and `rows` live rows with its bitmap: the packed key space, of
+/// `arity` × rank width bits, is at most 32 keys a row.
+fn dense(symbols: usize, arity: usize, rows: usize) -> bool {
+    let bits = usize::BITS - (symbols - 1).leading_zeros();
+    let key_bits = arity as u32 * bits;
+    key_bits <= 32 && 1u64 << key_bits <= 32 * rows as u64
+}
+
+/// `count` symbols — integers and strings, interned in an order unlike
+/// their values' — and `rows` distinct rows of `arity` over them, in
+/// insertion order.
+fn distinct_rows(
+    count: usize,
+    arity: usize,
+    rows: usize,
+    seed: u64,
+) -> (SharedSymbols, Vec<SymTuple>) {
+    let mut rng = Rng::seed_from_u64(seed);
+    let symbols = SharedSymbols::new();
+    let mut values: Vec<Value> = (0..count as i64)
+        .map(|i| match i % 3 {
+            2 => Value::str(format!("s{i}")),
+            _ => v(i * 5 - count as i64 * 2),
+        })
+        .collect();
+    rng.shuffle(&mut values);
+    let syms: Vec<_> = values.iter().map(|x| symbols.write().sym(x)).collect();
+    let mut seen = std::collections::HashSet::new();
+    let mut out = Vec::new();
+    while out.len() < rows {
+        let row: SymTuple = (0..arity).map(|_| *rng.choose(&syms).unwrap()).collect();
+        if seen.insert(row.clone()) {
+            out.push(row);
+        }
+    }
+    (symbols, out)
+}
+
+fn store_of(symbols: &SharedSymbols, rows: &[SymTuple]) -> Storage {
+    let e = symbols.write().rel("E");
+    let mut st = Storage::new();
+    for row in rows {
+        assert!(st.insert(e, row));
+    }
+    st
+}
+
+#[test]
+fn printer_sorts_a_dense_key_space_by_bitmap_up_to_its_edge() {
+    // 200 symbols take 8 bits a rank, so a binary relation's key space
+    // is 2^16: at 2 048 live rows the bitmap is exactly as large as the
+    // keys (the bitmap path, whose walk hands them over in two chunks),
+    // at 2 047 it is not (the radix path). Both must print the reference.
+    for seed in 0..4 {
+        let (symbols, rows) = distinct_rows(200, 2, 2_048, seed);
+        for live in [2_048, 2_047] {
+            assert_eq!(dense(200, 2, live), live == 2_048);
+            let st = store_of(&symbols, &rows[..live]);
+            let schema = Schema::from_pairs([("E", 2)]);
+            let want = reference(&st, &symbols, &schema);
+            assert_eq!(want.lines().count(), live);
+            let mut printer = FactPrinter::new(symbols.clone());
+            assert_eq!(
+                printed(&mut printer, &st, &schema),
+                want,
+                "seed {seed}, {live} rows"
+            );
+        }
+    }
+}
+
+#[test]
+fn printer_sorts_ternary_rows_and_skips_tombstones_by_bitmap() {
+    // 32 symbols, 5 bits a rank: a ternary key space of 2^15 is dense
+    // from 1 024 rows. The store holds 3 000, then loses a third of them
+    // to tombstones that are not compacted before the print.
+    let (symbols, rows) = distinct_rows(32, 3, 3_000, 3);
+    let mut st = store_of(&symbols, &rows);
+    let e = symbols.write().rel("E");
+    let schema = Schema::from_pairs([("E", 3)]);
+    let mut printer = FactPrinter::new(symbols.clone());
+    assert!(dense(32, 3, 3_000));
+    assert_eq!(
+        printed(&mut printer, &st, &schema),
+        reference(&st, &symbols, &schema)
+    );
+    let mut rng = Rng::seed_from_u64(4);
+    for id in st.relation(e).unwrap().rows() {
+        if rng.gen_bool(1.0 / 3.0) {
+            st.retract_id(e, id);
+        }
+    }
+    let live = st.relation(e).unwrap().len();
+    assert!(st.any_dead() && dense(32, 3, live), "{live} live rows");
+    let want = reference(&st, &symbols, &schema);
+    assert_eq!(want.lines().count(), live);
+    assert_eq!(printed(&mut printer, &st, &schema), want);
 }
