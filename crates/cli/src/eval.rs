@@ -10,6 +10,7 @@ use calm_common::update::UpdateBatch;
 use calm_datalog::eval::{Database, EvalOptions};
 use calm_datalog::DatalogQuery;
 use calm_obs::Obs;
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::io;
 
@@ -38,16 +39,19 @@ pub fn cmd_eval_full(
     obs_opts: &ObsOptions,
     eval_threads: usize,
 ) -> Result<String, CliError> {
-    collect(|out| cmd_eval_full_to(program_src, facts_src, obs_opts, eval_threads, out))
+    collect(|out| cmd_eval_full_to(program_src, facts_src.into(), obs_opts, eval_threads, out))
 }
 
 /// [`cmd_eval_full`] writing to `out` as it goes: the facts are read
 /// straight into the row store, evaluated there and printed from it
 /// (DESIGN §18) — the answer is never held as an `Instance` or as
-/// text. Nothing is written unless the command succeeds.
+/// text. Each phase lets go of what it alone reads: an owned facts text
+/// is dropped once read, and every relation outside the output schema
+/// is freed before the print. Nothing is written unless the command
+/// succeeds.
 pub fn cmd_eval_full_to(
     program_src: &str,
-    facts_src: &str,
+    facts_src: Cow<'_, str>,
     obs_opts: &ObsOptions,
     eval_threads: usize,
     out: &mut dyn io::Write,
@@ -55,13 +59,16 @@ pub fn cmd_eval_full_to(
     let p = load_program(program_src)?;
     let (obs, report) = build_obs(obs_opts, Vec::new())?;
     let mut db = Database::new();
-    read_input(&p, facts_src, &mut db, &obs)?;
+    read_input(&p, &facts_src, &mut db, &obs)?;
+    drop(facts_src);
     let options = EvalOptions::default().with_eval_threads(eval_threads);
     calm_datalog::eval_database(&p, &mut db, options, &obs)
         .map_err(|e| err(format!("evaluation: {e}")))?;
+    let (output, symbols) = (p.output_schema(), db.symbols().clone());
+    (db.storage_mut()).retain_relations(|r| output.contains(symbols.read().rel_name(r)));
     let plan = render_plan(&p, obs_opts.dump_plan)?;
     out.write_all(plan.as_bytes())?;
-    FactPrinter::new(db.symbols().clone()).write(db.storage(), &p.output_schema(), out, &obs)?;
+    FactPrinter::new(symbols).write(db.storage(), &output, out, &obs)?;
     obs.finish();
     if let Some(r) = report {
         out.write_all(r.render().as_bytes())?;

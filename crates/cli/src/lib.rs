@@ -504,10 +504,10 @@ mod tests {
         assert!(facts.len() > 2_000_000);
         let at = facts.len() + "E(3,4)".len();
         facts.push_str("E(3,4)");
-        let e = refused(|out| cmd_eval_full_to(TC, &facts, &plan, 1, out));
+        let e = refused(|out| cmd_eval_full_to(TC, (&facts).into(), &plan, 1, out));
         assert_eq!(e, format!("facts: parse error at byte {at}: expected '.'"));
         let winmove = include_str!("../../../examples/data/winmove.dl");
-        let e = refused(|out| cmd_eval_full_to(winmove, "move(1,2).", &plan, 1, out));
+        let e = refused(|out| cmd_eval_full_to(winmove, "move(1,2).".into(), &plan, 1, out));
         assert_eq!(
             e,
             "evaluation: program is not syntactically stratifiable (negative cycle through win)"

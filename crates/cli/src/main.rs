@@ -1,6 +1,7 @@
 //! The `calm` binary: see [`calm_cli::USAGE`].
 
 use calm_cli::*;
+use std::borrow::Cow;
 use std::io::{self, Write};
 
 /// Why `calm` did not do what it was asked.
@@ -180,7 +181,7 @@ fn eval(args: &[String], out: &mut dyn Write) -> Result<(), StreamError> {
                 out,
             )
         }
-        None => cmd_eval_full_to(&program, &facts, &opts, eval_threads(args)?, out),
+        None => cmd_eval_full_to(&program, Cow::Owned(facts), &opts, eval_threads(args)?, out),
     }
 }
 

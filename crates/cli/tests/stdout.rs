@@ -294,6 +294,72 @@ fn the_three_engines_print_one_answer_and_none_builds_a_nodes_state_for_it() {
 }
 
 #[test]
+fn eval_prints_the_same_bytes_through_the_owned_and_the_borrowed_door() {
+    // The binary hands `calm eval` its facts text by value, to be dropped
+    // once read; `cmd_eval_full` lends its own. `--updates` reads borrowed
+    // texts through both doors and must print alike too. After the
+    // fixpoint every relation outside the output schema is freed: `E`,
+    // `Adom` and an unread `T` go, an output another rule reads (`C`,
+    // `T`) or of its own arity (`P`) stays.
+    let data = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/data");
+    let dir = Dir::new("doors");
+    let copy = concat!(
+        "@output C, T.\nC(x, y) :- E(x, y).\n",
+        "T(x, y) :- C(x, y).\nT(x, z) :- T(x, y), C(y, z).\n"
+    );
+    let arity = "@output P.\nT(x, y) :- E(x, y).\nP(x) :- T(x, y), not E(y, x).\n";
+    let facts = "E(1,2). E(2,3). E(3,1). E(4,4). E(4,5). E(5). T(7,8).\n";
+    let read = |name: &str| std::fs::read_to_string(format!("{data}/{name}")).unwrap();
+    let programs = [
+        ("tc.dl", read("tc.dl")),
+        ("qtc.dl", read("qtc.dl")),
+        ("copy.dl", copy.to_string()),
+        ("arity.dl", arity.to_string()),
+    ];
+    let (facts_file, updates) = (dir.file("g.facts", facts), format!("{data}/graph.updates"));
+    let none = calm_cli::ObsOptions::default();
+    for (name, program) in &programs {
+        let file = dir.file(name, program);
+        let borrowed = calm_cli::cmd_eval_full(program, facts, &none, 1).unwrap();
+        assert_eq!(stdout(&["eval", &file, &facts_file]), borrowed, "{name}");
+        for from_scratch in [false, true] {
+            let borrowed = calm_cli::cmd_eval_updates(
+                program,
+                facts,
+                &read("graph.updates"),
+                from_scratch,
+                &none,
+                1,
+            );
+            let mut args = vec!["eval", &file, &facts_file, "--updates", &updates];
+            args.extend(from_scratch.then_some("--from-scratch"));
+            assert_eq!(stdout(&args), borrowed.unwrap(), "{name} {from_scratch}");
+        }
+    }
+    let c = "C(1,2).\nC(2,3).\nC(3,1).\nC(4,4).\nC(4,5).\n";
+    let t = (1..=3).flat_map(|x| (1..=3).map(move |y| format!("T({x},{y}).\n")));
+    let answer = format!("{c}{}T(4,4).\nT(4,5).\n", t.collect::<String>());
+    assert_eq!(
+        stdout(&["eval", &dir.file("copy.dl", copy), &facts_file]),
+        answer
+    );
+    let file = dir.file("arity.dl", arity);
+    assert_eq!(
+        stdout(&["eval", &file, &facts_file]),
+        "P(1).\nP(2).\nP(3).\nP(4).\n"
+    );
+    // An input relation is never an output: the program is refused.
+    let file = dir.file("both.dl", "@output E, T.\nT(x, y) :- E(x, y).\n");
+    let run = calm().args(["eval", &file, &facts_file]).output().unwrap();
+    assert_eq!(run.status.code(), Some(1));
+    let stderr = String::from_utf8(run.stderr).unwrap();
+    assert_eq!(
+        stderr,
+        "error: program: output relation E is not an idb relation\n"
+    );
+}
+
+#[test]
 fn every_command_reads_only_the_facts_of_the_programs_input_relations() {
     // `T(7,8)` is a fact of a derived relation. `calm eval` and `calm
     // wfs` used to print it, `eval --updates` and `simulate` to leave it

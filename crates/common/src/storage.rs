@@ -890,6 +890,19 @@ impl Storage {
         }
     }
 
+    /// Free every relation `keep` rejects: its rows go and its memory is
+    /// given back — unlike [`Storage::clear_relation`], the arena, id
+    /// table and indexes too. For relations nothing reads again; one
+    /// inserted into later starts from nothing. The fact counter falls
+    /// by their live rows.
+    pub fn retain_relations(&mut self, mut keep: impl FnMut(RelId) -> bool) {
+        for (i, rel) in self.rels.iter_mut().enumerate() {
+            if !keep(RelId(i as u32)) {
+                self.count -= std::mem::take(rel).len();
+            }
+        }
+    }
+
     /// Whether any relation holds tombstoned (retracted, uncompacted)
     /// rows.
     pub fn any_dead(&self) -> bool {
@@ -1954,6 +1967,40 @@ mod tests {
         assert!(st.relation(e).unwrap().is_empty());
         st.clear_relation(t.rel("Missing"));
         assert_eq!(st.len(), 1);
+    }
+
+    #[test]
+    fn retain_relations_gives_the_memory_of_the_rest_back() {
+        let mut t = SymbolTable::new();
+        let mut st = Storage::new();
+        let (e, f) = (t.rel("E"), t.rel("F"));
+        st.relation_mut(e).ensure_index(0);
+        for i in 0..100 {
+            st.insert(e, &syms(&mut t, &[i, i + 1]));
+        }
+        st.retract(e, &syms(&mut t, &[0, 1]));
+        st.insert(f, &syms(&mut t, &[7]));
+        assert_eq!(st.len(), 100);
+        st.retain_relations(|r| r == f);
+        assert_eq!(st.len(), 1, "the 99 live rows of E are gone from the count");
+        assert!(!st.any_dead());
+        assert!(st.contains(f, &syms(&mut t, &[7])));
+        let rel = st.relation(e).unwrap();
+        assert!(rel.is_empty() && rel.rows().is_empty());
+        assert!(!st.contains(e, &syms(&mut t, &[5, 6])));
+        let held = rel.syms.capacity() + rel.table.capacity() + rel.killed.capacity();
+        assert_eq!(held + rel.indexes.capacity(), 0, "nothing is kept warm");
+        // Inserting again starts from nothing, a new arity included.
+        assert!(st.insert(e, &syms(&mut t, &[4, 5, 6])));
+        assert!(st.contains(e, &syms(&mut t, &[4, 5, 6])));
+        st.relation_mut(e).ensure_index(2);
+        assert_eq!(
+            st.relation(e).unwrap().probe(2, t.sym(&v(6))),
+            Some(&[0][..])
+        );
+        assert_eq!(st.len(), 2);
+        st.retain_relations(|_| true);
+        assert_eq!(st.len(), 2);
     }
 
     #[test]
