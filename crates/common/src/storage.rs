@@ -346,8 +346,13 @@ fn hash_row(row: &[Sym]) -> u64 {
 /// One relation's rows: deduplicated, in insertion order, with
 /// incrementally maintained per-column hash indexes and a delta
 /// watermark (DESIGN §6). Every tuple is stored once in a flat arena at
-/// the first row's `stride` (offsets only once two arities meet), and an
-/// open-addressing table of row ids hashes and compares rows in place.
+/// the first row's `stride` (offsets only once two arities meet), and a
+/// table of row ids finds a row in one of two ways. While every row has
+/// one arity `k` and every symbol is below a bound `B` with `B^k` no
+/// more slots than a hash table would take, the table is direct: row
+/// `t` sits at slot `t` read as digits in base `B`, with no hash and no
+/// compare. Otherwise it is open addressing that hashes and compares
+/// rows in place. The mode is chosen where a hash table would grow.
 /// A [`Relation::retract`] leaves a tombstone bit until
 /// [`Relation::compact`] (DESIGN §16); on an insert-only relation every
 /// tombstone check is a single branch.
@@ -364,9 +369,14 @@ pub struct Relation {
     /// of each row in `syms`, a row ending where the next starts (the
     /// last one at `syms.len()`).
     starts: Vec<u32>,
-    /// Row → row id: linear probing over a power-of-two number of
-    /// slots, at most half of them taken; empty until the first insert.
+    /// Row → row id. Hashed (`base == 0`): linear probing over a
+    /// power-of-two number of slots, at most half of them taken; empty
+    /// until the first insert. Direct: `base^stride` slots, one per row
+    /// the relation can address.
     table: Vec<u32>,
+    /// The direct table's symbol bound `B`: every row has `stride`
+    /// symbols, each below `base`. Zero while the table hashes.
+    base: usize,
     /// Bit `id % 64` of word `id / 64` is set when row `id` is
     /// tombstoned; a word past the end reads as zero. Empty until the
     /// first retraction, which allocates a word per 64 rows.
@@ -398,6 +408,7 @@ impl Default for Relation {
             len: 0,
             starts: Vec::new(),
             table: Vec::new(),
+            base: 0,
             killed: Vec::new(),
             dead: 0,
             retracted_since_mark: Vec::new(),
@@ -410,9 +421,9 @@ impl Default for Relation {
 }
 
 impl Relation {
-    /// Walk the probe sequence of a row with hash `h`: the id of the
-    /// stored row equal to `t`, or the free slot that ends the
-    /// sequence. The table must not be empty; it is never full.
+    /// Walk the probe sequence of a row with hash `h` in a hashed table:
+    /// the id of the stored row equal to `t`, or the free slot that ends
+    /// the sequence. The table must not be empty; it is never full.
     #[inline]
     fn find(&self, h: u64, t: &[Sym]) -> Result<u32, usize> {
         let mask = self.table.len() - 1;
@@ -426,15 +437,38 @@ impl Relation {
         }
     }
 
+    /// Row `t`'s slot in the direct table: its symbols read as the
+    /// digits of a number in base `base`. `None` when `t` has another
+    /// arity or a symbol of `base` or more.
+    #[inline]
+    fn address(&self, t: &[Sym]) -> Option<usize> {
+        let b = self.base;
+        let fits = t.len() == self.stride && t.iter().all(|s| (s.0 as usize) < b);
+        fits.then(|| t.iter().fold(0, |slot, s| slot * b + s.0 as usize))
+    }
+
     /// Re-enter every row of the arena into a wiped table of `slots`
-    /// slots (a power of two above twice the row count).
-    fn rebuild_table(&mut self, slots: usize) {
+    /// slots: direct when `base > 0` (`slots` is `base^stride`, and
+    /// every row has an address), else hashed (a power of two above
+    /// twice the row count).
+    fn rebuild_table(&mut self, base: usize, slots: usize) {
         let mut table = std::mem::take(&mut self.table);
         table.clear();
+        // Exactly `slots`: a direct table gets no doubling's slack.
+        table.reserve_exact(slots);
         table.resize(slots, EMPTY);
+        self.base = base;
         let mask = slots - 1;
         for id in self.rows() {
-            let mut slot = first_slot(hash_row(self.row(id)), slots);
+            let row = self.row(id);
+            if base > 0 {
+                let slot = self
+                    .address(row)
+                    .expect("a direct table addresses every row");
+                table[slot] = id;
+                continue;
+            }
+            let mut slot = first_slot(hash_row(row), slots);
             while table[slot] != EMPTY {
                 slot = (slot + 1) & mask;
             }
@@ -443,19 +477,57 @@ impl Relation {
         self.table = table;
     }
 
+    /// Make the id table ready for `t`, where a hash table grows: a full
+    /// hash table doubles, and a direct one without an address for `t`
+    /// takes what hashing these rows would. Within those slots the table
+    /// goes direct when every row, `t` included, has one arity `k` and
+    /// `B^k` fits, for `B` the exact symbol bound of the arena and `t`
+    /// (at least double the old `B` when widening), rounded up to a
+    /// power of two if that fits too; else it hashes (DESIGN §6).
+    #[cold]
+    #[inline(never)]
+    fn make_room(&mut self, t: &[Sym]) {
+        let slots = if self.base == 0 {
+            (self.table.len() * 2).max(8)
+        } else {
+            // No smaller than the direct table: a clear keeps its room.
+            let rows = self.len as usize + 1;
+            (rows * 2).max(self.table.len()).next_power_of_two().max(8)
+        };
+        let arity = match self.len {
+            0 => Some(t.len()),
+            _ => self.uniform_arity().filter(|&k| k == t.len()),
+        };
+        let top = (self.syms.iter().chain(t)).map(|s| s.0 as usize + 1).max();
+        let base = top.unwrap_or(1).max(self.base * 2);
+        let fits = |b: usize| b.checked_pow(arity? as u32).filter(|&n| n <= slots);
+        // Rounded up to a power of two where that fits too: room to widen.
+        match [base.next_power_of_two(), base]
+            .into_iter()
+            .find_map(|b| Some((b, fits(b)?)))
+        {
+            Some((base, direct)) => {
+                self.stride = t.len();
+                self.rebuild_table(base, direct);
+            }
+            None => self.rebuild_table(0, slots),
+        }
+    }
+
     /// Make room for `rows` more rows of `arity` columns each: the arena
-    /// (and the offsets, once two arities met) is reserved and the id
-    /// table is rebuilt once at the size those rows will need, instead
-    /// of at every doubling on the way there. A hint — more rows, or
-    /// wider ones, grow the relation as they always did.
+    /// (and the offsets, once two arities met) is reserved and a hashed
+    /// id table is rebuilt once at the size those rows will need, instead
+    /// of at every doubling on the way there (a direct one already
+    /// addresses them). A hint — more rows, or wider ones, grow the
+    /// relation as they always did.
     pub fn reserve(&mut self, rows: usize, arity: usize) {
         self.syms.reserve(rows.saturating_mul(arity));
         if !self.starts.is_empty() {
             self.starts.reserve(rows);
         }
         let slots = ((self.len as usize + rows) * 2).next_power_of_two();
-        if slots > self.table.len().max(8) {
-            self.rebuild_table(slots);
+        if self.base == 0 && slots > self.table.len().max(8) {
+            self.rebuild_table(0, slots);
         }
     }
 
@@ -472,14 +544,23 @@ impl Relation {
     /// row (`None` when the row was already live).
     #[inline]
     pub fn insert_id(&mut self, t: &[Sym]) -> Option<u32> {
-        // Keep the table at most half full, counting the row about to
-        // be added (a duplicate merely grows it one insert early).
-        if (self.len as usize + 1) * 2 > self.table.len() {
-            self.rebuild_table((self.table.len() * 2).max(8));
-        }
-        let slot = match self.find(hash_row(t), t) {
-            Ok(id) => return self.revive(id).then_some(id),
-            Err(slot) => slot,
+        let slot = loop {
+            if self.base > 0 {
+                if let Some(slot) = self.address(t) {
+                    match self.table[slot] {
+                        EMPTY => break slot,
+                        id => return self.revive(id).then_some(id),
+                    }
+                }
+            } else if (self.len as usize + 1) * 2 <= self.table.len() {
+                // A hash table stays at most half full, counting the row
+                // about to be added (a duplicate grows it one insert early).
+                match self.find(hash_row(t), t) {
+                    Ok(id) => return self.revive(id).then_some(id),
+                    Err(slot) => break slot,
+                }
+            }
+            self.make_room(t);
         };
         let row_id = checked_id(self.len as usize, self.row_cap, "row");
         let start = self.syms.len();
@@ -560,6 +641,10 @@ impl Relation {
     /// [`Relation::live_at_mark`].
     #[inline]
     pub fn lookup(&self, t: &[Sym]) -> Option<u32> {
+        if self.base > 0 {
+            let id = self.table[self.address(t)?];
+            return (id != EMPTY).then_some(id);
+        }
         if self.table.is_empty() {
             return None;
         }
@@ -675,17 +760,12 @@ impl Relation {
             return;
         }
         let mut map = ColumnIndex::default();
-        self.fill_index(col, &mut map);
-        self.indexes[col] = Some(map);
-    }
-
-    /// Enter every row that has a `col`-th component into `map`.
-    fn fill_index(&self, col: usize, map: &mut ColumnIndex) {
         for id in self.rows() {
             if let Some(&s) = self.row(id).get(col) {
                 map.entry(s).or_default().push(id);
             }
         }
+        self.indexes[col] = Some(map);
     }
 
     /// Probe the column index: ids of the rows matching `s` at `col`.
@@ -724,8 +804,10 @@ impl Relation {
 
     /// Remove all rows, keeping allocations (arena, id table and index
     /// maps stay warm for reuse). Wiping the id table costs its slot
-    /// count — at least twice the largest row count the relation ever
-    /// held — not the current row count.
+    /// count, not the current row count: a hashed table's is at least
+    /// twice the largest row count the relation ever held, a direct
+    /// one's `B^k`, which was no more than a hashed one would have been
+    /// when it was chosen. A direct table keeps its bound and arity.
     pub fn clear(&mut self) {
         self.syms.clear();
         self.len = 0;
@@ -741,9 +823,10 @@ impl Relation {
     }
 
     /// Physically remove tombstoned rows: slide the live rows down the
-    /// arena (ids renumbered, order kept) and re-enter them into the id
-    /// table and the built indexes; the delta watermark is remapped to
-    /// the live rows before it. A no-op when no row is dead. Returns the
+    /// arena (ids renumbered, order kept), re-enter them into the id
+    /// table (a direct one keeps its bound) and renumber the built
+    /// indexes in place; the delta watermark is remapped to the live
+    /// rows before it. A no-op when no row is dead. Returns the
     /// number of rows removed. Compaction moves rows, so it must not run
     /// between a `mark_delta` and a `delta_rows()` consumer (the update
     /// driver compacts only at batch boundaries, DESIGN §16).
@@ -773,20 +856,38 @@ impl Relation {
         self.starts.truncate(live);
         // `live` ids were in use: the count fits.
         self.len = live as u32;
+        self.renumber_indexes();
         self.killed.clear();
         self.dead = 0;
         self.retracted_since_mark.clear();
         self.delta_start = live_before_mark;
-        self.rebuild_table(self.table.len());
-        let mut indexes = std::mem::take(&mut self.indexes);
-        for (col, index) in indexes.iter_mut().enumerate() {
-            if let Some(map) = index {
-                map.clear();
-                self.fill_index(col, map);
-            }
-        }
-        self.indexes = indexes;
+        self.rebuild_table(self.base, self.table.len());
         removed
+    }
+
+    /// Take the tombstoned ids out of every built index and renumber the
+    /// rest as [`Relation::compact`] does, in place: a kept id falls by
+    /// the dead rows before it, counted from the tombstone words.
+    fn renumber_indexes(&mut self) {
+        let mut dead = 0;
+        let words: Vec<(u64, u32)> = (self.killed.iter())
+            .map(|&word| {
+                let before = dead;
+                dead += word.count_ones();
+                (word, before)
+            })
+            .collect();
+        for map in self.indexes.iter_mut().flatten() {
+            map.retain(|_, ids| {
+                ids.retain_mut(|id| {
+                    let (word, before) = words.get(*id as usize / 64).map_or((0, dead), |&w| w);
+                    let bit = 1 << (*id % 64);
+                    *id -= before + (word & (bit - 1)).count_ones();
+                    word & bit == 0
+                });
+                !ids.is_empty()
+            });
+        }
     }
 }
 
@@ -1779,6 +1880,75 @@ mod tests {
         assert_eq!((r.starts.len(), r.killed.len()), (0, 0));
         assert!(r.insert(&[Sym(1), Sym(2), Sym(3)]));
         assert_eq!((r.stride, r.starts.len()), (3, 0));
+    }
+
+    /// The slots a hash table holds once `rows` distinct rows were
+    /// inserted one by one: the bound no id table may pass.
+    fn hashed_slots(rows: usize) -> usize {
+        (2 * rows).next_power_of_two().max(8)
+    }
+
+    #[test]
+    fn a_binary_relation_over_100_000_symbols_never_outgrows_a_hash_table() {
+        // 10 000 rows over 100 symbols go direct; the wide symbols that
+        // follow cannot have `B²` slots, and the table hashes again.
+        let mut r = Relation::default();
+        let mut direct = 0;
+        for i in 0..60_000u32 {
+            let row = match i {
+                0..10_000 => [Sym(i / 100), Sym(i % 100)],
+                _ => [Sym(i * 7 % 100_000), Sym(i)],
+            };
+            assert!(r.insert(&row));
+            assert!(r.table.len() <= hashed_slots(r.len()), "{} rows", r.len());
+            direct += usize::from(r.base > 0);
+        }
+        assert!(direct > 5_000, "the dense rows were addressed directly");
+        assert_eq!((r.base, r.table.len()), (0, hashed_slots(60_000)));
+        assert_eq!(r.lookup(&[Sym(99), Sym(99)]), Some(9_999));
+        assert_eq!(
+            r.lookup(&[Sym(7 * 59_999 % 100_000), Sym(59_999)]),
+            Some(59_999)
+        );
+    }
+
+    #[test]
+    fn all_360_000_pairs_over_600_symbols_take_one_slot_each() {
+        let mut r = Relation::default();
+        for i in 0..360_000 {
+            // A permutation of the pairs: 7 919 is prime to 360 000.
+            let p = i * 7_919 % 360_000;
+            assert!(r.insert(&[Sym(p / 600), Sym(p % 600)]));
+            assert!(r.table.len() <= hashed_slots(r.len()));
+        }
+        assert_eq!((r.base, r.table.len()), (600, 360_000));
+        assert_eq!(r.lookup(&[Sym(0), Sym(0)]), Some(0));
+        assert_eq!(r.lookup(&[Sym(599), Sym(600)]), None);
+        assert_eq!(r.lookup(&[Sym(599)]), None);
+        assert!(!r.insert(&[Sym(7_919 / 600), Sym(7_919 % 600)]));
+    }
+
+    #[test]
+    fn a_unary_relation_of_rising_symbols_widens_by_doubling() {
+        // Symbols arrive in first-occurrence order: all of them, or every
+        // third one. The table stays within the hash table's slots at
+        // every step, and changes size a logarithmic number of times, not
+        // once a symbol. Every symbol keeps it direct; every third one
+        // needs `2B > 4n` slots to widen, so it goes back to hashing.
+        for (step, direct) in [(1, true), (3, false)] {
+            let mut r = Relation::default();
+            let mut sizes = 0;
+            for i in 0..50_000u32 {
+                let slots = r.table.len();
+                assert!(r.insert(&[Sym(step * i + 1)]));
+                assert!(r.table.len() <= hashed_slots(r.len()), "{} rows", r.len());
+                sizes += usize::from(r.table.len() != slots);
+            }
+            assert_eq!(r.base > 0, direct, "step {step}");
+            assert!(sizes <= 2 * 16, "step {step}: {sizes} table sizes");
+            assert_eq!(r.lookup(&[Sym(step * 49_999 + 1)]), Some(49_999));
+            assert_eq!(r.lookup(&[Sym(0)]), None);
+        }
     }
 
     #[test]

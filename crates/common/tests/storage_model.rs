@@ -7,16 +7,19 @@
 //! `lookup`, `contains`, `is_live`, `probe`) must agree with the model.
 //!
 //! The relation keeps its rows in one flat arena at one stride — with
-//! offsets only once a row of a second arity arrives — behind an
-//! open-addressing id table, and its tombstones as one bit per row in
-//! 64-bit words; the schedules below are shaped to stress exactly that:
+//! offsets only once a row of a second arity arrives — behind an id
+//! table that addresses rows of one arity over few symbols directly and
+//! hashes the rest, and its tombstones as one bit per row in 64-bit
+//! words; the schedules below are shaped to stress exactly that:
 //! rows of different arities in one relation, a second arity arriving
 //! at any row (the first after a clear or a compaction to nothing
 //! included), rows that are permutations or prefixes of each other,
 //! retractions on both sides of a word boundary, thousands of rows over
 //! a 4-value domain (so probe sequences chain and the table is rebuilt
-//! many times), and lookups of absent rows while the table is empty or
-//! holds as many rows as it admits before growing.
+//! many times), lookups of absent rows while the table is empty or
+//! holds as many rows as it admits before growing, and direct tables
+//! that meet a wider symbol, a far one, a second arity, a clear or a
+//! compaction.
 
 use calm_common::rng::Rng;
 use calm_common::storage::{Relation, Sym, SymTuple};
@@ -153,6 +156,10 @@ fn check_neighbours(rel: &Relation, model: &Model, at: &str) {
 
 fn random_row(rng: &mut Rng, max_arity: u64, domain: u32) -> SymTuple {
     let arity = 1 + rng.gen_u64() % max_arity;
+    row_of(rng, arity, domain)
+}
+
+fn row_of(rng: &mut Rng, arity: u64, domain: u32) -> SymTuple {
     (0..arity)
         .map(|_| Sym((rng.gen_u64() % u64::from(domain)) as u32))
         .collect()
@@ -334,6 +341,95 @@ fn a_second_arity_may_arrive_at_any_row_and_tombstones_straddle_words() {
         }
     }
     assert!(switched > 1_000 && emptied > 400, "{switched} {emptied}");
+}
+
+#[test]
+fn a_direct_table_widens_falls_back_and_survives_clear_and_compact() {
+    // Rows of one to three symbols over a domain of at most 64 of them
+    // fit a direct table once their hash table would hold 64 slots: the
+    // relation addresses them directly within 17 rows. Each phase adds
+    // rows over the domain, then one event: symbols past the bound (the
+    // domain doubles — a unary table widens, a wider one mostly goes back
+    // to hashing), a symbol no table these rows pay for can address (back
+    // to hashing until the next doubling), a row of a second arity, a
+    // clear, a compaction, or a compaction to nothing followed by rows
+    // of another arity.
+    let mut events = [0; 6];
+    for seed in 0..200u64 {
+        let mut rng = Rng::seed_from_u64(seed ^ 0xD1_4EC7);
+        let mut arity = 1 + rng.gen_u64() % 3;
+        let dense = [8, 8, 4][arity as usize - 1];
+        let mut domain = 2 + (rng.gen_u64() % (dense - 1)) as u32;
+        let far = Sym(300);
+        let mut rel = indexed_relation();
+        let mut model = Model::default();
+        let mut top = domain;
+        for phase in 0..10 {
+            let at = format!("seed {seed}, phase {phase}, arity {arity}, domain {domain}");
+            for _ in 0..8 + rng.gen_u64() % 40 {
+                let row = row_of(&mut rng, arity, domain);
+                if rng.gen_u64().is_multiple_of(4) {
+                    assert_eq!(rel.retract(&row), model.retract(&row), "{at}");
+                } else {
+                    assert_eq!(rel.insert(&row), model.insert(row), "{at}");
+                }
+            }
+            let event = (rng.gen_u64() % 6) as usize;
+            events[event] += 1;
+            match event {
+                0 => {
+                    let old = domain.min(32);
+                    domain = 2 * old;
+                    for _ in 0..1 + rng.gen_u64() % 8 {
+                        let mut row = row_of(&mut rng, arity, domain);
+                        row[0] = Sym(old + row[0].0 % old);
+                        assert_eq!(rel.insert(&row), model.insert(row), "{at}");
+                    }
+                }
+                1 => {
+                    let mut row = row_of(&mut rng, arity, domain);
+                    let col = (rng.gen_u64() % arity) as usize;
+                    row[col] = far;
+                    assert_eq!(rel.insert(&row), model.insert(row), "{at}");
+                    top = far.0 + 1;
+                }
+                2 => {
+                    let row = row_of(&mut rng, 1 + arity % 3, domain);
+                    assert_eq!(rel.insert(&row), model.insert(row), "{at}");
+                }
+                3 => {
+                    rel.clear();
+                    model = Model::default();
+                }
+                4 => {
+                    for row in model.rows.clone() {
+                        if rng.gen_u64().is_multiple_of(3) {
+                            assert_eq!(rel.retract(&row), model.retract(&row), "{at}");
+                        }
+                    }
+                    assert_eq!(rel.compact(), model.compact(), "{at}");
+                }
+                _ => {
+                    for row in model.rows.clone() {
+                        assert_eq!(rel.retract(&row), model.retract(&row), "{at}");
+                    }
+                    assert_eq!(rel.compact(), model.compact(), "{at}");
+                    check(&rel, &model, top.max(domain), &at);
+                    arity = 1 + arity % 3;
+                    domain = domain.min([64, 8, 4][arity as usize - 1]);
+                    for _ in 0..rng.gen_u64() % 20 {
+                        let row = row_of(&mut rng, arity, domain);
+                        assert_eq!(rel.insert(&row), model.insert(row), "{at}");
+                    }
+                }
+            }
+            top = top.max(domain);
+            check(&rel, &model, top, &at);
+            check_absent(&rel, &model, top, &at);
+            check_neighbours(&rel, &model, &at);
+        }
+    }
+    assert!(events.iter().all(|&n| n > 250), "{events:?}");
 }
 
 #[test]
