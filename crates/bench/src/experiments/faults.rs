@@ -47,13 +47,13 @@ pub fn e20_faults(obs: &Obs) -> Report {
     for f in families(NODES) {
         let label = f.label;
         // The sequential oracle every sweep cell must reproduce.
-        let seq = f.run_sequential(&input, obs);
+        let (expected, _) = f.run_sequential(&input, obs);
         let mut all_equal = true;
         let mut run_cell = |drop: &str, plan: Option<FaultPlan>| {
             let mut cfg = ThreadedConfig::new(WORKERS);
             cfg.faults = plan;
-            let thr = f.run_threaded(&input, &cfg, obs);
-            let matches = thr.output == seq.output;
+            let (output, thr) = f.run_threaded(&input, &cfg, obs);
+            let matches = output == expected;
             all_equal &= thr.quiescent && matches;
             rows.push(vec![
                 label.to_string(),

@@ -27,7 +27,7 @@ use crate::report::{markdown_table, Report};
 use crate::workloads::{families, scaling_graph};
 use calm_common::Instance;
 use calm_net::{
-    run_net_worker, run_process, Assign, JobSpec, ProcessConfig, ProcessRunResult, SpawnHandle,
+    run_net_worker, run_process, Assign, JobSpec, NetRunReport, ProcessConfig, SpawnHandle,
     ThreadedConfig, WorkerSetup,
 };
 use calm_obs::Obs;
@@ -58,11 +58,7 @@ pub(super) fn job(strategy: &str, procs: usize, faults: Option<String>) -> Proce
 
 /// Run the process engine over real sockets with thread-backed workers;
 /// `obs` observes the coordinator.
-pub(super) fn run_process_tcp(
-    cfg: &ProcessConfig,
-    input: &Instance,
-    obs: &Obs,
-) -> ProcessRunResult {
+pub(super) fn run_process_tcp(cfg: &ProcessConfig, input: &Instance, obs: &Obs) -> NetRunReport {
     let input = input.clone();
     let spawner = move |k: usize, addr: &str| -> Result<SpawnHandle, String> {
         let addr = addr.to_string();
@@ -119,7 +115,7 @@ pub fn e25_process(obs: &Obs) -> Report {
     for f in families(NODES) {
         let label = f.label;
         let transducer = f.transducer(1);
-        let seq = f.run_sequential(&input, obs);
+        let (expected, seq) = f.run_sequential(&input, obs);
         let sent = seq.metrics.messages_sent;
         row(label, "sequential".into(), sent, None, seq.quiescent);
 
@@ -127,9 +123,9 @@ pub fn e25_process(obs: &Obs) -> Report {
         let mut bytes_match = true;
         let mut worst_spread = 0.0f64;
         for workers in THREADED {
-            let thr = f.run_threaded(&input, &ThreadedConfig::new(workers), obs);
-            let tokens: u64 = thr.per_worker.iter().map(|w| w.token_passes).sum();
-            all_equal &= thr.quiescent && thr.output == seq.output;
+            let (output, thr) = f.run_threaded(&input, &ThreadedConfig::new(workers), obs);
+            let tokens = thr.token_passes();
+            all_equal &= thr.quiescent && output == expected;
             bytes_match &=
                 thr.metrics.messages_sent == sent && (thr.wire_bytes == 0) == (workers == 1);
             row(
@@ -149,7 +145,7 @@ pub fn e25_process(obs: &Obs) -> Report {
             let proc = run_process_tcp(&cfg, &input, &Obs::noop());
             all_equal &= proc.quiescent
                 && proc.failed_workers.is_empty()
-                && proc.states.output(&transducer.schema().output) == seq.output;
+                && proc.states.output(&transducer.schema().output) == expected;
             // Same payload-only accounting on both engines: the same
             // messages at every W, no bytes at all at W = 1 and some
             // above. (The byte totals above W = 1 wobble by up to ~15 %

@@ -109,7 +109,7 @@ pub fn e26_recovery(obs: &Obs) -> Report {
     for f in families(NODES) {
         let label = f.label;
         let transducer = f.transducer(1);
-        let seq = f.run_sequential(&input, obs);
+        let (expected, seq) = f.run_sequential(&input, obs);
 
         let mut all_identical = seq.quiescent;
         let mut all_recovered = true;
@@ -125,7 +125,7 @@ pub fn e26_recovery(obs: &Obs) -> Report {
                 let identical = run.quiescent
                     && run.failed_workers.is_empty()
                     && run.adopted_workers.is_empty()
-                    && run.states.output(&transducer.schema().output) == seq.output;
+                    && run.states.output(&transducer.schema().output) == expected;
                 all_identical &= identical;
                 all_recovered &= run.respawns == kills as u64;
                 always_durable &= run.faults.snapshot_bytes > 0;

@@ -262,7 +262,8 @@ pub fn e11_strategy_costs(obs: &Obs) -> Report {
                 let rr = run_with(tn, &input, &Scheduler::RoundRobin, 2_000_000, obs);
                 let par_identical = par.map(|ptn| {
                     let rp = run(ptn, &input, &Scheduler::RoundRobin, 2_000_000);
-                    rp.output == rr.output && rp.metrics == rr.metrics
+                    rp.output == rr.states.output(&tn.transducer.schema().output)
+                        && rp.metrics == rr.metrics
                 });
                 parallel_ok &= par_identical.unwrap_or(true);
                 push_cost_row(&mut rows, label, vertices, n, &rr, lossy, par_identical);
@@ -394,8 +395,8 @@ fn class_summary(c: &MessageClassCounts) -> String {
 fn lossy_counters(f: &Family, input: &Instance, expected: &Instance, ok: &mut bool) -> (u64, u64) {
     let plan = FaultPlan::uniform(7, 0.1, 0.05);
     let cfg = ThreadedConfig::new(2).with_faults(plan);
-    let thr = f.run_threaded(input, &cfg, &Obs::noop());
-    *ok &= thr.quiescent && thr.output == *expected;
+    let (output, thr) = f.run_threaded(input, &cfg, &Obs::noop());
+    *ok &= thr.quiescent && output == *expected;
     (thr.faults.retransmissions, thr.faults.duplicates_suppressed)
 }
 
@@ -404,7 +405,7 @@ fn push_cost_row(
     name: &str,
     vertices: usize,
     n: usize,
-    rr: &calm_transducer::RunResult,
+    rr: &calm_transducer::RunReport,
     lossy: Option<(u64, u64)>,
     par_identical: Option<bool>,
 ) {

@@ -71,13 +71,13 @@ pub fn e24_trace(obs: &Obs) -> Report {
         .into_iter()
         .filter(|f| f.strategy != "distinct")
     {
-        let seq = f.run_sequential(&input, obs);
+        let (expected, _) = f.run_sequential(&input, obs);
         let cfg =
             ThreadedConfig::new(WORKERS).with_faults(FaultPlan::uniform(SEED, DROP, DROP / 2.0));
         let mut run_mode = |mode: Obs| {
-            let run = f.run_threaded(&input, &cfg, &mode);
+            let (output, _) = f.run_threaded(&input, &cfg, &mode);
             mode.finish();
-            all_equal &= run.output == seq.output;
+            all_equal &= output == expected;
         };
 
         // Mode `off`: the baseline.

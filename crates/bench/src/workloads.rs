@@ -4,13 +4,13 @@
 use calm_common::generator::InstanceRng;
 use calm_common::instance::Instance;
 use calm_datalog::DatalogQuery;
-use calm_net::{run_threaded_with, Programs, ThreadedConfig, ThreadedNetwork, ThreadedRunResult};
+use calm_net::{run_threaded_with, NetRunReport, Programs, ThreadedConfig, ThreadedNetwork};
 use calm_obs::Obs;
 use calm_queries::qtc::qtc_datalog;
 use calm_queries::tc::{edges_without_source_loop, tc_datalog};
 use calm_transducer::{
     run_with, DisjointStrategy, DistinctStrategy, DistributionPolicy, DomainGuidedPolicy,
-    HashPolicy, MonotoneBroadcast, Network, RunResult, Scheduler, SystemConfig, Transducer,
+    HashPolicy, MonotoneBroadcast, Network, RunReport, Scheduler, SystemConfig, Transducer,
     TransducerNetwork,
 };
 
@@ -45,32 +45,34 @@ impl Family {
         }
     }
 
-    /// The oracle: the sequential simulator's round-robin run to
-    /// quiescence, which every other engine must reproduce.
-    pub fn run_sequential(&self, input: &Instance, obs: &Obs) -> RunResult {
+    /// The oracle: the sequential round-robin run to quiescence, which
+    /// every other engine must reproduce, and its `out(R)`, bound once.
+    pub fn run_sequential(&self, input: &Instance, obs: &Obs) -> (Instance, RunReport) {
         let transducer = self.transducer(1);
         let tn = TransducerNetwork {
             transducer: transducer.as_ref(),
             policy: self.policy.as_ref(),
             config: self.config,
         };
-        run_with(&tn, input, &Scheduler::RoundRobin, 5_000_000, obs)
+        let r = run_with(&tn, input, &Scheduler::RoundRobin, 5_000_000, obs);
+        (r.states.output(&transducer.schema().output), r)
     }
 
-    /// A threaded-executor run, one transducer instance per worker.
+    /// A threaded-executor run, one transducer per worker, and its `out(R)`.
     pub fn run_threaded(
         &self,
         input: &Instance,
         cfg: &ThreadedConfig,
         obs: &Obs,
-    ) -> ThreadedRunResult {
+    ) -> (Instance, NetRunReport) {
         let factory = || self.transducer(1);
         let net = ThreadedNetwork {
             programs: Programs::PerWorker(&factory),
             policy: self.policy.as_ref(),
             config: self.config,
         };
-        run_threaded_with(&net, input, cfg, obs)
+        let r = run_threaded_with(&net, input, cfg, obs);
+        (r.states.output(&factory().schema().output), r)
     }
 }
 

@@ -9,9 +9,8 @@ use calm_common::storage::{FactPrinter, Relation, Storage};
 use calm_datalog::eval::{Database, EvalOptions};
 use calm_datalog::{DatalogQuery, Program};
 use calm_net::{
-    run_net_worker, run_process, run_threaded_with, Assign, FaultPlan, FaultStats, JobSpec,
-    ProcessConfig, ProcessRunResult, Programs, SpawnHandle, ThreadedConfig, ThreadedNetwork,
-    WorkerSetup, WorkerStats,
+    run_net_worker, run_process, run_threaded_with, Assign, FaultPlan, JobSpec, NetRunReport,
+    ProcessConfig, Programs, SpawnHandle, ThreadedConfig, ThreadedNetwork, WorkerSetup,
 };
 use calm_obs::{Obs, Sink};
 use calm_transducer::strategy::out_rel;
@@ -157,19 +156,31 @@ fn or_one_per_core(n: usize, nodes: usize) -> usize {
     asked.min(nodes)
 }
 
-/// The header lines both network engines print after their `% engine:`
-/// line: the non-zero fault counters (under `--faults`) and every
-/// worker's step count with the ring's total token passes.
-fn net_header(out: &mut String, faulted: bool, faults: &FaultStats, per_worker: &[WorkerStats]) {
-    if faulted {
-        let _ = writeln!(out, "% fault stats:{}", nonzero(faults.as_pairs()));
+/// A network engine's header: its `% engine:` line, the supervisor's work
+/// (if it did any — the threaded engine has none), the non-zero fault
+/// counters (under `--faults`), and every worker's step count with the
+/// ring's total token passes.
+fn net_header(engine: String, faulted: bool, r: &NetRunReport) -> String {
+    let mut header = engine;
+    if r.respawns > 0 || !r.adopted_workers.is_empty() {
+        let adopted: Vec<String> = r.adopted_workers.iter().map(|k| k.to_string()).collect();
+        let _ = writeln!(
+            header,
+            "% supervision: respawns: {}, adopted worker(s):{}{}",
+            r.respawns,
+            if adopted.is_empty() { " none" } else { " " },
+            adopted.join(", ")
+        );
     }
-    let steps: String = per_worker
-        .iter()
+    if faulted {
+        let _ = writeln!(header, "% fault stats:{}", nonzero(r.faults.as_pairs()));
+    }
+    let steps: String = (r.per_worker.iter())
         .map(|w| format!(" {}", w.metrics.transitions))
         .collect();
-    let passes: u64 = per_worker.iter().map(|w| w.token_passes).sum();
-    let _ = writeln!(out, "% per-worker steps:{steps}, token passes: {passes}");
+    let passes = r.token_passes();
+    let _ = writeln!(header, "% per-worker steps:{steps}, token passes: {passes}");
+    header
 }
 
 /// ` label=n` for every non-zero counter.
@@ -209,10 +220,9 @@ fn run_threaded(job: &Job<'_>, input: &Database, cfg: &ThreadedConfig, obs: &Obs
         config: job.config,
     };
     let r = run_threaded_with(&tn, &input.to_instance(), cfg, obs);
-    let mut header = format!("% engine: threaded, workers: {}\n", cfg.workers);
-    net_header(&mut header, cfg.faults.is_some(), &r.faults, &r.per_worker);
+    let engine = format!("% engine: threaded, workers: {}\n", cfg.workers);
     EngineRun {
-        header,
+        header: net_header(engine, cfg.faults.is_some(), &r),
         states: r.states,
         metrics: r.metrics,
         quiescent: r.quiescent,
@@ -225,24 +235,6 @@ fn threaded_config(workers: usize, nodes: usize, faults: Option<FaultPlan>) -> T
     let mut cfg = ThreadedConfig::new(or_one_per_core(workers, nodes));
     (cfg.step_budget, cfg.faults) = (STEP_BUDGET, faults);
     cfg
-}
-
-/// The process engine's header: engine line, the supervisor's work (if
-/// it did any), then the lines shared with the threaded engine.
-fn process_header(procs: usize, faulted: bool, r: &ProcessRunResult) -> String {
-    let mut header = format!("% engine: process, procs: {procs}\n");
-    if r.respawns > 0 || !r.adopted_workers.is_empty() {
-        let adopted: Vec<String> = r.adopted_workers.iter().map(|k| k.to_string()).collect();
-        let _ = writeln!(
-            header,
-            "% supervision: respawns: {}, adopted worker(s):{}{}",
-            r.respawns,
-            if adopted.is_empty() { " none" } else { " " },
-            adopted.join(", ")
-        );
-    }
-    net_header(&mut header, faulted, &r.faults, &r.per_worker);
-    header
 }
 
 fn run_processes(
@@ -299,7 +291,7 @@ fn run_processes(
         )));
     }
     Ok(EngineRun {
-        header: process_header(procs, faulted, &r),
+        header: net_header(format!("% engine: process, procs: {procs}\n"), faulted, &r),
         states: r.states,
         metrics: r.metrics,
         quiescent: r.quiescent,
@@ -625,6 +617,7 @@ pub fn parse_engine(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use calm_net::{FaultStats, WorkerStats};
 
     const TC: &str = include_str!("../../../examples/data/tc.dl");
     const GRAPH: &str = include_str!("../../../examples/data/graph.facts");
@@ -834,7 +827,8 @@ mod tests {
             w.metrics.transitions = transitions;
             w
         };
-        let mut r = ProcessRunResult {
+        let engine = |procs: usize| format!("% engine: process, procs: {procs}\n");
+        let mut r = NetRunReport {
             states: Default::default(),
             metrics: Metrics::default(),
             per_worker: vec![worker(0, 34, 3), worker(1, 21, 1)],
@@ -852,19 +846,19 @@ mod tests {
             wire_bytes: 1670,
         };
         assert_eq!(
-            process_header(2, false, &r),
+            net_header(engine(2), false, &r),
             "% engine: process, procs: 2\n% per-worker steps: 34 21, token passes: 4\n"
         );
         r.respawns = 1;
         assert_eq!(
-            process_header(2, true, &r),
+            net_header(engine(2), true, &r),
             "% engine: process, procs: 2\n\
              % supervision: respawns: 1, adopted worker(s): none\n\
              % fault stats: attempts=97 dropped=7 crashes=1\n\
              % per-worker steps: 34 21, token passes: 4\n"
         );
         r.adopted_workers = vec![1, 3];
-        assert!(process_header(4, false, &r)
+        assert!(net_header(engine(4), false, &r)
             .contains("% supervision: respawns: 1, adopted worker(s): 1, 3\n"));
     }
 }

@@ -252,8 +252,10 @@ fn a_deeply_nested_trace_line_is_one_unparsed_line() {
 
 #[test]
 fn the_three_engines_print_one_answer_and_none_builds_a_nodes_state_for_it() {
-    // `out(R)` is united from rows on every engine; the per-node
-    // `Instance`s are for a caller that asks, and `simulate` does not.
+    // `out(R)` is united from rows on every engine, once — by `simulate`,
+    // into the table of its input: no engine builds it on its own — and
+    // the per-node `Instance`s are for a caller that asks, and `simulate`
+    // does not.
     let dir = Dir::new("engines");
     let edges: String = (0..40)
         .map(|i| format!("E({i},{}). ", (i * 7) % 40))
@@ -272,7 +274,9 @@ fn the_three_engines_print_one_answer_and_none_builds_a_nodes_state_for_it() {
         let stderr = String::from_utf8_lossy(&run.stderr);
         assert!(run.status.success(), "{engine:?}: {stderr}");
         let out = String::from_utf8(run.stdout).unwrap();
-        assert!(out.contains("  runtime/finish "), "{engine:?}: {out}");
+        let finish = out.lines().find(|l| l.starts_with("  runtime/finish "));
+        let n = finish.and_then(|l| l.split_whitespace().find_map(|w| w.strip_prefix("n=")));
+        assert_eq!(n, Some("1"), "{engine:?}: {out}");
         assert!(!out.contains("states.materialized"), "{engine:?}: {out}");
         let (_, answer) = (out.split_once("% matches centralized evaluation: true\n"))
             .unwrap_or_else(|| panic!("{engine:?}: {out}"));

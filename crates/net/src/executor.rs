@@ -58,7 +58,7 @@ pub struct ThreadedNetwork<'a> {
 pub struct ThreadedConfig {
     /// Worker threads. Clamped to `[1, |N|]` (a worker with no nodes
     /// would only slow the ring down); `net/executor_start` and
-    /// [`ThreadedRunResult::per_worker`] show the count that ran.
+    /// [`NetRunReport::per_worker`] show the count that ran.
     pub workers: usize,
     /// Per-worker step budget: the most node transitions one worker may
     /// execute. A run that exhausts any worker's budget reports
@@ -130,32 +130,74 @@ pub struct WorkerStats {
 crate::codec::wire_struct!(WorkerStats: worker, nodes, metrics, enqueued, buffered,
     token_passes, exhausted, faults, link_counters, wire_bytes);
 
-/// The result of a threaded run — same shape as the sequential
-/// [`calm_transducer::RunResult`], plus the per-worker breakdown.
+/// What a run of either network engine comes out as: the fold of its
+/// workers' final reports, and what the process engine's supervisor did.
+/// `out(R)` is built only on request, from `states`
+/// ([`FinalStates::output`], [`FinalStates::united`]): the process
+/// engine's transport is program-agnostic, so the caller knows its schema.
 #[derive(Debug)]
-pub struct ThreadedRunResult {
-    /// `out(R)` — the union of output facts across nodes.
-    pub output: Instance,
+pub struct NetRunReport {
     /// Final per-node states (output ∪ memory facts), as the rows the
-    /// workers held them in.
+    /// workers held them in (the process engine: as each `Final` frame
+    /// was read into, missing the nodes of failed workers).
     pub states: FinalStates,
     /// Merged run counters (fold of the per-worker metrics, in worker
     /// order — deterministic given the per-worker values).
     pub metrics: Metrics,
-    /// Per-worker accounting.
-    pub per_worker: Vec<WorkerStats>,
     /// Whether the network reached quiescence (every node at local
     /// fixpoint, nothing in flight, no message abandoned to a retry
-    /// budget) within every worker's budget.
+    /// budget, every worker reported clean) within every worker's budget.
+    /// `false` whenever `failed_workers` is non-empty.
     pub quiescent: bool,
-    /// Merged fault/reliability counters (all zero without a plan).
+    /// Per-worker accounting, in worker order; failed workers are absent.
+    pub per_worker: Vec<WorkerStats>,
+    /// Merged fault/reliability counters (all zero without a plan). Each
+    /// worker process lost adds one `crashes` tick, absorbed or not.
     pub faults: FaultStats,
     /// Merged per-link wire accounting. On a quiescent faulty run every
     /// link satisfies `attempts == delivered + suppressed + dropped`
     /// (and `buffered == 0`).
     pub link_counters: BTreeMap<(usize, usize), LinkCounters>,
-    /// Merged delta-encoded bytes on the wire (fold of the per-worker
-    /// [`WorkerStats::wire_bytes`]).
+    /// Merged delta-encoded payload bytes (fold of the per-worker
+    /// [`WorkerStats::wire_bytes`]; transport framing is not payload).
+    pub wire_bytes: u64,
+    /// Process engine: workers whose connection ended before their
+    /// `Final` frame (or that missed the drain deadline) and whose shard
+    /// could not be recovered — not every death, only those no respawn
+    /// or adoption absorbed.
+    pub failed_workers: Vec<usize>,
+    /// Process engine: ring positions whose respawn budget ran out and
+    /// whose shard was re-assigned to survivors (the run can still be
+    /// quiescent and byte-identical).
+    pub adopted_workers: Vec<usize>,
+    /// Process engine: worker processes respawned by the supervisor.
+    pub respawns: u64,
+}
+
+impl NetRunReport {
+    /// Total ring hops across workers.
+    pub fn token_passes(&self) -> u64 {
+        self.per_worker.iter().map(|w| w.token_passes).sum()
+    }
+}
+
+/// What [`run_threaded`] comes out as: `out(R)` built once, and the
+/// counters beside it — the fields its callers read, which want the
+/// answer and nothing of the states. Every other caller takes the
+/// [`NetRunReport`] of [`run_threaded_with`].
+#[derive(Debug)]
+pub struct ThreadedRunResult {
+    /// `out(R)` — the union of output facts across nodes.
+    pub output: Instance,
+    /// Merged run counters.
+    pub metrics: Metrics,
+    /// Whether the network reached quiescence.
+    pub quiescent: bool,
+    /// Per-worker accounting.
+    pub per_worker: Vec<WorkerStats>,
+    /// Merged fault/reliability counters.
+    pub faults: FaultStats,
+    /// Merged delta-encoded bytes on the wire.
     pub wire_bytes: u64,
 }
 
@@ -264,7 +306,16 @@ pub fn run_threaded(
     input: &Instance,
     cfg: &ThreadedConfig,
 ) -> ThreadedRunResult {
-    run_threaded_with(tn, input, cfg, &Obs::noop())
+    let r = run_threaded_with(tn, input, cfg, &Obs::noop());
+    let Programs::PerWorker(build) = tn.programs;
+    ThreadedRunResult {
+        output: r.states.output(&build().schema().output),
+        metrics: r.metrics,
+        quiescent: r.quiescent,
+        per_worker: r.per_worker,
+        faults: r.faults,
+        wire_bytes: r.wire_bytes,
+    }
 }
 
 /// As [`run_threaded`], reporting per-transition events, message-class
@@ -278,11 +329,11 @@ pub fn run_threaded(
 /// the channels (and the read-only program/policy/input). Workers step
 /// their nodes to local fixpoint, exchange fact batches, and detect
 /// global quiescence with the Safra ring in `crate::termination`. At
-/// join the workers' final states are handed over as they are and
-/// `out(R)` is united from them ([`FinalStates::output`]); the per-worker
-/// metrics are folded in worker order with [`Metrics::merge`] — the
-/// merged totals are deterministic given the per-worker values, and the
-/// *output* is deterministic for coordination-free programs by the
+/// join the workers' final states are handed over as they are — `out(R)`
+/// is the caller's to unite from them ([`FinalStates::output`]) — and the
+/// per-worker metrics are folded in worker order with [`Metrics::merge`]:
+/// the merged totals are deterministic given the per-worker values, and
+/// the *output* is deterministic for coordination-free programs by the
 /// paper's confluence guarantee (the equivalence tests check it against
 /// the sequential engine).
 ///
@@ -296,7 +347,7 @@ pub fn run_threaded_with(
     input: &Instance,
     cfg: &ThreadedConfig,
     obs: &Obs,
-) -> ThreadedRunResult {
+) -> NetRunReport {
     let total_nodes = tn.policy.network().len();
     let workers = cfg.workers.clamp(1, total_nodes.max(1));
 
@@ -339,7 +390,7 @@ pub fn run_threaded_with(
                         obs,
                         proc: ProcCtx::default(),
                     });
-                    (outcome.report, transducer.schema().output.clone())
+                    outcome.report
                 }));
                 run.unwrap_or_else(|panic| {
                     for peer in (0..workers).filter(|&peer| peer != id) {
@@ -351,33 +402,10 @@ pub fn run_threaded_with(
         }
         handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
     });
-    let (outcomes, schemas): (Vec<_>, Vec<_>) = (ended.into_iter())
+    let outcomes = (ended.into_iter())
         .map(|worker| worker.unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-        .unzip();
-
-    let joined = join_reports(outcomes, workers, cfg.faults.is_some(), true, 0, obs);
-    ThreadedRunResult {
-        output: joined.states.output(&schemas[0]),
-        states: joined.states,
-        metrics: joined.metrics,
-        per_worker: joined.per_worker,
-        quiescent: joined.quiescent,
-        faults: joined.faults,
-        link_counters: joined.link_counters,
-        wire_bytes: joined.wire_bytes,
-    }
-}
-
-/// What a run on either engine comes out as: the fold of its workers'
-/// final reports.
-pub(crate) struct Joined {
-    pub(crate) states: FinalStates,
-    pub(crate) metrics: Metrics,
-    pub(crate) per_worker: Vec<WorkerStats>,
-    pub(crate) quiescent: bool,
-    pub(crate) faults: FaultStats,
-    pub(crate) link_counters: BTreeMap<(usize, usize), LinkCounters>,
-    pub(crate) wire_bytes: u64,
+        .collect();
+    join_reports(outcomes, workers, cfg.faults.is_some(), true, 0, obs)
 }
 
 /// The counters of [`FaultStats`] that `net/fault_summary` carries, by
@@ -401,6 +429,7 @@ const FAULT_SUMMARY: [&str; 7] = [
 /// are kept as they came, one part per report. `complete` is false when
 /// some worker never reported, which forfeits quiescence; `deaths` counts
 /// worker processes lost on the way (each one a crash, absorbed or not).
+/// The supervisor's fields are left empty for the process engine to set.
 pub(crate) fn join_reports(
     mut reports: Vec<FinalReport>,
     workers: usize,
@@ -408,17 +437,20 @@ pub(crate) fn join_reports(
     complete: bool,
     deaths: u64,
     obs: &Obs,
-) -> Joined {
+) -> NetRunReport {
     reports.sort_by_key(|r| r.stats.worker);
     let mut parts = Vec::with_capacity(reports.len());
-    let mut j = Joined {
+    let mut j = NetRunReport {
         states: FinalStates::default(),
         metrics: Metrics::default(),
-        per_worker: Vec::with_capacity(reports.len()),
         quiescent: complete,
+        per_worker: Vec::with_capacity(reports.len()),
         faults: FaultStats::default(),
         link_counters: BTreeMap::new(),
         wire_bytes: 0,
+        failed_workers: Vec::new(),
+        adopted_workers: Vec::new(),
+        respawns: 0,
     };
     for report in reports {
         j.metrics.merge(&report.stats.metrics);
@@ -437,8 +469,7 @@ pub(crate) fn join_reports(
     obs.counter("net", "final.rows", rows as u64);
     j.states = FinalStates::new(parts, obs);
 
-    let (quiescent, faults) = (j.quiescent, j.faults);
-    let token_passes: u64 = j.per_worker.iter().map(|w| w.token_passes).sum();
+    let (quiescent, faults, token_passes) = (j.quiescent, j.faults, j.token_passes());
     obs.event("net", "termination", 0, || {
         vec![
             ("quiescent", ArgValue::Bool(quiescent)),

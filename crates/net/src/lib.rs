@@ -16,10 +16,10 @@
 //! ([`calm_transducer::engine::NodeEngine`]), so they can differ only
 //! in *scheduling* — and for coordination-free programs the paper's
 //! confluence guarantee says scheduling cannot matter. The equivalence
-//! tests in this crate execute that guarantee: threaded
-//! [`ThreadedRunResult::output`] equals the sequential
-//! [`calm_transducer::RunResult::output`] for all three strategy
-//! families, across seeds and worker counts.
+//! tests in this crate execute that guarantee: `out(R)` united from the
+//! final states of a threaded or process run ([`NetRunReport::states`])
+//! equals the sequential engine's ([`calm_transducer::RunReport::states`])
+//! for all three strategy families, across seeds and worker counts.
 //!
 //! ```
 //! use calm_net::{run_threaded, Programs, ThreadedConfig, ThreadedNetwork};
@@ -72,13 +72,13 @@ pub mod transport;
 pub mod wirefmt;
 
 pub use executor::{
-    run_threaded, run_threaded_with, Programs, ThreadedConfig, ThreadedNetwork, ThreadedRunResult,
-    WorkerStats,
+    run_threaded, run_threaded_with, NetRunReport, Programs, ThreadedConfig, ThreadedNetwork,
+    ThreadedRunResult, WorkerStats,
 };
 pub use faults::{CrashPoint, FaultPlan, FaultStats, LinkFaults, Partition};
 pub use reliable::LinkCounters;
 pub use transport::{
-    run_net_worker, run_process, Assign, JobSpec, NetError, ProcessConfig, ProcessRunResult,
-    SpawnHandle, Spawner, WorkerBuilder, WorkerSetup, PROTOCOL_VERSION,
+    run_net_worker, run_process, Assign, JobSpec, NetError, ProcessConfig, SpawnHandle, Spawner,
+    WorkerBuilder, WorkerSetup, PROTOCOL_VERSION,
 };
 pub use wirefmt::WireError;

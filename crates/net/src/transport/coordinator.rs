@@ -28,12 +28,8 @@ use super::proto::{
     PROTOCOL_VERSION,
 };
 use super::{frame, NetError};
-use crate::executor::{join_reports, Msg};
-use crate::faults::FaultStats;
-use crate::reliable::LinkCounters;
-use crate::WorkerStats;
+use crate::executor::{join_reports, Msg, NetRunReport};
 use calm_obs::{ArgValue, Obs};
-use calm_transducer::runtime::{FinalStates, Metrics};
 use std::collections::BTreeMap;
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
@@ -128,54 +124,6 @@ pub enum SpawnHandle {
 
 /// Starts worker `k`, telling it the coordinator's address.
 pub type Spawner<'a> = dyn Fn(usize, &str) -> Result<SpawnHandle, String> + 'a;
-
-/// The result of a process-engine run. Same accounting as
-/// [`ThreadedRunResult`](crate::ThreadedRunResult) minus the output
-/// instance: the transport is program-agnostic, so the caller (which
-/// knows the output schema) asks `states` for `out(R)`
-/// ([`FinalStates::united`], [`FinalStates::output`]).
-#[derive(Debug)]
-pub struct ProcessRunResult {
-    /// Final per-node states (missing the nodes of failed workers), as
-    /// the rows each `Final` frame was read into.
-    pub states: FinalStates,
-    /// Merged run counters (fold of per-worker metrics in worker
-    /// order).
-    pub metrics: Metrics,
-    /// Per-worker accounting, in worker order; failed workers are
-    /// absent.
-    pub per_worker: Vec<WorkerStats>,
-    /// Every worker reported, clean. `false` whenever `failed_workers`
-    /// is non-empty.
-    pub quiescent: bool,
-    /// Workers whose connection ended before their `Final` frame (or
-    /// that never honored the drain deadline) and whose shard could not
-    /// be recovered. Empty when every death was absorbed by a respawn
-    /// or an adoption.
-    pub failed_workers: Vec<usize>,
-    /// Ring positions whose respawn budget ran out and whose shard was
-    /// re-assigned to survivors (graceful degradation — the run can
-    /// still be quiescent and byte-identical).
-    pub adopted_workers: Vec<usize>,
-    /// Worker processes respawned by the supervisor over the run.
-    pub respawns: u64,
-    /// Merged fault counters. Each failed worker adds one `crashes`
-    /// tick on top of whatever the survivors report.
-    pub faults: FaultStats,
-    /// Merged per-link wire accounting.
-    pub link_counters: BTreeMap<(usize, usize), LinkCounters>,
-    /// Merged delta-encoded payload bytes (workers count them exactly
-    /// as the threaded engine does — the transport framing itself is
-    /// not payload and is not counted).
-    pub wire_bytes: u64,
-}
-
-impl ProcessRunResult {
-    /// Total ring hops across workers.
-    pub fn token_passes(&self) -> u64 {
-        self.per_worker.iter().map(|w| w.token_passes).sum()
-    }
-}
 
 // Short-lived channel payloads, one in flight per worker thread — the
 // variant size spread does not matter.
@@ -935,7 +883,7 @@ impl<'a> Supervisor<'a> {
     /// Tear the run down and come out through the join the threaded
     /// engine uses, so the merged metrics are deterministic given the
     /// per-worker values.
-    fn finish(mut self) -> ProcessRunResult {
+    fn finish(mut self) -> NetRunReport {
         self.teardown();
         self.failed.sort_unstable();
         self.adopted.sort_unstable();
@@ -947,7 +895,7 @@ impl<'a> Supervisor<'a> {
         } else {
             self.failed.len() as u64
         };
-        let joined = join_reports(
+        let mut report = join_reports(
             self.finals.into_iter().flatten().collect(),
             self.workers,
             self.cfg.spec.faults.is_some(),
@@ -955,18 +903,10 @@ impl<'a> Supervisor<'a> {
             deaths,
             self.obs,
         );
-        ProcessRunResult {
-            states: joined.states,
-            metrics: joined.metrics,
-            per_worker: joined.per_worker,
-            quiescent: joined.quiescent,
-            failed_workers: self.failed,
-            adopted_workers: self.adopted,
-            respawns: self.respawns,
-            faults: joined.faults,
-            link_counters: joined.link_counters,
-            wire_bytes: joined.wire_bytes,
-        }
+        report.failed_workers = self.failed;
+        report.adopted_workers = self.adopted;
+        report.respawns = self.respawns;
+        report
     }
 }
 
@@ -980,7 +920,7 @@ pub fn run_process(
     cfg: &ProcessConfig,
     spawner: &Spawner<'_>,
     obs: &Obs,
-) -> Result<ProcessRunResult, NetError> {
+) -> Result<NetRunReport, NetError> {
     let mut supervisor = Supervisor::new(cfg, spawner, obs)?;
     if let Err(e) = supervisor.start() {
         // Kill what we started; a partial fleet would otherwise sit in
@@ -995,6 +935,7 @@ pub fn run_process(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WorkerStats;
 
     /// Panic-injection regression for the lock-poisoning aborts: a
     /// relay thread dying mid-critical-section used to turn every

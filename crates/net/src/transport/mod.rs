@@ -28,7 +28,7 @@ pub mod frame;
 pub mod proto;
 pub mod worker;
 
-pub use coordinator::{run_process, ProcessConfig, ProcessRunResult, SpawnHandle, Spawner};
+pub use coordinator::{run_process, ProcessConfig, SpawnHandle, Spawner};
 pub use frame::{read_frame, write_frame, FrameError, FRAME_MAGIC, MAX_FRAME_LEN};
 pub use proto::{Assign, FinalReport, JobSpec, PROTOCOL_VERSION};
 pub use worker::{run_net_worker, WorkerBuilder, WorkerSetup};

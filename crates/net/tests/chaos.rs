@@ -19,19 +19,17 @@ mod common;
 
 use calm_common::query::Query;
 use calm_common::Instance;
-use calm_net::{
-    run_threaded, CrashPoint, FaultPlan, Programs, ThreadedConfig, ThreadedNetwork,
-    ThreadedRunResult,
-};
+use calm_net::{CrashPoint, FaultPlan, NetRunReport, Programs, ThreadedConfig, ThreadedNetwork};
+use calm_obs::Obs;
 use calm_queries::qtc::qtc_datalog;
 use calm_queries::tc::{edges_without_source_loop, tc_datalog};
 use calm_spec::final_config;
 use calm_transducer::{
-    expected_output, run, DisjointStrategy, DistinctStrategy, DistributionPolicy,
+    expected_output, run_with, DisjointStrategy, DistinctStrategy, DistributionPolicy,
     DomainGuidedPolicy, HashPolicy, MonotoneBroadcast, Network, Scheduler, SystemConfig,
     TransducerNetwork,
 };
-use common::{per_worker, random_edges, seed_base, Factory};
+use common::{per_worker, random_edges, seed_base, threaded, Factory};
 
 const WORKER_COUNTS: [usize; 2] = [2, 8];
 
@@ -68,7 +66,7 @@ fn plan(spec: &str) -> FaultPlan {
 
 /// Wire-level accounting: per-link and global conservation, no message
 /// abandoned, nothing left in the network on a quiescent run.
-fn check_chaos_accounting(r: &ThreadedRunResult, label: &str) {
+fn check_chaos_accounting(r: &NetRunReport, label: &str) {
     let mut buffered_total = 0;
     for ((src, dst), lc) in &r.link_counters {
         assert_eq!(
@@ -115,12 +113,14 @@ fn assert_chaos_confluent(
         policy,
         config: sys,
     };
-    let seq = run(&tn, input, &Scheduler::RoundRobin, 500_000);
+    let seq = run_with(&tn, input, &Scheduler::RoundRobin, 500_000, &Obs::noop());
     assert!(seq.quiescent, "{label}: sequential oracle must quiesce");
-    assert_eq!(seq.output, expected, "{label}: oracle vs centralized");
+    let seq_output = seq.states.output(&tn.transducer.schema().output);
+    assert_eq!(seq_output, expected, "{label}: oracle vs centralized");
+    let seq_states = final_config(&seq).state;
     for (plan_name, plan) in fault_plans(seed) {
         for workers in WORKER_COUNTS {
-            let thr = run_threaded(
+            let (output, thr) = threaded(
                 &ThreadedNetwork {
                     programs: Programs::PerWorker(programs),
                     policy,
@@ -132,7 +132,7 @@ fn assert_chaos_confluent(
             let tag = format!("{label} [{plan_name} x{workers}]");
             assert!(thr.quiescent, "{tag}: termination must be detected");
             assert_eq!(
-                thr.output, seq.output,
+                output, seq_output,
                 "{tag}: output differs from the sequential oracle"
             );
             // Every node, not only the union of the outputs: a node
@@ -143,7 +143,7 @@ fn assert_chaos_confluent(
             // `s_R`, `sf_R`, `sb_R`, … are memory).
             assert_eq!(
                 thr.states.materialize(),
-                final_config(&seq).state,
+                seq_states,
                 "{tag}: a node's final state differs from the sequential oracle"
             );
             check_chaos_accounting(&thr, &tag);
@@ -254,18 +254,15 @@ fn chaos_with_data_parallel_node_fixpoints_matches_the_oracle() {
         for i in 0..4u64 {
             let seed = seed_base() * 1000 + 400 + i;
             let input = random_edges(seed, 4, 2 + (i as usize % 3));
-            let seq = run(
-                &TransducerNetwork {
-                    transducer: &*programs(),
-                    policy: policy.as_ref(),
-                    config: *sys,
-                },
-                &input,
-                &Scheduler::RoundRobin,
-                500_000,
-            );
+            let tn = TransducerNetwork {
+                transducer: &*programs(),
+                policy: policy.as_ref(),
+                config: *sys,
+            };
+            let seq = run_with(&tn, &input, &Scheduler::RoundRobin, 500_000, &Obs::noop());
             assert!(seq.quiescent, "{label} seed {seed}: oracle must quiesce");
-            let thr = run_threaded(
+            let seq_output = seq.states.output(&tn.transducer.schema().output);
+            let (output, thr) = threaded(
                 &ThreadedNetwork {
                     programs: Programs::PerWorker(programs.as_ref()),
                     policy: policy.as_ref(),
@@ -277,7 +274,7 @@ fn chaos_with_data_parallel_node_fixpoints_matches_the_oracle() {
             let tag = format!("{label} seed {seed} [drop=0.05 x8 workers x4 eval threads]");
             assert!(thr.quiescent, "{tag}: termination must be detected");
             assert_eq!(
-                thr.output, seq.output,
+                output, seq_output,
                 "{tag}: output differs from the sequential oracle"
             );
             // Per node, as in `assert_chaos_confluent`.
@@ -316,13 +313,13 @@ fn a_crashed_node_steps_on_from_its_snapshot_alone() {
                 policy: &policy,
                 config: sys,
             };
-            let seq = run(&tn, &input, &Scheduler::RoundRobin, 500_000);
+            let seq = run_with(&tn, &input, &Scheduler::RoundRobin, 500_000, &Obs::noop());
             assert!(seq.quiescent);
             let snapshot = 1 + i % 3;
             let plan = plan(&format!(
                 "seed={seed},crash=0@2~3,crash=1@2~5,crash=1@4~2,snapshot={snapshot}"
             ));
-            let thr = run_threaded(
+            let (_, thr) = threaded(
                 &ThreadedNetwork {
                     programs: Programs::PerWorker(programs),
                     policy: &policy,
@@ -353,7 +350,7 @@ fn zero_fault_plan_pays_only_the_substrate() {
     let programs = per_worker(|| MonotoneBroadcast::new(Box::new(tc_datalog())));
     let policy = HashPolicy::new(Network::of_size(4));
     let input = random_edges(seed_base() * 1000 + 300, 6, 6);
-    let reference = run_threaded(
+    let (reference_output, reference) = threaded(
         &ThreadedNetwork {
             programs: Programs::PerWorker(&programs),
             policy: &policy,
@@ -364,7 +361,7 @@ fn zero_fault_plan_pays_only_the_substrate() {
     );
     assert!(reference.quiescent);
     assert_eq!(reference.faults, Default::default(), "no plan, no counters");
-    let thr = run_threaded(
+    let (output, thr) = threaded(
         &ThreadedNetwork {
             programs: Programs::PerWorker(&programs),
             policy: &policy,
@@ -374,7 +371,7 @@ fn zero_fault_plan_pays_only_the_substrate() {
         &ThreadedConfig::new(2).with_faults(FaultPlan::none(7)),
     );
     assert!(thr.quiescent);
-    assert_eq!(thr.output, reference.output);
+    assert_eq!(output, reference_output);
     assert_eq!(
         thr.metrics.messages_sent, reference.metrics.messages_sent,
         "a faultless substrate must not change engine-level message flow"
@@ -405,7 +402,7 @@ fn single_worker_runs_the_gauntlet_too() {
     let input = random_edges(seed_base() * 1000 + 301, 6, 5);
     let expected = expected_output(&tc_datalog(), &input);
     let plan = plan("seed=11,drop=0.2,dup=0.1,delay=0.2/4");
-    let thr = run_threaded(
+    let (output, thr) = threaded(
         &ThreadedNetwork {
             programs: Programs::PerWorker(&programs),
             policy: &policy,
@@ -415,7 +412,7 @@ fn single_worker_runs_the_gauntlet_too() {
         &ThreadedConfig::new(1).with_faults(plan),
     );
     assert!(thr.quiescent);
-    assert_eq!(thr.output, expected);
+    assert_eq!(output, expected);
     assert!(
         thr.faults.dropped > 0 || thr.faults.delayed > 0,
         "gauntlet ran"
@@ -439,7 +436,7 @@ fn parsed_plan_equals_built_plan() {
     let programs = per_worker(|| DistinctStrategy::new(Box::new(edges_without_source_loop())));
     let policy = HashPolicy::new(Network::of_size(3));
     let input = random_edges(seed_base() * 1000 + 302, 5, 4);
-    let thr = run_threaded(
+    let (output, thr) = threaded(
         &ThreadedNetwork {
             programs: Programs::PerWorker(&programs),
             policy: &policy,
@@ -450,7 +447,7 @@ fn parsed_plan_equals_built_plan() {
     );
     assert!(thr.quiescent);
     assert_eq!(
-        thr.output,
+        output,
         expected_output(&edges_without_source_loop(), &input)
     );
 }

@@ -5,7 +5,10 @@
 
 use calm_common::rng::Rng;
 use calm_common::{fact, Instance};
-use calm_net::{JobSpec, ProcessRunResult};
+use calm_net::{
+    run_threaded_with, JobSpec, NetRunReport, Programs, ThreadedConfig, ThreadedNetwork,
+};
+use calm_obs::Obs;
 use calm_queries::qtc::qtc_datalog;
 use calm_queries::tc::{edges_without_source_loop, tc_datalog};
 use calm_transducer::{
@@ -95,9 +98,14 @@ pub fn spec_for(strategy: &str, nodes: usize, faults: Option<String>) -> JobSpec
     }
 }
 
-/// `out(R)` of the collected states, united exactly as the threaded
-/// engine's join does (the transport is program-agnostic, so the
-/// output schema lives with the caller).
-pub fn project_output(t: &dyn Transducer, r: &ProcessRunResult) -> Instance {
-    r.states.output(&t.schema().output)
+/// A threaded run and its `out(R)`, united from its states once, under
+/// the schema its programs declare.
+pub fn threaded(
+    tn: &ThreadedNetwork<'_>,
+    input: &Instance,
+    cfg: &ThreadedConfig,
+) -> (Instance, NetRunReport) {
+    let r = run_threaded_with(tn, input, cfg, &Obs::noop());
+    let Programs::PerWorker(build) = tn.programs;
+    (r.states.output(&build().schema().output), r)
 }

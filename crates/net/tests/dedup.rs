@@ -12,7 +12,10 @@
 use calm_common::fact::fact;
 use calm_common::instance::Instance;
 use calm_common::rng::Rng;
-use calm_net::{run_threaded, FaultPlan, Programs, ThreadedConfig, ThreadedNetwork};
+use calm_net::{
+    run_threaded, run_threaded_with, FaultPlan, Programs, ThreadedConfig, ThreadedNetwork,
+};
+use calm_obs::Obs;
 use calm_queries::tc::tc_datalog;
 use calm_transducer::{HashPolicy, MonotoneBroadcast, Network, SystemConfig, Transducer};
 
@@ -89,7 +92,7 @@ fn link_counters_reconcile_under_random_fault_plans() {
         let dup_p = (rng.gen_u64() % 30) as f64 / 100.0;
         let mut plan = FaultPlan::uniform(seed, drop_p, dup_p);
         (plan.link.delay_p, plan.link.max_delay) = (0.2, 4);
-        let r = run_threaded(
+        let r = run_threaded_with(
             &ThreadedNetwork {
                 programs: Programs::PerWorker(&tc_broadcast),
                 policy: &policy,
@@ -97,6 +100,7 @@ fn link_counters_reconcile_under_random_fault_plans() {
             },
             &input,
             &ThreadedConfig::new(3).with_faults(plan),
+            &Obs::noop(),
         );
         assert!(r.quiescent, "seed {seed} (drop {drop_p}, dup {dup_p})");
         let mut sums = (0u64, 0u64, 0u64, 0u64, 0u64);

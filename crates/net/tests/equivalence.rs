@@ -17,7 +17,10 @@ mod common;
 
 use calm_common::query::Query;
 use calm_common::Instance;
-use calm_net::{run_threaded, Programs, ThreadedConfig, ThreadedNetwork, ThreadedRunResult};
+use calm_net::{
+    run_threaded, run_threaded_with, NetRunReport, Programs, ThreadedConfig, ThreadedNetwork,
+};
+use calm_obs::Obs;
 use calm_queries::qtc::qtc_datalog;
 use calm_queries::tc::{edges_without_source_loop, tc_datalog};
 use calm_spec::network_output;
@@ -30,7 +33,7 @@ use common::{per_worker, random_edges, seed_base, Factory};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
-fn check_conservation(r: &ThreadedRunResult, label: &str) {
+fn check_conservation(r: &NetRunReport, label: &str) {
     for w in &r.per_worker {
         assert_eq!(
             w.enqueued,
@@ -79,7 +82,7 @@ fn assert_confluent(
     assert!(seq.quiescent, "{label}: sequential oracle must quiesce");
     assert_eq!(seq.output, expected, "{label}: oracle vs centralized");
     for workers in WORKER_COUNTS {
-        let thr = run_threaded(
+        let thr = run_threaded_with(
             &ThreadedNetwork {
                 programs: Programs::PerWorker(programs),
                 policy,
@@ -87,16 +90,18 @@ fn assert_confluent(
             },
             input,
             &ThreadedConfig::new(workers),
+            &Obs::noop(),
         );
         assert!(thr.quiescent, "{label}: threaded x{workers} must quiesce");
+        let output = thr.states.output(&t.schema().output);
         assert_eq!(
-            thr.output, seq.output,
+            output, seq.output,
             "{label}: threaded x{workers} output differs from sequential"
         );
-        // `output` was united from rows: the specification projects it
+        // `out(R)` is united from rows: the specification projects it
         // from every node's state as facts.
         assert_eq!(
-            thr.output,
+            output,
             network_output(&thr.states.materialize(), &t.schema().output),
             "{label}: threaded x{workers} output is not out(R) of its states"
         );
@@ -209,7 +214,7 @@ fn exhausted_budget_reports_not_quiescent() {
     let programs = per_worker(|| MonotoneBroadcast::new(Box::new(tc_datalog())));
     let policy = HashPolicy::new(Network::of_size(3));
     let input = calm_common::generator::path(5);
-    let thr = run_threaded(
+    let thr = run_threaded_with(
         &ThreadedNetwork {
             programs: Programs::PerWorker(&programs),
             policy: &policy,
@@ -220,6 +225,7 @@ fn exhausted_budget_reports_not_quiescent() {
             step_budget: 1,
             ..ThreadedConfig::new(2)
         },
+        &Obs::noop(),
     );
     assert!(!thr.quiescent, "a 1-step budget cannot reach quiescence");
     // Conservation still holds: exhausted workers keep draining their
@@ -250,7 +256,7 @@ fn a_program_that_never_stops_sending_runs_out_its_budget() {
     };
     let seq = run(&tn, &input, &Scheduler::RoundRobin, 100_000);
     assert!(seq.quiescent);
-    let thr = run_threaded(
+    let thr = run_threaded_with(
         &ThreadedNetwork {
             programs: Programs::PerWorker(&programs),
             policy: &policy,
@@ -261,9 +267,10 @@ fn a_program_that_never_stops_sending_runs_out_its_budget() {
             step_budget: 200,
             ..ThreadedConfig::new(2)
         },
+        &Obs::noop(),
     );
     assert!(!thr.quiescent, "every step sends: no step is the last");
-    assert!(thr.output.is_subset(&seq.output));
+    assert!(thr.states.output(&t.schema().output).is_subset(&seq.output));
     check_conservation(&thr, "re-sender");
 }
 

@@ -20,11 +20,11 @@ mod common;
 
 use calm_common::Instance;
 use calm_net::{
-    run_net_worker, run_process, Assign, ProcessConfig, ProcessRunResult, SpawnHandle, WorkerSetup,
+    run_net_worker, run_process, Assign, NetRunReport, ProcessConfig, SpawnHandle, WorkerSetup,
 };
 use calm_obs::Obs;
 use calm_transducer::{run, Scheduler, TransducerNetwork};
-use common::{family, project_output, random_edges, seed_base, spec_for};
+use common::{family, random_edges, seed_base, spec_for};
 
 const PROC_COUNTS: [usize; 2] = [2, 4];
 
@@ -35,7 +35,7 @@ fn run_process_tcp(
     nodes: usize,
     procs: usize,
     faults: Option<String>,
-) -> ProcessRunResult {
+) -> NetRunReport {
     // Budget 0: the un-supervised transport, exactly as before PR 9.
     // The supervised (respawn + restore) paths have their own suite in
     // `recovery.rs`.
@@ -84,7 +84,7 @@ fn assert_process_confluent(strategy: &'static str, nodes: usize, input: &Instan
         assert!(r.failed_workers.is_empty(), "{tag}: no worker may fail");
         assert!(r.quiescent, "{tag}: termination must be detected");
         assert_eq!(
-            project_output(t.as_ref(), &r),
+            r.states.output(&t.schema().output),
             seq.output,
             "{tag}: output differs from the sequential oracle"
         );
@@ -165,7 +165,7 @@ fn faulty_process_runs_keep_the_wire_accounting_identity() {
             assert!(r.failed_workers.is_empty(), "{tag}: no worker may fail");
             assert!(r.quiescent, "{tag}: termination must be detected");
             assert_eq!(
-                project_output(t.as_ref(), &r),
+                r.states.output(&t.schema().output),
                 seq.output,
                 "{tag}: output differs from the sequential oracle"
             );
@@ -408,6 +408,10 @@ fn proc_counts_clamp_to_the_network_size() {
         let r = run_process_tcp("monotone", &input, 4, procs, None);
         assert!(r.quiescent, "procs {procs}");
         assert!(r.per_worker.len() <= 4, "procs {procs} clamps to |N|");
-        assert_eq!(project_output(t.as_ref(), &r), expected, "procs {procs}");
+        assert_eq!(
+            r.states.output(&t.schema().output),
+            expected,
+            "procs {procs}"
+        );
     }
 }

@@ -20,12 +20,12 @@ mod common;
 
 use calm_common::Instance;
 use calm_net::{
-    run_net_worker, run_process, Assign, ProcessConfig, ProcessRunResult, SpawnHandle, WorkerSetup,
+    run_net_worker, run_process, Assign, NetRunReport, ProcessConfig, SpawnHandle, WorkerSetup,
 };
 use calm_obs::Obs;
 use calm_spec::final_config;
-use calm_transducer::{run, Scheduler, TransducerNetwork};
-use common::{family, project_output, random_edges, seed_base, spec_for};
+use calm_transducer::{run, run_with, Scheduler, TransducerNetwork};
+use common::{family, random_edges, seed_base, spec_for};
 
 const PROC_COUNTS: [usize; 2] = [2, 4];
 
@@ -38,7 +38,7 @@ fn run_supervised_tcp(
     nodes: usize,
     procs: usize,
     faults: String,
-) -> ProcessRunResult {
+) -> NetRunReport {
     let mut cfg = ProcessConfig::new(procs, spec_for(strategy, nodes, Some(faults)));
     cfg.respawn_backoff = std::time::Duration::from_millis(5);
     let input = input.clone();
@@ -109,7 +109,7 @@ fn assert_recovery_confluent(
     label: &str,
 ) -> u64 {
     let (t, policy, sys) = family(strategy, nodes);
-    let seq = run(
+    let seq = run_with(
         &TransducerNetwork {
             transducer: t.as_ref(),
             policy: policy.as_ref(),
@@ -118,8 +118,11 @@ fn assert_recovery_confluent(
         input,
         &Scheduler::RoundRobin,
         500_000,
+        &Obs::noop(),
     );
     assert!(seq.quiescent, "{label}: sequential oracle must quiesce");
+    let expected = seq.states.output(&t.schema().output);
+    let expected_states = final_config(&seq).state;
     let mut replayed_total = 0u64;
     for procs in PROC_COUNTS {
         for (plan_name, plan) in kill_plans(seed) {
@@ -131,8 +134,8 @@ fn assert_recovery_confluent(
             );
             assert!(r.quiescent, "{tag}: termination must be detected");
             assert_eq!(
-                project_output(t.as_ref(), &r),
-                seq.output,
+                r.states.output(&t.schema().output),
+                expected,
                 "{tag}: output differs from the sequential oracle"
             );
             // A respawned worker rebuilds every engine of its shard from
@@ -141,7 +144,7 @@ fn assert_recovery_confluent(
             // marks (`s_R`, `sf_R`, `sb_R`, …) included.
             assert_eq!(
                 r.states.materialize(),
-                final_config(&seq).state,
+                expected_states,
                 "{tag}: a node's final state differs from the sequential oracle"
             );
 
@@ -254,7 +257,7 @@ fn restore_converges_from_any_retained_snapshot_version() {
         assert!(r.failed_workers.is_empty(), "kill at step {step}");
         assert!(r.quiescent, "kill at step {step}");
         assert_eq!(
-            project_output(t.as_ref(), &r),
+            r.states.output(&t.schema().output),
             seq.output,
             "restore from the version retained at step {step} diverged"
         );
@@ -271,7 +274,7 @@ fn budget_exhaustion_adopts_the_shard_and_still_converges() {
     let seed = seed_base() * 1000 + 500;
     let input = random_edges(seed, 6, 4);
     let (t, policy, sys) = family("monotone", 4);
-    let seq = run(
+    let seq = run_with(
         &TransducerNetwork {
             transducer: t.as_ref(),
             policy: policy.as_ref(),
@@ -280,6 +283,7 @@ fn budget_exhaustion_adopts_the_shard_and_still_converges() {
         &input,
         &Scheduler::RoundRobin,
         500_000,
+        &Obs::noop(),
     );
     assert!(seq.quiescent);
     // Budget 1, two kills on worker 1: incarnation 0 dies, incarnation
@@ -315,8 +319,8 @@ fn budget_exhaustion_adopts_the_shard_and_still_converges() {
     assert!(r.respawns >= 1, "the budget was spent before adopting");
     assert!(r.quiescent, "the survivors still quiesce");
     assert_eq!(
-        project_output(t.as_ref(), &r),
-        seq.output,
+        r.states.output(&t.schema().output),
+        seq.states.output(&t.schema().output),
         "adopted shard diverged from the oracle"
     );
     assert_eq!(

@@ -11,11 +11,11 @@ use calm_net::{
     run_threaded, run_threaded_with, FaultPlan, Programs, ThreadedConfig, ThreadedNetwork,
 };
 use calm_obs::trace::analyze_lines;
-use calm_obs::{JsonlSink, Obs};
+use calm_obs::{JsonlSink, Obs, ReportSink};
 use calm_queries::tc::tc_datalog;
 use calm_transducer::{
-    run, HashPolicy, MonotoneBroadcast, Network, Scheduler, SystemConfig, Transducer,
-    TransducerNetwork,
+    expected_output, run, HashPolicy, MonotoneBroadcast, Network, Scheduler, SystemConfig,
+    Transducer, TransducerNetwork,
 };
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -185,7 +185,8 @@ fn tracing_never_perturbs_outputs() {
     let seq_traced =
         calm_transducer::run_with(&seq_tn, &input, &Scheduler::RoundRobin, 1_000_000, &obs);
     obs.finish();
-    assert_eq!(seq_traced.output, oracle.output, "sequential traced");
+    let seq_traced = seq_traced.states.output(&t.schema().output);
+    assert_eq!(seq_traced, oracle.output, "sequential traced");
 
     let tn = ThreadedNetwork {
         programs: Programs::PerWorker(&tc_broadcast),
@@ -204,12 +205,52 @@ fn tracing_never_perturbs_outputs() {
             obs.finish();
             let tag = format!("workers={workers} faults={}", faults.is_some());
             assert!(traced.quiescent, "{tag}");
-            assert_eq!(traced.output, oracle.output, "{tag}: traced vs oracle");
-            assert_eq!(untraced.output, traced.output, "{tag}: untraced vs traced");
+            let traced_output = traced.states.output(&t.schema().output);
+            assert_eq!(traced_output, oracle.output, "{tag}: traced vs oracle");
+            assert_eq!(untraced.output, traced_output, "{tag}: untraced vs traced");
             assert_eq!(
                 untraced.metrics.messages_sent, traced.metrics.messages_sent,
                 "{tag}: tracing must not change engine-level sends"
             );
         }
     }
+}
+
+/// How many `runtime/finish` spans `report` holds: the `n=` of its line.
+fn finish_spans(report: &ReportSink) -> u64 {
+    let rendered = report.render();
+    let line = rendered
+        .lines()
+        .find(|l| l.trim_start().starts_with("runtime/finish "));
+    line.map_or(0, |l| {
+        let n = l.split_whitespace().find_map(|w| w.strip_prefix("n="));
+        n.expect("a span line has n=").parse().unwrap()
+    })
+}
+
+#[test]
+fn a_threaded_run_unites_out_r_only_when_asked() {
+    // The join hands the workers' rows over as they are: `out(R)` is
+    // united by the caller that reads it, once, and no node's state is
+    // built as facts on the way.
+    let policy = HashPolicy::new(Network::of_size(4));
+    let tn = ThreadedNetwork {
+        programs: Programs::PerWorker(&tc_broadcast),
+        policy: &policy,
+        config: SystemConfig::ORIGINAL,
+    };
+    let report = Arc::new(ReportSink::new());
+    let input = chain_input(6);
+    let obs = Obs::new(report.clone());
+    let r = run_threaded_with(&tn, &input, &ThreadedConfig::new(2), &obs);
+    assert!(r.quiescent);
+    assert_eq!(finish_spans(&report), 0, "the run united nothing");
+    let output = r.states.output(&tc_broadcast().schema().output);
+    assert_eq!(output, expected_output(&tc_datalog(), &input));
+    assert_eq!(
+        finish_spans(&report),
+        1,
+        "out(R) is united once, when asked"
+    );
+    assert_eq!(report.counter_total("runtime", "states.materialized"), 0);
 }

@@ -7,8 +7,8 @@ use calm_common::schema::Schema;
 use calm_common::storage::{load_instance, store_to_instance, SharedSymbols, Storage};
 use calm_obs::Obs;
 use calm_transducer::{
-    run, Batch, Delivery, Metrics, Multiset, Network, NodeEngine, NodeId, RunResult, Scheduler,
-    TransducerNetwork,
+    run_with, Batch, Delivery, Metrics, Multiset, Network, NodeEngine, NodeId, RunReport,
+    Scheduler, TransducerNetwork,
 };
 use std::collections::BTreeMap;
 
@@ -43,9 +43,9 @@ impl Configuration {
     }
 }
 
-/// The final configuration of a run. Built on request: most callers read
-/// `out(R)` and nothing else.
-pub fn final_config(r: &RunResult) -> Configuration {
+/// The final configuration of a run, built from its report's rows: the
+/// states and the buffers.
+pub fn final_config(r: &RunReport) -> Configuration {
     Configuration {
         state: r.states.materialize(),
         buffer: r.buffers(),
@@ -140,26 +140,26 @@ pub fn network_output(states: &BTreeMap<NodeId, Instance>, output: &Schema) -> I
 
 /// Check that the network *computes* a query on this input: every
 /// scheduler in `schedulers` must quiesce with output exactly `expected`.
-/// Returns the per-scheduler results for inspection.
+/// Returns the per-scheduler reports for inspection.
 pub fn verify_computes(
     tn: &TransducerNetwork<'_>,
     input: &Instance,
     expected: &Instance,
     schedulers: &[Scheduler],
     max_transitions: usize,
-) -> Result<Vec<RunResult>, String> {
+) -> Result<Vec<RunReport>, String> {
     let mut results = Vec::new();
     for s in schedulers {
-        let r = run(tn, input, s, max_transitions);
+        let r = run_with(tn, input, s, max_transitions, &Obs::noop());
         if !r.quiescent {
             return Err(format!(
                 "run did not quiesce within {max_transitions} transitions under {s:?}"
             ));
         }
-        if &r.output != expected {
+        let output = r.states.output(&tn.transducer.schema().output);
+        if &output != expected {
             return Err(format!(
-                "scheduler {s:?}: output {:?} != expected {:?}",
-                r.output, expected
+                "scheduler {s:?}: output {output:?} != expected {expected:?}"
             ));
         }
         results.push(r);

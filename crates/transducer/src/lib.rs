@@ -42,8 +42,8 @@ pub use network::{Network, NodeId};
 pub use policy::{distribute, DistributionPolicy, DomainGuidedPolicy, HashPolicy};
 pub use rows::{input_batches, Batch, StateRows};
 pub use runtime::{
-    run, run_with, Delivery, FinalStates, Metrics, RunResult, Scheduler, TransducerNetwork,
-    DEFAULT_DELIVER_P,
+    run, run_with, Delivery, FinalStates, Metrics, RunReport, RunResult, Scheduler,
+    TransducerNetwork, DEFAULT_DELIVER_P,
 };
 pub use schema::{policy_relation, SystemConfig, TransducerSchema};
 pub use strategy::{

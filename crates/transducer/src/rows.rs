@@ -227,7 +227,7 @@ impl Inbox {
     }
 
     /// The buffer as the multiset of facts it is (for a configuration,
-    /// [`crate::runtime::RunResult::buffers`]).
+    /// [`crate::runtime::RunReport::buffers`]).
     pub(crate) fn to_multiset(&self, table: &SymbolTable) -> Multiset<Fact> {
         let mut out = Multiset::new();
         for batch in &self.batches {

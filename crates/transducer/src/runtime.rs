@@ -212,12 +212,21 @@ impl FinalStates {
         }
     }
 
-    /// `out(R)` — the output facts of the materialised states, without
-    /// them — under the span `runtime/finish`: [`FinalStates::united`],
-    /// un-interned.
+    /// `out(R)` as an [`Instance`], under the span `runtime/finish`: united
+    /// over a table of its own, un-interned one sorted relation at a time.
     pub fn output(&self, output: &Schema) -> Instance {
         let _span = self.obs.span("runtime", || "finish".to_string());
-        un_intern(output, self)
+        let symbols = SharedSymbols::new();
+        let rows = self.unite(output, &symbols);
+        let (table, mut order) = (&*symbols.read(), CanonicalOrder::default());
+        order.extend(table);
+        let mut united = Instance::new();
+        for (name, r) in relations_by_name(&rows, table) {
+            let relation = rows.relation(r).expect("a listed relation");
+            let ids = order.sorted_ids(relation, None).into_iter();
+            united.extend_relation(name, ids.map(|id| values_of(table, relation.row(id))));
+        }
+        united
     }
 
     /// `out(R)` as rows, under the span `runtime/finish`: the rows of the
@@ -276,24 +285,31 @@ impl FinalStates {
     }
 }
 
-/// `out(R)` of `states` as an [`Instance`], united over a table of its
-/// own and un-interned once, a relation at a time in canonical order: the
-/// set of its tuples is built from one sorted run.
-fn un_intern(output: &Schema, states: &FinalStates) -> Instance {
-    let symbols = SharedSymbols::new();
-    let rows = states.unite(output, &symbols);
-    let (table, mut order) = (&*symbols.read(), CanonicalOrder::default());
-    order.extend(table);
-    let mut united = Instance::new();
-    for (name, r) in relations_by_name(&rows, table) {
-        let relation = rows.relation(r).expect("a listed relation");
-        let ids = order.sorted_ids(relation, None).into_iter();
-        united.extend_relation(name, ids.map(|id| values_of(table, relation.row(id))));
-    }
-    united
+/// What [`run_with`] comes out as. `out(R)` is built only on request, from
+/// `states` ([`FinalStates::output`], [`FinalStates::united`]).
+#[derive(Debug)]
+pub struct RunReport {
+    /// The final `s(x)` of every node, as the rows the run left.
+    pub states: FinalStates,
+    /// Run counters.
+    pub metrics: Metrics,
+    /// Whether the run reached quiescence within the transition budget.
+    pub quiescent: bool,
+    /// The final `b(x)` of every node, over the states' one table.
+    buffers: Vec<(NodeId, Inbox)>,
 }
 
-/// The result of driving a run to quiescence.
+impl RunReport {
+    /// The final `b(x)` of every node, as facts, built now.
+    pub fn buffers(&self) -> BTreeMap<NodeId, Multiset<Fact>> {
+        let table = self.states.parts[0].symbols.read();
+        let buffer = |(x, b): &(NodeId, Inbox)| (x.clone(), b.to_multiset(&table));
+        self.buffers.iter().map(buffer).collect()
+    }
+}
+
+/// What [`run`] comes out as: `out(R)`, built once, and the counters — the
+/// fields its callers read. The rest take [`run_with`]'s [`RunReport`].
 #[derive(Debug, Clone)]
 pub struct RunResult {
     /// `out(R)` — the union of output facts across nodes.
@@ -302,21 +318,6 @@ pub struct RunResult {
     pub metrics: Metrics,
     /// Whether the run reached quiescence within the transition budget.
     pub quiescent: bool,
-    /// The final `s(x)` of every node, as the rows the run left.
-    pub states: FinalStates,
-    /// The final `b(x)` of every node, over `symbols` like the states.
-    buffers: Vec<(NodeId, Inbox)>,
-    symbols: SharedSymbols,
-}
-
-impl RunResult {
-    /// The final `b(x)` of every node, as facts. Built on request: most
-    /// callers read `out(R)` and nothing else.
-    pub fn buffers(&self) -> BTreeMap<NodeId, Multiset<Fact>> {
-        let table = self.symbols.read();
-        let buffer = |(x, b): &(NodeId, Inbox)| (x.clone(), b.to_multiset(&table));
-        self.buffers.iter().map(buffer).collect()
-    }
 }
 
 /// Schedulers: how nodes are activated and messages delivered. All
@@ -413,19 +414,24 @@ pub fn run(
     scheduler: &Scheduler,
     max_transitions: usize,
 ) -> RunResult {
-    run_with(tn, input, scheduler, max_transitions, &Obs::noop())
+    let r = run_with(tn, input, scheduler, max_transitions, &Obs::noop());
+    RunResult {
+        output: r.states.output(&tn.transducer.schema().output),
+        metrics: r.metrics,
+        quiescent: r.quiescent,
+    }
 }
 
 /// As [`run`], reporting per-transition events, per-class message
 /// counters, per-node queue-depth gauges and a final run summary to
-/// `obs`.
+/// `obs`, and building no `out(R)`: the report holds the final states.
 pub fn run_with(
     tn: &TransducerNetwork<'_>,
     input: &Instance,
     scheduler: &Scheduler,
     max_transitions: usize,
     obs: &Obs,
-) -> RunResult {
+) -> RunReport {
     let ids: Vec<&NodeId> = tn.policy.network().nodes().collect();
     // One warm node per node of the network for the whole run, all over
     // one symbol table: what one sends, another enqueues by handle.
@@ -495,15 +501,12 @@ pub fn run_with(
 
     metrics.report_run_summary(obs, quiescent);
 
-    // out(R) is united from the rows the nodes come apart in; nothing
-    // else of the final states is un-interned — see [`RunResult::buffers`].
-    let _span = obs.span("runtime", || "finish".to_string());
     if obs.enabled() {
         let symbols = symbols.read().sym_count();
         obs.gauge("runtime", "symbols", 0, symbols as u64);
     }
     let mut rows = StateRows {
-        symbols: symbols.clone(),
+        symbols,
         nodes: Vec::with_capacity(nodes.len()),
     };
     let mut buffers = Vec::with_capacity(nodes.len());
@@ -515,13 +518,10 @@ pub fn run_with(
         rows.nodes.push((x.clone(), state));
         buffers.push((x.clone(), buffer));
     }
-    let states = FinalStates::new(vec![rows], obs);
-    RunResult {
-        output: un_intern(&tn.transducer.schema().output, &states),
+    RunReport {
+        states: FinalStates::new(vec![rows], obs),
         metrics,
         quiescent,
-        states,
         buffers,
-        symbols,
     }
 }

@@ -131,9 +131,10 @@ mod tests {
     use super::*;
     use crate::network::Network;
     use crate::policy::HashPolicy;
-    use crate::runtime::{run, run_with, RunResult, Scheduler, TransducerNetwork};
+    use crate::runtime::{run, run_with, RunReport, Scheduler, TransducerNetwork};
     use crate::schema::SystemConfig;
     use crate::strategy::{expected_output, MonotoneBroadcast};
+    use crate::transducer::Transducer;
     use calm_common::generator::path;
     use calm_common::instance::Instance;
     use calm_obs::Obs;
@@ -147,7 +148,7 @@ mod tests {
         tn: &TransducerNetwork<'_>,
         input: &Instance,
         max_transitions: usize,
-    ) -> (RunResult, Trace) {
+    ) -> (RunReport, Trace) {
         let sink = Arc::new(TraceSink::new());
         let obs = Obs::new(sink.clone());
         let result = run_with(tn, input, &Scheduler::RoundRobin, max_transitions, &obs);
@@ -166,8 +167,9 @@ mod tests {
             config: SystemConfig::ORIGINAL,
         };
         let (result, trace) = traced_run(&tn, &input, 100_000);
+        let output = result.states.output(&t.schema().output);
         assert!(result.quiescent);
-        assert_eq!(result.output, expected);
+        assert_eq!(output, expected);
         // Event bookkeeping is consistent with the metrics.
         assert_eq!(trace.events.len(), result.metrics.transitions);
         let traced_sent: usize = trace.events.iter().map(|e| e.sent).sum();
@@ -178,7 +180,7 @@ mod tests {
         let from_trace: BTreeSet<String> = (trace.events.iter())
             .flat_map(|e| e.new_output.iter().cloned())
             .collect();
-        let rendered: BTreeSet<String> = result.output.facts().map(|f| f.to_string()).collect();
+        let rendered: BTreeSet<String> = output.facts().map(|f| f.to_string()).collect();
         assert_eq!(from_trace, rendered);
         // Rendering produces one line per event, 1-based indexes in order.
         assert_eq!(trace.render().lines().count(), trace.events.len());
@@ -190,7 +192,7 @@ mod tests {
         // The traced run is the plain run plus observation: identical
         // output and metrics.
         let plain = run(&tn, &input, &Scheduler::RoundRobin, 100_000);
-        assert_eq!(plain.output, result.output);
+        assert_eq!(plain.output, output);
         assert_eq!(plain.metrics, result.metrics);
     }
 

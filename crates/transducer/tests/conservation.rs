@@ -5,16 +5,17 @@
 
 use calm_common::generator::path;
 use calm_common::Instance;
+use calm_obs::Obs;
 use calm_queries::qtc::qtc_datalog;
 use calm_queries::tc::{edges_without_source_loop, tc_datalog};
 use calm_spec::{final_config, transition, Configuration};
 use calm_transducer::{
-    distribute, run, Delivery, DisjointStrategy, DistinctStrategy, DistributionPolicy,
-    DomainGuidedPolicy, HashPolicy, Metrics, MonotoneBroadcast, Network, RunResult, Scheduler,
+    distribute, run_with, Delivery, DisjointStrategy, DistinctStrategy, DistributionPolicy,
+    DomainGuidedPolicy, HashPolicy, Metrics, MonotoneBroadcast, Network, RunReport, Scheduler,
     SystemConfig, Transducer, TransducerNetwork,
 };
 
-fn check_conservation(r: &RunResult, label: &str) {
+fn check_conservation(r: &RunReport, label: &str) {
     let m = &r.metrics;
     let config = final_config(r);
     assert_eq!(
@@ -44,16 +45,22 @@ fn run_both_schedulers(
     config: SystemConfig,
     input: &Instance,
     label: &str,
-) -> RunResult {
+) -> RunReport {
     let tn = TransducerNetwork {
         transducer: t,
         policy,
         config,
     };
-    let rr = run(&tn, input, &Scheduler::RoundRobin, 500_000);
+    let rr = run_with(&tn, input, &Scheduler::RoundRobin, 500_000, &Obs::noop());
     assert!(rr.quiescent, "{label}: round-robin run must quiesce");
     check_conservation(&rr, label);
-    let rand = run(&tn, input, &Scheduler::random(23, 40), 500_000);
+    let rand = run_with(
+        &tn,
+        input,
+        &Scheduler::random(23, 40),
+        500_000,
+        &Obs::noop(),
+    );
     assert!(rand.quiescent, "{label}: random run must quiesce");
     check_conservation(&rand, label);
     rr

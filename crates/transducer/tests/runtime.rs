@@ -7,7 +7,7 @@
 use calm_common::fact::fact;
 use calm_common::instance::Instance;
 use calm_common::schema::Schema;
-use calm_obs::Obs;
+use calm_obs::{Obs, ReportSink};
 use calm_spec::{
     final_config, network_output, transition, verify_computes, Configuration, DatalogTransducer,
 };
@@ -15,6 +15,7 @@ use calm_transducer::{
     distribute, run, run_with, Delivery, HashPolicy, Metrics, Network, Scheduler, SystemConfig,
     Transducer, TransducerNetwork, TransducerSchema,
 };
+use std::sync::Arc;
 
 /// A broadcast-union transducer: every node broadcasts its local edges
 /// and outputs everything it knows. Computes the identity query on E
@@ -328,8 +329,20 @@ fn memory_update_follows_the_paper_formula() {
     assert!(config.state[&x].contains(&fact("out_probe", [1, 2])));
 }
 
+/// How many `runtime/finish` spans `report` holds: the `n=` of its line.
+fn finish_spans(report: &ReportSink) -> u64 {
+    let rendered = report.render();
+    let line = rendered
+        .lines()
+        .find(|l| l.trim_start().starts_with("runtime/finish "));
+    line.map_or(0, |l| {
+        let n = l.split_whitespace().find_map(|w| w.strip_prefix("n="));
+        n.expect("a span line has n=").parse().unwrap()
+    })
+}
+
 #[test]
-fn a_run_builds_no_nodes_state_until_it_is_asked_for_the_configuration() {
+fn a_run_builds_neither_out_r_nor_a_nodes_state_until_it_is_asked() {
     let policy = HashPolicy::new(Network::of_size(3));
     let t = union_transducer();
     let tn = TransducerNetwork {
@@ -337,7 +350,7 @@ fn a_run_builds_no_nodes_state_until_it_is_asked_for_the_configuration() {
         policy: &policy,
         config: SystemConfig::ORIGINAL,
     };
-    let report = std::sync::Arc::new(calm_obs::ReportSink::new());
+    let report = Arc::new(ReportSink::new());
     let input = calm_common::generator::path(5);
     let r = run_with(
         &tn,
@@ -346,15 +359,23 @@ fn a_run_builds_no_nodes_state_until_it_is_asked_for_the_configuration() {
         1000,
         &Obs::new(report.clone()),
     );
-    assert_eq!(r.output, expected_out(&input));
+    assert!(r.quiescent);
+    assert_eq!(finish_spans(&report), 0, "the run united nothing");
+    let output = r.states.output(&t.schema().output);
+    assert_eq!(output, expected_out(&input));
+    assert_eq!(
+        finish_spans(&report),
+        1,
+        "out(R) is united once, when asked"
+    );
     assert_eq!(report.counter_total("runtime", "states.materialized"), 0);
     // The configuration is the one the specification's transitions
     // reach, and `out(R)` its projection.
     let config = final_config(&r);
     assert_eq!(report.counter_total("runtime", "states.materialized"), 3);
-    assert_eq!(network_output(&config.state, &t.schema().output), r.output);
+    assert_eq!(network_output(&config.state, &t.schema().output), output);
     assert_eq!(r.states.materialize(), config.state);
-    assert_eq!(r.states.output(&t.schema().output), r.output);
+    assert_eq!(finish_spans(&report), 1);
 }
 
 #[test]

@@ -36,7 +36,7 @@ use calm_spec::{
 };
 use calm_transducer::schema::is_system_relation;
 use calm_transducer::{
-    distribute, input_batches, run, Delivery, DisjointStrategy, DistinctStrategy,
+    distribute, input_batches, run_with, Delivery, DisjointStrategy, DistinctStrategy,
     DistributionPolicy, DomainGuidedPolicy, HashPolicy, Metrics, MonotoneBroadcast, Multiset,
     Network, NodeEngine, NodeId, Scheduler, SystemConfig, Transducer, TransducerNetwork,
     TransducerSchema, TransducerStep,
@@ -358,7 +358,7 @@ fn a_run_ends_in_the_configuration_the_specification_reaches() {
                 policy: policy.as_ref(),
                 config: sys,
             };
-            let r = run(&warm, &input, &Scheduler::RoundRobin, 10_000);
+            let r = run_with(&warm, &input, &Scheduler::RoundRobin, 10_000, &Obs::noop());
             assert!(r.quiescent, "{label}");
 
             let spec = Spec(t.as_ref());
@@ -377,7 +377,7 @@ fn a_run_ends_in_the_configuration_the_specification_reaches() {
             assert_eq!(final_config(&r), config, "{label}: configuration");
             assert_eq!(r.metrics, metrics, "{label}: metrics");
             let out = network_output(&config.state, &t.schema().output);
-            assert_eq!(r.output, out, "{label}: out(R)");
+            assert_eq!(r.states.output(&t.schema().output), out, "{label}: out(R)");
         }
     }
 }
