@@ -55,7 +55,7 @@ pub struct CompiledRule {
 #[derive(Debug, Clone, Default)]
 pub struct RulePaths {
     /// No seed: every positive atom in body order — round 0 of the
-    /// fixpoint, naive evaluation, one-shot derivation.
+    /// fixpoint, one-shot derivation.
     pub body: AccessPath,
     /// Positive atom `i` bound to a delta row.
     pub pos: Vec<AccessPath>,

@@ -8,10 +8,10 @@
 //! other positive atom is reached by a membership lookup (fully bound),
 //! a hash-index probe (some column bound) or a scan, and at the body's
 //! end inequalities and negative atoms are checked before the binding
-//! goes to the caller's sink. The semi-naive fixpoint, naive
-//! evaluation, one-shot derivation, ILOG valuation queries and the steps
-//! of incremental maintenance are all callers; they differ in the path,
-//! the view, where the seeding rows come from and what the sink does.
+//! goes to the caller's sink. The semi-naive fixpoint, one-shot
+//! derivation, ILOG valuation queries and the steps of incremental
+//! maintenance are all callers; they differ in the path, the view,
+//! where the seeding rows come from and what the sink does.
 
 use super::compile::{Access, AccessPath, ColOp, CompiledAtom, CompiledRule, Slot};
 use calm_common::storage::{EvalMetrics, Relation, Storage, Sym, SymTuple};

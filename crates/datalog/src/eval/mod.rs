@@ -1,4 +1,4 @@
-//! Evaluation engines for Datalog¬.
+//! Evaluation of Datalog¬: one fixpoint, its stores and its maintenance.
 //!
 //! * [`database`] — the internal relation store over the shared
 //!   substrate ([`calm_common::storage`]): interned symbols, indexed
@@ -7,9 +7,8 @@
 //!   one planner: every access path of every rule;
 //! * `join` — the one kernel that enumerates body valuations along
 //!   those paths;
-//! * [`seminaive`] — the fixpoint of a semi-positive program, by the
-//!   engine its [`EvalOptions`] name: planned semi-naive, or one of its
-//!   two references (baseline semi-naive, naive);
+//! * [`seminaive`] — the fixpoint of a semi-positive program: planned
+//!   semi-naive, data-parallel at [`EvalOptions::eval_threads`] > 1;
 //! * [`stratified`] — the stratified semantics driver and its two
 //!   doors, [`eval_database`] over rows and [`eval_program`] over an
 //!   [`calm_common::instance::Instance`];
@@ -26,7 +25,6 @@ pub mod stratified;
 pub use database::Database;
 pub use incremental::{MaintenancePlan, UpdateStats};
 pub use seminaive::{
-    fixpoint_seminaive_compiled, CompiledProgram, Engine, EvalMetrics, EvalOptions, RuleSet,
-    ValuationQuery,
+    fixpoint_seminaive_compiled, CompiledProgram, EvalMetrics, EvalOptions, RuleSet, ValuationQuery,
 };
 pub use stratified::{eval_database, eval_program, plan_report};

@@ -1,6 +1,6 @@
-//! Fixpoint evaluation of semi-positive programs: naive and semi-naive.
+//! Fixpoint evaluation of semi-positive programs: planned semi-naive.
 //!
-//! Both compute the minimal fixpoint of the immediate consequence operator
+//! It computes the minimal fixpoint of the immediate consequence operator
 //! `T_P` (Section 2). Negative atoms are only consulted against relations
 //! that are fixed during the fixpoint (edb or lower strata), which the
 //! stratified driver guarantees.
@@ -46,29 +46,9 @@ use std::sync::Mutex;
 
 pub use calm_common::storage::EvalMetrics;
 
-/// Which fixpoint engine evaluates a stratum: the product's planned,
-/// indexed semi-naive loop, or one of the two references it is checked
-/// against (`proptest_engine`, E18).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Semi-naive with join reordering and hash indexes (default).
-    #[default]
-    SemiNaive,
-    /// Semi-naive in body order and without indexes: every probe scans.
-    SemiNaiveBaseline,
-    /// Naive re-derivation over the baseline's paths: every round walks
-    /// every rule's whole body.
-    Naive,
-}
-
-/// Evaluation options: the engine (the ablation knob) and the
-/// data-parallel driver knob.
+/// Evaluation options: the data-parallel driver knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalOptions {
-    /// The fixpoint engine. Only [`Engine::SemiNaive`] reorders body
-    /// atoms and builds the hash indexes its access paths probe (once
-    /// per fixpoint, maintained on insert).
-    pub engine: Engine,
     /// Worker threads for the semi-naive rounds; 1 (the default)
     /// runs every job on the calling thread. Any value produces a
     /// byte-identical database and [`EvalMetrics`] — see the module
@@ -78,17 +58,7 @@ pub struct EvalOptions {
 
 impl Default for EvalOptions {
     fn default() -> Self {
-        Engine::SemiNaive.into()
-    }
-}
-
-impl From<Engine> for EvalOptions {
-    /// `engine`, sequential.
-    fn from(engine: Engine) -> Self {
-        EvalOptions {
-            engine,
-            eval_threads: 1,
-        }
+        EvalOptions { eval_threads: 1 }
     }
 }
 
@@ -137,8 +107,7 @@ fn derive_rule(
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     rules: Vec<CompiledRule>,
-    /// The hash indexes the fixpoint's own paths probe (empty but for
-    /// [`Engine::SemiNaive`]).
+    /// The hash indexes the fixpoint's own paths probe.
     indexes: Vec<(RelId, usize)>,
     pub(crate) options: EvalOptions,
     /// Per-rule span labels (`<head-relation>#<rule-index>`), computed at
@@ -159,9 +128,7 @@ impl CompiledProgram {
         table: &mut SymbolTable,
         options: EvalOptions,
     ) -> CompiledProgram {
-        // Reordered bodies and indexes come together: the planned engine.
-        let planned = options.engine == Engine::SemiNaive;
-        let rules = compile_program(program, table, planned);
+        let rules = compile_program(program, table, true);
         let labels: Vec<String> = rules
             .iter()
             .enumerate()
@@ -173,18 +140,15 @@ impl CompiledProgram {
         for (rule, label) in rules.iter().zip(&labels) {
             let name = |a: &CompiledAtom| table.rel_name(a.relation);
             for (seed, path) in rule.fixpoint_paths() {
-                if planned {
-                    indexes.extend(rule.probed([path]));
-                }
+                indexes.extend(rule.probed([path]));
                 let mut parts: Vec<String> = (seed.iter())
                     .map(|&i| format!("{}[delta]", name(&rule.pos[i])))
                     .collect();
                 for step in &path.steps {
                     let (kind, tag) = match step.access {
-                        Access::Probe(col) if planned => (0, format!("probe@{col}")),
+                        Access::Probe(col) => (0, format!("probe@{col}")),
                         Access::Lookup => (1, "lookup".into()),
-                        // A probe of a column without an index scans.
-                        Access::Probe(_) | Access::Scan => (2, "scan".into()),
+                        Access::Scan => (2, "scan".into()),
                     };
                     access_counts[kind] += 1;
                     parts.push(format!("{}[{tag}]", name(&rule.pos[step.atom])));
@@ -224,9 +188,8 @@ impl CompiledProgram {
     }
 }
 
-/// The fixpoint of a precompiled program, by the engine it was
-/// compiled for. `db` must use the table the program was compiled
-/// against.
+/// The fixpoint of a precompiled program. `db` must use the table the
+/// program was compiled against.
 pub fn fixpoint_seminaive_compiled(cp: &CompiledProgram, db: &mut Database) -> EvalMetrics {
     fixpoint(cp, db.storage_mut(), None, None, &Obs::noop())
 }
@@ -429,10 +392,6 @@ pub(crate) fn fixpoint(
         seeds.is_some() || (!db.any_dead() && !frozen.is_some_and(Storage::any_dead)),
         "fixpoint over an uncompacted store: compact_retractions() first"
     );
-    // The naive reference walks every body path in every round, and
-    // reports nothing.
-    let (naive, noop) = (cp.options.engine == Engine::Naive, Obs::noop());
-    let obs = if naive { &noop } else { obs };
     let threads = cp.options.eval_threads.max(1);
     // Build the probed indexes once; inserts keep them current, so the
     // fixpoint loop below never rebuilds an index.
@@ -474,7 +433,7 @@ pub(crate) fn fixpoint(
                     seeds,
                     range: None,
                 };
-                if naive || (first && seeds.is_none()) {
+                if first && seeds.is_none() {
                     let body = job(&rule.paths.body, None);
                     plan_unit(&mut jobs, body, rule, storage, threads);
                     continue;
@@ -636,11 +595,6 @@ mod tests {
         fixpoint_with(program, db, EvalOptions::default())
     }
 
-    const BASELINE: EvalOptions = EvalOptions {
-        engine: Engine::SemiNaiveBaseline,
-        eval_threads: 1,
-    };
-
     fn tc() -> Program {
         parse_program(
             "T(x,y) :- E(x,y).\n\
@@ -650,19 +604,15 @@ mod tests {
     }
 
     #[test]
-    fn tc_on_path_both_engines_agree() {
-        let input = path(5);
-        let mut db1 = Database::from_instance(&input);
-        let mut db2 = Database::from_instance(&input);
-        let s1 = fixpoint_with(&tc(), &mut db1, Engine::Naive.into());
-        let s2 = fixpoint_seminaive(&tc(), &mut db2);
-        assert_eq!(db1.to_instance(), db2.to_instance());
-        // Path with 5 edges: TC has 5+4+3+2+1 = 15 pairs.
-        let out = db1.to_instance();
-        assert_eq!(out.relation_len("T"), 15);
-        // Semi-naive does strictly fewer derivations on a path.
-        assert!(s2.derivations <= s1.derivations);
-        assert!(s1.new_facts == s2.new_facts);
+    fn tc_on_path_derives_each_pair_once() {
+        // Path with 5 edges: TC has 5+4+3+2+1 = 15 pairs. Left-linear
+        // semi-naive derives each of them once — round k extends the
+        // paths of length k by one edge — and a sixth round finds
+        // nothing new.
+        let mut db = Database::from_instance(&path(5));
+        let s = fixpoint_seminaive(&tc(), &mut db);
+        assert_eq!(db.to_instance().relation_len("T"), 15);
+        assert_eq!((s.iterations, s.derivations, s.new_facts), (6, 15, 15));
     }
 
     #[test]
@@ -677,16 +627,6 @@ mod tests {
         assert_eq!(s.index_hits, s.derivations - 8);
         assert_eq!((s.merge_probes, s.merge_hits), (0, 0));
         assert!(s.bytes_moved > 0);
-        // The baseline builds no index, so its probes scan.
-        let mut db2 = Database::from_instance(&input);
-        let s2 = fixpoint_with(&tc(), &mut db2, BASELINE);
-        assert_eq!(s2.index_probes, 0);
-        assert_eq!(s2.index_hits, 0);
-        assert_eq!(db.to_instance(), db2.to_instance());
-        assert_eq!(
-            (s.iterations, s.derivations, s.new_facts, s.bytes_moved),
-            (s2.iterations, s2.derivations, s2.new_facts, s2.bytes_moved)
-        );
     }
 
     #[test]
@@ -807,21 +747,6 @@ mod tests {
             let options = EvalOptions::default().with_eval_threads(threads);
             assert_eq!(fixpoint_with(&p, &mut par, options), m, "T={threads}");
             assert_byte_identical(&seq, &par);
-        }
-    }
-
-    #[test]
-    fn indexed_run_matches_baseline_on_small_graphs() {
-        // Differential: indexed vs BASELINE (pure scans) must derive
-        // the same instance on a spread of graph shapes.
-        for n in [0, 1, 2, 5, 9] {
-            for input in [path(n), calm_common::generator::cycle(n.max(1))] {
-                let mut a = Database::from_instance(&input);
-                fixpoint_seminaive(&tc(), &mut a);
-                let mut b = Database::from_instance(&input);
-                fixpoint_with(&tc(), &mut b, BASELINE);
-                assert_eq!(a.to_instance(), b.to_instance(), "diverged at n={n}");
-            }
         }
     }
 
@@ -1031,20 +956,6 @@ mod tests {
             capture.spans.into_inner().unwrap().len(),
             metrics.iterations
         );
-    }
-
-    #[test]
-    fn parallel_fixpoint_matches_baseline_options_too() {
-        // No indexes -> every unit is partitionable (no probe-path
-        // exception); the scan-only driver must still be identical.
-        let input = path(9);
-        let mut seq = Database::from_instance(&input);
-        let m_seq = fixpoint_with(&tc(), &mut seq, BASELINE);
-        let mut par = Database::from_instance(&input);
-        let m_par = fixpoint_with(&tc(), &mut par, BASELINE.with_eval_threads(8));
-        assert_eq!(m_seq, m_par);
-        assert_byte_identical(&seq, &par);
-        assert_eq!(m_par.index_probes, 0);
     }
 
     #[test]

@@ -122,20 +122,17 @@ pub fn plan_report(p: &Program) -> Result<String, NotStratifiable> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::seminaive::Engine;
     use crate::parser::parse_program;
     use calm_common::fact::fact;
     use calm_common::generator::path;
 
-    fn eval(p: &Program, input: &Instance, engine: Engine) -> (Instance, Vec<EvalMetrics>) {
-        eval_program(p, input, engine.into(), &Obs::noop()).unwrap()
+    fn eval(p: &Program, input: &Instance) -> (Instance, Vec<EvalMetrics>) {
+        eval_program(p, input, EvalOptions::default(), &Obs::noop()).unwrap()
     }
 
     /// The query answer `P(I)|σ'`.
     fn answer(p: &Program, input: &Instance) -> Instance {
-        eval(p, input, Engine::SemiNaive)
-            .0
-            .restrict(&p.output_schema())
+        eval(p, input).0.restrict(&p.output_schema())
     }
 
     #[test]
@@ -180,7 +177,7 @@ mod tests {
             fact("E", [1, 2, 3]),
             fact("O", [7]),
         ]);
-        let (full, stats) = eval(&p, &input, Engine::SemiNaive);
+        let (full, stats) = eval(&p, &input);
         assert!(full.relation_len("T") > 0 && full.relation_len("Adom") > 0);
         assert!(full.contains(&fact("O", [7])) && full.contains(&fact("E", [1])));
         for threads in [1, 4] {
@@ -215,21 +212,6 @@ mod tests {
         // 2: A(2); not B(2); O(2).
         assert_eq!(out.relation_len("O"), 1);
         assert!(out.contains(&fact("O", [2])));
-    }
-
-    #[test]
-    fn engines_agree_on_stratified_program() {
-        let p = parse_program(
-            "T(x,y) :- E(x,y).\n\
-             T(x,z) :- T(x,y), E(y,z).\n\
-             O(x) :- T(x,x).",
-        )
-        .unwrap();
-        let input = calm_common::generator::cycle(5);
-        let (a, _) = eval(&p, &input, Engine::SemiNaive);
-        let (b, _) = eval(&p, &input, Engine::Naive);
-        assert_eq!(a, b);
-        assert_eq!(a.relation_len("O"), 5);
     }
 
     #[test]
@@ -272,7 +254,7 @@ mod tests {
              Adom(y) :- E(x,y).",
         )
         .unwrap();
-        let (_, stats) = eval(&p, &path(4), Engine::SemiNaive);
+        let (_, stats) = eval(&p, &path(4));
         let mut merged = EvalMetrics::default();
         for s in &stats {
             merged.merge(s);
@@ -326,7 +308,7 @@ mod tests {
              Adom(y) :- E(x,y).",
         )
         .unwrap();
-        let (_, stats) = eval(&p, &path(4), Engine::SemiNaive);
+        let (_, stats) = eval(&p, &path(4));
         assert_eq!(stats.len(), 2);
         assert!(stats[0].new_facts > 0);
     }

@@ -16,8 +16,7 @@
 //!   update batches;
 //! * [`eval::eval_program`] — the full stratified model of an
 //!   instance and each stratum's counters, under [`eval::EvalOptions`]
-//!   (the engine ablation and the data-parallel driver) and an
-//!   observer; [`eval::eval_database`] is the same evaluation over rows
+//!   (the data-parallel driver) and an observer; [`eval::eval_database`] is the same evaluation over rows
 //!   already loaded into a [`eval::Database`];
 //! * [`fragment::classify`] — Figure 2 fragment membership;
 //! * [`wellfounded::well_founded_model`] — the three-valued WFS.
@@ -35,7 +34,7 @@ pub mod stratify;
 pub mod wellfounded;
 
 pub use ast::{Atom, Rule, Term, Var};
-pub use eval::{eval_database, eval_program, plan_report, Engine, EvalOptions};
+pub use eval::{eval_database, eval_program, plan_report, EvalOptions};
 pub use eval::{MaintenancePlan, UpdateStats};
 pub use fragment::{classify, is_rule_connected, FragmentReport};
 pub use parser::{parse_facts, parse_program, parse_rule, parse_updates};

@@ -1,11 +1,10 @@
 //! Per-stratum evaluation counters, pinned: a three-stratum program
-//! with negation and two recursive strata, evaluated by all three
-//! engines at one and two eval threads. The model and every field of
-//! every stratum's `EvalMetrics` are compared with fixed values.
+//! with negation and two recursive strata, evaluated at one and two
+//! eval threads. The model and every field of every stratum's
+//! `EvalMetrics` are compared with fixed values.
 
 use calm_common::storage::EvalMetrics;
 use calm_common::{fact, Instance};
-use calm_datalog::eval::Engine;
 use calm_datalog::parse_program;
 
 /// `Adom` and `T` (stratum 0, `T` recursive), `U` (stratum 1, negating
@@ -41,9 +40,9 @@ fn input() -> Instance {
 }
 
 /// The full model and each stratum's counters.
-fn run(engine: Engine, threads: usize) -> (Instance, Vec<EvalMetrics>) {
+fn run(threads: usize) -> (Instance, Vec<EvalMetrics>) {
     let p = parse_program(PROGRAM).unwrap();
-    let options = calm_datalog::EvalOptions::from(engine).with_eval_threads(threads);
+    let options = calm_datalog::EvalOptions::default().with_eval_threads(threads);
     calm_datalog::eval_program(&p, &input(), options, &calm_obs::Obs::noop()).unwrap()
 }
 
@@ -86,35 +85,13 @@ fn digest(model: &Instance) -> u64 {
 const DIGEST: u64 = 0x0616_5b2a_e2b2_a57c;
 
 #[test]
-fn every_engine_pins_its_per_stratum_metrics_at_one_and_two_threads() {
+fn the_engine_pins_its_per_stratum_metrics_at_one_and_two_threads() {
     // [iterations, derivations, new_facts, index_probes, index_hits,
-    //  merge_probes, merge_hits, bytes_moved] per stratum. The two
-    // references never probe; naive re-derives every round.
-    let expected: [(Engine, [[usize; 8]; 3]); 3] = [
-        (
-            Engine::Naive,
-            [
-                [11, 1694, 147, 0, 0, 0, 0, 1112],
-                [2, 10, 5, 0, 0, 0, 0, 20],
-                [6, 86, 18, 0, 0, 0, 0, 144],
-            ],
-        ),
-        (
-            Engine::SemiNaiveBaseline,
-            [
-                [11, 207, 147, 0, 0, 0, 0, 1112],
-                [2, 5, 5, 0, 0, 0, 0, 20],
-                [6, 20, 18, 0, 0, 0, 0, 144],
-            ],
-        ),
-        (
-            Engine::SemiNaive,
-            [
-                [11, 207, 147, 131, 153, 0, 0, 1112],
-                [2, 5, 5, 0, 0, 0, 0, 20],
-                [6, 20, 18, 14, 12, 0, 0, 144],
-            ],
-        ),
+    //  merge_probes, merge_hits, bytes_moved] per stratum.
+    let strata: [[usize; 8]; 3] = [
+        [11, 207, 147, 131, 153, 0, 0, 1112],
+        [2, 5, 5, 0, 0, 0, 0, 20],
+        [6, 20, 18, 14, 12, 0, 0, 144],
     ];
     let outputs: Vec<String> = [
         "O(8,9)", "O(8,10)", "O(8,11)", "O(8,12)", "O(9,10)", "O(9,11)", "O(9,12)", "O(9,13)",
@@ -123,19 +100,17 @@ fn every_engine_pins_its_per_stratum_metrics_at_one_and_two_threads() {
     .map(String::from)
     .into();
     let schema = parse_program(PROGRAM).unwrap().output_schema();
-    for (engine, strata) in expected {
-        for threads in [1, 2] {
-            let (model, stats) = run(engine, threads);
-            let at = format!("{engine:?} at {threads} eval threads");
-            assert_eq!(stats.iter().map(fields).collect::<Vec<_>>(), strata, "{at}");
-            assert_eq!(model.len(), 188, "{at}");
-            let lens = ["E", "Adom", "T", "U", "R", "O"].map(|r| model.relation_len(r));
-            assert_eq!(lens, [18, 16, 131, 5, 9, 9], "{at}");
-            let answer: Vec<String> = (model.restrict(&schema).facts())
-                .map(|f| f.to_string())
-                .collect();
-            assert_eq!(answer, outputs, "{at}");
-            assert_eq!(digest(&model), DIGEST, "{at}");
-        }
+    for threads in [1, 2] {
+        let (model, stats) = run(threads);
+        let at = format!("at {threads} eval threads");
+        assert_eq!(stats.iter().map(fields).collect::<Vec<_>>(), strata, "{at}");
+        assert_eq!(model.len(), 188, "{at}");
+        let lens = ["E", "Adom", "T", "U", "R", "O"].map(|r| model.relation_len(r));
+        assert_eq!(lens, [18, 16, 131, 5, 9, 9], "{at}");
+        let answer: Vec<String> = (model.restrict(&schema).facts())
+            .map(|f| f.to_string())
+            .collect();
+        assert_eq!(answer, outputs, "{at}");
+        assert_eq!(digest(&model), DIGEST, "{at}");
     }
 }

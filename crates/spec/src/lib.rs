@@ -5,8 +5,9 @@
 //! read as facts, `S` from scratch, coordination-freeness witnesses
 //! (Definition 3), the proof replays of Theorems 4.3–4.5 with the
 //! example [`policies`] they and Example 4.1 use, win-move's
-//! [`doubled`] program (§7), and Datalog transducers with the network
-//! compiler. The engines are checked against it; none depends on it.
+//! [`doubled`] program (§7), Datalog transducers with the network
+//! compiler, and the [`reference`] evaluator of stratified Datalog¬.
+//! The engines are checked against it; none depends on it.
 
 #![warn(missing_docs)]
 
@@ -16,6 +17,7 @@ pub mod doubled;
 pub mod netcompile;
 pub mod policies;
 pub mod proof_replay;
+pub mod reference;
 pub mod semantics;
 pub mod system_facts;
 
